@@ -48,7 +48,7 @@ impl Node for Prober {
         ctx.schedule(PROBE_INTERVAL, TimerToken(1));
     }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let Ok(rtp) = RtpPacket::parse(&pkt.payload) else {
+        let Ok(rtp) = RtpPacket::parse_bytes(&pkt.payload) else {
             return;
         };
         if rtp.payload.len() >= 8 {
@@ -70,7 +70,7 @@ struct Echoer {
 
 impl Node for Echoer {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let Ok(rtp) = RtpPacket::parse(&pkt.payload) else {
+        let Ok(rtp) = RtpPacket::parse_bytes(&pkt.payload) else {
             return;
         };
         let mut echo = RtpPacket::new(111, self.seq, 0, 0xBBBB);

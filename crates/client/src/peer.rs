@@ -359,7 +359,7 @@ impl Node for ClientNode {
         }
         match classify(&pkt.payload) {
             PacketClass::Rtp => {
-                let Ok(rtp) = RtpPacket::parse(&pkt.payload) else {
+                let Ok(rtp) = RtpPacket::parse_bytes(&pkt.payload) else {
                     return;
                 };
                 let is_video = rtp.extension(scallop_proto::av1::DD_EXTENSION_ID).is_some();

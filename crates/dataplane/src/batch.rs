@@ -41,11 +41,53 @@
 //! punting packet, the agent runs between segments, and every segment
 //! restarts with cold caches (the parse arena survives — parsing is
 //! immutable work).
+//!
+//! **Egress: one slab per segment.** A sequence-rewritten replica needs
+//! its own copy of the packet (bytes 2..4 differ per receiver), and
+//! [`Packet::payload`] must stay one contiguous `Deref<[u8]>`, so one
+//! copy per rewritten replica is the floor. The replica slab pays exactly
+//! that and nothing else: every rewritten replica of a segment — the
+//! per-packet path is a segment of one — is appended to one `Vec<u8>`
+//! and patched in place; at segment end the vector is frozen into one
+//! shared [`Bytes`] and each replica's payload becomes a view into it.
+//! The next segment takes the allocation back when every view has been
+//! dropped (a caller that clears its output between bursts allocates
+//! nothing but the reference count); when views are still alive the
+//! slab simply stays theirs and a fresh one is reserved. Replicas the
+//! Stream Tracker does not rewrite (audio, sender reports, streams of
+//! receivers that were never rate-adapted) share the ingress buffer.
+//!
+//! **What a view pins.** A view keeps its *whole* backing allocation
+//! alive: a replica view pins its segment's slab, an `RtpPacket.payload`
+//! from `RtpPacket::parse_bytes` pins the wire buffer it was parsed
+//! from. Everything that can hold one beyond delivery is bounded:
+//!
+//! * the data plane itself holds one handle, on the last segment's slab,
+//!   until the next segment starts;
+//! * `core::switchnode`'s `pending_payloads` holds forwards for the
+//!   fixed pipeline latency (agent responses for the agent latency) and
+//!   the simulator's event queue for one link traversal — both drain in
+//!   bounded simulated time, so the slabs alive at once are those of the
+//!   segments processed within that window;
+//! * `client::peer` parses with `parse_bytes`, but the `RtpPacket` dies
+//!   inside `on_packet`: `media::decoder` assembles frames from
+//!   sequence numbers and payload *lengths* (`seq_identity`,
+//!   `FrameAssembly::received`) and `client::receiver` keeps arrival
+//!   statistics only, so nothing on the receive side retains a payload;
+//! * the NACK/RTX history (`client::sender`) stores the sender's own
+//!   `RtpPacket`s, whose payloads are owned buffers made by the
+//!   packetizer, never views of a slab or of a received datagram, and is
+//!   a fixed-length ring;
+//! * `baseline::sfu` (the software SFU) copies every replica into an
+//!   owned buffer and never sees a slab.
 
 use crate::parser::ParsedPacket;
 use crate::pre::Replica;
 use crate::rules::{EgressSpec, PortRule};
+use bytes::Bytes;
 use scallop_netsim::packet::Packet;
+use scallop_proto::rtp;
+use std::ops::Range;
 
 /// What the batch path saved relative to per-packet processing.
 /// Cumulative across batches, like
@@ -85,14 +127,17 @@ pub(crate) type ResolvedReplica = (Replica, Option<EgressSpec>);
 /// senders x receivers per batch and a per-key cache degenerates into
 /// an O(n^2) scan that loses to the exact table it fronts. Instead the
 /// flow cache stores the replica list with egress already resolved —
-/// one entry per flow, zero egress work on replay.
+/// one entry per flow, zero egress work on replay — as a range of one
+/// flat arena, so a cache miss allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct BatchCaches {
     /// dst port → resolved rule (`None` = looked up, no rule).
     pub(crate) ports: Vec<(u16, Option<PortRule>)>,
-    /// Flow → egress-resolved PRE replica list (`None` = the walk
-    /// failed, e.g. no such group).
-    pub(crate) flows: Vec<(FlowKey, Option<Vec<ResolvedReplica>>)>,
+    /// Flow → its egress-resolved PRE replica list, a range of
+    /// `flow_replicas` (`None` = the walk failed, e.g. no such group).
+    pub(crate) flows: Vec<(FlowKey, Option<Range<u32>>)>,
+    /// Every cached flow's replicas, back to back.
+    pub(crate) flow_replicas: Vec<ResolvedReplica>,
     /// Savings accumulated this segment, folded into [`BatchStats`]
     /// when the segment ends.
     pub(crate) port_lookups_saved: u64,
@@ -101,14 +146,72 @@ pub(crate) struct BatchCaches {
 }
 
 impl BatchCaches {
-    /// Cold-start the caches for a new segment. Capacity is kept;
-    /// cached replica-list allocations inside `flows` are dropped
-    /// (they are rebuilt lazily, and flows rarely repeat across
-    /// segment boundaries — a segment boundary means the agent may
-    /// have rewritten the tree anyway).
+    /// Cold-start the caches for a new segment (a segment boundary
+    /// means the agent may have rewritten the tables). Capacity is kept.
     pub(crate) fn begin_segment(&mut self) {
         self.ports.clear();
         self.flows.clear();
+        self.flow_replicas.clear();
+    }
+}
+
+/// The payloads of one segment's sequence-rewritten replicas, back to
+/// back in one buffer (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct ReplicaSlab {
+    buf: Vec<u8>,
+    /// `(index into the segment's forwards, offset, length)` of each
+    /// replica in `buf`, turned into views when the segment ends. `u32`:
+    /// a `Bytes` holds under 4 GiB, and freezing a larger slab panics.
+    fixups: Vec<(u32, u32, u32)>,
+    /// The previous segment's slab, kept to take its allocation back.
+    frozen: Option<Bytes>,
+    /// Bytes the previous slab held: what a fresh one reserves up front.
+    last_len: usize,
+}
+
+impl ReplicaSlab {
+    /// Start a segment: reuse the previous slab's allocation when no
+    /// view of it is left.
+    pub(crate) fn begin_segment(&mut self) {
+        if let Some(prev) = self.frozen.take() {
+            if prev.is_unique() {
+                self.buf = prev.into();
+                self.buf.clear();
+            }
+        }
+    }
+
+    /// Append a copy of `payload` carrying sequence number `seq`, for the
+    /// forward that is about to be pushed at index `forward`. `false`
+    /// (nothing appended) when `payload` is too short to be RTP.
+    pub(crate) fn push(&mut self, payload: &[u8], seq: u16, forward: usize) -> bool {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve(self.last_len.max(payload.len()));
+        }
+        let off = self.buf.len();
+        self.buf.extend_from_slice(payload);
+        if rtp::set_sequence_number(&mut self.buf[off..], seq).is_err() {
+            self.buf.truncate(off);
+            return false;
+        }
+        self.fixups
+            .push((forward as u32, off as u32, payload.len() as u32));
+        true
+    }
+
+    /// End a segment: freeze the buffer and hand each rewritten replica
+    /// in `forwards` its view.
+    pub(crate) fn end_segment(&mut self, forwards: &mut [Packet]) {
+        if self.fixups.is_empty() {
+            return;
+        }
+        self.last_len = self.buf.len();
+        let slab = Bytes::from(std::mem::take(&mut self.buf));
+        for (forward, off, len) in self.fixups.drain(..) {
+            forwards[forward as usize].payload = slab.slice(off as usize..(off + len) as usize);
+        }
+        self.frozen = Some(slab);
     }
 }
 

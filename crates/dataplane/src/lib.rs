@@ -37,6 +37,8 @@
 //! Absolute forwarding latency is a calibrated constant (≈1 µs) instead
 //! of a measured one.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod parser;
 pub mod pre;

@@ -11,23 +11,26 @@
 //! 4. **Egress per replica**: SVC-layer gate (drop templates above the
 //!    receiver's decode target), Stream-Tracker sequence rewrite
 //!    (S-LM/S-LR, §6.2), and source/destination address rewrite so each
-//!    copy is unicast-addressed to its receiver (§6.1).
+//!    copy is unicast-addressed to its receiver (§6.1). A rewritten
+//!    replica is one copy into the segment's slab
+//!    ([`crate::batch`]); every other replica shares the ingress buffer.
 //! 5. **CPU port**: STUN, receiver feedback copies, and extended-DD key
 //!    frames are copied to the switch agent; media never is (§4).
 //!
 //! All packet/byte accounting for Table 1 and Fig. 22 happens here.
 
-use crate::batch::{BatchCaches, BatchOutput};
+use crate::batch::{BatchCaches, BatchOutput, FlowKey, ReplicaSlab, ResolvedReplica};
 use crate::parser::{self, ParsedPacket};
 use crate::pre::PacketReplicationEngine;
 use crate::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use crate::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
 use crate::soa::DensePortRules;
 use crate::tables::{ExactTable, TableError};
+use bytes::Bytes;
 use scallop_netsim::packet::Packet;
 use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
 use scallop_proto::demux::PacketClass;
-use scallop_proto::rtp;
+use std::ops::Range;
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
@@ -211,10 +214,11 @@ pub struct ScallopDataPlane {
     /// Per-call scratch for PRE replica lists (reused across packets so
     /// the egress path does not allocate per packet).
     replica_scratch: Vec<crate::pre::Replica>,
-    /// Per-call scratch for sequence-rewritten payloads (reused across
-    /// replicas so each rewrite costs one buffer fill, not a fresh
-    /// allocation).
-    payload_scratch: Vec<u8>,
+    /// The current segment's sequence-rewritten replica payloads.
+    slab: ReplicaSlab,
+    /// Resolution caches of the per-packet path, where every packet is
+    /// a segment of its own (so nothing ever hits).
+    packet_caches: BatchCaches,
     /// Dense struct-of-arrays mirror of `port_rules` over the switch's
     /// contiguous SFU port span (`None` until
     /// [`enable_dense_ports`](Self::enable_dense_ports)). The exact
@@ -234,7 +238,8 @@ impl ScallopDataPlane {
             counters: DataPlaneCounters::default(),
             max_parse_depth: 0,
             replica_scratch: Vec::new(),
-            payload_scratch: Vec::new(),
+            slab: ReplicaSlab::default(),
+            packet_caches: BatchCaches::default(),
             dense_ports: None,
         }
     }
@@ -338,11 +343,16 @@ impl ScallopDataPlane {
     pub fn process_into(&mut self, pkt: &Packet, out: &mut DataPlaneOutput) {
         out.clear();
         let parsed = parser::parse(&pkt.payload);
+        let mut caches = std::mem::take(&mut self.packet_caches);
+        caches.begin_segment();
+        self.slab.begin_segment();
         let mut sink = EmitSink {
             forwards: &mut out.forwards,
             punts: PuntChannel::Clone(&mut out.cpu_copies),
         };
-        self.run_pipeline(pkt, &parsed, None, &mut sink);
+        self.run_pipeline(pkt, &parsed, &mut caches, &mut sink);
+        self.slab.end_segment(&mut out.forwards);
+        self.packet_caches = caches;
     }
 
     /// Process a whole batch through the amortized path (see
@@ -387,6 +397,7 @@ impl ScallopDataPlane {
         }
         // Stage 2: match/replicate with per-segment resolution caches.
         caches.begin_segment();
+        self.slab.begin_segment();
         stats.batches += 1;
         let mut i = start;
         while i < pkts.len() {
@@ -399,13 +410,14 @@ impl ScallopDataPlane {
                     index: i as u32,
                 },
             };
-            self.run_pipeline(&pkts[i], &p, Some(caches), &mut sink);
+            self.run_pipeline(&pkts[i], &p, caches, &mut sink);
             stats.batch_pkts += 1;
             i += 1;
             if stop_at_punt && cpu_punts.len() > punts_before {
                 break;
             }
         }
+        self.slab.end_segment(forwards);
         stats.port_lookups_saved += std::mem::take(&mut caches.port_lookups_saved);
         stats.egress_lookups_saved += std::mem::take(&mut caches.egress_lookups_saved);
         stats.pre_walks_saved += std::mem::take(&mut caches.pre_walks_saved);
@@ -413,13 +425,12 @@ impl ScallopDataPlane {
     }
 
     /// The shared pipeline behind both the per-packet and batched entry
-    /// points: classify, match, replicate, emit into `sink`. `cache` is
-    /// `Some` on the batch path.
+    /// points: classify, match, replicate, emit into `sink`.
     fn run_pipeline(
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        cache: Option<&mut BatchCaches>,
+        cache: &mut BatchCaches,
         sink: &mut EmitSink,
     ) {
         self.max_parse_depth = self.max_parse_depth.max(parsed.parse_depth);
@@ -451,10 +462,7 @@ impl ScallopDataPlane {
     /// Ingress match for `port`: batch cache, then dense registers (when
     /// the port falls in the enabled span), then the exact table's
     /// sparse tail. The rule is copied out — no borrow survives.
-    fn resolve_rule(&mut self, cache: Option<&mut BatchCaches>, port: u16) -> Option<PortRule> {
-        let Some(c) = cache else {
-            return self.match_port_rule(port);
-        };
+    fn resolve_rule(&mut self, c: &mut BatchCaches, port: u16) -> Option<PortRule> {
         if let Some(&(_, rule)) = c.ports.iter().find(|(p, _)| *p == port) {
             c.port_lookups_saved += 1;
             return rule;
@@ -477,7 +485,7 @@ impl ScallopDataPlane {
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        mut cache: Option<&mut BatchCaches>,
+        cache: &mut BatchCaches,
         sink: &mut EmitSink,
     ) {
         let len = pkt.payload.len() as u64;
@@ -486,7 +494,7 @@ impl ScallopDataPlane {
             // SR/SDES travel sender -> receivers like media (§5.5).
             self.counters.rtcp_sr_pkts += 1;
             self.counters.rtcp_sr_bytes += len;
-            let Some(rule) = self.resolve_rule(cache.as_deref_mut(), pkt.dst.port) else {
+            let Some(rule) = self.resolve_rule(cache, pkt.dst.port) else {
                 self.counters.no_rule_drops += 1;
                 return;
             };
@@ -572,7 +580,7 @@ impl ScallopDataPlane {
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        mut cache: Option<&mut BatchCaches>,
+        cache: &mut BatchCaches,
         sink: &mut EmitSink,
     ) {
         let len = pkt.payload.len() as u64;
@@ -586,7 +594,7 @@ impl ScallopDataPlane {
             self.counters.audio_in_pkts += 1;
             self.counters.audio_in_bytes += len;
         }
-        let Some(rule) = self.resolve_rule(cache.as_deref_mut(), pkt.dst.port) else {
+        let Some(rule) = self.resolve_rule(cache, pkt.dst.port) else {
             self.counters.no_rule_drops += 1;
             return;
         };
@@ -619,7 +627,7 @@ impl ScallopDataPlane {
         pkt: &Packet,
         rtp: Option<&parser::RtpSummary>,
         action: &ReplicationAction,
-        cache: Option<&mut BatchCaches>,
+        c: &mut BatchCaches,
         sink: &mut EmitSink,
     ) {
         match action {
@@ -642,84 +650,29 @@ impl ScallopDataPlane {
                     })
                     .unwrap_or(0) as usize;
                 let mgid = mgid_by_tier[tier.min(2)];
-                // Batched path: replay the flow's cached, egress-resolved
-                // replica list, or walk the PRE + resolve each replica's
-                // egress once and cache the lot. Failed walks (no such
-                // group) are cached as `None` but still charged as a
-                // drop per packet, matching the sequential path.
-                if let Some(c) = cache {
-                    let flow = (mgid, *l1_xid, *rid, *l2_xid, pkt.dst.port);
-                    let at = match c.flows.iter().position(|(k, _)| *k == flow) {
-                        Some(at) => {
-                            c.pre_walks_saved += 1;
-                            if let Some(list) = &c.flows[at].1 {
-                                c.egress_lookups_saved += list.len() as u64;
-                            }
-                            at
-                        }
-                        None => {
-                            let mut replicas = std::mem::take(&mut self.replica_scratch);
-                            let ok = self
-                                .pre
-                                .replicate_into(mgid, *l1_xid, *rid, *l2_xid, &mut replicas)
-                                .is_ok();
-                            let resolved = ok.then(|| {
-                                replicas
-                                    .iter()
-                                    .map(|rep| {
-                                        let key = EgressKey {
-                                            mgid,
-                                            rid: rep.rid,
-                                            in_port: pkt.dst.port,
-                                        };
-                                        (*rep, self.egress.lookup(&key).copied())
-                                    })
-                                    .collect::<Vec<_>>()
-                            });
-                            replicas.clear();
-                            self.replica_scratch = replicas;
-                            c.flows.push((flow, resolved));
-                            c.flows.len() - 1
-                        }
-                    };
-                    // Split the cache borrow from `self`: the list is
-                    // read-only while replicas emit.
-                    let Some(list) = c.flows[at].1.take() else {
-                        self.counters.no_rule_drops += 1;
-                        return;
-                    };
-                    for &(rep, spec) in &list {
-                        let Some(spec) = spec else {
-                            self.counters.no_rule_drops += 1;
-                            continue;
-                        };
-                        // RIDs in the reserved trunk range name remote
-                        // switches: one fabric copy each, re-fanned by
-                        // the remote PRE.
-                        let is_trunk = rep.rid >= TRUNK_RID_BASE;
-                        self.emit_replica(pkt, rtp, spec, is_trunk, sink);
+                // Replay the flow's cached, egress-resolved replica list,
+                // or walk the PRE + resolve each replica's egress once and
+                // cache the lot. Failed walks (no such group) are cached
+                // as `None` but still charged as a drop per packet.
+                let flow = (mgid, *l1_xid, *rid, *l2_xid, pkt.dst.port);
+                let range = match c.flows.iter().find(|(k, _)| *k == flow) {
+                    Some((_, range)) => {
+                        c.pre_walks_saved += 1;
+                        c.egress_lookups_saved += range.as_ref().map_or(0, |r| r.len() as u64);
+                        range.clone()
                     }
-                    c.flows[at].1 = Some(list);
-                    return;
-                }
-                // Sequential path: walk and resolve per packet.
-                let mut replicas = std::mem::take(&mut self.replica_scratch);
-                let walked = self
-                    .pre
-                    .replicate_into(mgid, *l1_xid, *rid, *l2_xid, &mut replicas)
-                    .is_ok();
-                if !walked {
-                    self.replica_scratch = replicas;
+                    None => {
+                        let range = self.resolve_flow(flow, &mut c.flow_replicas);
+                        c.flows.push((flow, range.clone()));
+                        range
+                    }
+                };
+                let Some(range) = range else {
                     self.counters.no_rule_drops += 1;
                     return;
-                }
-                for rep in &replicas {
-                    let key = EgressKey {
-                        mgid,
-                        rid: rep.rid,
-                        in_port: pkt.dst.port,
-                    };
-                    let Some(spec) = self.egress.lookup(&key).copied() else {
+                };
+                for &(rep, spec) in &c.flow_replicas[range.start as usize..range.end as usize] {
+                    let Some(spec) = spec else {
                         self.counters.no_rule_drops += 1;
                         continue;
                     };
@@ -729,9 +682,36 @@ impl ScallopDataPlane {
                     let is_trunk = rep.rid >= TRUNK_RID_BASE;
                     self.emit_replica(pkt, rtp, spec, is_trunk, sink);
                 }
-                self.replica_scratch = replicas;
             }
         }
+    }
+
+    /// Walk the PRE for `flow` and match every replica's egress rule,
+    /// appending the resolved replicas to `arena`. Returns their range,
+    /// or `None` when the walk failed (no such group).
+    fn resolve_flow(
+        &mut self,
+        (mgid, l1_xid, rid, l2_xid, in_port): FlowKey,
+        arena: &mut Vec<ResolvedReplica>,
+    ) -> Option<Range<u32>> {
+        let mut replicas = std::mem::take(&mut self.replica_scratch);
+        let walked = self
+            .pre
+            .replicate_into(mgid, l1_xid, rid, l2_xid, &mut replicas)
+            .is_ok();
+        let start = arena.len() as u32;
+        if walked {
+            arena.extend(replicas.iter().map(|rep| {
+                let key = EgressKey {
+                    mgid,
+                    rid: rep.rid,
+                    in_port,
+                };
+                (*rep, self.egress.lookup(&key).copied())
+            }));
+        }
+        self.replica_scratch = replicas;
+        walked.then_some(start..arena.len() as u32)
     }
 
     /// Egress pipeline for one replica: SVC gate, sequence rewrite,
@@ -778,24 +758,21 @@ impl ScallopDataPlane {
                 }
             }
         }
-        let mut fwd = pkt.readdressed(spec.src, spec.dst);
-        if let Some(seq) = rewritten_seq {
-            // Header rewrite on the replica's copy of the bytes, staged
-            // through the reusable scratch buffer: one allocation per
-            // rewritten replica (the final shared `Bytes`), where the
-            // old per-replica `to_vec()` + `Vec -> Bytes` conversion
-            // cost two (the refcount header forces a copy either way).
-            self.payload_scratch.clear();
-            self.payload_scratch.extend_from_slice(&fwd.payload);
-            if rtp::set_sequence_number(&mut self.payload_scratch, seq).is_ok() {
-                fwd.payload = bytes::Bytes::copy_from_slice(&self.payload_scratch);
+        // Header rewrite on the replica's own copy of the bytes: the one
+        // copy goes into the segment slab, and the payload is attached
+        // as a view of it when the segment ends.
+        let fwd = match rewritten_seq {
+            Some(seq) if self.slab.push(&pkt.payload, seq, sink.forwards.len()) => {
+                Packet::new(spec.src, spec.dst, Bytes::new())
             }
-        }
+            _ => pkt.readdressed(spec.src, spec.dst),
+        };
+        let len = pkt.payload.len() as u64;
         self.counters.forwarded_pkts += 1;
-        self.counters.forwarded_bytes += fwd.payload.len() as u64;
+        self.counters.forwarded_bytes += len;
         if is_trunk {
             self.counters.trunk_out_pkts += 1;
-            self.counters.trunk_out_bytes += fwd.payload.len() as u64;
+            self.counters.trunk_out_bytes += len;
         }
         sink.forwards.push(fwd);
     }

@@ -156,6 +156,16 @@ struct FrameAssembly {
     first_arrival: SimTime,
 }
 
+impl FrameAssembly {
+    /// Whether every packet of `first..=end` has arrived. An end packet
+    /// numbered *below* its start (loss plus a wrong rewrite can deliver
+    /// that) spans nothing, so such a frame is never complete.
+    fn holds_span(&self, first: u64, end: u64) -> bool {
+        end.checked_sub(first)
+            .is_some_and(|d| self.received.len() as u64 == d + 1)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct MissingEntry {
     noticed_at: SimTime,
@@ -409,7 +419,7 @@ impl Decoder {
             // Complete = start and end known, all seqs in range received,
             // and nothing before its end is still awaited.
             let complete = match (asm.first_seq, asm.end_seq) {
-                (Some(f), Some(e)) => asm.received.len() as u64 == e - f + 1 && e < floor,
+                (Some(f), Some(e)) => asm.holds_span(f, e) && e < floor,
                 _ => false,
             };
             if complete {
@@ -423,7 +433,7 @@ impl Decoder {
             // span is below the floor but it is not complete, or when it
             // is older than the loss timeout with unmet pieces.
             let hopeless_by_floor = match (asm.first_seq, asm.end_seq) {
-                (Some(f), Some(e)) => e < floor && asm.received.len() as u64 != e - f + 1,
+                (Some(f), Some(e)) => e < floor && !asm.holds_span(f, e),
                 (Some(f), None) => {
                     // End never seen; if newer frames are already complete
                     // beyond it and floor passed the span start, give up
@@ -743,6 +753,24 @@ mod tests {
         }
         assert!(dec.stats.freezes >= 1, "missing T0 must freeze");
         assert!(dec.needs_keyframe());
+    }
+
+    /// Loss plus a wrong rewrite can deliver a frame whose end packet is
+    /// numbered below its start. That frame is incomplete and is dropped;
+    /// `end - start + 1` on it used to underflow, which panics wherever
+    /// overflow checks are on (as they are under tier-1 `cargo test`).
+    #[test]
+    fn end_packet_numbered_below_its_start_drops_the_frame() {
+        let mut pkts = stream(1, 3000);
+        assert!(pkts.len() >= 3, "a multi-packet frame");
+        let last = pkts.len() - 1;
+        pkts[0].sequence_number = 100;
+        pkts[last].sequence_number = 98;
+        let mut dec = Decoder::new(DecoderConfig::default());
+        let mut evs = dec.on_packet(SimTime::ZERO, &pkts[0]);
+        evs.extend(dec.on_packet(SimTime::from_millis(1), &pkts[last]));
+        assert_eq!(evs, vec![DecoderEvent::FrameDropped { frame: 0 }]);
+        assert_eq!(dec.stats.frames_decoded, 0);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! routing protocol, no TCP, no ARP, and no real I/O — experiments here need
 //! only UDP-like datagram delivery with controllable impairments.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod link;
 pub mod packet;

@@ -84,9 +84,12 @@ impl Packet {
         self.wire_len() as u64 * 8
     }
 
-    /// Return a copy re-addressed to a new source/destination pair, payload
-    /// shared (zero-copy). This is exactly the rewrite Scallop's egress
-    /// pipeline performs on replicas (§6.1 "Addressing replicated packets").
+    /// Return a copy re-addressed to a new source/destination pair, sharing
+    /// the payload buffer. This is the address rewrite Scallop's egress
+    /// pipeline performs on replicas (§6.1 "Addressing replicated
+    /// packets"); a replica whose sequence number is rewritten as well
+    /// cannot share the buffer and gets its bytes from the data plane's
+    /// replica slab instead.
     pub fn readdressed(&self, src: HostAddr, dst: HostAddr) -> Packet {
         Packet {
             src,

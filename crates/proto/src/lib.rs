@@ -38,6 +38,8 @@
 //! * The AV1 extended dependency descriptor uses a faithful but simplified
 //!   bit layout for template structures (see [`av1`] docs).
 
+#![forbid(unsafe_code)]
+
 pub mod av1;
 pub mod bits;
 pub mod demux;

@@ -90,8 +90,21 @@ impl RtpPacket {
             .map(|e| e.data.as_slice())
     }
 
-    /// Parse from a UDP payload.
+    /// Parse from a UDP payload, copying the media payload out.
     pub fn parse(buf: &[u8]) -> Result<RtpPacket, ProtoError> {
+        Self::parse_with(buf, Bytes::copy_from_slice)
+    }
+
+    /// Parse from a received datagram without copying: the media payload
+    /// is a view into `buf`, which it keeps alive.
+    pub fn parse_bytes(buf: &Bytes) -> Result<RtpPacket, ProtoError> {
+        Self::parse_with(buf, |payload| buf.slice_ref(payload))
+    }
+
+    fn parse_with<'a>(
+        buf: &'a [u8],
+        payload: impl FnOnce(&'a [u8]) -> Bytes,
+    ) -> Result<RtpPacket, ProtoError> {
         let view = RtpView::new(buf)?;
         let mut extensions = Vec::new();
         let mut profile = ExtensionProfile::OneByte;
@@ -108,7 +121,7 @@ impl RtpPacket {
             csrc: view.csrc(),
             extension_profile: profile,
             extensions,
-            payload: Bytes::copy_from_slice(view.payload()?),
+            payload: payload(view.payload()?),
         })
     }
 

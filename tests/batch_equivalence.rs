@@ -8,7 +8,11 @@
 //!    (as ring indices), and identical counters to N sequential
 //!    `process_into` calls — handcrafted mixes and proptest-randomized
 //!    batches alike, with dense SoA registers enabled on the batched
-//!    side only (so the test also proves dense == exact-table).
+//!    side only (so the test also proves dense == exact-table). Two
+//!    receivers are rate-adapted, so replicas are suppressed and
+//!    sequence-rewritten; the oracle's payloads are copied out into
+//!    owned buffers, so slab views sit on the batched side only and
+//!    `Packet` equality (which is by content) compares bytes.
 //! 2. **Fabric**: a multi-worker harness run reproduces the
 //!    single-worker run exactly (the wave barrier is deterministic).
 //! 3. **Baselines**: the live fabric slice reproduces the checked-in
@@ -34,7 +38,8 @@ use std::net::Ipv4Addr;
 const PORT_BASE: u16 = 10_000;
 const PORT_LIMIT: u16 = 12_000;
 
-/// An n-party all-sending meeting built through the real agent; the
+/// An n-party all-sending meeting built through the real agent, with
+/// the second participant decoding at DT1 and the third at DT0; the
 /// same construction on every call, so two calls yield identical rule
 /// tables.
 fn meeting(n: usize) -> (ScallopDataPlane, SwitchAgent, Vec<(HostAddr, JoinGrant)>) {
@@ -47,6 +52,9 @@ fn meeting(n: usize) -> (ScallopDataPlane, SwitchAgent, Vec<(HostAddr, JoinGrant
         let addr = HostAddr::new(Ipv4Addr::new(10, 9, 0, (i + 1) as u8), 5000);
         let g = agent.join(&mut dp, m, addr, true);
         members.push((addr, g));
+    }
+    for (dt, (_, g)) in [(1, &members[1]), (0, &members[2])] {
+        agent.apply_dt_change(&mut dp, g.participant, dt);
     }
     (dp, agent, members)
 }
@@ -74,8 +82,9 @@ fn video_bytes(ssrc: u32, seq: u16, template_id: u8, is_key: bool) -> Vec<u8> {
 
 /// Run the same batch through both entry points on identically-built
 /// data planes (dense registers on the batched one) and assert full
-/// equivalence: forwards, punt ring, counters, parse depth.
-fn assert_equivalent(pkts: &[Packet], parties: usize) {
+/// equivalence: forwards, punt ring, counters, parse depth. Returns the
+/// number of sequence-rewritten replicas the batch produced.
+fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
     let (mut seq_dp, _, _) = meeting(parties);
     let (mut bat_dp, _, _) = meeting(parties);
     bat_dp.enable_dense_ports(PORT_BASE, PORT_LIMIT);
@@ -85,7 +94,11 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) {
     let mut out = DataPlaneOutput::default();
     for (i, pkt) in pkts.iter().enumerate() {
         seq_dp.process_into(pkt, &mut out);
-        seq_fwd.append(&mut out.forwards);
+        seq_fwd.extend(
+            out.forwards
+                .drain(..)
+                .map(|f| Packet::new(f.src, f.dst, f.payload.to_vec())),
+        );
         if !out.cpu_copies.is_empty() {
             seq_punts.push(i as u32);
         }
@@ -101,6 +114,16 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) {
         bat_dp.max_parse_depth, seq_dp.max_parse_depth,
         "parse depth diverged"
     );
+    // A rewritten replica is a view of the slab; every other media
+    // replica shares its ingress packet's buffer.
+    bout.forwards
+        .iter()
+        .filter(|f| scallop::proto::classify(&f.payload) == scallop::proto::PacketClass::Rtp)
+        .filter(|f| {
+            pkts.iter()
+                .all(|p| p.payload.as_ptr() != f.payload.as_ptr())
+        })
+        .count()
 }
 
 #[test]
@@ -151,7 +174,11 @@ fn mixed_traffic_batch_matches_sequential() {
             pkts.push(Packet::new(s0, fb, nack));
         }
     }
-    assert_equivalent(&pkts, 6);
+    let rewritten = assert_equivalent(&pkts, 6);
+    assert!(
+        rewritten > 0,
+        "the adapted receivers' replicas are rewritten"
+    );
 }
 
 #[test]

@@ -1,0 +1,265 @@
+//! Allocation budget and byte-exactness of sequence-rewritten replicas.
+//!
+//! The repo benchmark's fan-out workload dips its receivers with no media
+//! in flight, so every stream's rewrite offset stays 0 there. Here the
+//! dip happens *under* media: all 600 (sender, receiver) streams of a
+//! 25-party meeting carry a non-zero offset, every replica's bytes differ
+//! from the ingress packet's, and the forwarding path must still cost one
+//! copy per replica and a constant number of heap allocations per burst.
+
+use scallop::core::agent::SwitchAgent;
+use scallop::dataplane::batch::BatchOutput;
+use scallop::dataplane::seqrewrite::SeqRewriteMode;
+use scallop::dataplane::switch::ScallopDataPlane;
+use scallop::media::encoder::EncodedFrame;
+use scallop::media::packetizer::Packetizer;
+use scallop::media::svc::L1T3Schedule;
+use scallop::netsim::packet::{HostAddr, Packet};
+use scallop::netsim::time::SimTime;
+use scallop::proto::rtp::{set_sequence_number, RtpView};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
+
+thread_local! {
+    /// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) made by this
+    /// thread: per thread, so parallel tests do not see each other.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // torn down; those calls are not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only a
+// `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr`/`layout`/`new_size` are the caller's, unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread made while `f` ran.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const PARTIES: usize = 25;
+const PKTS_PER_FRAME: usize = 5;
+const BURST: usize = PARTIES * PKTS_PER_FRAME;
+/// First sequence number of every sender: both the ingress numbers and
+/// the (lagging) rewritten ones cross the u16 wrap inside the test.
+const FIRST_SEQ: u16 = 65_476;
+
+struct Sender {
+    addr: HostAddr,
+    uplink: HostAddr,
+    schedule: L1T3Schedule,
+    packetizer: Packetizer,
+    frame_no: u16,
+}
+
+/// A 25-party all-sending meeting built through the real agent, whose
+/// receivers dipped to DT1 for two L1T3 cycles *of media* and recovered.
+struct World {
+    dp: ScallopDataPlane,
+    out: BatchOutput,
+    senders: Vec<Sender>,
+}
+
+impl World {
+    fn new() -> World {
+        let mut dp = ScallopDataPlane::new(SeqRewriteMode::LowRetransmission);
+        dp.enable_dense_ports(10_000, 12_000);
+        let mut agent =
+            SwitchAgent::new(Ipv4Addr::new(10, 0, 0, 100)).with_port_range(10_000, 12_000);
+        let meeting = agent.create_meeting();
+        let mut pids = Vec::new();
+        let mut senders = Vec::new();
+        for i in 0..PARTIES {
+            let addr = HostAddr::new(Ipv4Addr::new(10, 9, 0, (i + 1) as u8), 5000);
+            let grant = agent.join(&mut dp, meeting, addr, true);
+            pids.push(grant.participant);
+            let mut packetizer = Packetizer::new(0x1000 + i as u32, 96, 1200);
+            packetizer.set_next_seq(FIRST_SEQ);
+            senders.push(Sender {
+                addr,
+                uplink: grant.video_uplink,
+                schedule: L1T3Schedule::new(),
+                packetizer,
+                frame_no: 0,
+            });
+        }
+        let mut world = World {
+            dp,
+            out: BatchOutput::default(),
+            senders,
+        };
+        // The dip, with media flowing: each receiver misses the T2 frames
+        // of two cycles, so each of its 24 streams ends 20 packets behind.
+        for &pid in &pids {
+            agent.apply_dt_change(&mut world.dp, pid, 1);
+        }
+        for _ in 0..8 {
+            let burst = world.next_burst();
+            world.dp.process_batch(&burst, &mut world.out);
+        }
+        for &pid in &pids {
+            agent.apply_dt_change(&mut world.dp, pid, 2);
+        }
+        let offsets: Vec<u16> = world
+            .dp
+            .egress
+            .iter()
+            .filter_map(|(_, spec)| spec.rewrite_index)
+            .map(|idx| world.dp.tracker.offset_of(idx as usize))
+            .collect();
+        assert_eq!(
+            offsets.len(),
+            PARTIES * (PARTIES - 1),
+            "600 tracked streams"
+        );
+        assert!(
+            offsets.iter().all(|&o| o != 0),
+            "every stream was thinned under media"
+        );
+        world
+    }
+
+    /// One whole five-packet frame from every sender, sender-major.
+    fn next_burst(&mut self) -> Vec<Packet> {
+        let mut pkts = Vec::with_capacity(BURST);
+        for s in &mut self.senders {
+            let frame = EncodedFrame {
+                frame_number: s.frame_no,
+                label: s.schedule.next_label().into(),
+                size_bytes: PKTS_PER_FRAME * 1200 - 300,
+                captured_at: SimTime::ZERO,
+                rtp_timestamp: u32::from(s.frame_no) * 3_000,
+            };
+            s.frame_no = s.frame_no.wrapping_add(1);
+            let rtp = s.packetizer.packetize(&frame);
+            assert_eq!(rtp.len(), PKTS_PER_FRAME);
+            pkts.extend(
+                rtp.iter()
+                    .map(|p| Packet::new(s.addr, s.uplink, p.serialize())),
+            );
+        }
+        pkts
+    }
+}
+
+#[test]
+fn steady_state_bursts_allocate_a_constant_not_per_replica() {
+    let mut w = World::new();
+    let burst = w.next_burst();
+    w.dp.process_batch(&burst, &mut w.out); // warm-up: sizes every arena
+
+    // A caller that lets go of a burst's outputs before the next one (as
+    // `process_batch` does by clearing `out`) gets the slab back: what is
+    // left is the reference count of the frozen slab.
+    for _ in 0..8 {
+        let burst = w.next_burst();
+        let n = allocs_in(|| w.dp.process_batch(&burst, &mut w.out));
+        assert_eq!(w.out.forwards.len(), BURST * (PARTIES - 1));
+        assert!(n <= 2, "{n} allocations for one closed-loop burst");
+    }
+
+    // A caller that keeps every output alive pins each burst's slab, so
+    // each burst — one segment with rewritten replicas — needs a fresh
+    // one, reserved in one piece from the size of the last.
+    let mut kept = Vec::new();
+    for _ in 0..8 {
+        let copies: Vec<Vec<u8>> = w.out.forwards.iter().map(|p| p.payload.to_vec()).collect();
+        kept.push((w.out.forwards.clone(), copies));
+        let burst = w.next_burst();
+        let n = allocs_in(|| w.dp.process_batch(&burst, &mut w.out));
+        let segments_with_rewrites = 1;
+        assert!(
+            n <= 1 + segments_with_rewrites,
+            "{n} allocations for one burst with pinned slabs"
+        );
+    }
+    // A pinned slab is never taken back: its views read what they read
+    // when they were made.
+    for (views, copies) in &kept {
+        assert!(views
+            .iter()
+            .zip(copies)
+            .all(|(v, c)| v.payload[..] == c[..]));
+    }
+}
+
+#[test]
+fn rewritten_replicas_are_the_ingress_bytes_with_a_new_sequence_number() {
+    let mut w = World::new();
+    // Last rewritten sequence number per (pair address, receiver) stream.
+    let mut last: HashMap<(HostAddr, HostAddr), u16> = HashMap::new();
+    let mut wrapped = 0usize;
+    for _ in 0..12 {
+        let burst = w.next_burst();
+        w.dp.process_batch(&burst, &mut w.out);
+        let fanout = PARTIES - 1;
+        assert_eq!(w.out.forwards.len(), burst.len() * fanout);
+        for (i, ingress) in burst.iter().enumerate() {
+            let in_seq = RtpView::new(&ingress.payload).unwrap().sequence_number();
+            let replicas = &w.out.forwards[i * fanout..(i + 1) * fanout];
+            for (k, fwd) in replicas.iter().enumerate() {
+                let seq = RtpView::new(&fwd.payload).unwrap().sequence_number();
+                assert_ne!(seq, in_seq, "offset is non-zero on every stream");
+                // Byte-identical to the copy-then-patch the slab replaced.
+                let mut expect = ingress.payload.to_vec();
+                set_sequence_number(&mut expect, seq).unwrap();
+                assert_eq!(fwd.payload[..], expect[..]);
+                // Gap-free per stream, across the u16 wrap.
+                if let Some(prev) = last.insert((fwd.src, fwd.dst), seq) {
+                    assert_eq!(
+                        seq,
+                        prev.wrapping_add(1),
+                        "stream {} -> {}",
+                        fwd.src,
+                        fwd.dst
+                    );
+                    wrapped += usize::from(seq == 0);
+                }
+                // One slab: a packet's replicas sit back to back in it.
+                if k > 0 {
+                    let before = &replicas[k - 1].payload;
+                    assert_eq!(
+                        before.as_ptr() as usize + before.len(),
+                        fwd.payload.as_ptr() as usize
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(last.len(), PARTIES * (PARTIES - 1));
+    assert_eq!(wrapped, last.len(), "every stream crossed 65535 -> 0");
+}
