@@ -81,6 +81,14 @@ enum RateControlState {
     Decrease,
 }
 
+/// Span of the throughput measurement.
+const RATE_WINDOW: SimDuration = SimDuration::from_millis(500);
+
+/// Bits per second of `bytes` received within one [`RATE_WINDOW`].
+fn rate_bps(bytes: usize) -> f64 {
+    bytes as f64 * 8.0 / 0.5
+}
+
 /// The receiver-side bandwidth estimator for one media stream.
 #[derive(Debug)]
 pub struct BandwidthEstimator {
@@ -100,7 +108,11 @@ pub struct BandwidthEstimator {
     overuse_start: Option<SimTime>,
     usage: BandwidthUsage,
     // --- throughput measurement ---
+    /// Arrivals of the trailing [`RATE_WINDOW`], oldest first.
     rx_window: VecDeque<(SimTime, usize)>,
+    /// Bytes in `rx_window`, kept as packets enter and leave it so that
+    /// the rate costs one addition per packet, not a pass over the window.
+    rx_window_bytes: usize,
     first_packet_at: Option<SimTime>,
     // --- AIMD ---
     state: RateControlState,
@@ -129,6 +141,7 @@ impl BandwidthEstimator {
             overuse_start: None,
             usage: BandwidthUsage::Normal,
             rx_window: VecDeque::new(),
+            rx_window_bytes: 0,
             first_packet_at: None,
             state: RateControlState::Increase,
             last_rate_update: None,
@@ -146,16 +159,37 @@ impl BandwidthEstimator {
         self.usage
     }
 
-    /// Measured incoming rate over the trailing 500 ms.
+    /// Measured incoming rate over the 500 ms that end at `now`, which
+    /// is not before the last packet fed.
     pub fn incoming_rate_bps(&self, now: SimTime) -> f64 {
-        let cutoff = now - SimDuration::from_millis(500);
+        let cutoff = now - RATE_WINDOW;
         let bytes: usize = self
             .rx_window
             .iter()
             .filter(|(t, _)| *t >= cutoff)
             .map(|(_, b)| b)
             .sum();
-        bytes as f64 * 8.0 / 0.5
+        rate_bps(bytes)
+    }
+
+    /// Slide the throughput window to end at `now` and take `size` in.
+    fn admit_to_window(&mut self, now: SimTime, size: usize) {
+        // A clock that restarts leaves arrivals stamped in its future;
+        // they say nothing about the rate now.
+        if self.rx_window.back().is_some_and(|(t, _)| *t > now) {
+            self.rx_window.clear();
+            self.rx_window_bytes = 0;
+        }
+        self.rx_window.push_back((now, size));
+        self.rx_window_bytes += size;
+        let cutoff = now - RATE_WINDOW;
+        while let Some(&(t, bytes)) = self.rx_window.front() {
+            if t >= cutoff {
+                break;
+            }
+            self.rx_window.pop_front();
+            self.rx_window_bytes -= bytes;
+        }
     }
 
     /// Loss-based controller (RFC 8698-era GCC): the delay gradient is
@@ -180,11 +214,7 @@ impl BandwidthEstimator {
         if self.first_packet_at.is_none() {
             self.first_packet_at = Some(now);
         }
-        self.rx_window.push_back((now, size));
-        let cutoff = now - SimDuration::from_secs(2);
-        while self.rx_window.front().is_some_and(|(t, _)| *t < cutoff) {
-            self.rx_window.pop_front();
-        }
+        self.admit_to_window(now, size);
 
         // 5 ms send-time grouping.
         let bucket = (send_time_ms / 5.0).floor() as u64;
@@ -301,7 +331,7 @@ impl BandwidthEstimator {
             .map(|t| now.saturating_since(t).as_secs_f64())
             .unwrap_or(0.0)
             .min(1.0);
-        let measured = self.incoming_rate_bps(now);
+        let measured = rate_bps(self.rx_window_bytes);
 
         match self.usage {
             BandwidthUsage::Overuse => {
@@ -370,16 +400,27 @@ mod tests {
         let service = pkt_bytes as f64 * 8.0 / link_bps * 1000.0; // ms
         let n = (secs * 1000.0 / send_gap) as usize;
         let mut queue_free_at = 0.0f64; // ms
+        let mut fed: Vec<(SimTime, usize)> = Vec::new();
         for i in 0..n {
             let send_ms = i as f64 * send_gap;
             let start = send_ms.max(queue_free_at);
             let arrival_ms = start + service;
             queue_free_at = arrival_ms;
-            est.on_packet(
-                SimTime::from_secs_f64(arrival_ms / 1000.0),
-                send_ms,
-                pkt_bytes,
-            );
+            let now = SimTime::from_secs_f64(arrival_ms / 1000.0);
+            est.on_packet(now, send_ms, pkt_bytes);
+            // The rate the controller just used is the running sum; at
+            // every packet it must be, bit for bit, what a pass over the
+            // window gives and what a pass over everything fed gives.
+            fed.push((now, pkt_bytes));
+            let cutoff = now - RATE_WINDOW;
+            let resummed: usize = fed
+                .iter()
+                .filter(|(t, _)| *t >= cutoff)
+                .map(|(_, b)| b)
+                .sum();
+            let running = rate_bps(est.rx_window_bytes).to_bits();
+            assert_eq!(running, est.incoming_rate_bps(now).to_bits(), "packet {i}");
+            assert_eq!(running, rate_bps(resummed).to_bits(), "packet {i}");
         }
     }
 
@@ -447,6 +488,15 @@ mod tests {
         }
         let r = est.incoming_rate_bps(SimTime::from_millis(990));
         assert!((r - 1_000_000.0).abs() < 150_000.0, "rate {r}");
+    }
+
+    #[test]
+    fn window_holds_half_a_second_whatever_the_rate() {
+        let mut est = BandwidthEstimator::new(GccConfig::default());
+        drive(&mut est, 5.0, 4_000_000.0, 100_000_000.0, 500);
+        // 1000 packets per second offered: 500 ms of them, give or take
+        // the boundary packet.
+        assert!((499..=501).contains(&est.rx_window.len()));
     }
 
     #[test]

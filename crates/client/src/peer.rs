@@ -16,7 +16,7 @@
 //!   NACK, key frame on PLI, encoder-target update on REMB.
 
 use crate::gcc::GccConfig;
-use crate::receiver::{ReceiverState, StreamRxStats};
+use crate::receiver::{MediaHeader, ReceiverState, StreamRxStats};
 use crate::sender::{MediaSender, SenderStats};
 use scallop_media::audio::AudioConfig;
 use scallop_media::encoder::EncoderConfig;
@@ -26,9 +26,8 @@ use scallop_netsim::stats::Percentiles;
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::demux::{classify, PacketClass};
 use scallop_proto::rtcp::{self, RtcpPacket};
-use scallop_proto::rtp::RtpPacket;
 use scallop_proto::stun::StunMessage;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 const TIMER_VIDEO: TimerToken = TimerToken(1);
@@ -37,6 +36,12 @@ const TIMER_SR: TimerToken = TimerToken(3);
 const TIMER_FEEDBACK: TimerToken = TimerToken(4);
 const TIMER_STUN: TimerToken = TimerToken(5);
 const TIMER_POLL: TimerToken = TimerToken(6);
+
+/// A STUN probe is given up on after this many `stun_interval`s. Far
+/// beyond any round trip the links can produce (a full 128 KiB queue on
+/// a 1 Mb/s link drains in a second), so every response that does come
+/// back still finds its probe.
+const STUN_PROBE_LIFETIME_INTERVALS: u64 = 4;
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -158,8 +163,11 @@ pub struct ClientNode {
     /// port per stream). BTreeMap: iteration order must be deterministic
     /// because feedback packets are emitted while iterating.
     receivers: BTreeMap<(HostAddr, u32), ReceiverState>,
-    /// Outstanding STUN transactions: txid -> send time.
-    stun_pending: HashMap<[u8; 12], SimTime>,
+    /// Outstanding STUN transactions, oldest first: `(txid, send time)`.
+    /// One is added per `stun_interval` and none lives longer than
+    /// [`STUN_PROBE_LIFETIME_INTERVALS`] of them, so a response is
+    /// matched by scanning a handful of entries.
+    stun_pending: VecDeque<([u8; 12], SimTime)>,
     stun_counter: u64,
     next_local_ssrc: u32,
     /// RTT samples.
@@ -192,7 +200,7 @@ impl ClientNode {
             cfg,
             sender,
             receivers: BTreeMap::new(),
-            stun_pending: HashMap::new(),
+            stun_pending: VecDeque::new(),
             stun_counter: 0,
             rtt_samples: Percentiles::new(),
             plis_sent: 0,
@@ -280,11 +288,6 @@ impl ClientNode {
         self.sender.as_mut()
     }
 
-    fn send_media(&mut self, ctx: &mut Ctx<'_>, to: HostAddr, rtp: &RtpPacket) {
-        let pkt = Packet::new(self.local_addr(), to, rtp.serialize());
-        ctx.send(pkt);
-    }
-
     fn handle_rtcp(&mut self, ctx: &mut Ctx<'_>, from: HostAddr, payload: &[u8]) {
         let Ok(pkts) = rtcp::parse_compound(payload) else {
             return;
@@ -294,10 +297,10 @@ impl ClientNode {
                 RtcpPacket::Nack(nack) => {
                     if let Some(s) = &mut self.sender {
                         let retx = s.handle_nack(&nack.lost_sequences());
-                        let dest = self.cfg.video_send_to;
-                        if let Some(to) = dest {
-                            for r in retx {
-                                self.send_media(ctx, to, &r);
+                        if let Some(to) = self.cfg.video_send_to {
+                            let local = self.local_addr();
+                            for wire in retx {
+                                ctx.send(Packet::new(local, to, wire));
                             }
                         }
                     }
@@ -330,7 +333,11 @@ impl ClientNode {
             let resp = StunMessage::binding_success(msg.transaction_id, from.ip, from.port);
             ctx.send(Packet::new(self.local_addr(), from, resp.serialize()));
         } else if msg.is_success_response() {
-            if let Some(sent) = self.stun_pending.remove(&msg.transaction_id) {
+            let probe = self
+                .stun_pending
+                .iter()
+                .position(|(txid, _)| *txid == msg.transaction_id);
+            if let Some((_, sent)) = probe.and_then(|i| self.stun_pending.remove(i)) {
                 self.rtt_samples
                     .add(ctx.now().saturating_since(sent).as_millis_f64());
             }
@@ -359,13 +366,13 @@ impl Node for ClientNode {
         }
         match classify(&pkt.payload) {
             PacketClass::Rtp => {
-                let Ok(rtp) = RtpPacket::parse_bytes(&pkt.payload) else {
+                let Ok(rtp) = MediaHeader::parse(&pkt.payload) else {
                     return;
                 };
-                let is_video = rtp.extension(scallop_proto::av1::DD_EXTENSION_ID).is_some();
+                let is_video = rtp.dd.is_some();
                 if let Some(tap) = &mut self.rx_tap {
                     let tier = rtp
-                        .extension(scallop_proto::av1::DD_EXTENSION_ID)
+                        .dd
                         .and_then(|dd| {
                             scallop_proto::av1::DependencyDescriptor::parse_mandatory(dd).ok()
                         })
@@ -392,17 +399,10 @@ impl Node for ClientNode {
                 if rx.local_ssrc == local_ssrc {
                     self.next_local_ssrc = self.next_local_ssrc.wrapping_add(1);
                 }
-                let wire = pkt.wire_len();
-                let _ = rx.on_media(ctx.now(), &rtp, wire);
+                rx.on_media(ctx.now(), rtp, pkt.wire_len());
             }
-            PacketClass::Rtcp => {
-                let payload = pkt.payload.clone();
-                self.handle_rtcp(ctx, pkt.src, &payload);
-            }
-            PacketClass::Stun => {
-                let payload = pkt.payload.clone();
-                self.handle_stun(ctx, pkt.src, &payload);
-            }
+            PacketClass::Rtcp => self.handle_rtcp(ctx, pkt.src, &pkt.payload),
+            PacketClass::Stun => self.handle_stun(ctx, pkt.src, &pkt.payload),
             PacketClass::Unknown => {}
         }
     }
@@ -411,24 +411,22 @@ impl Node for ClientNode {
         let now = ctx.now();
         match timer {
             TIMER_VIDEO => {
+                let local = self.local_addr();
                 if let (Some(s), Some(to)) = (&mut self.sender, self.cfg.video_send_to) {
-                    let pkts = s.video_tick(now);
-                    let interval = s.video_interval();
-                    for p in pkts {
-                        self.send_media(ctx, to, &p);
+                    for wire in s.video_tick(now) {
+                        ctx.send(Packet::new(local, to, wire.clone()));
                     }
-                    ctx.schedule(interval, TIMER_VIDEO);
+                    ctx.schedule(s.video_interval(), TIMER_VIDEO);
                 } else if self.sender.is_some() {
                     // Destination not yet signaled; retry shortly.
                     ctx.schedule(SimDuration::from_millis(100), TIMER_VIDEO);
                 }
             }
             TIMER_AUDIO => {
+                let local = self.local_addr();
                 if let (Some(s), Some(to)) = (&mut self.sender, self.cfg.audio_send_to) {
-                    let pkt = s.audio_tick(now);
-                    let interval = s.audio_interval();
-                    self.send_media(ctx, to, &pkt);
-                    ctx.schedule(interval, TIMER_AUDIO);
+                    ctx.send(Packet::new(local, to, s.audio_tick(now)));
+                    ctx.schedule(s.audio_interval(), TIMER_AUDIO);
                 } else if self.sender.is_some() {
                     ctx.schedule(SimDuration::from_millis(100), TIMER_AUDIO);
                 }
@@ -456,6 +454,17 @@ impl Node for ClientNode {
                 ctx.schedule(self.cfg.feedback_interval, TIMER_FEEDBACK);
             }
             TIMER_STUN => {
+                // Probes whose response was lost, or whose peer hung up,
+                // never complete: forget them, or they pile up for the
+                // life of the client.
+                let lifetime = self.cfg.stun_interval * STUN_PROBE_LIFETIME_INTERVALS;
+                while self
+                    .stun_pending
+                    .front()
+                    .is_some_and(|(_, sent)| now.saturating_since(*sent) >= lifetime)
+                {
+                    self.stun_pending.pop_front();
+                }
                 // Keepalive + RTT probe to every media peer address.
                 let local = self.local_addr();
                 let mut targets: Vec<HostAddr> = self.receivers.keys().map(|(a, _)| *a).collect();
@@ -473,7 +482,7 @@ impl Node for ClientNode {
                     txid[..8].copy_from_slice(&self.stun_counter.to_be_bytes());
                     txid[8..].copy_from_slice(&(self.cfg.port as u32).to_be_bytes());
                     self.stun_counter += 1;
-                    self.stun_pending.insert(txid, now);
+                    self.stun_pending.push_back((txid, now));
                     let req = StunMessage::binding_request(txid);
                     ctx.send(Packet::new(local, target, req.serialize()));
                 }
@@ -484,7 +493,7 @@ impl Node for ClientNode {
                 let mut nacks = 0u64;
                 let mut plis = 0u64;
                 for ((src, _ssrc), rx) in self.receivers.iter_mut() {
-                    let _ = rx.poll(now);
+                    rx.poll(now);
                     if let Some(nack) = rx.make_nacks(now) {
                         nacks += 1;
                         ctx.send(Packet::new(local, *src, rtcp::serialize(&nack)));
@@ -632,6 +641,40 @@ mod tests {
             "decoded only {} frames",
             rx.frames_decoded
         );
+    }
+
+    /// A probe whose response is lost used to stay in `stun_pending`
+    /// for good. Over a lossy link the set must stay bounded, and the
+    /// responses that do arrive must still be matched.
+    #[test]
+    fn lost_stun_probes_are_forgotten() {
+        use scallop_netsim::fault::FaultConfig;
+        let mut sim = Simulator::new(11);
+        let lossy = LinkConfig::infinite(SimDuration::from_millis(5))
+            .with_faults(FaultConfig::clean().with_loss(0.05));
+        let a_addr = HostAddr::new(ip(1), 5000);
+        let b_addr = HostAddr::new(ip(2), 5000);
+        let a =
+            ClientNode::new(ClientConfig::sender(ip(1), 5000, 0x100).sending_to(b_addr, b_addr));
+        let b =
+            ClientNode::new(ClientConfig::sender(ip(2), 5000, 0x200).sending_to(a_addr, a_addr));
+        let a_id = sim.add_node(Box::new(a), &[ip(1)], lossy, lossy);
+        let _ = sim.add_node(Box::new(b), &[ip(2)], lossy, lossy);
+        let mut most = 0;
+        for s in 1..=60 {
+            sim.run_until(SimTime::from_secs(s));
+            let node: &mut ClientNode = sim.node_mut(a_id).unwrap();
+            most = most.max(node.stun_pending.len());
+        }
+        let node: &mut ClientNode = sim.node_mut(a_id).unwrap();
+        // 68 probes went out and each crosses four lossy links there and
+        // back: about a fifth are never answered.
+        assert_eq!(node.stun_counter, 68);
+        let answered = node.rtt_samples.count() as u64;
+        assert!((40..68).contains(&answered), "answered {answered}");
+        // The unanswered ones are forgotten after four intervals: at
+        // most that many, plus the probe in flight, are ever pending.
+        assert!(most <= STUN_PROBE_LIFETIME_INTERVALS as usize + 1, "{most}");
     }
 
     #[test]

@@ -9,8 +9,56 @@
 use crate::gcc::{BandwidthEstimator, GccConfig};
 use scallop_media::decoder::{Decoder, DecoderConfig, DecoderEvent};
 use scallop_netsim::time::{SimDuration, SimTime};
+use scallop_proto::av1::DD_EXTENSION_ID;
+use scallop_proto::error::ProtoError;
 use scallop_proto::rtcp::{Nack, ReceiverReport, Remb, ReportBlock, RtcpPacket};
-use scallop_proto::rtp::RtpPacket;
+use scallop_proto::rtp::{RtpPacket, RtpView};
+
+/// What the receive path reads of one RTP datagram, borrowed from it:
+/// three header fields, the payload's length and the dependency
+/// descriptor element. Nothing on the receive side keeps a payload
+/// (`media::decoder` assembles frames from sequence numbers and
+/// lengths), so nothing is copied out of the datagram either.
+#[derive(Debug, Clone, Copy)]
+pub struct MediaHeader<'a> {
+    /// Wire sequence number.
+    pub sequence_number: u16,
+    /// Media timestamp.
+    pub timestamp: u32,
+    /// Synchronization source.
+    pub ssrc: u32,
+    /// Payload bytes after header and extensions.
+    pub payload_len: usize,
+    /// The AV1 dependency descriptor element; video carries one, audio
+    /// does not.
+    pub dd: Option<&'a [u8]>,
+}
+
+impl<'a> MediaHeader<'a> {
+    /// Read the fields off a received datagram.
+    pub fn parse(datagram: &'a [u8]) -> Result<Self, ProtoError> {
+        let view = RtpView::new(datagram)?;
+        Ok(MediaHeader {
+            sequence_number: view.sequence_number(),
+            timestamp: view.timestamp(),
+            ssrc: view.ssrc(),
+            payload_len: view.payload()?.len(),
+            dd: view.find_extension(DD_EXTENSION_ID)?,
+        })
+    }
+}
+
+impl<'a> From<&'a RtpPacket> for MediaHeader<'a> {
+    fn from(pkt: &'a RtpPacket) -> Self {
+        MediaHeader {
+            sequence_number: pkt.sequence_number,
+            timestamp: pkt.timestamp,
+            ssrc: pkt.ssrc,
+            payload_len: pkt.payload.len(),
+            dd: pkt.extension(DD_EXTENSION_ID),
+        }
+    }
+}
 
 /// Receive-side statistics for one stream (the WebRTC stats API view the
 /// paper's Figs. 3/4/14 are measured with).
@@ -61,6 +109,8 @@ pub struct ReceiverState {
     frames_decoded: u64,
     freezes: u64,
     last_pli_at: Option<SimTime>,
+    /// Decoder events of the last [`Self::on_media`] or [`Self::poll`].
+    events: Vec<DecoderEvent>,
 }
 
 impl ReceiverState {
@@ -85,6 +135,7 @@ impl ReceiverState {
             frames_decoded: 0,
             freezes: 0,
             last_pli_at: None,
+            events: Vec::new(),
         }
     }
 
@@ -92,11 +143,11 @@ impl ReceiverState {
     pub fn on_media(
         &mut self,
         now: SimTime,
-        pkt: &RtpPacket,
+        pkt: MediaHeader<'_>,
         wire_len: usize,
-    ) -> Vec<DecoderEvent> {
+    ) -> &[DecoderEvent] {
         self.received += 1;
-        self.bytes += pkt.payload.len() as u64;
+        self.bytes += pkt.payload_len as u64;
 
         // Extended sequence tracking.
         let seq = pkt.sequence_number;
@@ -127,36 +178,38 @@ impl ReceiverState {
         if let Some(est) = &mut self.estimator {
             est.on_packet(now, send_ms, wire_len);
         }
-        match &mut self.decoder {
-            Some(dec) => {
-                let evs = dec.on_packet(now, pkt);
-                self.digest_events(&evs);
-                evs
-            }
-            None => Vec::new(),
+        self.events.clear();
+        if let (Some(dec), Some(dd)) = (&mut self.decoder, pkt.dd) {
+            dec.on_video_packet(
+                now,
+                pkt.sequence_number,
+                pkt.payload_len,
+                dd,
+                &mut self.events,
+            );
         }
+        self.digest_events()
     }
 
-    fn digest_events(&mut self, evs: &[DecoderEvent]) {
-        for e in evs {
+    /// Count the decoder's latest events into the stream statistics.
+    fn digest_events(&mut self) -> &[DecoderEvent] {
+        for e in &self.events {
             match e {
                 DecoderEvent::FrameDecoded { .. } => self.frames_decoded += 1,
                 DecoderEvent::Froze { .. } => self.freezes += 1,
                 _ => {}
             }
         }
+        &self.events
     }
 
     /// Time-driven decoder progress.
-    pub fn poll(&mut self, now: SimTime) -> Vec<DecoderEvent> {
-        match &mut self.decoder {
-            Some(dec) => {
-                let evs = dec.poll(now);
-                self.digest_events(&evs);
-                evs
-            }
-            None => Vec::new(),
+    pub fn poll(&mut self, now: SimTime) -> &[DecoderEvent] {
+        self.events.clear();
+        if let Some(dec) = &mut self.decoder {
+            dec.poll_into(now, &mut self.events);
         }
+        self.digest_events()
     }
 
     /// Decoded frame rate over a trailing window (video; 0 for audio).
@@ -315,7 +368,7 @@ mod tests {
         let mut pz = Packetizer::new(7, 96, 1200);
         for n in 0..10u16 {
             for p in video_pkt(&mut pz, n, 1000) {
-                rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), &p, 1042);
+                rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), (&p).into(), 1042);
             }
         }
         let s = rx.stats();
@@ -334,7 +387,7 @@ mod tests {
                 if n == 5 {
                     continue; // drop one whole frame (1 packet)
                 }
-                rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), &p, 1042);
+                rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), (&p).into(), 1042);
             }
         }
         let fb = rx.make_feedback(SimTime::from_secs(1));
@@ -353,7 +406,7 @@ mod tests {
         let mut rx = ReceiverState::new(8, 100, false, GccConfig::default());
         let mut pkt = RtpPacket::new(111, 0, 0, 8);
         pkt.payload = Bytes::from(vec![0u8; 128]);
-        rx.on_media(SimTime::from_millis(20), &pkt, 170);
+        rx.on_media(SimTime::from_millis(20), (&pkt).into(), 170);
         let fb = rx.make_feedback(SimTime::from_secs(1));
         assert_eq!(fb.len(), 1);
         assert!(matches!(fb[0], RtcpPacket::Rr(_)));
@@ -368,7 +421,7 @@ mod tests {
             let mut pz = Packetizer::new(7, 96, 1200);
             for n in 0..60u16 {
                 for p in video_pkt(&mut pz, n, 500) {
-                    rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), &p, 542);
+                    rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), (&p).into(), 542);
                 }
             }
             rx.stats().jitter_ms
@@ -379,7 +432,11 @@ mod tests {
             for n in 0..60u16 {
                 for p in video_pkt(&mut pz, n, 500) {
                     let wobble = if n % 2 == 0 { 0 } else { 25 };
-                    rx.on_media(SimTime::from_millis(33 * (n as u64 + 1) + wobble), &p, 542);
+                    rx.on_media(
+                        SimTime::from_millis(33 * (n as u64 + 1) + wobble),
+                        (&p).into(),
+                        542,
+                    );
                 }
             }
             rx.stats().jitter_ms
@@ -398,7 +455,7 @@ mod tests {
                 if n == 3 && p.sequence_number % 3 == 1 {
                     continue; // drop mid-frame packet
                 }
-                rx.on_media(t, &p, 1042);
+                rx.on_media(t, (&p).into(), 1042);
             }
         }
         let nack = rx.make_nacks(t + SimDuration::from_millis(100));

@@ -7,15 +7,17 @@
 //! feedback filter, reflect "the highest rate allowed by its uplink and
 //! the best downlink" (§5.3).
 
+use bytes::Bytes;
 use scallop_media::audio::{AudioConfig, AudioSource};
 use scallop_media::encoder::{EncoderConfig, VideoEncoder};
 use scallop_media::packetizer::{Packetizer, DEFAULT_MTU};
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::rtcp::{RtcpPacket, Sdes, SenderReport};
-use scallop_proto::rtp::RtpPacket;
-use std::collections::VecDeque;
+use scallop_proto::rtp::{RtpPacket, MIN_HEADER_LEN};
 
 /// How many recently sent video packets are kept for retransmission.
+/// A power of two dividing 65 536, so that `seq % RETX_HISTORY` keeps
+/// cycling through the slots in order across the sequence-number wrap.
 const RETX_HISTORY: usize = 1024;
 
 /// Sender-side statistics.
@@ -48,7 +50,14 @@ pub struct MediaSender {
     packetizer: Packetizer,
     audio: AudioSource,
     audio_seq: u16,
-    history: VecDeque<RtpPacket>,
+    /// The last [`RETX_HISTORY`] video datagrams as they went out, the
+    /// one numbered `seq` in slot `seq % RETX_HISTORY`. Sequence numbers
+    /// are consecutive, so each new packet overwrites the one sent
+    /// `RETX_HISTORY` before it, and a retransmission is a slot read and
+    /// a reference-count bump.
+    history: Box<[Option<(u16, Bytes)>]>,
+    /// The frame produced by the last [`Self::video_tick`].
+    frame: Vec<Bytes>,
     stats: SenderStats,
 }
 
@@ -67,7 +76,8 @@ impl MediaSender {
             packetizer: Packetizer::new(video_ssrc, 96, DEFAULT_MTU),
             audio: AudioSource::new(audio_cfg),
             audio_seq: 0,
-            history: VecDeque::with_capacity(RETX_HISTORY),
+            history: vec![None; RETX_HISTORY].into_boxed_slice(),
+            frame: Vec::new(),
             stats: SenderStats::default(),
         }
     }
@@ -82,41 +92,49 @@ impl MediaSender {
         self.audio.packet_interval()
     }
 
-    /// Capture/encode/packetize the video frame due at `now`.
-    pub fn video_tick(&mut self, now: SimTime) -> Vec<RtpPacket> {
+    /// Capture/encode/packetize the video frame due at `now`: the
+    /// frame's datagrams in wire form, each serialized exactly once —
+    /// the history keeps the same bytes that go out.
+    pub fn video_tick(&mut self, now: SimTime) -> &[Bytes] {
         let frame = self.encoder.produce(now);
         if frame.label.is_key {
             self.stats.key_frames += 1;
         }
-        let pkts = self.packetizer.packetize(&frame);
-        self.stats.video_packets += pkts.len() as u64;
-        for p in &pkts {
-            if self.history.len() >= RETX_HISTORY {
-                self.history.pop_front();
-            }
-            self.history.push_back(p.clone());
+        let mut seq = self.packetizer.next_seq();
+        self.frame.clear();
+        self.packetizer.packetize_wire(&frame, &mut self.frame);
+        self.stats.video_packets += self.frame.len() as u64;
+        for wire in &self.frame {
+            self.history[seq as usize % RETX_HISTORY] = Some((seq, wire.clone()));
+            seq = seq.wrapping_add(1);
         }
-        pkts
+        &self.frame
     }
 
-    /// Produce the audio packet due at `now`.
-    pub fn audio_tick(&mut self, now: SimTime) -> RtpPacket {
+    /// Produce the audio datagram due at `now`.
+    pub fn audio_tick(&mut self, now: SimTime) -> Bytes {
         let a = self.audio.produce(now);
         let mut pkt = RtpPacket::new(111, self.audio_seq, a.rtp_timestamp, self.audio_ssrc);
         self.audio_seq = self.audio_seq.wrapping_add(1);
         pkt.marker = true;
-        pkt.payload = bytes::Bytes::from(vec![0u8; a.size_bytes]);
+        // The payload is silence: reserve it with the header, then pad.
+        let mut wire = Vec::with_capacity(MIN_HEADER_LEN + a.size_bytes);
+        pkt.serialize_into(&mut wire);
+        wire.resize(wire.len() + a.size_bytes, 0);
         self.stats.audio_packets += 1;
-        pkt
+        Bytes::from(wire)
     }
 
-    /// Serve a NACK: returns the retransmittable packets.
-    pub fn handle_nack(&mut self, lost: &[u16]) -> Vec<RtpPacket> {
+    /// Serve a NACK: the datagrams still in the history, in the order
+    /// they were asked for.
+    pub fn handle_nack(&mut self, lost: &[u16]) -> Vec<Bytes> {
         let mut out = Vec::new();
         for &seq in lost {
-            if let Some(p) = self.history.iter().find(|p| p.sequence_number == seq) {
-                out.push(p.clone());
-                self.stats.retransmissions += 1;
+            if let Some((s, wire)) = &self.history[seq as usize % RETX_HISTORY] {
+                if *s == seq {
+                    out.push(wire.clone());
+                    self.stats.retransmissions += 1;
+                }
             }
         }
         out
@@ -174,29 +192,35 @@ mod tests {
         MediaSender::new(0x51, 0xA0, EncoderConfig::default(), AudioConfig::default())
     }
 
+    fn parsed(wire: &Bytes) -> RtpPacket {
+        RtpPacket::parse(wire).expect("the sender emits valid RTP")
+    }
+
     #[test]
     fn video_tick_produces_labeled_packets() {
         let mut s = sender();
+        let ssrc = s.video_ssrc;
         let pkts = s.video_tick(SimTime::ZERO);
         assert!(!pkts.is_empty());
-        assert!(pkts.iter().all(|p| p.ssrc == s.video_ssrc));
+        assert!(pkts.iter().all(|p| parsed(p).ssrc == ssrc));
         assert_eq!(s.stats().key_frames, 1, "first frame is a key frame");
     }
 
     #[test]
     fn audio_tick_sequence_increments() {
         let mut s = sender();
-        let a = s.audio_tick(SimTime::ZERO);
-        let b = s.audio_tick(SimTime::from_millis(20));
+        let a = parsed(&s.audio_tick(SimTime::ZERO));
+        let b = parsed(&s.audio_tick(SimTime::from_millis(20)));
         assert_eq!(b.sequence_number, a.sequence_number + 1);
         assert_eq!(a.payload.len(), 128);
+        assert!(a.payload.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn nack_served_from_history() {
         let mut s = sender();
-        let sent = s.video_tick(SimTime::ZERO);
-        let seq = sent[0].sequence_number;
+        let sent = s.video_tick(SimTime::ZERO).to_vec();
+        let seq = parsed(&sent[0]).sequence_number;
         let retx = s.handle_nack(&[seq, 9999]);
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0], sent[0]);
@@ -211,12 +235,42 @@ mod tests {
         for _ in 0..400 {
             let pkts = s.video_tick(t);
             if first_seq.is_none() {
-                first_seq = Some(pkts[0].sequence_number);
+                first_seq = Some(parsed(&pkts[0]).sequence_number);
             }
             t += s.video_interval();
         }
         // The very first packet has been evicted by now.
         assert!(s.handle_nack(&[first_seq.unwrap()]).is_empty());
+    }
+
+    /// The history is indexed by `seq % RETX_HISTORY`; the index must
+    /// keep working when the 16-bit sequence number wraps mid-history.
+    #[test]
+    fn nack_served_across_the_sequence_wrap() {
+        let mut s = sender();
+        s.packetizer.set_next_seq(u16::MAX - 5);
+        let mut sent: Vec<Bytes> = Vec::new();
+        let mut t = SimTime::ZERO;
+        while sent.len() < 40 {
+            sent.extend_from_slice(s.video_tick(t));
+            t += s.video_interval();
+        }
+        let seqs: Vec<u16> = sent.iter().map(|w| parsed(w).sequence_number).collect();
+        assert!(seqs.contains(&u16::MAX) && seqs.contains(&0), "wrapped");
+        // Asked for newest first, with one that was never sent: served
+        // in the order asked, the unknown one skipped.
+        let mut ask: Vec<u16> = seqs.iter().rev().copied().collect();
+        ask.insert(3, u16::MAX - 6);
+        let retx = s.handle_nack(&ask);
+        let want: Vec<Bytes> = sent.iter().rev().cloned().collect();
+        assert_eq!(retx, want);
+        assert_eq!(s.stats().retransmissions, sent.len() as u64);
+        // Everything older than the history is gone.
+        for _ in 0..400 {
+            s.video_tick(t);
+            t += s.video_interval();
+        }
+        assert!(s.handle_nack(&seqs).is_empty());
     }
 
     #[test]

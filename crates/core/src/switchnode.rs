@@ -19,8 +19,8 @@ use scallop_dataplane::switch::{DataPlaneCounters, ScallopDataPlane};
 use scallop_netsim::packet::{HostAddr, Packet};
 use scallop_netsim::sim::{Ctx, Node, TimerToken};
 use scallop_netsim::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 const TIMER_FLUSH: TimerToken = TimerToken(200);
@@ -77,6 +77,32 @@ impl SwitchConfig {
     }
 }
 
+/// A packet waiting for its departure instant. Ordered by `(at, seq)`,
+/// reversed: [`BinaryHeap`] is a max-heap and the earliest leaves first,
+/// same-instant packets in the order they were emitted.
+struct Departure {
+    at: SimTime,
+    seq: u64,
+    pkt: Packet,
+}
+
+impl PartialEq for Departure {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Departure {}
+impl PartialOrd for Departure {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Departure {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 /// The switch node.
 pub struct ScallopSwitchNode {
     /// Deployment config.
@@ -85,9 +111,17 @@ pub struct ScallopSwitchNode {
     pub dp: ScallopDataPlane,
     /// The on-switch agent.
     pub agent: SwitchAgent,
-    pending: BinaryHeap<Reverse<(SimTime, u64)>>,
-    pending_payloads: HashMap<u64, Packet>,
+    /// Emitted packets that have not left yet.
+    pending: BinaryHeap<Departure>,
     pending_seq: u64,
+    /// Departure instants a `TIMER_FLUSH` is on its way for. A fan-out-24
+    /// packet emits 24 replicas for one instant and needs one flush, not
+    /// 24. An instant leaves the list when a flush at or after it runs,
+    /// so a packet emitted for the current instant after its flush fired
+    /// (zero latency) arms a new one, and an instant whose timer died
+    /// with a killed switch is forgotten by the first flush after the
+    /// revive, which also releases the packets that were waiting for it.
+    armed: Vec<SimTime>,
     /// Reused per-packet data-plane output (scratch; avoids allocating
     /// fresh forward/CPU vectors for every arriving packet).
     dp_out: scallop_dataplane::switch::DataPlaneOutput,
@@ -109,8 +143,8 @@ impl ScallopSwitchNode {
             agent: SwitchAgent::new(cfg.ip).with_port_range(cfg.port_base, cfg.port_limit),
             cfg,
             pending: BinaryHeap::new(),
-            pending_payloads: HashMap::new(),
             pending_seq: 0,
+            armed: Vec::new(),
             dp_out: Default::default(),
             batch_out: BatchOutput::default(),
         }
@@ -195,22 +229,24 @@ impl ScallopSwitchNode {
 
     fn emit_at(&mut self, ctx: &mut Ctx<'_>, at: SimTime, pkt: Packet) {
         self.pending_seq += 1;
-        let key = self.pending_seq;
-        self.pending_payloads.insert(key, pkt);
-        self.pending.push(Reverse((at, key)));
-        ctx.schedule(at.saturating_since(ctx.now()), TIMER_FLUSH);
+        self.pending.push(Departure {
+            at,
+            seq: self.pending_seq,
+            pkt,
+        });
+        // Newest instants are at the back, and a burst repeats the last.
+        if !self.armed.iter().rev().any(|&t| t == at) {
+            self.armed.push(at);
+            ctx.schedule(at.saturating_since(ctx.now()), TIMER_FLUSH);
+        }
     }
 
     fn flush_due(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        while let Some(&Reverse((at, key))) = self.pending.peek() {
-            if at > now {
-                break;
-            }
-            self.pending.pop();
-            if let Some(pkt) = self.pending_payloads.remove(&key) {
-                ctx.send(pkt);
-            }
+        self.armed.retain(|&t| t > now);
+        while self.pending.peek().is_some_and(|d| d.at <= now) {
+            let due = self.pending.pop().expect("peeked departure");
+            ctx.send(due.pkt);
         }
     }
 }
@@ -246,7 +282,7 @@ impl Node for ScallopSwitchNode {
     /// segment's forwards are emitted first, then the punting packet's
     /// agent responses, then the next segment — the same `emit_at`
     /// order `on_packet` would have produced packet by packet.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: Vec<Packet>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
         let mut out = std::mem::take(&mut self.batch_out);
         out.clear();
         let now = ctx.now();
@@ -255,7 +291,7 @@ impl Node for ScallopSwitchNode {
         let mut start = 0;
         let mut punt_cursor = 0;
         while start < pkts.len() {
-            start = self.dp.process_batch_from(&pkts, start, true, &mut out);
+            start = self.dp.process_batch_from(pkts, start, true, &mut out);
             for f in out.forwards.drain(..) {
                 self.emit_at(ctx, dp_at, f);
             }
@@ -272,7 +308,7 @@ impl Node for ScallopSwitchNode {
     }
 
     /// The switch qualifies for wave batching: `on_packet`/`on_batch`
-    /// emit exclusively through `emit_at` (a pending heap drained by
+    /// emit exclusively through `emit_at` (the departure heap drained by
     /// `TIMER_FLUSH`), never `ctx.send`, and draw no randomness.
     fn parallel_safe(&self) -> bool {
         true

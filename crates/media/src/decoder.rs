@@ -26,7 +26,7 @@
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::av1::{DependencyDescriptor, DD_EXTENSION_ID};
 use scallop_proto::rtp::RtpPacket;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Extends wrapping `u16` counters (RTP seq, DD frame number) to `u64`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -152,7 +152,10 @@ struct FrameAssembly {
     is_key: bool,
     first_seq: Option<u64>,
     end_seq: Option<u64>,
-    received: BTreeMap<u64, ()>,
+    /// Distinct sequence numbers received for this frame. A count is
+    /// enough: a repeated number never gets this far (see
+    /// [`SeqIdentities`]).
+    received: u64,
     first_arrival: SimTime,
 }
 
@@ -162,7 +165,50 @@ impl FrameAssembly {
     /// that) spans nothing, so such a frame is never complete.
     fn holds_span(&self, first: u64, end: u64) -> bool {
         end.checked_sub(first)
-            .is_some_and(|d| self.received.len() as u64 == d + 1)
+            .is_some_and(|d| self.received == d + 1)
+    }
+}
+
+/// How many sequence numbers back a repeat is still recognised. The map
+/// this ring replaced was swept down to this many whenever it reached
+/// twice as many, so this is what it could be relied on to remember.
+const SEQ_IDENTITY_WINDOW: usize = 2048;
+
+/// What each recently received sequence number carried — `(frame number,
+/// payload length)` — so that a repeat can be told apart: the same
+/// packet again (benign) or different data under a used number (the §6.2
+/// rewrite error). A ring indexed by `seq % SEQ_IDENTITY_WINDOW`: one
+/// array slot per packet, no hashing, nothing to sweep.
+#[derive(Debug)]
+struct SeqIdentities {
+    /// `(seq, frame number, payload length)`.
+    slots: Box<[(u64, u16, u32)]>,
+}
+
+impl SeqIdentities {
+    /// No unwrapped sequence number reaches this.
+    const VACANT: u64 = u64::MAX;
+
+    fn new() -> Self {
+        SeqIdentities {
+            slots: vec![(Self::VACANT, 0, 0); SEQ_IDENTITY_WINDOW].into_boxed_slice(),
+        }
+    }
+
+    /// What `seq` carried, if it is remembered.
+    fn get(&self, seq: u64) -> Option<(u16, u32)> {
+        let (s, frame, len) = self.slots[seq as usize % SEQ_IDENTITY_WINDOW];
+        (s == seq).then_some((frame, len))
+    }
+
+    /// Remember `seq`. A straggler a whole window behind the slot's
+    /// occupant does not displace it: the newer number is the one a
+    /// repeat can still arrive for.
+    fn insert(&mut self, seq: u64, (frame, len): (u16, u32)) {
+        let slot = &mut self.slots[seq as usize % SEQ_IDENTITY_WINDOW];
+        if slot.0 == Self::VACANT || slot.0 < seq {
+            *slot = (seq, frame, len);
+        }
     }
 }
 
@@ -183,8 +229,8 @@ pub struct Decoder {
     frames: BTreeMap<u64, FrameAssembly>,
     /// Unaccounted sequence numbers awaiting retransmission.
     missing: BTreeMap<u64, MissingEntry>,
-    /// Identity of recently received seqs: seq -> (frame number, length).
-    seq_identity: HashMap<u64, (u16, usize)>,
+    /// Identity of recently received seqs.
+    seq_identity: SeqIdentities,
     /// Highest extended seq received.
     highest_seq: Option<u64>,
     /// Everything below this seq is accounted (received or given up on).
@@ -211,7 +257,7 @@ impl Decoder {
             frame_unwrap: Unwrapper::default(),
             frames: BTreeMap::new(),
             missing: BTreeMap::new(),
-            seq_identity: HashMap::new(),
+            seq_identity: SeqIdentities::new(),
             highest_seq: None,
             decoded_floor: 0,
             last_decoded: [None; 3],
@@ -230,31 +276,55 @@ impl Decoder {
     /// Feed one RTP packet; returns the events it produced.
     pub fn on_packet(&mut self, now: SimTime, pkt: &RtpPacket) -> Vec<DecoderEvent> {
         let mut events = Vec::new();
-        let Some(dd_bytes) = pkt.extension(DD_EXTENSION_ID) else {
-            return events; // not a labeled video packet; ignore
-        };
-        let Ok(dd) = DependencyDescriptor::parse(dd_bytes) else {
-            return events;
+        // Without a descriptor it is not a labeled video packet; ignore.
+        if let Some(dd) = pkt.extension(DD_EXTENSION_ID) {
+            self.on_video_packet(now, pkt.sequence_number, pkt.payload.len(), dd, &mut events);
+        }
+        events
+    }
+
+    /// Feed one video packet by the fields the decoder reads — wire
+    /// sequence number, payload length and the dependency-descriptor
+    /// element `dd` — appending the events it produced to `events`. This
+    /// is what a receiver calls straight off the datagram; nothing is
+    /// copied and nothing is allocated unless the packet opens a gap.
+    pub fn on_video_packet(
+        &mut self,
+        now: SimTime,
+        sequence_number: u16,
+        payload_len: usize,
+        dd: &[u8],
+        events: &mut Vec<DecoderEvent>,
+    ) {
+        // Only a key frame's first packet carries more than the three
+        // mandatory bytes; that one is parsed in full, so what is
+        // accepted and what is ignored does not depend on the path.
+        let is_key = dd.len() > 3
+            && match DependencyDescriptor::parse(dd) {
+                Ok(full) => full.structure.is_some(),
+                Err(_) => return,
+            };
+        let Ok((start_of_frame, end_of_frame, template_id, frame_number, _)) =
+            DependencyDescriptor::parse_mandatory(dd)
+        else {
+            return;
         };
 
-        let seq = self.seq_unwrap.unwrap(pkt.sequence_number);
-        let identity = (dd.frame_number, pkt.payload.len());
+        let seq = self.seq_unwrap.unwrap(sequence_number);
+        // A datagram is far below 4 GiB.
+        let identity = (frame_number, payload_len as u32);
 
         // Duplicate / collision detection.
-        if let Some(&prev) = self.seq_identity.get(&seq) {
+        if let Some(prev) = self.seq_identity.get(seq) {
             if prev == identity {
                 self.stats.benign_duplicates += 1;
             } else {
                 self.stats.sequence_collisions += 1;
-                self.enter_freeze(now, FreezeReason::SequenceCollision, &mut events);
+                self.enter_freeze(now, FreezeReason::SequenceCollision, events);
             }
-            return events;
+            return;
         }
         self.seq_identity.insert(seq, identity);
-        if self.seq_identity.len() > 4096 {
-            let cutoff = seq.saturating_sub(2048);
-            self.seq_identity.retain(|&s, _| s >= cutoff);
-        }
 
         // Gap bookkeeping.
         match self.highest_seq {
@@ -282,38 +352,42 @@ impl Decoder {
         }
 
         // Frame assembly.
-        let frame = self.frame_unwrap.unwrap(dd.frame_number);
-        let is_key = dd.structure.is_some();
+        let frame = self.frame_unwrap.unwrap(frame_number);
         let entry = self.frames.entry(frame).or_insert_with(|| FrameAssembly {
             temporal_id: 0,
             is_key: false,
             first_seq: None,
             end_seq: None,
-            received: BTreeMap::new(),
+            received: 0,
             first_arrival: now,
         });
-        entry.received.insert(seq, ());
+        entry.received += 1;
         entry.is_key |= is_key;
-        if dd.start_of_frame {
+        if start_of_frame {
             entry.first_seq = Some(seq);
             // Temporal layer from the L1T3 template mapping.
             entry.temporal_id = scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL
-                .get(dd.template_id as usize)
+                .get(template_id as usize)
                 .copied()
                 .unwrap_or(2);
         }
-        if dd.end_of_frame {
+        if end_of_frame {
             entry.end_seq = Some(seq);
         }
 
-        self.advance(now, &mut events);
-        events
+        self.advance(now, events);
     }
 
     /// Time-driven progress: expire missing packets, drop stale frames,
     /// attempt decodes. Call periodically (e.g. every few ms).
     pub fn poll(&mut self, now: SimTime) -> Vec<DecoderEvent> {
         let mut events = Vec::new();
+        self.poll_into(now, &mut events);
+        events
+    }
+
+    /// [`Self::poll`], appending to a buffer the caller reuses.
+    pub fn poll_into(&mut self, now: SimTime, events: &mut Vec<DecoderEvent>) {
         // Expire missing packets.
         let expired: Vec<u64> = self
             .missing
@@ -325,8 +399,7 @@ impl Decoder {
             self.missing.remove(&s);
             self.stats.packets_lost += 1;
         }
-        self.advance(now, &mut events);
-        events
+        self.advance(now, events);
     }
 
     /// Missing sequence numbers ready to be NACKed (respecting the
@@ -375,11 +448,7 @@ impl Decoder {
         let head = self.frames.iter().next().map(|(k, a)| {
             format!(
                 "head_frame={} first={:?} end={:?} recv={} key={}",
-                k,
-                a.first_seq,
-                a.end_seq,
-                a.received.len(),
-                a.is_key
+                k, a.first_seq, a.end_seq, a.received, a.is_key
             )
         });
         format!(

@@ -11,48 +11,70 @@
 use crate::encoder::EncodedFrame;
 use bytes::Bytes;
 use scallop_proto::av1::{DependencyDescriptor, TemplateStructure, DD_EXTENSION_ID};
-use scallop_proto::rtp::{ExtensionElement, RtpPacket};
+use scallop_proto::rtp::{ExtensionElement, ExtensionProfile, RtpPacket};
 
 /// Default media MTU (payload budget per RTP packet). Matches the
 /// 800–1400 B video packets the paper reports (§2.2).
 pub const DEFAULT_MTU: usize = 1200;
 
+/// Bytes reserved per packet for the RTP header and the dependency
+/// descriptor element ahead of the payload: 12 + 4 + (2 + 3, padded to
+/// 8). A key frame's first packet carries the template structure and
+/// may grow the buffer once.
+const WIRE_HEADER_RESERVE: usize = 24;
+
 /// Stateful packetizer for one video stream (owns the sequence counter).
 #[derive(Debug, Clone)]
 pub struct Packetizer {
-    ssrc: u32,
-    payload_type: u8,
     mtu: usize,
-    next_seq: u16,
+    /// The header of the packet being laid out: identity fields fixed
+    /// at construction, the rest overwritten for every packet, the
+    /// extension element's buffer reused. Its payload stays empty: the
+    /// model carries no pixels, so a payload is a length, rendered as
+    /// that many zeros by whoever emits the packet.
+    pkt: RtpPacket,
+    /// End offset of each packet of the frame being serialized.
+    ends: Vec<usize>,
 }
 
 impl Packetizer {
     /// Create a packetizer for a stream.
     pub fn new(ssrc: u32, payload_type: u8, mtu: usize) -> Self {
+        let mut pkt = RtpPacket::new(payload_type, 0, 0, ssrc);
+        pkt.extension_profile = ExtensionProfile::TwoByte;
+        pkt.extensions.push(ExtensionElement {
+            id: DD_EXTENSION_ID,
+            data: Vec::new(),
+        });
         Packetizer {
-            ssrc,
-            payload_type,
             mtu,
-            next_seq: 0,
+            pkt,
+            ends: Vec::new(),
         }
     }
 
     /// Override the next sequence number (for tests and retransmission
     /// scenarios).
     pub fn set_next_seq(&mut self, seq: u16) {
-        self.next_seq = seq;
+        self.pkt.sequence_number = seq;
     }
 
     /// Next sequence number to be used.
     pub fn next_seq(&self) -> u16 {
-        self.next_seq
+        self.pkt.sequence_number
     }
 
-    /// Packetize one frame into RTP packets.
-    pub fn packetize(&mut self, frame: &EncodedFrame) -> Vec<RtpPacket> {
-        let n_packets = frame.size_bytes.div_ceil(self.mtu).max(1);
-        let mut out = Vec::with_capacity(n_packets);
+    /// How many packets `frame` spans (an empty frame still sends one).
+    fn packets_in(&self, frame: &EncodedFrame) -> usize {
+        frame.size_bytes.div_ceil(self.mtu).max(1)
+    }
+
+    /// Lay out each packet of `frame` in turn and hand its header and
+    /// payload length to `emit`.
+    fn for_each_packet(&mut self, frame: &EncodedFrame, mut emit: impl FnMut(&RtpPacket, usize)) {
+        let n_packets = self.packets_in(frame);
         let mut remaining = frame.size_bytes;
+        self.pkt.timestamp = frame.rtp_timestamp;
         for i in 0..n_packets {
             let chunk = remaining.min(self.mtu);
             remaining -= chunk;
@@ -68,23 +90,45 @@ impl Packetizer {
                 dd.structure = Some(TemplateStructure::l1t3());
                 dd.active_decode_targets = Some(0b111);
             }
-            let mut pkt = RtpPacket::new(
-                self.payload_type,
-                self.next_seq,
-                frame.rtp_timestamp,
-                self.ssrc,
-            );
-            self.next_seq = self.next_seq.wrapping_add(1);
-            pkt.marker = end;
-            pkt.extension_profile = scallop_proto::rtp::ExtensionProfile::TwoByte;
-            pkt.extensions.push(ExtensionElement {
-                id: DD_EXTENSION_ID,
-                data: dd.serialize(),
-            });
-            pkt.payload = Bytes::from(vec![0u8; chunk]);
-            out.push(pkt);
+            let element = &mut self.pkt.extensions[0].data;
+            element.clear();
+            dd.serialize_into(element);
+            self.pkt.marker = end;
+            emit(&self.pkt, chunk);
+            self.pkt.sequence_number = self.pkt.sequence_number.wrapping_add(1);
         }
+    }
+
+    /// Packetize one frame into RTP packets.
+    pub fn packetize(&mut self, frame: &EncodedFrame) -> Vec<RtpPacket> {
+        let mut out = Vec::with_capacity(self.packets_in(frame));
+        self.for_each_packet(frame, |header, payload_len| {
+            let mut pkt = header.clone();
+            pkt.payload = Bytes::from(vec![0u8; payload_len]);
+            out.push(pkt);
+        });
         out
+    }
+
+    /// Packetize one frame straight to the wire: the datagrams are
+    /// appended to `out`, each a view of one buffer that holds the whole
+    /// frame, so a frame costs one buffer however many packets it spans.
+    pub fn packetize_wire(&mut self, frame: &EncodedFrame, out: &mut Vec<Bytes>) {
+        let mut ends = std::mem::take(&mut self.ends);
+        let mut buf =
+            Vec::with_capacity(frame.size_bytes + self.packets_in(frame) * WIRE_HEADER_RESERVE);
+        self.for_each_packet(frame, |header, payload_len| {
+            header.serialize_into(&mut buf);
+            buf.resize(buf.len() + payload_len, 0);
+            ends.push(buf.len());
+        });
+        let buf = Bytes::from(buf);
+        let mut from = 0;
+        for to in ends.drain(..) {
+            out.push(buf.slice(from..to));
+            from = to;
+        }
+        self.ends = ends;
     }
 }
 
@@ -188,6 +232,27 @@ mod tests {
         assert!(pkts[0].marker);
         let dd = DependencyDescriptor::parse(pkts[0].extension(DD_EXTENSION_ID).unwrap()).unwrap();
         assert!(dd.start_of_frame && dd.end_of_frame);
+    }
+
+    #[test]
+    fn wire_packets_are_the_owned_packets_serialized() {
+        let mut owned = Packetizer::new(0xAB, 96, DEFAULT_MTU);
+        let mut wire = Packetizer::new(0xAB, 96, DEFAULT_MTU);
+        let mut out = Vec::new();
+        for (n, (size, key)) in [(5000, true), (1, false), (2400, false)]
+            .into_iter()
+            .enumerate()
+        {
+            let f = frame(size, key, if key { 0 } else { 3 }, n as u16);
+            out.clear();
+            wire.packetize_wire(&f, &mut out);
+            let pkts = owned.packetize(&f);
+            assert_eq!(out.len(), pkts.len());
+            for (w, p) in out.iter().zip(&pkts) {
+                assert_eq!(w, &p.serialize());
+            }
+        }
+        assert_eq!(owned.next_seq(), wire.next_seq());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceDirection, TraceRecord, TraceSink};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// Handle identifying a node inside a [`Simulator`].
@@ -54,9 +54,11 @@ pub trait Node: Any + Send {
     /// A burst of packets all delivered at the same instant. Only called
     /// for [`parallel_safe`](Node::parallel_safe) nodes; the default
     /// replays the per-packet path, so batching is purely an
-    /// optimization hook.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: Vec<Packet>) {
-        for pkt in pkts {
+    /// optimization hook. The vector is the simulator's reused wave
+    /// buffer: take the packets out or read them in place, whatever is
+    /// left is dropped when the call returns.
+    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
+        for pkt in pkts.drain(..) {
             self.on_packet(ctx, pkt);
         }
     }
@@ -169,16 +171,28 @@ struct NodeSlot {
 /// packets plus the private side-effect buffers its `on_batch` fills.
 /// Jobs are farmed to worker threads; effects are applied afterwards in
 /// pop order, which is what keeps N-worker runs bit-identical to
-/// single-worker ones.
+/// single-worker ones. Jobs live in [`Simulator::wave`] and are reused
+/// from wave to wave, so a settled run allocates none of these vectors.
 struct WaveJob {
     id: NodeId,
-    node: Box<dyn Node>,
+    /// The node, held only while its wave runs.
+    node: Option<Box<dyn Node>>,
     pkts: Vec<Packet>,
     outbox: Vec<Packet>,
     timers: Vec<(SimTime, TimerToken)>,
 }
 
 impl WaveJob {
+    fn idle() -> Self {
+        WaveJob {
+            id: NodeId(usize::MAX),
+            node: None,
+            pkts: Vec::new(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+
     fn run(&mut self, now: SimTime) {
         let mut ctx = Ctx {
             now,
@@ -187,7 +201,34 @@ impl WaveJob {
             outbox: &mut self.outbox,
             timers: &mut self.timers,
         };
-        self.node.on_batch(&mut ctx, std::mem::take(&mut self.pkts));
+        let node = self.node.as_mut().expect("wave job without its node");
+        node.on_batch(&mut ctx, &mut self.pkts);
+        self.pkts.clear();
+    }
+}
+
+/// IPv4 address -> owning node, sorted by address: every transmit
+/// resolves its destination here, so the lookup is a binary search over
+/// one dense array rather than a SipHash probe.
+#[derive(Default)]
+struct RouteTable(Vec<(u32, NodeId)>);
+
+impl RouteTable {
+    fn get(&self, ip: Ipv4Addr) -> Option<NodeId> {
+        let key = u32::from(ip);
+        self.0
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .ok()
+            .map(|i| self.0[i].1)
+    }
+
+    /// Panics when `ip` already has an owner.
+    fn insert(&mut self, ip: Ipv4Addr, node: NodeId) {
+        let key = u32::from(ip);
+        match self.0.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(_) => panic!("IP {ip} already owned by another node"),
+            Err(i) => self.0.insert(i, (key, node)),
+        }
     }
 }
 
@@ -223,11 +264,16 @@ pub struct SimStats {
 /// The discrete-event simulator.
 pub struct Simulator {
     nodes: Vec<NodeSlot>,
-    routes: HashMap<Ipv4Addr, NodeId>,
+    routes: RouteTable,
     queue: BinaryHeap<Event>,
     now: SimTime,
     seq: u64,
     rng: DetRng,
+    /// Side-effect buffers lent to the node of each [`Self::invoke`].
+    outbox: Vec<Packet>,
+    timers: Vec<(SimTime, TimerToken)>,
+    /// Job pool of [`Self::deliver_wave`]; a wave uses a prefix of it.
+    wave: Vec<WaveJob>,
     /// Worker threads for stepping `parallel_safe` node batches (1 =
     /// in-place, no threads).
     workers: usize,
@@ -248,11 +294,14 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
-            routes: HashMap::new(),
+            routes: RouteTable::default(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
             rng: DetRng::new(seed),
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            wave: Vec::new(),
             workers: 1,
             cuts: std::collections::HashSet::new(),
             partitioned: std::collections::HashSet::new(),
@@ -299,8 +348,7 @@ impl Simulator {
             dead: false,
         });
         for ip in ips {
-            let prev = self.routes.insert(*ip, id);
-            assert!(prev.is_none(), "IP {ip} already owned by another node");
+            self.routes.insert(*ip, id);
         }
         self.invoke(id, |node, ctx| node.on_start(ctx));
         id
@@ -308,13 +356,12 @@ impl Simulator {
 
     /// Register an additional IP for an existing node.
     pub fn add_route(&mut self, ip: Ipv4Addr, node: NodeId) {
-        let prev = self.routes.insert(ip, node);
-        assert!(prev.is_none(), "IP {ip} already owned by another node");
+        self.routes.insert(ip, node);
     }
 
     /// Look up which node owns an IP.
     pub fn route(&self, ip: Ipv4Addr) -> Option<NodeId> {
-        self.routes.get(&ip).copied()
+        self.routes.get(ip)
     }
 
     /// Mutable access to a node, downcast to its concrete type. Panics if
@@ -445,8 +492,8 @@ impl Simulator {
             .node
             .take()
             .expect("re-entrant node invocation");
-        let mut outbox = Vec::new();
-        let mut timers = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let mut timers = std::mem::take(&mut self.timers);
         {
             let mut ctx = Ctx {
                 now: self.now,
@@ -458,12 +505,14 @@ impl Simulator {
             f(&mut node, &mut ctx);
         }
         self.nodes[id.0].node = Some(node);
-        for (at, token) in timers {
+        for (at, token) in timers.drain(..) {
             self.push(at, EventKind::Timer { node: id, token });
         }
-        for pkt in outbox {
+        for pkt in outbox.drain(..) {
             self.transmit(id, pkt);
         }
+        self.outbox = outbox;
+        self.timers = timers;
     }
 
     /// Route a packet out of `src_node` through its uplink.
@@ -599,62 +648,38 @@ impl Simulator {
     /// run, is identical to per-packet delivery regardless of the
     /// worker count.
     fn deliver_wave(&mut self, first_dst: NodeId, first_pkt: Packet) {
-        let at = self.now;
-        let mut runs: Vec<(NodeId, Vec<Packet>)> = vec![(first_dst, vec![first_pkt])];
-        loop {
-            // Decide from the queue front whether the wave extends.
-            let dst = match self.queue.peek() {
-                Some(ev) if ev.at == at => match &ev.kind {
-                    EventKind::Deliver { dst, .. }
-                        if self.nodes[dst.0].parallel_safe && !self.nodes[dst.0].dead =>
-                    {
-                        let dst = *dst;
-                        let open = runs.last().expect("wave is non-empty").0;
-                        if dst == open || !runs.iter().any(|(n, _)| *n == dst) {
-                            Some(dst)
-                        } else {
-                            None // second batch for a node: next wave
-                        }
-                    }
-                    _ => None,
-                },
-                _ => None,
-            };
-            let Some(dst) = dst else { break };
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.stats.events += 1;
-            let EventKind::Deliver { pkt, .. } = ev.kind else {
-                unreachable!("peek/pop mismatch");
-            };
-            self.record_delivery(&pkt);
-            let open = runs.last_mut().expect("wave is non-empty");
-            if open.0 == dst {
-                open.1.push(pkt);
-            } else {
-                runs.push((dst, vec![pkt]));
+        let mut wave = std::mem::take(&mut self.wave);
+        // The wave is `wave[..n]`; the rest of the pool is idle.
+        let mut n = 0;
+        let mut next = Some((first_dst, first_pkt));
+        while let Some((dst, pkt)) = next {
+            if n == 0 || wave[n - 1].id != dst {
+                if n == wave.len() {
+                    wave.push(WaveJob::idle());
+                }
+                wave[n].id = dst;
+                n += 1;
             }
+            wave[n - 1].pkts.push(pkt);
+            next = self.pop_wave_extension(&wave[..n]);
         }
-        let mut jobs: Vec<WaveJob> = runs
-            .into_iter()
-            .map(|(id, pkts)| WaveJob {
-                id,
-                node: self.nodes[id.0]
+        let jobs = &mut wave[..n];
+        for job in jobs.iter_mut() {
+            job.node = Some(
+                self.nodes[job.id.0]
                     .node
                     .take()
                     .expect("re-entrant node invocation"),
-                pkts,
-                outbox: Vec::new(),
-                timers: Vec::new(),
-            })
-            .collect();
+            );
+        }
         let now = self.now;
-        let workers = self.workers.min(jobs.len());
+        let workers = self.workers.min(n);
         if workers <= 1 {
-            for job in &mut jobs {
+            for job in jobs.iter_mut() {
                 job.run(now);
             }
         } else {
-            let chunk = jobs.len().div_ceil(workers);
+            let chunk = n.div_ceil(workers);
             std::thread::scope(|s| {
                 for slice in jobs.chunks_mut(chunk) {
                     s.spawn(move || {
@@ -667,9 +692,9 @@ impl Simulator {
         }
         // Barrier: restore nodes, then apply side effects in pop order
         // (timers before sends, exactly like `invoke`).
-        for job in jobs {
-            self.nodes[job.id.0].node = Some(job.node);
-            for (at, token) in job.timers {
+        for job in jobs.iter_mut() {
+            self.nodes[job.id.0].node = job.node.take();
+            for (at, token) in job.timers.drain(..) {
                 self.push(
                     at,
                     EventKind::Timer {
@@ -678,10 +703,41 @@ impl Simulator {
                     },
                 );
             }
-            for pkt in job.outbox {
+            for pkt in job.outbox.drain(..) {
                 self.transmit(job.id, pkt);
             }
         }
+        self.wave = wave;
+    }
+
+    /// Pop the queue front if it extends the wave `jobs`: a `Deliver` at
+    /// the current instant to a live `parallel_safe` node that either
+    /// has the open (last) batch or has none yet. A node reappearing
+    /// after its batch closed belongs to the next wave.
+    fn pop_wave_extension(&mut self, jobs: &[WaveJob]) -> Option<(NodeId, Packet)> {
+        let dst = match self.queue.peek() {
+            Some(Event {
+                at,
+                kind: EventKind::Deliver { dst, .. },
+                ..
+            }) if *at == self.now => *dst,
+            _ => return None,
+        };
+        let slot = &self.nodes[dst.0];
+        let open = jobs.last().is_some_and(|j| j.id == dst);
+        if !slot.parallel_safe || slot.dead || (!open && jobs.iter().any(|j| j.id == dst)) {
+            return None;
+        }
+        let Some(Event {
+            kind: EventKind::Deliver { pkt, .. },
+            ..
+        }) = self.queue.pop()
+        else {
+            unreachable!("peek/pop mismatch");
+        };
+        self.stats.events += 1;
+        self.record_delivery(&pkt);
+        Some((dst, pkt))
     }
 
     /// Run until the queue drains or `deadline` is reached. The clock is
@@ -879,9 +935,9 @@ mod tests {
             self.staged.push(pkt.readdressed(pkt.dst, pkt.src));
             ctx.schedule(SimDuration::from_micros(10), TimerToken(1));
         }
-        fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: Vec<Packet>) {
+        fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
             self.batch_sizes.push(pkts.len());
-            for pkt in pkts {
+            for pkt in pkts.drain(..) {
                 self.on_packet(ctx, pkt);
             }
         }

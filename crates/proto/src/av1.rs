@@ -186,35 +186,47 @@ impl DependencyDescriptor {
     ///     temporal_id(3)` followed by `dt_cnt` 2-bit DTIs;
     ///   * active decode targets: 32-bit mask.
     pub fn serialize(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.serialize_into(&mut out);
+        out
+    }
+
+    /// Append the serialized descriptor to `out`. The mandatory fields,
+    /// all that every packet but a key frame's first carries, are three
+    /// plain byte writes.
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+        out.push(
+            ((self.start_of_frame as u8) << 7)
+                | ((self.end_of_frame as u8) << 6)
+                | (self.template_id & 0x3F),
+        );
+        out.extend_from_slice(&self.frame_number.to_be_bytes());
+        if !self.is_extended() {
+            return;
+        }
         let mut w = BitWriter::new();
-        w.write_bool(self.start_of_frame);
-        w.write_bool(self.end_of_frame);
-        w.write(self.template_id as u64 & 0x3F, 6);
-        w.write(self.frame_number as u64, 16);
-        if self.is_extended() {
-            w.write_bool(self.structure.is_some());
-            w.write_bool(self.active_decode_targets.is_some());
-            w.write(0, 6);
-            if let Some(s) = &self.structure {
-                debug_assert!(!s.templates.is_empty() && s.templates.len() <= 63);
-                debug_assert!(s.decode_target_count >= 1 && s.decode_target_count <= 32);
-                w.write(s.template_id_offset as u64 & 0x3F, 6);
-                w.write((s.decode_target_count - 1) as u64, 5);
-                w.write(s.templates.len() as u64, 6);
-                for t in &s.templates {
-                    w.write(t.spatial_id as u64 & 0x3, 2);
-                    w.write(t.temporal_id as u64 & 0x7, 3);
-                    debug_assert_eq!(t.dtis.len(), s.decode_target_count as usize);
-                    for d in &t.dtis {
-                        w.write(*d as u64, 2);
-                    }
+        w.write_bool(self.structure.is_some());
+        w.write_bool(self.active_decode_targets.is_some());
+        w.write(0, 6);
+        if let Some(s) = &self.structure {
+            debug_assert!(!s.templates.is_empty() && s.templates.len() <= 63);
+            debug_assert!(s.decode_target_count >= 1 && s.decode_target_count <= 32);
+            w.write(s.template_id_offset as u64 & 0x3F, 6);
+            w.write((s.decode_target_count - 1) as u64, 5);
+            w.write(s.templates.len() as u64, 6);
+            for t in &s.templates {
+                w.write(t.spatial_id as u64 & 0x3, 2);
+                w.write(t.temporal_id as u64 & 0x7, 3);
+                debug_assert_eq!(t.dtis.len(), s.decode_target_count as usize);
+                for d in &t.dtis {
+                    w.write(*d as u64, 2);
                 }
             }
-            if let Some(adt) = self.active_decode_targets {
-                w.write(adt as u64, 32);
-            }
         }
-        w.finish()
+        if let Some(adt) = self.active_decode_targets {
+            w.write(adt as u64, 32);
+        }
+        out.extend_from_slice(&w.finish());
     }
 
     /// Parse from an extension element's bytes.

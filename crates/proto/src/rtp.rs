@@ -108,9 +108,15 @@ impl RtpPacket {
         let view = RtpView::new(buf)?;
         let mut extensions = Vec::new();
         let mut profile = ExtensionProfile::OneByte;
-        if let Some((prof, ext_body)) = view.extension_block()? {
+        if let Some((prof, body)) = view.extension_block()? {
             profile = prof;
-            extensions = parse_extension_elements(prof, ext_body)?;
+            for element in (ExtensionElements { profile, body }) {
+                let (id, data) = element?;
+                extensions.push(ExtensionElement {
+                    id,
+                    data: data.to_vec(),
+                });
+            }
         }
         Ok(RtpPacket {
             marker: view.marker(),
@@ -127,8 +133,15 @@ impl RtpPacket {
 
     /// Serialize to bytes.
     pub fn serialize(&self) -> Vec<u8> {
-        let has_ext = !self.extensions.is_empty();
         let mut out = Vec::with_capacity(MIN_HEADER_LEN + 16 + self.payload.len());
+        self.serialize_into(&mut out);
+        out
+    }
+
+    /// Append the wire form to `out`, so that a sender can lay the
+    /// packets of a frame back to back in one buffer.
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+        let has_ext = !self.extensions.is_empty();
         let v_p_x_cc: u8 =
             (RTP_VERSION << 6) | ((has_ext as u8) << 4) | (self.csrc.len().min(15) as u8);
         out.push(v_p_x_cc);
@@ -144,68 +157,74 @@ impl RtpPacket {
                 ExtensionProfile::OneByte => EXT_PROFILE_ONE_BYTE,
                 ExtensionProfile::TwoByte => EXT_PROFILE_TWO_BYTE,
             };
-            let body = serialize_extension_elements(self.extension_profile, &self.extensions);
-            debug_assert_eq!(body.len() % 4, 0);
             out.extend_from_slice(&profile_val.to_be_bytes());
-            out.extend_from_slice(&((body.len() / 4) as u16).to_be_bytes());
-            out.extend_from_slice(&body);
+            // The word count is known once the elements are written.
+            let words_at = out.len();
+            out.extend_from_slice(&[0, 0]);
+            write_extension_elements(out, self.extension_profile, &self.extensions);
+            let words = ((out.len() - words_at - 2) / 4) as u16;
+            out[words_at..words_at + 2].copy_from_slice(&words.to_be_bytes());
         }
         out.extend_from_slice(&self.payload);
-        out
     }
 }
 
-fn parse_extension_elements(
+/// The elements of an RFC 8285 extension block, borrowed from the wire:
+/// `(id, data)` in wire order, padding skipped. The one walk behind both
+/// the owned parser and [`RtpView::find_extension`]. An element that
+/// overruns the block yields one `Truncated` error and ends the walk.
+struct ExtensionElements<'a> {
     profile: ExtensionProfile,
-    mut body: &[u8],
-) -> Result<Vec<ExtensionElement>, ProtoError> {
-    let mut out = Vec::new();
-    match profile {
-        ExtensionProfile::OneByte => {
-            while let Some((&first, rest)) = body.split_first() {
-                if first == 0 {
-                    body = rest; // padding
-                    continue;
-                }
-                let id = first >> 4;
-                let len = (first & 0x0F) as usize + 1;
-                if id == 15 {
-                    // id 15 terminates parsing per RFC 8285 §4.2.
-                    break;
-                }
-                need(rest, len)?;
-                out.push(ExtensionElement {
-                    id,
-                    data: rest[..len].to_vec(),
-                });
-                body = &rest[len..];
-            }
-        }
-        ExtensionProfile::TwoByte => {
-            while let Some((&first, rest)) = body.split_first() {
-                if first == 0 {
-                    body = rest; // padding
-                    continue;
-                }
-                need(rest, 1)?;
-                let len = rest[0] as usize;
-                need(&rest[1..], len)?;
-                out.push(ExtensionElement {
-                    id: first,
-                    data: rest[1..1 + len].to_vec(),
-                });
-                body = &rest[1 + len..];
-            }
-        }
-    }
-    Ok(out)
+    body: &'a [u8],
 }
 
-fn serialize_extension_elements(
+impl<'a> Iterator for ExtensionElements<'a> {
+    type Item = Result<(u8, &'a [u8]), ProtoError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (first, mut rest) = loop {
+            let (&first, rest) = self.body.split_first()?;
+            if first != 0 {
+                break (first, rest);
+            }
+            self.body = rest; // padding
+        };
+        let (id, len) = match self.profile {
+            ExtensionProfile::OneByte => {
+                if first >> 4 == 15 {
+                    // id 15 terminates parsing per RFC 8285 §4.2.
+                    self.body = &[];
+                    return None;
+                }
+                (first >> 4, (first & 0x0F) as usize + 1)
+            }
+            ExtensionProfile::TwoByte => {
+                let Some((&len, after)) = rest.split_first() else {
+                    self.body = &[];
+                    return Some(Err(ProtoError::Truncated { needed: 1, got: 0 }));
+                };
+                rest = after;
+                (first, len as usize)
+            }
+        };
+        if let Err(e) = need(rest, len) {
+            self.body = &[];
+            return Some(Err(e));
+        }
+        let (data, after) = rest.split_at(len);
+        self.body = after;
+        Some(Ok((id, data)))
+    }
+}
+
+/// Append the RFC 8285 encoding of `elements`, zero-padded to a 32-bit
+/// boundary counted from where the block starts.
+fn write_extension_elements(
+    out: &mut Vec<u8>,
     profile: ExtensionProfile,
     elements: &[ExtensionElement],
-) -> Vec<u8> {
-    let mut body = Vec::new();
+) {
+    let start = out.len();
     for e in elements {
         match profile {
             ExtensionProfile::OneByte => {
@@ -214,22 +233,20 @@ fn serialize_extension_elements(
                     (1..=16).contains(&e.data.len()),
                     "one-byte ext length out of range"
                 );
-                body.push((e.id << 4) | ((e.data.len() - 1) as u8 & 0x0F));
-                body.extend_from_slice(&e.data);
+                out.push((e.id << 4) | ((e.data.len() - 1) as u8 & 0x0F));
             }
             ExtensionProfile::TwoByte => {
                 debug_assert!(e.id != 0);
                 debug_assert!(e.data.len() <= 255);
-                body.push(e.id);
-                body.push(e.data.len() as u8);
-                body.extend_from_slice(&e.data);
+                out.push(e.id);
+                out.push(e.data.len() as u8);
             }
         }
+        out.extend_from_slice(&e.data);
     }
-    while body.len() % 4 != 0 {
-        body.push(0);
+    while !(out.len() - start).is_multiple_of(4) {
+        out.push(0);
     }
-    body
 }
 
 /// Zero-copy view over an RTP packet.
@@ -357,50 +374,17 @@ impl<'a> RtpView<'a> {
         Ok(&self.buf[self.payload_offset()?..])
     }
 
-    /// Look up an extension element by id without allocating.
+    /// Look up an extension element by id without allocating. Elements
+    /// after the match are not inspected.
     pub fn find_extension(&self, id: u8) -> Result<Option<&'a [u8]>, ProtoError> {
-        let Some((prof, mut body)) = self.extension_block()? else {
+        let Some((profile, body)) = self.extension_block()? else {
             return Ok(None);
         };
-        match prof {
-            ExtensionProfile::OneByte => {
-                while let Some((&first, rest)) = body.split_first() {
-                    if first == 0 {
-                        body = rest;
-                        continue;
-                    }
-                    let eid = first >> 4;
-                    if eid == 15 {
-                        break;
-                    }
-                    let len = (first & 0x0F) as usize + 1;
-                    if rest.len() < len {
-                        return Err(ProtoError::BadLength);
-                    }
-                    if eid == id {
-                        return Ok(Some(&rest[..len]));
-                    }
-                    body = &rest[len..];
-                }
-            }
-            ExtensionProfile::TwoByte => {
-                while let Some((&first, rest)) = body.split_first() {
-                    if first == 0 {
-                        body = rest;
-                        continue;
-                    }
-                    if rest.is_empty() {
-                        return Err(ProtoError::BadLength);
-                    }
-                    let len = rest[0] as usize;
-                    if rest.len() < 1 + len {
-                        return Err(ProtoError::BadLength);
-                    }
-                    if first == id {
-                        return Ok(Some(&rest[1..1 + len]));
-                    }
-                    body = &rest[1 + len..];
-                }
+        for element in (ExtensionElements { profile, body }) {
+            match element {
+                Ok((eid, data)) if eid == id => return Ok(Some(data)),
+                Ok(_) => {}
+                Err(_) => return Err(ProtoError::BadLength),
             }
         }
         Ok(None)

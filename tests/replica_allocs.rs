@@ -17,59 +17,14 @@ use scallop::media::svc::L1T3Schedule;
 use scallop::netsim::packet::{HostAddr, Packet};
 use scallop::netsim::time::SimTime;
 use scallop::proto::rtp::{set_sequence_number, RtpView};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-thread_local! {
-    /// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) made by this
-    /// thread: per thread, so parallel tests do not see each other.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // torn down; those calls are not counted.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only a
-// `const`-initialised thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr`/`layout`/`new_size` are the caller's, unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+mod common;
+use common::allocs_in;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations this thread made while `f` ran.
-fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+static GLOBAL: common::Counting = common::Counting;
 
 const PARTIES: usize = 25;
 const PKTS_PER_FRAME: usize = 5;
