@@ -1,19 +1,18 @@
 //! Deterministic batched-forwarding smoke phase (CI regression gate).
 //!
 //! Builds a real meeting through the switch agent, replays a fixed
-//! RTP/RTCP/STUN/garbage mix through both data-plane entry points —
-//! per-packet [`ScallopDataPlane::process_into`] and the batched
-//! [`ScallopDataPlane::process_batch`] with dense SoA registers enabled
-//! — and cross-checks them packet for packet and counter for counter.
-//! Everything in the emitted [`DataplaneBatchSmoke`] is a function of
-//! the fixed inputs, so `bench_smoke` gates the fields at the usual
-//! 20 % drift rule; wall-clock packets-per-second is printed as an
-//! ungated headline by the binary.
+//! RTP/RTCP/STUN/garbage mix through
+//! [`ScallopDataPlane::process_batch`] twice — one packet per call on
+//! one data plane, one burst per call with dense SoA registers enabled
+//! on its twin — and cross-checks them packet for packet and counter
+//! for counter. Everything in the emitted [`DataplaneBatchSmoke`] is a
+//! function of the fixed inputs, so `bench_smoke` gates the fields at
+//! the usual 20 % drift rule.
 
 use scallop_core::agent::{JoinGrant, SwitchAgent};
 use scallop_dataplane::batch::BatchOutput;
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
-use scallop_dataplane::switch::{DataPlaneOutput, ScallopDataPlane};
+use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop_media::packetizer::Packetizer;
 use scallop_netsim::packet::{HostAddr, Packet};
@@ -33,11 +32,11 @@ const PORT_LIMIT: u16 = 20_000;
 pub struct DataplaneBatchSmoke {
     /// Meeting size the mix was generated for.
     pub parties: u64,
-    /// Packets pushed through the batch path.
+    /// Packets pushed through the burst-per-call side.
     pub pkts_processed: u64,
-    /// Replicas the batch path emitted toward receivers.
+    /// Replicas it emitted toward receivers.
     pub replicas_emitted: u64,
-    /// Batch segments run.
+    /// Bursts (`process_batch` calls) run.
     pub batches: u64,
     /// Hash lookups avoided by the per-batch port cache.
     pub port_lookups_saved: u64,
@@ -49,17 +48,9 @@ pub struct DataplaneBatchSmoke {
     pub dense_lookups: u64,
     /// Packets punted to the CPU ring.
     pub cpu_punts: u64,
-    /// 1 iff the batch path matched the sequential path byte-for-byte
+    /// 1 iff burst-per-call matched packet-per-call byte-for-byte
     /// (forwards, punt order, and all data-plane counters).
     pub equivalent: u64,
-}
-
-/// Wall-clock timings (reported, never gated).
-pub struct BatchWall {
-    /// Nanoseconds the batched runs took.
-    pub batched_ns: u128,
-    /// Nanoseconds the sequential runs took.
-    pub sequential_ns: u128,
 }
 
 /// One meeting of `parties` all-sending participants built through the
@@ -176,47 +167,43 @@ fn traffic_mix(
     batches
 }
 
-/// Run the smoke: identical meetings, identical mix, both paths.
-pub fn run_batch_smoke(parties: usize, rounds: usize) -> (DataplaneBatchSmoke, BatchWall) {
+/// Run the smoke: identical meetings, identical mix, both batchings.
+pub fn run_batch_smoke(parties: usize, rounds: usize) -> DataplaneBatchSmoke {
     let (mut seq_dp, seq_agent, seq_members) = build_meeting(parties);
     let (mut bat_dp, _bat_agent, _bat_members) = build_meeting(parties);
     bat_dp.enable_dense_ports(PORT_BASE, PORT_LIMIT);
     let batches = traffic_mix(&seq_agent, &seq_members, rounds);
 
-    // Sequential reference.
+    // One packet per call.
     let mut seq_fwd: Vec<Packet> = Vec::new();
     let mut seq_punts: Vec<(usize, u32)> = Vec::new(); // (batch, index)
-    let mut out = DataPlaneOutput::default();
-    let seq_t0 = std::time::Instant::now();
+    let mut out = BatchOutput::default();
     for (bi, batch) in batches.iter().enumerate() {
         for (pi, pkt) in batch.iter().enumerate() {
-            seq_dp.process_into(pkt, &mut out);
+            seq_dp.process_batch(std::slice::from_ref(pkt), &mut out);
             seq_fwd.append(&mut out.forwards);
-            if !out.cpu_copies.is_empty() {
+            if !out.cpu_punts.is_empty() {
                 seq_punts.push((bi, pi as u32));
             }
         }
     }
-    let sequential_ns = seq_t0.elapsed().as_nanos();
 
-    // Batched path.
+    // One burst per call.
     let mut bat_fwd: Vec<Packet> = Vec::new();
     let mut bat_punts: Vec<(usize, u32)> = Vec::new();
     let mut bout = BatchOutput::default();
-    let bat_t0 = std::time::Instant::now();
     for (bi, batch) in batches.iter().enumerate() {
         bat_dp.process_batch(batch, &mut bout);
         bat_fwd.append(&mut bout.forwards);
         bat_punts.extend(bout.cpu_punts.iter().map(|&i| (bi, i)));
     }
-    let batched_ns = bat_t0.elapsed().as_nanos();
 
     let equivalent = bat_fwd == seq_fwd
         && bat_punts == seq_punts
         && bat_dp.counters == seq_dp.counters
         && bat_dp.max_parse_depth == seq_dp.max_parse_depth;
 
-    let report = DataplaneBatchSmoke {
+    DataplaneBatchSmoke {
         parties: parties as u64,
         pkts_processed: bout.stats.batch_pkts,
         replicas_emitted: bat_dp.counters.forwarded_pkts,
@@ -227,14 +214,7 @@ pub fn run_batch_smoke(parties: usize, rounds: usize) -> (DataplaneBatchSmoke, B
         dense_lookups: bat_dp.dense_ports.as_ref().map_or(0, |d| d.dense_lookups),
         cpu_punts: bat_punts.len() as u64,
         equivalent: u64::from(equivalent),
-    };
-    (
-        report,
-        BatchWall {
-            batched_ns,
-            sequential_ns,
-        },
-    )
+    }
 }
 
 #[cfg(test)]
@@ -243,13 +223,13 @@ mod tests {
 
     #[test]
     fn smoke_is_equivalent_and_deterministic() {
-        let (a, _) = run_batch_smoke(8, 3);
-        assert_eq!(a.equivalent, 1, "batched path must match sequential");
+        let a = run_batch_smoke(8, 3);
+        assert_eq!(a.equivalent, 1, "a burst must match its packets one by one");
         assert!(a.port_lookups_saved > 0);
         assert!(a.pre_walks_saved > 0);
         assert!(a.dense_lookups > 0);
         assert!(a.cpu_punts > 0, "mix must exercise the punt ring");
-        let (b, _) = run_batch_smoke(8, 3);
+        let b = run_batch_smoke(8, 3);
         assert_eq!(a.pkts_processed, b.pkts_processed);
         assert_eq!(a.replicas_emitted, b.replicas_emitted);
         assert_eq!(a.port_lookups_saved, b.port_lookups_saved);

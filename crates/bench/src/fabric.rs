@@ -103,7 +103,6 @@ pub fn run_fabric_slice(
         .collect();
 
     let mut sim = Simulator::new(0xFAB21C);
-    sim.set_workers(scallop_netsim::sim::workers_from_env());
     let fabric = Fabric::build(
         &mut sim,
         Topology::campus(edges, 1),
@@ -288,7 +287,6 @@ pub fn run_wan_slice(
     }
 
     let mut sim = Simulator::new(0xFEDC0DE);
-    sim.set_workers(scallop_netsim::sim::workers_from_env());
     let topology = Topology::federation(zones, edges_per_zone, 1);
     let fabric = Fabric::build(
         &mut sim,

@@ -75,13 +75,6 @@ pub struct HarnessConfig {
     /// against a sharded control plane unchanged
     /// (`SCALLOP_SHARDS=4 cargo test`).
     pub shards: usize,
-    /// Worker threads for stepping edge-switch packet batches
-    /// ([`Simulator::set_workers`]). Any value is bit-identical to `1`
-    /// (the wave barrier applies side effects in deterministic order);
-    /// defaults from the `SCALLOP_WORKERS` environment variable so the
-    /// whole test corpus can run multi-worker unchanged
-    /// (`SCALLOP_WORKERS=4 cargo test`).
-    pub workers: usize,
     /// Simulation seed.
     pub seed: u64,
     /// Sequence-rewrite heuristic.
@@ -126,7 +119,6 @@ impl Default for HarnessConfig {
                     _ => panic!("SCALLOP_SHARDS must be a positive integer, got {raw:?}"),
                 },
             },
-            workers: scallop_netsim::sim::workers_from_env(),
             seed: 0x5CA1_10B5,
             rewrite_mode: SeqRewriteMode::LowRetransmission,
             client_uplink: LinkConfig::infinite(SimDuration::from_millis(10))
@@ -190,13 +182,6 @@ impl HarnessConfig {
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = n;
-        self
-    }
-
-    /// Builder: worker-thread count for batched edge stepping.
-    pub fn workers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "at least one worker");
-        self.workers = n;
         self
     }
 
@@ -308,7 +293,6 @@ impl ScallopHarness {
     /// Build the topology and join all participants.
     pub fn new(cfg: HarnessConfig) -> Self {
         let mut sim = Simulator::new(cfg.seed);
-        sim.set_workers(cfg.workers);
         let topology = if cfg.zones > 1 {
             Topology::federation(cfg.zones, cfg.switches, cfg.cores)
         } else if cfg.switches == 1 {

@@ -122,11 +122,9 @@ pub struct ScallopSwitchNode {
     /// with a killed switch is forgotten by the first flush after the
     /// revive, which also releases the packets that were waiting for it.
     armed: Vec<SimTime>,
-    /// Reused per-packet data-plane output (scratch; avoids allocating
-    /// fresh forward/CPU vectors for every arriving packet).
-    dp_out: scallop_dataplane::switch::DataPlaneOutput,
-    /// Reused batch output for wave deliveries (parse arena, punt ring,
-    /// amortization stats — see `scallop_dataplane::batch`).
+    /// Reused data-plane output (forwards, punt ring, parse arena — see
+    /// `scallop_dataplane::batch`), so an arriving packet allocates none
+    /// of them.
     batch_out: BatchOutput,
 }
 
@@ -145,7 +143,6 @@ impl ScallopSwitchNode {
             pending: BinaryHeap::new(),
             pending_seq: 0,
             armed: Vec::new(),
-            dp_out: Default::default(),
             batch_out: BatchOutput::default(),
         }
     }
@@ -256,62 +253,24 @@ impl Node for ScallopSwitchNode {
         ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
     }
 
+    /// One packet through the data plane as a batch of one. The agent
+    /// may rewrite tables when it handles a punt, so it gets the packet
+    /// before the data plane looks at the next one.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let mut out = std::mem::take(&mut self.dp_out);
-        self.dp.process_into(&pkt, &mut out);
-        let dp_at = ctx.now() + self.cfg.pipeline_latency;
+        let mut out = std::mem::take(&mut self.batch_out);
+        self.dp.process_batch(std::slice::from_ref(&pkt), &mut out);
+        let now = ctx.now();
+        let dp_at = now + self.cfg.pipeline_latency;
         for f in out.forwards.drain(..) {
             self.emit_at(ctx, dp_at, f);
         }
-        if !out.cpu_copies.is_empty() {
-            let agent_at = ctx.now() + self.cfg.agent_latency;
-            let now = ctx.now();
-            for c in out.cpu_copies.drain(..) {
-                let responses = self.agent.handle_cpu_packet(now, &c, &mut self.dp);
-                for r in responses {
-                    self.emit_at(ctx, agent_at, r);
-                }
-            }
-        }
-        self.dp_out = out;
-    }
-
-    /// A wave of same-instant packets, run through the batched engine.
-    /// Segments end at CPU punts so the agent (which may rewrite
-    /// tables) observes exactly the per-packet interleaving: a
-    /// segment's forwards are emitted first, then the punting packet's
-    /// agent responses, then the next segment — the same `emit_at`
-    /// order `on_packet` would have produced packet by packet.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
-        let mut out = std::mem::take(&mut self.batch_out);
-        out.clear();
-        let now = ctx.now();
-        let dp_at = now + self.cfg.pipeline_latency;
-        let agent_at = now + self.cfg.agent_latency;
-        let mut start = 0;
-        let mut punt_cursor = 0;
-        while start < pkts.len() {
-            start = self.dp.process_batch_from(pkts, start, true, &mut out);
-            for f in out.forwards.drain(..) {
-                self.emit_at(ctx, dp_at, f);
-            }
-            while punt_cursor < out.cpu_punts.len() {
-                let punted = &pkts[out.cpu_punts[punt_cursor] as usize];
-                punt_cursor += 1;
-                let responses = self.agent.handle_cpu_packet(now, punted, &mut self.dp);
-                for r in responses {
-                    self.emit_at(ctx, agent_at, r);
-                }
+        if !out.cpu_punts.is_empty() {
+            let agent_at = now + self.cfg.agent_latency;
+            for r in self.agent.handle_cpu_packet(now, &pkt, &mut self.dp) {
+                self.emit_at(ctx, agent_at, r);
             }
         }
         self.batch_out = out;
-    }
-
-    /// The switch qualifies for wave batching: `on_packet`/`on_batch`
-    /// emit exclusively through `emit_at` (the departure heap drained by
-    /// `TIMER_FLUSH`), never `ctx.send`, and draw no randomness.
-    fn parallel_safe(&self) -> bool {
-        true
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
@@ -336,61 +295,123 @@ impl Node for ScallopSwitchNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
+    use scallop_media::packetizer::Packetizer;
     use scallop_netsim::link::LinkConfig;
-    use scallop_netsim::sim::Simulator;
+    use scallop_netsim::sim::{NodeId, Simulator};
+    use scallop_proto::rtcp::{self, RtcpPacket};
     use scallop_proto::stun::StunMessage;
+
+    const SWITCH_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
+
+    /// Stands in for every client: records what arrives, and when.
+    #[derive(Default)]
+    struct Clients {
+        arrivals: Vec<(SimTime, HostAddr)>,
+    }
+    impl Node for Clients {
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+            self.arrivals.push((ctx.now(), pkt.dst));
+        }
+    }
+
+    fn client(last: u8) -> HostAddr {
+        HostAddr::new(Ipv4Addr::new(10, 1, 0, last), 5000)
+    }
+
+    /// A switch and a [`Clients`] node owning `client(1..=3)`, joined by
+    /// zero-delay links: a packet arrives the instant it departs.
+    fn switch_and_clients() -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(3);
+        let link = LinkConfig::infinite(SimDuration::ZERO);
+        let node = ScallopSwitchNode::new(SwitchConfig::new(SWITCH_IP));
+        let sw = sim.add_node(Box::new(node), &[SWITCH_IP], link, link);
+        let ips = [client(1).ip, client(2).ip, client(3).ip];
+        let clients = sim.add_node(Box::<Clients>::default(), &ips, link, link);
+        (sim, sw, clients)
+    }
 
     #[test]
     fn stun_answered_with_agent_latency() {
-        let mut sim = Simulator::new(3);
-        let ip = Ipv4Addr::new(10, 0, 0, 100);
-        let node = ScallopSwitchNode::new(SwitchConfig::new(ip));
-        let link = LinkConfig::infinite(SimDuration::ZERO);
-        let id = sim.add_node(Box::new(node), &[ip], link, link);
-
-        // A raw probe node that fires one STUN request and records the
-        // response time.
-        struct Probe {
-            target: HostAddr,
-            me: HostAddr,
-            rtt: Option<SimDuration>,
-            sent_at: SimTime,
-        }
-        impl Node for Probe {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.schedule(SimDuration::from_millis(1), TimerToken(1));
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerToken) {
-                self.sent_at = ctx.now();
-                let req = StunMessage::binding_request([5; 12]).serialize();
-                ctx.send(Packet::new(self.me, self.target, req));
-            }
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _pkt: Packet) {
-                self.rtt = Some(ctx.now().saturating_since(self.sent_at));
-            }
-        }
-        let probe_ip = Ipv4Addr::new(10, 1, 0, 1);
-        let probe = sim.add_node(
-            Box::new(Probe {
-                target: HostAddr::new(ip, 10_000),
-                me: HostAddr::new(probe_ip, 4000),
-                rtt: None,
-                sent_at: SimTime::ZERO,
-            }),
-            &[probe_ip],
-            link,
-            link,
+        let (mut sim, sw, clients) = switch_and_clients();
+        let sent_at = SimTime::from_millis(1);
+        let req = StunMessage::binding_request([5; 12]).serialize();
+        sim.inject(
+            sent_at,
+            Packet::new(client(1), HostAddr::new(SWITCH_IP, 10_000), req),
         );
         sim.run_until(SimTime::from_secs(1));
-        let p: &mut Probe = sim.node_mut(probe).unwrap();
-        let rtt = p.rtt.expect("stun response");
         // Links are zero-delay: the RTT is exactly the agent CPU path.
-        assert!(
-            rtt >= SimDuration::from_micros(250) && rtt < SimDuration::from_micros(400),
-            "rtt {rtt}"
+        let c: &mut Clients = sim.node_mut(clients).unwrap();
+        assert_eq!(
+            c.arrivals,
+            vec![(sent_at + SimDuration::from_micros(250), client(1))]
         );
-        let sw: &mut ScallopSwitchNode = sim.node_mut(id).unwrap();
+        let sw: &mut ScallopSwitchNode = sim.node_mut(sw).unwrap();
         assert_eq!(sw.agent.counters.stun_answered, 1);
         assert_eq!(sw.dp.counters.stun_pkts, 1);
+    }
+
+    /// A punt is handled before the next same-instant packet is matched:
+    /// a REMB that lowers P3's decode target, then a T2 frame of the
+    /// stream it reports on, then a STUN request, all arriving at once.
+    #[test]
+    fn punt_reaches_the_agent_before_the_next_same_instant_packet() {
+        let (mut sim, sw_id, clients) = switch_and_clients();
+        let sw: &mut ScallopSwitchNode = sim.node_mut(sw_id).unwrap();
+        let m = sw.agent.create_meeting();
+        let g1 = sw.join(m, client(1), true);
+        let _g2 = sw.join(m, client(2), false);
+        let g3 = sw.join(m, client(3), false);
+        let feedback_port = sw
+            .agent
+            .video_pair_addr(g1.participant, g3.participant)
+            .unwrap();
+
+        // 1 Mbit/s sits between the default thresholds: DT 2 -> 1.
+        let remb = rtcp::serialize_compound(&[RtcpPacket::Remb(rtcp::Remb {
+            sender_ssrc: 0x33,
+            bitrate_bps: 1_000_000,
+            ssrcs: vec![0x11],
+        })]);
+        // Template 3 is a T2 frame: above DT 1, within DT 2.
+        let t2 = Packetizer::new(0x11, 96, 1200).packetize(&EncodedFrame {
+            frame_number: 1,
+            label: FrameLabelCompact {
+                temporal_id: 2,
+                template_id: 3,
+                is_key: false,
+            },
+            size_bytes: 500,
+            captured_at: SimTime::ZERO,
+            rtp_timestamp: 3000,
+        });
+        let stun = StunMessage::binding_request([5; 12]).serialize();
+        let at = SimTime::from_millis(1);
+        sim.inject(at, Packet::new(client(3), feedback_port, remb));
+        sim.inject(
+            at,
+            Packet::new(client(1), g1.video_uplink, t2[0].serialize()),
+        );
+        sim.inject(at, Packet::new(client(2), g1.video_uplink, stun));
+        sim.run_until(SimTime::from_millis(50));
+
+        let sw: &mut ScallopSwitchNode = sim.node_mut(sw_id).unwrap();
+        assert_eq!(sw.agent.dt_of(g3.participant), Some(1));
+        // The frame met the tables as the agent left them: it reaches P2
+        // only. Forwards (the REMB toward the sender, then the frame)
+        // leave at pipeline latency, the STUN answer at agent latency.
+        let pipeline = at + sw.cfg.pipeline_latency;
+        let agent = at + sw.cfg.agent_latency;
+        let c: &mut Clients = sim.node_mut(clients).unwrap();
+        assert_eq!(
+            c.arrivals,
+            vec![
+                (pipeline, client(1)),
+                (pipeline, client(2)),
+                (agent, client(2)),
+            ]
+        );
     }
 }

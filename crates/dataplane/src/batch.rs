@@ -1,14 +1,12 @@
-//! Batched forwarding: amortize parse, match, and PRE walks over a
-//! burst of packets.
+//! The forwarding engine's batch machinery: amortize parse, match, and
+//! PRE walks over a burst of packets.
 //!
-//! The per-packet pipeline ([`crate::switch::ScallopDataPlane::process_into`])
-//! pays a hash lookup per table per packet, a PRE tree walk per media
-//! packet, and a full packet clone per CPU punt. A real switch never
-//! sees packets one at a time — it drains a burst from the ingress
-//! queue — and almost every packet in a burst shares its match results
-//! with a neighbour (the same sender keeps sending on the same uplink
-//! port). [`ScallopDataPlane::process_batch`](crate::switch::ScallopDataPlane::process_batch)
-//! exploits that:
+//! [`ScallopDataPlane::process_batch`](crate::switch::ScallopDataPlane::process_batch)
+//! is the data plane's one packet entry point. A real switch never sees
+//! packets one at a time — it drains a burst from the ingress queue —
+//! and almost every packet in a burst shares its match results with a
+//! neighbour (the same sender keeps sending on the same uplink port).
+//! The engine exploits that:
 //!
 //! 1. **Parse first.** The whole batch is parsed into a reusable
 //!    [`ParsedPacket`] arena before any match work runs (the parse and
@@ -21,63 +19,60 @@
 //!    re-walking the tree and re-matching each replica. Saved work is
 //!    counted in [`BatchStats`].
 //! 3. **Punt by index.** CPU punts are recorded as indices into the
-//!    caller's batch ([`BatchOutput::cpu_punts`]) instead of cloned
-//!    packets — the agent reads the original slice, so the punt ring
-//!    never allocates.
+//!    caller's batch ([`BatchOutput::cpu_punts`]) — the agent reads the
+//!    original slice, so a punt never clones a packet.
 //!
 //! Negative results are cached too: a port/flow miss is remembered as
 //! `None` (and a replica with no egress rule is cached as resolved-to-
-//! nothing), and replaying it still charges the same `no_rule_drops`
-//! the sequential path would — the batch path is byte-identical in
-//! outputs *and counters* to N sequential `process_into` calls
-//! (enforced by `tests/batch_equivalence.rs`).
+//! nothing), and replaying it still charges the same `no_rule_drops` a
+//! cold lookup would. So how a packet sequence is cut into batches
+//! changes neither outputs nor counters: one N-packet call equals N
+//! one-packet calls byte for byte (enforced by
+//! `tests/batch_equivalence.rs`).
 //!
 //! **Agent interleaving.** The switch agent may rewrite tables when it
 //! handles a punted packet (e.g. a key-frame DD triggering a meeting
-//! rebuild), which would invalidate the caches mid-batch. Callers that
-//! interleave agent work use
-//! [`process_batch_from`](crate::switch::ScallopDataPlane::process_batch_from)
-//! with `stop_at_punt = true`: the batch is cut into *segments* at each
-//! punting packet, the agent runs between segments, and every segment
-//! restarts with cold caches (the parse arena survives — parsing is
-//! immutable work).
+//! rebuild), and the caches are only valid while the tables stand
+//! still. A caller with an agent behind it therefore calls with one
+//! packet and hands a punt over before the next packet is looked at —
+//! that is the simulator's switch node; callers that own the tables for
+//! the length of a burst (benches, tests, the repo benchmark) pass the
+//! whole burst.
 //!
-//! **Egress: one slab per segment.** A sequence-rewritten replica needs
+//! **Egress: one slab per batch.** A sequence-rewritten replica needs
 //! its own copy of the packet (bytes 2..4 differ per receiver), and
 //! [`Packet::payload`] must stay one contiguous `Deref<[u8]>`, so one
 //! copy per rewritten replica is the floor. The replica slab pays exactly
-//! that and nothing else: every rewritten replica of a segment — the
-//! per-packet path is a segment of one — is appended to one `Vec<u8>`
-//! and patched in place; at segment end the vector is frozen into one
-//! shared [`Bytes`] and each replica's payload becomes a view into it.
-//! The next segment takes the allocation back when every view has been
-//! dropped (a caller that clears its output between bursts allocates
-//! nothing but the reference count); when views are still alive the
-//! slab simply stays theirs and a fresh one is reserved. Replicas the
-//! Stream Tracker does not rewrite (audio, sender reports, streams of
-//! receivers that were never rate-adapted) share the ingress buffer.
+//! that and nothing else: every rewritten replica of a batch is appended
+//! to one `Vec<u8>` and patched in place; when the batch ends the vector
+//! is frozen into one shared [`Bytes`] and each replica's payload
+//! becomes a view into it. The next batch takes the allocation back when
+//! every view has been dropped (a caller that clears its output between
+//! bursts allocates nothing but the reference count); when views are
+//! still alive the slab simply stays theirs and a fresh one is reserved.
+//! Replicas the Stream Tracker does not rewrite (audio, sender reports,
+//! streams of receivers that were never rate-adapted) share the ingress
+//! buffer.
 //!
 //! **What a view pins.** A view keeps its *whole* backing allocation
-//! alive: a replica view pins its segment's slab, an `RtpPacket.payload`
+//! alive: a replica view pins its batch's slab, an `RtpPacket.payload`
 //! from `RtpPacket::parse_bytes` pins the wire buffer it was parsed
 //! from. Everything that can hold one beyond delivery is bounded:
 //!
-//! * the data plane itself holds one handle, on the last segment's slab,
-//!   until the next segment starts;
-//! * `core::switchnode`'s `pending_payloads` holds forwards for the
-//!   fixed pipeline latency (agent responses for the agent latency) and
-//!   the simulator's event queue for one link traversal — both drain in
+//! * the data plane itself holds one handle, on the last batch's slab,
+//!   until the next batch starts;
+//! * `core::switchnode`'s departure heap holds forwards for the fixed
+//!   pipeline latency (agent responses for the agent latency) and the
+//!   simulator's event queue for one link traversal — both drain in
 //!   bounded simulated time, so the slabs alive at once are those of the
-//!   segments processed within that window;
-//! * `client::peer` parses with `parse_bytes`, but the `RtpPacket` dies
-//!   inside `on_packet`: `media::decoder` assembles frames from
-//!   sequence numbers and payload *lengths* (`seq_identity`,
-//!   `FrameAssembly::received`) and `client::receiver` keeps arrival
-//!   statistics only, so nothing on the receive side retains a payload;
+//!   batches processed within that window;
+//! * `client::peer` reads datagrams in place, and `media::decoder`
+//!   assembles frames from sequence numbers and payload *lengths* while
+//!   `client::receiver` keeps arrival statistics only, so nothing on the
+//!   receive side retains a payload;
 //! * the NACK/RTX history (`client::sender`) stores the sender's own
-//!   `RtpPacket`s, whose payloads are owned buffers made by the
-//!   packetizer, never views of a slab or of a received datagram, and is
-//!   a fixed-length ring;
+//!   serialized frames, never views of a slab or of a received datagram,
+//!   and is a fixed-length ring;
 //! * `baseline::sfu` (the software SFU) copies every replica into an
 //!   owned buffer and never sees a slab.
 
@@ -89,14 +84,14 @@ use scallop_netsim::packet::Packet;
 use scallop_proto::rtp;
 use std::ops::Range;
 
-/// What the batch path saved relative to per-packet processing.
-/// Cumulative across batches, like
+/// What the per-batch caches saved relative to resolving every packet
+/// cold. Cumulative across batches, like
 /// [`DataPlaneCounters`](crate::switch::DataPlaneCounters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batch segments processed.
+    /// `process_batch` calls.
     pub batches: u64,
-    /// Packets processed through the batch path.
+    /// Packets processed.
     pub batch_pkts: u64,
     /// Port-rule resolutions served from the batch cache (hash lookups
     /// avoided).
@@ -114,12 +109,12 @@ pub struct BatchStats {
 pub(crate) type FlowKey = (u16, u16, u16, u16, u16);
 
 /// One fully-resolved replica: where the PRE fanned the packet, and
-/// the egress rewrite it matched (`None` = no egress rule, which the
-/// sequential path charges as a `no_rule_drops` per packet — the
-/// replay must too).
+/// the egress rewrite it matched (`None` = no egress rule, which a
+/// cold lookup charges as a `no_rule_drops` per packet — the replay
+/// must too).
 pub(crate) type ResolvedReplica = (Replica, Option<EgressSpec>);
 
-/// Per-segment resolution caches. Linear-scan vectors, not maps: a
+/// Per-batch resolution caches. Linear-scan vectors, not maps: a
 /// batch touches a handful of distinct ports/flows, and a short scan
 /// over a dense vector beats hashing at that size. Egress resolution
 /// is deliberately *not* cached per [`EgressKey`]: a meeting fans each
@@ -138,42 +133,42 @@ pub(crate) struct BatchCaches {
     pub(crate) flows: Vec<(FlowKey, Option<Range<u32>>)>,
     /// Every cached flow's replicas, back to back.
     pub(crate) flow_replicas: Vec<ResolvedReplica>,
-    /// Savings accumulated this segment, folded into [`BatchStats`]
-    /// when the segment ends.
+    /// Savings accumulated this batch, folded into [`BatchStats`] when
+    /// the batch ends.
     pub(crate) port_lookups_saved: u64,
     pub(crate) egress_lookups_saved: u64,
     pub(crate) pre_walks_saved: u64,
 }
 
 impl BatchCaches {
-    /// Cold-start the caches for a new segment (a segment boundary
-    /// means the agent may have rewritten the tables). Capacity is kept.
-    pub(crate) fn begin_segment(&mut self) {
+    /// Cold-start the caches for a new batch (between batches the agent
+    /// may have rewritten the tables). Capacity is kept.
+    pub(crate) fn begin_batch(&mut self) {
         self.ports.clear();
         self.flows.clear();
         self.flow_replicas.clear();
     }
 }
 
-/// The payloads of one segment's sequence-rewritten replicas, back to
+/// The payloads of one batch's sequence-rewritten replicas, back to
 /// back in one buffer (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaSlab {
     buf: Vec<u8>,
-    /// `(index into the segment's forwards, offset, length)` of each
-    /// replica in `buf`, turned into views when the segment ends. `u32`:
+    /// `(index into the batch's forwards, offset, length)` of each
+    /// replica in `buf`, turned into views when the batch ends. `u32`:
     /// a `Bytes` holds under 4 GiB, and freezing a larger slab panics.
     fixups: Vec<(u32, u32, u32)>,
-    /// The previous segment's slab, kept to take its allocation back.
+    /// The previous batch's slab, kept to take its allocation back.
     frozen: Option<Bytes>,
     /// Bytes the previous slab held: what a fresh one reserves up front.
     last_len: usize,
 }
 
 impl ReplicaSlab {
-    /// Start a segment: reuse the previous slab's allocation when no
-    /// view of it is left.
-    pub(crate) fn begin_segment(&mut self) {
+    /// Start a batch: reuse the previous slab's allocation when no view
+    /// of it is left.
+    pub(crate) fn begin_batch(&mut self) {
         if let Some(prev) = self.frozen.take() {
             if prev.is_unique() {
                 self.buf = prev.into();
@@ -200,9 +195,9 @@ impl ReplicaSlab {
         true
     }
 
-    /// End a segment: freeze the buffer and hand each rewritten replica
+    /// End a batch: freeze the buffer and hand each rewritten replica
     /// in `forwards` its view.
-    pub(crate) fn end_segment(&mut self, forwards: &mut [Packet]) {
+    pub(crate) fn end_batch(&mut self, forwards: &mut [Packet]) {
         if self.fixups.is_empty() {
             return;
         }
@@ -216,12 +211,11 @@ impl ReplicaSlab {
 }
 
 /// Output of one batch: the forwarded packets, the punt ring, and the
-/// reusable arenas. Create once per switch, [`clear`](Self::clear)
-/// between batches.
+/// reusable arenas. Create once per switch and pass it to every call.
 #[derive(Debug, Default)]
 pub struct BatchOutput {
-    /// Packets to emit toward clients/trunks, in the exact order the
-    /// sequential path would have produced them.
+    /// Packets to emit toward clients/trunks, in input order (a packet's
+    /// replicas in PRE order).
     pub forwards: Vec<Packet>,
     /// CPU punt ring: indices into the *input* batch slice, in punt
     /// order. The agent reads `batch[i]` — no packet is cloned.
@@ -229,17 +223,17 @@ pub struct BatchOutput {
     /// Amortization accounting (cumulative across batches).
     pub stats: BatchStats,
     /// Parse arena: one [`ParsedPacket`] per input packet, filled by
-    /// the parse stage and reused across segments of the same batch.
+    /// the parse stage.
     pub(crate) parsed: Vec<ParsedPacket>,
-    /// Match-resolution caches (reset per segment).
+    /// Match-resolution caches (reset per batch).
     pub(crate) caches: BatchCaches,
 }
 
 impl BatchOutput {
-    /// Reset for a new input batch, keeping allocated capacity.
-    /// `stats` is cumulative and survives, like the data plane's own
-    /// counters.
-    pub fn clear(&mut self) {
+    /// Reset for a new input batch (`process_batch` starts with this),
+    /// keeping allocated capacity. `stats` is cumulative and survives,
+    /// like the data plane's own counters.
+    pub(crate) fn clear(&mut self) {
         self.forwards.clear();
         self.cpu_punts.clear();
         self.parsed.clear();

@@ -23,9 +23,9 @@
 //!   match → replicate → adapt (drop by template id) → rewrite → emit,
 //!   with CPU-port copies for the switch agent and full packet/byte
 //!   counters (Table 1, Fig. 22).
-//! * [`batch`] — the batched forwarding path: parse a burst first, then
-//!   resolve each distinct rule/flow once per batch, with an index ring
-//!   for CPU punts instead of per-punt clones.
+//! * [`batch`] — the forwarding engine's batch machinery: parse a burst
+//!   first, then resolve each distinct rule/flow once per batch; CPU
+//!   punts are indices into the input burst.
 //! * [`soa`] — dense struct-of-arrays port-rule registers mirroring the
 //!   hot span of the ingress match (hash-free lookups on the
 //!   contiguous per-edge port ranges).
@@ -55,4 +55,4 @@ pub use pre::{PacketReplicationEngine, PreError, Replica};
 pub use rules::{EgressSpec, PortRule, ReplicationAction};
 pub use seqrewrite::{OracleRewriter, RewriteVerdict, SeqRewriteMode, StreamTracker};
 pub use soa::DensePortRules;
-pub use switch::{DataPlaneCounters, DataPlaneOutput, ScallopDataPlane};
+pub use switch::{DataPlaneCounters, ScallopDataPlane};

@@ -12,7 +12,7 @@
 //!    receiver's decode target), Stream-Tracker sequence rewrite
 //!    (S-LM/S-LR, §6.2), and source/destination address rewrite so each
 //!    copy is unicast-addressed to its receiver (§6.1). A rewritten
-//!    replica is one copy into the segment's slab
+//!    replica is one copy into the batch's slab
 //!    ([`crate::batch`]); every other replica shares the ingress buffer.
 //! 5. **CPU port**: STUN, receiver feedback copies, and extended-DD key
 //!    frames are copied to the switch agent; media never is (§4).
@@ -179,23 +179,6 @@ impl DataPlaneCounters {
     }
 }
 
-/// Output of processing one packet.
-#[derive(Debug, Clone, Default)]
-pub struct DataPlaneOutput {
-    /// Packets to emit toward clients.
-    pub forwards: Vec<Packet>,
-    /// Copies for the switch agent (CPU port).
-    pub cpu_copies: Vec<Packet>,
-}
-
-impl DataPlaneOutput {
-    /// Reset for reuse, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.forwards.clear();
-        self.cpu_copies.clear();
-    }
-}
-
 /// The Scallop switch data plane.
 #[derive(Debug)]
 pub struct ScallopDataPlane {
@@ -214,11 +197,8 @@ pub struct ScallopDataPlane {
     /// Per-call scratch for PRE replica lists (reused across packets so
     /// the egress path does not allocate per packet).
     replica_scratch: Vec<crate::pre::Replica>,
-    /// The current segment's sequence-rewritten replica payloads.
+    /// The current batch's sequence-rewritten replica payloads.
     slab: ReplicaSlab,
-    /// Resolution caches of the per-packet path, where every packet is
-    /// a segment of its own (so nothing ever hits).
-    packet_caches: BatchCaches,
     /// Dense struct-of-arrays mirror of `port_rules` over the switch's
     /// contiguous SFU port span (`None` until
     /// [`enable_dense_ports`](Self::enable_dense_ports)). The exact
@@ -239,7 +219,6 @@ impl ScallopDataPlane {
             max_parse_depth: 0,
             replica_scratch: Vec::new(),
             slab: ReplicaSlab::default(),
-            packet_caches: BatchCaches::default(),
             dense_ports: None,
         }
     }
@@ -330,59 +309,15 @@ impl ScallopDataPlane {
         out
     }
 
-    /// Process one packet arriving at the switch.
-    pub fn process(&mut self, pkt: &Packet) -> DataPlaneOutput {
-        let mut out = DataPlaneOutput::default();
-        self.process_into(pkt, &mut out);
-        out
-    }
-
-    /// [`Self::process`] into a caller-owned output (cleared first): the
-    /// per-packet hot path reuses the caller's buffers instead of
-    /// allocating fresh `Vec`s per packet.
-    pub fn process_into(&mut self, pkt: &Packet, out: &mut DataPlaneOutput) {
-        out.clear();
-        let parsed = parser::parse(&pkt.payload);
-        let mut caches = std::mem::take(&mut self.packet_caches);
-        caches.begin_segment();
-        self.slab.begin_segment();
-        let mut sink = EmitSink {
-            forwards: &mut out.forwards,
-            punts: PuntChannel::Clone(&mut out.cpu_copies),
-        };
-        self.run_pipeline(pkt, &parsed, &mut caches, &mut sink);
-        self.slab.end_segment(&mut out.forwards);
-        self.packet_caches = caches;
-    }
-
-    /// Process a whole batch through the amortized path (see
-    /// [`crate::batch`]). `out` is cleared first; outputs and counters
-    /// are byte-identical to calling [`Self::process_into`] on each
-    /// packet in order, except that CPU punts land as indices in
-    /// [`BatchOutput::cpu_punts`] instead of cloned packets.
+    /// Process the packets arriving at the switch, in order — the one
+    /// packet entry point; a single packet is a batch of one (see
+    /// [`crate::batch`]). `out` is cleared first. Forwards land in
+    /// [`BatchOutput::forwards`], CPU punts as indices into `pkts` in
+    /// [`BatchOutput::cpu_punts`]. Outputs and counters do not depend on
+    /// how a packet sequence is cut into batches, as long as no table
+    /// changes in between.
     pub fn process_batch(&mut self, pkts: &[Packet], out: &mut BatchOutput) {
         out.clear();
-        let end = self.process_batch_from(pkts, 0, false, out);
-        debug_assert_eq!(end, pkts.len());
-    }
-
-    /// Run one batch *segment* starting at `pkts[start]`, returning the
-    /// index after the last packet processed. With `stop_at_punt` the
-    /// segment ends after the first packet that punted to the CPU, so
-    /// the caller can let the agent handle the punt (and possibly
-    /// rewrite tables) before resuming with fresh caches. The parse
-    /// arena is filled once per batch and survives across segments;
-    /// callers must [`BatchOutput::clear`] between distinct batches.
-    pub fn process_batch_from(
-        &mut self,
-        pkts: &[Packet],
-        start: usize,
-        stop_at_punt: bool,
-        out: &mut BatchOutput,
-    ) -> usize {
-        if start >= pkts.len() {
-            return start;
-        }
         let BatchOutput {
             forwards,
             cpu_punts,
@@ -391,41 +326,28 @@ impl ScallopDataPlane {
             caches,
         } = out;
         // Stage 1: parse the whole batch before any match work.
-        if parsed.len() != pkts.len() {
-            parsed.clear();
-            parsed.extend(pkts.iter().map(|p| parser::parse(&p.payload)));
-        }
-        // Stage 2: match/replicate with per-segment resolution caches.
-        caches.begin_segment();
-        self.slab.begin_segment();
+        parsed.extend(pkts.iter().map(|p| parser::parse(&p.payload)));
+        // Stage 2: match/replicate with per-batch resolution caches.
+        caches.begin_batch();
+        self.slab.begin_batch();
         stats.batches += 1;
-        let mut i = start;
-        while i < pkts.len() {
-            let punts_before = cpu_punts.len();
-            let p = parsed[i];
+        stats.batch_pkts += pkts.len() as u64;
+        for (i, (pkt, p)) in pkts.iter().zip(parsed.iter()).enumerate() {
             let mut sink = EmitSink {
                 forwards,
-                punts: PuntChannel::Ring {
-                    ring: cpu_punts,
-                    index: i as u32,
-                },
+                cpu_punts,
+                index: i as u32,
             };
-            self.run_pipeline(&pkts[i], &p, caches, &mut sink);
-            stats.batch_pkts += 1;
-            i += 1;
-            if stop_at_punt && cpu_punts.len() > punts_before {
-                break;
-            }
+            self.run_pipeline(pkt, p, caches, &mut sink);
         }
-        self.slab.end_segment(forwards);
+        self.slab.end_batch(forwards);
         stats.port_lookups_saved += std::mem::take(&mut caches.port_lookups_saved);
         stats.egress_lookups_saved += std::mem::take(&mut caches.egress_lookups_saved);
         stats.pre_walks_saved += std::mem::take(&mut caches.pre_walks_saved);
-        i
     }
 
-    /// The shared pipeline behind both the per-packet and batched entry
-    /// points: classify, match, replicate, emit into `sink`.
+    /// One packet through the pipeline: classify, match, replicate, emit
+    /// into `sink`.
     fn run_pipeline(
         &mut self,
         pkt: &Packet,
@@ -453,10 +375,7 @@ impl ScallopDataPlane {
     fn punt(&mut self, pkt: &Packet, sink: &mut EmitSink) {
         self.counters.cpu_pkts += 1;
         self.counters.cpu_bytes += pkt.payload.len() as u64;
-        match &mut sink.punts {
-            PuntChannel::Clone(copies) => copies.push(pkt.clone()),
-            PuntChannel::Ring { ring, index } => ring.push(*index),
-        }
+        sink.cpu_punts.push(sink.index);
     }
 
     /// Ingress match for `port`: batch cache, then dense registers (when
@@ -759,8 +678,8 @@ impl ScallopDataPlane {
             }
         }
         // Header rewrite on the replica's own copy of the bytes: the one
-        // copy goes into the segment slab, and the payload is attached
-        // as a view of it when the segment ends.
+        // copy goes into the batch's slab, and the payload is attached
+        // as a view of it when the batch ends.
         let fwd = match rewritten_seq {
             Some(seq) if self.slab.push(&pkt.payload, seq, sink.forwards.len()) => {
                 Packet::new(spec.src, spec.dst, Bytes::new())
@@ -778,20 +697,12 @@ impl ScallopDataPlane {
     }
 }
 
-/// Where the pipeline's outputs land. The forwards vector is shared by
-/// both paths; punts differ — the per-packet path clones into
-/// `cpu_copies`, the batch path records an index into the input batch.
+/// Where the pipeline's outputs land while packet `index` of the batch
+/// is processed: its forwards, and the punt ring its index goes into.
 struct EmitSink<'a> {
     forwards: &'a mut Vec<Packet>,
-    punts: PuntChannel<'a>,
-}
-
-/// CPU-punt channel: clone (per-packet path, keeps the
-/// [`DataPlaneOutput`] contract) or the zero-copy index ring (batch
-/// path).
-enum PuntChannel<'a> {
-    Clone(&'a mut Vec<Packet>),
-    Ring { ring: &'a mut Vec<u32>, index: u32 },
+    cpu_punts: &'a mut Vec<u32>,
+    index: u32,
 }
 
 #[cfg(test)]
@@ -814,6 +725,13 @@ mod tests {
 
     fn sfu(port: u16) -> HostAddr {
         HostAddr::new(Ipv4Addr::new(10, 0, 0, 100), port)
+    }
+
+    /// One packet through the one entry point: a batch of one.
+    fn process(dp: &mut ScallopDataPlane, pkt: &Packet) -> BatchOutput {
+        let mut out = BatchOutput::default();
+        dp.process_batch(std::slice::from_ref(pkt), &mut out);
+        out
     }
 
     fn video_frame_packets(
@@ -923,7 +841,10 @@ mod tests {
         let mut dp = three_party_dp(2, false);
         let mut pz = Packetizer::new(0xAA, 96, 1200);
         let pkts = video_frame_packets(&mut pz, 0, 1, false, 1000);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()));
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+        );
         assert_eq!(out.forwards.len(), 2);
         let dsts: Vec<HostAddr> = out.forwards.iter().map(|p| p.dst).collect();
         assert!(dsts.contains(&addr(2, 5000)));
@@ -938,7 +859,7 @@ mod tests {
             .forwards
             .iter()
             .all(|p| p.payload == out.forwards[0].payload));
-        assert!(out.cpu_copies.is_empty());
+        assert!(out.cpu_punts.is_empty());
     }
 
     #[test]
@@ -947,13 +868,19 @@ mod tests {
         let mut pz = Packetizer::new(0xAA, 96, 1200);
         // T2 frame (template 3): only P2 receives.
         let pkts = video_frame_packets(&mut pz, 1, 3, false, 1000);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()));
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+        );
         assert_eq!(out.forwards.len(), 1);
         assert_eq!(out.forwards[0].dst, addr(2, 5000));
         assert_eq!(dp.counters.rate_adapt_drops, 1);
         // T1 frame (template 2): both receive.
         let pkts = video_frame_packets(&mut pz, 2, 2, false, 1000);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()));
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+        );
         assert_eq!(out.forwards.len(), 2);
     }
 
@@ -966,7 +893,10 @@ mod tests {
         // each; P3 keeps T0/T1 = cadence step 2.
         for (i, tpl) in [1u8, 3, 2, 4, 1, 3, 2, 4].iter().enumerate() {
             let pkts = video_frame_packets(&mut pz, i as u16, *tpl, false, 500);
-            let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()));
+            let out = process(
+                &mut dp,
+                &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+            );
             for f in out.forwards {
                 if f.dst == addr(3, 5000) {
                     let v = RtpView::new(&f.payload).unwrap();
@@ -983,19 +913,25 @@ mod tests {
         let mut dp = three_party_dp(2, false);
         let mut pz = Packetizer::new(0xAA, 96, 1200);
         let pkts = video_frame_packets(&mut pz, 0, 0, true, 2400);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()));
-        assert_eq!(out.cpu_copies.len(), 1, "key-frame head goes to agent");
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+        );
+        assert_eq!(out.cpu_punts.len(), 1, "key-frame head goes to agent");
         assert_eq!(out.forwards.len(), 2, "and is still forwarded");
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), pkts[1].serialize()));
-        assert!(out.cpu_copies.is_empty());
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), pkts[1].serialize()),
+        );
+        assert!(out.cpu_punts.is_empty());
     }
 
     #[test]
     fn stun_punted_only() {
         let mut dp = three_party_dp(2, false);
         let stun = StunMessage::binding_request([1; 12]).serialize();
-        let out = dp.process(&Packet::new(addr(2, 5000), sfu(1002), stun));
-        assert_eq!(out.cpu_copies.len(), 1);
+        let out = process(&mut dp, &Packet::new(addr(2, 5000), sfu(1002), stun));
+        assert_eq!(out.cpu_punts.len(), 1);
         assert!(out.forwards.is_empty());
         assert_eq!(dp.counters.stun_pkts, 1);
     }
@@ -1020,11 +956,11 @@ mod tests {
             media_ssrc: 0xAA,
             entries: vec![(5, 0)],
         }));
-        let out = dp.process(&Packet::new(addr(3, 5000), sfu(1003), nack));
+        let out = process(&mut dp, &Packet::new(addr(3, 5000), sfu(1003), nack));
         assert_eq!(out.forwards.len(), 1);
         assert_eq!(out.forwards[0].dst, addr(1, 4000));
         assert_eq!(out.forwards[0].src, sfu(10));
-        assert_eq!(out.cpu_copies.len(), 1, "copy to agent");
+        assert_eq!(out.cpu_punts.len(), 1, "copy to agent");
         // RR+REMB blocked by the filter but still copied to the agent.
         let rr = rtcp::serialize_compound(&[
             RtcpPacket::Rr(ReceiverReport {
@@ -1037,16 +973,16 @@ mod tests {
                 ssrcs: vec![0xAA],
             }),
         ]);
-        let out = dp.process(&Packet::new(addr(3, 5000), sfu(1003), rr));
+        let out = process(&mut dp, &Packet::new(addr(3, 5000), sfu(1003), rr));
         assert!(out.forwards.is_empty());
-        assert_eq!(out.cpu_copies.len(), 1);
+        assert_eq!(out.cpu_punts.len(), 1);
         assert_eq!(dp.counters.remb_filtered, 1);
         // PLI forwarded.
         let pli = rtcp::serialize(&RtcpPacket::Pli(Pli {
             sender_ssrc: 3,
             media_ssrc: 0xAA,
         }));
-        let out = dp.process(&Packet::new(addr(3, 5000), sfu(1003), pli));
+        let out = process(&mut dp, &Packet::new(addr(3, 5000), sfu(1003), pli));
         assert_eq!(out.forwards.len(), 1);
     }
 
@@ -1062,7 +998,7 @@ mod tests {
             octet_count: 5,
             reports: vec![],
         }));
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), sr));
+        let out = process(&mut dp, &Packet::new(addr(1, 4000), sfu(10), sr));
         assert_eq!(out.forwards.len(), 2, "SR fans out to both receivers");
         assert_eq!(dp.counters.rtcp_sr_pkts, 1);
     }
@@ -1072,7 +1008,10 @@ mod tests {
         let mut dp = three_party_dp(0, false); // P3 at lowest quality
         let mut audio = RtpPacket::new(111, 9, 100, 0xBB);
         audio.payload = Bytes::from(vec![0u8; 128]);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(10), audio.serialize()));
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(10), audio.serialize()),
+        );
         assert_eq!(out.forwards.len(), 2, "audio reaches even capped receivers");
         assert_eq!(dp.counters.audio_in_pkts, 1);
     }
@@ -1082,11 +1021,14 @@ mod tests {
         let mut dp = ScallopDataPlane::new(SeqRewriteMode::LowMemory);
         let mut pz = Packetizer::new(0xAA, 96, 1200);
         let pkts = video_frame_packets(&mut pz, 0, 1, false, 500);
-        let out = dp.process(&Packet::new(addr(1, 4000), sfu(77), pkts[0].serialize()));
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(1, 4000), sfu(77), pkts[0].serialize()),
+        );
         assert!(out.forwards.is_empty());
         assert_eq!(dp.counters.no_rule_drops, 1);
         // Garbage dropped as unknown.
-        let out = dp.process(&Packet::new(addr(1, 1), sfu(77), vec![0xFFu8; 8]));
+        let out = process(&mut dp, &Packet::new(addr(1, 1), sfu(77), vec![0xFFu8; 8]));
         assert!(out.forwards.is_empty());
         assert_eq!(dp.counters.unknown_drops, 1);
     }
@@ -1124,18 +1066,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_path() {
+    fn one_batch_matches_batches_of_one() {
         let batch = mixed_traffic();
         let mut seq_dp = three_party_dp(1, true);
         let mut bat_dp = three_party_dp(1, true);
 
         let mut seq_fwd = Vec::new();
         let mut seq_punts = Vec::new();
-        let mut out = DataPlaneOutput::default();
         for (i, pkt) in batch.iter().enumerate() {
-            seq_dp.process_into(pkt, &mut out);
+            let mut out = process(&mut seq_dp, pkt);
             seq_fwd.append(&mut out.forwards);
-            if !out.cpu_copies.is_empty() {
+            if !out.cpu_punts.is_empty() {
                 seq_punts.push(i as u32);
             }
         }
@@ -1149,28 +1090,6 @@ mod tests {
         assert!(bout.stats.port_lookups_saved > 0, "repeat ports amortized");
         assert!(bout.stats.pre_walks_saved > 0, "repeat flows amortized");
         assert_eq!(bout.stats.batch_pkts, batch.len() as u64);
-    }
-
-    #[test]
-    fn batch_segments_stop_at_punts() {
-        let batch = mixed_traffic();
-        let mut dp = three_party_dp(1, true);
-        let mut whole = BatchOutput::default();
-        dp.process_batch(&batch, &mut whole);
-
-        let mut seg_dp = three_party_dp(1, true);
-        let mut segged = BatchOutput::default();
-        segged.clear();
-        let mut start = 0;
-        let mut segments = 0;
-        while start < batch.len() {
-            start = seg_dp.process_batch_from(&batch, start, true, &mut segged);
-            segments += 1;
-        }
-        assert!(segments > 1, "mix contains punts, so multiple segments");
-        assert_eq!(segged.forwards, whole.forwards);
-        assert_eq!(segged.cpu_punts, whole.cpu_punts);
-        assert_eq!(seg_dp.counters, dp.counters);
     }
 
     #[test]
@@ -1243,7 +1162,7 @@ mod tests {
         for p in &pkts {
             let bytes = p.serialize();
             in_bytes += bytes.len() as u64;
-            dp.process(&Packet::new(addr(1, 4000), sfu(10), bytes));
+            process(&mut dp, &Packet::new(addr(1, 4000), sfu(10), bytes));
         }
         assert_eq!(dp.counters.video_in_bytes, in_bytes);
         assert_eq!(dp.counters.forwarded_bytes, 2 * in_bytes);

@@ -37,10 +37,8 @@ pub struct TimerToken(pub u64);
 /// Behaviour plugged into the simulator.
 ///
 /// `Any` is a supertrait so harnesses can downcast nodes for inspection
-/// between simulation runs (`Simulator::node_mut`); `Send` so
-/// [`parallel_safe`](Node::parallel_safe) nodes can be stepped on worker
-/// threads behind the deterministic wave barrier.
-pub trait Node: Any + Send {
+/// between simulation runs (`Simulator::node_mut`).
+pub trait Node: Any {
     /// A packet addressed to one of this node's IPs arrived.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet);
 
@@ -50,38 +48,13 @@ pub trait Node: Any + Send {
     /// Called once when the node is added, with its id and the start time.
     /// Nodes typically schedule their first timers here.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-
-    /// A burst of packets all delivered at the same instant. Only called
-    /// for [`parallel_safe`](Node::parallel_safe) nodes; the default
-    /// replays the per-packet path, so batching is purely an
-    /// optimization hook. The vector is the simulator's reused wave
-    /// buffer: take the packets out or read them in place, whatever is
-    /// left is dropped when the call returns.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
-        for pkt in pkts.drain(..) {
-            self.on_packet(ctx, pkt);
-        }
-    }
-
-    /// Opt into same-instant delivery batching (and, when the simulator
-    /// runs multi-worker, parallel stepping). A node may return `true`
-    /// only if its packet handling (a) never calls [`Ctx::send`] from
-    /// `on_packet`/`on_batch` — emission must go through timers — and
-    /// (b) never draws from [`Ctx::rng`] there. Those two rules are what
-    /// make batched delivery (and the worker barrier) event-for-event
-    /// identical to sequential delivery.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
 }
 
 /// The node-facing API surface for interacting with the world.
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: NodeId,
-    /// `None` while stepping a parallel batch: the shared deterministic
-    /// stream cannot be split across workers.
-    rng: Option<&'a mut DetRng>,
+    rng: &'a mut DetRng,
     outbox: &'a mut Vec<Packet>,
     timers: &'a mut Vec<(SimTime, TimerToken)>,
 }
@@ -109,12 +82,9 @@ impl<'a> Ctx<'a> {
     }
 
     /// Deterministic randomness (shared stream, draws are part of the
-    /// simulation's reproducible state). Panics inside a parallel batch:
-    /// [`Node::parallel_safe`] nodes promised not to draw.
+    /// simulation's reproducible state).
     pub fn rng(&mut self) -> &mut DetRng {
         self.rng
-            .as_deref_mut()
-            .expect("ctx.rng() is unavailable in a batched wave: parallel_safe nodes must not draw randomness")
     }
 }
 
@@ -160,51 +130,9 @@ struct NodeSlot {
     node: Option<Box<dyn Node>>,
     uplink: Link,
     downlink: Link,
-    /// Cached [`Node::parallel_safe`] (consulted on every delivery).
-    parallel_safe: bool,
     /// Fail-stopped by [`Simulator::kill_node`]: every event addressed
     /// to this node is discarded at pop time until a revive.
     dead: bool,
-}
-
-/// One node's share of a delivery wave: its batch of same-instant
-/// packets plus the private side-effect buffers its `on_batch` fills.
-/// Jobs are farmed to worker threads; effects are applied afterwards in
-/// pop order, which is what keeps N-worker runs bit-identical to
-/// single-worker ones. Jobs live in [`Simulator::wave`] and are reused
-/// from wave to wave, so a settled run allocates none of these vectors.
-struct WaveJob {
-    id: NodeId,
-    /// The node, held only while its wave runs.
-    node: Option<Box<dyn Node>>,
-    pkts: Vec<Packet>,
-    outbox: Vec<Packet>,
-    timers: Vec<(SimTime, TimerToken)>,
-}
-
-impl WaveJob {
-    fn idle() -> Self {
-        WaveJob {
-            id: NodeId(usize::MAX),
-            node: None,
-            pkts: Vec::new(),
-            outbox: Vec::new(),
-            timers: Vec::new(),
-        }
-    }
-
-    fn run(&mut self, now: SimTime) {
-        let mut ctx = Ctx {
-            now,
-            self_id: self.id,
-            rng: None,
-            outbox: &mut self.outbox,
-            timers: &mut self.timers,
-        };
-        let node = self.node.as_mut().expect("wave job without its node");
-        node.on_batch(&mut ctx, &mut self.pkts);
-        self.pkts.clear();
-    }
 }
 
 /// IPv4 address -> owning node, sorted by address: every transmit
@@ -229,19 +157,6 @@ impl RouteTable {
             Ok(_) => panic!("IP {ip} already owned by another node"),
             Err(i) => self.0.insert(i, (key, node)),
         }
-    }
-}
-
-/// Read the worker count from `SCALLOP_WORKERS` (default 1). Harnesses
-/// and benches call this so one environment variable turns on the
-/// multi-worker edge mode everywhere.
-pub fn workers_from_env() -> usize {
-    match std::env::var("SCALLOP_WORKERS") {
-        Err(_) => 1,
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("SCALLOP_WORKERS must be a positive integer, got {raw:?}"),
-        },
     }
 }
 
@@ -272,11 +187,6 @@ pub struct Simulator {
     /// Side-effect buffers lent to the node of each [`Self::invoke`].
     outbox: Vec<Packet>,
     timers: Vec<(SimTime, TimerToken)>,
-    /// Job pool of [`Self::deliver_wave`]; a wave uses a prefix of it.
-    wave: Vec<WaveJob>,
-    /// Worker threads for stepping `parallel_safe` node batches (1 =
-    /// in-place, no threads).
-    workers: usize,
     /// Fail-stopped link pairs (normalized lower index first): packets
     /// between the two nodes are discarded at transmit time.
     cuts: std::collections::HashSet<(usize, usize)>,
@@ -301,8 +211,6 @@ impl Simulator {
             rng: DetRng::new(seed),
             outbox: Vec::new(),
             timers: Vec::new(),
-            wave: Vec::new(),
-            workers: 1,
             cuts: std::collections::HashSet::new(),
             partitioned: std::collections::HashSet::new(),
             stats: SimStats::default(),
@@ -315,18 +223,13 @@ impl Simulator {
         self.now
     }
 
-    /// Set the worker-thread count for batched waves. Any `n` produces
-    /// bit-identical runs (side effects are applied in pop order at the
-    /// wave barrier); `n > 1` merely steps independent edge switches
-    /// concurrently.
+    /// Inert: the simulator is single-threaded and delivers one packet
+    /// at a time, so there is no worker count to set. The frozen
+    /// benchmark driver (`benchmark/src/sut.rs`) is the only caller; this
+    /// shim goes with its `netsim.sim.workers2_ratio` probe in the next
+    /// `benchmark` PR.
     pub fn set_workers(&mut self, n: usize) {
         assert!(n >= 1, "worker count must be at least 1");
-        self.workers = n;
-    }
-
-    /// Current worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Add a node with the given access-link pair and owned IPs. The node's
@@ -339,12 +242,10 @@ impl Simulator {
         downlink: LinkConfig,
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
-        let parallel_safe = node.parallel_safe();
         self.nodes.push(NodeSlot {
             node: Some(node),
             uplink: Link::new(uplink),
             downlink: Link::new(downlink),
-            parallel_safe,
             dead: false,
         });
         for ip in ips {
@@ -498,7 +399,7 @@ impl Simulator {
             let mut ctx = Ctx {
                 now: self.now,
                 self_id: id,
-                rng: Some(&mut self.rng),
+                rng: &mut self.rng,
                 outbox: &mut outbox,
                 timers: &mut timers,
             };
@@ -615,129 +516,19 @@ impl Simulator {
                     self.stats.packets_failstopped += 1;
                     return true;
                 }
-                self.record_delivery(&pkt);
-                if self.nodes[dst.0].parallel_safe {
-                    self.deliver_wave(dst, pkt);
-                } else {
-                    self.invoke(dst, |n, ctx| n.on_packet(ctx, pkt));
-                }
+                self.stats.packets_delivered += 1;
+                self.trace.record(TraceRecord {
+                    at: self.now,
+                    src: pkt.src,
+                    dst: pkt.dst,
+                    payload_bytes: pkt.payload_len(),
+                    wire_bytes: pkt.wire_len(),
+                    direction: TraceDirection::Delivered,
+                });
+                self.invoke(dst, |n, ctx| n.on_packet(ctx, pkt));
             }
         }
         true
-    }
-
-    fn record_delivery(&mut self, pkt: &Packet) {
-        self.stats.packets_delivered += 1;
-        self.trace.record(TraceRecord {
-            at: self.now,
-            src: pkt.src,
-            dst: pkt.dst,
-            payload_bytes: pkt.payload_len(),
-            wire_bytes: pkt.wire_len(),
-            direction: TraceDirection::Delivered,
-        });
-    }
-
-    /// Deliver a *wave*: the popped packet plus every consecutive
-    /// queue-front `Deliver` event at the same instant whose target is
-    /// `parallel_safe`, drained into per-node batches. Each node gets at
-    /// most one batch per wave (a node reappearing after its batch
-    /// closed ends the wave), node code runs with no access to the
-    /// shared rng, and side effects are applied at the barrier in pop
-    /// order — so the pushed event sequence, and therefore the whole
-    /// run, is identical to per-packet delivery regardless of the
-    /// worker count.
-    fn deliver_wave(&mut self, first_dst: NodeId, first_pkt: Packet) {
-        let mut wave = std::mem::take(&mut self.wave);
-        // The wave is `wave[..n]`; the rest of the pool is idle.
-        let mut n = 0;
-        let mut next = Some((first_dst, first_pkt));
-        while let Some((dst, pkt)) = next {
-            if n == 0 || wave[n - 1].id != dst {
-                if n == wave.len() {
-                    wave.push(WaveJob::idle());
-                }
-                wave[n].id = dst;
-                n += 1;
-            }
-            wave[n - 1].pkts.push(pkt);
-            next = self.pop_wave_extension(&wave[..n]);
-        }
-        let jobs = &mut wave[..n];
-        for job in jobs.iter_mut() {
-            job.node = Some(
-                self.nodes[job.id.0]
-                    .node
-                    .take()
-                    .expect("re-entrant node invocation"),
-            );
-        }
-        let now = self.now;
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            for job in jobs.iter_mut() {
-                job.run(now);
-            }
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|s| {
-                for slice in jobs.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for job in slice {
-                            job.run(now);
-                        }
-                    });
-                }
-            });
-        }
-        // Barrier: restore nodes, then apply side effects in pop order
-        // (timers before sends, exactly like `invoke`).
-        for job in jobs.iter_mut() {
-            self.nodes[job.id.0].node = job.node.take();
-            for (at, token) in job.timers.drain(..) {
-                self.push(
-                    at,
-                    EventKind::Timer {
-                        node: job.id,
-                        token,
-                    },
-                );
-            }
-            for pkt in job.outbox.drain(..) {
-                self.transmit(job.id, pkt);
-            }
-        }
-        self.wave = wave;
-    }
-
-    /// Pop the queue front if it extends the wave `jobs`: a `Deliver` at
-    /// the current instant to a live `parallel_safe` node that either
-    /// has the open (last) batch or has none yet. A node reappearing
-    /// after its batch closed belongs to the next wave.
-    fn pop_wave_extension(&mut self, jobs: &[WaveJob]) -> Option<(NodeId, Packet)> {
-        let dst = match self.queue.peek() {
-            Some(Event {
-                at,
-                kind: EventKind::Deliver { dst, .. },
-                ..
-            }) if *at == self.now => *dst,
-            _ => return None,
-        };
-        let slot = &self.nodes[dst.0];
-        let open = jobs.last().is_some_and(|j| j.id == dst);
-        if !slot.parallel_safe || slot.dead || (!open && jobs.iter().any(|j| j.id == dst)) {
-            return None;
-        }
-        let Some(Event {
-            kind: EventKind::Deliver { pkt, .. },
-            ..
-        }) = self.queue.pop()
-        else {
-            unreachable!("peek/pop mismatch");
-        };
-        self.stats.events += 1;
-        self.record_delivery(&pkt);
-        Some((dst, pkt))
     }
 
     /// Run until the queue drains or `deadline` is reached. The clock is
@@ -922,96 +713,75 @@ mod tests {
         assert_eq!(ea, eb);
     }
 
-    /// Parallel-safe echo: batches same-instant deliveries, stages the
-    /// replies, and emits them from a flush timer (the only legal
-    /// emission path for `parallel_safe` nodes).
-    struct BatchEcho {
-        staged: Vec<Packet>,
-        batch_sizes: Vec<usize>,
+    /// Logs every callback. A packet arms a zero-delay timer carrying the
+    /// packet's tag and, when `forward_to` is set, is passed on there.
+    struct Stepper {
+        forward_to: Option<HostAddr>,
+        log: Vec<(&'static str, u64)>,
     }
 
-    impl Node for BatchEcho {
+    impl Node for Stepper {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            self.staged.push(pkt.readdressed(pkt.dst, pkt.src));
-            ctx.schedule(SimDuration::from_micros(10), TimerToken(1));
-        }
-        fn on_batch(&mut self, ctx: &mut Ctx<'_>, pkts: &mut Vec<Packet>) {
-            self.batch_sizes.push(pkts.len());
-            for pkt in pkts.drain(..) {
-                self.on_packet(ctx, pkt);
+            let tag = u64::from(pkt.payload[0]);
+            self.log.push(("packet", tag));
+            ctx.schedule(SimDuration::ZERO, TimerToken(tag));
+            if let Some(next) = self.forward_to {
+                ctx.send(pkt.readdressed(pkt.dst, next));
             }
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerToken) {
-            for pkt in self.staged.drain(..) {
-                ctx.send(pkt);
-            }
-        }
-        fn parallel_safe(&self) -> bool {
-            true
-        }
-    }
-
-    /// Sends 3 packets to each of two batch echoes in one burst.
-    struct Burster {
-        me: HostAddr,
-        targets: Vec<HostAddr>,
-        echoes: Vec<(SimTime, HostAddr)>,
-    }
-
-    impl Node for Burster {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.schedule(SimDuration::from_millis(1), TimerToken(0));
-        }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            self.echoes.push((ctx.now(), pkt.src));
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerToken) {
-            for &t in &self.targets {
-                for _ in 0..3 {
-                    ctx.send(Packet::new(self.me, t, vec![0u8; 64]));
-                }
-            }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, timer: TimerToken) {
+            self.log.push(("timer", timer.0));
         }
     }
 
     #[test]
-    fn waves_batch_same_instant_deliveries_identically_across_workers() {
-        let cfg = LinkConfig::infinite(SimDuration::from_millis(2));
-        let run = |workers: usize| {
-            let mut sim = Simulator::new(7);
-            sim.set_workers(workers);
-            let mk = || {
-                Box::new(BatchEcho {
-                    staged: vec![],
-                    batch_sizes: vec![],
-                })
-            };
-            let a = sim.add_node(mk(), &[ip(2)], cfg, cfg);
-            let b = sim.add_node(mk(), &[ip(3)], cfg, cfg);
-            let burster = sim.add_node(
-                Box::new(Burster {
-                    me: HostAddr::new(ip(1), 4000),
-                    targets: vec![HostAddr::new(ip(2), 5000), HostAddr::new(ip(3), 5000)],
-                    echoes: vec![],
-                }),
-                &[ip(1)],
-                cfg,
-                cfg,
-            );
-            sim.run_until(SimTime::from_secs(1));
-            let sizes_a = sim.node_mut::<BatchEcho>(a).unwrap().batch_sizes.clone();
-            let sizes_b = sim.node_mut::<BatchEcho>(b).unwrap().batch_sizes.clone();
-            let echoes = sim.node_mut::<Burster>(burster).unwrap().echoes.clone();
-            (sizes_a, sizes_b, echoes, sim.stats.events)
+    fn same_instant_deliveries_are_handed_over_one_at_a_time_in_seq_order() {
+        const K: u64 = 4;
+        let cfg = LinkConfig::infinite(SimDuration::from_millis(1));
+        let mut sim = Simulator::new(7);
+        let stepper = |forward_to| {
+            Box::new(Stepper {
+                forward_to,
+                log: vec![],
+            })
         };
-        let (a1, b1, e1, ev1) = run(1);
-        assert_eq!(a1, vec![3], "burst to one node arrives as one batch");
-        assert_eq!(b1, vec![3]);
-        assert_eq!(e1.len(), 6, "all replies make it back");
-        for workers in [2, 4] {
-            let (a, b, e, ev) = run(workers);
-            assert_eq!((a, b, e, ev), (a1.clone(), b1.clone(), e1.clone(), ev1));
+        let sink_addr = HostAddr::new(ip(3), 5000);
+        let node = sim.add_node(stepper(Some(sink_addr)), &[ip(2)], cfg, cfg);
+        let sink = sim.add_node(stepper(None), &[ip(3)], cfg, cfg);
+        for tag in 0..K {
+            sim.inject(
+                SimTime::from_millis(1),
+                Packet::new(
+                    HostAddr::new(ip(50), 1),
+                    HostAddr::new(ip(2), 5000),
+                    vec![tag as u8; 8],
+                ),
+            );
         }
+        // The K downlink admissions queue K deliveries for one instant.
+        for _ in 0..K {
+            sim.step();
+        }
+        assert_eq!(sim.pending_events(), K as usize);
+        for done in 1..=K {
+            let events = sim.stats.events;
+            sim.step();
+            assert_eq!(sim.stats.events, events + 1, "one delivery per step");
+            assert_eq!(sim.now(), SimTime::from_millis(2));
+            // This packet's timer and send are queued before the next
+            // packet is looked at.
+            assert_eq!(sim.pending_events(), (K - done + 2 * done) as usize);
+            let log = &sim.node_mut::<Stepper>(node).unwrap().log;
+            assert_eq!(log.len(), done as usize);
+            assert_eq!(log.last(), Some(&("packet", done - 1)));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let expected: Vec<(&str, u64)> = (0..K)
+            .map(|t| ("packet", t))
+            .chain((0..K).map(|t| ("timer", t)))
+            .collect();
+        assert_eq!(sim.node_mut::<Stepper>(node).unwrap().log, expected);
+        assert_eq!(sim.node_mut::<Stepper>(sink).unwrap().log, expected);
     }
 
     #[test]

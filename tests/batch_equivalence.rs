@@ -1,31 +1,28 @@
-//! Batch-path equivalence: the batched forwarding engine must be a
-//! pure optimization.
+//! Batch equivalence: how a packet sequence is cut into `process_batch`
+//! calls must not show in what the data plane does.
 //!
-//! Three layers of teeth:
+//! Two layers of teeth:
 //!
-//! 1. **Data plane**: `process_batch` over a mixed RTP/RTCP/STUN/
-//!    unknown burst produces byte-identical forwards, the same punts
-//!    (as ring indices), and identical counters to N sequential
-//!    `process_into` calls — handcrafted mixes and proptest-randomized
-//!    batches alike, with dense SoA registers enabled on the batched
+//! 1. **Data plane**: one N-packet `process_batch` over a mixed
+//!    RTP/RTCP/STUN/unknown burst produces byte-identical forwards, the
+//!    same punts (ring indices mapped back to input indices), and
+//!    identical counters to N one-packet `process_batch` calls on a
+//!    twin data plane — handcrafted mixes and proptest-randomized
+//!    batches alike, with dense SoA registers enabled on the N-packet
 //!    side only (so the test also proves dense == exact-table). Two
 //!    receivers are rate-adapted, so replicas are suppressed and
-//!    sequence-rewritten; the oracle's payloads are copied out into
-//!    owned buffers, so slab views sit on the batched side only and
-//!    `Packet` equality (which is by content) compares bytes.
-//! 2. **Fabric**: a multi-worker harness run reproduces the
-//!    single-worker run exactly (the wave barrier is deterministic).
-//! 3. **Baselines**: the live fabric slice reproduces the checked-in
-//!    `results/fig20_21_fabric_slice.json` byte-for-byte regardless of
-//!    `SCALLOP_WORKERS` — CI runs this suite under `SCALLOP_WORKERS=4`.
+//!    sequence-rewritten; the one-packet side's payloads are copied out
+//!    into owned buffers, so `Packet` equality (which is by content)
+//!    compares bytes, not shared slabs.
+//! 2. **Baselines**: the live fabric slice reproduces the checked-in
+//!    `results/fig20_21_fabric_slice.json` byte-for-byte.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use scallop::core::agent::{JoinGrant, SwitchAgent};
-use scallop::core::harness::{HarnessConfig, ScallopHarness};
 use scallop::dataplane::batch::BatchOutput;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
-use scallop::dataplane::switch::{DataPlaneOutput, ScallopDataPlane};
+use scallop::dataplane::switch::ScallopDataPlane;
 use scallop::media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop::media::packetizer::Packetizer;
 use scallop::netsim::packet::{HostAddr, Packet};
@@ -80,10 +77,11 @@ fn video_bytes(ssrc: u32, seq: u16, template_id: u8, is_key: bool) -> Vec<u8> {
     frames[0].serialize()
 }
 
-/// Run the same batch through both entry points on identically-built
-/// data planes (dense registers on the batched one) and assert full
-/// equivalence: forwards, punt ring, counters, parse depth. Returns the
-/// number of sequence-rewritten replicas the batch produced.
+/// Run the same packets as one batch and as batches of one on
+/// identically-built data planes (dense registers on the one-batch
+/// side) and assert full equivalence: forwards, punt ring, counters,
+/// parse depth. Returns the number of sequence-rewritten replicas the
+/// batch produced.
 fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
     let (mut seq_dp, _, _) = meeting(parties);
     let (mut bat_dp, _, _) = meeting(parties);
@@ -91,17 +89,16 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
 
     let mut seq_fwd = Vec::new();
     let mut seq_punts = Vec::new();
-    let mut out = DataPlaneOutput::default();
+    let mut out = BatchOutput::default();
     for (i, pkt) in pkts.iter().enumerate() {
-        seq_dp.process_into(pkt, &mut out);
+        seq_dp.process_batch(std::slice::from_ref(pkt), &mut out);
         seq_fwd.extend(
             out.forwards
                 .drain(..)
                 .map(|f| Packet::new(f.src, f.dst, f.payload.to_vec())),
         );
-        if !out.cpu_copies.is_empty() {
-            seq_punts.push(i as u32);
-        }
+        // A batch of one punts index 0: map it back to the input index.
+        seq_punts.extend(out.cpu_punts.iter().map(|&p| p + i as u32));
     }
 
     let mut bout = BatchOutput::default();
@@ -127,7 +124,7 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
 }
 
 #[test]
-fn mixed_traffic_batch_matches_sequential() {
+fn mixed_traffic_batch_matches_batches_of_one() {
     let (_, agent, members) = meeting(6);
     let mut pkts = Vec::new();
     // Multi-packet flows from every sender: repeats exercise the port
@@ -183,7 +180,7 @@ fn mixed_traffic_batch_matches_sequential() {
 
 #[test]
 fn bench_smoke_runner_reports_equivalent() {
-    let (report, _) = scallop_bench::dataplane::run_batch_smoke(10, 4);
+    let report = scallop_bench::dataplane::run_batch_smoke(10, 4);
     assert_eq!(report.equivalent, 1);
     assert!(report.port_lookups_saved > 0, "port cache never hit");
     assert!(report.pre_walks_saved > 0, "flow cache never hit");
@@ -238,7 +235,7 @@ proptest! {
 
     /// Any batch of randomized video/STUN/garbage traffic — valid and
     /// invalid ports, key frames that punt, templates across all
-    /// tiers — is processed identically by both paths.
+    /// tiers — is processed identically whole and packet by packet.
     #[test]
     fn random_batches_are_equivalent(gens in pvec(arb_pkt(5), 1..80)) {
         let (_, _, members) = meeting(5);
@@ -266,35 +263,52 @@ proptest! {
     }
 }
 
+/// A reused `BatchOutput` carries nothing from one burst into the next:
+/// two different bursts of the same length are each parsed afresh.
 #[test]
-fn multi_worker_harness_matches_single_worker() {
-    let run = |workers: usize| {
-        let mut h = ScallopHarness::new(
-            HarnessConfig::default()
-                .participants(12)
-                .senders(4)
-                .switches(3)
-                .cores(1)
-                .seed(7)
-                .workers(workers),
-        );
-        let r = h.run_for_secs(3.0);
-        (format!("{r:?}"), h.total_counters())
-    };
-    let (report1, counters1) = run(1);
-    for workers in [2, 4] {
-        let (report_n, counters_n) = run(workers);
-        assert_eq!(report_n, report1, "{workers}-worker report diverged");
-        assert_eq!(counters_n, counters1, "{workers}-worker counters diverged");
+fn reused_output_parses_each_same_length_burst_afresh() {
+    let (_, _, members) = meeting(4);
+    let (addr, grant) = &members[0];
+    let media: Vec<Packet> = (0..6u16)
+        .map(|seq| {
+            Packet::new(
+                *addr,
+                grant.video_uplink,
+                video_bytes(0x1000, seq, 1, false),
+            )
+        })
+        .collect();
+    // Same length, same ports, nothing in it is RTP.
+    let other: Vec<Packet> = (0..6u8)
+        .map(|i| {
+            let payload = if i % 2 == 0 {
+                scallop::proto::stun::StunMessage::binding_request([i; 12]).serialize()
+            } else {
+                vec![0xFF; 16]
+            };
+            Packet::new(*addr, grant.video_uplink, payload)
+        })
+        .collect();
+
+    let (mut reused_dp, _, _) = meeting(4);
+    let (mut fresh_dp, _, _) = meeting(4);
+    let mut reused = BatchOutput::default();
+    for burst in [&media, &other, &media] {
+        reused_dp.process_batch(burst, &mut reused);
+        let mut fresh = BatchOutput::default();
+        fresh_dp.process_batch(burst, &mut fresh);
+        assert_eq!(reused.forwards, fresh.forwards);
+        assert_eq!(reused.cpu_punts, fresh.cpu_punts);
+        assert_eq!(reused_dp.counters, fresh_dp.counters);
     }
+    assert_eq!(reused_dp.counters.stun_pkts, 3);
+    assert_eq!(reused_dp.counters.unknown_drops, 3);
+    assert_eq!(reused_dp.counters.rtp_in_pkts, 12);
 }
 
 #[test]
 fn fabric_slice_reproduces_checked_in_baseline() {
-    // Same configuration as `bench_smoke` and the fig20/21 binary; the
-    // simulator honors SCALLOP_WORKERS, so running this test under
-    // `SCALLOP_WORKERS=4` (as CI does) proves the multi-worker edge
-    // mode reproduces the single-worker baseline byte-for-byte.
+    // Same configuration as `bench_smoke` and the fig20/21 binary.
     let params = CampusParams::default();
     let population = CampusModel::new(params, 0x7AB20).generate();
     let bin = scallop::netsim::time::SimDuration::from_secs(600);

@@ -24,8 +24,8 @@
 //! many edges forward feedback, and the min filter tracks the slowest
 //! involved edge.
 //!
-//! Everything here honors `SCALLOP_SHARDS` and `SCALLOP_WORKERS` — CI
-//! runs the suite plain and under the 4-shard / 4-worker matrix.
+//! Everything here honors `SCALLOP_SHARDS` — CI runs the suite plain
+//! and under 4 shards.
 //!
 //! [`RefusalReason`]: scallop::core::capacity::RefusalReason
 
@@ -265,7 +265,6 @@ proptest! {
     #[test]
     fn random_histories_never_oversubscribe_and_reconcile(ops in pvec(arb_op(), 1..40)) {
         let mut sim = Simulator::new(0x1ED6E2);
-        sim.set_workers(scallop::netsim::sim::workers_from_env());
         let fabric = Fabric::build(
             &mut sim,
             Topology::campus(EDGES, 1),

@@ -13,9 +13,8 @@
 //! proptest-randomized join/leave/re-home sequences.
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
-//! `SCALLOP_SHARDS=4`) and, through the simulator, `SCALLOP_WORKERS` —
-//! compilation must be identical no matter how the control plane is
-//! partitioned.
+//! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
+//! the control plane is partitioned.
 //!
 //! [`SwitchAgent::set_incremental_compile`]: scallop::core::agent::SwitchAgent::set_incremental_compile
 //! [`SwitchAgent::canonical_state`]: scallop::core::agent::SwitchAgent::canonical_state
@@ -65,7 +64,6 @@ enum Op {
 /// admit byte-identical membership through identical participant ids.
 fn run_ops(ops: &[Op], incremental: bool) -> Vec<String> {
     let mut sim = Simulator::new(0xDE17A);
-    sim.set_workers(scallop::netsim::sim::workers_from_env());
     let fabric = Fabric::build(
         &mut sim,
         Topology::campus(EDGES, 1),

@@ -42,6 +42,7 @@ fn every_wire_packet_is_classifiable_and_parseable() {
 fn switch_emits_valid_rtp_with_intact_payloads() {
     // Drive the data plane directly and parse everything it emits.
     use scallop::core::agent::SwitchAgent;
+    use scallop::dataplane::batch::BatchOutput;
     use scallop::dataplane::seqrewrite::SeqRewriteMode;
     use scallop::dataplane::switch::ScallopDataPlane;
     use scallop::media::encoder::{EncoderConfig, VideoEncoder};
@@ -63,12 +64,14 @@ fn switch_emits_valid_rtp_with_intact_payloads() {
     let mut pz = Packetizer::new(0xAA, 96, 1200);
     let mut t = SimTime::ZERO;
     let mut emitted = 0u64;
+    let mut out = BatchOutput::default();
     for _ in 0..120 {
         let frame = enc.produce(t);
         for pkt in pz.packetize(&frame) {
             let original = pkt.clone();
-            let out = dp.process(&Packet::new(addr(1), g1.video_uplink, pkt.serialize()));
-            for fwd in out.forwards {
+            let ingress = Packet::new(addr(1), g1.video_uplink, pkt.serialize());
+            dp.process_batch(&[ingress], &mut out);
+            for fwd in &out.forwards {
                 emitted += 1;
                 // Every emitted media packet parses as valid RTP…
                 let parsed = RtpPacket::parse(&fwd.payload).expect("valid RTP");

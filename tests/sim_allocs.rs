@@ -24,8 +24,7 @@ use common::allocs_in;
 static GLOBAL: common::Counting = common::Counting;
 
 /// Settle `h` for five simulated seconds, then run one more and return
-/// `(allocations, packets delivered)` of that second. One worker: with
-/// more, every wave also spawns threads, which is not what is pinned here.
+/// `(allocations, packets delivered)` of that second.
 fn settled_second(mut h: ScallopHarness) -> (u64, u64) {
     h.run_for_secs(5.0);
     let before = h.sim.stats.packets_delivered;
@@ -45,7 +44,7 @@ fn settled_second(mut h: ScallopHarness) -> (u64, u64) {
 #[test]
 fn settled_single_switch_meeting_allocates_under_half_a_time_per_delivered_packet() {
     let (allocs, delivered) = settled_second(ScallopHarness::new(
-        HarnessConfig::default().participants(3).workers(1),
+        HarnessConfig::default().participants(3),
     ));
     assert!(delivered > 2_000, "three senders at full rate: {delivered}");
     assert!(
@@ -65,8 +64,7 @@ fn settled_two_zone_federation_allocates_under_a_quarter_time_per_delivered_pack
             .senders(2)
             .switches(2)
             .cores(1)
-            .zones(2)
-            .workers(1),
+            .zones(2),
     ));
     assert!(delivered > 4_000, "two senders across a WAN: {delivered}");
     assert!(
@@ -107,7 +105,6 @@ fn bare_switch(
     link: LinkConfig,
 ) -> (Simulator, NodeId, Vec<NodeId>, Vec<(HostAddr, HostAddr)>) {
     let mut sim = Simulator::new(1);
-    sim.set_workers(1);
     let mut node = ScallopSwitchNode::new(cfg);
     let meeting = node.agent.create_meeting();
     let uplinks: Vec<(HostAddr, HostAddr)> = (0..members)
@@ -223,7 +220,6 @@ fn a_packet_for_an_instant_already_flushed_arms_a_new_flush() {
     let mut cfg = SwitchConfig::new(SFU_IP);
     cfg.pipeline_latency = SimDuration::ZERO;
     let mut sim = Simulator::new(1);
-    sim.set_workers(1);
     let mut node = ScallopSwitchNode::new(cfg);
     let meeting = node.agent.create_meeting();
     let (a, b) = (member_addr(0), member_addr(1));
