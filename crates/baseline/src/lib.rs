@@ -20,6 +20,8 @@
 //!   per-receiver REMB, NACK service from its own history, PLI relay,
 //!   STUN handling — every step billed to the CPU model.
 
+#![forbid(unsafe_code)]
+
 pub mod cpumodel;
 pub mod sfu;
 

@@ -36,6 +36,8 @@
 //! for artifact upload; and fails when key metrics drift more than
 //! 20 % from the checked-in `results/` baselines ([`baseline`]).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod capacity;
 pub mod control;

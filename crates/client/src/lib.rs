@@ -23,6 +23,8 @@
 //! baseline SFU — neither end can tell the difference, which is the
 //! point of the paper's "true proxy" design.
 
+#![forbid(unsafe_code)]
+
 pub mod gcc;
 pub mod peer;
 pub mod receiver;

@@ -232,12 +232,21 @@ impl ClientNode {
         }
     }
 
+    /// Key of the **live** video stream arriving from `src`: the most
+    /// recently fed one. An SFU recycles a per-pair port for a new
+    /// stream toward the same receiver, so one source address can have
+    /// carried several SSRCs, all but the last of them dead.
+    fn live_video_from(&self, src: HostAddr) -> Option<(HostAddr, u32)> {
+        self.receivers
+            .range((src, 0)..=(src, u32::MAX))
+            .filter(|(_, r)| r.is_video)
+            .max_by_key(|(_, r)| r.last_media_at())
+            .map(|(&k, _)| k)
+    }
+
     /// Decoder internal-state dump of the video stream from `src`.
     pub fn receiver_decoder_debug(&self, src: HostAddr) -> Option<String> {
-        self.receivers
-            .iter()
-            .find(|((a, _), r)| *a == src && r.is_video)
-            .and_then(|(_, r)| r.decoder_debug())
+        self.receivers[&self.live_video_from(src)?].decoder_debug()
     }
 
     /// Decoder stats of the video stream arriving from `src`.
@@ -245,18 +254,15 @@ impl ClientNode {
         &self,
         src: HostAddr,
     ) -> Option<scallop_media::decoder::DecoderStats> {
-        self.receivers
-            .iter()
-            .find(|((a, _), r)| *a == src && r.is_video)
-            .and_then(|(_, r)| r.decoder_stats())
+        self.receivers[&self.live_video_from(src)?].decoder_stats()
     }
 
     /// Decoded fps of the video stream arriving from `src` over `window`.
     pub fn fps_from(&mut self, src: HostAddr, window: SimDuration, now: SimTime) -> Option<f64> {
+        let key = self.live_video_from(src)?;
         self.receivers
-            .iter_mut()
-            .find(|((a, _), r)| *a == src && r.is_video)
-            .map(|(_, r)| r.fps_over(window, now))
+            .get_mut(&key)
+            .map(|r| r.fps_over(window, now))
     }
 
     /// Worst-case (max) receive jitter across video streams, ms.
@@ -585,6 +591,59 @@ mod tests {
             .fps_from(src, SimDuration::from_secs(1), SimTime::from_secs(5))
             .unwrap();
         assert!((25.0..35.0).contains(&fps), "fps {fps}");
+    }
+
+    /// Forwards everything to `to` from one fixed source address — an
+    /// SFU pair port, as the receiver sees it.
+    struct PairPort {
+        src: HostAddr,
+        to: HostAddr,
+    }
+
+    impl Node for PairPort {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+            ctx.send(Packet::new(self.src, self.to, pkt.payload));
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: TimerToken) {}
+    }
+
+    /// An SFU recycles a pair port: a second stream (new SSRC) reaches
+    /// the receiver from the address a dead one used. `fps_from` used to
+    /// read the first receiver matching the address — the dead stream.
+    #[test]
+    fn fps_from_reads_the_live_stream_behind_a_recycled_source() {
+        let mut sim = Simulator::new(5);
+        let link = LinkConfig::infinite(SimDuration::from_millis(5));
+        let port = HostAddr::new(ip(9), 7000);
+        let b_addr = HostAddr::new(ip(2), 5000);
+        let first =
+            ClientNode::new(ClientConfig::sender(ip(1), 5000, 0x100).sending_to(port, port));
+        let b = ClientNode::new(ClientConfig::receiver_only(ip(2), 5000, 0x200));
+        let relay = PairPort {
+            src: port,
+            to: b_addr,
+        };
+        let first_id = sim.add_node(Box::new(first), &[ip(1)], link, link);
+        let b_id = sim.add_node(Box::new(b), &[ip(2)], link, link);
+        sim.add_node(Box::new(relay), &[ip(9)], link, link);
+        sim.run_until(SimTime::from_secs(3));
+        sim.node_mut::<ClientNode>(first_id).unwrap().hangup();
+        let second =
+            ClientNode::new(ClientConfig::sender(ip(3), 5000, 0x300).sending_to(port, port));
+        sim.add_node(Box::new(second), &[ip(3)], link, link);
+        sim.run_until(SimTime::from_secs(8));
+        let node: &mut ClientNode = sim.node_mut(b_id).unwrap();
+        let video_from_port = node
+            .receivers
+            .iter()
+            .filter(|((a, _), r)| *a == port && r.is_video)
+            .count();
+        assert_eq!(video_from_port, 2, "two SSRCs behind one source address");
+        let fps = node
+            .fps_from(port, SimDuration::from_secs(2), SimTime::from_secs(8))
+            .unwrap();
+        assert!((25.0..35.0).contains(&fps), "fps {fps}");
+        assert!(node.receiver_decoder_stats(port).is_some());
     }
 
     #[test]

@@ -93,6 +93,8 @@ pub struct ReceiverState {
     decoder: Option<Decoder>,
     /// Bandwidth estimator (video only).
     estimator: Option<BandwidthEstimator>,
+    /// When the last media packet arrived.
+    last_media_at: Option<SimTime>,
     /// Jitter state: last transit time (RFC 3550 A.8).
     last_transit_ms: Option<f64>,
     jitter_ms: f64,
@@ -122,6 +124,7 @@ impl ReceiverState {
             is_video,
             decoder: is_video.then(|| Decoder::new(DecoderConfig::default())),
             estimator: is_video.then(|| BandwidthEstimator::new(gcc)),
+            last_media_at: None,
             last_transit_ms: None,
             jitter_ms: 0.0,
             expected_base: None,
@@ -148,6 +151,7 @@ impl ReceiverState {
     ) -> &[DecoderEvent] {
         self.received += 1;
         self.bytes += pkt.payload_len as u64;
+        self.last_media_at = Some(now);
 
         // Extended sequence tracking.
         let seq = pkt.sequence_number;
@@ -210,6 +214,11 @@ impl ReceiverState {
             dec.poll_into(now, &mut self.events);
         }
         self.digest_events()
+    }
+
+    /// When the last media packet arrived (`None` before the first).
+    pub fn last_media_at(&self) -> Option<SimTime> {
+        self.last_media_at
     }
 
     /// Decoded frame rate over a trailing window (video; 0 for audio).

@@ -36,7 +36,8 @@ use scallop_proto::demux::{classify, PacketClass};
 use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::rtp::RtpView;
 use scallop_proto::stun::StunMessage;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Meeting identifier.
@@ -283,23 +284,23 @@ pub struct SwitchAgent {
     /// Ports released by `leave` awaiting reuse. Essential on a fabric:
     /// per-edge port ranges are narrow slices of the u16 space, and
     /// meeting churn would exhaust them without recycling.
-    free_ports: Vec<u16>,
+    free_ports: FreeList<u16>,
     next_pid: ParticipantId,
     /// Participant ids released by `leave` awaiting reuse. Like ports,
     /// RIDs are a finite per-switch resource (they double as PRE RIDs,
     /// L2 XIDs, and abstract egress ports); fabric meeting churn and
     /// segment GC must hand them back or the id space only ever grows.
-    free_pids: Vec<ParticipantId>,
+    free_pids: FreeList<ParticipantId>,
     /// Trunk-egress pseudo-participants draw RIDs from the reserved
     /// high range so the data plane accounts their replicas as trunk
     /// traffic ([`scallop_dataplane::switch::TRUNK_RID_BASE`]).
     next_trunk_pid: ParticipantId,
     /// Recycled trunk-egress ids (segment GC returns them).
-    free_trunk_pids: Vec<ParticipantId>,
+    free_trunk_pids: FreeList<ParticipantId>,
     next_mgid: u16,
-    free_mgids: Vec<u16>,
+    free_mgids: FreeList<u16>,
     next_tracker: u16,
-    free_trackers: Vec<u16>,
+    free_trackers: FreeList<u16>,
     meetings: BTreeMap<MeetingId, MeetingState>,
     next_meeting: MeetingId,
     pinfo: BTreeMap<ParticipantId, Pinfo>,
@@ -328,16 +329,26 @@ pub struct SwitchAgent {
     pub counters: AgentCounters,
 }
 
-/// Take the smallest id off a free list. Reuse must be a function of
-/// the free *set*, never the release *order*: teardown retires ids
-/// while iterating hash maps whose order varies per instance, and the
-/// delta and full-rebuild compile paths retire in different sequences
-/// anyway — LIFO reuse would hand later joins different ids on each
-/// path, breaking compile-path equivalence on state that is otherwise
-/// byte-identical.
-fn take_min<T: Ord + Copy>(free: &mut Vec<T>) -> Option<T> {
-    let (i, _) = free.iter().enumerate().min_by_key(|&(_, v)| *v)?;
-    Some(free.swap_remove(i))
+/// Ids released for reuse, handed back **lowest first** in O(log n).
+/// Reuse must be a function of the free *set*, never the release
+/// *order*: teardown retires ids while iterating hash maps whose order
+/// varies per instance, and the delta and full-rebuild compile paths
+/// retire in different sequences anyway — LIFO reuse would hand later
+/// joins different ids on each path, breaking compile-path equivalence
+/// on state that is otherwise byte-identical.
+#[derive(Debug, Default)]
+pub struct FreeList<T: Ord>(BinaryHeap<Reverse<T>>);
+
+impl<T: Ord> FreeList<T> {
+    /// Return `id` to the pool.
+    pub fn push(&mut self, id: T) {
+        self.0.push(Reverse(id));
+    }
+
+    /// Take the smallest pooled id.
+    pub fn take(&mut self) -> Option<T> {
+        self.0.pop().map(|Reverse(id)| id)
+    }
 }
 
 impl SwitchAgent {
@@ -347,15 +358,15 @@ impl SwitchAgent {
             sfu_ip,
             next_port: 10_000,
             port_limit: u16::MAX,
-            free_ports: Vec::new(),
+            free_ports: FreeList::default(),
             next_pid: 1,
-            free_pids: Vec::new(),
+            free_pids: FreeList::default(),
             next_trunk_pid: scallop_dataplane::switch::TRUNK_RID_BASE,
-            free_trunk_pids: Vec::new(),
+            free_trunk_pids: FreeList::default(),
             next_mgid: 1,
-            free_mgids: Vec::new(),
+            free_mgids: FreeList::default(),
             next_tracker: 0,
-            free_trackers: Vec::new(),
+            free_trackers: FreeList::default(),
             meetings: BTreeMap::new(),
             next_meeting: 1,
             pinfo: BTreeMap::new(),
@@ -456,7 +467,7 @@ impl SwitchAgent {
     }
 
     fn alloc_port(&mut self, usage: PortUse) -> u16 {
-        let p = take_min(&mut self.free_ports).unwrap_or_else(|| {
+        let p = self.free_ports.take().unwrap_or_else(|| {
             let p = self.next_port;
             assert!(
                 p < self.port_limit,
@@ -480,7 +491,7 @@ impl SwitchAgent {
     }
 
     fn alloc_mgid(&mut self) -> u16 {
-        take_min(&mut self.free_mgids).unwrap_or_else(|| {
+        self.free_mgids.take().unwrap_or_else(|| {
             let m = self.next_mgid;
             self.next_mgid = self.next_mgid.wrapping_add(1);
             m
@@ -488,7 +499,7 @@ impl SwitchAgent {
     }
 
     fn alloc_tracker(&mut self) -> u16 {
-        take_min(&mut self.free_trackers).unwrap_or_else(|| {
+        self.free_trackers.take().unwrap_or_else(|| {
             let t = self.next_tracker;
             self.next_tracker = self.next_tracker.wrapping_add(1);
             t
@@ -730,7 +741,7 @@ impl SwitchAgent {
         fabric_xid: u16,
     ) -> JoinGrant {
         let pid = if class == ParticipantClass::TrunkEgress {
-            take_min(&mut self.free_trunk_pids).unwrap_or_else(|| {
+            self.free_trunk_pids.take().unwrap_or_else(|| {
                 let p = self.next_trunk_pid;
                 // Wrapping below the reserved range would collide with
                 // live local participants and silently unaccount trunk
@@ -744,7 +755,7 @@ impl SwitchAgent {
                 p
             })
         } else {
-            take_min(&mut self.free_pids).unwrap_or_else(|| {
+            self.free_pids.take().unwrap_or_else(|| {
                 let p = self.next_pid;
                 self.next_pid += 1;
                 p
@@ -785,8 +796,9 @@ impl SwitchAgent {
             },
         );
         // Allocate pair ports against every existing co-participant, in
-        // both directions (each skipped when the would-be receiver does
-        // not receive on this switch).
+        // both directions (each skipped when the would-be sender does
+        // not send or the would-be receiver does not receive on this
+        // switch).
         let existing: Vec<ParticipantId> = self.meetings[&meeting].participants.clone();
         for other in existing {
             self.ensure_pair_ports(other, pid);
@@ -866,12 +878,14 @@ impl SwitchAgent {
                 self.free_pids.push(pid);
             }
         }
-        // Drop pair ports (and trunk destinations) other participants
-        // held toward `pid`, plus any feedback state keyed by the dead
-        // id — a later participant recycling the pid must not inherit
-        // another receiver's EWMA history or per-sender decode targets.
+        // Drop pair ports (and trunk destinations) the meeting's other
+        // participants held toward `pid` (pairs never span meetings),
+        // plus any feedback state keyed by the dead id — a later
+        // participant recycling the pid must not inherit another
+        // receiver's EWMA history or per-sender decode targets.
         let mut freed_pairs = Vec::new();
-        for q in self.pinfo.values_mut() {
+        for q in &self.meetings[&meeting].participants {
+            let q = self.pinfo.get_mut(q).expect("participant tracked");
             if let Some((v, a)) = q.pair_from.remove(&pid) {
                 freed_pairs.push(v);
                 freed_pairs.push(a);
@@ -939,8 +953,11 @@ impl SwitchAgent {
         if !self.receives(receiver) {
             return; // remote senders never receive on this switch
         }
-        if self.pinfo[&sender].class == ParticipantClass::TrunkEgress {
-            return; // trunk egress never sends
+        if !self.pinfo[&sender].sends {
+            // No rule, egress spec or feedback gate is ever installed
+            // toward a non-sender (trunk egress included): a pair port
+            // exists per (sending participant → receiver) stream.
+            return;
         }
         if self.pinfo[&sender].class == ParticipantClass::RemoteSender
             && self.pinfo[&receiver].class == ParticipantClass::TrunkEgress

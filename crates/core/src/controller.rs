@@ -131,6 +131,14 @@ pub struct FabricGrant {
 pub struct Controller {
     meetings: HashMap<MeetingId, MeetingRecord>,
     fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
+    /// Tombstones: the home edge of every fabric meeting retired when
+    /// its last member left (its record is gone from
+    /// `fabric_meetings`). Read only when a join names an id that is
+    /// not live, which revives the meeting as the drained record it
+    /// was. The sharded plane moves these into its own table
+    /// ([`crate::shard::ShardedControlPlane`]) after every call that
+    /// can retire.
+    pub(crate) tombstones: BTreeMap<GlobalMeetingId, usize>,
     next_global_meeting: GlobalMeetingId,
     next_global_participant: GlobalParticipantId,
     /// The fabric-wide load account book
@@ -300,6 +308,18 @@ impl Controller {
         self.fabric_meetings.get(&gmid).map(|r| r.home)
     }
 
+    /// A join names `gmid`: if the meeting was retired, bring its
+    /// record back exactly as it drained — the old home, no segments.
+    fn revive_if_retired(&mut self, gmid: GlobalMeetingId) {
+        if let Some(home) = self.tombstones.remove(&gmid) {
+            let rec = FabricMeetingState {
+                home,
+                ..Default::default()
+            };
+            self.fabric_meetings.insert(gmid, rec);
+        }
+    }
+
     /// Join a participant attached to `edge` into a fabric meeting,
     /// compiling all cross-switch forwarding:
     ///
@@ -341,6 +361,7 @@ impl Controller {
         global: GlobalParticipantId,
     ) -> FabricGrant {
         assert!(edge < fabric.edges(), "edge out of range");
+        self.revive_if_retired(gmid);
         // One record lookup per join: the meeting record and the
         // signaling counter are disjoint fields, so every step below
         // borrows `rec` directly instead of re-fetching it.
@@ -504,8 +525,15 @@ impl Controller {
         if !led.enforcing() {
             return AdmissionDecision::Admitted;
         }
-        let Some(rec) = self.fabric_meetings.get(&gmid) else {
-            return AdmissionDecision::Admitted;
+        // A retired meeting prices like the empty record a join revives.
+        let drained;
+        let rec = match self.fabric_meetings.get(&gmid) {
+            Some(rec) => rec,
+            None if self.tombstones.contains_key(&gmid) => {
+                drained = FabricMeetingState::default();
+                &drained
+            }
+            None => return AdmissionDecision::Admitted,
         };
         let tz = &fabric.topology;
         let new_segment = !rec.segments.contains_key(&edge);
@@ -630,6 +658,7 @@ impl Controller {
         thin: bool,
     ) -> FabricGrant {
         if thin {
+            self.revive_if_retired(gmid);
             let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
             if !rec.segments.contains_key(&edge) {
                 rec.thin_segments.insert(edge);
@@ -691,6 +720,7 @@ impl Controller {
         globals: &[GlobalParticipantId],
     ) -> Vec<FabricGrant> {
         assert_eq!(joins.len(), globals.len(), "one id per join");
+        self.revive_if_retired(gmid);
         // Group input indices by home edge, first-appearance order.
         let mut order: Vec<usize> = Vec::new();
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -1014,13 +1044,15 @@ impl Controller {
         // Segment GC.
         let rec = self.fabric_meetings.get(&gmid).expect("fabric meeting");
         if rec.members.is_empty() {
-            // Meeting over: collect every segment, home included. The
-            // record itself survives so a later join re-materializes
-            // segments from scratch.
+            // Meeting over: collect every segment, home included, and
+            // retire the record. Only its home edge stays behind, so a
+            // later join re-materializes segments from scratch.
             let edges: Vec<usize> = rec.segments.keys().copied().collect();
             for e in edges {
                 self.gc_segment_if_drained(sim, fabric, gmid, e);
             }
+            let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
+            self.tombstones.insert(gmid, rec.home);
         } else if m.edge != rec.home {
             self.gc_segment_if_drained(sim, fabric, gmid, m.edge);
         }
@@ -1568,7 +1600,9 @@ impl Controller {
             for g in lost {
                 self.leave_fabric(sim, fabric, gmid, g);
             }
-            let rec = self.fabric_meetings.get(&gmid).expect("record survives");
+            let Some(rec) = self.fabric_meetings.get(&gmid) else {
+                continue; // its last members died with the edge: retired
+            };
             if rec.home == edge && !rec.members.is_empty() {
                 // The dead edge anchored the home: the drained-home
                 // bypass re-homes to a surviving edge and collects the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # scallop-core — the Scallop SFU (the paper's contribution)
 //!
 //! Scallop decouples a selective forwarding unit into a hardware data

@@ -100,6 +100,15 @@
 //!   [`ShardedControlPlane::rebalance_ownership`] re-admits the
 //!   revived shard into the bounded-loads spread.
 //!
+//! # Retirement
+//!
+//! When a meeting's last member leaves, its record leaves the owning
+//! controller and its ownership, load count and epoch leave the plane:
+//! the maps and the bounded-loads counts hold live meetings only. One
+//! `(home, epoch)` tombstone per retired id stays behind; a join naming
+//! such an id revives the meeting through the ordinary placement walk
+//! for its old home, at its old epoch.
+//!
 //! ```
 //! use scallop_core::fabric::Fabric;
 //! use scallop_core::shard::{ShardedControlPlane, LEASE_TICKS};
@@ -414,6 +423,11 @@ pub struct ShardedControlPlane {
     /// Authoritative fencing epoch per meeting (module docs: stands in
     /// for the metadata-service epoch register of a real deployment).
     epoch: BTreeMap<GlobalMeetingId, u64>,
+    /// Tombstones: `(home edge, epoch)` of every meeting retired when
+    /// its last member left — gone from `owner`, `epoch`, `loads` and
+    /// its shard. Read only when a join names an id that is not live
+    /// ([`Self::owner_or_revive`]).
+    tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
     /// Shards currently considered silent (fail-stopped).
     silent: Vec<bool>,
     /// Lease ticks remaining per shard; live shards renew to
@@ -466,6 +480,7 @@ impl ShardedControlPlane {
             edges_per_zone: usize::MAX,
             retired: RetiredTelemetry::default(),
             epoch: BTreeMap::new(),
+            tombstones: BTreeMap::new(),
             silent: vec![false; shards],
             lease_left: vec![LEASE_TICKS; shards],
             lease_steals: 0,
@@ -617,6 +632,43 @@ impl ShardedControlPlane {
         self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home))
     }
 
+    /// The owner of `gmid` for a join. A retired meeting is revived
+    /// first: placed by the normal [`Self::assign`] walk for its old
+    /// home, at the epoch it retired with, its tombstone handed to the
+    /// new owner's controller (whose join path re-creates the record).
+    fn owner_or_revive(&mut self, gmid: GlobalMeetingId) -> usize {
+        if let Some(&owner) = self.owner.get(&gmid) {
+            return owner;
+        }
+        let (home, epoch) = self.tombstones.remove(&gmid).expect("fabric meeting");
+        let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
+        self.shards[owner].controller.tombstones.insert(gmid, home);
+        self.shards[owner].epoch_of.insert(gmid, epoch);
+        self.owner.insert(gmid, owner);
+        self.loads[owner] += 1;
+        self.epoch.insert(gmid, epoch);
+        owner
+    }
+
+    /// Retire from the plane every meeting shard `s`'s controller just
+    /// retired (last member left): its ownership entry, load count and
+    /// both epoch entries go; one `(home, epoch)` tombstone stays. A
+    /// tombstone for a meeting `s` does not own came from a stale copy
+    /// (the shard was silent while its meetings were stolen) and is
+    /// dropped.
+    fn absorb_retired(&mut self, s: usize) {
+        for (gmid, home) in std::mem::take(&mut self.shards[s].controller.tombstones) {
+            if self.owner.get(&gmid) != Some(&s) {
+                continue;
+            }
+            self.owner.remove(&gmid);
+            self.loads[s] -= 1;
+            self.shards[s].epoch_of.remove(&gmid);
+            let epoch = self.epoch.remove(&gmid).unwrap_or(1);
+            self.tombstones.insert(gmid, (home, epoch));
+        }
+    }
+
     // ------------------------------------------------------------------
     // The fabric-meeting API (mirrors `Controller`, routed by owner)
     // ------------------------------------------------------------------
@@ -680,7 +732,7 @@ impl ShardedControlPlane {
         addr: HostAddr,
         sends: bool,
     ) -> (AdmissionDecision, Option<FabricGrant>) {
-        let owner = *self.owner.get(&gmid).expect("fabric meeting");
+        let owner = self.owner_or_revive(gmid);
         if self.ingress_shard(edge) != owner {
             self.forwards += 1;
             self.shards[owner].joins_forwarded += 1;
@@ -690,6 +742,8 @@ impl ShardedControlPlane {
             .admission_check(fabric, gmid, edge, sends);
         if let AdmissionDecision::Refused(reason) = decision {
             self.ledger.borrow_mut().note_refusal(reason);
+            // A refused revival leaves the tombstone with the shard.
+            self.absorb_retired(owner);
             return (decision, None);
         }
         self.next_global_participant += 1;
@@ -744,7 +798,7 @@ impl ShardedControlPlane {
     ) -> FabricGrant {
         self.next_global_participant += 1;
         let global = self.next_global_participant;
-        let owner = *self.owner.get(&gmid).expect("fabric meeting");
+        let owner = self.owner_or_revive(gmid);
         if self.ingress_shard(edge) != owner {
             self.forwards += 1;
             self.shards[owner]
@@ -781,7 +835,7 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         joins: &[(usize, HostAddr, bool)],
     ) -> Vec<FabricGrant> {
-        let owner = *self.owner.get(&gmid).expect("fabric meeting");
+        let owner = self.owner_or_revive(gmid);
         let mut globals = Vec::with_capacity(joins.len());
         for &(edge, _, _) in joins {
             self.next_global_participant += 1;
@@ -797,7 +851,8 @@ impl ShardedControlPlane {
     }
 
     /// Remove a fabric participant (owner-routed
-    /// [`Controller::leave_fabric`], including segment GC).
+    /// [`Controller::leave_fabric`], including segment GC). When the
+    /// last member leaves, the meeting is retired from the plane.
     pub fn leave_fabric(
         &mut self,
         sim: &mut Simulator,
@@ -809,6 +864,7 @@ impl ShardedControlPlane {
             self.shards[owner]
                 .controller
                 .leave_fabric(sim, fabric, gmid, global);
+            self.absorb_retired(owner);
         }
     }
 
@@ -1063,7 +1119,10 @@ impl ShardedControlPlane {
             .collect();
         let mut rejected = 0u64;
         for (gmid, held) in stale {
-            let current = self.epoch.get(&gmid).copied().unwrap_or(0);
+            let current = match self.epoch.get(&gmid) {
+                Some(&e) => e,
+                None => self.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
+            };
             assert!(
                 held < current,
                 "a stolen meeting's registry epoch is strictly newer"
@@ -1155,10 +1214,15 @@ impl ShardedControlPlane {
         fabric: &Fabric,
         edge: usize,
     ) -> u64 {
-        self.shards
+        let lost = self
+            .shards
             .iter_mut()
             .map(|s| s.controller.handle_edge_failure(sim, fabric, edge))
-            .sum()
+            .sum();
+        for s in 0..self.shards.len() {
+            self.absorb_retired(s);
+        }
+        lost
     }
 
     // ------------------------------------------------------------------

@@ -25,6 +25,8 @@
 //! (packet sizes, cadence, layer labels, decode/freeze dynamics) is
 //! faithful.
 
+#![forbid(unsafe_code)]
+
 pub mod audio;
 pub mod decoder;
 pub mod encoder;

@@ -24,6 +24,8 @@
 //!   joins into one meeting) driving the control plane's delta
 //!   compiler and batched admission.
 
+#![forbid(unsafe_code)]
+
 pub mod campus;
 pub mod churn;
 pub mod flashcrowd;

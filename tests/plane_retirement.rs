@@ -1,0 +1,217 @@
+//! A drained fabric meeting is retired: the control plane's cost and
+//! memory follow the meetings that are live, not the ones that ever
+//! were.
+//!
+//! When a meeting's last member leaves, its record leaves the owning
+//! controller, its ownership, load count and epoch leave the sharded
+//! plane, and one fixed-size `(home, epoch)` tombstone stays behind. A
+//! join naming the retired id revives it through the plane's normal
+//! placement walk, at the epoch it retired with.
+
+use scallop::core::capacity::{AdmissionDecision, FabricBudgets};
+use scallop::core::controller::GlobalMeetingId;
+use scallop::core::fabric::Fabric;
+use scallop::core::shard::{ShardedControlPlane, LEASE_TICKS};
+use scallop::dataplane::seqrewrite::SeqRewriteMode;
+use scallop::netsim::link::LinkConfig;
+use scallop::netsim::packet::HostAddr;
+use scallop::netsim::rng::DetRng;
+use scallop::netsim::sim::Simulator;
+use scallop::netsim::time::SimDuration;
+use scallop::netsim::topology::Topology;
+use scallop::workload::flashcrowd::{flash_crowd, webinar};
+use std::net::Ipv4Addr;
+
+const EDGES: usize = 4;
+
+fn world(shards: usize) -> (Simulator, Fabric, ShardedControlPlane) {
+    let mut sim = Simulator::new(0x5EED);
+    let fabric = Fabric::build(
+        &mut sim,
+        Topology::campus(EDGES, 1),
+        LinkConfig::infinite(SimDuration::from_micros(50)),
+        SeqRewriteMode::LowRetransmission,
+    );
+    let mut plane = ShardedControlPlane::new(shards);
+    plane.set_capacity_budgets(FabricBudgets::from_model(), &fabric.topology);
+    (sim, fabric, plane)
+}
+
+fn addr(crowd: u8, k: usize) -> HostAddr {
+    HostAddr::new(
+        Ipv4Addr::new(10, 8 + crowd, (k / 200) as u8, (k % 200) as u8 + 1),
+        5000,
+    )
+}
+
+/// One cycle: create → flash crowd join by join → rebalance → webinar
+/// as one burst → everyone leaves in shuffled order. Returns the two
+/// meeting ids, both drained.
+fn cycle(
+    sim: &mut Simulator,
+    fabric: &Fabric,
+    plane: &mut ShardedControlPlane,
+    rng: &mut DetRng,
+) -> [GlobalMeetingId; 2] {
+    let storm = flash_crowd(EDGES, 3, 29);
+    let audience = webinar(EDGES, 24);
+    let mut members = Vec::new();
+
+    let g_storm = plane.create_fabric_meeting(sim, fabric, storm[0].edge);
+    for (k, j) in storm.iter().enumerate() {
+        let (decision, grant) =
+            plane.try_join_fabric(sim, fabric, g_storm, j.edge, addr(0, k), j.sends);
+        assert_eq!(decision, AdmissionDecision::Admitted);
+        members.push((g_storm, grant.expect("admitted").global));
+    }
+    plane.rebalance_fabric(sim, fabric, g_storm);
+
+    let g_web = plane.create_fabric_meeting(sim, fabric, audience[0].edge);
+    let joins: Vec<(usize, HostAddr, bool)> = audience
+        .iter()
+        .enumerate()
+        .map(|(k, j)| (j.edge, addr(1, k), j.sends))
+        .collect();
+    let grants = plane.join_fabric_many(sim, fabric, g_web, &joins);
+    members.extend(grants.iter().map(|g| (g_web, g.global)));
+
+    for i in (1..members.len()).rev() {
+        members.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
+    }
+    for (gmid, global) in members {
+        plane.leave_fabric(sim, fabric, gmid, global);
+    }
+    [g_storm, g_web]
+}
+
+/// Nothing of `gmid` is left in any live map of the plane.
+fn assert_retired(plane: &ShardedControlPlane, gmid: GlobalMeetingId) {
+    assert_eq!(plane.owner_of(gmid), None, "meeting {gmid} still owned");
+    assert_eq!(
+        plane.meeting_epoch(gmid),
+        None,
+        "meeting {gmid} keeps an epoch"
+    );
+    assert_eq!(plane.home_edge_of(gmid), None);
+    for s in 0..plane.shard_count() {
+        assert_eq!(plane.shard(s).epoch_held(gmid), None, "shard {s}");
+    }
+}
+
+fn cycles_leave_nothing_behind(shards: usize) {
+    let (mut sim, fabric, mut plane) = world(shards);
+    let mut rng = DetRng::new(7);
+    let mut retired = Vec::new();
+    for _ in 0..12 {
+        retired.extend(cycle(&mut sim, &fabric, &mut plane, &mut rng));
+        // The live maps are after every cycle what they were after the
+        // first: empty.
+        assert_eq!(plane.meetings_per_shard(), vec![0; shards]);
+        for s in 0..shards {
+            assert_eq!(plane.shard(s).meetings_owned(), 0, "shard {s}");
+            assert_eq!(plane.shard(s).controller.fabric_meetings_tracked(), 0);
+        }
+        let ledger = plane.ledger_handle();
+        assert!(ledger.borrow().reconciled());
+        assert_eq!(ledger.borrow().open_entries(), 0);
+    }
+    for &gmid in &retired {
+        assert_retired(&plane, gmid);
+    }
+    for e in 0..EDGES {
+        let sw = fabric.edge_mut(&mut sim, e);
+        assert_eq!(sw.agent.ports_in_use(), 0, "edge {e}");
+        assert_eq!(sw.agent.meetings_tracked(), 0, "edge {e}");
+    }
+}
+
+#[test]
+fn cycles_leave_nothing_behind_unsharded() {
+    cycles_leave_nothing_behind(1);
+}
+
+#[test]
+fn cycles_leave_nothing_behind_on_four_shards() {
+    cycles_leave_nothing_behind(4);
+}
+
+fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
+    let (mut sim, fabric, mut plane) = world(shards);
+    // Other live meetings, so the bounded-loads walk has loads to weigh.
+    for home in 0..EDGES {
+        plane.create_fabric_meeting(&mut sim, &fabric, home);
+    }
+    let home = 2;
+    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, home);
+    let a = plane.join_fabric(&mut sim, &fabric, gmid, home, addr(0, 0), true);
+    let b = plane.join_fabric(&mut sim, &fabric, gmid, 0, addr(0, 1), false);
+    let epoch = plane.meeting_epoch(gmid).expect("live");
+    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
+    plane.leave_fabric(&mut sim, &fabric, gmid, b.global);
+    assert_retired(&plane, gmid);
+    let live: usize = plane.meetings_per_shard().iter().sum();
+    assert_eq!(live, EDGES);
+
+    let planned = plane.planned_owner(gmid, home);
+    let (decision, grant) = plane.try_join_fabric(&mut sim, &fabric, gmid, 1, addr(0, 2), true);
+    assert_eq!(decision, AdmissionDecision::Admitted);
+    assert_eq!(plane.owner_of(gmid), Some(planned));
+    assert_eq!(
+        plane.home_edge_of(gmid),
+        Some(home),
+        "revived on its old home"
+    );
+    assert!(plane.meeting_epoch(gmid).expect("live again") >= epoch);
+    assert_eq!(
+        plane.shard(planned).epoch_held(gmid),
+        plane.meeting_epoch(gmid)
+    );
+    assert_eq!(
+        plane.fabric_members(gmid),
+        vec![grant.expect("admitted").global]
+    );
+    let live: usize = plane.meetings_per_shard().iter().sum();
+    assert_eq!(live, EDGES + 1);
+}
+
+#[test]
+fn rejoin_revives_where_the_plane_would_place_it_unsharded() {
+    rejoin_revives_where_the_plane_would_place_it(1);
+}
+
+#[test]
+fn rejoin_revives_where_the_plane_would_place_it_on_four_shards() {
+    rejoin_revives_where_the_plane_would_place_it(4);
+}
+
+#[test]
+fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
+    let (mut sim, fabric, mut plane) = world(4);
+    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 1);
+    let a = plane.join_fabric(&mut sim, &fabric, gmid, 1, addr(0, 0), true);
+    let b = plane.join_fabric(&mut sim, &fabric, gmid, 3, addr(0, 1), false);
+    let owner = plane.owner_of(gmid).expect("live");
+    plane.silence_shard(owner);
+    for _ in 0..LEASE_TICKS {
+        plane.tick_leases();
+    }
+    assert_eq!(plane.steal_expired_leases(&mut sim, &fabric), 1);
+    assert_eq!(plane.meeting_epoch(gmid), Some(2));
+
+    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
+    plane.leave_fabric(&mut sim, &fabric, gmid, b.global);
+    assert_eq!(plane.owner_of(gmid), None);
+    assert_eq!(plane.meeting_epoch(gmid), None);
+    // The silent shard resurrects holding a stale epoch-1 copy of a
+    // meeting that has since retired: still fenced off.
+    assert_eq!(plane.revive_shard(&mut sim, &fabric, owner), 1);
+    assert_eq!(plane.stale_epoch_writes_rejected(), 1);
+    assert_retired(&plane, gmid);
+
+    plane.join_fabric(&mut sim, &fabric, gmid, 0, addr(0, 2), true);
+    assert_eq!(
+        plane.meeting_epoch(gmid),
+        Some(2),
+        "revived at the stolen epoch"
+    );
+}
