@@ -5,7 +5,7 @@
 //! per-join with the delta compiler, per-join with full rebuilds (the
 //! pre-delta reference, via
 //! [`SwitchAgent::set_incremental_compile`][set]), and as one batched
-//! [`ShardedControlPlane::join_fabric_many`] admission — and reports
+//! [`ShardedControlPlane::join`] burst — and reports
 //! the flow-mod bill of each path from the switches' own
 //! `rule_installs` / `rule_removals` / `tree_allocs` counters.
 //!
@@ -19,6 +19,7 @@
 //!
 //! [set]: scallop_core::agent::SwitchAgent::set_incremental_compile
 
+use scallop_core::controller::JoinRequest;
 use scallop_core::fabric::Fabric;
 use scallop_core::shard::ShardedControlPlane;
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
@@ -86,9 +87,9 @@ enum CompileMode {
     Incremental,
     /// Sequential joins, every change recompiles the whole segment.
     FullRebuild,
-    /// One `join_fabric_many` burst, delta compiler on.
+    /// One burst of all the joins, delta compiler on.
     Batched,
-    /// One `join_fabric_many` burst, delta compiler off.
+    /// One burst of all the joins, delta compiler off.
     BatchedFullRebuild,
 }
 
@@ -134,19 +135,23 @@ fn run_crowd(joins: &[CrowdJoin], shards: usize, mode: CompileMode) -> RunOutcom
             5000,
         )
     };
+    let reqs: Vec<JoinRequest> = joins
+        .iter()
+        .enumerate()
+        .map(|(i, j)| JoinRequest {
+            edge: j.edge,
+            addr: addr_of(i),
+            sends: j.sends,
+        })
+        .collect();
     match mode {
         CompileMode::Incremental | CompileMode::FullRebuild => {
-            for (i, j) in joins.iter().enumerate() {
-                controller.join_fabric(&mut sim, &fabric, gmid, j.edge, addr_of(i), j.sends);
+            for req in &reqs {
+                controller.join(&mut sim, &fabric, gmid, std::slice::from_ref(req));
             }
         }
         CompileMode::Batched | CompileMode::BatchedFullRebuild => {
-            let batch: Vec<(usize, HostAddr, bool)> = joins
-                .iter()
-                .enumerate()
-                .map(|(i, j)| (j.edge, addr_of(i), j.sends))
-                .collect();
-            controller.join_fabric_many(&mut sim, &fabric, gmid, &batch);
+            controller.join(&mut sim, &fabric, gmid, &reqs);
         }
     }
 

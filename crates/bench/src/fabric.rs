@@ -6,6 +6,7 @@
 //! phase live here rather than in either binary.
 
 use scallop_client::{ClientConfig, ClientNode};
+use scallop_core::controller::JoinRequest;
 use scallop_core::fabric::Fabric;
 use scallop_core::harness::{HarnessConfig, ScallopHarness};
 use scallop_core::shard::ShardedControlPlane;
@@ -128,7 +129,10 @@ pub fn run_fabric_slice(
             let ip = Ipv4Addr::new(10, 2, mi as u8, i as u8 + 1);
             let addr = HostAddr::new(ip, 5000);
             let sends = i < rec.video_senders.max(1);
-            let grant = controller.join_fabric(&mut sim, &fabric, gmid, edge, addr, sends);
+            let req = JoinRequest { edge, addr, sends };
+            let grant = controller.join(&mut sim, &fabric, gmid, &[req])[0]
+                .grant
+                .expect("no budgets armed");
             let ccfg = if sends {
                 ClientConfig::sender(ip, 5000, 0x10_0000 * (mi as u32 + 1) + i)
                     .sending_to(grant.local.video_uplink, grant.local.audio_uplink)
@@ -326,7 +330,10 @@ pub fn run_wan_slice(
             let ip = Ipv4Addr::new(10, 3, mi as u8, i as u8 + 1);
             let addr = HostAddr::new(ip, 5000);
             let sends = (i as u32) < rec.video_senders.max(1);
-            let grant = controller.join_fabric(&mut sim, &fabric, gmid, edge, addr, sends);
+            let req = JoinRequest { edge, addr, sends };
+            let grant = controller.join(&mut sim, &fabric, gmid, &[req])[0]
+                .grant
+                .expect("no budgets armed");
             if sends {
                 senders.insert(edge);
             }

@@ -507,7 +507,8 @@ impl SwitchAgent {
     }
 
     /// Add a local participant to a meeting; installs all data-plane
-    /// state.
+    /// state. A join is a burst of one: this is [`Self::join_many`] with
+    /// a one-element batch.
     pub fn join(
         &mut self,
         dp: &mut ScallopDataPlane,
@@ -515,7 +516,7 @@ impl SwitchAgent {
         addr: HostAddr,
         sends: bool,
     ) -> JoinGrant {
-        self.join_class(dp, meeting, addr, sends, ParticipantClass::Local, TRUNK_XID)
+        self.join_many(dp, meeting, &[(addr, sends)])[0]
     }
 
     /// Register a sender homed on another edge switch *in the same
@@ -697,40 +698,64 @@ impl SwitchAgent {
         fabric_xid: u16,
     ) -> JoinGrant {
         let grant = self.admit(dp, meeting, addr, sends, class, fabric_xid);
-        if !(self.incremental && self.try_graft_join(dp, meeting, grant.participant)) {
-            self.rebuild_meeting(dp, meeting);
-        }
+        self.compile_joined(dp, meeting, &[grant]);
         grant
     }
 
     /// Admit a burst of local participants with **one** compile: each
-    /// joiner's ids, ports, and pair ports are allocated exactly as a
-    /// sequence of [`Self::join`] calls would allocate them (so the
-    /// grants are identical), but the meeting is recompiled once for
-    /// the whole batch instead of once per join. A flash-crowd storm of
-    /// N admissions costs one O(N) compile instead of N of them.
+    /// joiner's ids, ports, and pair ports are allocated in input order,
+    /// then the meeting is compiled once for the whole batch — a batch of
+    /// one is grafted onto the installed layout when it can be amended
+    /// in place, anything else rebuilds the meeting once. A flash-crowd
+    /// storm of N admissions costs one O(N) compile instead of N of
+    /// them.
     pub fn join_many(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
         joins: &[(HostAddr, bool)],
     ) -> Vec<JoinGrant> {
-        let grants: Vec<JoinGrant> = joins
-            .iter()
-            .map(|&(addr, sends)| {
-                self.admit(dp, meeting, addr, sends, ParticipantClass::Local, TRUNK_XID)
-            })
-            .collect();
-        if !grants.is_empty() {
-            self.rebuild_meeting(dp, meeting);
-        }
+        let mut grants = Vec::with_capacity(joins.len());
+        self.join_many_into(dp, meeting, joins.iter().copied(), &mut grants);
         grants
+    }
+
+    /// [`Self::join_many`] appending the grants to a caller-held buffer
+    /// (the controller reuses one across joins).
+    pub(crate) fn join_many_into(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        joins: impl Iterator<Item = (HostAddr, bool)>,
+        grants: &mut Vec<JoinGrant>,
+    ) {
+        let first = grants.len();
+        for (addr, sends) in joins {
+            grants.push(self.admit(dp, meeting, addr, sends, ParticipantClass::Local, TRUNK_XID));
+        }
+        self.compile_joined(dp, meeting, &grants[first..]);
+    }
+
+    /// The one compile rule for admitted participants: a batch of one
+    /// is grafted onto the installed layout when it can be amended in
+    /// place ([`Self::graft_tiers`]); anything else — a larger batch, or
+    /// a layout that cannot take a graft — rebuilds the meeting once.
+    fn compile_joined(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        joined: &[JoinGrant],
+    ) {
+        match joined {
+            [] => {}
+            [one] if self.incremental && self.try_graft_join(dp, meeting, one.participant) => {}
+            _ => self.rebuild_meeting(dp, meeting),
+        }
     }
 
     /// Allocate a participant's admission state — id, uplink ports,
     /// pair ports, bookkeeping — without compiling the meeting. The
-    /// caller compiles: per join ([`Self::join_class`], graft or
-    /// rebuild) or once per batch ([`Self::join_many`]).
+    /// caller compiles once per batch ([`Self::compile_joined`]).
     fn admit(
         &mut self,
         dp: &mut ScallopDataPlane,
@@ -2677,6 +2702,54 @@ mod tests {
             rebuilt > 2 * grafted,
             "per-join rebuilds must out-bill grafts: {rebuilt} vs {grafted}"
         );
+    }
+
+    #[test]
+    fn a_batch_of_one_grafts_and_a_batch_of_two_rebuilds_once() {
+        // A graftable layout: the partner meeting pairs the tree half
+        // (see `twin_runs`), three members put the meeting on NRA.
+        let graftable = |incremental: bool| {
+            let (mut agent, mut dp) = mk();
+            agent.set_incremental_compile(incremental);
+            let partner = agent.create_meeting();
+            for i in 101..=103 {
+                agent.join(&mut dp, partner, addr(i), true);
+            }
+            let m = agent.create_meeting();
+            for i in 1..=3 {
+                agent.join(&mut dp, m, addr(i), i == 1);
+            }
+            (agent, dp, m)
+        };
+        // What `joins` bill on that layout: (grafts, installs, removals).
+        let bill = |incremental: bool, joins: &[(HostAddr, bool)]| {
+            let (mut agent, mut dp, m) = graftable(incremental);
+            let (grafts, before) = (agent.counters.graft_joins, dp.counters);
+            assert_eq!(agent.join_many(&mut dp, m, joins).len(), joins.len());
+            (
+                agent.counters.graft_joins - grafts,
+                dp.counters.rule_installs - before.rule_installs,
+                dp.counters.rule_removals - before.rule_removals,
+            )
+        };
+        // A join is a burst of one: one graft, touching nothing that
+        // was installed — far below the rebuild bill for the same join.
+        let (one, one_rebuilt) = (
+            bill(true, &[(addr(4), false)]),
+            bill(false, &[(addr(4), false)]),
+        );
+        assert_eq!((one.0, one.2), (1, 0), "a batch of one grafts");
+        assert!(one.1 < one_rebuilt.1, "{} vs {}", one.1, one_rebuilt.1);
+        // `join` is that same batch of one.
+        let (mut agent, mut dp, m) = graftable(true);
+        let before = dp.counters.rule_installs;
+        agent.join(&mut dp, m, addr(4), false);
+        assert_eq!(dp.counters.rule_installs - before, one.1);
+        // Two joiners: no graft, exactly the bill of one full rebuild.
+        let two = [(addr(4), false), (addr(5), true)];
+        let (grafts, installs, removals) = bill(true, &two);
+        assert_eq!(grafts, 0, "a batch of two does not graft");
+        assert_eq!((0, installs, removals), bill(false, &two), "one rebuild");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   anchors the meeting — until rebalancing moves the home away.
 //!
 //! * **Live re-homing** — [`Controller::rebalance_fabric`] revisits the
-//!   placement decision made at [`Controller::create_fabric_meeting`].
+//!   placement decision made when the meeting was created.
 //!   When another edge holds strictly more than
 //!   `home + REBALANCE_HYSTERESIS` local members, the meeting re-homes
 //!   there. The move is make-before-break by construction: the fabric
@@ -70,30 +70,25 @@
 //! so that [`crate::shard::ShardedControlPlane`] can run several
 //! controllers side by side, each owning a disjoint subset of the
 //! fabric's meetings, and move a meeting's state between them with the
-//! [`crate::shard::ShardMsg`] handoff protocol. When driven through the
-//! sharded plane, global meeting/participant ids are allocated by the
-//! plane (keeping the id space collision-free across shards) and
-//! handed in via the crate-internal `*_as` entry points.
+//! [`crate::shard::ShardMsg`] handoff protocol. The plane is the only
+//! way in: it allocates global meeting/participant ids (keeping the id
+//! space collision-free across shards) and hands them to the
+//! crate-private create and join entry points here, so a `Controller`
+//! on its own can neither create a meeting nor admit a member.
 
 use crate::agent::{JoinGrant, MeetingId, ParticipantId};
 use crate::capacity::{
-    AdmissionDecision, BranchRoute, FabricBudgets, LedgerHandle, LoadDelta, MEMBER_PORTS,
+    AdmissionDecision, BranchRoute, FabricLoadLedger, LedgerHandle, LoadDelta, MEMBER_PORTS,
     REMOTE_PORTS, THIN_DECODE_TARGET,
 };
 use crate::fabric::Fabric;
 use crate::meeting::{FabricMeetingState, FabricMemberState};
-use crate::switchnode::ScallopSwitchNode;
 use scallop_netsim::packet::HostAddr;
 use scallop_netsim::sim::Simulator;
 use scallop_netsim::topology::Topology;
-use scallop_proto::sdp::SessionDescription;
-use std::collections::{BTreeMap, HashMap};
-
-/// Per-meeting controller bookkeeping.
-#[derive(Debug, Default, Clone)]
-struct MeetingRecord {
-    participants: Vec<(u16, HostAddr)>,
-}
+use scallop_proto::sdp::{Candidate, MediaKind, SessionDescription};
+use scallop_proto::ProtoError;
+use std::collections::BTreeMap;
 
 /// Fabric-wide meeting identifier (controller-allocated; each involved
 /// edge hosts its own local segment [`MeetingId`] underneath it).
@@ -124,12 +119,97 @@ pub struct FabricGrant {
     pub local: JoinGrant,
 }
 
+/// One participant asking to join a fabric meeting — the input of
+/// [`crate::shard::ShardedControlPlane::join`], which takes a slice of
+/// these (a single join is a burst of one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinRequest {
+    /// Edge switch the participant attaches to.
+    pub edge: usize,
+    /// The participant's media address.
+    pub addr: HostAddr,
+    /// Whether the participant offers media.
+    pub sends: bool,
+}
+
+impl JoinRequest {
+    /// Build the request an SDP offer arriving at `edge` asks for (§5.1
+    /// "Controlling Signaling to Create Proxy Topology"): the client's
+    /// address is its first candidate, and it sends iff some media
+    /// section is `sendrecv`/`sendonly`. An offer without candidates is
+    /// an error — nothing has been touched yet, so nothing is undone.
+    pub fn from_offer(edge: usize, offer: &SessionDescription) -> Result<Self, ProtoError> {
+        let cand = offer
+            .all_candidates()
+            .next()
+            .ok_or(ProtoError::Malformed("offer without candidates"))?;
+        let sends = offer
+            .media
+            .iter()
+            .any(|m| m.direction == "sendrecv" || m.direction == "sendonly");
+        Ok(JoinRequest {
+            edge,
+            addr: HostAddr::new(cand.ip, cand.port),
+            sends,
+        })
+    }
+}
+
+/// The SDP answer to `offer` once its [`JoinRequest`] was granted: the
+/// offer's media sections mirrored back with every candidate replaced
+/// by the switch's per-media uplink address — the client believes the
+/// SFU is its sole peer.
+pub fn sdp_answer(offer: &SessionDescription, grant: &JoinGrant) -> String {
+    let mut answer = offer.clone();
+    answer.origin = "scallop".into();
+    answer.connection_ip = Some(grant.video_uplink.ip);
+    for m in &mut answer.media {
+        let uplink = match m.kind {
+            MediaKind::Video => grant.video_uplink,
+            MediaKind::Audio => grant.audio_uplink,
+        };
+        m.candidates = vec![Candidate::host(uplink.ip, uplink.port)];
+        m.port = uplink.port;
+    }
+    answer.serialize()
+}
+
+/// What the control plane answered one [`JoinRequest`].
+#[derive(Debug, Clone, Copy)]
+pub struct JoinOutcome {
+    /// The capacity planner's verdict (always
+    /// [`AdmissionDecision::Admitted`] while no budgets are enforced).
+    pub decision: AdmissionDecision,
+    /// The grant; `None` exactly when the join was refused.
+    pub grant: Option<FabricGrant>,
+}
+
+impl JoinOutcome {
+    /// Placeholder a result buffer is filled with before the owner
+    /// shard decides each request.
+    pub(crate) const UNDECIDED: JoinOutcome = JoinOutcome {
+        decision: AdmissionDecision::Admitted,
+        grant: None,
+    };
+}
+
+/// Buffers [`Controller::join`] reuses across calls, so a join that is
+/// a burst of one allocates nothing for the burst machinery.
+#[derive(Debug, Default)]
+struct JoinScratch {
+    /// The burst's distinct edges, in first-appearance order.
+    edges: Vec<usize>,
+    /// Input indices admitted on the current edge, not yet executed.
+    pending: Vec<usize>,
+    /// The agent's grants for `pending`, in the same order.
+    grants: Vec<JoinGrant>,
+}
+
 /// The centralized controller (one instance; see [`crate::shard`] for
 /// the multi-controller deployment that partitions fabric meetings
 /// across several of these).
 #[derive(Debug, Default)]
 pub struct Controller {
-    meetings: HashMap<MeetingId, MeetingRecord>,
     fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
     /// Tombstones: the home edge of every fabric meeting retired when
     /// its last member left (its record is gone from
@@ -139,8 +219,6 @@ pub struct Controller {
     /// ([`crate::shard::ShardedControlPlane`]) after every call that
     /// can retire.
     pub(crate) tombstones: BTreeMap<GlobalMeetingId, usize>,
-    next_global_meeting: GlobalMeetingId,
-    next_global_participant: GlobalParticipantId,
     /// The fabric-wide load account book
     /// ([`crate::capacity::FabricLoadLedger`]): every join/compile
     /// debits it, every leave/GC credits it. Under the sharded plane
@@ -154,120 +232,19 @@ pub struct Controller {
     pub(crate) aggregate_feedback: bool,
     /// Signaling transactions served (telemetry).
     pub signaling_exchanges: u64,
+    scratch: JoinScratch,
 }
 
 impl Controller {
-    /// Create a controller.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a meeting on the given switch.
-    pub fn create_meeting(&mut self, switch: &mut ScallopSwitchNode) -> MeetingId {
-        let id = switch.agent.create_meeting();
-        self.meetings.insert(id, MeetingRecord::default());
-        id
-    }
-
-    /// Join a participant (programmatic path used by harnesses): returns
-    /// the media uplink grants the client must send to.
-    pub fn join(
-        &mut self,
-        switch: &mut ScallopSwitchNode,
-        meeting: MeetingId,
-        client_addr: HostAddr,
-        sends_media: bool,
-    ) -> JoinGrant {
-        let grant = switch.join(meeting, client_addr, sends_media);
-        self.meetings
-            .entry(meeting)
-            .or_default()
-            .participants
-            .push((grant.participant, client_addr));
-        self.signaling_exchanges += 1;
-        grant
-    }
-
-    /// Join via SDP offer/answer (§5.1 "Controlling Signaling to Create
-    /// Proxy Topology"): parses the client's offer, extracts its
-    /// candidate address, registers it with the agent, and produces an
-    /// answer whose only candidates point at the switch — the client
-    /// believes the SFU is its sole peer.
-    pub fn join_with_sdp(
-        &mut self,
-        switch: &mut ScallopSwitchNode,
-        meeting: MeetingId,
-        offer_text: &str,
-    ) -> Result<(String, JoinGrant), scallop_proto::ProtoError> {
-        let offer = SessionDescription::parse(offer_text)?;
-        let cand = offer
-            .all_candidates()
-            .next()
-            .ok_or(scallop_proto::ProtoError::Malformed(
-                "offer without candidates",
-            ))?;
-        let client_addr = HostAddr::new(cand.ip, cand.port);
-        let sends = offer
-            .media
-            .iter()
-            .any(|m| m.direction == "sendrecv" || m.direction == "sendonly");
-        let grant = self.join(switch, meeting, client_addr, sends);
-
-        // Build the answer: mirror the offer's media sections, replacing
-        // every candidate with the switch's per-media uplink address.
-        let mut answer = offer.clone();
-        answer.origin = "scallop".into();
-        answer.connection_ip = Some(grant.video_uplink.ip);
-        for m in &mut answer.media {
-            let uplink = match m.kind {
-                scallop_proto::sdp::MediaKind::Video => grant.video_uplink,
-                scallop_proto::sdp::MediaKind::Audio => grant.audio_uplink,
-            };
-            m.candidates = vec![scallop_proto::sdp::Candidate::host(uplink.ip, uplink.port)];
-            m.port = uplink.port;
-        }
-        Ok((answer.serialize(), grant))
-    }
-
-    /// Remove a participant.
-    pub fn leave(&mut self, switch: &mut ScallopSwitchNode, meeting: MeetingId, participant: u16) {
-        switch.leave(meeting, participant);
-        if let Some(m) = self.meetings.get_mut(&meeting) {
-            m.participants.retain(|&(p, _)| p != participant);
-        }
-        self.signaling_exchanges += 1;
-    }
-
-    /// Participants currently in a meeting.
-    pub fn participants(&self, meeting: MeetingId) -> Vec<u16> {
-        self.meetings
-            .get(&meeting)
-            .map(|m| m.participants.iter().map(|&(p, _)| p).collect())
-            .unwrap_or_default()
-    }
-
     // ------------------------------------------------------------------
     // Fabric placement (§5.1 generalized to a campus of edge switches)
     // ------------------------------------------------------------------
 
-    /// Place a meeting on the fabric with `home` as its home edge. The
-    /// home segment is created immediately; segments on other edges
-    /// materialize when their first participant joins.
-    pub fn create_fabric_meeting(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        home: usize,
-    ) -> GlobalMeetingId {
-        self.next_global_meeting += 1;
-        let gmid = self.next_global_meeting;
-        self.create_fabric_meeting_as(sim, fabric, home, gmid);
-        gmid
-    }
-
-    /// [`Self::create_fabric_meeting`] with a caller-allocated id — the
-    /// sharded control plane allocates global ids centrally so that the
-    /// id space stays collision-free across shards.
+    /// Place meeting `gmid` on the fabric with `home` as its home edge
+    /// (the sharded plane allocates global ids centrally, so the id
+    /// space stays collision-free across shards). The home segment is
+    /// created immediately; segments on other edges materialize when
+    /// their first participant joins.
     pub(crate) fn create_fabric_meeting_as(
         &mut self,
         sim: &mut Simulator,
@@ -308,147 +285,15 @@ impl Controller {
         self.fabric_meetings.get(&gmid).map(|r| r.home)
     }
 
-    /// A join names `gmid`: if the meeting was retired, bring its
-    /// record back exactly as it drained — the old home, no segments.
-    fn revive_if_retired(&mut self, gmid: GlobalMeetingId) {
-        if let Some(home) = self.tombstones.remove(&gmid) {
-            let rec = FabricMeetingState {
-                home,
-                ..Default::default()
-            };
-            self.fabric_meetings.insert(gmid, rec);
-        }
-    }
-
-    /// Join a participant attached to `edge` into a fabric meeting,
-    /// compiling all cross-switch forwarding:
-    ///
-    /// * the participant joins its edge's local segment (local PRE
-    ///   fan-out, feedback analysis, rate adaptation),
-    /// * if it sends, every other involved edge gets a **remote-sender**
-    ///   entry (trunk-ingress ports) and the home edge's trunk-egress
-    ///   branch toward that edge is pointed at them — so uplink media
-    ///   crosses each trunk **once per remote switch** and fans out
-    ///   through the remote switch's own PRE,
-    /// * symmetrically, when this join materializes a new segment, every
-    ///   existing remote sender is plumbed toward it.
-    pub fn join_fabric(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        edge: usize,
-        addr: HostAddr,
-        sends: bool,
-    ) -> FabricGrant {
-        self.next_global_participant += 1;
-        let global = self.next_global_participant;
-        self.join_fabric_as(sim, fabric, gmid, edge, addr, sends, global)
-    }
-
-    /// [`Self::join_fabric`] with a caller-allocated participant id (the
-    /// sharded control plane's id allocation, and the execution path of
-    /// a forwarded cross-shard join).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join_fabric_as(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        edge: usize,
-        addr: HostAddr,
-        sends: bool,
-        global: GlobalParticipantId,
-    ) -> FabricGrant {
-        assert!(edge < fabric.edges(), "edge out of range");
-        self.revive_if_retired(gmid);
-        // One record lookup per join: the meeting record and the
-        // signaling counter are disjoint fields, so every step below
-        // borrows `rec` directly instead of re-fetching it.
-        let ledger = self.ledger.clone();
-        let aggregate = self.aggregate_feedback;
-        let Controller {
-            fabric_meetings,
-            signaling_exchanges,
-            ..
-        } = self;
-        let rec = fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-
-        // 1. + 2. Materialize and wire this edge's segment if needed.
-        if !rec.segments.contains_key(&edge) {
-            Self::materialize_segment(
-                sim,
-                fabric,
-                rec,
-                signaling_exchanges,
-                &ledger,
-                aggregate,
-                gmid,
-                edge,
-            );
-        }
-        let segment = rec.segments[&edge];
-
-        // 3. Local join.
-        let local = fabric.edge_mut(sim, edge).join(segment, addr, sends);
-        rec.members.push(FabricMemberState {
-            global,
-            edge,
-            addr,
-            sends,
-            local_pid: local.participant,
-            remote_pids: BTreeMap::new(),
-            thin: false,
-        });
-        ledger.borrow_mut().debit_member(gmid, global, edge);
-        *signaling_exchanges += 1;
-
-        // 4. A new sender reaches every other involved edge.
-        if sends {
-            for o in Self::plumb_targets(fabric, rec, edge) {
-                Self::plumb_sender_to_edge(
-                    sim,
-                    fabric,
-                    rec,
-                    signaling_exchanges,
-                    &ledger,
-                    aggregate,
-                    gmid,
-                    global,
-                    o,
-                );
-            }
-        }
-
-        FabricGrant {
-            global,
-            edge,
-            local,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Online capacity planning (§7.4 made live; ROADMAP "Fabric-wide
     // capacity planner and admission control")
     // ------------------------------------------------------------------
 
-    /// Install capacity budget lines on the shared load ledger.
-    /// Topology-derived defaults (per-edge port span, per-link WAN
-    /// bandwidth) are resolved now, against `topo`.
-    pub fn set_capacity_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
-        self.ledger.borrow_mut().set_budgets(budgets, topo);
-    }
-
     /// Opt into home-edge REMB min-aggregation on single-zone campuses
     /// (federated fabrics always aggregate).
     pub fn set_feedback_aggregation(&mut self, on: bool) {
         self.aggregate_feedback = on;
-    }
-
-    /// Handle to the shared fabric-load ledger (telemetry reads and
-    /// the sharded plane's shared-book attachment).
-    pub fn ledger_handle(&self) -> LedgerHandle {
-        self.ledger.clone()
     }
 
     /// Replace this controller's ledger with a shared one (the sharded
@@ -477,18 +322,6 @@ impl Controller {
             .unwrap_or(0)
     }
 
-    /// [`Self::create_fabric_meeting`] with ledger-driven placement:
-    /// the home edge is the least-loaded feasible target. Returns the
-    /// meeting id and the chosen home.
-    pub fn create_fabric_meeting_planned(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-    ) -> (GlobalMeetingId, usize) {
-        let home = self.plan_home_edge(fabric);
-        (self.create_fabric_meeting(sim, fabric, home), home)
-    }
-
     /// The branch route media of a sender homed on `se` takes to reach
     /// a segment at `te` — mirroring [`Self::plumb_sender_to_edge`]'s
     /// upstream resolution, but *predictively*: when `te`'s zone has
@@ -507,298 +340,247 @@ impl Controller {
         }
     }
 
-    /// Would admitting a join of `edge` (sending or not) hold every
-    /// budget line? Answers [`AdmissionDecision::Admitted`] when the
-    /// full-rate plan fits, [`AdmissionDecision::AdmittedThin`] when
+    /// Would admitting a join of `edge` (sending or not) into `rec` hold
+    /// every budget line? Answers [`AdmissionDecision::Admitted`] when
+    /// the full-rate plan fits, [`AdmissionDecision::AdmittedThin`] when
     /// only the SVC-thin plan does (receivers only — a thin receiver's
     /// branches are booked at half rate and its decode target capped),
     /// and a typed refusal otherwise. Always `Admitted` while budgets
     /// are not enforced. Read-only: the books are not touched.
-    pub fn admission_check(
-        &self,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
+    fn price(
+        tz: &Topology,
+        rec: &FabricMeetingState,
+        led: &FabricLoadLedger,
         edge: usize,
         sends: bool,
     ) -> AdmissionDecision {
-        let led = self.ledger.borrow();
         if !led.enforcing() {
             return AdmissionDecision::Admitted;
         }
-        // A retired meeting prices like the empty record a join revives.
-        let drained;
-        let rec = match self.fabric_meetings.get(&gmid) {
-            Some(rec) => rec,
-            None if self.tombstones.contains_key(&gmid) => {
-                drained = FabricMeetingState::default();
-                &drained
-            }
-            None => return AdmissionDecision::Admitted,
-        };
-        let tz = &fabric.topology;
         let new_segment = !rec.segments.contains_key(&edge);
-
-        // Rate-independent charges: the joiner's uplink ports, plus —
-        // when this join materializes the segment — a remote entry
-        // here per established sender elsewhere.
-        let mut base = LoadDelta::default();
-        base.add_ports(edge, MEMBER_PORTS);
-        let senders: Vec<usize> = rec
-            .members
-            .iter()
-            .filter(|m| m.sends && m.edge != edge)
-            .map(|m| m.edge)
-            .collect();
-        if new_segment {
-            base.add_ports(edge, REMOTE_PORTS * senders.len() as u64);
-        }
-
+        // Every join charges the joiner's uplink ports. One that
+        // materializes the segment also pulls, per established sender
+        // elsewhere, a remote entry here and a branch toward here.
+        let plan_at = |inbound_bps: u64| {
+            let mut plan = LoadDelta::default();
+            plan.add_ports(edge, MEMBER_PORTS);
+            if new_segment {
+                for m in rec.members.iter().filter(|m| m.sends && m.edge != edge) {
+                    plan.add_ports(edge, REMOTE_PORTS);
+                    plan.add_route(&Self::planned_route(tz, rec, m.edge, edge), inbound_bps);
+                }
+            }
+            plan
+        };
+        let mut full = plan_at(led.stream_bps());
         if sends {
             // A sender reaches every existing segment: a remote entry
             // and a branch each (branches toward thin segments are
             // booked thin). No thin fallback for senders — degrading
             // a sender would degrade every full receiver it serves.
-            let mut plan = base;
             for o in rec.segments.keys().copied().filter(|&o| o != edge) {
-                plan.add_ports(o, REMOTE_PORTS);
+                full.add_ports(o, REMOTE_PORTS);
                 let route = Self::planned_route(tz, rec, edge, o);
-                plan.add_route(&route, led.branch_bps(rec.thin_segments.contains(&o)));
+                full.add_route(&route, led.branch_bps(rec.thin_segments.contains(&o)));
             }
-            if new_segment {
-                for &se in &senders {
-                    let route = Self::planned_route(tz, rec, se, edge);
-                    plan.add_route(&route, led.stream_bps());
-                }
-            }
-            return match led.fits(&plan) {
+            return match led.fits(&full) {
                 Ok(()) => AdmissionDecision::Admitted,
                 Err(reason) => AdmissionDecision::Refused(reason),
             };
         }
-
-        if !new_segment {
-            // Joining a live segment adds no trunk/WAN load — only the
-            // port line can refuse, and a thin segment stays thin.
-            return match led.fits(&base) {
-                Ok(()) if rec.thin_segments.contains(&edge) => AdmissionDecision::AdmittedThin,
-                Ok(()) => AdmissionDecision::Admitted,
+        match led.fits(&full) {
+            // A receiver joining a live thin segment stays thin.
+            Ok(()) if rec.thin_segments.contains(&edge) => AdmissionDecision::AdmittedThin,
+            Ok(()) => AdmissionDecision::Admitted,
+            // Joining a live segment adds no trunk/WAN load: only the
+            // port line can refuse, and thinning would not help.
+            Err(reason) if !new_segment => AdmissionDecision::Refused(reason),
+            // A receiver materializing a segment falls back to pulling
+            // its branches SVC-thin.
+            Err(_) => match led.fits(&plan_at(led.thin_stream_bps())) {
+                Ok(()) => AdmissionDecision::AdmittedThin,
                 Err(reason) => AdmissionDecision::Refused(reason),
-            };
+            },
         }
+    }
 
-        // A receiver materializing a new segment pulls a branch from
-        // every established sender toward it: try full rate first,
-        // then the SVC-thin fallback.
-        let plan_at = |bps: u64| {
-            let mut plan = base.clone();
-            for &se in &senders {
-                let route = Self::planned_route(tz, rec, se, edge);
-                plan.add_route(&route, bps);
-            }
-            plan
+    /// A join names `gmid`: if the meeting was retired, bring its
+    /// record back exactly as it drained — the old home, no segments.
+    /// Returns whether it did.
+    fn revive_if_retired(&mut self, gmid: GlobalMeetingId) -> bool {
+        let Some(home) = self.tombstones.remove(&gmid) else {
+            return false;
         };
-        if led.fits(&plan_at(led.stream_bps())).is_ok() {
-            return AdmissionDecision::Admitted;
-        }
-        match led.fits(&plan_at(led.thin_stream_bps())) {
-            Ok(()) => AdmissionDecision::AdmittedThin,
-            Err(reason) => AdmissionDecision::Refused(reason),
-        }
+        let rec = FabricMeetingState {
+            home,
+            ..Default::default()
+        };
+        self.fabric_meetings.insert(gmid, rec);
+        true
     }
 
-    /// Admission-controlled join: consult [`Self::admission_check`],
-    /// then execute the join at the admitted tier (refusals execute
-    /// nothing and are counted on the ledger). A thin admission marks
-    /// the materialized segment thin — its branches are booked and
-    /// compiled against the thin plan — and caps the joining
-    /// receiver's decode target at [`THIN_DECODE_TARGET`] (reduced
-    /// cadence, never frozen).
-    pub fn try_join_fabric(
+    /// The one join path: decide and execute a burst of join requests
+    /// into fabric meeting `gmid` (a single join is a burst of one).
+    /// Requests are grouped by edge, groups taken in first-appearance
+    /// order, and each request goes through the same five steps:
+    ///
+    /// 1. **price** — [`Self::price`] against the record and ledger as
+    ///    the requests before it in the burst left them; a refusal
+    ///    executes nothing and is counted on the ledger;
+    /// 2. **materialize** — the first admission on an edge without a
+    ///    segment creates and wires it ([`Self::materialize_segment`]),
+    ///    marked thin when that admission is SVC-thin so its branches
+    ///    are booked and compiled against the thin plan;
+    /// 3. **admit** — a group's admitted joiners enter the agent as
+    ///    **one** batch, i.e. one compile per affected segment;
+    /// 4. **record / debit** — each becomes a member (in a thin segment:
+    ///    marked thin and, if it only receives, decode target capped at
+    ///    [`THIN_DECODE_TARGET`] — reduced cadence, never frozen) and
+    ///    its uplink ports are booked;
+    /// 5. **plumb** — the batch's senders are wired toward the segments
+    ///    that exist so far; segments materialized later in the burst
+    ///    pick them up when they are wired in, exactly as sequential
+    ///    joins would.
+    ///
+    /// Request `i` is answered in `out[i]` and, if admitted, gets id
+    /// `first_global + i`: a fully admitted burst numbers its members
+    /// consecutively in input order, a refusal leaves its id unused.
+    pub(crate) fn join(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
         gmid: GlobalMeetingId,
-        edge: usize,
-        addr: HostAddr,
-        sends: bool,
-    ) -> (AdmissionDecision, Option<FabricGrant>) {
-        let decision = self.admission_check(fabric, gmid, edge, sends);
-        if let AdmissionDecision::Refused(reason) = decision {
-            self.ledger.borrow_mut().note_refusal(reason);
-            return (decision, None);
-        }
-        self.next_global_participant += 1;
-        let global = self.next_global_participant;
-        let grant = self.join_fabric_admitted_as(
-            sim,
-            fabric,
-            gmid,
-            edge,
-            addr,
-            sends,
-            global,
-            decision == AdmissionDecision::AdmittedThin,
-        );
-        (decision, Some(grant))
-    }
-
-    /// Execute an already-admitted join at the given tier (the sharded
-    /// plane routes the decision through the owner shard and allocates
-    /// the id; see [`crate::shard::ShardedControlPlane::try_join_fabric`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join_fabric_admitted_as(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        edge: usize,
-        addr: HostAddr,
-        sends: bool,
-        global: GlobalParticipantId,
-        thin: bool,
-    ) -> FabricGrant {
-        if thin {
-            self.revive_if_retired(gmid);
-            let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-            if !rec.segments.contains_key(&edge) {
-                rec.thin_segments.insert(edge);
-            }
-        }
-        let grant = self.join_fabric_as(sim, fabric, gmid, edge, addr, sends, global);
-        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        let effective_thin = thin || rec.thin_segments.contains(&edge);
-        if effective_thin {
-            if let Some(m) = rec.members.iter_mut().find(|m| m.global == global) {
-                m.thin = true;
-            }
-            if !sends && !fabric.edge_is_dead(sim, edge) {
-                let sw = fabric.edge_mut(sim, edge);
-                sw.agent
-                    .set_dt_cap(&mut sw.dp, grant.local.participant, THIN_DECODE_TARGET);
-            }
-        }
-        self.ledger.borrow_mut().note_admission(effective_thin);
-        grant
-    }
-
-    /// Admit a burst of joins into one fabric meeting with **one**
-    /// compile per affected segment for the whole batch: joins are
-    /// grouped by home edge (groups processed in first-appearance
-    /// order), each group's segment is materialized and wired once,
-    /// its joiners are admitted through [`crate::agent::SwitchAgent::join_many`]
-    /// (one compile), and each group's senders are then plumbed toward
-    /// the segments that exist so far — segments materialized later in
-    /// the batch pick the earlier senders up when they are wired in,
-    /// exactly as sequential joins would. Grants are returned in input
-    /// order. A flash-crowd storm of N joins thus costs one compile per
-    /// affected segment instead of N full recompiles.
-    pub fn join_fabric_many(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        joins: &[(usize, HostAddr, bool)],
-    ) -> Vec<FabricGrant> {
-        let globals: Vec<GlobalParticipantId> = joins
-            .iter()
-            .map(|_| {
-                self.next_global_participant += 1;
-                self.next_global_participant
-            })
-            .collect();
-        self.join_fabric_many_as(sim, fabric, gmid, joins, &globals)
-    }
-
-    /// [`Self::join_fabric_many`] with caller-allocated participant ids
-    /// (the sharded control plane's id allocation).
-    pub(crate) fn join_fabric_many_as(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        joins: &[(usize, HostAddr, bool)],
-        globals: &[GlobalParticipantId],
-    ) -> Vec<FabricGrant> {
-        assert_eq!(joins.len(), globals.len(), "one id per join");
-        self.revive_if_retired(gmid);
-        // Group input indices by home edge, first-appearance order.
-        let mut order: Vec<usize> = Vec::new();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, &(edge, _, _)) in joins.iter().enumerate() {
-            assert!(edge < fabric.edges(), "edge out of range");
-            if !groups.contains_key(&edge) {
-                order.push(edge);
-            }
-            groups.entry(edge).or_default().push(i);
-        }
-        let mut grants: Vec<Option<FabricGrant>> = joins.iter().map(|_| None).collect();
+        reqs: &[JoinRequest],
+        first_global: GlobalParticipantId,
+        out: &mut [JoinOutcome],
+    ) {
+        assert_eq!(reqs.len(), out.len(), "one outcome slot per request");
+        let revived = self.revive_if_retired(gmid);
         let ledger = self.ledger.clone();
         let aggregate = self.aggregate_feedback;
+        let mut scratch = std::mem::take(&mut self.scratch);
         let Controller {
             fabric_meetings,
             signaling_exchanges,
             ..
         } = self;
         let rec = fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        for edge in order {
-            let idxs = &groups[&edge];
-            if !rec.segments.contains_key(&edge) {
-                Self::materialize_segment(
-                    sim,
-                    fabric,
-                    rec,
-                    signaling_exchanges,
-                    &ledger,
-                    aggregate,
-                    gmid,
-                    edge,
-                );
-            }
-            let segment = rec.segments[&edge];
-            let batch: Vec<(HostAddr, bool)> =
-                idxs.iter().map(|&i| (joins[i].1, joins[i].2)).collect();
-            let locals = fabric.edge_mut(sim, edge).join_many(segment, &batch);
-            for (&i, local) in idxs.iter().zip(locals) {
-                let (_, addr, sends) = joins[i];
-                rec.members.push(FabricMemberState {
-                    global: globals[i],
-                    edge,
-                    addr,
-                    sends,
-                    local_pid: local.participant,
-                    remote_pids: BTreeMap::new(),
-                    thin: false,
-                });
-                ledger.borrow_mut().debit_member(gmid, globals[i], edge);
-                *signaling_exchanges += 1;
-                grants[i] = Some(FabricGrant {
-                    global: globals[i],
-                    edge,
-                    local,
-                });
-            }
-            // Plumb this group's senders now: later groups' segments do
-            // not exist yet and pick these senders up when they
-            // materialize.
-            for &i in idxs {
-                if joins[i].2 {
-                    for o in Self::plumb_targets(fabric, rec, edge) {
-                        Self::plumb_sender_to_edge(
-                            sim,
-                            fabric,
-                            rec,
-                            signaling_exchanges,
-                            &ledger,
-                            aggregate,
-                            gmid,
-                            globals[i],
-                            o,
-                        );
-                    }
-                }
+        let id_of = |i: usize| first_global + i as GlobalParticipantId;
+        scratch.edges.clear();
+        for r in reqs {
+            assert!(r.edge < fabric.edges(), "edge out of range");
+            if !scratch.edges.contains(&r.edge) {
+                scratch.edges.push(r.edge);
             }
         }
-        grants.into_iter().map(|g| g.expect("granted")).collect()
+        for e in 0..scratch.edges.len() {
+            let edge = scratch.edges[e];
+            let mut group = reqs.iter().enumerate().filter(|(_, r)| r.edge == edge);
+            loop {
+                let next = group.next();
+                // Steps 3–5 for the joiners admitted so far, once the
+                // group is through — and already before a second sender
+                // is priced: a pending sender's branches are booked only
+                // when it is plumbed, and the next sender's price
+                // depends on them. (Receivers add ports only, debited
+                // as they are admitted, so a group with at most one
+                // sender stays one batch.)
+                let sender_pending = || scratch.pending.iter().any(|&p| reqs[p].sends);
+                let due = next.is_none_or(|(_, r)| r.sends && sender_pending());
+                if due && !scratch.pending.is_empty() {
+                    let segment = rec.segments[&edge];
+                    let thin = rec.thin_segments.contains(&edge);
+                    scratch.grants.clear();
+                    let batch = scratch
+                        .pending
+                        .iter()
+                        .map(|&i| (reqs[i].addr, reqs[i].sends));
+                    let sw = fabric.edge_mut(sim, edge);
+                    sw.agent
+                        .join_many_into(&mut sw.dp, segment, batch, &mut scratch.grants);
+                    for (&i, &local) in scratch.pending.iter().zip(&scratch.grants) {
+                        let JoinRequest { addr, sends, .. } = reqs[i];
+                        let global = id_of(i);
+                        rec.members.push(FabricMemberState {
+                            global,
+                            edge,
+                            addr,
+                            sends,
+                            local_pid: local.participant,
+                            remote_pids: BTreeMap::new(),
+                            thin,
+                        });
+                        *signaling_exchanges += 1;
+                        if thin && !sends && !fabric.edge_is_dead(sim, edge) {
+                            let sw = fabric.edge_mut(sim, edge);
+                            sw.agent
+                                .set_dt_cap(&mut sw.dp, local.participant, THIN_DECODE_TARGET);
+                        }
+                        out[i].grant = Some(FabricGrant {
+                            global,
+                            edge,
+                            local,
+                        });
+                    }
+                    for i in scratch.pending.drain(..) {
+                        if !reqs[i].sends {
+                            continue;
+                        }
+                        for o in Self::plumb_targets(fabric, rec, edge) {
+                            Self::plumb_sender_to_edge(
+                                sim,
+                                fabric,
+                                rec,
+                                signaling_exchanges,
+                                &ledger,
+                                aggregate,
+                                gmid,
+                                id_of(i),
+                                o,
+                            );
+                        }
+                    }
+                }
+                let Some((i, r)) = next else {
+                    break;
+                };
+                // Steps 1–2, and the port debit of step 4.
+                let decision = Self::price(&fabric.topology, rec, &ledger.borrow(), edge, r.sends);
+                out[i] = JoinOutcome {
+                    decision,
+                    grant: None,
+                };
+                if let AdmissionDecision::Refused(reason) = decision {
+                    ledger.borrow_mut().note_refusal(reason);
+                    continue;
+                }
+                if !rec.segments.contains_key(&edge) {
+                    if decision == AdmissionDecision::AdmittedThin {
+                        rec.thin_segments.insert(edge);
+                    }
+                    Self::materialize_segment(
+                        sim,
+                        fabric,
+                        rec,
+                        signaling_exchanges,
+                        &ledger,
+                        aggregate,
+                        gmid,
+                        edge,
+                    );
+                }
+                let mut led = ledger.borrow_mut();
+                led.debit_member(gmid, id_of(i), edge);
+                led.note_admission(rec.thin_segments.contains(&edge));
+                scratch.pending.push(i);
+            }
+        }
+        self.scratch = scratch;
+        // A revival whose every request was refused stays retired.
+        if revived && self.fabric_meetings[&gmid].members.is_empty() {
+            let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
+            self.tombstones.insert(gmid, rec.home);
+        }
     }
 
     /// Materialize `edge`'s segment of a fabric meeting and wire it in:
@@ -1698,23 +1480,45 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switchnode::{ScallopSwitchNode, SwitchConfig};
-    use scallop_proto::sdp::{MediaKind, MediaSection, SessionDescription};
+    use crate::shard::ShardedControlPlane;
+    use scallop_dataplane::seqrewrite::SeqRewriteMode;
+    use scallop_netsim::link::LinkConfig;
+    use scallop_netsim::time::SimDuration;
+    use scallop_proto::sdp::MediaSection;
     use std::net::Ipv4Addr;
 
-    fn switch() -> ScallopSwitchNode {
-        ScallopSwitchNode::new(SwitchConfig::new(Ipv4Addr::new(10, 0, 0, 100)))
+    const SWITCH_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
+
+    fn fabric(seed: u64, topology: Topology) -> (Simulator, Fabric) {
+        let mut sim = Simulator::new(seed);
+        let f = Fabric::build(
+            &mut sim,
+            topology,
+            LinkConfig::infinite(SimDuration::from_micros(50)),
+            SeqRewriteMode::LowRetransmission,
+        );
+        (sim, f)
+    }
+
+    /// The controller is reached the way everything reaches it: through
+    /// a (one-shard) plane's one join path.
+    fn join(
+        ctl: &mut ShardedControlPlane,
+        sim: &mut Simulator,
+        f: &Fabric,
+        gmid: GlobalMeetingId,
+        req: JoinRequest,
+    ) -> FabricGrant {
+        ctl.join(sim, f, gmid, &[req])[0].grant.expect("admitted")
     }
 
     fn offer(ip: Ipv4Addr, port: u16) -> String {
         let mut sd = SessionDescription::new("alice");
         let mut v = MediaSection::new(MediaKind::Video, port);
-        v.candidates
-            .push(scallop_proto::sdp::Candidate::host(ip, port));
+        v.candidates.push(Candidate::host(ip, port));
         v.ssrcs = vec![0x1111];
         let mut a = MediaSection::new(MediaKind::Audio, port);
-        a.candidates
-            .push(scallop_proto::sdp::Candidate::host(ip, port));
+        a.candidates.push(Candidate::host(ip, port));
         a.ssrcs = vec![0x2222];
         sd.media = vec![v, a];
         sd.serialize()
@@ -1722,18 +1526,21 @@ mod tests {
 
     #[test]
     fn sdp_join_rewrites_candidates_to_switch() {
-        let mut sw = switch();
-        let mut ctl = Controller::new();
-        let m = ctl.create_meeting(&mut sw);
+        let (mut sim, f) = fabric(9, Topology::single(SWITCH_IP));
+        let mut ctl = ShardedControlPlane::new(1);
+        let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
         let client_ip = Ipv4Addr::new(10, 1, 0, 1);
-        let (answer, grant) = ctl
-            .join_with_sdp(&mut sw, m, &offer(client_ip, 5000))
-            .unwrap();
+        let offer = SessionDescription::parse(&offer(client_ip, 5000)).unwrap();
+        let req = JoinRequest::from_offer(0, &offer).unwrap();
+        assert_eq!(req.addr, HostAddr::new(client_ip, 5000));
+        assert!(req.sends);
+        let grant = join(&mut ctl, &mut sim, &f, gmid, req).local;
+        let answer = sdp_answer(&offer, &grant);
         let parsed = SessionDescription::parse(&answer).unwrap();
         // Every candidate in the answer points at the switch, not the
         // client: the proxy splice of §5.1.
         for c in parsed.all_candidates() {
-            assert_eq!(c.ip, Ipv4Addr::new(10, 0, 0, 100));
+            assert_eq!(c.ip, SWITCH_IP);
         }
         let video_port = parsed
             .media
@@ -1743,35 +1550,23 @@ mod tests {
             .candidates[0]
             .port;
         assert_eq!(video_port, grant.video_uplink.port);
-        assert_eq!(ctl.participants(m).len(), 1);
+        assert_eq!(ctl.fabric_members(gmid).len(), 1);
     }
 
     #[test]
     fn offer_without_candidates_rejected() {
-        let mut sw = switch();
-        let mut ctl = Controller::new();
-        let m = ctl.create_meeting(&mut sw);
         let bare = "v=0\r\no=x 0 0 IN IP4 0.0.0.0\r\ns=-\r\nt=0 0\r\nm=video 1 UDP/RTP/AVPF 96\r\n";
-        assert!(ctl.join_with_sdp(&mut sw, m, bare).is_err());
+        let req = SessionDescription::parse(bare).and_then(|o| JoinRequest::from_offer(0, &o));
+        assert!(req.is_err());
     }
 
     fn campus2() -> (Simulator, Fabric) {
-        use scallop_dataplane::seqrewrite::SeqRewriteMode;
-        use scallop_netsim::link::LinkConfig;
-        use scallop_netsim::time::SimDuration;
-        use scallop_netsim::topology::Topology;
-        let mut sim = Simulator::new(9);
-        let f = Fabric::build(
-            &mut sim,
-            Topology::campus(2, 0),
-            LinkConfig::infinite(SimDuration::from_micros(50)),
-            SeqRewriteMode::LowRetransmission,
-        );
-        (sim, f)
+        fabric(9, Topology::campus(2, 0))
     }
 
-    fn caddr(last: u8) -> HostAddr {
-        HostAddr::new(Ipv4Addr::new(10, 9, 0, last), 5000)
+    fn req(edge: usize, last: u8, sends: bool) -> JoinRequest {
+        let addr = HostAddr::new(Ipv4Addr::new(10, 9, 0, last), 5000);
+        JoinRequest { edge, addr, sends }
     }
 
     /// Snapshot of edge `i`'s switch occupancy for reclaim assertions.
@@ -1789,13 +1584,13 @@ mod tests {
     #[test]
     fn last_local_leave_collects_remote_segment() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
         let baseline1 = occupancy(&mut sim, &f, 0);
         let base_remote = occupancy(&mut sim, &f, 1);
-        let _a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(2), true);
-        let c = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(3), true);
+        let _a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(0, 2, true));
+        let c = join(&mut ctl, &mut sim, &f, gmid, req(1, 3, true));
         assert!(ctl.segment_of(gmid, 1).is_some());
         let occupied = occupancy(&mut sim, &f, 1);
         assert!(occupied.0 > base_remote.0, "remote segment allocates ports");
@@ -1818,12 +1613,12 @@ mod tests {
     #[test]
     fn meeting_over_collects_everything_and_allows_rejoin() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let base0 = occupancy(&mut sim, &f, 0);
         let base1 = occupancy(&mut sim, &f, 1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         ctl.leave_fabric(&mut sim, &f, gmid, a.global);
         ctl.leave_fabric(&mut sim, &f, gmid, b.global);
         // Note: base0 was taken before create_fabric_meeting made the
@@ -1832,7 +1627,7 @@ mod tests {
         assert_eq!(occupancy(&mut sim, &f, 1), base1);
         assert_eq!(ctl.segment_of(gmid, 0), None);
         // The meeting record survives: a later join re-materializes.
-        let c = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(3), true);
+        let c = join(&mut ctl, &mut sim, &f, gmid, req(1, 3, true));
         assert!(ctl.segment_of(gmid, 1).is_some());
         assert_eq!(ctl.fabric_members(gmid), vec![c.global]);
     }
@@ -1840,15 +1635,15 @@ mod tests {
     #[test]
     fn rebalance_respects_hysteresis_then_rehomes() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
-        let _c = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(3), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
+        let _c = join(&mut ctl, &mut sim, &f, gmid, req(1, 3, true));
         // 2 vs 1: margin of one member sits inside the hysteresis band.
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), None);
         assert_eq!(ctl.home_edge_of(gmid), Some(0));
-        let _d = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(4), false);
+        let _d = join(&mut ctl, &mut sim, &f, gmid, req(1, 4, false));
         // 3 vs 1: decisive majority → re-home, but edge 0 still hosts a
         // member so its segment stays live.
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), Some((0, 1)));
@@ -1864,10 +1659,10 @@ mod tests {
     #[test]
     fn drained_home_rehomes_without_hysteresis() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         // 1 vs 1: hysteresis holds while home still hosts a member.
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), None);
         ctl.leave_fabric(&mut sim, &f, gmid, a.global);
@@ -1881,12 +1676,12 @@ mod tests {
     #[test]
     fn rebalance_collects_fully_drained_old_home() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let base1 = occupancy(&mut sim, &f, 1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 1);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(1), true);
-        let b = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(2), true);
-        let _c = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(3), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(1, 1, true));
+        let b = join(&mut ctl, &mut sim, &f, gmid, req(0, 2, true));
+        let _c = join(&mut ctl, &mut sim, &f, gmid, req(0, 3, true));
         // Population drifts off the home edge entirely.
         ctl.leave_fabric(&mut sim, &f, gmid, a.global);
         // Home (edge 1) is drained but exempt from leave-time GC...
@@ -1903,27 +1698,16 @@ mod tests {
     /// Campus with real core relays, so trunk failover has somewhere
     /// to go.
     fn campus_with_cores(edges: usize, cores: usize) -> (Simulator, Fabric) {
-        use scallop_dataplane::seqrewrite::SeqRewriteMode;
-        use scallop_netsim::link::LinkConfig;
-        use scallop_netsim::time::SimDuration;
-        use scallop_netsim::topology::Topology;
-        let mut sim = Simulator::new(13);
-        let f = Fabric::build(
-            &mut sim,
-            Topology::campus(edges, cores),
-            LinkConfig::infinite(SimDuration::from_micros(50)),
-            SeqRewriteMode::LowRetransmission,
-        );
-        (sim, f)
+        fabric(13, Topology::campus(edges, cores))
     }
 
     #[test]
     fn core_failure_repair_reaims_affected_branches() {
         let (mut sim, f) = campus_with_cores(2, 2);
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let _a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let _a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         // No dead cores: the pass is a no-op.
         assert_eq!(ctl.repair_after_core_failure(&mut sim, &f, &[]), 0);
         let preferred = f.topology.core_between(0, 1).unwrap();
@@ -1946,11 +1730,11 @@ mod tests {
     #[test]
     fn trunk_cut_repair_is_scoped_to_the_cut_edge() {
         let (mut sim, f) = campus_with_cores(3, 2);
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let _a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
-        let _c = ctl.join_fabric(&mut sim, &f, gmid, 2, caddr(3), false);
+        let _a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
+        let _c = join(&mut ctl, &mut sim, &f, gmid, req(2, 3, false));
         // With 2 cores over 3 edges: (0,1) and (1,2) route via core 1,
         // (0,2) via core 0. Cutting edge 1's link to core 1 affects
         // exactly the branches touching edge 1 on that core —
@@ -1968,12 +1752,12 @@ mod tests {
     #[test]
     fn dead_edge_failure_evacuates_without_double_free() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let base0 = occupancy(&mut sim, &f, 0);
         let base1 = occupancy(&mut sim, &f, 1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         sim.kill_node(f.edge_ids[1]);
         assert_eq!(ctl.handle_edge_failure(&mut sim, &f, 1), 1);
         // Bookkeeping dropped the dead segment and its member...
@@ -1998,10 +1782,10 @@ mod tests {
     #[test]
     fn dead_home_edge_rehomes_to_survivor() {
         let (mut sim, f) = campus2();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let b = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         sim.kill_node(f.edge_ids[0]);
         assert_eq!(ctl.handle_edge_failure(&mut sim, &f, 0), 1);
         // The meeting survives its home edge: re-homed onto the
@@ -2015,37 +1799,26 @@ mod tests {
     /// 2 zones × 2 edges (+1 core per zone): edges 0,1 in zone 0 and
     /// 2,3 in zone 1.
     fn federation22() -> (Simulator, Fabric) {
-        use scallop_dataplane::seqrewrite::SeqRewriteMode;
-        use scallop_netsim::link::LinkConfig;
-        use scallop_netsim::time::SimDuration;
-        use scallop_netsim::topology::Topology;
-        let mut sim = Simulator::new(11);
-        let f = Fabric::build(
-            &mut sim,
-            Topology::federation(2, 2, 1),
-            LinkConfig::infinite(SimDuration::from_micros(50)),
-            SeqRewriteMode::LowRetransmission,
-        );
-        (sim, f)
+        fabric(11, Topology::federation(2, 2, 1))
     }
 
     #[test]
     fn cross_zone_segments_wire_wan_branches_at_gateways_only() {
         let (mut sim, f) = federation22();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let s = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
+        let s = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
         // First zone-1 segment: edge 2 becomes the zone's gateway.
-        let _r1 = ctl.join_fabric(&mut sim, &f, gmid, 2, caddr(2), false);
-        let rec = &ctl.fabric_meetings[&gmid];
+        let _r1 = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
+        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
         assert_eq!(rec.zone_gateway(0), Some(0));
         assert_eq!(rec.zone_gateway(1), Some(2));
         assert!(rec.trunk_egress.contains_key(&(0, 2)), "WAN branch out");
         assert!(rec.trunk_egress.contains_key(&(2, 0)), "WAN branch back");
         // Second zone-1 segment is a non-gateway: it is trunk-wired to
         // its gateway, not WAN-wired to zone 0.
-        let _r2 = ctl.join_fabric(&mut sim, &f, gmid, 3, caddr(3), false);
-        let rec = &ctl.fabric_meetings[&gmid];
+        let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(3, 3, false));
+        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
         assert_eq!(rec.zone_gateway(1), Some(2), "gateway is sticky");
         assert!(rec.trunk_egress.contains_key(&(2, 3)));
         assert!(rec.trunk_egress.contains_key(&(3, 2)));
@@ -2064,16 +1837,16 @@ mod tests {
     #[test]
     fn gateway_gc_migrates_wan_branches_and_reclaims_the_edge() {
         let (mut sim, f) = federation22();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let base2 = occupancy(&mut sim, &f, 2);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let _s = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let r1 = ctl.join_fabric(&mut sim, &f, gmid, 2, caddr(2), false);
-        let _r2 = ctl.join_fabric(&mut sim, &f, gmid, 3, caddr(3), false);
+        let _s = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let r1 = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
+        let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(3, 3, false));
         // Drain the zone-1 gateway: the role must migrate to edge 3 and
         // the WAN branches must follow it.
         ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
-        let rec = &ctl.fabric_meetings[&gmid];
+        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
         assert_eq!(ctl.segment_of(gmid, 2), None, "gateway segment collected");
         assert_eq!(rec.zone_gateway(1), Some(3));
         assert!(rec.trunk_egress.contains_key(&(0, 3)), "WAN branch moved");
@@ -2091,43 +1864,21 @@ mod tests {
     #[test]
     fn zone_majority_rebalance_rehomes_across_the_wan() {
         let (mut sim, f) = federation22();
-        let mut ctl = Controller::new();
+        let mut ctl = ShardedControlPlane::new(1);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
-        let _a = ctl.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let _b = ctl.join_fabric(&mut sim, &f, gmid, 2, caddr(2), false);
-        let _c = ctl.join_fabric(&mut sim, &f, gmid, 2, caddr(3), false);
+        let _a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let _b = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
+        let _c = join(&mut ctl, &mut sim, &f, gmid, req(2, 3, false));
         // 2 vs 1 across zones: inside the hysteresis band, no move.
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), None);
-        let _d = ctl.join_fabric(&mut sim, &f, gmid, 3, caddr(4), false);
+        let _d = join(&mut ctl, &mut sim, &f, gmid, req(3, 4, false));
         // Zone 1 now holds 3 vs 1: decisive — home crosses the WAN to
         // the zone's busiest edge (edge 2, ties broken low).
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), Some((0, 2)));
         assert_eq!(ctl.home_edge_of(gmid), Some(2));
         // Intra-zone drift alone never moves the home out of its zone:
         // zone 0 gaining an edge-1 member is not a zone majority.
-        let _e = ctl.join_fabric(&mut sim, &f, gmid, 1, caddr(5), false);
+        let _e = join(&mut ctl, &mut sim, &f, gmid, req(1, 5, false));
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), None);
-    }
-
-    #[test]
-    fn leave_updates_membership() {
-        let mut sw = switch();
-        let mut ctl = Controller::new();
-        let m = ctl.create_meeting(&mut sw);
-        let g1 = ctl.join(
-            &mut sw,
-            m,
-            HostAddr::new(Ipv4Addr::new(10, 1, 0, 1), 5000),
-            true,
-        );
-        let _g2 = ctl.join(
-            &mut sw,
-            m,
-            HostAddr::new(Ipv4Addr::new(10, 1, 0, 2), 5000),
-            true,
-        );
-        assert_eq!(ctl.participants(m).len(), 2);
-        ctl.leave(&mut sw, m, g1.participant);
-        assert_eq!(ctl.participants(m).len(), 1);
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::agent::{JoinGrant, MeetingId};
 use crate::capacity::{AdmissionCounts, AdmissionDecision, FabricBudgets};
-use crate::controller::{FabricGrant, GlobalMeetingId};
+use crate::controller::{FabricGrant, GlobalMeetingId, JoinRequest};
 use crate::fabric::Fabric;
 use crate::shard::{RebalanceSummary, ShardedControlPlane};
 use scallop_client::{ClientConfig, ClientNode, ClientStats};
@@ -89,9 +89,10 @@ pub struct HarnessConfig {
     pub video: EncoderConfig,
     /// Capacity budgets armed on the control plane before any join
     /// (`None`, the default, runs the classic unplanned fabric — every
-    /// baseline stays bit-identical). With budgets set, joins made
-    /// through [`ScallopHarness::try_join_late`] are admission-checked
-    /// against the shared [`crate::capacity::FabricLoadLedger`].
+    /// baseline stays bit-identical). With budgets set, every join —
+    /// the initial participants included — is priced against the shared
+    /// [`crate::capacity::FabricLoadLedger`] and may be thinned or
+    /// refused.
     pub admission: Option<FabricBudgets>,
     /// Opt into single-zone REMB min-aggregation with window-paced
     /// emission: each sender's home edge collects per-edge estimates at
@@ -486,46 +487,32 @@ impl ScallopHarness {
     // ------------------------------------------------------------------
 
     /// Join a new participant on `edge` mid-run; returns its index.
+    /// Panics if the capacity planner refuses the join — use
+    /// [`Self::try_join_late`] where budgets may bind.
     pub fn join_late(&mut self, edge: usize, sends: bool) -> usize {
-        let idx = self.client_ids.len();
-        let ip = client_ip(idx);
-        let addr = HostAddr::new(ip, 5000);
-        let grant = self.controller.join_fabric(
-            &mut self.sim,
-            &self.fabric,
-            self.fabric_meeting,
-            edge,
-            addr,
-            sends,
-        );
-        self.attach_client(grant, sends)
+        self.try_join_late(edge, sends)
+            .1
+            .expect("join refused by the capacity planner")
     }
 
-    /// Admission-checked join on `edge`: the control plane consults the
-    /// capacity ledger first ([`crate::shard::ShardedControlPlane::try_join_fabric`]).
-    /// A refusal creates no client node and returns `None` alongside
-    /// the typed decision; an admitted join (full or SVC-thin) attaches
-    /// a client exactly like [`Self::join_late`] and returns its index.
+    /// Join a new participant on `edge` mid-run through the control
+    /// plane's one join path ([`crate::shard::ShardedControlPlane::join`]),
+    /// which prices it against the capacity ledger. A refusal creates no
+    /// client node and returns `None` alongside the typed decision; an
+    /// admitted join (full or SVC-thin) attaches a client and returns
+    /// its index.
     pub fn try_join_late(
         &mut self,
         edge: usize,
         sends: bool,
     ) -> (AdmissionDecision, Option<usize>) {
-        let idx = self.client_ids.len();
-        let ip = client_ip(idx);
-        let addr = HostAddr::new(ip, 5000);
-        let (decision, grant) = self.controller.try_join_fabric(
-            &mut self.sim,
-            &self.fabric,
-            self.fabric_meeting,
-            edge,
-            addr,
-            sends,
-        );
-        match grant {
-            Some(grant) => (decision, Some(self.attach_client(grant, sends))),
-            None => (decision, None),
-        }
+        let addr = HostAddr::new(client_ip(self.client_ids.len()), 5000);
+        let req = JoinRequest { edge, addr, sends };
+        let outcome =
+            self.controller
+                .join(&mut self.sim, &self.fabric, self.fabric_meeting, &[req])[0];
+        let idx = outcome.grant.map(|grant| self.attach_client(grant, sends));
+        (outcome.decision, idx)
     }
 
     /// Wire a granted join up as a simulated client node.

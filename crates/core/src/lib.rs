@@ -60,7 +60,9 @@ pub use capacity::{
     AdmissionCounts, AdmissionDecision, CapacityModel, FabricBudgets, FabricLoadLedger,
     RefusalReason,
 };
-pub use controller::{Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId};
+pub use controller::{
+    Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
+};
 pub use fabric::Fabric;
 pub use harness::{HarnessConfig, HarnessReport, ScallopHarness};
 pub use meeting::FabricMeetingState;

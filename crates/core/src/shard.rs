@@ -48,10 +48,12 @@
 //!   construction means the state being handed off references only
 //!   live edge-switch ids, and no switch rule changes during a
 //!   handoff — media never blips).
-//! * [`ShardMsg::ForwardJoin`] — a join arriving at the wrong shard
-//!   (each edge's signaling terminates at the shard fronting that
-//!   edge, [`ShardedControlPlane::ingress_shard`]) is forwarded to the
-//!   meeting's owner, which executes it.
+//!
+//! Joins need no message of their own: each edge's signaling terminates
+//! at the shard fronting that edge
+//! ([`ShardedControlPlane::ingress_shard`]), and
+//! [`ShardedControlPlane::join`] hands every request to the meeting's
+//! owner, counting one forward per request that entered elsewhere.
 //!
 //! # When does a handoff fire?
 //!
@@ -146,7 +148,9 @@
 //! ```
 
 use crate::capacity::{AdmissionDecision, FabricBudgets, LedgerHandle};
-use crate::controller::{Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId};
+use crate::controller::{
+    Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
+};
 use crate::fabric::Fabric;
 use crate::meeting::FabricMeetingState;
 use scallop_netsim::packet::HostAddr;
@@ -285,20 +289,6 @@ pub enum ShardMsg {
         /// The meeting that moved.
         gmid: GlobalMeetingId,
     },
-    /// Execute a join that arrived at a shard which does not own the
-    /// meeting (cross-shard join).
-    ForwardJoin {
-        /// The meeting joined.
-        gmid: GlobalMeetingId,
-        /// Plane-allocated fabric-wide participant id.
-        global: GlobalParticipantId,
-        /// Edge the participant attaches to.
-        edge: usize,
-        /// The participant's media address.
-        addr: HostAddr,
-        /// Whether the participant offers media.
-        sends: bool,
-    },
 }
 
 /// One controller shard: a [`Controller`] owning a disjoint subset of
@@ -319,39 +309,19 @@ pub struct ControllerShard {
 }
 
 impl ControllerShard {
-    /// Deliver one protocol message to this shard. Returns the join
-    /// grant for [`ShardMsg::ForwardJoin`], `None` otherwise.
-    pub fn handle(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        msg: ShardMsg,
-    ) -> Option<FabricGrant> {
+    /// Deliver one protocol message to this shard. Both messages are
+    /// pure bookkeeping: no switch is touched.
+    pub fn handle(&mut self, _sim: &mut Simulator, _fabric: &Fabric, msg: ShardMsg) {
         match msg {
             ShardMsg::AcquireMeeting { gmid, state, epoch } => {
                 self.controller.adopt_fabric_meeting(gmid, state);
                 self.epoch_of.insert(gmid, epoch);
                 self.meetings_acquired += 1;
-                None
             }
             ShardMsg::ReleaseMeeting { gmid } => {
                 self.controller.release_fabric_meeting(gmid);
                 self.epoch_of.remove(&gmid);
                 self.meetings_released += 1;
-                None
-            }
-            ShardMsg::ForwardJoin {
-                gmid,
-                global,
-                edge,
-                addr,
-                sends,
-            } => {
-                self.joins_forwarded += 1;
-                Some(
-                    self.controller
-                        .join_fabric_as(sim, fabric, gmid, edge, addr, sends, global),
-                )
             }
         }
     }
@@ -387,14 +357,16 @@ pub struct RebalanceSummary {
     pub zone_meetings: Vec<usize>,
 }
 
-/// The sharded control plane: `N` [`ControllerShard`]s behind the same
-/// API the single [`Controller`] exposes for fabric meetings, plus the
-/// ownership map, the [`HashRing`], and protocol telemetry.
+/// The sharded control plane — the fabric's one public control
+/// surface: `N` [`ControllerShard`]s behind one fabric-meeting API
+/// (create, [`Self::join`], leave, rebalance, repair), plus the
+/// ownership map, the [`HashRing`], id allocation, and protocol
+/// telemetry.
 ///
-/// With one shard this degenerates to exactly the single-controller
-/// behavior (same id allocation, same per-edge operation sequence), so
-/// `shards = 1` harness runs are bit-for-bit identical to the
-/// pre-sharding code path.
+/// With one shard this is exactly a single controller: nothing is ever
+/// forwarded or handed off. Sharding changes who keeps a meeting's
+/// books, never the ids allocated or the per-edge operation sequence,
+/// so the whole test corpus also runs under `SCALLOP_SHARDS=4`.
 #[derive(Debug)]
 pub struct ShardedControlPlane {
     ring: HashRing,
@@ -670,13 +642,12 @@ impl ShardedControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // The fabric-meeting API (mirrors `Controller`, routed by owner)
+    // The fabric-meeting API (routed to the owner's `Controller`)
     // ------------------------------------------------------------------
 
     /// Arm the shared capacity planner: every shard's controller books
     /// joins against the same [`crate::capacity::FabricLoadLedger`] and
-    /// enforces the same budgets (see
-    /// [`Controller::set_capacity_budgets`]).
+    /// enforces the same budgets.
     pub fn set_capacity_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
         self.ledger.borrow_mut().set_budgets(budgets, topo);
     }
@@ -715,52 +686,6 @@ impl ShardedControlPlane {
         (self.create_fabric_meeting(sim, fabric, home), home)
     }
 
-    /// Admission-checked join, routed through the meeting's owner shard
-    /// exactly like [`Self::join_fabric`]: the owner consults the
-    /// shared ledger ([`Controller::admission_check`]), refusals are
-    /// typed and counted without allocating an id, and admitted joins
-    /// (full or SVC-thin) execute on the owner with a plane-allocated
-    /// participant id. Cross-ingress decisions are accounted as
-    /// forwards — the admission verdict travels back over the same
-    /// east–west path the grant does.
-    pub fn try_join_fabric(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        edge: usize,
-        addr: HostAddr,
-        sends: bool,
-    ) -> (AdmissionDecision, Option<FabricGrant>) {
-        let owner = self.owner_or_revive(gmid);
-        if self.ingress_shard(edge) != owner {
-            self.forwards += 1;
-            self.shards[owner].joins_forwarded += 1;
-        }
-        let decision = self.shards[owner]
-            .controller
-            .admission_check(fabric, gmid, edge, sends);
-        if let AdmissionDecision::Refused(reason) = decision {
-            self.ledger.borrow_mut().note_refusal(reason);
-            // A refused revival leaves the tombstone with the shard.
-            self.absorb_retired(owner);
-            return (decision, None);
-        }
-        self.next_global_participant += 1;
-        let global = self.next_global_participant;
-        let grant = self.shards[owner].controller.join_fabric_admitted_as(
-            sim,
-            fabric,
-            gmid,
-            edge,
-            addr,
-            sends,
-            global,
-            decision == AdmissionDecision::AdmittedThin,
-        );
-        (decision, Some(grant))
-    }
-
     /// Place a meeting on the fabric with `home` as its home edge and
     /// assign it to a shard (sharding function in the module docs).
     pub fn create_fabric_meeting(
@@ -783,10 +708,71 @@ impl ShardedControlPlane {
         gmid
     }
 
-    /// Join a participant attached to `edge`. The join enters at the
-    /// edge's ingress shard; when that shard is not the meeting's
-    /// owner, it is forwarded ([`ShardMsg::ForwardJoin`]) and executed
-    /// by the owner.
+    /// The one way into a fabric meeting: decide and execute a burst of
+    /// join requests (a single join is a burst of one), answering each
+    /// in input order.
+    ///
+    /// Every request enters at its edge's ingress shard and is executed
+    /// by the meeting's owner; one whose ingress shard is not the owner
+    /// is counted as one forward — verdict and grant travel back over
+    /// the same east–west path. The owner takes the requests edge by
+    /// edge (edges in first-appearance order) and **prices** each
+    /// against the shared ledger as the requests before it left it
+    /// (always [`AdmissionDecision::Admitted`] while no budgets are
+    /// enforced; a refusal is typed, counted, and executes nothing),
+    /// **materializes** the edge's segment on the first admission,
+    /// **admits** each edge's joiners into its switch agent as one batch
+    /// — one compile per affected segment — then **records** them,
+    /// books their ports, caps SVC-thin receivers' decode target, and
+    /// **plumbs** the senders toward every other segment.
+    ///
+    /// Ids: admitted request `i` gets the next unused participant id
+    /// `+ i`, so a fully admitted burst numbers its members
+    /// consecutively in input order and a refused single join consumes
+    /// nothing; a burst with refusals in the middle leaves gaps.
+    pub fn join(
+        &mut self,
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        gmid: GlobalMeetingId,
+        reqs: &[JoinRequest],
+    ) -> Vec<JoinOutcome> {
+        let mut out = vec![JoinOutcome::UNDECIDED; reqs.len()];
+        self.join_into(sim, fabric, gmid, reqs, &mut out);
+        out
+    }
+
+    /// [`Self::join`] into a caller-held buffer of `reqs.len()` slots
+    /// (a single join answers into a stack slot).
+    fn join_into(
+        &mut self,
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        gmid: GlobalMeetingId,
+        reqs: &[JoinRequest],
+        out: &mut [JoinOutcome],
+    ) {
+        let owner = self.owner_or_revive(gmid);
+        let forwarded = reqs
+            .iter()
+            .filter(|r| self.ingress_shard(r.edge) != owner)
+            .count() as u64;
+        self.forwards += forwarded;
+        self.shards[owner].joins_forwarded += forwarded;
+        let first = self.next_global_participant + 1;
+        self.shards[owner]
+            .controller
+            .join(sim, fabric, gmid, reqs, first, out);
+        if let Some(last) = out.iter().rposition(|o| o.grant.is_some()) {
+            self.next_global_participant += last as GlobalParticipantId + 1;
+        }
+        // A fully refused revival left its tombstone with the shard.
+        self.absorb_retired(owner);
+    }
+
+    /// Shim: [`Self::join`] of one, panicking on a refusal. The frozen
+    /// `benchmark/src/sut.rs` names it and is its only caller;
+    /// benchmark v2 deletes it.
     pub fn join_fabric(
         &mut self,
         sim: &mut Simulator,
@@ -796,38 +782,34 @@ impl ShardedControlPlane {
         addr: HostAddr,
         sends: bool,
     ) -> FabricGrant {
-        self.next_global_participant += 1;
-        let global = self.next_global_participant;
-        let owner = self.owner_or_revive(gmid);
-        if self.ingress_shard(edge) != owner {
-            self.forwards += 1;
-            self.shards[owner]
-                .handle(
-                    sim,
-                    fabric,
-                    ShardMsg::ForwardJoin {
-                        gmid,
-                        global,
-                        edge,
-                        addr,
-                        sends,
-                    },
-                )
-                .expect("forwarded join returns a grant")
-        } else {
-            self.shards[owner]
-                .controller
-                .join_fabric_as(sim, fabric, gmid, edge, addr, sends, global)
-        }
+        let mut out = [JoinOutcome::UNDECIDED];
+        let req = JoinRequest { edge, addr, sends };
+        self.join_into(sim, fabric, gmid, &[req], &mut out);
+        out[0].grant.expect("join refused")
     }
 
-    /// Admit a burst of joins into one fabric meeting, grouped by
-    /// owner: ids are allocated per join and each cross-shard entry is
-    /// accounted as a forward (the ingress shard hands the join to the
-    /// owner exactly as [`Self::join_fabric`] would), but the owner
-    /// executes the whole burst through the batched admission of
-    /// [`Controller::join_fabric_many`] — one compile per affected
-    /// segment for the batch, instead of one per join.
+    /// Shim: [`Self::join`] of one, as a `(decision, grant)` pair. The
+    /// frozen `benchmark/src/sut.rs` names it and is its only caller;
+    /// benchmark v2 deletes it.
+    pub fn try_join_fabric(
+        &mut self,
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        gmid: GlobalMeetingId,
+        edge: usize,
+        addr: HostAddr,
+        sends: bool,
+    ) -> (AdmissionDecision, Option<FabricGrant>) {
+        let mut out = [JoinOutcome::UNDECIDED];
+        let req = JoinRequest { edge, addr, sends };
+        self.join_into(sim, fabric, gmid, &[req], &mut out);
+        (out[0].decision, out[0].grant)
+    }
+
+    /// Shim: [`Self::join`] over `(edge, addr, sends)` tuples, keeping
+    /// only the admitted joins' grants. The frozen
+    /// `benchmark/src/sut.rs` names it and is its only caller;
+    /// benchmark v2 deletes it.
     pub fn join_fabric_many(
         &mut self,
         sim: &mut Simulator,
@@ -835,19 +817,12 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         joins: &[(usize, HostAddr, bool)],
     ) -> Vec<FabricGrant> {
-        let owner = self.owner_or_revive(gmid);
-        let mut globals = Vec::with_capacity(joins.len());
-        for &(edge, _, _) in joins {
-            self.next_global_participant += 1;
-            globals.push(self.next_global_participant);
-            if self.ingress_shard(edge) != owner {
-                self.forwards += 1;
-                self.shards[owner].joins_forwarded += 1;
-            }
-        }
-        self.shards[owner]
-            .controller
-            .join_fabric_many_as(sim, fabric, gmid, joins, &globals)
+        let reqs: Vec<JoinRequest> = joins
+            .iter()
+            .map(|&(edge, addr, sends)| JoinRequest { edge, addr, sends })
+            .collect();
+        let outcomes = self.join(sim, fabric, gmid, &reqs);
+        outcomes.into_iter().filter_map(|o| o.grant).collect()
     }
 
     /// Remove a fabric participant (owner-routed
@@ -1226,7 +1201,7 @@ impl ShardedControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Owner-routed read API (same signatures as `Controller`)
+    // Owner-routed read API
     // ------------------------------------------------------------------
 
     fn owner_controller(&self, gmid: GlobalMeetingId) -> Option<&Controller> {
@@ -1294,6 +1269,18 @@ mod tests {
 
     fn caddr(last: u8) -> HostAddr {
         HostAddr::new(Ipv4Addr::new(10, 9, 1, last), 5000)
+    }
+
+    /// A join is a burst of one.
+    fn join(
+        plane: &mut ShardedControlPlane,
+        sim: &mut Simulator,
+        f: &Fabric,
+        gmid: GlobalMeetingId,
+        (edge, addr, sends): (usize, HostAddr, bool),
+    ) -> FabricGrant {
+        let req = JoinRequest { edge, addr, sends };
+        plane.join(sim, f, gmid, &[req])[0].grant.expect("admitted")
     }
 
     #[test]
@@ -1370,23 +1357,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_controller_id_allocation() {
-        let (mut sim, f) = campus(2);
-        let mut plane = ShardedControlPlane::new(1);
-        let g1 = plane.create_fabric_meeting(&mut sim, &f, 0);
-        let a = plane.join_fabric(&mut sim, &f, g1, 0, caddr(1), true);
-        let b = plane.join_fabric(&mut sim, &f, g1, 1, caddr(2), false);
-        // Same allocation sequence as a bare Controller: meeting 1,
-        // participants 1, 2.
-        assert_eq!(g1, 1);
-        assert_eq!(a.global, 1);
-        assert_eq!(b.global, 2);
-        assert_eq!(plane.owner_of(g1), Some(0));
-        assert_eq!(plane.forward_total(), 0, "one shard never forwards");
-        assert_eq!(plane.handoff_total(), 0);
-    }
-
-    #[test]
     fn cross_shard_joins_are_forwarded_to_the_owner() {
         let (mut sim, f) = campus(4);
         let mut plane = ShardedControlPlane::new(4);
@@ -1399,7 +1369,13 @@ mod tests {
             if plane.ingress_shard(e) != owner {
                 expected_forwards += 1;
             }
-            let g = plane.join_fabric(&mut sim, &f, gmid, e, caddr(e as u8 + 1), true);
+            let g = join(
+                &mut plane,
+                &mut sim,
+                &f,
+                gmid,
+                (e, caddr(e as u8 + 1), true),
+            );
             assert_eq!(g.edge, e);
         }
         assert!(expected_forwards > 0, "4 edges over 4 shards must split");
@@ -1410,6 +1386,20 @@ mod tests {
             "the owner executed every forwarded join"
         );
         assert_eq!(plane.fabric_members(gmid).len(), 4);
+        // A burst is accounted per request, exactly like singles: the
+        // same four edges again in one call double both counters.
+        let burst: Vec<JoinRequest> = (0..4)
+            .map(|edge| JoinRequest {
+                edge,
+                addr: caddr(edge as u8 + 11),
+                sends: false,
+            })
+            .collect();
+        let outcomes = plane.join(&mut sim, &f, gmid, &burst);
+        let ids: Vec<_> = outcomes.iter().map(|o| o.grant.unwrap().global).collect();
+        assert_eq!(ids, vec![5, 6, 7, 8], "ids follow input order");
+        assert_eq!(plane.forward_total(), 2 * expected_forwards);
+        assert_eq!(plane.shard(owner).joins_forwarded, 2 * expected_forwards);
     }
 
     #[test]
@@ -1429,8 +1419,8 @@ mod tests {
         let owner = plane.owner_of(gmid).unwrap();
         assert_ne!(owner, 0, "bounded loads spread 2 meetings on 2 shards");
 
-        let a = plane.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
-        let b = plane.join_fabric(&mut sim, &f, gmid, 1, caddr(2), true);
+        let a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
+        let b = join(&mut plane, &mut sim, &f, gmid, (1, caddr(2), true));
         let before_members = plane.fabric_members(gmid);
 
         plane.set_shard_count(&mut sim, &f, 1);
@@ -1467,9 +1457,9 @@ mod tests {
             .find(|&e| plane.planned_owner(gmid, e) != owner0)
             .expect("an edge mapping to another shard exists");
 
-        let a = plane.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
+        let a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
         for i in 0..3 {
-            plane.join_fabric(&mut sim, &f, gmid, to, caddr(10 + i), i == 0);
+            join(&mut plane, &mut sim, &f, gmid, (to, caddr(10 + i), i == 0));
         }
         // 3 vs 1: decisive majority -> re-home, and the owning shard
         // must follow the hash.
@@ -1531,9 +1521,9 @@ mod tests {
         let gmid = plane.create_fabric_meeting(&mut sim, &f, 0);
         let owner0 = plane.owner_of(gmid).unwrap();
         assert_eq!(owner0 % 2, 0);
-        let _a = plane.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
+        let _a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
         for i in 0..3 {
-            plane.join_fabric(&mut sim, &f, gmid, 2, caddr(10 + i), false);
+            join(&mut plane, &mut sim, &f, gmid, (2, caddr(10 + i), false));
         }
         // Zone 1 holds a decisive majority: the re-home crosses the WAN
         // and — eligible sets being disjoint — must hand ownership to a
@@ -1551,7 +1541,7 @@ mod tests {
         let (mut sim, f) = campus(2);
         let mut plane = ShardedControlPlane::new(2);
         let gmid = plane.create_fabric_meeting(&mut sim, &f, 0);
-        let a = plane.join_fabric(&mut sim, &f, gmid, 0, caddr(1), true);
+        let a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
         let owner = plane.owner_of(gmid).unwrap();
         assert_eq!(plane.meeting_epoch(gmid), Some(1));
         assert_eq!(plane.shard(owner).epoch_held(gmid), Some(1));
@@ -1579,7 +1569,7 @@ mod tests {
         assert_eq!(plane.shard(owner).epoch_held(gmid), Some(1));
 
         // The meeting is fully operable through the thief.
-        let b = plane.join_fabric(&mut sim, &f, gmid, 1, caddr(2), false);
+        let b = join(&mut plane, &mut sim, &f, gmid, (1, caddr(2), false));
         assert_eq!(plane.fabric_members(gmid), vec![a.global, b.global]);
 
         // Resurrection: the stale re-assertion is fenced and the copy

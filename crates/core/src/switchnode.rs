@@ -152,12 +152,6 @@ impl ScallopSwitchNode {
         self.agent.join(&mut self.dp, meeting, addr, sends)
     }
 
-    /// Controller RPC: admit a burst of local participants with one
-    /// compile for the whole batch (flash-crowd admission).
-    pub fn join_many(&mut self, meeting: MeetingId, joins: &[(HostAddr, bool)]) -> Vec<JoinGrant> {
-        self.agent.join_many(&mut self.dp, meeting, joins)
-    }
-
     /// Controller RPC: remove a participant.
     pub fn leave(&mut self, meeting: MeetingId, participant: ParticipantId) {
         self.agent.leave(&mut self.dp, meeting, participant);

@@ -16,8 +16,9 @@
 //! forwarding so each sender's media crosses the fabric once per remote
 //! switch.
 
-use scallop::core::controller::Controller;
+use scallop::core::controller::JoinRequest;
 use scallop::core::fabric::Fabric;
+use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
 use scallop::netsim::link::LinkConfig;
 use scallop::netsim::packet::HostAddr;
@@ -65,7 +66,7 @@ fn main() {
         LinkConfig::infinite(SimDuration::from_micros(50)),
         SeqRewriteMode::LowRetransmission,
     );
-    let mut controller = Controller::new();
+    let mut controller = ShardedControlPlane::new(1);
     let mut installed = 0u64;
     let mut participants = 0u32;
     let mut spanning = 0u64;
@@ -86,7 +87,12 @@ fn main() {
                 (participants >> 7) as u8 & 0x7F,
                 (participants & 0x7F) as u8 + 1,
             );
-            controller.join_fabric(&mut sim, &fabric, gmid, edge, HostAddr::new(ip, 5000), true);
+            let req = JoinRequest {
+                edge,
+                addr: HostAddr::new(ip, 5000),
+                sends: true,
+            };
+            controller.join(&mut sim, &fabric, gmid, &[req]);
         }
         if edges_used.len() > 1 {
             spanning += 1;

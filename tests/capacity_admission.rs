@@ -16,9 +16,12 @@
 //! * no budget line is ever booked over, and the load ledger reconciles
 //!   to zero once everyone hangs up.
 //!
-//! A proptest replays randomized join/leave/re-home/degrade histories
-//! through the sharded control plane and checks the ledger invariants
-//! after every single step. The REMB tests pin the cross-fabric
+//! The same crowd submitted as **one burst** must get the same answers
+//! (every request is priced against what the requests before it left
+//! behind — there is no unpriced way in), and a proptest replays
+//! randomized join/burst/leave/re-home/degrade histories through the
+//! sharded control plane and checks the ledger invariants after every
+//! single step. The REMB tests pin the cross-fabric
 //! feedback behavior: with window-paced aggregation on, a sender sees
 //! at most one min-filtered REMB per 100 ms agent window no matter how
 //! many edges forward feedback, and the min filter tracks the slowest
@@ -34,6 +37,7 @@ use proptest::prelude::*;
 use scallop::core::capacity::{
     AdmissionDecision, CapacityModel, FabricBudgets, RefusalReason, THIN_DECODE_TARGET,
 };
+use scallop::core::controller::{JoinOutcome, JoinRequest};
 use scallop::core::fabric::Fabric;
 use scallop::core::harness::{HarnessConfig, ScallopHarness};
 use scallop::core::shard::ShardedControlPlane;
@@ -216,14 +220,97 @@ fn advisory_budgets_measure_the_oversubscription_enforcement_prevents() {
 }
 
 // --------------------------------------------------------------------
+// Bursts are priced request by request
+// --------------------------------------------------------------------
+
+/// The hotspot campus with `budgets` enforced and one meeting homed on
+/// the hot edge.
+fn hotspot_plane(budgets: FabricBudgets) -> (Simulator, Fabric, ShardedControlPlane, u32) {
+    let mut sim = Simulator::new(0xB0257);
+    let fabric = Fabric::build(
+        &mut sim,
+        Topology::campus(EDGES, 1),
+        LinkConfig::infinite(SimDuration::from_micros(50)),
+        SeqRewriteMode::LowRetransmission,
+    );
+    let mut plane = ShardedControlPlane::new(shards_from_env());
+    plane.set_capacity_budgets(budgets, &fabric.topology);
+    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 0);
+    (sim, fabric, plane, gmid)
+}
+
+fn request(i: usize, edge: usize, sends: bool) -> JoinRequest {
+    let addr = HostAddr::new(Ipv4Addr::new(10, 9, 0, i as u8 + 1), 5000);
+    JoinRequest { edge, addr, sends }
+}
+
+#[test]
+fn hotspot_crowd_as_one_burst_gets_the_sequential_decisions() {
+    let (mut sim, fabric, mut plane, gmid) = hotspot_plane(thin_trunk_budgets());
+    let burst: Vec<JoinRequest> = hotspot_crowd(EDGES, SENDERS, RECEIVERS)
+        .iter()
+        .enumerate()
+        .map(|(i, j)| request(i, j.edge, j.sends))
+        .collect();
+    let outcomes = plane.join(&mut sim, &fabric, gmid, &burst);
+    for (r, o) in burst.iter().zip(&outcomes) {
+        // Same pure function of the edge as the join-by-join test above.
+        match r.edge {
+            0 | 1 => assert_eq!(o.decision, AdmissionDecision::Admitted, "edge {}", r.edge),
+            2 => assert_eq!(o.decision, AdmissionDecision::AdmittedThin),
+            _ => assert!(
+                matches!(
+                    o.decision,
+                    AdmissionDecision::Refused(RefusalReason::TrunkOversubscribed { .. })
+                ),
+                "edge 3 must be refused on the trunk line, got {:?}",
+                o.decision
+            ),
+        }
+        assert_eq!(o.grant.is_some(), r.edge != 3, "a grant iff admitted");
+    }
+    assert_eq!(outcomes.iter().filter(|o| o.grant.is_some()).count(), 8);
+    let ledger = plane.ledger_handle();
+    assert_eq!(ledger.borrow().oversubscribed_links(), 0);
+    let c = ledger.borrow().counts();
+    assert_eq!((c.admitted_full, c.admitted_thin, c.refused), (5, 3, 3));
+    assert_eq!(plane.fabric_members(gmid).len(), 8);
+}
+
+#[test]
+fn senders_bursting_from_one_edge_are_priced_against_each_other() {
+    let (mut sim, fabric, mut plane, gmid) = hotspot_plane(thin_trunk_budgets());
+    let viewer = plane.join(&mut sim, &fabric, gmid, &[request(0, 1, false)]);
+    assert_eq!(viewer[0].decision, AdmissionDecision::Admitted);
+    // Six cameras on the hot edge in one burst: each adds a 6 Mb/s
+    // branch toward the viewer's edge, and the 20 Mb/s trunk takes
+    // three. The fourth must see the first three's branches even though
+    // all six arrived together.
+    let burst: Vec<JoinRequest> = (1..=6).map(|i| request(i, 0, true)).collect();
+    let outcomes = plane.join(&mut sim, &fabric, gmid, &burst);
+    let admitted: Vec<bool> = outcomes.iter().map(|o| o.grant.is_some()).collect();
+    assert_eq!(admitted, [true, true, true, false, false, false]);
+    for o in &outcomes[3..] {
+        assert_eq!(
+            o.decision,
+            AdmissionDecision::Refused(RefusalReason::TrunkOversubscribed { edge: 0 })
+        );
+    }
+    let ledger = plane.ledger_handle();
+    assert_eq!(ledger.borrow().oversubscribed_links(), 0);
+    assert_eq!(ledger.borrow().trunk_out_bps(0), 18_000_000);
+}
+
+// --------------------------------------------------------------------
 // Randomized ledger invariants
 // --------------------------------------------------------------------
 
 /// One event of a randomized membership history.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
-    /// A participant asks to join `edge` (sending iff `sends`).
-    Join { edge: usize, sends: bool },
+    /// `(edge, sends)` participants ask to join in one burst (a single
+    /// join is a burst of one).
+    Burst(Vec<(usize, bool)>),
     /// The `idx % live`-th admitted participant hangs up.
     Leave { idx: usize },
     /// The controller's ledger-aware re-homing pass runs.
@@ -234,13 +321,14 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let join = || (0..EDGES, any::<bool>()).prop_map(|(edge, sends)| Op::Join { edge, sends });
+    let join = || (0..EDGES, any::<bool>()).prop_map(|j| Op::Burst(vec![j]));
     prop_oneof![
         // The vendored proptest's Union is unweighted; repeating the
         // join arm biases histories toward growth like a real meeting.
         join(),
         join(),
         join(),
+        pvec((0..EDGES, any::<bool>()), 1..6).prop_map(Op::Burst),
         any::<usize>().prop_map(|idx| Op::Leave { idx }),
         Just(Op::Rebalance),
         any::<usize>().prop_map(|idx| Op::Degrade { idx }),
@@ -277,22 +365,28 @@ proptest! {
         let ledger = plane.ledger_handle();
         // Live members: (global id, home edge, local participant).
         let mut live = Vec::new();
-        let mut admitted = 0u32;
+        let mut asked = 0u32;
         for op in &ops {
             match *op {
-                Op::Join { edge, sends } => {
-                    let i = admitted;
-                    admitted += 1;
-                    let addr = HostAddr::new(
-                        Ipv4Addr::new(10, 9, (i / 200) as u8, (i % 200 + 1) as u8),
-                        5000,
-                    );
-                    let (decision, grant) =
-                        plane.try_join_fabric(&mut sim, &fabric, gmid, edge % EDGES, addr, sends);
-                    match (decision, grant) {
-                        (AdmissionDecision::Refused(_), g) => prop_assert!(g.is_none()),
-                        (_, Some(g)) => live.push((g.global, g.edge, g.local.participant)),
-                        (d, None) => prop_assert!(false, "admitted {d:?} without a grant"),
+                Op::Burst(ref joins) => {
+                    let reqs: Vec<JoinRequest> = joins
+                        .iter()
+                        .map(|&(edge, sends)| {
+                            let i = asked;
+                            asked += 1;
+                            let addr = HostAddr::new(
+                                Ipv4Addr::new(10, 9, (i / 200) as u8, (i % 200 + 1) as u8),
+                                5000,
+                            );
+                            JoinRequest { edge, addr, sends }
+                        })
+                        .collect();
+                    for JoinOutcome { decision, grant } in plane.join(&mut sim, &fabric, gmid, &reqs) {
+                        match (decision, grant) {
+                            (AdmissionDecision::Refused(_), g) => prop_assert!(g.is_none()),
+                            (_, Some(g)) => live.push((g.global, g.edge, g.local.participant)),
+                            (d, None) => prop_assert!(false, "admitted {d:?} without a grant"),
+                        }
                     }
                 }
                 Op::Leave { idx } => {

@@ -10,7 +10,9 @@
 //! PRE tree contents, and feedback gates (via
 //! [`SwitchAgent::canonical_state`]). Histories are both handcrafted
 //! (the 64-join flash-crowd storm, a drift + re-home) and
-//! proptest-randomized join/leave/re-home sequences.
+//! proptest-randomized join/burst/leave/re-home sequences — a join is a
+//! burst of one, so bursts of 1–5 exercise both sides of the agent's
+//! graft-or-rebuild rule.
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
 //! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
@@ -21,6 +23,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use scallop::core::controller::JoinRequest;
 use scallop::core::fabric::Fabric;
 use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
@@ -48,10 +51,12 @@ fn shards_from_env() -> usize {
 }
 
 /// One membership event of a replayed history.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
     /// A participant joins `edge` (sending iff `sends`).
     Join { edge: usize, sends: bool },
+    /// Several `(edge, sends)` participants join in one burst.
+    Burst(Vec<(usize, bool)>),
     /// The `idx % live`-th admitted-and-present participant hangs up.
     Leave { idx: usize },
     /// The controller's re-homing pass runs over the meeting.
@@ -82,17 +87,29 @@ fn run_ops(ops: &[Op], incremental: bool) -> Vec<String> {
     let gmid = controller.create_fabric_meeting(&mut sim, &fabric, 0);
     let mut live = Vec::new();
     let mut admitted = 0u32;
+    let mut request = |(edge, sends): (usize, bool)| {
+        let i = admitted;
+        admitted += 1;
+        JoinRequest {
+            edge: edge % EDGES,
+            addr: HostAddr::new(
+                Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
+                5000,
+            ),
+            sends,
+        }
+    };
     for op in ops {
         match *op {
             Op::Join { edge, sends } => {
-                let i = admitted;
-                admitted += 1;
-                let addr = HostAddr::new(
-                    Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
-                    5000,
-                );
-                let g = controller.join_fabric(&mut sim, &fabric, gmid, edge % EDGES, addr, sends);
-                live.push(g.global);
+                let req = request((edge, sends));
+                let outcomes = controller.join(&mut sim, &fabric, gmid, &[req]);
+                live.push(outcomes[0].grant.expect("no budgets armed").global);
+            }
+            Op::Burst(ref joins) => {
+                let reqs: Vec<JoinRequest> = joins.iter().copied().map(&mut request).collect();
+                let outcomes = controller.join(&mut sim, &fabric, gmid, &reqs);
+                live.extend(outcomes.iter().map(|o| o.grant.expect("admitted").global));
             }
             Op::Leave { idx } => {
                 if live.is_empty() {
@@ -193,6 +210,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         join(),
         join(),
         join(),
+        pvec((0..EDGES, any::<bool>()), 1..6).prop_map(Op::Burst),
         any::<usize>().prop_map(|idx| Op::Leave { idx }),
         Just(Op::Rebalance),
     ]
@@ -201,7 +219,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any randomized join/leave/re-home history compiles to the same
+    /// Any randomized join/burst/leave/re-home history compiles to the same
     /// final data-plane state through grafts as through full rebuilds.
     #[test]
     fn random_histories_compile_identically(ops in pvec(arb_op(), 1..48)) {

@@ -9,7 +9,7 @@
 //! placement walk, at the epoch it retired with.
 
 use scallop::core::capacity::{AdmissionDecision, FabricBudgets};
-use scallop::core::controller::GlobalMeetingId;
+use scallop::core::controller::{GlobalMeetingId, JoinOutcome, JoinRequest};
 use scallop::core::fabric::Fabric;
 use scallop::core::shard::{ShardedControlPlane, LEASE_TICKS};
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
@@ -44,6 +44,17 @@ fn addr(crowd: u8, k: usize) -> HostAddr {
     )
 }
 
+/// A join is a burst of one.
+fn join(
+    sim: &mut Simulator,
+    fabric: &Fabric,
+    plane: &mut ShardedControlPlane,
+    gmid: GlobalMeetingId,
+    (edge, addr, sends): (usize, HostAddr, bool),
+) -> JoinOutcome {
+    plane.join(sim, fabric, gmid, &[JoinRequest { edge, addr, sends }])[0]
+}
+
 /// One cycle: create → flash crowd join by join → rebalance → webinar
 /// as one burst → everyone leaves in shuffled order. Returns the two
 /// meeting ids, both drained.
@@ -59,21 +70,28 @@ fn cycle(
 
     let g_storm = plane.create_fabric_meeting(sim, fabric, storm[0].edge);
     for (k, j) in storm.iter().enumerate() {
-        let (decision, grant) =
-            plane.try_join_fabric(sim, fabric, g_storm, j.edge, addr(0, k), j.sends);
-        assert_eq!(decision, AdmissionDecision::Admitted);
-        members.push((g_storm, grant.expect("admitted").global));
+        let o = join(sim, fabric, plane, g_storm, (j.edge, addr(0, k), j.sends));
+        assert_eq!(o.decision, AdmissionDecision::Admitted);
+        members.push((g_storm, o.grant.expect("admitted").global));
     }
     plane.rebalance_fabric(sim, fabric, g_storm);
 
     let g_web = plane.create_fabric_meeting(sim, fabric, audience[0].edge);
-    let joins: Vec<(usize, HostAddr, bool)> = audience
+    let joins: Vec<JoinRequest> = audience
         .iter()
         .enumerate()
-        .map(|(k, j)| (j.edge, addr(1, k), j.sends))
+        .map(|(k, j)| JoinRequest {
+            edge: j.edge,
+            addr: addr(1, k),
+            sends: j.sends,
+        })
         .collect();
-    let grants = plane.join_fabric_many(sim, fabric, g_web, &joins);
-    members.extend(grants.iter().map(|g| (g_web, g.global)));
+    let outcomes = plane.join(sim, fabric, g_web, &joins);
+    members.extend(
+        outcomes
+            .iter()
+            .map(|o| (g_web, o.grant.expect("admitted").global)),
+    );
 
     for i in (1..members.len()).rev() {
         members.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
@@ -143,8 +161,18 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
     }
     let home = 2;
     let gmid = plane.create_fabric_meeting(&mut sim, &fabric, home);
-    let a = plane.join_fabric(&mut sim, &fabric, gmid, home, addr(0, 0), true);
-    let b = plane.join_fabric(&mut sim, &fabric, gmid, 0, addr(0, 1), false);
+    let a = join(
+        &mut sim,
+        &fabric,
+        &mut plane,
+        gmid,
+        (home, addr(0, 0), true),
+    )
+    .grant
+    .unwrap();
+    let b = join(&mut sim, &fabric, &mut plane, gmid, (0, addr(0, 1), false))
+        .grant
+        .unwrap();
     let epoch = plane.meeting_epoch(gmid).expect("live");
     plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
     plane.leave_fabric(&mut sim, &fabric, gmid, b.global);
@@ -153,7 +181,8 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
     assert_eq!(live, EDGES);
 
     let planned = plane.planned_owner(gmid, home);
-    let (decision, grant) = plane.try_join_fabric(&mut sim, &fabric, gmid, 1, addr(0, 2), true);
+    let JoinOutcome { decision, grant } =
+        join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 2), true));
     assert_eq!(decision, AdmissionDecision::Admitted);
     assert_eq!(plane.owner_of(gmid), Some(planned));
     assert_eq!(
@@ -188,8 +217,12 @@ fn rejoin_revives_where_the_plane_would_place_it_on_four_shards() {
 fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
     let (mut sim, fabric, mut plane) = world(4);
     let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 1);
-    let a = plane.join_fabric(&mut sim, &fabric, gmid, 1, addr(0, 0), true);
-    let b = plane.join_fabric(&mut sim, &fabric, gmid, 3, addr(0, 1), false);
+    let a = join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 0), true))
+        .grant
+        .unwrap();
+    let b = join(&mut sim, &fabric, &mut plane, gmid, (3, addr(0, 1), false))
+        .grant
+        .unwrap();
     let owner = plane.owner_of(gmid).expect("live");
     plane.silence_shard(owner);
     for _ in 0..LEASE_TICKS {
@@ -208,10 +241,54 @@ fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
     assert_eq!(plane.stale_epoch_writes_rejected(), 1);
     assert_retired(&plane, gmid);
 
-    plane.join_fabric(&mut sim, &fabric, gmid, 0, addr(0, 2), true);
+    join(&mut sim, &fabric, &mut plane, gmid, (0, addr(0, 2), true));
     assert_eq!(
         plane.meeting_epoch(gmid),
         Some(2),
         "revived at the stolen epoch"
     );
+}
+
+#[test]
+fn a_refused_revival_stays_retired() {
+    let (mut sim, fabric, mut plane) = world(4);
+    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 1);
+    let a = join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 0), true))
+        .grant
+        .unwrap();
+    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
+    assert_retired(&plane, gmid);
+
+    // No port may be booked any more: the rejoin is refused, and the
+    // meeting it named must be as retired as before it asked — singly
+    // or as a burst.
+    let mut none = FabricBudgets::from_model();
+    none.edge_ports = Some(0);
+    plane.set_capacity_budgets(none, &fabric.topology);
+    let burst: Vec<JoinRequest> = (1..4)
+        .map(|k| JoinRequest {
+            edge: k,
+            addr: addr(0, k),
+            sends: k == 1,
+        })
+        .collect();
+    for reqs in [&burst[..1], &burst[..]] {
+        for o in plane.join(&mut sim, &fabric, gmid, reqs) {
+            assert!(matches!(o.decision, AdmissionDecision::Refused(_)));
+            assert!(o.grant.is_none());
+        }
+        assert_retired(&plane, gmid);
+        assert_eq!(plane.meetings_per_shard(), vec![0; 4]);
+        for s in 0..4 {
+            assert_eq!(plane.shard(s).controller.fabric_meetings_tracked(), 0);
+        }
+    }
+
+    // Budgets back: the same id revives on its old home, and the
+    // refusals consumed no participant id.
+    plane.set_capacity_budgets(FabricBudgets::from_model(), &fabric.topology);
+    let b = join(&mut sim, &fabric, &mut plane, gmid, (2, addr(0, 4), false));
+    assert_eq!(b.decision, AdmissionDecision::Admitted);
+    assert_eq!(b.grant.unwrap().global, a.global + 1);
+    assert_eq!(plane.home_edge_of(gmid), Some(1));
 }
