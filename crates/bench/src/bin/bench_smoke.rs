@@ -487,8 +487,8 @@ fn main() {
         ),
     );
     // Batched-forwarding invariants: a burst must reproduce its packets
-    // processed one by one exactly, and the caches/registers must
-    // actually fire on a realistic mix (caches that never hit would
+    // processed one by one exactly, and the memo/registers must
+    // actually fire on a realistic mix (a memo that never hit would
     // still be "equivalent").
     gate.check(
         "batch: one burst matches its packets one by one, byte-for-byte",

@@ -38,11 +38,11 @@ pub struct DataplaneBatchSmoke {
     pub replicas_emitted: u64,
     /// Bursts (`process_batch` calls) run.
     pub batches: u64,
-    /// Hash lookups avoided by the per-batch port cache.
+    /// Port matches served from the previous packet's resolution.
     pub port_lookups_saved: u64,
-    /// Egress lookups avoided by the per-batch cache.
+    /// Egress matches served from the previous packet's resolution.
     pub egress_lookups_saved: u64,
-    /// PRE tree walks replayed from the per-batch flow cache.
+    /// PRE tree walks served from the previous packet's resolution.
     pub pre_walks_saved: u64,
     /// Lookups served by the dense SoA registers.
     pub dense_lookups: u64,
@@ -104,9 +104,9 @@ fn traffic_mix(
                     is_key,
                 },
                 // ~5 MTU-sized packets per frame: the burst carries
-                // repeated packets of the same flow, which is what the
-                // batch caches amortize (a real drain cycle sees whole
-                // frames, not lone packets).
+                // adjacent packets of the same flow, which is what the
+                // memo of the previous resolution amortizes (a real
+                // drain cycle sees whole frames, not lone packets).
                 size_bytes: 5_000,
                 captured_at: SimTime::ZERO,
                 rtp_timestamp: round as u32 * 3000,

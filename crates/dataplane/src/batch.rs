@@ -11,33 +11,36 @@
 //! 1. **Parse first.** The whole batch is parsed into a reusable
 //!    [`ParsedPacket`] arena before any match work runs (the parse and
 //!    match stages are independent, just like the hardware pipeline).
-//! 2. **Resolve each distinct rule once.** Small per-batch caches keyed
-//!    by port and by PRE flow mean the second packet to a port copies
-//!    the already-resolved [`PortRule`] instead of hashing again, and
-//!    the second packet of a flow replays the PRE's replica list —
-//!    with every replica's egress spec already resolved — instead of
-//!    re-walking the tree and re-matching each replica. Saved work is
-//!    counted in [`BatchStats`].
+//! 2. **Remember the previous resolution.** A one-entry memo per
+//!    stage — the last port matched, the last PRE flow walked with every
+//!    replica's egress spec already resolved — so the second packet of a
+//!    frame copies its neighbour's [`PortRule`] and replays its replica
+//!    list instead of matching, walking and matching again. A packet
+//!    whose key differs from the one before it goes to the tables, which
+//!    are an index, not a search. Saved work is counted in
+//!    [`BatchStats`].
 //! 3. **Punt by index.** CPU punts are recorded as indices into the
 //!    caller's batch ([`BatchOutput::cpu_punts`]) — the agent reads the
 //!    original slice, so a punt never clones a packet.
 //!
-//! Negative results are cached too: a port/flow miss is remembered as
-//! `None` (and a replica with no egress rule is cached as resolved-to-
-//! nothing), and replaying it still charges the same `no_rule_drops` a
-//! cold lookup would. So how a packet sequence is cut into batches
-//! changes neither outputs nor counters: one N-packet call equals N
-//! one-packet calls byte for byte (enforced by
-//! `tests/batch_equivalence.rs`).
+//! Negative results are memoized too (no port rule, no such group, a
+//! replica without an egress rule), and replaying one still charges the
+//! `no_rule_drops` a cold lookup would; packets that resolve nothing
+//! (STUN, unparseable) leave the memo alone. No table can change inside
+//! one call, so a hit returns what the cold path would, and how a packet
+//! sequence is cut into batches changes neither outputs nor counters:
+//! one N-packet call equals N one-packet calls byte for byte (enforced
+//! by `tests/batch_equivalence.rs`).
 //!
 //! **Agent interleaving.** The switch agent may rewrite tables when it
 //! handles a punted packet (e.g. a key-frame DD triggering a meeting
-//! rebuild), and the caches are only valid while the tables stand
-//! still. A caller with an agent behind it therefore calls with one
-//! packet and hands a punt over before the next packet is looked at —
-//! that is the simulator's switch node; callers that own the tables for
-//! the length of a burst (benches, tests, the repo benchmark) pass the
-//! whole burst.
+//! rebuild), and the memo is only valid while the tables stand still,
+//! so every call starts cold. A caller with an agent behind it therefore
+//! calls with one packet and hands a punt over before the next packet is
+//! looked at — that is the simulator's switch node, which gets nothing
+//! from the memo and pays one comparison for it; callers that own the
+//! tables for the length of a burst (benches, tests, the repo benchmark)
+//! pass the whole burst.
 //!
 //! **Egress: one slab per batch.** A sequence-rewritten replica needs
 //! its own copy of the packet (bytes 2..4 differ per receiver), and
@@ -82,10 +85,9 @@ use crate::rules::{EgressSpec, PortRule};
 use bytes::Bytes;
 use scallop_netsim::packet::Packet;
 use scallop_proto::rtp;
-use std::ops::Range;
 
-/// What the per-batch caches saved relative to resolving every packet
-/// cold. Cumulative across batches, like
+/// What the memo of the previous resolution saved relative to resolving
+/// every packet cold. Cumulative across batches, like
 /// [`DataPlaneCounters`](crate::switch::DataPlaneCounters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -93,12 +95,12 @@ pub struct BatchStats {
     pub batches: u64,
     /// Packets processed.
     pub batch_pkts: u64,
-    /// Port-rule resolutions served from the batch cache (hash lookups
-    /// avoided).
+    /// Port-rule matches served from the previous packet's resolution.
     pub port_lookups_saved: u64,
-    /// Egress resolutions served from the batch cache.
+    /// Egress matches served from the previous packet's resolution (one
+    /// per replica of a replayed flow).
     pub egress_lookups_saved: u64,
-    /// PRE tree walks replayed from a cached replica list.
+    /// PRE tree walks served from the previous packet's resolution.
     pub pre_walks_saved: u64,
 }
 
@@ -114,24 +116,18 @@ pub(crate) type FlowKey = (u16, u16, u16, u16, u16);
 /// must too).
 pub(crate) type ResolvedReplica = (Replica, Option<EgressSpec>);
 
-/// Per-batch resolution caches. Linear-scan vectors, not maps: a
-/// batch touches a handful of distinct ports/flows, and a short scan
-/// over a dense vector beats hashing at that size. Egress resolution
-/// is deliberately *not* cached per [`EgressKey`]: a meeting fans each
-/// flow to every receiver, so distinct egress keys grow as
-/// senders x receivers per batch and a per-key cache degenerates into
-/// an O(n^2) scan that loses to the exact table it fronts. Instead the
-/// flow cache stores the replica list with egress already resolved —
-/// one entry per flow, zero egress work on replay — as a range of one
-/// flat arena, so a cache miss allocates nothing.
+/// The previous resolution of each match stage, nothing more: a hit is
+/// "same key as the last packet that resolved one in this call". Egress
+/// has no memo of its own — the flow's replica list is kept with every
+/// replica's egress already resolved, so a replay does no egress work.
 #[derive(Debug, Default)]
 pub(crate) struct BatchCaches {
-    /// dst port → resolved rule (`None` = looked up, no rule).
-    pub(crate) ports: Vec<(u16, Option<PortRule>)>,
-    /// Flow → its egress-resolved PRE replica list, a range of
-    /// `flow_replicas` (`None` = the walk failed, e.g. no such group).
-    pub(crate) flows: Vec<(FlowKey, Option<Range<u32>>)>,
-    /// Every cached flow's replicas, back to back.
+    /// Last dst port matched and its rule (`None` = no rule).
+    pub(crate) port: Option<(u16, Option<PortRule>)>,
+    /// Last flow walked; `false` = the walk failed (no such group).
+    pub(crate) flow: Option<(FlowKey, bool)>,
+    /// That flow's egress-resolved replicas (refilled on a miss,
+    /// capacity kept, so a miss allocates nothing).
     pub(crate) flow_replicas: Vec<ResolvedReplica>,
     /// Savings accumulated this batch, folded into [`BatchStats`] when
     /// the batch ends.
@@ -141,12 +137,11 @@ pub(crate) struct BatchCaches {
 }
 
 impl BatchCaches {
-    /// Cold-start the caches for a new batch (between batches the agent
-    /// may have rewritten the tables). Capacity is kept.
+    /// Forget the previous resolution: between calls the agent may have
+    /// rewritten the tables.
     pub(crate) fn begin_batch(&mut self) {
-        self.ports.clear();
-        self.flows.clear();
-        self.flow_replicas.clear();
+        self.port = None;
+        self.flow = None;
     }
 }
 
@@ -225,7 +220,7 @@ pub struct BatchOutput {
     /// Parse arena: one [`ParsedPacket`] per input packet, filled by
     /// the parse stage.
     pub(crate) parsed: Vec<ParsedPacket>,
-    /// Match-resolution caches (reset per batch).
+    /// Memo of the previous match resolution (reset per batch).
     pub(crate) caches: BatchCaches,
 }
 

@@ -24,8 +24,9 @@
 //!   with CPU-port copies for the switch agent and full packet/byte
 //!   counters (Table 1, Fig. 22).
 //! * [`batch`] — the forwarding engine's batch machinery: parse a burst
-//!   first, then resolve each distinct rule/flow once per batch; CPU
-//!   punts are indices into the input burst.
+//!   first, then match each packet against the previous packet's
+//!   resolution before the tables; CPU punts are indices into the input
+//!   burst.
 //! * [`soa`] — dense struct-of-arrays port-rule registers mirroring the
 //!   hot span of the ingress match (hash-free lookups on the
 //!   contiguous per-edge port ranges).

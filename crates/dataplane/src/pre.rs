@@ -17,8 +17,7 @@
 //! node.rid && port ∈ l2_xid_ports(packet.l2_xid)` (used to suppress the
 //! copy back to the sender).
 
-use crate::tables::TableError;
-use std::collections::HashMap;
+use crate::tables::{IdMap, TableError};
 
 /// Maximum multicast groups (trees).
 pub const MAX_MULTICAST_GROUPS: usize = 65_536;
@@ -78,9 +77,9 @@ struct Group {
 /// The PRE.
 #[derive(Debug)]
 pub struct PacketReplicationEngine {
-    groups: HashMap<u16, Group>,
+    groups: IdMap<u16, Group>,
     /// L2 XID -> set of ports it prunes.
-    l2_xid_ports: HashMap<u16, Vec<u16>>,
+    l2_xid_ports: IdMap<u16, Vec<u16>>,
     l1_nodes_used: usize,
     /// Replication invocations (for throughput reporting).
     pub invocations: u64,
@@ -98,8 +97,8 @@ impl PacketReplicationEngine {
     /// An empty PRE.
     pub fn new() -> Self {
         PacketReplicationEngine {
-            groups: HashMap::new(),
-            l2_xid_ports: HashMap::new(),
+            groups: IdMap::default(),
+            l2_xid_ports: IdMap::default(),
             l1_nodes_used: 0,
             invocations: 0,
             replicas_produced: 0,

@@ -30,7 +30,6 @@ use bytes::Bytes;
 use scallop_netsim::packet::Packet;
 use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
 use scallop_proto::demux::PacketClass;
-use std::ops::Range;
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
@@ -165,17 +164,6 @@ impl std::ops::AddAssign for DataPlaneCounters {
         self.rule_installs += rule_installs;
         self.rule_removals += rule_removals;
         self.tree_allocs += tree_allocs;
-    }
-}
-
-impl DataPlaneCounters {
-    /// Total packets that stayed entirely in the data plane.
-    pub fn data_plane_pkts(&self) -> u64 {
-        self.rtp_in_pkts + self.rtcp_sr_pkts + self.rtcp_fb_pkts - self.cpu_media_overlap()
-    }
-
-    fn cpu_media_overlap(&self) -> u64 {
-        0 // copies are accounted separately; inputs counted once
     }
 }
 
@@ -327,7 +315,7 @@ impl ScallopDataPlane {
         } = out;
         // Stage 1: parse the whole batch before any match work.
         parsed.extend(pkts.iter().map(|p| parser::parse(&p.payload)));
-        // Stage 2: match/replicate with per-batch resolution caches.
+        // Stage 2: match/replicate; the memo starts every call cold.
         caches.begin_batch();
         self.slab.begin_batch();
         stats.batches += 1;
@@ -378,16 +366,17 @@ impl ScallopDataPlane {
         sink.cpu_punts.push(sink.index);
     }
 
-    /// Ingress match for `port`: batch cache, then dense registers (when
-    /// the port falls in the enabled span), then the exact table's
-    /// sparse tail. The rule is copied out — no borrow survives.
+    /// Ingress match for `port`: the previous packet's resolution when it
+    /// matched the same port, else dense registers (when the port falls
+    /// in the enabled span), else the exact table's sparse tail. The rule
+    /// is copied out — no borrow survives.
     fn resolve_rule(&mut self, c: &mut BatchCaches, port: u16) -> Option<PortRule> {
-        if let Some(&(_, rule)) = c.ports.iter().find(|(p, _)| *p == port) {
+        if let Some((_, rule)) = c.port.filter(|(p, _)| *p == port) {
             c.port_lookups_saved += 1;
             return rule;
         }
         let rule = self.match_port_rule(port);
-        c.ports.push((port, rule));
+        c.port = Some((port, rule));
         rule
     }
 
@@ -569,28 +558,29 @@ impl ScallopDataPlane {
                     })
                     .unwrap_or(0) as usize;
                 let mgid = mgid_by_tier[tier.min(2)];
-                // Replay the flow's cached, egress-resolved replica list,
-                // or walk the PRE + resolve each replica's egress once and
-                // cache the lot. Failed walks (no such group) are cached
-                // as `None` but still charged as a drop per packet.
+                // Replay the previous packet's egress-resolved replica list
+                // when this one is of the same flow, else walk the PRE +
+                // resolve each replica's egress and remember the lot. A
+                // failed walk (no such group) is remembered too, and still
+                // charged as a drop per packet.
                 let flow = (mgid, *l1_xid, *rid, *l2_xid, pkt.dst.port);
-                let range = match c.flows.iter().find(|(k, _)| *k == flow) {
-                    Some((_, range)) => {
+                let walked = match c.flow {
+                    Some((prev, walked)) if prev == flow => {
                         c.pre_walks_saved += 1;
-                        c.egress_lookups_saved += range.as_ref().map_or(0, |r| r.len() as u64);
-                        range.clone()
+                        c.egress_lookups_saved += c.flow_replicas.len() as u64;
+                        walked
                     }
-                    None => {
-                        let range = self.resolve_flow(flow, &mut c.flow_replicas);
-                        c.flows.push((flow, range.clone()));
-                        range
+                    _ => {
+                        let walked = self.resolve_flow(flow, &mut c.flow_replicas);
+                        c.flow = Some((flow, walked));
+                        walked
                     }
                 };
-                let Some(range) = range else {
+                if !walked {
                     self.counters.no_rule_drops += 1;
                     return;
-                };
-                for &(rep, spec) in &c.flow_replicas[range.start as usize..range.end as usize] {
+                }
+                for &(rep, spec) in &c.flow_replicas {
                     let Some(spec) = spec else {
                         self.counters.no_rule_drops += 1;
                         continue;
@@ -606,31 +596,31 @@ impl ScallopDataPlane {
     }
 
     /// Walk the PRE for `flow` and match every replica's egress rule,
-    /// appending the resolved replicas to `arena`. Returns their range,
-    /// or `None` when the walk failed (no such group).
+    /// leaving the resolved replicas in `resolved` (cleared first).
+    /// `false` — and nothing resolved — when the walk failed (no such
+    /// group).
     fn resolve_flow(
         &mut self,
         (mgid, l1_xid, rid, l2_xid, in_port): FlowKey,
-        arena: &mut Vec<ResolvedReplica>,
-    ) -> Option<Range<u32>> {
+        resolved: &mut Vec<ResolvedReplica>,
+    ) -> bool {
+        resolved.clear();
         let mut replicas = std::mem::take(&mut self.replica_scratch);
+        // `replicate_into` leaves `replicas` empty when the walk fails.
         let walked = self
             .pre
             .replicate_into(mgid, l1_xid, rid, l2_xid, &mut replicas)
             .is_ok();
-        let start = arena.len() as u32;
-        if walked {
-            arena.extend(replicas.iter().map(|rep| {
-                let key = EgressKey {
-                    mgid,
-                    rid: rep.rid,
-                    in_port,
-                };
-                (*rep, self.egress.lookup(&key).copied())
-            }));
-        }
+        resolved.extend(replicas.iter().map(|rep| {
+            let key = EgressKey {
+                mgid,
+                rid: rep.rid,
+                in_port,
+            };
+            (*rep, self.egress.lookup(&key).copied())
+        }));
         self.replica_scratch = replicas;
-        walked.then_some(start..arena.len() as u32)
+        walked
     }
 
     /// Egress pipeline for one replica: SVC gate, sequence rewrite,
@@ -1087,8 +1077,12 @@ mod tests {
         assert_eq!(bout.cpu_punts, seq_punts);
         assert_eq!(bat_dp.counters, seq_dp.counters);
         assert_eq!(bat_dp.max_parse_depth, seq_dp.max_parse_depth);
-        assert!(bout.stats.port_lookups_saved > 0, "repeat ports amortized");
-        assert!(bout.stats.pre_walks_saved > 0, "repeat flows amortized");
+        // Every packet but the STUN and the garbage resolves port 10 and
+        // its one flow (two replicas): all but the first are repeats.
+        let repeats = batch.len() as u64 - 3;
+        assert_eq!(bout.stats.port_lookups_saved, repeats);
+        assert_eq!(bout.stats.pre_walks_saved, repeats);
+        assert_eq!(bout.stats.egress_lookups_saved, 2 * repeats);
         assert_eq!(bout.stats.batch_pkts, batch.len() as u64);
     }
 

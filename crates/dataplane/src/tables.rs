@@ -9,8 +9,58 @@
 //! Table 3 SRAM report, and install/delete semantics that reject
 //! over-subscription instead of silently degrading.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The one hasher under the per-packet maps ([`ExactTable`] and the PRE's
+/// groups and L2 XID sets): rotate, xor, multiply by 2⁶⁴/φ per word — a
+/// few cycles where `std`'s SipHash-1-3 costs tens, and fixed, so a map's
+/// iteration order depends on its history alone, not on the process.
+///
+/// HashDoS does not apply: every *inserted* key is an id the switch
+/// agent allocates lowest-first (ports, MGIDs, RIDs, XIDs), so no outside
+/// party chooses what a bucket holds; wire-supplied values (`dst.port`)
+/// only ever *probe*, and a probe costs the same whatever it collides
+/// with. Do not use it for a map whose keys arrive from the wire.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+/// A `HashMap` under [`IdHasher`] (`IdMap::default()` builds one).
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+impl IdHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.mix(u64::from(b)));
+    }
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
 
 /// Error installing a table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +77,7 @@ pub struct ExactTable<K, V> {
     name: &'static str,
     capacity: usize,
     entry_bits: usize,
-    map: HashMap<K, V>,
+    map: IdMap<K, V>,
     /// Lookup counters (hit/miss), exported for utilization reports.
     pub hits: u64,
     /// Miss counter.
@@ -42,7 +92,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
             name,
             capacity,
             entry_bits,
-            map: HashMap::new(),
+            map: IdMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -89,19 +139,22 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
 
     /// Install an entry. Fails on duplicate key or full table.
     pub fn insert(&mut self, key: K, value: V) -> Result<(), TableError> {
-        if self.map.contains_key(&key) {
-            return Err(TableError::Duplicate);
+        let full = self.map.len() >= self.capacity;
+        match self.map.entry(key) {
+            Entry::Occupied(_) => Err(TableError::Duplicate),
+            Entry::Vacant(_) if full => Err(TableError::Full),
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                Ok(())
+            }
         }
-        if self.map.len() >= self.capacity {
-            return Err(TableError::Full);
-        }
-        self.map.insert(key, value);
-        Ok(())
     }
 
-    /// Replace-or-install (control-plane modify).
+    /// Replace-or-install (control-plane modify). Below capacity every
+    /// write fits, so the key is hashed once; only a full table has to
+    /// tell a new key from an existing one.
     pub fn upsert(&mut self, key: K, value: V) -> Result<(), TableError> {
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             return Err(TableError::Full);
         }
         self.map.insert(key, value);
@@ -199,6 +252,56 @@ mod tests {
         assert_eq!(t.sram_bits_provisioned(), 12_800);
         t.remove(&0);
         assert_eq!(t.sram_bits_used(), 1152);
+    }
+
+    fn hash_u16(k: u16) -> u64 {
+        let mut h = IdHasher::default();
+        k.hash(&mut h);
+        h.finish()
+    }
+
+    /// Ids are allocated lowest-first, so consecutive keys are the load
+    /// the hasher must spread over hashbrown's two views of a hash: the
+    /// low bits pick the bucket, the top seven are the control byte. One
+    /// `u16` is one odd multiply, which permutes the low bits exactly;
+    /// the bounds leave room for a different mix, not for a weak one.
+    #[test]
+    fn hasher_spreads_lowest_first_ids() {
+        let all: std::collections::HashSet<u64> = (0..=u16::MAX).map(hash_u16).collect();
+        assert_eq!(all.len(), 65_536, "no two u16 keys share a hash");
+        for base in [0u16, 10_000, 0xF000] {
+            let mut buckets = [0u8; 4096];
+            let mut control = std::collections::HashSet::new();
+            for k in base..=base + 4095 {
+                let h = hash_u16(k);
+                buckets[(h & 0xFFF) as usize] += 1;
+                control.insert(h >> 57);
+            }
+            assert!(buckets.iter().all(|&n| n <= 4), "bucket pile-up at {base}");
+            assert!(control.len() >= 64, "{} control bytes", control.len());
+        }
+    }
+
+    /// The hasher is fixed, so iteration order is a function of the
+    /// table's history, not of the process.
+    #[test]
+    fn same_history_iterates_in_the_same_order() {
+        let build = || {
+            let mut t: ExactTable<u16, u32> = ExactTable::new("t", 4096, 64);
+            for k in 0..3000u16 {
+                t.insert(k.wrapping_mul(7), u32::from(k)).unwrap();
+            }
+            for k in (0..3000u16).step_by(3) {
+                t.remove(&k.wrapping_mul(7));
+            }
+            for k in 0..500u16 {
+                t.upsert(40_000 + k, 0).unwrap();
+            }
+            t
+        };
+        let (a, b) = (build(), build());
+        assert!(a.iter().eq(b.iter()));
+        assert_eq!(a.len(), 2500);
     }
 
     #[test]

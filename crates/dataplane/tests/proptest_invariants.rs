@@ -9,12 +9,18 @@
 //! 3. **PRE pruning algebra**: replicas = nodes minus L1-pruned minus
 //!    L2-pruned, for arbitrary tree shapes.
 //! 4. **Parser totality** on arbitrary bytes.
+//! 5. **Exact-table oracle**: any install/modify/delete/lookup history
+//!    through `ExactTable` (and the fixed hasher under it) equals a
+//!    `BTreeMap` plus the capacity rule.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scallop_dataplane::parser;
 use scallop_dataplane::pre::{L1Node, PacketReplicationEngine};
+use scallop_dataplane::rules::EgressKey;
 use scallop_dataplane::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
+use scallop_dataplane::tables::{ExactTable, TableError};
+use std::collections::BTreeMap;
 
 /// A scripted packet event for the rewrite stage.
 #[derive(Debug, Clone)]
@@ -33,8 +39,94 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
+/// One scripted table operation: `(kind, id, wire, value)`. `id` picks
+/// one of a dozen agent-allocated keys (so histories collide, refill and
+/// hit capacity); `wire` is an arbitrary key only ever looked up.
+type TableOp = (u8, u16, u16, u32);
+
+fn arb_table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    vec((0u8..16, 0u16..12, any::<u16>(), any::<u32>()), 1..200)
+}
+
+/// Run `ops` through an `ExactTable` of capacity 6 and through a
+/// `BTreeMap` + explicit capacity rule (keyed by `ord`, since table keys
+/// need not be `Ord`); every result, error, `len` and counter must agree.
+fn check_table_history<K: std::hash::Hash + Eq + Copy + std::fmt::Debug>(
+    ops: &[TableOp],
+    allocated: impl Fn(u16) -> K,
+    wire: impl Fn(u16) -> K,
+    ord: impl Fn(&K) -> [u16; 3],
+) {
+    const CAPACITY: usize = 6;
+    let mut table: ExactTable<K, u32> = ExactTable::new("t", CAPACITY, 64);
+    let mut model: BTreeMap<[u16; 3], u32> = BTreeMap::new();
+    let mut lookups = 0u64;
+    for &(kind, id, w, value) in ops {
+        let key = allocated(id);
+        let present = model.contains_key(&ord(&key));
+        let full = model.len() >= CAPACITY;
+        match kind {
+            0..=3 => {
+                let want = match (present, full) {
+                    (true, _) => Err(TableError::Duplicate),
+                    (false, true) => Err(TableError::Full),
+                    (false, false) => Ok(()),
+                };
+                assert_eq!(table.insert(key, value), want, "insert {key:?}");
+                if want.is_ok() {
+                    model.insert(ord(&key), value);
+                }
+            }
+            4..=7 => {
+                let want = if full && !present {
+                    Err(TableError::Full)
+                } else {
+                    Ok(())
+                };
+                assert_eq!(table.upsert(key, value), want, "upsert {key:?}");
+                if want.is_ok() {
+                    model.insert(ord(&key), value);
+                }
+            }
+            8..=10 => assert_eq!(table.remove(&key), model.remove(&ord(&key))),
+            11..=14 => {
+                // Odd kinds probe with the wire-chosen key.
+                let key = if kind % 2 == 1 { wire(w) } else { key };
+                let want = model.get(&ord(&key));
+                assert_eq!(table.peek(&key), want, "peek {key:?}");
+                assert_eq!(table.lookup(&key), want, "lookup {key:?}");
+                lookups += 1;
+            }
+            _ if id == 0 => {
+                table.clear();
+                model.clear();
+            }
+            _ => {}
+        }
+        assert_eq!(table.len(), model.len());
+        assert_eq!(table.hits + table.misses, lookups);
+    }
+    let mut left: Vec<([u16; 3], u32)> = table.iter().map(|(k, v)| (ord(k), *v)).collect();
+    left.sort_unstable();
+    assert_eq!(left, model.into_iter().collect::<Vec<_>>());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The exact table under the fixed hasher behaves as a map with a
+    /// capacity, for both key shapes the data plane installs; arbitrary
+    /// (never-installed, wire-chosen) keys miss and never panic.
+    #[test]
+    fn exact_table_matches_btreemap_oracle(ops in arb_table_ops()) {
+        check_table_history(&ops, |id| 10_000 + id, |w| w, |k| [*k, 0, 0]);
+        check_table_history(
+            &ops,
+            |id| EgressKey { mgid: 1 + id % 3, rid: 1 + id / 3 % 2, in_port: 10_000 + id / 6 },
+            |w| EgressKey { mgid: w, rid: w.rotate_left(5), in_port: !w },
+            |k| [k.mgid, k.rid, k.in_port],
+        );
+    }
 
     /// Under any loss/reorder pattern, neither heuristic ever emits the
     /// same output sequence number twice (distinct-content duplicates

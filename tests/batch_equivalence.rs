@@ -20,9 +20,10 @@
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use scallop::core::agent::{JoinGrant, SwitchAgent};
-use scallop::dataplane::batch::BatchOutput;
+use scallop::dataplane::batch::{BatchOutput, BatchStats};
+use scallop::dataplane::rules::{PortRule, ReplicationAction};
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
-use scallop::dataplane::switch::ScallopDataPlane;
+use scallop::dataplane::switch::{DataPlaneCounters, ScallopDataPlane};
 use scallop::media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop::media::packetizer::Packetizer;
 use scallop::netsim::packet::{HostAddr, Packet};
@@ -77,14 +78,36 @@ fn video_bytes(ssrc: u32, seq: u16, template_id: u8, is_key: bool) -> Vec<u8> {
     frames[0].serialize()
 }
 
+/// What the one-batch side of [`assert_equivalent_after`] did.
+struct BatchSide {
+    /// What the memo of the previous resolution saved.
+    stats: BatchStats,
+    counters: DataPlaneCounters,
+    forwards: u64,
+    /// Port matches that went to a table (dense registers or exact).
+    port_lookups: u64,
+    /// Sequence-rewritten replicas produced.
+    rewritten: usize,
+}
+
+/// [`assert_equivalent_after`] on the meeting as built.
+fn assert_equivalent(pkts: &[Packet], parties: usize) -> BatchSide {
+    assert_equivalent_after(pkts, parties, |_| {})
+}
+
 /// Run the same packets as one batch and as batches of one on
-/// identically-built data planes (dense registers on the one-batch
-/// side) and assert full equivalence: forwards, punt ring, counters,
-/// parse depth. Returns the number of sequence-rewritten replicas the
-/// batch produced.
-fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
+/// identically-built data planes (`tweak` applied to both, dense
+/// registers on the one-batch side) and assert full equivalence:
+/// forwards, punt ring, counters, parse depth.
+fn assert_equivalent_after(
+    pkts: &[Packet],
+    parties: usize,
+    tweak: impl Fn(&mut ScallopDataPlane),
+) -> BatchSide {
     let (mut seq_dp, _, _) = meeting(parties);
     let (mut bat_dp, _, _) = meeting(parties);
+    tweak(&mut seq_dp);
+    tweak(&mut bat_dp);
     bat_dp.enable_dense_ports(PORT_BASE, PORT_LIMIT);
 
     let mut seq_fwd = Vec::new();
@@ -113,14 +136,24 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) -> usize {
     );
     // A rewritten replica is a view of the slab; every other media
     // replica shares its ingress packet's buffer.
-    bout.forwards
+    let rewritten = bout
+        .forwards
         .iter()
         .filter(|f| scallop::proto::classify(&f.payload) == scallop::proto::PacketClass::Rtp)
         .filter(|f| {
             pkts.iter()
                 .all(|p| p.payload.as_ptr() != f.payload.as_ptr())
         })
-        .count()
+        .count();
+    BatchSide {
+        stats: bout.stats,
+        counters: bat_dp.counters,
+        forwards: bout.forwards.len() as u64,
+        port_lookups: bat_dp.dense_ports.as_ref().unwrap().dense_lookups
+            + bat_dp.port_rules.hits
+            + bat_dp.port_rules.misses,
+        rewritten,
+    }
 }
 
 #[test]
@@ -171,20 +204,138 @@ fn mixed_traffic_batch_matches_batches_of_one() {
             pkts.push(Packet::new(s0, fb, nack));
         }
     }
-    let rewritten = assert_equivalent(&pkts, 6);
+    let rewritten = assert_equivalent(&pkts, 6).rewritten;
     assert!(
         rewritten > 0,
         "the adapted receivers' replicas are rewritten"
     );
 }
 
+/// The memo holds one resolution, so the orders that matter are the ones
+/// where it thrashes. Every case is checked against batches of one on a
+/// twin, and the savings must equal the adjacent repeats exactly.
+#[test]
+fn memo_saves_exactly_the_adjacent_repeats() {
+    const PARTIES: usize = 4;
+    let (dp, _, members) = meeting(PARTIES);
+    let sfu = |port| HostAddr::new(Ipv4Addr::new(10, 0, 0, 100), port);
+    // T0 video (every receiver takes it): sender `s`, sequence number
+    // `seq`, addressed to `port` of the SFU.
+    let video_to = |s: usize, seq: u16, port: u16| {
+        let bytes = video_bytes(0x1000 + s as u32, seq, 1, false);
+        Packet::new(members[s].0, sfu(port), bytes)
+    };
+    let video = |s: usize, seq: u16| video_to(s, seq, members[s].1.video_uplink.port);
+    // Senders that were never rate-adapted; three receivers each.
+    let (a, b) = (0, 3);
+    let fanout = (PARTIES - 1) as u64;
+    let saved = |side: &BatchSide| {
+        (
+            side.stats.port_lookups_saved,
+            side.stats.pre_walks_saved,
+            side.stats.egress_lookups_saved,
+        )
+    };
+
+    // A,B,A,B: no packet repeats its neighbour's key.
+    let side = assert_equivalent(
+        &[video(a, 0), video(b, 0), video(a, 1), video(b, 1)],
+        PARTIES,
+    );
+    assert_eq!(saved(&side), (0, 0, 0));
+    assert_eq!(side.port_lookups, 4);
+
+    // A,A,B,B,A: two adjacent repeats, and the returning A is a miss.
+    let side = assert_equivalent(
+        &[
+            video(a, 0),
+            video(a, 1),
+            video(b, 0),
+            video(b, 1),
+            video(a, 2),
+        ],
+        PARTIES,
+    );
+    assert_eq!(saved(&side), (2, 2, 2 * fanout));
+    assert_eq!(side.forwards, 5 * fanout);
+
+    // A port with no rule, three times: one lookup, three drops.
+    let unused = PORT_BASE + 1_500;
+    let to_unused = [0, 1, 2].map(|seq| video_to(a, seq, unused));
+    let side = assert_equivalent(&to_unused, PARTIES);
+    assert_eq!(saved(&side), (2, 0, 0));
+    assert_eq!(side.port_lookups, 1);
+    assert_eq!(side.counters.no_rule_drops, 3);
+    assert_eq!(side.forwards, 0);
+
+    // A flow whose MGID has no group, three times: the failed walk is
+    // replayed, and each packet is still a drop.
+    let side = assert_equivalent_after(&to_unused, PARTIES, |dp| {
+        let action = ReplicationAction::Multicast {
+            mgid_by_tier: [60_000; 3],
+            l1_xid: 0,
+            rid: 0,
+            l2_xid: 0,
+        };
+        let rule = PortRule::SenderUplink {
+            action,
+            punt_extended_dd: false,
+        };
+        dp.install_port_rule(unused, rule).unwrap();
+    });
+    assert_eq!(saved(&side), (2, 2, 0));
+    assert_eq!(side.counters.no_rule_drops, 3);
+    assert_eq!(side.forwards, 0);
+
+    // A replica without an egress rule, three times: the other replicas
+    // go out, the hole is a drop per packet, replayed or not.
+    let a_port = members[a].1.video_uplink.port;
+    let Some(PortRule::SenderUplink {
+        action: ReplicationAction::Multicast { mgid_by_tier, .. },
+        ..
+    }) = dp.port_rules.peek(&a_port).copied()
+    else {
+        panic!("a four-party sender replicates through the PRE");
+    };
+    let hole = dp
+        .egress
+        .iter()
+        .map(|(k, _)| *k)
+        .filter(|k| k.mgid == mgid_by_tier[0] && k.in_port == a_port)
+        .min_by_key(|k| k.rid)
+        .expect("the T0 tree has replicas");
+    let side = assert_equivalent_after(&[0, 1, 2].map(|seq| video(a, seq)), PARTIES, |dp| {
+        dp.remove_egress(hole).unwrap();
+    });
+    assert_eq!(saved(&side), (2, 2, 2 * fanout));
+    assert_eq!(side.counters.no_rule_drops, 3);
+    assert_eq!(side.forwards, 3 * (fanout - 1));
+
+    // STUN and garbage wedged into a flow resolve nothing and leave the
+    // memo alone: the second A is still a hit.
+    let stun = scallop::proto::stun::StunMessage::binding_request([9; 12]).serialize();
+    let side = assert_equivalent(
+        &[
+            video(a, 0),
+            Packet::new(members[b].0, sfu(members[b].1.video_uplink.port), stun),
+            Packet::new(members[b].0, sfu(unused), vec![0xFF; 16]),
+            video(a, 1),
+        ],
+        PARTIES,
+    );
+    assert_eq!(saved(&side), (1, 1, fanout));
+    assert_eq!(side.port_lookups, 1);
+}
+
 #[test]
 fn bench_smoke_runner_reports_equivalent() {
+    // 10 senders x 5-packet frames x 4 rounds: each frame's four later
+    // packets repeat its first one's port and flow (9 replicas).
     let report = scallop_bench::dataplane::run_batch_smoke(10, 4);
     assert_eq!(report.equivalent, 1);
-    assert!(report.port_lookups_saved > 0, "port cache never hit");
-    assert!(report.pre_walks_saved > 0, "flow cache never hit");
-    assert!(report.egress_lookups_saved > 0, "egress replay never hit");
+    assert_eq!(report.port_lookups_saved, 10 * 4 * 4);
+    assert_eq!(report.pre_walks_saved, 10 * 4 * 4);
+    assert_eq!(report.egress_lookups_saved, 10 * 4 * 4 * 9);
     assert!(report.dense_lookups > 0, "dense registers never hit");
 }
 
