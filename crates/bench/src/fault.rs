@@ -113,7 +113,7 @@ pub fn run_core_kill() -> FaultReport {
     h.kill_core(victim);
     h.run_for_secs(2.0);
     let blackhole_fps = fps(&mut h, 0, 1);
-    let repaired = h.repair_core_failure();
+    let repaired = h.repair_trunks();
     let (recovery_ticks, recovered_fps) = ticks_to_recover(&mut h, 0, 1);
     FaultReport {
         scenario: 0,
@@ -138,7 +138,7 @@ pub fn run_trunk_cut() -> FaultReport {
     h.cut_trunk(0, core);
     h.run_for_secs(2.0);
     let blackhole_fps = fps(&mut h, 0, 1);
-    let repaired = h.repair_trunk_cut(0, core);
+    let repaired = h.repair_trunks();
     let (recovery_ticks, recovered_fps) = ticks_to_recover(&mut h, 0, 1);
     FaultReport {
         scenario: 1,

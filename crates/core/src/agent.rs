@@ -63,6 +63,19 @@ pub const TRUNK_XID: u16 = 0xFFFE;
 /// remote zone.
 pub const WAN_XID: u16 = 0xFFFD;
 
+/// The fabric tier a trunk-egress branch points across, or a
+/// remote-sender entry's media arrived over: the controller's routing
+/// rule answers in these terms, and each tier's value is the L1 XID its
+/// branches carry and its arrivals prune.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u16)]
+pub enum Tier {
+    /// An intra-zone trunk.
+    Trunk = TRUNK_XID,
+    /// A WAN link between two zones' gateway edges.
+    Wan = WAN_XID,
+}
+
 /// What role a participant entry plays on *this* switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParticipantClass {
@@ -519,102 +532,65 @@ impl SwitchAgent {
         self.join_many(dp, meeting, &[(addr, sends)])[0]
     }
 
-    /// Register a sender homed on another edge switch *in the same
-    /// zone*. The returned grant's uplink addresses are this switch's
-    /// **trunk-ingress** ports: the sender's home switch points its
-    /// trunk-egress branch at them. `home_addr` is where receivers'
-    /// feedback for this sender is forwarded — the sender's real client
-    /// address, or its home edge's feedback-sink port when the home
-    /// edge aggregates REMBs fabric-wide.
+    /// Register a sender homed on another edge switch, whose media
+    /// arrives over `tier` and prunes that tier's branches here
+    /// ([`TRUNK_XID`], [`WAN_XID`]). The returned grant's uplink
+    /// addresses are this switch's **trunk-ingress** ports: the upstream
+    /// switch points its trunk-egress branch at them. `home_addr` is
+    /// where receivers' feedback for this sender is forwarded — the
+    /// sender's real client address, or its home edge's feedback-sink
+    /// port when the home edge aggregates REMBs fabric-wide.
     pub fn join_remote_sender(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
         home_addr: HostAddr,
+        tier: Tier,
     ) -> JoinGrant {
-        self.join_class(
-            dp,
-            meeting,
-            home_addr,
-            true,
-            ParticipantClass::RemoteSender,
-            TRUNK_XID,
-        )
-    }
-
-    /// Register a sender whose media arrives over a **WAN link** (from
-    /// another zone). Identical to [`Self::join_remote_sender`] except
-    /// the entry prunes [`WAN_XID`] instead of [`TRUNK_XID`]: its media
-    /// must not re-cross a WAN link, but it *does* traverse this
-    /// (gateway) edge's intra-zone trunk branches, fanning out to the
-    /// zone's other edges.
-    pub fn join_wan_sender(
-        &mut self,
-        dp: &mut ScallopDataPlane,
-        meeting: MeetingId,
-        home_addr: HostAddr,
-    ) -> JoinGrant {
-        self.join_class(
-            dp,
-            meeting,
-            home_addr,
-            true,
-            ParticipantClass::RemoteSender,
-            WAN_XID,
-        )
+        let class = ParticipantClass::RemoteSender;
+        let grant = self.admit(dp, meeting, home_addr, true, class, tier as u16);
+        self.compile_joined(dp, meeting, &[grant]);
+        grant
     }
 
     /// Register a remote edge switch as a trunk-egress pseudo-receiver:
     /// it joins every tree at full quality, so each local sender's
     /// stream crosses the fabric exactly once per remote switch. Use
     /// [`Self::set_trunk_dst`] to point it at the remote switch's
-    /// trunk-ingress ports as remote senders are granted.
+    /// trunk-ingress ports as remote senders are granted. On
+    /// [`Tier::Wan`] the remote switch is another zone's gateway edge,
+    /// and only a zone's gateway edge holds such branches ([`WAN_XID`]).
+    pub fn join_egress(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        tier: Tier,
+    ) -> ParticipantId {
+        // Placeholder address — trunk replicas resolve their destination
+        // per sender through `trunk_dst`.
+        let addr = HostAddr::new(self.sfu_ip, 0);
+        let class = ParticipantClass::TrunkEgress;
+        let grant = self.admit(dp, meeting, addr, false, class, tier as u16);
+        self.compile_joined(dp, meeting, &[grant]);
+        grant.participant
+    }
+
+    /// [`Self::join_egress`] on the trunk tier, under the name the
+    /// frozen `benchmark/src/sut.rs` calls — its only caller.
     pub fn join_trunk_egress(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
     ) -> ParticipantId {
-        // Placeholder address — trunk replicas resolve their destination
-        // per sender through `trunk_dst`.
-        let addr = HostAddr::new(self.sfu_ip, 0);
-        self.join_class(
-            dp,
-            meeting,
-            addr,
-            false,
-            ParticipantClass::TrunkEgress,
-            TRUNK_XID,
-        )
-        .participant
-    }
-
-    /// Register a remote **zone's gateway edge** as a trunk-egress
-    /// pseudo-receiver reached over a WAN link. Only a zone's gateway
-    /// edge holds these branches, and they carry [`WAN_XID`]: media
-    /// that arrived over a WAN link prunes them (never re-crossing a
-    /// WAN link), media that arrived over an intra-zone trunk traverses
-    /// them — so each WAN link carries exactly one copy per sender.
-    pub fn join_wan_egress(
-        &mut self,
-        dp: &mut ScallopDataPlane,
-        meeting: MeetingId,
-    ) -> ParticipantId {
-        let addr = HostAddr::new(self.sfu_ip, 0);
-        self.join_class(
-            dp,
-            meeting,
-            addr,
-            false,
-            ParticipantClass::TrunkEgress,
-            WAN_XID,
-        )
-        .participant
+        self.join_egress(dp, meeting, Tier::Trunk)
     }
 
     /// Point the trunk-egress branch `trunk` at the remote trunk-ingress
     /// addresses for local sender `sender`, then recompile the meeting —
     /// incrementally (only the one re-aimed branch) when the installed
-    /// layout holds, with a full rebuild as the fallback.
+    /// layout holds, with a full rebuild as the fallback. Returns
+    /// whether the destination changed; a branch already aimed there is
+    /// left alone, which is what makes a repair pass idempotent.
     pub fn set_trunk_dst(
         &mut self,
         dp: &mut ScallopDataPlane,
@@ -622,16 +598,20 @@ impl SwitchAgent {
         sender: ParticipantId,
         video_dst: HostAddr,
         audio_dst: HostAddr,
-    ) {
+    ) -> bool {
         let Some(p) = self.pinfo.get_mut(&trunk) else {
-            return;
+            return false;
         };
         debug_assert_eq!(p.class, ParticipantClass::TrunkEgress);
-        p.trunk_dst.insert(sender, (video_dst, audio_dst));
+        let dst = (video_dst, audio_dst);
+        if p.trunk_dst.insert(sender, dst) == Some(dst) {
+            return false;
+        }
         let meeting = p.meeting;
         if !(self.incremental && self.try_point_trunk(dp, meeting, trunk, sender)) {
             self.rebuild_meeting(dp, meeting);
         }
+        true
     }
 
     /// Allocate (idempotently) the feedback-sink port for local sender
@@ -686,20 +666,6 @@ impl SwitchAgent {
     /// gateway migrates).
     pub fn uplink_ports(&self, pid: ParticipantId) -> Option<(u16, u16)> {
         self.pinfo.get(&pid).map(|p| (p.video_up, p.audio_up))
-    }
-
-    fn join_class(
-        &mut self,
-        dp: &mut ScallopDataPlane,
-        meeting: MeetingId,
-        addr: HostAddr,
-        sends: bool,
-        class: ParticipantClass,
-        fabric_xid: u16,
-    ) -> JoinGrant {
-        let grant = self.admit(dp, meeting, addr, sends, class, fabric_xid);
-        self.compile_joined(dp, meeting, &[grant]);
-        grant
     }
 
     /// Admit a burst of local participants with **one** compile: each

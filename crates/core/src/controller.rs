@@ -16,18 +16,19 @@
 //!
 //! On a campus fabric the controller also owns meeting *placement*:
 //!
-//! * **Segment GC** — [`Controller::leave_fabric`] collects a meeting
-//!   segment as soon as its edge loses its last local member: every
-//!   surviving sender's remote-sender entry there is retired (freeing
-//!   its trunk-ingress ports and RID), the trunk-egress branches toward
-//!   and from that edge are torn down on both sides (so senders stop
-//!   paying trunk crossings toward an edge with no receivers), and the
-//!   drained segment's meeting state is destroyed, returning its MGIDs,
-//!   RIDs, and ports to their pools. The *home* segment is exempt — it
-//!   anchors the meeting — until rebalancing moves the home away.
+//! * **Segment GC** — [`ShardedControlPlane::leave_fabric`] collects a
+//!   meeting segment as soon as its edge loses its last local member:
+//!   every surviving sender's remote-sender entry there is retired
+//!   (freeing its trunk-ingress ports and RID), the trunk-egress
+//!   branches toward and from that edge are torn down on both sides (so
+//!   senders stop paying trunk crossings toward an edge with no
+//!   receivers), and the drained segment's meeting state is destroyed,
+//!   returning its MGIDs, RIDs, and ports to their pools. The *home*
+//!   segment is exempt — it anchors the meeting — until rebalancing
+//!   moves the home away.
 //!
-//! * **Live re-homing** — [`Controller::rebalance_fabric`] revisits the
-//!   placement decision made when the meeting was created.
+//! * **Live re-homing** — [`ShardedControlPlane::rebalance_fabric`]
+//!   revisits the placement decision made when the meeting was created.
 //!   When another edge holds strictly more than
 //!   `home + REBALANCE_HYSTERESIS` local members, the meeting re-homes
 //!   there. The move is make-before-break by construction: the fabric
@@ -63,26 +64,45 @@
 //! frozen baselines bit-for-bit). Home placement becomes two-level:
 //! zone majority first, then the best edge within the winning zone.
 //!
+//! # One route per fabric branch
+//!
+//! *Which upstream (edge, pid), over which tier, through which relay,
+//! carries sender S toward the segment on edge T* is decided in one
+//! place. `route` names the upstream edge and the tier from the
+//! meeting's gateway map; `aim` — the only caller of `set_trunk_dst` —
+//! resolves the upstream pid and swings the branch at the address
+//! [`Fabric::trunk_addr`] gives, and that rule *observes* dead cores
+//! and cut trunk links in the simulator (which stands in for the
+//! liveness service a deployed controller would read, as the plane's
+//! epoch map stands in for the metadata service). Admission pricing,
+//! the first plumb, gateway migration and
+//! [`ShardedControlPlane::repair_trunks`] all ask the pair, so what is
+//! priced is what is plumbed, and a branch plumbed after a failure
+//! avoids it exactly as a repaired one does.
+//!
 //! # Relation to the sharded control plane
 //!
-//! A `Controller` is one control instance. Per-meeting bookkeeping is
-//! kept in self-contained [`crate::meeting::FabricMeetingState`] values
-//! so that [`crate::shard::ShardedControlPlane`] can run several
-//! controllers side by side, each owning a disjoint subset of the
-//! fabric's meetings, and move a meeting's state between them with the
-//! [`crate::shard::ShardMsg`] handoff protocol. The plane is the only
-//! way in: it allocates global meeting/participant ids (keeping the id
-//! space collision-free across shards) and hands them to the
-//! crate-private create and join entry points here, so a `Controller`
-//! on its own can neither create a meeting nor admit a member.
+//! A `Controller` is one control instance, private to this crate.
+//! Per-meeting bookkeeping is kept in self-contained
+//! [`crate::meeting::FabricMeetingState`] values so that
+//! [`ShardedControlPlane`] can run several controllers side by side,
+//! each owning a disjoint subset of the fabric's meetings, and move a
+//! meeting's state between them with the [`crate::shard::ShardMsg`]
+//! handoff protocol. The plane is the only way in: it allocates global
+//! meeting/participant ids (keeping the id space collision-free across
+//! shards) and hands them to the create and join entry points here, so
+//! a `Controller` on its own can neither create a meeting nor admit a
+//! member.
 
-use crate::agent::{JoinGrant, MeetingId, ParticipantId};
+use crate::agent::{JoinGrant, MeetingId, ParticipantId, Tier};
 use crate::capacity::{
     AdmissionDecision, BranchRoute, FabricLoadLedger, LedgerHandle, LoadDelta, MEMBER_PORTS,
     REMOTE_PORTS, THIN_DECODE_TARGET,
 };
 use crate::fabric::Fabric;
 use crate::meeting::{FabricMeetingState, FabricMemberState};
+#[cfg(doc)]
+use crate::shard::ShardedControlPlane;
 use scallop_netsim::packet::HostAddr;
 use scallop_netsim::sim::Simulator;
 use scallop_netsim::topology::Topology;
@@ -102,10 +122,10 @@ pub type GlobalParticipantId = u32;
 
 /// Re-homing hysteresis: an edge must hold **strictly more than**
 /// `home_members + REBALANCE_HYSTERESIS` local members before
-/// [`Controller::rebalance_fabric`] moves the meeting there. With the
-/// default of 1 the majority must be decisive (≥ 2 members ahead), so a
-/// single join/leave oscillating across a 1-member margin can never
-/// flap the home back and forth.
+/// [`ShardedControlPlane::rebalance_fabric`] moves the meeting there.
+/// With the default of 1 the majority must be decisive (≥ 2 members
+/// ahead), so a single join/leave oscillating across a 1-member margin
+/// can never flap the home back and forth.
 pub const REBALANCE_HYSTERESIS: usize = 1;
 
 /// What a participant joining through the fabric controller receives.
@@ -209,7 +229,7 @@ struct JoinScratch {
 /// the multi-controller deployment that partitions fabric meetings
 /// across several of these).
 #[derive(Debug, Default)]
-pub struct Controller {
+pub(crate) struct Controller {
     fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
     /// Tombstones: the home edge of every fabric meeting retired when
     /// its last member left (its record is gone from
@@ -322,22 +342,80 @@ impl Controller {
             .unwrap_or(0)
     }
 
-    /// The branch route media of a sender homed on `se` takes to reach
-    /// a segment at `te` — mirroring [`Self::plumb_sender_to_edge`]'s
-    /// upstream resolution, but *predictively*: when `te`'s zone has
-    /// no gateway yet, `te` will become it and the route crosses the
-    /// WAN.
-    fn planned_route(tz: &Topology, rec: &FabricMeetingState, se: usize, te: usize) -> BranchRoute {
-        let (zs, zt) = (tz.zone_of_edge(se), tz.zone_of_edge(te));
+    /// The one routing rule: which upstream edge holds the branch that
+    /// carries media of a sender homed on `se` toward the segment at
+    /// `to`, and over which tier. Pricing, plumbing, repair and gateway
+    /// migration all ask here.
+    ///
+    /// * **same zone** — the sender's home edge trunks directly (the
+    ///   original campus path);
+    /// * **remote zone's gateway** — the sender zone's own gateway holds
+    ///   the WAN-tier branch (arriving media re-trunks inside the zone
+    ///   but never re-crosses a WAN link);
+    /// * **remote zone, non-gateway** — that zone's gateway re-trunks
+    ///   from the sender's remote entry there (which is why gateways are
+    ///   always plumbed first).
+    ///
+    /// Pricing asks before the join exists, so the rule is *predictive*
+    /// about gateways: a zone without one gets the asking edge — `to`,
+    /// or `se` on the sending side — since its segment, about to be the
+    /// zone's first, will take the role.
+    fn route(tz: &Topology, rec: &FabricMeetingState, se: usize, to: usize) -> (usize, Tier) {
+        let (zs, zt) = (tz.zone_of_edge(se), tz.zone_of_edge(to));
         if zs == zt {
-            return BranchRoute::Trunk { from: se, to: te };
+            return (se, Tier::Trunk);
         }
         match rec.zone_gateways.get(&zt) {
-            Some(&g) if g != te => BranchRoute::Trunk { from: g, to: te },
-            _ => BranchRoute::Wan {
-                links: tz.wan_path(zs, zt),
+            Some(&g) if g != to => (g, Tier::Trunk),
+            _ => (rec.zone_gateways.get(&zs).copied().unwrap_or(se), Tier::Wan),
+        }
+    }
+
+    /// What the ledger books for [`Self::route`]'s answer: the trunk
+    /// hop out of the upstream edge, or the WAN links between the two
+    /// zones.
+    fn books(tz: &Topology, rec: &FabricMeetingState, se: usize, to: usize) -> BranchRoute {
+        match Self::route(tz, rec, se, to) {
+            (from, Tier::Trunk) => BranchRoute::Trunk { from, to },
+            (_, Tier::Wan) => BranchRoute::Wan {
+                links: tz.wan_path(tz.zone_of_edge(se), tz.zone_of_edge(to)),
             },
         }
+    }
+
+    /// Swing the branch that carries `member`'s media toward its remote
+    /// entry on `to` — the only place a trunk destination is set. The
+    /// upstream is [`Self::route`]'s (the member's own entry when
+    /// co-located with it, else its remote entry there), the target is
+    /// the remote entry's trunk-ingress ports, and the address between
+    /// them is [`Fabric::trunk_addr`]'s, which routes around whatever
+    /// is down *now*: a first plumb, a repair pass and a gateway
+    /// migration all land on the same answer. Returns whether the
+    /// branch moved.
+    fn aim(
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        rec: &FabricMeetingState,
+        member: &FabricMemberState,
+        to: usize,
+    ) -> bool {
+        let (up_edge, _) = Self::route(&fabric.topology, rec, member.edge, to);
+        let up_pid = if up_edge == member.edge {
+            member.local_pid
+        } else {
+            member.remote_pids[&up_edge]
+        };
+        let (vp, ap) = fabric
+            .edge_mut(sim, to)
+            .agent
+            .uplink_ports(member.remote_pids[&to])
+            .expect("remote entry has trunk-ingress ports");
+        let video_dst = fabric.trunk_addr(sim, up_edge, to, vp);
+        let audio_dst = fabric.trunk_addr(sim, up_edge, to, ap);
+        let te = rec.trunk_egress[&(up_edge, to)];
+        fabric
+            .edge_mut(sim, up_edge)
+            .set_trunk_dst(te, up_pid, video_dst, audio_dst)
     }
 
     /// Would admitting a join of `edge` (sending or not) into `rec` hold
@@ -367,7 +445,7 @@ impl Controller {
             if new_segment {
                 for m in rec.members.iter().filter(|m| m.sends && m.edge != edge) {
                     plan.add_ports(edge, REMOTE_PORTS);
-                    plan.add_route(&Self::planned_route(tz, rec, m.edge, edge), inbound_bps);
+                    plan.add_route(&Self::books(tz, rec, m.edge, edge), inbound_bps);
                 }
             }
             plan
@@ -380,7 +458,7 @@ impl Controller {
             // a sender would degrade every full receiver it serves.
             for o in rec.segments.keys().copied().filter(|&o| o != edge) {
                 full.add_ports(o, REMOTE_PORTS);
-                let route = Self::planned_route(tz, rec, edge, o);
+                let route = Self::books(tz, rec, edge, o);
                 full.add_route(&route, led.branch_bps(rec.thin_segments.contains(&o)));
             }
             return match led.fits(&full) {
@@ -498,6 +576,7 @@ impl Controller {
                     let sw = fabric.edge_mut(sim, edge);
                     sw.agent
                         .join_many_into(&mut sw.dp, segment, batch, &mut scratch.grants);
+                    let first = rec.members.len();
                     for (&i, &local) in scratch.pending.iter().zip(&scratch.grants) {
                         let JoinRequest { addr, sends, .. } = reqs[i];
                         let global = id_of(i);
@@ -522,7 +601,7 @@ impl Controller {
                             local,
                         });
                     }
-                    for i in scratch.pending.drain(..) {
+                    for (k, i) in scratch.pending.drain(..).enumerate() {
                         if !reqs[i].sends {
                             continue;
                         }
@@ -535,7 +614,7 @@ impl Controller {
                                 &ledger,
                                 aggregate,
                                 gmid,
-                                id_of(i),
+                                first + k,
                                 o,
                             );
                         }
@@ -616,8 +695,8 @@ impl Controller {
             .iter()
             .filter(|&(&o, _)| o != edge && fabric.topology.zone_of_edge(o) == zone)
         {
-            let te_here = fabric.edge_mut(sim, edge).join_trunk_egress(segment);
-            let te_there = fabric.edge_mut(sim, o).join_trunk_egress(o_seg);
+            let te_here = fabric.edge_mut(sim, edge).join_egress(segment, Tier::Trunk);
+            let te_there = fabric.edge_mut(sim, o).join_egress(o_seg, Tier::Trunk);
             trunk_egress.insert((edge, o), te_here);
             trunk_egress.insert((o, edge), te_there);
         }
@@ -625,24 +704,19 @@ impl Controller {
             e.insert(edge);
             for (_, &g) in zone_gateways.iter().filter(|&(&z, _)| z != zone) {
                 let g_seg = segments[&g];
-                let te_here = fabric.edge_mut(sim, edge).join_wan_egress(segment);
-                let te_there = fabric.edge_mut(sim, g).join_wan_egress(g_seg);
+                let te_here = fabric.edge_mut(sim, edge).join_egress(segment, Tier::Wan);
+                let te_there = fabric.edge_mut(sim, g).join_egress(g_seg, Tier::Wan);
                 trunk_egress.insert((edge, g), te_here);
                 trunk_egress.insert((g, edge), te_there);
             }
         }
-        // Established senders elsewhere become remote senders here —
-        // identified by id (a scalar), not by cloning member records.
-        let senders: Vec<GlobalParticipantId> = rec
-            .members
-            .iter()
-            .filter(|m| m.sends && m.edge != edge)
-            .map(|m| m.global)
-            .collect();
-        for g in senders {
-            Self::plumb_sender_to_edge(
-                sim, fabric, rec, signaling, ledger, aggregate, gmid, g, edge,
-            );
+        // Established senders elsewhere become remote senders here.
+        for mi in 0..rec.members.len() {
+            if rec.members[mi].sends && rec.members[mi].edge != edge {
+                Self::plumb_sender_to_edge(
+                    sim, fabric, rec, signaling, ledger, aggregate, gmid, mi, edge,
+                );
+            }
         }
     }
 
@@ -651,7 +725,6 @@ impl Controller {
     /// edges — the in-zone fan-out hop rides the sender's remote entry
     /// at the gateway, which the gateway plumb creates.
     fn plumb_targets(fabric: &Fabric, rec: &FabricMeetingState, edge: usize) -> Vec<usize> {
-        let zone = fabric.topology.zone_of_edge(edge);
         let mut other_edges: Vec<usize> = rec
             .segments
             .keys()
@@ -659,33 +732,20 @@ impl Controller {
             .filter(|&o| o != edge)
             .collect();
         other_edges.sort_by_key(|&o| {
-            let zo = fabric.topology.zone_of_edge(o);
-            let stage = if zo == zone {
-                0
-            } else if rec.zone_gateways.get(&zo) == Some(&o) {
-                1
-            } else {
-                2
+            let stage = match Self::route(&fabric.topology, rec, edge, o) {
+                (up, Tier::Trunk) if up == edge => 0,
+                (_, Tier::Wan) => 1,
+                (_, Tier::Trunk) => 2,
             };
             (stage, o)
         });
         other_edges
     }
 
-    /// Compile forwarding of sender `global` toward edge `to`: grant a
-    /// remote-sender entry (trunk-ingress ports) on `to`, then point the
-    /// upstream trunk branch at it. The upstream branch depends on where
-    /// `to` sits relative to the sender's home zone:
-    ///
-    /// * **same zone** — the sender's home edge trunks directly (the
-    ///   original campus path);
-    /// * **remote zone's gateway** — the sender zone's own gateway holds
-    ///   the WAN-tier branch, and `to` gets a WAN-pruned remote entry
-    ///   (arriving media re-trunks inside the zone but never re-crosses
-    ///   a WAN link);
-    /// * **remote zone, non-gateway** — that zone's gateway re-trunks
-    ///   from the sender's remote entry there (which is why gateways are
-    ///   always plumbed first).
+    /// Compile forwarding of the sender at `rec.members[mi]` toward edge
+    /// `to`: grant a remote-sender entry (trunk-ingress ports) on `to`,
+    /// pruning the tier [`Self::route`] says its media arrives over,
+    /// then [`Self::aim`] the upstream branch at it.
     ///
     /// On a federated fabric the remote edge reports feedback to the
     /// home edge's REMB sink (min-aggregation, §5.3 fabric-wide); on a
@@ -700,72 +760,33 @@ impl Controller {
         ledger: &LedgerHandle,
         aggregate: bool,
         gmid: GlobalMeetingId,
-        global: GlobalParticipantId,
+        mi: usize,
         to: usize,
     ) {
-        // One positional lookup; everything the plumb needs from the
-        // member record is a scalar copy, not a record clone.
-        let mi = rec
-            .members
-            .iter()
-            .position(|m| m.global == global)
-            .expect("member exists");
-        let (m_edge, m_addr, m_local_pid, m_sends) = {
-            let m = &rec.members[mi];
-            (m.edge, m.addr, m.local_pid, m.sends)
-        };
-        debug_assert!(m_sends && m_edge != to);
-        let to_seg = rec.segments[&to];
+        let m = &rec.members[mi];
+        debug_assert!(m.sends && m.edge != to);
+        let (global, m_edge) = (m.global, m.edge);
         let tz = &fabric.topology;
-        let (zs, zt) = (tz.zone_of_edge(m_edge), tz.zone_of_edge(to));
         let home_addr = if tz.zone_count() > 1 || aggregate {
-            let sink = fabric.edge_mut(sim, m_edge).feedback_sink(m_local_pid);
+            let sink = fabric.edge_mut(sim, m_edge).feedback_sink(m.local_pid);
             HostAddr::new(tz.edge_spec(m_edge).ip, sink)
         } else {
-            m_addr
+            m.addr
         };
-        let to_is_gateway = rec.zone_gateways.get(&zt) == Some(&to);
-        let remote = if zs != zt && to_is_gateway {
-            fabric.edge_mut(sim, to).join_wan_sender(to_seg, home_addr)
-        } else {
-            fabric
-                .edge_mut(sim, to)
-                .join_remote_sender(to_seg, home_addr)
-        };
-        let (up_edge, up_pid) = if zs == zt {
-            (m_edge, m_local_pid)
-        } else if to_is_gateway {
-            let gs = rec.zone_gateways[&zs];
-            let pid = if gs == m_edge {
-                m_local_pid
-            } else {
-                rec.members[mi].remote_pids[&gs]
-            };
-            (gs, pid)
-        } else {
-            let gt = rec.zone_gateways[&zt];
-            (gt, rec.members[mi].remote_pids[&gt])
-        };
-        let te = rec.trunk_egress[&(up_edge, to)];
-        let video_dst = fabric.trunk_addr(up_edge, to, remote.video_uplink.port);
-        let audio_dst = fabric.trunk_addr(up_edge, to, remote.audio_uplink.port);
-        fabric
-            .edge_mut(sim, up_edge)
-            .set_trunk_dst(te, up_pid, video_dst, audio_dst);
+        let to_seg = rec.segments[&to];
+        let (_, tier) = Self::route(tz, rec, m_edge, to);
+        let remote = fabric
+            .edge_mut(sim, to)
+            .join_remote_sender(to_seg, home_addr, tier);
         rec.members[mi].remote_pids.insert(to, remote.participant);
+        Self::aim(sim, fabric, rec, &rec.members[mi], to);
         // Book the compile: the remote entry's trunk-ingress ports at
         // `to`, and the branch's planned bits on the trunk or WAN
         // accounts it rides (thin segments book the thin rate).
         {
             let mut led = ledger.borrow_mut();
             led.debit_remote(gmid, global, to);
-            let route = if zs != zt && to_is_gateway {
-                BranchRoute::Wan {
-                    links: tz.wan_path(zs, zt),
-                }
-            } else {
-                BranchRoute::Trunk { from: up_edge, to }
-            };
+            let route = Self::books(tz, rec, m_edge, to);
             led.debit_branch(gmid, global, to, &route, rec.thin_segments.contains(&to));
         }
         *signaling += 1;
@@ -1000,26 +1021,21 @@ impl Controller {
             .map(|(_, &g)| (g, rec.segments[&g]))
             .collect();
         for &(g, g_seg) in &other_gateways {
-            let te_here = fabric.edge_mut(sim, new_g).join_wan_egress(new_g_seg);
-            let te_there = fabric.edge_mut(sim, g).join_wan_egress(g_seg);
+            let te_here = fabric
+                .edge_mut(sim, new_g)
+                .join_egress(new_g_seg, Tier::Wan);
+            let te_there = fabric.edge_mut(sim, g).join_egress(g_seg, Tier::Wan);
             rec.trunk_egress.insert((new_g, g), te_here);
             rec.trunk_egress.insert((g, new_g), te_there);
         }
-        // Senders are re-routed by id; each branch re-reads what it
-        // needs from the member record instead of cloning it.
-        let senders: Vec<(GlobalParticipantId, usize, ParticipantId)> = rec
-            .members
-            .iter()
-            .filter(|m| m.sends)
-            .map(|m| (m.global, m.edge, m.local_pid))
-            .collect();
-        for (m_global, m_edge, m_local_pid) in senders {
-            let mi = rec
-                .members
-                .iter()
-                .position(|m| m.global == m_global)
-                .expect("member exists");
-            if fabric.topology.zone_of_edge(m_edge) != zone {
+        let tz = &fabric.topology;
+        for mi in 0..rec.members.len() {
+            let m = &rec.members[mi];
+            if !m.sends {
+                continue;
+            }
+            let (m_global, m_edge) = (m.global, m.edge);
+            if tz.zone_of_edge(m_edge) != zone {
                 // Retire the trunk-pruned entry and re-plumb through the
                 // WAN tier (plumb re-grants, re-aims the sender zone's
                 // WAN branch, and records the new remote pid).
@@ -1039,32 +1055,18 @@ impl Controller {
                     &ledger,
                     aggregate,
                     gmid,
-                    m_global,
+                    mi,
                     new_g,
                 );
                 // Re-fan-out inside the zone from the fresh entry: the
                 // in-zone trunk branches keep their downstream entries,
                 // only the upstream pid at `new_g` changed.
-                let member = &rec.members[mi];
-                let new_pid = member.remote_pids[&new_g];
-                let in_zone: Vec<(usize, ParticipantId, ParticipantId)> = rec
+                for &o in rec
                     .segments
                     .keys()
-                    .copied()
-                    .filter(|&o| o != new_g && fabric.topology.zone_of_edge(o) == zone)
-                    .map(|o| (o, member.remote_pids[&o], rec.trunk_egress[&(new_g, o)]))
-                    .collect();
-                for (o, down_pid, te) in in_zone {
-                    let (vp, ap) = fabric
-                        .edge_mut(sim, o)
-                        .agent
-                        .uplink_ports(down_pid)
-                        .expect("remote entry has trunk-ingress ports");
-                    let video_dst = fabric.trunk_addr(new_g, o, vp);
-                    let audio_dst = fabric.trunk_addr(new_g, o, ap);
-                    fabric
-                        .edge_mut(sim, new_g)
-                        .set_trunk_dst(te, new_pid, video_dst, audio_dst);
+                    .filter(|&&o| o != new_g && tz.zone_of_edge(o) == zone)
+                {
+                    Self::aim(sim, fabric, rec, &rec.members[mi], o);
                     // Rebind the fan-out branch's books: same
                     // destination, new upstream trunk (the debit
                     // replaces the old-gateway entry).
@@ -1072,32 +1074,15 @@ impl Controller {
                         gmid,
                         m_global,
                         o,
-                        &BranchRoute::Trunk { from: new_g, to: o },
+                        &Self::books(tz, rec, m_edge, o),
                         rec.thin_segments.contains(&o),
                     );
                 }
             } else {
                 // In-zone sender: its entries on other zones' gateways
                 // are intact; only the outbound WAN branch moved here.
-                let member = &rec.members[mi];
-                let up_pid = if m_edge == new_g {
-                    m_local_pid
-                } else {
-                    member.remote_pids[&new_g]
-                };
                 for &(g, _) in &other_gateways {
-                    let te = rec.trunk_egress[&(new_g, g)];
-                    let remote_pid = member.remote_pids[&g];
-                    let (vp, ap) = fabric
-                        .edge_mut(sim, g)
-                        .agent
-                        .uplink_ports(remote_pid)
-                        .expect("remote entry has trunk-ingress ports");
-                    let video_dst = fabric.trunk_addr(new_g, g, vp);
-                    let audio_dst = fabric.trunk_addr(new_g, g, ap);
-                    fabric
-                        .edge_mut(sim, new_g)
-                        .set_trunk_dst(te, up_pid, video_dst, audio_dst);
+                    Self::aim(sim, fabric, rec, &rec.members[mi], g);
                 }
             }
         }
@@ -1221,135 +1206,31 @@ impl Controller {
     // domains")
     // ------------------------------------------------------------------
 
-    /// Re-route every trunk branch whose preferred core relay died over
-    /// the zone's surviving cores. `dead_cores` is the full current
-    /// dead set (see [`Fabric::dead_cores`]): a branch is affected when
-    /// [`scallop_netsim::topology::Topology::core_between`] names a
-    /// dead core for its edge pair, and is re-aimed with
-    /// [`Fabric::trunk_addr_avoiding`] — which rotates to the next live
-    /// core in the zone, or falls back to direct edge addressing when
-    /// the zone has no cores left.
+    /// Re-[`Self::aim`] every branch of every meeting against the
+    /// network as it is now, and return how many moved. Nothing tells
+    /// the pass *what* failed: [`Fabric::trunk_addr`] observes dead
+    /// cores and cut trunk links itself, so successive failures
+    /// compose, a branch whose path is still good (or that rides the
+    /// WAN tier, which no core carries) stays where it is, a second
+    /// pass over the same network returns 0, and after a core revives
+    /// or a link is restored the same pass moves branches back to their
+    /// preferred core.
     ///
     /// Unlike re-homing, this repair is **break-before-make** by
     /// nature: media already in flight toward the dead core was
     /// fail-stopped at the kill, so the gap between the crash and this
     /// repair is real, visible decode-rate loss (measured by
-    /// `bench::fault`). The repair itself is idempotent — re-running it
-    /// with the same dead set recomputes the same surviving routes.
-    /// Returns the number of trunk branches re-aimed.
-    pub fn repair_after_core_failure(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        dead_cores: &[usize],
-    ) -> u64 {
-        let unusable: Vec<(usize, Option<usize>)> = dead_cores.iter().map(|&c| (c, None)).collect();
-        self.repair_trunks(sim, fabric, &unusable)
-    }
-
-    /// Re-route the trunk branches that traverse the cut `edge`↔`core`
-    /// trunk link. A cut is narrower than a core death: only branches
-    /// whose edge pair touches `edge` *and* routes via `core` are
-    /// affected; everything else keeps its preferred core. Affected
-    /// branches fail over exactly as in
-    /// [`Self::repair_after_core_failure`] (next live core in the zone,
-    /// else direct edge addressing). Returns the number of trunk
-    /// branches re-aimed.
-    pub fn repair_after_trunk_cut(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        edge: usize,
-        core: usize,
-    ) -> u64 {
-        self.repair_trunks(sim, fabric, &[(core, Some(edge))])
-    }
-
-    /// Shared repair worker: walk every meeting's senders × plumbed
-    /// remote edges, resolve the upstream (edge, pid) exactly as
-    /// [`Self::plumb_sender_to_edge`] does, and re-aim the branches
-    /// whose current core is unusable. `unusable` entries are
-    /// `(core, scope)`: `scope == None` means the core is dead for
-    /// every edge pair (core failure); `Some(e)` restricts the outage
-    /// to pairs touching edge `e` (a single cut trunk link). WAN-tier
-    /// branches never traverse a core and are skipped.
-    fn repair_trunks(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        unusable: &[(usize, Option<usize>)],
-    ) -> u64 {
-        let Controller {
-            fabric_meetings,
-            signaling_exchanges,
-            ..
-        } = self;
+    /// `bench::fault`).
+    pub(crate) fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
         let mut repaired = 0u64;
-        for rec in fabric_meetings.values_mut() {
-            let senders: Vec<GlobalParticipantId> = rec
-                .members
-                .iter()
-                .filter(|m| m.sends)
-                .map(|m| m.global)
-                .collect();
-            for global in senders {
-                let mi = rec
-                    .members
-                    .iter()
-                    .position(|m| m.global == global)
-                    .expect("member exists");
-                let (m_edge, m_local_pid) = {
-                    let m = &rec.members[mi];
-                    (m.edge, m.local_pid)
-                };
-                let targets: Vec<usize> = rec.members[mi].remote_pids.keys().copied().collect();
-                for to in targets {
-                    let tz = &fabric.topology;
-                    let (zs, zt) = (tz.zone_of_edge(m_edge), tz.zone_of_edge(to));
-                    let to_is_gateway = rec.zone_gateways.get(&zt) == Some(&to);
-                    // Same upstream resolution as plumb_sender_to_edge.
-                    let (up_edge, up_pid) = if zs == zt {
-                        (m_edge, m_local_pid)
-                    } else if to_is_gateway {
-                        let gs = rec.zone_gateways[&zs];
-                        let pid = if gs == m_edge {
-                            m_local_pid
-                        } else {
-                            rec.members[mi].remote_pids[&gs]
-                        };
-                        (gs, pid)
-                    } else {
-                        let gt = rec.zone_gateways[&zt];
-                        (gt, rec.members[mi].remote_pids[&gt])
-                    };
-                    let Some(current) = tz.core_between(up_edge, to) else {
-                        continue; // WAN tier or coreless campus: no core to lose.
-                    };
-                    let avoid: Vec<usize> = unusable
-                        .iter()
-                        .filter(|&&(_, scope)| scope.is_none_or(|e| e == up_edge || e == to))
-                        .map(|&(c, _)| c)
-                        .collect();
-                    if !avoid.contains(&current) {
-                        continue;
-                    }
-                    let remote_pid = rec.members[mi].remote_pids[&to];
-                    let (vp, ap) = fabric
-                        .edge_mut(sim, to)
-                        .agent
-                        .uplink_ports(remote_pid)
-                        .expect("remote entry has trunk-ingress ports");
-                    let te = rec.trunk_egress[&(up_edge, to)];
-                    let video_dst = fabric.trunk_addr_avoiding(up_edge, to, vp, &avoid);
-                    let audio_dst = fabric.trunk_addr_avoiding(up_edge, to, ap, &avoid);
-                    fabric
-                        .edge_mut(sim, up_edge)
-                        .set_trunk_dst(te, up_pid, video_dst, audio_dst);
-                    repaired += 1;
-                    *signaling_exchanges += 1;
+        for rec in self.fabric_meetings.values() {
+            for m in rec.members.iter().filter(|m| m.sends) {
+                for &to in m.remote_pids.keys() {
+                    repaired += u64::from(Self::aim(sim, fabric, rec, m, to));
                 }
             }
         }
+        self.signaling_exchanges += repaired;
         repaired
     }
 
@@ -1708,23 +1589,23 @@ mod tests {
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
         let _a = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
         let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
-        // No dead cores: the pass is a no-op.
-        assert_eq!(ctl.repair_after_core_failure(&mut sim, &f, &[]), 0);
+        // Healthy network: the pass is a no-op.
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 0);
         let preferred = f.topology.core_between(0, 1).unwrap();
         sim.kill_node(f.core_ids[preferred]);
-        let dead = f.dead_cores(&sim);
-        assert_eq!(dead, vec![preferred]);
         // Each sender's single cross-edge branch routes via the dead
         // core: both re-aim at the survivor.
-        assert_eq!(ctl.repair_after_core_failure(&mut sim, &f, &dead), 2);
-        // Idempotent: re-running recomputes the same surviving routes.
-        assert_eq!(ctl.repair_after_core_failure(&mut sim, &f, &dead), 2);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 2);
+        // Idempotent by count: nothing is left to move.
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 0);
         // Lose the last core too: branches fall back to direct edge
         // addressing rather than stranding.
         sim.kill_node(f.core_ids[1 - preferred]);
-        let dead = f.dead_cores(&sim);
-        assert_eq!(dead.len(), 2);
-        assert_eq!(ctl.repair_after_core_failure(&mut sim, &f, &dead), 2);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 2);
+        // Both cores return: the branches go home to the preferred one.
+        sim.revive_node(f.core_ids[0]);
+        sim.revive_node(f.core_ids[1]);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 2);
     }
 
     #[test]
@@ -1736,17 +1617,23 @@ mod tests {
         let _b = join(&mut ctl, &mut sim, &f, gmid, req(1, 2, true));
         let _c = join(&mut ctl, &mut sim, &f, gmid, req(2, 3, false));
         // With 2 cores over 3 edges: (0,1) and (1,2) route via core 1,
-        // (0,2) via core 0. Cutting edge 1's link to core 1 affects
-        // exactly the branches touching edge 1 on that core —
-        // sender a's 0→1 and sender b's 1→0, 1→2 — while a's 0→2
-        // branch keeps its healthy core.
+        // (0,2) via core 0.
         assert_eq!(f.topology.core_between(0, 1), Some(1));
         assert_eq!(f.topology.core_between(1, 2), Some(1));
         assert_eq!(f.topology.core_between(0, 2), Some(0));
-        assert_eq!(ctl.repair_after_trunk_cut(&mut sim, &f, 1, 1), 3);
         // Cutting a link no branch uses (edge 1 never routes via
         // core 0) repairs nothing.
-        assert_eq!(ctl.repair_after_trunk_cut(&mut sim, &f, 1, 0), 0);
+        sim.cut_link(f.edge_ids[1], f.core_ids[0]);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 0);
+        sim.restore_link(f.edge_ids[1], f.core_ids[0]);
+        // Cutting edge 1's link to core 1 affects exactly the branches
+        // touching edge 1 on that core — sender a's 0→1 and sender b's
+        // 1→0, 1→2 — while a's 0→2 branch keeps its healthy core.
+        sim.cut_link(f.edge_ids[1], f.core_ids[1]);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 3);
+        // Restored: the same three move back.
+        sim.restore_link(f.edge_ids[1], f.core_ids[1]);
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 3);
     }
 
     #[test]
@@ -1834,31 +1721,120 @@ mod tests {
         );
     }
 
+    /// 2 zones × 3 edges, 2 cores per zone: edges 0–2 and cores 0–1 in
+    /// zone 0, edges 3–5 and cores 2–3 in zone 1.
+    fn federation232() -> (Simulator, Fabric) {
+        fabric(17, Topology::federation(2, 3, 2))
+    }
+
     #[test]
     fn gateway_gc_migrates_wan_branches_and_reclaims_the_edge() {
-        let (mut sim, f) = federation22();
+        let (mut sim, f) = federation232();
         let mut ctl = ShardedControlPlane::new(1);
-        let base2 = occupancy(&mut sim, &f, 2);
+        let base3 = occupancy(&mut sim, &f, 3);
         let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
         let _s = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
-        let r1 = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
-        let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(3, 3, false));
-        // Drain the zone-1 gateway: the role must migrate to edge 3 and
-        // the WAN branches must follow it.
+        let r1 = join(&mut ctl, &mut sim, &f, gmid, req(3, 2, false));
+        let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(4, 3, false));
+        let _r3 = join(&mut ctl, &mut sim, &f, gmid, req(5, 4, false));
+        // The core the next gateway (edge 4) would fan out to edge 5
+        // over dies. Then drain the zone-1 gateway: the role must
+        // migrate to edge 4 and the WAN branches must follow it.
+        let preferred = f.topology.core_between(4, 5).unwrap();
+        sim.kill_node(f.core_ids[preferred]);
         ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
         let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
-        assert_eq!(ctl.segment_of(gmid, 2), None, "gateway segment collected");
-        assert_eq!(rec.zone_gateway(1), Some(3));
-        assert!(rec.trunk_egress.contains_key(&(0, 3)), "WAN branch moved");
-        assert!(rec.trunk_egress.contains_key(&(3, 0)));
-        assert!(!rec.trunk_egress.contains_key(&(0, 2)));
+        assert_eq!(ctl.segment_of(gmid, 3), None, "gateway segment collected");
+        assert_eq!(rec.zone_gateway(1), Some(4));
+        assert!(rec.trunk_egress.contains_key(&(0, 4)), "WAN branch moved");
+        assert!(rec.trunk_egress.contains_key(&(4, 0)));
+        assert!(!rec.trunk_egress.contains_key(&(0, 3)));
         let m = &rec.members.iter().find(|m| m.sends).unwrap();
-        assert!(m.remote_pids.contains_key(&3), "sender re-granted at 3");
+        assert!(m.remote_pids.contains_key(&4), "sender re-granted at 4");
+        // The re-fanned 4→5 branch asked the rule a repair asks: its
+        // egress rules point at the zone's surviving core already.
+        let (vp, _) = (f.edge_mut(&mut sim, 5).agent)
+            .uplink_ports(m.remote_pids[&5])
+            .unwrap();
+        let survivor = f.topology.zone_cores(1).find(|&c| c != preferred).unwrap();
+        let aimed: Vec<_> = (f.edge_mut(&mut sim, 4).dp.egress.iter())
+            .filter(|(_, spec)| spec.dst.port == vp)
+            .map(|(_, spec)| spec.dst.ip)
+            .collect();
+        assert!(!aimed.is_empty(), "the fan-out branch is installed");
+        assert!(aimed.iter().all(|&ip| ip == Topology::core_ip(survivor)));
+        assert_eq!(ctl.repair_trunks(&mut sim, &f), 0, "nothing left to fix");
         assert_eq!(
-            occupancy(&mut sim, &f, 2),
-            base2,
+            occupancy(&mut sim, &f, 3),
+            base3,
             "old gateway edge fully reclaimed"
         );
+    }
+
+    #[test]
+    fn route_is_pinned_for_every_pair_and_priced_as_plumbed() {
+        // ROUTES[se], one cell per `to`: the route of a sender on `se`
+        // toward `to` before/after `to`'s zone has a gateway, written
+        // <upstream edge><T = trunk | W = WAN>. The meeting's home —
+        // its zone's gateway — is the lowest edge of `se`'s zone that is
+        // neither `se` nor `to`; the target zone's gateway, once there,
+        // is the lowest edge of that zone other than `to`.
+        const ROUTES: [&str; 6] = [
+            "--/-- 0T/0T 0T/0T 1W/4T 1W/3T 1W/3T",
+            "1T/1T --/-- 1T/1T 0W/4T 0W/3T 0W/3T",
+            "2T/2T 2T/2T --/-- 0W/4T 0W/3T 0W/3T",
+            "4W/1T 4W/0T 4W/0T --/-- 3T/3T 3T/3T",
+            "3W/1T 3W/0T 3W/0T 4T/4T --/-- 4T/4T",
+            "3W/1T 3W/0T 3W/0T 5T/5T 5T/5T --/--",
+        ];
+        let parse = |s: &str| {
+            let tier = [Tier::Trunk, Tier::Wan][usize::from(s.ends_with('W'))];
+            (s[..1].parse::<usize>().unwrap(), tier)
+        };
+        let cells = ROUTES.iter().enumerate().flat_map(|(se, row)| {
+            let row = row.split(' ').enumerate().filter(move |&(to, _)| to != se);
+            row.flat_map(move |(to, cell)| {
+                let (before, after) = cell.split_once('/').unwrap();
+                [(se, to, false, parse(before)), (se, to, true, parse(after))]
+            })
+        });
+        for (se, to, with_gateway, want) in cells {
+            let (mut sim, f) = federation232();
+            let tz = &f.topology;
+            let zone = |e: usize| tz.zone_of_edge(e);
+            let lowest =
+                |z: usize, not: [usize; 2]| tz.zone_edges(z).find(|e| !not.contains(e)).unwrap();
+            let mut ctl = ShardedControlPlane::new(1);
+            let home = lowest(zone(se), [se, to]);
+            let gmid = ctl.create_fabric_meeting(&mut sim, &f, home);
+            join(&mut ctl, &mut sim, &f, gmid, req(home, 1, false));
+            join(&mut ctl, &mut sim, &f, gmid, req(se, 2, true));
+            if with_gateway && zone(se) != zone(to) {
+                let gateway = lowest(zone(to), [to, to]);
+                join(&mut ctl, &mut sim, &f, gmid, req(gateway, 3, false));
+            }
+            let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
+            assert_eq!(Controller::route(tz, rec, se, to), want, "{se}→{to}");
+            // Price what you plumb: a receiver joining on `to` plumbs
+            // the sender toward it, and the trunk and WAN accounts that
+            // moves are the ones `price` would have booked beforehand.
+            let accounts = |led: &FabricLoadLedger| -> Vec<u64> {
+                let edges =
+                    (0..f.edges()).flat_map(|e| [led.trunk_out_bps(e), led.trunk_in_bps(e)]);
+                edges.chain([led.wan_bps(0)]).collect()
+            };
+            let mut priced = ctl.ledger_handle().borrow().clone();
+            priced.debit_branch(
+                gmid,
+                u32::MAX,
+                to,
+                &Controller::books(tz, rec, se, to),
+                false,
+            );
+            join(&mut ctl, &mut sim, &f, gmid, req(to, 4, false));
+            let booked = accounts(&ctl.ledger_handle().borrow());
+            assert_eq!(booked, accounts(&priced), "{se}→{to} books");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   fabric copy per remote switch — through the pair's core, or
 //!   directly when the fabric has no core tier.
 //!
-//! The [`crate::controller::Controller`] compiles cross-switch
+//! The controller ([`crate::controller`]) compiles cross-switch
 //! forwarding on top of this: one trunk-egress branch per (meeting
 //! segment, remote switch) on the sender's home edge, one trunk-ingress
 //! rule per remote sender on each receiving edge.
@@ -139,45 +139,33 @@ impl Fabric {
     }
 
     /// Where edge `from` must address a trunk copy bound for port `port`
-    /// on edge `to`: in the same zone, the pair's core relay when the
-    /// zone has a core tier (it forwards by port range) or edge `to`
-    /// directly; across zones, the WAN gateway relay of the cheapest
-    /// WAN link out of `from`'s zone (which then routes on the port
-    /// into the destination zone's edge range).
-    pub fn trunk_addr(&self, from: usize, to: usize, port: u16) -> HostAddr {
-        self.trunk_addr_avoiding(from, to, port, &[])
-    }
-
-    /// [`Fabric::trunk_addr`] restricted to *surviving* cores: the
-    /// repair path after a core fail-stop. Same-zone pairs whose
-    /// preferred core is in `dead_cores` are re-routed over the next
-    /// live core of the zone
-    /// ([`Topology::core_between_avoiding`]), falling back to
-    /// addressing edge `to` directly when the whole zone's core tier is
-    /// down. Cross-zone addressing is untouched (WAN gateways are not
-    /// cores), and an empty `dead_cores` reproduces `trunk_addr`
-    /// byte-for-byte.
-    pub fn trunk_addr_avoiding(
-        &self,
-        from: usize,
-        to: usize,
-        port: u16,
-        dead_cores: &[usize],
-    ) -> HostAddr {
-        let (zf, zt) = (
-            self.topology.zone_of_edge(from),
-            self.topology.zone_of_edge(to),
-        );
+    /// on edge `to` — the fabric's one address rule. Across zones: the
+    /// WAN gateway relay of the cheapest WAN link out of `from`'s zone
+    /// (which then routes on the port into the destination zone's edge
+    /// range). In the same zone: a core relay (it forwards by port
+    /// range), and the rule *observes* in `sim` which cores it must
+    /// route around. A core is unusable for the pair while its relay is
+    /// fail-stopped or either edge's link to it is cut; the pair's
+    /// preferred core is checked first (the healthy path allocates
+    /// nothing), then the zone's others in rotation
+    /// ([`Topology::core_between_avoiding`]), and with no usable core —
+    /// or no core tier at all — edge `to` is addressed directly.
+    pub fn trunk_addr(&self, sim: &Simulator, from: usize, to: usize, port: u16) -> HostAddr {
+        let tz = &self.topology;
+        let (zf, zt) = (tz.zone_of_edge(from), tz.zone_of_edge(to));
         if zf != zt {
-            let link = self
-                .topology
-                .wan_next_hop(zf, zt)
-                .expect("zones are WAN-connected");
+            let link = tz.wan_next_hop(zf, zt).expect("zones are WAN-connected");
             return HostAddr::new(Topology::wan_ip(link), port);
         }
-        match self.topology.core_between_avoiding(from, to, dead_cores) {
-            Some(c) => HostAddr::new(self.topology.core_spec(c).ip, port),
-            None => HostAddr::new(self.topology.edge_spec(to).ip, port),
+        let usable = |c: usize| {
+            let core = self.core_ids[c];
+            !sim.node_is_dead(core)
+                && !sim.link_is_cut(self.edge_ids[from], core)
+                && !sim.link_is_cut(self.edge_ids[to], core)
+        };
+        match tz.core_between_avoiding(from, to, usable) {
+            Some(c) => HostAddr::new(tz.core_spec(c).ip, port),
+            None => HostAddr::new(tz.edge_spec(to).ip, port),
         }
     }
 
@@ -190,8 +178,8 @@ impl Fabric {
         sim.node_is_dead(self.edge_ids[i])
     }
 
-    /// Core indices whose relay is currently fail-stopped — the dead
-    /// set the repair passes route around.
+    /// Core indices whose relay is currently fail-stopped (read-only
+    /// introspection; [`Fabric::trunk_addr`] reads the simulator itself).
     pub fn dead_cores(&self, sim: &Simulator) -> Vec<usize> {
         self.core_ids
             .iter()
@@ -261,7 +249,7 @@ mod tests {
             LinkConfig::infinite(SimDuration::from_micros(50)),
             SeqRewriteMode::LowRetransmission,
         );
-        let a = with_core.trunk_addr(0, 1, 13_005);
+        let a = with_core.trunk_addr(&sim, 0, 1, 13_005);
         assert_eq!(a.ip, Topology::core_ip(0));
         assert_eq!(a.port, 13_005);
 
@@ -272,7 +260,7 @@ mod tests {
             LinkConfig::infinite(SimDuration::from_micros(50)),
             SeqRewriteMode::LowRetransmission,
         );
-        let b = direct.trunk_addr(0, 1, 13_005);
+        let b = direct.trunk_addr(&sim2, 0, 1, 13_005);
         assert_eq!(b.ip, Topology::edge_ip(1));
     }
 
@@ -292,37 +280,48 @@ mod tests {
         // Edge 0 (zone 0) to edge 3 (zone 1): the 0-1 WAN gateway.
         let link01 = f.topology.wan_link_between(0, 1).unwrap();
         let port = f.topology.port_base(3) + 7;
-        let a = f.trunk_addr(0, 3, port);
+        let a = f.trunk_addr(&sim, 0, 3, port);
         assert_eq!(a.ip, Topology::wan_ip(link01));
         assert_eq!(a.port, port);
         // Same zone still rides the zone's own core.
-        let c = f.trunk_addr(2, 3, port);
+        let c = f.trunk_addr(&sim, 2, 3, port);
         assert_eq!(c.ip, Topology::core_ip(1));
     }
 
     #[test]
-    fn trunk_addr_avoiding_reroutes_over_survivors() {
+    fn trunk_addr_observes_dead_cores_and_cut_links() {
         let mut sim = Simulator::new(5);
         let f = Fabric::build(
             &mut sim,
-            Topology::campus(2, 2),
+            Topology::campus(3, 2),
             LinkConfig::infinite(SimDuration::from_micros(50)),
             SeqRewriteMode::LowRetransmission,
         );
         let port = f.topology.port_base(1) + 3;
+        let hop = |sim: &Simulator, from, to| f.trunk_addr(sim, from, to, port).ip;
         let preferred = f.topology.core_between(0, 1).unwrap();
         let alt = 1 - preferred;
-        // No dead cores: byte-identical to trunk_addr.
-        assert_eq!(
-            f.trunk_addr_avoiding(0, 1, port, &[]),
-            f.trunk_addr(0, 1, port)
-        );
-        // Preferred core dead: the survivor carries the trunk.
-        let a = f.trunk_addr_avoiding(0, 1, port, &[preferred]);
-        assert_eq!(a.ip, Topology::core_ip(alt));
-        assert_eq!(a.port, port);
-        // Whole core tier dead: address the destination edge directly.
-        let d = f.trunk_addr_avoiding(0, 1, port, &[0, 1]);
-        assert_eq!(d.ip, Topology::edge_ip(1));
+        assert_eq!(hop(&sim, 0, 1), Topology::core_ip(preferred));
+        // A cut on either edge's link to the preferred core moves the
+        // pair — and only pairs touching the cut edge — to the survivor.
+        sim.cut_link(f.edge_ids[1], f.core_ids[preferred]);
+        let a = f.trunk_addr(&sim, 0, 1, port);
+        assert_eq!((a.ip, a.port), (Topology::core_ip(alt), port));
+        assert_eq!(f.topology.core_between(0, 2), Some(alt));
+        sim.cut_link(f.edge_ids[1], f.core_ids[alt]);
+        assert_eq!(hop(&sim, 0, 2), Topology::core_ip(alt));
+        // No usable core left for the pair: address the edge directly.
+        assert_eq!(hop(&sim, 0, 1), Topology::edge_ip(1));
+        sim.restore_link(f.edge_ids[1], f.core_ids[preferred]);
+        sim.restore_link(f.edge_ids[1], f.core_ids[alt]);
+        // Preferred core dead: the survivor; both dead: direct; and the
+        // preferred core again as soon as it is back.
+        sim.kill_node(f.core_ids[preferred]);
+        assert_eq!(hop(&sim, 0, 1), Topology::core_ip(alt));
+        sim.kill_node(f.core_ids[alt]);
+        assert_eq!(f.dead_cores(&sim).len(), 2);
+        assert_eq!(hop(&sim, 0, 1), Topology::edge_ip(1));
+        sim.revive_node(f.core_ids[preferred]);
+        assert_eq!(hop(&sim, 0, 1), Topology::core_ip(preferred));
     }
 }

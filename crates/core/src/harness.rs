@@ -273,8 +273,8 @@ pub struct ScallopHarness {
     pub grants: Vec<JoinGrant>,
     /// Per-participant fabric grants (global id + home edge).
     pub fabric_grants: Vec<FabricGrant>,
-    /// The control plane (one or more controller shards; exposes the
-    /// same fabric-meeting API a single [`crate::Controller`] does).
+    /// The control plane (one or more controller shards behind one
+    /// fabric-meeting API).
     pub controller: ShardedControlPlane,
     /// The home-edge local segment id (the meeting id on edge 0).
     pub meeting: MeetingId,
@@ -616,8 +616,8 @@ impl ScallopHarness {
 
     /// Fail-stop core relay `j`: packets toward it are discarded and
     /// its timers stop until [`Self::revive_core`]. Media riding the
-    /// dead core blackholes until [`Self::repair_core_failure`]
-    /// re-routes it — that gap is the measured recovery window.
+    /// dead core blackholes until [`Self::repair_trunks`] re-routes
+    /// it — that gap is the measured recovery window.
     pub fn kill_core(&mut self, j: usize) {
         self.sim.kill_node(self.fabric.core_ids[j]);
     }
@@ -628,19 +628,14 @@ impl ScallopHarness {
         self.sim.revive_node(self.fabric.core_ids[j]);
     }
 
-    /// Core indices currently fail-stopped.
-    pub fn dead_cores(&self) -> Vec<usize> {
-        self.fabric.dead_cores(&self.sim)
-    }
-
-    /// Control-plane repair after core failure: re-route every trunk
-    /// branch whose preferred core is dead over the zone's survivors
-    /// (or direct edge addressing when none remain). Returns the
-    /// number of branches re-aimed.
-    pub fn repair_core_failure(&mut self) -> u64 {
-        let dead = self.fabric.dead_cores(&self.sim);
-        self.controller
-            .repair_after_core_failure(&mut self.sim, &self.fabric, &dead)
+    /// Control-plane repair: re-aim every trunk branch against the
+    /// network as it is now — around dead cores and cut trunk links
+    /// (next usable core of the zone, or direct edge addressing when
+    /// none remains), and back once they return. *When* this runs is
+    /// the failure-detection delay the caller models. Returns the
+    /// number of branches that moved.
+    pub fn repair_trunks(&mut self) -> u64 {
+        self.controller.repair_trunks(&mut self.sim, &self.fabric)
     }
 
     /// Cut the trunk link between edge `edge` and core `core` (both
@@ -656,21 +651,13 @@ impl ScallopHarness {
             .restore_link(self.fabric.edge_ids[edge], self.fabric.core_ids[core]);
     }
 
-    /// Control-plane repair after a trunk cut: fail the affected
-    /// branches over to an alternate core (or direct edge addressing).
-    /// Returns the number of branches re-aimed.
-    pub fn repair_trunk_cut(&mut self, edge: usize, core: usize) -> u64 {
-        self.controller
-            .repair_after_trunk_cut(&mut self.sim, &self.fabric, edge, core)
-    }
-
     /// Fail-stop edge switch `i` (its clients crash with it).
     pub fn kill_edge(&mut self, i: usize) {
         self.sim.kill_node(self.fabric.edge_ids[i]);
     }
 
     /// Evacuate all control-plane state off a fail-stopped edge (see
-    /// [`crate::Controller::handle_edge_failure`]). Returns the number
+    /// [`ShardedControlPlane::handle_edge_failure`]). Returns the number
     /// of members dropped with the edge.
     pub fn evacuate_edge(&mut self, i: usize) -> u64 {
         self.controller

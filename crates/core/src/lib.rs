@@ -60,9 +60,7 @@ pub use capacity::{
     AdmissionCounts, AdmissionDecision, CapacityModel, FabricBudgets, FabricLoadLedger,
     RefusalReason,
 };
-pub use controller::{
-    Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
-};
+pub use controller::{FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest};
 pub use fabric::Fabric;
 pub use harness::{HarnessConfig, HarnessReport, ScallopHarness};
 pub use meeting::FabricMeetingState;

@@ -10,7 +10,7 @@
 //! of [`crate::shard`] can clone the value into the acquiring shard
 //! *before* the releasing shard drops its copy (make-before-break at
 //! the control plane, mirroring the data-plane cutover invariant of
-//! [`crate::controller::Controller::rebalance_fabric`]).
+//! [`crate::shard::ShardedControlPlane::rebalance_fabric`]).
 //!
 //! The data plane is deliberately **not** part of this state: segments,
 //! PRE trees, and trunk rules live on the edge switches and are keyed

@@ -1,9 +1,10 @@
 //! Multi-controller sharding of the fabric control plane.
 //!
-//! A single [`Controller`] owning every meeting across the whole campus
-//! is the control-plane bottleneck the SDN literature warns about
-//! (east–west distribution in Kreutz et al.'s SDN survey; per-tree
-//! controller state in Noghani & Sunay's SDN multicast streaming).
+//! A single controller ([`crate::controller`]) owning every meeting
+//! across the whole campus is the control-plane bottleneck the SDN
+//! literature warns about (east–west distribution in Kreutz et al.'s
+//! SDN survey; per-tree controller state in Noghani & Sunay's SDN
+//! multicast streaming).
 //! This module partitions that ownership: a [`ShardedControlPlane`]
 //! runs `N` [`ControllerShard`]s, each owning a **disjoint** set of
 //! fabric meetings, while every shard shares the same read-only
@@ -44,9 +45,9 @@
 //! * [`ShardMsg::ReleaseMeeting`] — the releasing shard drops its copy
 //!   *after* the acquire completed, so the meeting is never unowned
 //!   (make-before-break, mirroring the data-plane cutover invariant of
-//!   [`Controller::rebalance_fabric`]: the fabric's full-mesh segment
-//!   construction means the state being handed off references only
-//!   live edge-switch ids, and no switch rule changes during a
+//!   [`ShardedControlPlane::rebalance_fabric`]: the fabric's full-mesh
+//!   segment construction means the state being handed off references
+//!   only live edge-switch ids, and no switch rule changes during a
 //!   handoff — media never blips).
 //!
 //! Joins need no message of their own: each edge's signaling terminates
@@ -58,11 +59,11 @@
 //! # When does a handoff fire?
 //!
 //! 1. **Re-homing.** [`ShardedControlPlane::rebalance_fabric`] first
-//!    runs the owner's [`Controller::rebalance_fabric`] (hysteresis
-//!    policy: [`crate::controller::REBALANCE_HYSTERESIS`]). When the
-//!    meeting re-homes, its ring key changes, and if the bounded-loads
-//!    walk now names a different shard the meeting is handed off in the
-//!    same pass — "the hash says so".
+//!    runs the owner's re-homing pass ([`crate::controller`] module
+//!    docs; hysteresis [`crate::controller::REBALANCE_HYSTERESIS`]).
+//!    When the meeting re-homes, its ring key changes, and if the
+//!    bounded-loads walk now names a different shard the meeting is
+//!    handed off in the same pass — "the hash says so".
 //! 2. **Re-sharding.** [`ShardedControlPlane::set_shard_count`] resizes
 //!    the ring and re-evaluates every meeting; consistent hashing keeps
 //!    the number of handoffs near `meetings / new_shards` instead of
@@ -291,12 +292,12 @@ pub enum ShardMsg {
     },
 }
 
-/// One controller shard: a [`Controller`] owning a disjoint subset of
-/// the fabric's meetings, plus protocol telemetry.
+/// One controller shard: a controller ([`crate::controller`]) owning a
+/// disjoint subset of the fabric's meetings, plus protocol telemetry.
 #[derive(Debug, Default)]
 pub struct ControllerShard {
     /// The wrapped per-shard controller.
-    pub controller: Controller,
+    pub(crate) controller: Controller,
     /// Meetings this shard acquired via [`ShardMsg::AcquireMeeting`].
     pub meetings_acquired: u64,
     /// Meetings this shard released via [`ShardMsg::ReleaseMeeting`].
@@ -652,8 +653,9 @@ impl ShardedControlPlane {
         self.ledger.borrow_mut().set_budgets(budgets, topo);
     }
 
-    /// Opt every shard into single-zone REMB min-aggregation (see
-    /// [`Controller::set_feedback_aggregation`]); shards added later by
+    /// Opt every shard into REMB min-aggregation at the sender's
+    /// home-edge feedback sink on single-zone campuses too (federated
+    /// fabrics always aggregate); shards added later by
     /// [`Self::set_shard_count`] inherit the setting.
     pub fn set_feedback_aggregation(&mut self, on: bool) {
         self.aggregate_feedback = on;
@@ -668,8 +670,9 @@ impl ShardedControlPlane {
     }
 
     /// The least-loaded feasible home edge for a new meeting per the
-    /// shared ledger ([`Controller::plan_home_edge`]; any shard gives
-    /// the same answer because the book is shared).
+    /// shared ledger: on a federation the least-loaded zone first, then
+    /// the least-loaded edge within it; edge 0 when every port budget is
+    /// full. Any shard gives the same answer because the book is shared.
     pub fn plan_home_edge(&self, fabric: &Fabric) -> usize {
         self.shards[0].controller.plan_home_edge(fabric)
     }
@@ -825,9 +828,9 @@ impl ShardedControlPlane {
         outcomes.into_iter().filter_map(|o| o.grant).collect()
     }
 
-    /// Remove a fabric participant (owner-routed
-    /// [`Controller::leave_fabric`], including segment GC). When the
-    /// last member leaves, the meeting is retired from the plane.
+    /// Remove a fabric participant (owner-routed, including the segment
+    /// GC of the [`crate::controller`] module docs). When the last
+    /// member leaves, the meeting is retired from the plane.
     pub fn leave_fabric(
         &mut self,
         sim: &mut Simulator,
@@ -843,8 +846,8 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Revisit one meeting's placement: run the owner's
-    /// [`Controller::rebalance_fabric`] (home-edge hysteresis), and if
+    /// Revisit one meeting's placement: run the owner's re-homing pass
+    /// ([`crate::controller`] module docs; home-edge hysteresis), and if
     /// the meeting re-homed, re-evaluate shard ownership for the new
     /// key and hand the meeting off when the hash names another shard.
     /// Returns the re-home `(old_home, new_home)` if one happened.
@@ -1149,40 +1152,21 @@ impl ShardedControlPlane {
     // Data-plane failure repair, fanned over every shard
     // ------------------------------------------------------------------
 
-    /// Run [`Controller::repair_after_core_failure`] on every shard's
-    /// meetings; returns the total trunk branches re-aimed.
-    pub fn repair_after_core_failure(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        dead_cores: &[usize],
-    ) -> u64 {
+    /// Re-aim every trunk branch of every shard's meetings against the
+    /// network as it is now — [`Fabric::trunk_addr`] routes around dead
+    /// cores and cut trunk links, or back over them once they return —
+    /// and return how many branches moved (0 on an unchanged network).
+    pub fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
         self.shards
             .iter_mut()
-            .map(|s| {
-                s.controller
-                    .repair_after_core_failure(sim, fabric, dead_cores)
-            })
+            .map(|s| s.controller.repair_trunks(sim, fabric))
             .sum()
     }
 
-    /// Run [`Controller::repair_after_trunk_cut`] on every shard's
-    /// meetings; returns the total trunk branches re-aimed.
-    pub fn repair_after_trunk_cut(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        edge: usize,
-        core: usize,
-    ) -> u64 {
-        self.shards
-            .iter_mut()
-            .map(|s| s.controller.repair_after_trunk_cut(sim, fabric, edge, core))
-            .sum()
-    }
-
-    /// Run [`Controller::handle_edge_failure`] on every shard's
-    /// meetings; returns the total members dropped with the edge.
+    /// Evacuate every shard's meetings off fail-stopped edge switch
+    /// `edge`: its members are dropped, its segments collected without
+    /// RPCs into the dead switch, and meetings homed there re-homed to a
+    /// surviving edge. Returns the total members dropped with the edge.
     pub fn handle_edge_failure(
         &mut self,
         sim: &mut Simulator,
@@ -1230,8 +1214,8 @@ impl ShardedControlPlane {
     }
 
     /// Resolve the (edge, sender-pid, receiver-pid) triple for a
-    /// (sender, receiver) pair on the receiver's edge (see
-    /// [`Controller::pair_on_receiver_edge`]).
+    /// (sender, receiver) pair on the receiver's edge: the sender pid is
+    /// its local entry when co-located, else its remote-sender entry.
     pub fn pair_on_receiver_edge(
         &self,
         gmid: GlobalMeetingId,

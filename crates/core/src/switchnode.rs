@@ -12,7 +12,7 @@
 //! * the agent's periodic filter re-evaluation runs on a timer (§5.3's
 //!   "periodically selects the maximum").
 
-use crate::agent::{JoinGrant, MeetingId, ParticipantId, SwitchAgent};
+use crate::agent::{JoinGrant, MeetingId, ParticipantId, SwitchAgent, Tier};
 use scallop_dataplane::batch::BatchOutput;
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_dataplane::switch::{DataPlaneCounters, ScallopDataPlane};
@@ -162,29 +162,25 @@ impl ScallopSwitchNode {
         self.agent.destroy_meeting(&mut self.dp, meeting);
     }
 
-    /// Controller RPC: register a sender homed on another edge; returns
-    /// the trunk-ingress grant (where the home edge must send its one
-    /// fabric copy).
-    pub fn join_remote_sender(&mut self, meeting: MeetingId, home_addr: HostAddr) -> JoinGrant {
+    /// Controller RPC: register a sender homed on another edge, whose
+    /// media arrives over `tier` (and prunes that branch tier); returns
+    /// the trunk-ingress grant (where the upstream edge must send its
+    /// one fabric copy).
+    pub fn join_remote_sender(
+        &mut self,
+        meeting: MeetingId,
+        home_addr: HostAddr,
+        tier: Tier,
+    ) -> JoinGrant {
         self.agent
-            .join_remote_sender(&mut self.dp, meeting, home_addr)
+            .join_remote_sender(&mut self.dp, meeting, home_addr, tier)
     }
 
-    /// Controller RPC: register a sender whose media arrives over a WAN
-    /// link (prunes the WAN branch tier instead of the trunk tier).
-    pub fn join_wan_sender(&mut self, meeting: MeetingId, home_addr: HostAddr) -> JoinGrant {
-        self.agent.join_wan_sender(&mut self.dp, meeting, home_addr)
-    }
-
-    /// Controller RPC: add a trunk-egress branch toward a remote edge.
-    pub fn join_trunk_egress(&mut self, meeting: MeetingId) -> ParticipantId {
-        self.agent.join_trunk_egress(&mut self.dp, meeting)
-    }
-
-    /// Controller RPC: add a WAN-tier trunk-egress branch toward a
-    /// remote zone's gateway edge (only a zone gateway holds these).
-    pub fn join_wan_egress(&mut self, meeting: MeetingId) -> ParticipantId {
-        self.agent.join_wan_egress(&mut self.dp, meeting)
+    /// Controller RPC: add a trunk-egress branch toward a remote edge —
+    /// on [`Tier::Wan`], toward a remote zone's gateway edge (only a
+    /// zone gateway holds these).
+    pub fn join_egress(&mut self, meeting: MeetingId, tier: Tier) -> ParticipantId {
+        self.agent.join_egress(&mut self.dp, meeting, tier)
     }
 
     /// Controller RPC: allocate (idempotently) the feedback-sink port
@@ -195,16 +191,17 @@ impl ScallopSwitchNode {
     }
 
     /// Controller RPC: point trunk branch `trunk` at the remote ingress
-    /// addresses for local sender `sender`.
+    /// addresses for local sender `sender`; returns whether that moved
+    /// the branch.
     pub fn set_trunk_dst(
         &mut self,
         trunk: ParticipantId,
         sender: ParticipantId,
         video_dst: HostAddr,
         audio_dst: HostAddr,
-    ) {
+    ) -> bool {
         self.agent
-            .set_trunk_dst(&mut self.dp, trunk, sender, video_dst, audio_dst);
+            .set_trunk_dst(&mut self.dp, trunk, sender, video_dst, audio_dst)
     }
 
     /// Controller RPC: forget a garbage-collected remote edge's REMB

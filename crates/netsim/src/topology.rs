@@ -459,23 +459,28 @@ impl Topology {
         z * cpz..(z + 1) * cpz
     }
 
-    /// [`Topology::core_between`] restricted to *surviving* cores: the
-    /// pair's preferred core when it is not in `dead`, otherwise the
-    /// next live core rotating through the zone's core slice (the
-    /// deterministic failover order every controller computes
-    /// identically), or `None` when the pair has no core at all or
-    /// every core in the zone is dead — the caller must then fall back
-    /// to direct edge-to-edge trunking.
-    pub fn core_between_avoiding(&self, a: usize, b: usize, dead: &[usize]) -> Option<usize> {
+    /// [`Topology::core_between`] restricted to cores the caller finds
+    /// `usable` for this pair: the pair's preferred core when it is,
+    /// otherwise the next usable core rotating through the zone's core
+    /// slice (the deterministic failover order every controller
+    /// computes identically), or `None` when the pair has no core at
+    /// all or no core in the zone is usable — the caller must then fall
+    /// back to direct edge-to-edge trunking.
+    pub fn core_between_avoiding(
+        &self,
+        a: usize,
+        b: usize,
+        usable: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         let preferred = self.core_between(a, b)?;
-        if !dead.contains(&preferred) {
+        if usable(preferred) {
             return Some(preferred);
         }
         let cpz = self.cores_per_zone();
         let base = self.zone_of_edge(a) * cpz;
         (1..cpz)
             .map(|off| base + (preferred - base + off) % cpz)
-            .find(|c| !dead.contains(c))
+            .find(|&c| usable(c))
     }
 }
 
@@ -680,19 +685,21 @@ mod tests {
     fn surviving_core_query_rotates_within_the_zone() {
         let t = Topology::campus(4, 3);
         let preferred = t.core_between(0, 1).unwrap();
+        let avoiding =
+            |t: &Topology, dead: &[usize]| t.core_between_avoiding(0, 1, |c| !dead.contains(&c));
         // No dead cores: identical to core_between.
-        assert_eq!(t.core_between_avoiding(0, 1, &[]), Some(preferred));
+        assert_eq!(avoiding(&t, &[]), Some(preferred));
         // Preferred core dead: the next core in the zone's rotation.
-        let alt = t.core_between_avoiding(0, 1, &[preferred]).unwrap();
+        let alt = avoiding(&t, &[preferred]).unwrap();
         assert_ne!(alt, preferred);
         // Two dead: the single survivor, whichever it is.
-        let alt2 = t.core_between_avoiding(0, 1, &[preferred, alt]).unwrap();
+        let alt2 = avoiding(&t, &[preferred, alt]).unwrap();
         assert!(alt2 != preferred && alt2 != alt);
         // All dead: no core survives — caller falls back to direct.
-        assert_eq!(t.core_between_avoiding(0, 1, &[0, 1, 2]), None);
+        assert_eq!(avoiding(&t, &[0, 1, 2]), None);
         // Pairs without a core at all are unchanged.
         let direct = Topology::campus(2, 0);
-        assert_eq!(direct.core_between_avoiding(0, 1, &[]), None);
+        assert_eq!(avoiding(&direct, &[]), None);
     }
 
     #[test]
@@ -701,11 +708,11 @@ mod tests {
         assert_eq!(t.zone_cores(0), 0..2);
         assert_eq!(t.zone_cores(1), 2..4);
         let preferred = t.core_between(0, 1).unwrap();
-        let alt = t.core_between_avoiding(0, 1, &[preferred]).unwrap();
+        let alt = t.core_between_avoiding(0, 1, |c| c != preferred).unwrap();
         assert!(t.zone_cores(0).contains(&alt), "failover stays zone-local");
         // Both zone-0 cores dead: zone 1's live cores must NOT be
         // borrowed — the query reports no survivor.
-        assert_eq!(t.core_between_avoiding(0, 1, &[0, 1]), None);
+        assert_eq!(t.core_between_avoiding(0, 1, |c| c >= 2), None);
     }
 
     #[test]

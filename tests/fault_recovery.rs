@@ -42,7 +42,7 @@ fn core_kill_blackholes_then_recovers_after_repair() {
     let frozen = h.core_stats(victim).relayed_bytes;
     assert!(frozen > 0, "the victim core was carrying trunk media");
     h.kill_core(victim);
-    assert_eq!(h.dead_cores(), vec![victim]);
+    assert_eq!(h.fabric.dead_cores(&h.sim), vec![victim]);
     h.run_for_secs(2.0);
     assert!(
         cross_edge_fps(&mut h, 1) < 5.0,
@@ -58,9 +58,11 @@ fn core_kill_blackholes_then_recovers_after_repair() {
         "packets toward the dead core are accounted as fail-stopped"
     );
 
-    // Repair: every affected branch re-aims at the surviving core.
-    let repaired = h.repair_core_failure();
+    // Repair: every affected branch re-aims at the surviving core, and
+    // a second pass finds nothing left to move.
+    let repaired = h.repair_trunks();
     assert!(repaired > 0, "the repair pass must re-aim trunk branches");
+    assert_eq!(h.repair_trunks(), 0, "the pass is idempotent by count");
     h.run_for_secs(3.0);
     assert!(
         cross_edge_fps(&mut h, 2) > 24.0,
@@ -73,6 +75,17 @@ fn core_kill_blackholes_then_recovers_after_repair() {
     );
     // No meeting was stranded: the roster and home survived intact.
     assert_eq!(h.controller.fabric_members(h.fabric_meeting).len(), 4);
+
+    // The core comes back: the same pass returns the branches to their
+    // preferred core, which relays again.
+    h.revive_core(victim);
+    assert_eq!(h.repair_trunks(), repaired, "every branch moves back");
+    h.run_for_secs(2.0);
+    assert!(cross_edge_fps(&mut h, 1) > 24.0);
+    assert!(
+        h.core_stats(victim).relayed_bytes > frozen,
+        "the revived core carries the trunk again"
+    );
 }
 
 #[test]
@@ -95,8 +108,9 @@ fn trunk_cut_fails_over_to_the_alternate_core() {
     // on the alternate core, which starts relaying.
     let alternate = 1 - core;
     let alt_before = h.core_stats(alternate).relayed_bytes;
-    let repaired = h.repair_trunk_cut(0, core);
+    let repaired = h.repair_trunks();
     assert!(repaired > 0, "the failover pass must re-aim trunk branches");
+    assert_eq!(h.repair_trunks(), 0, "the pass is idempotent by count");
     h.run_for_secs(3.0);
     assert!(
         cross_edge_fps(&mut h, 2) > 24.0,
@@ -118,12 +132,61 @@ fn coreless_fallback_survives_total_core_loss() {
     h.kill_core(0);
     h.run_for_secs(1.5);
     assert!(cross_edge_fps(&mut h, 1) < 5.0);
-    let repaired = h.repair_core_failure();
+    let repaired = h.repair_trunks();
     assert!(repaired > 0);
+    assert_eq!(h.repair_trunks(), 0, "the pass is idempotent by count");
     h.run_for_secs(3.0);
     assert!(
         cross_edge_fps(&mut h, 2) > 24.0,
         "direct edge addressing carries the trunk when no core survives"
+    );
+}
+
+#[test]
+fn sender_joining_after_a_repaired_core_kill_avoids_the_dead_core() {
+    let mut h = campus(2, 0xFA215);
+    h.run_for_secs(2.0);
+    let victim = h.fabric.topology.core_between(0, 1).expect("trunk core");
+    h.kill_core(victim);
+    let frozen = h.core_stats(victim).relayed_bytes;
+    assert!(h.repair_trunks() > 0);
+    // The core is still down when a new sender joins edge 0: its fresh
+    // trunk branch must be aimed by the rule the repair used, not at
+    // the pair's preferred (dead) core.
+    let late = h.join_late(0, true);
+    h.run_for_secs(3.0);
+    assert!(
+        h.fps_between(late, 1, SimDuration::from_secs(2))
+            .unwrap_or(0.0)
+            > 24.0,
+        "a post-repair sender reaches the remote edge"
+    );
+    assert_eq!(
+        h.core_stats(victim).relayed_bytes,
+        frozen,
+        "nothing was aimed at the dead core"
+    );
+}
+
+#[test]
+fn successive_failures_compose_down_to_direct_addressing() {
+    let mut h = campus(2, 0xFA216);
+    h.run_for_secs(2.0);
+    let core = h.fabric.topology.core_between(0, 1).expect("trunk core");
+    h.cut_trunk(0, core);
+    assert!(h.repair_trunks() > 0, "failover to the alternate core");
+    // Now the alternate dies too. The cut is still in force, so no
+    // core is usable for the pair: the second repair must see both
+    // failures at once and fall back to direct edge addressing.
+    h.kill_core(1 - core);
+    assert!(
+        h.repair_trunks() > 0,
+        "the second failure re-aims the branches the first one moved"
+    );
+    h.run_for_secs(3.0);
+    assert!(
+        cross_edge_fps(&mut h, 2) > 24.0,
+        "direct edge addressing carries the trunk once no core is usable"
     );
 }
 
