@@ -22,7 +22,7 @@ use scallop_proto::demux::{classify, PacketClass};
 use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::rtp::{set_sequence_number, RtpView};
 use scallop_proto::stun::StunMessage;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -118,17 +118,39 @@ pub struct SoftwareSfu {
     /// counter or receivers would see permanent interleaving gaps).
     out_streams: HashMap<(usize, usize, u32), OutStream>,
     next_port: u16,
-    /// Packets waiting for their CPU completion time.
-    pending: BinaryHeap<Reverse<(SimTime, u64, PacketKey)>>,
-    pending_payloads: HashMap<u64, Packet>,
+    /// Packets waiting for their CPU completion time. Service times
+    /// vary per packet and per core, so completions are not FIFO: a heap.
+    pending: BinaryHeap<Pending>,
     pending_seq: u64,
     /// Counters.
     pub counters: SfuCounters,
 }
 
-/// Orderable key for the pending heap (payload looked up separately so
-/// the heap stays `Ord`).
-type PacketKey = u64;
+/// A packet waiting for its CPU completion instant. Ordered by
+/// `(at, seq)`, reversed: [`BinaryHeap`] is a max-heap and the earliest
+/// leaves first, same-instant packets in the order they were billed.
+struct Pending {
+    at: SimTime,
+    seq: u64,
+    pkt: Packet,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
 
 impl SoftwareSfu {
     /// Build an SFU node.
@@ -143,7 +165,6 @@ impl SoftwareSfu {
             pair_port: HashMap::new(),
             out_streams: HashMap::new(),
             pending: BinaryHeap::new(),
-            pending_payloads: HashMap::new(),
             pending_seq: 0,
             counters: SfuCounters::default(),
         }
@@ -218,9 +239,11 @@ impl SoftwareSfu {
         match self.cpu.service(ctx.now(), core, ctx.rng()) {
             Some(done) => {
                 self.pending_seq += 1;
-                let key = self.pending_seq;
-                self.pending_payloads.insert(key, pkt);
-                self.pending.push(Reverse((done, key, key)));
+                self.pending.push(Pending {
+                    at: done,
+                    seq: self.pending_seq,
+                    pkt,
+                });
                 let delay = done.saturating_since(ctx.now());
                 ctx.schedule(delay, TIMER_FLUSH);
             }
@@ -232,15 +255,10 @@ impl SoftwareSfu {
 
     fn flush_due(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        while let Some(Reverse((at, key, _))) = self.pending.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.pending.pop();
-            if let Some(pkt) = self.pending_payloads.remove(&key) {
-                self.counters.bytes_out += pkt.payload.len() as u64;
-                ctx.send(pkt);
-            }
+        while self.pending.peek().is_some_and(|p| p.at <= now) {
+            let pkt = self.pending.pop().expect("peeked packet").pkt;
+            self.counters.bytes_out += pkt.payload.len() as u64;
+            ctx.send(pkt);
         }
     }
 

@@ -143,8 +143,6 @@ pub struct ClientStats {
     pub sender: SenderStats,
     /// Per-remote-stream receive stats keyed by remote (source) address.
     pub streams: Vec<(HostAddr, StreamRxStats)>,
-    /// STUN round-trip time samples (ms).
-    pub rtt_ms: Vec<f64>,
     /// PLIs sent.
     pub plis_sent: u64,
     /// NACK packets sent.
@@ -225,7 +223,6 @@ impl ClientNode {
                 .iter()
                 .map(|((a, _), r)| (*a, r.stats()))
                 .collect(),
-            rtt_ms: Vec::new(),
             plis_sent: self.plis_sent,
             nacks_sent: self.nacks_sent,
             rembs_sent: self.rembs_sent,

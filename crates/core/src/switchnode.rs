@@ -19,8 +19,7 @@ use scallop_dataplane::switch::{DataPlaneCounters, ScallopDataPlane};
 use scallop_netsim::packet::{HostAddr, Packet};
 use scallop_netsim::sim::{Ctx, Node, TimerToken};
 use scallop_netsim::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 const TIMER_FLUSH: TimerToken = TimerToken(200);
@@ -77,30 +76,25 @@ impl SwitchConfig {
     }
 }
 
-/// A packet waiting for its departure instant. Ordered by `(at, seq)`,
-/// reversed: [`BinaryHeap`] is a max-heap and the earliest leaves first,
-/// same-instant packets in the order they were emitted.
+/// A packet waiting for its departure instant; `seq` is its emission
+/// order across both lanes.
 struct Departure {
     at: SimTime,
     seq: u64,
     pkt: Packet,
 }
 
-impl PartialEq for Departure {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Departure {}
-impl PartialOrd for Departure {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Departure {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// Which fixed latency a packet leaves after. The clock never runs
+/// backwards and a lane's latency is one constant, so each lane is FIFO
+/// by construction; [`ScallopSwitchNode::flush_due`] merges the two
+/// fronts by `(at, seq)`: the earliest leaves first, same-instant
+/// packets in the order they were emitted.
+enum Lane {
+    /// Data-plane forwards, at [`SwitchConfig::pipeline_latency`].
+    Pipeline,
+    /// Agent responses and tick emissions, at
+    /// [`SwitchConfig::agent_latency`].
+    Agent,
 }
 
 /// The switch node.
@@ -111,8 +105,9 @@ pub struct ScallopSwitchNode {
     pub dp: ScallopDataPlane,
     /// The on-switch agent.
     pub agent: SwitchAgent,
-    /// Emitted packets that have not left yet.
-    pending: BinaryHeap<Departure>,
+    /// Emitted packets that have not left yet, one queue per [`Lane`].
+    forwards: VecDeque<Departure>,
+    responses: VecDeque<Departure>,
     pending_seq: u64,
     /// Departure instants a `TIMER_FLUSH` is on its way for. A fan-out-24
     /// packet emits 24 replicas for one instant and needs one flush, not
@@ -140,7 +135,8 @@ impl ScallopSwitchNode {
             dp,
             agent: SwitchAgent::new(cfg.ip).with_port_range(cfg.port_base, cfg.port_limit),
             cfg,
-            pending: BinaryHeap::new(),
+            forwards: VecDeque::new(),
+            responses: VecDeque::new(),
             pending_seq: 0,
             armed: Vec::new(),
             batch_out: BatchOutput::default(),
@@ -215,9 +211,18 @@ impl ScallopSwitchNode {
         self.dp.counters
     }
 
-    fn emit_at(&mut self, ctx: &mut Ctx<'_>, at: SimTime, pkt: Packet) {
+    fn emit(&mut self, ctx: &mut Ctx<'_>, lane: Lane, pkt: Packet) {
+        let (queue, latency) = match lane {
+            Lane::Pipeline => (&mut self.forwards, self.cfg.pipeline_latency),
+            Lane::Agent => (&mut self.responses, self.cfg.agent_latency),
+        };
+        let at = ctx.now() + latency;
+        assert!(
+            queue.back().is_none_or(|last| last.at <= at),
+            "a lane's latency changed with departures pending"
+        );
         self.pending_seq += 1;
-        self.pending.push(Departure {
+        queue.push_back(Departure {
             at,
             seq: self.pending_seq,
             pkt,
@@ -225,16 +230,24 @@ impl ScallopSwitchNode {
         // Newest instants are at the back, and a burst repeats the last.
         if !self.armed.iter().rev().any(|&t| t == at) {
             self.armed.push(at);
-            ctx.schedule(at.saturating_since(ctx.now()), TIMER_FLUSH);
+            ctx.schedule(latency, TIMER_FLUSH);
         }
     }
 
     fn flush_due(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.armed.retain(|&t| t > now);
-        while self.pending.peek().is_some_and(|d| d.at <= now) {
-            let due = self.pending.pop().expect("peeked departure");
-            ctx.send(due.pkt);
+        let due = |lane: &VecDeque<Departure>| {
+            lane.front().filter(|d| d.at <= now).map(|d| (d.at, d.seq))
+        };
+        loop {
+            let lane = match (due(&self.forwards), due(&self.responses)) {
+                (None, None) => break,
+                (Some(f), Some(r)) if r < f => &mut self.responses,
+                (Some(_), _) => &mut self.forwards,
+                (None, Some(_)) => &mut self.responses,
+            };
+            ctx.send(lane.pop_front().expect("due departure").pkt);
         }
     }
 }
@@ -250,15 +263,12 @@ impl Node for ScallopSwitchNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let mut out = std::mem::take(&mut self.batch_out);
         self.dp.process_batch(std::slice::from_ref(&pkt), &mut out);
-        let now = ctx.now();
-        let dp_at = now + self.cfg.pipeline_latency;
         for f in out.forwards.drain(..) {
-            self.emit_at(ctx, dp_at, f);
+            self.emit(ctx, Lane::Pipeline, f);
         }
         if !out.cpu_punts.is_empty() {
-            let agent_at = now + self.cfg.agent_latency;
-            for r in self.agent.handle_cpu_packet(now, &pkt, &mut self.dp) {
-                self.emit_at(ctx, agent_at, r);
+            for r in self.agent.handle_cpu_packet(ctx.now(), &pkt, &mut self.dp) {
+                self.emit(ctx, Lane::Agent, r);
             }
         }
         self.batch_out = out;
@@ -268,13 +278,10 @@ impl Node for ScallopSwitchNode {
         match timer {
             TIMER_FLUSH => self.flush_due(ctx),
             TIMER_AGENT => {
-                let now = ctx.now();
-                let emitted = self.agent.tick(now, &mut self.dp);
                 // Window-paced sink REMBs (empty unless the agent was
                 // opted in) leave at agent latency like any response.
-                let agent_at = now + self.cfg.agent_latency;
-                for pkt in emitted {
-                    self.emit_at(ctx, agent_at, pkt);
+                for pkt in self.agent.tick(ctx.now(), &mut self.dp) {
+                    self.emit(ctx, Lane::Agent, pkt);
                 }
                 ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
             }
@@ -311,12 +318,16 @@ mod tests {
         HostAddr::new(Ipv4Addr::new(10, 1, 0, last), 5000)
     }
 
+    fn switch_and_clients() -> (Simulator, NodeId, NodeId) {
+        switch_and_clients_with(SwitchConfig::new(SWITCH_IP))
+    }
+
     /// A switch and a [`Clients`] node owning `client(1..=3)`, joined by
     /// zero-delay links: a packet arrives the instant it departs.
-    fn switch_and_clients() -> (Simulator, NodeId, NodeId) {
+    fn switch_and_clients_with(cfg: SwitchConfig) -> (Simulator, NodeId, NodeId) {
         let mut sim = Simulator::new(3);
         let link = LinkConfig::infinite(SimDuration::ZERO);
-        let node = ScallopSwitchNode::new(SwitchConfig::new(SWITCH_IP));
+        let node = ScallopSwitchNode::new(cfg);
         let sw = sim.add_node(Box::new(node), &[SWITCH_IP], link, link);
         let ips = [client(1).ip, client(2).ip, client(3).ip];
         let clients = sim.add_node(Box::<Clients>::default(), &ips, link, link);
@@ -367,24 +378,11 @@ mod tests {
             ssrcs: vec![0x11],
         })]);
         // Template 3 is a T2 frame: above DT 1, within DT 2.
-        let t2 = Packetizer::new(0x11, 96, 1200).packetize(&EncodedFrame {
-            frame_number: 1,
-            label: FrameLabelCompact {
-                temporal_id: 2,
-                template_id: 3,
-                is_key: false,
-            },
-            size_bytes: 500,
-            captured_at: SimTime::ZERO,
-            rtp_timestamp: 3000,
-        });
+        let t2 = media_packet(2, 3);
         let stun = StunMessage::binding_request([5; 12]).serialize();
         let at = SimTime::from_millis(1);
         sim.inject(at, Packet::new(client(3), feedback_port, remb));
-        sim.inject(
-            at,
-            Packet::new(client(1), g1.video_uplink, t2[0].serialize()),
-        );
+        sim.inject(at, Packet::new(client(1), g1.video_uplink, t2));
         sim.inject(at, Packet::new(client(2), g1.video_uplink, stun));
         sim.run_until(SimTime::from_millis(50));
 
@@ -402,6 +400,84 @@ mod tests {
                 (pipeline, client(1)),
                 (pipeline, client(2)),
                 (agent, client(2)),
+            ]
+        );
+    }
+    /// One single-packet delta frame of SSRC 0x11, on the wire.
+    fn media_packet(temporal_id: u8, template_id: u8) -> Vec<u8> {
+        let pkts = Packetizer::new(0x11, 96, 1200).packetize(&EncodedFrame {
+            frame_number: 1,
+            label: FrameLabelCompact {
+                temporal_id,
+                template_id,
+                is_key: false,
+            },
+            size_bytes: 500,
+            captured_at: SimTime::ZERO,
+            rtp_timestamp: 3000,
+        });
+        assert_eq!(pkts.len(), 1);
+        pkts[0].serialize()
+    }
+
+    /// `client(1)` sends to `client(2)` and `client(3)`; returns the
+    /// sender's video uplink.
+    fn three_party_meeting(sim: &mut Simulator, sw: NodeId) -> HostAddr {
+        let sw: &mut ScallopSwitchNode = sim.node_mut(sw).unwrap();
+        let m = sw.agent.create_meeting();
+        let uplink = sw.join(m, client(1), true).video_uplink;
+        sw.join(m, client(2), false);
+        sw.join(m, client(3), false);
+        uplink
+    }
+
+    /// The lanes are independent: a STUN answer waiting out the agent
+    /// latency does not hold back forwards emitted after it.
+    #[test]
+    fn a_pending_agent_response_does_not_delay_later_forwards() {
+        let (mut sim, sw, clients) = switch_and_clients();
+        let uplink = three_party_meeting(&mut sim, sw);
+        let stun_at = SimTime::from_millis(1);
+        let media_at = stun_at + SimDuration::from_micros(100);
+        let stun = StunMessage::binding_request([5; 12]).serialize();
+        sim.inject(stun_at, Packet::new(client(1), uplink, stun));
+        sim.inject(media_at, Packet::new(client(1), uplink, media_packet(0, 1)));
+        sim.run_until(SimTime::from_millis(50));
+        let pipeline = media_at + SimDuration::from_nanos(1_500);
+        let c: &mut Clients = sim.node_mut(clients).unwrap();
+        assert_eq!(
+            c.arrivals,
+            vec![
+                (pipeline, client(2)),
+                (pipeline, client(3)),
+                (stun_at + SimDuration::from_micros(250), client(1)),
+            ]
+        );
+    }
+
+    /// With both latencies equal every departure below is for the same
+    /// instant: the lanes are merged back into emission order.
+    #[test]
+    fn same_instant_departures_from_both_lanes_leave_in_emission_order() {
+        let mut cfg = SwitchConfig::new(SWITCH_IP);
+        cfg.agent_latency = cfg.pipeline_latency;
+        let (mut sim, sw, clients) = switch_and_clients_with(cfg);
+        let uplink = three_party_meeting(&mut sim, sw);
+        let at = SimTime::from_millis(1);
+        let stun = || StunMessage::binding_request([5; 12]).serialize();
+        sim.inject(at, Packet::new(client(1), uplink, stun()));
+        sim.inject(at, Packet::new(client(1), uplink, media_packet(0, 1)));
+        sim.inject(at, Packet::new(client(2), uplink, stun()));
+        sim.run_until(SimTime::from_millis(50));
+        let leaves = at + cfg.pipeline_latency;
+        let c: &mut Clients = sim.node_mut(clients).unwrap();
+        assert_eq!(
+            c.arrivals,
+            vec![
+                (leaves, client(1)),
+                (leaves, client(2)),
+                (leaves, client(3)),
+                (leaves, client(2)),
             ]
         );
     }

@@ -60,11 +60,14 @@
 //! **What a view pins.** A view keeps its *whole* backing allocation
 //! alive: a replica view pins its batch's slab, an `RtpPacket.payload`
 //! from `RtpPacket::parse_bytes` pins the wire buffer it was parsed
-//! from. Everything that can hold one beyond delivery is bounded:
+//! from. The count behind a view is a plain `Rc` (the vendored `bytes`
+//! is not `Send`; nothing here crosses a thread), so taking or dropping
+//! one is an increment, not an atomic. Everything that can hold one
+//! beyond delivery is bounded:
 //!
 //! * the data plane itself holds one handle, on the last batch's slab,
 //!   until the next batch starts;
-//! * `core::switchnode`'s departure heap holds forwards for the fixed
+//! * `core::switchnode`'s departure lanes hold forwards for the fixed
 //!   pipeline latency (agent responses for the agent latency) and the
 //!   simulator's event queue for one link traversal — both drain in
 //!   bounded simulated time, so the slabs alive at once are those of the

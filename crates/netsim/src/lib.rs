@@ -34,6 +34,7 @@
 pub mod fault;
 pub mod link;
 pub mod packet;
+mod queue;
 pub mod relay;
 pub mod rng;
 pub mod sim;

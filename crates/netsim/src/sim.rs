@@ -7,15 +7,23 @@
 //! exclusively through packets and timers, which keeps the simulation
 //! deterministic and lets the same client code run against either SFU
 //! implementation (Scallop switch or the software baseline).
+//!
+//! **Event order is `(at, push order)`**: the earliest event runs first,
+//! and events for one instant run in the order they were pushed. Every
+//! simulated counter and checked-in baseline is a function of that order,
+//! so it is the queue's contract, not an accident of its structure. The
+//! queue that meets it is a calendar queue (the private `queue` module: a
+//! ring of sorted 8 µs buckets over one slab, a binary heap only for
+//! events more than 67 ms out); [`Simulator::step`] and
+//! [`Simulator::run_until`] are both one `pop_until(deadline)` on it.
 
 use crate::link::{Link, LinkConfig, LinkVerdict};
 use crate::packet::Packet;
+use crate::queue::CalendarQueue;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceDirection, TraceRecord, TraceSink};
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// Handle identifying a node inside a [`Simulator`].
@@ -99,33 +107,6 @@ enum EventKind {
     Timer { node: NodeId, token: TimerToken },
 }
 
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 struct NodeSlot {
     node: Option<Box<dyn Node>>,
     uplink: Link,
@@ -180,9 +161,9 @@ pub struct SimStats {
 pub struct Simulator {
     nodes: Vec<NodeSlot>,
     routes: RouteTable,
-    queue: BinaryHeap<Event>,
+    /// Pending events, popped in `(at, push order)` order.
+    queue: CalendarQueue<EventKind>,
     now: SimTime,
-    seq: u64,
     rng: DetRng,
     /// Side-effect buffers lent to the node of each [`Self::invoke`].
     outbox: Vec<Packet>,
@@ -205,9 +186,8 @@ impl Simulator {
         Simulator {
             nodes: Vec::new(),
             routes: RouteTable::default(),
-            queue: BinaryHeap::new(),
+            queue: CalendarQueue::new(),
             now: SimTime::ZERO,
-            seq: 0,
             rng: DetRng::new(seed),
             outbox: Vec::new(),
             timers: Vec::new(),
@@ -363,7 +343,7 @@ impl Simulator {
     pub fn inject(&mut self, at: SimTime, pkt: Packet) {
         let at = at.max(self.now);
         if let Some(dst) = self.route(pkt.dst.ip) {
-            self.push(at, EventKind::DownlinkAdmit { dst, pkt });
+            self.queue.push(at, EventKind::DownlinkAdmit { dst, pkt });
         } else {
             self.stats.packets_unroutable += 1;
         }
@@ -372,16 +352,7 @@ impl Simulator {
     /// Schedule a timer for a node from outside the simulation.
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
         let at = at.max(self.now);
-        self.push(at, EventKind::Timer { node, token });
-    }
-
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
+        self.queue.push(at, EventKind::Timer { node, token });
     }
 
     /// Run node code with a context, then process its side effects.
@@ -407,7 +378,7 @@ impl Simulator {
         }
         self.nodes[id.0].node = Some(node);
         for (at, token) in timers.drain(..) {
-            self.push(at, EventKind::Timer { node: id, token });
+            self.queue.push(at, EventKind::Timer { node: id, token });
         }
         for pkt in outbox.drain(..) {
             self.transmit(id, pkt);
@@ -440,20 +411,21 @@ impl Simulator {
                 at,
                 duplicate_at: Some(dup_at),
             } => {
-                self.push(
+                self.queue.push(
                     at,
                     EventKind::DownlinkAdmit {
                         dst,
                         pkt: pkt.clone(),
                     },
                 );
-                self.push(dup_at, EventKind::DownlinkAdmit { dst, pkt });
+                self.queue
+                    .push(dup_at, EventKind::DownlinkAdmit { dst, pkt });
             }
             LinkVerdict::Deliver {
                 at,
                 duplicate_at: None,
             } => {
-                self.push(at, EventKind::DownlinkAdmit { dst, pkt });
+                self.queue.push(at, EventKind::DownlinkAdmit { dst, pkt });
             }
             LinkVerdict::Drop(_) => {
                 self.stats.packets_dropped += 1;
@@ -463,13 +435,19 @@ impl Simulator {
 
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Process the next event if it is due by `deadline`; `false` when
+    /// none is.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some(ev) = self.queue.pop_until(deadline) else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.stats.events += 1;
-        match ev.kind {
+        match ev.item {
             EventKind::Timer { node, token } => {
                 if self.nodes[node.0].dead {
                     return true;
@@ -491,20 +469,20 @@ impl Simulator {
                         at,
                         duplicate_at: Some(dup_at),
                     } => {
-                        self.push(
+                        self.queue.push(
                             at,
                             EventKind::Deliver {
                                 dst,
                                 pkt: pkt.clone(),
                             },
                         );
-                        self.push(dup_at, EventKind::Deliver { dst, pkt });
+                        self.queue.push(dup_at, EventKind::Deliver { dst, pkt });
                     }
                     LinkVerdict::Deliver {
                         at,
                         duplicate_at: None,
                     } => {
-                        self.push(at, EventKind::Deliver { dst, pkt });
+                        self.queue.push(at, EventKind::Deliver { dst, pkt });
                     }
                     LinkVerdict::Drop(_) => {
                         self.stats.packets_dropped += 1;
@@ -535,12 +513,7 @@ impl Simulator {
     /// left at `min(deadline, time of last event)`; events at exactly
     /// `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -789,6 +762,66 @@ mod tests {
         let mut sim = Simulator::new(4);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
+    }
+
+    /// The event queue's window must not start later than the clock:
+    /// after a `run_until` that stopped short of the only pending event
+    /// — inside the queue's near window (30 ms) or beyond it (500 ms) —
+    /// whatever is pushed at `now` next still finds room in front of it.
+    #[test]
+    fn events_pushed_at_now_after_a_run_that_stopped_short_keep_their_order() {
+        for pending_ms in [30, 500] {
+            let cfg = LinkConfig::infinite(SimDuration::ZERO);
+            let mut sim = Simulator::new(13);
+            let first = sim.add_node(
+                Box::new(Stepper {
+                    forward_to: None,
+                    log: vec![],
+                }),
+                &[ip(2)],
+                cfg,
+                cfg,
+            );
+            sim.schedule_timer(SimTime::from_millis(pending_ms), first, TimerToken(99));
+            sim.run_until(SimTime::from_millis(10));
+            assert_eq!(sim.now(), SimTime::from_millis(10));
+            assert_eq!(sim.pending_events(), 1, "stopped short of the timer");
+
+            sim.inject(
+                sim.now(),
+                Packet::new(
+                    HostAddr::new(ip(50), 1),
+                    HostAddr::new(ip(2), 5000),
+                    vec![7u8; 8],
+                ),
+            );
+            // Its `on_start` arms a timer 1 ms from now; two packets follow.
+            sim.add_node(
+                Box::new(Pinger {
+                    target: HostAddr::new(ip(2), 5000),
+                    me: HostAddr::new(ip(1), 4000),
+                    n: 2,
+                    echoes: vec![],
+                }),
+                &[ip(1)],
+                cfg,
+                cfg,
+            );
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(
+                sim.node_mut::<Stepper>(first).unwrap().log,
+                vec![
+                    ("packet", 7),
+                    ("timer", 7),
+                    ("packet", 0),
+                    ("packet", 0),
+                    ("timer", 0),
+                    ("timer", 0),
+                    ("timer", 99),
+                ],
+                "pending timer at {pending_ms} ms"
+            );
+        }
     }
 
     #[test]

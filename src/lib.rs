@@ -70,6 +70,8 @@
 //! assert!(sharded.shard_meeting_counts().iter().all(|&c| c <= 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use scallop_baseline as baseline;
 pub use scallop_client as client;
 pub use scallop_core as core;

@@ -74,6 +74,47 @@ fn settled_two_zone_federation_allocates_under_a_quarter_time_per_delivered_pack
 }
 
 // ---------------------------------------------------------------------
+// The event loop alone.
+// ---------------------------------------------------------------------
+
+/// Sends every packet back where it came from.
+struct Echo;
+
+impl Node for Echo {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        ctx.send(pkt.readdressed(pkt.dst, pkt.src));
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _timer: TimerToken) {}
+}
+
+/// Sixteen packets bouncing between two nodes for ever: the number of
+/// pending events is constant, so once the event queue's slab and the
+/// invoke buffers have grown to it, a simulated second — 160 000
+/// deliveries, the clock through fifteen revolutions of the queue's ring
+/// — allocates nothing at all.
+#[test]
+fn a_settled_event_loop_allocates_nothing() {
+    let link = LinkConfig::infinite(SimDuration::from_micros(50));
+    let (a, b) = (member_addr(0), member_addr(1));
+    let mut sim = Simulator::new(1);
+    sim.add_node(Box::new(Echo), &[a.ip], link, link);
+    sim.add_node(Box::new(Echo), &[b.ip], link, link);
+    for k in 0..16 {
+        sim.inject(
+            SimTime::from_micros(k * 7),
+            Packet::new(a, b, vec![0u8; 200]),
+        );
+    }
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.pending_events(), 16);
+    let before = sim.stats.packets_delivered;
+    let allocs = allocs_in(|| sim.run_for(SimDuration::from_secs(1)));
+    assert!(sim.stats.packets_delivered - before > 100_000);
+    assert_eq!(sim.pending_events(), 16);
+    assert_eq!(allocs, 0);
+}
+
+// ---------------------------------------------------------------------
 // One switch node in a bare simulator.
 // ---------------------------------------------------------------------
 
