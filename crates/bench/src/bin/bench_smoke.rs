@@ -262,11 +262,8 @@ fn main() {
             format!("{} ({}) / {}", row.joins, row.senders, row.edges),
         );
         kv(
-            &format!("{name}: installs incr / batch / full"),
-            format!(
-                "{} / {} / {}",
-                row.incr_installs, row.batch_installs, row.full_installs
-            ),
+            &format!("{name}: installs incr / batch"),
+            format!("{} / {}", row.incr_installs, row.batch_installs),
         );
         kv(&format!("{name}: grafted joins"), row.incr_grafts);
     }
@@ -554,21 +551,20 @@ fn main() {
             .failures
             .push("missing baseline results/BENCH_wan.json".into()),
     }
-    // Control-plane compilation invariants: the delta compiler must be
-    // a pure optimization (byte-identical final state), bill O(1)
-    // flow-mods per join, and beat the per-join rebuild baseline on the
-    // storm by the headline factor.
+    // Control-plane compilation invariants: both runs pass the compile
+    // check (installed state equals a rebuild of it, nothing orphaned),
+    // and grafting bills O(1) flow-mods per join.
     for row in &control_rows {
         let name = scenario_name(row.scenario);
         gate.check(
-            &format!("control {name}: delta compile equals full rebuild"),
+            &format!("control {name}: join-by-join compile passes its check"),
             row.equivalent == 1,
-            "final data-plane state diverged between compile paths".into(),
+            "installed state differs from its rebuild or holds an orphan".into(),
         );
         gate.check(
-            &format!("control {name}: batched admission equals its rebuild reference"),
+            &format!("control {name}: batched admission passes its check"),
             row.batch_equivalent == 1,
-            "batched admission compiled different state".into(),
+            "installed state differs from its rebuild or holds an orphan".into(),
         );
         gate.check(
             &format!("control {name}: installs stay O(1) per join"),
@@ -576,25 +572,12 @@ fn main() {
             format!("{} installs for {} joins", row.incr_installs, row.joins),
         );
     }
-    gate.check(
-        "control storm: rebuilds bill >= 5x the incremental path",
-        control_rows[0].full_installs >= 5 * control_rows[0].incr_installs,
-        format!(
-            "{} full-rebuild installs vs {} incremental",
-            control_rows[0].full_installs, control_rows[0].incr_installs
-        ),
-    );
     match control_baseline {
         Some(base) => {
             gate.check_within(
                 "control: incremental installs",
                 sum_field(&base, "incr_installs"),
                 control_rows.iter().map(|r| r.incr_installs).sum::<u64>() as f64,
-            );
-            gate.check_within(
-                "control: full-rebuild installs",
-                sum_field(&base, "full_installs"),
-                control_rows.iter().map(|r| r.full_installs).sum::<u64>() as f64,
             );
             gate.check_within(
                 "control: batched installs",

@@ -1,23 +1,16 @@
 //! Deterministic control-plane compilation smoke (CI regression gate).
 //!
 //! Drives the flash-crowd and webinar join shapes from
-//! [`scallop_workload::flashcrowd`] into one fabric meeting three ways —
-//! per-join with the delta compiler, per-join with full rebuilds (the
-//! pre-delta reference, via
-//! [`SwitchAgent::set_incremental_compile`][set]), and as one batched
-//! [`ShardedControlPlane::join`] burst — and reports
-//! the flow-mod bill of each path from the switches' own
+//! [`scallop_workload::flashcrowd`] into one fabric meeting two ways —
+//! join by join, and as one batched [`ShardedControlPlane::join`] burst
+//! — and reports the flow-mod bill of each from the switches' own
 //! `rule_installs` / `rule_removals` / `tree_allocs` counters.
 //!
 //! Everything in a [`ControlRow`] is a function of the fixed join
 //! shape, so `bench_smoke` gates the fields at the usual 20 % drift
-//! rule plus two hard invariants: the incremental path's final
-//! data-plane state must be byte-identical to the full-rebuild
-//! reference (same join order, so the comparison is exact down to
-//! participant ids), and the storm's full-rebuild bill must exceed the
-//! incremental bill by the headline factor.
-//!
-//! [set]: scallop_core::agent::SwitchAgent::set_incremental_compile
+//! rule plus one hard invariant per run: every edge passes
+//! [`Fabric::check_compiled`] — the installed state equals a from-scratch
+//! rebuild of it, and nothing installed is orphaned.
 
 use scallop_core::controller::JoinRequest;
 use scallop_core::fabric::Fabric;
@@ -52,62 +45,41 @@ pub struct ControlRow {
     pub senders: u64,
     /// Edge switches the crowd spread over.
     pub edges: u64,
-    /// Flow-mod installs, per-join with the delta compiler.
+    /// Flow-mod installs, join by join.
     pub incr_installs: u64,
-    /// Flow-mod removals, per-join with the delta compiler.
+    /// Flow-mod removals, join by join.
     pub incr_removals: u64,
-    /// PRE trees allocated, per-join with the delta compiler.
+    /// PRE trees allocated, join by join.
     pub incr_trees: u64,
     /// Joins the delta compiler grafted (vs. falling back to rebuild).
     pub incr_grafts: u64,
-    /// Flow-mod installs, per-join with full rebuilds (baseline).
-    pub full_installs: u64,
-    /// Flow-mod removals, per-join with full rebuilds (baseline).
-    pub full_removals: u64,
-    /// PRE trees allocated, per-join with full rebuilds (baseline).
-    pub full_trees: u64,
     /// Flow-mod installs, one batched admission.
     pub batch_installs: u64,
     /// Flow-mod removals, one batched admission.
     pub batch_removals: u64,
     /// PRE trees allocated, one batched admission.
     pub batch_trees: u64,
-    /// 1 iff the delta compiler's final data-plane state matched the
-    /// full-rebuild reference byte for byte on every edge.
+    /// 1 iff every edge passed [`Fabric::check_compiled`] after the
+    /// join-by-join run.
     pub equivalent: u64,
-    /// 1 iff the batched admission's final state matched a batched
-    /// full-rebuild run byte for byte on every edge.
+    /// 1 iff every edge passed [`Fabric::check_compiled`] after the
+    /// batched run.
     pub batch_equivalent: u64,
 }
 
-/// How a run compiles the joins.
-#[derive(Clone, Copy, PartialEq)]
-enum CompileMode {
-    /// Sequential joins, delta compiler on (the shipping default).
-    Incremental,
-    /// Sequential joins, every change recompiles the whole segment.
-    FullRebuild,
-    /// One burst of all the joins, delta compiler on.
-    Batched,
-    /// One burst of all the joins, delta compiler off.
-    BatchedFullRebuild,
-}
-
-/// Flow-mod bill and final state of one run.
+/// Flow-mod bill and compile-check verdict of one run.
 struct RunOutcome {
     installs: u64,
     removals: u64,
     trees: u64,
     grafts: u64,
-    /// Per-edge canonical data-plane + agent state dumps.
-    states: Vec<String>,
+    checked: bool,
 }
 
-/// Admit `joins` into a fresh fabric meeting under `mode` and total the
-/// compile cost across all edges. The fabric, seed, and addressing are
-/// fixed, so two runs differing only in `mode` admit byte-identical
-/// membership.
-fn run_crowd(joins: &[CrowdJoin], shards: usize, mode: CompileMode) -> RunOutcome {
+/// Admit `joins` into a fresh fabric meeting — join by join, or as one
+/// burst — and total the compile cost across all edges. The fabric,
+/// seed, and addressing are fixed.
+fn run_crowd(joins: &[CrowdJoin], shards: usize, batched: bool) -> RunOutcome {
     let mut sim = Simulator::new(0xC7011);
     let fabric = Fabric::build(
         &mut sim,
@@ -116,17 +88,6 @@ fn run_crowd(joins: &[CrowdJoin], shards: usize, mode: CompileMode) -> RunOutcom
         SeqRewriteMode::LowRetransmission,
     );
     let mut controller = ShardedControlPlane::new(shards);
-    if matches!(
-        mode,
-        CompileMode::FullRebuild | CompileMode::BatchedFullRebuild
-    ) {
-        for e in 0..EDGES {
-            fabric
-                .edge_mut(&mut sim, e)
-                .agent
-                .set_incremental_compile(false);
-        }
-    }
 
     let gmid = controller.create_fabric_meeting(&mut sim, &fabric, joins[0].edge);
     let addr_of = |i: usize| {
@@ -144,14 +105,11 @@ fn run_crowd(joins: &[CrowdJoin], shards: usize, mode: CompileMode) -> RunOutcom
             sends: j.sends,
         })
         .collect();
-    match mode {
-        CompileMode::Incremental | CompileMode::FullRebuild => {
-            for req in &reqs {
-                controller.join(&mut sim, &fabric, gmid, std::slice::from_ref(req));
-            }
-        }
-        CompileMode::Batched | CompileMode::BatchedFullRebuild => {
-            controller.join(&mut sim, &fabric, gmid, &reqs);
+    if batched {
+        controller.join(&mut sim, &fabric, gmid, &reqs);
+    } else {
+        for req in &reqs {
+            controller.join(&mut sim, &fabric, gmid, std::slice::from_ref(req));
         }
     }
 
@@ -160,26 +118,22 @@ fn run_crowd(joins: &[CrowdJoin], shards: usize, mode: CompileMode) -> RunOutcom
         removals: 0,
         trees: 0,
         grafts: 0,
-        states: Vec::with_capacity(EDGES),
+        checked: fabric.check_compiled(&mut sim).is_ok(),
     };
     for e in 0..EDGES {
         let c = fabric.edge_counters(&mut sim, e);
         out.installs += c.rule_installs;
         out.removals += c.rule_removals;
         out.trees += c.tree_allocs;
-        let node = fabric.edge_mut(&mut sim, e);
-        out.grafts += node.agent.counters.graft_joins;
-        out.states.push(node.agent.canonical_state(&node.dp));
+        out.grafts += fabric.edge_mut(&mut sim, e).agent.counters.graft_joins;
     }
     out
 }
 
-/// Run one join shape through all four modes and assemble its row.
+/// Run one join shape join by join and batched, and assemble its row.
 fn run_scenario(scenario: u64, joins: &[CrowdJoin], shards: usize) -> ControlRow {
-    let incr = run_crowd(joins, shards, CompileMode::Incremental);
-    let full = run_crowd(joins, shards, CompileMode::FullRebuild);
-    let batch = run_crowd(joins, shards, CompileMode::Batched);
-    let batch_full = run_crowd(joins, shards, CompileMode::BatchedFullRebuild);
+    let incr = run_crowd(joins, shards, false);
+    let batch = run_crowd(joins, shards, true);
     ControlRow {
         scenario,
         joins: joins.len() as u64,
@@ -189,20 +143,17 @@ fn run_scenario(scenario: u64, joins: &[CrowdJoin], shards: usize) -> ControlRow
         incr_removals: incr.removals,
         incr_trees: incr.trees,
         incr_grafts: incr.grafts,
-        full_installs: full.installs,
-        full_removals: full.removals,
-        full_trees: full.trees,
         batch_installs: batch.installs,
         batch_removals: batch.removals,
         batch_trees: batch.trees,
-        equivalent: u64::from(incr.states == full.states),
-        batch_equivalent: u64::from(batch.states == batch_full.states),
+        equivalent: u64::from(incr.checked),
+        batch_equivalent: u64::from(batch.checked),
     }
 }
 
 /// Run the smoke: the 64-join flash-crowd storm and the webinar shape,
-/// each through incremental / full-rebuild / batched compilation, with
-/// meeting ownership over `shards` controller shards.
+/// each join by join and batched, with meeting ownership over `shards`
+/// controller shards.
 pub fn run_control_smoke(shards: usize) -> Vec<ControlRow> {
     vec![
         run_scenario(
@@ -220,37 +171,18 @@ mod tests {
 
     #[test]
     fn storm_is_equivalent_and_cheaper() {
-        let rows = run_control_smoke(1);
-        for row in &rows {
-            assert_eq!(row.equivalent, 1, "delta compile diverged from rebuild");
-            assert_eq!(row.batch_equivalent, 1, "batched compile diverged");
+        for row in &run_control_smoke(1) {
+            assert_eq!(row.equivalent, 1, "join-by-join compile failed its check");
+            assert_eq!(row.batch_equivalent, 1, "batched compile failed its check");
             assert!(row.incr_grafts > 0, "delta compiler never grafted");
+            // The bench_smoke gate: grafting bills O(1) flow-mods a join.
             assert!(
-                row.full_installs > row.incr_installs,
-                "rebuilds must out-bill grafts: {} vs {}",
-                row.full_installs,
-                row.incr_installs
+                row.incr_installs <= 16 * row.joins,
+                "{} installs for {} joins",
+                row.incr_installs,
+                row.joins
             );
-            // The batched path's win is one compile transaction per
-            // segment, not a lower install count than grafting — its
-            // per-segment rebuild re-installs the local rule set once —
-            // but it must stay far under the per-join rebuild bill.
-            assert!(
-                4 * row.batch_installs < row.full_installs,
-                "batched compile must undercut per-join rebuilds: {} vs {}",
-                row.batch_installs,
-                row.full_installs
-            );
-            assert!(row.incr_trees <= row.full_trees);
         }
-        // The headline: a flash-crowd storm of rebuilds is ≥5× the
-        // incremental bill.
-        assert!(
-            rows[0].full_installs >= 5 * rows[0].incr_installs,
-            "storm: {} rebuilds vs {} incremental",
-            rows[0].full_installs,
-            rows[0].incr_installs
-        );
     }
 
     #[test]
@@ -259,7 +191,6 @@ mod tests {
         let b = run_control_smoke(4);
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.incr_installs, rb.incr_installs);
-            assert_eq!(ra.full_installs, rb.full_installs);
             assert_eq!(ra.batch_installs, rb.batch_installs);
             assert_eq!(ra.equivalent, 1);
             assert_eq!(rb.equivalent, 1);

@@ -37,8 +37,9 @@ use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::rtp::RtpView;
 use scallop_proto::stun::StunMessage;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Meeting identifier.
 pub type MeetingId = u32;
@@ -99,7 +100,7 @@ pub fn cadence_for_dt(dt: u8) -> u16 {
 
 /// The `selectDecodeTarget` policy hook (§5.4). Arguments: current
 /// decode target, history of past estimates (bits/s), newest estimate.
-pub type AdaptationPolicy = Box<dyn Fn(u8, &[u64], u64) -> u8 + Send>;
+pub type AdaptationPolicy = Rc<dyn Fn(u8, &[u64], u64) -> u8>;
 
 /// The paper's simple threshold heuristic, with a conservative 2.2×
 /// upward hysteresis: moving a decode target up instantly *doubles* the
@@ -109,7 +110,7 @@ pub type AdaptationPolicy = Box<dyn Fn(u8, &[u64], u64) -> u8 + Send>;
 /// estimate to rise well past the threshold — the paper's evaluation
 /// likewise never exercises an automatic up-switch under constraint.)
 pub fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
-    Box::new(move |curr, _hist, new_est| {
+    Rc::new(move |curr, _hist, new_est| {
         let up = |t: u64| t * 22 / 10;
         let target = if new_est < thresholds[0] {
             0
@@ -195,7 +196,7 @@ pub struct AgentCounters {
     pub prune_leaves: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Pinfo {
     meeting: MeetingId,
     class: ParticipantClass,
@@ -247,7 +248,7 @@ struct Pinfo {
     last_dt_change: Option<SimTime>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MeetingState {
     participants: Vec<ParticipantId>,
     design: TreeDesign,
@@ -288,7 +289,31 @@ struct HalfTree {
     free_slot: u8,
 }
 
+/// A tree named by its owner: `(meeting, index in its trees)`.
+type TreeName = (MeetingId, usize);
+
+/// One entry of [`SwitchAgent::canonical_state`]. MGIDs appear only as
+/// [`TreeName`]s (a multicast action's `mgid_by_tier` holds tree
+/// indices of its sender's meeting), and packed-tree slot XIDs as seen
+/// from their owner: 1 for its own slot, 2 for its partner's.
+#[derive(Debug, PartialEq)]
+enum Line {
+    Port(u16, PortRule),
+    Egress(TreeName, u16, u16, EgressSpec),
+    Node(TreeName, L1Node),
+    Meeting {
+        id: MeetingId,
+        design: TreeDesign,
+        participants: Vec<ParticipantId>,
+        /// Per tree: 0 exclusive, 1 packed.
+        packed: Vec<u8>,
+        /// `(tree index, rid, in_port)` of the tracked egress keys.
+        keys: Vec<(usize, u16, u16)>,
+    },
+}
+
 /// The switch agent.
+#[derive(Clone)]
 pub struct SwitchAgent {
     sfu_ip: Ipv4Addr,
     next_port: u16,
@@ -324,12 +349,6 @@ pub struct SwitchAgent {
     rar_half: Vec<HalfTree>,
     policy: AdaptationPolicy,
     ewma_alpha: f64,
-    /// Compile membership changes incrementally (graft/prune deltas)
-    /// when the installed design holds. Disabled, every change
-    /// recompiles the whole meeting — the pre-delta behaviour, kept as
-    /// the reference for the compile-equivalence suite and as the bench
-    /// baseline.
-    incremental: bool,
     /// Window-paced sink emission: instead of re-emitting a sink
     /// sender's min-aggregate REMB inline on every arriving estimate,
     /// mark the sender dirty and emit exactly one aggregate per agent
@@ -337,7 +356,7 @@ pub struct SwitchAgent {
     /// inline — the original behavior, bit for bit.
     remb_window_emit: bool,
     /// Sink senders with a changed estimate awaiting the next window.
-    dirty_sinks: std::collections::BTreeSet<ParticipantId>,
+    dirty_sinks: BTreeSet<ParticipantId>,
     /// Telemetry.
     pub counters: AgentCounters,
 }
@@ -345,11 +364,13 @@ pub struct SwitchAgent {
 /// Ids released for reuse, handed back **lowest first** in O(log n).
 /// Reuse must be a function of the free *set*, never the release
 /// *order*: teardown retires ids while iterating hash maps whose order
-/// varies per instance, and the delta and full-rebuild compile paths
-/// retire in different sequences anyway — LIFO reuse would hand later
-/// joins different ids on each path, breaking compile-path equivalence
-/// on state that is otherwise byte-identical.
-#[derive(Debug, Default)]
+/// varies per instance, and a deterministic simulation must not let
+/// that order leak into the ids later joins receive. Ports, pids and
+/// tracker slots are never re-drawn by a recompile, so they match any
+/// rebuild of the same roster; MGIDs are — a rebuild frees a tree
+/// before drawing one — which is why [`SwitchAgent::check_compiled`]
+/// names trees by their owner instead of comparing MGIDs.
+#[derive(Debug, Default, Clone)]
 pub struct FreeList<T: Ord>(BinaryHeap<Reverse<T>>);
 
 impl<T: Ord> FreeList<T> {
@@ -391,9 +412,8 @@ impl SwitchAgent {
             // adaptation is to shed layers *before* the receiver's queue
             // overflows (§5.3).
             ewma_alpha: 0.5,
-            incremental: true,
             remb_window_emit: false,
-            dirty_sinks: std::collections::BTreeSet::new(),
+            dirty_sinks: BTreeSet::new(),
             counters: AgentCounters::default(),
         }
     }
@@ -403,13 +423,6 @@ impl SwitchAgent {
     /// window no matter how many per-edge estimates arrived in it.
     pub fn set_remb_window_emission(&mut self, on: bool) {
         self.remb_window_emit = on;
-    }
-
-    /// Toggle incremental (delta) compilation. `false` restores the
-    /// from-scratch full rebuild on every membership change — the
-    /// compile-equivalence reference and the flash-crowd bench baseline.
-    pub fn set_incremental_compile(&mut self, on: bool) {
-        self.incremental = on;
     }
 
     /// Builder: allocate SFU ports from `[base, limit)` instead of
@@ -459,11 +472,6 @@ impl SwitchAgent {
     /// Decode target currently applied to a participant (as receiver).
     pub fn dt_of(&self, pid: ParticipantId) -> Option<u8> {
         self.pinfo.get(&pid).map(|p| p.dt)
-    }
-
-    /// The class of a participant entry on this switch.
-    pub fn class_of(&self, pid: ParticipantId) -> Option<ParticipantClass> {
-        self.pinfo.get(&pid).map(|p| p.class)
     }
 
     /// The SFU address `receiver` gets `sender`'s video from (and sends
@@ -608,7 +616,7 @@ impl SwitchAgent {
             return false;
         }
         let meeting = p.meeting;
-        if !(self.incremental && self.try_point_trunk(dp, meeting, trunk, sender)) {
+        if !self.try_point_trunk(dp, meeting, trunk, sender) {
             self.rebuild_meeting(dp, meeting);
         }
         true
@@ -714,7 +722,7 @@ impl SwitchAgent {
     ) {
         match joined {
             [] => {}
-            [one] if self.incremental && self.try_graft_join(dp, meeting, one.participant) => {}
+            [one] if self.try_graft_join(dp, meeting, one.participant) => {}
             _ => self.rebuild_meeting(dp, meeting),
         }
     }
@@ -893,7 +901,7 @@ impl SwitchAgent {
         for port in freed_pairs {
             self.release_port(dp, port);
         }
-        if !(self.incremental && self.try_prune_leave(dp, meeting, pid, leaver_uplinks)) {
+        if !self.try_prune_leave(dp, meeting, pid, leaver_uplinks) {
             self.rebuild_meeting(dp, meeting);
         }
     }
@@ -1419,24 +1427,234 @@ impl SwitchAgent {
             && self.pinfo[&r].fabric_xid == self.pinfo[&s].fabric_xid
     }
 
-    /// Deterministic dump of this switch's compiled state — the data
-    /// plane's canonical configuration plus per-meeting design/tree/key
-    /// bookkeeping, each piece sorted so installation order is
-    /// invisible. The compile-equivalence suite pins the delta
-    /// compiler's output byte-identical to a from-scratch rebuild's.
-    pub fn canonical_state(&self, dp: &ScallopDataPlane) -> String {
-        let mut out = dp.canonical_config();
-        for (mid, m) in &self.meetings {
-            let mut trees = m.trees.clone();
-            trees.sort_unstable();
-            let mut keys: Vec<String> = m.egress_keys.iter().map(|k| format!("{k:?}")).collect();
-            keys.sort();
-            out.push_str(&format!(
-                "meeting {mid}: {:?} participants {:?} trees {:?} keys {:?}\n",
-                m.design, m.participants, trees, keys
+    /// Check this switch's compiled state against its roster; read-only,
+    /// `Err` names the first violation.
+    ///
+    /// * **Ownership.** Every installed port rule has a `port_use`
+    ///   entry, every tracked participant one L2 XID, every installed
+    ///   egress entry is tracked by exactly one meeting, every PRE group
+    ///   is in some meeting's trees or a half pool with no slot claimed
+    ///   twice, and no port, pid, MGID or tracker slot is both free and
+    ///   in use. Orphans survive a rebuild, so only this half sees them.
+    /// * **Equivalence.** A copy of the agent and of the data plane's
+    ///   tables rebuilds every meeting from scratch (`rebuild_meeting`,
+    ///   the delta compiler's fallback), and its canonical state must
+    ///   equal the installed one. Trees are named by their owner, so
+    ///   which MGID a tree drew, and which meeting shares a packed tree,
+    ///   never count as a difference.
+    ///
+    /// REMB gates are re-evaluated on the agent tick, not per feedback
+    /// copy, so while media flows a rebuild computes gates fresher than
+    /// the installed ones: this is a check for media-free control
+    /// histories.
+    pub fn check_compiled(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+        self.check_ownership(dp)?;
+        let live = self.canonical_state(dp)?;
+        let (mut agent, mut copy) = self.copy_with(dp);
+        for &meeting in self.meetings.keys() {
+            agent.rebuild_meeting(&mut copy, meeting);
+        }
+        let rebuilt = agent.canonical_state(&copy)?;
+        let first_diff =
+            (0..live.len().max(rebuilt.len())).find(|&i| live.get(i) != rebuilt.get(i));
+        match first_diff {
+            None => Ok(()),
+            Some(i) => Err(format!(
+                "installed state differs from a rebuild at line {i}: installed {:?}, rebuilt {:?}",
+                live.get(i),
+                rebuilt.get(i)
+            )),
+        }
+    }
+
+    /// A copy of this agent and of `dp`'s compiled tables to compile on
+    /// the side, with zeroed counters. The compile writes stream
+    /// cadences but never reads the tracker registers, so a fresh
+    /// tracker stands in for a copy of them.
+    fn copy_with(&self, dp: &ScallopDataPlane) -> (SwitchAgent, ScallopDataPlane) {
+        let mut copy = ScallopDataPlane::new(dp.tracker.mode());
+        copy.port_rules = dp.port_rules.clone();
+        copy.egress = dp.egress.clone();
+        copy.pre = dp.pre.clone();
+        (self.clone(), copy)
+    }
+
+    /// The ownership half of [`Self::check_compiled`].
+    fn check_ownership(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+        if let Some((port, _)) = dp
+            .port_rules
+            .iter()
+            .find(|(p, _)| !self.port_use.contains_key(p))
+        {
+            return Err(format!("port rule on {port} has no port_use entry"));
+        }
+        // Admission registers one L2 XID per entry and leave retires it.
+        if dp.pre.l2_xids_used() != self.pinfo.len() {
+            return Err(format!(
+                "{} L2 XIDs for {} tracked participants",
+                dp.pre.l2_xids_used(),
+                self.pinfo.len()
             ));
         }
-        out
+        let mut tracked: HashMap<EgressKey, usize> = HashMap::new();
+        for key in self.meetings.values().flat_map(|m| &m.egress_keys) {
+            *tracked.entry(*key).or_default() += 1;
+        }
+        for (key, _) in dp.egress.iter() {
+            let n = tracked.get(key).copied().unwrap_or(0);
+            if n != 1 {
+                return Err(format!("egress {key:?} is tracked by {n} meetings"));
+            }
+        }
+        // The slots each tree is held in, by meetings and half pools.
+        let mut holders: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
+        let halves = self.nra_half.iter().chain(&self.rar_half);
+        for (mgid, slot) in self
+            .meetings
+            .values()
+            .flat_map(|m| m.trees.iter().copied())
+            .chain(halves.flat_map(|h| h.mgids.iter().map(|&g| (g, h.free_slot))))
+        {
+            holders.entry(mgid).or_default().push(slot);
+        }
+        // An exclusive tree (slot 0) has one holder, a packed one one per
+        // slot.
+        for (mgid, slots) in &mut holders {
+            slots.sort_unstable();
+            if !matches!(slots.as_slice(), [0] | [1] | [2] | [1, 2]) {
+                return Err(format!("MGID {mgid} is held in slots {slots:?}"));
+            }
+        }
+        let groups = dp.pre.canonical_config();
+        if let Some((mgid, _)) = groups.iter().find(|(g, _)| !holders.contains_key(g)) {
+            return Err(format!(
+                "PRE group {mgid} is in no meeting's trees or half pool"
+            ));
+        }
+        fn none_used(
+            what: &str,
+            free: &FreeList<u16>,
+            used: impl Fn(&u16) -> bool,
+        ) -> Result<(), String> {
+            match free.0.iter().find(|Reverse(id)| used(id)) {
+                Some(Reverse(id)) => Err(format!("{what} {id} is both free and in use")),
+                None => Ok(()),
+            }
+        }
+        let trackers: BTreeSet<u16> = self
+            .pinfo
+            .values()
+            .flat_map(|p| p.tracker_idx.values().copied())
+            .collect();
+        none_used("port", &self.free_ports, |p| self.port_use.contains_key(p))?;
+        none_used("pid", &self.free_pids, |p| self.pinfo.contains_key(p))?;
+        none_used("pid", &self.free_trunk_pids, |p| self.pinfo.contains_key(p))?;
+        none_used("MGID", &self.free_mgids, |g| holders.contains_key(g))?;
+        none_used("tracker slot", &self.free_trackers, |t| {
+            trackers.contains(t)
+        })
+    }
+
+    /// The meeting of a tracked participant entry.
+    fn meeting_of(&self, pid: ParticipantId) -> Result<MeetingId, String> {
+        self.pinfo
+            .get(&pid)
+            .map(|p| p.meeting)
+            .ok_or_else(|| format!("an entry names untracked participant {pid}"))
+    }
+
+    /// `mgid`'s index in `meeting`'s trees.
+    fn tree_index(&self, meeting: MeetingId, mgid: u16) -> Result<usize, String> {
+        self.meetings
+            .get(&meeting)
+            .and_then(|m| m.trees.iter().position(|&(g, _)| g == mgid))
+            .ok_or_else(|| format!("an entry of meeting {meeting} names MGID {mgid}, not its tree"))
+    }
+
+    /// L1 XID `xid` as seen from `meeting`: on a packed tree its own
+    /// slot reads 1 and its partner's 2, whichever slot it drew.
+    fn slot_view(&self, meeting: MeetingId, xid: u16) -> u16 {
+        match self.meetings[&meeting].trees.first() {
+            Some(&(_, 2)) if xid == 1 || xid == 2 => 3 - xid,
+            _ => xid,
+        }
+    }
+
+    /// Deterministic dump of this switch's compiled state: installed
+    /// port rules, egress entries and PRE nodes plus each meeting's
+    /// design/tree/key bookkeeping, with every MGID named by its owner
+    /// ([`Line`]) and every section sorted after renaming, so neither
+    /// installation order nor MGID allocation is visible. (L2 XIDs are
+    /// set at admission, never compiled.) `Err` when an entry names a
+    /// tree its meeting does not own.
+    fn canonical_state(&self, dp: &ScallopDataPlane) -> Result<Vec<Line>, String> {
+        let ports: BTreeMap<u16, PortRule> = dp.port_rules.iter().map(|(&p, &r)| (p, r)).collect();
+        let mut lines = Vec::with_capacity(ports.len() + dp.egress.len());
+        for (port, mut rule) in ports {
+            if let PortRule::SenderUplink { action, .. } | PortRule::TrunkIngress { action } =
+                &mut rule
+            {
+                if let ReplicationAction::Multicast {
+                    mgid_by_tier,
+                    l1_xid,
+                    rid,
+                    ..
+                } = action
+                {
+                    let meeting = self.meeting_of(*rid)?;
+                    for g in mgid_by_tier.iter_mut() {
+                        *g = self.tree_index(meeting, *g)? as u16;
+                    }
+                    *l1_xid = self.slot_view(meeting, *l1_xid);
+                }
+            }
+            lines.push(Line::Port(port, rule));
+        }
+        let mut egress = BTreeMap::new();
+        for (key, &spec) in dp.egress.iter() {
+            let meeting = self.meeting_of(key.rid)?;
+            let tree = (meeting, self.tree_index(meeting, key.mgid)?);
+            egress.insert((tree, key.rid, key.in_port), spec);
+        }
+        lines.extend(
+            egress
+                .into_iter()
+                .map(|((t, r, p), s)| Line::Egress(t, r, p, s)),
+        );
+        let mut nodes = Vec::new();
+        for (mgid, group) in dp.pre.canonical_config() {
+            for node in group {
+                let meeting = self.meeting_of(node.rid)?;
+                let tree = (meeting, self.tree_index(meeting, mgid)?);
+                let xid = self.slot_view(meeting, node.xid);
+                nodes.push((
+                    tree,
+                    L1Node {
+                        xid,
+                        ..node.clone()
+                    },
+                ));
+            }
+        }
+        // A receiver holds one node per sender slot of an RA-SR tree, so
+        // the whole node is the sort key.
+        nodes.sort_by_cached_key(|(t, n)| (*t, n.rid, n.xid, n.prune_enabled, n.ports.clone()));
+        lines.extend(nodes.into_iter().map(|(t, n)| Line::Node(t, n)));
+        for (&id, m) in &self.meetings {
+            let mut keys = Vec::with_capacity(m.egress_keys.len());
+            for k in &m.egress_keys {
+                keys.push((self.tree_index(id, k.mgid)?, k.rid, k.in_port));
+            }
+            keys.sort_unstable();
+            lines.push(Line::Meeting {
+                id,
+                design: m.design,
+                participants: m.participants.clone(),
+                packed: m.trees.iter().map(|&(_, slot)| slot.min(1)).collect(),
+                keys,
+            });
+        }
+        Ok(lines)
     }
 
     /// Install the two-party fast path (§6.1): direct unicast, no trees.
@@ -2601,69 +2819,77 @@ mod tests {
         assert_eq!(p(0, &[], 1_050_000), 1);
     }
 
-    /// Replay `joins`/leaves twice — delta compiler on and off — and
-    /// return both canonical final states plus the incremental run's
-    /// agent counters. A 3-party partner meeting is created first so
-    /// the main meeting's tree half pairs immediately (a half still
-    /// waiting in the packing pool pins every change to the rebuild
-    /// path — see [`SwitchAgent::graft_tiers`]'s re-pack guard).
-    fn twin_runs(joins: usize, leaves: &[usize]) -> (String, String, AgentCounters) {
-        let run = |incremental: bool| {
-            let (mut agent, mut dp) = mk();
-            agent.set_incremental_compile(incremental);
-            let partner = agent.create_meeting();
-            for i in 101..=103 {
-                agent.join(&mut dp, partner, addr(i), true);
-            }
-            let m = agent.create_meeting();
-            let grants: Vec<JoinGrant> = (1..=joins)
-                .map(|i| agent.join(&mut dp, m, addr(i as u8), i % 2 == 1))
-                .collect();
-            for &l in leaves {
-                agent.leave(&mut dp, m, grants[l].participant);
-            }
-            (agent.canonical_state(&dp), agent.counters)
-        };
-        let (inc_state, inc_counters) = run(true);
-        let (full_state, _) = run(false);
-        (inc_state, full_state, inc_counters)
+    /// A 3-party partner meeting, then a fresh meeting `m` on the same
+    /// switch: the partner's tree half waits in the packing pool, so
+    /// `m`'s first tree pairs with it at once (a half still waiting
+    /// there pins every change of its meeting to the rebuild path —
+    /// see [`SwitchAgent::graft_tiers`]'s re-pack guard).
+    fn with_partner() -> (SwitchAgent, ScallopDataPlane, MeetingId) {
+        let (mut agent, mut dp) = mk();
+        let partner = agent.create_meeting();
+        for i in 101..=103 {
+            agent.join(&mut dp, partner, addr(i), true);
+        }
+        let m = agent.create_meeting();
+        (agent, dp, m)
+    }
+
+    /// What compiling `joins` into `m` by one full rebuild bills,
+    /// `(installs, removals)`: admit them into a copy, rebuild once.
+    fn rebuild_bill(
+        agent: &SwitchAgent,
+        dp: &ScallopDataPlane,
+        m: MeetingId,
+        joins: &[(HostAddr, bool)],
+    ) -> (u64, u64) {
+        let (mut agent, mut dp) = agent.copy_with(dp);
+        for &(a, sends) in joins {
+            agent.admit(&mut dp, m, a, sends, ParticipantClass::Local, TRUNK_XID);
+        }
+        agent.rebuild_meeting(&mut dp, m);
+        (dp.counters.rule_installs, dp.counters.rule_removals)
     }
 
     #[test]
     fn grafted_joins_match_full_rebuild() {
         // 6 joins: TwoParty -> NRA migration, then three grafted joins.
-        let (inc, full, counters) = twin_runs(6, &[]);
-        assert_eq!(inc, full, "grafted state diverged from rebuild");
-        assert!(counters.graft_joins >= 3, "joins 4..6 must graft");
+        let (mut agent, mut dp, m) = with_partner();
+        for i in 1..=6 {
+            agent.join(&mut dp, m, addr(i), i % 2 == 1);
+            agent
+                .check_compiled(&dp)
+                .expect("grafted state is its rebuild");
+        }
+        assert!(agent.counters.graft_joins >= 3, "joins 4..6 must graft");
     }
 
     #[test]
     fn pruned_leaves_match_full_rebuild() {
-        // Leave a sender (0) and a receiver (3) from a 7-party meeting;
+        // Leave a receiver (3) and a sender (0) from a 7-party meeting;
         // both prunes must land on the rebuild reference.
-        let (inc, full, counters) = twin_runs(7, &[3, 0]);
-        assert_eq!(inc, full, "pruned state diverged from rebuild");
-        assert!(counters.prune_leaves >= 1, "a leave must prune");
+        let (mut agent, mut dp, m) = with_partner();
+        let grants: Vec<JoinGrant> = (1..=7)
+            .map(|i| agent.join(&mut dp, m, addr(i), i % 2 == 1))
+            .collect();
+        for l in [3, 0] {
+            agent.leave(&mut dp, m, grants[l].participant);
+            agent
+                .check_compiled(&dp)
+                .expect("pruned state is its rebuild");
+        }
+        assert!(agent.counters.prune_leaves >= 1, "a leave must prune");
     }
 
     #[test]
     fn grafts_bill_fewer_flow_mods_than_rebuilds() {
-        let bill = |incremental: bool| {
-            let (mut agent, mut dp) = mk();
-            agent.set_incremental_compile(incremental);
-            // Partner meeting pairs the tree half (see `twin_runs`).
-            let partner = agent.create_meeting();
-            for i in 101..=103 {
-                agent.join(&mut dp, partner, addr(i), true);
-            }
-            let installs_before = dp.counters.rule_installs;
-            let m = agent.create_meeting();
-            for i in 1..=12 {
-                agent.join(&mut dp, m, addr(i), i <= 2);
-            }
-            dp.counters.rule_installs - installs_before
-        };
-        let (grafted, rebuilt) = (bill(true), bill(false));
+        let (mut agent, mut dp, m) = with_partner();
+        let (installs_before, mut rebuilt) = (dp.counters.rule_installs, 0);
+        for i in 1..=12 {
+            let join = (addr(i), i <= 2);
+            rebuilt += rebuild_bill(&agent, &dp, m, &[join]).0;
+            agent.join(&mut dp, m, join.0, join.1);
+        }
+        let grafted = dp.counters.rule_installs - installs_before;
         assert!(
             rebuilt > 2 * grafted,
             "per-join rebuilds must out-bill grafts: {rebuilt} vs {grafted}"
@@ -2672,24 +2898,18 @@ mod tests {
 
     #[test]
     fn a_batch_of_one_grafts_and_a_batch_of_two_rebuilds_once() {
-        // A graftable layout: the partner meeting pairs the tree half
-        // (see `twin_runs`), three members put the meeting on NRA.
-        let graftable = |incremental: bool| {
-            let (mut agent, mut dp) = mk();
-            agent.set_incremental_compile(incremental);
-            let partner = agent.create_meeting();
-            for i in 101..=103 {
-                agent.join(&mut dp, partner, addr(i), true);
-            }
-            let m = agent.create_meeting();
+        // A graftable layout: the partner meeting pairs the tree half,
+        // three members put the meeting on NRA.
+        let graftable = || {
+            let (mut agent, mut dp, m) = with_partner();
             for i in 1..=3 {
                 agent.join(&mut dp, m, addr(i), i == 1);
             }
             (agent, dp, m)
         };
         // What `joins` bill on that layout: (grafts, installs, removals).
-        let bill = |incremental: bool, joins: &[(HostAddr, bool)]| {
-            let (mut agent, mut dp, m) = graftable(incremental);
+        let bill = |joins: &[(HostAddr, bool)]| {
+            let (mut agent, mut dp, m) = graftable();
             let (grafts, before) = (agent.counters.graft_joins, dp.counters);
             assert_eq!(agent.join_many(&mut dp, m, joins).len(), joins.len());
             (
@@ -2698,24 +2918,27 @@ mod tests {
                 dp.counters.rule_removals - before.rule_removals,
             )
         };
+        let (agent, dp, m) = graftable();
         // A join is a burst of one: one graft, touching nothing that
         // was installed — far below the rebuild bill for the same join.
-        let (one, one_rebuilt) = (
-            bill(true, &[(addr(4), false)]),
-            bill(false, &[(addr(4), false)]),
-        );
+        let one = bill(&[(addr(4), false)]);
+        let one_rebuilt = rebuild_bill(&agent, &dp, m, &[(addr(4), false)]);
         assert_eq!((one.0, one.2), (1, 0), "a batch of one grafts");
-        assert!(one.1 < one_rebuilt.1, "{} vs {}", one.1, one_rebuilt.1);
+        assert!(one.1 < one_rebuilt.0, "{} vs {}", one.1, one_rebuilt.0);
         // `join` is that same batch of one.
-        let (mut agent, mut dp, m) = graftable(true);
-        let before = dp.counters.rule_installs;
-        agent.join(&mut dp, m, addr(4), false);
-        assert_eq!(dp.counters.rule_installs - before, one.1);
+        let (mut agent1, mut dp1, _) = graftable();
+        let before = dp1.counters.rule_installs;
+        agent1.join(&mut dp1, m, addr(4), false);
+        assert_eq!(dp1.counters.rule_installs - before, one.1);
         // Two joiners: no graft, exactly the bill of one full rebuild.
         let two = [(addr(4), false), (addr(5), true)];
-        let (grafts, installs, removals) = bill(true, &two);
+        let (grafts, installs, removals) = bill(&two);
         assert_eq!(grafts, 0, "a batch of two does not graft");
-        assert_eq!((0, installs, removals), bill(false, &two), "one rebuild");
+        assert_eq!(
+            (installs, removals),
+            rebuild_bill(&agent, &dp, m, &two),
+            "one rebuild"
+        );
     }
 
     #[test]
@@ -2738,9 +2961,35 @@ mod tests {
             seq_agent.canonical_state(&seq_dp),
             "batched admission diverged from sequential joins"
         );
+        bat_agent.check_compiled(&bat_dp).expect("batch compiles");
         assert!(
             bat_dp.counters.rule_installs < seq_dp.counters.rule_installs,
             "one batch compile must bill less than per-join compiles"
         );
+    }
+
+    #[test]
+    fn check_ignores_which_meeting_shares_a_packed_tree() {
+        // A and B pack one NRA tree, C holds a second one alone. B falls
+        // back to two-party, leaving A and C alone on half-empty trees:
+        // a rebuild of A repacks it onto C's tree, in C's free slot,
+        // while the installed A stays put until A itself changes.
+        let (mut agent, mut dp) = mk();
+        let mut grants = Vec::new();
+        let meetings: Vec<MeetingId> = (0..3).map(|_| agent.create_meeting()).collect();
+        for (k, &m) in meetings.iter().enumerate() {
+            for i in 1..=3 {
+                grants.push(agent.join(&mut dp, m, addr(10 * k as u8 + i), true));
+            }
+        }
+        agent.leave(&mut dp, meetings[1], grants[3].participant);
+        assert_eq!(dp.pre.groups_used(), 2);
+        let (mut copy, mut copy_dp) = agent.copy_with(&dp);
+        copy.rebuild_meeting(&mut copy_dp, meetings[0]);
+        assert_eq!(copy_dp.pre.groups_used(), 1, "a rebuild repacks A onto C");
+        // Partner and slot are naming, like the MGID: not a difference.
+        agent
+            .check_compiled(&dp)
+            .expect("a lone packed meeting compiles");
     }
 }

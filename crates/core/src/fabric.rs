@@ -138,6 +138,19 @@ impl Fabric {
         sim.node_mut(self.edge_ids[i]).expect("edge switch")
     }
 
+    /// Run [`crate::agent::SwitchAgent::check_compiled`] on every edge
+    /// switch; the first failure names its edge. Media-free control
+    /// histories call it after every operation.
+    pub fn check_compiled(&self, sim: &mut Simulator) -> Result<(), String> {
+        for i in 0..self.edges() {
+            let sw = self.edge_mut(sim, i);
+            sw.agent
+                .check_compiled(&sw.dp)
+                .map_err(|e| format!("edge {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Where edge `from` must address a trunk copy bound for port `port`
     /// on edge `to` — the fabric's one address rule. Across zones: the
     /// WAN gateway relay of the cheapest WAN link out of `from`'s zone

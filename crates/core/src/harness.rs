@@ -192,12 +192,6 @@ impl HarnessConfig {
         self
     }
 
-    /// Builder: video bitrate for all senders.
-    pub fn video_bitrate(mut self, bps: u64) -> Self {
-        self.video = self.video.bitrate(bps);
-        self
-    }
-
     /// Builder: rewrite heuristic.
     pub fn rewrite_mode(mut self, m: SeqRewriteMode) -> Self {
         self.rewrite_mode = m;
@@ -472,11 +466,6 @@ impl ScallopHarness {
         (led.trunk_out_bps(e), led.trunk_in_bps(e))
     }
 
-    /// Offered load booked on WAN link `l` in bits per second.
-    pub fn wan_load_bps(&self, l: usize) -> u64 {
-        self.controller.ledger_handle().borrow().wan_bps(l)
-    }
-
     /// SFU ports the ledger has booked on edge `e`.
     pub fn ports_booked(&self, e: usize) -> u64 {
         self.controller.ledger_handle().borrow().ports_used(e)
@@ -711,14 +700,6 @@ impl ScallopHarness {
         self.sim
             .downlink_mut(self.client_ids[idx])
             .set_rate_bps(rate_bps);
-    }
-
-    /// Restore participant `idx`'s downlink to the configured default.
-    pub fn restore_downlink(&mut self, idx: usize) {
-        let rate = self.cfg.client_downlink.rate_bps;
-        self.sim
-            .downlink_mut(self.client_ids[idx])
-            .set_rate_bps(rate);
     }
 
     /// Decoded frame rate at `receiver_idx` for the stream sent by

@@ -677,18 +677,6 @@ impl ShardedControlPlane {
         self.shards[0].controller.plan_home_edge(fabric)
     }
 
-    /// [`Self::create_fabric_meeting`] with ledger-planned placement:
-    /// the home edge is the least-loaded feasible edge fabric-wide.
-    /// Returns the meeting id and the chosen home edge.
-    pub fn create_fabric_meeting_planned(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-    ) -> (GlobalMeetingId, usize) {
-        let home = self.plan_home_edge(fabric);
-        (self.create_fabric_meeting(sim, fabric, home), home)
-    }
-
     /// Place a meeting on the fabric with `home` as its home edge and
     /// assign it to a shard (sharding function in the module docs).
     pub fn create_fabric_meeting(

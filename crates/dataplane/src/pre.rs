@@ -75,7 +75,7 @@ struct Group {
 }
 
 /// The PRE.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PacketReplicationEngine {
     groups: IdMap<u16, Group>,
     /// L2 XID -> set of ports it prunes.
@@ -188,27 +188,18 @@ impl PacketReplicationEngine {
         self.groups.get(&mgid).map(|g| g.nodes.len())
     }
 
-    /// Deterministic dump of the PRE configuration: groups sorted by
-    /// MGID with nodes sorted by RID, plus the L2 XID port sets sorted
-    /// by XID. Node *insertion order* (replication order) is deliberately
-    /// normalized away — two compilers installing the same branch set in
-    /// different orders configure the same tree. Statistics counters are
-    /// excluded. Used by the compile-equivalence suite.
-    pub fn canonical_config(&self) -> String {
-        let mut out = String::new();
-        let mut mgids: Vec<u16> = self.groups.keys().copied().collect();
-        mgids.sort_unstable();
-        for mgid in mgids {
-            let mut nodes = self.groups[&mgid].nodes.clone();
-            nodes.sort_by_key(|n| n.rid);
-            out.push_str(&format!("group {mgid}: {nodes:?}\n"));
-        }
-        let mut xids: Vec<u16> = self.l2_xid_ports.keys().copied().collect();
-        xids.sort_unstable();
-        for xid in xids {
-            out.push_str(&format!("l2_xid {xid}: {:?}\n", self.l2_xid_ports[&xid]));
-        }
-        out
+    /// The tree configuration as data: every group's MGID with its L1
+    /// nodes, sorted by MGID. Statistics counters are excluded. The
+    /// switch agent's compile check reads it
+    /// (`SwitchAgent::check_compiled`).
+    pub fn canonical_config(&self) -> Vec<(u16, &[L1Node])> {
+        let mut groups: Vec<(u16, &[L1Node])> = self
+            .groups
+            .iter()
+            .map(|(&g, group)| (g, group.nodes.as_slice()))
+            .collect();
+        groups.sort_unstable_by_key(|&(g, _)| g);
+        groups
     }
 
     /// Replicate a packet: the ingress pipeline supplies the packet's

@@ -271,32 +271,6 @@ impl ScallopDataPlane {
         Ok(())
     }
 
-    /// Deterministic dump of the installed forwarding state: sorted port
-    /// rules, sorted egress entries, and the PRE configuration —
-    /// excluding packet counters and table hit/miss statistics (tracker
-    /// slot assignments appear via the `rewrite_index` fields of the
-    /// rules themselves). Two compilation strategies that arrive
-    /// at the same installed state produce byte-identical strings; the
-    /// compile-equivalence suite pins the incremental compiler to the
-    /// from-scratch rebuild with it.
-    pub fn canonical_config(&self) -> String {
-        let mut out = String::new();
-        let mut ports: Vec<(u16, PortRule)> =
-            self.port_rules.iter().map(|(p, r)| (*p, *r)).collect();
-        ports.sort_by_key(|(p, _)| *p);
-        for (port, rule) in ports {
-            out.push_str(&format!("port {port}: {rule:?}\n"));
-        }
-        let mut egress: Vec<(EgressKey, EgressSpec)> =
-            self.egress.iter().map(|(k, v)| (*k, *v)).collect();
-        egress.sort_by_key(|(k, _)| (k.mgid, k.rid, k.in_port));
-        for (key, spec) in egress {
-            out.push_str(&format!("egress {key:?}: {spec:?}\n"));
-        }
-        out.push_str(&self.pre.canonical_config());
-        out
-    }
-
     /// Process the packets arriving at the switch, in order — the one
     /// packet entry point; a single packet is a batch of one (see
     /// [`crate::batch`]). `out` is cleared first. Forwards land in

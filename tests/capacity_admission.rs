@@ -20,7 +20,8 @@
 //! (every request is priced against what the requests before it left
 //! behind — there is no unpriced way in), and a proptest replays
 //! randomized join/burst/leave/re-home/degrade histories through the
-//! sharded control plane and checks the ledger invariants after every
+//! sharded control plane and checks the ledger invariants and every
+//! edge's compiled state ([`Fabric::check_compiled`]) after every
 //! single step. The REMB tests pin the cross-fabric
 //! feedback behavior: with window-paced aggregation on, a sender sees
 //! at most one min-filtered REMB per 100 ms agent window no matter how
@@ -408,9 +409,13 @@ proptest! {
                     sw.agent.set_dt_cap(&mut sw.dp, pid, THIN_DECODE_TARGET);
                 }
             }
-            // The invariants, after every single step: enforcement
+            // The invariants, after every single step: every edge is
+            // compiled as a rebuild of its rosters would be, enforcement
             // means no line is ever over, and the port book never
             // exceeds the configured span.
+            if let Err(e) = fabric.check_compiled(&mut sim) {
+                panic!("after {op:?}: {e}");
+            }
             let l = ledger.borrow();
             prop_assert_eq!(l.oversubscribed_links(), 0);
             for e in 0..EDGES {
@@ -425,6 +430,9 @@ proptest! {
         // Teardown: the book must balance exactly.
         for (global, _, _) in live.drain(..) {
             plane.leave_fabric(&mut sim, &fabric, gmid, global);
+            if let Err(e) = fabric.check_compiled(&mut sim) {
+                panic!("after teardown leave of {global}: {e}");
+            }
         }
         let l = ledger.borrow();
         prop_assert!(l.reconciled(), "{} open entries after teardown", l.open_entries());

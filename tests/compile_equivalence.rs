@@ -1,29 +1,27 @@
-//! Compile-path equivalence: the delta compiler must be a pure
-//! optimization of the control plane.
+//! The compile check after every control operation.
 //!
-//! Every run here replays one membership history twice over identical
-//! fabrics — once with the delta compiler (grafted joins, pruned
-//! leaves, re-aimed trunks), once with
-//! [`SwitchAgent::set_incremental_compile`]`(false)` so every change
-//! recompiles its whole segment — and demands the final data-plane
-//! state be **byte-identical** on every edge, down to participant ids,
-//! PRE tree contents, and feedback gates (via
-//! [`SwitchAgent::canonical_state`]). Histories are both handcrafted
-//! (the 64-join flash-crowd storm, a drift + re-home) and
-//! proptest-randomized join/burst/leave/re-home sequences — a join is a
-//! burst of one, so bursts of 1–5 exercise both sides of the agent's
-//! graft-or-rebuild rule.
+//! The agent compiles one way: grafted joins, pruned leaves and re-aimed
+//! trunks, with a full rebuild of the segment as the fallback. Every
+//! history here calls [`Fabric::check_compiled`] after **every**
+//! operation: on each edge the installed state must equal what a
+//! from-scratch rebuild of every meeting installs (trees named by their
+//! owner, so which MGID a tree drew is invisible), and nothing
+//! installed may be orphaned. Histories are handcrafted (the 64-join
+//! flash-crowd storm, webinar churn, a drift + re-home, two meetings
+//! whose MGIDs interleave) and proptest-randomized over three meetings
+//! on a two-core campus: joins, bursts of 1–5 (a join is a burst of
+//! one, so both sides of the graft-or-rebuild rule run), leaves,
+//! re-homes, decode-target changes (RA-R), per-sender decode targets
+//! (RA-SR), and core kills/revives and trunk cuts/restores each
+//! followed by the controller's repair pass.
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
 //! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
 //! the control plane is partitioned.
-//!
-//! [`SwitchAgent::set_incremental_compile`]: scallop::core::agent::SwitchAgent::set_incremental_compile
-//! [`SwitchAgent::canonical_state`]: scallop::core::agent::SwitchAgent::canonical_state
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use scallop::core::controller::JoinRequest;
+use scallop::core::controller::{GlobalMeetingId, GlobalParticipantId, JoinRequest};
 use scallop::core::fabric::Fabric;
 use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
@@ -35,8 +33,12 @@ use scallop::netsim::topology::Topology;
 use scallop::workload::flashcrowd::{flash_crowd, webinar};
 use std::net::Ipv4Addr;
 
-/// Edge switches of the test fabric.
+/// Edge switches of the test campus.
 const EDGES: usize = 3;
+/// Core relays of the test campus (two, so a failure has a detour).
+const CORES: usize = 2;
+/// Fabric meetings every history can address.
+const MEETINGS: usize = 3;
 
 /// Shard count under test (1 unless `SCALLOP_SHARDS` says otherwise —
 /// the same knob the harness corpus honors).
@@ -50,200 +52,290 @@ fn shards_from_env() -> usize {
     }
 }
 
-/// One membership event of a replayed history.
+/// One control operation of a replayed history.
 #[derive(Debug, Clone)]
 enum Op {
-    /// A participant joins `edge` (sending iff `sends`).
-    Join { edge: usize, sends: bool },
-    /// Several `(edge, sends)` participants join in one burst.
-    Burst(Vec<(usize, bool)>),
+    /// A participant joins `meeting` on `edge` (sending iff `sends`).
+    Join {
+        meeting: usize,
+        edge: usize,
+        sends: bool,
+    },
+    /// Several `(edge, sends)` participants join `meeting` in one burst.
+    Burst(usize, Vec<(usize, bool)>),
     /// The `idx % live`-th admitted-and-present participant hangs up.
     Leave { idx: usize },
-    /// The controller's re-homing pass runs over the meeting.
-    Rebalance,
+    /// The controller's re-homing pass runs over `meeting`.
+    Rebalance(usize),
+    /// The `idx % live`-th participant's decode target becomes `dt % 3`.
+    Dt { idx: usize, dt: u8 },
+    /// The `idx % live`-th participant takes the `sender`-th sender of
+    /// its meeting at decode target `dt % 3` (forces RA-SR).
+    SenderDt { idx: usize, sender: usize, dt: u8 },
+    /// Core `core % CORES` dies (or comes back), then repair runs.
+    ToggleCore(usize),
+    /// The trunk between `edge % EDGES` and `core % CORES` is cut (or
+    /// restored), then repair runs.
+    ToggleTrunk { edge: usize, core: usize },
 }
 
-/// Replay `ops` into one fabric meeting and return the per-edge
-/// canonical data-plane + agent state dumps. Fabric, seed, and
-/// addressing are fixed: two runs differing only in `incremental`
-/// admit byte-identical membership through identical participant ids.
-fn run_ops(ops: &[Op], incremental: bool) -> Vec<String> {
-    let mut sim = Simulator::new(0xDE17A);
-    let fabric = Fabric::build(
-        &mut sim,
-        Topology::campus(EDGES, 1),
-        LinkConfig::infinite(SimDuration::from_micros(50)),
-        SeqRewriteMode::LowRetransmission,
-    );
-    let mut controller = ShardedControlPlane::new(shards_from_env());
-    if !incremental {
-        for e in 0..EDGES {
-            fabric
-                .edge_mut(&mut sim, e)
-                .agent
-                .set_incremental_compile(false);
+/// A two-core campus with [`MEETINGS`] fabric meetings, and the members
+/// currently in them.
+struct World {
+    sim: Simulator,
+    fabric: Fabric,
+    plane: ShardedControlPlane,
+    gmids: Vec<GlobalMeetingId>,
+    /// `(meeting index, global id, sends)` of every present member.
+    live: Vec<(usize, GlobalParticipantId, bool)>,
+    admitted: u32,
+}
+
+impl World {
+    fn new() -> World {
+        let mut sim = Simulator::new(0xDE17A);
+        let fabric = Fabric::build(
+            &mut sim,
+            Topology::campus(EDGES, CORES),
+            LinkConfig::infinite(SimDuration::from_micros(50)),
+            SeqRewriteMode::LowRetransmission,
+        );
+        let mut plane = ShardedControlPlane::new(shards_from_env());
+        let gmids = (0..MEETINGS)
+            .map(|m| plane.create_fabric_meeting(&mut sim, &fabric, m % EDGES))
+            .collect();
+        World {
+            sim,
+            fabric,
+            plane,
+            gmids,
+            live: Vec::new(),
+            admitted: 0,
         }
     }
-    let gmid = controller.create_fabric_meeting(&mut sim, &fabric, 0);
-    let mut live = Vec::new();
-    let mut admitted = 0u32;
-    let mut request = |(edge, sends): (usize, bool)| {
-        let i = admitted;
-        admitted += 1;
-        JoinRequest {
-            edge: edge % EDGES,
-            addr: HostAddr::new(
-                Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
-                5000,
-            ),
-            sends,
-        }
-    };
-    for op in ops {
-        match *op {
-            Op::Join { edge, sends } => {
-                let req = request((edge, sends));
-                let outcomes = controller.join(&mut sim, &fabric, gmid, &[req]);
-                live.push(outcomes[0].grant.expect("no budgets armed").global);
-            }
-            Op::Burst(ref joins) => {
-                let reqs: Vec<JoinRequest> = joins.iter().copied().map(&mut request).collect();
-                let outcomes = controller.join(&mut sim, &fabric, gmid, &reqs);
-                live.extend(outcomes.iter().map(|o| o.grant.expect("admitted").global));
-            }
-            Op::Leave { idx } => {
-                if live.is_empty() {
-                    continue;
+
+    fn join(&mut self, meeting: usize, joins: &[(usize, bool)]) {
+        let meeting = meeting % MEETINGS;
+        let reqs: Vec<JoinRequest> = joins
+            .iter()
+            .map(|&(edge, sends)| {
+                let i = self.admitted;
+                self.admitted += 1;
+                JoinRequest {
+                    edge: edge % EDGES,
+                    addr: HostAddr::new(
+                        Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
+                        5000,
+                    ),
+                    sends,
                 }
-                let global = live.remove(idx % live.len());
-                controller.leave_fabric(&mut sim, &fabric, gmid, global);
+            })
+            .collect();
+        let gmid = self.gmids[meeting];
+        let outcomes = self.plane.join(&mut self.sim, &self.fabric, gmid, &reqs);
+        for (o, r) in outcomes.iter().zip(&reqs) {
+            let global = o.grant.expect("no budgets armed").global;
+            self.live.push((meeting, global, r.sends));
+        }
+    }
+
+    /// The edge, sender pid and receiver pid of the `sender` → `idx`-th
+    /// member pair on the receiver's edge (`sender: None` names the
+    /// receiver itself).
+    fn pair(&self, idx: usize, sender: Option<usize>) -> Option<(usize, u16, u16)> {
+        let (meeting, r, _) = *self.live.get(idx % self.live.len().max(1))?;
+        let s = match sender {
+            None => r,
+            Some(k) => {
+                let senders: Vec<GlobalParticipantId> = self
+                    .live
+                    .iter()
+                    .filter(|&&(m, g, sends)| m == meeting && sends && g != r)
+                    .map(|&(_, g, _)| g)
+                    .collect();
+                *senders.get(k % senders.len().max(1))?
             }
-            Op::Rebalance => {
-                controller.rebalance_fabric(&mut sim, &fabric, gmid);
+        };
+        self.plane.pair_on_receiver_edge(self.gmids[meeting], s, r)
+    }
+
+    fn apply(&mut self, op: &Op) {
+        let (sim, fabric) = (&mut self.sim, &self.fabric);
+        match *op {
+            Op::Join {
+                meeting,
+                edge,
+                sends,
+            } => self.join(meeting, &[(edge, sends)]),
+            Op::Burst(meeting, ref joins) => self.join(meeting, joins),
+            Op::Leave { idx } => {
+                if self.live.is_empty() {
+                    return;
+                }
+                let (meeting, global, _) = self.live.remove(idx % self.live.len());
+                self.plane
+                    .leave_fabric(sim, fabric, self.gmids[meeting], global);
+            }
+            Op::Rebalance(meeting) => {
+                self.plane
+                    .rebalance_fabric(sim, fabric, self.gmids[meeting % MEETINGS]);
+            }
+            Op::Dt { idx, dt } => {
+                if let Some((edge, _, r)) = self.pair(idx, None) {
+                    let sw = self.fabric.edge_mut(&mut self.sim, edge);
+                    sw.agent.apply_dt_change(&mut sw.dp, r, dt % 3);
+                }
+            }
+            Op::SenderDt { idx, sender, dt } => {
+                if let Some((edge, s, r)) = self.pair(idx, Some(sender)) {
+                    let sw = self.fabric.edge_mut(&mut self.sim, edge);
+                    sw.agent.set_sender_dt(&mut sw.dp, s, r, dt % 3);
+                }
+            }
+            Op::ToggleCore(core) => {
+                let id = fabric.core_ids[core % CORES];
+                if sim.node_is_dead(id) {
+                    sim.revive_node(id);
+                } else {
+                    sim.kill_node(id);
+                }
+                self.plane.repair_trunks(sim, fabric);
+            }
+            Op::ToggleTrunk { edge, core } => {
+                let (e, c) = (fabric.edge_ids[edge % EDGES], fabric.core_ids[core % CORES]);
+                if sim.link_is_cut(e, c) {
+                    sim.restore_link(e, c);
+                } else {
+                    sim.cut_link(e, c);
+                }
+                self.plane.repair_trunks(sim, fabric);
             }
         }
     }
-    (0..EDGES)
-        .map(|e| {
-            let node = fabric.edge_mut(&mut sim, e);
-            node.agent.canonical_state(&node.dp)
+}
+
+/// Replay `ops`, checking every edge's compiled state after each one.
+fn replay(ops: &[Op]) {
+    let mut world = World::new();
+    for (i, op) in ops.iter().enumerate() {
+        world.apply(op);
+        if let Err(e) = world.fabric.check_compiled(&mut world.sim) {
+            panic!("after op {i} ({op:?}) of {ops:?}:\n{e}");
+        }
+    }
+}
+
+fn joins_of(meeting: usize, crowd: impl IntoIterator<Item = (usize, bool)>) -> Vec<Op> {
+    crowd
+        .into_iter()
+        .map(|(edge, sends)| Op::Join {
+            meeting,
+            edge,
+            sends,
         })
         .collect()
 }
 
-/// Assert both compile paths land on the same state, edge by edge.
-fn assert_paths_agree(ops: &[Op]) {
-    let inc = run_ops(ops, true);
-    let full = run_ops(ops, false);
-    for (e, (i, f)) in inc.iter().zip(&full).enumerate() {
-        assert_eq!(i, f, "edge {e} state diverged between compile paths");
-    }
-}
-
 #[test]
 fn flash_crowd_storm_compiles_identically() {
-    let ops: Vec<Op> = flash_crowd(EDGES, 3, 61)
-        .into_iter()
-        .map(|j| Op::Join {
-            edge: j.edge,
-            sends: j.sends,
-        })
-        .collect();
-    assert_paths_agree(&ops);
+    let storm = flash_crowd(EDGES, 3, 61);
+    replay(&joins_of(0, storm.iter().map(|j| (j.edge, j.sends))));
 }
 
 #[test]
 fn webinar_with_churn_compiles_identically() {
     // The webinar audience churns: every 6th viewer leaves again.
-    let mut ops: Vec<Op> = webinar(EDGES, 30)
-        .into_iter()
-        .map(|j| Op::Join {
-            edge: j.edge,
-            sends: j.sends,
-        })
-        .collect();
+    let audience = webinar(EDGES, 30);
+    let mut ops = joins_of(0, audience.iter().map(|j| (j.edge, j.sends)));
     for k in 0..5 {
         ops.push(Op::Leave { idx: 6 * k + 1 });
     }
-    assert_paths_agree(&ops);
+    replay(&ops);
 }
 
 #[test]
 fn drift_and_rehome_compiles_identically() {
     // Population drifts from edge 0 to edge 1 with a re-home pass after
-    // every event — the trunk re-aim (make-before-break vs. the delta
-    // path's pointer swing) must land on the same rules.
-    let mut ops = vec![
-        Op::Join {
-            edge: 0,
-            sends: true,
-        },
-        Op::Join {
-            edge: 0,
-            sends: true,
-        },
-        Op::Join {
-            edge: 0,
-            sends: false,
-        },
-        Op::Join {
-            edge: 0,
-            sends: false,
-        },
-    ];
+    // every event — the trunk re-aim (the delta path's pointer swing)
+    // must land on the rules a rebuild installs.
+    let mut ops = joins_of(0, [(0, true), (0, true), (0, false), (0, false)]);
     for i in 0..4 {
-        ops.push(Op::Join {
-            edge: 1,
-            sends: i < 2,
-        });
+        ops.extend(joins_of(0, [(1, i < 2)]));
         ops.push(Op::Leave { idx: 0 });
-        ops.push(Op::Rebalance);
+        ops.push(Op::Rebalance(0));
     }
-    assert_paths_agree(&ops);
+    replay(&ops);
+}
+
+#[test]
+fn two_meetings_on_one_edge_compile_like_their_rebuild() {
+    // Meetings A and B each hold a sender on every edge; A drains, then
+    // B takes three joins. B's grafts keep the MGIDs it drew, while a
+    // rebuild of B would draw the lower ones A freed — a difference in
+    // naming only, which a comparison of raw MGIDs reports on every edge.
+    let mut ops = joins_of(0, (0..EDGES).map(|e| (e, true)));
+    ops.extend(joins_of(1, (0..EDGES).map(|e| (e, true))));
+    ops.extend((0..EDGES).map(|_| Op::Leave { idx: 0 }));
+    ops.extend(joins_of(1, (0..EDGES).map(|e| (e, false))));
+    replay(&ops);
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let join = || (0..EDGES, any::<bool>()).prop_map(|(edge, sends)| Op::Join { edge, sends });
+    let join = || {
+        (0..MEETINGS, 0..EDGES, any::<bool>()).prop_map(|(meeting, edge, sends)| Op::Join {
+            meeting,
+            edge,
+            sends,
+        })
+    };
     prop_oneof![
         // The vendored proptest's Union is unweighted; repeating the
         // join arm biases histories toward growth like a real meeting.
         join(),
         join(),
         join(),
-        pvec((0..EDGES, any::<bool>()), 1..6).prop_map(Op::Burst),
+        (0..MEETINGS, pvec((0..EDGES, any::<bool>()), 1..6))
+            .prop_map(|(meeting, joins)| Op::Burst(meeting, joins)),
         any::<usize>().prop_map(|idx| Op::Leave { idx }),
-        Just(Op::Rebalance),
+        (0..MEETINGS).prop_map(Op::Rebalance),
+        (any::<usize>(), 0..3u8).prop_map(|(idx, dt)| Op::Dt { idx, dt }),
+        (any::<usize>(), any::<usize>(), 0..3u8).prop_map(|(idx, sender, dt)| Op::SenderDt {
+            idx,
+            sender,
+            dt
+        }),
+        (0..CORES).prop_map(Op::ToggleCore),
+        (0..EDGES, 0..CORES).prop_map(|(edge, core)| Op::ToggleTrunk { edge, core }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any randomized join/burst/leave/re-home history compiles to the same
-    /// final data-plane state through grafts as through full rebuilds.
+    /// Every step of any randomized history leaves every edge compiled
+    /// exactly as a rebuild of its rosters would be, with no orphans.
     #[test]
     fn random_histories_compile_identically(ops in pvec(arb_op(), 1..48)) {
-        assert_paths_agree(&ops);
+        replay(&ops);
     }
 }
 
 #[test]
 fn batched_storm_admission_matches_sequential_reference() {
-    // The bench control smoke runs the same storm through sequential
-    // incremental, sequential full-rebuild, and batched admission;
-    // its equivalence bits are the cross-check that batching changes
-    // the compile count, never the compiled state. Run it with the
-    // matrix shard count so `SCALLOP_SHARDS=4` exercises burst
-    // grouping by owner shard.
+    // The bench control smoke runs the same storm join by join and as
+    // one batched admission; each run must pass the compile check —
+    // batching changes the compile count, never the compiled state.
+    // Run it with the matrix shard count so `SCALLOP_SHARDS=4`
+    // exercises burst grouping by owner shard.
     for row in scallop_bench::control::run_control_smoke(shards_from_env()) {
         assert_eq!(
             row.equivalent, 1,
-            "scenario {}: delta compile diverged from rebuild",
+            "scenario {}: join-by-join compile failed its check",
             row.scenario
         );
         assert_eq!(
             row.batch_equivalent, 1,
-            "scenario {}: batched admission diverged from its rebuild reference",
+            "scenario {}: batched admission failed its check",
             row.scenario
         );
         assert!(

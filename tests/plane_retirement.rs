@@ -6,10 +6,13 @@
 //! controller, its ownership, load count and epoch leave the sharded
 //! plane, and one fixed-size `(home, epoch)` tombstone stays behind. A
 //! join naming the retired id revives it through the plane's normal
-//! placement walk, at the epoch it retired with.
+//! placement walk, at the epoch it retired with. Every control
+//! operation here is followed by [`Fabric::check_compiled`]: retiring
+//! and reviving must leave each edge compiled as a rebuild of its
+//! rosters would be, with nothing orphaned.
 
 use scallop::core::capacity::{AdmissionDecision, FabricBudgets};
-use scallop::core::controller::{GlobalMeetingId, JoinOutcome, JoinRequest};
+use scallop::core::controller::{GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest};
 use scallop::core::fabric::Fabric;
 use scallop::core::shard::{ShardedControlPlane, LEASE_TICKS};
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
@@ -44,6 +47,14 @@ fn addr(crowd: u8, k: usize) -> HostAddr {
     )
 }
 
+/// Every edge compiled as a rebuild of its rosters would be, with no
+/// orphans — called after every control operation.
+fn check(sim: &mut Simulator, fabric: &Fabric) {
+    if let Err(e) = fabric.check_compiled(sim) {
+        panic!("{e}");
+    }
+}
+
 /// A join is a burst of one.
 fn join(
     sim: &mut Simulator,
@@ -52,7 +63,21 @@ fn join(
     gmid: GlobalMeetingId,
     (edge, addr, sends): (usize, HostAddr, bool),
 ) -> JoinOutcome {
-    plane.join(sim, fabric, gmid, &[JoinRequest { edge, addr, sends }])[0]
+    let outcome = plane.join(sim, fabric, gmid, &[JoinRequest { edge, addr, sends }])[0];
+    check(sim, fabric);
+    outcome
+}
+
+/// Hang up, then check.
+fn leave(
+    sim: &mut Simulator,
+    fabric: &Fabric,
+    plane: &mut ShardedControlPlane,
+    gmid: GlobalMeetingId,
+    global: GlobalParticipantId,
+) {
+    plane.leave_fabric(sim, fabric, gmid, global);
+    check(sim, fabric);
 }
 
 /// One cycle: create → flash crowd join by join → rebalance → webinar
@@ -75,6 +100,7 @@ fn cycle(
         members.push((g_storm, o.grant.expect("admitted").global));
     }
     plane.rebalance_fabric(sim, fabric, g_storm);
+    check(sim, fabric);
 
     let g_web = plane.create_fabric_meeting(sim, fabric, audience[0].edge);
     let joins: Vec<JoinRequest> = audience
@@ -87,6 +113,7 @@ fn cycle(
         })
         .collect();
     let outcomes = plane.join(sim, fabric, g_web, &joins);
+    check(sim, fabric);
     members.extend(
         outcomes
             .iter()
@@ -97,7 +124,7 @@ fn cycle(
         members.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
     }
     for (gmid, global) in members {
-        plane.leave_fabric(sim, fabric, gmid, global);
+        leave(sim, fabric, plane, gmid, global);
     }
     [g_storm, g_web]
 }
@@ -174,8 +201,8 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
         .grant
         .unwrap();
     let epoch = plane.meeting_epoch(gmid).expect("live");
-    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
-    plane.leave_fabric(&mut sim, &fabric, gmid, b.global);
+    leave(&mut sim, &fabric, &mut plane, gmid, a.global);
+    leave(&mut sim, &fabric, &mut plane, gmid, b.global);
     assert_retired(&plane, gmid);
     let live: usize = plane.meetings_per_shard().iter().sum();
     assert_eq!(live, EDGES);
@@ -229,15 +256,17 @@ fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
         plane.tick_leases();
     }
     assert_eq!(plane.steal_expired_leases(&mut sim, &fabric), 1);
+    check(&mut sim, &fabric);
     assert_eq!(plane.meeting_epoch(gmid), Some(2));
 
-    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
-    plane.leave_fabric(&mut sim, &fabric, gmid, b.global);
+    leave(&mut sim, &fabric, &mut plane, gmid, a.global);
+    leave(&mut sim, &fabric, &mut plane, gmid, b.global);
     assert_eq!(plane.owner_of(gmid), None);
     assert_eq!(plane.meeting_epoch(gmid), None);
     // The silent shard resurrects holding a stale epoch-1 copy of a
     // meeting that has since retired: still fenced off.
     assert_eq!(plane.revive_shard(&mut sim, &fabric, owner), 1);
+    check(&mut sim, &fabric);
     assert_eq!(plane.stale_epoch_writes_rejected(), 1);
     assert_retired(&plane, gmid);
 
@@ -256,7 +285,7 @@ fn a_refused_revival_stays_retired() {
     let a = join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 0), true))
         .grant
         .unwrap();
-    plane.leave_fabric(&mut sim, &fabric, gmid, a.global);
+    leave(&mut sim, &fabric, &mut plane, gmid, a.global);
     assert_retired(&plane, gmid);
 
     // No port may be booked any more: the rejoin is refused, and the
@@ -277,6 +306,7 @@ fn a_refused_revival_stays_retired() {
             assert!(matches!(o.decision, AdmissionDecision::Refused(_)));
             assert!(o.grant.is_none());
         }
+        check(&mut sim, &fabric);
         assert_retired(&plane, gmid);
         assert_eq!(plane.meetings_per_shard(), vec![0; 4]);
         for s in 0..4 {
