@@ -20,13 +20,13 @@ use crate::receiver::{MediaHeader, ReceiverState, StreamRxStats};
 use crate::sender::{MediaSender, SenderStats};
 use scallop_media::audio::AudioConfig;
 use scallop_media::encoder::EncoderConfig;
-use scallop_netsim::packet::{HostAddr, Packet};
+use scallop_netsim::packet::{BufPool, HostAddr, Packet};
 use scallop_netsim::sim::{Ctx, Node, TimerToken};
 use scallop_netsim::stats::Percentiles;
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::demux::{classify, PacketClass};
-use scallop_proto::rtcp::{self, RtcpPacket};
-use scallop_proto::stun::StunMessage;
+use scallop_proto::rtcp::{self, RtcpRef};
+use scallop_proto::stun::{self, StunView};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -42,6 +42,11 @@ const TIMER_POLL: TimerToken = TimerToken(6);
 /// a 1 Mb/s link drains in a second), so every response that does come
 /// back still finds its probe.
 const STUN_PROBE_LIFETIME_INTERVALS: u64 = 4;
+
+/// Most RTCP and STUN buffers a client keeps: about what a client whose
+/// feedback and retransmission requests wait behind a full constrained
+/// queue has in flight.
+const CONTROL_POOL_LIMIT: usize = 128;
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -167,6 +172,11 @@ pub struct ClientNode {
     /// matched by scanning a handful of entries.
     stun_pending: VecDeque<([u8; 12], SimTime)>,
     stun_counter: u64,
+    /// The addresses the last STUN round chose its probe among, kept for
+    /// the next round's.
+    stun_targets: Vec<HostAddr>,
+    /// Buffers of the RTCP and STUN packets this client has in flight.
+    control: BufPool,
     next_local_ssrc: u32,
     /// RTT samples.
     pub rtt_samples: Percentiles,
@@ -200,6 +210,8 @@ impl ClientNode {
             receivers: BTreeMap::new(),
             stun_pending: VecDeque::new(),
             stun_counter: 0,
+            stun_targets: Vec::new(),
+            control: BufPool::new(CONTROL_POOL_LIMIT),
             rtt_samples: Percentiles::new(),
             plis_sent: 0,
             nacks_sent: 0,
@@ -291,50 +303,41 @@ impl ClientNode {
         self.sender.as_mut()
     }
 
-    fn handle_rtcp(&mut self, ctx: &mut Ctx<'_>, from: HostAddr, payload: &[u8]) {
-        let Ok(pkts) = rtcp::parse_compound(payload) else {
+    /// Act on an RTCP compound — read in place, and only if all of it
+    /// parses. Sender reports time-synchronize streams, which this model
+    /// derives from RTP timestamps directly, so only NACK, PLI and REMB
+    /// do anything here.
+    fn handle_rtcp(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) {
+        let Ok(pkts) = rtcp::read_compound(payload) else {
+            return;
+        };
+        let (local, to) = (self.local_addr(), self.cfg.video_send_to);
+        let Some(s) = &mut self.sender else {
             return;
         };
         for p in pkts {
             match p {
-                RtcpPacket::Nack(nack) => {
-                    if let Some(s) = &mut self.sender {
-                        let retx = s.handle_nack(&nack.lost_sequences());
-                        if let Some(to) = self.cfg.video_send_to {
-                            let local = self.local_addr();
-                            for wire in retx {
-                                ctx.send(Packet::new(local, to, wire));
-                            }
-                        }
+                RtcpRef::Nack { entries, .. } => s.handle_nack(rtcp::nack_lost(entries), |wire| {
+                    if let Some(to) = to {
+                        ctx.send(Packet::new(local, to, wire));
                     }
-                }
-                RtcpPacket::Pli(_) => {
-                    if let Some(s) = &mut self.sender {
-                        s.handle_pli();
-                    }
-                }
-                RtcpPacket::Remb(remb) => {
-                    if let Some(s) = &mut self.sender {
-                        s.handle_remb(remb.bitrate_bps);
-                    }
-                }
-                RtcpPacket::Sr(_) | RtcpPacket::Sdes(_) => {
-                    // Sender reports time-synchronize streams; our model
-                    // derives timing from RTP timestamps directly.
-                    let _ = from;
-                }
-                RtcpPacket::Rr(_) | RtcpPacket::Bye(_) => {}
+                }),
+                RtcpRef::Pli(_) => s.handle_pli(),
+                RtcpRef::Remb { bitrate_bps, .. } => s.handle_remb(bitrate_bps),
+                _ => {}
             }
         }
     }
 
     fn handle_stun(&mut self, ctx: &mut Ctx<'_>, from: HostAddr, payload: &[u8]) {
-        let Ok(msg) = StunMessage::parse(payload) else {
+        let Ok(msg) = StunView::new(payload) else {
             return;
         };
         if msg.is_request() {
-            let resp = StunMessage::binding_success(msg.transaction_id, from.ip, from.port);
-            ctx.send(Packet::new(self.local_addr(), from, resp.serialize()));
+            let resp = self
+                .control
+                .build(|v| stun::write_binding_success(v, msg.transaction_id, from.ip, from.port));
+            ctx.send(Packet::new(self.local_addr(), from, resp));
         } else if msg.is_success_response() {
             let probe = self
                 .stun_pending
@@ -404,7 +407,7 @@ impl Node for ClientNode {
                 }
                 rx.on_media(ctx.now(), rtp, pkt.wire_len());
             }
-            PacketClass::Rtcp => self.handle_rtcp(ctx, pkt.src, &pkt.payload),
+            PacketClass::Rtcp => self.handle_rtcp(ctx, &pkt.payload),
             PacketClass::Stun => self.handle_stun(ctx, pkt.src, &pkt.payload),
             PacketClass::Unknown => {}
         }
@@ -436,7 +439,7 @@ impl Node for ClientNode {
             }
             TIMER_SR => {
                 if let (Some(s), Some(to)) = (&self.sender, self.cfg.video_send_to) {
-                    let sr = rtcp::serialize_compound(&s.make_sr(now, &self.cfg.cname));
+                    let sr = self.control.build(|v| s.write_sr(now, &self.cfg.cname, v));
                     ctx.send(Packet::new(self.local_addr(), to, sr));
                 }
                 ctx.schedule(self.cfg.sr_interval, TIMER_SR);
@@ -445,12 +448,9 @@ impl Node for ClientNode {
                 let local = self.local_addr();
                 let mut rembs = 0u64;
                 for ((src, _ssrc), rx) in self.receivers.iter_mut() {
-                    let fb = rx.make_feedback(now);
-                    rembs += fb
-                        .iter()
-                        .filter(|p| matches!(p, RtcpPacket::Remb(_)))
-                        .count() as u64;
-                    let bytes = rtcp::serialize_compound(&fb);
+                    // Video feedback carries a REMB after the RR.
+                    rembs += u64::from(rx.estimate_bps().is_some());
+                    let bytes = self.control.build(|v| rx.write_feedback(v));
                     ctx.send(Packet::new(local, *src, bytes));
                 }
                 self.rembs_sent += rembs;
@@ -470,8 +470,9 @@ impl Node for ClientNode {
                 }
                 // Keepalive + RTT probe to every media peer address.
                 let local = self.local_addr();
-                let mut targets: Vec<HostAddr> = self.receivers.keys().map(|(a, _)| *a).collect();
-                targets.sort_unstable();
+                let targets = &mut self.stun_targets;
+                targets.clear();
+                targets.extend(self.receivers.keys().map(|(a, _)| *a));
                 targets.dedup();
                 if let Some(v) = self.cfg.video_send_to {
                     targets.push(v);
@@ -486,8 +487,8 @@ impl Node for ClientNode {
                     txid[8..].copy_from_slice(&(self.cfg.port as u32).to_be_bytes());
                     self.stun_counter += 1;
                     self.stun_pending.push_back((txid, now));
-                    let req = StunMessage::binding_request(txid);
-                    ctx.send(Packet::new(local, target, req.serialize()));
+                    let req = self.control.build(|v| stun::write_binding_request(v, txid));
+                    ctx.send(Packet::new(local, target, req));
                 }
                 ctx.schedule(self.cfg.stun_interval, TIMER_STUN);
             }
@@ -497,17 +498,15 @@ impl Node for ClientNode {
                 let mut plis = 0u64;
                 for ((src, _ssrc), rx) in self.receivers.iter_mut() {
                     rx.poll(now);
-                    if let Some(nack) = rx.make_nacks(now) {
+                    if rx.due_nacks(now) {
                         nacks += 1;
-                        ctx.send(Packet::new(local, *src, rtcp::serialize(&nack)));
+                        let nack = self.control.build(|v| rx.write_nack(v));
+                        ctx.send(Packet::new(local, *src, nack));
                     }
                     if rx.take_pli(now) {
                         plis += 1;
-                        let pli = RtcpPacket::Pli(scallop_proto::rtcp::Pli {
-                            sender_ssrc: rx.local_ssrc,
-                            media_ssrc: rx.ssrc,
-                        });
-                        ctx.send(Packet::new(local, *src, rtcp::serialize(&pli)));
+                        let pli = self.control.build(|v| rx.write_pli(v));
+                        ctx.send(Packet::new(local, *src, pli));
                     }
                 }
                 self.nacks_sent += nacks;

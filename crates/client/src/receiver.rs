@@ -11,7 +11,7 @@ use scallop_media::decoder::{Decoder, DecoderConfig, DecoderEvent};
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::av1::DD_EXTENSION_ID;
 use scallop_proto::error::ProtoError;
-use scallop_proto::rtcp::{Nack, ReceiverReport, Remb, ReportBlock, RtcpPacket};
+use scallop_proto::rtcp::{self, ReportBlock};
 use scallop_proto::rtp::{RtpPacket, RtpView};
 
 /// What the receive path reads of one RTP datagram, borrowed from it:
@@ -98,13 +98,12 @@ pub struct ReceiverState {
     /// Jitter state: last transit time (RFC 3550 A.8).
     last_transit_ms: Option<f64>,
     jitter_ms: f64,
-    /// Loss accounting.
+    /// Loss accounting: the first sequence number, and the highest one
+    /// seen extended past each wrap (RFC 3550 A.1).
     expected_base: Option<u16>,
     received: u64,
     bytes: u64,
     highest_ext_seq: u32,
-    seq_cycles: u32,
-    last_seq: Option<u16>,
     /// Loss snapshot at the last RR (fraction-lost computation).
     last_rr_expected: u64,
     last_rr_received: u64,
@@ -113,6 +112,8 @@ pub struct ReceiverState {
     last_pli_at: Option<SimTime>,
     /// Decoder events of the last [`Self::on_media`] or [`Self::poll`].
     events: Vec<DecoderEvent>,
+    /// Sequence numbers [`Self::due_nacks`] found for [`Self::write_nack`].
+    nacks: Vec<u16>,
 }
 
 impl ReceiverState {
@@ -131,14 +132,13 @@ impl ReceiverState {
             received: 0,
             bytes: 0,
             highest_ext_seq: 0,
-            seq_cycles: 0,
-            last_seq: None,
             last_rr_expected: 0,
             last_rr_received: 0,
             frames_decoded: 0,
             freezes: 0,
             last_pli_at: None,
             events: Vec::new(),
+            nacks: Vec::new(),
         }
     }
 
@@ -153,20 +153,17 @@ impl ReceiverState {
         self.bytes += pkt.payload_len as u64;
         self.last_media_at = Some(now);
 
-        // Extended sequence tracking.
+        // Extended sequence tracking: a number is as far ahead of the
+        // highest seen as its signed 16-bit distance says, so a late packet
+        // from before a wrap is not taken for one a whole cycle ahead.
         let seq = pkt.sequence_number;
         if self.expected_base.is_none() {
             self.expected_base = Some(seq);
+            self.highest_ext_seq = u32::from(seq);
         }
-        if let Some(last) = self.last_seq {
-            if seq < 0x1000 && last > 0xF000 {
-                self.seq_cycles += 1;
-            }
-        }
-        self.last_seq = Some(seq);
-        let ext = (self.seq_cycles << 16) | seq as u32;
-        if ext > self.highest_ext_seq {
-            self.highest_ext_seq = ext;
+        let ahead = seq.wrapping_sub(self.highest_ext_seq as u16) as i16;
+        if ahead > 0 {
+            self.highest_ext_seq = self.highest_ext_seq.wrapping_add(ahead as u32);
         }
 
         // RFC 3550 jitter: media clock 90 kHz for video, 48 kHz audio.
@@ -252,8 +249,8 @@ impl ReceiverState {
         }
     }
 
-    /// Build the periodic RR (+REMB for video) compound for this stream.
-    pub fn make_feedback(&mut self, now: SimTime) -> Vec<RtcpPacket> {
+    /// Append the periodic RR (+REMB for video) compound for this stream.
+    pub fn write_feedback(&mut self, out: &mut Vec<u8>) {
         let expected = self.expected_total();
         let exp_delta = expected.saturating_sub(self.last_rr_expected);
         let rcv_delta = self.received.saturating_sub(self.last_rr_received);
@@ -269,41 +266,44 @@ impl ReceiverState {
         if let Some(est) = &mut self.estimator {
             est.on_loss(fraction_lost as f64 / 256.0);
         }
-        let mut out = vec![RtcpPacket::Rr(ReceiverReport {
-            ssrc: self.local_ssrc,
-            reports: vec![ReportBlock {
-                ssrc: self.ssrc,
-                fraction_lost,
-                cumulative_lost: expected.saturating_sub(self.received).min(0x00FF_FFFF) as u32,
-                highest_seq: self.highest_ext_seq,
-                jitter: (self.jitter_ms * 90.0) as u32, // ms -> 90 kHz ticks
-                lsr: 0,
-                dlsr: 0,
-            }],
-        })];
-        if let Some(est) = &mut self.estimator {
-            let _ = now;
-            out.push(RtcpPacket::Remb(Remb {
-                sender_ssrc: self.local_ssrc,
-                bitrate_bps: est.estimate_bps(),
-                ssrcs: vec![self.ssrc],
-            }));
+        let report = ReportBlock {
+            ssrc: self.ssrc,
+            fraction_lost,
+            cumulative_lost: expected.saturating_sub(self.received).min(0x00FF_FFFF) as u32,
+            highest_seq: self.highest_ext_seq,
+            jitter: (self.jitter_ms * 90.0) as u32, // ms -> 90 kHz ticks
+            lsr: 0,
+            dlsr: 0,
+        };
+        rtcp::write_rr(out, self.local_ssrc, [report]);
+        if let Some(est) = &self.estimator {
+            rtcp::write_remb(out, self.local_ssrc, est.estimate_bps(), [self.ssrc]);
         }
-        out
     }
 
-    /// NACKs for missing packets (video).
-    pub fn make_nacks(&mut self, now: SimTime) -> Option<RtcpPacket> {
-        let dec = self.decoder.as_mut()?;
-        let lost = dec.take_nack_requests(now);
-        if lost.is_empty() {
-            return None;
+    /// Collect the missing packets due for a NACK now (video); whether
+    /// there are any, to send with [`Self::write_nack`].
+    pub fn due_nacks(&mut self, now: SimTime) -> bool {
+        self.nacks.clear();
+        if let Some(dec) = &mut self.decoder {
+            dec.take_nack_requests(now, &mut self.nacks);
         }
-        Some(RtcpPacket::Nack(Nack::from_lost_sequences(
+        !self.nacks.is_empty()
+    }
+
+    /// Append the Generic NACK for what [`Self::due_nacks`] collected.
+    pub fn write_nack(&self, out: &mut Vec<u8>) {
+        rtcp::write_nack(
+            out,
             self.local_ssrc,
             self.ssrc,
-            &lost,
-        )))
+            rtcp::nack_entries(&self.nacks),
+        );
+    }
+
+    /// Append the PLI asking this stream's sender for a key frame.
+    pub fn write_pli(&self, out: &mut Vec<u8>) {
+        rtcp::write_pli(out, self.local_ssrc, self.ssrc);
     }
 
     /// Whether the decoder is frozen and needs a key frame (drives PLI).
@@ -356,6 +356,32 @@ mod tests {
     use bytes::Bytes;
     use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
     use scallop_media::packetizer::Packetizer;
+    use scallop_proto::rtcp::RtcpPacket;
+
+    /// The RR (+REMB) compound `rx` sends now, parsed back.
+    fn feedback(rx: &mut ReceiverState) -> Vec<RtcpPacket> {
+        let mut wire = Vec::new();
+        rx.write_feedback(&mut wire);
+        rtcp::parse_compound(&wire).unwrap()
+    }
+
+    fn report_block(rx: &mut ReceiverState) -> ReportBlock {
+        let RtcpPacket::Rr(rr) = &feedback(rx)[0] else {
+            panic!("expected RR first");
+        };
+        rr.reports[0]
+    }
+
+    /// One audio packet numbered `seq`, as the receive path reads it.
+    fn audio(seq: u16) -> MediaHeader<'static> {
+        MediaHeader {
+            sequence_number: seq,
+            timestamp: 0,
+            ssrc: 8,
+            payload_len: 128,
+            dd: None,
+        }
+    }
 
     fn video_pkt(pz: &mut Packetizer, number: u16, size: usize) -> Vec<RtpPacket> {
         pz.packetize(&EncodedFrame {
@@ -399,7 +425,7 @@ mod tests {
                 rx.on_media(SimTime::from_millis(33 * (n as u64 + 1)), (&p).into(), 1042);
             }
         }
-        let fb = rx.make_feedback(SimTime::from_secs(1));
+        let fb = feedback(&mut rx);
         let RtcpPacket::Rr(rr) = &fb[0] else {
             panic!("expected RR first");
         };
@@ -410,16 +436,47 @@ mod tests {
         assert!(matches!(fb[1], RtcpPacket::Remb(_)));
     }
 
+    /// RFC 3550 A.1: a packet numbered just before a wrap that arrives
+    /// after it is late, not a whole cycle ahead. Counting it as ahead
+    /// used to report 65 535 lost and a `fraction_lost` of 255 — which
+    /// the loss branch of GCC reads as a collapsed link.
+    #[test]
+    fn reordering_across_the_wrap_loses_nothing() {
+        let mut rx = ReceiverState::new(8, 100, false, GccConfig::default());
+        for (i, seq) in [0xFFFF, 0x0000, 0xFFFE, 0x0001].into_iter().enumerate() {
+            rx.on_media(SimTime::from_millis(20 * i as u64), audio(seq), 170);
+        }
+        let s = rx.stats();
+        assert_eq!((s.cumulative_lost, s.highest_seq), (0, 65_537));
+        let block = report_block(&mut rx);
+        assert_eq!(block.cumulative_lost, 0);
+        assert_eq!(block.fraction_lost, 0);
+        assert_eq!(block.highest_seq, 65_537);
+    }
+
+    /// A forward jump across the wrap still counts the packets skipped.
+    #[test]
+    fn a_forward_jump_across_the_wrap_counts_the_gap() {
+        let mut rx = ReceiverState::new(8, 100, false, GccConfig::default());
+        rx.on_media(SimTime::ZERO, audio(0xFFF0), 170);
+        rx.on_media(SimTime::from_millis(20), audio(0x0010), 170);
+        let s = rx.stats();
+        assert_eq!(s.highest_seq, 0x1_0010);
+        assert_eq!(s.cumulative_lost, 31);
+        let block = report_block(&mut rx);
+        assert_eq!((block.cumulative_lost, block.fraction_lost), (31, 240));
+    }
+
     #[test]
     fn audio_stream_has_no_remb_or_nack() {
         let mut rx = ReceiverState::new(8, 100, false, GccConfig::default());
         let mut pkt = RtpPacket::new(111, 0, 0, 8);
         pkt.payload = Bytes::from(vec![0u8; 128]);
         rx.on_media(SimTime::from_millis(20), (&pkt).into(), 170);
-        let fb = rx.make_feedback(SimTime::from_secs(1));
+        let fb = feedback(&mut rx);
         assert_eq!(fb.len(), 1);
         assert!(matches!(fb[0], RtcpPacket::Rr(_)));
-        assert!(rx.make_nacks(SimTime::from_secs(1)).is_none());
+        assert!(!rx.due_nacks(SimTime::from_secs(1)));
         assert!(!rx.needs_keyframe());
     }
 
@@ -467,9 +524,12 @@ mod tests {
                 rx.on_media(t, (&p).into(), 1042);
             }
         }
-        let nack = rx.make_nacks(t + SimDuration::from_millis(100));
-        let Some(RtcpPacket::Nack(n)) = nack else {
-            panic!("expected NACK");
+        assert!(rx.due_nacks(t + SimDuration::from_millis(100)));
+        let mut wire = Vec::new();
+        rx.write_nack(&mut wire);
+        let parsed = rtcp::parse_compound(&wire);
+        let Ok([RtcpPacket::Nack(n)]) = parsed.as_deref() else {
+            panic!("expected one NACK");
         };
         assert_eq!(n.media_ssrc, 7);
         assert_eq!(n.lost_sequences().len(), 1);

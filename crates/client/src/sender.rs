@@ -11,14 +11,19 @@ use bytes::Bytes;
 use scallop_media::audio::{AudioConfig, AudioSource};
 use scallop_media::encoder::{EncoderConfig, VideoEncoder};
 use scallop_media::packetizer::{Packetizer, DEFAULT_MTU};
+use scallop_netsim::packet::BufPool;
 use scallop_netsim::time::{SimDuration, SimTime};
-use scallop_proto::rtcp::{RtcpPacket, Sdes, SenderReport};
+use scallop_proto::rtcp::{self, SenderReport};
 use scallop_proto::rtp::{RtpPacket, MIN_HEADER_LEN};
 
 /// How many recently sent video packets are kept for retransmission.
 /// A power of two dividing 65 536, so that `seq % RETX_HISTORY` keeps
 /// cycling through the slots in order across the sequence-number wrap.
 const RETX_HISTORY: usize = 1024;
+
+/// Most audio buffers kept: more than a sender has in flight behind any
+/// downlink queue at one packet per 20 ms.
+const AUDIO_POOL_LIMIT: usize = 128;
 
 /// Sender-side statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,6 +63,10 @@ pub struct MediaSender {
     history: Box<[Option<(u16, Bytes)>]>,
     /// The frame produced by the last [`Self::video_tick`].
     frame: Vec<Bytes>,
+    /// Buffers of the frames the history still holds packets of.
+    frame_pool: BufPool,
+    /// Buffers of the audio packets in flight.
+    audio_pool: BufPool,
     stats: SenderStats,
 }
 
@@ -78,6 +87,9 @@ impl MediaSender {
             audio_seq: 0,
             history: vec![None; RETX_HISTORY].into_boxed_slice(),
             frame: Vec::new(),
+            // Every frame spans at least one packet of the history.
+            frame_pool: BufPool::new(RETX_HISTORY),
+            audio_pool: BufPool::new(AUDIO_POOL_LIMIT),
             stats: SenderStats::default(),
         }
     }
@@ -95,14 +107,21 @@ impl MediaSender {
     /// Capture/encode/packetize the video frame due at `now`: the
     /// frame's datagrams in wire form, each serialized exactly once —
     /// the history keeps the same bytes that go out.
+    ///
+    /// The frame is laid out in the buffer of an earlier frame once every
+    /// packet of that one has left the history (1 024 packets later, long
+    /// after its last copy was delivered).
     pub fn video_tick(&mut self, now: SimTime) -> &[Bytes] {
         let frame = self.encoder.produce(now);
         if frame.label.is_key {
             self.stats.key_frames += 1;
         }
         let mut seq = self.packetizer.next_seq();
+        let mut buf = self.frame_pool.take();
         self.frame.clear();
-        self.packetizer.packetize_wire(&frame, &mut self.frame);
+        self.packetizer
+            .packetize_wire(&frame, &mut buf, &mut self.frame);
+        self.frame_pool.put(buf);
         self.stats.video_packets += self.frame.len() as u64;
         for wire in &self.frame {
             self.history[seq as usize % RETX_HISTORY] = Some((seq, wire.clone()));
@@ -117,27 +136,30 @@ impl MediaSender {
         let mut pkt = RtpPacket::new(111, self.audio_seq, a.rtp_timestamp, self.audio_ssrc);
         self.audio_seq = self.audio_seq.wrapping_add(1);
         pkt.marker = true;
-        // The payload is silence: reserve it with the header, then pad.
-        let mut wire = Vec::with_capacity(MIN_HEADER_LEN + a.size_bytes);
-        pkt.serialize_into(&mut wire);
-        wire.resize(wire.len() + a.size_bytes, 0);
         self.stats.audio_packets += 1;
-        Bytes::from(wire)
+        // The payload is silence: reserve it with the header, then pad.
+        self.audio_pool.build(|wire| {
+            wire.reserve(MIN_HEADER_LEN + a.size_bytes);
+            pkt.serialize_into(wire);
+            wire.resize(wire.len() + a.size_bytes, 0);
+        })
     }
 
-    /// Serve a NACK: the datagrams still in the history, in the order
-    /// they were asked for.
-    pub fn handle_nack(&mut self, lost: &[u16]) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        for &seq in lost {
+    /// Serve a NACK: hand `resend` each datagram still in the history,
+    /// in the order `lost` asks for them.
+    pub fn handle_nack(
+        &mut self,
+        lost: impl IntoIterator<Item = u16>,
+        mut resend: impl FnMut(Bytes),
+    ) {
+        for seq in lost {
             if let Some((s, wire)) = &self.history[seq as usize % RETX_HISTORY] {
                 if *s == seq {
-                    out.push(wire.clone());
+                    resend(wire.clone());
                     self.stats.retransmissions += 1;
                 }
             }
         }
-        out
     }
 
     /// Handle a PLI: next frame will be a key frame.
@@ -156,23 +178,22 @@ impl MediaSender {
         self.encoder.target_bitrate_bps()
     }
 
-    /// Build the periodic SR + SDES compound for the video stream.
-    pub fn make_sr(&self, now: SimTime, cname: &str) -> Vec<RtcpPacket> {
+    /// Append the periodic SR + SDES compound for the video stream.
+    pub fn write_sr(&self, now: SimTime, cname: &str, out: &mut Vec<u8>) {
         let secs = now.as_secs_f64();
-        vec![
-            RtcpPacket::Sr(SenderReport {
+        rtcp::write_sr(
+            out,
+            &SenderReport {
                 ssrc: self.video_ssrc,
                 ntp_sec: secs as u32,
                 ntp_frac: ((secs.fract()) * 4_294_967_296.0) as u32,
                 rtp_ts: (secs * 90_000.0) as u32,
                 packet_count: self.stats.video_packets as u32,
                 octet_count: 0,
-                reports: vec![],
-            }),
-            RtcpPacket::Sdes(Sdes {
-                chunks: vec![(self.video_ssrc, cname.to_string())],
-            }),
-        ]
+                reports: Vec::new(),
+            },
+        );
+        rtcp::write_sdes(out, [(self.video_ssrc, cname)]);
     }
 
     /// Snapshot the sender statistics.
@@ -194,6 +215,13 @@ mod tests {
 
     fn parsed(wire: &Bytes) -> RtpPacket {
         RtpPacket::parse(wire).expect("the sender emits valid RTP")
+    }
+
+    /// What a NACK of `lost` retransmits, in order.
+    fn served(s: &mut MediaSender, lost: &[u16]) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        s.handle_nack(lost.iter().copied(), |wire| out.push(wire));
+        out
     }
 
     #[test]
@@ -221,7 +249,7 @@ mod tests {
         let mut s = sender();
         let sent = s.video_tick(SimTime::ZERO).to_vec();
         let seq = parsed(&sent[0]).sequence_number;
-        let retx = s.handle_nack(&[seq, 9999]);
+        let retx = served(&mut s, &[seq, 9999]);
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0], sent[0]);
         assert_eq!(s.stats().retransmissions, 1);
@@ -240,7 +268,7 @@ mod tests {
             t += s.video_interval();
         }
         // The very first packet has been evicted by now.
-        assert!(s.handle_nack(&[first_seq.unwrap()]).is_empty());
+        assert!(served(&mut s, &[first_seq.unwrap()]).is_empty());
     }
 
     /// The history is indexed by `seq % RETX_HISTORY`; the index must
@@ -261,7 +289,7 @@ mod tests {
         // in the order asked, the unknown one skipped.
         let mut ask: Vec<u16> = seqs.iter().rev().copied().collect();
         ask.insert(3, u16::MAX - 6);
-        let retx = s.handle_nack(&ask);
+        let retx = served(&mut s, &ask);
         let want: Vec<Bytes> = sent.iter().rev().cloned().collect();
         assert_eq!(retx, want);
         assert_eq!(s.stats().retransmissions, sent.len() as u64);
@@ -270,7 +298,7 @@ mod tests {
             s.video_tick(t);
             t += s.video_interval();
         }
-        assert!(s.handle_nack(&seqs).is_empty());
+        assert!(served(&mut s, &seqs).is_empty());
     }
 
     #[test]
@@ -292,10 +320,49 @@ mod tests {
     #[test]
     fn sr_compound_shape() {
         let mut s = sender();
-        let _ = s.video_tick(SimTime::ZERO);
-        let sr = s.make_sr(SimTime::from_secs(5), "alice");
+        let sent = s.video_tick(SimTime::ZERO).len() as u32;
+        let mut wire = Vec::new();
+        s.write_sr(SimTime::from_secs(5), "alice", &mut wire);
+        let sr = rtcp::parse_compound(&wire).unwrap();
         assert_eq!(sr.len(), 2);
-        assert!(matches!(sr[0], RtcpPacket::Sr(_)));
-        assert!(matches!(sr[1], RtcpPacket::Sdes(_)));
+        let rtcp::RtcpPacket::Sr(report) = &sr[0] else {
+            panic!("SR first");
+        };
+        assert_eq!((report.ntp_sec, report.packet_count), (5, sent));
+        assert_eq!(
+            sr[1],
+            rtcp::RtcpPacket::Sdes(rtcp::Sdes {
+                chunks: vec![(0x51, "alice".into())]
+            })
+        );
+    }
+
+    /// Audio buffers and frame buffers are refilled once every copy of
+    /// what they carried is gone — and a frame buffer only once the
+    /// retransmission history has let go of every packet in it.
+    #[test]
+    fn buffers_are_recycled_once_nothing_holds_them() {
+        let mut s = sender();
+        let first = s.audio_tick(SimTime::ZERO);
+        let ptr = first.as_ptr();
+        drop(first);
+        let second = s.audio_tick(SimTime::from_millis(20));
+        assert_eq!(second.as_ptr(), ptr);
+        assert_eq!(parsed(&second).sequence_number, 1);
+
+        let frame_ptr = s.video_tick(SimTime::ZERO)[0].as_ptr();
+        let mut t = SimTime::ZERO;
+        let mut reused_at = None;
+        for _ in 0..1_000 {
+            t += s.video_interval();
+            let seq = s.packetizer.next_seq();
+            if s.video_tick(t)[0].as_ptr() == frame_ptr {
+                reused_at = Some(seq);
+                break;
+            }
+        }
+        // Refilled once the first frame's last packet has been evicted.
+        let reused_at = reused_at.expect("the first frame buffer is refilled");
+        assert!(reused_at as usize >= RETX_HISTORY, "{reused_at}");
     }
 }

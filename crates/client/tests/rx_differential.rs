@@ -6,9 +6,10 @@
 //! the client built an owned `RtpPacket` per datagram and the decoder kept
 //! a `BTreeMap` of sequence numbers per frame and a swept `HashMap` of
 //! identities. That implementation is kept here, verbatim but for its
-//! name, as the oracle: both are fed the same lossy, reordered,
-//! duplicated, colliding, wrapping streams and must agree on every
-//! decoder event, every NACK list and every statistic.
+//! name and one loss-accounting fix (see `OldReceiver`), as the oracle:
+//! both are fed the same lossy, reordered, duplicated, colliding,
+//! wrapping streams and must agree on every decoder event, every NACK
+//! list and every statistic.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,7 +20,7 @@ use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop_media::packetizer::Packetizer;
 use scallop_media::svc::L1T3Schedule;
 use scallop_netsim::time::{SimDuration, SimTime};
-use scallop_proto::rtcp::RtcpPacket;
+use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::rtp::RtpPacket;
 
 /// The receive path as it was before it read datagrams in place.
@@ -358,7 +359,11 @@ mod oracle {
     /// The stream accounting of `ReceiverState::on_media` over an owned
     /// packet, without the bandwidth estimator (it reads nothing the
     /// packet representation changes and is compared on its own in
-    /// `client::gcc`).
+    /// `client::gcc`). The one change since: the extended sequence number
+    /// follows RFC 3550 A.1 (a signed 16-bit distance from the highest
+    /// seen), which the receiver adopted when this differential showed
+    /// the old wrap heuristic counting a late pre-wrap packet a cycle
+    /// ahead.
     #[derive(Debug)]
     pub struct OldReceiver {
         pub decoder: OldDecoder,
@@ -368,8 +373,6 @@ mod oracle {
         received: u64,
         bytes: u64,
         highest_ext_seq: u32,
-        seq_cycles: u32,
-        last_seq: Option<u16>,
         frames_decoded: u64,
         freezes: u64,
     }
@@ -384,8 +387,6 @@ mod oracle {
                 received: 0,
                 bytes: 0,
                 highest_ext_seq: 0,
-                seq_cycles: 0,
-                last_seq: None,
                 frames_decoded: 0,
                 freezes: 0,
             }
@@ -397,16 +398,11 @@ mod oracle {
             let seq = pkt.sequence_number;
             if self.expected_base.is_none() {
                 self.expected_base = Some(seq);
+                self.highest_ext_seq = u32::from(seq);
             }
-            if let Some(last) = self.last_seq {
-                if seq < 0x1000 && last > 0xF000 {
-                    self.seq_cycles += 1;
-                }
-            }
-            self.last_seq = Some(seq);
-            let ext = (self.seq_cycles << 16) | seq as u32;
-            if ext > self.highest_ext_seq {
-                self.highest_ext_seq = ext;
+            let ahead = seq.wrapping_sub(self.highest_ext_seq as u16) as i16;
+            if ahead > 0 {
+                self.highest_ext_seq = self.highest_ext_seq.wrapping_add(ahead as u32);
             }
             let send_ms = pkt.timestamp as f64 / 90_000.0 * 1000.0;
             let transit = now.as_millis_f64() - send_ms;
@@ -586,9 +582,15 @@ fn poll_both(new: &mut ReceiverState, old: &mut oracle::OldReceiver, at: SimTime
     let want: Vec<DecoderEvent> = old.poll(at);
     assert_eq!(new.poll(at), &want[..], "poll events at {at}");
     let want = old.decoder.take_nack_requests(at);
-    let got = match new.make_nacks(at) {
-        Some(RtcpPacket::Nack(n)) => n.lost_sequences(),
-        _ => Vec::new(),
+    let got = if new.due_nacks(at) {
+        let mut wire = Vec::new();
+        new.write_nack(&mut wire);
+        match rtcp::parse_compound(&wire).as_deref() {
+            Ok([RtcpPacket::Nack(n)]) => n.lost_sequences(),
+            other => panic!("one NACK expected, got {other:?}"),
+        }
+    } else {
+        Vec::new()
     };
     assert_eq!(got, want, "NACK list at {at}");
     assert_eq!(new.needs_keyframe(), old.decoder.needs_keyframe());

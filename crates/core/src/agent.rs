@@ -28,14 +28,14 @@
 use scallop_dataplane::pre::L1Node;
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::switch::ScallopDataPlane;
-use scallop_netsim::packet::{HostAddr, Packet};
+use scallop_netsim::packet::{BufPool, HostAddr, Packet};
 use scallop_netsim::stats::Ewma;
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::av1::{DependencyDescriptor, DD_EXTENSION_ID};
 use scallop_proto::demux::{classify, PacketClass};
-use scallop_proto::rtcp::{self, RtcpPacket};
+use scallop_proto::rtcp::{self, RtcpRef};
 use scallop_proto::rtp::RtpView;
-use scallop_proto::stun::StunMessage;
+use scallop_proto::stun::{self, StunView};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
@@ -142,6 +142,10 @@ pub fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
 /// able to actually carry that band's tier, or the selector pins the
 /// receiver in permanent congestion. Matches the software baseline.
 pub const DEFAULT_DT_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
+
+/// Most response and REMB buffers an agent keeps; past this many in
+/// flight, the oldest is left to whoever still reads it.
+const RESPONSE_POOL_LIMIT: usize = 128;
 
 /// What the agent granted a joining participant (consumed by signaling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,6 +361,11 @@ pub struct SwitchAgent {
     remb_window_emit: bool,
     /// Sink senders with a changed estimate awaiting the next window.
     dirty_sinks: BTreeSet<ParticipantId>,
+    /// What the last [`Self::handle_cpu_packet`] or [`Self::tick`] sends,
+    /// drained by its caller; the vector is kept across calls.
+    out: Vec<Packet>,
+    /// Buffers of the responses and REMBs in flight.
+    pool: BufPool,
     /// Telemetry.
     pub counters: AgentCounters,
 }
@@ -414,6 +423,8 @@ impl SwitchAgent {
             ewma_alpha: 0.5,
             remb_window_emit: false,
             dirty_sinks: BTreeSet::new(),
+            out: Vec::new(),
+            pool: BufPool::new(RESPONSE_POOL_LIMIT),
             counters: AgentCounters::default(),
         }
     }
@@ -2085,7 +2096,15 @@ impl SwitchAgent {
     }
 
     fn best_downlink_for(&self, s: ParticipantId, meeting: MeetingId) -> Option<ParticipantId> {
-        let m = self.meetings.get(&meeting)?;
+        self.best_downlink_among(s, &self.meetings.get(&meeting)?.participants)
+    }
+
+    /// [`Self::best_downlink_for`] over the meeting roster `participants`.
+    fn best_downlink_among(
+        &self,
+        s: ParticipantId,
+        participants: &[ParticipantId],
+    ) -> Option<ParticipantId> {
         let mut best: Option<(ParticipantId, f64)> = None;
         // Only local receivers compete: a trunk-egress branch reports no
         // feedback here (the remote edge runs its own filter), and a
@@ -2094,7 +2113,7 @@ impl SwitchAgent {
         // deliberately reduced layer set, so their estimates reflect
         // the cap, not the downlink; feeding them back to the sender
         // would drag the encoder below what full receivers can use.
-        for &r in m.participants.iter().filter(|&&r| {
+        for &r in participants.iter().filter(|&&r| {
             r != s && self.pinfo[&r].class == ParticipantClass::Local && self.pinfo[&r].dt_cap >= 2
         }) {
             let score = self.pinfo[&r]
@@ -2148,34 +2167,34 @@ impl SwitchAgent {
         .expect("port rule capacity");
     }
 
-    /// Handle one CPU-port packet; returns packets the agent sends back
-    /// through the data plane (STUN responses).
+    /// Handle one CPU-port packet; returns the packets the agent sends
+    /// back through the data plane (STUN responses, aggregate REMBs,
+    /// relayed NACK/PLI), to be drained before the next call.
     pub fn handle_cpu_packet(
         &mut self,
         now: SimTime,
         pkt: &Packet,
         dp: &mut ScallopDataPlane,
-    ) -> Vec<Packet> {
+    ) -> std::vec::Drain<'_, Packet> {
+        self.out.clear();
         match classify(&pkt.payload) {
             PacketClass::Stun => {
-                let Ok(msg) = StunMessage::parse(&pkt.payload) else {
-                    return Vec::new();
-                };
-                if msg.is_request() {
-                    self.counters.stun_answered += 1;
-                    let resp =
-                        StunMessage::binding_success(msg.transaction_id, pkt.src.ip, pkt.src.port);
-                    return vec![Packet::new(pkt.dst, pkt.src, resp.serialize())];
+                if let Ok(msg) = StunView::new(&pkt.payload) {
+                    if msg.is_request() {
+                        self.counters.stun_answered += 1;
+                        let (to, txid) = (pkt.src, msg.transaction_id);
+                        let resp = self
+                            .pool
+                            .build(|v| stun::write_binding_success(v, txid, to.ip, to.port));
+                        self.out.push(Packet::new(pkt.dst, to, resp));
+                    }
                 }
-                Vec::new()
             }
             PacketClass::Rtcp => self.handle_feedback_copy(now, pkt, dp),
-            PacketClass::Rtp => {
-                self.handle_extended_dd(pkt);
-                Vec::new()
-            }
-            PacketClass::Unknown => Vec::new(),
+            PacketClass::Rtp => self.handle_extended_dd(pkt),
+            PacketClass::Unknown => {}
         }
+        self.out.drain(..)
     }
 
     fn handle_extended_dd(&mut self, pkt: &Packet) {
@@ -2193,12 +2212,10 @@ impl SwitchAgent {
         }
     }
 
-    fn handle_feedback_copy(
-        &mut self,
-        now: SimTime,
-        pkt: &Packet,
-        dp: &mut ScallopDataPlane,
-    ) -> Vec<Packet> {
+    fn handle_feedback_copy(&mut self, now: SimTime, pkt: &Packet, dp: &mut ScallopDataPlane) {
+        let Ok(pkts) = rtcp::read_compound(&pkt.payload) else {
+            return;
+        };
         let (sender, receiver) = match self.port_use.get(&pkt.dst.port) {
             Some(&PortUse::PairVideo { sender, receiver }) => (sender, receiver),
             Some(&PortUse::FeedbackSink { sender }) => {
@@ -2206,23 +2223,16 @@ impl SwitchAgent {
             }
             _ => {
                 // Audio feedback / unknown ports: count RRs and move on.
-                if let Ok(pkts) = rtcp::parse_compound(&pkt.payload) {
-                    self.counters.rrs_analyzed += pkts
-                        .iter()
-                        .filter(|p| matches!(p, RtcpPacket::Rr(_)))
-                        .count() as u64;
-                }
-                return Vec::new();
+                self.counters.rrs_analyzed +=
+                    pkts.filter(|p| matches!(p, RtcpRef::Rr { .. })).count() as u64;
+                return;
             }
-        };
-        let Ok(pkts) = rtcp::parse_compound(&pkt.payload) else {
-            return Vec::new();
         };
         let mut saw_remb = false;
         for p in pkts {
             match p {
-                RtcpPacket::Rr(_) => self.counters.rrs_analyzed += 1,
-                RtcpPacket::Remb(remb) => {
+                RtcpRef::Rr { .. } => self.counters.rrs_analyzed += 1,
+                RtcpRef::Remb { bitrate_bps, .. } => {
                     self.counters.rembs_analyzed += 1;
                     saw_remb = true;
                     let alpha = self.ewma_alpha;
@@ -2232,9 +2242,9 @@ impl SwitchAgent {
                             .ewma
                             .entry(sender)
                             .or_insert_with(|| Ewma::new(alpha))
-                            .update(remb.bitrate_bps as f64);
+                            .update(bitrate_bps as f64);
                         let hist = pr.est_hist.entry(sender).or_default();
-                        hist.push(remb.bitrate_bps);
+                        hist.push(bitrate_bps);
                         if hist.len() > 32 {
                             hist.remove(0);
                         }
@@ -2244,7 +2254,7 @@ impl SwitchAgent {
                         // growth and must shed layers quickly; climbing
                         // back doubles the offered load instantly, so it
                         // requires a *sustained* high smoothed estimate.
-                        let decision_est = (smoothed as u64).min(remb.bitrate_bps);
+                        let decision_est = (smoothed as u64).min(bitrate_bps);
                         // An admission-imposed cap bounds what the
                         // policy may climb to (SVC-thin stays thin).
                         let new = (self.policy)(curr, hist, decision_est).min(pr.dt_cap);
@@ -2285,11 +2295,10 @@ impl SwitchAgent {
         {
             if self.remb_window_emit {
                 self.dirty_sinks.insert(sender);
-                return Vec::new();
+            } else {
+                self.emit_aggregate_remb(sender);
             }
-            return self.emit_aggregate_remb(sender);
         }
-        Vec::new()
     }
 
     /// Handle a CPU copy punted off the feedback-sink port: record the
@@ -2297,48 +2306,51 @@ impl SwitchAgent {
     /// (and the local filter's best downlink), and re-emit toward the
     /// sender; NACK/PLI ride through verbatim, re-addressed as if the
     /// home edge had forwarded them directly.
-    fn handle_sink_copy(&mut self, sender: ParticipantId, pkt: &Packet) -> Vec<Packet> {
-        let Ok(pkts) = rtcp::parse_compound(&pkt.payload) else {
-            return Vec::new();
+    fn handle_sink_copy(&mut self, sender: ParticipantId, pkt: &Packet) {
+        let Ok(pkts) = rtcp::read_compound(&pkt.payload) else {
+            return;
         };
         let Some(p) = self.pinfo.get_mut(&sender) else {
-            return Vec::new();
+            return;
         };
         let (s_addr, s_video_up) = (p.addr, p.video_up);
         let mut saw_remb = false;
-        let mut passthrough = Vec::new();
-        for r in pkts {
+        let mut passthrough = false;
+        for r in pkts.clone() {
             match r {
-                RtcpPacket::Remb(remb) => {
+                RtcpRef::Remb { bitrate_bps, .. } => {
                     self.counters.rembs_analyzed += 1;
                     saw_remb = true;
                     // One estimate per reporting edge (the remote edge
                     // already selected its best downlink).
-                    p.remote_ests.insert(pkt.src.ip, remb.bitrate_bps);
+                    p.remote_ests.insert(pkt.src.ip, bitrate_bps);
                 }
-                RtcpPacket::Rr(_) => self.counters.rrs_analyzed += 1,
-                other => passthrough.push(other),
+                RtcpRef::Rr { .. } => self.counters.rrs_analyzed += 1,
+                _ => passthrough = true,
             }
         }
-        let mut out = Vec::new();
-        if !passthrough.is_empty() {
+        if passthrough {
             // NACK packet-ids were already de-rewritten by the remote
             // edge (the trunk carries unrewritten media), so they pass
             // through untouched.
-            out.push(Packet::new(
+            let relayed = self.pool.build(|v| {
+                for r in pkts.filter(|r| !matches!(r, RtcpRef::Remb { .. } | RtcpRef::Rr { .. })) {
+                    r.write_into(v);
+                }
+            });
+            self.out.push(Packet::new(
                 HostAddr::new(self.sfu_ip, s_video_up),
                 s_addr,
-                rtcp::serialize_compound(&passthrough),
+                relayed,
             ));
         }
         if saw_remb {
             if self.remb_window_emit {
                 self.dirty_sinks.insert(sender);
             } else {
-                out.extend(self.emit_aggregate_remb(sender));
+                self.emit_aggregate_remb(sender);
             }
         }
-        out
     }
 
     /// The fabric-wide REMB for a sink-aggregating sender: the minimum
@@ -2346,10 +2358,10 @@ impl SwitchAgent {
     /// edge's reported estimate — the whole fabric behaves like one
     /// switch running the §5.3 single-selection filter. Emits nothing
     /// until at least one component is known.
-    fn emit_aggregate_remb(&mut self, sender: ParticipantId) -> Vec<Packet> {
+    fn emit_aggregate_remb(&mut self, sender: ParticipantId) {
         let (meeting, s_addr, s_video_up, remote) = {
             let Some(p) = self.pinfo.get(&sender) else {
-                return Vec::new();
+                return;
             };
             (
                 p.meeting,
@@ -2367,19 +2379,15 @@ impl SwitchAgent {
             (Some(l), Some(r)) => l.min(r),
             (Some(l), None) => l,
             (None, Some(r)) => r,
-            (None, None) => return Vec::new(),
+            (None, None) => return,
         };
         self.counters.rembs_aggregated += 1;
-        let payload = rtcp::serialize_compound(&[RtcpPacket::Remb(rtcp::Remb {
-            sender_ssrc: 0,
-            bitrate_bps: agg,
-            ssrcs: Vec::new(),
-        })]);
-        vec![Packet::new(
+        let payload = self.pool.build(|v| rtcp::write_remb(v, 0, agg, []));
+        self.out.push(Packet::new(
             HostAddr::new(self.sfu_ip, s_video_up),
             s_addr,
             payload,
-        )]
+        ));
     }
 
     /// Cap a receiver's decode target from above (SVC-thin admission,
@@ -2441,17 +2449,21 @@ impl SwitchAgent {
     /// drains the dirty-sink set, returning at most one min-filtered
     /// aggregate REMB per sink sender for the switch to emit; with the
     /// window pacing off (the default) the returned batch is empty.
-    pub fn tick(&mut self, _now: SimTime, dp: &mut ScallopDataPlane) -> Vec<Packet> {
-        let meetings: Vec<MeetingId> = self.meetings.keys().copied().collect();
-        for mid in meetings {
+    pub fn tick(
+        &mut self,
+        _now: SimTime,
+        dp: &mut ScallopDataPlane,
+    ) -> std::vec::Drain<'_, Packet> {
+        self.out.clear();
+        let mut next = self.meetings.keys().next().copied();
+        while let Some(mid) = next {
             self.refresh_feedback_gates(dp, mid, true);
+            next = self.meetings.range(mid + 1..).next().map(|(&mid, _)| mid);
         }
-        let dirty: Vec<ParticipantId> = std::mem::take(&mut self.dirty_sinks).into_iter().collect();
-        let mut out = Vec::new();
-        for sender in dirty {
-            out.extend(self.emit_aggregate_remb(sender));
+        while let Some(sender) = self.dirty_sinks.pop_first() {
+            self.emit_aggregate_remb(sender);
         }
-        out
+        self.out.drain(..)
     }
 
     /// Re-run the §5.3 feedback filter for every sender of one meeting,
@@ -2465,17 +2477,24 @@ impl SwitchAgent {
         meeting: MeetingId,
         count_updates: bool,
     ) {
-        let participants = self.meetings[&meeting].participants.clone();
+        // The roster is lent out of the meeting for the walk rather than
+        // copied: this runs for every meeting on every tick, and the rules
+        // it rewrites never read it.
+        let Some(m) = self.meetings.get_mut(&meeting) else {
+            return;
+        };
+        let participants = std::mem::take(&mut m.participants);
         for &s in &participants {
             if !self.pinfo[&s].sends {
                 continue;
             }
-            let best = self.best_downlink_for(s, meeting);
+            let best = self.best_downlink_among(s, &participants);
             // While the home edge aggregates this sender's REMBs
             // fabric-wide, no local pair forwards them directly.
             let has_sink = self.pinfo[&s].sink_port.is_some();
-            for &r in participants.iter().filter(|&&r| r != s) {
-                if self.pinfo[&r].class != ParticipantClass::Local
+            for &r in &participants {
+                if r == s
+                    || self.pinfo[&r].class != ParticipantClass::Local
                     || !self.pinfo[&r].pair_from.contains_key(&s)
                 {
                     continue;
@@ -2497,6 +2516,10 @@ impl SwitchAgent {
                 }
             }
         }
+        self.meetings
+            .get_mut(&meeting)
+            .expect("the meeting is still there")
+            .participants = participants;
     }
 }
 
@@ -2504,6 +2527,8 @@ impl SwitchAgent {
 mod tests {
     use super::*;
     use scallop_dataplane::seqrewrite::SeqRewriteMode;
+    use scallop_proto::rtcp::RtcpPacket;
+    use scallop_proto::stun::StunMessage;
 
     fn mk() -> (SwitchAgent, ScallopDataPlane) {
         (
@@ -2642,7 +2667,9 @@ mod tests {
         let (mut agent, mut dp) = mk();
         let req = StunMessage::binding_request([9; 12]).serialize();
         let pkt = Packet::new(addr(1), HostAddr::new(agent.sfu_ip(), 10_000), req);
-        let out = agent.handle_cpu_packet(SimTime::ZERO, &pkt, &mut dp);
+        let out: Vec<Packet> = agent
+            .handle_cpu_packet(SimTime::ZERO, &pkt, &mut dp)
+            .collect();
         assert_eq!(out.len(), 1);
         let resp = StunMessage::parse(&out[0].payload).unwrap();
         assert!(resp.is_success_response());
@@ -2740,7 +2767,9 @@ mod tests {
                 bitrate_bps: bps,
                 ssrcs: vec![0x11],
             })]);
-            agent.handle_cpu_packet(SimTime::ZERO, &Packet::new(raddr, vp, remb), dp)
+            agent
+                .handle_cpu_packet(SimTime::ZERO, &Packet::new(raddr, vp, remb), dp)
+                .collect::<Vec<_>>()
         };
         // Both local receivers report; the filter's best (g2 at 3 Mb/s)
         // becomes the local component and the aggregate.
@@ -2761,11 +2790,13 @@ mod tests {
             bitrate_bps: 1_000_000,
             ssrcs: vec![0x11],
         })]);
-        let out = agent.handle_cpu_packet(
-            SimTime::ZERO,
-            &Packet::new(remote_edge, sink_addr, remb),
-            &mut dp,
-        );
+        let out: Vec<Packet> = agent
+            .handle_cpu_packet(
+                SimTime::ZERO,
+                &Packet::new(remote_edge, sink_addr, remb),
+                &mut dp,
+            )
+            .collect();
         let parsed = rtcp::parse_compound(&out[0].payload).unwrap();
         let RtcpPacket::Remb(agg) = &parsed[0] else {
             panic!("expected REMB");
@@ -2779,14 +2810,17 @@ mod tests {
             media_ssrc: 0xAA,
             entries: vec![(5, 0)],
         })]);
-        let out = agent.handle_cpu_packet(
-            SimTime::ZERO,
-            &Packet::new(remote_edge, sink_addr, nack),
-            &mut dp,
-        );
+        let out: Vec<Packet> = agent
+            .handle_cpu_packet(
+                SimTime::ZERO,
+                &Packet::new(remote_edge, sink_addr, nack.clone()),
+                &mut dp,
+            )
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, addr(1));
         assert_eq!(out[0].src, g1.video_uplink);
+        assert_eq!(out[0].payload, nack, "relayed byte for byte");
         // GC of the remote segment lifts the cap.
         agent.clear_remote_est(g1.participant, remote_edge.ip);
         let out = send_local(&mut agent, &mut dp, g2.participant, addr(2), 3_000_000);

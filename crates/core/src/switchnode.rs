@@ -86,9 +86,9 @@ struct Departure {
 
 /// Which fixed latency a packet leaves after. The clock never runs
 /// backwards and a lane's latency is one constant, so each lane is FIFO
-/// by construction; [`ScallopSwitchNode::flush_due`] merges the two
-/// fronts by `(at, seq)`: the earliest leaves first, same-instant
-/// packets in the order they were emitted.
+/// by construction; [`Departures::flush_due`] merges the two fronts by
+/// `(at, seq)`: the earliest leaves first, same-instant packets in the
+/// order they were emitted.
 enum Lane {
     /// Data-plane forwards, at [`SwitchConfig::pipeline_latency`].
     Pipeline,
@@ -105,7 +105,18 @@ pub struct ScallopSwitchNode {
     pub dp: ScallopDataPlane,
     /// The on-switch agent.
     pub agent: SwitchAgent,
-    /// Emitted packets that have not left yet, one queue per [`Lane`].
+    /// Emitted packets that have not left yet.
+    departures: Departures,
+    /// Reused data-plane output (forwards, punt ring, parse arena — see
+    /// `scallop_dataplane::batch`), so an arriving packet allocates none
+    /// of them.
+    batch_out: BatchOutput,
+}
+
+/// The packets a switch has emitted and not yet sent, one queue per
+/// [`Lane`].
+#[derive(Default)]
+struct Departures {
     forwards: VecDeque<Departure>,
     responses: VecDeque<Departure>,
     pending_seq: u64,
@@ -117,10 +128,6 @@ pub struct ScallopSwitchNode {
     /// with a killed switch is forgotten by the first flush after the
     /// revive, which also releases the packets that were waiting for it.
     armed: Vec<SimTime>,
-    /// Reused data-plane output (forwards, punt ring, parse arena — see
-    /// `scallop_dataplane::batch`), so an arriving packet allocates none
-    /// of them.
-    batch_out: BatchOutput,
 }
 
 impl ScallopSwitchNode {
@@ -135,10 +142,7 @@ impl ScallopSwitchNode {
             dp,
             agent: SwitchAgent::new(cfg.ip).with_port_range(cfg.port_base, cfg.port_limit),
             cfg,
-            forwards: VecDeque::new(),
-            responses: VecDeque::new(),
-            pending_seq: 0,
-            armed: Vec::new(),
+            departures: Departures::default(),
             batch_out: BatchOutput::default(),
         }
     }
@@ -210,11 +214,13 @@ impl ScallopSwitchNode {
     pub fn counters(&self) -> DataPlaneCounters {
         self.dp.counters
     }
+}
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, lane: Lane, pkt: Packet) {
+impl Departures {
+    fn emit(&mut self, ctx: &mut Ctx<'_>, cfg: &SwitchConfig, lane: Lane, pkt: Packet) {
         let (queue, latency) = match lane {
-            Lane::Pipeline => (&mut self.forwards, self.cfg.pipeline_latency),
-            Lane::Agent => (&mut self.responses, self.cfg.agent_latency),
+            Lane::Pipeline => (&mut self.forwards, cfg.pipeline_latency),
+            Lane::Agent => (&mut self.responses, cfg.agent_latency),
         };
         let at = ctx.now() + latency;
         assert!(
@@ -261,27 +267,26 @@ impl Node for ScallopSwitchNode {
     /// may rewrite tables when it handles a punt, so it gets the packet
     /// before the data plane looks at the next one.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let mut out = std::mem::take(&mut self.batch_out);
-        self.dp.process_batch(std::slice::from_ref(&pkt), &mut out);
+        let out = &mut self.batch_out;
+        self.dp.process_batch(std::slice::from_ref(&pkt), out);
         for f in out.forwards.drain(..) {
-            self.emit(ctx, Lane::Pipeline, f);
+            self.departures.emit(ctx, &self.cfg, Lane::Pipeline, f);
         }
         if !out.cpu_punts.is_empty() {
             for r in self.agent.handle_cpu_packet(ctx.now(), &pkt, &mut self.dp) {
-                self.emit(ctx, Lane::Agent, r);
+                self.departures.emit(ctx, &self.cfg, Lane::Agent, r);
             }
         }
-        self.batch_out = out;
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
         match timer {
-            TIMER_FLUSH => self.flush_due(ctx),
+            TIMER_FLUSH => self.departures.flush_due(ctx),
             TIMER_AGENT => {
                 // Window-paced sink REMBs (empty unless the agent was
                 // opted in) leave at agent latency like any response.
                 for pkt in self.agent.tick(ctx.now(), &mut self.dp) {
-                    self.emit(ctx, Lane::Agent, pkt);
+                    self.departures.emit(ctx, &self.cfg, Lane::Agent, pkt);
                 }
                 ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
             }

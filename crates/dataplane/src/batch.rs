@@ -47,15 +47,17 @@
 //! [`Packet::payload`] must stay one contiguous `Deref<[u8]>`, so one
 //! copy per rewritten replica is the floor. The replica slab pays exactly
 //! that and nothing else: every rewritten replica of a batch is appended
-//! to one `Vec<u8>` and patched in place; when the batch ends the vector
-//! is frozen into one shared [`Bytes`] and each replica's payload
-//! becomes a view into it. The next batch takes the allocation back when
-//! every view has been dropped (a caller that clears its output between
-//! bursts allocates nothing but the reference count); when views are
-//! still alive the slab simply stays theirs and a fresh one is reserved.
-//! Replicas the Stream Tracker does not rewrite (audio, sender reports,
-//! streams of receivers that were never rate-adapted) share the ingress
-//! buffer.
+//! to one buffer and patched in place; when the batch ends each replica's
+//! payload becomes a view into it, and the slab goes back to a
+//! [`BufPool`], which refills it — allocation and reference count — for
+//! a later batch once every view has been dropped. A caller that clears
+//! its output between bursts allocates nothing per batch; when views are
+//! still alive the pool keeps the slab for later and a fresh one is
+//! reserved at the size the last one used. Replicas the Stream Tracker
+//! does not rewrite (audio, sender reports, streams of receivers that
+//! were never rate-adapted) share the ingress buffer. A rate-adapted
+//! receiver's NACK, shifted back to the sender's numbers, is written into
+//! the slab the same way.
 //!
 //! **What a view pins.** A view keeps its *whole* backing allocation
 //! alive: a replica view pins its batch's slab, an `RtpPacket.payload`
@@ -65,8 +67,9 @@
 //! one is an increment, not an atomic. Everything that can hold one
 //! beyond delivery is bounded:
 //!
-//! * the data plane itself holds one handle, on the last batch's slab,
-//!   until the next batch starts;
+//! * the data plane's slab pool holds one handle per slab it keeps, at
+//!   most 128 (`SLAB_POOL_LIMIT`); a slab whose views outlive that is let
+//!   go of, and freed by its last reader;
 //! * `core::switchnode`'s departure lanes hold forwards for the fixed
 //!   pipeline latency (agent responses for the agent latency) and the
 //!   simulator's event queue for one link traversal — both drain in
@@ -86,7 +89,7 @@ use crate::parser::ParsedPacket;
 use crate::pre::Replica;
 use crate::rules::{EgressSpec, PortRule};
 use bytes::Bytes;
-use scallop_netsim::packet::Packet;
+use scallop_netsim::packet::{BufPool, Packet};
 use scallop_proto::rtp;
 
 /// What the memo of the previous resolution saved relative to resolving
@@ -148,63 +151,96 @@ impl BatchCaches {
     }
 }
 
-/// The payloads of one batch's sequence-rewritten replicas, back to
-/// back in one buffer (see the module docs).
-#[derive(Debug, Default)]
+/// Most slabs the data plane keeps. A slab waits for its slowest replica,
+/// which can sit out a constrained receiver's full downlink queue (most of
+/// a second), and a pool that kept every slab that long would hold tens of
+/// MB of buffers that are mostly free. Past this many, the oldest slab is
+/// let go of and freed by its last reader, and a new one is made.
+const SLAB_POOL_LIMIT: usize = 128;
+
+/// The payloads of one batch's rewritten replicas, back to back in one
+/// buffer from a pool (see the module docs).
+#[derive(Debug)]
 pub(crate) struct ReplicaSlab {
+    /// This batch's slab while it is written: the vector of `slab`, moved
+    /// out of it so that each replica is a plain append.
     buf: Vec<u8>,
+    /// The pooled buffer `buf` belongs to, taken from `pool` at the
+    /// batch's first write and handed `buf` back when the batch ends.
+    slab: Option<Bytes>,
     /// `(index into the batch's forwards, offset, length)` of each
     /// replica in `buf`, turned into views when the batch ends. `u32`:
-    /// a `Bytes` holds under 4 GiB, and freezing a larger slab panics.
+    /// a `Bytes` holds under 4 GiB, and a larger slab panics.
     fixups: Vec<(u32, u32, u32)>,
-    /// The previous batch's slab, kept to take its allocation back.
-    frozen: Option<Bytes>,
+    /// Earlier batches' slabs, each refilled once no view of it is left.
+    pool: BufPool,
     /// Bytes the previous slab held: what a fresh one reserves up front.
     last_len: usize,
 }
 
-impl ReplicaSlab {
-    /// Start a batch: reuse the previous slab's allocation when no view
-    /// of it is left.
-    pub(crate) fn begin_batch(&mut self) {
-        if let Some(prev) = self.frozen.take() {
-            if prev.is_unique() {
-                self.buf = prev.into();
-                self.buf.clear();
-            }
+impl Default for ReplicaSlab {
+    fn default() -> ReplicaSlab {
+        ReplicaSlab {
+            buf: Vec::new(),
+            slab: None,
+            fixups: Vec::new(),
+            pool: BufPool::new(SLAB_POOL_LIMIT),
+            last_len: 0,
         }
     }
+}
 
+impl ReplicaSlab {
     /// Append a copy of `payload` carrying sequence number `seq`, for the
     /// forward that is about to be pushed at index `forward`. `false`
     /// (nothing appended) when `payload` is too short to be RTP.
     pub(crate) fn push(&mut self, payload: &[u8], seq: u16, forward: usize) -> bool {
-        if self.buf.capacity() == 0 {
-            self.buf.reserve(self.last_len.max(payload.len()));
+        self.push_with(forward, |buf| {
+            let off = buf.len();
+            buf.extend_from_slice(payload);
+            rtp::set_sequence_number(&mut buf[off..], seq).is_ok()
+        })
+    }
+
+    /// Append what `write` appends, as the payload of the forward about to
+    /// be pushed at index `forward`; `write` returning `false` withdraws
+    /// it (and the forward keeps the payload it has).
+    pub(crate) fn push_with(
+        &mut self,
+        forward: usize,
+        write: impl FnOnce(&mut Vec<u8>) -> bool,
+    ) -> bool {
+        if self.slab.is_none() {
+            let mut slab = self.pool.take();
+            slab.edit(|v| {
+                v.clear();
+                std::mem::swap(v, &mut self.buf);
+            });
+            self.buf.reserve(self.last_len);
+            self.slab = Some(slab);
         }
         let off = self.buf.len();
-        self.buf.extend_from_slice(payload);
-        if rtp::set_sequence_number(&mut self.buf[off..], seq).is_err() {
+        if !write(&mut self.buf) {
             self.buf.truncate(off);
             return false;
         }
         self.fixups
-            .push((forward as u32, off as u32, payload.len() as u32));
+            .push((forward as u32, off as u32, (self.buf.len() - off) as u32));
         true
     }
 
-    /// End a batch: freeze the buffer and hand each rewritten replica
-    /// in `forwards` its view.
+    /// End a batch: hand each rewritten replica in `forwards` its view of
+    /// the slab, and keep the slab for a later batch.
     pub(crate) fn end_batch(&mut self, forwards: &mut [Packet]) {
-        if self.fixups.is_empty() {
+        let Some(mut slab) = self.slab.take() else {
             return;
-        }
+        };
         self.last_len = self.buf.len();
-        let slab = Bytes::from(std::mem::take(&mut self.buf));
+        slab.edit(|v| std::mem::swap(v, &mut self.buf));
         for (forward, off, len) in self.fixups.drain(..) {
             forwards[forward as usize].payload = slab.slice(off as usize..(off + len) as usize);
         }
-        self.frozen = Some(slab);
+        self.pool.put(slab);
     }
 }
 

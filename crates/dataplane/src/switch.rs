@@ -30,6 +30,7 @@ use bytes::Bytes;
 use scallop_netsim::packet::Packet;
 use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
 use scallop_proto::demux::PacketClass;
+use scallop_proto::rtcp::{self, RtcpRef};
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
@@ -291,7 +292,6 @@ impl ScallopDataPlane {
         parsed.extend(pkts.iter().map(|p| parser::parse(&p.payload)));
         // Stage 2: match/replicate; the memo starts every call cold.
         caches.begin_batch();
-        self.slab.begin_batch();
         stats.batches += 1;
         stats.batch_pkts += pkts.len() as u64;
         for (i, (pkt, p)) in pkts.iter().zip(parsed.iter()).enumerate() {
@@ -421,39 +421,29 @@ impl ScallopDataPlane {
             }
         };
         self.punt(pkt, sink);
-        let is_rr_remb = pt == scallop_proto::rtcp::PT_RR;
+        let is_rr_remb = pt == rtcp::PT_RR;
         if is_rr_remb && !remb_allowed {
             self.counters.remb_filtered += 1;
             return;
         }
-        let mut fwd = pkt.readdressed(forward_src, sender_addr);
         // NACKs from rate-adapted receivers carry *rewritten* sequence
         // numbers; shift each packet-id by the stream's current offset so
         // the sender can locate the originals in its history (one
-        // register read per NACK — the Fig. 12 offset).
-        if pt == scallop_proto::rtcp::PT_RTPFB {
+        // register read per NACK — the Fig. 12 offset). The shifted
+        // compound is written into the batch's slab, like a rewritten
+        // replica; one that does not parse is forwarded as it came.
+        if pt == rtcp::PT_RTPFB {
             if let Some(idx) = rewrite_index {
                 let offset = self.tracker.offset_of(idx as usize);
                 if offset != 0 {
-                    if let Ok(pkts) = scallop_proto::rtcp::parse_compound(&fwd.payload) {
-                        let mapped: Vec<scallop_proto::rtcp::RtcpPacket> = pkts
-                            .into_iter()
-                            .map(|p| match p {
-                                scallop_proto::rtcp::RtcpPacket::Nack(mut n) => {
-                                    for e in &mut n.entries {
-                                        e.0 = e.0.wrapping_add(offset);
-                                    }
-                                    scallop_proto::rtcp::RtcpPacket::Nack(n)
-                                }
-                                other => other,
-                            })
-                            .collect();
-                        fwd.payload = scallop_proto::rtcp::serialize_compound(&mapped).into();
-                    }
+                    self.slab.push_with(sink.forwards.len(), |buf| {
+                        shift_nacks(&pkt.payload, offset, buf)
+                    });
                 }
             }
         }
-        sink.forwards.push(fwd);
+        sink.forwards
+            .push(pkt.readdressed(forward_src, sender_addr));
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
     }
@@ -659,6 +649,31 @@ impl ScallopDataPlane {
         }
         sink.forwards.push(fwd);
     }
+}
+
+/// Append `compound` with every NACK packet id shifted by `offset`, each
+/// packet re-encoded as `rtcp::serialize` would; `false` when the
+/// compound does not parse.
+fn shift_nacks(compound: &[u8], offset: u16, out: &mut Vec<u8>) -> bool {
+    let Ok(pkts) = rtcp::read_compound(compound) else {
+        return false;
+    };
+    for p in pkts {
+        match p {
+            RtcpRef::Nack {
+                sender_ssrc,
+                media_ssrc,
+                entries,
+            } => rtcp::write_nack(
+                out,
+                sender_ssrc,
+                media_ssrc,
+                entries.map(|(pid, blp)| (pid.wrapping_add(offset), blp)),
+            ),
+            other => other.write_into(out),
+        }
+    }
+    true
 }
 
 /// Where the pipeline's outputs land while packet `index` of the batch
@@ -870,6 +885,61 @@ mod tests {
         }
         // P3 received 4 packets (T0,T1,T0,T1) renumbered contiguously.
         assert_eq!(p3_seqs, vec![0, 1, 2, 3]);
+    }
+
+    /// A NACK from a rate-adapted receiver names rewritten numbers; the
+    /// sender gets them shifted back by the stream's offset, every packet
+    /// of the compound re-encoded, and a compound that does not parse as
+    /// it came.
+    #[test]
+    fn nacks_of_a_rewritten_stream_reach_the_sender_in_original_numbers() {
+        let mut dp = three_party_dp(1, true);
+        let mut pz = Packetizer::new(0xAA, 96, 1200);
+        for (i, tpl) in [1u8, 3, 2, 4, 1, 3, 2].iter().enumerate() {
+            let pkts = video_frame_packets(&mut pz, i as u16, *tpl, false, 500);
+            process(
+                &mut dp,
+                &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+            );
+        }
+        let offset = dp.tracker.offset_of(7);
+        assert_ne!(offset, 0, "T2 frames were suppressed");
+        dp.install_port_rule(
+            1003,
+            PortRule::ReceiverFeedback {
+                sender_addr: addr(1, 4000),
+                forward_src: sfu(10),
+                remb_allowed: false,
+                rewrite_index: Some(7),
+            },
+        )
+        .unwrap();
+        let pli = RtcpPacket::Pli(Pli {
+            sender_ssrc: 3,
+            media_ssrc: 0xAA,
+        });
+        let nack = |pid: u16| {
+            RtcpPacket::Nack(rtcp::Nack {
+                sender_ssrc: 3,
+                media_ssrc: 0xAA,
+                entries: vec![(pid, 0b101)],
+            })
+        };
+        let sent = rtcp::serialize_compound(&[nack(1), pli.clone()]);
+        let out = process(&mut dp, &Packet::new(addr(3, 5000), sfu(1003), sent));
+        assert_eq!(out.forwards.len(), 1);
+        assert_eq!(out.forwards[0].dst, addr(1, 4000));
+        assert_eq!(
+            out.forwards[0].payload,
+            rtcp::serialize_compound(&[nack(1 + offset), pli])
+        );
+        let mut broken = rtcp::serialize(&nack(1));
+        broken.extend_from_slice(&[0x80, 204, 0, 0]);
+        let out = process(
+            &mut dp,
+            &Packet::new(addr(3, 5000), sfu(1003), broken.clone()),
+        );
+        assert_eq!(out.forwards[0].payload, broken);
     }
 
     #[test]

@@ -402,11 +402,12 @@ impl Decoder {
         self.advance(now, events);
     }
 
-    /// Missing sequence numbers ready to be NACKed (respecting the
-    /// reordering grace period, retry limit, and retry spacing). Marks
-    /// them as NACKed.
-    pub fn take_nack_requests(&mut self, now: SimTime) -> Vec<u16> {
-        let mut out = Vec::new();
+    /// Append to `out` the missing sequence numbers ready to be NACKed
+    /// (respecting the reordering grace period, retry limit, and retry
+    /// spacing), and mark them as NACKed. A receiver that keeps one
+    /// vector for it allocates nothing per poll.
+    pub fn take_nack_requests(&mut self, now: SimTime, out: &mut Vec<u16>) {
+        let before = out.len();
         for (&seq, m) in self.missing.iter_mut() {
             let age = now.saturating_since(m.noticed_at);
             if age < self.cfg.nack_delay || m.nacks >= self.cfg.max_nacks {
@@ -421,8 +422,7 @@ impl Decoder {
             m.last_nack_at = Some(now);
             out.push((seq & 0xFFFF) as u16);
         }
-        self.stats.nacks_sent += out.len() as u64;
-        out
+        self.stats.nacks_sent += (out.len() - before) as u64;
     }
 
     /// Decoded frame rate over the trailing `window` ending at `now`.
@@ -681,7 +681,9 @@ mod tests {
         assert_eq!(decoded.len(), 12);
         assert!(decoded.iter().all(|&t| t <= 1));
         assert_eq!(dec.stats.freezes, 0);
-        assert!(dec.take_nack_requests(SimTime::from_secs(10)).is_empty());
+        let mut nacks = Vec::new();
+        dec.take_nack_requests(SimTime::from_secs(10), &mut nacks);
+        assert!(nacks.is_empty());
     }
 
     #[test]
@@ -696,7 +698,8 @@ mod tests {
             t = SimTime::from_millis(10 * i as u64);
             dec.on_packet(t, p);
         }
-        let nacks = dec.take_nack_requests(t + SimDuration::from_millis(50));
+        let mut nacks = Vec::new();
+        dec.take_nack_requests(t + SimDuration::from_millis(50), &mut nacks);
         assert_eq!(nacks, vec![pkts[5].sequence_number]);
         // Retransmission fills the gap; decoding completes.
         dec.on_packet(t + SimDuration::from_millis(60), &pkts[5]);
@@ -718,11 +721,12 @@ mod tests {
             }
             dec.on_packet(SimTime::from_millis(5 * i as u64), p);
         }
-        let mut total = 0;
+        let mut nacks = Vec::new();
         for k in 1..20u64 {
-            total += dec.take_nack_requests(SimTime::from_millis(100 * k)).len();
+            dec.take_nack_requests(SimTime::from_millis(100 * k), &mut nacks);
         }
-        assert_eq!(total, 3, "max_nacks must cap retries");
+        assert_eq!(nacks.len(), 3, "max_nacks must cap retries");
+        assert_eq!(dec.stats.nacks_sent, 3);
     }
 
     #[test]
@@ -864,7 +868,9 @@ mod tests {
         }
         assert_eq!(dec.stats.frames_decoded, 6);
         // The gap was filled before the NACK delay elapsed.
-        assert!(dec.take_nack_requests(SimTime::from_millis(500)).is_empty());
+        let mut nacks = Vec::new();
+        dec.take_nack_requests(SimTime::from_millis(500), &mut nacks);
+        assert!(nacks.is_empty());
         assert_eq!(dec.stats.freezes, 0);
     }
 }

@@ -110,19 +110,32 @@ impl Packetizer {
         out
     }
 
-    /// Packetize one frame straight to the wire: the datagrams are
-    /// appended to `out`, each a view of one buffer that holds the whole
-    /// frame, so a frame costs one buffer however many packets it spans.
-    pub fn packetize_wire(&mut self, frame: &EncodedFrame, out: &mut Vec<Bytes>) {
+    /// Packetize one frame straight to the wire: the datagrams are laid
+    /// out back to back in `buf` and appended to `out`, each a view of it,
+    /// so a frame costs one buffer however many packets it spans. `buf` is
+    /// refilled in place when no other handle holds it ([`Bytes::edit`]),
+    /// so a sender that hands back the buffer of a frame nobody reads any
+    /// more allocates nothing.
+    pub fn packetize_wire(&mut self, frame: &EncodedFrame, buf: &mut Bytes, out: &mut Vec<Bytes>) {
         let mut ends = std::mem::take(&mut self.ends);
-        let mut buf =
-            Vec::with_capacity(frame.size_bytes + self.packets_in(frame) * WIRE_HEADER_RESERVE);
-        self.for_each_packet(frame, |header, payload_len| {
-            header.serialize_into(&mut buf);
-            buf.resize(buf.len() + payload_len, 0);
-            ends.push(buf.len());
+        buf.edit(|buf| {
+            let need = frame.size_bytes + self.packets_in(frame) * WIRE_HEADER_RESERVE;
+            buf.clear();
+            // A refilled buffer too small for this frame, or much larger
+            // (it held a key frame, or the bitrate has fallen since), is
+            // swapped for a new one — allocated, not grown, so nothing is
+            // copied — with 1/16 to spare, as frame sizes wander by a few
+            // bytes. Cutting large ones down keeps every buffer the
+            // history holds from staying at the largest frame it carried.
+            if buf.capacity() < need || buf.capacity() > need + need / 2 {
+                *buf = Vec::with_capacity(need + need / 16);
+            }
+            self.for_each_packet(frame, |header, payload_len| {
+                header.serialize_into(buf);
+                buf.resize(buf.len() + payload_len, 0);
+                ends.push(buf.len());
+            });
         });
-        let buf = Bytes::from(buf);
         let mut from = 0;
         for to in ends.drain(..) {
             out.push(buf.slice(from..to));
@@ -239,13 +252,14 @@ mod tests {
         let mut owned = Packetizer::new(0xAB, 96, DEFAULT_MTU);
         let mut wire = Packetizer::new(0xAB, 96, DEFAULT_MTU);
         let mut out = Vec::new();
+        let mut buf = Bytes::new();
         for (n, (size, key)) in [(5000, true), (1, false), (2400, false)]
             .into_iter()
             .enumerate()
         {
             let f = frame(size, key, if key { 0 } else { 3 }, n as u16);
             out.clear();
-            wire.packetize_wire(&f, &mut out);
+            wire.packetize_wire(&f, &mut buf, &mut out);
             let pkts = owned.packetize(&f);
             assert_eq!(out.len(), pkts.len());
             for (w, p) in out.iter().zip(&pkts) {

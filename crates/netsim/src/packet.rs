@@ -7,6 +7,7 @@
 //! counters, matching how the paper reports on-the-wire byte volumes.
 
 use bytes::Bytes;
+use std::collections::VecDeque;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -105,6 +106,67 @@ impl fmt::Display for Packet {
     }
 }
 
+/// Payload buffers recycled once nothing else holds them.
+///
+/// A node that emits a steady stream of packets builds each payload with
+/// [`BufPool::build`] instead of a fresh vector. The pool keeps one handle
+/// per buffer, oldest first; once every copy of an old packet has been
+/// delivered and dropped, the pool's handle is the last one and the
+/// buffer — allocation and reference count — is refilled in place
+/// ([`Bytes::edit`]). Only the oldest buffer is looked at: one node's
+/// packets of one kind die in about the order they were made, so a pool
+/// that finds its oldest buffer still in flight grows by one and, once it
+/// holds as many buffers as that node has packets in flight, stops
+/// growing. Past its limit the oldest buffer is let go of instead, and
+/// freed by whatever still holds it. The ring of handles is allocated
+/// whole when the pool is made, so the only allocations a pool makes
+/// afterwards are the buffers it hands out. Nothing here changes a byte
+/// on the wire.
+#[derive(Debug, Clone)]
+pub struct BufPool {
+    ring: VecDeque<Bytes>,
+    limit: usize,
+}
+
+impl BufPool {
+    /// A pool that keeps at most `limit` buffers: as many as its node can
+    /// have in flight at once, or a bound on what is worth keeping.
+    pub fn new(limit: usize) -> BufPool {
+        BufPool {
+            ring: VecDeque::with_capacity(limit),
+            limit,
+        }
+    }
+
+    /// A payload holding what `fill` appends to an empty vector.
+    pub fn build(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        let mut buf = self.take();
+        buf.edit(|v| {
+            v.clear();
+            fill(v);
+        });
+        self.put(buf.clone());
+        buf
+    }
+
+    /// The oldest buffer when nothing else holds it, else an empty new
+    /// one; hand it back with [`Self::put`] once filled.
+    pub fn take(&mut self) -> Bytes {
+        if self.ring.front().is_some_and(Bytes::is_unique) {
+            return self.ring.pop_front().unwrap_or_default();
+        }
+        if self.ring.len() >= self.limit {
+            self.ring.pop_front();
+        }
+        Bytes::new()
+    }
+
+    /// Keep `buf`, to refill it once every other handle on it is gone.
+    pub fn put(&mut self, buf: Bytes) {
+        self.ring.push_back(buf);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +192,38 @@ mod tests {
         assert_eq!(q.dst, addr(3, 3000));
         // Bytes clones are reference-counted views of the same allocation.
         assert_eq!(q.payload.as_ptr(), p.payload.as_ptr());
+    }
+
+    #[test]
+    fn a_pool_refills_its_oldest_buffer_once_every_copy_is_gone() {
+        let mut pool = BufPool::new(4);
+        let a = pool.build(|v| v.extend_from_slice(b"first"));
+        let in_flight = Packet::new(addr(1, 1), addr(2, 2), a.clone());
+        let ptr = a.as_ptr();
+        drop(a);
+        // Still carried by a packet: a second buffer is made.
+        let b = pool.build(|v| v.extend_from_slice(b"second"));
+        assert_ne!(b.as_ptr(), ptr);
+        assert_eq!(in_flight.payload, b"first"[..]);
+        drop((in_flight, b));
+        // Delivered: the oldest buffer is refilled in place, then the next.
+        let c = pool.build(|v| v.extend_from_slice(b"third"));
+        assert_eq!(c.as_ptr(), ptr);
+        assert_eq!(c, b"third"[..]);
+        assert_eq!(pool.ring.len(), 2);
+    }
+
+    #[test]
+    fn a_pool_lets_go_of_buffers_held_for_good() {
+        const LIMIT: usize = 16;
+        let mut pool = BufPool::new(LIMIT);
+        let capacity = pool.ring.capacity();
+        let kept: Vec<Bytes> = (0..LIMIT + 10)
+            .map(|i| pool.build(|v| v.push(i as u8)))
+            .collect();
+        assert_eq!(pool.ring.len(), LIMIT);
+        assert_eq!(pool.ring.capacity(), capacity, "the ring never grew");
+        assert_eq!(kept[LIMIT + 9], [(LIMIT + 9) as u8][..]);
     }
 
     #[test]

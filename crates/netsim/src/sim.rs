@@ -16,6 +16,16 @@
 //! ring of sorted 8 µs buckets over one slab, a binary heap only for
 //! events more than 67 ms out); [`Simulator::step`] and
 //! [`Simulator::run_until`] are both one `pop_until(deadline)` on it.
+//!
+//! **A hop neither searches nor allocates.** A sent packet's destination
+//! address is resolved in an open-addressed table keyed by the `u32`
+//! address under a fixed multiplicative hash and kept at most a quarter
+//! full, so a lookup is a probe or two, never a search; the fail-stop
+//! flags every hop checks sit in one dense vector beside the nodes; the
+//! links are O(1); and the events, the node's outbox and its timer list
+//! reuse storage that has stopped growing. What a packet costs beyond
+//! that is its payload, which the nodes build in recycled buffers
+//! (`packet::BufPool`).
 
 use crate::link::{Link, LinkConfig, LinkVerdict};
 use crate::packet::Packet;
@@ -108,35 +118,72 @@ enum EventKind {
 }
 
 struct NodeSlot {
-    node: Option<Box<dyn Node>>,
+    node: Box<dyn Node>,
     uplink: Link,
     downlink: Link,
-    /// Fail-stopped by [`Simulator::kill_node`]: every event addressed
-    /// to this node is discarded at pop time until a revive.
-    dead: bool,
 }
 
-/// IPv4 address -> owning node, sorted by address: every transmit
-/// resolves its destination here, so the lookup is a binary search over
-/// one dense array rather than a SipHash probe.
+/// IPv4 address -> owning node. Every transmit resolves its destination
+/// here, so a lookup is one fixed multiplicative hash of the address and,
+/// with the table at most a quarter full, a probe or two of linear open
+/// addressing over one power-of-two array: no search and no allocation.
+/// A slot is `(address, node index + 1)`, 0 marking it empty, so every
+/// address — `0.0.0.0` included — can be a key.
 #[derive(Default)]
-struct RouteTable(Vec<(u32, NodeId)>);
+struct RouteTable {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+    /// `32 - log2(slots.len())`: the product's top bits pick the slot.
+    shift: u32,
+}
 
 impl RouteTable {
+    /// ⌊2³² / φ⌋ (Fibonacci hashing): consecutive addresses, which is how
+    /// topologies hand them out, land far apart.
+    const HASH: u32 = 0x9E37_79B9;
+    const MIN_SLOTS: usize = 16;
+
+    /// The slot holding `key`, or the empty one where it would go.
+    fn slot(&self, key: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(Self::HASH) >> self.shift) as usize;
+        while self.slots[i].1 != 0 && self.slots[i].0 != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
     fn get(&self, ip: Ipv4Addr) -> Option<NodeId> {
-        let key = u32::from(ip);
-        self.0
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| self.0[i].1)
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (_, node) = self.slots[self.slot(u32::from(ip))];
+        node.checked_sub(1).map(|n| NodeId(n as usize))
     }
 
     /// Panics when `ip` already has an owner.
     fn insert(&mut self, ip: Ipv4Addr, node: NodeId) {
-        let key = u32::from(ip);
-        match self.0.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(_) => panic!("IP {ip} already owned by another node"),
-            Err(i) => self.0.insert(i, (key, node)),
+        if (self.len + 1) * 4 > self.slots.len() {
+            self.grow();
+        }
+        let i = self.slot(u32::from(ip));
+        assert!(
+            self.slots[i].1 == 0,
+            "IP {ip} already owned by another node"
+        );
+        let node = u32::try_from(node.0 + 1).expect("fewer than 2^32 nodes");
+        self.slots[i] = (u32::from(ip), node);
+        self.len += 1;
+    }
+
+    /// Double the table (rehashing every route) to keep it a quarter full.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); slots]);
+        self.shift = 32 - slots.trailing_zeros();
+        for (key, node) in old.into_iter().filter(|&(_, node)| node != 0) {
+            let i = self.slot(key);
+            self.slots[i] = (key, node);
         }
     }
 }
@@ -160,6 +207,11 @@ pub struct SimStats {
 /// The discrete-event simulator.
 pub struct Simulator {
     nodes: Vec<NodeSlot>,
+    /// Per node: fail-stopped by [`Simulator::kill_node`], so every event
+    /// addressed to it is discarded at pop time until a revive. Kept apart
+    /// from the node slots, each two links wide, because every transmit
+    /// reads the destination's flag and nothing else of its slot.
+    dead: Vec<bool>,
     routes: RouteTable,
     /// Pending events, popped in `(at, push order)` order.
     queue: CalendarQueue<EventKind>,
@@ -185,6 +237,7 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
+            dead: Vec::new(),
             routes: RouteTable::default(),
             queue: CalendarQueue::new(),
             now: SimTime::ZERO,
@@ -223,11 +276,11 @@ impl Simulator {
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(NodeSlot {
-            node: Some(node),
+            node,
             uplink: Link::new(uplink),
             downlink: Link::new(downlink),
-            dead: false,
         });
+        self.dead.push(false);
         for ip in ips {
             self.routes.insert(*ip, id);
         }
@@ -249,8 +302,7 @@ impl Simulator {
     /// the id is invalid; returns `None` on type mismatch.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
         let slot = self.nodes.get_mut(id.0).expect("invalid NodeId");
-        let node = slot.node.as_mut().expect("node is being invoked");
-        (node.as_mut() as &mut dyn Any).downcast_mut::<T>()
+        (slot.node.as_mut() as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Mutable access to a node's uplink (for mid-run impairment changes).
@@ -271,7 +323,7 @@ impl Simulator {
     /// event-for-event identical to one built without this API: the
     /// check is a flag read, with no RNG draws and no re-ordering.
     pub fn kill_node(&mut self, id: NodeId) {
-        self.nodes[id.0].dead = true;
+        self.dead[id.0] = true;
     }
 
     /// Undo [`Simulator::kill_node`]: the node receives traffic again.
@@ -281,12 +333,12 @@ impl Simulator {
     /// nodes (e.g. relays); stateful switches need control-plane
     /// re-admission on top.
     pub fn revive_node(&mut self, id: NodeId) {
-        self.nodes[id.0].dead = false;
+        self.dead[id.0] = false;
     }
 
     /// Whether `id` is currently fail-stopped.
     pub fn node_is_dead(&self, id: NodeId) -> bool {
-        self.nodes[id.0].dead
+        self.dead[id.0]
     }
 
     /// Cut the (bidirectional) path between two nodes: packets offered
@@ -332,7 +384,7 @@ impl Simulator {
     /// fail-stop injection (dead destination, cut pair, or partition
     /// boundary crossing).
     fn failstopped(&self, src: NodeId, dst: NodeId) -> bool {
-        self.nodes[dst.0].dead
+        self.dead[dst.0]
             || (!self.cuts.is_empty() && self.cuts.contains(&Self::pair_key(src, dst)))
             || (!self.partitioned.is_empty()
                 && self.partitioned.contains(&src.0) != self.partitioned.contains(&dst.0))
@@ -355,36 +407,30 @@ impl Simulator {
         self.queue.push(at, EventKind::Timer { node, token });
     }
 
-    /// Run node code with a context, then process its side effects.
+    /// Run node code with a context, then process its side effects. The
+    /// node is called where it sits, lent the RNG and the timer list
+    /// beside it; only the outbox is moved out, because transmitting it
+    /// needs the whole simulator.
     fn invoke<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut Box<dyn Node>, &mut Ctx<'_>),
     {
-        let mut node = self.nodes[id.0]
-            .node
-            .take()
-            .expect("re-entrant node invocation");
         let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timers = std::mem::take(&mut self.timers);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: id,
-                rng: &mut self.rng,
-                outbox: &mut outbox,
-                timers: &mut timers,
-            };
-            f(&mut node, &mut ctx);
-        }
-        self.nodes[id.0].node = Some(node);
-        for (at, token) in timers.drain(..) {
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: id,
+            rng: &mut self.rng,
+            outbox: &mut outbox,
+            timers: &mut self.timers,
+        };
+        f(&mut self.nodes[id.0].node, &mut ctx);
+        for (at, token) in self.timers.drain(..) {
             self.queue.push(at, EventKind::Timer { node: id, token });
         }
         for pkt in outbox.drain(..) {
             self.transmit(id, pkt);
         }
         self.outbox = outbox;
-        self.timers = timers;
     }
 
     /// Route a packet out of `src_node` through its uplink.
@@ -449,13 +495,13 @@ impl Simulator {
         self.stats.events += 1;
         match ev.item {
             EventKind::Timer { node, token } => {
-                if self.nodes[node.0].dead {
+                if self.dead[node.0] {
                     return true;
                 }
                 self.invoke(node, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::DownlinkAdmit { dst, pkt } => {
-                if self.nodes[dst.0].dead {
+                if self.dead[dst.0] {
                     self.stats.packets_failstopped += 1;
                     return true;
                 }
@@ -490,7 +536,7 @@ impl Simulator {
                 }
             }
             EventKind::Deliver { dst, pkt } => {
-                if self.nodes[dst.0].dead {
+                if self.dead[dst.0] {
                     self.stats.packets_failstopped += 1;
                     return true;
                 }
@@ -952,6 +998,70 @@ mod tests {
             (p.echoes.clone(), sim.stats.events)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    mod route_table {
+        use super::super::RouteTable;
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random insert/lookup histories over up to 1 000 addresses
+            /// (drawn from a narrow range half the time, so that lookups
+            /// hit and probe chains collide) against a `BTreeMap`: the
+            /// same answers, a panic on every duplicate insert, and `None`
+            /// for the two extreme addresses while nobody owns them.
+            #[test]
+            fn answers_like_a_btree_map(
+                pool in prop::collection::vec(any::<u32>(), 1..1_000),
+                narrow in any::<bool>(),
+                ops in prop::collection::vec((0u8..4, any::<prop::sample::Index>()), 0..3_000),
+            ) {
+                let addr = |i: &prop::sample::Index| {
+                    let raw = pool[i.index(pool.len())];
+                    if narrow { raw % 2_048 } else { raw }
+                };
+                let mut table = RouteTable::default();
+                let mut oracle = BTreeMap::new();
+                for (n, (op, i)) in ops.iter().enumerate() {
+                    let key = addr(i);
+                    let ip = Ipv4Addr::from(key);
+                    // One operation in four inserts; the rest look up.
+                    if *op == 0 {
+                        let node = NodeId(n);
+                        let duplicate = oracle.contains_key(&key);
+                        let r = catch_unwind(AssertUnwindSafe(|| table.insert(ip, node)));
+                        prop_assert_eq!(r.is_err(), duplicate);
+                        oracle.entry(key).or_insert(node);
+                    }
+                    prop_assert_eq!(table.get(ip), oracle.get(&key).copied());
+                    prop_assert!(table.len * 4 <= table.slots.len());
+                }
+                for key in [0, u32::MAX] {
+                    prop_assert_eq!(table.get(Ipv4Addr::from(key)), oracle.get(&key).copied());
+                }
+                for (&key, &node) in &oracle {
+                    prop_assert_eq!(table.get(Ipv4Addr::from(key)), Some(node));
+                }
+            }
+        }
+
+        #[test]
+        fn an_empty_table_owns_nothing() {
+            let mut table = RouteTable::default();
+            for key in [0, 1, u32::MAX] {
+                assert_eq!(table.get(Ipv4Addr::from(key)), None);
+            }
+            table.insert(Ipv4Addr::new(10, 0, 0, 1), NodeId(0));
+            assert_eq!(table.get(Ipv4Addr::UNSPECIFIED), None);
+            assert_eq!(table.get(Ipv4Addr::BROADCAST), None);
+            table.insert(Ipv4Addr::UNSPECIFIED, NodeId(7));
+            assert_eq!(table.get(Ipv4Addr::UNSPECIFIED), Some(NodeId(7)));
+        }
     }
 
     #[test]

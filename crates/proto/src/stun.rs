@@ -96,14 +96,8 @@ impl StunMessage {
 
     /// Append an XOR-MAPPED-ADDRESS attribute (IPv4).
     pub fn set_xor_mapped_address(&mut self, ip: Ipv4Addr, port: u16) {
-        let xport = port ^ (MAGIC_COOKIE >> 16) as u16;
-        let xip = u32::from(ip) ^ MAGIC_COOKIE;
-        let mut v = Vec::with_capacity(8);
-        v.push(0); // reserved
-        v.push(0x01); // family: IPv4
-        v.extend_from_slice(&xport.to_be_bytes());
-        v.extend_from_slice(&xip.to_be_bytes());
-        self.attributes.push((ATTR_XOR_MAPPED_ADDRESS, v));
+        self.attributes
+            .push((ATTR_XOR_MAPPED_ADDRESS, xor_mapped_value(ip, port).to_vec()));
     }
 
     /// Decode the XOR-MAPPED-ADDRESS attribute.
@@ -128,23 +122,99 @@ impl StunMessage {
             .map(|(_, v)| 4 + v.len().div_ceil(4) * 4)
             .sum();
         let mut out = Vec::with_capacity(20 + attrs_len);
-        out.extend_from_slice(&self.msg_type.to_be_bytes());
-        out.extend_from_slice(&(attrs_len as u16).to_be_bytes());
-        out.extend_from_slice(&MAGIC_COOKIE.to_be_bytes());
-        out.extend_from_slice(&self.transaction_id);
-        for (ty, v) in &self.attributes {
-            out.extend_from_slice(&ty.to_be_bytes());
-            out.extend_from_slice(&(v.len() as u16).to_be_bytes());
-            out.extend_from_slice(v);
-            while out.len() % 4 != 0 {
-                out.push(0);
-            }
-        }
+        write_message(
+            &mut out,
+            self.msg_type,
+            self.transaction_id,
+            self.attributes.iter().map(|(ty, v)| (*ty, &v[..])),
+        );
         out
     }
 
     /// Parse from bytes.
     pub fn parse(buf: &[u8]) -> Result<StunMessage, ProtoError> {
+        let view = StunView::new(buf)?;
+        Ok(StunMessage {
+            msg_type: view.msg_type,
+            transaction_id: view.transaction_id,
+            attributes: view
+                .attributes()
+                .flatten()
+                .map(|(ty, v)| (ty, v.to_vec()))
+                .collect(),
+        })
+    }
+}
+
+/// The XOR-MAPPED-ADDRESS value (IPv4) reporting `ip:port`.
+fn xor_mapped_value(ip: Ipv4Addr, port: u16) -> [u8; 8] {
+    let xport = port ^ (MAGIC_COOKIE >> 16) as u16;
+    let xip = u32::from(ip) ^ MAGIC_COOKIE;
+    let mut v = [0u8; 8];
+    v[1] = 0x01; // family: IPv4 (byte 0 is reserved)
+    v[2..4].copy_from_slice(&xport.to_be_bytes());
+    v[4..8].copy_from_slice(&xip.to_be_bytes());
+    v
+}
+
+/// The one STUN encoder: append a message of `msg_type` with
+/// `attributes`, each padded to a 32-bit boundary.
+fn write_message<'v>(
+    out: &mut Vec<u8>,
+    msg_type: u16,
+    transaction_id: [u8; 12],
+    attributes: impl IntoIterator<Item = (u16, &'v [u8])>,
+) {
+    let start = out.len();
+    out.extend_from_slice(&msg_type.to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // length, known once the attributes are
+    out.extend_from_slice(&MAGIC_COOKIE.to_be_bytes());
+    out.extend_from_slice(&transaction_id);
+    for (ty, v) in attributes {
+        out.extend_from_slice(&ty.to_be_bytes());
+        out.extend_from_slice(&(v.len() as u16).to_be_bytes());
+        out.extend_from_slice(v);
+        while !(out.len() - start).is_multiple_of(4) {
+            out.push(0);
+        }
+    }
+    let attrs_len = (out.len() - start - 20) as u16;
+    out[start + 2..start + 4].copy_from_slice(&attrs_len.to_be_bytes());
+}
+
+/// Append a binding request — what [`StunMessage::binding_request`]
+/// serializes to.
+pub fn write_binding_request(out: &mut Vec<u8>, transaction_id: [u8; 12]) {
+    write_message(out, TYPE_BINDING_REQUEST, transaction_id, []);
+}
+
+/// Append a binding success response reporting `ip:port` — what
+/// [`StunMessage::binding_success`] serializes to.
+pub fn write_binding_success(out: &mut Vec<u8>, transaction_id: [u8; 12], ip: Ipv4Addr, port: u16) {
+    let value = xor_mapped_value(ip, port);
+    write_message(
+        out,
+        TYPE_BINDING_SUCCESS,
+        transaction_id,
+        [(ATTR_XOR_MAPPED_ADDRESS, &value[..])],
+    );
+}
+
+/// A STUN message read in place: the header fields, and the attributes
+/// borrowed from the wire. [`StunView::new`] accepts exactly what
+/// [`StunMessage::parse`] does, which is built on it.
+#[derive(Debug, Clone, Copy)]
+pub struct StunView<'a> {
+    /// Message type (method + class bits).
+    pub msg_type: u16,
+    /// 96-bit transaction id.
+    pub transaction_id: [u8; 12],
+    attrs: &'a [u8],
+}
+
+impl<'a> StunView<'a> {
+    /// Validate the header and every attribute of `buf`.
+    pub fn new(buf: &'a [u8]) -> Result<StunView<'a>, ProtoError> {
         need(buf, 20)?;
         if buf[0] & 0xC0 != 0 {
             return Err(ProtoError::BadMagic);
@@ -158,23 +228,47 @@ impl StunMessage {
         need(buf, 20 + len)?;
         let mut transaction_id = [0u8; 12];
         transaction_id.copy_from_slice(&buf[8..20]);
-        let mut attributes = Vec::new();
-        let mut rest = &buf[20..20 + len];
-        while !rest.is_empty() {
-            need(rest, 4)?;
-            let ty = u16::from_be_bytes([rest[0], rest[1]]);
-            let alen = u16::from_be_bytes([rest[2], rest[3]]) as usize;
-            need(&rest[4..], alen)?;
-            attributes.push((ty, rest[4..4 + alen].to_vec()));
-            // Attributes are padded to 32-bit boundaries; tolerate a
-            // missing final pad on the last attribute.
-            let padded = 4 + alen.div_ceil(4) * 4;
-            rest = &rest[padded.min(rest.len())..];
-        }
-        Ok(StunMessage {
+        let view = StunView {
             msg_type,
             transaction_id,
-            attributes,
+            attrs: &buf[20..20 + len],
+        };
+        view.attributes().try_for_each(|a| a.map(drop))?;
+        Ok(view)
+    }
+
+    /// True for binding requests.
+    pub fn is_request(&self) -> bool {
+        self.msg_type & 0x0110 == 0x0000
+    }
+
+    /// True for success responses.
+    pub fn is_success_response(&self) -> bool {
+        self.msg_type & 0x0110 == 0x0100
+    }
+
+    /// The `(type, value)` attributes in wire order. One that overruns
+    /// the message yields its error and ends the walk (never, for a view
+    /// [`Self::new`] accepted).
+    fn attributes(&self) -> impl Iterator<Item = Result<(u16, &'a [u8]), ProtoError>> {
+        let mut rest = self.attrs;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let attr = need(rest, 4).and_then(|()| {
+                let ty = u16::from_be_bytes([rest[0], rest[1]]);
+                let alen = u16::from_be_bytes([rest[2], rest[3]]) as usize;
+                need(&rest[4..], alen)?;
+                Ok((ty, &rest[4..4 + alen]))
+            });
+            rest = match attr {
+                // Attributes are padded to 32-bit boundaries; tolerate
+                // a missing final pad on the last attribute.
+                Ok((_, v)) => &rest[(4 + v.len().div_ceil(4) * 4).min(rest.len())..],
+                Err(_) => &[],
+            };
+            Some(attr)
         })
     }
 }
@@ -261,6 +355,26 @@ mod tests {
         bytes[22] = 0x00;
         bytes[23] = 0xFF;
         assert!(StunMessage::parse(&bytes).is_err());
+    }
+
+    /// The writers append exactly what the owned messages serialize to,
+    /// padding counted from where the message starts.
+    #[test]
+    fn writers_are_the_owned_messages_serialized() {
+        let mut out = vec![0xAA];
+        write_binding_request(&mut out, TID);
+        assert_eq!(out[1..], StunMessage::binding_request(TID).serialize()[..]);
+        let ip = Ipv4Addr::new(10, 3, 7, 1);
+        out.truncate(1);
+        write_binding_success(&mut out, TID, ip, 5000);
+        let resp = StunMessage::binding_success(TID, ip, 5000);
+        assert_eq!(out[1..], resp.serialize()[..]);
+        let view = StunView::new(&out[1..]).unwrap();
+        assert!(view.is_success_response() && !view.is_request());
+        assert_eq!(view.transaction_id, TID);
+        assert_eq!(view.msg_type, TYPE_BINDING_SUCCESS);
+        let req = StunMessage::binding_request(TID).serialize();
+        assert!(StunView::new(&req).unwrap().is_request());
     }
 
     #[test]

@@ -138,18 +138,18 @@ fn steady_state_bursts_allocate_a_constant_not_per_replica() {
     w.dp.process_batch(&burst, &mut w.out); // warm-up: sizes every arena
 
     // A caller that lets go of a burst's outputs before the next one (as
-    // `process_batch` does by clearing `out`) gets the slab back: what is
-    // left is the reference count of the frozen slab.
+    // `process_batch` does by clearing `out`) gets the slab back, its
+    // reference count included: nothing is allocated.
     for _ in 0..8 {
         let burst = w.next_burst();
         let n = allocs_in(|| w.dp.process_batch(&burst, &mut w.out));
         assert_eq!(w.out.forwards.len(), BURST * (PARTIES - 1));
-        assert!(n <= 2, "{n} allocations for one closed-loop burst");
+        assert_eq!(n, 0, "allocations for one closed-loop burst");
     }
 
     // A caller that keeps every output alive pins each burst's slab, so
     // each burst — one segment with rewritten replicas — needs a fresh
-    // one, reserved in one piece from the size of the last.
+    // one, reserved in one piece from the size of the last, and its count.
     let mut kept = Vec::new();
     for _ in 0..8 {
         let copies: Vec<Vec<u8>> = w.out.forwards.iter().map(|p| p.payload.to_vec()).collect();
