@@ -16,14 +16,22 @@ use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::rtcp::{self, SenderReport};
 use scallop_proto::rtp::{RtpPacket, MIN_HEADER_LEN};
 
-/// How many recently sent video packets are kept for retransmission.
-/// A power of two dividing 65 536, so that `seq % RETX_HISTORY` keeps
-/// cycling through the slots in order across the sequence-number wrap.
+/// How many recently sent video packets can be sent again. A power of
+/// two dividing 65 536, so that `seq % RETX_HISTORY` keeps cycling
+/// through the slots in order across the sequence-number wrap.
 const RETX_HISTORY: usize = 1024;
+
+/// Most frame buffers kept: two seconds of frames at 30 fps, more than a
+/// sender has in flight behind any downlink queue.
+const FRAME_POOL_LIMIT: usize = 64;
 
 /// Most audio buffers kept: more than a sender has in flight behind any
 /// downlink queue at one packet per 20 ms.
 const AUDIO_POOL_LIMIT: usize = 128;
+
+/// Most retransmission buffers kept: a NACK names at most a few frames'
+/// packets, and they are delivered within a round trip.
+const RETX_POOL_LIMIT: usize = 64;
 
 /// Sender-side statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,6 +52,68 @@ pub struct SenderStats {
     pub rembs_received: u64,
 }
 
+/// A packet the history can send again.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    seq: u16,
+    header_len: u16,
+    payload_len: u16,
+}
+
+/// The last [`RETX_HISTORY`] video packets, each kept as what it takes to
+/// write it again: its header and its payload length. The model carries
+/// no pixels — a payload is that many zeros (`scallop_media::packetizer`)
+/// — so header and zeros are the datagram that went out, byte for byte.
+/// The packet numbered `seq` is in slot `seq % RETX_HISTORY`; sequence
+/// numbers are consecutive, so each new packet overwrites the one sent
+/// `RETX_HISTORY` before it. Both arrays are allocated once, with the
+/// sender: nothing here holds a frame's buffer, or allocates per packet.
+#[derive(Debug)]
+struct RetxHistory {
+    /// Size of a header slot: the longest header the packetizer writes.
+    stride: usize,
+    /// Slot `i`'s header is the front of `headers[i * stride..][..stride]`.
+    headers: Box<[u8]>,
+    /// What each slot holds; `None` until a packet is sent into it.
+    sent: Box<[Option<Sent>]>,
+}
+
+impl RetxHistory {
+    fn new(stride: usize) -> Self {
+        RetxHistory {
+            stride,
+            headers: vec![0; RETX_HISTORY * stride].into_boxed_slice(),
+            sent: vec![None; RETX_HISTORY].into_boxed_slice(),
+        }
+    }
+
+    /// Keep packet `seq`, evicting the one `RETX_HISTORY` before it.
+    fn record(&mut self, seq: u16, header: &[u8], payload_len: usize) {
+        assert!(
+            header.len() <= self.stride,
+            "a {}-byte header overflows its {}-byte slot",
+            header.len(),
+            self.stride
+        );
+        let slot = seq as usize % RETX_HISTORY;
+        self.headers[slot * self.stride..][..header.len()].copy_from_slice(header);
+        self.sent[slot] = Some(Sent {
+            seq,
+            header_len: header.len() as u16,
+            // Payloads are at most the packetizer's MTU.
+            payload_len: u16::try_from(payload_len).expect("a payload within a datagram"),
+        });
+    }
+
+    /// Packet `seq`'s header and payload length, if it is still kept.
+    fn get(&self, seq: u16) -> Option<(&[u8], usize)> {
+        let slot = seq as usize % RETX_HISTORY;
+        let sent = self.sent[slot].filter(|s| s.seq == seq)?;
+        let header = &self.headers[slot * self.stride..][..usize::from(sent.header_len)];
+        Some((header, usize::from(sent.payload_len)))
+    }
+}
+
 /// A participant's media sender.
 #[derive(Debug)]
 pub struct MediaSender {
@@ -55,18 +125,15 @@ pub struct MediaSender {
     packetizer: Packetizer,
     audio: AudioSource,
     audio_seq: u16,
-    /// The last [`RETX_HISTORY`] video datagrams as they went out, the
-    /// one numbered `seq` in slot `seq % RETX_HISTORY`. Sequence numbers
-    /// are consecutive, so each new packet overwrites the one sent
-    /// `RETX_HISTORY` before it, and a retransmission is a slot read and
-    /// a reference-count bump.
-    history: Box<[Option<(u16, Bytes)>]>,
+    history: RetxHistory,
     /// The frame produced by the last [`Self::video_tick`].
     frame: Vec<Bytes>,
-    /// Buffers of the frames the history still holds packets of.
+    /// Buffers of the frames in flight.
     frame_pool: BufPool,
     /// Buffers of the audio packets in flight.
     audio_pool: BufPool,
+    /// Buffers of the retransmissions in flight.
+    retx_pool: BufPool,
     stats: SenderStats,
 }
 
@@ -78,18 +145,19 @@ impl MediaSender {
         video_cfg: EncoderConfig,
         audio_cfg: AudioConfig,
     ) -> Self {
+        let packetizer = Packetizer::new(video_ssrc, 96, DEFAULT_MTU);
         MediaSender {
             video_ssrc,
             audio_ssrc,
             encoder: VideoEncoder::new(video_cfg),
-            packetizer: Packetizer::new(video_ssrc, 96, DEFAULT_MTU),
+            history: RetxHistory::new(packetizer.max_header_len()),
+            packetizer,
             audio: AudioSource::new(audio_cfg),
             audio_seq: 0,
-            history: vec![None; RETX_HISTORY].into_boxed_slice(),
             frame: Vec::new(),
-            // Every frame spans at least one packet of the history.
-            frame_pool: BufPool::new(RETX_HISTORY),
+            frame_pool: BufPool::new(FRAME_POOL_LIMIT),
             audio_pool: BufPool::new(AUDIO_POOL_LIMIT),
+            retx_pool: BufPool::new(RETX_POOL_LIMIT),
             stats: SenderStats::default(),
         }
     }
@@ -105,12 +173,11 @@ impl MediaSender {
     }
 
     /// Capture/encode/packetize the video frame due at `now`: the
-    /// frame's datagrams in wire form, each serialized exactly once —
-    /// the history keeps the same bytes that go out.
+    /// frame's datagrams in wire form, each serialized exactly once into
+    /// one buffer, whose headers the history keeps.
     ///
     /// The frame is laid out in the buffer of an earlier frame once every
-    /// packet of that one has left the history (1 024 packets later, long
-    /// after its last copy was delivered).
+    /// packet of that one has been delivered and dropped.
     pub fn video_tick(&mut self, now: SimTime) -> &[Bytes] {
         let frame = self.encoder.produce(now);
         if frame.label.is_key {
@@ -119,14 +186,14 @@ impl MediaSender {
         let mut seq = self.packetizer.next_seq();
         let mut buf = self.frame_pool.take();
         self.frame.clear();
+        let history = &mut self.history;
         self.packetizer
-            .packetize_wire(&frame, &mut buf, &mut self.frame);
+            .packetize_wire(&frame, &mut buf, &mut self.frame, |header, payload_len| {
+                history.record(seq, header, payload_len);
+                seq = seq.wrapping_add(1);
+            });
         self.frame_pool.put(buf);
         self.stats.video_packets += self.frame.len() as u64;
-        for wire in &self.frame {
-            self.history[seq as usize % RETX_HISTORY] = Some((seq, wire.clone()));
-            seq = seq.wrapping_add(1);
-        }
         &self.frame
     }
 
@@ -146,19 +213,23 @@ impl MediaSender {
     }
 
     /// Serve a NACK: hand `resend` each datagram still in the history,
-    /// in the order `lost` asks for them.
+    /// written again into a pooled buffer, in the order `lost` asks for
+    /// them.
     pub fn handle_nack(
         &mut self,
         lost: impl IntoIterator<Item = u16>,
         mut resend: impl FnMut(Bytes),
     ) {
         for seq in lost {
-            if let Some((s, wire)) = &self.history[seq as usize % RETX_HISTORY] {
-                if *s == seq {
-                    resend(wire.clone());
-                    self.stats.retransmissions += 1;
-                }
-            }
+            let Some((header, payload_len)) = self.history.get(seq) else {
+                continue;
+            };
+            resend(self.retx_pool.build(|wire| {
+                wire.reserve(header.len() + payload_len);
+                wire.extend_from_slice(header);
+                wire.resize(header.len() + payload_len, 0);
+            }));
+            self.stats.retransmissions += 1;
         }
     }
 
@@ -337,9 +408,11 @@ mod tests {
         );
     }
 
-    /// Audio buffers and frame buffers are refilled once every copy of
-    /// what they carried is gone — and a frame buffer only once the
-    /// retransmission history has let go of every packet in it.
+    /// Audio and frame buffers are refilled as soon as every copy of what
+    /// they carried is gone: the history holds headers, not a frame's
+    /// buffer, so a frame delivered and dropped frees its buffer for the
+    /// next frame but one (the sender's own list of the last frame lets
+    /// go at the next tick).
     #[test]
     fn buffers_are_recycled_once_nothing_holds_them() {
         let mut s = sender();
@@ -350,19 +423,76 @@ mod tests {
         assert_eq!(second.as_ptr(), ptr);
         assert_eq!(parsed(&second).sequence_number, 1);
 
-        let frame_ptr = s.video_tick(SimTime::ZERO)[0].as_ptr();
         let mut t = SimTime::ZERO;
-        let mut reused_at = None;
-        for _ in 0..1_000 {
+        let mut tick = |s: &mut MediaSender| {
+            let wire = s.video_tick(t)[0].clone();
             t += s.video_interval();
-            let seq = s.packetizer.next_seq();
-            if s.video_tick(t)[0].as_ptr() == frame_ptr {
-                reused_at = Some(seq);
-                break;
-            }
+            wire
+        };
+        // Past the key frame and the smaller frames that repay it, frames
+        // fit each other's buffers.
+        for _ in 0..60 {
+            tick(&mut s);
         }
-        // Refilled once the first frame's last packet has been evicted.
-        let reused_at = reused_at.expect("the first frame buffer is refilled");
-        assert!(reused_at as usize >= RETX_HISTORY, "{reused_at}");
+        // One frame's first packet is still in flight through the next two.
+        let in_flight = tick(&mut s);
+        let frame_ptr = in_flight.as_ptr();
+        assert_ne!(tick(&mut s).as_ptr(), frame_ptr);
+        assert_ne!(tick(&mut s).as_ptr(), frame_ptr);
+        drop(in_flight);
+        // Delivered: the third frame after it is laid out in its buffer,
+        // not 1 024 packets later.
+        assert_eq!(tick(&mut s).as_ptr(), frame_ptr);
+    }
+
+    /// A retransmission is the first transmission byte for byte: a key
+    /// frame's first packet (36-byte header, template structure and all)
+    /// and a delta frame's packet (24-byte header), on both sides of the
+    /// sequence-number wrap.
+    #[test]
+    fn retransmissions_are_byte_identical_across_the_wrap() {
+        let mut s = sender();
+        s.packetizer.set_next_seq(u16::MAX - 1);
+        let mut sent: Vec<Bytes> = Vec::new();
+        let mut t = SimTime::ZERO;
+        while sent.len() < 40 {
+            sent.extend_from_slice(s.video_tick(t));
+            t += s.video_interval();
+        }
+        let header_len = |w: &Bytes| w.len() - parsed(w).payload.len();
+        assert_eq!(header_len(&sent[0]), 36, "the key frame's first packet");
+        assert_eq!(parsed(&sent[0]).sequence_number, u16::MAX - 1);
+        let delta = sent
+            .iter()
+            .position(|w| parsed(w).sequence_number < 100 && header_len(w) == 24)
+            .expect("a delta packet after the wrap");
+        let before = sent
+            .iter()
+            .position(|w| parsed(w).sequence_number == u16::MAX)
+            .expect("a packet before the wrap");
+        let ask = [delta, 0, before].map(|i| parsed(&sent[i]).sequence_number);
+        let retx = served(&mut s, &ask);
+        assert_eq!(retx, [delta, 0, before].map(|i| sent[i].clone()));
+        // Served twice, the same bytes again.
+        assert_eq!(served(&mut s, &ask), retx);
+    }
+
+    /// A packet whose slot a packet `RETX_HISTORY` newer has taken is not
+    /// served; the newer one is.
+    #[test]
+    fn an_evicted_packet_is_not_served() {
+        let mut s = sender();
+        let mut sent: Vec<Bytes> = Vec::new();
+        let mut t = SimTime::ZERO;
+        while sent.len() <= RETX_HISTORY {
+            sent.extend_from_slice(s.video_tick(t));
+            t += s.video_interval();
+        }
+        let (old, new) = (&sent[0], &sent[RETX_HISTORY]);
+        let seq = |w: &Bytes| parsed(w).sequence_number;
+        assert_eq!(seq(new), seq(old).wrapping_add(RETX_HISTORY as u16));
+        assert!(served(&mut s, &[seq(old)]).is_empty());
+        assert_eq!(served(&mut s, &[seq(new)]), std::slice::from_ref(new));
+        assert_eq!(s.stats().retransmissions, 1);
     }
 }

@@ -178,39 +178,65 @@ const SEQ_IDENTITY_WINDOW: usize = 2048;
 /// payload length)` — so that a repeat can be told apart: the same
 /// packet again (benign) or different data under a used number (the §6.2
 /// rewrite error). A ring indexed by `seq % SEQ_IDENTITY_WINDOW`: one
-/// array slot per packet, no hashing, nothing to sweep.
+/// 8-byte slot per packet, no hashing, nothing to sweep.
 #[derive(Debug)]
 struct SeqIdentities {
-    /// `(seq, frame number, payload length)`.
-    slots: Box<[(u64, u16, u32)]>,
+    slots: Box<[SeqSlot]>,
+}
+
+/// One ring slot. `lap` is `seq / SEQ_IDENTITY_WINDOW + 1`, which with the
+/// slot's index is exactly `seq`, and 0 while the slot is vacant, so the
+/// ring starts zeroed. The frame number is the descriptor's own 16 bits,
+/// and the length fits 16 bits because the decoder takes no payload over
+/// 65 535 B (see [`Decoder::on_video_packet`]): comparing slots compares
+/// identities exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct SeqSlot {
+    lap: u32,
+    frame: u16,
+    len: u16,
 }
 
 impl SeqIdentities {
-    /// No unwrapped sequence number reaches this.
-    const VACANT: u64 = u64::MAX;
-
     fn new() -> Self {
         SeqIdentities {
-            slots: vec![(Self::VACANT, 0, 0); SEQ_IDENTITY_WINDOW].into_boxed_slice(),
+            slots: vec![SeqSlot::default(); SEQ_IDENTITY_WINDOW].into_boxed_slice(),
         }
     }
 
+    /// The first sequence number whose lap does not fit a slot's 32
+    /// bits: centuries of packets, or 2^28 that each jump ahead as far as
+    /// the unwrapper allows.
+    const END: u64 = (u32::MAX as u64) * SEQ_IDENTITY_WINDOW as u64;
+
+    /// `seq`'s slot and lap; `seq` is below [`Self::END`].
+    fn locate(seq: u64) -> (usize, u32) {
+        let window = SEQ_IDENTITY_WINDOW as u64;
+        ((seq % window) as usize, (seq / window + 1) as u32)
+    }
+
     /// What `seq` carried, if it is remembered.
-    fn get(&self, seq: u64) -> Option<(u16, u32)> {
-        let (s, frame, len) = self.slots[seq as usize % SEQ_IDENTITY_WINDOW];
-        (s == seq).then_some((frame, len))
+    fn get(&self, seq: u64) -> Option<(u16, u16)> {
+        let (i, lap) = Self::locate(seq);
+        let slot = self.slots[i];
+        (slot.lap == lap).then_some((slot.frame, slot.len))
     }
 
     /// Remember `seq`. A straggler a whole window behind the slot's
     /// occupant does not displace it: the newer number is the one a
     /// repeat can still arrive for.
-    fn insert(&mut self, seq: u64, (frame, len): (u16, u32)) {
-        let slot = &mut self.slots[seq as usize % SEQ_IDENTITY_WINDOW];
-        if slot.0 == Self::VACANT || slot.0 < seq {
-            *slot = (seq, frame, len);
+    fn insert(&mut self, seq: u64, (frame, len): (u16, u16)) {
+        let (i, lap) = Self::locate(seq);
+        let slot = &mut self.slots[i];
+        if slot.lap < lap {
+            *slot = SeqSlot { lap, frame, len };
         }
     }
 }
+
+/// How many decode instants are kept for [`Decoder::fps_over`]: 17 s at
+/// 30 fps.
+const RECENT_DECODES: usize = 512;
 
 #[derive(Debug, Clone, Copy)]
 struct MissingEntry {
@@ -288,6 +314,11 @@ impl Decoder {
     /// element `dd` — appending the events it produced to `events`. This
     /// is what a receiver calls straight off the datagram; nothing is
     /// copied and nothing is allocated unless the packet opens a gap.
+    ///
+    /// A payload over 65 535 B cannot have come in a UDP datagram (whose
+    /// length field is 16 bits): such a packet is ignored, like one whose
+    /// descriptor does not parse. So is every packet of a stream past its
+    /// 2^43rd sequence number, which the identity ring cannot tell apart.
     pub fn on_video_packet(
         &mut self,
         now: SimTime,
@@ -309,10 +340,15 @@ impl Decoder {
         else {
             return;
         };
+        let Ok(payload_len) = u16::try_from(payload_len) else {
+            return;
+        };
 
         let seq = self.seq_unwrap.unwrap(sequence_number);
-        // A datagram is far below 4 GiB.
-        let identity = (frame_number, payload_len as u32);
+        if seq >= SeqIdentities::END {
+            return;
+        }
+        let identity = (frame_number, payload_len);
 
         // Duplicate / collision detection.
         if let Some(prev) = self.seq_identity.get(seq) {
@@ -379,26 +415,15 @@ impl Decoder {
     }
 
     /// Time-driven progress: expire missing packets, drop stale frames,
-    /// attempt decodes. Call periodically (e.g. every few ms).
-    pub fn poll(&mut self, now: SimTime) -> Vec<DecoderEvent> {
-        let mut events = Vec::new();
-        self.poll_into(now, &mut events);
-        events
-    }
-
-    /// [`Self::poll`], appending to a buffer the caller reuses.
+    /// attempt decodes, appending the events to `events`. Call
+    /// periodically (e.g. every few ms).
     pub fn poll_into(&mut self, now: SimTime, events: &mut Vec<DecoderEvent>) {
-        // Expire missing packets.
-        let expired: Vec<u64> = self
-            .missing
-            .iter()
-            .filter(|(_, m)| now.saturating_since(m.noticed_at) >= self.cfg.loss_timeout)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in expired {
-            self.missing.remove(&s);
-            self.stats.packets_lost += 1;
-        }
+        let (timeout, lost) = (self.cfg.loss_timeout, &mut self.stats.packets_lost);
+        self.missing.retain(|_, m| {
+            let expired = now.saturating_since(m.noticed_at) >= timeout;
+            *lost += u64::from(expired);
+            !expired
+        });
         self.advance(now, events);
     }
 
@@ -571,10 +596,12 @@ impl Decoder {
         self.last_decoded[asm.temporal_id.min(2) as usize] = Some(frame_no);
         self.stats.frames_decoded += 1;
         self.last_decode_at = Some(now);
-        self.recent_decodes.push_back(now);
-        if self.recent_decodes.len() > 512 {
+        // Room is made before the push, so the deque never outgrows the
+        // 512 instants it keeps.
+        if self.recent_decodes.len() == RECENT_DECODES {
             self.recent_decodes.pop_front();
         }
+        self.recent_decodes.push_back(now);
         events.push(DecoderEvent::FrameDecoded {
             frame: frame_no,
             temporal_id: asm.temporal_id,
@@ -703,7 +730,7 @@ mod tests {
         assert_eq!(nacks, vec![pkts[5].sequence_number]);
         // Retransmission fills the gap; decoding completes.
         dec.on_packet(t + SimDuration::from_millis(60), &pkts[5]);
-        dec.poll(t + SimDuration::from_millis(61));
+        dec.poll_into(t + SimDuration::from_millis(61), &mut Vec::new());
         assert_eq!(dec.stats.frames_decoded, 10);
         assert_eq!(dec.stats.freezes, 0);
     }
@@ -822,7 +849,7 @@ mod tests {
         }
         // Let the loss expire and the decoder react.
         for k in 1..30u64 {
-            dec.poll(t + SimDuration::from_millis(10 * k));
+            dec.poll_into(t + SimDuration::from_millis(10 * k), &mut Vec::new());
         }
         assert!(dec.stats.freezes >= 1, "missing T0 must freeze");
         assert!(dec.needs_keyframe());
@@ -844,6 +871,43 @@ mod tests {
         evs.extend(dec.on_packet(SimTime::from_millis(1), &pkts[last]));
         assert_eq!(evs, vec![DecoderEvent::FrameDropped { frame: 0 }]);
         assert_eq!(dec.stats.frames_decoded, 0);
+    }
+
+    /// A slot is 8 bytes and remembers exactly one sequence number: the
+    /// number a whole window before or after it is not taken for it, and
+    /// a straggler does not displace the newer occupant.
+    #[test]
+    fn identity_slots_remember_exactly_one_sequence_number() {
+        assert_eq!(std::mem::size_of::<SeqSlot>(), 8);
+        let w = SEQ_IDENTITY_WINDOW as u64;
+        let mut ids = SeqIdentities::new();
+        assert_eq!((ids.get(0), ids.get(5)), (None, None), "vacant");
+        ids.insert(5 + w, (7, 1200));
+        assert_eq!(ids.get(5 + w), Some((7, 1200)));
+        assert_eq!((ids.get(5), ids.get(5 + 2 * w)), (None, None));
+        ids.insert(5, (9, 100));
+        assert_eq!(ids.get(5 + w), Some((7, 1200)), "the straggler is not kept");
+        ids.insert(5 + 2 * w, (1, 1));
+        assert_eq!((ids.get(5 + w), ids.get(5 + 2 * w)), (None, Some((1, 1))));
+    }
+
+    /// A payload too long for a datagram is ignored. Cut to 16 bits, this
+    /// one's length would equal the first packet's, and its repeat of that
+    /// packet's number would pass for a benign duplicate.
+    #[test]
+    fn a_payload_too_long_for_a_datagram_is_ignored() {
+        let pkts = stream(1, 1000);
+        let mut dec = Decoder::new(DecoderConfig::default());
+        dec.on_packet(SimTime::ZERO, &pkts[0]);
+        let before = dec.debug_state();
+        let mut big = pkts[0].clone();
+        big.payload = bytes::Bytes::from(vec![0u8; 65_536 + 1000]);
+        assert!(dec.on_packet(SimTime::from_millis(1), &big).is_empty());
+        assert_eq!(
+            dec.stats.benign_duplicates + dec.stats.sequence_collisions,
+            0
+        );
+        assert_eq!(dec.debug_state(), before);
     }
 
     #[test]

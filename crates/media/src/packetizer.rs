@@ -87,8 +87,7 @@ impl Packetizer {
                 frame.frame_number,
             );
             if start && frame.label.is_key {
-                dd.structure = Some(TemplateStructure::l1t3());
-                dd.active_decode_targets = Some(0b111);
+                dd = with_l1t3_structure(dd);
             }
             let element = &mut self.pkt.extensions[0].data;
             element.clear();
@@ -110,13 +109,31 @@ impl Packetizer {
         out
     }
 
+    /// The longest header [`Self::packetize_wire`] writes: a key frame's
+    /// first packet, whose descriptor carries the L1T3 template structure
+    /// (36 B; every other packet's is 24 B).
+    pub fn max_header_len(&self) -> usize {
+        let mut pkt = self.pkt.clone();
+        let key = with_l1t3_structure(DependencyDescriptor::mandatory(true, true, 0, 0));
+        pkt.extensions[0].data = key.serialize();
+        pkt.serialize().len()
+    }
+
     /// Packetize one frame straight to the wire: the datagrams are laid
     /// out back to back in `buf` and appended to `out`, each a view of it,
     /// so a frame costs one buffer however many packets it spans. `buf` is
     /// refilled in place when no other handle holds it ([`Bytes::edit`]),
     /// so a sender that hands back the buffer of a frame nobody reads any
-    /// more allocates nothing.
-    pub fn packetize_wire(&mut self, frame: &EncodedFrame, buf: &mut Bytes, out: &mut Vec<Bytes>) {
+    /// more allocates nothing. `sent` is handed each packet's header as
+    /// written and its payload length, in order: all it takes to write
+    /// the packet again.
+    pub fn packetize_wire(
+        &mut self,
+        frame: &EncodedFrame,
+        buf: &mut Bytes,
+        out: &mut Vec<Bytes>,
+        mut sent: impl FnMut(&[u8], usize),
+    ) {
         let mut ends = std::mem::take(&mut self.ends);
         buf.edit(|buf| {
             let need = frame.size_bytes + self.packets_in(frame) * WIRE_HEADER_RESERVE;
@@ -125,13 +142,15 @@ impl Packetizer {
             // (it held a key frame, or the bitrate has fallen since), is
             // swapped for a new one — allocated, not grown, so nothing is
             // copied — with 1/16 to spare, as frame sizes wander by a few
-            // bytes. Cutting large ones down keeps every buffer the
-            // history holds from staying at the largest frame it carried.
+            // bytes. Cutting large ones down keeps a pooled buffer from
+            // staying at the largest frame it carried.
             if buf.capacity() < need || buf.capacity() > need + need / 2 {
                 *buf = Vec::with_capacity(need + need / 16);
             }
             self.for_each_packet(frame, |header, payload_len| {
+                let start = buf.len();
                 header.serialize_into(buf);
+                sent(&buf[start..], payload_len);
                 buf.resize(buf.len() + payload_len, 0);
                 ends.push(buf.len());
             });
@@ -143,6 +162,14 @@ impl Packetizer {
         }
         self.ends = ends;
     }
+}
+
+/// `dd` as a key frame's first packet carries it: with the L1T3 template
+/// structure and every decode target active.
+fn with_l1t3_structure(mut dd: DependencyDescriptor) -> DependencyDescriptor {
+    dd.structure = Some(TemplateStructure::l1t3());
+    dd.active_decode_targets = Some(0b111);
+    dd
 }
 
 /// One-shot convenience wrapper around [`Packetizer::packetize`].
@@ -259,14 +286,41 @@ mod tests {
         {
             let f = frame(size, key, if key { 0 } else { 3 }, n as u16);
             out.clear();
-            wire.packetize_wire(&f, &mut buf, &mut out);
+            let mut sent = Vec::new();
+            wire.packetize_wire(&f, &mut buf, &mut out, |header, payload_len| {
+                sent.push((header.to_vec(), payload_len));
+            });
             let pkts = owned.packetize(&f);
             assert_eq!(out.len(), pkts.len());
-            for (w, p) in out.iter().zip(&pkts) {
+            assert_eq!(sent.len(), pkts.len());
+            for ((w, p), (header, payload_len)) in out.iter().zip(&pkts).zip(&sent) {
                 assert_eq!(w, &p.serialize());
+                // What `sent` was told is the packet: its header, then
+                // its payload's length in zeros.
+                assert_eq!(*payload_len, p.payload.len());
+                assert_eq!(w[..header.len()], header[..]);
+                assert_eq!(w.len(), header.len() + payload_len);
             }
         }
         assert_eq!(owned.next_seq(), wire.next_seq());
+    }
+
+    /// A key frame's first packet has the longest header (the template
+    /// structure rides in its descriptor), and `max_header_len` is it.
+    #[test]
+    fn max_header_len_is_a_key_frame_first_packet_header() {
+        let mut p = Packetizer::new(0xAB, 96, DEFAULT_MTU);
+        let max = p.max_header_len();
+        let mut headers = Vec::new();
+        let mut buf = Bytes::new();
+        for (n, key) in [true, false, true].into_iter().enumerate() {
+            let f = frame(3000, key, if key { 0 } else { 2 }, n as u16);
+            p.packetize_wire(&f, &mut buf, &mut Vec::new(), |header, _| {
+                headers.push(header.len())
+            });
+        }
+        assert_eq!((max, headers[0], headers[1]), (36, 36, 24));
+        assert!(headers.iter().all(|&h| h <= max), "{headers:?}");
     }
 
     #[test]

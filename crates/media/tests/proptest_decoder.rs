@@ -62,17 +62,18 @@ proptest! {
             pkts.extend(pz.packetize(&f));
         }
         let mut t = SimTime::ZERO;
+        let mut events = Vec::new();
         for (pkt, &dropped) in pkts.iter().zip(&drops) {
             t += scallop_netsim::time::SimDuration::from_millis(11);
             if dropped {
                 continue;
             }
             let _ = dec.on_packet(t, pkt);
-            let _ = dec.poll(t);
+            dec.poll_into(t, &mut events);
         }
         // Drain timeouts.
         for k in 1..=50u64 {
-            let _ = dec.poll(t + scallop_netsim::time::SimDuration::from_millis(20 * k));
+            dec.poll_into(t + scallop_netsim::time::SimDuration::from_millis(20 * k), &mut events);
         }
         prop_assert!(dec.stats.frames_decoded <= sent_frames);
         // Accounting closes: every frame is decoded or dropped or still

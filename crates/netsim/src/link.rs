@@ -153,7 +153,9 @@ impl Link {
     /// Backlog currently queued ahead of a new arrival, in bytes
     /// (0 for infinite-rate links).
     pub fn backlog_bytes(&self, now: SimTime) -> usize {
-        if self.config.rate_bps == 0 {
+        // An idle transmitter has nothing queued: 0, as the formula below
+        // gives for a zero backlog, without the float math.
+        if self.config.rate_bps == 0 || self.busy_until <= now {
             return 0;
         }
         let backlog = self.busy_until.saturating_since(now);
@@ -356,6 +358,24 @@ mod tests {
             // 5 ms serialization at 2 Mbit/s + 10 ms prop.
             LinkVerdict::Deliver { at, .. } => assert_eq!(at, SimTime::from_millis(15)),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// The idle shortcut returns what the formula does: 0 whenever
+        /// the transmitter has drained, the formula's value while busy.
+        #[test]
+        fn backlog_is_the_formula_busy_or_idle(
+            busy in 0u64..10_000_000_000,
+            now in 0u64..10_000_000_000,
+            rate in 1u64..10_000_000_000,
+        ) {
+            let (mut link, _) = mk(rate);
+            link.busy_until = SimTime::from_nanos(busy);
+            let now = SimTime::from_nanos(now);
+            let backlog = link.busy_until.saturating_since(now);
+            let formula = ((backlog.as_secs_f64() * rate as f64) / 8.0) as usize;
+            proptest::prop_assert_eq!(link.backlog_bytes(now), formula);
         }
     }
 

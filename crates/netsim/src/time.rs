@@ -136,12 +136,22 @@ impl SimDuration {
     /// Returns [`SimDuration::ZERO`] for infinite-rate links
     /// (`bits_per_sec == 0` is treated as infinite, matching
     /// [`crate::link::LinkConfig::rate_bps`] semantics).
+    ///
+    /// The product `bytes · 8 · 10^9` fits a `u64` up to ~2.3 GB, far past
+    /// any datagram, and is divided there; past that it is formed in
+    /// `u128`. Both divide the same exact product, so the result does not
+    /// depend on the path.
     pub fn serialization(bytes: usize, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        let bits = bytes as u128 * 8;
-        SimDuration(((bits * 1_000_000_000) / bits_per_sec as u128) as u64)
+        match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns / bits_per_sec),
+            None => {
+                let bit_ns = bytes as u128 * 8_000_000_000;
+                SimDuration((bit_ns / bits_per_sec as u128) as u64)
+            }
+        }
     }
 
     /// Saturating multiplication by an integer factor.

@@ -41,6 +41,20 @@ proptest! {
         }
     }
 
+    /// Serialization time is the `u128` formula exactly, on both sides
+    /// of the size where the `u64` product overflows.
+    #[test]
+    fn serialization_is_the_wide_formula(
+        small in 0usize..70_000,
+        huge in 2_000_000_000usize..usize::MAX,
+        rate in 1u64..u64::MAX,
+    ) {
+        for bytes in [small, huge] {
+            let wide = (bytes as u128 * 8 * 1_000_000_000 / rate as u128) as u64;
+            prop_assert_eq!(SimDuration::serialization(bytes, rate).as_nanos(), wide);
+        }
+    }
+
     /// Conservation: offered = delivered + dropped, and loss statistics
     /// are consistent.
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation and event budgets of the endpoints and the event loop.
+//! Allocation, heap and event budgets of the endpoints and the event
+//! loop.
 //!
 //! `tests/replica_allocs.rs` pins the data plane's half of the
 //! allocation-free hot path; this is the other half. Once a meeting has
@@ -11,23 +12,28 @@
 //! What is still allocated once a meeting has settled:
 //!
 //! * a video frame's buffer when the recycled one is too small for the
-//!   frame or half again too large (a right-sized one replaces it), or
-//!   when no earlier frame has left the retransmission history yet (the
-//!   bitrate fell);
+//!   frame or half again too large (a right-sized one replaces it);
 //! * a buffer, and its reference count, whenever a pool's oldest buffer is
-//!   still in flight — a replica slab, an audio or an RTCP packet waiting
-//!   in a constrained receiver's downlink queue;
+//!   still in flight — a frame, a retransmission, a replica slab, an audio
+//!   or an RTCP packet waiting in a constrained receiver's downlink queue;
 //! * the decoder's bookkeeping of a gap (a loss), and the agent's work on a
 //!   decode-target change or a re-homed meeting.
 //!
 //! RTCP, STUN and audio are written in place into pooled buffers, read in
 //! place, and the agent's responses go out through one reused vector, so
 //! none of them allocates.
+//!
+//! What stays allocated is pinned too, from live bytes (allocated minus
+//! freed, `common::live_bytes`): a settled sender retains under 128 KB,
+//! because its retransmission history keeps headers rather than the
+//! buffers its packets were cut from, and a settled meeting's heap at
+//! 20 s is within a stated bound of its heap at 10 s.
 
-use scallop::client::{ClientConfig, ClientNode};
+use scallop::client::{ClientConfig, ClientNode, MediaSender};
 use scallop::core::harness::{HarnessConfig, ScallopHarness};
 use scallop::core::switchnode::{ScallopSwitchNode, SwitchConfig};
-use scallop::media::encoder::{EncodedFrame, FrameLabelCompact};
+use scallop::media::audio::AudioConfig;
+use scallop::media::encoder::{EncodedFrame, EncoderConfig, FrameLabelCompact};
 use scallop::media::packetizer::Packetizer;
 use scallop::netsim::fault::FaultConfig;
 use scallop::netsim::link::LinkConfig;
@@ -39,7 +45,7 @@ use scallop::proto::rtcp::{self, RtcpRef};
 use std::net::Ipv4Addr;
 
 mod common;
-use common::allocs_in;
+use common::{allocs_in, live_bytes};
 
 #[global_allocator]
 static GLOBAL: common::Counting = common::Counting;
@@ -91,6 +97,73 @@ fn settled_two_zone_federation_allocates_under_once_per_thousand_delivered_packe
     assert!(
         allocs * 1_000 < delivered,
         "{allocs} allocations for {delivered} delivered packets"
+    );
+}
+
+// ---------------------------------------------------------------------
+// What stays allocated.
+// ---------------------------------------------------------------------
+
+/// A sender keeps headers, not payloads. After ten seconds at full
+/// rate, every packet delivered and dropped and a NACK served every
+/// tenth frame, it retains under 128 KB: a 1 024-slot ring of headers
+/// (45 KB) and a buffer or two of each kind, 71 KB when this was written.
+/// While its history kept every packet's bytes, pinning the buffers of
+/// the frames they came from, it retained 1.36 MB.
+#[test]
+fn a_settled_sender_retains_under_128_kb() {
+    let before = live_bytes();
+    let mut sender = MediaSender::new(
+        0x100,
+        0x101,
+        EncoderConfig::default(),
+        AudioConfig::default(),
+    );
+    let (mut video_at, mut audio_at) = (SimTime::ZERO, SimTime::ZERO);
+    for frame in 0..300 {
+        let first = &sender.video_tick(video_at)[0];
+        let first_seq = u16::from_be_bytes([first[2], first[3]]);
+        if frame % 10 == 9 {
+            sender.handle_nack([first_seq], drop);
+        }
+        video_at += sender.video_interval();
+        while audio_at < video_at {
+            drop(sender.audio_tick(audio_at));
+            audio_at += sender.audio_interval();
+        }
+    }
+    assert_eq!(sender.stats().retransmissions, 30);
+    let kept = live_bytes() - before;
+    assert!(kept <= 128 * 1024, "{kept} bytes retained");
+}
+
+/// A settled meeting's heap does not grow with simulated time. Across
+/// two zones (two senders, six received video streams), the live heap at
+/// 20 s is within 4 KB per received stream of the heap at 10 s: 14 KB
+/// when this was written, all of it GCC's half-second arrival windows
+/// doubling as the encoders still ramp up. (Decoders used to record a
+/// 513th decode instant before dropping the oldest, doubling each one's
+/// deque at 17 s: 39 KB.) While senders' histories held each packet's
+/// bytes, the heap at 10 s was 2.9 MB; it is 0.24 MB.
+#[test]
+fn a_settled_meetings_heap_does_not_grow_with_time() {
+    let mut h = ScallopHarness::new(
+        HarnessConfig::default()
+            .participants(4)
+            .senders(2)
+            .switches(2)
+            .cores(1)
+            .zones(2),
+    );
+    let start = live_bytes();
+    h.sim.run_for(SimDuration::from_secs(10));
+    let at_10 = live_bytes() - start;
+    h.sim.run_for(SimDuration::from_secs(10));
+    let at_20 = live_bytes() - start;
+    let streams = 6;
+    assert!(
+        (at_20 - at_10).abs() <= streams * 4 * 1024,
+        "heap {at_10} B at 10 s, {at_20} B at 20 s"
     );
 }
 
