@@ -372,9 +372,14 @@ impl Node for ClientNode {
         }
         match classify(&pkt.payload) {
             PacketClass::Rtp => {
-                let Ok(rtp) = MediaHeader::parse(&pkt.payload) else {
+                let Ok(mut rtp) = MediaHeader::parse(&pkt.payload) else {
                     return;
                 };
+                // A switch that renumbered the stream wrote the number
+                // into the packet's overlay, not into the shared payload.
+                if let Some(seq) = pkt.seq_overlay() {
+                    rtp.sequence_number = seq;
+                }
                 let is_video = rtp.dd.is_some();
                 if let Some(tap) = &mut self.rx_tap {
                     let tier = rtp

@@ -21,7 +21,9 @@ use scallop_proto::rtp::{RtpPacket, RtpView};
 /// lengths), so nothing is copied out of the datagram either.
 #[derive(Debug, Clone, Copy)]
 pub struct MediaHeader<'a> {
-    /// Wire sequence number.
+    /// Wire sequence number. A simulated packet renumbered by a switch
+    /// carries it in its overlay, not in the bytes parsed here:
+    /// `ClientNode` puts `Packet::seq_overlay` in its place.
     pub sequence_number: u16,
     /// Media timestamp.
     pub timestamp: u32,
@@ -74,6 +76,10 @@ pub struct StreamRxStats {
     pub cumulative_lost: u64,
     /// Highest extended sequence number seen.
     pub highest_seq: u32,
+    /// Forward jumps of more than one in the extended sequence number:
+    /// holes in the stream as it arrived, whether lost on the way or
+    /// left by a switch that suppressed packets without renumbering.
+    pub seq_gaps: u64,
     /// Frames decoded (video only).
     pub frames_decoded: u64,
     /// Decoder freezes (video only).
@@ -104,6 +110,7 @@ pub struct ReceiverState {
     received: u64,
     bytes: u64,
     highest_ext_seq: u32,
+    seq_gaps: u64,
     /// Loss snapshot at the last RR (fraction-lost computation).
     last_rr_expected: u64,
     last_rr_received: u64,
@@ -132,6 +139,7 @@ impl ReceiverState {
             received: 0,
             bytes: 0,
             highest_ext_seq: 0,
+            seq_gaps: 0,
             last_rr_expected: 0,
             last_rr_received: 0,
             frames_decoded: 0,
@@ -156,6 +164,7 @@ impl ReceiverState {
         // Extended sequence tracking: a number is as far ahead of the
         // highest seen as its signed 16-bit distance says, so a late packet
         // from before a wrap is not taken for one a whole cycle ahead.
+        // Continuity: a step of more than one is a gap.
         let seq = pkt.sequence_number;
         if self.expected_base.is_none() {
             self.expected_base = Some(seq);
@@ -164,6 +173,7 @@ impl ReceiverState {
         let ahead = seq.wrapping_sub(self.highest_ext_seq as u16) as i16;
         if ahead > 0 {
             self.highest_ext_seq = self.highest_ext_seq.wrapping_add(ahead as u32);
+            self.seq_gaps += u64::from(ahead > 1);
         }
 
         // RFC 3550 jitter: media clock 90 kHz for video, 48 kHz audio.
@@ -235,6 +245,7 @@ impl ReceiverState {
             jitter_ms: self.jitter_ms,
             cumulative_lost: expected.saturating_sub(self.received),
             highest_seq: self.highest_ext_seq,
+            seq_gaps: self.seq_gaps,
             frames_decoded: self.frames_decoded,
             freezes: self.freezes,
         }
@@ -410,6 +421,7 @@ mod tests {
         assert_eq!(s.packets, 10);
         assert_eq!(s.frames_decoded, 10);
         assert_eq!(s.cumulative_lost, 0);
+        assert_eq!(s.seq_gaps, 0);
         assert_eq!(s.freezes, 0);
     }
 
@@ -448,6 +460,7 @@ mod tests {
         }
         let s = rx.stats();
         assert_eq!((s.cumulative_lost, s.highest_seq), (0, 65_537));
+        assert_eq!(s.seq_gaps, 0, "late is not a gap");
         let block = report_block(&mut rx);
         assert_eq!(block.cumulative_lost, 0);
         assert_eq!(block.fraction_lost, 0);
@@ -463,6 +476,7 @@ mod tests {
         let s = rx.stats();
         assert_eq!(s.highest_seq, 0x1_0010);
         assert_eq!(s.cumulative_lost, 31);
+        assert_eq!(s.seq_gaps, 1, "one jump, however long");
         let block = report_block(&mut rx);
         assert_eq!((block.cumulative_lost, block.fraction_lost), (31, 240));
     }

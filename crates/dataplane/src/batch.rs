@@ -42,55 +42,55 @@
 //! tables for the length of a burst (benches, tests, the repo benchmark)
 //! pass the whole burst.
 //!
-//! **Egress: one slab per batch.** A sequence-rewritten replica needs
-//! its own copy of the packet (bytes 2..4 differ per receiver), and
-//! [`Packet::payload`] must stay one contiguous `Deref<[u8]>`, so one
-//! copy per rewritten replica is the floor. The replica slab pays exactly
-//! that and nothing else: every rewritten replica of a batch is appended
-//! to one buffer and patched in place; when the batch ends each replica's
-//! payload becomes a view into it, and the slab goes back to a
-//! [`BufPool`], which refills it — allocation and reference count — for
-//! a later batch once every view has been dropped. A caller that clears
-//! its output between bursts allocates nothing per batch; when views are
-//! still alive the pool keeps the slab for later and a fresh one is
-//! reserved at the size the last one used. Replicas the Stream Tracker
-//! does not rewrite (audio, sender reports, streams of receivers that
-//! were never rate-adapted) share the ingress buffer. A rate-adapted
-//! receiver's NACK, shifted back to the sender's numbers, is written into
-//! the slab the same way.
+//! **Egress: descriptors, not copies.** The PRE replicates a packet's
+//! descriptor and the egress deparser rewrites two header bytes per
+//! receiver (§6.1–6.3), so no replica copies the payload: every replica
+//! is the ingress [`Packet`] re-addressed, sharing its buffer (one
+//! reference-count bump). A replica the Stream Tracker renumbers carries
+//! its new RTP sequence number in the packet's overlay
+//! ([`Packet::with_seq_overlay`]), which sits in the struct's padding;
+//! the bytes on the wire are the payload with that number written over
+//! bytes 2..4 ([`Packet::wire_bytes`]), the length and every byte
+//! counter are unchanged, and whatever reads an RTP header off a
+//! simulated packet — this data plane's parse stage, `client::peer` —
+//! reads the sequence number through the overlay. A rate-adapted
+//! receiver's NACK, shifted back to the sender's numbers, is the one
+//! thing the data plane writes: it is rebuilt into a buffer from a
+//! [`BufPool`](scallop_netsim::packet::BufPool), refilled once the
+//! forwarded NACK has been delivered.
 //!
 //! **What a view pins.** A view keeps its *whole* backing allocation
-//! alive: a replica view pins its batch's slab, an `RtpPacket.payload`
-//! from `RtpPacket::parse_bytes` pins the wire buffer it was parsed
-//! from. The count behind a view is a plain `Rc` (the vendored `bytes`
-//! is not `Send`; nothing here crosses a thread), so taking or dropping
-//! one is an increment, not an atomic. Everything that can hold one
-//! beyond delivery is bounded:
+//! alive: a replica pins the buffer its *sender* built — a video frame's
+//! packets lie back to back in one buffer (`media::packetizer`) — and an
+//! `RtpPacket.payload` from `RtpPacket::parse_bytes` pins the wire buffer
+//! it was parsed from. The count behind a view is a plain `Rc` (the
+//! vendored `bytes` is not `Send`; nothing here crosses a thread), so
+//! taking or dropping one is an increment, not an atomic. Everything that
+//! can hold one beyond delivery is bounded:
 //!
-//! * the data plane's slab pool holds one handle per slab it keeps, at
-//!   most 128 (`SLAB_POOL_LIMIT`); a slab whose views outlive that is let
-//!   go of, and freed by its last reader;
+//! * the sender refills a frame buffer from its own pool once every
+//!   replica of every packet cut from it has been delivered and dropped;
+//!   the pool keeps at most 64 frames (two seconds at 30 fps), and a
+//!   buffer still read past that — a replica waiting out a constrained
+//!   receiver's full queue — is let go of and freed by its last reader;
 //! * `core::switchnode`'s departure lanes hold forwards for the fixed
 //!   pipeline latency (agent responses for the agent latency) and the
 //!   simulator's event queue for one link traversal — both drain in
-//!   bounded simulated time, so the slabs alive at once are those of the
-//!   batches processed within that window;
+//!   bounded simulated time;
 //! * `client::peer` reads datagrams in place, and `media::decoder`
 //!   assembles frames from sequence numbers and payload *lengths* while
 //!   `client::receiver` keeps arrival statistics only, so nothing on the
 //!   receive side retains a payload;
-//! * the NACK/RTX history (`client::sender`) stores the sender's own
-//!   serialized frames, never views of a slab or of a received datagram,
-//!   and is a fixed-length ring;
+//! * the NACK/RTX history (`client::sender`) keeps headers and payload
+//!   lengths in a fixed ring, never a view of a frame or of a received
+//!   datagram;
 //! * `baseline::sfu` (the software SFU) copies every replica into an
-//!   owned buffer and never sees a slab.
+//!   owned buffer.
 
 use crate::parser::ParsedPacket;
 use crate::pre::Replica;
 use crate::rules::{EgressSpec, PortRule};
-use bytes::Bytes;
-use scallop_netsim::packet::{BufPool, Packet};
-use scallop_proto::rtp;
+use scallop_netsim::packet::Packet;
 
 /// What the memo of the previous resolution saved relative to resolving
 /// every packet cold. Cumulative across batches, like
@@ -148,99 +148,6 @@ impl BatchCaches {
     pub(crate) fn begin_batch(&mut self) {
         self.port = None;
         self.flow = None;
-    }
-}
-
-/// Most slabs the data plane keeps. A slab waits for its slowest replica,
-/// which can sit out a constrained receiver's full downlink queue (most of
-/// a second), and a pool that kept every slab that long would hold tens of
-/// MB of buffers that are mostly free. Past this many, the oldest slab is
-/// let go of and freed by its last reader, and a new one is made.
-const SLAB_POOL_LIMIT: usize = 128;
-
-/// The payloads of one batch's rewritten replicas, back to back in one
-/// buffer from a pool (see the module docs).
-#[derive(Debug)]
-pub(crate) struct ReplicaSlab {
-    /// This batch's slab while it is written: the vector of `slab`, moved
-    /// out of it so that each replica is a plain append.
-    buf: Vec<u8>,
-    /// The pooled buffer `buf` belongs to, taken from `pool` at the
-    /// batch's first write and handed `buf` back when the batch ends.
-    slab: Option<Bytes>,
-    /// `(index into the batch's forwards, offset, length)` of each
-    /// replica in `buf`, turned into views when the batch ends. `u32`:
-    /// a `Bytes` holds under 4 GiB, and a larger slab panics.
-    fixups: Vec<(u32, u32, u32)>,
-    /// Earlier batches' slabs, each refilled once no view of it is left.
-    pool: BufPool,
-    /// Bytes the previous slab held: what a fresh one reserves up front.
-    last_len: usize,
-}
-
-impl Default for ReplicaSlab {
-    fn default() -> ReplicaSlab {
-        ReplicaSlab {
-            buf: Vec::new(),
-            slab: None,
-            fixups: Vec::new(),
-            pool: BufPool::new(SLAB_POOL_LIMIT),
-            last_len: 0,
-        }
-    }
-}
-
-impl ReplicaSlab {
-    /// Append a copy of `payload` carrying sequence number `seq`, for the
-    /// forward that is about to be pushed at index `forward`. `false`
-    /// (nothing appended) when `payload` is too short to be RTP.
-    pub(crate) fn push(&mut self, payload: &[u8], seq: u16, forward: usize) -> bool {
-        self.push_with(forward, |buf| {
-            let off = buf.len();
-            buf.extend_from_slice(payload);
-            rtp::set_sequence_number(&mut buf[off..], seq).is_ok()
-        })
-    }
-
-    /// Append what `write` appends, as the payload of the forward about to
-    /// be pushed at index `forward`; `write` returning `false` withdraws
-    /// it (and the forward keeps the payload it has).
-    pub(crate) fn push_with(
-        &mut self,
-        forward: usize,
-        write: impl FnOnce(&mut Vec<u8>) -> bool,
-    ) -> bool {
-        if self.slab.is_none() {
-            let mut slab = self.pool.take();
-            slab.edit(|v| {
-                v.clear();
-                std::mem::swap(v, &mut self.buf);
-            });
-            self.buf.reserve(self.last_len);
-            self.slab = Some(slab);
-        }
-        let off = self.buf.len();
-        if !write(&mut self.buf) {
-            self.buf.truncate(off);
-            return false;
-        }
-        self.fixups
-            .push((forward as u32, off as u32, (self.buf.len() - off) as u32));
-        true
-    }
-
-    /// End a batch: hand each rewritten replica in `forwards` its view of
-    /// the slab, and keep the slab for a later batch.
-    pub(crate) fn end_batch(&mut self, forwards: &mut [Packet]) {
-        let Some(mut slab) = self.slab.take() else {
-            return;
-        };
-        self.last_len = self.buf.len();
-        slab.edit(|v| std::mem::swap(v, &mut self.buf));
-        for (forward, off, len) in self.fixups.drain(..) {
-            forwards[forward as usize].payload = slab.slice(off as usize..(off + len) as usize);
-        }
-        self.pool.put(slab);
     }
 }
 

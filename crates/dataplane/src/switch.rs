@@ -11,23 +11,22 @@
 //! 4. **Egress per replica**: SVC-layer gate (drop templates above the
 //!    receiver's decode target), Stream-Tracker sequence rewrite
 //!    (S-LM/S-LR, §6.2), and source/destination address rewrite so each
-//!    copy is unicast-addressed to its receiver (§6.1). A rewritten
-//!    replica is one copy into the batch's slab
-//!    ([`crate::batch`]); every other replica shares the ingress buffer.
+//!    copy is unicast-addressed to its receiver (§6.1). Every replica
+//!    shares the ingress buffer; a rewritten one carries its new number
+//!    in the packet's sequence-number overlay ([`crate::batch`]).
 //! 5. **CPU port**: STUN, receiver feedback copies, and extended-DD key
 //!    frames are copied to the switch agent; media never is (§4).
 //!
 //! All packet/byte accounting for Table 1 and Fig. 22 happens here.
 
-use crate::batch::{BatchCaches, BatchOutput, FlowKey, ReplicaSlab, ResolvedReplica};
+use crate::batch::{BatchCaches, BatchOutput, FlowKey, ResolvedReplica};
 use crate::parser::{self, ParsedPacket};
 use crate::pre::PacketReplicationEngine;
 use crate::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use crate::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
 use crate::soa::DensePortRules;
 use crate::tables::{ExactTable, TableError};
-use bytes::Bytes;
-use scallop_netsim::packet::Packet;
+use scallop_netsim::packet::{BufPool, Packet};
 use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
 use scallop_proto::demux::PacketClass;
 use scallop_proto::rtcp::{self, RtcpRef};
@@ -44,6 +43,10 @@ pub const STREAM_TRACKER_CAPACITY: usize = 65_536;
 /// the egress pipeline accounts those replicas as trunk traffic (one
 /// copy per remote switch, fanned out again by that switch's own PRE).
 pub const TRUNK_RID_BASE: u16 = 0xF000;
+
+/// Most shifted-NACK buffers a data plane keeps; past this many in
+/// flight, the oldest is left to whoever still reads it.
+const NACK_POOL_LIMIT: usize = 128;
 
 /// Packet/byte counters (Table 1 / Fig. 22 accounting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,8 +189,8 @@ pub struct ScallopDataPlane {
     /// Per-call scratch for PRE replica lists (reused across packets so
     /// the egress path does not allocate per packet).
     replica_scratch: Vec<crate::pre::Replica>,
-    /// The current batch's sequence-rewritten replica payloads.
-    slab: ReplicaSlab,
+    /// Buffers for NACKs shifted back to their sender's numbers.
+    nack_pool: BufPool,
     /// Dense struct-of-arrays mirror of `port_rules` over the switch's
     /// contiguous SFU port span (`None` until
     /// [`enable_dense_ports`](Self::enable_dense_ports)). The exact
@@ -207,7 +210,7 @@ impl ScallopDataPlane {
             counters: DataPlaneCounters::default(),
             max_parse_depth: 0,
             replica_scratch: Vec::new(),
-            slab: ReplicaSlab::default(),
+            nack_pool: BufPool::new(NACK_POOL_LIMIT),
             dense_ports: None,
         }
     }
@@ -288,8 +291,16 @@ impl ScallopDataPlane {
             parsed,
             caches,
         } = out;
-        // Stage 1: parse the whole batch before any match work.
-        parsed.extend(pkts.iter().map(|p| parser::parse(&p.payload)));
+        // Stage 1: parse the whole batch before any match work. A packet
+        // rewritten upstream carries its wire sequence number in the
+        // overlay, not in its payload.
+        parsed.extend(pkts.iter().map(|p| {
+            let mut parsed = parser::parse(&p.payload);
+            if let (Some(rtp), Some(seq)) = (parsed.rtp.as_mut(), p.seq_overlay()) {
+                rtp.seq = seq;
+            }
+            parsed
+        }));
         // Stage 2: match/replicate; the memo starts every call cold.
         caches.begin_batch();
         stats.batches += 1;
@@ -302,7 +313,6 @@ impl ScallopDataPlane {
             };
             self.run_pipeline(pkt, p, caches, &mut sink);
         }
-        self.slab.end_batch(forwards);
         stats.port_lookups_saved += std::mem::take(&mut caches.port_lookups_saved);
         stats.egress_lookups_saved += std::mem::take(&mut caches.egress_lookups_saved);
         stats.pre_walks_saved += std::mem::take(&mut caches.pre_walks_saved);
@@ -430,20 +440,24 @@ impl ScallopDataPlane {
         // numbers; shift each packet-id by the stream's current offset so
         // the sender can locate the originals in its history (one
         // register read per NACK — the Fig. 12 offset). The shifted
-        // compound is written into the batch's slab, like a rewritten
-        // replica; one that does not parse is forwarded as it came.
+        // compound is written into a pooled buffer; one that does not
+        // parse is forwarded as it came.
+        let mut fwd = pkt.readdressed(forward_src, sender_addr);
         if pt == rtcp::PT_RTPFB {
             if let Some(idx) = rewrite_index {
                 let offset = self.tracker.offset_of(idx as usize);
                 if offset != 0 {
-                    self.slab.push_with(sink.forwards.len(), |buf| {
-                        shift_nacks(&pkt.payload, offset, buf)
-                    });
+                    let mut shifted = false;
+                    let buf = self
+                        .nack_pool
+                        .build(|buf| shifted = shift_nacks(&pkt.payload, offset, buf));
+                    if shifted {
+                        fwd.payload = buf;
+                    }
                 }
             }
         }
-        sink.forwards
-            .push(pkt.readdressed(forward_src, sender_addr));
+        sink.forwards.push(fwd);
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
     }
@@ -631,15 +645,14 @@ impl ScallopDataPlane {
                 }
             }
         }
-        // Header rewrite on the replica's own copy of the bytes: the one
-        // copy goes into the batch's slab, and the payload is attached
-        // as a view of it when the batch ends.
-        let fwd = match rewritten_seq {
-            Some(seq) if self.slab.push(&pkt.payload, seq, sink.forwards.len()) => {
-                Packet::new(spec.src, spec.dst, Bytes::new())
-            }
-            _ => pkt.readdressed(spec.src, spec.dst),
-        };
+        // The PRE replicates the descriptor, not the bytes: every replica
+        // shares the ingress buffer, and a rewritten one carries its new
+        // number in the packet's overlay, as the egress deparser would
+        // write it over bytes 2..4.
+        let mut fwd = pkt.readdressed(spec.src, spec.dst);
+        if let Some(seq) = rewritten_seq {
+            fwd = fwd.with_seq_overlay(seq);
+        }
         let len = pkt.payload.len() as u64;
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
@@ -878,13 +891,50 @@ mod tests {
             );
             for f in out.forwards {
                 if f.dst == addr(3, 5000) {
-                    let v = RtpView::new(&f.payload).unwrap();
-                    p3_seqs.push(v.sequence_number());
+                    p3_seqs.push(RtpView::new(&f.wire_bytes()).unwrap().sequence_number());
                 }
             }
         }
         // P3 received 4 packets (T0,T1,T0,T1) renumbered contiguously.
         assert_eq!(p3_seqs, vec![0, 1, 2, 3]);
+    }
+
+    /// A rewritten replica that reaches another data plane is tracked
+    /// under its wire number: the second plane's rate-adapted stream
+    /// renumbers what the first plane's receiver would have seen, not
+    /// the sender's originals underneath the overlay.
+    #[test]
+    fn a_second_plane_rewrites_the_wire_numbers_of_a_rewritten_stream() {
+        let mut first = three_party_dp(1, true);
+        let mut second = three_party_dp(0, true);
+        let mut pz = Packetizer::new(0xAA, 96, 1200);
+        // T0 T2 T1 T2 T0 T2 T1 T2 T0: the first plane keeps T0/T1 for P3
+        // (wire numbers 0..5), the second keeps T0 only for its P3.
+        let (mut wire, mut twice) = (Vec::new(), Vec::new());
+        for (i, tpl) in [1u8, 3, 2, 4, 1, 3, 2, 4, 1].iter().enumerate() {
+            let pkts = video_frame_packets(&mut pz, i as u16, *tpl, false, 500);
+            let out = process(
+                &mut first,
+                &Packet::new(addr(1, 4000), sfu(10), pkts[0].serialize()),
+            );
+            for f in out.forwards.iter().filter(|f| f.dst == addr(3, 5000)) {
+                assert!(f.seq_overlay().is_some(), "rewritten in place");
+                wire.push(RtpView::new(&f.wire_bytes()).unwrap().sequence_number());
+                // The replica, as it arrives on the second plane's uplink.
+                let hop = f.readdressed(addr(1, 4000), sfu(10));
+                let out = process(&mut second, &hop);
+                for g in out.forwards.iter().filter(|g| g.dst == addr(3, 5000)) {
+                    twice.push(RtpView::new(&g.wire_bytes()).unwrap().sequence_number());
+                }
+            }
+        }
+        assert_eq!(wire, vec![0, 1, 2, 3, 4]);
+        // The second plane's P3 keeps the T0 packets, wire 0, 2, 4
+        // (originals 0, 4, 8), renumbered contiguously either way. Its
+        // offset is what tells them apart: a NACK for 2 must reach the
+        // first plane as wire number 4, not as the sender's 8.
+        assert_eq!(twice, vec![0, 1, 2]);
+        assert_eq!(second.tracker.offset_of(7), 2, "wire 4 went out as 2");
     }
 
     /// A NACK from a rate-adapted receiver names rewritten numbers; the

@@ -7,6 +7,7 @@
 //! counters, matching how the paper reports on-the-wire byte volumes.
 
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -50,15 +51,37 @@ impl fmt::Display for HostAddr {
 }
 
 /// A UDP datagram in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// **The sequence-number overlay.** A switch that replicates a packet to
+/// many receivers rewrites the RTP sequence number (payload bytes 2..4)
+/// of some replicas and nothing else (§6.2). Such a replica shares the
+/// ingress packet's `payload` — one reference-count bump, like every
+/// other replica — and carries its new number in the overlay, which sits
+/// in the padding the struct has anyway (it stays 32 bytes). The datagram
+/// on the wire is `payload` with the overlay written over bytes 2..4:
+/// [`Self::wire_bytes`] returns exactly that, and packets compare equal
+/// when their addresses and wire bytes do. Whatever reads an RTP header
+/// off a packet reads the sequence number through [`Self::seq_overlay`]:
+/// the data plane's parse stage and the client's receive path do. The
+/// overlay changes no length, so [`Self::wire_len`] and every byte
+/// counter are those of the datagram. It belongs to the payload it was
+/// set on: a packet built afresh with [`Self::new`] has none.
+#[derive(Debug, Clone)]
 pub struct Packet {
     /// Source endpoint.
     pub src: HostAddr,
     /// Destination endpoint; the simulator routes on `dst.ip`.
     pub dst: HostAddr,
-    /// UDP payload (RTP, RTCP, STUN, or application bytes).
+    /// UDP payload (RTP, RTCP, STUN, or application bytes), before the
+    /// sequence-number overlay is applied.
     pub payload: Bytes,
+    /// The RTP sequence number that replaces payload bytes 2..4 on the
+    /// wire, when an egress stage rewrote it.
+    seq_overlay: Option<u16>,
 }
+
+// The overlay lives in what was padding: a replica is no larger for it.
+const _: () = assert!(std::mem::size_of::<Packet>() == 32);
 
 impl Packet {
     /// Create a packet.
@@ -67,6 +90,38 @@ impl Packet {
             src,
             dst,
             payload: payload.into(),
+            seq_overlay: None,
+        }
+    }
+
+    /// This packet with RTP sequence number `seq` on the wire in place of
+    /// payload bytes 2..4, which stay shared and untouched. A payload too
+    /// short to hold a sequence number has none to replace and is left as
+    /// it is (a branch, not a panic: this runs once per replica).
+    pub fn with_seq_overlay(mut self, seq: u16) -> Packet {
+        if self.payload.len() >= 4 {
+            self.seq_overlay = Some(seq);
+        }
+        self
+    }
+
+    /// The RTP sequence number an egress stage wrote over payload bytes
+    /// 2..4, if one did.
+    pub fn seq_overlay(&self) -> Option<u16> {
+        self.seq_overlay
+    }
+
+    /// The datagram exactly as it is on the wire: the payload, with the
+    /// sequence-number overlay written in when there is one (a copy only
+    /// then). For inspection; the hot paths read the overlay instead.
+    pub fn wire_bytes(&self) -> Cow<'_, [u8]> {
+        match self.seq_overlay {
+            None => Cow::Borrowed(&self.payload),
+            Some(seq) => {
+                let mut bytes = self.payload.to_vec();
+                bytes[2..4].copy_from_slice(&seq.to_be_bytes());
+                Cow::Owned(bytes)
+            }
         }
     }
 
@@ -86,19 +141,29 @@ impl Packet {
     }
 
     /// Return a copy re-addressed to a new source/destination pair, sharing
-    /// the payload buffer. This is the address rewrite Scallop's egress
-    /// pipeline performs on replicas (§6.1 "Addressing replicated
-    /// packets"); a replica whose sequence number is rewritten as well
-    /// cannot share the buffer and gets its bytes from the data plane's
-    /// replica slab instead.
+    /// the payload buffer and keeping the overlay. This is the address
+    /// rewrite Scallop's egress pipeline performs on replicas (§6.1
+    /// "Addressing replicated packets"); a replica whose sequence number is
+    /// rewritten as well gets [`Self::with_seq_overlay`] on top.
     pub fn readdressed(&self, src: HostAddr, dst: HostAddr) -> Packet {
         Packet {
             src,
             dst,
             payload: self.payload.clone(),
+            seq_overlay: self.seq_overlay,
         }
     }
 }
+
+/// Equal addresses and equal datagrams on the wire: a packet with an
+/// overlay equals one whose payload has the same number written in.
+impl PartialEq for Packet {
+    fn eq(&self, other: &Packet) -> bool {
+        self.src == other.src && self.dst == other.dst && self.wire_bytes() == other.wire_bytes()
+    }
+}
+
+impl Eq for Packet {}
 
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -192,6 +257,38 @@ mod tests {
         assert_eq!(q.dst, addr(3, 3000));
         // Bytes clones are reference-counted views of the same allocation.
         assert_eq!(q.payload.as_ptr(), p.payload.as_ptr());
+    }
+
+    #[test]
+    fn the_overlay_is_the_sequence_number_on_the_wire() {
+        let bytes: Vec<u8> = (0u8..16).collect();
+        let p = Packet::new(addr(1, 1000), addr(2, 2000), bytes.clone());
+        assert_eq!(p.seq_overlay(), None);
+        assert_eq!(p.wire_bytes()[..], bytes[..]);
+
+        let q = p
+            .readdressed(addr(9, 9), addr(3, 3000))
+            .with_seq_overlay(0xBEEF);
+        let r = q.readdressed(addr(9, 9), addr(4, 4000));
+        let mut wire = bytes.clone();
+        wire[2..4].copy_from_slice(&[0xBE, 0xEF]);
+        for replica in [&q, &r] {
+            assert_eq!(replica.seq_overlay(), Some(0xBEEF), "readdressing keeps it");
+            assert_eq!(replica.wire_bytes()[..], wire[..]);
+            assert_eq!(replica.payload, p.payload, "the payload is untouched");
+            assert_eq!(replica.payload.as_ptr(), p.payload.as_ptr(), "and shared");
+            assert_eq!(replica.wire_len(), p.wire_len());
+        }
+        // Equality is by wire bytes: the overlay equals the number written in.
+        assert_eq!(q, Packet::new(q.src, q.dst, wire));
+        assert_ne!(q, p.readdressed(q.src, q.dst));
+    }
+
+    #[test]
+    fn a_payload_without_a_sequence_number_takes_no_overlay() {
+        let p = Packet::new(addr(1, 1), addr(2, 2), vec![7u8; 3]).with_seq_overlay(1);
+        assert_eq!(p.seq_overlay(), None);
+        assert_eq!(p.wire_bytes()[..], [7u8; 3]);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!    batches alike, with dense SoA registers enabled on the N-packet
 //!    side only (so the test also proves dense == exact-table). Two
 //!    receivers are rate-adapted, so replicas are suppressed and
-//!    sequence-rewritten; the one-packet side's payloads are copied out
-//!    into owned buffers, so `Packet` equality (which is by content)
-//!    compares bytes, not shared slabs.
+//!    sequence-rewritten; the one-packet side's forwards are kept as
+//!    their wire bytes (payload with the sequence-number overlay written
+//!    in), so the comparison checks every rewritten number.
 //! 2. **Baselines**: the live fabric slice reproduces the checked-in
 //!    `results/fig20_21_fabric_slice.json` byte-for-byte.
 
@@ -110,16 +110,14 @@ fn assert_equivalent_after(
     tweak(&mut bat_dp);
     bat_dp.enable_dense_ports(PORT_BASE, PORT_LIMIT);
 
+    // What a forward puts on the wire: addresses and datagram.
+    let wire = |f: &Packet| (f.src, f.dst, f.wire_bytes().into_owned());
     let mut seq_fwd = Vec::new();
     let mut seq_punts = Vec::new();
     let mut out = BatchOutput::default();
     for (i, pkt) in pkts.iter().enumerate() {
         seq_dp.process_batch(std::slice::from_ref(pkt), &mut out);
-        seq_fwd.extend(
-            out.forwards
-                .drain(..)
-                .map(|f| Packet::new(f.src, f.dst, f.payload.to_vec())),
-        );
+        seq_fwd.extend(out.forwards.iter().map(wire));
         // A batch of one punts index 0: map it back to the input index.
         seq_punts.extend(out.cpu_punts.iter().map(|&p| p + i as u32));
     }
@@ -127,24 +125,28 @@ fn assert_equivalent_after(
     let mut bout = BatchOutput::default();
     bat_dp.process_batch(pkts, &mut bout);
 
-    assert_eq!(bout.forwards, seq_fwd, "forwarded packets diverged");
+    let bat_fwd: Vec<_> = bout.forwards.iter().map(wire).collect();
+    assert_eq!(bat_fwd, seq_fwd, "forwarded packets diverged");
     assert_eq!(bout.cpu_punts, seq_punts, "punt ring diverged");
     assert_eq!(bat_dp.counters, seq_dp.counters, "counters diverged");
     assert_eq!(
         bat_dp.max_parse_depth, seq_dp.max_parse_depth,
         "parse depth diverged"
     );
-    // A rewritten replica is a view of the slab; every other media
-    // replica shares its ingress packet's buffer.
-    let rewritten = bout
+    // Every media replica, rewritten or not, shares its ingress packet's
+    // buffer; a rewritten one carries its number in the overlay.
+    let media: Vec<&Packet> = bout
         .forwards
         .iter()
         .filter(|f| scallop::proto::classify(&f.payload) == scallop::proto::PacketClass::Rtp)
-        .filter(|f| {
-            pkts.iter()
-                .all(|p| p.payload.as_ptr() != f.payload.as_ptr())
-        })
-        .count();
+        .collect();
+    assert!(
+        media.iter().all(|f| pkts
+            .iter()
+            .any(|p| p.payload.as_ptr() == f.payload.as_ptr())),
+        "a media replica copied its payload"
+    );
+    let rewritten = media.iter().filter(|f| f.seq_overlay().is_some()).count();
     BatchSide {
         stats: bout.stats,
         counters: bat_dp.counters,

@@ -3,9 +3,11 @@
 //! The repo benchmark's fan-out workload dips its receivers with no media
 //! in flight, so every stream's rewrite offset stays 0 there. Here the
 //! dip happens *under* media: all 600 (sender, receiver) streams of a
-//! 25-party meeting carry a non-zero offset, every replica's bytes differ
-//! from the ingress packet's, and the forwarding path must still cost one
-//! copy per replica and a constant number of heap allocations per burst.
+//! 25-party meeting carry a non-zero offset, so every replica's wire
+//! bytes differ from the ingress packet's. The forwarding path must still
+//! copy no payload — each replica shares the ingress buffer and carries
+//! its new number in the packet's overlay — and allocate nothing per
+//! burst.
 
 use scallop::core::agent::SwitchAgent;
 use scallop::dataplane::batch::BatchOutput;
@@ -138,8 +140,7 @@ fn steady_state_bursts_allocate_a_constant_not_per_replica() {
     w.dp.process_batch(&burst, &mut w.out); // warm-up: sizes every arena
 
     // A caller that lets go of a burst's outputs before the next one (as
-    // `process_batch` does by clearing `out`) gets the slab back, its
-    // reference count included: nothing is allocated.
+    // `process_batch` does by clearing `out`): nothing is allocated.
     for _ in 0..8 {
         let burst = w.next_burst();
         let n = allocs_in(|| w.dp.process_batch(&burst, &mut w.out));
@@ -147,28 +148,27 @@ fn steady_state_bursts_allocate_a_constant_not_per_replica() {
         assert_eq!(n, 0, "allocations for one closed-loop burst");
     }
 
-    // A caller that keeps every output alive pins each burst's slab, so
-    // each burst — one segment with rewritten replicas — needs a fresh
-    // one, reserved in one piece from the size of the last, and its count.
+    // A caller that keeps every output alive holds views of the ingress
+    // buffers and nothing of the data plane's: still nothing allocated.
     let mut kept = Vec::new();
     for _ in 0..8 {
-        let copies: Vec<Vec<u8>> = w.out.forwards.iter().map(|p| p.payload.to_vec()).collect();
+        let copies: Vec<Vec<u8>> = w
+            .out
+            .forwards
+            .iter()
+            .map(|p| p.wire_bytes().into_owned())
+            .collect();
         kept.push((w.out.forwards.clone(), copies));
         let burst = w.next_burst();
         let n = allocs_in(|| w.dp.process_batch(&burst, &mut w.out));
-        let segments_with_rewrites = 1;
-        assert!(
-            n <= 1 + segments_with_rewrites,
-            "{n} allocations for one burst with pinned slabs"
-        );
+        assert_eq!(n, 0, "allocations for one burst with every output kept");
     }
-    // A pinned slab is never taken back: its views read what they read
-    // when they were made.
-    for (views, copies) in &kept {
-        assert!(views
+    // A kept replica reads what it read when it was made.
+    for (replicas, copies) in &kept {
+        assert!(replicas
             .iter()
             .zip(copies)
-            .all(|(v, c)| v.payload[..] == c[..]));
+            .all(|(r, c)| r.wire_bytes()[..] == c[..]));
     }
 }
 
@@ -186,13 +186,17 @@ fn rewritten_replicas_are_the_ingress_bytes_with_a_new_sequence_number() {
         for (i, ingress) in burst.iter().enumerate() {
             let in_seq = RtpView::new(&ingress.payload).unwrap().sequence_number();
             let replicas = &w.out.forwards[i * fanout..(i + 1) * fanout];
-            for (k, fwd) in replicas.iter().enumerate() {
-                let seq = RtpView::new(&fwd.payload).unwrap().sequence_number();
+            for fwd in replicas {
+                let wire = fwd.wire_bytes();
+                let seq = RtpView::new(&wire).unwrap().sequence_number();
                 assert_ne!(seq, in_seq, "offset is non-zero on every stream");
-                // Byte-identical to the copy-then-patch the slab replaced.
+                // On the wire: the ingress bytes with the new number in.
                 let mut expect = ingress.payload.to_vec();
                 set_sequence_number(&mut expect, seq).unwrap();
-                assert_eq!(fwd.payload[..], expect[..]);
+                assert_eq!(wire[..], expect[..]);
+                // In memory: the ingress buffer itself, untouched.
+                assert_eq!(fwd.payload.as_ptr(), ingress.payload.as_ptr());
+                assert_eq!(fwd.payload, ingress.payload);
                 // Gap-free per stream, across the u16 wrap.
                 if let Some(prev) = last.insert((fwd.src, fwd.dst), seq) {
                     assert_eq!(
@@ -203,14 +207,6 @@ fn rewritten_replicas_are_the_ingress_bytes_with_a_new_sequence_number() {
                         fwd.dst
                     );
                     wrapped += usize::from(seq == 0);
-                }
-                // One slab: a packet's replicas sit back to back in it.
-                if k > 0 {
-                    let before = &replicas[k - 1].payload;
-                    assert_eq!(
-                        before.as_ptr() as usize + before.len(),
-                        fwd.payload.as_ptr() as usize
-                    );
                 }
             }
         }

@@ -14,8 +14,9 @@
 //! * a video frame's buffer when the recycled one is too small for the
 //!   frame or half again too large (a right-sized one replaces it);
 //! * a buffer, and its reference count, whenever a pool's oldest buffer is
-//!   still in flight — a frame, a retransmission, a replica slab, an audio
-//!   or an RTCP packet waiting in a constrained receiver's downlink queue;
+//!   still in flight — a frame (which every replica of its packets
+//!   shares), a retransmission, an audio or an RTCP packet waiting in a
+//!   constrained receiver's downlink queue;
 //! * the decoder's bookkeeping of a gap (a loss), and the agent's work on a
 //!   decode-target change or a re-homed meeting.
 //!
