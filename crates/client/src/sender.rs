@@ -47,8 +47,7 @@ pub struct SenderStats {
     /// Current encoder target bitrate.
     pub target_bitrate_bps: u64,
     /// REMB feedback messages received (after any switch-side
-    /// filtering/aggregation — one per window under the fabric's
-    /// window-paced min-aggregation).
+    /// filtering/aggregation).
     pub rembs_received: u64,
 }
 

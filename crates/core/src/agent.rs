@@ -353,16 +353,8 @@ pub struct SwitchAgent {
     rar_half: Vec<HalfTree>,
     policy: AdaptationPolicy,
     ewma_alpha: f64,
-    /// Window-paced sink emission: instead of re-emitting a sink
-    /// sender's min-aggregate REMB inline on every arriving estimate,
-    /// mark the sender dirty and emit exactly one aggregate per agent
-    /// tick ([`Self::tick`]). Off (the default), aggregates are emitted
-    /// inline — the original behavior, bit for bit.
-    remb_window_emit: bool,
-    /// Sink senders with a changed estimate awaiting the next window.
-    dirty_sinks: BTreeSet<ParticipantId>,
-    /// What the last [`Self::handle_cpu_packet`] or [`Self::tick`] sends,
-    /// drained by its caller; the vector is kept across calls.
+    /// What the last [`Self::handle_cpu_packet`] sends, drained by its
+    /// caller; the vector is kept across calls.
     out: Vec<Packet>,
     /// Buffers of the responses and REMBs in flight.
     pool: BufPool,
@@ -421,19 +413,10 @@ impl SwitchAgent {
             // adaptation is to shed layers *before* the receiver's queue
             // overflows (§5.3).
             ewma_alpha: 0.5,
-            remb_window_emit: false,
-            dirty_sinks: BTreeSet::new(),
             out: Vec::new(),
             pool: BufPool::new(RESPONSE_POOL_LIMIT),
             counters: AgentCounters::default(),
         }
-    }
-
-    /// Toggle window-paced sink REMB emission: with it on, a sink
-    /// sender hears **exactly one** min-filtered REMB per agent tick
-    /// window no matter how many per-edge estimates arrived in it.
-    pub fn set_remb_window_emission(&mut self, on: bool) {
-        self.remb_window_emit = on;
     }
 
     /// Builder: allocate SFU ports from `[base, limit)` instead of
@@ -2293,11 +2276,7 @@ impl SwitchAgent {
                 .map(|p| p.sink_port.is_some())
                 .unwrap_or(false)
         {
-            if self.remb_window_emit {
-                self.dirty_sinks.insert(sender);
-            } else {
-                self.emit_aggregate_remb(sender);
-            }
+            self.emit_aggregate_remb(sender);
         }
     }
 
@@ -2345,11 +2324,7 @@ impl SwitchAgent {
             ));
         }
         if saw_remb {
-            if self.remb_window_emit {
-                self.dirty_sinks.insert(sender);
-            } else {
-                self.emit_aggregate_remb(sender);
-            }
+            self.emit_aggregate_remb(sender);
         }
     }
 
@@ -2444,26 +2419,13 @@ impl SwitchAgent {
     }
 
     /// Periodic agent work (§5.3): re-evaluate the feedback filter and
-    /// reprogram REMB forwarding toward each sender. Under window-paced
-    /// sink emission ([`Self::set_remb_window_emission`]) this also
-    /// drains the dirty-sink set, returning at most one min-filtered
-    /// aggregate REMB per sink sender for the switch to emit; with the
-    /// window pacing off (the default) the returned batch is empty.
-    pub fn tick(
-        &mut self,
-        _now: SimTime,
-        dp: &mut ScallopDataPlane,
-    ) -> std::vec::Drain<'_, Packet> {
-        self.out.clear();
+    /// reprogram REMB forwarding toward each sender.
+    pub fn tick(&mut self, _now: SimTime, dp: &mut ScallopDataPlane) {
         let mut next = self.meetings.keys().next().copied();
         while let Some(mid) = next {
             self.refresh_feedback_gates(dp, mid, true);
             next = self.meetings.range(mid + 1..).next().map(|(&mid, _)| mid);
         }
-        while let Some(sender) = self.dirty_sinks.pop_first() {
-            self.emit_aggregate_remb(sender);
-        }
-        self.out.drain(..)
     }
 
     /// Re-run the §5.3 feedback filter for every sender of one meeting,

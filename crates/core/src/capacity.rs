@@ -43,9 +43,7 @@
 use scallop_dataplane::pre::{MAX_L1_NODES, MAX_MULTICAST_GROUPS};
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_netsim::topology::Topology;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// All capacity parameters with the paper's defaults.
 #[derive(Debug, Clone, Copy)]
@@ -471,11 +469,6 @@ pub struct AdmissionCounts {
     /// Refusals on a WAN bandwidth line.
     pub refused_wan: u64,
 }
-
-/// Shared handle to the fabric-wide ledger: every controller shard
-/// debits and credits the same book (controllers run single-threaded
-/// inside the simulation, so `Rc<RefCell>` suffices).
-pub type LedgerHandle = Rc<RefCell<FabricLoadLedger>>;
 
 /// Uniform uplink ports one local member consumes (video + audio).
 pub const MEMBER_PORTS: u64 = 2;

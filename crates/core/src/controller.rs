@@ -60,8 +60,8 @@
 //! of [`crate::agent`]). Remote edges forward their per-edge selected
 //! REMB to the sender's home-edge **feedback sink**, which
 //! min-aggregates them into the single fabric-wide estimate of §5.3
-//! (single-zone campuses keep the direct per-edge path, preserving the
-//! frozen baselines bit-for-bit). Home placement becomes two-level:
+//! (on a single-zone campus each edge sends the sender its own selected
+//! REMB). Home placement becomes two-level:
 //! zone majority first, then the best edge within the winning zone.
 //!
 //! # One route per fabric branch
@@ -92,12 +92,13 @@
 //! meeting/participant ids (keeping the id space collision-free across
 //! shards) and hands them to the create and join entry points here, so
 //! a `Controller` on its own can neither create a meeting nor admit a
-//! member.
+//! member. It also owns the fabric's one [`FabricLoadLedger`] and lends
+//! it to each call here that prices, debits or credits.
 
 use crate::agent::{JoinGrant, MeetingId, ParticipantId, Tier};
 use crate::capacity::{
-    AdmissionDecision, BranchRoute, FabricLoadLedger, LedgerHandle, LoadDelta, MEMBER_PORTS,
-    REMOTE_PORTS, THIN_DECODE_TARGET,
+    AdmissionDecision, BranchRoute, FabricLoadLedger, LoadDelta, MEMBER_PORTS, REMOTE_PORTS,
+    THIN_DECODE_TARGET,
 };
 use crate::fabric::Fabric;
 use crate::meeting::{FabricMeetingState, FabricMemberState};
@@ -239,17 +240,6 @@ pub(crate) struct Controller {
     /// ([`crate::shard::ShardedControlPlane`]) after every call that
     /// can retire.
     pub(crate) tombstones: BTreeMap<GlobalMeetingId, usize>,
-    /// The fabric-wide load account book
-    /// ([`crate::capacity::FabricLoadLedger`]): every join/compile
-    /// debits it, every leave/GC credits it. Under the sharded plane
-    /// all shards share one handle, so any shard sees fabric-wide
-    /// load. Without budgets installed it is pure bookkeeping and the
-    /// default paths stay byte-identical.
-    pub(crate) ledger: LedgerHandle,
-    /// Opt-in: min-aggregate REMB at the sender's home-edge feedback
-    /// sink even on a single-zone campus, restoring §5.3's single-
-    /// selection semantics fabric-wide (federations always aggregate).
-    pub(crate) aggregate_feedback: bool,
     /// Signaling transactions served (telemetry).
     pub signaling_exchanges: u64,
     scratch: JoinScratch,
@@ -306,41 +296,8 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
-    // Online capacity planning (§7.4 made live; ROADMAP "Fabric-wide
-    // capacity planner and admission control")
+    // Online capacity planning (§7.4 made live)
     // ------------------------------------------------------------------
-
-    /// Opt into home-edge REMB min-aggregation on single-zone campuses
-    /// (federated fabrics always aggregate).
-    pub fn set_feedback_aggregation(&mut self, on: bool) {
-        self.aggregate_feedback = on;
-    }
-
-    /// Replace this controller's ledger with a shared one (the sharded
-    /// plane gives every shard the same book).
-    pub(crate) fn attach_ledger(&mut self, ledger: LedgerHandle) {
-        self.ledger = ledger;
-    }
-
-    /// The least-loaded feasible home edge for a new meeting, per the
-    /// ledger: on a federation the least-loaded zone is picked first,
-    /// then the least-loaded edge within it. Falls back to edge 0 when
-    /// the ledger has no feasible candidate (all port budgets full).
-    pub fn plan_home_edge(&self, fabric: &Fabric) -> usize {
-        let led = self.ledger.borrow();
-        let topo = &fabric.topology;
-        let zone_load = |z: usize| {
-            topo.zone_edges(z)
-                .map(|e| led.load_score(e))
-                .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
-        };
-        let zone = (0..topo.zone_count())
-            .min_by_key(|&z| (zone_load(z), z))
-            .unwrap_or(0);
-        led.least_loaded_edge(topo.zone_edges(zone))
-            .or_else(|| led.least_loaded_edge(0..fabric.edges()))
-            .unwrap_or(0)
-    }
 
     /// The one routing rule: which upstream edge holds the branch that
     /// carries media of a sender homed on `se` toward the segment at
@@ -523,10 +480,12 @@ impl Controller {
     /// Request `i` is answered in `out[i]` and, if admitted, gets id
     /// `first_global + i`: a fully admitted burst numbers its members
     /// consecutively in input order, a refusal leaves its id unused.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn join(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         reqs: &[JoinRequest],
         first_global: GlobalParticipantId,
@@ -534,8 +493,6 @@ impl Controller {
     ) {
         assert_eq!(reqs.len(), out.len(), "one outcome slot per request");
         let revived = self.revive_if_retired(gmid);
-        let ledger = self.ledger.clone();
-        let aggregate = self.aggregate_feedback;
         let mut scratch = std::mem::take(&mut self.scratch);
         let Controller {
             fabric_meetings,
@@ -611,8 +568,7 @@ impl Controller {
                                 fabric,
                                 rec,
                                 signaling_exchanges,
-                                &ledger,
-                                aggregate,
+                                ledger,
                                 gmid,
                                 first + k,
                                 o,
@@ -624,13 +580,13 @@ impl Controller {
                     break;
                 };
                 // Steps 1–2, and the port debit of step 4.
-                let decision = Self::price(&fabric.topology, rec, &ledger.borrow(), edge, r.sends);
+                let decision = Self::price(&fabric.topology, rec, ledger, edge, r.sends);
                 out[i] = JoinOutcome {
                     decision,
                     grant: None,
                 };
                 if let AdmissionDecision::Refused(reason) = decision {
-                    ledger.borrow_mut().note_refusal(reason);
+                    ledger.note_refusal(reason);
                     continue;
                 }
                 if !rec.segments.contains_key(&edge) {
@@ -642,15 +598,13 @@ impl Controller {
                         fabric,
                         rec,
                         signaling_exchanges,
-                        &ledger,
-                        aggregate,
+                        ledger,
                         gmid,
                         edge,
                     );
                 }
-                let mut led = ledger.borrow_mut();
-                led.debit_member(gmid, id_of(i), edge);
-                led.note_admission(rec.thin_segments.contains(&edge));
+                ledger.debit_member(gmid, id_of(i), edge);
+                ledger.note_admission(rec.thin_segments.contains(&edge));
                 scratch.pending.push(i);
             }
         }
@@ -668,14 +622,12 @@ impl Controller {
     /// becomes the zone's WAN gateway and gets WAN-tier branches to
     /// every other zone's gateway. Then every established sender on
     /// other edges becomes a remote sender here.
-    #[allow(clippy::too_many_arguments)]
     fn materialize_segment(
         sim: &mut Simulator,
         fabric: &Fabric,
         rec: &mut FabricMeetingState,
         signaling: &mut u64,
-        ledger: &LedgerHandle,
-        aggregate: bool,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         edge: usize,
     ) {
@@ -713,9 +665,7 @@ impl Controller {
         // Established senders elsewhere become remote senders here.
         for mi in 0..rec.members.len() {
             if rec.members[mi].sends && rec.members[mi].edge != edge {
-                Self::plumb_sender_to_edge(
-                    sim, fabric, rec, signaling, ledger, aggregate, gmid, mi, edge,
-                );
+                Self::plumb_sender_to_edge(sim, fabric, rec, signaling, ledger, gmid, mi, edge);
             }
         }
     }
@@ -749,16 +699,14 @@ impl Controller {
     ///
     /// On a federated fabric the remote edge reports feedback to the
     /// home edge's REMB sink (min-aggregation, §5.3 fabric-wide); on a
-    /// single-zone campus it keeps the direct per-edge path the frozen
-    /// baselines pin.
+    /// single-zone campus it sends the sender its own selected REMB.
     #[allow(clippy::too_many_arguments)]
     fn plumb_sender_to_edge(
         sim: &mut Simulator,
         fabric: &Fabric,
         rec: &mut FabricMeetingState,
         signaling: &mut u64,
-        ledger: &LedgerHandle,
-        aggregate: bool,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         mi: usize,
         to: usize,
@@ -767,7 +715,7 @@ impl Controller {
         debug_assert!(m.sends && m.edge != to);
         let (global, m_edge) = (m.global, m.edge);
         let tz = &fabric.topology;
-        let home_addr = if tz.zone_count() > 1 || aggregate {
+        let home_addr = if tz.zone_count() > 1 {
             let sink = fabric.edge_mut(sim, m_edge).feedback_sink(m.local_pid);
             HostAddr::new(tz.edge_spec(m_edge).ip, sink)
         } else {
@@ -783,12 +731,9 @@ impl Controller {
         // Book the compile: the remote entry's trunk-ingress ports at
         // `to`, and the branch's planned bits on the trunk or WAN
         // accounts it rides (thin segments book the thin rate).
-        {
-            let mut led = ledger.borrow_mut();
-            led.debit_remote(gmid, global, to);
-            let route = Self::books(tz, rec, m_edge, to);
-            led.debit_branch(gmid, global, to, &route, rec.thin_segments.contains(&to));
-        }
+        ledger.debit_remote(gmid, global, to);
+        let route = Self::books(tz, rec, m_edge, to);
+        ledger.debit_branch(gmid, global, to, &route, rec.thin_segments.contains(&to));
         *signaling += 1;
     }
 
@@ -802,6 +747,7 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         global: GlobalParticipantId,
     ) {
@@ -824,13 +770,10 @@ impl Controller {
             m.remote_pids.iter().map(|(&o, &p)| (o, p)).collect();
         // Credit the departure: the member's uplink ports, and — if it
         // sent — every remote entry and branch it held.
-        {
-            let mut led = self.ledger.borrow_mut();
-            led.credit_member(gmid, global);
-            for &(o, _) in &remote {
-                led.credit_remote(gmid, global, o);
-                led.credit_branch(gmid, global, o);
-            }
+        ledger.credit_member(gmid, global);
+        for &(o, _) in &remote {
+            ledger.credit_remote(gmid, global, o);
+            ledger.credit_branch(gmid, global, o);
         }
         let rec = self.fabric_meetings.get(&gmid).expect("fabric meeting");
         let remote_segs: Vec<(usize, MeetingId, ParticipantId)> = remote
@@ -852,12 +795,12 @@ impl Controller {
             // later join re-materializes segments from scratch.
             let edges: Vec<usize> = rec.segments.keys().copied().collect();
             for e in edges {
-                self.gc_segment_if_drained(sim, fabric, gmid, e);
+                self.gc_segment_if_drained(sim, fabric, ledger, gmid, e);
             }
             let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
             self.tombstones.insert(gmid, rec.home);
         } else if m.edge != rec.home {
-            self.gc_segment_if_drained(sim, fabric, gmid, m.edge);
+            self.gc_segment_if_drained(sim, fabric, ledger, gmid, m.edge);
         }
     }
 
@@ -876,6 +819,7 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         edge: usize,
     ) -> bool {
@@ -921,12 +865,9 @@ impl Controller {
         }
         // Credit the drained segment's books: every surviving sender's
         // remote entry here and its branch toward here.
-        {
-            let mut led = self.ledger.borrow_mut();
-            for &(global, _) in &remotes {
-                led.credit_remote(gmid, global, edge);
-                led.credit_branch(gmid, global, edge);
-            }
+        for &(global, _) in &remotes {
+            ledger.credit_remote(gmid, global, edge);
+            ledger.credit_branch(gmid, global, edge);
         }
         // 2. Tear down trunk-egress branches in both directions — this
         //    is what stops every other edge from trunking media toward
@@ -978,7 +919,7 @@ impl Controller {
                 .copied()
                 .find(|&o| fabric.topology.zone_of_edge(o) == zone);
             if let Some(new_g) = new_gateway {
-                self.migrate_zone_gateway(sim, fabric, gmid, zone, new_g);
+                self.migrate_zone_gateway(sim, fabric, ledger, gmid, zone, new_g);
             }
         }
         true
@@ -1000,12 +941,11 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         zone: usize,
         new_g: usize,
     ) {
-        let ledger = self.ledger.clone();
-        let aggregate = self.aggregate_feedback;
         let Controller {
             fabric_meetings,
             signaling_exchanges,
@@ -1043,17 +983,15 @@ impl Controller {
                     fabric.edge_mut(sim, new_g).leave(new_g_seg, old_pid);
                     // The trunk-pruned entry's books are retired with
                     // it; the WAN-tier plumb below re-debits both.
-                    let mut led = ledger.borrow_mut();
-                    led.credit_remote(gmid, m_global, new_g);
-                    led.credit_branch(gmid, m_global, new_g);
+                    ledger.credit_remote(gmid, m_global, new_g);
+                    ledger.credit_branch(gmid, m_global, new_g);
                 }
                 Self::plumb_sender_to_edge(
                     sim,
                     fabric,
                     rec,
                     signaling_exchanges,
-                    &ledger,
-                    aggregate,
+                    ledger,
                     gmid,
                     mi,
                     new_g,
@@ -1070,7 +1008,7 @@ impl Controller {
                     // Rebind the fan-out branch's books: same
                     // destination, new upstream trunk (the debit
                     // replaces the old-gateway entry).
-                    ledger.borrow_mut().debit_branch(
+                    ledger.debit_branch(
                         gmid,
                         m_global,
                         o,
@@ -1109,6 +1047,7 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
     ) -> Option<(usize, usize)> {
         let rec = self.fabric_meetings.get(&gmid)?;
@@ -1131,14 +1070,13 @@ impl Controller {
         // of the lowest index — migrations target headroom, not just
         // receiver majority. Without budgets this is byte-identical to
         // the original index tie-break.
-        let planning = self.ledger.borrow().planning();
+        let planning = ledger.planning();
         let (&best_zone, &best_zone_count) = if planning {
-            let led = self.ledger.borrow();
             let zone_load = |z: usize| {
                 fabric
                     .topology
                     .zone_edges(z)
-                    .map(|e| led.load_score(e))
+                    .map(|e| ledger.load_score(e))
                     .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
             };
             zone_count.iter().max_by_key(|&(&z, &c)| {
@@ -1165,11 +1103,10 @@ impl Controller {
         }
         let home_count = count.get(&home).copied().unwrap_or(0);
         let (&best, &best_count) = if planning {
-            let led = self.ledger.borrow();
             count.iter().max_by_key(|&(&e, &c)| {
                 (
                     c,
-                    std::cmp::Reverse(led.load_score(e)),
+                    std::cmp::Reverse(ledger.load_score(e)),
                     std::cmp::Reverse(e),
                 )
             })?
@@ -1196,7 +1133,7 @@ impl Controller {
             .home = best;
         self.signaling_exchanges += 1;
         if home_count == 0 {
-            self.gc_segment_if_drained(sim, fabric, gmid, home);
+            self.gc_segment_if_drained(sim, fabric, ledger, gmid, home);
         }
         Some((home, best))
     }
@@ -1248,6 +1185,7 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
+        ledger: &mut FabricLoadLedger,
         edge: usize,
     ) -> u64 {
         let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
@@ -1261,7 +1199,7 @@ impl Controller {
                 .collect();
             lost_total += lost.len() as u64;
             for g in lost {
-                self.leave_fabric(sim, fabric, gmid, g);
+                self.leave_fabric(sim, fabric, ledger, gmid, g);
             }
             let Some(rec) = self.fabric_meetings.get(&gmid) else {
                 continue; // its last members died with the edge: retired
@@ -1270,9 +1208,9 @@ impl Controller {
                 // The dead edge anchored the home: the drained-home
                 // bypass re-homes to a surviving edge and collects the
                 // dead home's live-side plumbing.
-                self.rebalance_fabric(sim, fabric, gmid);
+                self.rebalance_fabric(sim, fabric, ledger, gmid);
             } else {
-                self.gc_segment_if_drained(sim, fabric, gmid, edge);
+                self.gc_segment_if_drained(sim, fabric, ledger, gmid, edge);
             }
         }
         lost_total
@@ -1823,7 +1761,7 @@ mod tests {
                     (0..f.edges()).flat_map(|e| [led.trunk_out_bps(e), led.trunk_in_bps(e)]);
                 edges.chain([led.wan_bps(0)]).collect()
             };
-            let mut priced = ctl.ledger_handle().borrow().clone();
+            let mut priced = ctl.ledger().clone();
             priced.debit_branch(
                 gmid,
                 u32::MAX,
@@ -1832,7 +1770,7 @@ mod tests {
                 false,
             );
             join(&mut ctl, &mut sim, &f, gmid, req(to, 4, false));
-            let booked = accounts(&ctl.ledger_handle().borrow());
+            let booked = accounts(ctl.ledger());
             assert_eq!(booked, accounts(&priced), "{se}→{to} books");
         }
     }

@@ -94,11 +94,6 @@ pub struct HarnessConfig {
     /// [`crate::capacity::FabricLoadLedger`] and may be thinned or
     /// refused.
     pub admission: Option<FabricBudgets>,
-    /// Opt into single-zone REMB min-aggregation with window-paced
-    /// emission: each sender's home edge collects per-edge estimates at
-    /// its feedback sink and emits exactly one min-filtered REMB per
-    /// agent tick. Off by default (baselines unchanged).
-    pub aggregate_feedback: bool,
 }
 
 impl Default for HarnessConfig {
@@ -135,7 +130,6 @@ impl Default for HarnessConfig {
             switch_link: LinkConfig::infinite(SimDuration::from_micros(50)),
             video: EncoderConfig::default(),
             admission: None,
-            aggregate_feedback: false,
         }
     }
 }
@@ -202,13 +196,6 @@ impl HarnessConfig {
     /// plane.
     pub fn admission(mut self, budgets: FabricBudgets) -> Self {
         self.admission = Some(budgets);
-        self
-    }
-
-    /// Builder: single-zone REMB min-aggregation with window-paced
-    /// emission.
-    pub fn aggregate_feedback(mut self, on: bool) -> Self {
-        self.aggregate_feedback = on;
         self
     }
 }
@@ -304,15 +291,6 @@ impl ScallopHarness {
         };
         if let Some(budgets) = cfg.admission {
             controller.set_capacity_budgets(budgets, &fabric.topology);
-        }
-        if cfg.aggregate_feedback {
-            controller.set_feedback_aggregation(true);
-            for e in 0..fabric.edges() {
-                fabric
-                    .edge_mut(&mut sim, e)
-                    .agent
-                    .set_remb_window_emission(true);
-            }
         }
         let senders = cfg.senders.unwrap_or(cfg.participants);
         let fabric_meeting = controller.create_fabric_meeting(&mut sim, &fabric, 0);
@@ -441,34 +419,30 @@ impl ScallopHarness {
 
     /// Admission decisions tallied by the capacity planner.
     pub fn admission_counts(&self) -> AdmissionCounts {
-        self.controller.ledger_handle().borrow().counts()
+        self.controller.ledger().counts()
     }
 
     /// Whether the capacity ledger has fully reconciled: every debit
     /// credited back, all load accounts at zero.
     pub fn ledger_reconciled(&self) -> bool {
-        self.controller.ledger_handle().borrow().reconciled()
+        self.controller.ledger().reconciled()
     }
 
     /// Trunk directions plus WAN links currently booked above budget
     /// (always 0 while admission is enforced).
     pub fn oversubscribed_links(&self) -> u64 {
-        self.controller
-            .ledger_handle()
-            .borrow()
-            .oversubscribed_links()
+        self.controller.ledger().oversubscribed_links()
     }
 
     /// Offered load booked on edge `e`'s trunk, `(out_bps, in_bps)`.
     pub fn trunk_load_bps(&self, e: usize) -> (u64, u64) {
-        let led = self.controller.ledger_handle();
-        let led = led.borrow();
+        let led = self.controller.ledger();
         (led.trunk_out_bps(e), led.trunk_in_bps(e))
     }
 
     /// SFU ports the ledger has booked on edge `e`.
     pub fn ports_booked(&self, e: usize) -> u64 {
-        self.controller.ledger_handle().borrow().ports_used(e)
+        self.controller.ledger().ports_used(e)
     }
 
     // ------------------------------------------------------------------

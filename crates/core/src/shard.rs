@@ -148,7 +148,7 @@
 //! assert_eq!(plane.stale_epoch_writes_rejected(), 1);
 //! ```
 
-use crate::capacity::{AdmissionDecision, FabricBudgets, LedgerHandle};
+use crate::capacity::{AdmissionDecision, FabricBudgets, FabricLoadLedger};
 use crate::controller::{
     Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
 };
@@ -410,14 +410,12 @@ pub struct ShardedControlPlane {
     lease_steals: u64,
     /// Stale-epoch ownership re-assertions fenced off at revival.
     stale_epoch_writes_rejected: u64,
-    /// The fabric-load ledger every shard's controller shares — the
-    /// capacity planner's single book. Admission decisions made on any
-    /// shard debit and credit the same ledger, so the plane-wide
-    /// budgets hold regardless of which shard owns a meeting.
-    ledger: LedgerHandle,
-    /// Whether single-zone REMB min-aggregation is on (propagated to
-    /// shards added by [`Self::set_shard_count`]).
-    aggregate_feedback: bool,
+    /// The fabric-load ledger — the capacity planner's single book,
+    /// lent to whichever shard's controller prices, debits or credits.
+    /// Admission decisions made on any shard debit and credit this one
+    /// ledger, so the plane-wide budgets hold regardless of which shard
+    /// owns a meeting.
+    ledger: FabricLoadLedger,
 }
 
 /// Counters carried over from shards dropped by a shrink.
@@ -432,16 +430,9 @@ impl ShardedControlPlane {
     /// Create a control plane of `shards` controller instances.
     pub fn new(shards: usize) -> ShardedControlPlane {
         assert!(shards >= 1, "at least one shard");
-        let ledger = LedgerHandle::default();
         ShardedControlPlane {
             ring: HashRing::new(shards),
-            shards: (0..shards)
-                .map(|_| {
-                    let mut s = ControllerShard::default();
-                    s.controller.attach_ledger(ledger.clone());
-                    s
-                })
-                .collect(),
+            shards: (0..shards).map(|_| ControllerShard::default()).collect(),
             owner: BTreeMap::new(),
             loads: vec![0; shards],
             next_global_meeting: 0,
@@ -458,8 +449,7 @@ impl ShardedControlPlane {
             lease_left: vec![LEASE_TICKS; shards],
             lease_steals: 0,
             stale_epoch_writes_rejected: 0,
-            ledger,
-            aggregate_feedback: false,
+            ledger: FabricLoadLedger::default(),
         }
     }
 
@@ -646,35 +636,42 @@ impl ShardedControlPlane {
     // The fabric-meeting API (routed to the owner's `Controller`)
     // ------------------------------------------------------------------
 
-    /// Arm the shared capacity planner: every shard's controller books
-    /// joins against the same [`crate::capacity::FabricLoadLedger`] and
-    /// enforces the same budgets.
+    /// Arm the capacity planner: every shard's controller books joins
+    /// against the plane's one [`FabricLoadLedger`] and enforces the
+    /// same budgets.
     pub fn set_capacity_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
-        self.ledger.borrow_mut().set_budgets(budgets, topo);
+        self.ledger.set_budgets(budgets, topo);
     }
 
-    /// Opt every shard into REMB min-aggregation at the sender's
-    /// home-edge feedback sink on single-zone campuses too (federated
-    /// fabrics always aggregate); shards added later by
-    /// [`Self::set_shard_count`] inherit the setting.
-    pub fn set_feedback_aggregation(&mut self, on: bool) {
-        self.aggregate_feedback = on;
-        for s in &mut self.shards {
-            s.controller.set_feedback_aggregation(on);
-        }
+    /// The plane's fabric-load ledger (telemetry).
+    pub fn ledger(&self) -> &FabricLoadLedger {
+        &self.ledger
     }
 
-    /// Handle to the plane-wide shared fabric-load ledger (telemetry).
-    pub fn ledger_handle(&self) -> LedgerHandle {
-        self.ledger.clone()
+    /// Shim: a copy of [`Self::ledger`] in a fresh cell. The frozen
+    /// `benchmark/src/sut.rs` names it and is its only caller;
+    /// benchmark v2 deletes it.
+    pub fn ledger_handle(&self) -> std::rc::Rc<std::cell::RefCell<FabricLoadLedger>> {
+        std::rc::Rc::new(self.ledger.clone().into())
     }
 
     /// The least-loaded feasible home edge for a new meeting per the
-    /// shared ledger: on a federation the least-loaded zone first, then
-    /// the least-loaded edge within it; edge 0 when every port budget is
-    /// full. Any shard gives the same answer because the book is shared.
+    /// ledger: on a federation the least-loaded zone first, then the
+    /// least-loaded edge within it; edge 0 when every port budget is
+    /// full.
     pub fn plan_home_edge(&self, fabric: &Fabric) -> usize {
-        self.shards[0].controller.plan_home_edge(fabric)
+        let (led, topo) = (&self.ledger, &fabric.topology);
+        let zone_load = |z: usize| {
+            topo.zone_edges(z)
+                .map(|e| led.load_score(e))
+                .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
+        };
+        let zone = (0..topo.zone_count())
+            .min_by_key(|&z| (zone_load(z), z))
+            .unwrap_or(0);
+        led.least_loaded_edge(topo.zone_edges(zone))
+            .or_else(|| led.least_loaded_edge(0..fabric.edges()))
+            .unwrap_or(0)
     }
 
     /// Place a meeting on the fabric with `home` as its home edge and
@@ -753,7 +750,7 @@ impl ShardedControlPlane {
         let first = self.next_global_participant + 1;
         self.shards[owner]
             .controller
-            .join(sim, fabric, gmid, reqs, first, out);
+            .join(sim, fabric, &mut self.ledger, gmid, reqs, first, out);
         if let Some(last) = out.iter().rposition(|o| o.grant.is_some()) {
             self.next_global_participant += last as GlobalParticipantId + 1;
         }
@@ -829,7 +826,7 @@ impl ShardedControlPlane {
         if let Some(&owner) = self.owner.get(&gmid) {
             self.shards[owner]
                 .controller
-                .leave_fabric(sim, fabric, gmid, global);
+                .leave_fabric(sim, fabric, &mut self.ledger, gmid, global);
             self.absorb_retired(owner);
         }
     }
@@ -846,9 +843,10 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
     ) -> Option<(usize, usize)> {
         let &owner = self.owner.get(&gmid)?;
-        let moved = self.shards[owner]
-            .controller
-            .rebalance_fabric(sim, fabric, gmid);
+        let moved =
+            self.shards[owner]
+                .controller
+                .rebalance_fabric(sim, fabric, &mut self.ledger, gmid);
         if let Some((old_home, new_home)) = moved {
             if self.zone_of_home(old_home) != self.zone_of_home(new_home) {
                 self.cross_zone_handoffs += 1;
@@ -938,13 +936,7 @@ impl ShardedControlPlane {
         assert!(n >= 1, "at least one shard");
         self.ring = HashRing::new(n);
         while self.shards.len() < n {
-            let mut s = ControllerShard::default();
-            // New shards join the plane's shared capacity book and
-            // inherit its feedback-aggregation setting.
-            s.controller.attach_ledger(self.ledger.clone());
-            s.controller
-                .set_feedback_aggregation(self.aggregate_feedback);
-            self.shards.push(s);
+            self.shards.push(ControllerShard::default());
             self.loads.push(0);
             self.silent.push(false);
             self.lease_left.push(LEASE_TICKS);
@@ -1164,7 +1156,10 @@ impl ShardedControlPlane {
         let lost = self
             .shards
             .iter_mut()
-            .map(|s| s.controller.handle_edge_failure(sim, fabric, edge))
+            .map(|s| {
+                s.controller
+                    .handle_edge_failure(sim, fabric, &mut self.ledger, edge)
+            })
             .sum();
         for s in 0..self.shards.len() {
             self.absorb_retired(s);
@@ -1599,6 +1594,49 @@ mod tests {
             let g = plane.create_fabric_meeting(&mut sim, &f, i % 4);
             assert_eq!(plane.owner_of(g), Some(1), "only the live shard admits");
         }
+    }
+
+    #[test]
+    fn resharded_shards_share_the_planes_one_book() {
+        let (mut sim, f) = campus(2);
+        let mut plane = ShardedControlPlane::new(1);
+        // Edge 0's span holds two members (two ports each).
+        let mut budgets = FabricBudgets::from_model();
+        budgets.edge_ports = Some(4);
+        plane.set_capacity_budgets(budgets, &f.topology);
+        let first = plane.create_fabric_meeting(&mut sim, &f, 0);
+        join(&mut plane, &mut sim, &f, first, (0, caddr(1), false));
+        assert_eq!(plane.ledger().ports_used(0), 2);
+        assert_eq!(plane.plan_home_edge(&f), 1, "placement reads the book");
+
+        plane.set_shard_count(&mut sim, &f, 4);
+        let gmid = loop {
+            let g = plane.create_fabric_meeting(&mut sim, &f, 0);
+            if plane.owner_of(g) != Some(0) {
+                break g;
+            }
+        };
+        // The added shard prices and debits against the plane's book:
+        // it sees the first meeting's member, so edge 0 fits one more.
+        let req = |last| JoinRequest {
+            edge: 0,
+            addr: caddr(last),
+            sends: false,
+        };
+        let debits = plane.ledger().debits;
+        let fits = plane.join(&mut sim, &f, gmid, &[req(2)]);
+        assert_eq!(fits[0].decision, AdmissionDecision::Admitted);
+        assert_eq!(plane.ledger().ports_used(0), 4);
+        assert_eq!(plane.ledger().debits, debits + 1);
+        let over = plane.join(&mut sim, &f, gmid, &[req(3)]);
+        assert_eq!(
+            over[0].decision,
+            AdmissionDecision::Refused(crate::capacity::RefusalReason::EdgePortsExhausted {
+                edge: 0
+            })
+        );
+        assert!(over[0].grant.is_none());
+        assert_eq!(plane.ledger().counts().refused, 1);
     }
 
     #[test]

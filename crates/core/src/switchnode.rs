@@ -283,11 +283,7 @@ impl Node for ScallopSwitchNode {
         match timer {
             TIMER_FLUSH => self.departures.flush_due(ctx),
             TIMER_AGENT => {
-                // Window-paced sink REMBs (empty unless the agent was
-                // opted in) leave at agent latency like any response.
-                for pkt in self.agent.tick(ctx.now(), &mut self.dp) {
-                    self.departures.emit(ctx, &self.cfg, Lane::Agent, pkt);
-                }
+                self.agent.tick(ctx.now(), &mut self.dp);
                 ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
             }
             _ => {}

@@ -115,11 +115,6 @@ impl PacketReplicationEngine {
         self.l1_nodes_used
     }
 
-    /// Remaining tree budget.
-    pub fn groups_free(&self) -> usize {
-        MAX_MULTICAST_GROUPS - self.groups.len()
-    }
-
     /// Create an empty multicast group. Fails when the 64 K budget is
     /// exhausted or the MGID is taken.
     pub fn create_group(&mut self, mgid: u16) -> Result<(), PreError> {

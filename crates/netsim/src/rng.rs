@@ -86,11 +86,6 @@ impl DetRng {
         lo + hi128
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
-    }
-
     /// Exponentially distributed value with the given mean (inverse-CDF
     /// sampling). Used for Poisson arrival processes in the workload models.
     pub fn exp(&mut self, mean: f64) -> f64 {

@@ -305,11 +305,6 @@ impl Simulator {
         (slot.node.as_mut() as &mut dyn Any).downcast_mut::<T>()
     }
 
-    /// Mutable access to a node's uplink (for mid-run impairment changes).
-    pub fn uplink_mut(&mut self, id: NodeId) -> &mut Link {
-        &mut self.nodes[id.0].uplink
-    }
-
     /// Mutable access to a node's downlink.
     pub fn downlink_mut(&mut self, id: NodeId) -> &mut Link {
         &mut self.nodes[id.0].downlink

@@ -196,11 +196,6 @@ impl TimeSeries {
         self.bins[idx] += value;
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     /// `(bin_start_seconds, sum)` for every bin.
     pub fn points(&self) -> Vec<(f64, f64)> {
         let w = self.bin.as_secs_f64();

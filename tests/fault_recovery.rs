@@ -120,6 +120,19 @@ fn trunk_cut_fails_over_to_the_alternate_core() {
         h.core_stats(alternate).relayed_bytes > alt_before,
         "failed-over media rides the alternate core"
     );
+
+    // The link comes back: the same pass returns the moved branches to
+    // their preferred core, which relays again.
+    let preferred_before = h.core_stats(core).relayed_bytes;
+    h.restore_trunk(0, core);
+    assert_eq!(h.repair_trunks(), repaired, "every branch moves back");
+    assert_eq!(h.repair_trunks(), 0, "the pass is idempotent by count");
+    h.run_for_secs(2.0);
+    assert!(cross_edge_fps(&mut h, 1) > 25.0);
+    assert!(
+        h.core_stats(core).relayed_bytes > preferred_before,
+        "the restored link carries the trunk again"
+    );
 }
 
 #[test]

@@ -156,9 +156,8 @@ fn cycles_leave_nothing_behind(shards: usize) {
             assert_eq!(plane.shard(s).meetings_owned(), 0, "shard {s}");
             assert_eq!(plane.shard(s).meetings_owned(), 0);
         }
-        let ledger = plane.ledger_handle();
-        assert!(ledger.borrow().reconciled());
-        assert_eq!(ledger.borrow().open_entries(), 0);
+        assert!(plane.ledger().reconciled());
+        assert_eq!(plane.ledger().open_entries(), 0);
     }
     for &gmid in &retired {
         assert_retired(&plane, gmid);
