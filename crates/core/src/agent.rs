@@ -1462,9 +1462,9 @@ impl SwitchAgent {
     }
 
     /// A copy of this agent and of `dp`'s compiled tables to compile on
-    /// the side, with zeroed counters. The compile writes stream
-    /// cadences but never reads the tracker registers, so a fresh
-    /// tracker stands in for a copy of them.
+    /// the side, with zeroed counters. The compile writes cadences but
+    /// never reads tracker state, so a fresh tracker, which costs nothing
+    /// until a stream is initialised, stands in for a copy of it.
     fn copy_with(&self, dp: &ScallopDataPlane) -> (SwitchAgent, ScallopDataPlane) {
         let mut copy = ScallopDataPlane::new(dp.tracker.mode());
         copy.port_rules = dp.port_rules.clone();

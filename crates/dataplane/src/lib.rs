@@ -11,10 +11,11 @@
 //! * [`tables`] — exact-match match-action tables with capacity and SRAM
 //!   accounting (the control plane guarantees collision-free indices,
 //!   §6.2, so exact tables model the hash tables of the prototype).
-//! * [`registers`] — per-stage register arrays (the Stream Tracker state).
-//! * [`seqrewrite`] — the two hardware sequence-rewriting heuristics,
-//!   S-LM (low memory) and S-LR (low retransmission), plus a software
-//!   oracle used to quantify their error (Fig. 18).
+//! * [`seqrewrite`] — the Stream Tracker and its two hardware sequence-
+//!   rewriting heuristics, S-LM (low memory) and S-LR (low
+//!   retransmission), plus a software oracle used to quantify their error
+//!   (Fig. 18). The tracker's six register arrays are modelled as one
+//!   six-word row per stream, allocated as streams arrive.
 //! * [`parser`] — the depth-aware ingress parser of Appendix E: first-
 //!   nibble classification and RTP-extension walking with parse-depth
 //!   accounting.
@@ -43,7 +44,6 @@
 pub mod batch;
 pub mod parser;
 pub mod pre;
-pub mod registers;
 pub mod resources;
 pub mod rules;
 pub mod seqrewrite;

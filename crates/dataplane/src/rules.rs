@@ -14,7 +14,7 @@
 
 use scallop_netsim::packet::HostAddr;
 
-/// Index into the Stream Tracker register arrays.
+/// A stream's slot in the Stream Tracker (its row of rewrite state).
 pub type StreamIndex = u16;
 
 /// How a sender's packets are replicated.

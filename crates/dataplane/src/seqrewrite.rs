@@ -25,11 +25,14 @@
 //! monotonicity guard clamps the offset rather than ever re-emitting an
 //! already-used output number.
 //!
+//! The hardware keeps a stream's state words in six register arrays,
+//! word `k` of every stream in array `k`. The [`StreamTracker`] models
+//! them as one row of six packed words per stream, so one packet's rewrite
+//! reads and writes one cache line; S-LM persists three of the words.
+//!
 //! The [`OracleRewriter`] is the software reference used by Fig. 18: it is
 //! told the ground truth for every original sequence number (forwarded or
 //! suppressed) and produces the ideal rewritten stream.
-
-use crate::registers::RegisterArray;
 
 /// Whether the adaptation stage decided to forward or suppress a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +71,7 @@ impl SeqRewriteMode {
     }
 }
 
-/// Decoded per-stream state (packed into register cells on the wire).
+/// Decoded per-stream state (packed into six words in the tracker).
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamState {
     initialized: bool,
@@ -110,74 +113,9 @@ struct StreamState {
     offset_changed_recently: bool,
 }
 
-/// Forward wrapping distance `a -> b` as a signed 16-bit-window delta.
-fn seq_delta(from: u16, to: u16) -> i32 {
-    let d = to.wrapping_sub(from);
-    if d < 0x8000 {
-        d as i32
-    } else {
-        -((from.wrapping_sub(to)) as i32)
-    }
-}
-
-/// The Stream Tracker: six register arrays in the egress pipeline, one
-/// slot per rate-adapted stream, indexed by the collision-free stream
-/// index the control plane assigns (§6.2 "Stream Index" table).
-#[derive(Debug)]
-pub struct StreamTracker {
-    mode: SeqRewriteMode,
-    // Six arrays, mirroring the prototype ("six hash tables, always
-    // accessed in order"). S-LM touches only the first three.
-    arr: [RegisterArray; 6],
-    capacity: usize,
-    /// Packets processed through the rewrite stage.
-    pub packets_processed: u64,
-    /// Packets dropped by the rewrite stage.
-    pub packets_dropped: u64,
-}
-
-impl StreamTracker {
-    /// Create a tracker with `capacity` stream slots per array.
-    pub fn new(mode: SeqRewriteMode, capacity: usize) -> Self {
-        StreamTracker {
-            mode,
-            arr: [
-                RegisterArray::new("st0_seq_frame", capacity),
-                RegisterArray::new("st1_offset_flags", capacity),
-                RegisterArray::new("st2_lastout_suppr", capacity),
-                RegisterArray::new("st3_curframe", capacity),
-                RegisterArray::new("st4_aux", capacity),
-                RegisterArray::new("st5_aux", capacity),
-            ],
-            capacity,
-            packets_processed: 0,
-            packets_dropped: 0,
-        }
-    }
-
-    /// Heuristic in use.
-    pub fn mode(&self) -> SeqRewriteMode {
-        self.mode
-    }
-
-    /// Stream slots per array.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total SRAM bits of the stream-tracker arrays actually needed by
-    /// the configured mode.
-    pub fn sram_bits(&self) -> usize {
-        self.capacity * 32 * self.mode.words_per_stream()
-    }
-
-    fn load(&self, idx: usize) -> StreamState {
-        let w0 = self.arr[0].read_cp(idx).unwrap_or(0);
-        let w1 = self.arr[1].read_cp(idx).unwrap_or(0);
-        let w2 = self.arr[2].read_cp(idx).unwrap_or(0);
-        let w3 = self.arr[3].read_cp(idx).unwrap_or(0);
-        let w4 = self.arr[4].read_cp(idx).unwrap_or(0);
-        let w5 = self.arr[5].read_cp(idx).unwrap_or(0);
+impl StreamState {
+    /// Decode a stream's six words (all zeros for a never-used slot).
+    fn unpack([w0, w1, w2, w3, w4, w5]: [u32; 6]) -> Self {
         StreamState {
             highest_seq: (w0 >> 16) as u16,
             highest_frame: (w0 & 0xFFFF) as u16,
@@ -199,58 +137,109 @@ impl StreamTracker {
         }
     }
 
-    fn store(&mut self, idx: usize, s: &StreamState) {
-        let w0 = ((s.highest_seq as u32) << 16) | s.highest_frame as u32;
-        let mut flags = 0u32;
-        if s.initialized {
-            flags |= 0x1;
+    /// Encode into six words: S-LM's three first, S-LR's extras after.
+    fn pack(&self) -> [u32; 6] {
+        let flags = u32::from(self.initialized)
+            | u32::from(self.last_frame_ended) << 1
+            | u32::from(self.emitted_any) << 2
+            | u32::from(self.has_suppressed) << 3
+            | u32::from(self.offset_changed_recently) << 4
+            | u32::from(self.last_frame_suppressed) << 5;
+        let hi_lo = |hi: u16, lo: u16| (u32::from(hi) << 16) | u32::from(lo);
+        [
+            hi_lo(self.highest_seq, self.highest_frame),
+            (u32::from(self.offset) << 16) | ((u32::from(self.cadence_step) & 0xFF) << 8) | flags,
+            hi_lo(self.last_out, self.highest_suppressed_frame),
+            hi_lo(self.cur_frame_first_seq, self.cur_frame_number),
+            hi_lo(self.cur_frame_offset, self.last_mask_seq),
+            u32::from(self.frame_size_est),
+        ]
+    }
+}
+
+/// Forward wrapping distance `a -> b` as a signed 16-bit-window delta.
+fn seq_delta(from: u16, to: u16) -> i32 {
+    let d = to.wrapping_sub(from);
+    if d < 0x8000 {
+        d as i32
+    } else {
+        -((from.wrapping_sub(to)) as i32)
+    }
+}
+
+/// The Stream Tracker in the egress pipeline: one slot per rate-adapted
+/// stream, indexed by the collision-free stream index the control plane
+/// assigns (§6.2 "Stream Index" table).
+///
+/// The prototype spreads a slot over six register arrays ("six hash
+/// tables, always accessed in order"); here a slot is one row holding the
+/// same six words, and S-LM persists only words 0–2, the arrays it
+/// touches. Rows exist up to the highest index initialised or processed,
+/// never past `capacity`. A slot without a row reads as zeros, as an
+/// untouched register does, and an index at or past `capacity` reads as
+/// zeros and keeps nothing. [`Self::sram_bits`] charges the full arrays.
+#[derive(Debug)]
+pub struct StreamTracker {
+    mode: SeqRewriteMode,
+    rows: Vec<[u32; 6]>,
+    capacity: usize,
+    /// Packets processed through the rewrite stage.
+    pub packets_processed: u64,
+    /// Packets dropped by the rewrite stage.
+    pub packets_dropped: u64,
+}
+
+impl StreamTracker {
+    /// Create a tracker with `capacity` stream slots; it holds no row
+    /// until a stream uses one.
+    pub fn new(mode: SeqRewriteMode, capacity: usize) -> Self {
+        StreamTracker {
+            mode,
+            rows: Vec::new(),
+            capacity,
+            packets_processed: 0,
+            packets_dropped: 0,
         }
-        if s.last_frame_ended {
-            flags |= 0x2;
+    }
+
+    /// Heuristic in use.
+    pub fn mode(&self) -> SeqRewriteMode {
+        self.mode
+    }
+
+    /// Stream slots.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Total SRAM bits of the stream-tracker arrays actually needed by
+    /// the configured mode.
+    pub fn sram_bits(&self) -> usize {
+        self.capacity * 32 * self.mode.words_per_stream()
+    }
+
+    fn load(&self, idx: usize) -> StreamState {
+        StreamState::unpack(self.rows.get(idx).copied().unwrap_or_default())
+    }
+
+    /// Write `s` to slot `idx`: all six words from the control plane, the
+    /// mode's words from the rewrite stage. A write past the last row
+    /// grows the rows through `idx`; past `capacity` nothing is kept.
+    /// Inlined so that `process` packs its state straight into the row.
+    #[inline]
+    fn store(&mut self, idx: usize, s: &StreamState, all_words: bool) {
+        if idx >= self.capacity {
+            return;
         }
-        if s.emitted_any {
-            flags |= 0x4;
+        if idx >= self.rows.len() {
+            self.rows.resize(idx + 1, [0; 6]);
         }
-        if s.has_suppressed {
-            flags |= 0x8;
-        }
-        if s.offset_changed_recently {
-            flags |= 0x10;
-        }
-        if s.last_frame_suppressed {
-            flags |= 0x20;
-        }
-        let w1 = ((s.offset as u32) << 16) | ((s.cadence_step as u32 & 0xFF) << 8) | flags;
-        let w2 = ((s.last_out as u32) << 16) | s.highest_suppressed_frame as u32;
-        let w3 = ((s.cur_frame_first_seq as u32) << 16) | s.cur_frame_number as u32;
-        // One write per array, mirroring the in-order access discipline.
-        let _ = self.arr[0].rmw(idx, |c| {
-            *c = w0;
-            *c
-        });
-        let _ = self.arr[1].rmw(idx, |c| {
-            *c = w1;
-            *c
-        });
-        let _ = self.arr[2].rmw(idx, |c| {
-            *c = w2;
-            *c
-        });
-        if matches!(self.mode, SeqRewriteMode::LowRetransmission) {
-            let w4 = ((s.cur_frame_offset as u32) << 16) | s.last_mask_seq as u32;
-            let _ = self.arr[3].rmw(idx, |c| {
-                *c = w3;
-                *c
-            });
-            let _ = self.arr[4].rmw(idx, |c| {
-                *c = w4;
-                *c
-            });
-            let w5 = s.frame_size_est as u32;
-            let _ = self.arr[5].rmw(idx, |c| {
-                *c = w5;
-                *c
-            });
+        let words = s.pack();
+        let row = &mut self.rows[idx];
+        if all_words || self.mode == SeqRewriteMode::LowRetransmission {
+            *row = words;
+        } else {
+            row[..3].copy_from_slice(&words[..3]);
         }
     }
 
@@ -262,14 +251,14 @@ impl StreamTracker {
             frame_size_est: 4,
             ..Default::default()
         };
-        self.store_cp(idx, &s);
+        self.store(idx, &s, true);
     }
 
     /// Control plane: update the cadence when the decode target changes.
     pub fn set_cadence(&mut self, idx: usize, cadence_step: u16) {
         let mut s = self.load(idx);
         s.cadence_step = cadence_step.clamp(1, 255);
-        self.store_cp(idx, &s);
+        self.store(idx, &s, true);
     }
 
     /// Current rewrite offset of a stream (read by the ingress NACK-
@@ -283,45 +272,9 @@ impl StreamTracker {
     /// Control plane: release a slot (§6.3 "immediate cleanup when a
     /// stream ends").
     pub fn clear_stream(&mut self, idx: usize) {
-        for a in &mut self.arr {
-            let _ = a.clear_cp(idx);
+        if let Some(row) = self.rows.get_mut(idx) {
+            *row = [0; 6];
         }
-    }
-
-    fn store_cp(&mut self, idx: usize, s: &StreamState) {
-        // Same packing as `store`, without access counting.
-        let w0 = ((s.highest_seq as u32) << 16) | s.highest_frame as u32;
-        let mut flags = 0u32;
-        if s.initialized {
-            flags |= 0x1;
-        }
-        if s.last_frame_ended {
-            flags |= 0x2;
-        }
-        if s.emitted_any {
-            flags |= 0x4;
-        }
-        if s.has_suppressed {
-            flags |= 0x8;
-        }
-        if s.offset_changed_recently {
-            flags |= 0x10;
-        }
-        if s.last_frame_suppressed {
-            flags |= 0x20;
-        }
-        let w1 = ((s.offset as u32) << 16) | ((s.cadence_step as u32 & 0xFF) << 8) | flags;
-        let w2 = ((s.last_out as u32) << 16) | s.highest_suppressed_frame as u32;
-        let w3 = ((s.cur_frame_first_seq as u32) << 16) | s.cur_frame_number as u32;
-        let _ = self.arr[0].write_cp(idx, w0);
-        let _ = self.arr[1].write_cp(idx, w1);
-        let _ = self.arr[2].write_cp(idx, w2);
-        let _ = self.arr[3].write_cp(idx, w3);
-        let _ = self.arr[4].write_cp(
-            idx,
-            ((s.cur_frame_offset as u32) << 16) | s.last_mask_seq as u32,
-        );
-        let _ = self.arr[5].write_cp(idx, s.frame_size_est as u32);
     }
 
     /// Process one packet of the stream through the rewrite stage.
@@ -343,7 +296,7 @@ impl StreamTracker {
         self.packets_processed += 1;
         let mut s = self.load(idx);
         let out = self.step(&mut s, seq, frame, start, end, verdict);
-        self.store(idx, &s);
+        self.store(idx, &s, false);
         if matches!(out, RewriteVerdict::Drop) {
             self.packets_dropped += 1;
         }

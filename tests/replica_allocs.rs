@@ -7,12 +7,14 @@
 //! bytes differ from the ingress packet's. The forwarding path must still
 //! copy no payload — each replica shares the ingress buffer and carries
 //! its new number in the packet's overlay — and allocate nothing per
-//! burst.
+//! burst. The Stream Tracker under it holds one row per stream, allocated
+//! as the streams arrive: none in a fresh data plane, and in this world
+//! rows up to its highest stream index only.
 
 use scallop::core::agent::SwitchAgent;
 use scallop::dataplane::batch::BatchOutput;
-use scallop::dataplane::seqrewrite::SeqRewriteMode;
-use scallop::dataplane::switch::ScallopDataPlane;
+use scallop::dataplane::seqrewrite::{SeqRewriteMode, StreamTracker};
+use scallop::dataplane::switch::{ScallopDataPlane, STREAM_TRACKER_CAPACITY};
 use scallop::media::encoder::EncodedFrame;
 use scallop::media::packetizer::Packetizer;
 use scallop::media::svc::L1T3Schedule;
@@ -23,7 +25,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 mod common;
-use common::allocs_in;
+use common::{allocs_in, live_bytes};
 
 #[global_allocator]
 static GLOBAL: common::Counting = common::Counting;
@@ -213,4 +215,38 @@ fn rewritten_replicas_are_the_ingress_bytes_with_a_new_sequence_number() {
     }
     assert_eq!(last.len(), PARTIES * (PARTIES - 1));
     assert_eq!(wrapped, last.len(), "every stream crossed 65535 -> 0");
+}
+
+#[test]
+fn a_fresh_data_plane_holds_no_tracker_rows() {
+    let before = live_bytes();
+    let dp = ScallopDataPlane::new(SeqRewriteMode::LowRetransmission);
+    let held = live_bytes() - before;
+    // Six up-front 65 536-cell register arrays alone would be 1.5 MB.
+    assert!(held <= 64 * 1024, "a fresh data plane holds {held} B");
+    drop(dp);
+}
+
+#[test]
+fn the_tracker_holds_rows_up_to_its_highest_stream_only() {
+    let mut w = World::new();
+    let highest =
+        w.dp.egress
+            .iter()
+            .filter_map(|(_, spec)| spec.rewrite_index)
+            .max()
+            .expect("tracked streams");
+    let used = (i64::from(highest) + 1) * std::mem::size_of::<[u32; 6]>() as i64;
+    // What the tracker holds is what dropping it frees; its stand-in
+    // allocates nothing.
+    let fresh = StreamTracker::new(SeqRewriteMode::LowRetransmission, STREAM_TRACKER_CAPACITY);
+    let before = live_bytes();
+    drop(std::mem::replace(&mut w.dp.tracker, fresh));
+    let held = before - live_bytes();
+    // A row per index up to the highest, and no more spare room than a
+    // vector that doubles as it grows keeps.
+    assert!(
+        (used..=2 * used).contains(&held),
+        "{held} B of tracker rows for streams 0..={highest} ({used} B of rows)"
+    );
 }

@@ -17,9 +17,15 @@
 //! *then*. A decode target raised while such a hole is still open resets
 //! the cadence to "nothing skipped" first, and the hole reaches the
 //! receiver as one lost frame: a limit of S-LR, not of the replicas.
+//!
+//! A second test churns the meeting after those cycles, media flowing:
+//! one receiver leaves, which clears and frees its tracker slots, and a
+//! newcomer joins and is thinned, which takes and re-initialises them.
+//! The newcomer must see no gap and the other receivers must not notice.
 
+use scallop::client::receiver::StreamRxStats;
 use scallop::client::{ClientConfig, ClientNode};
-use scallop::core::agent::ParticipantId;
+use scallop::core::agent::{MeetingId, ParticipantId};
 use scallop::core::switchnode::{ScallopSwitchNode, SwitchConfig};
 use scallop::media::encoder::EncodedFrame;
 use scallop::media::packetizer::Packetizer;
@@ -91,6 +97,7 @@ fn member(i: usize) -> HostAddr {
 struct Meeting {
     sim: Simulator,
     switch: NodeId,
+    meeting: MeetingId,
     receivers: Vec<(NodeId, ParticipantId)>,
 }
 
@@ -123,49 +130,87 @@ impl Meeting {
         for (i, source) in sources.into_iter().enumerate() {
             sim.add_node(Box::new(source), &[member(i).ip], link, link);
         }
-        let receivers = pids
-            .into_iter()
-            .enumerate()
-            .map(|(k, pid)| {
-                let addr = member(SENDERS + k);
-                let cfg = ClientConfig::receiver_only(addr.ip, addr.port, 0x9000 + k as u32);
-                let id = sim.add_node(Box::new(ClientNode::new(cfg)), &[addr.ip], link, link);
-                (id, pid)
-            })
-            .collect();
-        Meeting {
+        let mut m = Meeting {
             sim,
             switch,
-            receivers,
+            meeting,
+            receivers: Vec::new(),
+        };
+        for (k, pid) in pids.into_iter().enumerate() {
+            m.add_receiver(k, pid);
         }
+        m
+    }
+
+    /// Add the client of receiver `k` (address `member(SENDERS + k)`),
+    /// whose participant the switch already knows as `pid`.
+    fn add_receiver(&mut self, k: usize, pid: ParticipantId) {
+        let link = LinkConfig::infinite(SimDuration::from_micros(LINK_US));
+        let addr = member(SENDERS + k);
+        let cfg = ClientConfig::receiver_only(addr.ip, addr.port, 0x9000 + k as u32);
+        let id = self
+            .sim
+            .add_node(Box::new(ClientNode::new(cfg)), &[addr.ip], link, link);
+        self.receivers.push((id, pid));
     }
 
     fn switch(&mut self) -> &mut ScallopSwitchNode {
         self.sim.node_mut(self.switch).expect("the switch")
     }
 
-    /// Move every receiver to decode target `dt` at `at`, media flowing.
-    fn set_every_dt(&mut self, at: SimTime, dt: u8) {
+    /// Move the receivers `pids` to decode target `dt` at `at`, media
+    /// flowing.
+    fn set_dt(&mut self, at: SimTime, pids: &[ParticipantId], dt: u8) {
         self.sim.run_until(at);
-        let pids: Vec<ParticipantId> = self.receivers.iter().map(|&(_, pid)| pid).collect();
         let sw = self.switch();
-        for pid in pids {
+        for &pid in pids {
             sw.agent.apply_dt_change(&mut sw.dp, pid, dt);
             assert_eq!(sw.agent.dt_of(pid), Some(dt));
         }
+    }
+
+    /// Thin every receiver and restore it, three times: (thinned after
+    /// frame, to decode target, restored after frame). The dips start at
+    /// cadence positions 1, 2 and 3, and each ends after a T0 frame. The
+    /// second spans the wrap (frame 90).
+    fn thin_and_restore_everyone(&mut self) {
+        let pids: Vec<ParticipantId> = self.receivers.iter().map(|&(_, pid)| pid).collect();
+        for (from, dt, to) in [(29, 1, 48), (58, 0, 96), (103, 1, 120)] {
+            self.set_dt(after_frame(from), &pids, dt);
+            self.set_dt(after_frame(to), &pids, 2);
+        }
+    }
+
+    /// The tracker slots of the streams toward `addr`, each with its
+    /// rewrite offset, in slot order.
+    fn slots_of(&mut self, addr: HostAddr) -> Vec<(u16, u16)> {
+        let sw = self.switch();
+        let mut slots: Vec<(u16, u16)> = sw
+            .dp
+            .egress
+            .iter()
+            .filter(|(_, spec)| spec.dst == addr)
+            .filter_map(|(_, spec)| spec.rewrite_index)
+            .map(|idx| (idx, sw.dp.tracker.offset_of(idx as usize)))
+            .collect();
+        // A stream has an egress entry in each tree it is a member of.
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Receiver `k`'s per-stream receive counters.
+    fn streams_of(&mut self, k: usize) -> Vec<(HostAddr, StreamRxStats)> {
+        let id = self.receivers[k].0;
+        let client = self.sim.node_mut::<ClientNode>(id).expect("a receiver");
+        client.stats().streams
     }
 }
 
 #[test]
 fn thinned_and_restored_receivers_see_no_sequence_gaps_across_the_wrap() {
     let mut m = Meeting::new();
-    // (thinned after frame, to decode target, restored after frame): the
-    // dips start at cadence positions 1, 2 and 3, and each ends after a
-    // T0 frame. The second spans the wrap (frame 90).
-    for (from, dt, to) in [(29, 1, 48), (58, 0, 96), (103, 1, 120)] {
-        m.set_every_dt(after_frame(from), dt);
-        m.set_every_dt(after_frame(to), 2);
-    }
+    m.thin_and_restore_everyone();
     m.sim.run_until(after_frame(150));
 
     // Every stream was thinned under media: each is renumbered, and by a
@@ -182,18 +227,96 @@ fn thinned_and_restored_receivers_see_no_sequence_gaps_across_the_wrap() {
     assert!(offsets.iter().all(|&o| o != 0), "offsets {offsets:?}");
 
     for k in 0..RECEIVERS {
-        let id = m.receivers[k].0;
-        let stats = m
-            .sim
-            .node_mut::<ClientNode>(id)
-            .expect("a receiver")
-            .stats();
-        assert_eq!(stats.streams.len(), SENDERS, "receiver {k}");
-        for (src, s) in &stats.streams {
+        let streams = m.streams_of(k);
+        assert_eq!(streams.len(), SENDERS, "receiver {k}");
+        for (src, s) in &streams {
             assert!(s.frames_decoded > 100, "receiver {k} from {src}: {s:?}");
             assert!(s.highest_seq > 65_535, "receiver {k} from {src} wrapped");
             assert_eq!(s.seq_gaps, 0, "receiver {k} from {src}: {s:?}");
             assert_eq!(s.cumulative_lost, 0, "receiver {k} from {src}");
         }
+    }
+}
+
+#[test]
+fn a_newcomer_takes_a_leavers_tracker_slots_without_gaps() {
+    let mut m = Meeting::new();
+    m.thin_and_restore_everyone();
+    m.sim.run_until(after_frame(124));
+    let leaver = m.receivers[0].1;
+    let freed: Vec<u16> = m
+        .slots_of(member(SENDERS))
+        .iter()
+        .map(|&(idx, _)| idx)
+        .collect();
+    assert_eq!(freed.len(), SENDERS, "the leaver's streams are tracked");
+    // The survivors' slots, offsets and receive counters before the churn.
+    let survivors = 1..RECEIVERS;
+    let before: Vec<_> = survivors
+        .clone()
+        .map(|k| (m.slots_of(member(SENDERS + k)), m.streams_of(k)))
+        .collect();
+
+    // Receiver 0 leaves: its slots are cleared and freed.
+    m.sim.run_until(after_frame(125));
+    let meeting = m.meeting;
+    m.switch().leave(meeting, leaver);
+    assert!(m.slots_of(member(SENDERS)).is_empty());
+    for &idx in &freed {
+        assert_eq!(
+            m.switch().dp.tracker.offset_of(idx as usize),
+            0,
+            "slot {idx} cleared"
+        );
+    }
+
+    // A newcomer joins at full rate (no slots), then is thinned after a
+    // frame whose successor it keeps and restored after a T0 frame: it
+    // takes the freed slots, each re-initialised by its first packet.
+    m.sim.run_until(after_frame(126));
+    let newcomer = m
+        .switch()
+        .join(meeting, member(SENDERS + RECEIVERS), false)
+        .participant;
+    m.add_receiver(RECEIVERS, newcomer);
+    m.set_dt(after_frame(129), &[newcomer], 1);
+    let taken: Vec<u16> = m
+        .slots_of(member(SENDERS + RECEIVERS))
+        .iter()
+        .map(|&(idx, _)| idx)
+        .collect();
+    assert_eq!(taken, freed, "the newcomer reuses the freed slots");
+    m.set_dt(after_frame(140), &[newcomer], 2);
+    m.sim.run_until(after_frame(170));
+
+    let slots = m.slots_of(member(SENDERS + RECEIVERS));
+    assert!(
+        slots.iter().all(|&(_, offset)| offset != 0),
+        "thinned under media: {slots:?}"
+    );
+    let streams = m.streams_of(RECEIVERS);
+    assert_eq!(streams.len(), SENDERS);
+    for (src, s) in &streams {
+        assert!(s.packets > 100, "newcomer from {src}: {s:?}");
+        assert_eq!(s.seq_gaps, 0, "newcomer from {src}: {s:?}");
+        assert_eq!(s.cumulative_lost, 0, "newcomer from {src}");
+    }
+    for (k, (slots, streams)) in survivors.zip(before) {
+        assert_eq!(
+            m.slots_of(member(SENDERS + k)),
+            slots,
+            "receiver {k}'s offsets"
+        );
+        let gaps = |streams: &[(HostAddr, StreamRxStats)]| -> Vec<(u64, u64)> {
+            streams
+                .iter()
+                .map(|(_, s)| (s.seq_gaps, s.cumulative_lost))
+                .collect()
+        };
+        assert_eq!(
+            gaps(&m.streams_of(k)),
+            gaps(&streams),
+            "receiver {k}'s gaps"
+        );
     }
 }
