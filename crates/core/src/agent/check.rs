@@ -1,0 +1,262 @@
+//! [`SwitchAgent::check_compiled`]: the installed state against the
+//! roster (ownership) and against a rebuild from scratch (equivalence).
+
+use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign};
+use scallop_dataplane::pre::L1Node;
+use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
+use scallop_dataplane::switch::ScallopDataPlane;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// A tree named by its owner: `(meeting, index in its trees)`.
+type TreeName = (MeetingId, usize);
+
+/// One entry of [`SwitchAgent::canonical_state`]. MGIDs appear only as
+/// [`TreeName`]s (a multicast action's `mgid_by_tier` holds tree
+/// indices of its sender's meeting), and packed-tree slot XIDs as seen
+/// from their owner: 1 for its own slot, 2 for its partner's.
+#[derive(Debug, PartialEq)]
+pub(super) enum Line {
+    Port(u16, PortRule),
+    Egress(TreeName, u16, u16, EgressSpec),
+    Node(TreeName, L1Node),
+    Meeting {
+        id: MeetingId,
+        design: TreeDesign,
+        participants: Vec<ParticipantId>,
+        /// Per tree: 0 exclusive, 1 packed.
+        packed: Vec<u8>,
+        /// `(tree index, rid, in_port)` of the tracked egress keys.
+        keys: Vec<(usize, u16, u16)>,
+    },
+}
+
+impl SwitchAgent {
+    /// Check this switch's compiled state against its roster; read-only,
+    /// `Err` names the first violation.
+    ///
+    /// * **Ownership.** Every installed port rule has a `port_use`
+    ///   entry, every tracked participant one L2 XID, every installed
+    ///   egress entry is tracked by exactly one meeting, every PRE group
+    ///   is in some meeting's trees or the half pool with no slot
+    ///   claimed twice. Every port, pid, MGID and tracker slot in use was
+    ///   drawn from its own pool and is not also free, and every id a
+    ///   pool has drawn is held once or free once: none leaked, none
+    ///   freed twice. Orphans survive a rebuild, so only this half sees
+    ///   them.
+    /// * **Equivalence.** A copy of the agent and of the data plane's
+    ///   tables rebuilds every meeting from scratch (`rebuild_meeting`,
+    ///   the delta compiler's fallback), and its canonical state must
+    ///   equal the installed one. Trees are named by their owner, so
+    ///   which MGID a tree drew, and which meeting shares a packed tree,
+    ///   never count as a difference.
+    ///
+    /// REMB gates are re-evaluated on the agent tick, not per feedback
+    /// copy, so while media flows a rebuild computes gates fresher than
+    /// the installed ones: this is a check for media-free control
+    /// histories.
+    pub fn check_compiled(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+        self.check_ownership(dp)?;
+        let live = self.canonical_state(dp)?;
+        let (mut agent, mut copy) = self.copy_with(dp);
+        for &meeting in self.meetings.keys() {
+            agent.rebuild_meeting(&mut copy, meeting);
+        }
+        let rebuilt = agent.canonical_state(&copy)?;
+        let first_diff =
+            (0..live.len().max(rebuilt.len())).find(|&i| live.get(i) != rebuilt.get(i));
+        match first_diff {
+            None => Ok(()),
+            Some(i) => Err(format!(
+                "installed state differs from a rebuild at line {i}: installed {:?}, rebuilt {:?}",
+                live.get(i),
+                rebuilt.get(i)
+            )),
+        }
+    }
+
+    /// A copy of this agent and of `dp`'s compiled tables to compile on
+    /// the side, with zeroed counters. The compile writes cadences but
+    /// never reads tracker state, so a fresh tracker, which costs nothing
+    /// until a stream is initialised, stands in for a copy of it.
+    pub(super) fn copy_with(&self, dp: &ScallopDataPlane) -> (SwitchAgent, ScallopDataPlane) {
+        let mut copy = ScallopDataPlane::new(dp.tracker.mode());
+        copy.port_rules = dp.port_rules.clone();
+        copy.egress = dp.egress.clone();
+        copy.pre = dp.pre.clone();
+        (self.clone(), copy)
+    }
+
+    /// The ownership half of [`Self::check_compiled`].
+    fn check_ownership(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+        if let Some((port, _)) = dp
+            .port_rules
+            .iter()
+            .find(|(p, _)| !self.port_use.contains_key(p))
+        {
+            return Err(format!("port rule on {port} has no port_use entry"));
+        }
+        // Admission registers one L2 XID per entry and leave retires it.
+        if dp.pre.l2_xids_used() != self.pinfo.len() {
+            return Err(format!(
+                "{} L2 XIDs for {} tracked participants",
+                dp.pre.l2_xids_used(),
+                self.pinfo.len()
+            ));
+        }
+        let mut tracked: HashMap<EgressKey, usize> = HashMap::new();
+        for key in self.meetings.values().flat_map(|m| &m.egress_keys) {
+            *tracked.entry(*key).or_default() += 1;
+        }
+        for (key, _) in dp.egress.iter() {
+            let n = tracked.get(key).copied().unwrap_or(0);
+            if n != 1 {
+                return Err(format!("egress {key:?} is tracked by {n} meetings"));
+            }
+        }
+        // The slots each tree is held in, by meetings and the half pool.
+        let mut holders: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
+        let halves = self.half_trees.iter();
+        for (mgid, slot) in self
+            .meetings
+            .values()
+            .flat_map(|m| m.trees.iter().copied())
+            .chain(halves.flat_map(|h| h.mgids.iter().map(|&g| (g, h.free_slot))))
+        {
+            holders.entry(mgid).or_default().push(slot);
+        }
+        // An exclusive tree (slot 0) has one holder, a packed one one per
+        // slot.
+        for (mgid, slots) in &mut holders {
+            slots.sort_unstable();
+            if !matches!(slots.as_slice(), [0] | [1] | [2] | [1, 2]) {
+                return Err(format!("MGID {mgid} is held in slots {slots:?}"));
+            }
+        }
+        let groups = dp.pre.canonical_config();
+        if let Some((mgid, _)) = groups.iter().find(|(g, _)| !holders.contains_key(g)) {
+            return Err(format!(
+                "PRE group {mgid} is in no meeting's trees or half pool"
+            ));
+        }
+        let slots = || {
+            self.pinfo
+                .values()
+                .flat_map(|p| p.tracker_idx.values().copied())
+        };
+        let trackers: BTreeSet<u16> = slots().collect();
+        let ports = &self.port_use;
+        let trunk = |p: &&u16| self.pinfo[*p].class == ParticipantClass::TrunkEgress;
+        let (pids, tracked) = (self.pinfo.keys(), |p: &u16| self.pinfo.contains_key(p));
+        self.ports
+            .audit(ports.keys().copied(), |p| ports.contains_key(p))?;
+        self.pids
+            .audit(pids.clone().filter(|p| !trunk(p)).copied(), tracked)?;
+        self.trunk_pids
+            .audit(pids.filter(trunk).copied(), tracked)?;
+        self.mgids
+            .audit(holders.keys().copied(), |g| holders.contains_key(g))?;
+        self.trackers.audit(slots(), |t| trackers.contains(t))
+    }
+
+    /// The meeting of a tracked participant entry.
+    fn meeting_of(&self, pid: ParticipantId) -> Result<MeetingId, String> {
+        self.pinfo
+            .get(&pid)
+            .map(|p| p.meeting)
+            .ok_or_else(|| format!("an entry names untracked participant {pid}"))
+    }
+
+    /// `mgid`'s index in `meeting`'s trees.
+    fn tree_index(&self, meeting: MeetingId, mgid: u16) -> Result<usize, String> {
+        self.meetings
+            .get(&meeting)
+            .and_then(|m| m.trees.iter().position(|&(g, _)| g == mgid))
+            .ok_or_else(|| format!("an entry of meeting {meeting} names MGID {mgid}, not its tree"))
+    }
+
+    /// L1 XID `xid` as seen from `meeting`: on a packed tree its own
+    /// slot reads 1 and its partner's 2, whichever slot it drew.
+    fn slot_view(&self, meeting: MeetingId, xid: u16) -> u16 {
+        match self.meetings[&meeting].trees.first() {
+            Some(&(_, 2)) if xid == 1 || xid == 2 => 3 - xid,
+            _ => xid,
+        }
+    }
+
+    /// Deterministic dump of this switch's compiled state: installed
+    /// port rules, egress entries and PRE nodes plus each meeting's
+    /// design/tree/key bookkeeping, with every MGID named by its owner
+    /// ([`Line`]) and every section sorted after renaming, so neither
+    /// installation order nor MGID allocation is visible. (L2 XIDs are
+    /// set at admission, never compiled.) `Err` when an entry names a
+    /// tree its meeting does not own.
+    pub(super) fn canonical_state(&self, dp: &ScallopDataPlane) -> Result<Vec<Line>, String> {
+        let ports: BTreeMap<u16, PortRule> = dp.port_rules.iter().map(|(&p, &r)| (p, r)).collect();
+        let mut lines = Vec::with_capacity(ports.len() + dp.egress.len());
+        for (port, mut rule) in ports {
+            if let PortRule::SenderUplink { action, .. } | PortRule::TrunkIngress { action } =
+                &mut rule
+            {
+                if let ReplicationAction::Multicast {
+                    mgid_by_tier,
+                    l1_xid,
+                    rid,
+                    ..
+                } = action
+                {
+                    let meeting = self.meeting_of(*rid)?;
+                    for g in mgid_by_tier.iter_mut() {
+                        *g = self.tree_index(meeting, *g)? as u16;
+                    }
+                    *l1_xid = self.slot_view(meeting, *l1_xid);
+                }
+            }
+            lines.push(Line::Port(port, rule));
+        }
+        let mut egress = BTreeMap::new();
+        for (key, &spec) in dp.egress.iter() {
+            let meeting = self.meeting_of(key.rid)?;
+            let tree = (meeting, self.tree_index(meeting, key.mgid)?);
+            egress.insert((tree, key.rid, key.in_port), spec);
+        }
+        lines.extend(
+            egress
+                .into_iter()
+                .map(|((t, r, p), s)| Line::Egress(t, r, p, s)),
+        );
+        let mut nodes = Vec::new();
+        for (mgid, group) in dp.pre.canonical_config() {
+            for node in group {
+                let meeting = self.meeting_of(node.rid)?;
+                let tree = (meeting, self.tree_index(meeting, mgid)?);
+                let xid = self.slot_view(meeting, node.xid);
+                nodes.push((
+                    tree,
+                    L1Node {
+                        xid,
+                        ..node.clone()
+                    },
+                ));
+            }
+        }
+        // A receiver holds one node per sender slot of an RA-SR tree, so
+        // the whole node is the sort key.
+        nodes.sort_by_cached_key(|(t, n)| (*t, n.rid, n.xid, n.prune_enabled, n.ports.clone()));
+        lines.extend(nodes.into_iter().map(|(t, n)| Line::Node(t, n)));
+        for (&id, m) in &self.meetings {
+            let mut keys = Vec::with_capacity(m.egress_keys.len());
+            for k in &m.egress_keys {
+                keys.push((self.tree_index(id, k.mgid)?, k.rid, k.in_port));
+            }
+            keys.sort_unstable();
+            lines.push(Line::Meeting {
+                id,
+                design: m.design,
+                participants: m.participants.clone(),
+                packed: m.trees.iter().map(|&(_, slot)| slot.min(1)).collect(),
+                keys,
+            });
+        }
+        Ok(lines)
+    }
+}

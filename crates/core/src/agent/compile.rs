@@ -1,0 +1,747 @@
+//! Compiling a meeting's roster into data-plane state (§6.1): port
+//! rules, egress specs and PRE trees. The delta compiler grafts a join,
+//! prunes a leave or re-aims one trunk branch in place; whatever it
+//! cannot amend falls back to [`SwitchAgent::rebuild_meeting`], the
+//! make-before-break full rebuild.
+//!
+//! The last section holds the writers: each operation on the port-rule,
+//! egress and PRE tables is called from one function there.
+
+use super::{
+    cadence_for_dt, JoinGrant, MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign,
+};
+use scallop_dataplane::pre::L1Node;
+use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
+use scallop_dataplane::switch::ScallopDataPlane;
+use scallop_netsim::packet::HostAddr;
+
+/// A half-occupied paired tree set: its MGIDs (one for NRA, three for
+/// RA-R) and the slot XID still free.
+#[derive(Debug, Clone)]
+pub(super) struct HalfTree {
+    pub(super) mgids: Vec<u16>,
+    pub(super) free_slot: u8,
+}
+
+/// A tiered (NRA / RA-R) layout's tree per tier: NRA's one tree serves
+/// all three.
+fn tiers_of(trees: &[(u16, u8)]) -> [u16; 3] {
+    match *trees {
+        [(g, _)] => [g; 3],
+        [(a, _), (b, _), (c, _)] => [a, b, c],
+        _ => unreachable!("a tiered layout holds one tree or three"),
+    }
+}
+
+impl SwitchAgent {
+    /// The one compile rule for admitted participants: a batch of one
+    /// is grafted onto the installed layout when it can be amended in
+    /// place ([`Self::graft_tiers`]); anything else — a larger batch, or
+    /// a layout that cannot take a graft — rebuilds the meeting once.
+    pub(super) fn compile_joined(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        joined: &[JoinGrant],
+    ) {
+        match joined {
+            [] => {}
+            [one] if self.try_graft_join(dp, meeting, one.participant) => {}
+            _ => self.rebuild_meeting(dp, meeting),
+        }
+    }
+
+    /// Decide the design a meeting currently needs.
+    fn desired_design(&self, meeting: MeetingId) -> TreeDesign {
+        let m = &self.meetings[&meeting];
+        // The two-party fast path is a strictly local optimization: a
+        // fabric segment always needs trees (trunk branches live there).
+        if m.participants.len() <= 2 && !self.is_fabric_segment(meeting) {
+            return TreeDesign::TwoParty;
+        }
+        let any_per_sender = m
+            .participants
+            .iter()
+            .any(|p| !self.pinfo[p].dt_per_sender.is_empty());
+        if any_per_sender {
+            return TreeDesign::RaSr;
+        }
+        let any_adapted = m.participants.iter().any(|p| self.pinfo[p].dt < 2);
+        if any_adapted {
+            TreeDesign::RaR
+        } else {
+            TreeDesign::Nra
+        }
+    }
+
+    /// Effective decode target of `receiver` for `sender`'s stream.
+    fn effective_dt(&self, sender: ParticipantId, receiver: ParticipantId) -> u8 {
+        let p = &self.pinfo[&receiver];
+        *p.dt_per_sender.get(&sender).unwrap_or(&p.dt)
+    }
+
+    /// Whether fabric traffic from sender `s` must not reach receiver
+    /// `r`: media that already crossed the fabric never re-crosses the
+    /// tier (trunk or WAN) it arrived on.
+    pub(super) fn skip_fabric_recross(&self, s: ParticipantId, r: ParticipantId) -> bool {
+        self.pinfo[&r].class == ParticipantClass::TrunkEgress
+            && self.pinfo[&s].class == ParticipantClass::RemoteSender
+            && self.pinfo[&r].fabric_xid == self.pinfo[&s].fabric_xid
+    }
+
+    /// Recompute and install all data-plane state for a meeting
+    /// (make-before-break: new trees first, rule swap, old trees last).
+    pub(super) fn rebuild_meeting(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId) {
+        let design = self.desired_design(meeting);
+        let m = &self.meetings[&meeting];
+        if m.design != design && m.configured {
+            self.counters.migrations += 1;
+        }
+        let participants = m.participants.clone();
+
+        // Release the old layout first. The swap is atomic at simulation
+        // granularity (no packet is processed mid-rebuild), so this is
+        // observationally equivalent to the real agent's make-before-break
+        // migration (§6.1) while preventing the rebuild from re-acquiring
+        // its own half-open trees.
+        self.tear_down(dp, meeting);
+
+        let mut new_trees: Vec<(u16, u8)> = Vec::new();
+        let mut new_keys: Vec<EgressKey> = Vec::new();
+        // Fabric segments use exclusive trees: the L1 XID budget is
+        // spent on trunk pruning (TRUNK_XID) rather than on the m = 2
+        // meeting-packing slots, so they never share trees with another
+        // meeting. Purely local meetings keep the packed layout.
+        let fabric = self.is_fabric_segment(meeting);
+
+        // Nothing to forward (no sender, or no one left who receives —
+        // e.g. a drained fabric segment holding only its trunk-egress
+        // branch): keep the segment treeless instead of leaking a PRE
+        // group per churned meeting.
+        let any_sender = participants.iter().any(|p| self.pinfo[p].sends);
+        let any_receiver = participants.iter().any(|&p| self.receives(p));
+        if (!any_sender || !any_receiver) && design != TreeDesign::TwoParty {
+            self.meetings.get_mut(&meeting).unwrap().design = design;
+            return;
+        }
+
+        match design {
+            TreeDesign::TwoParty => self.install_two_party(dp, &participants),
+            TreeDesign::Nra | TreeDesign::RaR => {
+                let count = if design == TreeDesign::Nra { 1 } else { 3 };
+                let (mgids, slot) = self.alloc_trees(dp, count, fabric);
+                new_trees.extend(mgids.into_iter().map(|g| (g, slot)));
+                let tiers = tiers_of(&new_trees);
+                self.populate_tier_trees(dp, &participants, &tiers, slot, fabric, &mut new_keys);
+            }
+            TreeDesign::RaSr => {
+                self.install_ra_sr(dp, &participants, &mut new_trees, &mut new_keys);
+            }
+        }
+
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        m.design = design;
+        m.trees = new_trees;
+        m.egress_keys = new_keys;
+        m.configured = m.configured || m.participants.len() >= 2;
+    }
+
+    /// Remove a meeting's installed layout: its egress entries, then its
+    /// trees ([`Self::release_trees`]).
+    pub(super) fn tear_down(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId) {
+        let m = self.meetings.get_mut(&meeting).expect("meeting exists");
+        Self::remove_egress(dp, &mut m.egress_keys, |_| true);
+        let trees = std::mem::take(&mut m.trees);
+        self.release_trees(dp, &trees, meeting);
+    }
+
+    /// Preconditions under which the installed layout can be amended in
+    /// place, plus the per-tier MGIDs to amend. `None` means the delta
+    /// compiler must fall back to a full rebuild: no trees installed
+    /// (two-party or treeless segment), a design flip (make-before-break
+    /// migration), RA-SR (whose per-sender-chunk tree sets re-chunk on
+    /// membership change), a fabric-ness flip (exclusive vs packed trees
+    /// must swap), or a packed tree whose partner slot sits unclaimed in
+    /// the half pool (a full rebuild would repack onto it, so the delta
+    /// path must converge to the same layout by rebuilding too).
+    fn graft_tiers(&self, meeting: MeetingId) -> Option<[u16; 3]> {
+        let m = self.meetings.get(&meeting)?;
+        if m.trees.is_empty() || self.desired_design(meeting) != m.design {
+            return None;
+        }
+        let expected = match m.design {
+            TreeDesign::Nra => 1,
+            TreeDesign::RaR => 3,
+            _ => return None,
+        };
+        if m.trees.len() != expected {
+            return None;
+        }
+        let slot = m.trees[0].1;
+        if self.is_fabric_segment(meeting) != (slot == 0) {
+            return None;
+        }
+        let mgids = || m.trees.iter().map(|&(g, _)| g);
+        if slot != 0
+            && self
+                .half_trees
+                .iter()
+                .any(|h| h.mgids.iter().copied().eq(mgids()))
+        {
+            return None;
+        }
+        Some(tiers_of(&m.trees))
+    }
+
+    /// Graft a just-admitted participant onto the installed layout:
+    /// its L1 receiver branches, its egress specs against every
+    /// existing sender, its uplink rules and branches toward every
+    /// existing receiver — without touching any other pair. Returns
+    /// `false` when the layout cannot be amended in place (the caller
+    /// falls back to [`Self::rebuild_meeting`]).
+    fn try_graft_join(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        pid: ParticipantId,
+    ) -> bool {
+        let Some(tiers) = self.graft_tiers(meeting) else {
+            return false;
+        };
+        self.counters.graft_joins += 1;
+        let fabric = self.is_fabric_segment(meeting);
+        let slot = self.meetings[&meeting].trees[0].1;
+        let participants = self.meetings[&meeting].participants.clone();
+        let mut new_keys: Vec<EgressKey> = Vec::new();
+
+        if self.receives(pid) {
+            // A fresh joiner's dt is 2, so an RA-R graft lands in all
+            // three tiers.
+            self.add_receiver_branches(dp, pid, &tiers, slot, fabric);
+            // Every existing sender reaches the new receiver.
+            for &s in &participants {
+                if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
+                    continue;
+                }
+                self.install_pair_egress(dp, s, pid, &tiers, &mut new_keys);
+            }
+        }
+        if self.pinfo[&pid].sends {
+            // The new sender's uplink rules, plus branches toward every
+            // existing receiver.
+            let l1_xid = self.tiered_uplink_xid(pid, slot, fabric);
+            self.install_sender_uplinks(dp, pid, &tiers, l1_xid);
+            for &r in &participants {
+                if r == pid || !self.receives(r) || self.skip_fabric_recross(pid, r) {
+                    continue;
+                }
+                self.install_pair_egress(dp, pid, r, &tiers, &mut new_keys);
+            }
+        }
+        // The join may displace a best-downlink selection (a fresh
+        // receiver's unknown EWMA scores as best, §5.3), and the new
+        // pairs need their feedback rules installed: re-run the filter,
+        // which touches only the rules whose gate is missing or wrong.
+        self.refresh_feedback_gates(dp, meeting, false);
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        m.egress_keys.extend(new_keys);
+        m.configured = m.configured || m.participants.len() >= 2;
+        true
+    }
+
+    /// Prune a departed participant's branches from the installed
+    /// layout (its L1 nodes are already gone): drop its egress entries
+    /// — as receiver (keyed by its rid) and as sender (keyed by its
+    /// uplink in-ports) — and re-run the feedback filter, since the
+    /// leaver may have held a sender's best-downlink selection. Returns
+    /// `false` when the layout must be rebuilt instead.
+    pub(super) fn try_prune_leave(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        pid: ParticipantId,
+        (leaver_vup, leaver_aup): (u16, u16),
+    ) -> bool {
+        if self.graft_tiers(meeting).is_none() {
+            return false;
+        }
+        // A rebuild would go treeless when no sender or no receiver
+        // remains — converge by rebuilding.
+        let m = &self.meetings[&meeting];
+        let any_sender = m.participants.iter().any(|p| self.pinfo[p].sends);
+        let any_receiver = m.participants.iter().any(|&p| self.receives(p));
+        if !any_sender || !any_receiver {
+            return false;
+        }
+        self.counters.prune_leaves += 1;
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        // A trunk-egress leaver's uplinks are (0, 0), which no egress
+        // entry keys on — only the rid test fires for it.
+        Self::remove_egress(dp, &mut m.egress_keys, |k| {
+            k.rid == pid || k.in_port == leaver_vup || k.in_port == leaver_aup
+        });
+        self.refresh_feedback_gates(dp, meeting, false);
+        true
+    }
+
+    /// Re-aim (or light up) the single (sender → trunk) egress branch a
+    /// `set_trunk_dst` changes, leaving the rest of the compiled
+    /// meeting untouched. Returns `false` when the caller must fall
+    /// back to a full rebuild.
+    pub(super) fn try_point_trunk(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        trunk: ParticipantId,
+        sender: ParticipantId,
+    ) -> bool {
+        let Some(tiers) = self.graft_tiers(meeting) else {
+            return false;
+        };
+        let Some(sp) = self.pinfo.get(&sender) else {
+            return false;
+        };
+        if !sp.sends {
+            return false;
+        }
+        if self.skip_fabric_recross(sender, trunk) {
+            return true; // deliberately unplumbed pair: nothing to install
+        }
+        if !self.pinfo[&trunk].pair_from.contains_key(&sender) {
+            return false;
+        }
+        let mut new_keys = Vec::new();
+        self.install_pair_egress(dp, sender, trunk, &tiers, &mut new_keys);
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        for k in new_keys {
+            // A re-aim overwrites entries the meeting already tracks.
+            if !m.egress_keys.contains(&k) {
+                m.egress_keys.push(k);
+            }
+        }
+        true
+    }
+
+    /// Install the two-party fast path (§6.1): direct unicast, no trees.
+    fn install_two_party(&mut self, dp: &mut ScallopDataPlane, participants: &[ParticipantId]) {
+        for &s in participants {
+            let Some(r) = participants.iter().copied().find(|&r| r != s) else {
+                // Lone participant: nothing to forward yet.
+                let p = &self.pinfo[&s];
+                Self::remove_rule(dp, p.video_up);
+                Self::remove_rule(dp, p.audio_up);
+                continue;
+            };
+            if !self.pinfo[&s].sends {
+                continue;
+            }
+            let (vp, ap) = self.pinfo[&r].pair_from[&s];
+            let dst = self.pinfo[&r].addr;
+            let unicast = |port| ReplicationAction::TwoParty {
+                egress: EgressSpec {
+                    src: HostAddr::new(self.sfu_ip, port),
+                    dst,
+                    max_temporal: 2,
+                    rewrite_index: None,
+                },
+            };
+            self.install_uplinks(dp, s, unicast(vp), unicast(ap));
+            self.install_feedback_rules(dp, s, r, true);
+        }
+    }
+
+    /// Populate (possibly shared) tier trees for NRA/RA-R and install all
+    /// sender rules, egress specs, and feedback rules.
+    fn populate_tier_trees(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        participants: &[ParticipantId],
+        tiers: &[u16; 3],
+        slot: u8,
+        fabric: bool,
+        new_keys: &mut Vec<EgressKey>,
+    ) {
+        for &r in participants {
+            if self.receives(r) {
+                self.add_receiver_branches(dp, r, tiers, slot, fabric);
+            }
+        }
+        // Sender rules + egress specs.
+        for &s in participants {
+            if !self.pinfo[&s].sends {
+                continue;
+            }
+            let l1_xid = self.tiered_uplink_xid(s, slot, fabric);
+            self.install_sender_uplinks(dp, s, tiers, l1_xid);
+            for &r in participants {
+                if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
+                    continue;
+                }
+                self.install_pair(dp, s, r, tiers, new_keys);
+            }
+        }
+    }
+
+    /// Receiver `r`'s L1 branches in a tiered layout: one per tier tree
+    /// up to its decode target, NRA's one tree once. A trunk-egress
+    /// branch sits in every tier — the trunk always carries full
+    /// quality; thinning is the remote edge's job — and carries its
+    /// tier's XID ([`TRUNK_XID`](super::TRUNK_XID) for intra-zone
+    /// branches, [`WAN_XID`](super::WAN_XID) for a zone gateway's
+    /// cross-WAN ones), which remote senders prune, so fabric media is
+    /// never re-trunked.
+    fn add_receiver_branches(
+        &self,
+        dp: &mut ScallopDataPlane,
+        r: ParticipantId,
+        tiers: &[u16; 3],
+        slot: u8,
+        fabric: bool,
+    ) {
+        let p = &self.pinfo[&r];
+        let is_trunk = p.class == ParticipantClass::TrunkEgress;
+        let dt = if is_trunk { 2 } else { p.dt };
+        let (xid, prune_enabled) = if is_trunk {
+            (p.fabric_xid, true)
+        } else if fabric {
+            // Exclusive tree: no packing slot to prune.
+            (0, false)
+        } else {
+            (slot as u16, true)
+        };
+        for (t, &mgid) in tiers.iter().enumerate() {
+            if (t as u8) <= dt && !tiers[..t].contains(&mgid) {
+                Self::add_branch(dp, mgid, r, xid, prune_enabled);
+            }
+        }
+    }
+
+    /// The L1 XID sender `s`'s media prunes in a tiered layout.
+    fn tiered_uplink_xid(&self, s: ParticipantId, slot: u8, fabric: bool) -> u16 {
+        match self.pinfo[&s].class {
+            // Media that already crossed the fabric prunes every
+            // branch of the tier it arrived on (trunk or WAN).
+            ParticipantClass::RemoteSender => self.pinfo[&s].fabric_xid,
+            _ if fabric => 0,
+            _ if slot == 1 => 2,
+            _ => 1,
+        }
+    }
+
+    /// Install sender `s`'s uplink port rules: replication over `tiers`,
+    /// pruning the branches that carry `l1_xid`.
+    fn install_sender_uplinks(
+        &self,
+        dp: &mut ScallopDataPlane,
+        s: ParticipantId,
+        tiers: &[u16; 3],
+        l1_xid: u16,
+    ) {
+        let action = ReplicationAction::Multicast {
+            mgid_by_tier: *tiers,
+            l1_xid,
+            rid: s,
+            l2_xid: s,
+        };
+        self.install_uplinks(dp, s, action, action);
+    }
+
+    /// Sender `s`'s two uplink rules: a remote sender's trunk-ingress
+    /// ports replicate as media arrives; a local sender's uplinks also
+    /// punt its video's extended dependency descriptors.
+    fn install_uplinks(
+        &self,
+        dp: &mut ScallopDataPlane,
+        s: ParticipantId,
+        video: ReplicationAction,
+        audio: ReplicationAction,
+    ) {
+        let p = &self.pinfo[&s];
+        let remote = p.class == ParticipantClass::RemoteSender;
+        let rule = |action, punt_extended_dd| {
+            if remote {
+                PortRule::TrunkIngress { action }
+            } else {
+                PortRule::SenderUplink {
+                    action,
+                    punt_extended_dd,
+                }
+            }
+        };
+        Self::install_rule(dp, p.video_up, rule(video, true));
+        Self::install_rule(dp, p.audio_up, rule(audio, false));
+    }
+
+    /// RA-SR layout: for each group of two senders, q = 3 tier trees;
+    /// within a tree, sender 1's receiver nodes carry XID 1 and sender
+    /// 2's XID 2 (§6.1).
+    fn install_ra_sr(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        participants: &[ParticipantId],
+        new_trees: &mut Vec<(u16, u8)>,
+        new_keys: &mut Vec<EgressKey>,
+    ) {
+        let senders: Vec<ParticipantId> = participants
+            .iter()
+            .copied()
+            .filter(|p| self.pinfo[p].sends)
+            .collect();
+        for pair in senders.chunks(2) {
+            let tiers = [self.new_tree(dp), self.new_tree(dp), self.new_tree(dp)];
+            new_trees.extend(tiers.map(|g| (g, 0))); // exclusive trees
+            for (i, &s) in pair.iter().enumerate() {
+                let sender_xid = (i + 1) as u16;
+                // Nodes: receivers of s at each tier. RA-SR trees are
+                // per-sender sets already, so trunk-egress branches are
+                // simply omitted from remote senders' sets.
+                for &r in participants {
+                    if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
+                        continue;
+                    }
+                    let r_trunk = self.pinfo[&r].class == ParticipantClass::TrunkEgress;
+                    let dt = if r_trunk { 2 } else { self.effective_dt(s, r) };
+                    for (t, &mgid) in tiers.iter().enumerate() {
+                        if (t as u8) <= dt {
+                            Self::add_branch(dp, mgid, r, sender_xid, true);
+                        }
+                    }
+                    self.install_pair(dp, s, r, &tiers, new_keys);
+                }
+                self.install_sender_uplinks(dp, s, &tiers, 3 - sender_xid);
+            }
+        }
+    }
+
+    /// Compile the (sender → receiver) pair: its egress specs and, for a
+    /// local receiver, its feedback rules.
+    fn install_pair(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        s: ParticipantId,
+        r: ParticipantId,
+        tiers: &[u16; 3],
+        new_keys: &mut Vec<EgressKey>,
+    ) {
+        self.install_pair_egress(dp, s, r, tiers, new_keys);
+        if self.pinfo[&r].class != ParticipantClass::TrunkEgress {
+            // While the sender's home edge aggregates REMBs fabric-wide,
+            // no local pair forwards REMB directly.
+            let best = self.is_best_downlink(s, r) && self.pinfo[&s].sink_port.is_none();
+            self.install_feedback_rules(dp, s, r, best);
+        }
+    }
+
+    /// Install egress specs for (sender → receiver) across tier trees:
+    /// video up to the receiver's decode target, rewritten by a tracker
+    /// slot once the pair is adapted, and audio on the first tree. A
+    /// trunk-egress branch gets one full-quality, unrewritten copy
+    /// toward the remote switch's trunk-ingress ports in every tier (the
+    /// trunk never thins) — and nothing until the controller has granted
+    /// the remote-sender entry on the far edge: the branch stays dark
+    /// until `set_trunk_dst` aims it.
+    fn install_pair_egress(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        s: ParticipantId,
+        r: ParticipantId,
+        tiers: &[u16; 3],
+        new_keys: &mut Vec<EgressKey>,
+    ) {
+        let (dt, video_dst, audio_dst, rewrite_index) =
+            if self.pinfo[&r].class == ParticipantClass::TrunkEgress {
+                let Some(&(video, audio)) = self.pinfo[&r].trunk_dst.get(&s) else {
+                    return;
+                };
+                (2, video, audio, None)
+            } else {
+                let dt = self.effective_dt(s, r);
+                let adapted = dt < 2 || self.pinfo[&r].tracker_idx.contains_key(&s);
+                let tracker = adapted.then(|| self.tracker_slot(dp, s, r, cadence_for_dt(dt)));
+                let addr = self.pinfo[&r].addr;
+                (dt, addr, addr, tracker)
+            };
+        let (vp, ap) = self.pinfo[&r].pair_from[&s];
+        let (s_video_up, s_audio_up) = (self.pinfo[&s].video_up, self.pinfo[&s].audio_up);
+        let video_spec = EgressSpec {
+            src: HostAddr::new(self.sfu_ip, vp),
+            dst: video_dst,
+            max_temporal: dt,
+            rewrite_index,
+        };
+        let audio_spec = EgressSpec {
+            src: HostAddr::new(self.sfu_ip, ap),
+            dst: audio_dst,
+            max_temporal: 2,
+            rewrite_index: None,
+        };
+        for (t, &mgid) in tiers.iter().enumerate() {
+            if tiers[..t].contains(&mgid) {
+                continue; // NRA: one tree, one entry
+            }
+            let key = |in_port| EgressKey {
+                mgid,
+                rid: r,
+                in_port,
+            };
+            if (t as u8) <= dt {
+                Self::install_egress(dp, key(s_video_up), video_spec, new_keys);
+            }
+            if t == 0 {
+                Self::install_egress(dp, key(s_audio_up), audio_spec, new_keys);
+            }
+        }
+    }
+
+    /// `count` trees for a tiered layout, and the slot XID this meeting
+    /// holds in them. A fabric segment takes exclusive trees (slot 0):
+    /// their L1 XIDs carry trunk pruning, not packing slots. A local
+    /// meeting takes the free half of a tree set another meeting left
+    /// open (m = 2 packing, §6.1/Fig. 11c), or opens one in slot 1 and
+    /// leaves slot 2 to the next.
+    fn alloc_trees(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        count: usize,
+        fabric: bool,
+    ) -> (Vec<u16>, u8) {
+        let half = self.half_trees.iter().rposition(|h| h.mgids.len() == count);
+        if let (false, Some(i)) = (fabric, half) {
+            let half = self.half_trees.remove(i);
+            return (half.mgids, half.free_slot);
+        }
+        let mgids: Vec<u16> = (0..count).map(|_| self.new_tree(dp)).collect();
+        if fabric {
+            return (mgids, 0);
+        }
+        self.half_trees.push(HalfTree {
+            mgids: mgids.clone(),
+            free_slot: 2,
+        });
+        (mgids, 1)
+    }
+
+    /// Release a meeting's trees: clear its nodes; paired trees are
+    /// handed back to the half-open pool (or destroyed when the partner
+    /// slot is still unclaimed / already gone); exclusive trees are
+    /// destroyed outright.
+    fn release_trees(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        trees: &[(u16, u8)],
+        meeting: MeetingId,
+    ) {
+        if trees.is_empty() {
+            return;
+        }
+        Self::remove_branches(dp, trees, &self.meetings[&meeting].participants);
+        let mut shared = Vec::new();
+        let mut my_slot = 0;
+        for &(mgid, slot) in trees {
+            if slot == 0 {
+                self.drop_tree(dp, mgid);
+            } else {
+                shared.push(mgid);
+                my_slot = slot;
+            }
+        }
+        if shared.is_empty() {
+            return;
+        }
+        // If the partner slot is still waiting in the half pool, the
+        // trees are now empty: destroy them and drop the pool entry.
+        // Otherwise the partner meeting is live: return our slot to the
+        // pool.
+        match self.half_trees.iter().position(|h| h.mgids == shared) {
+            Some(i) => {
+                self.half_trees.remove(i);
+                for mgid in shared {
+                    self.drop_tree(dp, mgid);
+                }
+            }
+            None => self.half_trees.push(HalfTree {
+                mgids: shared,
+                free_slot: my_slot,
+            }),
+        }
+    }
+
+    // The writers. Every port-rule, egress and PRE table operation the
+    // agent performs is called from one of these, and from nowhere else.
+
+    /// Install (or overwrite) the rule on `port`.
+    pub(super) fn install_rule(dp: &mut ScallopDataPlane, port: u16, rule: PortRule) {
+        dp.install_port_rule(port, rule)
+            .expect("port rule capacity");
+    }
+
+    /// Remove the rule on `port`, if any.
+    pub(super) fn remove_rule(dp: &mut ScallopDataPlane, port: u16) {
+        dp.remove_port_rule(port);
+    }
+
+    /// Install an egress entry and record its key in `keys`, the list
+    /// its meeting tracks it by.
+    fn install_egress(
+        dp: &mut ScallopDataPlane,
+        key: EgressKey,
+        spec: EgressSpec,
+        keys: &mut Vec<EgressKey>,
+    ) {
+        dp.install_egress(key, spec).expect("egress capacity");
+        keys.push(key);
+    }
+
+    /// Remove the egress entries `gone` picks from a meeting's tracked
+    /// `keys`, from the list and the table together.
+    fn remove_egress(
+        dp: &mut ScallopDataPlane,
+        keys: &mut Vec<EgressKey>,
+        mut gone: impl FnMut(&EgressKey) -> bool,
+    ) {
+        keys.retain(|k| {
+            let gone = gone(k);
+            if gone {
+                dp.remove_egress(*k);
+            }
+            !gone
+        });
+    }
+
+    /// A new, empty tree under the lowest free MGID.
+    fn new_tree(&mut self, dp: &mut ScallopDataPlane) -> u16 {
+        let mgid = self.mgids.take();
+        dp.create_tree(mgid).expect("PRE group budget exhausted");
+        mgid
+    }
+
+    /// Destroy a tree and free its MGID.
+    fn drop_tree(&mut self, dp: &mut ScallopDataPlane, mgid: u16) {
+        let _ = dp.pre.destroy_group(mgid);
+        self.mgids.give(mgid);
+    }
+
+    /// Add receiver `rid`'s L1 branch to tree `mgid`.
+    fn add_branch(dp: &mut ScallopDataPlane, mgid: u16, rid: u16, xid: u16, prune_enabled: bool) {
+        let node = L1Node {
+            rid,
+            xid,
+            prune_enabled,
+            ports: vec![rid],
+        };
+        dp.pre.add_node(mgid, node).expect("L1 node budget");
+    }
+
+    /// Remove every branch of `rids` from every tree of `trees`.
+    pub(super) fn remove_branches(
+        dp: &mut ScallopDataPlane,
+        trees: &[(u16, u8)],
+        rids: &[ParticipantId],
+    ) {
+        for &(mgid, _) in trees {
+            for &rid in rids {
+                let _ = dp.pre.remove_node(mgid, rid);
+            }
+        }
+    }
+}
