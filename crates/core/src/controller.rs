@@ -73,8 +73,8 @@
 //! resolves the upstream pid and swings the branch at the address
 //! [`Fabric::trunk_addr`] gives, and that rule *observes* dead cores
 //! and cut trunk links in the simulator (which stands in for the
-//! liveness service a deployed controller would read, as the plane's
-//! epoch map stands in for the metadata service). Admission pricing,
+//! liveness service a deployed controller would read, as the records'
+//! epochs stand in for the metadata service). Admission pricing,
 //! the first plumb, gateway migration and
 //! [`ShardedControlPlane::repair_trunks`] all ask the pair, so what is
 //! priced is what is plumbed, and a branch plumbed after a failure
@@ -82,18 +82,18 @@
 //!
 //! # Relation to the sharded control plane
 //!
-//! A `Controller` is one control instance, private to this crate.
-//! Per-meeting bookkeeping is kept in self-contained
-//! [`crate::meeting::FabricMeetingState`] values so that
-//! [`ShardedControlPlane`] can run several controllers side by side,
-//! each owning a disjoint subset of the fabric's meetings, and move a
-//! meeting's state between them with the [`crate::shard::ShardMsg`]
-//! handoff protocol. The plane is the only way in: it allocates global
-//! meeting/participant ids (keeping the id space collision-free across
-//! shards) and hands them to the create and join entry points here, so
-//! a `Controller` on its own can neither create a meeting nor admit a
-//! member. It also owns the fabric's one [`FabricLoadLedger`] and lends
-//! it to each call here that prices, debits or credits.
+//! A `Controller` is the plane's one meeting store, private to this
+//! crate: every fabric meeting has exactly one
+//! [`crate::meeting::FabricMeetingState`] record here, whichever
+//! controller shard owns it. [`ShardedControlPlane`] holds one
+//! `Controller`; its shards hold claims on the records (who may write
+//! one, under which epoch), so a handoff or a lease steal moves a claim
+//! and never a record. The plane is the only way in: it allocates
+//! global meeting/participant ids and hands them to the create and join
+//! entry points here, so a `Controller` on its own can neither create a
+//! meeting nor admit a member. It also owns the fabric's one
+//! [`FabricLoadLedger`] and lends it to each call here that prices,
+//! debits or credits.
 
 use crate::agent::{JoinGrant, MeetingId, ParticipantId, Tier};
 use crate::capacity::{
@@ -226,20 +226,19 @@ struct JoinScratch {
     grants: Vec<JoinGrant>,
 }
 
-/// The centralized controller (one instance; see [`crate::shard`] for
-/// the multi-controller deployment that partitions fabric meetings
-/// across several of these).
+/// The centralized controller: one instance per plane, holding every
+/// fabric meeting's record (see [`crate::shard`] for the shards that
+/// partition ownership of these records).
 #[derive(Debug, Default)]
 pub(crate) struct Controller {
-    fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
-    /// Tombstones: the home edge of every fabric meeting retired when
-    /// its last member left (its record is gone from
+    /// Every live fabric meeting's record — the plane's one store.
+    pub(crate) fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
+    /// Tombstones: the `(home edge, epoch)` of every fabric meeting
+    /// retired when its last member left (its record is gone from
     /// `fabric_meetings`). Read only when a join names an id that is
     /// not live, which revives the meeting as the drained record it
-    /// was. The sharded plane moves these into its own table
-    /// ([`crate::shard::ShardedControlPlane`]) after every call that
-    /// can retire.
-    pub(crate) tombstones: BTreeMap<GlobalMeetingId, usize>,
+    /// was, and when a revived shard's stale claim is fenced.
+    pub(crate) tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
     /// Signaling transactions served (telemetry).
     pub signaling_exchanges: u64,
     scratch: JoinScratch,
@@ -270,6 +269,7 @@ impl Controller {
         let seg = fabric.edge_mut(sim, home).agent.create_meeting();
         let mut rec = FabricMeetingState {
             home,
+            epoch: 1,
             ..Default::default()
         };
         rec.segments.insert(home, seg);
@@ -440,14 +440,15 @@ impl Controller {
     }
 
     /// A join names `gmid`: if the meeting was retired, bring its
-    /// record back exactly as it drained — the old home, no segments.
-    /// Returns whether it did.
+    /// record back exactly as it drained — the old home and epoch, no
+    /// segments. Returns whether it did.
     fn revive_if_retired(&mut self, gmid: GlobalMeetingId) -> bool {
-        let Some(home) = self.tombstones.remove(&gmid) else {
+        let Some((home, epoch)) = self.tombstones.remove(&gmid) else {
             return false;
         };
         let rec = FabricMeetingState {
             home,
+            epoch,
             ..Default::default()
         };
         self.fabric_meetings.insert(gmid, rec);
@@ -612,7 +613,7 @@ impl Controller {
         // A revival whose every request was refused stays retired.
         if revived && self.fabric_meetings[&gmid].members.is_empty() {
             let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-            self.tombstones.insert(gmid, rec.home);
+            self.tombstones.insert(gmid, (rec.home, rec.epoch));
         }
     }
 
@@ -798,7 +799,7 @@ impl Controller {
                 self.gc_segment_if_drained(sim, fabric, ledger, gmid, e);
             }
             let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-            self.tombstones.insert(gmid, rec.home);
+            self.tombstones.insert(gmid, (rec.home, rec.epoch));
         } else if m.edge != rec.home {
             self.gc_segment_if_drained(sim, fabric, ledger, gmid, m.edge);
         }
@@ -1243,57 +1244,6 @@ impl Controller {
             .map(|r| r.members.iter().map(|m| m.global).collect())
             .unwrap_or_default()
     }
-
-    // ------------------------------------------------------------------
-    // Ownership handoff (the shard protocol of `crate::shard`)
-    // ------------------------------------------------------------------
-
-    /// Number of fabric meetings this controller currently tracks.
-    pub fn fabric_meetings_tracked(&self) -> usize {
-        self.fabric_meetings.len()
-    }
-
-    /// Ids of every fabric meeting this controller tracks (ascending) —
-    /// the sharded plane enumerates these when reconciling a revived
-    /// shard's stale state.
-    pub(crate) fn fabric_meeting_ids(&self) -> Vec<GlobalMeetingId> {
-        self.fabric_meetings.keys().copied().collect()
-    }
-
-    /// A full copy of one meeting's control state, for an ownership
-    /// handoff: the acquiring shard adopts the copy *before* this
-    /// controller releases its own (make-before-break — the meeting is
-    /// never untracked). `None` when the meeting is not tracked here.
-    pub(crate) fn clone_fabric_meeting(&self, gmid: GlobalMeetingId) -> Option<FabricMeetingState> {
-        self.fabric_meetings.get(&gmid).cloned()
-    }
-
-    /// Adopt a meeting exported by another controller shard. The state
-    /// references only edge-switch ids, so adoption is pure bookkeeping:
-    /// no switch is touched and media is never interrupted.
-    pub(crate) fn adopt_fabric_meeting(
-        &mut self,
-        gmid: GlobalMeetingId,
-        state: FabricMeetingState,
-    ) {
-        assert!(
-            !self.fabric_meetings.contains_key(&gmid),
-            "meeting id already tracked"
-        );
-        self.fabric_meetings.insert(gmid, state);
-        self.signaling_exchanges += 1;
-    }
-
-    /// Drop a meeting this controller handed off (the releasing half of
-    /// the protocol; like the acquire, it counts as one east–west
-    /// signaling exchange). Returns whether the meeting was tracked.
-    pub(crate) fn release_fabric_meeting(&mut self, gmid: GlobalMeetingId) -> bool {
-        let tracked = self.fabric_meetings.remove(&gmid).is_some();
-        if tracked {
-            self.signaling_exchanges += 1;
-        }
-        tracked
-    }
 }
 
 #[cfg(test)]
@@ -1635,7 +1585,7 @@ mod tests {
         let s = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
         // First zone-1 segment: edge 2 becomes the zone's gateway.
         let _r1 = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
-        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
+        let rec = ctl.meeting(gmid).expect("live");
         assert_eq!(rec.zone_gateway(0), Some(0));
         assert_eq!(rec.zone_gateway(1), Some(2));
         assert!(rec.trunk_egress.contains_key(&(0, 2)), "WAN branch out");
@@ -1643,7 +1593,7 @@ mod tests {
         // Second zone-1 segment is a non-gateway: it is trunk-wired to
         // its gateway, not WAN-wired to zone 0.
         let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(3, 3, false));
-        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
+        let rec = ctl.meeting(gmid).expect("live");
         assert_eq!(rec.zone_gateway(1), Some(2), "gateway is sticky");
         assert!(rec.trunk_egress.contains_key(&(2, 3)));
         assert!(rec.trunk_egress.contains_key(&(3, 2)));
@@ -1681,7 +1631,7 @@ mod tests {
         let preferred = f.topology.core_between(4, 5).unwrap();
         sim.kill_node(f.core_ids[preferred]);
         ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
-        let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
+        let rec = ctl.meeting(gmid).expect("live");
         assert_eq!(ctl.segment_of(gmid, 3), None, "gateway segment collected");
         assert_eq!(rec.zone_gateway(1), Some(4));
         assert!(rec.trunk_egress.contains_key(&(0, 4)), "WAN branch moved");
@@ -1751,7 +1701,7 @@ mod tests {
                 let gateway = lowest(zone(to), [to, to]);
                 join(&mut ctl, &mut sim, &f, gmid, req(gateway, 3, false));
             }
-            let rec = &ctl.shard(0).controller.fabric_meetings[&gmid];
+            let rec = ctl.meeting(gmid).expect("live");
             assert_eq!(Controller::route(tz, rec, se, to), want, "{se}→{to}");
             // Price what you plumb: a receiver joining on `to` plumbs
             // the sender toward it, and the trunk and WAN accounts that

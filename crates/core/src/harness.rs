@@ -647,8 +647,7 @@ impl ScallopHarness {
     /// Steal meetings from silent owners whose lease expired; returns
     /// how many moved.
     pub fn steal_expired_leases(&mut self) -> u64 {
-        self.controller
-            .steal_expired_leases(&mut self.sim, &self.fabric)
+        self.controller.steal_expired_leases()
     }
 
     /// Revive controller shard `s`: its stale ownership re-assertions
@@ -656,9 +655,8 @@ impl ScallopHarness {
     /// [`crate::shard::ShardedControlPlane::rebalance_ownership`] pass
     /// folds the shard back into the bounded-loads spread.
     pub fn revive_shard(&mut self, s: usize) -> u64 {
-        let rejected = self.controller.revive_shard(&mut self.sim, &self.fabric, s);
-        self.controller
-            .rebalance_ownership(&mut self.sim, &self.fabric);
+        let rejected = self.controller.revive_shard(s);
+        self.controller.rebalance_ownership();
         rejected
     }
 

@@ -12,15 +12,14 @@
 //!   data-plane configuration. Invoked only on session/membership/media
 //!   changes.
 //! * [`meeting`] — the per-meeting control state
-//!   ([`meeting::FabricMeetingState`]), extracted from the controller
-//!   so one meeting's bookkeeping can move between controller shards
-//!   wholesale.
+//!   ([`meeting::FabricMeetingState`]): one record per meeting, kept in
+//!   the plane's one store.
 //! * [`shard`] — multi-controller sharding of the fabric control
-//!   plane: a [`shard::ShardedControlPlane`] consistent-hashes meeting
-//!   ownership (with bounded loads) over N [`shard::ControllerShard`]s
-//!   and moves ownership make-before-break via the
-//!   [`shard::ShardMsg`] handoff protocol, so control load scales with
-//!   edges instead of with the fabric.
+//!   plane: a [`shard::ShardedControlPlane`] keeps one meeting store
+//!   and consistent-hashes *claims* on its records (with bounded loads)
+//!   over N [`shard::ControllerShard`]s; a handoff or a lease steal
+//!   moves a claim, never a record, so control load scales with edges
+//!   instead of with the fabric.
 //! * [`agent`] — the switch agent (§4, §5.2–5.5): runs on the switch
 //!   CPU; analyzes REMB/RR copies, maintains per-downlink EWMAs and the
 //!   feedback-selection filter `f` (§5.3), invokes the pluggable
@@ -64,5 +63,5 @@ pub use controller::{FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutc
 pub use fabric::Fabric;
 pub use harness::{HarnessConfig, HarnessReport, ScallopHarness};
 pub use meeting::FabricMeetingState;
-pub use shard::{ControllerShard, HashRing, RebalanceSummary, ShardMsg, ShardedControlPlane};
+pub use shard::{ControllerShard, HashRing, RebalanceSummary, ShardedControlPlane};
 pub use switchnode::{ScallopSwitchNode, SwitchConfig};

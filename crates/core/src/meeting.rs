@@ -1,22 +1,22 @@
 //! Per-meeting control-plane state, extracted from the controller so
-//! that one meeting's bookkeeping can move between controller shards
-//! wholesale.
+//! that one meeting's bookkeeping is one value in the plane's one store.
 //!
-//! Everything a controller knows about one fabric meeting lives in a
-//! single self-contained [`FabricMeetingState`] value: the home edge,
-//! the per-edge segment map, the trunk-egress branch table, and the
-//! member roster with each sender's remote-sender entries. None of it
-//! references the owning controller, so the ownership-handoff protocol
-//! of [`crate::shard`] can clone the value into the acquiring shard
-//! *before* the releasing shard drops its copy (make-before-break at
-//! the control plane, mirroring the data-plane cutover invariant of
-//! [`crate::shard::ShardedControlPlane::rebalance_fabric`]).
+//! Everything the control plane knows about one fabric meeting lives in
+//! a single self-contained [`FabricMeetingState`] record: the home edge,
+//! the ownership epoch, the per-edge segment map, the trunk-egress
+//! branch table, and the member roster with each sender's remote-sender
+//! entries. The sharded plane ([`crate::shard`]) keeps exactly one
+//! record per meeting, in its one controller; a shard holds a *claim*
+//! on it (the right to write it, under an epoch), never a copy. An
+//! ownership handoff or a lease steal moves the claim and leaves the
+//! record where it is — neither type derives `Clone`, so no second copy
+//! of a record can exist.
 //!
 //! The data plane is deliberately **not** part of this state: segments,
 //! PRE trees, and trunk rules live on the edge switches and are keyed
 //! by ids recorded here. A shard handoff therefore never touches a
 //! switch — media keeps flowing through rules that do not change while
-//! the bookkeeping moves.
+//! the claim moves.
 
 use crate::agent::{MeetingId, ParticipantId};
 use crate::controller::GlobalParticipantId;
@@ -24,7 +24,7 @@ use scallop_netsim::packet::HostAddr;
 use std::collections::BTreeMap;
 
 /// One fabric meeting member, as the control plane tracks it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FabricMemberState {
     /// Fabric-wide participant id.
     pub(crate) global: GlobalParticipantId,
@@ -68,12 +68,15 @@ impl FabricMemberState {
 }
 
 /// The complete control-plane state of one meeting placed across the
-/// fabric — the unit of ownership a [`crate::shard::ControllerShard`]
-/// acquires and releases.
-#[derive(Debug, Default, Clone)]
+/// fabric — the record a [`crate::shard::ControllerShard`] claims.
+#[derive(Debug, Default)]
 pub struct FabricMeetingState {
     /// The home edge this meeting is currently placed on.
     pub(crate) home: usize,
+    /// The ownership epoch (fencing token): 1 at creation, bumped by
+    /// each lease steal. A shard's claim taken under an older epoch is
+    /// stale.
+    pub(crate) epoch: u64,
     /// Local segment meeting id per involved edge.
     pub(crate) segments: BTreeMap<usize, MeetingId>,
     /// Trunk-egress branch per (on_edge, toward_edge) pair. WAN-tier
@@ -133,9 +136,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn state_is_self_contained_and_cloneable() {
+    fn state_is_self_contained() {
         let mut st = FabricMeetingState {
             home: 2,
+            epoch: 1,
             ..Default::default()
         };
         st.segments.insert(2, 7);
@@ -149,14 +153,13 @@ mod tests {
             thin: false,
         });
         st.thin_segments.insert(5);
-        let copy = st.clone();
-        assert_eq!(copy.home(), 2);
-        assert_eq!(copy.member_count(), 1);
-        assert_eq!(copy.segment_edges().collect::<Vec<_>>(), vec![2]);
-        assert!(copy.segment_is_thin(5) && !copy.segment_is_thin(2));
-        assert!(copy.members()[0].sends());
-        assert!(!copy.members()[0].thin());
-        assert_eq!(copy.members()[0].edge(), 2);
-        assert_eq!(copy.members()[0].global(), 1);
+        assert_eq!(st.home(), 2);
+        assert_eq!(st.member_count(), 1);
+        assert_eq!(st.segment_edges().collect::<Vec<_>>(), vec![2]);
+        assert!(st.segment_is_thin(5) && !st.segment_is_thin(2));
+        assert!(st.members()[0].sends());
+        assert!(!st.members()[0].thin());
+        assert_eq!(st.members()[0].edge(), 2);
+        assert_eq!(st.members()[0].global(), 1);
     }
 }

@@ -5,11 +5,15 @@
 //! literature warns about (east–west distribution in Kreutz et al.'s
 //! SDN survey; per-tree controller state in Noghani & Sunay's SDN
 //! multicast streaming).
-//! This module partitions that ownership: a [`ShardedControlPlane`]
-//! runs `N` [`ControllerShard`]s, each owning a **disjoint** set of
-//! fabric meetings, while every shard shares the same read-only
-//! [`Fabric`] / topology view (the fabric is passed by `&Fabric` into
-//! every operation; no shard ever mutates it).
+//! This module partitions that ownership the way a distributed SDN
+//! controller partitions one logically centralized view: a
+//! [`ShardedControlPlane`] keeps **one** meeting store (a single
+//! [`crate::controller`] holding every meeting's record) and runs `N`
+//! [`ControllerShard`]s, each holding *claims* — the right to write a
+//! record, under an epoch — on a **disjoint** set of fabric meetings.
+//! No shard holds a copy of a record. Every shard shares the same
+//! read-only [`Fabric`] / topology view (the fabric is passed by
+//! `&Fabric` into every operation; no shard ever mutates it).
 //!
 //! # The sharding function
 //!
@@ -35,20 +39,16 @@
 //!   provably scales with the number of shards (edges), not with the
 //!   fabric.
 //!
-//! # The ownership-handoff protocol
+//! # The ownership handoff
 //!
-//! Shards exchange [`ShardMsg`]s (delivered synchronously in this
-//! reproduction; each delivery is counted as one east–west message):
-//!
-//! * [`ShardMsg::AcquireMeeting`] — the acquiring shard adopts a full
-//!   copy of the meeting's [`FabricMeetingState`].
-//! * [`ShardMsg::ReleaseMeeting`] — the releasing shard drops its copy
-//!   *after* the acquire completed, so the meeting is never unowned
-//!   (make-before-break, mirroring the data-plane cutover invariant of
-//!   [`ShardedControlPlane::rebalance_fabric`]: the fabric's full-mesh
-//!   segment construction means the state being handed off references
-//!   only live edge-switch ids, and no switch rule changes during a
-//!   handoff — media never blips).
+//! A handoff moves a claim, not a record: the acquiring shard takes a
+//! claim on the meeting under its current epoch, then the releasing
+//! shard gives its claim up, so the meeting is never unowned
+//! (make-before-break, mirroring the data-plane cutover invariant of
+//! [`ShardedControlPlane::rebalance_fabric`]). The record stays in the
+//! one store and references only edge-switch ids, so no switch rule
+//! changes during a handoff — media never blips. Each claim taken and
+//! each claim given up counts as one east–west signaling exchange.
 //!
 //! Joins need no message of their own: each edge's signaling terminates
 //! at the shard fronting that edge
@@ -59,7 +59,7 @@
 //! # When does a handoff fire?
 //!
 //! 1. **Re-homing.** [`ShardedControlPlane::rebalance_fabric`] first
-//!    runs the owner's re-homing pass ([`crate::controller`] module
+//!    runs the re-homing pass ([`crate::controller`] module
 //!    docs; hysteresis [`crate::controller::REBALANCE_HYSTERESIS`]).
 //!    When the meeting re-homes, its ring key changes, and if the
 //!    bounded-loads walk now names a different shard the meeting is
@@ -74,7 +74,7 @@
 //!
 //! # Ownership liveness: leases and epoch fencing
 //!
-//! The handoff protocol above is *cooperative* — both sides are alive.
+//! The handoff above is *cooperative* — both sides are alive.
 //! Fail-stop shard death needs a liveness escape hatch, modeled after
 //! the standard lease + fencing-token construction:
 //!
@@ -86,31 +86,31 @@
 //! * **Steal.** Once the lease hits zero,
 //!   [`ShardedControlPlane::steal_expired_leases`] re-assigns each of
 //!   the silent shard's meetings to a live peer (silent shards are
-//!   excluded from the bounded-loads walk). The peer adopts the
-//!   meeting state via the normal [`ShardMsg::AcquireMeeting`] — in
-//!   this in-process reproduction the state is cloned from the silent
-//!   owner's controller, standing in for recovery from the replicated
-//!   meeting log a production deployment would keep. No
-//!   [`ShardMsg::ReleaseMeeting`] is sent: the silent owner cannot
-//!   hear it.
-//! * **Epoch fencing.** Every meeting carries an **epoch** (fencing
-//!   token), bumped on each steal. The stale copy held by a silent
-//!   owner keeps its old epoch, so when the shard resurrects
+//!   excluded from the bounded-loads walk) by the same transfer a
+//!   cooperative handoff uses, with two differences: the epoch is
+//!   bumped first, and the silent owner's claim is not released — it
+//!   cannot hear the release. The record itself never moved, so the
+//!   thief writes the one the silent owner was writing.
+//! * **Epoch fencing.** Every meeting record carries an **epoch**
+//!   (fencing token), bumped on each steal. The stale claim held by a
+//!   silent owner keeps its old epoch, so when the shard resurrects
 //!   ([`ShardedControlPlane::revive_shard`]) and tries to re-assert
 //!   ownership, the write is rejected (counted in
 //!   [`ShardedControlPlane::stale_epoch_writes_rejected`]) and the
-//!   shard releases its stale copy. A follow-up
+//!   shard drops its stale claim. A stale claim is only a claim: no
+//!   operation walks it, so a silent owner's meetings are never
+//!   evacuated or repaired twice. A follow-up
 //!   [`ShardedControlPlane::rebalance_ownership`] re-admits the
 //!   revived shard into the bounded-loads spread.
 //!
 //! # Retirement
 //!
-//! When a meeting's last member leaves, its record leaves the owning
-//! controller and its ownership, load count and epoch leave the plane:
-//! the maps and the bounded-loads counts hold live meetings only. One
-//! `(home, epoch)` tombstone per retired id stays behind; a join naming
-//! such an id revives the meeting through the ordinary placement walk
-//! for its old home, at its old epoch.
+//! When a meeting's last member leaves, its record leaves the store and
+//! its ownership, load count and claim leave the plane: the maps and
+//! the bounded-loads counts hold live meetings only. One `(home,
+//! epoch)` tombstone per retired id stays behind in the store; a join
+//! naming such an id revives the meeting through the ordinary placement
+//! walk for its old home, at its old epoch.
 //!
 //! ```
 //! use scallop_core::fabric::Fabric;
@@ -138,13 +138,13 @@
 //! for _ in 0..LEASE_TICKS {
 //!     plane.tick_leases();
 //! }
-//! assert_eq!(plane.steal_expired_leases(&mut sim, &fabric), 1);
+//! assert_eq!(plane.steal_expired_leases(), 1);
 //! assert_ne!(plane.owner_of(gmid), Some(owner));
 //! assert_eq!(plane.meeting_epoch(gmid), Some(2));
 //!
 //! // The resurrected owner's re-assertion carries the stale epoch and
 //! // is fenced off.
-//! assert_eq!(plane.revive_shard(&mut sim, &fabric, owner), 1);
+//! assert_eq!(plane.revive_shard(owner), 1);
 //! assert_eq!(plane.stale_epoch_writes_rejected(), 1);
 //! ```
 
@@ -267,74 +267,32 @@ impl HashRing {
     }
 }
 
-/// One east–west message of the ownership-handoff protocol (module
-/// docs). Delivered via [`ControllerShard::handle`].
-#[derive(Debug, Clone)]
-pub enum ShardMsg {
-    /// Adopt a full copy of a meeting's control state (the make half of
-    /// make-before-break).
-    AcquireMeeting {
-        /// The meeting changing owner.
-        gmid: GlobalMeetingId,
-        /// Its complete control-plane state.
-        state: FabricMeetingState,
-        /// The ownership epoch (fencing token) this acquisition runs
-        /// under: unchanged on a cooperative handoff, bumped by a
-        /// lease steal. A shard holding an older epoch for the same
-        /// meeting is fenced off (module docs).
-        epoch: u64,
-    },
-    /// Drop a meeting that was just acquired elsewhere (the break half;
-    /// always delivered *after* the acquire).
-    ReleaseMeeting {
-        /// The meeting that moved.
-        gmid: GlobalMeetingId,
-    },
-}
-
-/// One controller shard: a controller ([`crate::controller`]) owning a
-/// disjoint subset of the fabric's meetings, plus protocol telemetry.
+/// One controller shard: its claims on meetings whose records live in
+/// the plane's one store, plus protocol telemetry.
 #[derive(Debug, Default)]
 pub struct ControllerShard {
-    /// The wrapped per-shard controller.
-    pub(crate) controller: Controller,
-    /// Meetings this shard acquired via [`ShardMsg::AcquireMeeting`].
+    /// Claims this shard took over from another shard (handoff or
+    /// steal).
     pub meetings_acquired: u64,
-    /// Meetings this shard released via [`ShardMsg::ReleaseMeeting`].
+    /// Claims this shard gave up (handoff, or fenced at revival).
     pub meetings_released: u64,
     /// Cross-shard joins this shard executed for other ingress shards.
     pub joins_forwarded: u64,
-    /// The epoch each tracked meeting was acquired (or created) under —
+    /// The epoch each claimed meeting was acquired (or created) under —
     /// the shard's half of the fencing comparison.
-    epoch_of: BTreeMap<GlobalMeetingId, u64>,
+    claims: BTreeMap<GlobalMeetingId, u64>,
 }
 
 impl ControllerShard {
-    /// Deliver one protocol message to this shard. Both messages are
-    /// pure bookkeeping: no switch is touched.
-    pub fn handle(&mut self, _sim: &mut Simulator, _fabric: &Fabric, msg: ShardMsg) {
-        match msg {
-            ShardMsg::AcquireMeeting { gmid, state, epoch } => {
-                self.controller.adopt_fabric_meeting(gmid, state);
-                self.epoch_of.insert(gmid, epoch);
-                self.meetings_acquired += 1;
-            }
-            ShardMsg::ReleaseMeeting { gmid } => {
-                self.controller.release_fabric_meeting(gmid);
-                self.epoch_of.remove(&gmid);
-                self.meetings_released += 1;
-            }
-        }
-    }
-
-    /// Meetings currently owned by this shard.
+    /// Meetings this shard claims — stale claims of a silent shard
+    /// included until its revival fences them.
     pub fn meetings_owned(&self) -> usize {
-        self.controller.fabric_meetings_tracked()
+        self.claims.len()
     }
 
-    /// The epoch this shard holds a meeting under, if it tracks it.
+    /// The epoch this shard claims a meeting under, if it claims it.
     pub fn epoch_held(&self, gmid: GlobalMeetingId) -> Option<u64> {
-        self.epoch_of.get(&gmid).copied()
+        self.claims.get(&gmid).copied()
     }
 }
 
@@ -359,10 +317,10 @@ pub struct RebalanceSummary {
 }
 
 /// The sharded control plane — the fabric's one public control
-/// surface: `N` [`ControllerShard`]s behind one fabric-meeting API
-/// (create, [`Self::join`], leave, rebalance, repair), plus the
-/// ownership map, the [`HashRing`], id allocation, and protocol
-/// telemetry.
+/// surface: one meeting store and `N` [`ControllerShard`]s claiming its
+/// records behind one fabric-meeting API (create, [`Self::join`],
+/// leave, rebalance, repair), plus the ownership map, the
+/// [`HashRing`], id allocation, and protocol telemetry.
 ///
 /// With one shard this is exactly a single controller: nothing is ever
 /// forwarded or handed off. Sharding changes who keeps a meeting's
@@ -371,6 +329,9 @@ pub struct RebalanceSummary {
 #[derive(Debug)]
 pub struct ShardedControlPlane {
     ring: HashRing,
+    /// The one meeting store: every meeting's record and tombstone,
+    /// whichever shard owns it.
+    controller: Controller,
     shards: Vec<ControllerShard>,
     /// Current owner of every tracked meeting.
     owner: BTreeMap<GlobalMeetingId, usize>,
@@ -389,18 +350,6 @@ pub struct ShardedControlPlane {
     zones: usize,
     /// Edges per zone (zone of a home edge = `home / edges_per_zone`).
     edges_per_zone: usize,
-    /// Telemetry folded in from shards retired by
-    /// [`Self::set_shard_count`], so plane-wide totals never go
-    /// backwards when the plane shrinks.
-    retired: RetiredTelemetry,
-    /// Authoritative fencing epoch per meeting (module docs: stands in
-    /// for the metadata-service epoch register of a real deployment).
-    epoch: BTreeMap<GlobalMeetingId, u64>,
-    /// Tombstones: `(home edge, epoch)` of every meeting retired when
-    /// its last member left — gone from `owner`, `epoch`, `loads` and
-    /// its shard. Read only when a join names an id that is not live
-    /// ([`Self::owner_or_revive`]).
-    tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
     /// Shards currently considered silent (fail-stopped).
     silent: Vec<bool>,
     /// Lease ticks remaining per shard; live shards renew to
@@ -411,19 +360,10 @@ pub struct ShardedControlPlane {
     /// Stale-epoch ownership re-assertions fenced off at revival.
     stale_epoch_writes_rejected: u64,
     /// The fabric-load ledger — the capacity planner's single book,
-    /// lent to whichever shard's controller prices, debits or credits.
-    /// Admission decisions made on any shard debit and credit this one
-    /// ledger, so the plane-wide budgets hold regardless of which shard
-    /// owns a meeting.
+    /// lent to the controller for every call that prices, debits or
+    /// credits, so the plane-wide budgets hold regardless of which
+    /// shard owns a meeting.
     ledger: FabricLoadLedger,
-}
-
-/// Counters carried over from shards dropped by a shrink.
-#[derive(Debug, Default, Clone, Copy)]
-struct RetiredTelemetry {
-    signaling_exchanges: u64,
-    meetings_acquired: u64,
-    meetings_released: u64,
 }
 
 impl ShardedControlPlane {
@@ -432,6 +372,7 @@ impl ShardedControlPlane {
         assert!(shards >= 1, "at least one shard");
         ShardedControlPlane {
             ring: HashRing::new(shards),
+            controller: Controller::default(),
             shards: (0..shards).map(|_| ControllerShard::default()).collect(),
             owner: BTreeMap::new(),
             loads: vec![0; shards],
@@ -442,9 +383,6 @@ impl ShardedControlPlane {
             cross_zone_handoffs: 0,
             zones: 1,
             edges_per_zone: usize::MAX,
-            retired: RetiredTelemetry::default(),
-            epoch: BTreeMap::new(),
-            tombstones: BTreeMap::new(),
             silent: vec![false; shards],
             lease_left: vec![LEASE_TICKS; shards],
             lease_steals: 0,
@@ -457,10 +395,9 @@ impl ShardedControlPlane {
     /// owned by shards `s` with `s % zones == z` (falling back to
     /// `z % shards` when no such shard exists), so an intra-zone
     /// re-home never hands ownership to another campus's controllers
-    /// and a **cross**-zone re-home always does — reusing the existing
-    /// [`ShardMsg::AcquireMeeting`]/[`ShardMsg::ReleaseMeeting`]
-    /// protocol unchanged. With `zones == 1` (the default) this is the
-    /// original unzoned bounded-loads assignment, bit for bit.
+    /// and a **cross**-zone re-home always does — through the ordinary
+    /// handoff. With `zones == 1` (the default) this is the original
+    /// unzoned bounded-loads assignment, bit for bit.
     pub fn with_zone_affinity(mut self, zones: usize, edges_per_zone: usize) -> Self {
         assert!(zones >= 1 && edges_per_zone >= 1);
         self.zones = zones;
@@ -530,31 +467,24 @@ impl ShardedControlPlane {
         self.forwards
     }
 
-    /// Signaling transactions served, summed over all shards —
-    /// including shards since retired by [`Self::set_shard_count`], so
-    /// the total is monotonic across re-sharding.
+    /// Signaling transactions served: the controller's, plus one per
+    /// claim taken over and one per claim given up.
     pub fn signaling_exchanges(&self) -> u64 {
-        self.retired.signaling_exchanges
-            + self
-                .shards
-                .iter()
-                .map(|s| s.controller.signaling_exchanges)
-                .sum::<u64>()
+        self.controller.signaling_exchanges
     }
 
-    /// Meetings acquired via [`ShardMsg::AcquireMeeting`], summed over
-    /// all shards (retired shards included). Always equals
-    /// [`Self::meetings_released_total`] and [`Self::handoff_total`].
+    /// Claims taken over from another shard, by every shard there ever
+    /// was (shards dropped by [`Self::set_shard_count`] included): one
+    /// per handoff. Equals [`Self::meetings_released_total`] once every
+    /// silent shard has been revived.
     pub fn meetings_acquired_total(&self) -> u64 {
-        self.retired.meetings_acquired
-            + self.shards.iter().map(|s| s.meetings_acquired).sum::<u64>()
+        self.handoffs
     }
 
-    /// Meetings released via [`ShardMsg::ReleaseMeeting`], summed over
-    /// all shards (retired shards included).
+    /// Claims given up, by every shard there ever was: one per
+    /// cooperative handoff and one per stale claim fenced at revival.
     pub fn meetings_released_total(&self) -> u64 {
-        self.retired.meetings_released
-            + self.shards.iter().map(|s| s.meetings_released).sum::<u64>()
+        self.handoffs - self.lease_steals + self.stale_epoch_writes_rejected
     }
 
     /// The bounded-loads owner choice for ring key `key`, restricted to
@@ -595,50 +525,52 @@ impl ShardedControlPlane {
         self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home))
     }
 
-    /// The owner of `gmid` for a join. A retired meeting is revived
-    /// first: placed by the normal [`Self::assign`] walk for its old
-    /// home, at the epoch it retired with, its tombstone handed to the
-    /// new owner's controller (whose join path re-creates the record).
+    /// Place `gmid`, homed on `home`, on the bounded-loads walk's shard
+    /// and give that shard a claim under `epoch`.
+    fn place(&mut self, gmid: GlobalMeetingId, home: usize, epoch: u64) -> usize {
+        let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
+        self.shards[owner].claims.insert(gmid, epoch);
+        self.owner.insert(gmid, owner);
+        self.loads[owner] += 1;
+        owner
+    }
+
+    /// The owner of `gmid` for a join. A retired meeting is placed
+    /// first, by the ordinary walk for its tombstone's home and at its
+    /// tombstone's epoch (the controller's join path re-creates the
+    /// record).
     fn owner_or_revive(&mut self, gmid: GlobalMeetingId) -> usize {
         if let Some(&owner) = self.owner.get(&gmid) {
             return owner;
         }
-        let (home, epoch) = self.tombstones.remove(&gmid).expect("fabric meeting");
-        let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
-        self.shards[owner].controller.tombstones.insert(gmid, home);
-        self.shards[owner].epoch_of.insert(gmid, epoch);
-        self.owner.insert(gmid, owner);
-        self.loads[owner] += 1;
-        self.epoch.insert(gmid, epoch);
-        owner
+        let &(home, epoch) = self
+            .controller
+            .tombstones
+            .get(&gmid)
+            .expect("fabric meeting");
+        self.place(gmid, home, epoch)
     }
 
-    /// Retire from the plane every meeting shard `s`'s controller just
-    /// retired (last member left): its ownership entry, load count and
-    /// both epoch entries go; one `(home, epoch)` tombstone stays. A
-    /// tombstone for a meeting `s` does not own came from a stale copy
-    /// (the shard was silent while its meetings were stolen) and is
-    /// dropped.
-    fn absorb_retired(&mut self, s: usize) {
-        for (gmid, home) in std::mem::take(&mut self.shards[s].controller.tombstones) {
-            if self.owner.get(&gmid) != Some(&s) {
-                continue;
-            }
-            self.owner.remove(&gmid);
+    /// Retire `gmid` from the plane if its record just left the store
+    /// (last member gone, or a revival fully refused): its ownership
+    /// entry, load count and claim go; the store keeps its tombstone.
+    fn settle(&mut self, gmid: GlobalMeetingId) {
+        if self.controller.fabric_meetings.contains_key(&gmid) {
+            return;
+        }
+        if let Some(s) = self.owner.remove(&gmid) {
             self.loads[s] -= 1;
-            self.shards[s].epoch_of.remove(&gmid);
-            let epoch = self.epoch.remove(&gmid).unwrap_or(1);
-            self.tombstones.insert(gmid, (home, epoch));
+            self.shards[s].claims.remove(&gmid);
         }
     }
 
     // ------------------------------------------------------------------
-    // The fabric-meeting API (routed to the owner's `Controller`)
+    // The fabric-meeting API (executed on the one store)
     // ------------------------------------------------------------------
 
-    /// Arm the capacity planner: every shard's controller books joins
-    /// against the plane's one [`FabricLoadLedger`] and enforces the
-    /// same budgets.
+    /// Arm the capacity planner: every join, whichever shard owns its
+    /// meeting, is booked against the plane's one [`FabricLoadLedger`]
+    /// under the same budgets.
     pub fn set_capacity_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
         self.ledger.set_budgets(budgets, topo);
     }
@@ -684,15 +616,10 @@ impl ShardedControlPlane {
     ) -> GlobalMeetingId {
         self.next_global_meeting += 1;
         let gmid = self.next_global_meeting;
-        let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
-        self.shards[owner]
-            .controller
+        self.controller
             .create_fabric_meeting_as(sim, fabric, home, gmid);
-        self.owner.insert(gmid, owner);
-        self.loads[owner] += 1;
         // Every meeting is born in epoch 1; steals bump it.
-        self.epoch.insert(gmid, 1);
-        self.shards[owner].epoch_of.insert(gmid, 1);
+        self.place(gmid, home, 1);
         gmid
     }
 
@@ -748,14 +675,13 @@ impl ShardedControlPlane {
         self.forwards += forwarded;
         self.shards[owner].joins_forwarded += forwarded;
         let first = self.next_global_participant + 1;
-        self.shards[owner]
-            .controller
+        self.controller
             .join(sim, fabric, &mut self.ledger, gmid, reqs, first, out);
         if let Some(last) = out.iter().rposition(|o| o.grant.is_some()) {
             self.next_global_participant += last as GlobalParticipantId + 1;
         }
-        // A fully refused revival left its tombstone with the shard.
-        self.absorb_retired(owner);
+        // A fully refused revival stays retired.
+        self.settle(gmid);
     }
 
     /// Shim: [`Self::join`] of one, panicking on a refusal. The frozen
@@ -813,9 +739,9 @@ impl ShardedControlPlane {
         outcomes.into_iter().filter_map(|o| o.grant).collect()
     }
 
-    /// Remove a fabric participant (owner-routed, including the segment
-    /// GC of the [`crate::controller`] module docs). When the last
-    /// member leaves, the meeting is retired from the plane.
+    /// Remove a fabric participant (including the segment GC of the
+    /// [`crate::controller`] module docs). When the last member leaves,
+    /// the meeting is retired from the plane.
     pub fn leave_fabric(
         &mut self,
         sim: &mut Simulator,
@@ -823,15 +749,12 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         global: GlobalParticipantId,
     ) {
-        if let Some(&owner) = self.owner.get(&gmid) {
-            self.shards[owner]
-                .controller
-                .leave_fabric(sim, fabric, &mut self.ledger, gmid, global);
-            self.absorb_retired(owner);
-        }
+        self.controller
+            .leave_fabric(sim, fabric, &mut self.ledger, gmid, global);
+        self.settle(gmid);
     }
 
-    /// Revisit one meeting's placement: run the owner's re-homing pass
+    /// Revisit one meeting's placement: run the re-homing pass
     /// ([`crate::controller`] module docs; home-edge hysteresis), and if
     /// the meeting re-homed, re-evaluate shard ownership for the new
     /// key and hand the meeting off when the hash names another shard.
@@ -842,52 +765,59 @@ impl ShardedControlPlane {
         fabric: &Fabric,
         gmid: GlobalMeetingId,
     ) -> Option<(usize, usize)> {
-        let &owner = self.owner.get(&gmid)?;
-        let moved =
-            self.shards[owner]
-                .controller
-                .rebalance_fabric(sim, fabric, &mut self.ledger, gmid);
+        let moved = self
+            .controller
+            .rebalance_fabric(sim, fabric, &mut self.ledger, gmid);
         if let Some((old_home, new_home)) = moved {
             if self.zone_of_home(old_home) != self.zone_of_home(new_home) {
                 self.cross_zone_handoffs += 1;
             }
-            self.handoff_if_moved(sim, fabric, gmid, new_home);
+            self.hand_off(gmid, false);
         }
         moved
     }
 
-    /// Hand `gmid` off to the bounded-loads choice for `home`'s key if
-    /// that differs from the current owner. Returns whether a handoff
-    /// happened.
-    fn handoff_if_moved(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        home: usize,
-    ) -> bool {
-        let owner = self.owner[&gmid];
+    /// Hand `gmid` to the bounded-loads choice for its current home's
+    /// key if that differs from its owner — the one transfer a
+    /// cooperative handoff and a lease steal (`steal`) share. The
+    /// record never moves: the target takes a claim under the meeting's
+    /// epoch, which a steal bumps first, and then the old owner gives
+    /// its claim up — except on a steal, whose silent owner cannot hear
+    /// the release ([`Self::revive_shard`] fences its stale claim).
+    /// Returns whether a handoff happened.
+    fn hand_off(&mut self, gmid: GlobalMeetingId, steal: bool) -> bool {
+        let rec = &self.controller.fabric_meetings[&gmid];
+        let (home, owner) = (rec.home, self.owner[&gmid]);
         let target = self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home));
         if target == owner {
             return false;
         }
-        // Make-before-break: the target adopts a full copy before the
-        // old owner releases its own, so the meeting is never unowned
-        // and no data-plane state is touched at any point.
-        let state = self.shards[owner]
+        let rec = self
             .controller
-            .clone_fabric_meeting(gmid)
-            .expect("owner tracks the meeting");
-        // Cooperative handoffs carry the current epoch unchanged — only
-        // a lease steal opens a new ownership generation.
-        let epoch = self.epoch.get(&gmid).copied().unwrap_or(1);
-        self.shards[target].handle(sim, fabric, ShardMsg::AcquireMeeting { gmid, state, epoch });
+            .fabric_meetings
+            .get_mut(&gmid)
+            .expect("fabric meeting");
+        rec.epoch += u64::from(steal);
+        self.shards[target].claims.insert(gmid, rec.epoch);
+        self.shards[target].meetings_acquired += 1;
+        self.controller.signaling_exchanges += 1;
         self.owner.insert(gmid, target);
         self.loads[owner] -= 1;
         self.loads[target] += 1;
-        self.shards[owner].handle(sim, fabric, ShardMsg::ReleaseMeeting { gmid });
         self.handoffs += 1;
+        if steal {
+            self.lease_steals += 1;
+        } else {
+            self.release_claim(owner, gmid);
+        }
         true
+    }
+
+    /// Shard `s` gives up its claim on `gmid`.
+    fn release_claim(&mut self, s: usize, gmid: GlobalMeetingId) {
+        self.shards[s].claims.remove(&gmid);
+        self.shards[s].meetings_released += 1;
+        self.controller.signaling_exchanges += 1;
     }
 
     /// Run [`Self::rebalance_fabric`] over every tracked meeting and
@@ -913,10 +843,8 @@ impl ShardedControlPlane {
     /// unzoned plane).
     pub fn zone_meeting_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.zones.max(1)];
-        for (&gmid, &owner) in &self.owner {
-            if let Some(home) = self.shards[owner].controller.home_edge_of(gmid) {
-                counts[self.zone_of_home(home)] += 1;
-            }
+        for rec in self.controller.fabric_meetings.values() {
+            counts[self.zone_of_home(rec.home)] += 1;
         }
         counts
     }
@@ -927,12 +855,13 @@ impl ShardedControlPlane {
     }
 
     /// Re-shard the control plane to `n` shards: rebuild the ring,
-    /// re-evaluate every meeting in id order, and hand off the ones
-    /// whose owner changed. Consistent hashing keeps the movement near
+    /// re-evaluate every meeting in id order
+    /// ([`Self::rebalance_ownership`]), and hand off the ones whose
+    /// owner changed. Consistent hashing keeps the movement near
     /// `meetings / n` when growing (and pinned tests verify keys only
     /// move *to* a freshly added shard on the raw ring). Returns the
     /// number of handoffs performed.
-    pub fn set_shard_count(&mut self, sim: &mut Simulator, fabric: &Fabric, n: usize) -> usize {
+    pub fn set_shard_count(&mut self, n: usize) -> usize {
         assert!(n >= 1, "at least one shard");
         self.ring = HashRing::new(n);
         while self.shards.len() < n {
@@ -941,36 +870,18 @@ impl ShardedControlPlane {
             self.silent.push(false);
             self.lease_left.push(LEASE_TICKS);
         }
-        let before = self.handoffs;
-        let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
-        for gmid in gmids {
-            let owner = self.owner[&gmid];
-            let home = self.shards[owner]
-                .controller
-                .home_edge_of(gmid)
-                .expect("owner tracks the meeting");
-            let must_move = owner >= n;
-            if !self.handoff_if_moved(sim, fabric, gmid, home) {
-                assert!(!must_move, "evacuation from a dropped shard must move");
-            }
-        }
+        let moved = self.rebalance_ownership();
         // Shrinking: every meeting has been evacuated off the dropped
         // shards by the bounded walk (their ring points are gone).
-        // Their telemetry folds into the plane so totals stay
-        // monotonic.
-        for s in self.shards.drain(n..) {
-            self.retired.signaling_exchanges += s.controller.signaling_exchanges;
-            self.retired.meetings_acquired += s.meetings_acquired;
-            self.retired.meetings_released += s.meetings_released;
-        }
         debug_assert!(
             self.loads[n..].iter().all(|&l| l == 0),
             "dropped shards were evacuated"
         );
+        self.shards.truncate(n);
         self.loads.truncate(n);
         self.silent.truncate(n);
         self.lease_left.truncate(n);
-        (self.handoffs - before) as usize
+        moved
     }
 
     // ------------------------------------------------------------------
@@ -1010,86 +921,56 @@ impl ShardedControlPlane {
     }
 
     /// Steal every meeting whose owner's lease has expired: each is
-    /// re-assigned to a live peer by the bounded-loads walk and adopted
-    /// under a **bumped epoch**. The state handed to the thief is
-    /// cloned from the silent owner's controller — the in-process
-    /// stand-in for replaying the replicated meeting log. No release
-    /// is sent to the silent owner (it cannot hear one); its stale copy
-    /// is fenced by the epoch and reconciled by [`Self::revive_shard`].
-    /// Returns the number of meetings stolen.
-    pub fn steal_expired_leases(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
-        let victims: Vec<(GlobalMeetingId, usize)> = self
+    /// re-assigned to a live peer by the bounded-loads walk and claimed
+    /// under a **bumped epoch**, by the transfer a cooperative handoff
+    /// uses. No release is sent to the silent owner (it cannot hear
+    /// one); its stale claim is fenced by the epoch and dropped by
+    /// [`Self::revive_shard`]. Returns the number of meetings stolen.
+    pub fn steal_expired_leases(&mut self) -> u64 {
+        let victims: Vec<GlobalMeetingId> = self
             .owner
             .iter()
-            .map(|(&g, &o)| (g, o))
-            .filter(|&(_, o)| self.silent[o] && self.lease_left[o] == 0)
+            .filter(|&(_, &o)| self.silent[o] && self.lease_left[o] == 0)
+            .map(|(&g, _)| g)
             .collect();
-        let mut stolen = 0u64;
-        for (gmid, owner) in victims {
-            let home = self.shards[owner]
-                .controller
-                .home_edge_of(gmid)
-                .expect("silent owner still tracks the meeting");
-            let target = self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home));
-            if target == owner {
-                // Every eligible peer is silent too: nothing can steal.
-                continue;
-            }
-            let state = self.shards[owner]
-                .controller
-                .clone_fabric_meeting(gmid)
-                .expect("silent owner still tracks the meeting");
-            let e = self.epoch.entry(gmid).or_insert(1);
-            *e += 1;
-            let epoch = *e;
-            self.shards[target].handle(
-                sim,
-                fabric,
-                ShardMsg::AcquireMeeting { gmid, state, epoch },
-            );
-            self.owner.insert(gmid, target);
-            self.loads[owner] -= 1;
-            self.loads[target] += 1;
-            self.handoffs += 1;
-            self.lease_steals += 1;
-            stolen += 1;
-        }
-        stolen
+        // A victim stays put when every eligible peer is silent too.
+        victims
+            .into_iter()
+            .filter(|&g| self.hand_off(g, true))
+            .count() as u64
     }
 
     /// Re-admit a resurrected shard: clear its silence, restore its
-    /// lease, and reconcile its stale state — for every meeting it
-    /// still tracks but no longer owns, its re-assertion carries the
-    /// old epoch, is fenced off (the registry's epoch is strictly
-    /// newer), and the shard releases the stale copy. Returns the
-    /// number of stale writes rejected. Follow with
+    /// lease, and reconcile its stale claims — for every meeting it
+    /// still claims but no longer owns, its re-assertion carries the
+    /// old epoch, is fenced off (the record's epoch, or its
+    /// tombstone's, is strictly newer), and the shard drops the claim.
+    /// Returns the number of stale writes rejected. Follow with
     /// [`Self::rebalance_ownership`] to fold the shard back into the
     /// bounded-loads spread.
-    pub fn revive_shard(&mut self, sim: &mut Simulator, fabric: &Fabric, s: usize) -> u64 {
+    pub fn revive_shard(&mut self, s: usize) -> u64 {
         self.silent[s] = false;
         self.lease_left[s] = LEASE_TICKS;
         let stale: Vec<(GlobalMeetingId, u64)> = self.shards[s]
-            .controller
-            .fabric_meeting_ids()
-            .into_iter()
-            .filter(|g| self.owner.get(g) != Some(&s))
-            .map(|g| (g, self.shards[s].epoch_of.get(&g).copied().unwrap_or(0)))
+            .claims
+            .iter()
+            .filter(|&(g, _)| self.owner.get(g) != Some(&s))
+            .map(|(&g, &held)| (g, held))
             .collect();
-        let mut rejected = 0u64;
-        for (gmid, held) in stale {
-            let current = match self.epoch.get(&gmid) {
-                Some(&e) => e,
-                None => self.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
+        for &(gmid, held) in &stale {
+            let store = &self.controller;
+            let current = match store.fabric_meetings.get(&gmid) {
+                Some(rec) => rec.epoch,
+                None => store.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
             };
             assert!(
                 held < current,
-                "a stolen meeting's registry epoch is strictly newer"
+                "a stolen meeting's record epoch is strictly newer"
             );
-            self.stale_epoch_writes_rejected += 1;
-            rejected += 1;
-            self.shards[s].handle(sim, fabric, ShardMsg::ReleaseMeeting { gmid });
+            self.release_claim(s, gmid);
         }
-        rejected
+        self.stale_epoch_writes_rejected += stale.len() as u64;
+        stale.len() as u64
     }
 
     /// Re-evaluate shard ownership of every meeting against the
@@ -1098,24 +979,18 @@ impl ShardedControlPlane {
     /// revived shard (empty-handed after the steals) wins back its
     /// share of meetings through the ordinary cooperative handoff.
     /// Returns the number of handoffs performed.
-    pub fn rebalance_ownership(&mut self, sim: &mut Simulator, fabric: &Fabric) -> usize {
-        let before = self.handoffs;
+    pub fn rebalance_ownership(&mut self) -> usize {
         let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
-        for gmid in gmids {
-            let owner = self.owner[&gmid];
-            let home = self.shards[owner]
-                .controller
-                .home_edge_of(gmid)
-                .expect("owner tracks the meeting");
-            self.handoff_if_moved(sim, fabric, gmid, home);
-        }
-        (self.handoffs - before) as usize
+        gmids
+            .into_iter()
+            .filter(|&g| self.hand_off(g, false))
+            .count()
     }
 
     /// The current fencing epoch of a meeting (1 at creation; +1 per
     /// lease steal).
     pub fn meeting_epoch(&self, gmid: GlobalMeetingId) -> Option<u64> {
-        self.epoch.get(&gmid).copied()
+        self.controller.fabric_meetings.get(&gmid).map(|r| r.epoch)
     }
 
     /// Meetings stolen from silent owners after lease expiry.
@@ -1129,24 +1004,22 @@ impl ShardedControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Data-plane failure repair, fanned over every shard
+    // Data-plane failure repair
     // ------------------------------------------------------------------
 
-    /// Re-aim every trunk branch of every shard's meetings against the
-    /// network as it is now — [`Fabric::trunk_addr`] routes around dead
-    /// cores and cut trunk links, or back over them once they return —
-    /// and return how many branches moved (0 on an unchanged network).
+    /// Re-aim every trunk branch of every meeting against the network
+    /// as it is now — [`Fabric::trunk_addr`] routes around dead cores
+    /// and cut trunk links, or back over them once they return — and
+    /// return how many branches moved (0 on an unchanged network).
     pub fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
-        self.shards
-            .iter_mut()
-            .map(|s| s.controller.repair_trunks(sim, fabric))
-            .sum()
+        self.controller.repair_trunks(sim, fabric)
     }
 
-    /// Evacuate every shard's meetings off fail-stopped edge switch
-    /// `edge`: its members are dropped, its segments collected without
-    /// RPCs into the dead switch, and meetings homed there re-homed to a
-    /// surviving edge. Returns the total members dropped with the edge.
+    /// Evacuate every meeting off fail-stopped edge switch `edge`: its
+    /// members are dropped, its segments collected without RPCs into
+    /// the dead switch, and meetings homed there re-homed to a
+    /// surviving edge. Meetings whose last members died with the edge
+    /// are retired. Returns the total members dropped with the edge.
     pub fn handle_edge_failure(
         &mut self,
         sim: &mut Simulator,
@@ -1154,25 +1027,22 @@ impl ShardedControlPlane {
         edge: usize,
     ) -> u64 {
         let lost = self
-            .shards
-            .iter_mut()
-            .map(|s| {
-                s.controller
-                    .handle_edge_failure(sim, fabric, &mut self.ledger, edge)
-            })
-            .sum();
-        for s in 0..self.shards.len() {
-            self.absorb_retired(s);
+            .controller
+            .handle_edge_failure(sim, fabric, &mut self.ledger, edge);
+        let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
+        for gmid in gmids {
+            self.settle(gmid);
         }
         lost
     }
 
     // ------------------------------------------------------------------
-    // Owner-routed read API
+    // Read API over the one store
     // ------------------------------------------------------------------
 
-    fn owner_controller(&self, gmid: GlobalMeetingId) -> Option<&Controller> {
-        self.owner.get(&gmid).map(|&s| &self.shards[s].controller)
+    /// A live fabric meeting's record.
+    pub fn meeting(&self, gmid: GlobalMeetingId) -> Option<&FabricMeetingState> {
+        self.controller.fabric_meetings.get(&gmid)
     }
 
     /// The local segment of a fabric meeting on `edge`, if materialized.
@@ -1181,19 +1051,17 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         edge: usize,
     ) -> Option<crate::agent::MeetingId> {
-        self.owner_controller(gmid)?.segment_of(gmid, edge)
+        self.controller.segment_of(gmid, edge)
     }
 
     /// The home edge a fabric meeting is currently placed on.
     pub fn home_edge_of(&self, gmid: GlobalMeetingId) -> Option<usize> {
-        self.owner_controller(gmid)?.home_edge_of(gmid)
+        self.controller.home_edge_of(gmid)
     }
 
     /// Global participant ids of a fabric meeting, in join order.
     pub fn fabric_members(&self, gmid: GlobalMeetingId) -> Vec<GlobalParticipantId> {
-        self.owner_controller(gmid)
-            .map(|c| c.fabric_members(gmid))
-            .unwrap_or_default()
+        self.controller.fabric_members(gmid)
     }
 
     /// Resolve the (edge, sender-pid, receiver-pid) triple for a
@@ -1209,7 +1077,7 @@ impl ShardedControlPlane {
         crate::agent::ParticipantId,
         crate::agent::ParticipantId,
     )> {
-        self.owner_controller(gmid)?
+        self.controller
             .pair_on_receiver_edge(gmid, sender, receiver)
     }
 }
@@ -1390,7 +1258,7 @@ mod tests {
         let b = join(&mut plane, &mut sim, &f, gmid, (1, caddr(2), true));
         let before_members = plane.fabric_members(gmid);
 
-        plane.set_shard_count(&mut sim, &f, 1);
+        plane.set_shard_count(1);
         let new_owner = plane.owner_of(gmid).unwrap();
         assert_eq!(new_owner, 0, "everything evacuates to the last shard");
         assert!(plane.handoff_total() >= 1);
@@ -1517,14 +1385,14 @@ mod tests {
         // a slow shard must not be robbed.
         plane.silence_shard(owner);
         plane.tick_leases();
-        assert_eq!(plane.steal_expired_leases(&mut sim, &f), 0);
+        assert_eq!(plane.steal_expired_leases(), 0);
         for _ in 1..LEASE_TICKS {
             plane.tick_leases();
         }
         assert_eq!(plane.lease_remaining(owner), 0);
 
         // Expired: the peer steals under a bumped epoch.
-        assert_eq!(plane.steal_expired_leases(&mut sim, &f), 1);
+        assert_eq!(plane.steal_expired_leases(), 1);
         let thief = plane.owner_of(gmid).unwrap();
         assert_ne!(thief, owner);
         assert!(!plane.shard_is_silent(thief));
@@ -1541,7 +1409,7 @@ mod tests {
 
         // Resurrection: the stale re-assertion is fenced and the copy
         // released; protocol accounting reconciles.
-        assert_eq!(plane.revive_shard(&mut sim, &f, owner), 1);
+        assert_eq!(plane.revive_shard(owner), 1);
         assert_eq!(plane.stale_epoch_writes_rejected(), 1);
         assert_eq!(plane.shard(owner).epoch_held(gmid), None);
         assert_eq!(plane.shard(owner).meetings_owned(), 0);
@@ -1565,14 +1433,14 @@ mod tests {
             plane.tick_leases();
         }
         // Every meeting of the silent shard lands on the survivor.
-        assert_eq!(plane.steal_expired_leases(&mut sim, &f), victim_load as u64);
+        assert_eq!(plane.steal_expired_leases(), victim_load as u64);
         assert_eq!(plane.meetings_per_shard()[victim], 0);
         assert_eq!(plane.meetings_per_shard()[survivor], 8);
 
-        plane.revive_shard(&mut sim, &f, victim);
+        plane.revive_shard(victim);
         // The re-admission pass folds the revived shard back into the
         // bounded-loads spread: no shard may exceed ceil(8/2)+1.
-        let moved = plane.rebalance_ownership(&mut sim, &f);
+        let moved = plane.rebalance_ownership();
         assert!(moved > 0, "the revived shard wins meetings back");
         let counts = plane.meetings_per_shard();
         assert_eq!(counts.iter().sum::<usize>(), 8);
@@ -1609,7 +1477,7 @@ mod tests {
         assert_eq!(plane.ledger().ports_used(0), 2);
         assert_eq!(plane.plan_home_edge(&f), 1, "placement reads the book");
 
-        plane.set_shard_count(&mut sim, &f, 4);
+        plane.set_shard_count(4);
         let gmid = loop {
             let g = plane.create_fabric_meeting(&mut sim, &f, 0);
             if plane.owner_of(g) != Some(0) {
@@ -1647,7 +1515,7 @@ mod tests {
         for i in 0..MEETINGS {
             plane.create_fabric_meeting(&mut sim, &f, i % 4);
         }
-        let moved = plane.set_shard_count(&mut sim, &f, 5);
+        let moved = plane.set_shard_count(5);
         assert!(moved > 0, "growing must populate the new shard");
         assert!(
             moved <= MEETINGS / 2,
@@ -1664,7 +1532,7 @@ mod tests {
 
         // Shrinking evacuates the dropped shards entirely.
         let signaling_before = plane.signaling_exchanges();
-        let moved_back = plane.set_shard_count(&mut sim, &f, 2);
+        let moved_back = plane.set_shard_count(2);
         assert!(moved_back > 0);
         let counts = plane.meetings_per_shard();
         assert_eq!(counts.len(), 2);

@@ -79,8 +79,9 @@ impl ChurnPlan {
     /// Where [`ChurnPlan::drift`] stresses one re-home between two
     /// buildings, `scatter` stresses the sharded control plane: with a
     /// meeting spread over every edge, most joins enter at an ingress
-    /// shard that does not own the meeting and must be forwarded
-    /// (`ShardMsg::ForwardJoin` in `scallop-core`), and no single edge
+    /// shard that does not own the meeting and must be forwarded (one
+    /// count of `ShardedControlPlane::forward_total` in `scallop-core`
+    /// each), and no single edge
     /// ever gains the decisive majority that would re-home the meeting.
     pub fn scatter(
         edges: usize,

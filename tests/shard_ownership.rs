@@ -208,7 +208,7 @@ fn ownership_stays_balanced_as_meetings_accumulate() {
         "cap ceil({total}/4)+1 = {cap} violated: {counts:?}"
     );
     // Re-sharding to 5 keeps every meeting reachable and balanced.
-    let moved = h.controller.set_shard_count(&mut h.sim, &h.fabric, 5);
+    let moved = h.controller.set_shard_count(5);
     assert!(moved > 0, "growing must populate the new shard");
     let counts = h.shard_meeting_counts();
     assert_eq!(counts.iter().sum::<usize>(), 11);
