@@ -62,14 +62,6 @@ impl Default for CpuConfig {
 }
 
 impl CpuConfig {
-    /// A 32-core server (the paper's comparison box).
-    pub fn server_32core() -> Self {
-        CpuConfig {
-            cores: 32,
-            ..Default::default()
-        }
-    }
-
     /// Builder: set core count.
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores.max(1);

@@ -75,7 +75,7 @@ fn main() {
         let (kbps_p1, kbps_p2) = {
             let src1 = h.switch().agent.video_pair_addr(pid0, pid2);
             let src2 = h.switch().agent.video_pair_addr(pid1, pid2);
-            let now = h.now();
+            let now = h.sim.now();
             let cid = h.client_ids[2];
             let c: &mut ClientNode = h.sim.node_mut(cid).expect("client");
             let tap = c.rx_tap.as_ref().expect("tap enabled");
@@ -103,7 +103,7 @@ fn main() {
         });
         // Trim the tap so memory stays bounded on the 400 s run.
         let cid = h.client_ids[2];
-        let now = h.now();
+        let now = h.sim.now();
         let c: &mut ClientNode = h.sim.node_mut(cid).expect("client");
         if let Some(tap) = &mut c.rx_tap {
             let cutoff = now - SimDuration::from_secs(6);

@@ -55,7 +55,7 @@ fn main() {
             println!("[t={t}s] receiver 3 downlink degraded");
         }
         h.run_for_secs(5.0);
-        let now = h.now();
+        let now = h.sim.now();
         let sender_kbps = {
             let s = h.client_stats(0);
             let _ = s;

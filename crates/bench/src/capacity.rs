@@ -114,9 +114,10 @@ pub fn run_hotspot(enforce: bool) -> CapacityReport {
             .collect();
     }
     h.run_for_secs(3.0);
-    let counts = h.admission_counts();
-    let oversubscribed_links = h.oversubscribed_links();
-    let (trunk_out_bps, _) = h.trunk_load_bps(0);
+    let led = h.controller.ledger();
+    let counts = led.counts();
+    let oversubscribed_links = led.oversubscribed_links();
+    let trunk_out_bps = led.trunk_out_bps(0);
     let window = SimDuration::from_secs(1);
     let min_fps = |h: &mut ScallopHarness, set: &[usize]| {
         set.iter()
@@ -140,7 +141,7 @@ pub fn run_hotspot(enforce: bool) -> CapacityReport {
         trunk_out_bps,
         full_fps,
         thin_fps,
-        reconciled_after_teardown: h.ledger_reconciled() as u64,
+        reconciled_after_teardown: h.controller.ledger().reconciled() as u64,
     }
 }
 

@@ -473,7 +473,14 @@ pub fn run_churn_phase(migrate: bool, shards: usize) -> ChurnReport {
     );
     // Initial joins fire at plan start (= now); the population then
     // gets one full step of ramp before the first swap.
-    let plan = ChurnPlan::drift(0, 1, MEMBERS, SENDERS, h.now(), SimDuration::from_secs(2));
+    let plan = ChurnPlan::drift(
+        0,
+        1,
+        MEMBERS,
+        SENDERS,
+        h.sim.now(),
+        SimDuration::from_secs(2),
+    );
     let mut rehomed = false;
     let mut rehome_count = 0u64;
     let mut min_fps = f64::INFINITY;
@@ -490,11 +497,11 @@ pub fn run_churn_phase(migrate: bool, shards: usize) -> ChurnReport {
         // pair once both endpoints are live and the stream has had
         // 1.5 s to ramp (a fresh sender's trailing-window fps is not a
         // cutover artifact).
-        while h.now() < at {
-            let step = SimDuration::from_millis(500).min(at.saturating_since(h.now()));
+        while h.sim.now() < at {
+            let step = SimDuration::from_millis(500).min(at.saturating_since(h.sim.now()));
             h.sim.run_for(step);
             let warmed = mon_live_at
-                .map(|t| h.now().saturating_since(t) >= SimDuration::from_millis(1_500))
+                .map(|t| h.sim.now().saturating_since(t) >= SimDuration::from_millis(1_500))
                 .unwrap_or(false);
             if warmed && slots[mon_r] != usize::MAX && slots[mon_s] != usize::MAX {
                 if let Some(fps) = h.fps_between(slots[mon_s], slots[mon_r], window) {
@@ -506,7 +513,7 @@ pub fn run_churn_phase(migrate: bool, shards: usize) -> ChurnReport {
             ChurnEvent::Join { edge, sends } => {
                 slots.push(h.join_late(edge, sends));
                 if slots.len() == mon_s + 1 {
-                    mon_live_at = Some(h.now());
+                    mon_live_at = Some(h.sim.now());
                 }
             }
             ChurnEvent::Leave { slot } => {
@@ -537,8 +544,8 @@ pub fn run_churn_phase(migrate: bool, shards: usize) -> ChurnReport {
         post_drift_old_home_trunk_in_pkts: after_home.trunk_in_pkts - before_home.trunk_in_pkts,
         frames_decoded: report.frames_decoded,
         rehome_count,
-        shard_handoffs: h.shard_handoffs(),
-        join_forwards: h.shard_forwards(),
-        shard_meetings: h.shard_meeting_counts(),
+        shard_handoffs: h.controller.handoff_total(),
+        join_forwards: h.controller.forward_total(),
+        shard_meetings: h.controller.meetings_per_shard(),
     }
 }

@@ -163,13 +163,13 @@ pub fn run_shard_silence() -> FaultReport {
     let mut h = campus(1, 3, 0xFA51_0002);
     h.run_for_secs(2.0);
     let owner = h.shard_of_meeting();
-    h.silence_shard(owner);
+    h.controller.silence_shard(owner);
     for _ in 0..LEASE_TICKS {
-        h.tick_leases();
+        h.controller.tick_leases();
         h.run_for_secs(STEP_MS as f64 / 1_000.0);
     }
     let blackhole_fps = fps(&mut h, 0, 1);
-    let steals = h.steal_expired_leases();
+    let steals = h.controller.steal_expired_leases();
     let rejected = h.revive_shard(owner);
     let (recovery_ticks, recovered_fps) = ticks_to_recover(&mut h, 0, 1);
     FaultReport {

@@ -253,11 +253,6 @@ impl ClientNode {
             .map(|(&k, _)| k)
     }
 
-    /// Decoder internal-state dump of the video stream from `src`.
-    pub fn receiver_decoder_debug(&self, src: HostAddr) -> Option<String> {
-        self.receivers[&self.live_video_from(src)?].decoder_debug()
-    }
-
     /// Decoder stats of the video stream arriving from `src`.
     pub fn receiver_decoder_stats(
         &self,
@@ -296,11 +291,6 @@ impl ClientNode {
         self.cfg.audio_send_to = None;
         self.receivers.clear();
         self.stun_pending.clear();
-    }
-
-    /// Mutable access to the sender (experiments adjust encoder targets).
-    pub fn sender_mut(&mut self) -> Option<&mut MediaSender> {
-        self.sender.as_mut()
     }
 
     /// Act on an RTCP compound — read in place, and only if all of it

@@ -350,11 +350,6 @@ impl ReceiverState {
         self.estimator.as_ref().map(|e| e.estimate_bps())
     }
 
-    /// Decoder internal-state dump (debug).
-    pub fn decoder_debug(&self) -> Option<String> {
-        self.decoder.as_ref().map(|d| d.debug_state())
-    }
-
     /// Raw decoder statistics (video streams).
     pub fn decoder_stats(&self) -> Option<scallop_media::decoder::DecoderStats> {
         self.decoder.as_ref().map(|d| d.stats)

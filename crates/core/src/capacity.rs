@@ -480,9 +480,9 @@ pub const REMOTE_PORTS: u64 = 2;
 /// Without budgets ([`FabricLoadLedger::set_budgets`] never called)
 /// the ledger is pure bookkeeping: the controller's debits and credits
 /// keep per-edge port occupancy and per-trunk / per-WAN offered bits/s
-/// current, and nothing is ever refused — the default paths stay
-/// byte-identical. With budgets set it additionally answers admission
-/// queries and placement/rebalance headroom questions.
+/// current — which is what breaks a re-home tie — and nothing is ever
+/// refused. With budgets set it additionally answers admission
+/// queries.
 #[derive(Debug, Clone, Default)]
 pub struct FabricLoadLedger {
     used: LoadDelta,
@@ -511,11 +511,6 @@ impl FabricLoadLedger {
             .map(|l| budgets.wan_bps.unwrap_or(l.bandwidth_bps))
             .collect();
         self.budgets = Some(budgets);
-    }
-
-    /// Whether budget lines are installed (planner queries meaningful).
-    pub fn planning(&self) -> bool {
-        self.budgets.is_some()
     }
 
     /// Whether admission actively enforces the budget lines.
@@ -688,25 +683,13 @@ impl FabricLoadLedger {
         self.used.wan.get(&l).copied().unwrap_or(0)
     }
 
-    /// Load score of an edge for placement/rebalance: port occupancy
+    /// Load score of an edge for the re-home tie-break: port occupancy
     /// first, then trunk bits (both directions). Lower is emptier.
     pub fn load_score(&self, edge: usize) -> (u64, u64) {
         (
             self.ports_used(edge),
             self.trunk_out_bps(edge) + self.trunk_in_bps(edge),
         )
-    }
-
-    /// The least-loaded feasible edge among `candidates` (lowest load
-    /// score, ties to the lowest index). Edges whose port budget
-    /// cannot take another member are infeasible when budgets are
-    /// enforced; `None` if no candidate is feasible.
-    pub fn least_loaded_edge(&self, candidates: impl Iterator<Item = usize>) -> Option<usize> {
-        candidates
-            .filter(|&e| {
-                !self.enforcing() || self.ports_used(e) + MEMBER_PORTS <= self.edge_port_budget
-            })
-            .min_by_key(|&e| (self.load_score(e), e))
     }
 
     /// How many budget lines are currently *over* budget: trunk
@@ -993,7 +976,7 @@ mod tests {
         // ledger reports how many budget lines broke.
         let mut l = FabricLoadLedger::default();
         l.set_budgets(thin_budgets().advisory(), &Topology::campus(3, 1));
-        assert!(!l.enforcing() && l.planning());
+        assert!(!l.enforcing() && l.budgets().is_some());
         for g in 0..3u32 {
             l.debit_branch(1, g, 1, &BranchRoute::Trunk { from: 0, to: 1 }, false);
         }
@@ -1004,21 +987,6 @@ mod tests {
         }
         assert_eq!(l.oversubscribed_links(), 0);
         assert!(l.reconciled());
-    }
-
-    #[test]
-    fn ledger_least_loaded_edge_skips_full_ports() {
-        let mut l = FabricLoadLedger::default();
-        l.set_budgets(thin_budgets(), &Topology::campus(3, 1));
-        l.debit_member(1, 1, 0);
-        l.debit_member(1, 2, 0);
-        l.debit_member(1, 3, 0); // edge 0 full (6 ports of 6)
-        l.debit_member(1, 4, 1);
-        assert_eq!(l.least_loaded_edge(0..3), Some(2));
-        l.debit_member(1, 5, 2);
-        l.debit_member(1, 6, 2);
-        // Edge 1 now emptiest; edge 0 infeasible despite index order.
-        assert_eq!(l.least_loaded_edge(0..3), Some(1));
     }
 
     #[test]

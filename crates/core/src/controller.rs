@@ -109,6 +109,7 @@ use scallop_netsim::sim::Simulator;
 use scallop_netsim::topology::Topology;
 use scallop_proto::sdp::{Candidate, MediaKind, SessionDescription};
 use scallop_proto::ProtoError;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Fabric-wide meeting identifier (controller-allocated; each involved
@@ -279,20 +280,6 @@ impl Controller {
             .insert(fabric.topology.zone_of_edge(home), home);
         self.fabric_meetings.insert(gmid, rec);
         self.signaling_exchanges += 1;
-    }
-
-    /// The local segment of a fabric meeting on `edge`, if materialized.
-    pub fn segment_of(&self, gmid: GlobalMeetingId, edge: usize) -> Option<MeetingId> {
-        self.fabric_meetings
-            .get(&gmid)?
-            .segments
-            .get(&edge)
-            .copied()
-    }
-
-    /// The home edge a fabric meeting was placed on.
-    pub fn home_edge_of(&self, gmid: GlobalMeetingId) -> Option<usize> {
-        self.fabric_meetings.get(&gmid).map(|r| r.home)
     }
 
     // ------------------------------------------------------------------
@@ -545,7 +532,6 @@ impl Controller {
                             sends,
                             local_pid: local.participant,
                             remote_pids: BTreeMap::new(),
-                            thin,
                         });
                         *signaling_exchanges += 1;
                         if thin && !sends && !fabric.edge_is_dead(sim, edge) {
@@ -634,7 +620,7 @@ impl Controller {
     ) {
         let segment = fabric.edge_mut(sim, edge).agent.create_meeting();
         rec.segments.insert(edge, segment);
-        let zone = fabric.topology.zone_of_edge(edge);
+        let (zone, here) = (fabric.topology.zone_of_edge(edge), (edge, segment));
         // `segments`/`zone_gateways` are iterated while `trunk_egress`
         // is inserted into — disjoint fields of the one record, so no
         // snapshot clones are needed.
@@ -648,19 +634,13 @@ impl Controller {
             .iter()
             .filter(|&(&o, _)| o != edge && fabric.topology.zone_of_edge(o) == zone)
         {
-            let te_here = fabric.edge_mut(sim, edge).join_egress(segment, Tier::Trunk);
-            let te_there = fabric.edge_mut(sim, o).join_egress(o_seg, Tier::Trunk);
-            trunk_egress.insert((edge, o), te_here);
-            trunk_egress.insert((o, edge), te_there);
+            Self::open_branch_pair(sim, fabric, trunk_egress, Tier::Trunk, here, (o, o_seg));
         }
         if let std::collections::btree_map::Entry::Vacant(e) = zone_gateways.entry(zone) {
             e.insert(edge);
             for (_, &g) in zone_gateways.iter().filter(|&(&z, _)| z != zone) {
                 let g_seg = segments[&g];
-                let te_here = fabric.edge_mut(sim, edge).join_egress(segment, Tier::Wan);
-                let te_there = fabric.edge_mut(sim, g).join_egress(g_seg, Tier::Wan);
-                trunk_egress.insert((edge, g), te_here);
-                trunk_egress.insert((g, edge), te_there);
+                Self::open_branch_pair(sim, fabric, trunk_egress, Tier::Wan, here, (g, g_seg));
             }
         }
         // Established senders elsewhere become remote senders here.
@@ -669,6 +649,24 @@ impl Controller {
                 Self::plumb_sender_to_edge(sim, fabric, rec, signaling, ledger, gmid, mi, edge);
             }
         }
+    }
+
+    /// Open the branch pair between the segments `near` and `far` (each
+    /// an `(edge, segment)`): an egress branch of `tier` on either
+    /// side, the near one first, recorded in `trunk_egress` under
+    /// `(near, far)` and `(far, near)`.
+    fn open_branch_pair(
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        trunk_egress: &mut BTreeMap<(usize, usize), ParticipantId>,
+        tier: Tier,
+        (near, near_seg): (usize, MeetingId),
+        (far, far_seg): (usize, MeetingId),
+    ) {
+        let te_near = fabric.edge_mut(sim, near).join_egress(near_seg, tier);
+        let te_far = fabric.edge_mut(sim, far).join_egress(far_seg, tier);
+        trunk_egress.insert((near, far), te_near);
+        trunk_egress.insert((far, near), te_far);
     }
 
     /// The edges a sender homed on `edge` must be plumbed toward, in
@@ -961,13 +959,9 @@ impl Controller {
             .filter(|&(&z, _)| z != zone)
             .map(|(_, &g)| (g, rec.segments[&g]))
             .collect();
-        for &(g, g_seg) in &other_gateways {
-            let te_here = fabric
-                .edge_mut(sim, new_g)
-                .join_egress(new_g_seg, Tier::Wan);
-            let te_there = fabric.edge_mut(sim, g).join_egress(g_seg, Tier::Wan);
-            rec.trunk_egress.insert((new_g, g), te_here);
-            rec.trunk_egress.insert((g, new_g), te_there);
+        for &far in &other_gateways {
+            let here = (new_g, new_g_seg);
+            Self::open_branch_pair(sim, fabric, &mut rec.trunk_egress, Tier::Wan, here, far);
         }
         let tz = &fabric.topology;
         for mi in 0..rec.members.len() {
@@ -1036,8 +1030,9 @@ impl Controller {
     /// edge that still hosts members, bypassing the hysteresis — there
     /// is no flap risk (flapping back would require the new home to
     /// drain too) and every tick spent waiting trunks full-quality
-    /// media toward an edge with no receivers. Ties prefer the lowest
-    /// edge index (deterministic). On a federated fabric the decision
+    /// media toward an edge with no receivers. Ties in member count
+    /// prefer the edge (or zone) with the lower ledger load score, then
+    /// the lowest index (deterministic). On a federated fabric the decision
     /// is two-level: the home **zone** is picked first by member
     /// majority under the same hysteresis, then the best edge within
     /// it — so a meeting whose population has migrated to another
@@ -1056,8 +1051,7 @@ impl Controller {
         // Zone majority first (federation): the home *zone* only moves
         // when another zone's population beats it past the same
         // hysteresis (or the home zone is empty). With one zone this
-        // selects zone 0 and reduces exactly to the original edge-level
-        // rule below.
+        // selects zone 0 and only the edge-level rule below decides.
         let home_zone = fabric.topology.zone_of_edge(home);
         let mut zone_count: BTreeMap<usize, usize> = BTreeMap::new();
         for m in &rec.members {
@@ -1066,28 +1060,20 @@ impl Controller {
                 .or_default() += 1;
         }
         let home_zone_count = zone_count.get(&home_zone).copied().unwrap_or(0);
-        // With the capacity planner active, equal member counts break
-        // toward capacity headroom (the ledger's load score) instead
-        // of the lowest index — migrations target headroom, not just
-        // receiver majority. Without budgets this is byte-identical to
-        // the original index tie-break.
-        let planning = ledger.planning();
-        let (&best_zone, &best_zone_count) = if planning {
-            let zone_load = |z: usize| {
-                fabric
-                    .topology
-                    .zone_edges(z)
-                    .map(|e| ledger.load_score(e))
-                    .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
-            };
-            zone_count.iter().max_by_key(|&(&z, &c)| {
-                (c, std::cmp::Reverse(zone_load(z)), std::cmp::Reverse(z))
-            })?
-        } else {
-            zone_count
-                .iter()
-                .max_by_key(|&(&z, &c)| (c, std::cmp::Reverse(z)))?
+        // Equal member counts break toward capacity headroom (the
+        // ledger's load score, booked whether or not budgets are armed),
+        // then toward the lowest index: migrations target headroom, not
+        // just receiver majority.
+        let zone_load = |z: usize| {
+            fabric
+                .topology
+                .zone_edges(z)
+                .map(|e| ledger.load_score(e))
+                .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
         };
+        let (&best_zone, &best_zone_count) = zone_count
+            .iter()
+            .max_by_key(|&(&z, &c)| (c, Reverse(zone_load(z)), Reverse(z)))?;
         let target_zone = if best_zone != home_zone
             && (home_zone_count == 0 || best_zone_count > home_zone_count + REBALANCE_HYSTERESIS)
         {
@@ -1103,19 +1089,9 @@ impl Controller {
             }
         }
         let home_count = count.get(&home).copied().unwrap_or(0);
-        let (&best, &best_count) = if planning {
-            count.iter().max_by_key(|&(&e, &c)| {
-                (
-                    c,
-                    std::cmp::Reverse(ledger.load_score(e)),
-                    std::cmp::Reverse(e),
-                )
-            })?
-        } else {
-            count
-                .iter()
-                .max_by_key(|&(&e, &c)| (c, std::cmp::Reverse(e)))?
-        };
+        let (&best, &best_count) = count
+            .iter()
+            .max_by_key(|&(&e, &c)| (c, Reverse(ledger.load_score(e)), Reverse(e)))?;
         if best == home
             || (target_zone == home_zone
                 && home_count > 0
@@ -1215,34 +1191,6 @@ impl Controller {
             }
         }
         lost_total
-    }
-
-    /// Resolve the (edge, sender-pid, receiver-pid) triple for a
-    /// (sender, receiver) pair, on the receiver's edge: the sender pid
-    /// is its local entry when co-located, else its remote-sender entry.
-    pub fn pair_on_receiver_edge(
-        &self,
-        gmid: GlobalMeetingId,
-        sender: GlobalParticipantId,
-        receiver: GlobalParticipantId,
-    ) -> Option<(usize, ParticipantId, ParticipantId)> {
-        let rec = self.fabric_meetings.get(&gmid)?;
-        let r = rec.members.iter().find(|m| m.global == receiver)?;
-        let s = rec.members.iter().find(|m| m.global == sender)?;
-        let s_pid = if s.edge == r.edge {
-            s.local_pid
-        } else {
-            *s.remote_pids.get(&r.edge)?
-        };
-        Some((r.edge, s_pid, r.local_pid))
-    }
-
-    /// Global participant ids of a fabric meeting, in join order.
-    pub fn fabric_members(&self, gmid: GlobalMeetingId) -> Vec<GlobalParticipantId> {
-        self.fabric_meetings
-            .get(&gmid)
-            .map(|r| r.members.iter().map(|m| m.global).collect())
-            .unwrap_or_default()
     }
 }
 
@@ -1440,6 +1388,27 @@ mod tests {
         assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), Some((0, 1)));
         assert_eq!(ctl.segment_of(gmid, 0), None, "drained old home collected");
         assert_eq!(ctl.home_edge_of(gmid), Some(1));
+    }
+
+    #[test]
+    fn a_tied_rehome_goes_to_the_emptier_edge() {
+        // No budgets armed: the ledger still books load, and a tie in
+        // member count breaks toward it before the edge index.
+        let (mut sim, f) = fabric(9, Topology::campus(3, 0));
+        let mut ctl = ShardedControlPlane::new(1);
+        let other = ctl.create_fabric_meeting(&mut sim, &f, 1);
+        for last in 1..=3 {
+            join(&mut ctl, &mut sim, &f, other, req(1, last, false));
+        }
+        let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
+        let a = join(&mut ctl, &mut sim, &f, gmid, req(0, 10, true));
+        for (edge, last) in [(1, 11), (1, 12), (2, 13), (2, 14)] {
+            join(&mut ctl, &mut sim, &f, gmid, req(edge, last, true));
+        }
+        ctl.leave_fabric(&mut sim, &f, gmid, a.global);
+        let led = ctl.ledger();
+        assert!(led.load_score(2) < led.load_score(1));
+        assert_eq!(ctl.rebalance_fabric(&mut sim, &f, gmid), Some((0, 2)));
     }
 
     #[test]

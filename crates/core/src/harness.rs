@@ -7,29 +7,31 @@
 //! report extraction (client stats, data-plane counters, per-stream
 //! frame rates).
 //!
-//! With `switches = 1` (the default) the harness builds exactly the
-//! seed's single-switch deployment — same node order, same addresses,
-//! same agent operations, so reports are bit-for-bit reproducible under
-//! a fixed seed. With `switches > 1` it builds a campus fabric
-//! ([`crate::fabric::Fabric`]): clients are sharded round-robin across
-//! edge switches, the meeting is placed on home edge 0, and the
-//! controller compiles cross-switch forwarding so each sender's media
-//! crosses every trunk once per remote switch. With `zones > 1` the
-//! campus becomes a WAN-joined federation of campuses
-//! ([`Topology::federation`]): `switches`/`cores` count per zone,
-//! clients round-robin over all zones' edges, the control plane shards
-//! with zone affinity, and per-WAN-link byte counters are exposed via
-//! [`ScallopHarness::wan_stats`].
+//! With one edge switch (the default) the harness builds exactly the
+//! seed's single-switch deployment ([`Topology::single`]) — same node
+//! order, same addresses, same agent operations, so reports are
+//! bit-for-bit reproducible under a fixed seed. Any larger fabric is a
+//! [`Topology::federation`] of `zones` campuses of `switches` edges and
+//! `cores` core relays each (one zone is a plain campus): clients are
+//! sharded round-robin across all edges, the meeting is placed on home
+//! edge 0, and the controller compiles cross-switch forwarding so each
+//! sender's media crosses every trunk once per remote switch and every
+//! WAN link once per remote zone. Per-WAN-link byte counters are
+//! exposed via [`ScallopHarness::wan_stats`].
 //!
 //! The control plane behind the harness is always a
-//! [`ShardedControlPlane`]; the `shards` knob picks how many controller
-//! instances partition meeting ownership (`1` = the classic single
-//! controller). Sharding is control-plane bookkeeping only, so every
-//! media-plane report is identical whatever the shard count — a
-//! property the `tests/shard_ownership.rs` suite pins.
+//! [`ShardedControlPlane`] with zone affinity
+//! ([`ShardedControlPlane::with_zone_affinity`]); the `shards` knob
+//! picks how many controller instances partition meeting ownership
+//! (`1` = the classic single controller). Sharding is control-plane
+//! bookkeeping only, so every media-plane report is identical whatever
+//! the shard count — a property the `tests/shard_ownership.rs` suite
+//! pins. The harness does not rename the plane's, the fabric's or the
+//! simulator's readings: read them on [`ScallopHarness::controller`],
+//! [`ScallopHarness::fabric`] and [`ScallopHarness::sim`].
 
 use crate::agent::{JoinGrant, MeetingId};
-use crate::capacity::{AdmissionCounts, AdmissionDecision, FabricBudgets};
+use crate::capacity::{AdmissionDecision, FabricBudgets};
 use crate::controller::{FabricGrant, GlobalMeetingId, JoinRequest};
 use crate::fabric::Fabric;
 use crate::shard::{RebalanceSummary, ShardedControlPlane};
@@ -40,7 +42,7 @@ use scallop_media::encoder::EncoderConfig;
 use scallop_netsim::link::LinkConfig;
 use scallop_netsim::packet::HostAddr;
 use scallop_netsim::sim::{NodeId, Simulator};
-use scallop_netsim::time::{SimDuration, SimTime};
+use scallop_netsim::time::SimDuration;
 use scallop_netsim::topology::Topology;
 use std::net::Ipv4Addr;
 
@@ -60,11 +62,11 @@ pub struct HarnessConfig {
     /// means edges trunk directly to each other). With `zones > 1`
     /// this is the core count **per zone**.
     pub cores: usize,
-    /// Number of federation zones. `1` (the default) builds the plain
-    /// single-campus fabric, bit-identical to the pre-federation
-    /// harness; `> 1` builds [`Topology::federation`] — `zones`
-    /// campuses of `switches` edges each, joined by WAN links — and
-    /// enables zone-affine control-plane sharding.
+    /// Number of federation zones: the fabric is
+    /// [`Topology::federation`] — `zones` campuses of `switches` edges
+    /// each, joined by WAN links — and the control plane shards with
+    /// affinity to them. `1` (the default) is a single campus with no
+    /// WAN links.
     pub zones: usize,
     /// Number of controller shards the control plane runs
     /// ([`crate::shard::ShardedControlPlane`]). `1` (the default) is a
@@ -88,8 +90,8 @@ pub struct HarnessConfig {
     /// Video encoder settings for sending clients.
     pub video: EncoderConfig,
     /// Capacity budgets armed on the control plane before any join
-    /// (`None`, the default, runs the classic unplanned fabric — every
-    /// baseline stays bit-identical). With budgets set, every join —
+    /// (`None`, the default, refuses and thins nothing). With budgets
+    /// set, every join —
     /// the initial participants included — is priced against the shared
     /// [`crate::capacity::FabricLoadLedger`] and may be thinned or
     /// refused.
@@ -275,20 +277,15 @@ impl ScallopHarness {
     /// Build the topology and join all participants.
     pub fn new(cfg: HarnessConfig) -> Self {
         let mut sim = Simulator::new(cfg.seed);
-        let topology = if cfg.zones > 1 {
-            Topology::federation(cfg.zones, cfg.switches, cfg.cores)
-        } else if cfg.switches == 1 {
+        let topology = if cfg.edge_count() == 1 {
             Topology::single(SWITCH_IP)
         } else {
-            Topology::campus(cfg.switches, cfg.cores)
+            Topology::federation(cfg.zones, cfg.switches, cfg.cores)
         };
         let fabric = Fabric::build(&mut sim, topology, cfg.switch_link, cfg.rewrite_mode);
         let switch_id = fabric.edge_ids[0];
-        let mut controller = if cfg.zones > 1 {
-            ShardedControlPlane::new(cfg.shards).with_zone_affinity(cfg.zones, cfg.switches)
-        } else {
-            ShardedControlPlane::new(cfg.shards)
-        };
+        let mut controller =
+            ShardedControlPlane::new(cfg.shards).with_zone_affinity(cfg.zones, cfg.switches);
         if let Some(budgets) = cfg.admission {
             controller.set_capacity_budgets(budgets, &fabric.topology);
         }
@@ -321,11 +318,6 @@ impl ScallopHarness {
     pub fn run_for_secs(&mut self, secs: f64) -> HarnessReport {
         self.sim.run_for(SimDuration::from_secs_f64(secs));
         self.report()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
     }
 
     /// Summarize the current state (counters aggregated over all edges).
@@ -382,67 +374,10 @@ impl ScallopHarness {
         self.fabric_grants[idx].edge
     }
 
-    /// The federation zone of edge `e` (always 0 on a 1-zone fabric).
-    pub fn zone_of_edge(&self, e: usize) -> usize {
-        self.fabric.topology.zone_of_edge(e)
-    }
-
-    /// Number of WAN links in the topology (0 on a 1-zone fabric).
-    pub fn wan_link_count(&self) -> usize {
-        self.fabric.topology.wan_links.len()
-    }
-
     /// Relay statistics of WAN link `idx` — the per-link byte counters
     /// the federation benches and tests gate on.
     pub fn wan_stats(&mut self, idx: usize) -> scallop_netsim::relay::RelayStats {
         self.fabric.wan_stats(&mut self.sim, idx)
-    }
-
-    /// Payload bytes that crossed WAN link `idx`.
-    pub fn wan_link_bytes(&mut self, idx: usize) -> u64 {
-        self.wan_stats(idx).relayed_bytes
-    }
-
-    /// Meetings per home zone tracked by the control plane.
-    pub fn zone_meeting_counts(&self) -> Vec<usize> {
-        self.controller.zone_meeting_counts()
-    }
-
-    /// Cumulative re-homes that crossed a zone boundary.
-    pub fn cross_zone_handoffs(&self) -> u64 {
-        self.controller.cross_zone_handoff_total()
-    }
-
-    // ------------------------------------------------------------------
-    // Capacity-planner telemetry (reads of the shared ledger).
-    // ------------------------------------------------------------------
-
-    /// Admission decisions tallied by the capacity planner.
-    pub fn admission_counts(&self) -> AdmissionCounts {
-        self.controller.ledger().counts()
-    }
-
-    /// Whether the capacity ledger has fully reconciled: every debit
-    /// credited back, all load accounts at zero.
-    pub fn ledger_reconciled(&self) -> bool {
-        self.controller.ledger().reconciled()
-    }
-
-    /// Trunk directions plus WAN links currently booked above budget
-    /// (always 0 while admission is enforced).
-    pub fn oversubscribed_links(&self) -> u64 {
-        self.controller.ledger().oversubscribed_links()
-    }
-
-    /// Offered load booked on edge `e`'s trunk, `(out_bps, in_bps)`.
-    pub fn trunk_load_bps(&self, e: usize) -> (u64, u64) {
-        let led = self.controller.ledger();
-        (led.trunk_out_bps(e), led.trunk_in_bps(e))
-    }
-
-    /// SFU ports the ledger has booked on edge `e`.
-    pub fn ports_booked(&self, e: usize) -> u64 {
-        self.controller.ledger().ports_used(e)
     }
 
     // ------------------------------------------------------------------
@@ -515,7 +450,8 @@ impl ScallopHarness {
     /// Run the controller's re-homing pass over the harness meeting;
     /// returns `Some((old_home, new_home))` when the meeting re-homed.
     /// A re-home may also hand the meeting to another controller shard
-    /// (visible via [`Self::shard_handoffs`] / [`Self::shard_of_meeting`]).
+    /// (visible via [`ShardedControlPlane::handoff_total`] /
+    /// [`Self::shard_of_meeting`]).
     pub fn rebalance(&mut self) -> Option<(usize, usize)> {
         self.controller
             .rebalance_fabric(&mut self.sim, &self.fabric, self.fabric_meeting)
@@ -534,21 +470,6 @@ impl ScallopHarness {
         self.controller
             .owner_of(self.fabric_meeting)
             .expect("fabric meeting exists")
-    }
-
-    /// Total ownership handoffs the control plane performed.
-    pub fn shard_handoffs(&self) -> u64 {
-        self.controller.handoff_total()
-    }
-
-    /// Total cross-shard joins the control plane forwarded.
-    pub fn shard_forwards(&self) -> u64 {
-        self.controller.forward_total()
-    }
-
-    /// Meetings owned per controller shard.
-    pub fn shard_meeting_counts(&self) -> Vec<usize> {
-        self.controller.meetings_per_shard()
     }
 
     /// The meeting's current home edge.
@@ -631,23 +552,6 @@ impl ScallopHarness {
     /// useful for asserting a dead core stopped carrying traffic).
     pub fn core_stats(&mut self, j: usize) -> scallop_netsim::relay::RelayStats {
         self.fabric.core_stats(&mut self.sim, j)
-    }
-
-    /// Mark controller shard `s` silent (stops renewing its ownership
-    /// lease; see [`crate::shard::ShardedControlPlane::silence_shard`]).
-    pub fn silence_shard(&mut self, s: usize) {
-        self.controller.silence_shard(s);
-    }
-
-    /// Advance ownership-lease time by one tick.
-    pub fn tick_leases(&mut self) {
-        self.controller.tick_leases();
-    }
-
-    /// Steal meetings from silent owners whose lease expired; returns
-    /// how many moved.
-    pub fn steal_expired_leases(&mut self) -> u64 {
-        self.controller.steal_expired_leases()
     }
 
     /// Revive controller shard `s`: its stale ownership re-assertions
@@ -835,16 +739,22 @@ mod tests {
                 .zones(2)
                 .seed(31),
         );
-        assert_eq!(h.wan_link_count(), 1);
+        assert_eq!(h.fabric.topology.wan_links.len(), 1);
         let report = h.run_for_secs(5.0);
         assert_eq!(report.freezes, 0);
         assert!(report.trunk_packets > 0);
-        assert!(h.wan_link_bytes(0) > 0, "cross-zone media rides the WAN");
+        assert!(
+            h.wan_stats(0).relayed_bytes > 0,
+            "cross-zone media rides the WAN"
+        );
         // Every cross-zone pair decodes near full rate despite the WAN
         // hop (10 ms round trip on the canonical metric plan).
         for s in 0..4 {
             for r in 0..4 {
-                if s == r || h.zone_of_edge(h.edge_of(s)) == h.zone_of_edge(h.edge_of(r)) {
+                if s == r
+                    || h.fabric.topology.zone_of_edge(h.edge_of(s))
+                        == h.fabric.topology.zone_of_edge(h.edge_of(r))
+                {
                     continue;
                 }
                 let fps = h

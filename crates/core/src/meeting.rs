@@ -39,9 +39,6 @@ pub struct FabricMemberState {
     /// Per remote edge: the remote-sender entry (and its trunk-ingress
     /// ports) representing this sender there.
     pub(crate) remote_pids: BTreeMap<usize, ParticipantId>,
-    /// Whether the member was admitted SVC-thin (capacity planner
-    /// degraded it: top temporal layer dropped, decode target capped).
-    pub(crate) thin: bool,
 }
 
 impl FabricMemberState {
@@ -58,12 +55,6 @@ impl FabricMemberState {
     /// Whether the participant offers media.
     pub fn sends(&self) -> bool {
         self.sends
-    }
-
-    /// Whether the member was admitted SVC-thin by the capacity
-    /// planner.
-    pub fn thin(&self) -> bool {
-        self.thin
     }
 }
 
@@ -150,7 +141,6 @@ mod tests {
             sends: true,
             local_pid: 3,
             remote_pids: BTreeMap::new(),
-            thin: false,
         });
         st.thin_segments.insert(5);
         assert_eq!(st.home(), 2);
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(st.segment_edges().collect::<Vec<_>>(), vec![2]);
         assert!(st.segment_is_thin(5) && !st.segment_is_thin(2));
         assert!(st.members()[0].sends());
-        assert!(!st.members()[0].thin());
         assert_eq!(st.members()[0].edge(), 2);
         assert_eq!(st.members()[0].global(), 1);
     }

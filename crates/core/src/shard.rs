@@ -148,6 +148,7 @@
 //! assert_eq!(plane.stale_epoch_writes_rejected(), 1);
 //! ```
 
+use crate::agent::{MeetingId, ParticipantId};
 use crate::capacity::{AdmissionDecision, FabricBudgets, FabricLoadLedger};
 use crate::controller::{
     Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
@@ -345,8 +346,8 @@ pub struct ShardedControlPlane {
     forwards: u64,
     /// Cumulative re-homes that crossed a zone boundary.
     cross_zone_handoffs: u64,
-    /// Zone count for zone-affine assignment (1 = unzoned; exactly the
-    /// original bounded-loads behavior).
+    /// Zone count for zone-affine assignment (1 = unzoned: every shard
+    /// is eligible for every meeting).
     zones: usize,
     /// Edges per zone (zone of a home edge = `home / edges_per_zone`).
     edges_per_zone: usize,
@@ -396,8 +397,9 @@ impl ShardedControlPlane {
     /// `z % shards` when no such shard exists), so an intra-zone
     /// re-home never hands ownership to another campus's controllers
     /// and a **cross**-zone re-home always does — through the ordinary
-    /// handoff. With `zones == 1` (the default) this is the original
-    /// unzoned bounded-loads assignment, bit for bit.
+    /// handoff. The rule has no special case: with `zones == 1` (the
+    /// default) every home is in zone 0 and every shard is eligible,
+    /// which is the unzoned bounded-loads assignment.
     pub fn with_zone_affinity(mut self, zones: usize, edges_per_zone: usize) -> Self {
         assert!(zones >= 1 && edges_per_zone >= 1);
         self.zones = zones;
@@ -405,21 +407,16 @@ impl ShardedControlPlane {
         self
     }
 
-    /// The zone a home edge falls in (zone 0 on an unzoned plane).
+    /// The zone a home edge falls in (always zone 0 on an unzoned
+    /// plane, whose one zone spans every edge).
     fn zone_of_home(&self, home: usize) -> usize {
-        if self.zones <= 1 {
-            0
-        } else {
-            (home / self.edges_per_zone).min(self.zones - 1)
-        }
+        (home / self.edges_per_zone).min(self.zones - 1)
     }
 
-    /// The shards eligible to own zone `zone`'s meetings (every shard
-    /// on an unzoned plane).
+    /// The shards eligible to own zone `zone`'s meetings: those `s` with
+    /// `s % zones == zone`, or `zone % shards` when none is (every
+    /// shard on an unzoned plane).
     pub fn zone_shards(&self, zone: usize) -> Vec<usize> {
-        if self.zones <= 1 {
-            return (0..self.ring.shards()).collect();
-        }
         let eligible: Vec<usize> = (0..self.ring.shards())
             .filter(|s| s % self.zones == zone)
             .collect();
@@ -473,14 +470,6 @@ impl ShardedControlPlane {
         self.controller.signaling_exchanges
     }
 
-    /// Claims taken over from another shard, by every shard there ever
-    /// was (shards dropped by [`Self::set_shard_count`] included): one
-    /// per handoff. Equals [`Self::meetings_released_total`] once every
-    /// silent shard has been revived.
-    pub fn meetings_acquired_total(&self) -> u64 {
-        self.handoffs
-    }
-
     /// Claims given up, by every shard there ever was: one per
     /// cooperative handoff and one per stale claim fenced at revival.
     pub fn meetings_released_total(&self) -> u64 {
@@ -491,7 +480,7 @@ impl ShardedControlPlane {
     /// the home zone's eligible shards, with `exclude` (a meeting being
     /// re-evaluated) not counted against any shard's load. See the
     /// module docs for the balance bound; on an unzoned plane every
-    /// shard is eligible and this is the original walk unchanged.
+    /// shard is eligible.
     fn assign(&self, key: u64, exclude: Option<GlobalMeetingId>, zone: usize) -> usize {
         // O(shards): the per-shard loads are maintained incrementally.
         // During a shrink the shards vec is longer than the ring while
@@ -585,25 +574,6 @@ impl ShardedControlPlane {
     /// benchmark v2 deletes it.
     pub fn ledger_handle(&self) -> std::rc::Rc<std::cell::RefCell<FabricLoadLedger>> {
         std::rc::Rc::new(self.ledger.clone().into())
-    }
-
-    /// The least-loaded feasible home edge for a new meeting per the
-    /// ledger: on a federation the least-loaded zone first, then the
-    /// least-loaded edge within it; edge 0 when every port budget is
-    /// full.
-    pub fn plan_home_edge(&self, fabric: &Fabric) -> usize {
-        let (led, topo) = (&self.ledger, &fabric.topology);
-        let zone_load = |z: usize| {
-            topo.zone_edges(z)
-                .map(|e| led.load_score(e))
-                .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
-        };
-        let zone = (0..topo.zone_count())
-            .min_by_key(|&z| (zone_load(z), z))
-            .unwrap_or(0);
-        led.least_loaded_edge(topo.zone_edges(zone))
-            .or_else(|| led.least_loaded_edge(0..fabric.edges()))
-            .unwrap_or(0)
     }
 
     /// Place a meeting on the fabric with `home` as its home edge and
@@ -842,7 +812,7 @@ impl ShardedControlPlane {
     /// Meetings per home zone (index = zone; `vec![total]` on an
     /// unzoned plane).
     pub fn zone_meeting_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.zones.max(1)];
+        let mut counts = vec![0usize; self.zones];
         for rec in self.controller.fabric_meetings.values() {
             counts[self.zone_of_home(rec.home)] += 1;
         }
@@ -1046,22 +1016,20 @@ impl ShardedControlPlane {
     }
 
     /// The local segment of a fabric meeting on `edge`, if materialized.
-    pub fn segment_of(
-        &self,
-        gmid: GlobalMeetingId,
-        edge: usize,
-    ) -> Option<crate::agent::MeetingId> {
-        self.controller.segment_of(gmid, edge)
+    pub fn segment_of(&self, gmid: GlobalMeetingId, edge: usize) -> Option<MeetingId> {
+        self.meeting(gmid)?.segments.get(&edge).copied()
     }
 
     /// The home edge a fabric meeting is currently placed on.
     pub fn home_edge_of(&self, gmid: GlobalMeetingId) -> Option<usize> {
-        self.controller.home_edge_of(gmid)
+        self.meeting(gmid).map(|r| r.home)
     }
 
     /// Global participant ids of a fabric meeting, in join order.
     pub fn fabric_members(&self, gmid: GlobalMeetingId) -> Vec<GlobalParticipantId> {
-        self.controller.fabric_members(gmid)
+        self.meeting(gmid)
+            .map(|r| r.members.iter().map(|m| m.global).collect())
+            .unwrap_or_default()
     }
 
     /// Resolve the (edge, sender-pid, receiver-pid) triple for a
@@ -1072,13 +1040,16 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         sender: GlobalParticipantId,
         receiver: GlobalParticipantId,
-    ) -> Option<(
-        usize,
-        crate::agent::ParticipantId,
-        crate::agent::ParticipantId,
-    )> {
-        self.controller
-            .pair_on_receiver_edge(gmid, sender, receiver)
+    ) -> Option<(usize, ParticipantId, ParticipantId)> {
+        let rec = self.meeting(gmid)?;
+        let r = rec.members.iter().find(|m| m.global == receiver)?;
+        let s = rec.members.iter().find(|m| m.global == sender)?;
+        let s_pid = if s.edge == r.edge {
+            s.local_pid
+        } else {
+            *s.remote_pids.get(&r.edge)?
+        };
+        Some((r.edge, s_pid, r.local_pid))
     }
 }
 
@@ -1413,7 +1384,6 @@ mod tests {
         assert_eq!(plane.stale_epoch_writes_rejected(), 1);
         assert_eq!(plane.shard(owner).epoch_held(gmid), None);
         assert_eq!(plane.shard(owner).meetings_owned(), 0);
-        assert_eq!(plane.meetings_acquired_total(), plane.handoff_total());
         assert_eq!(plane.meetings_released_total(), plane.handoff_total());
     }
 
@@ -1475,7 +1445,6 @@ mod tests {
         let first = plane.create_fabric_meeting(&mut sim, &f, 0);
         join(&mut plane, &mut sim, &f, first, (0, caddr(1), false));
         assert_eq!(plane.ledger().ports_used(0), 2);
-        assert_eq!(plane.plan_home_edge(&f), 1, "placement reads the book");
 
         plane.set_shard_count(4);
         let gmid = loop {
@@ -1539,7 +1508,6 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), MEETINGS);
         // Retired shards' telemetry folds into the plane totals: the
         // protocol accounting reconciles and signaling stays monotonic.
-        assert_eq!(plane.meetings_acquired_total(), plane.handoff_total());
         assert_eq!(plane.meetings_released_total(), plane.handoff_total());
         assert!(
             plane.signaling_exchanges() > signaling_before,

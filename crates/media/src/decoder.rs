@@ -463,11 +463,6 @@ impl Decoder {
         self.recent_decodes.len() as f64 / window.as_secs_f64()
     }
 
-    /// Time since the last decoded frame (`None` before the first frame).
-    pub fn stall_duration(&self, now: SimTime) -> Option<SimDuration> {
-        self.last_decode_at.map(|t| now.saturating_since(t))
-    }
-
     /// Internal-state snapshot for debugging and verification tooling.
     pub fn debug_state(&self) -> String {
         let head = self.frames.iter().next().map(|(k, a)| {

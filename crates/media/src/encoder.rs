@@ -53,12 +53,6 @@ impl EncoderConfig {
         self.max_bitrate_bps = self.max_bitrate_bps.max(bps);
         self
     }
-
-    /// Builder: set the frame rate.
-    pub fn with_fps(mut self, fps: f64) -> Self {
-        self.fps = fps;
-        self
-    }
 }
 
 /// One encoded frame.

@@ -128,11 +128,6 @@ impl L1T3Schedule {
             },
         }
     }
-
-    /// Number of frames emitted.
-    pub fn frames_emitted(&self) -> u64 {
-        self.count
-    }
 }
 
 /// Dependency rule of Fig. 9: the temporal layer a frame's reference must

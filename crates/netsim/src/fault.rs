@@ -175,12 +175,6 @@ impl FaultConfig {
         self.duplicate_prob = p;
         self
     }
-
-    /// Enable uniform jitter in `[0, max]`.
-    pub fn with_uniform_jitter(mut self, max: SimDuration) -> Self {
-        self.jitter = JitterModel::Uniform { max };
-        self
-    }
 }
 
 /// The per-packet decision produced by a [`FaultInjector`].

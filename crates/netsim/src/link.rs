@@ -53,12 +53,6 @@ impl LinkConfig {
         self
     }
 
-    /// Set the propagation delay.
-    pub fn with_prop_delay(mut self, d: SimDuration) -> Self {
-        self.prop_delay = d;
-        self
-    }
-
     /// Set the queue capacity in bytes.
     pub fn with_queue_bytes(mut self, b: usize) -> Self {
         self.queue_bytes = b;

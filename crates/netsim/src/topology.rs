@@ -211,12 +211,6 @@ impl Topology {
             .with_queue_bytes(16 * 1024 * 1024)
     }
 
-    /// Builder: replace the trunk link configuration.
-    pub fn with_trunk_link(mut self, link: LinkConfig) -> Self {
-        self.trunk_link = link;
-        self
-    }
-
     /// Canonical IP of edge switch `i`.
     pub fn edge_ip(i: usize) -> Ipv4Addr {
         assert!(i < 200, "edge index out of the 10.0.x address plan");

@@ -104,11 +104,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of complete bytes written so far (after alignment).
-    pub fn len_bytes(&self) -> usize {
-        self.out.len()
-    }
-
     /// Finish, padding to a byte boundary with zeros.
     pub fn finish(mut self) -> Vec<u8> {
         self.align();

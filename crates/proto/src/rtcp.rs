@@ -206,19 +206,7 @@ pub enum RtcpPacket {
     Remb(Remb),
 }
 
-impl RtcpPacket {
-    /// The RTCP packet type byte this variant serializes with.
-    pub fn packet_type(&self) -> u8 {
-        match self {
-            RtcpPacket::Sr(_) => PT_SR,
-            RtcpPacket::Rr(_) => PT_RR,
-            RtcpPacket::Sdes(_) => PT_SDES,
-            RtcpPacket::Bye(_) => PT_BYE,
-            RtcpPacket::Nack(_) => PT_RTPFB,
-            RtcpPacket::Pli(_) | RtcpPacket::Remb(_) => PT_PSFB,
-        }
-    }
-}
+impl RtcpPacket {}
 
 // ---------------------------------------------------------------------
 // The encoder: writers.

@@ -279,11 +279,6 @@ impl<'a> RtpView<'a> {
         self.buf[0] & 0x10 != 0
     }
 
-    /// Padding bit.
-    pub fn has_padding(&self) -> bool {
-        self.buf[0] & 0x20 != 0
-    }
-
     /// Marker bit.
     pub fn marker(&self) -> bool {
         self.buf[1] & 0x80 != 0

@@ -67,7 +67,7 @@
 //! let (a, b) = (sharded.run_for_secs(1.0), single.run_for_secs(1.0));
 //! assert_eq!(a.frames_decoded, b.frames_decoded, "sharding is transparent");
 //! // Ownership balance is guaranteed: ceil(meetings/shards) + 1.
-//! assert!(sharded.shard_meeting_counts().iter().all(|&c| c <= 2));
+//! assert!(sharded.controller.meetings_per_shard().iter().all(|&c| c <= 2));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -134,14 +134,15 @@ fn flash_crowd_into_thin_trunk_exercises_every_admission_outcome() {
         }
         // The whole point: enforcement never books a line over budget,
         // not even transiently between joins.
-        assert_eq!(h.oversubscribed_links(), 0);
-        let (out, _) = h.trunk_load_bps(0);
+        let led = h.controller.ledger();
+        assert_eq!(led.oversubscribed_links(), 0);
+        let out = led.trunk_out_bps(0);
         assert!(out <= TRUNK_BPS, "hot trunk booked {out} > {TRUNK_BPS}");
     }
     assert_eq!(full_viewers.len(), 3);
     assert_eq!(thin_viewers.len(), 3);
     assert_eq!(refusals.len(), 3);
-    let counts = h.admission_counts();
+    let counts = h.controller.ledger().counts();
     assert_eq!(counts.admitted_full as usize, SENDERS + full_viewers.len());
     assert_eq!(counts.admitted_thin as usize, thin_viewers.len());
     assert_eq!(counts.refused as usize, refusals.len());
@@ -170,12 +171,13 @@ fn flash_crowd_into_thin_trunk_exercises_every_admission_outcome() {
         h.leave(idx);
     }
     h.run_for_secs(0.5);
-    assert!(h.ledger_reconciled(), "ledger left open entries");
-    assert_eq!(h.oversubscribed_links(), 0);
-    let (out, inn) = h.trunk_load_bps(0);
+    let led = h.controller.ledger();
+    assert!(led.reconciled(), "ledger left open entries");
+    assert_eq!(led.oversubscribed_links(), 0);
+    let (out, inn) = (led.trunk_out_bps(0), led.trunk_in_bps(0));
     assert_eq!((out, inn), (0, 0), "trunk accounts must drain to zero");
     for e in 0..EDGES {
-        assert_eq!(h.ports_booked(e), 0, "edge {e} ports must drain to zero");
+        assert_eq!(led.ports_used(e), 0, "edge {e} ports must drain to zero");
     }
 }
 
@@ -203,20 +205,22 @@ fn advisory_budgets_measure_the_oversubscription_enforcement_prevents() {
         assert!(idx.is_some());
         h.run_for_secs(0.2);
     }
-    let counts = h.admission_counts();
+    let led = h.controller.ledger();
+    let counts = led.counts();
     assert_eq!(counts.admitted_full, (SENDERS + RECEIVERS) as u64);
     assert_eq!(counts.admitted_thin, 0);
     assert_eq!(counts.refused, 0);
-    assert!(h.oversubscribed_links() >= 1, "overrun must be visible");
-    let (out, _) = h.trunk_load_bps(0);
+    assert!(led.oversubscribed_links() >= 1, "overrun must be visible");
+    let out = led.trunk_out_bps(0);
     assert!(out > TRUNK_BPS, "hot trunk booked {out} <= {TRUNK_BPS}");
     // Measurement-only bookkeeping still balances on teardown.
     for idx in 0..h.client_ids.len() {
         h.leave(idx);
     }
     h.run_for_secs(0.2);
-    assert!(h.ledger_reconciled());
-    assert_eq!(h.oversubscribed_links(), 0);
+    let led = h.controller.ledger();
+    assert!(led.reconciled());
+    assert_eq!(led.oversubscribed_links(), 0);
 }
 
 // --------------------------------------------------------------------

@@ -44,7 +44,10 @@ fn cross_zone_streams_decode_near_full_rate() {
             if r == s {
                 continue;
             }
-            let (zs, zr) = (h.zone_of_edge(h.edge_of(s)), h.zone_of_edge(h.edge_of(r)));
+            let (zs, zr) = (
+                h.fabric.topology.zone_of_edge(h.edge_of(s)),
+                h.fabric.topology.zone_of_edge(h.edge_of(r)),
+            );
             if zs == zr {
                 continue;
             }
@@ -65,7 +68,7 @@ fn cross_zone_streams_decode_near_full_rate() {
 fn wan_carries_one_copy_per_remote_zone() {
     let mut h = federation3();
     h.run_for_secs(5.0);
-    assert_eq!(h.wan_link_count(), 3, "3-zone full mesh");
+    assert_eq!(h.fabric.topology.wan_links.len(), 3, "3-zone full mesh");
 
     // Offered load per zone: media + SRs its edges ingested from
     // *local* clients (`rtp_in`/`rtcp_sr` also count trunk-arrived
@@ -77,7 +80,8 @@ fn wan_carries_one_copy_per_remote_zone() {
     let mut offered_zone = vec![0u64; 3];
     for e in 0..6 {
         let c = h.counters_at(e);
-        offered_zone[h.zone_of_edge(e)] += c.rtp_in_pkts + c.rtcp_sr_pkts - c.trunk_in_pkts;
+        offered_zone[h.fabric.topology.zone_of_edge(e)] +=
+            c.rtp_in_pkts + c.rtcp_sr_pkts - c.trunk_in_pkts;
     }
     // Senders sit in zones 0 and 1; zone 2 only receives.
     assert!(
@@ -140,7 +144,7 @@ fn zone_affine_sharding_keeps_every_owner_in_its_home_zone() {
         }
         for &gmid in &meetings {
             let home = h.controller.home_edge_of(gmid).expect("homed");
-            let zone = h.zone_of_edge(home);
+            let zone = h.fabric.topology.zone_of_edge(home);
             let owner = h.controller.owner_of(gmid).expect("owned");
             assert!(
                 h.controller.zone_shards(zone).contains(&owner),
@@ -150,9 +154,9 @@ fn zone_affine_sharding_keeps_every_owner_in_its_home_zone() {
             );
         }
         // The per-zone telemetry accounts for every meeting.
-        let zc = h.zone_meeting_counts();
+        let zc = h.controller.zone_meeting_counts();
         assert_eq!(zc.iter().sum::<usize>(), meetings.len());
         assert!(zc.iter().all(|&c| c == 4), "round-robin balance: {zc:?}");
-        assert_eq!(h.cross_zone_handoffs(), 0);
+        assert_eq!(h.controller.cross_zone_handoff_total(), 0);
     }
 }

@@ -199,7 +199,7 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
             .collect(),
         ledger: format!("{:?}", plane.ledger()),
         signaling_net_of_claims: plane.signaling_exchanges()
-            - plane.meetings_acquired_total()
+            - plane.handoff_total()
             - plane.meetings_released_total(),
         rosters: meetings.iter().map(|&g| plane.fabric_members(g)).collect(),
     };

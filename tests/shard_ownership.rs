@@ -104,7 +104,11 @@ fn churn_driven_rehome_crosses_a_shard_boundary_at_full_rate() {
     // The ownership handoff rode along with the re-home.
     let shard1 = h.shard_of_meeting();
     assert_ne!(shard1, shard0, "re-home must cross the shard boundary");
-    assert_eq!(h.shard_handoffs(), 1, "one make-before-break handoff");
+    assert_eq!(
+        h.controller.handoff_total(),
+        1,
+        "one make-before-break handoff"
+    );
     assert_eq!(
         h.controller.shard(shard1).meetings_acquired,
         1,
@@ -142,13 +146,13 @@ fn scatter_churn_forwards_cross_shard_joins_and_keeps_ownership_coherent() {
     // keeps the ownership bookkeeping coherent.
     let mut h = campus4(4);
     let gmid = h.fabric_meeting;
-    let plan = ChurnPlan::scatter(4, 8, 4, h.now(), SimDuration::from_secs(1));
+    let plan = ChurnPlan::scatter(4, 8, 4, h.sim.now(), SimDuration::from_secs(1));
     let mut slots: Vec<usize> = Vec::new();
     let mut rehomed_total = 0usize;
     let mut handoffs_total = 0usize;
     for &(at, ev) in &plan.events {
-        while h.now() < at {
-            let step = SimDuration::from_millis(500).min(at.saturating_since(h.now()));
+        while h.sim.now() < at {
+            let step = SimDuration::from_millis(500).min(at.saturating_since(h.sim.now()));
             h.sim.run_for(step);
         }
         match ev {
@@ -170,7 +174,7 @@ fn scatter_churn_forwards_cross_shard_joins_and_keeps_ownership_coherent() {
     }
     h.run_for_secs(1.0);
     assert!(
-        h.shard_forwards() > 0,
+        h.controller.forward_total() > 0,
         "scatter churn must drive cross-shard joins"
     );
     // Acquire/release telemetry must account for every handoff, and
@@ -182,9 +186,9 @@ fn scatter_churn_forwards_cross_shard_joins_and_keeps_ownership_coherent() {
     let released: u64 = (0..4)
         .map(|s| h.controller.shard(s).meetings_released)
         .sum();
-    assert_eq!(acquired, h.shard_handoffs());
-    assert_eq!(released, h.shard_handoffs());
-    assert_eq!(handoffs_total as u64, h.shard_handoffs());
+    assert_eq!(acquired, h.controller.handoff_total());
+    assert_eq!(released, h.controller.handoff_total());
+    assert_eq!(handoffs_total as u64, h.controller.handoff_total());
     assert!(rehomed_total >= handoffs_total);
     let report = h.report();
     assert!(report.frames_decoded > 500, "the meeting stays healthy");
@@ -199,7 +203,7 @@ fn ownership_stays_balanced_as_meetings_accumulate() {
         h.controller
             .create_fabric_meeting(&mut h.sim, &h.fabric, i % 4);
     }
-    let counts = h.shard_meeting_counts();
+    let counts = h.controller.meetings_per_shard();
     let total: usize = counts.iter().sum();
     assert_eq!(total, 11);
     let cap = total.div_ceil(4) + 1;
@@ -210,7 +214,7 @@ fn ownership_stays_balanced_as_meetings_accumulate() {
     // Re-sharding to 5 keeps every meeting reachable and balanced.
     let moved = h.controller.set_shard_count(5);
     assert!(moved > 0, "growing must populate the new shard");
-    let counts = h.shard_meeting_counts();
+    let counts = h.controller.meetings_per_shard();
     assert_eq!(counts.iter().sum::<usize>(), 11);
     assert_eq!(counts.len(), 5);
 }
