@@ -133,13 +133,12 @@ struct Departures {
 impl ScallopSwitchNode {
     /// Build a switch.
     pub fn new(cfg: SwitchConfig) -> Self {
-        let mut dp = ScallopDataPlane::new(cfg.rewrite_mode);
-        // The switch's SFU ports all come from its contiguous range, so
-        // the hot ingress match runs on the dense SoA registers; only
-        // out-of-range ports (none, in practice) hit the hash table.
-        dp.enable_dense_ports(cfg.port_base, cfg.port_limit);
         ScallopSwitchNode {
-            dp,
+            // Ingress matches on the exact port table alone. A
+            // port-indexed mirror of the switch's range (`dataplane::soa`)
+            // would cost ≈ 50 B per port of it to build (2.8 MB for a
+            // whole edge range) and measured slower per lookup.
+            dp: ScallopDataPlane::new(cfg.rewrite_mode),
             agent: SwitchAgent::new(cfg.ip).with_port_range(cfg.port_base, cfg.port_limit),
             cfg,
             departures: Departures::default(),

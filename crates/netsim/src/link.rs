@@ -7,7 +7,7 @@
 //! drops) that drive the GCC bandwidth estimator in `scallop-client`,
 //! which in turn drives the paper's rate-adaptation experiments (Fig. 14).
 
-use crate::fault::{FaultConfig, FaultInjector};
+use crate::fault::{FaultConfig, FaultInjector, JitterModel, LossModel};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -130,6 +130,19 @@ impl Link {
     /// Current configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config
+    }
+
+    /// Whether the link is a pure delay: infinite rate, so it cannot
+    /// queue, and no loss, jitter, reordering or duplication. Its verdict
+    /// on a packet is then the same whenever it is asked — deliver
+    /// `prop_delay` later — and asking draws no randomness.
+    pub(crate) fn is_pure_delay(&self) -> bool {
+        let faults = &self.config.faults;
+        self.config.rate_bps == 0
+            && faults.loss == LossModel::None
+            && faults.jitter == JitterModel::None
+            && faults.reorder_prob <= 0.0
+            && faults.duplicate_prob <= 0.0
     }
 
     /// Change the transmission rate at runtime (used to emulate congestion

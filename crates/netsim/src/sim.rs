@@ -3,7 +3,9 @@
 //! A [`Simulator`] owns boxed [`Node`]s and a time-ordered event queue.
 //! Packets travel source-node → source uplink → destination downlink →
 //! destination node (two queueing points, matching the uplink/downlink
-//! model of §5.3). Nodes never touch each other directly; they interact
+//! model of §5.3). A downlink that cannot queue or fault is a pure delay,
+//! and a packet is admitted to it as it is sent, without an event of its
+//! own. Nodes never touch each other directly; they interact
 //! exclusively through packets and timers, which keeps the simulation
 //! deterministic and lets the same client code run against either SFU
 //! implementation (Scallop switch or the software baseline).
@@ -111,7 +113,11 @@ enum EventKind {
     /// Deliver a packet into a node (it already traversed both links).
     Deliver { dst: NodeId, pkt: Packet },
     /// A packet finished the source uplink; offer it to the destination
-    /// downlink at this time.
+    /// downlink at this time. Only a downlink that can queue or fault
+    /// needs the offer made on arrival: a packet for a pure-delay
+    /// downlink (infinite rate, clean faults) is offered to it when it is
+    /// sent and queued straight as a `Deliver`. Uplink duplicates and
+    /// injected packets always take this event.
     DownlinkAdmit { dst: NodeId, pkt: Packet },
     /// Fire a node timer.
     Timer { node: NodeId, token: TimerToken },
@@ -306,6 +312,13 @@ impl Simulator {
     }
 
     /// Mutable access to a node's downlink.
+    ///
+    /// A packet for a downlink that can queue or fault is offered to it
+    /// when it arrives there, so a reconfiguration applies to every
+    /// packet still on its way. A packet for a pure-delay downlink
+    /// (infinite rate, no loss, jitter, reordering or duplication) was
+    /// offered to it when it was sent: a reconfiguration of such a
+    /// downlink applies to packets sent after it.
     pub fn downlink_mut(&mut self, id: NodeId) -> &mut Link {
         &mut self.nodes[id.0].downlink
     }
@@ -462,11 +475,50 @@ impl Simulator {
                 self.queue
                     .push(dup_at, EventKind::DownlinkAdmit { dst, pkt });
             }
+            // A downlink that is a pure delay gives the same verdict now
+            // as on arrival, so the packet is admitted as it is sent.
+            LinkVerdict::Deliver {
+                at,
+                duplicate_at: None,
+            } if self.nodes[dst.0].downlink.is_pure_delay() => self.admit(at, dst, pkt),
             LinkVerdict::Deliver {
                 at,
                 duplicate_at: None,
             } => {
                 self.queue.push(at, EventKind::DownlinkAdmit { dst, pkt });
+            }
+            LinkVerdict::Drop(_) => {
+                self.stats.packets_dropped += 1;
+            }
+        }
+    }
+
+    /// Offer a packet that reaches `dst`'s downlink at `at` to it, and
+    /// queue its delivery.
+    fn admit(&mut self, at: SimTime, dst: NodeId, pkt: Packet) {
+        let wire = pkt.wire_len();
+        let verdict = self.nodes[dst.0].downlink.offer(at, wire, &mut self.rng);
+        match verdict {
+            // Move unless a duplicate is actually scheduled (primary
+            // pushed first, as in `transmit`).
+            LinkVerdict::Deliver {
+                at,
+                duplicate_at: Some(dup_at),
+            } => {
+                self.queue.push(
+                    at,
+                    EventKind::Deliver {
+                        dst,
+                        pkt: pkt.clone(),
+                    },
+                );
+                self.queue.push(dup_at, EventKind::Deliver { dst, pkt });
+            }
+            LinkVerdict::Deliver {
+                at,
+                duplicate_at: None,
+            } => {
+                self.queue.push(at, EventKind::Deliver { dst, pkt });
             }
             LinkVerdict::Drop(_) => {
                 self.stats.packets_dropped += 1;
@@ -500,35 +552,7 @@ impl Simulator {
                     self.stats.packets_failstopped += 1;
                     return true;
                 }
-                let wire = pkt.wire_len();
-                let now = self.now;
-                let verdict = self.nodes[dst.0].downlink.offer(now, wire, &mut self.rng);
-                match verdict {
-                    // Move unless a duplicate is actually scheduled
-                    // (primary pushed first, as in `transmit`).
-                    LinkVerdict::Deliver {
-                        at,
-                        duplicate_at: Some(dup_at),
-                    } => {
-                        self.queue.push(
-                            at,
-                            EventKind::Deliver {
-                                dst,
-                                pkt: pkt.clone(),
-                            },
-                        );
-                        self.queue.push(dup_at, EventKind::Deliver { dst, pkt });
-                    }
-                    LinkVerdict::Deliver {
-                        at,
-                        duplicate_at: None,
-                    } => {
-                        self.queue.push(at, EventKind::Deliver { dst, pkt });
-                    }
-                    LinkVerdict::Drop(_) => {
-                        self.stats.packets_dropped += 1;
-                    }
-                }
+                self.admit(self.now, dst, pkt);
             }
             EventKind::Deliver { dst, pkt } => {
                 if self.dead[dst.0] {
@@ -904,6 +928,134 @@ mod tests {
         assert!(p.echoes.is_empty(), "dead node emits nothing");
         assert_eq!(sim.stats.packets_failstopped, 3);
         assert_eq!(sim.stats.packets_dropped, 0, "fail-stop is not link loss");
+    }
+
+    /// Records when each packet arrives.
+    #[derive(Default)]
+    struct Sink {
+        arrivals: Vec<SimTime>,
+    }
+
+    impl Node for Sink {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _pkt: Packet) {
+            self.arrivals.push(ctx.now());
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _timer: TimerToken) {}
+    }
+
+    const SENT: SimTime = SimTime::from_millis(1);
+    const UP: SimDuration = SimDuration::from_millis(3);
+    const DOWN: SimDuration = SimDuration::from_millis(2);
+
+    /// One packet, sent at [`SENT`] through an infinite [`UP`] uplink to a
+    /// [`Sink`] behind `down`. Returns the simulator just after the send,
+    /// the sink, and the event count at the send.
+    fn one_hop(down: LinkConfig) -> (Simulator, NodeId, u64) {
+        let mut sim = Simulator::new(21);
+        let sink = sim.add_node(
+            Box::<Sink>::default(),
+            &[ip(2)],
+            LinkConfig::infinite(SimDuration::ZERO),
+            down,
+        );
+        sim.add_node(
+            Box::new(Pinger {
+                target: HostAddr::new(ip(2), 5000),
+                me: HostAddr::new(ip(1), 4000),
+                n: 1,
+                echoes: vec![],
+            }),
+            &[ip(1)],
+            LinkConfig::infinite(UP),
+            LinkConfig::infinite(UP),
+        );
+        sim.run_until(SENT);
+        let sent = sim.stats.events;
+        (sim, sink, sent)
+    }
+
+    fn arrivals(sim: &mut Simulator, sink: NodeId) -> Vec<SimTime> {
+        sim.node_mut::<Sink>(sink).unwrap().arrivals.clone()
+    }
+
+    /// A downlink with infinite rate and no faults is a pure delay: the
+    /// packet is admitted to it as it is sent, and its whole hop is one
+    /// delivery event.
+    #[test]
+    fn a_hop_into_a_pure_delay_downlink_is_one_event() {
+        let (mut sim, sink, sent) = one_hop(LinkConfig::infinite(DOWN));
+        assert_eq!(sim.pending_events(), 1, "the delivery, queued at the send");
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.stats.events - sent, 1);
+        assert_eq!(arrivals(&mut sim, sink), vec![SENT + UP + DOWN]);
+        let stats = sim.downlink_mut(sink).stats;
+        assert_eq!((stats.offered_packets, stats.delivered_packets), (1, 1));
+        assert_eq!(sim.stats.packets_delivered, 1);
+    }
+
+    /// A downlink that can queue or fault judges a packet when it gets
+    /// there: the hop keeps its admission event, the downlink has seen
+    /// nothing while the packet is on the uplink, and each copy delivered
+    /// is one more event.
+    #[test]
+    fn a_downlink_that_can_queue_or_fault_keeps_its_admission_event() {
+        let ms = SimDuration::from_millis;
+        let clean = FaultConfig::clean();
+        let jitter = FaultConfig {
+            jitter: crate::fault::JitterModel::Uniform { max: ms(1) },
+            ..clean
+        };
+        let cases = [
+            ("rate-limited", 1_000_000, clean, 1),
+            ("loss", 0, clean.with_loss(1.0), 0),
+            ("jitter", 0, jitter, 1),
+            ("duplicate", 0, clean.with_duplication(1.0), 2),
+            ("reorder", 0, clean.with_reorder(1.0, ms(1)), 1),
+        ];
+        for (name, rate_bps, faults, copies) in cases {
+            let down = LinkConfig::infinite(DOWN)
+                .with_rate(rate_bps)
+                .with_faults(faults);
+            let (mut sim, sink, sent) = one_hop(down);
+            sim.run_until(SENT + UP - SimDuration::from_nanos(1));
+            assert_eq!(sim.downlink_mut(sink).stats.offered_packets, 0, "{name}");
+            sim.run_until(SimTime::from_secs(1));
+            let stats = sim.downlink_mut(sink).stats;
+            assert_eq!(stats.offered_packets, 1, "{name}");
+            assert_eq!(sim.stats.events - sent, 1 + copies as u64, "{name}");
+            let got = arrivals(&mut sim, sink);
+            assert_eq!(got.len(), copies, "{name}");
+            assert!(got.iter().all(|&at| at >= SENT + UP + DOWN), "{name}");
+        }
+    }
+
+    /// Loss is judged on arrival at a downlink that can fault, so a fault
+    /// configured while the packet is on the uplink drops it. A
+    /// pure-delay downlink admitted the packet when it was sent: the same
+    /// reconfiguration applies only to packets sent after it.
+    #[test]
+    fn a_downlink_reconfigured_in_flight_judges_by_its_kind() {
+        for (name, rate_bps, delivered) in [("rate-limited", 1_000_000, 0), ("pure delay", 0, 1)] {
+            let (mut sim, sink, _) = one_hop(LinkConfig::infinite(DOWN).with_rate(rate_bps));
+            sim.downlink_mut(sink)
+                .set_faults(FaultConfig::clean().with_loss(1.0));
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(arrivals(&mut sim, sink).len(), delivered, "{name}");
+            assert_eq!(sim.stats.packets_dropped, 1 - delivered as u64, "{name}");
+        }
+    }
+
+    /// A destination killed while a packet for its pure-delay downlink is
+    /// in flight discards the packet once, at its delivery.
+    #[test]
+    fn a_destination_killed_in_flight_failstops_a_pure_delay_hop_once() {
+        let (mut sim, sink, sent) = one_hop(LinkConfig::infinite(DOWN));
+        sim.kill_node(sink);
+        sim.run_until(SimTime::from_secs(1));
+        assert!(arrivals(&mut sim, sink).is_empty());
+        assert_eq!(sim.stats.packets_failstopped, 1);
+        assert_eq!(sim.stats.packets_delivered, 0);
+        assert_eq!(sim.stats.events - sent, 1);
     }
 
     #[test]

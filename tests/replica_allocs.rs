@@ -9,9 +9,12 @@
 //! its new number in the packet's overlay — and allocate nothing per
 //! burst. The Stream Tracker under it holds one row per stream, allocated
 //! as the streams arrive: none in a fresh data plane, and in this world
-//! rows up to its highest stream index only.
+//! rows up to its highest stream index only. A simulated switch matches
+//! on its exact port table alone, so building one holds no port-indexed
+//! copy of its range either.
 
 use scallop::core::agent::SwitchAgent;
+use scallop::core::switchnode::{ScallopSwitchNode, SwitchConfig};
 use scallop::dataplane::batch::BatchOutput;
 use scallop::dataplane::seqrewrite::{SeqRewriteMode, StreamTracker};
 use scallop::dataplane::switch::{ScallopDataPlane, STREAM_TRACKER_CAPACITY};
@@ -249,4 +252,16 @@ fn the_tracker_holds_rows_up_to_its_highest_stream_only() {
         (used..=2 * used).contains(&held),
         "{held} B of tracker rows for streams 0..={highest} ({used} B of rows)"
     );
+}
+
+#[test]
+fn a_switch_over_a_whole_edge_range_holds_no_port_mirror() {
+    let cfg = SwitchConfig::new(Ipv4Addr::new(10, 0, 0, 100));
+    assert_eq!((cfg.port_base, cfg.port_limit), (10_000, u16::MAX));
+    let before = live_bytes();
+    let node = ScallopSwitchNode::new(cfg);
+    let held = live_bytes() - before;
+    // A port-indexed mirror of those 55 535 ports would hold 2.8 MB.
+    assert!(held <= 64 * 1024, "a fresh switch holds {held} B");
+    drop(node);
 }
