@@ -40,9 +40,9 @@ pub struct DataplaneBatchSmoke {
     pub batches: u64,
     /// Port matches served from the previous packet's resolution.
     pub port_lookups_saved: u64,
-    /// Egress matches served from the previous packet's resolution.
+    /// Egress matches served from the data plane's flow table.
     pub egress_lookups_saved: u64,
-    /// PRE tree walks served from the previous packet's resolution.
+    /// PRE tree walks served from the data plane's flow table.
     pub pre_walks_saved: u64,
     /// Lookups served by the dense SoA registers.
     pub dense_lookups: u64,
@@ -104,9 +104,10 @@ fn traffic_mix(
                     is_key,
                 },
                 // ~5 MTU-sized packets per frame: the burst carries
-                // adjacent packets of the same flow, which is what the
-                // memo of the previous resolution amortizes (a real
-                // drain cycle sees whole frames, not lone packets).
+                // adjacent packets of the same port, which is what the
+                // port memo amortizes (a real drain cycle sees whole
+                // frames, not lone packets); the flow table replays every
+                // packet of a flow but the first.
                 size_bytes: 5_000,
                 captured_at: SimTime::ZERO,
                 rtp_timestamp: round as u32 * 3000,

@@ -264,7 +264,10 @@ impl Node for ScallopSwitchNode {
 
     /// One packet through the data plane as a batch of one. The agent
     /// may rewrite tables when it handles a punt, so it gets the packet
-    /// before the data plane looks at the next one.
+    /// before the data plane looks at the next one. A batch of one still
+    /// replays every flow the data plane resolved since the tables were
+    /// last written; a write by the agent empties that flow table, so the
+    /// next packet meets the tables as the agent left them.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let out = &mut self.batch_out;
         self.dp.process_batch(std::slice::from_ref(&pkt), out);

@@ -11,36 +11,40 @@
 //! 1. **Parse first.** The whole batch is parsed into a reusable
 //!    [`ParsedPacket`] arena before any match work runs (the parse and
 //!    match stages are independent, just like the hardware pipeline).
-//! 2. **Remember the previous resolution.** A one-entry memo per
-//!    stage — the last port matched, the last PRE flow walked with every
-//!    replica's egress spec already resolved — so the second packet of a
-//!    frame copies its neighbour's [`PortRule`] and replays its replica
-//!    list instead of matching, walking and matching again. A packet
-//!    whose key differs from the one before it goes to the tables, which
-//!    are an index, not a search. Saved work is counted in
-//!    [`BatchStats`].
+//! 2. **Resolve each flow once per table version.** The data plane
+//!    keeps every PRE flow it resolved — the tree walk with every
+//!    replica's egress spec already matched — across calls, until the
+//!    PRE or the egress table is written (the flow table, `crate::flows`).
+//!    A packet of a flow seen since the last write replays that
+//!    resolution instead of walking and matching again, whichever call
+//!    it arrives in; the ingress port rule is remembered for the next
+//!    packet of the same call only (a one-entry memo). A packet that
+//!    misses goes to the tables, which are an index, not a search. Saved
+//!    work is counted in [`BatchStats`].
 //! 3. **Punt by index.** CPU punts are recorded as indices into the
 //!    caller's batch ([`BatchOutput::cpu_punts`]) — the agent reads the
 //!    original slice, so a punt never clones a packet.
 //!
-//! Negative results are memoized too (no port rule, no such group, a
-//! replica without an egress rule), and replaying one still charges the
+//! Negative results are kept too (no port rule, no such group, a replica
+//! without an egress rule), and replaying one still charges the
 //! `no_rule_drops` a cold lookup would; packets that resolve nothing
-//! (STUN, unparseable) leave the memo alone. No table can change inside
-//! one call, so a hit returns what the cold path would, and how a packet
-//! sequence is cut into batches changes neither outputs nor counters:
-//! one N-packet call equals N one-packet calls byte for byte (enforced
-//! by `tests/batch_equivalence.rs`).
+//! (STUN, unparseable) leave both alone. A replay returns what a cold
+//! resolution would, because the flow table is emptied by any write to
+//! the tables it read, and no port rule can change inside one call. So
+//! how a packet sequence is cut into batches changes neither outputs nor
+//! counters: one N-packet call equals N one-packet calls byte for byte
+//! (enforced by `tests/batch_equivalence.rs`).
 //!
 //! **Agent interleaving.** The switch agent may rewrite tables when it
 //! handles a punted packet (e.g. a key-frame DD triggering a meeting
-//! rebuild), and the memo is only valid while the tables stand still,
-//! so every call starts cold. A caller with an agent behind it therefore
-//! calls with one packet and hands a punt over before the next packet is
-//! looked at — that is the simulator's switch node, which gets nothing
-//! from the memo and pays one comparison for it; callers that own the
-//! tables for the length of a burst (benches, tests, the repo benchmark)
-//! pass the whole burst.
+//! rebuild). A caller with an agent behind it therefore calls with one
+//! packet and hands a punt over before the next packet is looked at —
+//! that is the simulator's switch node. It still replays every flow it
+//! has seen since the agent's last table write: a write bumps the
+//! written table's version, and the next packet finds the flow table
+//! empty and resolves cold. Callers that own the tables for the length
+//! of a burst (benches, tests, the repo benchmark) pass the whole burst,
+//! and also save the port matches of adjacent packets.
 //!
 //! **Egress: descriptors, not copies.** The PRE replicates a packet's
 //! descriptor and the egress deparser rewrites two header bytes per
@@ -88,11 +92,10 @@
 //!   owned buffer.
 
 use crate::parser::ParsedPacket;
-use crate::pre::Replica;
-use crate::rules::{EgressSpec, PortRule};
+use crate::rules::PortRule;
 use scallop_netsim::packet::Packet;
 
-/// What the memo of the previous resolution saved relative to resolving
+/// What the port memo and the flow table saved relative to resolving
 /// every packet cold. Cumulative across batches, like
 /// [`DataPlaneCounters`](crate::switch::DataPlaneCounters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,52 +106,25 @@ pub struct BatchStats {
     pub batch_pkts: u64,
     /// Port-rule matches served from the previous packet's resolution.
     pub port_lookups_saved: u64,
-    /// Egress matches served from the previous packet's resolution (one
-    /// per replica of a replayed flow).
+    /// Egress matches served from the flow table (one per replica of a
+    /// replayed flow).
     pub egress_lookups_saved: u64,
-    /// PRE tree walks served from the previous packet's resolution.
+    /// PRE tree walks served from the flow table.
     pub pre_walks_saved: u64,
 }
 
-/// A PRE flow identity: `(mgid, l1_xid, rid, l2_xid, in_port)`. The
-/// ingress port rides along because the egress match is keyed by it —
-/// two packets with the same key resolve to the *same* replica list
-/// **and** the same egress specs, so the whole resolution is replayed.
-pub(crate) type FlowKey = (u16, u16, u16, u16, u16);
-
-/// One fully-resolved replica: where the PRE fanned the packet, and
-/// the egress rewrite it matched (`None` = no egress rule, which a
-/// cold lookup charges as a `no_rule_drops` per packet — the replay
-/// must too).
-pub(crate) type ResolvedReplica = (Replica, Option<EgressSpec>);
-
-/// The previous resolution of each match stage, nothing more: a hit is
-/// "same key as the last packet that resolved one in this call". Egress
-/// has no memo of its own — the flow's replica list is kept with every
-/// replica's egress already resolved, so a replay does no egress work.
+/// Per-call match state: the previous port resolution, and the savings
+/// of this call. Egress has no memo of its own — a flow's replicas are
+/// kept with every replica's egress already resolved.
 #[derive(Debug, Default)]
 pub(crate) struct BatchCaches {
     /// Last dst port matched and its rule (`None` = no rule).
     pub(crate) port: Option<(u16, Option<PortRule>)>,
-    /// Last flow walked; `false` = the walk failed (no such group).
-    pub(crate) flow: Option<(FlowKey, bool)>,
-    /// That flow's egress-resolved replicas (refilled on a miss,
-    /// capacity kept, so a miss allocates nothing).
-    pub(crate) flow_replicas: Vec<ResolvedReplica>,
     /// Savings accumulated this batch, folded into [`BatchStats`] when
     /// the batch ends.
     pub(crate) port_lookups_saved: u64,
     pub(crate) egress_lookups_saved: u64,
     pub(crate) pre_walks_saved: u64,
-}
-
-impl BatchCaches {
-    /// Forget the previous resolution: between calls the agent may have
-    /// rewritten the tables.
-    pub(crate) fn begin_batch(&mut self) {
-        self.port = None;
-        self.flow = None;
-    }
 }
 
 /// Output of one batch: the forwarded packets, the punt ring, and the
@@ -166,7 +142,7 @@ pub struct BatchOutput {
     /// Parse arena: one [`ParsedPacket`] per input packet, filled by
     /// the parse stage.
     pub(crate) parsed: Vec<ParsedPacket>,
-    /// Memo of the previous match resolution (reset per batch).
+    /// The port memo (reset per batch) and this batch's savings.
     pub(crate) caches: BatchCaches,
 }
 

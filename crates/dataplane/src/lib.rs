@@ -25,8 +25,9 @@
 //!   with CPU-port copies for the switch agent and full packet/byte
 //!   counters (Table 1, Fig. 22).
 //! * [`batch`] — the forwarding engine's batch machinery: parse a burst
-//!   first, then match each packet against the previous packet's
-//!   resolution before the tables; CPU punts are indices into the input
+//!   first, then replay each packet's PRE flow from the flow table (every
+//!   flow resolved since the PRE or the egress table was last written)
+//!   before walking the tables; CPU punts are indices into the input
 //!   burst.
 //! * [`soa`] — dense struct-of-arrays port-rule registers mirroring the
 //!   hot span of the ingress match (hash-free lookups on the
@@ -42,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
+mod flows;
 pub mod parser;
 pub mod pre;
 pub mod resources;

@@ -17,7 +17,7 @@
 //! node.rid && port ∈ l2_xid_ports(packet.l2_xid)` (used to suppress the
 //! copy back to the sender).
 
-use crate::tables::{IdMap, TableError};
+use crate::tables::{IdMap, TableError, WriteVersion};
 
 /// Maximum multicast groups (trees).
 pub const MAX_MULTICAST_GROUPS: usize = 65_536;
@@ -81,6 +81,8 @@ pub struct PacketReplicationEngine {
     /// L2 XID -> set of ports it prunes.
     l2_xid_ports: IdMap<u16, Vec<u16>>,
     l1_nodes_used: usize,
+    /// Redrawn by every call to a mutator.
+    version: WriteVersion,
     /// Replication invocations (for throughput reporting).
     pub invocations: u64,
     /// Replicas produced.
@@ -100,9 +102,17 @@ impl PacketReplicationEngine {
             groups: IdMap::default(),
             l2_xid_ports: IdMap::default(),
             l1_nodes_used: 0,
+            version: WriteVersion::next(),
             invocations: 0,
             replicas_produced: 0,
         }
+    }
+
+    /// Write version: changes with every call to a mutator (groups, L1
+    /// nodes, L2 XID sets), whether or not it changed the trees.
+    /// Replicating does not change it.
+    pub(crate) fn version(&self) -> WriteVersion {
+        self.version
     }
 
     /// Number of configured trees.
@@ -118,6 +128,7 @@ impl PacketReplicationEngine {
     /// Create an empty multicast group. Fails when the 64 K budget is
     /// exhausted or the MGID is taken.
     pub fn create_group(&mut self, mgid: u16) -> Result<(), PreError> {
+        self.version = WriteVersion::next();
         if self.groups.len() >= MAX_MULTICAST_GROUPS {
             return Err(PreError::GroupsExhausted);
         }
@@ -130,6 +141,7 @@ impl PacketReplicationEngine {
 
     /// Destroy a group, releasing its L1 nodes.
     pub fn destroy_group(&mut self, mgid: u16) -> Result<(), PreError> {
+        self.version = WriteVersion::next();
         let g = self.groups.remove(&mgid).ok_or(PreError::NoSuchGroup)?;
         self.l1_nodes_used -= g.nodes.len();
         Ok(())
@@ -137,6 +149,7 @@ impl PacketReplicationEngine {
 
     /// Add an L1 node to a group.
     pub fn add_node(&mut self, mgid: u16, node: L1Node) -> Result<(), PreError> {
+        self.version = WriteVersion::next();
         if self.l1_nodes_used >= MAX_L1_NODES {
             return Err(PreError::L1NodesExhausted);
         }
@@ -151,6 +164,7 @@ impl PacketReplicationEngine {
 
     /// Remove the L1 node with the given RID from a group.
     pub fn remove_node(&mut self, mgid: u16, rid: u16) -> Result<(), PreError> {
+        self.version = WriteVersion::next();
         let g = self.groups.get_mut(&mgid).ok_or(PreError::NoSuchGroup)?;
         let before = g.nodes.len();
         g.nodes.retain(|n| n.rid != rid);
@@ -163,6 +177,7 @@ impl PacketReplicationEngine {
 
     /// Map an L2 XID to the port set it prunes.
     pub fn set_l2_xid_ports(&mut self, xid: u16, ports: Vec<u16>) {
+        self.version = WriteVersion::next();
         self.l2_xid_ports.insert(xid, ports);
     }
 
@@ -170,6 +185,7 @@ impl PacketReplicationEngine {
     /// entry so the XID — and the RID it shadows — can be recycled for a
     /// later participant without inheriting a stale port set.
     pub fn clear_l2_xid_ports(&mut self, xid: u16) {
+        self.version = WriteVersion::next();
         self.l2_xid_ports.remove(&xid);
     }
 

@@ -19,7 +19,8 @@
 //!
 //! All packet/byte accounting for Table 1 and Fig. 22 happens here.
 
-use crate::batch::{BatchCaches, BatchOutput, FlowKey, ResolvedReplica};
+use crate::batch::{BatchCaches, BatchOutput};
+use crate::flows::{FlowKey, FlowTable};
 use crate::parser::{self, ParsedPacket};
 use crate::pre::PacketReplicationEngine;
 use crate::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
@@ -30,6 +31,7 @@ use scallop_netsim::packet::{BufPool, Packet};
 use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
 use scallop_proto::demux::PacketClass;
 use scallop_proto::rtcp::{self, RtcpRef};
+use std::ops::Range;
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
@@ -186,9 +188,9 @@ pub struct ScallopDataPlane {
     pub counters: DataPlaneCounters,
     /// Highest parse depth observed (Table 3).
     pub max_parse_depth: u8,
-    /// Per-call scratch for PRE replica lists (reused across packets so
-    /// the egress path does not allocate per packet).
-    replica_scratch: Vec<crate::pre::Replica>,
+    /// Every flow resolved since the PRE or the egress table was last
+    /// written ([`crate::batch`]).
+    flows: FlowTable,
     /// Buffers for NACKs shifted back to their sender's numbers.
     nack_pool: BufPool,
     /// Dense struct-of-arrays mirror of `port_rules` over the switch's
@@ -209,7 +211,7 @@ impl ScallopDataPlane {
             tracker: StreamTracker::new(mode, STREAM_TRACKER_CAPACITY),
             counters: DataPlaneCounters::default(),
             max_parse_depth: 0,
-            replica_scratch: Vec::new(),
+            flows: FlowTable::default(),
             nack_pool: BufPool::new(NACK_POOL_LIMIT),
             dense_ports: None,
         }
@@ -228,10 +230,14 @@ impl ScallopDataPlane {
         self.dense_ports = Some(dense);
     }
 
-    /// Install a port rule (control-plane API).
+    /// Install a port rule (control-plane API), and make room in the flow
+    /// table for the flows it can start, so that resolving one on the
+    /// packet path allocates nothing.
     pub fn install_port_rule(&mut self, port: u16, rule: PortRule) -> Result<(), TableError> {
+        let old = self.port_rules.peek(&port).copied();
         self.port_rules.upsert(port, rule)?;
         self.counters.rule_installs += 1;
+        self.flows.port_rule_changed(old.as_ref(), Some(&rule));
         if let Some(d) = self.dense_ports.as_mut() {
             d.set(port, rule);
         }
@@ -247,13 +253,16 @@ impl ScallopDataPlane {
         if removed.is_some() {
             self.counters.rule_removals += 1;
         }
+        self.flows.port_rule_changed(removed.as_ref(), None);
         removed
     }
 
-    /// Install an egress spec for a (MGID, RID) replica.
+    /// Install an egress spec for a (MGID, RID) replica, and make room in
+    /// the flow table for one more resolved replica.
     pub fn install_egress(&mut self, key: EgressKey, spec: EgressSpec) -> Result<(), TableError> {
         self.egress.upsert(key, spec)?;
         self.counters.rule_installs += 1;
+        self.flows.reserve_replicas(self.egress.len());
         Ok(())
     }
 
@@ -264,6 +273,13 @@ impl ScallopDataPlane {
             self.counters.rule_removals += 1;
         }
         removed
+    }
+
+    /// Flows held resolved: each a PRE walk with its replicas' egress
+    /// specs. The first `process_batch` after a write to the PRE or the
+    /// egress table drops them all.
+    pub fn resolved_flows(&self) -> usize {
+        self.flows.len()
     }
 
     /// Create a PRE replication group (control-plane API): counted as a
@@ -280,8 +296,8 @@ impl ScallopDataPlane {
     /// [`crate::batch`]). `out` is cleared first. Forwards land in
     /// [`BatchOutput::forwards`], CPU punts as indices into `pkts` in
     /// [`BatchOutput::cpu_punts`]. Outputs and counters do not depend on
-    /// how a packet sequence is cut into batches, as long as no table
-    /// changes in between.
+    /// how a packet sequence is cut into batches: a flow resolved by an
+    /// earlier call is replayed only while no table it read was written.
     pub fn process_batch(&mut self, pkts: &[Packet], out: &mut BatchOutput) {
         out.clear();
         let BatchOutput {
@@ -301,8 +317,11 @@ impl ScallopDataPlane {
             }
             parsed
         }));
-        // Stage 2: match/replicate; the memo starts every call cold.
-        caches.begin_batch();
+        // Stage 2: match/replicate. The port memo starts every call cold;
+        // the flow table holds while the PRE and egress table stand still.
+        caches.port = None;
+        self.flows
+            .validate((self.pre.version(), self.egress.version()));
         stats.batches += 1;
         stats.batch_pkts += pkts.len() as u64;
         for (i, (pkt, p)) in pkts.iter().zip(parsed.iter()).enumerate() {
@@ -536,29 +555,26 @@ impl ScallopDataPlane {
                     })
                     .unwrap_or(0) as usize;
                 let mgid = mgid_by_tier[tier.min(2)];
-                // Replay the previous packet's egress-resolved replica list
-                // when this one is of the same flow, else walk the PRE +
-                // resolve each replica's egress and remember the lot. A
-                // failed walk (no such group) is remembered too, and still
-                // charged as a drop per packet.
+                // Replay the flow's egress-resolved replicas when it was
+                // resolved since the last table write, else walk the PRE,
+                // resolve each replica's egress and keep the lot. A failed
+                // walk (no such group) is kept too, and still charged as a
+                // drop per packet.
                 let flow = (mgid, *l1_xid, *rid, *l2_xid, pkt.dst.port);
-                let walked = match c.flow {
-                    Some((prev, walked)) if prev == flow => {
+                let (walked, replicas) = match self.flows.get(&flow) {
+                    Some((walked, replicas)) => {
                         c.pre_walks_saved += 1;
-                        c.egress_lookups_saved += c.flow_replicas.len() as u64;
-                        walked
+                        c.egress_lookups_saved += replicas.len() as u64;
+                        (walked, replicas)
                     }
-                    _ => {
-                        let walked = self.resolve_flow(flow, &mut c.flow_replicas);
-                        c.flow = Some((flow, walked));
-                        walked
-                    }
+                    None => self.resolve_flow(flow),
                 };
                 if !walked {
                     self.counters.no_rule_drops += 1;
                     return;
                 }
-                for &(rep, spec) in &c.flow_replicas {
+                for i in replicas {
+                    let (rep, spec) = self.flows.replica(i);
                     let Some(spec) = spec else {
                         self.counters.no_rule_drops += 1;
                         continue;
@@ -573,32 +589,28 @@ impl ScallopDataPlane {
         }
     }
 
-    /// Walk the PRE for `flow` and match every replica's egress rule,
-    /// leaving the resolved replicas in `resolved` (cleared first).
-    /// `false` — and nothing resolved — when the walk failed (no such
-    /// group).
+    /// Walk the PRE for `flow`, match every replica's egress rule and
+    /// keep the result in the flow table. Returns whether the walk
+    /// succeeded (`false` — and no replicas — when there is no such
+    /// group) and where the replicas lie in the table.
     fn resolve_flow(
         &mut self,
-        (mgid, l1_xid, rid, l2_xid, in_port): FlowKey,
-        resolved: &mut Vec<ResolvedReplica>,
-    ) -> bool {
-        resolved.clear();
-        let mut replicas = std::mem::take(&mut self.replica_scratch);
-        // `replicate_into` leaves `replicas` empty when the walk fails.
-        let walked = self
-            .pre
-            .replicate_into(mgid, l1_xid, rid, l2_xid, &mut replicas)
-            .is_ok();
-        resolved.extend(replicas.iter().map(|rep| {
-            let key = EgressKey {
-                mgid,
-                rid: rep.rid,
-                in_port,
-            };
-            (*rep, self.egress.lookup(&key).copied())
-        }));
-        self.replica_scratch = replicas;
-        walked
+        flow @ (mgid, l1_xid, rid, l2_xid, in_port): FlowKey,
+    ) -> (bool, Range<usize>) {
+        let (pre, egress) = (&mut self.pre, &mut self.egress);
+        self.flows.resolve(
+            flow,
+            // `replicate_into` leaves the walk empty when it fails.
+            |walk| pre.replicate_into(mgid, l1_xid, rid, l2_xid, walk).is_ok(),
+            |rep| {
+                let key = EgressKey {
+                    mgid,
+                    rid: rep.rid,
+                    in_port,
+                };
+                egress.lookup(&key).copied()
+            },
+        )
     }
 
     /// Egress pipeline for one replica: SVC gate, sequence rewrite,

@@ -12,6 +12,37 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A table's write version. Every table write anywhere in the process
+/// draws a fresh one from one counter ([`WriteVersion::next`]), so no two
+/// writes share a version: equal versions mean equal contents, even
+/// across a table cloned, or swapped in whole through a `pub` field. A
+/// clone keeps its original's version, which is right — it holds the
+/// same entries until one of the two is written. The data plane's flow
+/// table (`crate::flows`) is valid while the PRE's and the egress
+/// table's versions stand still.
+///
+/// The number is the process's draw order, not table state, so `Debug`
+/// does not show it: two tables built by the same history print alike.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct WriteVersion(u64);
+
+impl WriteVersion {
+    /// A version no table has had.
+    pub(crate) fn next() -> WriteVersion {
+        // `Relaxed`: a version publishes no other data, and uniqueness
+        // needs only the increment to be atomic. 0 is never drawn.
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        WriteVersion(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl std::fmt::Debug for WriteVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("WriteVersion").finish_non_exhaustive()
+    }
+}
 
 /// The one hasher under the per-packet maps ([`ExactTable`] and the PRE's
 /// groups and L2 XID sets): rotate, xor, multiply by 2⁶⁴/φ per word — a
@@ -78,6 +109,8 @@ pub struct ExactTable<K, V> {
     capacity: usize,
     entry_bits: usize,
     map: IdMap<K, V>,
+    /// Redrawn by every call to a mutator.
+    version: WriteVersion,
     /// Lookup counters (hit/miss), exported for utilization reports.
     pub hits: u64,
     /// Miss counter.
@@ -93,9 +126,17 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
             capacity,
             entry_bits,
             map: IdMap::default(),
+            version: WriteVersion::next(),
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Write version: changes with every call to a mutator (`insert`,
+    /// `upsert`, `remove`, `get_mut`, `clear`), whether or not it changed
+    /// an entry.
+    pub(crate) fn version(&self) -> WriteVersion {
+        self.version
     }
 
     /// Table name (for reports).
@@ -139,6 +180,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
 
     /// Install an entry. Fails on duplicate key or full table.
     pub fn insert(&mut self, key: K, value: V) -> Result<(), TableError> {
+        self.version = WriteVersion::next();
         let full = self.map.len() >= self.capacity;
         match self.map.entry(key) {
             Entry::Occupied(_) => Err(TableError::Duplicate),
@@ -154,6 +196,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
     /// write fits, so the key is hashed once; only a full table has to
     /// tell a new key from an existing one.
     pub fn upsert(&mut self, key: K, value: V) -> Result<(), TableError> {
+        self.version = WriteVersion::next();
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             return Err(TableError::Full);
         }
@@ -163,6 +206,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
 
     /// Remove an entry, returning it.
     pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.version = WriteVersion::next();
         self.map.remove(key)
     }
 
@@ -182,6 +226,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
 
     /// Mutable lookup without counting (control-plane access).
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.version = WriteVersion::next();
         self.map.get_mut(key)
     }
 
@@ -197,6 +242,7 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
 
     /// Remove all entries.
     pub fn clear(&mut self) {
+        self.version = WriteVersion::next();
         self.map.clear();
     }
 }

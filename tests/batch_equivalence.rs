@@ -21,7 +21,7 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use scallop::core::agent::{JoinGrant, SwitchAgent};
 use scallop::dataplane::batch::{BatchOutput, BatchStats};
-use scallop::dataplane::rules::{PortRule, ReplicationAction};
+use scallop::dataplane::rules::{EgressKey, PortRule, ReplicationAction};
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
 use scallop::dataplane::switch::{DataPlaneCounters, ScallopDataPlane};
 use scallop::media::encoder::{EncodedFrame, FrameLabelCompact};
@@ -80,7 +80,7 @@ fn video_bytes(ssrc: u32, seq: u16, template_id: u8, is_key: bool) -> Vec<u8> {
 
 /// What the one-batch side of [`assert_equivalent_after`] did.
 struct BatchSide {
-    /// What the memo of the previous resolution saved.
+    /// What the port memo and the flow table saved.
     stats: BatchStats,
     counters: DataPlaneCounters,
     forwards: u64,
@@ -98,7 +98,8 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) -> BatchSide {
 /// Run the same packets as one batch and as batches of one on
 /// identically-built data planes (`tweak` applied to both, dense
 /// registers on the one-batch side) and assert full equivalence:
-/// forwards, punt ring, counters, parse depth.
+/// forwards, punt ring, counters, parse depth — and the same flow-table
+/// savings, which outlive a call.
 fn assert_equivalent_after(
     pkts: &[Packet],
     parties: usize,
@@ -132,6 +133,12 @@ fn assert_equivalent_after(
     assert_eq!(
         bat_dp.max_parse_depth, seq_dp.max_parse_depth,
         "parse depth diverged"
+    );
+    let flow_savings = |s: &BatchStats| (s.pre_walks_saved, s.egress_lookups_saved);
+    assert_eq!(
+        flow_savings(&out.stats),
+        flow_savings(&bout.stats),
+        "a flow resolved by an earlier call was not replayed"
     );
     // Every media replica, rewritten or not, shares its ingress packet's
     // buffer; a rewritten one carries its number in the overlay.
@@ -213,11 +220,13 @@ fn mixed_traffic_batch_matches_batches_of_one() {
     );
 }
 
-/// The memo holds one resolution, so the orders that matter are the ones
-/// where it thrashes. Every case is checked against batches of one on a
-/// twin, and the savings must equal the adjacent repeats exactly.
+/// The flow table keeps every flow resolved since the last table write,
+/// and the port memo the previous packet's rule. Every case is checked
+/// against batches of one on a twin: the walks and egress matches saved
+/// must equal the repeats of each flow, adjacent or not, and the port
+/// matches saved the adjacent repeats of a port.
 #[test]
-fn memo_saves_exactly_the_adjacent_repeats() {
+fn savings_are_the_repeats_of_each_flow_since_the_last_write() {
     const PARTIES: usize = 4;
     let (dp, _, members) = meeting(PARTIES);
     let sfu = |port| HostAddr::new(Ipv4Addr::new(10, 0, 0, 100), port);
@@ -239,15 +248,17 @@ fn memo_saves_exactly_the_adjacent_repeats() {
         )
     };
 
-    // A,B,A,B: no packet repeats its neighbour's key.
+    // A,B,A,B: no packet repeats its neighbour's port, but the second A
+    // and the second B replay their flows.
     let side = assert_equivalent(
         &[video(a, 0), video(b, 0), video(a, 1), video(b, 1)],
         PARTIES,
     );
-    assert_eq!(saved(&side), (0, 0, 0));
+    assert_eq!(saved(&side), (0, 2, 2 * fanout));
     assert_eq!(side.port_lookups, 4);
 
-    // A,A,B,B,A: two adjacent repeats, and the returning A is a miss.
+    // A,A,B,B,A: two adjacent port repeats, and three flow repeats — the
+    // returning A among them.
     let side = assert_equivalent(
         &[
             video(a, 0),
@@ -258,7 +269,7 @@ fn memo_saves_exactly_the_adjacent_repeats() {
         ],
         PARTIES,
     );
-    assert_eq!(saved(&side), (2, 2, 2 * fanout));
+    assert_eq!(saved(&side), (2, 3, 3 * fanout));
     assert_eq!(side.forwards, 5 * fanout);
 
     // A port with no rule, three times: one lookup, three drops.
@@ -291,21 +302,7 @@ fn memo_saves_exactly_the_adjacent_repeats() {
 
     // A replica without an egress rule, three times: the other replicas
     // go out, the hole is a drop per packet, replayed or not.
-    let a_port = members[a].1.video_uplink.port;
-    let Some(PortRule::SenderUplink {
-        action: ReplicationAction::Multicast { mgid_by_tier, .. },
-        ..
-    }) = dp.port_rules.peek(&a_port).copied()
-    else {
-        panic!("a four-party sender replicates through the PRE");
-    };
-    let hole = dp
-        .egress
-        .iter()
-        .map(|(k, _)| *k)
-        .filter(|k| k.mgid == mgid_by_tier[0] && k.in_port == a_port)
-        .min_by_key(|k| k.rid)
-        .expect("the T0 tree has replicas");
+    let hole = t0_egress_of(&dp, members[a].1.video_uplink.port);
     let side = assert_equivalent_after(&[0, 1, 2].map(|seq| video(a, seq)), PARTIES, |dp| {
         dp.remove_egress(hole).unwrap();
     });
@@ -313,8 +310,8 @@ fn memo_saves_exactly_the_adjacent_repeats() {
     assert_eq!(side.counters.no_rule_drops, 3);
     assert_eq!(side.forwards, 3 * (fanout - 1));
 
-    // STUN and garbage wedged into a flow resolve nothing and leave the
-    // memo alone: the second A is still a hit.
+    // STUN and garbage wedged into a flow resolve nothing and leave both
+    // the port memo and the flow table alone: the second A is a hit.
     let stun = scallop::proto::stun::StunMessage::binding_request([9; 12]).serialize();
     let side = assert_equivalent(
         &[
@@ -329,15 +326,83 @@ fn memo_saves_exactly_the_adjacent_repeats() {
     assert_eq!(side.port_lookups, 1);
 }
 
+/// The lowest-RID egress key of the T0 tree that `uplink`'s packets
+/// fan out through.
+fn t0_egress_of(dp: &ScallopDataPlane, uplink: u16) -> EgressKey {
+    let Some(PortRule::SenderUplink {
+        action: ReplicationAction::Multicast { mgid_by_tier, .. },
+        ..
+    }) = dp.port_rules.peek(&uplink).copied()
+    else {
+        panic!("a sender of a meeting of three or more replicates through the PRE");
+    };
+    dp.egress
+        .iter()
+        .map(|(k, _)| *k)
+        .filter(|k| k.mgid == mgid_by_tier[0] && k.in_port == uplink)
+        .min_by_key(|k| k.rid)
+        .expect("the T0 tree has replicas")
+}
+
+/// A table write between two packets of one flow makes the second one
+/// resolve cold, through every way in: a data-plane method, a direct
+/// PRE call (as the agent makes them), and a table swapped in whole —
+/// even one whose entries the flow table was once filled from.
+#[test]
+fn a_write_between_two_packets_of_a_flow_resolves_the_second_cold() {
+    const PARTIES: usize = 4;
+    let (mut dp, _, members) = meeting(PARTIES);
+    let (addr, grant) = members[0];
+    let fanout = PARTIES - 1;
+    let mut seq = 0;
+    let mut out = BatchOutput::default();
+    // One packet of sender 0's T0 flow, in a call of its own: (replicas
+    // forwarded, walks saved so far).
+    let mut send = |dp: &mut ScallopDataPlane| {
+        seq += 1;
+        let pkt = Packet::new(addr, grant.video_uplink, video_bytes(0x1000, seq, 1, false));
+        dp.process_batch(std::slice::from_ref(&pkt), &mut out);
+        (out.forwards.len(), out.stats.pre_walks_saved)
+    };
+    assert_eq!(send(&mut dp), (fanout, 0), "first packet: cold");
+    assert_eq!(send(&mut dp), (fanout, 1), "no write: replayed");
+    assert_eq!(dp.resolved_flows(), 1);
+
+    // An egress entry removed: the second packet sees the hole.
+    let before = dp.egress.clone();
+    let hole = t0_egress_of(&dp, grant.video_uplink.port);
+    let spec = dp.remove_egress(hole).unwrap();
+    assert_eq!(send(&mut dp), (fanout - 1, 1), "cold, with the hole");
+    assert_eq!(send(&mut dp), (fanout - 1, 2));
+
+    // The table from before the removal, swapped in whole: it carries the
+    // version the flow table was first filled under, not the latest one.
+    dp.egress = before;
+    assert_eq!(send(&mut dp), (fanout, 2), "cold, without the hole");
+
+    // A write that changes nothing still empties the flow table.
+    dp.install_egress(hole, spec).unwrap();
+    assert_eq!(send(&mut dp), (fanout, 2));
+    assert_eq!(send(&mut dp), (fanout, 3));
+
+    // A direct PRE write, as the agent makes them.
+    dp.pre.set_l2_xid_ports(u16::MAX, vec![]);
+    assert_eq!(send(&mut dp), (fanout, 3));
+    assert_eq!(send(&mut dp), (fanout, 4));
+}
+
 #[test]
 fn bench_smoke_runner_reports_equivalent() {
-    // 10 senders x 5-packet frames x 4 rounds: each frame's four later
-    // packets repeat its first one's port and flow (9 replicas).
+    // 10 senders x 5-packet frames x 4 rounds, plus sender 0's sender
+    // report each round: each frame's four later packets repeat its first
+    // one's port. No meeting is rate-adapted, so each sender's media is
+    // one flow (9 replicas), resolved once for the whole run.
     let report = scallop_bench::dataplane::run_batch_smoke(10, 4);
     assert_eq!(report.equivalent, 1);
     assert_eq!(report.port_lookups_saved, 10 * 4 * 4);
-    assert_eq!(report.pre_walks_saved, 10 * 4 * 4);
-    assert_eq!(report.egress_lookups_saved, 10 * 4 * 4 * 9);
+    let media_pkts = 10 * 4 * 5 + 4;
+    assert_eq!(report.pre_walks_saved, media_pkts - 10);
+    assert_eq!(report.egress_lookups_saved, (media_pkts - 10) * 9);
     assert!(report.dense_lookups > 0, "dense registers never hit");
 }
 

@@ -12,18 +12,25 @@
 //! rows up to its highest stream index only. A simulated switch matches
 //! on its exact port table alone, so building one holds no port-indexed
 //! copy of its range either.
+//!
+//! The data plane keeps every PRE flow it resolves until a table is
+//! written, in room reserved when egress entries are installed. In a
+//! world of many small meetings whose senders interleave, resolving
+//! every flow for the first time allocates nothing, nor does replaying
+//! them; and a data plane that only sees control operations holds no
+//! flow at all.
 
-use scallop::core::agent::SwitchAgent;
+use scallop::core::agent::{JoinGrant, MeetingId, SwitchAgent};
 use scallop::core::switchnode::{ScallopSwitchNode, SwitchConfig};
-use scallop::dataplane::batch::BatchOutput;
+use scallop::dataplane::batch::{BatchOutput, BatchStats};
 use scallop::dataplane::seqrewrite::{SeqRewriteMode, StreamTracker};
 use scallop::dataplane::switch::{ScallopDataPlane, STREAM_TRACKER_CAPACITY};
-use scallop::media::encoder::EncodedFrame;
+use scallop::media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop::media::packetizer::Packetizer;
 use scallop::media::svc::L1T3Schedule;
 use scallop::netsim::packet::{HostAddr, Packet};
 use scallop::netsim::time::SimTime;
-use scallop::proto::rtp::{set_sequence_number, RtpView};
+use scallop::proto::rtp::{set_sequence_number, RtpPacket, RtpView};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -264,4 +271,132 @@ fn a_switch_over_a_whole_edge_range_holds_no_port_mirror() {
     // A port-indexed mirror of those 55 535 ports would hold 2.8 MB.
     assert!(held <= 64 * 1024, "a fresh switch holds {held} B");
     drop(node);
+}
+
+/// Three-party meetings, as in a campus edge's busy hour.
+const MEETINGS: usize = 100;
+
+/// `MEETINGS` three-party all-sending meetings built through the real
+/// agent; one receiver per meeting sits at the lowest decode target, so
+/// every meeting replicates through per-tier trees and each sender's
+/// video is three flows, its audio a fourth.
+fn many_meetings() -> (
+    ScallopDataPlane,
+    SwitchAgent,
+    Vec<MeetingId>,
+    Vec<(HostAddr, JoinGrant)>,
+) {
+    let mut dp = ScallopDataPlane::new(SeqRewriteMode::LowRetransmission);
+    let mut agent = SwitchAgent::new(Ipv4Addr::new(10, 0, 0, 100)).with_port_range(10_000, 12_000);
+    let (mut meetings, mut members) = (Vec::new(), Vec::new());
+    for m in 0..MEETINGS {
+        let meeting = agent.create_meeting();
+        meetings.push(meeting);
+        for i in 0..3 {
+            let addr = HostAddr::new(Ipv4Addr::new(10, 9, m as u8, i + 1), 5000);
+            members.push((addr, agent.join(&mut dp, meeting, addr, true)));
+        }
+        let (_, low) = members[3 * m + m % 3];
+        agent.apply_dt_change(&mut dp, low.participant, 0);
+    }
+    (dp, agent, meetings, members)
+}
+
+/// One pass over every flow of [`many_meetings`]: four bursts whose
+/// video frames are T0, T2, T1 and T2 in turn, each burst one video and
+/// one audio packet from every sender, the meetings interleaved so that
+/// no packet follows one of its own meeting.
+fn interleaved_pass(members: &[(HostAddr, JoinGrant)]) -> Vec<Vec<Packet>> {
+    [1u8, 3, 2, 4]
+        .iter()
+        .enumerate()
+        .map(|(round, &template_id)| {
+            let mut burst = Vec::with_capacity(2 * members.len());
+            for i in 0..3 {
+                for m in 0..MEETINGS {
+                    let (addr, grant) = &members[3 * m + i];
+                    let ssrc = 0x1000 + 2 * (3 * m + i) as u32;
+                    let mut pz = Packetizer::new(ssrc, 96, 1200);
+                    pz.set_next_seq(round as u16);
+                    let frame = EncodedFrame {
+                        frame_number: round as u16,
+                        label: FrameLabelCompact {
+                            temporal_id: [0, 0, 1, 2, 2][usize::from(template_id)],
+                            template_id,
+                            is_key: false,
+                        },
+                        size_bytes: 300,
+                        captured_at: SimTime::ZERO,
+                        rtp_timestamp: round as u32 * 3_000,
+                    };
+                    let video = pz.packetize(&frame).remove(0).serialize();
+                    burst.push(Packet::new(*addr, grant.video_uplink, video));
+                    let mut audio = RtpPacket::new(111, round as u16, 960, ssrc + 1);
+                    audio.payload = vec![0u8; 100].into();
+                    burst.push(Packet::new(*addr, grant.audio_uplink, audio.serialize()));
+                }
+            }
+            burst
+        })
+        .collect()
+}
+
+#[test]
+fn resolving_and_replaying_many_interleaved_flows_allocates_nothing() {
+    let (mut dp, _, _, members) = many_meetings();
+    let pass = interleaved_pass(&members);
+    // The caller's output arenas are sized by a twin that sees the same
+    // pass, so that what is counted below is the data plane's own.
+    let mut out = BatchOutput::default();
+    let (mut twin, _, _, _) = many_meetings();
+    for burst in &pass {
+        twin.process_batch(burst, &mut out);
+    }
+
+    // Walks each packet of the pass through the PRE, and those saved.
+    let walks = |out: &BatchOutput, from: BatchStats| {
+        let saved = out.stats.pre_walks_saved - from.pre_walks_saved;
+        (out.stats.batch_pkts - from.batch_pkts - saved, saved)
+    };
+    // T0, T1 and T2 video and the audio: four flows a sender.
+    let flows = 4 * 3 * MEETINGS as u64;
+    let pkts: u64 = pass.iter().map(|b| b.len() as u64).sum();
+
+    let before = out.stats;
+    for (round, burst) in pass.iter().enumerate() {
+        let n = allocs_in(|| dp.process_batch(burst, &mut out));
+        assert_eq!(n, 0, "allocations resolving the flows of burst {round}");
+    }
+    assert_eq!(
+        walks(&out, before),
+        (flows, pkts - flows),
+        "one walk a flow"
+    );
+    assert_eq!(dp.resolved_flows() as u64, flows);
+
+    let before = out.stats;
+    for _ in 0..3 {
+        for burst in &pass {
+            let n = allocs_in(|| dp.process_batch(burst, &mut out));
+            assert_eq!(n, 0, "allocations replaying a burst");
+        }
+    }
+    assert_eq!(
+        walks(&out, before),
+        (0, 3 * pkts),
+        "every later packet replays"
+    );
+    assert_eq!(dp.resolved_flows() as u64, flows);
+}
+
+#[test]
+fn a_plane_that_only_sees_control_operations_holds_no_flows() {
+    let (mut dp, mut agent, meetings, members) = many_meetings();
+    assert_eq!(dp.resolved_flows(), 0);
+    // Churn: every meeting's first member leaves and joins again.
+    for (&meeting, (addr, grant)) in meetings.iter().zip(members.iter().step_by(3)) {
+        agent.leave(&mut dp, meeting, grant.participant);
+        agent.join(&mut dp, meeting, *addr, true);
+    }
+    assert_eq!(dp.resolved_flows(), 0);
 }
