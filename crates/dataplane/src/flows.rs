@@ -132,12 +132,13 @@ impl FlowTable {
         self.replicas[i]
     }
 
-    /// Resolve `key` and keep the resolution: `walk` fills a cleared
-    /// buffer with the PRE's replicas and says whether the walk succeeded,
-    /// and `egress` matches each replica's egress rule. Returns what
-    /// [`Self::get`] would. When the reserved room cannot take the flow,
-    /// the table is emptied first. A table with no room at all (no egress
-    /// entry installed yet) keeps the resolution for this packet only.
+    /// Resolve `key` and keep the resolution: `walk` refills a buffer
+    /// with the PRE's replicas (clearing it first) and says whether the
+    /// walk succeeded, and `egress` matches each replica's egress rule.
+    /// Returns what [`Self::get`] would. When the reserved room cannot
+    /// take the flow, the table is emptied first. A table with no room at
+    /// all (no media port rule installed) keeps the resolution for this
+    /// packet only.
     pub(crate) fn resolve(
         &mut self,
         key: FlowKey,
