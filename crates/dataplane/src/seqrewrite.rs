@@ -30,6 +30,22 @@
 //! them as one row of six packed words per stream, so one packet's rewrite
 //! reads and writes one cache line; S-LM persists three of the words.
 //!
+//! Almost every packet a receiver gets is simply its stream's next
+//! number, forwarded. [`StreamTracker::process`] rewrites those on the
+//! row's words, inline in the caller: when the row is initialised and has
+//! emitted, the packet is `highest_seq + 1` and the duplicate guard would
+//! not clamp, no gap needs masking, so it writes only the words the state
+//! machine's forward step would change (highest sequence and frame
+//! numbers, `last_out` and the flags; for S-LR the frame-start words on a
+//! frame's first packet and the frame-size estimate on its last) and
+//! emits `seq - offset`. Every other packet goes through one out-of-line
+//! function that decodes the row, runs the state machine and encodes it
+//! again. A proptest in this module holds the in-order path to that
+//! function on rows packed from arbitrary states, in both modes: same
+//! verdict and same persisted words whenever it takes a packet, and it
+//! declines exactly when the row is uninitialised, has not emitted, or
+//! the guard clamps.
+//!
 //! The [`OracleRewriter`] is the software reference used by Fig. 18: it is
 //! told the ground truth for every original sequence number (forwarded or
 //! suppressed) and produces the ideal rewritten stream.
@@ -113,39 +129,61 @@ struct StreamState {
     offset_changed_recently: bool,
 }
 
+/// Flag bits of word 1 (its low byte; the cadence sits above them).
+const INITIALIZED: u32 = 0x1;
+const LAST_FRAME_ENDED: u32 = 0x2;
+const EMITTED_ANY: u32 = 0x4;
+const HAS_SUPPRESSED: u32 = 0x8;
+const OFFSET_CHANGED_RECENTLY: u32 = 0x10;
+const LAST_FRAME_SUPPRESSED: u32 = 0x20;
+
+/// Two 16-bit fields in one word, `hi` in the upper half.
+fn hi_lo(hi: u16, lo: u16) -> u32 {
+    (u32::from(hi) << 16) | u32::from(lo)
+}
+
+/// A word's 16-bit halves, upper first.
+fn halves(w: u32) -> (u16, u16) {
+    ((w >> 16) as u16, w as u16)
+}
+
 impl StreamState {
     /// Decode a stream's six words (all zeros for a never-used slot).
     fn unpack([w0, w1, w2, w3, w4, w5]: [u32; 6]) -> Self {
+        let (highest_seq, highest_frame) = halves(w0);
+        let (last_out, highest_suppressed_frame) = halves(w2);
+        let (cur_frame_first_seq, cur_frame_number) = halves(w3);
+        let (cur_frame_offset, last_mask_seq) = halves(w4);
         StreamState {
-            highest_seq: (w0 >> 16) as u16,
-            highest_frame: (w0 & 0xFFFF) as u16,
+            highest_seq,
+            highest_frame,
             offset: (w1 >> 16) as u16,
-            initialized: w1 & 0x1 != 0,
-            last_frame_ended: w1 & 0x2 != 0,
-            emitted_any: w1 & 0x4 != 0,
-            has_suppressed: w1 & 0x8 != 0,
+            initialized: w1 & INITIALIZED != 0,
+            last_frame_ended: w1 & LAST_FRAME_ENDED != 0,
+            emitted_any: w1 & EMITTED_ANY != 0,
+            has_suppressed: w1 & HAS_SUPPRESSED != 0,
             cadence_step: ((w1 >> 8) & 0xFF) as u16,
-            offset_changed_recently: w1 & 0x10 != 0,
-            last_frame_suppressed: w1 & 0x20 != 0,
-            last_out: (w2 >> 16) as u16,
-            highest_suppressed_frame: (w2 & 0xFFFF) as u16,
-            cur_frame_first_seq: (w3 >> 16) as u16,
-            cur_frame_number: (w3 & 0xFFFF) as u16,
-            cur_frame_offset: (w4 >> 16) as u16,
-            last_mask_seq: (w4 & 0xFFFF) as u16,
-            frame_size_est: ((w5 & 0xFFFF) as u16).max(1),
+            offset_changed_recently: w1 & OFFSET_CHANGED_RECENTLY != 0,
+            last_frame_suppressed: w1 & LAST_FRAME_SUPPRESSED != 0,
+            last_out,
+            highest_suppressed_frame,
+            cur_frame_first_seq,
+            cur_frame_number,
+            cur_frame_offset,
+            last_mask_seq,
+            frame_size_est: (w5 as u16).max(1),
         }
     }
 
     /// Encode into six words: S-LM's three first, S-LR's extras after.
     fn pack(&self) -> [u32; 6] {
-        let flags = u32::from(self.initialized)
-            | u32::from(self.last_frame_ended) << 1
-            | u32::from(self.emitted_any) << 2
-            | u32::from(self.has_suppressed) << 3
-            | u32::from(self.offset_changed_recently) << 4
-            | u32::from(self.last_frame_suppressed) << 5;
-        let hi_lo = |hi: u16, lo: u16| (u32::from(hi) << 16) | u32::from(lo);
+        let flag = |set: bool, bit: u32| if set { bit } else { 0 };
+        let flags = flag(self.initialized, INITIALIZED)
+            | flag(self.last_frame_ended, LAST_FRAME_ENDED)
+            | flag(self.emitted_any, EMITTED_ANY)
+            | flag(self.has_suppressed, HAS_SUPPRESSED)
+            | flag(self.offset_changed_recently, OFFSET_CHANGED_RECENTLY)
+            | flag(self.last_frame_suppressed, LAST_FRAME_SUPPRESSED);
         [
             hi_lo(self.highest_seq, self.highest_frame),
             (u32::from(self.offset) << 16) | ((u32::from(self.cadence_step) & 0xFF) << 8) | flags,
@@ -165,6 +203,66 @@ fn seq_delta(from: u16, to: u16) -> i32 {
     } else {
         -((from.wrapping_sub(to)) as i32)
     }
+}
+
+/// The frame-size estimate `est` after a frame that ran from `first_seq`
+/// to `last_seq` (an EWMA; implausible sizes leave it as it is).
+fn learned_frame_size(est: u16, first_seq: u16, last_seq: u16) -> u16 {
+    let size = seq_delta(first_seq, last_seq);
+    if (0..=255).contains(&size) {
+        let observed = size as u16 + 1;
+        ((3 * est + observed) / 4).max(1)
+    } else {
+        est
+    }
+}
+
+/// The rewrite of a forwarded packet that is its stream's next number
+/// (`highest_seq + 1`), done on the row's words: `Some(seq - offset)`,
+/// or `None` — with the row untouched — when the state machine must
+/// decide. It decides when the stream has not yet emitted (or has no
+/// state), and when the duplicate guard would clamp the offset.
+///
+/// Otherwise no gap needs masking, so `step`'s `Forward` branch changes
+/// only these words, and this writes exactly those: the highest
+/// sequence and frame numbers, `last_out` and the flags (words 0–2, all
+/// S-LM persists), and for S-LR the frame-start words on a frame's first
+/// packet and the frame-size estimate on its last.
+#[inline]
+fn forward_in_order(
+    mode: SeqRewriteMode,
+    row: &mut [u32; 6],
+    seq: u16,
+    frame: u16,
+    start: bool,
+    end: bool,
+) -> Option<u16> {
+    let [w0, w1, w2, w3, w4, w5] = *row;
+    let (highest_seq, _) = halves(w0);
+    let offset = (w1 >> 16) as u16;
+    let (last_out, highest_suppressed_frame) = halves(w2);
+    let out = seq.wrapping_sub(offset);
+    let live = INITIALIZED | EMITTED_ANY;
+    if w1 & live != live || seq != highest_seq.wrapping_add(1) || seq_delta(last_out, out) <= 0 {
+        return None;
+    }
+    let ended = if end { LAST_FRAME_ENDED } else { 0 };
+    row[0] = hi_lo(seq, frame);
+    row[1] = (w1 & !(LAST_FRAME_ENDED | OFFSET_CHANGED_RECENTLY | LAST_FRAME_SUPPRESSED)) | ended;
+    row[2] = hi_lo(out, highest_suppressed_frame);
+    if mode == SeqRewriteMode::LowRetransmission {
+        let (first_seq, frame_number) = if start {
+            row[3] = hi_lo(seq, frame);
+            row[4] = hi_lo(offset, w4 as u16);
+            (seq, frame)
+        } else {
+            halves(w3)
+        };
+        if end && frame == frame_number {
+            row[5] = u32::from(learned_frame_size((w5 as u16).max(1), first_seq, seq));
+        }
+    }
+    Some(out)
 }
 
 /// The Stream Tracker in the egress pipeline: one slot per rate-adapted
@@ -225,7 +323,8 @@ impl StreamTracker {
     /// Write `s` to slot `idx`: all six words from the control plane, the
     /// mode's words from the rewrite stage. A write past the last row
     /// grows the rows through `idx`; past `capacity` nothing is kept.
-    /// Inlined so that `process` packs its state straight into the row.
+    /// Inlined so that `process_in_full` packs its state straight into the
+    /// row.
     #[inline]
     fn store(&mut self, idx: usize, s: &StreamState, all_words: bool) {
         if idx >= self.capacity {
@@ -283,8 +382,36 @@ impl StreamTracker {
     /// DD frame-boundary flags; `verdict` is the adaptation decision made
     /// earlier in the pipeline. Suppressed packets update state and are
     /// always dropped; forwarded packets yield an [`RewriteVerdict`].
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// Almost every packet is the next number of its stream, forwarded:
+    /// `forward_in_order` rewrites those on the row's words, inline in the
+    /// caller. Every other packet runs the whole state machine, out of
+    /// line in `process_in_full`.
+    #[inline]
     pub fn process(
+        &mut self,
+        idx: usize,
+        seq: u16,
+        frame: u16,
+        start: bool,
+        end: bool,
+        verdict: PacketVerdict,
+    ) -> RewriteVerdict {
+        if verdict == PacketVerdict::Forward {
+            if let Some(row) = self.rows.get_mut(idx) {
+                if let Some(out) = forward_in_order(self.mode, row, seq, frame, start, end) {
+                    self.packets_processed += 1;
+                    return RewriteVerdict::Emit(out);
+                }
+            }
+        }
+        self.process_in_full(idx, seq, frame, start, end, verdict)
+    }
+
+    /// [`Self::process`] through the state machine: decode the row, step,
+    /// encode it again.
+    #[inline(never)]
+    fn process_in_full(
         &mut self,
         idx: usize,
         seq: u16,
@@ -470,11 +597,7 @@ impl StreamTracker {
     /// Fold a completed observed frame's size into the estimator.
     fn learn_frame_size(s: &mut StreamState, seq: u16, frame: u16, end: bool) {
         if end && frame == s.cur_frame_number {
-            let size = seq_delta(s.cur_frame_first_seq, seq);
-            if (0..=255).contains(&size) {
-                let observed = size as u16 + 1;
-                s.frame_size_est = ((3 * s.frame_size_est + observed) / 4).max(1);
-            }
+            s.frame_size_est = learned_frame_size(s.frame_size_est, s.cur_frame_first_seq, seq);
         }
     }
 
@@ -964,5 +1087,177 @@ mod tests {
         assert_eq!(lm.sram_bits(), 65_536 * 32 * 3);
         assert_eq!(lr.sram_bits(), 65_536 * 32 * 6);
         assert_eq!(lr.sram_bits(), 2 * lm.sram_bits());
+    }
+
+    /// A tracker of one slot holding `row`, as if the stream's earlier
+    /// packets had left it there.
+    fn tracker_with(mode: SeqRewriteMode, row: [u32; 6]) -> StreamTracker {
+        let mut st = StreamTracker::new(mode, 1);
+        st.rows.push(row);
+        st
+    }
+
+    #[test]
+    fn thinned_then_restored_stream_rewrites_in_order_across_the_wrap() {
+        // Two-packet frames from just short of the wrap, every second one
+        // suppressed (cadence 2); then the decode target is restored and
+        // six-packet frames run the input past seq 65 535 and the output
+        // past 65 535. A twin takes every packet through the state machine.
+        let frames = |from: u16, to: u16, ppf: u16| {
+            (from..to).flat_map(move |f| (0..ppf).map(move |p| (f, p == 0, p + 1 == ppf)))
+        };
+        for mode in [SeqRewriteMode::LowMemory, SeqRewriteMode::LowRetransmission] {
+            let mut st = StreamTracker::new(mode, 4);
+            let mut twin = StreamTracker::new(mode, 4);
+            let mut outs = Vec::new();
+            let mut seq = 65_480u16;
+            for t in [&mut st, &mut twin] {
+                t.init_stream(0, 2);
+            }
+            for (f, start, end) in frames(0, 8, 2) {
+                let v = if f % 2 == 1 {
+                    PacketVerdict::Suppress
+                } else {
+                    PacketVerdict::Forward
+                };
+                let got = st.process(0, seq, f, start, end, v);
+                assert_eq!(got, twin.process_in_full(0, seq, f, start, end, v));
+                if let RewriteVerdict::Emit(o) = got {
+                    outs.push(o);
+                }
+                seq = seq.wrapping_add(1);
+            }
+            for t in [&mut st, &mut twin] {
+                t.set_cadence(0, 1);
+            }
+            assert_eq!(st.offset_of(0), 8, "{mode:?}: four suppressed frames");
+            for (f, start, end) in frames(8, 18, 6) {
+                // The in-order path takes every packet from here on.
+                let mut probe = st.rows[0];
+                let out = forward_in_order(mode, &mut probe, seq, f, start, end);
+                assert_eq!(out, Some(seq.wrapping_sub(8)), "{mode:?} seq {seq}");
+                let est = st.load(0).frame_size_est;
+                let got = st.process(0, seq, f, start, end, PacketVerdict::Forward);
+                let want = twin.process_in_full(0, seq, f, start, end, PacketVerdict::Forward);
+                assert_eq!(got, want, "{mode:?} seq {seq}");
+                assert_eq!(st.rows, twin.rows, "{mode:?} seq {seq}");
+                if mode == SeqRewriteMode::LowRetransmission && f == 8 && end {
+                    assert_eq!((est, st.load(0).frame_size_est), (2, 3));
+                }
+                if let RewriteVerdict::Emit(o) = got {
+                    outs.push(o);
+                }
+                seq = seq.wrapping_add(1);
+            }
+            assert_eq!(st.offset_of(0), 8, "{mode:?}: the offset stays");
+            assert!(
+                seq < 100 && outs.last() < Some(&100),
+                "{mode:?}: both wrapped"
+            );
+            let contiguous: Vec<u16> = (0..outs.len() as u16)
+                .map(|i| 65_480u16.wrapping_add(i))
+                .collect();
+            assert_eq!(outs, contiguous, "{mode:?}");
+            assert_eq!(
+                (st.packets_processed, st.packets_dropped),
+                (twin.packets_processed, twin.packets_dropped)
+            );
+        }
+    }
+
+    /// The in-order path against `load → step → store` on the next packet
+    /// (`highest_seq + 1`, forwarded) of the stream whose row is `row`.
+    fn check_in_order(mode: SeqRewriteMode, row: [u32; 6], frame: u16, start: bool, end: bool) {
+        let state = StreamState::unpack(row);
+        let seq = state.highest_seq.wrapping_add(1);
+        let mut full = tracker_with(mode, row);
+        let want = full.process_in_full(0, seq, frame, start, end, PacketVerdict::Forward);
+        // With no gap to mask, only the duplicate guard moves the offset.
+        let clamped = full.offset_of(0) != state.offset;
+        let declines = !state.initialized || !state.emitted_any || clamped;
+
+        let mut words = row;
+        match forward_in_order(mode, &mut words, seq, frame, start, end) {
+            Some(out) => {
+                assert!(
+                    !declines,
+                    "{mode:?} took a packet the state machine must decide"
+                );
+                assert_eq!(RewriteVerdict::Emit(out), want, "{mode:?}");
+                assert_eq!(words, full.rows[0], "{mode:?}");
+            }
+            None => {
+                assert!(declines, "{mode:?} left an in-order packet");
+                assert_eq!(words, row, "{mode:?}");
+            }
+        }
+        // `process` itself, whichever way it goes.
+        let mut st = tracker_with(mode, row);
+        let got = st.process(0, seq, frame, start, end, PacketVerdict::Forward);
+        assert_eq!(got, want, "{mode:?}");
+        assert_eq!(st.rows, full.rows, "{mode:?}");
+        assert_eq!(
+            (st.packets_processed, st.packets_dropped),
+            (full.packets_processed, full.packets_dropped)
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Whenever the in-order path takes a packet, its verdict and
+        /// every persisted word are the state machine's; it leaves the
+        /// packet (and the row) alone exactly when the row is
+        /// uninitialised, has not emitted, or the duplicate guard clamps.
+        /// Rows are packed from arbitrary states, canonical ones only.
+        #[test]
+        fn in_order_path_matches_the_state_machine(
+            head in any::<[u16; 5]>(),
+            tail in any::<[u16; 5]>(),
+            flags in any::<[bool; 6]>(),
+            shape in (any::<bool>(), any::<bool>(), any::<u8>(), any::<u8>(), any::<u16>()),
+            bounds in (any::<bool>(), any::<bool>()),
+        ) {
+            let [highest_seq, highest_frame, offset, last_out, cadence] = head;
+            let [hsf, first_seq, number, cur_offset, mask_seq] = tail;
+            let (steady, same_frame, frame_len, est, other_frame) = shape;
+            let (start, end) = bounds;
+            let seq = highest_seq.wrapping_add(1);
+            let state = StreamState {
+                initialized: flags[0],
+                highest_seq,
+                highest_frame,
+                offset,
+                // A stream in step has emitted `highest_seq - offset`.
+                last_out: if steady { highest_seq.wrapping_sub(offset) } else { last_out },
+                emitted_any: flags[1],
+                cadence_step: cadence,
+                // Half the time the current frame began a plausible
+                // length ago, and the packet continues it.
+                cur_frame_first_seq: if same_frame {
+                    seq.wrapping_sub(frame_len.into())
+                } else {
+                    first_seq
+                },
+                cur_frame_number: number,
+                cur_frame_offset: cur_offset,
+                last_mask_seq: mask_seq,
+                last_frame_ended: flags[2],
+                last_frame_suppressed: flags[3],
+                // The EWMA of frame sizes 1..=256, from 4, stays in 1..=256.
+                frame_size_est: u16::from(est) + 1,
+                highest_suppressed_frame: hsf,
+                has_suppressed: flags[4],
+                offset_changed_recently: flags[5],
+            };
+            let row = state.pack();
+            prop_assume!(StreamState::unpack(row).pack() == row);
+            let frame = if same_frame { number } else { other_frame };
+            for mode in [SeqRewriteMode::LowMemory, SeqRewriteMode::LowRetransmission] {
+                check_in_order(mode, row, frame, start, end);
+            }
+        }
     }
 }

@@ -614,7 +614,10 @@ impl ScallopDataPlane {
     }
 
     /// Egress pipeline for one replica: SVC gate, sequence rewrite,
-    /// address rewrite.
+    /// address rewrite. Always inlined, so that it and the Stream
+    /// Tracker's in-order rewrite run in `replicate_media`'s replica loop:
+    /// a plain `#[inline]` leaves it out of line there.
+    #[inline(always)]
     fn emit_replica(
         &mut self,
         pkt: &Packet,
