@@ -61,14 +61,6 @@ impl Default for CpuConfig {
     }
 }
 
-impl CpuConfig {
-    /// Builder: set core count.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores.max(1);
-        self
-    }
-}
-
 /// CPU statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuStats {
@@ -131,11 +123,6 @@ impl CpuModel {
         Some(start + self.cfg.per_packet + self.cfg.base_latency + jitter)
     }
 
-    /// Instantaneous queueing delay on a core.
-    pub fn queue_delay(&self, now: SimTime, core: usize) -> SimDuration {
-        self.busy_until[core % self.busy_until.len()].saturating_since(now)
-    }
-
     /// Average utilization since the first serviced packet.
     pub fn utilization(&self, now: SimTime) -> f64 {
         let Some(t0) = self.started_at else {
@@ -194,17 +181,17 @@ mod tests {
 
     #[test]
     fn cores_are_independent() {
-        let mut cpu = CpuModel::new(CpuConfig::default().with_cores(2));
+        let mut cpu = CpuModel::new(CpuConfig {
+            cores: 2,
+            ..CpuConfig::default()
+        });
         let mut rng = DetRng::new(3);
         let now = SimTime::from_secs(1);
-        // Saturate core 0.
+        // Saturate core 0: its queue is full, the next packet is dropped.
         for _ in 0..40_000 {
             let _ = cpu.service(now, 0, &mut rng);
         }
-        let q0 = cpu.queue_delay(now, 0);
-        let q1 = cpu.queue_delay(now, 1);
-        assert!(q0 > SimDuration::from_millis(100));
-        assert_eq!(q1, SimDuration::ZERO);
+        assert_eq!(cpu.service(now, 0, &mut rng), None);
         // Core 1 still serves promptly.
         let done = cpu.service(now, 1, &mut rng).unwrap();
         assert!(done.saturating_since(now) < SimDuration::from_millis(5));

@@ -20,6 +20,7 @@
 //!   per-receiver REMB, NACK service from its own history, PLI relay,
 //!   STUN handling — every step billed to the CPU model.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cpumodel;

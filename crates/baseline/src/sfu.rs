@@ -17,7 +17,7 @@ use crate::cpumodel::{CpuConfig, CpuModel};
 use scallop_netsim::packet::{HostAddr, Packet};
 use scallop_netsim::sim::{Ctx, Node, TimerToken};
 use scallop_netsim::time::SimTime;
-use scallop_proto::av1::{l1t3::TEMPLATE_TEMPORAL, DependencyDescriptor, DD_EXTENSION_ID};
+use scallop_proto::av1::{l1t3, DependencyDescriptor, DD_EXTENSION_ID};
 use scallop_proto::demux::{classify, PacketClass};
 use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::rtp::{set_sequence_number, RtpView};
@@ -32,7 +32,7 @@ const TIMER_FLUSH: TimerToken = TimerToken(100);
 /// targets: below `[0]` → 7.5 fps tier, below `[1]` → 15 fps, else 30.
 /// Aligned with the Scallop agent's defaults (tier loads of the default
 /// 2.2 Mbit/s encoder).
-pub const DEFAULT_REMB_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
+pub(crate) const DEFAULT_REMB_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
 
 /// SFU configuration.
 #[derive(Debug, Clone, Copy)]
@@ -221,14 +221,6 @@ impl SoftwareSfu {
         self.cpu.utilization(now)
     }
 
-    /// Decode target currently selected for a participant (receiver).
-    pub fn max_temporal_of(&self, addr: HostAddr) -> Option<u8> {
-        self.participants
-            .iter()
-            .find(|p| p.addr == addr)
-            .map(|p| p.max_temporal)
-    }
-
     fn core_for(&self, flow: usize) -> usize {
         self.cfg.pinned_core.unwrap_or(flow)
     }
@@ -270,12 +262,7 @@ impl SoftwareSfu {
             .ok()
             .and_then(|v| v.find_extension(DD_EXTENSION_ID).ok().flatten())
             .and_then(|dd| DependencyDescriptor::parse_mandatory(dd).ok())
-            .map(|(_, _, template_id, _, _)| {
-                TEMPLATE_TEMPORAL
-                    .get(template_id as usize)
-                    .copied()
-                    .unwrap_or(2)
-            });
+            .map(|(_, _, template_id, _, _)| l1t3::temporal_of(template_id));
 
         let meeting = self.participants[sender_idx].meeting;
         let ssrc = RtpView::new(&pkt.payload).ok().map(|v| v.ssrc());
@@ -545,14 +532,16 @@ mod tests {
         sim.downlink_mut(clients[2]).set_rate_bps(800_000);
         sim.run_until(SimTime::from_secs(15));
         let sfu: &mut SoftwareSfu = sim.node_mut(sfu_id).unwrap();
-        let t = sfu
-            .max_temporal_of(HostAddr::new(ip(12), 5000))
-            .expect("participant registered");
-        assert!(t < 2, "constrained receiver still at full rate");
+        // The decode target the SFU selected for a receiver.
+        let layer_of = |last: u8| {
+            let addr = HostAddr::new(ip(last), 5000);
+            let p = sfu.participants.iter().find(|p| p.addr == addr);
+            p.expect("participant registered").max_temporal
+        };
+        assert!(layer_of(12) < 2, "constrained receiver still at full rate");
         assert!(sfu.counters.adapt_drops > 0);
         // Unconstrained receiver untouched.
-        let t0 = sfu.max_temporal_of(HostAddr::new(ip(10), 5000)).unwrap();
-        assert_eq!(t0, 2);
+        assert_eq!(layer_of(10), 2);
     }
 
     #[test]

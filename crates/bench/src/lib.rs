@@ -36,6 +36,7 @@
 //! for artifact upload; and fails when key metrics drift more than
 //! 20 % from the checked-in `results/` baselines ([`baseline`]).
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;

@@ -159,19 +159,6 @@ impl BandwidthEstimator {
         self.usage
     }
 
-    /// Measured incoming rate over the 500 ms that end at `now`, which
-    /// is not before the last packet fed.
-    pub fn incoming_rate_bps(&self, now: SimTime) -> f64 {
-        let cutoff = now - RATE_WINDOW;
-        let bytes: usize = self
-            .rx_window
-            .iter()
-            .filter(|(t, _)| *t >= cutoff)
-            .map(|(_, b)| b)
-            .sum();
-        rate_bps(bytes)
-    }
-
     /// Slide the throughput window to end at `now` and take `size` in.
     fn admit_to_window(&mut self, now: SimTime, size: usize) {
         // A clock that restarts leaves arrivals stamped in its future;
@@ -196,7 +183,7 @@ impl BandwidthEstimator {
     /// blind to a *full* drop-tail queue (delay plateaus while loss
     /// rages), so the estimate is additionally cut multiplicatively when
     /// the reported loss fraction exceeds 10 %.
-    pub fn on_loss(&mut self, fraction: f64) {
+    pub(crate) fn on_loss(&mut self, fraction: f64) {
         let f = fraction.clamp(0.0, 1.0);
         if f > 0.10 {
             self.estimate_bps *= 1.0 - 0.5 * f;
@@ -419,7 +406,6 @@ mod tests {
                 .map(|(_, b)| b)
                 .sum();
             let running = rate_bps(est.rx_window_bytes).to_bits();
-            assert_eq!(running, est.incoming_rate_bps(now).to_bits(), "packet {i}");
             assert_eq!(running, rate_bps(resummed).to_bits(), "packet {i}");
         }
     }
@@ -486,7 +472,7 @@ mod tests {
         for i in 0..100 {
             est.on_packet(SimTime::from_millis(10 * i), (10 * i) as f64, 1250);
         }
-        let r = est.incoming_rate_bps(SimTime::from_millis(990));
+        let r = rate_bps(est.rx_window_bytes);
         assert!((r - 1_000_000.0).abs() < 150_000.0, "rate {r}");
     }
 

@@ -23,6 +23,7 @@
 //! baseline SFU — neither end can tell the difference, which is the
 //! point of the paper's "true proxy" design.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod gcc;

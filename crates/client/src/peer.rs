@@ -222,7 +222,7 @@ impl ClientNode {
     }
 
     /// This client's address.
-    pub fn local_addr(&self) -> HostAddr {
+    pub(crate) fn local_addr(&self) -> HostAddr {
         HostAddr::new(self.cfg.ip, self.cfg.port)
     }
 
@@ -378,10 +378,7 @@ impl Node for ClientNode {
                             scallop_proto::av1::DependencyDescriptor::parse_mandatory(dd).ok()
                         })
                         .map(|(_, _, template_id, _, _)| {
-                            scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL
-                                .get(template_id as usize)
-                                .copied()
-                                .unwrap_or(2)
+                            scallop_proto::av1::l1t3::temporal_of(template_id)
                         });
                     tap.push(RxTapRecord {
                         at: ctx.now(),

@@ -224,7 +224,7 @@ impl ReceiverState {
     }
 
     /// When the last media packet arrived (`None` before the first).
-    pub fn last_media_at(&self) -> Option<SimTime> {
+    pub(crate) fn last_media_at(&self) -> Option<SimTime> {
         self.last_media_at
     }
 
@@ -261,7 +261,7 @@ impl ReceiverState {
     }
 
     /// Append the periodic RR (+REMB for video) compound for this stream.
-    pub fn write_feedback(&mut self, out: &mut Vec<u8>) {
+    pub(crate) fn write_feedback(&mut self, out: &mut Vec<u8>) {
         let expected = self.expected_total();
         let exp_delta = expected.saturating_sub(self.last_rr_expected);
         let rcv_delta = self.received.saturating_sub(self.last_rr_received);
@@ -331,7 +331,7 @@ impl ReceiverState {
     /// frame whose extra load can keep a congested link's queue pinned
     /// at overflow indefinitely (keys then never complete and the freeze
     /// self-sustains).
-    pub fn take_pli(&mut self, now: SimTime) -> bool {
+    pub(crate) fn take_pli(&mut self, now: SimTime) -> bool {
         if !self.needs_keyframe() {
             return false;
         }

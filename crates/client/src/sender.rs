@@ -233,12 +233,12 @@ impl MediaSender {
     }
 
     /// Handle a PLI: next frame will be a key frame.
-    pub fn handle_pli(&mut self) {
+    pub(crate) fn handle_pli(&mut self) {
         self.encoder.request_key_frame();
     }
 
     /// Handle a REMB: adapt the encoder target.
-    pub fn handle_remb(&mut self, bitrate_bps: u64) {
+    pub(crate) fn handle_remb(&mut self, bitrate_bps: u64) {
         self.stats.rembs_received += 1;
         self.encoder.set_target_bitrate(bitrate_bps);
     }

@@ -24,7 +24,11 @@ impl SwitchAgent {
     /// sender's REMB source to the agent's fabric-wide min-aggregate
     /// (§5.3's single selection, one level up), so direct REMB
     /// forwarding on the sender's local pair ports is disabled here.
-    pub fn feedback_sink(&mut self, dp: &mut ScallopDataPlane, sender: ParticipantId) -> u16 {
+    pub(crate) fn feedback_sink(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        sender: ParticipantId,
+    ) -> u16 {
         let p = self.pinfo.get(&sender).expect("sender tracked");
         debug_assert!(p.sends, "feedback sink only serves senders");
         if let Some(port) = p.sink_port {
@@ -53,7 +57,7 @@ impl SwitchAgent {
     /// Forget the REMB estimate previously reported by the remote edge
     /// at `edge_ip` for `sender` (its segment was garbage-collected; a
     /// stale estimate must not cap the aggregate forever).
-    pub fn clear_remote_est(&mut self, sender: ParticipantId, edge_ip: Ipv4Addr) {
+    pub(crate) fn clear_remote_est(&mut self, sender: ParticipantId, edge_ip: Ipv4Addr) {
         if let Some(p) = self.pinfo.get_mut(&sender) {
             p.remote_ests.remove(&edge_ip);
         }

@@ -72,7 +72,7 @@ pub type ParticipantId = u16;
 /// is never re-trunked: every trunk-egress branch carries this XID, and
 /// a packet that already crossed a trunk prunes all of them (§6.3's
 /// XID-pruning mechanism, applied to the fabric tier).
-pub const TRUNK_XID: u16 = 0xFFFE;
+pub(crate) const TRUNK_XID: u16 = 0xFFFE;
 
 /// L1 exclusion id of the *WAN* pruning tier: trunk-egress branches
 /// pointing across a WAN link (zone-gateway branches) carry this XID
@@ -84,7 +84,7 @@ pub const TRUNK_XID: u16 = 0xFFFE;
 /// traverses the WAN branches, which only exist at its zone's gateway
 /// edge — so cross-zone media crosses each WAN link exactly once per
 /// remote zone.
-pub const WAN_XID: u16 = 0xFFFD;
+pub(crate) const WAN_XID: u16 = 0xFFFD;
 
 /// The fabric tier a trunk-egress branch points across, or a
 /// remote-sender entry's media arrived over: the controller's routing
@@ -131,7 +131,7 @@ pub type AdaptationPolicy = Rc<dyn Fn(u8, &[u64], u64) -> u8>;
 /// tier's needs. (Consequence: recovery to a higher tier requires the
 /// estimate to rise well past the threshold — the paper's evaluation
 /// likewise never exercises an automatic up-switch under constraint.)
-pub fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
+pub(crate) fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
     Rc::new(move |curr, _hist, new_est| {
         let up = |t: u64| t * 22 / 10;
         let target = if new_est < thresholds[0] {
@@ -163,7 +163,7 @@ pub fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
 /// key overhead, DT1 ≈ 1.26 Mb/s): an estimate inside a band must be
 /// able to actually carry that band's tier, or the selector pins the
 /// receiver in permanent congestion. Matches the software baseline.
-pub const DEFAULT_DT_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
+pub(crate) const DEFAULT_DT_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
 
 /// Most response and REMB buffers an agent keeps; past this many in
 /// flight, the oldest is left to whoever still reads it.
@@ -433,7 +433,7 @@ impl SwitchAgent {
     /// where receivers' feedback for this sender is forwarded — the
     /// sender's real client address, or its home edge's feedback-sink
     /// port when the home edge aggregates REMBs fabric-wide.
-    pub fn join_remote_sender(
+    pub(crate) fn join_remote_sender(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
@@ -453,7 +453,7 @@ impl SwitchAgent {
     /// trunk-ingress ports as remote senders are granted. On
     /// [`Tier::Wan`] the remote switch is another zone's gateway edge,
     /// and only a zone's gateway edge holds such branches ([`WAN_XID`]).
-    pub fn join_egress(
+    pub(crate) fn join_egress(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
@@ -468,7 +468,7 @@ impl SwitchAgent {
         grant.participant
     }
 
-    /// [`Self::join_egress`] on the trunk tier, under the name the
+    /// `Self::join_egress` on the trunk tier, under the name the
     /// frozen `benchmark/src/sut.rs` calls — its only caller.
     pub fn join_trunk_egress(
         &mut self,
@@ -484,7 +484,7 @@ impl SwitchAgent {
     /// layout holds, with a full rebuild as the fallback. Returns
     /// whether the destination changed; a branch already aimed there is
     /// left alone, which is what makes a repair pass idempotent.
-    pub fn set_trunk_dst(
+    pub(crate) fn set_trunk_dst(
         &mut self,
         dp: &mut ScallopDataPlane,
         trunk: ParticipantId,
@@ -511,7 +511,7 @@ impl SwitchAgent {
     /// for a remote-sender entry, its trunk-ingress ports (the
     /// controller re-derives trunk destinations from these when a zone
     /// gateway migrates).
-    pub fn uplink_ports(&self, pid: ParticipantId) -> Option<(u16, u16)> {
+    pub(crate) fn uplink_ports(&self, pid: ParticipantId) -> Option<(u16, u16)> {
         self.pinfo.get(&pid).map(|p| (p.video_up, p.audio_up))
     }
 

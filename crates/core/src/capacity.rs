@@ -104,7 +104,7 @@ impl Default for CapacityModel {
 impl CapacityModel {
     /// Concurrent streams a meeting of `n` participants with `s` senders
     /// places on a *software* SFU (in + out, both media types).
-    pub fn sw_streams_per_meeting(&self, n: u64, s: u64) -> u64 {
+    pub(crate) fn sw_streams_per_meeting(&self, n: u64, s: u64) -> u64 {
         // s senders × 2 media × (1 uplink + (n-1) downlinks) = 2·s·n.
         2 * s * n
     }
@@ -116,7 +116,7 @@ impl CapacityModel {
     }
 
     /// Aggregate switch traffic of one meeting (in + out), bits/s.
-    pub fn meeting_bps(&self, n: u64, s: u64) -> f64 {
+    pub(crate) fn meeting_bps(&self, n: u64, s: u64) -> f64 {
         // s uplinks + s·(n−1) downlink replicas.
         self.peak_stream_bps * (s as f64) * (n as f64)
     }
@@ -245,28 +245,10 @@ impl CapacityModel {
         (lo, hi)
     }
 
-    /// Full-rate sender branches one trunk direction sustains before
-    /// its bandwidth budget is exhausted.
-    pub fn trunk_streams(&self) -> u64 {
-        (self.trunk_bps / self.peak_stream_bps) as u64
-    }
-
-    /// Full-rate sender branches one WAN link sustains.
-    pub fn wan_streams(&self) -> u64 {
-        (self.wan_link_bps / self.peak_stream_bps) as u64
-    }
-
-    /// Per-edge port budget for `topo`: the [`Topology::port_span`]
-    /// slice of UDP port space owned by each edge — it shrinks as
-    /// edges are added, so the planner must treat ports as scarce.
-    pub fn edge_port_budget(&self, topo: &Topology) -> u64 {
-        topo.port_span() as u64
-    }
-
     /// The live-planner budget set derived from this model: trunk and
     /// WAN bandwidth lines, the provisioned full and SVC-thin stream
     /// rates, and per-edge port spans taken from the topology at
-    /// [`FabricLoadLedger::set_budgets`] time.
+    /// `FabricLoadLedger::set_budgets` time.
     pub fn fabric_budgets(&self) -> FabricBudgets {
         let stream = self.peak_stream_bps as u64;
         FabricBudgets {
@@ -288,7 +270,7 @@ pub const THIN_DECODE_TARGET: u8 = 1;
 /// Bandwidth and port budgets the online planner enforces.
 ///
 /// `None` fields fall back to the topology at
-/// [`FabricLoadLedger::set_budgets`] time: per-link WAN budgets come
+/// `FabricLoadLedger::set_budgets` time: per-link WAN budgets come
 /// from [`scallop_netsim::topology::WanLink::bandwidth_bps`], the
 /// per-edge port budget from [`Topology::port_span`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -471,13 +453,13 @@ pub struct AdmissionCounts {
 }
 
 /// Uniform uplink ports one local member consumes (video + audio).
-pub const MEMBER_PORTS: u64 = 2;
+pub(crate) const MEMBER_PORTS: u64 = 2;
 /// Trunk-ingress ports one remote-sender entry consumes at an edge.
-pub const REMOTE_PORTS: u64 = 2;
+pub(crate) const REMOTE_PORTS: u64 = 2;
 
 /// The live account book of offered fabric load.
 ///
-/// Without budgets ([`FabricLoadLedger::set_budgets`] never called)
+/// Without budgets (`FabricLoadLedger::set_budgets` never called)
 /// the ledger is pure bookkeeping: the controller's debits and credits
 /// keep per-edge port occupancy and per-trunk / per-WAN offered bits/s
 /// current — which is what breaks a re-home tie — and nothing is ever
@@ -501,7 +483,7 @@ impl FabricLoadLedger {
     /// Install budget lines, resolving topology-derived defaults: the
     /// per-edge port budget from [`Topology::port_span`] and per-link
     /// WAN budgets from the topology's metered bandwidths.
-    pub fn set_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
+    pub(crate) fn set_budgets(&mut self, budgets: FabricBudgets, topo: &Topology) {
         self.edge_port_budget = budgets
             .edge_ports
             .unwrap_or_else(|| topo.port_span() as u64);
@@ -514,7 +496,7 @@ impl FabricLoadLedger {
     }
 
     /// Whether admission actively enforces the budget lines.
-    pub fn enforcing(&self) -> bool {
+    pub(crate) fn enforcing(&self) -> bool {
         self.budgets.map(|b| b.enforce).unwrap_or(false)
     }
 
@@ -531,14 +513,14 @@ impl FabricLoadLedger {
     }
 
     /// Planned SVC-thin branch rate, bits/s.
-    pub fn thin_stream_bps(&self) -> u64 {
+    pub(crate) fn thin_stream_bps(&self) -> u64 {
         self.budgets
             .map(|b| b.thin_stream_bps)
             .unwrap_or(CapacityModel::default().peak_stream_bps as u64 / 2)
     }
 
     /// Branch rate for a segment of the given thinness.
-    pub fn branch_bps(&self, thin: bool) -> u64 {
+    pub(crate) fn branch_bps(&self, thin: bool) -> u64 {
         if thin {
             self.thin_stream_bps()
         } else {
@@ -571,7 +553,7 @@ impl FabricLoadLedger {
     /// Debit `delta` under `key`. If the key is already booked the old
     /// entry is credited first, so re-compiling an object (e.g. a
     /// gateway migration re-plumb) never double-counts.
-    pub fn debit(&mut self, key: LedgerKey, delta: LoadDelta) {
+    pub(crate) fn debit(&mut self, key: LedgerKey, delta: LoadDelta) {
         self.credit(key);
         if delta.is_empty() {
             return;
@@ -582,7 +564,7 @@ impl FabricLoadLedger {
     }
 
     /// Credit (exactly reverse) the entry under `key`, if booked.
-    pub fn credit(&mut self, key: LedgerKey) {
+    pub(crate) fn credit(&mut self, key: LedgerKey) {
         if let Some(old) = self.entries.remove(&key) {
             self.apply(&old, true);
             self.credits += 1;
@@ -590,14 +572,14 @@ impl FabricLoadLedger {
     }
 
     /// Debit a local member's uplink ports at `edge`.
-    pub fn debit_member(&mut self, gmid: u32, global: u32, edge: usize) {
+    pub(crate) fn debit_member(&mut self, gmid: u32, global: u32, edge: usize) {
         let mut d = LoadDelta::default();
         d.add_ports(edge, MEMBER_PORTS);
         self.debit(LedgerKey::Member { gmid, global }, d);
     }
 
     /// Debit a sender's remote entry (trunk-ingress ports) at `edge`.
-    pub fn debit_remote(&mut self, gmid: u32, global: u32, edge: usize) {
+    pub(crate) fn debit_remote(&mut self, gmid: u32, global: u32, edge: usize) {
         let mut d = LoadDelta::default();
         d.add_ports(edge, REMOTE_PORTS);
         self.debit(LedgerKey::Remote { gmid, global, edge }, d);
@@ -605,7 +587,7 @@ impl FabricLoadLedger {
 
     /// Debit a sender's branch toward segment `to` along `route`, at
     /// the thin or full planned rate.
-    pub fn debit_branch(
+    pub(crate) fn debit_branch(
         &mut self,
         gmid: u32,
         global: u32,
@@ -619,17 +601,17 @@ impl FabricLoadLedger {
     }
 
     /// Credit a local member's entry.
-    pub fn credit_member(&mut self, gmid: u32, global: u32) {
+    pub(crate) fn credit_member(&mut self, gmid: u32, global: u32) {
         self.credit(LedgerKey::Member { gmid, global });
     }
 
     /// Credit a remote entry.
-    pub fn credit_remote(&mut self, gmid: u32, global: u32, edge: usize) {
+    pub(crate) fn credit_remote(&mut self, gmid: u32, global: u32, edge: usize) {
         self.credit(LedgerKey::Remote { gmid, global, edge });
     }
 
     /// Credit a branch entry.
-    pub fn credit_branch(&mut self, gmid: u32, global: u32, to: usize) {
+    pub(crate) fn credit_branch(&mut self, gmid: u32, global: u32, to: usize) {
         self.credit(LedgerKey::Branch { gmid, global, to });
     }
 
@@ -679,13 +661,13 @@ impl FabricLoadLedger {
     }
 
     /// Bits/s currently booked on WAN link `l`.
-    pub fn wan_bps(&self, l: usize) -> u64 {
+    pub(crate) fn wan_bps(&self, l: usize) -> u64 {
         self.used.wan.get(&l).copied().unwrap_or(0)
     }
 
     /// Load score of an edge for the re-home tie-break: port occupancy
     /// first, then trunk bits (both directions). Lower is emptier.
-    pub fn load_score(&self, edge: usize) -> (u64, u64) {
+    pub(crate) fn load_score(&self, edge: usize) -> (u64, u64) {
         (
             self.ports_used(edge),
             self.trunk_out_bps(edge) + self.trunk_in_bps(edge),
@@ -733,7 +715,7 @@ impl FabricLoadLedger {
     }
 
     /// Record an admission (full or thin) in the telemetry counters.
-    pub fn note_admission(&mut self, thin: bool) {
+    pub(crate) fn note_admission(&mut self, thin: bool) {
         if thin {
             self.counts.admitted_thin += 1;
         } else {
@@ -742,7 +724,7 @@ impl FabricLoadLedger {
     }
 
     /// Record a refusal in the telemetry counters.
-    pub fn note_refusal(&mut self, reason: RefusalReason) {
+    pub(crate) fn note_refusal(&mut self, reason: RefusalReason) {
         self.counts.refused += 1;
         match reason {
             RefusalReason::EdgePortsExhausted { .. } => self.counts.refused_ports += 1,
@@ -881,10 +863,9 @@ mod tests {
     #[test]
     fn model_budget_lines() {
         let c = m();
-        // 100 Gbit/s trunk at 6 Mbit/s full-rate branches.
-        assert_eq!(c.trunk_streams(), 16_666);
-        assert_eq!(c.wan_streams(), 1_666);
         let b = c.fabric_budgets();
+        // 100 Gbit/s trunk at 6 Mbit/s full-rate branches.
+        assert_eq!(b.trunk_bps / b.stream_bps, 16_666);
         assert_eq!(b.stream_bps, 6_000_000);
         assert_eq!(b.thin_stream_bps, 3_000_000);
         assert!(b.enforce && !b.advisory().enforce);

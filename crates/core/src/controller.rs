@@ -71,7 +71,7 @@
 //! place. `route` names the upstream edge and the tier from the
 //! meeting's gateway map; `aim` — the only caller of `set_trunk_dst` —
 //! resolves the upstream pid and swings the branch at the address
-//! [`Fabric::trunk_addr`] gives, and that rule *observes* dead cores
+//! `Fabric::trunk_addr` gives, and that rule *observes* dead cores
 //! and cut trunk links in the simulator (which stands in for the
 //! liveness service a deployed controller would read, as the records'
 //! epochs stand in for the metadata service). Admission pricing,
@@ -128,7 +128,7 @@ pub type GlobalParticipantId = u32;
 /// With the default of 1 the majority must be decisive (≥ 2 members
 /// ahead), so a single join/leave oscillating across a 1-member margin
 /// can never flap the home back and forth.
-pub const REBALANCE_HYSTERESIS: usize = 1;
+pub(crate) const REBALANCE_HYSTERESIS: usize = 1;
 
 /// What a participant joining through the fabric controller receives.
 #[derive(Debug, Clone, Copy)]
@@ -1555,15 +1555,19 @@ mod tests {
         // First zone-1 segment: edge 2 becomes the zone's gateway.
         let _r1 = join(&mut ctl, &mut sim, &f, gmid, req(2, 2, false));
         let rec = ctl.meeting(gmid).expect("live");
-        assert_eq!(rec.zone_gateway(0), Some(0));
-        assert_eq!(rec.zone_gateway(1), Some(2));
+        assert_eq!(rec.zone_gateways.get(&0).copied(), Some(0));
+        assert_eq!(rec.zone_gateways.get(&1).copied(), Some(2));
         assert!(rec.trunk_egress.contains_key(&(0, 2)), "WAN branch out");
         assert!(rec.trunk_egress.contains_key(&(2, 0)), "WAN branch back");
         // Second zone-1 segment is a non-gateway: it is trunk-wired to
         // its gateway, not WAN-wired to zone 0.
         let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(3, 3, false));
         let rec = ctl.meeting(gmid).expect("live");
-        assert_eq!(rec.zone_gateway(1), Some(2), "gateway is sticky");
+        assert_eq!(
+            rec.zone_gateways.get(&1).copied(),
+            Some(2),
+            "gateway is sticky"
+        );
         assert!(rec.trunk_egress.contains_key(&(2, 3)));
         assert!(rec.trunk_egress.contains_key(&(3, 2)));
         assert!(
@@ -1602,7 +1606,7 @@ mod tests {
         ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
         let rec = ctl.meeting(gmid).expect("live");
         assert_eq!(ctl.segment_of(gmid, 3), None, "gateway segment collected");
-        assert_eq!(rec.zone_gateway(1), Some(4));
+        assert_eq!(rec.zone_gateways.get(&1).copied(), Some(4));
         assert!(rec.trunk_egress.contains_key(&(0, 4)), "WAN branch moved");
         assert!(rec.trunk_egress.contains_key(&(4, 0)));
         assert!(!rec.trunk_egress.contains_key(&(0, 3)));

@@ -9,7 +9,7 @@
 //!   agent) with its own disjoint SFU port range,
 //! * every **core** becomes a [`RelayNode`] routing on destination port
 //!   ranges (one route per edge),
-//! * [`Fabric::trunk_addr`] resolves where an edge must address its one
+//! * `Fabric::trunk_addr` resolves where an edge must address its one
 //!   fabric copy per remote switch — through the pair's core, or
 //!   directly when the fabric has no core tier.
 //!
@@ -163,7 +163,13 @@ impl Fabric {
     /// nothing), then the zone's others in rotation
     /// ([`Topology::core_between_avoiding`]), and with no usable core —
     /// or no core tier at all — edge `to` is addressed directly.
-    pub fn trunk_addr(&self, sim: &Simulator, from: usize, to: usize, port: u16) -> HostAddr {
+    pub(crate) fn trunk_addr(
+        &self,
+        sim: &Simulator,
+        from: usize,
+        to: usize,
+        port: u16,
+    ) -> HostAddr {
         let tz = &self.topology;
         let (zf, zt) = (tz.zone_of_edge(from), tz.zone_of_edge(to));
         if zf != zt {
@@ -187,12 +193,12 @@ impl Fabric {
     /// never issue RPCs into a crashed switch: the crash already took
     /// its rules and free-lists with it, and re-issuing frees against a
     /// revived switch would double-free RIDs and ports.
-    pub fn edge_is_dead(&self, sim: &Simulator, i: usize) -> bool {
+    pub(crate) fn edge_is_dead(&self, sim: &Simulator, i: usize) -> bool {
         sim.node_is_dead(self.edge_ids[i])
     }
 
     /// Core indices whose relay is currently fail-stopped (read-only
-    /// introspection; [`Fabric::trunk_addr`] reads the simulator itself).
+    /// introspection; `Fabric::trunk_addr` reads the simulator itself).
     pub fn dead_cores(&self, sim: &Simulator) -> Vec<usize> {
         self.core_ids
             .iter()
@@ -251,6 +257,33 @@ mod tests {
         let sw = f.edge_mut(&mut sim, 0);
         assert_eq!(sw.cfg.ip, Ipv4Addr::new(10, 0, 0, 100));
         assert_eq!(sw.cfg.port_base, 10_000);
+    }
+
+    /// A core relay routes exactly the edges' port ranges: a packet to
+    /// the last port of the last edge is relayed, and one to the u16
+    /// tail the even split leaves past that edge's limit is counted
+    /// unroutable, never wrapped into some edge's range.
+    #[test]
+    fn core_relay_counts_the_port_tail_unroutable() {
+        use scallop_netsim::packet::Packet;
+        use scallop_netsim::time::SimTime;
+        let mut sim = Simulator::new(5);
+        let f = Fabric::build(
+            &mut sim,
+            Topology::campus(4, 1),
+            LinkConfig::infinite(SimDuration::from_micros(50)),
+            SeqRewriteMode::LowRetransmission,
+        );
+        let last = f.topology.port_limit(3);
+        assert!(last < u16::MAX, "a 4-edge split leaves a tail");
+        let src = HostAddr::new(Ipv4Addr::new(10, 9, 0, 1), 5000);
+        for port in [last - 1, last, u16::MAX] {
+            let dst = HostAddr::new(Topology::core_ip(0), port);
+            sim.inject(SimTime::ZERO, Packet::new(src, dst, vec![0u8; 64]));
+        }
+        sim.run_until(SimTime::from_millis(10));
+        let stats = f.core_stats(&mut sim, 0);
+        assert_eq!((stats.relayed_pkts, stats.unroutable_pkts), (1, 2));
     }
 
     #[test]

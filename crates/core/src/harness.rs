@@ -267,7 +267,7 @@ pub struct ScallopHarness {
 }
 
 /// The switch's IP in harness topologies (edge 0 of the fabric).
-pub const SWITCH_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
+pub(crate) const SWITCH_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 
 fn client_ip(idx: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 1, (idx / 250) as u8, (idx % 250 + 1) as u8)

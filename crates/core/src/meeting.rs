@@ -95,30 +95,9 @@ impl FabricMeetingState {
         self.home
     }
 
-    /// Number of members currently in the meeting.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Edges on which this meeting has a materialized segment.
-    pub fn segment_edges(&self) -> impl Iterator<Item = usize> + '_ {
-        self.segments.keys().copied()
-    }
-
     /// The member roster, in join order.
     pub fn members(&self) -> &[FabricMemberState] {
         &self.members
-    }
-
-    /// The meeting's gateway edge in `zone`, if the meeting has a
-    /// segment there.
-    pub fn zone_gateway(&self, zone: usize) -> Option<usize> {
-        self.zone_gateways.get(&zone).copied()
-    }
-
-    /// Whether the segment at `edge` was admitted SVC-thin.
-    pub fn segment_is_thin(&self, edge: usize) -> bool {
-        self.thin_segments.contains(&edge)
     }
 }
 
@@ -133,7 +112,6 @@ mod tests {
             epoch: 1,
             ..Default::default()
         };
-        st.segments.insert(2, 7);
         st.members.push(FabricMemberState {
             global: 1,
             edge: 2,
@@ -142,11 +120,8 @@ mod tests {
             local_pid: 3,
             remote_pids: BTreeMap::new(),
         });
-        st.thin_segments.insert(5);
         assert_eq!(st.home(), 2);
-        assert_eq!(st.member_count(), 1);
-        assert_eq!(st.segment_edges().collect::<Vec<_>>(), vec![2]);
-        assert!(st.segment_is_thin(5) && !st.segment_is_thin(2));
+        assert_eq!(st.members().len(), 1);
         assert!(st.members()[0].sends());
         assert_eq!(st.members()[0].edge(), 2);
         assert_eq!(st.members()[0].global(), 1);

@@ -19,21 +19,21 @@
 //!
 //! Ownership is decided by **consistent hashing with bounded loads**:
 //!
-//! * A [`HashRing`] places [`VNODES_PER_SHARD`] virtual nodes per shard
+//! * A [`HashRing`] places `VNODES_PER_SHARD` virtual nodes per shard
 //!   on a 64-bit ring (FNV-1a of `(shard, vnode)`; fully deterministic,
-//!   no RNG). [`HashRing::shard_for`] maps a key to the owner of the
+//!   no RNG). `HashRing::shard_for` maps a key to the owner of the
 //!   first virtual node at or after it. Changing the shard count moves
 //!   only the keys whose arc gained a new virtual node — when a shard
 //!   is added, keys move **only to the new shard**, never between
 //!   surviving shards (pinned by this module's tests).
-//! * The ring key for a meeting is [`meeting_key`]`(gmid, home_edge)`:
+//! * The ring key for a meeting is `meeting_key(gmid, home_edge)`:
 //!   the meeting id hashed together with its **home edge**. Placement
 //!   stays uniform (the hash decorrelates both inputs); folding the
 //!   home edge in exists so that a data-plane re-home *changes the
 //!   key* and thereby re-evaluates control ownership (see the handoff
 //!   protocol below).
 //! * The raw ring choice is post-processed by a **bounded-loads** walk
-//!   ([`HashRing::preference`] order): a shard already owning
+//!   (`HashRing::preference` order): a shard already owning
 //!   `ceil(meetings/shards)` meetings is skipped, so no shard ever owns
 //!   more than `ceil(meetings/shards) + 1` meetings — control load
 //!   provably scales with the number of shards (edges), not with the
@@ -60,7 +60,7 @@
 //!
 //! 1. **Re-homing.** [`ShardedControlPlane::rebalance_fabric`] first
 //!    runs the re-homing pass ([`crate::controller`] module
-//!    docs; hysteresis [`crate::controller::REBALANCE_HYSTERESIS`]).
+//!    docs; hysteresis `crate::controller::REBALANCE_HYSTERESIS`).
 //!    When the meeting re-homes, its ring key changes, and if the
 //!    bounded-loads walk now names a different shard the meeting is
 //!    handed off in the same pass — "the hash says so".
@@ -163,7 +163,7 @@ use std::collections::BTreeMap;
 /// Virtual nodes per shard on the consistent-hash ring. More virtual
 /// nodes smooth the arc distribution (so the pure hash is already
 /// nearly balanced before the bounded-loads walk corrects the tail).
-pub const VNODES_PER_SHARD: usize = 64;
+pub(crate) const VNODES_PER_SHARD: usize = 64;
 
 /// Ownership-lease duration, in lease ticks: a silent shard's meetings
 /// become stealable after this many [`ShardedControlPlane::tick_leases`]
@@ -196,7 +196,7 @@ fn mix64(mut z: u64) -> u64 {
 /// The ring key of a fabric meeting: its id hashed together with its
 /// current home edge, so re-homing a meeting changes its key and
 /// re-evaluates shard ownership (module docs).
-pub fn meeting_key(gmid: GlobalMeetingId, home_edge: usize) -> u64 {
+pub(crate) fn meeting_key(gmid: GlobalMeetingId, home_edge: usize) -> u64 {
     let mut buf = [0u8; 12];
     buf[..4].copy_from_slice(&gmid.to_le_bytes());
     buf[4..].copy_from_slice(&(home_edge as u64).to_le_bytes());
@@ -205,7 +205,7 @@ pub fn meeting_key(gmid: GlobalMeetingId, home_edge: usize) -> u64 {
 
 /// The ring key of an edge switch (decides which shard fronts that
 /// edge's signaling).
-pub fn edge_key(edge: usize) -> u64 {
+pub(crate) fn edge_key(edge: usize) -> u64 {
     fnv1a64(&(edge as u64).to_le_bytes())
 }
 
@@ -218,7 +218,7 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Build a ring for `shards` shards ([`VNODES_PER_SHARD`] virtual
+    /// Build a ring for `shards` shards (`VNODES_PER_SHARD` virtual
     /// nodes each).
     pub fn new(shards: usize) -> HashRing {
         assert!(shards >= 1, "at least one shard");
@@ -242,7 +242,7 @@ impl HashRing {
 
     /// The pure consistent-hash choice: the shard owning the first
     /// virtual node at or after `key` (wrapping).
-    pub fn shard_for(&self, key: u64) -> usize {
+    pub(crate) fn shard_for(&self, key: u64) -> usize {
         let i = self.points.partition_point(|&(p, _)| p < key);
         self.points[i % self.points.len()].1
     }
@@ -250,7 +250,7 @@ impl HashRing {
     /// Every shard in ring order starting at `key`, deduplicated — the
     /// probe sequence of the bounded-loads walk. The first element is
     /// [`Self::shard_for`]`(key)`.
-    pub fn preference(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn preference(&self, key: u64) -> Vec<usize> {
         let start = self.points.partition_point(|&(p, _)| p < key);
         let mut seen = vec![false; self.shards];
         let mut order = Vec::with_capacity(self.shards);
@@ -884,12 +884,6 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Lease ticks a shard has left before its meetings become
-    /// stealable ([`LEASE_TICKS`] for any live shard).
-    pub fn lease_remaining(&self, s: usize) -> u64 {
-        self.lease_left[s]
-    }
-
     /// Steal every meeting whose owner's lease has expired: each is
     /// re-assigned to a live peer by the bounded-loads walk and claimed
     /// under a **bumped epoch**, by the transfer a cooperative handoff
@@ -978,7 +972,7 @@ impl ShardedControlPlane {
     // ------------------------------------------------------------------
 
     /// Re-aim every trunk branch of every meeting against the network
-    /// as it is now — [`Fabric::trunk_addr`] routes around dead cores
+    /// as it is now — `Fabric::trunk_addr` routes around dead cores
     /// and cut trunk links, or back over them once they return — and
     /// return how many branches moved (0 on an unchanged network).
     pub fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
@@ -1360,7 +1354,7 @@ mod tests {
         for _ in 1..LEASE_TICKS {
             plane.tick_leases();
         }
-        assert_eq!(plane.lease_remaining(owner), 0);
+        assert_eq!(plane.lease_left[owner], 0);
 
         // Expired: the peer steals under a bumped epoch.
         assert_eq!(plane.steal_expired_leases(), 1);

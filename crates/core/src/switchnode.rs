@@ -62,7 +62,7 @@ impl SwitchConfig {
     }
 
     /// Builder: choose the rewrite heuristic.
-    pub fn with_mode(mut self, mode: SeqRewriteMode) -> Self {
+    pub(crate) fn with_mode(mut self, mode: SeqRewriteMode) -> Self {
         self.rewrite_mode = mode;
         self
     }
@@ -165,7 +165,7 @@ impl ScallopSwitchNode {
     /// media arrives over `tier` (and prunes that branch tier); returns
     /// the trunk-ingress grant (where the upstream edge must send its
     /// one fabric copy).
-    pub fn join_remote_sender(
+    pub(crate) fn join_remote_sender(
         &mut self,
         meeting: MeetingId,
         home_addr: HostAddr,
@@ -178,21 +178,21 @@ impl ScallopSwitchNode {
     /// Controller RPC: add a trunk-egress branch toward a remote edge —
     /// on [`Tier::Wan`], toward a remote zone's gateway edge (only a
     /// zone gateway holds these).
-    pub fn join_egress(&mut self, meeting: MeetingId, tier: Tier) -> ParticipantId {
+    pub(crate) fn join_egress(&mut self, meeting: MeetingId, tier: Tier) -> ParticipantId {
         self.agent.join_egress(&mut self.dp, meeting, tier)
     }
 
     /// Controller RPC: allocate (idempotently) the feedback-sink port
     /// for a fabric-shared local sender — remote edges forward their
     /// per-edge selected REMB and NACK/PLI here for min-aggregation.
-    pub fn feedback_sink(&mut self, sender: ParticipantId) -> u16 {
+    pub(crate) fn feedback_sink(&mut self, sender: ParticipantId) -> u16 {
         self.agent.feedback_sink(&mut self.dp, sender)
     }
 
     /// Controller RPC: point trunk branch `trunk` at the remote ingress
     /// addresses for local sender `sender`; returns whether that moved
     /// the branch.
-    pub fn set_trunk_dst(
+    pub(crate) fn set_trunk_dst(
         &mut self,
         trunk: ParticipantId,
         sender: ParticipantId,
@@ -205,7 +205,7 @@ impl ScallopSwitchNode {
 
     /// Controller RPC: forget a garbage-collected remote edge's REMB
     /// estimate for local sender `sender`.
-    pub fn clear_remote_est(&mut self, sender: ParticipantId, edge_ip: std::net::Ipv4Addr) {
+    pub(crate) fn clear_remote_est(&mut self, sender: ParticipantId, edge_ip: std::net::Ipv4Addr) {
         self.agent.clear_remote_est(sender, edge_ip);
     }
 

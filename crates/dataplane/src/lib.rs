@@ -40,6 +40,7 @@
 //! Absolute forwarding latency is a calibrated constant (≈1 µs) instead
 //! of a measured one.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod batch;

@@ -20,7 +20,7 @@ use scallop_proto::rtcp;
 use scallop_proto::rtp::RtpView;
 
 /// Maximum extension elements the parse graph can walk (depth budget).
-pub const MAX_EXT_ELEMENTS: usize = 8;
+pub(crate) const MAX_EXT_ELEMENTS: usize = 8;
 
 /// Summary the parser hands to the match-action pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,7 +24,7 @@ pub const MAX_MULTICAST_GROUPS: usize = 65_536;
 /// Maximum L1 nodes across the whole PRE.
 pub const MAX_L1_NODES: usize = 1 << 24;
 /// Maximum RIDs per tree.
-pub const MAX_RIDS_PER_TREE: usize = 65_536;
+pub(crate) const MAX_RIDS_PER_TREE: usize = 65_536;
 
 /// Errors configuring the PRE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

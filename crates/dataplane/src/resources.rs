@@ -12,7 +12,7 @@ use crate::switch::ScallopDataPlane;
 
 /// Total switch SRAM budget used for percentage reporting (Tofino2-class:
 /// ≈240 Mbit of MAU SRAM).
-pub const TOTAL_SRAM_BITS: u64 = 240 * 1024 * 1024;
+pub(crate) const TOTAL_SRAM_BITS: u64 = 240 * 1024 * 1024;
 
 /// How a resource scales with load (Table 3, column 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,29 +53,29 @@ pub struct ResourceRow {
 /// P4 program, reported in Table 3).
 pub mod fixed {
     /// Ingress parser depth budget consumed.
-    pub const PARSE_DEPTH_INGRESS: u8 = 27;
+    pub(crate) const PARSE_DEPTH_INGRESS: u8 = 27;
     /// Egress parser depth.
-    pub const PARSE_DEPTH_EGRESS: u8 = 7;
+    pub(crate) const PARSE_DEPTH_EGRESS: u8 = 7;
     /// Ingress match-action stages.
-    pub const STAGES_INGRESS: u8 = 7;
+    pub(crate) const STAGES_INGRESS: u8 = 7;
     /// Egress match-action stages.
-    pub const STAGES_EGRESS: u8 = 5;
+    pub(crate) const STAGES_EGRESS: u8 = 5;
     /// PHV container utilization.
-    pub const PHV_PCT: f64 = 17.9;
+    pub(crate) const PHV_PCT: f64 = 17.9;
     /// Exact-match crossbar utilization.
-    pub const EXACT_XBAR_PCT: f64 = 5.66;
+    pub(crate) const EXACT_XBAR_PCT: f64 = 5.66;
     /// Ternary crossbar utilization.
-    pub const TERNARY_XBAR_PCT: f64 = 2.52;
+    pub(crate) const TERNARY_XBAR_PCT: f64 = 2.52;
     /// Hash bits consumed.
-    pub const HASH_BITS_PCT: f64 = 4.62;
+    pub(crate) const HASH_BITS_PCT: f64 = 4.62;
     /// Hash distribution units.
-    pub const HASH_DIST_PCT: f64 = 6.94;
+    pub(crate) const HASH_DIST_PCT: f64 = 6.94;
     /// VLIW instructions.
-    pub const VLIW_PCT: f64 = 7.29;
+    pub(crate) const VLIW_PCT: f64 = 7.29;
     /// Logical table ids.
-    pub const LOGICAL_TABLE_PCT: f64 = 21.87;
+    pub(crate) const LOGICAL_TABLE_PCT: f64 = 21.87;
     /// TCAM blocks.
-    pub const TCAM_PCT: f64 = 1.38;
+    pub(crate) const TCAM_PCT: f64 = 1.38;
 }
 
 /// Build the Table 3 report from a live data plane plus the measured

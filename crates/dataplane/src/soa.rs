@@ -116,7 +116,7 @@ impl DensePortRules {
     }
 
     /// Whether `port` falls inside the dense span.
-    pub fn covers(&self, port: u16) -> bool {
+    pub(crate) fn covers(&self, port: u16) -> bool {
         self.base <= port && port < self.limit
     }
 
@@ -221,7 +221,7 @@ impl DensePortRules {
     /// Mirror a removal: clear the slot's match discriminant. Action
     /// data is left in place (an empty discriminant makes it dead, the
     /// way hardware retires an entry without scrubbing its SRAM).
-    pub fn unset(&mut self, port: u16) {
+    pub(crate) fn unset(&mut self, port: u16) {
         if !self.covers(port) {
             return;
         }

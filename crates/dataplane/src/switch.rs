@@ -28,16 +28,16 @@ use crate::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTra
 use crate::soa::DensePortRules;
 use crate::tables::{ExactTable, TableError};
 use scallop_netsim::packet::{BufPool, Packet};
-use scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL;
+use scallop_proto::av1::l1t3;
 use scallop_proto::demux::PacketClass;
 use scallop_proto::rtcp::{self, RtcpRef};
 use std::ops::Range;
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
-pub const PORT_RULE_CAPACITY: usize = 131_072;
+pub(crate) const PORT_RULE_CAPACITY: usize = 131_072;
 /// Capacity of the egress table.
-pub const EGRESS_CAPACITY: usize = 262_144;
+pub(crate) const EGRESS_CAPACITY: usize = 262_144;
 /// Stream Tracker slots (§6.3: 65,536 concurrent rewritten streams).
 pub const STREAM_TRACKER_CAPACITY: usize = 65_536;
 /// First replication id reserved for trunk-egress branches. RIDs at or
@@ -535,9 +535,15 @@ impl ScallopDataPlane {
         c: &mut BatchCaches,
         sink: &mut EmitSink,
     ) {
+        // The packet's temporal layer, read once: it picks the tier's
+        // tree and gates every replica. A packet without a DD is tier 0
+        // and passes every gate.
+        let temporal = rtp
+            .and_then(|r| r.dd)
+            .map_or(0, |d| l1t3::temporal_of(d.template_id));
         match action {
             ReplicationAction::TwoParty { egress } => {
-                self.emit_replica(pkt, rtp, *egress, false, sink);
+                self.emit_replica(pkt, rtp, temporal, *egress, false, sink);
             }
             ReplicationAction::Multicast {
                 mgid_by_tier,
@@ -545,16 +551,7 @@ impl ScallopDataPlane {
                 rid,
                 l2_xid,
             } => {
-                let tier = rtp
-                    .and_then(|r| r.dd)
-                    .map(|d| {
-                        TEMPLATE_TEMPORAL
-                            .get(d.template_id as usize)
-                            .copied()
-                            .unwrap_or(2)
-                    })
-                    .unwrap_or(0) as usize;
-                let mgid = mgid_by_tier[tier.min(2)];
+                let mgid = mgid_by_tier[usize::from(temporal).min(2)];
                 // Replay the flow's egress-resolved replicas when it was
                 // resolved since the last table write, else walk the PRE,
                 // resolve each replica's egress and keep the lot. A failed
@@ -583,7 +580,7 @@ impl ScallopDataPlane {
                     // switches: one fabric copy each, re-fanned by the
                     // remote PRE.
                     let is_trunk = rep.rid >= TRUNK_RID_BASE;
-                    self.emit_replica(pkt, rtp, spec, is_trunk, sink);
+                    self.emit_replica(pkt, rtp, temporal, spec, is_trunk, sink);
                 }
             }
         }
@@ -613,15 +610,17 @@ impl ScallopDataPlane {
         )
     }
 
-    /// Egress pipeline for one replica: SVC gate, sequence rewrite,
-    /// address rewrite. Always inlined, so that it and the Stream
-    /// Tracker's in-order rewrite run in `replicate_media`'s replica loop:
-    /// a plain `#[inline]` leaves it out of line there.
+    /// Egress pipeline for one replica of a packet in layer `temporal`:
+    /// SVC gate, sequence rewrite, address rewrite. Always inlined, so
+    /// that it and the Stream Tracker's in-order rewrite run in
+    /// `replicate_media`'s replica loop: a plain `#[inline]` leaves it
+    /// out of line there.
     #[inline(always)]
     fn emit_replica(
         &mut self,
         pkt: &Packet,
         rtp: Option<&parser::RtpSummary>,
+        temporal: u8,
         spec: EgressSpec,
         is_trunk: bool,
         sink: &mut EmitSink,
@@ -629,10 +628,6 @@ impl ScallopDataPlane {
         let mut rewritten_seq: Option<u16> = None;
         if let Some(rtp) = rtp {
             if let Some(dd) = rtp.dd {
-                let temporal = TEMPLATE_TEMPORAL
-                    .get(dd.template_id as usize)
-                    .copied()
-                    .unwrap_or(2);
                 let suppress = temporal > spec.max_temporal;
                 if let Some(idx) = spec.rewrite_index {
                     let verdict = if suppress {

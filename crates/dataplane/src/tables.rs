@@ -169,13 +169,8 @@ impl<K: Eq + Hash + Clone, V> ExactTable<K, V> {
     }
 
     /// SRAM bits consumed by installed entries.
-    pub fn sram_bits_used(&self) -> usize {
+    pub(crate) fn sram_bits_used(&self) -> usize {
         self.map.len() * self.entry_bits
-    }
-
-    /// SRAM bits provisioned (capacity × entry size).
-    pub fn sram_bits_provisioned(&self) -> usize {
-        self.capacity * self.entry_bits
     }
 
     /// Install an entry. Fails on duplicate key or full table.
@@ -295,7 +290,6 @@ mod tests {
             t.insert(k, 0).unwrap();
         }
         assert_eq!(t.sram_bits_used(), 1280);
-        assert_eq!(t.sram_bits_provisioned(), 12_800);
         t.remove(&0);
         assert_eq!(t.sram_bits_used(), 1152);
     }

@@ -40,16 +40,12 @@ pub struct AudioPacket {
 #[derive(Debug, Clone)]
 pub struct AudioSource {
     config: AudioConfig,
-    packets_produced: u64,
 }
 
 impl AudioSource {
     /// Create a source.
     pub fn new(config: AudioConfig) -> Self {
-        AudioSource {
-            config,
-            packets_produced: 0,
-        }
+        AudioSource { config }
     }
 
     /// Interval between packets.
@@ -64,17 +60,11 @@ impl AudioSource {
 
     /// Produce the packet captured at `now`.
     pub fn produce(&mut self, now: SimTime) -> AudioPacket {
-        self.packets_produced += 1;
         AudioPacket {
             size_bytes: self.config.payload_bytes,
             captured_at: now,
             rtp_timestamp: ((now.as_secs_f64() * 48_000.0) as u64 & 0xFFFF_FFFF) as u32,
         }
-    }
-
-    /// Packets produced so far.
-    pub fn packets_produced(&self) -> u64 {
-        self.packets_produced
     }
 }
 
@@ -96,7 +86,6 @@ mod tests {
         let mut src = AudioSource::new(AudioConfig::default());
         let p1 = src.produce(SimTime::ZERO);
         let p2 = src.produce(SimTime::from_millis(20));
-        assert_eq!(src.packets_produced(), 2);
         assert_eq!(p1.size_bytes, 128);
         // 20 ms at 48 kHz = 960 ticks.
         assert_eq!(p2.rtp_timestamp - p1.rtp_timestamp, 960);

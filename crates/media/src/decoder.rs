@@ -402,10 +402,7 @@ impl Decoder {
         if start_of_frame {
             entry.first_seq = Some(seq);
             // Temporal layer from the L1T3 template mapping.
-            entry.temporal_id = scallop_proto::av1::l1t3::TEMPLATE_TEMPORAL
-                .get(template_id as usize)
-                .copied()
-                .unwrap_or(2);
+            entry.temporal_id = scallop_proto::av1::l1t3::temporal_of(template_id);
         }
         if end_of_frame {
             entry.end_seq = Some(seq);
@@ -461,26 +458,6 @@ impl Decoder {
             }
         }
         self.recent_decodes.len() as f64 / window.as_secs_f64()
-    }
-
-    /// Internal-state snapshot for debugging and verification tooling.
-    pub fn debug_state(&self) -> String {
-        let head = self.frames.iter().next().map(|(k, a)| {
-            format!(
-                "head_frame={} first={:?} end={:?} recv={} key={}",
-                k, a.first_seq, a.end_seq, a.received, a.is_key
-            )
-        });
-        format!(
-            "broken={} frames={} missing={} floor={} highest={:?} last_decoded={:?} {:?}",
-            self.broken,
-            self.frames.len(),
-            self.missing.len(),
-            self.floor(),
-            self.highest_seq,
-            self.last_decoded,
-            head
-        )
     }
 
     fn enter_freeze(&mut self, now: SimTime, reason: FreezeReason, events: &mut Vec<DecoderEvent>) {
@@ -894,7 +871,7 @@ mod tests {
         let pkts = stream(1, 1000);
         let mut dec = Decoder::new(DecoderConfig::default());
         dec.on_packet(SimTime::ZERO, &pkts[0]);
-        let before = dec.debug_state();
+        let before = format!("{dec:?}");
         let mut big = pkts[0].clone();
         big.payload = bytes::Bytes::from(vec![0u8; 65_536 + 1000]);
         assert!(dec.on_packet(SimTime::from_millis(1), &big).is_empty());
@@ -902,7 +879,7 @@ mod tests {
             dec.stats.benign_duplicates + dec.stats.sequence_collisions,
             0
         );
-        assert_eq!(dec.debug_state(), before);
+        assert_eq!(format!("{dec:?}"), before);
     }
 
     #[test]

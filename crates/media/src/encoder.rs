@@ -99,8 +99,6 @@ pub struct VideoEncoder {
     target_bitrate_bps: u64,
     next_frame_number: u16,
     last_key_at: Option<SimTime>,
-    frames_produced: u64,
-    bytes_produced: u64,
     /// Rate-control debt: bytes emitted above the per-frame budget.
     /// Oversized key frames are amortized by shrinking the following
     /// delta frames, keeping the *average* rate at the target — without
@@ -118,8 +116,6 @@ impl VideoEncoder {
             schedule: L1T3Schedule::new(),
             next_frame_number: 0,
             last_key_at: None,
-            frames_produced: 0,
-            bytes_produced: 0,
             debt_bytes: 0.0,
         }
     }
@@ -175,8 +171,6 @@ impl VideoEncoder {
         self.debt_bytes = (self.debt_bytes + size_bytes as f64 - base).max(0.0);
         let frame_number = self.next_frame_number;
         self.next_frame_number = self.next_frame_number.wrapping_add(1);
-        self.frames_produced += 1;
-        self.bytes_produced += size_bytes as u64;
         EncodedFrame {
             frame_number,
             label: label.into(),
@@ -184,16 +178,6 @@ impl VideoEncoder {
             captured_at: now,
             rtp_timestamp: ((now.as_secs_f64() * 90_000.0) as u64 & 0xFFFF_FFFF) as u32,
         }
-    }
-
-    /// Total frames produced.
-    pub fn frames_produced(&self) -> u64 {
-        self.frames_produced
-    }
-
-    /// Total bytes produced.
-    pub fn bytes_produced(&self) -> u64 {
-        self.bytes_produced
     }
 }
 
@@ -220,8 +204,8 @@ mod tests {
             key_interval: None,
             ..Default::default()
         };
-        let (enc, _) = run_encoder(cfg, 10);
-        let bits = enc.bytes_produced() as f64 * 8.0;
+        let (_, frames) = run_encoder(cfg, 10);
+        let bits = frames.iter().map(|f| f.size_bytes).sum::<usize>() as f64 * 8.0;
         let rate = bits / 10.0;
         // One key frame adds a little; within 5 %.
         assert!(

@@ -25,6 +25,7 @@
 //! (packet sizes, cadence, layer labels, decode/freeze dynamics) is
 //! faithful.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod audio;

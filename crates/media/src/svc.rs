@@ -26,28 +26,9 @@ pub enum TemporalLayer {
 }
 
 impl TemporalLayer {
-    /// Construct from an id (clamped to T2).
-    pub fn from_id(id: u8) -> TemporalLayer {
-        match id {
-            0 => TemporalLayer::T0,
-            1 => TemporalLayer::T1,
-            _ => TemporalLayer::T2,
-        }
-    }
-
     /// Numeric id (0–2).
     pub fn id(self) -> u8 {
         self as u8
-    }
-
-    /// Fraction of full frame rate delivered when this is the highest
-    /// layer forwarded: T0 = 1/4, T1 = 1/2, T2 = 1.
-    pub fn rate_fraction(self) -> f64 {
-        match self {
-            TemporalLayer::T0 => 0.25,
-            TemporalLayer::T1 => 0.5,
-            TemporalLayer::T2 => 1.0,
-        }
     }
 }
 
@@ -88,7 +69,7 @@ impl L1T3Schedule {
 
     /// Request that the next emitted frame be a key frame (PLI handling,
     /// §5.5). The cadence restarts at the key frame.
-    pub fn request_key(&mut self) {
+    pub(crate) fn request_key(&mut self) {
         self.key_pending = true;
     }
 
@@ -127,17 +108,6 @@ impl L1T3Schedule {
                 is_key: false,
             },
         }
-    }
-}
-
-/// Dependency rule of Fig. 9: the temporal layer a frame's reference must
-/// come from. T0 references the previous T0; T1 references the nearest
-/// earlier T0; T2 references the nearest earlier frame of any lower layer.
-pub fn reference_layer(t: TemporalLayer) -> Option<TemporalLayer> {
-    match t {
-        TemporalLayer::T0 => Some(TemporalLayer::T0),
-        TemporalLayer::T1 => Some(TemporalLayer::T0),
-        TemporalLayer::T2 => Some(TemporalLayer::T1), // T1-or-T0; T1 cadence guarantees one within 2 frames
     }
 }
 
@@ -217,24 +187,11 @@ mod tests {
     #[test]
     fn rate_fractions_and_forwarding() {
         use TemporalLayer::*;
-        assert_eq!(T0.rate_fraction(), 0.25);
-        assert_eq!(T1.rate_fraction(), 0.5);
-        assert_eq!(T2.rate_fraction(), 1.0);
         // Dropping ids 3,4 = keeping up to T1 = 15 fps (§5.4).
         assert!(forwarded(T0, T1));
         assert!(forwarded(T1, T1));
         assert!(!forwarded(T2, T1));
         assert!(forwarded(T2, T2));
         assert!(!forwarded(T1, T0));
-    }
-
-    #[test]
-    fn reference_layers() {
-        use TemporalLayer::*;
-        assert_eq!(reference_layer(T0), Some(T0));
-        assert_eq!(reference_layer(T1), Some(T0));
-        assert_eq!(reference_layer(T2), Some(T1));
-        assert_eq!(TemporalLayer::from_id(0), T0);
-        assert_eq!(TemporalLayer::from_id(7), T2);
     }
 }

@@ -29,7 +29,7 @@
 //!   [`Simulator::restore_link`] splices it back.
 //! * [`Simulator::partition`] isolates a node set: packets crossing the
 //!   boundary are discarded, traffic wholly on either side flows
-//!   normally; [`Simulator::heal_partition`] reconnects.
+//!   normally; partitioning the empty set reconnects.
 //!
 //! Discards are counted in
 //! [`SimStats::packets_failstopped`](crate::sim::SimStats), separate
@@ -41,7 +41,6 @@
 //! [`Simulator::cut_link`]: crate::sim::Simulator::cut_link
 //! [`Simulator::restore_link`]: crate::sim::Simulator::restore_link
 //! [`Simulator::partition`]: crate::sim::Simulator::partition
-//! [`Simulator::heal_partition`]: crate::sim::Simulator::heal_partition
 
 use crate::rng::DetRng;
 use crate::time::SimDuration;
@@ -68,30 +67,6 @@ pub enum LossModel {
         /// Loss probability while in Bad state.
         loss_bad: f64,
     },
-}
-
-impl LossModel {
-    /// Mean loss rate of the stationary process (for reporting).
-    pub fn mean_loss_rate(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Bernoulli { p } => p.clamp(0.0, 1.0),
-            LossModel::GilbertElliott {
-                p_g2b,
-                p_b2g,
-                loss_good,
-                loss_bad,
-            } => {
-                // Stationary distribution of the 2-state chain.
-                let denom = p_g2b + p_b2g;
-                if denom <= 0.0 {
-                    return loss_good.clamp(0.0, 1.0);
-                }
-                let pi_bad = p_g2b / denom;
-                (1.0 - pi_bad) * loss_good.clamp(0.0, 1.0) + pi_bad * loss_bad.clamp(0.0, 1.0)
-            }
-        }
-    }
 }
 
 /// Additional random per-packet delay.
@@ -218,7 +193,7 @@ impl FaultInjector {
 
     /// Replace the configuration at runtime (used by experiments that
     /// degrade a participant's downlink mid-meeting, e.g. Fig. 14).
-    pub fn set_config(&mut self, config: FaultConfig) {
+    pub(crate) fn set_config(&mut self, config: FaultConfig) {
         self.config = config;
     }
 
@@ -285,20 +260,21 @@ impl FaultInjector {
             duplicate: self.config.duplicate_prob > 0.0 && rng.chance(self.config.duplicate_prob),
         }
     }
-
-    /// Observed loss rate so far.
-    pub fn observed_loss_rate(&self) -> f64 {
-        if self.packets_seen == 0 {
-            0.0
-        } else {
-            self.packets_dropped as f64 / self.packets_seen as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dropped_share(inj: &FaultInjector) -> f64 {
+        inj.packets_dropped as f64 / inj.packets_seen as f64
+    }
+
+    /// Loss rate of a Gilbert–Elliott chain in its stationary state.
+    fn stationary_loss(p_g2b: f64, p_b2g: f64, loss_good: f64, loss_bad: f64) -> f64 {
+        let pi_bad = p_g2b / (p_g2b + p_b2g);
+        (1.0 - pi_bad) * loss_good + pi_bad * loss_bad
+    }
 
     #[test]
     fn clean_link_never_drops() {
@@ -319,7 +295,7 @@ mod tests {
         for _ in 0..50_000 {
             inj.judge(&mut rng);
         }
-        assert!((inj.observed_loss_rate() - 0.2).abs() < 0.01);
+        assert!((dropped_share(&inj) - 0.2).abs() < 0.01);
     }
 
     #[test]
@@ -338,11 +314,11 @@ mod tests {
         for _ in 0..200_000 {
             inj.judge(&mut rng);
         }
-        let expected = model.mean_loss_rate();
+        let expected = stationary_loss(0.05, 0.25, 0.01, 0.5);
         assert!(
-            (inj.observed_loss_rate() - expected).abs() < 0.01,
+            (dropped_share(&inj) - expected).abs() < 0.01,
             "observed {} expected {}",
-            inj.observed_loss_rate(),
+            dropped_share(&inj),
             expected
         );
     }
@@ -357,7 +333,7 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 0.9,
         };
-        let mean = ge.mean_loss_rate();
+        let mean = stationary_loss(0.01, 0.2, 0.0, 0.9);
         let run_len = |model: LossModel, seed: u64| {
             let mut inj = FaultInjector::new(FaultConfig {
                 loss: model,
@@ -428,18 +404,5 @@ mod tests {
             }
         }
         assert!((300..700).contains(&spikes), "spikes {spikes}");
-    }
-
-    #[test]
-    fn mean_loss_rate_edge_cases() {
-        assert_eq!(LossModel::None.mean_loss_rate(), 0.0);
-        assert_eq!(LossModel::Bernoulli { p: 2.0 }.mean_loss_rate(), 1.0);
-        let degenerate = LossModel::GilbertElliott {
-            p_g2b: 0.0,
-            p_b2g: 0.0,
-            loss_good: 0.1,
-            loss_bad: 0.9,
-        };
-        assert!((degenerate.mean_loss_rate() - 0.1).abs() < 1e-12);
     }
 }

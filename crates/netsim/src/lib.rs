@@ -29,6 +29,7 @@
 //! routing protocol, no TCP, no ARP, and no real I/O — experiments here need
 //! only UDP-like datagram delivery with controllable impairments.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod fault;

@@ -159,7 +159,7 @@ impl Link {
 
     /// Backlog currently queued ahead of a new arrival, in bytes
     /// (0 for infinite-rate links).
-    pub fn backlog_bytes(&self, now: SimTime) -> usize {
+    pub(crate) fn backlog_bytes(&self, now: SimTime) -> usize {
         // An idle transmitter has nothing queued: 0, as the formula below
         // gives for a zero backlog, without the float math.
         if self.config.rate_bps == 0 || self.busy_until <= now {

@@ -34,14 +34,6 @@ impl HostAddr {
     pub const fn new(ip: Ipv4Addr, port: u16) -> Self {
         HostAddr { ip, port }
     }
-
-    /// Convenience constructor from octets.
-    pub const fn from_octets(a: u8, b: u8, c: u8, d: u8, port: u16) -> Self {
-        HostAddr {
-            ip: Ipv4Addr::new(a, b, c, d),
-            port,
-        }
-    }
 }
 
 impl fmt::Display for HostAddr {
@@ -133,11 +125,6 @@ impl Packet {
     /// Total on-the-wire size (payload + L2/L3/L4 headers).
     pub fn wire_len(&self) -> usize {
         self.payload.len() + WIRE_OVERHEAD_BYTES
-    }
-
-    /// Total on-the-wire size in bits.
-    pub fn wire_bits(&self) -> u64 {
-        self.wire_len() as u64 * 8
     }
 
     /// Return a copy re-addressed to a new source/destination pair, sharing
@@ -237,7 +224,7 @@ mod tests {
     use super::*;
 
     fn addr(last: u8, port: u16) -> HostAddr {
-        HostAddr::from_octets(10, 0, 0, last, port)
+        HostAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
     }
 
     #[test]
@@ -245,7 +232,6 @@ mod tests {
         let p = Packet::new(addr(1, 1000), addr(2, 2000), vec![0u8; 1200]);
         assert_eq!(p.payload_len(), 1200);
         assert_eq!(p.wire_len(), 1200 + WIRE_OVERHEAD_BYTES);
-        assert_eq!(p.wire_bits(), ((1200 + WIRE_OVERHEAD_BYTES) * 8) as u64);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl<T> CalendarQueue<T> {
 
     /// Remove and return the earliest entry if it is due by `deadline`
     /// (inclusive). A refusal leaves the queue exactly as it was.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<Entry<T>> {
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<Entry<T>> {
         if self.ring_len == 0 {
             // Nothing near: jump the window to the earliest far event.
             let next = self.far.peek()?;

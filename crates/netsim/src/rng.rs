@@ -36,15 +36,8 @@ impl DetRng {
         }
     }
 
-    /// Derive an independent child generator. Used to give each link /
-    /// workload component its own stream so adding a component never
-    /// perturbs the draws of another.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64())
-    }
-
     /// A raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -159,15 +152,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut parent = DetRng::new(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        // Children produce different streams from each other and the parent.
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

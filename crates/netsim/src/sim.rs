@@ -73,7 +73,6 @@ pub trait Node: Any {
 /// The node-facing API surface for interacting with the world.
 pub struct Ctx<'a> {
     now: SimTime,
-    self_id: NodeId,
     rng: &'a mut DetRng,
     outbox: &'a mut Vec<Packet>,
     timers: &'a mut Vec<(SimTime, TimerToken)>,
@@ -83,11 +82,6 @@ impl<'a> Ctx<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The id of the node being invoked.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
     }
 
     /// Send a packet. It departs through this node's uplink at the current
@@ -375,11 +369,6 @@ impl Simulator {
         self.partitioned = group.iter().map(|id| id.0).collect();
     }
 
-    /// Heal the active partition (equivalent to `partition(&[])`).
-    pub fn heal_partition(&mut self) {
-        self.partitioned.clear();
-    }
-
     fn pair_key(a: NodeId, b: NodeId) -> (usize, usize) {
         if a.0 <= b.0 {
             (a.0, b.0)
@@ -409,12 +398,6 @@ impl Simulator {
         }
     }
 
-    /// Schedule a timer for a node from outside the simulation.
-    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
-        let at = at.max(self.now);
-        self.queue.push(at, EventKind::Timer { node, token });
-    }
-
     /// Run node code with a context, then process its side effects. The
     /// node is called where it sits, lent the RNG and the timer list
     /// beside it; only the outbox is moved out, because transmitting it
@@ -426,7 +409,6 @@ impl Simulator {
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = Ctx {
             now: self.now,
-            self_id: id,
             rng: &mut self.rng,
             outbox: &mut outbox,
             timers: &mut self.timers,
@@ -847,10 +829,17 @@ mod tests {
                 cfg,
                 cfg,
             );
-            sim.schedule_timer(SimTime::from_millis(pending_ms), first, TimerToken(99));
+            sim.inject(
+                SimTime::from_millis(pending_ms),
+                Packet::new(
+                    HostAddr::new(ip(50), 1),
+                    HostAddr::new(ip(2), 5000),
+                    vec![99u8; 8],
+                ),
+            );
             sim.run_until(SimTime::from_millis(10));
             assert_eq!(sim.now(), SimTime::from_millis(10));
-            assert_eq!(sim.pending_events(), 1, "stopped short of the timer");
+            assert_eq!(sim.pending_events(), 1, "stopped short of the packet");
 
             sim.inject(
                 sim.now(),
@@ -882,9 +871,10 @@ mod tests {
                     ("packet", 0),
                     ("timer", 0),
                     ("timer", 0),
+                    ("packet", 99),
                     ("timer", 99),
                 ],
-                "pending timer at {pending_ms} ms"
+                "pending packet at {pending_ms} ms"
             );
         }
     }
@@ -1113,7 +1103,7 @@ mod tests {
         let e: &mut Echo = sim.node_mut(echo).unwrap();
         assert_eq!(e.received, 0);
         assert_eq!(sim.stats.packets_failstopped, 3);
-        sim.heal_partition();
+        sim.partition(&[]);
         sim.inject(
             SimTime::from_secs(2),
             Packet::new(
@@ -1138,7 +1128,7 @@ mod tests {
                 sim.cut_link(pinger, NodeId(0));
                 sim.restore_link(pinger, NodeId(0));
                 sim.partition(&[pinger]);
-                sim.heal_partition();
+                sim.partition(&[]);
             }
             sim.run_until(SimTime::from_secs(1));
             let p: &mut Pinger = sim.node_mut(pinger).unwrap();

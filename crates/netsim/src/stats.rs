@@ -1,58 +1,11 @@
 //! Streaming statistics shared by the experiment harnesses.
 //!
 //! Small, dependency-free estimators used everywhere the paper reports a
-//! statistic: Welford mean/variance, exact percentiles over retained
-//! samples (the evaluation's CDFs and tail-jitter plots), EWMA (the §5.3
-//! feedback filter), and fixed-width time-series binning.
+//! statistic: exact percentiles over retained samples (the evaluation's
+//! CDFs and tail-jitter plots), EWMA (the §5.3 feedback filter), and
+//! fixed-width time-series binning.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Welford online mean/variance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// Percentile estimator that retains all samples (exact; suitable for the
 /// 10^5–10^6 sample sizes of these experiments).
@@ -162,11 +115,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Drop all state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 /// Accumulates a value per fixed-width time bin — used for every
@@ -206,17 +154,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// `(bin_start_seconds, sum / bin_seconds)` — converts byte counts to
-    /// rates, event counts to frequencies.
-    pub fn rate_points(&self) -> Vec<(f64, f64)> {
-        let w = self.bin.as_secs_f64();
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as f64 * w, *v / w))
-            .collect()
-    }
-
     /// Maximum bin value.
     pub fn max(&self) -> f64 {
         self.bins.iter().cloned().fold(0.0, f64::max)
@@ -226,29 +163,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_degenerate_cases() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.add(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 0.0);
-    }
 
     #[test]
     fn percentiles_exact() {
@@ -297,8 +211,7 @@ mod tests {
         assert_eq!(e.update(10.0), 10.0);
         assert_eq!(e.update(20.0), 15.0);
         assert_eq!(e.update(20.0), 17.5);
-        e.reset();
-        assert_eq!(e.value(), None);
+        assert_eq!(e.value(), Some(17.5));
     }
 
     #[test]
@@ -313,10 +226,9 @@ mod tests {
         ts.add(SimTime::from_millis(100), 10.0);
         ts.add(SimTime::from_millis(900), 20.0);
         ts.add(SimTime::from_millis(1500), 5.0);
+        // One-second bins: each sum is also the bin's per-second rate.
         let pts = ts.points();
         assert_eq!(pts, vec![(0.0, 30.0), (1.0, 5.0)]);
-        let rates = ts.rate_points();
-        assert_eq!(rates, vec![(0.0, 30.0), (1.0, 5.0)]);
         assert_eq!(ts.max(), 30.0);
     }
 }

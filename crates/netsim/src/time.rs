@@ -69,11 +69,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -104,11 +99,6 @@ impl SimDuration {
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "duration cannot be negative");
         SimDuration((s * 1e9).round() as u64)
-    }
-
-    /// Construct from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
     }
 
     /// Raw nanoseconds.
@@ -264,7 +254,7 @@ mod tests {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.as_nanos(), 1_500_000_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
-        let d = SimDuration::from_millis_f64(2.5);
+        let d = SimDuration::from_secs_f64(0.0025);
         assert_eq!(d.as_nanos(), 2_500_000);
     }
 
@@ -306,8 +296,6 @@ mod tests {
         let b = SimTime::from_millis(9);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(4));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_millis(4)));
     }
 
     #[test]

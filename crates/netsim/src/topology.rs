@@ -61,17 +61,17 @@ pub struct SwitchSpec {
 }
 
 /// First SFU port of edge 0 (matches the single-switch deployment).
-pub const FIRST_PORT_BASE: u16 = 10_000;
+pub(crate) const FIRST_PORT_BASE: u16 = 10_000;
 
 /// Maximum edges per fabric. The u16 port space above
 /// [`FIRST_PORT_BASE`] is split evenly across edges, so more edges mean
 /// fewer SFU ports (≈ stream pairs) per edge; 64 edges still leaves
 /// ~860 ports each.
-pub const MAX_EDGES: usize = 64;
+pub(crate) const MAX_EDGES: usize = 64;
 
 /// Maximum zones per federation: a full WAN mesh of 6 zones is 15
 /// links, which fits the 16-slot `10.0.240+` gateway address plan.
-pub const MAX_ZONES: usize = 6;
+pub(crate) const MAX_ZONES: usize = 6;
 
 /// One inter-campus WAN link joining two zones, with the routing
 /// metrics the zone tier places and routes on. Unlike intra-campus
@@ -243,7 +243,7 @@ impl Topology {
     }
 
     /// Core relays per zone.
-    pub fn cores_per_zone(&self) -> usize {
+    pub(crate) fn cores_per_zone(&self) -> usize {
         self.core_count() / self.zones
     }
 
@@ -346,7 +346,7 @@ impl Topology {
     }
 
     /// Number of core switches.
-    pub fn core_count(&self) -> usize {
+    pub(crate) fn core_count(&self) -> usize {
         self.switches.len() - self.edge_count()
     }
 
@@ -384,7 +384,7 @@ impl Topology {
     }
 
     /// Width of each edge's private UDP port range: the space above
-    /// [`FIRST_PORT_BASE`] split evenly across this fabric's edges. A
+    /// `FIRST_PORT_BASE` split evenly across this fabric's edges. A
     /// single-edge fabric keeps the whole range, exactly like the seed
     /// single-switch deployment.
     pub fn port_span(&self) -> u16 {
@@ -401,24 +401,6 @@ impl Topology {
     /// routing would misdeliver).
     pub fn port_limit(&self, i: usize) -> u16 {
         self.port_base(i).saturating_add(self.port_span())
-    }
-
-    /// The edge index owning `port`, per the disjoint port-range plan.
-    ///
-    /// Out-of-range ports are rejected explicitly: anything below
-    /// [`FIRST_PORT_BASE`] and anything at or above the last edge's
-    /// [`Topology::port_limit`] (the u16 remainder the even split
-    /// leaves unused) maps to no edge — a malformed port must never
-    /// silently resolve into a neighbouring zone's range.
-    pub fn edge_of_port(&self, port: u16) -> Option<usize> {
-        if port < FIRST_PORT_BASE {
-            return None;
-        }
-        let edge = ((port - FIRST_PORT_BASE) / self.port_span()) as usize;
-        if edge >= self.edge_count() {
-            return None;
-        }
-        Some(edge)
     }
 
     /// Which core relays traffic from edge `a` to edge `b`, or `None`
@@ -482,6 +464,22 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// The port-range plan: edge 0 starts at [`FIRST_PORT_BASE`], each
+    /// edge's span is non-empty and ends where the next one starts, and
+    /// the last one ends inside the u16 space. Returns the last edge's
+    /// limit (the start of the unused tail).
+    fn assert_ranges_tile(t: &Topology) -> u16 {
+        assert_eq!(t.port_base(0), FIRST_PORT_BASE);
+        for i in 0..t.edge_count() {
+            assert!(t.port_base(i) < t.port_limit(i), "edge {i} has ports");
+            assert_eq!(t.port_limit(i) - t.port_base(i), t.port_span());
+            if i > 0 {
+                assert_eq!(t.port_limit(i - 1), t.port_base(i), "edge {i}");
+            }
+        }
+        t.port_limit(t.edge_count() - 1)
+    }
+
     #[test]
     fn single_topology_matches_seed_plan() {
         let t = Topology::single(Ipv4Addr::new(10, 0, 0, 100));
@@ -502,16 +500,12 @@ mod tests {
 
     #[test]
     fn port_ranges_are_disjoint_and_invertible() {
-        let t = Topology::campus(8, 1);
-        for i in 0..8usize {
-            let base = t.port_base(i);
-            assert_eq!(t.edge_of_port(base), Some(i));
-            assert_eq!(t.edge_of_port(t.port_limit(i) - 1), Some(i));
-        }
-        assert_eq!(t.edge_of_port(9_999), None);
-        // Ranges tile the space with no overlap.
-        for i in 1..8usize {
-            assert_eq!(t.port_limit(i - 1), t.port_base(i));
+        // Disjoint and ascending, every port names at most one edge.
+        for edges in [1, 4, 8, 64] {
+            let t = Topology::campus(edges, 1);
+            let tail = assert_ranges_tile(&t);
+            // The even split leaves fewer than `edges` ports unused.
+            assert!(usize::from(u16::MAX - tail) < edges.max(2), "{edges} edges");
         }
     }
 
@@ -523,8 +517,7 @@ mod tests {
         assert_eq!(t.port_span(), u16::MAX - FIRST_PORT_BASE);
         assert_eq!(t.port_base(0), FIRST_PORT_BASE);
         assert_eq!(t.port_limit(0), u16::MAX);
-        assert_eq!(t.edge_of_port(FIRST_PORT_BASE), Some(0));
-        assert_eq!(t.edge_of_port(u16::MAX - 1), Some(0));
+        assert_eq!(assert_ranges_tile(&t), u16::MAX);
     }
 
     #[test]
@@ -535,14 +528,8 @@ mod tests {
         let t = Topology::campus(64, 2);
         assert_eq!(t.port_span(), (u16::MAX - FIRST_PORT_BASE) / 64);
         assert_eq!(t.port_span(), 867);
-        for i in 1..64usize {
-            assert_eq!(t.port_limit(i - 1), t.port_base(i));
-        }
-        assert_eq!(t.edge_of_port(t.port_base(63)), Some(63));
-        assert_eq!(t.edge_of_port(t.port_limit(63) - 1), Some(63));
-        // The remainder past the last edge's limit maps to no edge.
-        assert_eq!(t.edge_of_port(t.port_limit(63)), None);
-        assert_eq!(t.edge_of_port(u16::MAX), None);
+        // The remainder past the last edge's limit belongs to no edge.
+        assert_eq!(assert_ranges_tile(&t), FIRST_PORT_BASE + 64 * 867);
         // Every edge still has room for its local members plus one
         // remote-sender entry per peer edge (2 ports each).
         assert!(u64::from(t.port_span()) > 2 * 64);
@@ -556,6 +543,7 @@ mod tests {
         let t = Topology::federation(4, 16, 0);
         assert_eq!(t.edge_count(), 64);
         assert_eq!(t.port_span(), 867);
+        assert_ranges_tile(&t);
         for z in 0..4usize {
             let edges = t.zone_edges(z);
             // The zone's block is contiguous and starts where the
@@ -565,7 +553,6 @@ mod tests {
                 FIRST_PORT_BASE + edges.start as u16 * 867
             );
             for e in edges {
-                assert_eq!(t.edge_of_port(t.port_base(e)), Some(e));
                 assert_eq!(t.zone_of_edge(e), z);
             }
         }
@@ -710,18 +697,14 @@ mod tests {
     }
 
     #[test]
-    fn edge_of_port_respects_zone_boundaries() {
+    fn port_ranges_respect_zone_boundaries() {
         let t = Topology::federation(2, 2, 0);
-        // The zone 0 / zone 1 boundary sits between edges 1 and 2.
-        let boundary = t.port_base(2);
-        assert_eq!(t.edge_of_port(boundary - 1), Some(1));
-        assert_eq!(t.edge_of_port(boundary), Some(2));
+        // The zone 0 / zone 1 boundary sits between edges 1 and 2: the
+        // last port of edge 1 is zone 0's, the next one zone 1's.
+        assert_eq!(t.port_limit(1), t.port_base(2));
         assert_eq!(t.zone_of_edge(1), 0);
         assert_eq!(t.zone_of_edge(2), 1);
-        // Below the plan and beyond the last edge's limit: no edge, no
-        // silent wrap into another range.
-        assert_eq!(t.edge_of_port(FIRST_PORT_BASE - 1), None);
-        assert_eq!(t.edge_of_port(t.port_limit(3)), None);
-        assert_eq!(t.edge_of_port(u16::MAX), None);
+        // Beyond the last edge's limit lies only the unused tail.
+        assert!(assert_ranges_tile(&t) < u16::MAX);
     }
 }

@@ -63,11 +63,6 @@ impl TraceSink {
         }
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one packet (no-op when disabled or full).
     pub fn record(&mut self, rec: TraceRecord) {
         if !self.enabled {
@@ -123,7 +118,6 @@ mod tests {
         let mut sink = TraceSink::disabled();
         sink.record(rec(1));
         assert!(sink.is_empty());
-        assert!(!sink.is_enabled());
     }
 
     #[test]

@@ -102,37 +102,6 @@ impl TemplateStructure {
             ],
         }
     }
-
-    /// Temporal layer of a template id, accounting for the id offset.
-    /// Returns `None` for ids outside the structure.
-    pub fn temporal_of(&self, template_id: u8) -> Option<u8> {
-        let idx = (template_id as usize).checked_sub(self.template_id_offset as usize)?;
-        self.templates.get(idx).map(|t| t.temporal_id)
-    }
-
-    /// Whether a template id is needed by the given decode target.
-    pub fn needed_by(&self, template_id: u8, decode_target: u8) -> Option<bool> {
-        let idx = (template_id as usize).checked_sub(self.template_id_offset as usize)?;
-        let tpl = self.templates.get(idx)?;
-        let dti = tpl.dtis.get(decode_target as usize)?;
-        Some(!matches!(dti, Dti::NotPresent))
-    }
-
-    /// The highest temporal id present in any template for the decode
-    /// target — i.e. the frame-rate tier the target delivers.
-    pub fn max_temporal_for_target(&self, decode_target: u8) -> u8 {
-        self.templates
-            .iter()
-            .filter(|t| {
-                t.dtis
-                    .get(decode_target as usize)
-                    .map(|d| !matches!(d, Dti::NotPresent))
-                    .unwrap_or(false)
-            })
-            .map(|t| t.temporal_id)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// An AV1 dependency descriptor.
@@ -300,27 +269,22 @@ impl DependencyDescriptor {
     }
 }
 
-/// The paper's L1T3 layer semantics (§5.4): which decode target delivers
-/// which frame rate.
+/// The paper's L1T3 layer semantics (§5.4): which template id carries
+/// which temporal layer.
 pub mod l1t3 {
-    /// Frame rate of each decode target (DT0..DT2).
-    pub const TARGET_FPS: [f64; 3] = [7.5, 15.0, 30.0];
-    /// Number of decode targets.
-    pub const DECODE_TARGETS: u8 = 3;
-    /// Highest temporal layer id.
-    pub const MAX_TEMPORAL: u8 = 2;
-
     /// Temporal layer of each of the five L1T3 templates
     /// (ids 0,1 → T0; 2 → T1; 3,4 → T2), per §5.4.
     pub const TEMPLATE_TEMPORAL: [u8; 5] = [0, 0, 1, 2, 2];
 
-    /// The highest temporal id included in a decode target.
-    pub const fn max_temporal_for_target(dt: u8) -> u8 {
-        if dt >= 2 {
-            2
-        } else {
-            dt
-        }
+    /// Temporal layer of L1T3 template `template_id`, the one reading of
+    /// [`TEMPLATE_TEMPORAL`]. An id outside the five templates counts as
+    /// T2, the top layer, which every thinned receiver drops first.
+    #[inline]
+    pub fn temporal_of(template_id: u8) -> u8 {
+        TEMPLATE_TEMPORAL
+            .get(usize::from(template_id))
+            .copied()
+            .unwrap_or(2)
     }
 }
 
@@ -361,33 +325,21 @@ mod tests {
         let s = TemplateStructure::l1t3();
         // §5.4: "Template ids 0 and 1 represent the base layer (7.5 fps),
         // id 2 the first enhancement layer (15 fps), and ids 3 and 4 the
-        // second enhancement layer (30 fps)."
-        assert_eq!(s.temporal_of(0), Some(0));
-        assert_eq!(s.temporal_of(1), Some(0));
-        assert_eq!(s.temporal_of(2), Some(1));
-        assert_eq!(s.temporal_of(3), Some(2));
-        assert_eq!(s.temporal_of(4), Some(2));
-        assert_eq!(s.temporal_of(5), None);
-        // DT0 delivers only T0; DT1 up to T1; DT2 everything.
-        assert_eq!(s.max_temporal_for_target(0), 0);
-        assert_eq!(s.max_temporal_for_target(1), 1);
-        assert_eq!(s.max_temporal_for_target(2), 2);
-        // "Dropping frame ids 3 and 4 would reduce the frame rate from
-        // 30 fps to 15 fps": templates 3,4 not needed by DT1.
-        assert_eq!(s.needed_by(3, 1), Some(false));
-        assert_eq!(s.needed_by(4, 1), Some(false));
-        assert_eq!(s.needed_by(2, 1), Some(true));
-        assert_eq!(s.needed_by(0, 0), Some(true));
-    }
-
-    #[test]
-    fn template_id_offset_applies() {
-        let mut s = TemplateStructure::l1t3();
-        s.template_id_offset = 10;
-        assert_eq!(s.temporal_of(10), Some(0));
-        assert_eq!(s.temporal_of(12), Some(1));
-        assert_eq!(s.temporal_of(9), None);
-        assert_eq!(s.temporal_of(2), None);
+        // second enhancement layer (30 fps)." The structure carried on key
+        // frames and the switch's table agree.
+        assert_eq!(s.templates.len(), l1t3::TEMPLATE_TEMPORAL.len());
+        for (id, t) in s.templates.iter().enumerate() {
+            assert_eq!(t.temporal_id, l1t3::temporal_of(id as u8), "template {id}");
+        }
+        // DT0 delivers only T0; DT1 up to T1; DT2 everything. "Dropping
+        // frame ids 3 and 4 would reduce the frame rate from 30 fps to
+        // 15 fps": templates 3,4 are not present in DT1.
+        for (dt, top) in [(0, 0), (1, 1), (2, 2)] {
+            for t in &s.templates {
+                let present = !matches!(t.dtis[dt], Dti::NotPresent);
+                assert_eq!(present, t.temporal_id <= top, "DT{dt} T{}", t.temporal_id);
+            }
+        }
     }
 
     #[test]
@@ -407,10 +359,10 @@ mod tests {
 
     #[test]
     fn l1t3_constants() {
-        assert_eq!(l1t3::max_temporal_for_target(0), 0);
-        assert_eq!(l1t3::max_temporal_for_target(1), 1);
-        assert_eq!(l1t3::max_temporal_for_target(2), 2);
-        assert_eq!(l1t3::TEMPLATE_TEMPORAL[3], 2);
-        assert_eq!(l1t3::TARGET_FPS[1], 15.0);
+        let layers: Vec<u8> = (0..5).map(l1t3::temporal_of).collect();
+        assert_eq!(layers, [0, 0, 1, 2, 2]);
+        // Ids outside the five templates are the top layer.
+        assert_eq!(l1t3::temporal_of(5), 2);
+        assert_eq!(l1t3::temporal_of(63), 2);
     }
 }

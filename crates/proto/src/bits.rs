@@ -50,13 +50,8 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read a single flag bit.
-    pub fn read_bool(&mut self) -> Result<bool, ProtoError> {
+    pub(crate) fn read_bool(&mut self) -> Result<bool, ProtoError> {
         Ok(self.read(1)? == 1)
-    }
-
-    /// Skip to the next byte boundary (reading zero-bits).
-    pub fn align(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
     }
 }
 
@@ -93,12 +88,12 @@ impl BitWriter {
     }
 
     /// Append a flag bit.
-    pub fn write_bool(&mut self, b: bool) {
+    pub(crate) fn write_bool(&mut self, b: bool) {
         self.write(b as u64, 1);
     }
 
     /// Pad with zero bits to the next byte boundary.
-    pub fn align(&mut self) {
+    pub(crate) fn align(&mut self) {
         if self.bit_fill != 0 {
             self.bit_fill = 0;
         }
@@ -150,7 +145,7 @@ mod tests {
 
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read(1).unwrap(), 1);
-        r.align();
+        assert_eq!(r.read(7).unwrap(), 0, "zero padding to the boundary");
         assert_eq!(r.read(8).unwrap(), 0xAB);
         assert_eq!(r.remaining(), 0);
     }

@@ -38,6 +38,7 @@
 //! * The AV1 extended dependency descriptor uses a faithful but simplified
 //!   bit layout for template structures (see [`av1`] docs).
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod av1;

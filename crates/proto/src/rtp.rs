@@ -6,19 +6,19 @@
 //!
 //! * [`RtpPacket`] — an owned parse/serialize representation,
 //! * [`RtpView`] — a zero-copy accessor used on the simulated switch's hot
-//!   path, plus in-place mutators ([`set_sequence_number`],
-//!   [`set_ssrc`]) mirroring what the egress pipeline's PHV rewrites do.
+//!   path, plus the in-place [`set_sequence_number`] mirroring the
+//!   egress pipeline's PHV rewrite.
 
 use crate::error::{need, ProtoError};
 use bytes::Bytes;
 
 /// RTP protocol version (always 2).
-pub const RTP_VERSION: u8 = 2;
+pub(crate) const RTP_VERSION: u8 = 2;
 
 /// RFC 8285 profile value for one-byte extension headers.
-pub const EXT_PROFILE_ONE_BYTE: u16 = 0xBEDE;
+pub(crate) const EXT_PROFILE_ONE_BYTE: u16 = 0xBEDE;
 /// RFC 8285 profile value for two-byte extension headers.
-pub const EXT_PROFILE_TWO_BYTE: u16 = 0x1000;
+pub(crate) const EXT_PROFILE_TWO_BYTE: u16 = 0x1000;
 
 /// Minimum RTP header size (no CSRC, no extension).
 pub const MIN_HEADER_LEN: usize = 12;
@@ -270,12 +270,12 @@ impl<'a> RtpView<'a> {
     }
 
     /// Number of CSRC entries.
-    pub fn csrc_count(&self) -> usize {
+    pub(crate) fn csrc_count(&self) -> usize {
         (self.buf[0] & 0x0F) as usize
     }
 
     /// Extension bit.
-    pub fn has_extension(&self) -> bool {
+    pub(crate) fn has_extension(&self) -> bool {
         self.buf[0] & 0x10 != 0
     }
 
@@ -348,7 +348,7 @@ impl<'a> RtpView<'a> {
     }
 
     /// Offset where the media payload starts.
-    pub fn payload_offset(&self) -> Result<usize, ProtoError> {
+    pub(crate) fn payload_offset(&self) -> Result<usize, ProtoError> {
         let mut o = self.ext_header_offset();
         if self.has_extension() {
             need(self.buf, o + 4)?;
@@ -391,13 +391,6 @@ impl<'a> RtpView<'a> {
 pub fn set_sequence_number(buf: &mut [u8], seq: u16) -> Result<(), ProtoError> {
     need(buf, MIN_HEADER_LEN)?;
     buf[2..4].copy_from_slice(&seq.to_be_bytes());
-    Ok(())
-}
-
-/// Rewrite the SSRC in place.
-pub fn set_ssrc(buf: &mut [u8], ssrc: u32) -> Result<(), ProtoError> {
-    need(buf, MIN_HEADER_LEN)?;
-    buf[8..12].copy_from_slice(&ssrc.to_be_bytes());
     Ok(())
 }
 
@@ -493,10 +486,9 @@ mod tests {
         let p = sample();
         let mut bytes = p.serialize();
         set_sequence_number(&mut bytes, 9999).unwrap();
-        set_ssrc(&mut bytes, 0x11223344).unwrap();
         let q = RtpPacket::parse(&bytes).unwrap();
         assert_eq!(q.sequence_number, 9999);
-        assert_eq!(q.ssrc, 0x11223344);
+        assert_eq!(q.ssrc, p.ssrc);
         // Everything else untouched.
         assert_eq!(q.timestamp, p.timestamp);
         assert_eq!(q.payload, p.payload);

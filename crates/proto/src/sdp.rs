@@ -178,23 +178,6 @@ impl SessionDescription {
         self.media.iter().flat_map(|m| m.candidates.iter())
     }
 
-    /// All SSRCs across all media sections.
-    pub fn all_ssrcs(&self) -> Vec<u32> {
-        self.media.iter().flat_map(|m| m.ssrcs.clone()).collect()
-    }
-
-    /// Replace every candidate in every section with a single candidate at
-    /// `ip:port` (port incremented per section) — the §5.1 rewrite that
-    /// splices the SFU into the media path while appearing as the sole
-    /// peer.
-    pub fn rewrite_candidates(&mut self, ip: Ipv4Addr, base_port: u16) {
-        for (i, m) in self.media.iter_mut().enumerate() {
-            let port = base_port.wrapping_add(i as u16);
-            m.candidates = vec![Candidate::host(ip, port)];
-            m.port = port;
-        }
-    }
-
     /// Serialize to SDP text.
     pub fn serialize(&self) -> String {
         let mut out = String::new();
@@ -363,28 +346,6 @@ mod tests {
         assert_eq!(parsed.media[1].kind, MediaKind::Audio);
         assert_eq!(parsed.media[1].candidates[0].port, 50002);
         assert_eq!(parsed.connection_ip, Some(Ipv4Addr::new(192, 168, 0, 5)));
-    }
-
-    #[test]
-    fn candidate_rewrite_creates_proxy_topology() {
-        let mut sd = sample();
-        let sfu = Ipv4Addr::new(10, 9, 8, 7);
-        sd.rewrite_candidates(sfu, 6000);
-        // Every section now advertises only the SFU.
-        for (i, m) in sd.media.iter().enumerate() {
-            assert_eq!(m.candidates.len(), 1);
-            assert_eq!(m.candidates[0].ip, sfu);
-            assert_eq!(m.candidates[0].port, 6000 + i as u16);
-        }
-        // Round-trips after rewriting.
-        let parsed = SessionDescription::parse(&sd.serialize()).unwrap();
-        assert!(parsed.all_candidates().all(|c| c.ip == sfu));
-    }
-
-    #[test]
-    fn all_ssrcs_collects_across_sections() {
-        let sd = sample();
-        assert_eq!(sd.all_ssrcs(), vec![0xDEAD, 0xBEEF]);
     }
 
     #[test]

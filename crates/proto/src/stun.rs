@@ -15,21 +15,17 @@ use crate::error::{need, ProtoError};
 use std::net::Ipv4Addr;
 
 /// STUN magic cookie (RFC 5389 §6).
-pub const MAGIC_COOKIE: u32 = 0x2112_A442;
+pub(crate) const MAGIC_COOKIE: u32 = 0x2112_A442;
 
 /// Method+class: binding request.
-pub const TYPE_BINDING_REQUEST: u16 = 0x0001;
+pub(crate) const TYPE_BINDING_REQUEST: u16 = 0x0001;
 /// Method+class: binding success response.
-pub const TYPE_BINDING_SUCCESS: u16 = 0x0101;
-/// Method+class: binding indication (keepalive without response).
-pub const TYPE_BINDING_INDICATION: u16 = 0x0011;
+pub(crate) const TYPE_BINDING_SUCCESS: u16 = 0x0101;
 
 /// Attribute: XOR-MAPPED-ADDRESS.
-pub const ATTR_XOR_MAPPED_ADDRESS: u16 = 0x0020;
+pub(crate) const ATTR_XOR_MAPPED_ADDRESS: u16 = 0x0020;
 /// Attribute: USERNAME.
-pub const ATTR_USERNAME: u16 = 0x0006;
-/// Attribute: PRIORITY (ICE).
-pub const ATTR_PRIORITY: u16 = 0x0024;
+pub(crate) const ATTR_USERNAME: u16 = 0x0006;
 
 /// A parsed STUN message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +71,7 @@ impl StunMessage {
     }
 
     /// Find the raw value of an attribute.
-    pub fn attribute(&self, ty: u16) -> Option<&[u8]> {
+    pub(crate) fn attribute(&self, ty: u16) -> Option<&[u8]> {
         self.attributes
             .iter()
             .find(|(t, _)| *t == ty)
@@ -95,7 +91,7 @@ impl StunMessage {
     }
 
     /// Append an XOR-MAPPED-ADDRESS attribute (IPv4).
-    pub fn set_xor_mapped_address(&mut self, ip: Ipv4Addr, port: u16) {
+    pub(crate) fn set_xor_mapped_address(&mut self, ip: Ipv4Addr, port: u16) {
         self.attributes
             .push((ATTR_XOR_MAPPED_ADDRESS, xor_mapped_value(ip, port).to_vec()));
     }
@@ -275,7 +271,7 @@ impl<'a> StunView<'a> {
 
 /// Cheap wire test: does this UDP payload look like STUN? (First two bits
 /// zero + magic cookie; the check Scallop's ingress parser applies.)
-pub fn is_stun(buf: &[u8]) -> bool {
+pub(crate) fn is_stun(buf: &[u8]) -> bool {
     buf.len() >= 20
         && buf[0] & 0xC0 == 0
         && u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]) == MAGIC_COOKIE
@@ -286,6 +282,10 @@ mod tests {
     use super::*;
 
     const TID: [u8; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
+    /// Method+class: binding indication (keepalive without response).
+    const TYPE_BINDING_INDICATION: u16 = 0x0011;
+    /// Attribute: PRIORITY (ICE).
+    const ATTR_PRIORITY: u16 = 0x0024;
 
     #[test]
     fn request_round_trip() {

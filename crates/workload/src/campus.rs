@@ -98,20 +98,20 @@ impl CampusParams {
 
 /// Relative meeting-arrival intensity per hour of a weekday (campus
 /// class-schedule shape: morning and early-afternoon peaks).
-pub const WEEKDAY_HOURLY: [f64; 24] = [
+pub(crate) const WEEKDAY_HOURLY: [f64; 24] = [
     0.02, 0.01, 0.01, 0.01, 0.02, 0.05, 0.15, 0.45, 0.80, 1.00, 1.00, 0.90, 0.75, 0.95, 1.00, 0.90,
     0.70, 0.50, 0.35, 0.25, 0.18, 0.10, 0.06, 0.03,
 ];
 
 /// Weekend activity relative to a weekday.
-pub const WEEKEND_FACTOR: f64 = 0.12;
+pub(crate) const WEEKEND_FACTOR: f64 = 0.12;
 
 /// Average instantaneous attendance as a fraction of a meeting's maximum
 /// size. Figs. 20/21 count *concurrent* participants (~500 peak) against
 /// ~300 concurrent meetings — participants join late and leave early, so
 /// instantaneous attendance sits well below the per-meeting maximum that
 /// Fig. 2's x-axis uses.
-pub const ATTENDANCE_FACTOR: f64 = 0.45;
+pub(crate) const ATTENDANCE_FACTOR: f64 = 0.45;
 
 /// One generated meeting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,19 +146,13 @@ impl MeetingRecord {
         (self.video_senders + self.audio_senders + self.screen_senders) * self.size
     }
 
-    /// The theoretical upper bound shown dashed in Fig. 2 (everyone
-    /// sharing audio and video): `2·N²`.
-    pub fn stream_upper_bound(&self) -> u32 {
-        2 * self.size * self.size
-    }
-
     /// End time.
     pub fn end(&self) -> SimTime {
         self.start + self.duration
     }
 
     /// Expected instantaneous attendance (see [`ATTENDANCE_FACTOR`]).
-    pub fn concurrent_participants(&self) -> f64 {
+    pub(crate) fn concurrent_participants(&self) -> f64 {
         self.size as f64 * ATTENDANCE_FACTOR
     }
 
@@ -174,7 +168,7 @@ impl MeetingRecord {
     /// `size - cross_building` participants sit in the home building,
     /// the tail is spread deterministically over the *other* buildings
     /// (stepping modulo `buildings - 1` so it never wraps back home).
-    pub fn participant_building(&self, idx: u32, buildings: u32) -> u32 {
+    pub(crate) fn participant_building(&self, idx: u32, buildings: u32) -> u32 {
         assert!(buildings >= 1);
         let local = self.size - self.cross_building.min(self.size);
         if idx < local || buildings == 1 {
@@ -186,7 +180,7 @@ impl MeetingRecord {
     }
 
     /// The fabric edge participant `idx` attends from, composing
-    /// [`Self::participant_building`] with the building→edge striping —
+    /// `Self::participant_building` with the building→edge striping —
     /// the one mapping benches and examples must share.
     pub fn participant_edge(&self, idx: u32, buildings: u32, edges: usize) -> usize {
         assert!(edges >= 1);
@@ -197,7 +191,7 @@ impl MeetingRecord {
     /// `size - cross_zone` participants sit in the home zone, the tail
     /// is spread deterministically over the *other* zones (stepping
     /// modulo `zones - 1`, mirroring [`Self::participant_building`]).
-    pub fn participant_zone(&self, idx: u32, zones: u32) -> u32 {
+    pub(crate) fn participant_zone(&self, idx: u32, zones: u32) -> u32 {
         assert!(zones >= 1);
         let local = self.size - self.cross_zone.min(self.size);
         if idx < local || zones == 1 {
@@ -217,7 +211,7 @@ impl MeetingRecord {
     }
 
     /// The federation-wide edge participant `idx` attends from: their
-    /// campus ([`Self::participant_zone`]) offset by their building's
+    /// campus (`Self::participant_zone`) offset by their building's
     /// edge stripe inside it. With one zone this collapses to
     /// [`Self::participant_edge`].
     pub fn participant_edge_federated(
@@ -265,7 +259,7 @@ impl CampusModel {
     }
 
     /// Draw a meeting size.
-    pub fn draw_size(&mut self) -> u32 {
+    pub(crate) fn draw_size(&mut self) -> u32 {
         if self.rng.chance(self.params.two_party_fraction) {
             return 2;
         }
@@ -422,11 +416,12 @@ mod tests {
         let pop = population(3);
         for m in &pop {
             assert!(m.size >= 2);
-            // Audio+video streams bounded by 2N² (screen shares may
-            // exceed, as the paper notes happens in practice).
+            // Audio+video streams bounded by 2N², the dashed bound of
+            // Fig. 2 (screen shares may exceed, as the paper notes
+            // happens in practice).
             let av_streams = (m.video_senders + m.audio_senders) * m.size;
             assert!(
-                av_streams <= m.stream_upper_bound(),
+                av_streams <= 2 * m.size * m.size,
                 "size {} streams {av_streams}",
                 m.size
             );

@@ -11,16 +11,23 @@
 //! drive through the fabric harness.
 
 use scallop_netsim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// One churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
-    /// A new participant joins on `edge` (`sends`: offers media).
-    Join { edge: usize, sends: bool },
-    /// The participant created by the `slot`-th `Join` of this plan
-    /// (0-based, in event order) leaves.
-    Leave { slot: usize },
+    /// A new participant joins.
+    Join {
+        /// The edge switch it attaches to.
+        edge: usize,
+        /// Whether it offers media.
+        sends: bool,
+    },
+    /// A participant leaves.
+    Leave {
+        /// Which one: the participant created by the `slot`-th `Join`
+        /// of this plan (0-based, in event order).
+        slot: usize,
+    },
 }
 
 /// A deterministic, timed churn plan.
@@ -120,13 +127,18 @@ impl ChurnPlan {
     pub fn end(&self) -> SimTime {
         self.events.last().map(|&(t, _)| t).unwrap_or(SimTime::ZERO)
     }
+}
 
-    /// Live population per edge after every event at or before `t` has
-    /// fired (pure bookkeeping — lets tests pin the drift shape without
-    /// running a simulation).
-    pub fn population_at(&self, t: SimTime) -> BTreeMap<usize, usize> {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Live population per edge after every event of `p` at or before `t`
+    /// has fired: pins the drift shape without running a simulation.
+    fn population_at(p: &ChurnPlan, t: SimTime) -> BTreeMap<usize, usize> {
         let mut slot_edges: Vec<Option<usize>> = Vec::new();
-        for &(at, ev) in &self.events {
+        for &(at, ev) in &p.events {
             if at > t {
                 break;
             }
@@ -145,11 +157,6 @@ impl ChurnPlan {
         }
         pop
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn plan() -> ChurnPlan {
         ChurnPlan::drift(0, 1, 4, 2, SimTime::ZERO, SimDuration::from_secs(1))
@@ -176,15 +183,15 @@ mod tests {
     #[test]
     fn drift_moves_the_whole_population() {
         let p = plan();
-        let before = p.population_at(SimTime::from_millis(500));
+        let before = population_at(&p, SimTime::from_millis(500));
         assert_eq!(before.get(&0), Some(&4));
         assert_eq!(before.get(&1), None);
         // Mid-drift the population straddles both edges.
-        let mid = p.population_at(SimTime::from_millis(2_500));
+        let mid = population_at(&p, SimTime::from_millis(2_500));
         assert_eq!(mid.get(&0), Some(&2));
         assert_eq!(mid.get(&1), Some(&2));
         // After the plan completes, everyone lives on the target edge.
-        let after = p.population_at(p.end());
+        let after = population_at(&p, p.end());
         assert_eq!(after.get(&0), None);
         assert_eq!(after.get(&1), Some(&4));
     }
@@ -212,14 +219,14 @@ mod tests {
         // 8 initial joins + 8 swaps.
         assert_eq!(p.events.len(), 24);
         // Initially two members per edge.
-        let before = p.population_at(SimTime::from_millis(500));
+        let before = population_at(&p, SimTime::from_millis(500));
         for e in 0..4 {
             assert_eq!(before.get(&e), Some(&2), "edge {e} starts with 2");
         }
         // After the full rotation the population is again 2 per edge —
         // every member has moved one building over, so no edge ever
         // held a majority (the plan drives forwards, not re-homes).
-        let after = p.population_at(p.end());
+        let after = population_at(&p, p.end());
         for e in 0..4 {
             assert_eq!(after.get(&e), Some(&2), "edge {e} ends with 2");
         }
@@ -251,6 +258,6 @@ mod tests {
     fn empty_plan_is_benign() {
         let p = ChurnPlan::default();
         assert_eq!(p.end(), SimTime::ZERO);
-        assert!(p.population_at(SimTime::from_secs(10)).is_empty());
+        assert!(population_at(&p, SimTime::from_secs(10)).is_empty());
     }
 }

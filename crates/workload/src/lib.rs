@@ -24,6 +24,7 @@
 //!   joins into one meeting) driving the control plane's delta
 //!   compiler and batched admission.
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod campus;

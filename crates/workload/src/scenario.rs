@@ -17,7 +17,7 @@ pub const AGENT_BYTE_FRACTION: f64 = 0.0035;
 /// Calibrated so the campus population's peak concurrency lands at
 /// Fig. 22's ≈1,250 Mbit/s software-SFU peak (and therefore at the
 /// paper's "3.1 % of a 40 Gbit/s server").
-pub const SFU_BITS_PER_PARTICIPANT: f64 = 1.6e6;
+pub(crate) const SFU_BITS_PER_PARTICIPANT: f64 = 1.6e6;
 
 /// One bin of the load series.
 #[derive(Debug, Clone, Copy, Serialize)]

@@ -70,6 +70,7 @@
 //! assert!(sharded.controller.meetings_per_shard().iter().all(|&c| c <= 2));
 //! ```
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub use scallop_baseline as baseline;

@@ -101,3 +101,77 @@ fn wire_formats_cross_validate() {
     assert_eq!(classify(&bytes), PacketClass::Stun);
     assert_eq!(stun::StunMessage::parse(&bytes).expect("parse"), req);
 }
+
+/// §5.1 across a fabric: an SDP offer arriving at edge 1 of a 2-edge
+/// campus becomes a join on edge 1, and its answer names edge 1's switch
+/// as the client's sole peer, at the uplink ports the plane granted. An
+/// offer without candidates is refused before the plane is asked, so
+/// nothing is booked.
+#[test]
+fn sdp_offer_at_a_fabric_edge_is_answered_with_that_edges_uplinks() {
+    use scallop::core::controller::{sdp_answer, JoinRequest};
+    use scallop::core::fabric::Fabric;
+    use scallop::core::shard::ShardedControlPlane;
+    use scallop::dataplane::seqrewrite::SeqRewriteMode;
+    use scallop::netsim::link::LinkConfig;
+    use scallop::netsim::packet::HostAddr;
+    use scallop::netsim::sim::Simulator;
+    use scallop::netsim::time::SimDuration;
+    use scallop::netsim::topology::Topology;
+    use scallop::proto::sdp::{Candidate, MediaKind, MediaSection, SessionDescription};
+    use std::net::Ipv4Addr;
+
+    let mut sim = Simulator::new(0x5D9);
+    let fabric = Fabric::build(
+        &mut sim,
+        Topology::campus(2, 0),
+        LinkConfig::infinite(SimDuration::from_micros(50)),
+        SeqRewriteMode::LowRetransmission,
+    );
+    let mut plane = ShardedControlPlane::new(2);
+    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 0);
+
+    let bare = "v=0\r\no=x 0 0 IN IP4 0.0.0.0\r\ns=-\r\nt=0 0\r\nm=video 1 UDP/RTP/AVPF 96\r\n";
+    let bare = SessionDescription::parse(bare).unwrap();
+    assert!(JoinRequest::from_offer(1, &bare).is_err());
+    assert!(plane.fabric_members(gmid).is_empty());
+    assert!(plane.ledger().reconciled());
+
+    let client = HostAddr::new(Ipv4Addr::new(10, 9, 0, 1), 5000);
+    let mut offer = SessionDescription::new("alice");
+    for kind in [MediaKind::Video, MediaKind::Audio] {
+        let mut m = MediaSection::new(kind, client.port);
+        m.candidates.push(Candidate::host(client.ip, client.port));
+        offer.media.push(m);
+    }
+    let offer = SessionDescription::parse(&offer.serialize()).unwrap();
+    let req = JoinRequest::from_offer(1, &offer).unwrap();
+    let expected = JoinRequest {
+        edge: 1,
+        addr: client,
+        sends: true,
+    };
+    assert_eq!(req, expected);
+
+    let grant = plane.join(&mut sim, &fabric, gmid, &[req])[0]
+        .grant
+        .expect("admitted");
+    assert_eq!(grant.edge, 1);
+    let edge1 = fabric.topology.edge_spec(1).ip;
+    let ports = fabric.topology.port_base(1)..fabric.topology.port_limit(1);
+    let answer = SessionDescription::parse(&sdp_answer(&offer, &grant.local)).unwrap();
+    assert_eq!(answer.connection_ip, Some(edge1));
+    assert_eq!(answer.media.len(), 2);
+    for m in &answer.media {
+        let uplink = match m.kind {
+            MediaKind::Video => grant.local.video_uplink,
+            MediaKind::Audio => grant.local.audio_uplink,
+        };
+        assert_eq!(uplink.ip, edge1, "{:?} uplink", m.kind);
+        assert!(ports.contains(&uplink.port), "{:?} uplink", m.kind);
+        assert_eq!(m.port, uplink.port);
+        assert_eq!(m.candidates, vec![Candidate::host(edge1, uplink.port)]);
+    }
+    assert_ne!(grant.local.video_uplink, grant.local.audio_uplink);
+    assert_eq!(plane.fabric_members(gmid), vec![grant.global]);
+}
