@@ -38,7 +38,7 @@ pub struct DataplaneBatchSmoke {
     pub replicas_emitted: u64,
     /// Bursts (`process_batch` calls) run.
     pub batches: u64,
-    /// Port matches served from the previous packet's resolution.
+    /// Port matches served from the data plane's flow table.
     pub port_lookups_saved: u64,
     /// Egress matches served from the data plane's flow table.
     pub egress_lookups_saved: u64,
@@ -103,11 +103,10 @@ fn traffic_mix(
                     template_id: if is_key { 0 } else { template_id },
                     is_key,
                 },
-                // ~5 MTU-sized packets per frame: the burst carries
-                // adjacent packets of the same port, which is what the
-                // port memo amortizes (a real drain cycle sees whole
-                // frames, not lone packets); the flow table replays every
-                // packet of a flow but the first.
+                // ~5 MTU-sized packets per frame (a real drain cycle sees
+                // whole frames, not lone packets): the flow table serves
+                // every packet of a port its rule but the first, and
+                // replays every packet of a flow but the first.
                 size_bytes: 5_000,
                 captured_at: SimTime::ZERO,
                 rtp_timestamp: round as u32 * 3000,

@@ -4,36 +4,41 @@
 //! [`ScallopDataPlane::process_batch`](crate::switch::ScallopDataPlane::process_batch)
 //! is the data plane's one packet entry point. A real switch never sees
 //! packets one at a time — it drains a burst from the ingress queue —
-//! and almost every packet in a burst shares its match results with a
-//! neighbour (the same sender keeps sending on the same uplink port).
-//! The engine exploits that:
+//! and a port's packets keep matching the same rule and the same flows
+//! until the control plane writes a table. The engine exploits that:
 //!
-//! 1. **Parse first.** The whole batch is parsed into a reusable
-//!    [`ParsedPacket`] arena before any match work runs (the parse and
-//!    match stages are independent, just like the hardware pipeline).
-//! 2. **Resolve each flow once per table version.** The data plane
-//!    keeps every PRE flow it resolved — the tree walk with every
-//!    replica's egress spec already matched — across calls, until the
-//!    PRE or the egress table is written (the flow table, `crate::flows`).
-//!    A packet of a flow seen since the last write replays that
-//!    resolution instead of walking and matching again, whichever call
-//!    it arrives in; the ingress port rule is remembered for the next
-//!    packet of the same call only (a one-entry memo). A packet that
-//!    misses goes to the tables, which are an index, not a search. Saved
-//!    work is counted in [`BatchStats`].
+//! 1. **Classify, then parse.** A first pass classifies every packet of
+//!    the burst from its first bytes, in a short loop whose loads do not
+//!    depend on each other, so the burst's payload cache misses overlap.
+//!    A second pass parses each packet as its class into a reusable
+//!    [`ParsedPacket`] arena. Both run before any match work (the parse
+//!    and match stages are independent, just like the hardware
+//!    pipeline).
+//! 2. **One ingress match per packet.** The data plane keeps, per media
+//!    ingress port, the port's rule and the PRE flow each temporal tier
+//!    of it starts — the tree walk with every replica's egress spec
+//!    already matched — across calls (the flow table, `crate::flows`).
+//!    One probe keyed by the destination port returns both. A port's
+//!    entry holds until its rule is written; its flows until the PRE or
+//!    the egress table is written. A packet whose port has no entry goes
+//!    to the port tables, one whose flow is not held to the PRE and the
+//!    egress table; both are an index, not a search. Saved work is
+//!    counted in [`BatchStats`].
 //! 3. **Punt by index.** CPU punts are recorded as indices into the
 //!    caller's batch ([`BatchOutput::cpu_punts`]) — the agent reads the
 //!    original slice, so a punt never clones a packet.
 //!
-//! Negative results are kept too (no port rule, no such group, a replica
-//! without an egress rule), and replaying one still charges the
-//! `no_rule_drops` a cold lookup would; packets that resolve nothing
-//! (STUN, unparseable) leave both alone. A replay returns what a cold
-//! resolution would, because the flow table is emptied by any write to
-//! the tables it read, and no port rule can change inside one call. So
-//! how a packet sequence is cut into batches changes neither outputs nor
-//! counters: one N-packet call equals N one-packet calls byte for byte
-//! (enforced by `tests/batch_equivalence.rs`).
+//! Negative flow results are kept too (no such group, a replica without
+//! an egress rule), and replaying one still charges the `no_rule_drops`
+//! a cold lookup would. A port without a rule is not kept — its number
+//! comes from the wire — nor is a feedback port, whose packets are few:
+//! both are matched in the tables every time. Packets that resolve
+//! nothing (STUN, unparseable) leave the table alone. A replay returns
+//! what a cold resolution would, because an entry is dropped by any
+//! write to the tables it read. So how a packet sequence is cut into
+//! batches changes neither outputs, counters nor savings: one N-packet
+//! call equals N one-packet calls byte for byte (enforced by
+//! `tests/batch_equivalence.rs`).
 //!
 //! **Agent interleaving.** The switch agent may rewrite tables when it
 //! handles a punted packet (e.g. a key-frame DD triggering a meeting
@@ -41,10 +46,10 @@
 //! packet and hands a punt over before the next packet is looked at —
 //! that is the simulator's switch node. It still replays every flow it
 //! has seen since the agent's last table write: a write bumps the
-//! written table's version, and the next packet finds the flow table
-//! empty and resolves cold. Callers that own the tables for the length
-//! of a burst (benches, tests, the repo benchmark) pass the whole burst,
-//! and also save the port matches of adjacent packets.
+//! written table's version, and the next packet finds what the write
+//! could change dropped and resolves it cold. Callers that own the
+//! tables for the length of a burst (benches, tests, the repo benchmark)
+//! pass the whole burst, and also overlap its payload fetches.
 //!
 //! **Egress: descriptors, not copies.** The PRE replicates a packet's
 //! descriptor and the egress deparser rewrites two header bytes per
@@ -92,11 +97,10 @@
 //!   owned buffer.
 
 use crate::parser::ParsedPacket;
-use crate::rules::PortRule;
 use scallop_netsim::packet::Packet;
 
-/// What the port memo and the flow table saved relative to resolving
-/// every packet cold. Cumulative across batches, like
+/// What the flow table saved relative to resolving every packet cold.
+/// Cumulative across batches, like
 /// [`DataPlaneCounters`](crate::switch::DataPlaneCounters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -104,27 +108,14 @@ pub struct BatchStats {
     pub batches: u64,
     /// Packets processed.
     pub batch_pkts: u64,
-    /// Port-rule matches served from the previous packet's resolution.
+    /// Port-rule matches served from the flow table, without a port
+    /// table lookup.
     pub port_lookups_saved: u64,
     /// Egress matches served from the flow table (one per replica of a
     /// replayed flow).
     pub egress_lookups_saved: u64,
     /// PRE tree walks served from the flow table.
     pub pre_walks_saved: u64,
-}
-
-/// Per-call match state: the previous port resolution, and the savings
-/// of this call. Egress has no memo of its own — a flow's replicas are
-/// kept with every replica's egress already resolved.
-#[derive(Debug, Default)]
-pub(crate) struct BatchCaches {
-    /// Last dst port matched and its rule (`None` = no rule).
-    pub(crate) port: Option<(u16, Option<PortRule>)>,
-    /// Savings accumulated this batch, folded into [`BatchStats`] when
-    /// the batch ends.
-    pub(crate) port_lookups_saved: u64,
-    pub(crate) egress_lookups_saved: u64,
-    pub(crate) pre_walks_saved: u64,
 }
 
 /// Output of one batch: the forwarded packets, the punt ring, and the
@@ -139,11 +130,9 @@ pub struct BatchOutput {
     pub cpu_punts: Vec<u32>,
     /// Amortization accounting (cumulative across batches).
     pub stats: BatchStats,
-    /// Parse arena: one [`ParsedPacket`] per input packet, filled by
-    /// the parse stage.
+    /// Parse arena: one [`ParsedPacket`] per input packet, classified
+    /// and then parsed by the parse stage.
     pub(crate) parsed: Vec<ParsedPacket>,
-    /// The port memo (reset per batch) and this batch's savings.
-    pub(crate) caches: BatchCaches,
 }
 
 impl BatchOutput {

@@ -1,49 +1,55 @@
-//! The flow table: each PRE flow resolved once per table version.
+//! The flow table: one ingress match per packet.
 //!
-//! A flow is what a media packet's port rule hands the PRE — `(mgid,
-//! l1_xid, rid, l2_xid)` — plus the ingress port the egress match is
-//! keyed by. Its resolution is a tree walk and one egress match per
-//! replica, and it depends on two tables only: the PRE and the egress
-//! table. The control plane writes them rarely (§6.1–6.3); packets read
-//! them all the time. So the data plane keeps every flow it resolved,
-//! with every replica's egress spec, and replays it for every later
-//! packet of that flow — in the same call or any later one — until
-//! either table is written.
+//! A media packet's port rule hands the PRE a flow — `(mgid, l1_xid,
+//! rid, l2_xid)`, the MGID picked by the packet's temporal tier — and
+//! the egress match is keyed by the ingress port as well. So for a given
+//! rule, the flow is a function of `(in_port, tier)`. The table keeps
+//! one entry per media ingress port (a sender uplink or a trunk
+//! ingress): the port's rule, and for each tier the flow's resolution —
+//! whether the PRE walk succeeded, and where its replicas, each with its
+//! egress spec already matched, lie in one arena. Tiers that name the
+//! same tree share one resolution. One probe keyed by the destination
+//! port therefore returns everything a packet needs, the way one ingress
+//! lookup does in the hardware (§6.1). The control plane writes the
+//! tables rarely (§6.1–6.3); packets read them all the time. Feedback
+//! ports are not kept: their packets are few, and a meeting has a
+//! feedback rule per (sender, receiver) pair, so keeping them would cost
+//! room quadratic in its size.
 //!
 //! **Validity.** Every mutator of the PRE and of an exact-match table
 //! redraws its table's write version from one process-wide counter
-//! (`tables::WriteVersion`). The table remembers the two versions
-//! it was filled under and empties itself when either differs, so no
-//! write — through a data-plane method, the agent's direct PRE calls, or
-//! a table swapped in whole through a `pub` field — can leave a stale
-//! resolution behind.
+//! (`tables::WriteVersion`).
 //!
-//! **Room.** The table never allocates on the packet path. Its room is
-//! reserved when entries are installed: a flow for each distinct tree a
-//! port rule's action names (one per tier at most; no other flow can
-//! start at its port), and a replica for every egress entry (the
-//! replicas of distinct flows name distinct entries). A flow whose walk
-//! finds no receiver takes room too, so the egress table alone does not
-//! bound the flows. When a new flow does not fit, the table is emptied
-//! and starts over. A map sized up front instead would hold a page per
-//! entry it ever saw, in every data plane, however few flows cross it.
-//! The room is sizing only: a table swapped in whole through a `pub`
-//! field leaves it too small or too large, never wrong.
+//! * A port's entry holds while its rule stands.
+//!   `ScallopDataPlane::install_port_rule`/`remove_port_rule` drop only
+//!   their port's entry and tell the table the version they wrote. A
+//!   port-rule table at any other version — written through its `pub`
+//!   field, or swapped in whole — drops every entry.
+//! * The resolutions depend on two more tables: the PRE and the egress
+//!   table. The table remembers the two versions it resolved under; when
+//!   either differs, every resolution is dropped (the rules stay).
 //!
-//! Every key inserted names agent-allocated ids — the ingress port is
-//! one whose rule resolved a flow — so the map hashes with the fixed
-//! `tables::IdHasher`.
+//! So no write can leave a stale rule or resolution behind.
+//!
+//! **Room.** The table never allocates on the packet path. Room for an
+//! entry per installed media rule is reserved when the rule is installed
+//! (a port without a rule gets no entry: that key comes from the wire),
+//! and room for a replica per egress entry when the entry is installed
+//! (the replicas of distinct flows name distinct entries). A flow whose
+//! walk finds no receiver needs no replica room, so the egress table
+//! alone does not bound the flows; the entries do. When a new entry or
+//! replica does not fit — after a table swapped in whole, or once
+//! replaced entries' replicas fill the arena — the entries or the
+//! resolutions are dropped and the table starts over. The room is sizing
+//! only: it can leave the table too small or too large, never wrong.
+//!
+//! Every key inserted is a port whose rule the agent installed, so the
+//! map hashes with the fixed `tables::IdHasher`.
 
 use crate::pre::Replica;
 use crate::rules::{EgressSpec, PortRule, ReplicationAction};
 use crate::tables::{IdMap, WriteVersion};
 use std::ops::Range;
-
-/// A PRE flow identity: `(mgid, l1_xid, rid, l2_xid, in_port)`. The
-/// ingress port rides along because the egress match is keyed by it —
-/// two packets with the same key resolve to the *same* replica list
-/// **and** the same egress specs, so the whole resolution is replayed.
-pub(crate) type FlowKey = (u16, u16, u16, u16, u16);
 
 /// One fully-resolved replica: where the PRE fanned the packet, and
 /// the egress rewrite it matched (`None` = no egress rule, which a
@@ -51,20 +57,10 @@ pub(crate) type FlowKey = (u16, u16, u16, u16, u16);
 /// must too).
 pub(crate) type ResolvedReplica = (Replica, Option<EgressSpec>);
 
-/// Flows `rule` can start: one per distinct tree its action maps a
-/// temporal tier to, none when it does not replicate through the PRE.
-fn flows_of(rule: &PortRule) -> usize {
-    match rule {
-        PortRule::SenderUplink { action, .. } | PortRule::TrunkIngress { action } => match action {
-            ReplicationAction::Multicast {
-                mgid_by_tier: [t0, t1, t2],
-                ..
-            } => 1 + usize::from(t1 != t0) + usize::from(t2 != t0 && t2 != t1),
-            ReplicationAction::TwoParty { .. } => 0,
-        },
-        _ => 0,
-    }
-}
+/// A flow's resolution: whether the PRE walk succeeded (`false` = no
+/// such group, and no replicas), and where its replicas lie in the
+/// arena (see [`FlowTable::replica`]).
+pub(crate) type Resolution = (bool, Range<usize>);
 
 /// Where one flow's resolution lies in the replica arena.
 #[derive(Debug, Clone, Copy)]
@@ -75,15 +71,76 @@ struct Flow {
     walked: bool,
 }
 
-/// Every flow resolved since the last write to the PRE or the egress
-/// table.
+/// Whether the table keeps `rule`: a media rule, which starts the flows.
+fn kept(rule: &PortRule) -> bool {
+    matches!(
+        rule,
+        PortRule::SenderUplink { .. } | PortRule::TrunkIngress { .. }
+    )
+}
+
+/// What the table keeps for one media ingress port.
+#[derive(Debug, Clone, Copy)]
+struct PortEntry {
+    rule: PortRule,
+    /// Per temporal tier, the slot of the tree it names: the first tier
+    /// naming the same tree.
+    slot_of_tier: [u8; 3],
+    /// The [`FlowTable::epoch`] `flows` were resolved in; the slots of
+    /// an older epoch are empty.
+    epoch: u64,
+    flows: [Option<Flow>; 3],
+}
+
+impl PortEntry {
+    fn new(rule: PortRule, epoch: u64) -> PortEntry {
+        let slot_of_tier = match rule {
+            PortRule::SenderUplink {
+                action: ReplicationAction::Multicast { mgid_by_tier, .. },
+                ..
+            }
+            | PortRule::TrunkIngress {
+                action: ReplicationAction::Multicast { mgid_by_tier, .. },
+            } => mgid_by_tier.map(|m| {
+                let first = mgid_by_tier.iter().position(|&n| n == m);
+                first.map_or(0, |t| t as u8)
+            }),
+            _ => [0; 3],
+        };
+        PortEntry {
+            rule,
+            slot_of_tier,
+            epoch,
+            flows: [None; 3],
+        }
+    }
+
+    /// Resolutions held in `epoch`.
+    fn live(&self, epoch: u64) -> usize {
+        if self.epoch == epoch {
+            self.flows.iter().flatten().count()
+        } else {
+            0
+        }
+    }
+}
+
+/// Every installed media rule matched since it was installed, each with
+/// the flows it started since the PRE or the egress table was last
+/// written.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
-    /// `(PRE, egress)` write versions the entries were resolved under.
+    /// Port-rule table version the entries were matched under.
+    port_version: WriteVersion,
+    /// `(PRE, egress)` write versions the resolutions were made under.
     versions: (WriteVersion, WriteVersion),
-    flows: IdMap<FlowKey, Flow>,
-    /// Flows the installed port rules can start ([`flows_of`]).
-    flow_room: usize,
+    /// Advanced whenever the resolutions are dropped.
+    epoch: u64,
+    ports: IdMap<u16, PortEntry>,
+    /// Media rules installed: the entries room is reserved for.
+    room: usize,
+    /// Resolutions held: distinct trees over all entries.
+    resolved: usize,
     /// Every flow's replicas, back to back.
     replicas: Vec<ResolvedReplica>,
     /// One PRE walk, before its replicas' egress specs are matched.
@@ -91,14 +148,28 @@ pub(crate) struct FlowTable {
 }
 
 impl FlowTable {
-    /// Count the flows a port rule replaced by another (`None` for an
-    /// install or a removal) can start, and make room for them all
-    /// (control path).
-    pub(crate) fn port_rule_changed(&mut self, old: Option<&PortRule>, new: Option<&PortRule>) {
-        self.flow_room =
-            (self.flow_room + new.map_or(0, flows_of)).saturating_sub(old.map_or(0, flows_of));
-        self.flows
-            .reserve(self.flow_room.saturating_sub(self.flows.len()));
+    /// Drop `port`'s entry after its rule `old` was replaced by `new`
+    /// (`None` for none), the port-rule table going from version `before`
+    /// to `after`, and make room for an entry per installed media rule
+    /// (control path). A table the flow table did not see at `before` was
+    /// written elsewhere: every entry goes.
+    pub(crate) fn port_rule_written(
+        &mut self,
+        port: u16,
+        (before, after): (WriteVersion, WriteVersion),
+        old: Option<&PortRule>,
+        new: Option<&PortRule>,
+    ) {
+        if self.port_version != before {
+            self.forget_ports();
+        } else if let Some(entry) = self.ports.remove(&port) {
+            self.resolved -= entry.live(self.epoch);
+        }
+        self.port_version = after;
+        let count = |rule: Option<&PortRule>| usize::from(rule.is_some_and(kept));
+        self.room = (self.room + count(new)).saturating_sub(count(old));
+        self.ports
+            .reserve(self.room.saturating_sub(self.ports.len()));
     }
 
     /// Room for `n` replicas, and for a walk of `n` (control path).
@@ -107,23 +178,54 @@ impl FlowTable {
         self.walk.reserve(n.saturating_sub(self.walk.len()));
     }
 
-    /// Empty the table unless it was filled under `versions`.
+    /// Drop every entry unless they were matched under port-rule table
+    /// version `ports`, and every resolution unless it was made under the
+    /// `(PRE, egress)` versions `flows`.
     #[inline]
-    pub(crate) fn validate(&mut self, versions: (WriteVersion, WriteVersion)) {
-        if self.versions != versions {
-            self.versions = versions;
-            self.forget();
+    pub(crate) fn validate(&mut self, ports: WriteVersion, flows: (WriteVersion, WriteVersion)) {
+        if self.port_version != ports {
+            self.port_version = ports;
+            self.forget_ports();
+        }
+        if self.versions != flows {
+            self.versions = flows;
+            self.forget_flows();
         }
     }
 
-    /// `key`'s resolution: whether the walk succeeded, and where its
-    /// replicas lie (see [`Self::replica`]).
+    /// One probe: `port`'s rule, if it was matched since it was
+    /// installed, and the resolution of `tier`'s flow if one is held
+    /// (only ever for a rule that replicates through the PRE).
     #[inline]
-    pub(crate) fn get(&self, key: &FlowKey) -> Option<(bool, Range<usize>)> {
-        self.flows.get(key).map(|f| {
-            let start = f.start as usize;
-            (f.walked, start..start + f.len as usize)
+    pub(crate) fn get(&self, port: u16, tier: usize) -> Option<(PortRule, Option<Resolution>)> {
+        self.ports.get(&port).map(|e| {
+            let flow = if e.epoch == self.epoch {
+                e.flows[usize::from(e.slot_of_tier[tier])]
+            } else {
+                None
+            };
+            let resolution = flow.map(|f| {
+                let start = f.start as usize;
+                (f.walked, start..start + f.len as usize)
+            });
+            (e.rule, resolution)
         })
+    }
+
+    /// Keep `rule`, just matched in the tables, as `port`'s entry if it is
+    /// a media rule. When the reserved room is full, every entry is dropped
+    /// first; a table with no room at all keeps nothing.
+    pub(crate) fn insert(&mut self, port: u16, rule: PortRule) {
+        if !kept(&rule) {
+            return;
+        }
+        if self.ports.len() == self.ports.capacity() {
+            self.forget_ports();
+            if self.ports.capacity() == 0 {
+                return;
+            }
+        }
+        self.ports.insert(port, PortEntry::new(rule, self.epoch));
     }
 
     /// Replica `i` of the arena.
@@ -132,47 +234,61 @@ impl FlowTable {
         self.replicas[i]
     }
 
-    /// Resolve `key` and keep the resolution: `walk` refills a buffer
-    /// with the PRE's replicas (clearing it first) and says whether the
-    /// walk succeeded, and `egress` matches each replica's egress rule.
-    /// Returns what [`Self::get`] would. When the reserved room cannot
-    /// take the flow, the table is emptied first. A table with no room at
-    /// all (no media port rule installed) keeps the resolution for this
-    /// packet only.
+    /// Resolve `port`'s flow for `tier` and keep the resolution in its
+    /// entry: `walk` refills a buffer with the PRE's replicas (clearing
+    /// it first) and says whether the walk succeeded, and `egress`
+    /// matches each replica's egress rule. Returns what [`Self::get`]
+    /// would. When the arena cannot take the replicas, every resolution
+    /// is dropped first. A port without an entry keeps the resolution for
+    /// this packet only.
     pub(crate) fn resolve(
         &mut self,
-        key: FlowKey,
+        port: u16,
+        tier: usize,
         walk: impl FnOnce(&mut Vec<Replica>) -> bool,
         mut egress: impl FnMut(&Replica) -> Option<EgressSpec>,
-    ) -> (bool, Range<usize>) {
+    ) -> Resolution {
         let walked = walk(&mut self.walk);
         let n = self.walk.len();
-        if self.flows.len() == self.flows.capacity()
-            || self.replicas.len() + n > self.replicas.capacity()
-        {
-            self.forget();
+        if self.replicas.len() + n > self.replicas.capacity() {
+            self.forget_flows();
         }
         let start = self.replicas.len();
         self.replicas
             .extend(self.walk.iter().map(|rep| (*rep, egress(rep))));
-        if self.flows.len() < self.flows.capacity() {
-            let flow = Flow {
+        if let Some(entry) = self.ports.get_mut(&port) {
+            if entry.epoch != self.epoch {
+                entry.epoch = self.epoch;
+                entry.flows = [None; 3];
+            }
+            let slot = &mut entry.flows[usize::from(entry.slot_of_tier[tier])];
+            if slot.is_none() {
+                self.resolved += 1;
+            }
+            *slot = Some(Flow {
                 start: start as u32,
                 len: n as u32,
                 walked,
-            };
-            self.flows.insert(key, flow);
+            });
         }
         (walked, start..start + n)
     }
 
-    /// Flows held.
+    /// Resolutions held: one per distinct tree a kept port rule started a
+    /// flow on.
     pub(crate) fn len(&self) -> usize {
-        self.flows.len()
+        self.resolved
     }
 
-    fn forget(&mut self) {
-        self.flows.clear();
+    fn forget_ports(&mut self) {
+        self.ports.clear();
         self.replicas.clear();
+        self.resolved = 0;
+    }
+
+    fn forget_flows(&mut self) {
+        self.epoch += 1;
+        self.replicas.clear();
+        self.resolved = 0;
     }
 }

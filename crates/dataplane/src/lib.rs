@@ -24,10 +24,11 @@
 //!   match → replicate → adapt (drop by template id) → rewrite → emit,
 //!   with CPU-port copies for the switch agent and full packet/byte
 //!   counters (Table 1, Fig. 22).
-//! * [`batch`] — the forwarding engine's batch machinery: parse a burst
-//!   first, then replay each packet's PRE flow from the flow table (every
-//!   flow resolved since the PRE or the egress table was last written)
-//!   before walking the tables; CPU punts are indices into the input
+//! * [`batch`] — the forwarding engine's batch machinery: classify a
+//!   burst, then parse it, then match each packet with one probe of the
+//!   flow table — keyed by ingress port, it holds a media port's rule and
+//!   the PRE flow each tier of it resolved since the tables were last written
+//!   — before walking the tables; CPU punts are indices into the input
 //!   burst.
 //! * [`soa`] — dense struct-of-arrays port-rule registers mirroring the
 //!   hot span of the ingress match (hash-free lookups on the

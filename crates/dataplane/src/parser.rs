@@ -71,7 +71,13 @@ pub struct DdSummary {
 
 /// Parse one UDP payload.
 pub fn parse(payload: &[u8]) -> ParsedPacket {
-    let class = classify(payload);
+    parse_as(classify(payload), payload)
+}
+
+/// Parse one UDP payload that [`classify`] put in `class`. The batch
+/// path classifies a whole burst first, so that the payloads' first
+/// bytes are fetched together, then parses each packet with this.
+pub(crate) fn parse_as(class: PacketClass, payload: &[u8]) -> ParsedPacket {
     // Depth: 1 state for eth/ip/udp landing + 1 for the lookahead.
     let mut depth: u8 = 2;
     match class {

@@ -386,8 +386,9 @@ impl StreamTracker {
     /// Almost every packet is the next number of its stream, forwarded:
     /// `forward_in_order` rewrites those on the row's words, inline in the
     /// caller. Every other packet runs the whole state machine, out of
-    /// line in `process_in_full`.
-    #[inline]
+    /// line in `process_in_full`. Always inlined: a plain `#[inline]`
+    /// left it out of line in `emit_replica`'s replica loop.
+    #[inline(always)]
     pub fn process(
         &mut self,
         idx: usize,

@@ -19,19 +19,18 @@
 //!
 //! All packet/byte accounting for Table 1 and Fig. 22 happens here.
 
-use crate::batch::{BatchCaches, BatchOutput};
-use crate::flows::{FlowKey, FlowTable};
+use crate::batch::{BatchOutput, BatchStats};
+use crate::flows::{FlowTable, Resolution};
 use crate::parser::{self, ParsedPacket};
 use crate::pre::PacketReplicationEngine;
 use crate::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use crate::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
 use crate::soa::DensePortRules;
-use crate::tables::{ExactTable, TableError};
+use crate::tables::{ExactTable, TableError, WriteVersion};
 use scallop_netsim::packet::{BufPool, Packet};
 use scallop_proto::av1::l1t3;
-use scallop_proto::demux::PacketClass;
+use scallop_proto::demux::{classify, PacketClass};
 use scallop_proto::rtcp::{self, RtcpRef};
-use std::ops::Range;
 
 /// Capacity of the port-rule table (one entry per (sender,receiver) pair
 /// stream plus one per sender uplink).
@@ -188,8 +187,9 @@ pub struct ScallopDataPlane {
     pub counters: DataPlaneCounters,
     /// Highest parse depth observed (Table 3).
     pub max_parse_depth: u8,
-    /// Every flow resolved since the PRE or the egress table was last
-    /// written ([`crate::batch`]).
+    /// Every port rule matched since it was installed, with the flows it
+    /// started since the PRE or the egress table was last written
+    /// ([`crate::batch`]).
     flows: FlowTable,
     /// Buffers for NACKs shifted back to their sender's numbers.
     nack_pool: BufPool,
@@ -230,14 +230,18 @@ impl ScallopDataPlane {
         self.dense_ports = Some(dense);
     }
 
-    /// Install a port rule (control-plane API), and make room in the flow
-    /// table for the flows it can start, so that resolving one on the
-    /// packet path allocates nothing.
+    /// Install a port rule (control-plane API). The port's next packet
+    /// matches it afresh, and the flow table has room to keep it, so that
+    /// keeping it on the packet path allocates nothing.
     pub fn install_port_rule(&mut self, port: u16, rule: PortRule) -> Result<(), TableError> {
+        let before = self.port_rules.version();
         let old = self.port_rules.peek(&port).copied();
-        self.port_rules.upsert(port, rule)?;
+        // A full table refuses only a new port: the rule stays `old`.
+        let written = self.port_rules.upsert(port, rule);
+        let new = written.is_ok().then_some(rule).or(old);
+        self.port_rule_written(port, before, old, new);
+        written?;
         self.counters.rule_installs += 1;
-        self.flows.port_rule_changed(old.as_ref(), Some(&rule));
         if let Some(d) = self.dense_ports.as_mut() {
             d.set(port, rule);
         }
@@ -249,12 +253,27 @@ impl ScallopDataPlane {
         if let Some(d) = self.dense_ports.as_mut() {
             d.unset(port);
         }
+        let before = self.port_rules.version();
         let removed = self.port_rules.remove(&port);
+        self.port_rule_written(port, before, removed, None);
         if removed.is_some() {
             self.counters.rule_removals += 1;
         }
-        self.flows.port_rule_changed(removed.as_ref(), None);
         removed
+    }
+
+    /// Tell the flow table that `port`'s rule `old` was replaced by `new`,
+    /// the port-rule table having stood at version `before`.
+    fn port_rule_written(
+        &mut self,
+        port: u16,
+        before: WriteVersion,
+        old: Option<PortRule>,
+        new: Option<PortRule>,
+    ) {
+        let versions = (before, self.port_rules.version());
+        self.flows
+            .port_rule_written(port, versions, old.as_ref(), new.as_ref());
     }
 
     /// Install an egress spec for a (MGID, RID) replica, and make room in
@@ -276,8 +295,9 @@ impl ScallopDataPlane {
     }
 
     /// Flows held resolved: each a PRE walk with its replicas' egress
-    /// specs. The first `process_batch` after a write to the PRE or the
-    /// egress table drops them all.
+    /// specs, one per distinct tree a port rule's tiers name. The first
+    /// `process_batch` after a write to the PRE or the egress table drops
+    /// them all.
     pub fn resolved_flows(&self) -> usize {
         self.flows.len()
     }
@@ -295,9 +315,10 @@ impl ScallopDataPlane {
     /// packet entry point; a single packet is a batch of one (see
     /// [`crate::batch`]). `out` is cleared first. Forwards land in
     /// [`BatchOutput::forwards`], CPU punts as indices into `pkts` in
-    /// [`BatchOutput::cpu_punts`]. Outputs and counters do not depend on
-    /// how a packet sequence is cut into batches: a flow resolved by an
-    /// earlier call is replayed only while no table it read was written.
+    /// [`BatchOutput::cpu_punts`]. Outputs, counters and savings do not
+    /// depend on how a packet sequence is cut into batches: a rule or a
+    /// flow kept by an earlier call is used only while no table it was
+    /// read from was written.
     pub fn process_batch(&mut self, pkts: &[Packet], out: &mut BatchOutput) {
         out.clear();
         let BatchOutput {
@@ -305,23 +326,30 @@ impl ScallopDataPlane {
             cpu_punts,
             stats,
             parsed,
-            caches,
         } = out;
-        // Stage 1: parse the whole batch before any match work. A packet
-        // rewritten upstream carries its wire sequence number in the
-        // overlay, not in its payload.
-        parsed.extend(pkts.iter().map(|p| {
-            let mut parsed = parser::parse(&p.payload);
+        // Stage 1: classify the whole batch from each packet's first bytes,
+        // in a loop whose loads do not depend on each other, so that the
+        // burst's payload cache misses overlap; then parse each packet as
+        // its class. A packet rewritten upstream carries its wire sequence
+        // number in the overlay, not in its payload.
+        parsed.extend(pkts.iter().map(|p| ParsedPacket {
+            class: classify(&p.payload),
+            rtp: None,
+            rtcp_pt: None,
+            parse_depth: 0,
+        }));
+        for (parsed, p) in parsed.iter_mut().zip(pkts) {
+            *parsed = parser::parse_as(parsed.class, &p.payload);
             if let (Some(rtp), Some(seq)) = (parsed.rtp.as_mut(), p.seq_overlay()) {
                 rtp.seq = seq;
             }
-            parsed
-        }));
-        // Stage 2: match/replicate. The port memo starts every call cold;
-        // the flow table holds while the PRE and egress table stand still.
-        caches.port = None;
-        self.flows
-            .validate((self.pre.version(), self.egress.version()));
+        }
+        // Stage 2: match/replicate. A port's entry holds while its rule
+        // stands, its flows while the PRE and egress table stand still.
+        self.flows.validate(
+            self.port_rules.version(),
+            (self.pre.version(), self.egress.version()),
+        );
         stats.batches += 1;
         stats.batch_pkts += pkts.len() as u64;
         for (i, (pkt, p)) in pkts.iter().zip(parsed.iter()).enumerate() {
@@ -330,11 +358,8 @@ impl ScallopDataPlane {
                 cpu_punts,
                 index: i as u32,
             };
-            self.run_pipeline(pkt, p, caches, &mut sink);
+            self.run_pipeline(pkt, p, stats, &mut sink);
         }
-        stats.port_lookups_saved += std::mem::take(&mut caches.port_lookups_saved);
-        stats.egress_lookups_saved += std::mem::take(&mut caches.egress_lookups_saved);
-        stats.pre_walks_saved += std::mem::take(&mut caches.pre_walks_saved);
     }
 
     /// One packet through the pipeline: classify, match, replicate, emit
@@ -343,7 +368,7 @@ impl ScallopDataPlane {
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        cache: &mut BatchCaches,
+        stats: &mut BatchStats,
         sink: &mut EmitSink,
     ) {
         self.max_parse_depth = self.max_parse_depth.max(parsed.parse_depth);
@@ -358,8 +383,8 @@ impl ScallopDataPlane {
             PacketClass::Unknown => {
                 self.counters.unknown_drops += 1;
             }
-            PacketClass::Rtcp => self.process_rtcp(pkt, parsed, cache, sink),
-            PacketClass::Rtp => self.process_rtp(pkt, parsed, cache, sink),
+            PacketClass::Rtcp => self.process_rtcp(pkt, parsed, stats, sink),
+            PacketClass::Rtp => self.process_rtp(pkt, parsed, stats, sink),
         }
     }
 
@@ -369,18 +394,25 @@ impl ScallopDataPlane {
         sink.cpu_punts.push(sink.index);
     }
 
-    /// Ingress match for `port`: the previous packet's resolution when it
-    /// matched the same port, else dense registers (when the port falls
-    /// in the enabled span), else the exact table's sparse tail. The rule
-    /// is copied out — no borrow survives.
-    fn resolve_rule(&mut self, c: &mut BatchCaches, port: u16) -> Option<PortRule> {
-        if let Some((_, rule)) = c.port.filter(|(p, _)| *p == port) {
-            c.port_lookups_saved += 1;
-            return rule;
+    /// Ingress match for `port`, and the resolution of its flow for
+    /// temporal tier `tier` when one is held: one probe of the flow table.
+    /// A port without an entry is matched in the dense registers (when it
+    /// falls in the enabled span), else in the exact table's sparse tail,
+    /// and its rule kept. The rule is copied out — no borrow survives.
+    #[inline]
+    fn match_port(
+        &mut self,
+        stats: &mut BatchStats,
+        port: u16,
+        tier: usize,
+    ) -> Option<(PortRule, Option<Resolution>)> {
+        if let Some(hit) = self.flows.get(port, tier) {
+            stats.port_lookups_saved += 1;
+            return Some(hit);
         }
-        let rule = self.match_port_rule(port);
-        c.port = Some((port, rule));
-        rule
+        let rule = self.match_port_rule(port)?;
+        self.flows.insert(port, rule);
+        Some((rule, None))
     }
 
     fn match_port_rule(&mut self, port: u16) -> Option<PortRule> {
@@ -396,7 +428,7 @@ impl ScallopDataPlane {
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        cache: &mut BatchCaches,
+        stats: &mut BatchStats,
         sink: &mut EmitSink,
     ) {
         let len = pkt.payload.len() as u64;
@@ -405,18 +437,18 @@ impl ScallopDataPlane {
             // SR/SDES travel sender -> receivers like media (§5.5).
             self.counters.rtcp_sr_pkts += 1;
             self.counters.rtcp_sr_bytes += len;
-            let Some(rule) = self.resolve_rule(cache, pkt.dst.port) else {
+            let Some((rule, flow)) = self.match_port(stats, pkt.dst.port, 0) else {
                 self.counters.no_rule_drops += 1;
                 return;
             };
             match rule {
                 PortRule::SenderUplink { action, .. } => {
-                    self.replicate_media(pkt, None, &action, cache, sink);
+                    self.replicate_media(pkt, None, 0, &action, flow, stats, sink);
                 }
                 PortRule::TrunkIngress { action } => {
                     self.counters.trunk_in_pkts += 1;
                     self.counters.trunk_in_bytes += len;
-                    self.replicate_media(pkt, None, &action, cache, sink);
+                    self.replicate_media(pkt, None, 0, &action, flow, stats, sink);
                 }
                 _ => self.counters.no_rule_drops += 1,
             }
@@ -426,7 +458,7 @@ impl ScallopDataPlane {
         // forwarded; everything is copied to the CPU for analysis (§5.5).
         self.counters.rtcp_fb_pkts += 1;
         self.counters.rtcp_fb_bytes += len;
-        let Some(rule) = self.resolve_rule(cache, pkt.dst.port) else {
+        let Some((rule, _)) = self.match_port(stats, pkt.dst.port, 0) else {
             self.counters.no_rule_drops += 1;
             return;
         };
@@ -485,7 +517,7 @@ impl ScallopDataPlane {
         &mut self,
         pkt: &Packet,
         parsed: &ParsedPacket,
-        cache: &mut BatchCaches,
+        stats: &mut BatchStats,
         sink: &mut EmitSink,
     ) {
         let len = pkt.payload.len() as u64;
@@ -499,7 +531,11 @@ impl ScallopDataPlane {
             self.counters.audio_in_pkts += 1;
             self.counters.audio_in_bytes += len;
         }
-        let Some(rule) = self.resolve_rule(cache, pkt.dst.port) else {
+        // The packet's temporal layer, read once: it picks the tier's
+        // flow and gates every replica. A packet without a DD is tier 0
+        // and passes every gate.
+        let temporal = rtp.dd.map_or(0, |d| l1t3::temporal_of(d.template_id));
+        let Some((rule, flow)) = self.match_port(stats, pkt.dst.port, tier_of(temporal)) else {
             self.counters.no_rule_drops += 1;
             return;
         };
@@ -523,24 +559,24 @@ impl ScallopDataPlane {
         if punt_extended_dd && rtp.dd.map(|d| d.extended).unwrap_or(false) {
             self.punt(pkt, sink);
         }
-        self.replicate_media(pkt, parsed.rtp.as_ref(), &action, cache, sink);
+        let rtp = parsed.rtp.as_ref();
+        self.replicate_media(pkt, rtp, temporal, &action, flow, stats, sink);
     }
 
-    /// Fan a media (or SR) packet out to its receivers.
+    /// Fan a media (or SR) packet of temporal layer `temporal` out to its
+    /// receivers, replaying `flow` — the resolution of the tier's flow the
+    /// port match found, if any.
+    #[allow(clippy::too_many_arguments)]
     fn replicate_media(
         &mut self,
         pkt: &Packet,
         rtp: Option<&parser::RtpSummary>,
+        temporal: u8,
         action: &ReplicationAction,
-        c: &mut BatchCaches,
+        flow: Option<Resolution>,
+        stats: &mut BatchStats,
         sink: &mut EmitSink,
     ) {
-        // The packet's temporal layer, read once: it picks the tier's
-        // tree and gates every replica. A packet without a DD is tier 0
-        // and passes every gate.
-        let temporal = rtp
-            .and_then(|r| r.dd)
-            .map_or(0, |d| l1t3::temporal_of(d.template_id));
         match action {
             ReplicationAction::TwoParty { egress } => {
                 self.emit_replica(pkt, rtp, temporal, *egress, false, sink);
@@ -551,20 +587,22 @@ impl ScallopDataPlane {
                 rid,
                 l2_xid,
             } => {
-                let mgid = mgid_by_tier[usize::from(temporal).min(2)];
                 // Replay the flow's egress-resolved replicas when it was
                 // resolved since the last table write, else walk the PRE,
                 // resolve each replica's egress and keep the lot. A failed
                 // walk (no such group) is kept too, and still charged as a
                 // drop per packet.
-                let flow = (mgid, *l1_xid, *rid, *l2_xid, pkt.dst.port);
-                let (walked, replicas) = match self.flows.get(&flow) {
+                let tier = tier_of(temporal);
+                let (walked, replicas) = match flow {
                     Some((walked, replicas)) => {
-                        c.pre_walks_saved += 1;
-                        c.egress_lookups_saved += replicas.len() as u64;
+                        stats.pre_walks_saved += 1;
+                        stats.egress_lookups_saved += replicas.len() as u64;
                         (walked, replicas)
                     }
-                    None => self.resolve_flow(flow),
+                    None => {
+                        let flow = (mgid_by_tier[tier], *l1_xid, *rid, *l2_xid);
+                        self.resolve_flow(pkt.dst.port, tier, flow)
+                    }
                 };
                 if !walked {
                     self.counters.no_rule_drops += 1;
@@ -586,17 +624,21 @@ impl ScallopDataPlane {
         }
     }
 
-    /// Walk the PRE for `flow`, match every replica's egress rule and
-    /// keep the result in the flow table. Returns whether the walk
-    /// succeeded (`false` — and no replicas — when there is no such
-    /// group) and where the replicas lie in the table.
+    /// Walk the PRE for the flow `(mgid, l1_xid, rid, l2_xid)` that
+    /// `in_port`'s rule starts for `tier`, match every replica's egress
+    /// rule and keep the result in the port's flow-table entry. Returns
+    /// whether the walk succeeded (`false` — and no replicas — when there
+    /// is no such group) and where the replicas lie in the table.
     fn resolve_flow(
         &mut self,
-        flow @ (mgid, l1_xid, rid, l2_xid, in_port): FlowKey,
-    ) -> (bool, Range<usize>) {
+        in_port: u16,
+        tier: usize,
+        (mgid, l1_xid, rid, l2_xid): (u16, u16, u16, u16),
+    ) -> Resolution {
         let (pre, egress) = (&mut self.pre, &mut self.egress);
         self.flows.resolve(
-            flow,
+            in_port,
+            tier,
             // `replicate_into` leaves the walk empty when it fails.
             |walk| pre.replicate_into(mgid, l1_xid, rid, l2_xid, walk).is_ok(),
             |rep| {
@@ -659,10 +701,6 @@ impl ScallopDataPlane {
         // shares the ingress buffer, and a rewritten one carries its new
         // number in the packet's overlay, as the egress deparser would
         // write it over bytes 2..4.
-        let mut fwd = pkt.readdressed(spec.src, spec.dst);
-        if let Some(seq) = rewritten_seq {
-            fwd = fwd.with_seq_overlay(seq);
-        }
         let len = pkt.payload.len() as u64;
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
@@ -670,8 +708,21 @@ impl ScallopDataPlane {
             self.counters.trunk_out_pkts += 1;
             self.counters.trunk_out_bytes += len;
         }
-        sink.forwards.push(fwd);
+        // Counted first, then built in the push: building the replica
+        // before the counter updates measured slower on `fwd_mixed`.
+        let fwd = pkt.readdressed(spec.src, spec.dst);
+        sink.forwards.push(match rewritten_seq {
+            Some(seq) => fwd.with_seq_overlay(seq),
+            None => fwd,
+        });
     }
+}
+
+/// The tier of a packet of temporal layer `temporal`: the index of the
+/// tree it replicates through in a multicast action's `mgid_by_tier`.
+#[inline]
+fn tier_of(temporal: u8) -> usize {
+    usize::from(temporal).min(2)
 }
 
 /// Append `compound` with every NACK packet id shifted by `offset`, each

@@ -1,7 +1,8 @@
 //! Differential test of the flow table's invalidation.
 //!
-//! The data plane keeps every PRE flow it resolved until the PRE or the
-//! egress table is written. Two twin data planes see the same random
+//! The data plane keeps each port's rule until the rule is written, and
+//! every PRE flow it resolved until the PRE or the egress table is
+//! written. Two twin data planes see the same random
 //! interleaving of packets and table writes — egress upserts and
 //! removals, group creation and destruction, L1 nodes added and removed,
 //! L2 XID sets set and cleared. The warm twin takes each packet step as
@@ -11,6 +12,11 @@
 //! packet from the tables. After every step both must have forwarded the
 //! same replicas (addresses and wire bytes, rewritten sequence numbers
 //! included), punted the same packets and kept the same counters.
+//!
+//! Port-rule writes are checked case by case, each against a twin that
+//! takes the packets one call each and matches every one of them in the
+//! tables: a rule rewritten with no other table written, a port-rule
+//! table swapped in whole, and a rule removed.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,6 +25,7 @@ use scallop_dataplane::pre::L1Node;
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_dataplane::switch::ScallopDataPlane;
+use scallop_dataplane::tables::ExactTable;
 use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
 use scallop_media::packetizer::Packetizer;
 use scallop_netsim::packet::{HostAddr, Packet};
@@ -41,6 +48,9 @@ const NO_SUCH_EGRESS: EgressKey = EgressKey {
     rid: u16::MAX,
     in_port: 0,
 };
+/// A port no rule is ever installed on: removing its rule through the
+/// `pub` table changes nothing but the port-rule table's version.
+const NO_SUCH_PORT: u16 = u16::MAX;
 
 fn sfu(port: u16) -> HostAddr {
     HostAddr::new(Ipv4Addr::new(10, 0, 0, 100), port)
@@ -331,4 +341,155 @@ fn flows_that_reach_no_receiver_are_kept_too() {
     assert_eq!(dp.counters.forwarded_pkts, 0);
     assert_eq!(out.stats.pre_walks_saved, u64::from(PORTS));
     assert_eq!(dp.resolved_flows(), usize::from(PORTS));
+}
+
+/// Sender 0's uplink rule with temporal tier `t` replicated through tree
+/// `mgid_by_tier[t]`.
+fn sender0_rule(mgid_by_tier: [u16; 3]) -> PortRule {
+    PortRule::SenderUplink {
+        action: ReplicationAction::Multicast {
+            mgid_by_tier,
+            l1_xid: 0,
+            rid: 1,
+            l2_xid: 0,
+        },
+        punt_extended_dd: true,
+    }
+}
+
+/// [`plane`] with sender 0 on one tree for every tier (tree 1), and tree
+/// `GROUPS` without RIDs 1 and 2, so that a T2 packet fans out to fewer
+/// receivers through it than through tree 1.
+fn one_tree_plane() -> ScallopDataPlane {
+    let mut dp = plane();
+    for rid in [1, 2] {
+        dp.pre.remove_node(GROUPS, rid).unwrap();
+    }
+    dp.install_port_rule(uplink(0), sender0_rule([1; 3]))
+        .unwrap();
+    dp
+}
+
+/// Both twins take `pkts`: `warm` in one call, `cold` one call a packet,
+/// each after a write that changes nothing but the versions of its
+/// port-rule and egress tables, so that it matches the packet's rule and
+/// resolves its flow in the tables. Both must forward the same replicas,
+/// punt the same packets and keep the same counters. Returns the replicas
+/// forwarded.
+fn twins(warm: &mut ScallopDataPlane, cold: &mut ScallopDataPlane, pkts: &[Packet]) -> usize {
+    let mut out = BatchOutput::default();
+    warm.process_batch(pkts, &mut out);
+    let (mut forwards, mut punts) = (Vec::new(), Vec::new());
+    let mut cold_out = BatchOutput::default();
+    for (j, pkt) in pkts.iter().enumerate() {
+        cold.port_rules.remove(&NO_SUCH_PORT);
+        cold.remove_egress(NO_SUCH_EGRESS);
+        cold.process_batch(std::slice::from_ref(pkt), &mut cold_out);
+        forwards.extend(cold_out.forwards.iter().map(wire));
+        punts.extend(cold_out.cpu_punts.iter().map(|&p| p + j as u32));
+    }
+    let warm_forwards: Vec<_> = out.forwards.iter().map(wire).collect();
+    assert_eq!(warm_forwards, forwards, "forwards");
+    assert_eq!(out.cpu_punts, punts, "punts");
+    assert_eq!(warm.counters, cold.counters, "counters");
+    assert_eq!(
+        cold_out.stats.port_lookups_saved, 0,
+        "the cold twin kept a rule"
+    );
+    out.forwards.len()
+}
+
+/// T2 video from sender `s`: `count` packets of one frame.
+fn t2_video(senders: &mut Senders, s: u16, count: u16) -> Vec<Packet> {
+    senders.packets(s, count, 2, 1)
+}
+
+/// A DT change that moves a sender to per-tier trees rewrites its uplink
+/// rule and writes neither the PRE nor the egress table. The port's next
+/// packet follows the new rule.
+#[test]
+fn a_rewritten_port_rule_takes_effect_on_the_next_packet() {
+    let (mut warm, mut cold) = (one_tree_plane(), one_tree_plane());
+    let mut senders = Senders::new();
+    // Through tree 1: RIDs 2, 4 and 5 (RID 1 is the sender's own, 3 and 6
+    // decode below T2).
+    let pkts = t2_video(&mut senders, 0, 3);
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 3 * 3);
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 3 * 3);
+
+    for dp in [&mut warm, &mut cold] {
+        dp.install_port_rule(uplink(0), sender0_rule([1, 2, GROUPS]))
+            .unwrap();
+    }
+    // Through tree `GROUPS`, which lacks RID 2.
+    let pkts = t2_video(&mut senders, 0, 3);
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 3 * 2);
+    assert_eq!(warm.resolved_flows(), 1);
+}
+
+/// A port-rule table swapped in whole through the `pub` field drops
+/// every kept rule — even a table holding the very entries the kept rules
+/// were first matched from.
+#[test]
+fn a_port_rule_table_swapped_in_whole_drops_every_kept_rule() {
+    let (mut warm, mut cold) = (one_tree_plane(), one_tree_plane());
+    let first = warm.port_rules.clone();
+    let mut senders = Senders::new();
+    // Sender 0's T2 packets reach three receivers through tree 1 and two
+    // through tree `GROUPS`; sender 1's reach two.
+    let mut pkts = t2_video(&mut senders, 0, 2);
+    pkts.extend(t2_video(&mut senders, 1, 2));
+    let fanout = twins(&mut warm, &mut cold, &pkts);
+    assert_eq!(fanout, 2 * 3 + 2 * 2);
+
+    for dp in [&mut warm, &mut cold] {
+        dp.install_port_rule(uplink(0), sender0_rule([GROUPS; 3]))
+            .unwrap();
+    }
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 2 * 2 + 2 * 2);
+
+    // The table from before the install: sender 0 is back on tree 1, even
+    // when another port's rule is installed before the next packet.
+    let sender1 = *first.peek(&uplink(1)).unwrap();
+    for dp in [&mut warm, &mut cold] {
+        dp.port_rules = first.clone();
+        dp.install_port_rule(uplink(1), sender1).unwrap();
+    }
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), fanout);
+
+    // A table without any rule: every packet is a drop.
+    let drops = warm.counters.no_rule_drops;
+    for dp in [&mut warm, &mut cold] {
+        dp.port_rules = ExactTable::new("port_rules", 16, 160);
+    }
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 0);
+    assert_eq!(warm.counters.no_rule_drops, drops + pkts.len() as u64);
+}
+
+/// A removed port rule turns its port's packets into `no_rule_drops`;
+/// another port's kept rule and flows still serve its packets.
+#[test]
+fn a_removed_port_rule_turns_the_ports_packets_into_drops() {
+    let (mut warm, mut cold) = (plane(), plane());
+    let mut senders = Senders::new();
+    // Sender 0's T2 packets reach three receivers, sender 1's two.
+    let mut pkts = t2_video(&mut senders, 0, 2);
+    pkts.extend(t2_video(&mut senders, 1, 2));
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 2 * 3 + 2 * 2);
+
+    for dp in [&mut warm, &mut cold] {
+        dp.remove_port_rule(uplink(0)).unwrap();
+    }
+    let drops = warm.counters.no_rule_drops;
+    // Sender 1's flow is still kept: both its packets replay it.
+    let probe = t2_video(&mut senders, 1, 2);
+    let mut out = BatchOutput::default();
+    warm.process_batch(&probe, &mut out);
+    assert_eq!(out.stats.pre_walks_saved, 2);
+    cold.process_batch(&probe, &mut BatchOutput::default());
+
+    let mut pkts = t2_video(&mut senders, 0, 2);
+    pkts.extend(t2_video(&mut senders, 1, 2));
+    assert_eq!(twins(&mut warm, &mut cold, &pkts), 2 * 2);
+    assert_eq!(warm.counters.no_rule_drops, drops + 2);
 }

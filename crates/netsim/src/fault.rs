@@ -7,11 +7,11 @@
 //! that can drop (Bernoulli or bursty Gilbert–Elliott), duplicate, delay
 //! (jitter), and reorder packets deterministically from the simulation seed.
 //!
-//! # Fail-stop injection (node kills, trunk cuts, partitions)
+//! # Fail-stop injection (node kills, trunk cuts)
 //!
 //! Packet impairments degrade a path; crash faults *remove* it. The
-//! simulator exposes three fail-stop primitives, all exact (no
-//! randomness) and all inert until invoked, so a run that never injects
+//! simulator exposes two fail-stop primitives, both exact (no
+//! randomness) and both inert until invoked, so a run that never injects
 //! a fault is event-for-event identical to one built before this API
 //! existed:
 //!
@@ -27,9 +27,6 @@
 //! * [`Simulator::cut_link`] severs the path between one node pair in
 //!   both directions (packets already in flight still arrive);
 //!   [`Simulator::restore_link`] splices it back.
-//! * [`Simulator::partition`] isolates a node set: packets crossing the
-//!   boundary are discarded, traffic wholly on either side flows
-//!   normally; partitioning the empty set reconnects.
 //!
 //! Discards are counted in
 //! [`SimStats::packets_failstopped`](crate::sim::SimStats), separate
@@ -40,7 +37,6 @@
 //! [`Simulator::revive_node`]: crate::sim::Simulator::revive_node
 //! [`Simulator::cut_link`]: crate::sim::Simulator::cut_link
 //! [`Simulator::restore_link`]: crate::sim::Simulator::restore_link
-//! [`Simulator::partition`]: crate::sim::Simulator::partition
 
 use crate::rng::DetRng;
 use crate::time::SimDuration;

@@ -90,6 +90,7 @@ impl Packet {
     /// payload bytes 2..4, which stay shared and untouched. A payload too
     /// short to hold a sequence number has none to replace and is left as
     /// it is (a branch, not a panic: this runs once per replica).
+    #[inline]
     pub fn with_seq_overlay(mut self, seq: u16) -> Packet {
         if self.payload.len() >= 4 {
             self.seq_overlay = Some(seq);
@@ -132,6 +133,7 @@ impl Packet {
     /// rewrite Scallop's egress pipeline performs on replicas (§6.1
     /// "Addressing replicated packets"); a replica whose sequence number is
     /// rewritten as well gets [`Self::with_seq_overlay`] on top.
+    #[inline]
     pub fn readdressed(&self, src: HostAddr, dst: HostAddr) -> Packet {
         Packet {
             src,

@@ -200,7 +200,7 @@ pub struct SimStats {
     /// Packets sent to addresses no node owns.
     pub packets_unroutable: u64,
     /// Packets discarded by fail-stop injection: addressed to a killed
-    /// node, across a cut link, or across a partition boundary.
+    /// node, or across a cut link.
     pub packets_failstopped: u64,
 }
 
@@ -223,9 +223,6 @@ pub struct Simulator {
     /// Fail-stopped link pairs (normalized lower index first): packets
     /// between the two nodes are discarded at transmit time.
     cuts: std::collections::HashSet<(usize, usize)>,
-    /// Node indices on the minority side of an active partition; empty
-    /// means no partition. Packets crossing the boundary are discarded.
-    partitioned: std::collections::HashSet<usize>,
     /// Run-level statistics.
     pub stats: SimStats,
     /// Optional packet trace capture (records every node delivery).
@@ -245,7 +242,6 @@ impl Simulator {
             outbox: Vec::new(),
             timers: Vec::new(),
             cuts: std::collections::HashSet::new(),
-            partitioned: std::collections::HashSet::new(),
             stats: SimStats::default(),
             trace: TraceSink::disabled(),
         }
@@ -361,14 +357,6 @@ impl Simulator {
         self.cuts.contains(&Self::pair_key(a, b))
     }
 
-    /// Partition `group` away from every other node: packets crossing
-    /// the boundary (either direction) are discarded at transmit time,
-    /// while traffic wholly inside or wholly outside the group flows
-    /// normally. Replaces any previous partition; an empty group heals.
-    pub fn partition(&mut self, group: &[NodeId]) {
-        self.partitioned = group.iter().map(|id| id.0).collect();
-    }
-
     fn pair_key(a: NodeId, b: NodeId) -> (usize, usize) {
         if a.0 <= b.0 {
             (a.0, b.0)
@@ -378,13 +366,9 @@ impl Simulator {
     }
 
     /// Whether a packet from `src` to `dst` is discarded by an active
-    /// fail-stop injection (dead destination, cut pair, or partition
-    /// boundary crossing).
+    /// fail-stop injection (dead destination or cut pair).
     fn failstopped(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dead[dst.0]
-            || (!self.cuts.is_empty() && self.cuts.contains(&Self::pair_key(src, dst)))
-            || (!self.partitioned.is_empty()
-                && self.partitioned.contains(&src.0) != self.partitioned.contains(&dst.0))
+        self.dead[dst.0] || (!self.cuts.is_empty() && self.cuts.contains(&Self::pair_key(src, dst)))
     }
 
     /// Inject a packet into the network "from outside" (it still traverses
@@ -1095,29 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_only_boundary_crossings() {
-        let cfg = LinkConfig::infinite(SimDuration::from_millis(5));
-        let (mut sim, echo, _pinger) = two_node_sim(11, cfg, cfg);
-        sim.partition(&[echo]);
-        sim.run_until(SimTime::from_secs(1));
-        let e: &mut Echo = sim.node_mut(echo).unwrap();
-        assert_eq!(e.received, 0);
-        assert_eq!(sim.stats.packets_failstopped, 3);
-        sim.partition(&[]);
-        sim.inject(
-            SimTime::from_secs(2),
-            Packet::new(
-                HostAddr::new(ip(1), 4000),
-                HostAddr::new(ip(2), 5000),
-                vec![0u8; 10],
-            ),
-        );
-        sim.run_until(SimTime::from_secs(3));
-        let e: &mut Echo = sim.node_mut(echo).unwrap();
-        assert_eq!(e.received, 1, "healed partition carries traffic again");
-    }
-
-    #[test]
     fn no_fault_run_is_identical_with_inactive_failstop_state() {
         let cfg = LinkConfig::infinite(SimDuration::from_millis(5));
         let run = |touch: bool| {
@@ -1127,8 +1088,6 @@ mod tests {
                 // fail-stop state must not perturb the run.
                 sim.cut_link(pinger, NodeId(0));
                 sim.restore_link(pinger, NodeId(0));
-                sim.partition(&[pinger]);
-                sim.partition(&[]);
             }
             sim.run_until(SimTime::from_secs(1));
             let p: &mut Pinger = sim.node_mut(pinger).unwrap();

@@ -80,7 +80,7 @@ fn video_bytes(ssrc: u32, seq: u16, template_id: u8, is_key: bool) -> Vec<u8> {
 
 /// What the one-batch side of [`assert_equivalent_after`] did.
 struct BatchSide {
-    /// What the port memo and the flow table saved.
+    /// What the flow table saved.
     stats: BatchStats,
     counters: DataPlaneCounters,
     forwards: u64,
@@ -99,7 +99,7 @@ fn assert_equivalent(pkts: &[Packet], parties: usize) -> BatchSide {
 /// identically-built data planes (`tweak` applied to both, dense
 /// registers on the one-batch side) and assert full equivalence:
 /// forwards, punt ring, counters, parse depth — and the same flow-table
-/// savings, which outlive a call.
+/// savings (port, PRE and egress), which outlive a call.
 fn assert_equivalent_after(
     pkts: &[Packet],
     parties: usize,
@@ -134,11 +134,17 @@ fn assert_equivalent_after(
         bat_dp.max_parse_depth, seq_dp.max_parse_depth,
         "parse depth diverged"
     );
-    let flow_savings = |s: &BatchStats| (s.pre_walks_saved, s.egress_lookups_saved);
+    let savings = |s: &BatchStats| {
+        (
+            s.port_lookups_saved,
+            s.pre_walks_saved,
+            s.egress_lookups_saved,
+        )
+    };
     assert_eq!(
-        flow_savings(&out.stats),
-        flow_savings(&bout.stats),
-        "a flow resolved by an earlier call was not replayed"
+        savings(&out.stats),
+        savings(&bout.stats),
+        "savings depend on how the packets were cut into calls"
     );
     // Every media replica, rewritten or not, shares its ingress packet's
     // buffer; a rewritten one carries its number in the overlay.
@@ -220,15 +226,15 @@ fn mixed_traffic_batch_matches_batches_of_one() {
     );
 }
 
-/// The flow table keeps every flow resolved since the last table write,
-/// and the port memo the previous packet's rule. Every case is checked
-/// against batches of one on a twin: the walks and egress matches saved
-/// must equal the repeats of each flow, adjacent or not, and the port
-/// matches saved the adjacent repeats of a port.
+/// The flow table keeps each media port's rule since it was installed,
+/// and every flow resolved since the last table write. Every case is
+/// checked against batches of one on a twin: the port matches saved must
+/// equal the repeats of each port that has a media rule, and the walks
+/// and egress matches saved the repeats of each flow, adjacent or not.
 #[test]
 fn savings_are_the_repeats_of_each_flow_since_the_last_write() {
     const PARTIES: usize = 4;
-    let (dp, _, members) = meeting(PARTIES);
+    let (dp, agent, members) = meeting(PARTIES);
     let sfu = |port| HostAddr::new(Ipv4Addr::new(10, 0, 0, 100), port);
     // T0 video (every receiver takes it): sender `s`, sequence number
     // `seq`, addressed to `port` of the SFU.
@@ -249,15 +255,15 @@ fn savings_are_the_repeats_of_each_flow_since_the_last_write() {
     };
 
     // A,B,A,B: no packet repeats its neighbour's port, but the second A
-    // and the second B replay their flows.
+    // and the second B find their ports' rules and replay their flows.
     let side = assert_equivalent(
         &[video(a, 0), video(b, 0), video(a, 1), video(b, 1)],
         PARTIES,
     );
-    assert_eq!(saved(&side), (0, 2, 2 * fanout));
-    assert_eq!(side.port_lookups, 4);
+    assert_eq!(saved(&side), (2, 2, 2 * fanout));
+    assert_eq!(side.port_lookups, 2);
 
-    // A,A,B,B,A: two adjacent port repeats, and three flow repeats — the
+    // A,A,B,B,A: three port repeats and three flow repeats — the
     // returning A among them.
     let side = assert_equivalent(
         &[
@@ -269,15 +275,17 @@ fn savings_are_the_repeats_of_each_flow_since_the_last_write() {
         ],
         PARTIES,
     );
-    assert_eq!(saved(&side), (2, 3, 3 * fanout));
+    assert_eq!(saved(&side), (3, 3, 3 * fanout));
+    assert_eq!(side.port_lookups, 2);
     assert_eq!(side.forwards, 5 * fanout);
 
-    // A port with no rule, three times: one lookup, three drops.
+    // A port with no rule, three times: the wire names that port, so it
+    // is not kept — three lookups, three drops.
     let unused = PORT_BASE + 1_500;
     let to_unused = [0, 1, 2].map(|seq| video_to(a, seq, unused));
     let side = assert_equivalent(&to_unused, PARTIES);
-    assert_eq!(saved(&side), (2, 0, 0));
-    assert_eq!(side.port_lookups, 1);
+    assert_eq!(saved(&side), (0, 0, 0));
+    assert_eq!(side.port_lookups, 3);
     assert_eq!(side.counters.no_rule_drops, 3);
     assert_eq!(side.forwards, 0);
 
@@ -310,8 +318,26 @@ fn savings_are_the_repeats_of_each_flow_since_the_last_write() {
     assert_eq!(side.counters.no_rule_drops, 3);
     assert_eq!(side.forwards, 3 * (fanout - 1));
 
-    // STUN and garbage wedged into a flow resolve nothing and leave both
-    // the port memo and the flow table alone: the second A is a hit.
+    // Three NACKs from a receiver of A, to the feedback port A's media
+    // reaches it from: feedback rules are not kept, so three lookups.
+    let fb = agent
+        .video_pair_addr(members[a].1.participant, members[b].1.participant)
+        .expect("b receives a's video");
+    let nacks = [0, 1, 2].map(|seq| {
+        let nack = scallop::proto::rtcp::RtcpPacket::Nack(scallop::proto::rtcp::Nack {
+            sender_ssrc: 2,
+            media_ssrc: 0x1000,
+            entries: vec![(seq, 0)],
+        });
+        Packet::new(members[b].0, fb, scallop::proto::rtcp::serialize(&nack))
+    });
+    let side = assert_equivalent(&nacks, PARTIES);
+    assert_eq!(saved(&side), (0, 0, 0));
+    assert_eq!(side.port_lookups, 3);
+    assert_eq!(side.forwards, 3);
+
+    // STUN and garbage wedged into a flow resolve nothing and leave the
+    // flow table alone: the second A is a hit.
     let stun = scallop::proto::stun::StunMessage::binding_request([9; 12]).serialize();
     let side = assert_equivalent(
         &[
@@ -394,16 +420,19 @@ fn a_write_between_two_packets_of_a_flow_resolves_the_second_cold() {
 #[test]
 fn bench_smoke_runner_reports_equivalent() {
     // 10 senders x 5-packet frames x 4 rounds, plus sender 0's sender
-    // report each round: each frame's four later packets repeat its first
-    // one's port. No meeting is rate-adapted, so each sender's media is
-    // one flow (9 replicas), resolved once for the whole run.
+    // report, a NACK and an RR+REMB each round. Each sender's uplink is
+    // matched in the dense registers once, for the whole run; every later
+    // packet to it finds its rule kept. The feedback ports are not kept:
+    // each of the eight feedback packets is matched in the registers. No
+    // meeting is rate-adapted, so each sender's media is one flow (9
+    // replicas), resolved once for the whole run.
     let report = scallop_bench::dataplane::run_batch_smoke(10, 4);
     assert_eq!(report.equivalent, 1);
-    assert_eq!(report.port_lookups_saved, 10 * 4 * 4);
     let media_pkts = 10 * 4 * 5 + 4;
+    assert_eq!(report.dense_lookups, 10 + 2 * 4);
+    assert_eq!(report.port_lookups_saved, media_pkts - 10);
     assert_eq!(report.pre_walks_saved, media_pkts - 10);
     assert_eq!(report.egress_lookups_saved, (media_pkts - 10) * 9);
-    assert!(report.dense_lookups > 0, "dense registers never hit");
 }
 
 /// One randomized packet: who sends, what kind, and the knobs the
