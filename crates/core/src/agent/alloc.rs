@@ -224,7 +224,6 @@ impl SwitchAgent {
                 dt_cap: 2,
                 dt_per_sender: HashMap::new(),
                 ewma: HashMap::new(),
-                est_hist: HashMap::new(),
                 pair_from: HashMap::new(),
                 tracker_idx: HashMap::new(),
                 last_dt_change: None,
@@ -301,7 +300,6 @@ impl SwitchAgent {
             freed_trackers.extend(q.tracker_idx.remove(&pid));
             q.trunk_dst.remove(&pid);
             q.ewma.remove(&pid);
-            q.est_hist.remove(&pid);
             q.dt_per_sender.remove(&pid);
         }
         for idx in freed_trackers {

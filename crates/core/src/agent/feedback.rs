@@ -4,7 +4,7 @@
 //! STUN and extended dependency descriptors.
 
 use super::alloc::PortUse;
-use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent};
+use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, EWMA_ALPHA};
 use scallop_dataplane::rules::PortRule;
 use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_netsim::packet::{HostAddr, Packet};
@@ -200,19 +200,13 @@ impl SwitchAgent {
                 RtcpRef::Remb { bitrate_bps, .. } => {
                     self.counters.rembs_analyzed += 1;
                     saw_remb = true;
-                    let alpha = self.ewma_alpha;
                     let (curr_dt, new_dt, dwell_ok) = {
                         let pr = self.pinfo.get_mut(&receiver).expect("receiver known");
                         let smoothed = pr
                             .ewma
                             .entry(sender)
-                            .or_insert_with(|| Ewma::new(alpha))
+                            .or_insert_with(|| Ewma::new(EWMA_ALPHA))
                             .update(bitrate_bps as f64);
-                        let hist = pr.est_hist.entry(sender).or_default();
-                        hist.push(bitrate_bps);
-                        if hist.len() > 32 {
-                            hist.remove(0);
-                        }
                         let curr = pr.dt;
                         // Asymmetric damping (fast down, slow up): a
                         // single collapsed REMB may reflect real queue
@@ -222,7 +216,7 @@ impl SwitchAgent {
                         let decision_est = (smoothed as u64).min(bitrate_bps);
                         // An admission-imposed cap bounds what the
                         // policy may climb to (SVC-thin stays thin).
-                        let new = (self.policy)(curr, hist, decision_est).min(pr.dt_cap);
+                        let new = (self.policy)(curr, decision_est).min(pr.dt_cap);
                         // Down-switches shed load and must be fast; an
                         // up-switch doubles the offered load with no way
                         // to probe headroom first (the switch cannot send

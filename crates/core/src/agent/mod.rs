@@ -121,8 +121,8 @@ pub fn cadence_for_dt(dt: u8) -> u16 {
 }
 
 /// The `selectDecodeTarget` policy hook (§5.4). Arguments: current
-/// decode target, history of past estimates (bits/s), newest estimate.
-pub type AdaptationPolicy = Rc<dyn Fn(u8, &[u64], u64) -> u8>;
+/// decode target, newest (damped) estimate in bits/s.
+pub type AdaptationPolicy = Rc<dyn Fn(u8, u64) -> u8>;
 
 /// The paper's simple threshold heuristic, with a conservative 2.2×
 /// upward hysteresis: moving a decode target up instantly *doubles* the
@@ -132,7 +132,7 @@ pub type AdaptationPolicy = Rc<dyn Fn(u8, &[u64], u64) -> u8>;
 /// estimate to rise well past the threshold — the paper's evaluation
 /// likewise never exercises an automatic up-switch under constraint.)
 pub(crate) fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
-    Rc::new(move |curr, _hist, new_est| {
+    Rc::new(move |curr, new_est| {
         let up = |t: u64| t * 22 / 10;
         let target = if new_est < thresholds[0] {
             0
@@ -164,6 +164,11 @@ pub(crate) fn default_policy(thresholds: [u64; 2]) -> AdaptationPolicy {
 /// able to actually carry that band's tier, or the selector pins the
 /// receiver in permanent congestion. Matches the software baseline.
 pub(crate) const DEFAULT_DT_THRESHOLDS: [u64; 2] = [680_000, 1_350_000];
+
+/// Smoothing weight of the per-downlink REMB EWMA: react within ~2
+/// feedback intervals, since the point of SFU-side adaptation is to
+/// shed layers *before* the receiver's queue overflows (§5.3).
+const EWMA_ALPHA: f64 = 0.5;
 
 /// Most response and REMB buffers an agent keeps; past this many in
 /// flight, the oldest is left to whoever still reads it.
@@ -263,8 +268,6 @@ struct Pinfo {
     dt_per_sender: HashMap<ParticipantId, u8>,
     /// Per-sender downlink EWMA (this participant as receiver).
     ewma: HashMap<ParticipantId, Ewma>,
-    /// Per-sender estimate history (for the policy hook).
-    est_hist: HashMap<ParticipantId, Vec<u64>>,
     /// Ports we send this participant media from, per sender:
     /// (video pair port, audio pair port).
     pair_from: HashMap<ParticipantId, (u16, u16)>,
@@ -315,7 +318,6 @@ pub struct SwitchAgent {
     /// packing): NRA singles and RA-R triplets.
     half_trees: Vec<HalfTree>,
     policy: AdaptationPolicy,
-    ewma_alpha: f64,
     /// What the last [`Self::handle_cpu_packet`] sends, drained by its
     /// caller; the vector is kept across calls.
     out: Vec<Packet>,
@@ -341,10 +343,6 @@ impl SwitchAgent {
             port_use: BTreeMap::new(),
             half_trees: Vec::new(),
             policy: default_policy(DEFAULT_DT_THRESHOLDS),
-            // React within ~2 feedback intervals: the point of SFU-side
-            // adaptation is to shed layers *before* the receiver's queue
-            // overflows (§5.3).
-            ewma_alpha: 0.5,
             out: Vec::new(),
             pool: BufPool::new(RESPONSE_POOL_LIMIT),
             counters: AgentCounters::default(),

@@ -317,13 +317,13 @@ fn default_policy_hysteresis() {
     let p = default_policy([450_000, 1_100_000]);
     // (explicit thresholds: the test pins the policy's arithmetic,
     // not the deployment defaults)
-    assert_eq!(p(2, &[], 2_000_000), 2);
-    assert_eq!(p(2, &[], 800_000), 1); // drop below threshold
-    assert_eq!(p(1, &[], 1_400_000), 1); // within the 2.2x up-gate band
-    assert_eq!(p(1, &[], 2_500_000), 2); // clearly past 2.42M
-    assert_eq!(p(1, &[], 300_000), 0);
-    assert_eq!(p(0, &[], 900_000), 0); // 450k*2.2 = 990k > 900k
-    assert_eq!(p(0, &[], 1_050_000), 1);
+    assert_eq!(p(2, 2_000_000), 2);
+    assert_eq!(p(2, 800_000), 1); // drop below threshold
+    assert_eq!(p(1, 1_400_000), 1); // within the 2.2x up-gate band
+    assert_eq!(p(1, 2_500_000), 2); // clearly past 2.42M
+    assert_eq!(p(1, 300_000), 0);
+    assert_eq!(p(0, 900_000), 0); // 450k*2.2 = 990k > 900k
+    assert_eq!(p(0, 1_050_000), 1);
 }
 
 /// A 3-party partner meeting, then a fresh meeting `m` on the same

@@ -82,18 +82,19 @@
 //!
 //! # Relation to the sharded control plane
 //!
-//! A `Controller` is the plane's one meeting store, private to this
-//! crate: every fabric meeting has exactly one
-//! [`crate::meeting::FabricMeetingState`] record here, whichever
-//! controller shard owns it. [`ShardedControlPlane`] holds one
-//! `Controller`; its shards hold claims on the records (who may write
-//! one, under which epoch), so a handoff or a lease steal moves a claim
-//! and never a record. The plane is the only way in: it allocates
-//! global meeting/participant ids and hands them to the create and join
-//! entry points here, so a `Controller` on its own can neither create a
-//! meeting nor admit a member. It also owns the fabric's one
-//! [`FabricLoadLedger`] and lends it to each call here that prices,
-//! debits or credits.
+//! The plane is the controller: this module is the second `impl` block
+//! of [`ShardedControlPlane`], holding its meeting operations — create,
+//! join, leave, rebalance, repair and edge evacuation, each defined
+//! once — while [`crate::shard`] holds the ring, the claims, the leases
+//! and the readers. Every fabric meeting has exactly one
+//! [`crate::meeting::FabricMeetingState`] record in the plane's one
+//! store, whichever controller shard claims it, so a handoff or a lease
+//! steal moves a claim and never a record. The operations read the
+//! plane's one [`FabricLoadLedger`] directly; only the two helpers that
+//! run while a record is borrowed take it as a parameter. There is one
+//! re-home path: [`ShardedControlPlane::rebalance_fabric`] re-homes,
+//! counts a cross-zone move and hands the meeting off, and an edge
+//! failure that takes a meeting's home re-homes through it.
 
 use crate::agent::{JoinGrant, MeetingId, ParticipantId, Tier};
 use crate::capacity::{
@@ -102,7 +103,6 @@ use crate::capacity::{
 };
 use crate::fabric::Fabric;
 use crate::meeting::{FabricMeetingState, FabricMemberState};
-#[cfg(doc)]
 use crate::shard::ShardedControlPlane;
 use scallop_netsim::packet::HostAddr;
 use scallop_netsim::sim::Simulator;
@@ -215,10 +215,10 @@ impl JoinOutcome {
     };
 }
 
-/// Buffers [`Controller::join`] reuses across calls, so a join that is
-/// a burst of one allocates nothing for the burst machinery.
+/// Buffers the join path reuses across calls, so a join that is a
+/// burst of one allocates nothing for the burst machinery.
 #[derive(Debug, Default)]
-struct JoinScratch {
+pub(crate) struct JoinScratch {
     /// The burst's distinct edges, in first-appearance order.
     edges: Vec<usize>,
     /// Input indices admitted on the current edge, not yet executed.
@@ -227,46 +227,26 @@ struct JoinScratch {
     grants: Vec<JoinGrant>,
 }
 
-/// The centralized controller: one instance per plane, holding every
-/// fabric meeting's record (see [`crate::shard`] for the shards that
-/// partition ownership of these records).
-#[derive(Debug, Default)]
-pub(crate) struct Controller {
-    /// Every live fabric meeting's record — the plane's one store.
-    pub(crate) fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
-    /// Tombstones: the `(home edge, epoch)` of every fabric meeting
-    /// retired when its last member left (its record is gone from
-    /// `fabric_meetings`). Read only when a join names an id that is
-    /// not live, which revives the meeting as the drained record it
-    /// was, and when a revived shard's stale claim is fenced.
-    pub(crate) tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
-    /// Signaling transactions served (telemetry).
-    pub signaling_exchanges: u64,
-    scratch: JoinScratch,
-}
-
-impl Controller {
+impl ShardedControlPlane {
     // ------------------------------------------------------------------
     // Fabric placement (§5.1 generalized to a campus of edge switches)
     // ------------------------------------------------------------------
 
-    /// Place meeting `gmid` on the fabric with `home` as its home edge
-    /// (the sharded plane allocates global ids centrally, so the id
-    /// space stays collision-free across shards). The home segment is
+    /// Place a meeting on the fabric with `home` as its home edge and
+    /// assign it to a shard (sharding function in the [`crate::shard`]
+    /// module docs). Global ids are allocated here, centrally, so the
+    /// id space stays collision-free across shards. The home segment is
     /// created immediately; segments on other edges materialize when
     /// their first participant joins.
-    pub(crate) fn create_fabric_meeting_as(
+    pub fn create_fabric_meeting(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
         home: usize,
-        gmid: GlobalMeetingId,
-    ) {
+    ) -> GlobalMeetingId {
         assert!(home < fabric.edges(), "home edge out of range");
-        assert!(
-            !self.fabric_meetings.contains_key(&gmid),
-            "meeting id already tracked"
-        );
+        self.next_global_meeting += 1;
+        let gmid = self.next_global_meeting;
         let seg = fabric.edge_mut(sim, home).agent.create_meeting();
         let mut rec = FabricMeetingState {
             home,
@@ -280,6 +260,9 @@ impl Controller {
             .insert(fabric.topology.zone_of_edge(home), home);
         self.fabric_meetings.insert(gmid, rec);
         self.signaling_exchanges += 1;
+        // Every meeting is born in epoch 1; steals bump it.
+        self.place(gmid, home, 1);
+        gmid
     }
 
     // ------------------------------------------------------------------
@@ -426,68 +409,24 @@ impl Controller {
         }
     }
 
-    /// A join names `gmid`: if the meeting was retired, bring its
-    /// record back exactly as it drained — the old home and epoch, no
-    /// segments. Returns whether it did.
-    fn revive_if_retired(&mut self, gmid: GlobalMeetingId) -> bool {
-        let Some((home, epoch)) = self.tombstones.remove(&gmid) else {
-            return false;
-        };
-        let rec = FabricMeetingState {
-            home,
-            epoch,
-            ..Default::default()
-        };
-        self.fabric_meetings.insert(gmid, rec);
-        true
-    }
-
-    /// The one join path: decide and execute a burst of join requests
-    /// into fabric meeting `gmid` (a single join is a burst of one).
-    /// Requests are grouped by edge, groups taken in first-appearance
-    /// order, and each request goes through the same five steps:
-    ///
-    /// 1. **price** — [`Self::price`] against the record and ledger as
-    ///    the requests before it in the burst left them; a refusal
-    ///    executes nothing and is counted on the ledger;
-    /// 2. **materialize** — the first admission on an edge without a
-    ///    segment creates and wires it ([`Self::materialize_segment`]),
-    ///    marked thin when that admission is SVC-thin so its branches
-    ///    are booked and compiled against the thin plan;
-    /// 3. **admit** — a group's admitted joiners enter the agent as
-    ///    **one** batch, i.e. one compile per affected segment;
-    /// 4. **record / debit** — each becomes a member (in a thin segment:
-    ///    marked thin and, if it only receives, decode target capped at
-    ///    [`THIN_DECODE_TARGET`] — reduced cadence, never frozen) and
-    ///    its uplink ports are booked;
-    /// 5. **plumb** — the batch's senders are wired toward the segments
-    ///    that exist so far; segments materialized later in the burst
-    ///    pick them up when they are wired in, exactly as sequential
-    ///    joins would.
-    ///
-    /// Request `i` is answered in `out[i]` and, if admitted, gets id
-    /// `first_global + i`: a fully admitted burst numbers its members
-    /// consecutively in input order, a refusal leaves its id unused.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join(
+    /// [`Self::join`] into a caller-held buffer of `reqs.len()` slots
+    /// (a single join answers into a stack slot): route the burst to the
+    /// meeting's owner, then take each request through `join`'s five
+    /// numbered steps, answering request `i` in `out[i]`.
+    pub(crate) fn join_into(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         reqs: &[JoinRequest],
-        first_global: GlobalParticipantId,
         out: &mut [JoinOutcome],
     ) {
         assert_eq!(reqs.len(), out.len(), "one outcome slot per request");
-        let revived = self.revive_if_retired(gmid);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Controller {
-            fabric_meetings,
-            signaling_exchanges,
-            ..
-        } = self;
-        let rec = fabric_meetings.get_mut(&gmid).expect("fabric meeting");
+        let revived = self.route_to_owner(gmid, reqs);
+        let first_global = self.next_global_participant + 1;
+        let (scratch, ledger) = (&mut self.scratch, &mut self.ledger);
+        let signaling_exchanges = &mut self.signaling_exchanges;
+        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
         let id_of = |i: usize| first_global + i as GlobalParticipantId;
         scratch.edges.clear();
         for r in reqs {
@@ -595,11 +534,12 @@ impl Controller {
                 scratch.pending.push(i);
             }
         }
-        self.scratch = scratch;
+        if let Some(last) = out.iter().rposition(|o| o.grant.is_some()) {
+            self.next_global_participant += last as GlobalParticipantId + 1;
+        }
         // A revival whose every request was refused stays retired.
         if revived && self.fabric_meetings[&gmid].members.is_empty() {
-            let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-            self.tombstones.insert(gmid, (rec.home, rec.epoch));
+            self.retire(gmid);
         }
     }
 
@@ -741,12 +681,12 @@ impl Controller {
     /// segment the departure drained (see the module docs). The home
     /// segment is collected only once the whole meeting is empty —
     /// otherwise it waits for [`Self::rebalance_fabric`] to move the
-    /// home first.
+    /// home first. When the last member leaves, the meeting is retired
+    /// from the plane at once.
     pub fn leave_fabric(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         global: GlobalParticipantId,
     ) {
@@ -769,10 +709,10 @@ impl Controller {
             m.remote_pids.iter().map(|(&o, &p)| (o, p)).collect();
         // Credit the departure: the member's uplink ports, and — if it
         // sent — every remote entry and branch it held.
-        ledger.credit_member(gmid, global);
+        self.ledger.credit_member(gmid, global);
         for &(o, _) in &remote {
-            ledger.credit_remote(gmid, global, o);
-            ledger.credit_branch(gmid, global, o);
+            self.ledger.credit_remote(gmid, global, o);
+            self.ledger.credit_branch(gmid, global, o);
         }
         let rec = self.fabric_meetings.get(&gmid).expect("fabric meeting");
         let remote_segs: Vec<(usize, MeetingId, ParticipantId)> = remote
@@ -794,12 +734,11 @@ impl Controller {
             // later join re-materializes segments from scratch.
             let edges: Vec<usize> = rec.segments.keys().copied().collect();
             for e in edges {
-                self.gc_segment_if_drained(sim, fabric, ledger, gmid, e);
+                self.gc_segment_if_drained(sim, fabric, gmid, e);
             }
-            let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-            self.tombstones.insert(gmid, (rec.home, rec.epoch));
+            self.retire(gmid);
         } else if m.edge != rec.home {
-            self.gc_segment_if_drained(sim, fabric, ledger, gmid, m.edge);
+            self.gc_segment_if_drained(sim, fabric, gmid, m.edge);
         }
     }
 
@@ -818,7 +757,6 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         edge: usize,
     ) -> bool {
@@ -865,8 +803,8 @@ impl Controller {
         // Credit the drained segment's books: every surviving sender's
         // remote entry here and its branch toward here.
         for &(global, _) in &remotes {
-            ledger.credit_remote(gmid, global, edge);
-            ledger.credit_branch(gmid, global, edge);
+            self.ledger.credit_remote(gmid, global, edge);
+            self.ledger.credit_branch(gmid, global, edge);
         }
         // 2. Tear down trunk-egress branches in both directions — this
         //    is what stops every other edge from trunking media toward
@@ -918,7 +856,7 @@ impl Controller {
                 .copied()
                 .find(|&o| fabric.topology.zone_of_edge(o) == zone);
             if let Some(new_g) = new_gateway {
-                self.migrate_zone_gateway(sim, fabric, ledger, gmid, zone, new_g);
+                self.migrate_zone_gateway(sim, fabric, gmid, zone, new_g);
             }
         }
         true
@@ -940,17 +878,12 @@ impl Controller {
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
         zone: usize,
         new_g: usize,
     ) {
-        let Controller {
-            fabric_meetings,
-            signaling_exchanges,
-            ..
-        } = self;
-        let rec = fabric_meetings.get_mut(&gmid).expect("fabric meeting");
+        let (ledger, signaling_exchanges) = (&mut self.ledger, &mut self.signaling_exchanges);
+        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
         rec.zone_gateways.insert(zone, new_g);
         let new_g_seg = rec.segments[&new_g];
         let other_gateways: Vec<(usize, MeetingId)> = rec
@@ -1037,13 +970,17 @@ impl Controller {
     /// majority under the same hysteresis, then the best edge within
     /// it — so a meeting whose population has migrated to another
     /// campus re-homes across the WAN, while intra-zone drift never
-    /// moves the home out of the zone. Returns
-    /// `Some((old_home, new_home))` when a re-home happened.
+    /// moves the home out of the zone.
+    ///
+    /// A re-home changes the meeting's ring key, so ownership is then
+    /// re-evaluated and the meeting handed off when the hash names
+    /// another shard (a re-home across zones is counted, and under zone
+    /// affinity always hands off). Returns `Some((old_home, new_home))`
+    /// when a re-home happened.
     pub fn rebalance_fabric(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         gmid: GlobalMeetingId,
     ) -> Option<(usize, usize)> {
         let rec = self.fabric_meetings.get(&gmid)?;
@@ -1068,7 +1005,7 @@ impl Controller {
             fabric
                 .topology
                 .zone_edges(z)
-                .map(|e| ledger.load_score(e))
+                .map(|e| self.ledger.load_score(e))
                 .fold((0u64, 0u64), |a, s| (a.0 + s.0, a.1 + s.1))
         };
         let (&best_zone, &best_zone_count) = zone_count
@@ -1091,7 +1028,7 @@ impl Controller {
         let home_count = count.get(&home).copied().unwrap_or(0);
         let (&best, &best_count) = count
             .iter()
-            .max_by_key(|&(&e, &c)| (c, Reverse(ledger.load_score(e)), Reverse(e)))?;
+            .max_by_key(|&(&e, &c)| (c, Reverse(self.ledger.load_score(e)), Reverse(e)))?;
         if best == home
             || (target_zone == home_zone
                 && home_count > 0
@@ -1110,8 +1047,12 @@ impl Controller {
             .home = best;
         self.signaling_exchanges += 1;
         if home_count == 0 {
-            self.gc_segment_if_drained(sim, fabric, ledger, gmid, home);
+            self.gc_segment_if_drained(sim, fabric, gmid, home);
         }
+        if self.zone_of_home(home) != self.zone_of_home(best) {
+            self.cross_zone_handoffs += 1;
+        }
+        self.hand_off(gmid, false);
         Some((home, best))
     }
 
@@ -1120,9 +1061,9 @@ impl Controller {
     // domains")
     // ------------------------------------------------------------------
 
-    /// Re-[`Self::aim`] every branch of every meeting against the
+    /// Re-aim every branch of every meeting against the
     /// network as it is now, and return how many moved. Nothing tells
-    /// the pass *what* failed: [`Fabric::trunk_addr`] observes dead
+    /// the pass *what* failed: `Fabric::trunk_addr` observes dead
     /// cores and cut trunk links itself, so successive failures
     /// compose, a branch whose path is still good (or that rides the
     /// WAN tier, which no core carries) stays where it is, a second
@@ -1135,7 +1076,7 @@ impl Controller {
     /// fail-stopped at the kill, so the gap between the crash and this
     /// repair is real, visible decode-rate loss (measured by
     /// `bench::fault`).
-    pub(crate) fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
+    pub fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
         let mut repaired = 0u64;
         for rec in self.fabric_meetings.values() {
             for m in rec.members.iter().filter(|m| m.sends) {
@@ -1152,17 +1093,17 @@ impl Controller {
     /// its local members are removed (their clients crashed with the
     /// switch), its segment is collected — live edges tear down their
     /// branches toward it while RPCs *into* the dead switch are
-    /// skipped ([`Fabric::edge_is_dead`]) — and a meeting whose home
-    /// anchored there is re-homed to a surviving edge via the drained-
-    /// home bypass of [`Self::rebalance_fabric`]. Bookkeeping runs
-    /// exactly once per member/branch either way, so a later revival
-    /// of the switch cannot be double-freed against. Returns the
-    /// number of members dropped with the edge.
+    /// skipped (`Fabric::edge_is_dead`) — and a meeting whose home
+    /// anchored there is re-homed to a surviving edge, and handed off
+    /// with it, via the drained-home bypass of [`Self::rebalance_fabric`].
+    /// Meetings whose last members died with the edge are retired.
+    /// Bookkeeping runs exactly once per member/branch either way, so a
+    /// later revival of the switch cannot be double-freed against.
+    /// Returns the number of members dropped with the edge.
     pub fn handle_edge_failure(
         &mut self,
         sim: &mut Simulator,
         fabric: &Fabric,
-        ledger: &mut FabricLoadLedger,
         edge: usize,
     ) -> u64 {
         let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
@@ -1176,7 +1117,7 @@ impl Controller {
                 .collect();
             lost_total += lost.len() as u64;
             for g in lost {
-                self.leave_fabric(sim, fabric, ledger, gmid, g);
+                self.leave_fabric(sim, fabric, gmid, g);
             }
             let Some(rec) = self.fabric_meetings.get(&gmid) else {
                 continue; // its last members died with the edge: retired
@@ -1185,9 +1126,9 @@ impl Controller {
                 // The dead edge anchored the home: the drained-home
                 // bypass re-homes to a surviving edge and collects the
                 // dead home's live-side plumbing.
-                self.rebalance_fabric(sim, fabric, ledger, gmid);
+                self.rebalance_fabric(sim, fabric, gmid);
             } else {
-                self.gc_segment_if_drained(sim, fabric, ledger, gmid, edge);
+                self.gc_segment_if_drained(sim, fabric, gmid, edge);
             }
         }
         lost_total
@@ -1197,7 +1138,6 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedControlPlane;
     use scallop_dataplane::seqrewrite::SeqRewriteMode;
     use scallop_netsim::link::LinkConfig;
     use scallop_netsim::time::SimDuration;
@@ -1675,7 +1615,11 @@ mod tests {
                 join(&mut ctl, &mut sim, &f, gmid, req(gateway, 3, false));
             }
             let rec = ctl.meeting(gmid).expect("live");
-            assert_eq!(Controller::route(tz, rec, se, to), want, "{se}→{to}");
+            assert_eq!(
+                ShardedControlPlane::route(tz, rec, se, to),
+                want,
+                "{se}→{to}"
+            );
             // Price what you plumb: a receiver joining on `to` plumbs
             // the sender toward it, and the trunk and WAN accounts that
             // moves are the ones `price` would have booked beforehand.
@@ -1689,7 +1633,7 @@ mod tests {
                 gmid,
                 u32::MAX,
                 to,
-                &Controller::books(tz, rec, se, to),
+                &ShardedControlPlane::books(tz, rec, se, to),
                 false,
             );
             join(&mut ctl, &mut sim, &f, gmid, req(to, 4, false));

@@ -6,20 +6,21 @@
 //! plane (in `scallop-dataplane`) and a two-tier software control plane,
 //! which lives here:
 //!
-//! * [`controller`] — the centralized controller (§5.1): session
-//!   management, SDP signaling interception and candidate rewriting (the
-//!   proxy-topology splice), meeting membership, and compilation of
-//!   data-plane configuration. Invoked only on session/membership/media
-//!   changes.
+//! * [`controller`] — the centralized controller's meeting operations
+//!   (§5.1), as an `impl` block of [`shard::ShardedControlPlane`]:
+//!   SDP signaling interception and candidate rewriting (the
+//!   proxy-topology splice), meeting creation and membership, re-homing,
+//!   trunk repair and edge evacuation, and compilation of data-plane
+//!   configuration. Invoked only on session/membership/media changes.
 //! * [`meeting`] — the per-meeting control state
 //!   ([`meeting::FabricMeetingState`]): one record per meeting, kept in
 //!   the plane's one store.
-//! * [`shard`] — multi-controller sharding of the fabric control
-//!   plane: a [`shard::ShardedControlPlane`] keeps one meeting store
-//!   and consistent-hashes *claims* on its records (with bounded loads)
-//!   over N [`shard::ControllerShard`]s; a handoff or a lease steal
-//!   moves a claim, never a record, so control load scales with edges
-//!   instead of with the fabric.
+//! * [`shard`] — the controller itself, [`shard::ShardedControlPlane`]:
+//!   one meeting store, physically distributed by consistent-hashing
+//!   *claims* on its records (with bounded loads) over N
+//!   [`shard::ControllerShard`]s; a handoff or a lease steal moves a
+//!   claim, never a record, so control load scales with edges instead
+//!   of with the fabric. The ring, claims, leases and readers live here.
 //! * [`agent`] — the switch agent (§4, §5.2–5.5): runs on the switch
 //!   CPU; analyzes REMB/RR copies, maintains per-downlink EWMAs and the
 //!   feedback-selection filter `f` (§5.3), invokes the pluggable

@@ -1,19 +1,20 @@
 //! Multi-controller sharding of the fabric control plane.
 //!
-//! A single controller ([`crate::controller`]) owning every meeting
-//! across the whole campus is the control-plane bottleneck the SDN
-//! literature warns about (east–west distribution in Kreutz et al.'s
-//! SDN survey; per-tree controller state in Noghani & Sunay's SDN
-//! multicast streaming).
-//! This module partitions that ownership the way a distributed SDN
-//! controller partitions one logically centralized view: a
-//! [`ShardedControlPlane`] keeps **one** meeting store (a single
-//! [`crate::controller`] holding every meeting's record) and runs `N`
-//! [`ControllerShard`]s, each holding *claims* — the right to write a
-//! record, under an epoch — on a **disjoint** set of fabric meetings.
-//! No shard holds a copy of a record. Every shard shares the same
-//! read-only [`Fabric`] / topology view (the fabric is passed by
-//! `&Fabric` into every operation; no shard ever mutates it).
+//! A single controller owning every meeting across the whole campus is
+//! the control-plane bottleneck the SDN literature warns about
+//! (east–west distribution in Kreutz et al.'s SDN survey; per-tree
+//! controller state in Noghani & Sunay's SDN multicast streaming).
+//! [`ShardedControlPlane`] is the paper's one logically centralized
+//! controller, physically distributed the way a distributed SDN
+//! controller partitions one view: it keeps **one** meeting store
+//! (every meeting's record, operated on by the meeting operations of
+//! [`crate::controller`]) and runs `N` [`ControllerShard`]s, each
+//! holding *claims* — the right to write a record, under an epoch — on
+//! a **disjoint** set of fabric meetings. No shard holds a copy of a
+//! record. This module keeps the ring, the claims, the leases and the
+//! readers of the store. Every shard shares the same read-only
+//! [`Fabric`] / topology view (the fabric is passed by `&Fabric` into
+//! every operation; no shard ever mutates it).
 //!
 //! # The sharding function
 //!
@@ -58,12 +59,13 @@
 //!
 //! # When does a handoff fire?
 //!
-//! 1. **Re-homing.** [`ShardedControlPlane::rebalance_fabric`] first
-//!    runs the re-homing pass ([`crate::controller`] module
-//!    docs; hysteresis `crate::controller::REBALANCE_HYSTERESIS`).
-//!    When the meeting re-homes, its ring key changes, and if the
-//!    bounded-loads walk now names a different shard the meeting is
-//!    handed off in the same pass — "the hash says so".
+//! 1. **Re-homing.** [`ShardedControlPlane::rebalance_fabric`] — the
+//!    one re-home path, which a home-edge failure takes too — runs the
+//!    re-homing pass ([`crate::controller`] module docs; hysteresis
+//!    `crate::controller::REBALANCE_HYSTERESIS`). When the meeting
+//!    re-homes, its ring key changes, and if the bounded-loads walk now
+//!    names a different shard the meeting is handed off in the same
+//!    pass — "the hash says so".
 //! 2. **Re-sharding.** [`ShardedControlPlane::set_shard_count`] resizes
 //!    the ring and re-evaluates every meeting; consistent hashing keeps
 //!    the number of handoffs near `meetings / new_shards` instead of
@@ -151,7 +153,7 @@
 use crate::agent::{MeetingId, ParticipantId};
 use crate::capacity::{AdmissionDecision, FabricBudgets, FabricLoadLedger};
 use crate::controller::{
-    Controller, FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest,
+    FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest, JoinScratch,
 };
 use crate::fabric::Fabric;
 use crate::meeting::FabricMeetingState;
@@ -269,7 +271,8 @@ impl HashRing {
 }
 
 /// One controller shard: its claims on meetings whose records live in
-/// the plane's one store, plus protocol telemetry.
+/// the plane's one store, its ownership load and lease, plus protocol
+/// telemetry.
 #[derive(Debug, Default)]
 pub struct ControllerShard {
     /// Claims this shard took over from another shard (handoff or
@@ -282,6 +285,16 @@ pub struct ControllerShard {
     /// The epoch each claimed meeting was acquired (or created) under —
     /// the shard's half of the fencing comparison.
     claims: BTreeMap<GlobalMeetingId, u64>,
+    /// Meetings the plane's ownership map gives this shard (stale
+    /// claims excluded), kept in step with it so the bounded-loads walk
+    /// is O(shards), not O(meetings).
+    load: usize,
+    /// Whether the shard is silent (fail-stopped).
+    silent: bool,
+    /// Lease ticks drained while silent; the lease has expired once
+    /// this reaches [`LEASE_TICKS`], and a live shard renews it to 0 on
+    /// every [`ShardedControlPlane::tick_leases`].
+    lease_drained: u64,
 }
 
 impl ControllerShard {
@@ -317,11 +330,12 @@ pub struct RebalanceSummary {
     pub zone_meetings: Vec<usize>,
 }
 
-/// The sharded control plane — the fabric's one public control
-/// surface: one meeting store and `N` [`ControllerShard`]s claiming its
-/// records behind one fabric-meeting API (create, [`Self::join`],
-/// leave, rebalance, repair), plus the ownership map, the
-/// [`HashRing`], id allocation, and protocol telemetry.
+/// The fabric controller: the one public control surface, holding the
+/// one meeting store and `N` [`ControllerShard`]s claiming its records
+/// behind one fabric-meeting API (create, [`Self::join`], leave,
+/// rebalance, repair, evacuate — the operations of
+/// [`crate::controller`]), plus the ownership map, the [`HashRing`],
+/// id allocation, the load ledger and protocol telemetry.
 ///
 /// With one shard this is exactly a single controller: nothing is ever
 /// forwarded or handed off. Sharding changes who keeps a meeting's
@@ -330,41 +344,44 @@ pub struct RebalanceSummary {
 #[derive(Debug)]
 pub struct ShardedControlPlane {
     ring: HashRing,
-    /// The one meeting store: every meeting's record and tombstone,
-    /// whichever shard owns it.
-    controller: Controller,
     shards: Vec<ControllerShard>,
+    /// Every live fabric meeting's record — the plane's one store,
+    /// whichever shard owns it.
+    pub(crate) fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
+    /// Tombstones: the `(home edge, epoch)` of every fabric meeting
+    /// retired when its last member left (its record is gone from
+    /// `fabric_meetings`). Read only when a join names an id that is
+    /// not live, which revives the meeting as the drained record it
+    /// was, and when a revived shard's stale claim is fenced.
+    tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
+    /// Signaling transactions served: one per meeting operation's
+    /// exchange with a switch, one per claim taken over and one per
+    /// claim given up.
+    pub(crate) signaling_exchanges: u64,
+    /// Buffers the join path reuses across calls.
+    pub(crate) scratch: JoinScratch,
     /// Current owner of every tracked meeting.
     owner: BTreeMap<GlobalMeetingId, usize>,
-    /// Meetings owned per shard, maintained incrementally (index =
-    /// shard id; always consistent with `owner`) so the bounded-loads
-    /// walk is O(shards), not O(meetings).
-    loads: Vec<usize>,
-    next_global_meeting: GlobalMeetingId,
-    next_global_participant: GlobalParticipantId,
+    pub(crate) next_global_meeting: GlobalMeetingId,
+    pub(crate) next_global_participant: GlobalParticipantId,
     handoffs: u64,
     forwards: u64,
     /// Cumulative re-homes that crossed a zone boundary.
-    cross_zone_handoffs: u64,
+    pub(crate) cross_zone_handoffs: u64,
     /// Zone count for zone-affine assignment (1 = unzoned: every shard
     /// is eligible for every meeting).
     zones: usize,
     /// Edges per zone (zone of a home edge = `home / edges_per_zone`).
     edges_per_zone: usize,
-    /// Shards currently considered silent (fail-stopped).
-    silent: Vec<bool>,
-    /// Lease ticks remaining per shard; live shards renew to
-    /// [`LEASE_TICKS`] on every [`Self::tick_leases`].
-    lease_left: Vec<u64>,
     /// Meetings stolen from silent owners after lease expiry.
     lease_steals: u64,
     /// Stale-epoch ownership re-assertions fenced off at revival.
     stale_epoch_writes_rejected: u64,
     /// The fabric-load ledger — the capacity planner's single book,
-    /// lent to the controller for every call that prices, debits or
-    /// credits, so the plane-wide budgets hold regardless of which
-    /// shard owns a meeting.
-    ledger: FabricLoadLedger,
+    /// which every operation that prices, debits or credits reads, so
+    /// the plane-wide budgets hold regardless of which shard owns a
+    /// meeting.
+    pub(crate) ledger: FabricLoadLedger,
 }
 
 impl ShardedControlPlane {
@@ -373,10 +390,12 @@ impl ShardedControlPlane {
         assert!(shards >= 1, "at least one shard");
         ShardedControlPlane {
             ring: HashRing::new(shards),
-            controller: Controller::default(),
             shards: (0..shards).map(|_| ControllerShard::default()).collect(),
+            fabric_meetings: BTreeMap::new(),
+            tombstones: BTreeMap::new(),
+            signaling_exchanges: 0,
+            scratch: JoinScratch::default(),
             owner: BTreeMap::new(),
-            loads: vec![0; shards],
             next_global_meeting: 0,
             next_global_participant: 0,
             handoffs: 0,
@@ -384,8 +403,6 @@ impl ShardedControlPlane {
             cross_zone_handoffs: 0,
             zones: 1,
             edges_per_zone: usize::MAX,
-            silent: vec![false; shards],
-            lease_left: vec![LEASE_TICKS; shards],
             lease_steals: 0,
             stale_epoch_writes_rejected: 0,
             ledger: FabricLoadLedger::default(),
@@ -409,7 +426,7 @@ impl ShardedControlPlane {
 
     /// The zone a home edge falls in (always zone 0 on an unzoned
     /// plane, whose one zone spans every edge).
-    fn zone_of_home(&self, home: usize) -> usize {
+    pub(crate) fn zone_of_home(&self, home: usize) -> usize {
         (home / self.edges_per_zone).min(self.zones - 1)
     }
 
@@ -451,7 +468,7 @@ impl ShardedControlPlane {
 
     /// Meetings owned per shard (index = shard id).
     pub fn meetings_per_shard(&self) -> Vec<usize> {
-        self.loads.clone()
+        self.shards.iter().map(|s| s.load).collect()
     }
 
     /// Total ownership handoffs performed (re-homing + re-sharding).
@@ -464,10 +481,11 @@ impl ShardedControlPlane {
         self.forwards
     }
 
-    /// Signaling transactions served: the controller's, plus one per
-    /// claim taken over and one per claim given up.
+    /// Signaling transactions served: one per meeting operation's
+    /// exchange with a switch, plus one per claim taken over and one
+    /// per claim given up.
     pub fn signaling_exchanges(&self) -> u64 {
-        self.controller.signaling_exchanges
+        self.signaling_exchanges
     }
 
     /// Claims given up, by every shard there ever was: one per
@@ -486,24 +504,23 @@ impl ShardedControlPlane {
         // During a shrink the shards vec is longer than the ring while
         // dropped shards are evacuated; the ring's shard count is the
         // live one, and only ring shards can win the walk.
-        let mut loads = self.loads.clone();
-        let mut total = self.owner.len();
-        if let Some(&s) = exclude.and_then(|g| self.owner.get(&g)) {
-            loads[s] -= 1;
-            total -= 1;
-        }
+        let excluded = exclude.and_then(|g| self.owner.get(&g)).copied();
+        let load = |s: usize| self.shards[s].load - usize::from(excluded == Some(s));
+        let total = self.owner.len() - usize::from(excluded.is_some());
         // Silent shards cannot win ownership — a stolen or new meeting
         // must land on a live peer. If every eligible shard is silent
         // (total control-plane outage) the unfiltered set is kept so
         // the walk still terminates; nothing better exists.
         let all = self.zone_shards(zone);
-        let live: Vec<usize> = all.iter().copied().filter(|&s| !self.silent[s]).collect();
+        let live: Vec<usize> = (all.iter().copied())
+            .filter(|&s| !self.shards[s].silent)
+            .collect();
         let eligible = if live.is_empty() { all } else { live };
         let cap = (total + 1).div_ceil(eligible.len());
         self.ring
             .preference(key)
             .into_iter()
-            .find(|&s| eligible.contains(&s) && loads[s] < cap)
+            .find(|&s| eligible.contains(&s) && load(s) < cap)
             .expect("cap * eligible >= total + 1, so a shard has room")
     }
 
@@ -516,45 +533,55 @@ impl ShardedControlPlane {
 
     /// Place `gmid`, homed on `home`, on the bounded-loads walk's shard
     /// and give that shard a claim under `epoch`.
-    fn place(&mut self, gmid: GlobalMeetingId, home: usize, epoch: u64) -> usize {
+    pub(crate) fn place(&mut self, gmid: GlobalMeetingId, home: usize, epoch: u64) {
         let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
         self.shards[owner].claims.insert(gmid, epoch);
+        self.shards[owner].load += 1;
         self.owner.insert(gmid, owner);
-        self.loads[owner] += 1;
-        owner
     }
 
-    /// The owner of `gmid` for a join. A retired meeting is placed
-    /// first, by the ordinary walk for its tombstone's home and at its
-    /// tombstone's epoch (the controller's join path re-creates the
-    /// record).
-    fn owner_or_revive(&mut self, gmid: GlobalMeetingId) -> usize {
-        if let Some(&owner) = self.owner.get(&gmid) {
-            return owner;
+    /// Route a join of `reqs` into `gmid` to the meeting's owner,
+    /// counting one forward per request that entered at another shard.
+    /// A retired meeting is revived first: its record comes back from
+    /// its tombstone as it drained — the old home and epoch, no
+    /// segments — and is placed by the ordinary walk for that home.
+    /// Returns whether it was revived.
+    pub(crate) fn route_to_owner(&mut self, gmid: GlobalMeetingId, reqs: &[JoinRequest]) -> bool {
+        let revived = !self.fabric_meetings.contains_key(&gmid);
+        if revived {
+            let (home, epoch) = self.tombstones.remove(&gmid).expect("fabric meeting");
+            let rec = FabricMeetingState {
+                home,
+                epoch,
+                ..Default::default()
+            };
+            self.fabric_meetings.insert(gmid, rec);
+            self.place(gmid, home, epoch);
         }
-        let &(home, epoch) = self
-            .controller
-            .tombstones
-            .get(&gmid)
-            .expect("fabric meeting");
-        self.place(gmid, home, epoch)
+        let owner = self.owner[&gmid];
+        let forwarded = reqs
+            .iter()
+            .filter(|r| self.ingress_shard(r.edge) != owner)
+            .count() as u64;
+        self.forwards += forwarded;
+        self.shards[owner].joins_forwarded += forwarded;
+        revived
     }
 
-    /// Retire `gmid` from the plane if its record just left the store
-    /// (last member gone, or a revival fully refused): its ownership
-    /// entry, load count and claim go; the store keeps its tombstone.
-    fn settle(&mut self, gmid: GlobalMeetingId) {
-        if self.controller.fabric_meetings.contains_key(&gmid) {
-            return;
-        }
-        if let Some(s) = self.owner.remove(&gmid) {
-            self.loads[s] -= 1;
-            self.shards[s].claims.remove(&gmid);
-        }
+    /// Retire `gmid` (last member gone, or a revival fully refused):
+    /// its record leaves the store for a `(home, epoch)` tombstone, and
+    /// its ownership entry, load count and claim leave the plane.
+    pub(crate) fn retire(&mut self, gmid: GlobalMeetingId) {
+        let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
+        self.tombstones.insert(gmid, (rec.home, rec.epoch));
+        let s = self.owner.remove(&gmid).expect("owned");
+        self.shards[s].load -= 1;
+        self.shards[s].claims.remove(&gmid);
     }
 
     // ------------------------------------------------------------------
-    // The fabric-meeting API (executed on the one store)
+    // The ledger and the ways into a meeting (the meeting operations
+    // themselves are core::controller's)
     // ------------------------------------------------------------------
 
     /// Arm the capacity planner: every join, whichever shard owns its
@@ -576,23 +603,6 @@ impl ShardedControlPlane {
         std::rc::Rc::new(self.ledger.clone().into())
     }
 
-    /// Place a meeting on the fabric with `home` as its home edge and
-    /// assign it to a shard (sharding function in the module docs).
-    pub fn create_fabric_meeting(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        home: usize,
-    ) -> GlobalMeetingId {
-        self.next_global_meeting += 1;
-        let gmid = self.next_global_meeting;
-        self.controller
-            .create_fabric_meeting_as(sim, fabric, home, gmid);
-        // Every meeting is born in epoch 1; steals bump it.
-        self.place(gmid, home, 1);
-        gmid
-    }
-
     /// The one way into a fabric meeting: decide and execute a burst of
     /// join requests (a single join is a burst of one), answering each
     /// in input order.
@@ -600,16 +610,29 @@ impl ShardedControlPlane {
     /// Every request enters at its edge's ingress shard and is executed
     /// by the meeting's owner; one whose ingress shard is not the owner
     /// is counted as one forward — verdict and grant travel back over
-    /// the same east–west path. The owner takes the requests edge by
-    /// edge (edges in first-appearance order) and **prices** each
-    /// against the shared ledger as the requests before it left it
-    /// (always [`AdmissionDecision::Admitted`] while no budgets are
-    /// enforced; a refusal is typed, counted, and executes nothing),
-    /// **materializes** the edge's segment on the first admission,
-    /// **admits** each edge's joiners into its switch agent as one batch
-    /// — one compile per affected segment — then **records** them,
-    /// books their ports, caps SVC-thin receivers' decode target, and
-    /// **plumbs** the senders toward every other segment.
+    /// the same east–west path. A join naming a retired meeting revives
+    /// it first. The owner takes the requests edge by edge (edges in
+    /// first-appearance order), each through the same five steps:
+    ///
+    /// 1. **price** — against the record and the plane's one ledger as
+    ///    the requests before it in the burst left them (always
+    ///    [`AdmissionDecision::Admitted`] while no budgets are
+    ///    enforced); a refusal is typed, counted on the ledger, and
+    ///    executes nothing;
+    /// 2. **materialize** — the first admission on an edge without a
+    ///    segment creates and wires it, marked thin when that admission
+    ///    is SVC-thin so its branches are booked and compiled against
+    ///    the thin plan;
+    /// 3. **admit** — an edge's admitted joiners enter its switch agent
+    ///    as **one** batch, i.e. one compile per affected segment;
+    /// 4. **record / debit** — each becomes a member (in a thin segment:
+    ///    marked thin and, if it only receives, decode target capped at
+    ///    [`crate::capacity::THIN_DECODE_TARGET`] — reduced cadence,
+    ///    never frozen) and its uplink ports are booked;
+    /// 5. **plumb** — the batch's senders are wired toward the segments
+    ///    that exist so far; segments materialized later in the burst
+    ///    pick them up when they are wired in, exactly as sequential
+    ///    joins would.
     ///
     /// Ids: admitted request `i` gets the next unused participant id
     /// `+ i`, so a fully admitted burst numbers its members
@@ -625,33 +648,6 @@ impl ShardedControlPlane {
         let mut out = vec![JoinOutcome::UNDECIDED; reqs.len()];
         self.join_into(sim, fabric, gmid, reqs, &mut out);
         out
-    }
-
-    /// [`Self::join`] into a caller-held buffer of `reqs.len()` slots
-    /// (a single join answers into a stack slot).
-    fn join_into(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        reqs: &[JoinRequest],
-        out: &mut [JoinOutcome],
-    ) {
-        let owner = self.owner_or_revive(gmid);
-        let forwarded = reqs
-            .iter()
-            .filter(|r| self.ingress_shard(r.edge) != owner)
-            .count() as u64;
-        self.forwards += forwarded;
-        self.shards[owner].joins_forwarded += forwarded;
-        let first = self.next_global_participant + 1;
-        self.controller
-            .join(sim, fabric, &mut self.ledger, gmid, reqs, first, out);
-        if let Some(last) = out.iter().rposition(|o| o.grant.is_some()) {
-            self.next_global_participant += last as GlobalParticipantId + 1;
-        }
-        // A fully refused revival stays retired.
-        self.settle(gmid);
     }
 
     /// Shim: [`Self::join`] of one, panicking on a refusal. The frozen
@@ -709,44 +705,6 @@ impl ShardedControlPlane {
         outcomes.into_iter().filter_map(|o| o.grant).collect()
     }
 
-    /// Remove a fabric participant (including the segment GC of the
-    /// [`crate::controller`] module docs). When the last member leaves,
-    /// the meeting is retired from the plane.
-    pub fn leave_fabric(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-        global: GlobalParticipantId,
-    ) {
-        self.controller
-            .leave_fabric(sim, fabric, &mut self.ledger, gmid, global);
-        self.settle(gmid);
-    }
-
-    /// Revisit one meeting's placement: run the re-homing pass
-    /// ([`crate::controller`] module docs; home-edge hysteresis), and if
-    /// the meeting re-homed, re-evaluate shard ownership for the new
-    /// key and hand the meeting off when the hash names another shard.
-    /// Returns the re-home `(old_home, new_home)` if one happened.
-    pub fn rebalance_fabric(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        gmid: GlobalMeetingId,
-    ) -> Option<(usize, usize)> {
-        let moved = self
-            .controller
-            .rebalance_fabric(sim, fabric, &mut self.ledger, gmid);
-        if let Some((old_home, new_home)) = moved {
-            if self.zone_of_home(old_home) != self.zone_of_home(new_home) {
-                self.cross_zone_handoffs += 1;
-            }
-            self.hand_off(gmid, false);
-        }
-        moved
-    }
-
     /// Hand `gmid` to the bounded-loads choice for its current home's
     /// key if that differs from its owner — the one transfer a
     /// cooperative handoff and a lease steal (`steal`) share. The
@@ -755,25 +713,21 @@ impl ShardedControlPlane {
     /// its claim up — except on a steal, whose silent owner cannot hear
     /// the release ([`Self::revive_shard`] fences its stale claim).
     /// Returns whether a handoff happened.
-    fn hand_off(&mut self, gmid: GlobalMeetingId, steal: bool) -> bool {
-        let rec = &self.controller.fabric_meetings[&gmid];
-        let (home, owner) = (rec.home, self.owner[&gmid]);
+    pub(crate) fn hand_off(&mut self, gmid: GlobalMeetingId, steal: bool) -> bool {
+        let home = self.fabric_meetings[&gmid].home;
+        let owner = self.owner[&gmid];
         let target = self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home));
         if target == owner {
             return false;
         }
-        let rec = self
-            .controller
-            .fabric_meetings
-            .get_mut(&gmid)
-            .expect("fabric meeting");
+        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
         rec.epoch += u64::from(steal);
         self.shards[target].claims.insert(gmid, rec.epoch);
         self.shards[target].meetings_acquired += 1;
-        self.controller.signaling_exchanges += 1;
+        self.shards[target].load += 1;
+        self.shards[owner].load -= 1;
+        self.signaling_exchanges += 1;
         self.owner.insert(gmid, target);
-        self.loads[owner] -= 1;
-        self.loads[target] += 1;
         self.handoffs += 1;
         if steal {
             self.lease_steals += 1;
@@ -787,7 +741,7 @@ impl ShardedControlPlane {
     fn release_claim(&mut self, s: usize, gmid: GlobalMeetingId) {
         self.shards[s].claims.remove(&gmid);
         self.shards[s].meetings_released += 1;
-        self.controller.signaling_exchanges += 1;
+        self.signaling_exchanges += 1;
     }
 
     /// Run [`Self::rebalance_fabric`] over every tracked meeting and
@@ -813,7 +767,7 @@ impl ShardedControlPlane {
     /// unzoned plane).
     pub fn zone_meeting_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.zones];
-        for rec in self.controller.fabric_meetings.values() {
+        for rec in self.fabric_meetings.values() {
             counts[self.zone_of_home(rec.home)] += 1;
         }
         counts
@@ -834,23 +788,17 @@ impl ShardedControlPlane {
     pub fn set_shard_count(&mut self, n: usize) -> usize {
         assert!(n >= 1, "at least one shard");
         self.ring = HashRing::new(n);
-        while self.shards.len() < n {
-            self.shards.push(ControllerShard::default());
-            self.loads.push(0);
-            self.silent.push(false);
-            self.lease_left.push(LEASE_TICKS);
+        if self.shards.len() < n {
+            self.shards.resize_with(n, ControllerShard::default);
         }
         let moved = self.rebalance_ownership();
         // Shrinking: every meeting has been evacuated off the dropped
         // shards by the bounded walk (their ring points are gone).
         debug_assert!(
-            self.loads[n..].iter().all(|&l| l == 0),
+            self.shards[n..].iter().all(|s| s.load == 0),
             "dropped shards were evacuated"
         );
         self.shards.truncate(n);
-        self.loads.truncate(n);
-        self.silent.truncate(n);
-        self.lease_left.truncate(n);
         moved
     }
 
@@ -864,23 +812,23 @@ impl ShardedControlPlane {
     /// deployment cannot distinguish a dead peer from a slow one any
     /// faster than the lease allows.
     pub fn silence_shard(&mut self, s: usize) {
-        self.silent[s] = true;
+        self.shards[s].silent = true;
     }
 
     /// Whether a shard is currently marked silent.
     pub fn shard_is_silent(&self, s: usize) -> bool {
-        self.silent[s]
+        self.shards[s].silent
     }
 
-    /// Advance lease time by one tick: live shards renew to
-    /// [`LEASE_TICKS`], silent shards drain toward expiry.
+    /// Advance lease time by one tick: live shards renew their
+    /// [`LEASE_TICKS`]-tick lease, silent shards drain toward expiry.
     pub fn tick_leases(&mut self) {
-        for s in 0..self.shards.len().min(self.lease_left.len()) {
-            if self.silent[s] {
-                self.lease_left[s] = self.lease_left[s].saturating_sub(1);
+        for s in &mut self.shards {
+            s.lease_drained = if s.silent {
+                (s.lease_drained + 1).min(LEASE_TICKS)
             } else {
-                self.lease_left[s] = LEASE_TICKS;
-            }
+                0
+            };
         }
     }
 
@@ -894,7 +842,7 @@ impl ShardedControlPlane {
         let victims: Vec<GlobalMeetingId> = self
             .owner
             .iter()
-            .filter(|&(_, &o)| self.silent[o] && self.lease_left[o] == 0)
+            .filter(|&(_, &o)| self.shards[o].silent && self.shards[o].lease_drained == LEASE_TICKS)
             .map(|(&g, _)| g)
             .collect();
         // A victim stays put when every eligible peer is silent too.
@@ -913,8 +861,8 @@ impl ShardedControlPlane {
     /// [`Self::rebalance_ownership`] to fold the shard back into the
     /// bounded-loads spread.
     pub fn revive_shard(&mut self, s: usize) -> u64 {
-        self.silent[s] = false;
-        self.lease_left[s] = LEASE_TICKS;
+        self.shards[s].silent = false;
+        self.shards[s].lease_drained = 0;
         let stale: Vec<(GlobalMeetingId, u64)> = self.shards[s]
             .claims
             .iter()
@@ -922,10 +870,9 @@ impl ShardedControlPlane {
             .map(|(&g, &held)| (g, held))
             .collect();
         for &(gmid, held) in &stale {
-            let store = &self.controller;
-            let current = match store.fabric_meetings.get(&gmid) {
+            let current = match self.fabric_meetings.get(&gmid) {
                 Some(rec) => rec.epoch,
-                None => store.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
+                None => self.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
             };
             assert!(
                 held < current,
@@ -954,7 +901,7 @@ impl ShardedControlPlane {
     /// The current fencing epoch of a meeting (1 at creation; +1 per
     /// lease steal).
     pub fn meeting_epoch(&self, gmid: GlobalMeetingId) -> Option<u64> {
-        self.controller.fabric_meetings.get(&gmid).map(|r| r.epoch)
+        self.fabric_meetings.get(&gmid).map(|r| r.epoch)
     }
 
     /// Meetings stolen from silent owners after lease expiry.
@@ -968,45 +915,12 @@ impl ShardedControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Data-plane failure repair
-    // ------------------------------------------------------------------
-
-    /// Re-aim every trunk branch of every meeting against the network
-    /// as it is now — `Fabric::trunk_addr` routes around dead cores
-    /// and cut trunk links, or back over them once they return — and
-    /// return how many branches moved (0 on an unchanged network).
-    pub fn repair_trunks(&mut self, sim: &mut Simulator, fabric: &Fabric) -> u64 {
-        self.controller.repair_trunks(sim, fabric)
-    }
-
-    /// Evacuate every meeting off fail-stopped edge switch `edge`: its
-    /// members are dropped, its segments collected without RPCs into
-    /// the dead switch, and meetings homed there re-homed to a
-    /// surviving edge. Meetings whose last members died with the edge
-    /// are retired. Returns the total members dropped with the edge.
-    pub fn handle_edge_failure(
-        &mut self,
-        sim: &mut Simulator,
-        fabric: &Fabric,
-        edge: usize,
-    ) -> u64 {
-        let lost = self
-            .controller
-            .handle_edge_failure(sim, fabric, &mut self.ledger, edge);
-        let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
-        for gmid in gmids {
-            self.settle(gmid);
-        }
-        lost
-    }
-
-    // ------------------------------------------------------------------
     // Read API over the one store
     // ------------------------------------------------------------------
 
     /// A live fabric meeting's record.
     pub fn meeting(&self, gmid: GlobalMeetingId) -> Option<&FabricMeetingState> {
-        self.controller.fabric_meetings.get(&gmid)
+        self.fabric_meetings.get(&gmid)
     }
 
     /// The local segment of a fabric meeting on `edge`, if materialized.
@@ -1354,7 +1268,7 @@ mod tests {
         for _ in 1..LEASE_TICKS {
             plane.tick_leases();
         }
-        assert_eq!(plane.lease_left[owner], 0);
+        assert_eq!(plane.shards[owner].lease_drained, LEASE_TICKS);
 
         // Expired: the peer steals under a bumped epoch.
         assert_eq!(plane.steal_expired_leases(), 1);

@@ -228,3 +228,38 @@ fn one_history_compiles_identically_at_one_and_four_shards() {
     assert_eq!(one.signaling_net_of_claims, four.signaling_net_of_claims);
     assert_eq!(one.rosters, four.rosters);
 }
+
+/// A meeting whose home edge dies is re-homed by the one re-home path,
+/// so its ownership follows it exactly as a rebalance's would: homed in
+/// zone 0 with its survivors in zone 1, each meeting crosses the WAN,
+/// and under zone-affine sharding a cross-zone re-home always hands the
+/// meeting to one of the new zone's shards.
+#[test]
+fn a_dead_home_edge_hands_its_meetings_to_the_new_zones_shards() {
+    let (mut sim, fabric) = world(Topology::federation(2, 2, 0));
+    let mut plane = ShardedControlPlane::new(4).with_zone_affinity(2, 2);
+    let mut clients = 0usize;
+    let meetings: Vec<GlobalMeetingId> = (0..16)
+        .map(|_| {
+            let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 0);
+            let reqs = burst(&mut clients, [(0, true), (3, false), (3, false)]);
+            let out = plane.join(&mut sim, &fabric, gmid, &reqs);
+            assert!(out.iter().all(|o| o.grant.is_some()));
+            gmid
+        })
+        .collect();
+    check(&mut sim, &fabric);
+
+    sim.kill_node(fabric.edge_ids[0]);
+    assert_eq!(plane.handle_edge_failure(&mut sim, &fabric, 0), 16);
+    check(&mut sim, &fabric);
+    let zone1 = plane.zone_shards(1);
+    for &gmid in &meetings {
+        assert_eq!(plane.home_edge_of(gmid), Some(3));
+        let owner = plane.owner_of(gmid).expect("live");
+        assert!(zone1.contains(&owner), "meeting {gmid} owned by {owner}");
+        assert_eq!(owner, plane.planned_owner(gmid, 3));
+    }
+    assert_eq!(plane.cross_zone_handoff_total(), 16);
+    assert_eq!(plane.rebalance_ownership(), 0, "nothing left to move");
+}

@@ -107,7 +107,7 @@ impl Meeting {
         let mut sim = Simulator::new(11);
         let mut node = ScallopSwitchNode::new(SwitchConfig::new(SFU_IP));
         // Decode targets move when the test says so, not on REMB.
-        node.agent.set_policy(Rc::new(|dt, _, _| dt));
+        node.agent.set_policy(Rc::new(|dt, _| dt));
         let meeting = node.agent.create_meeting();
         let mut sources = Vec::new();
         for i in 0..SENDERS {
