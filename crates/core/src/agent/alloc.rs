@@ -206,7 +206,7 @@ impl SwitchAgent {
         };
         // The participant's abstract egress port (for PRE pruning) is its
         // pid; register the L2 XID -> port mapping once.
-        dp.pre.set_l2_xid_ports(pid, vec![pid]);
+        dp.pre.set_l2_xid_ports(pid, pid);
         self.pinfo.insert(
             pid,
             Pinfo {
@@ -233,11 +233,12 @@ impl SwitchAgent {
         // both directions (each skipped when the would-be sender does
         // not send or the would-be receiver does not receive on this
         // switch).
-        let existing: Vec<ParticipantId> = self.meetings[&meeting].participants.clone();
-        for other in existing {
+        let existing = self.take_roster(meeting);
+        for &other in &existing {
             self.ensure_pair_ports(other, pid);
             self.ensure_pair_ports(pid, other);
         }
+        self.roster = existing;
         self.meetings
             .get_mut(&meeting)
             .expect("meeting exists")
@@ -289,25 +290,23 @@ impl SwitchAgent {
         // by the dead id — a later participant recycling the pid must
         // not inherit another receiver's EWMA history or per-sender
         // decode targets.
-        let mut freed_pairs = Vec::new();
-        let mut freed_trackers = Vec::new();
-        for q in &self.meetings[&meeting].participants {
-            let q = self.pinfo.get_mut(q).expect("participant tracked");
-            if let Some((v, a)) = q.pair_from.remove(&pid) {
-                freed_pairs.push(v);
-                freed_pairs.push(a);
-            }
-            freed_trackers.extend(q.tracker_idx.remove(&pid));
+        let roster = self.take_roster(meeting);
+        for &q in &roster {
+            let q = self.pinfo.get_mut(&q).expect("participant tracked");
+            let pair = q.pair_from.remove(&pid);
+            let tracker = q.tracker_idx.remove(&pid);
             q.trunk_dst.remove(&pid);
             q.ewma.remove(&pid);
             q.dt_per_sender.remove(&pid);
+            if let Some(idx) = tracker {
+                self.release_tracker(dp, idx);
+            }
+            if let Some((v, a)) = pair {
+                self.release_port(dp, v);
+                self.release_port(dp, a);
+            }
         }
-        for idx in freed_trackers {
-            self.release_tracker(dp, idx);
-        }
-        for port in freed_pairs {
-            self.release_port(dp, port);
-        }
+        self.roster = roster;
         uplinks
     }
 

@@ -241,7 +241,10 @@ impl SwitchAgent {
         }
         // A receiver holds one node per sender slot of an RA-SR tree, so
         // the whole node is the sort key.
-        nodes.sort_by_cached_key(|(t, n)| (*t, n.rid, n.xid, n.prune_enabled, n.ports.clone()));
+        nodes.sort_by_cached_key(|(t, n)| {
+            let ports = n.ports.as_slice().to_vec();
+            (*t, n.rid, n.xid, n.prune_enabled, ports)
+        });
         lines.extend(nodes.into_iter().map(|(t, n)| Line::Node(t, n)));
         for (&id, m) in &self.meetings {
             let mut keys = Vec::with_capacity(m.egress_keys.len());

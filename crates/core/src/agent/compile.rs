@@ -10,7 +10,7 @@
 use super::{
     cadence_for_dt, JoinGrant, MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign,
 };
-use scallop_dataplane::pre::L1Node;
+use scallop_dataplane::pre::{L1Node, PortList};
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_netsim::packet::HostAddr;
@@ -97,7 +97,6 @@ impl SwitchAgent {
         if m.design != design && m.configured {
             self.counters.migrations += 1;
         }
-        let participants = m.participants.clone();
 
         // Release the old layout first. The swap is atomic at simulation
         // granularity (no packet is processed mid-rebuild), so this is
@@ -106,8 +105,6 @@ impl SwitchAgent {
         // its own half-open trees.
         self.tear_down(dp, meeting);
 
-        let mut new_trees: Vec<(u16, u8)> = Vec::new();
-        let mut new_keys: Vec<EgressKey> = Vec::new();
         // Fabric segments use exclusive trees: the L1 XID budget is
         // spent on trunk pruning (TRUNK_XID) rather than on the m = 2
         // meeting-packing slots, so they never share trees with another
@@ -118,26 +115,32 @@ impl SwitchAgent {
         // e.g. a drained fabric segment holding only its trunk-egress
         // branch): keep the segment treeless instead of leaking a PRE
         // group per churned meeting.
+        let participants = self.take_roster(meeting);
         let any_sender = participants.iter().any(|p| self.pinfo[p].sends);
         let any_receiver = participants.iter().any(|&p| self.receives(p));
         if (!any_sender || !any_receiver) && design != TreeDesign::TwoParty {
             self.meetings.get_mut(&meeting).unwrap().design = design;
+            self.roster = participants;
             return;
         }
 
+        // The torn-down layout's emptied vectors take the new one.
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        let mut new_trees = std::mem::take(&mut m.trees);
+        let mut new_keys = std::mem::take(&mut m.egress_keys);
         match design {
             TreeDesign::TwoParty => self.install_two_party(dp, &participants),
             TreeDesign::Nra | TreeDesign::RaR => {
                 let count = if design == TreeDesign::Nra { 1 } else { 3 };
-                let (mgids, slot) = self.alloc_trees(dp, count, fabric);
-                new_trees.extend(mgids.into_iter().map(|g| (g, slot)));
-                let tiers = tiers_of(&new_trees);
+                self.alloc_trees(dp, count, fabric, &mut new_trees);
+                let (tiers, slot) = (tiers_of(&new_trees), new_trees[0].1);
                 self.populate_tier_trees(dp, &participants, &tiers, slot, fabric, &mut new_keys);
             }
             TreeDesign::RaSr => {
                 self.install_ra_sr(dp, &participants, &mut new_trees, &mut new_keys);
             }
         }
+        self.roster = participants;
 
         let m = self.meetings.get_mut(&meeting).unwrap();
         m.design = design;
@@ -147,12 +150,18 @@ impl SwitchAgent {
     }
 
     /// Remove a meeting's installed layout: its egress entries, then its
-    /// trees ([`Self::release_trees`]).
+    /// trees ([`Self::release_trees`]). The meeting keeps both emptied
+    /// vectors for its next layout.
     pub(super) fn tear_down(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId) {
         let m = self.meetings.get_mut(&meeting).expect("meeting exists");
         Self::remove_egress(dp, &mut m.egress_keys, |_| true);
-        let trees = std::mem::take(&mut m.trees);
+        let mut trees = std::mem::take(&mut m.trees);
         self.release_trees(dp, &trees, meeting);
+        trees.clear();
+        self.meetings
+            .get_mut(&meeting)
+            .expect("meeting exists")
+            .trees = trees;
     }
 
     /// Preconditions under which the installed layout can be amended in
@@ -210,9 +219,12 @@ impl SwitchAgent {
         };
         self.counters.graft_joins += 1;
         let fabric = self.is_fabric_segment(meeting);
-        let slot = self.meetings[&meeting].trees[0].1;
-        let participants = self.meetings[&meeting].participants.clone();
-        let mut new_keys: Vec<EgressKey> = Vec::new();
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        let slot = m.trees[0].1;
+        // The new pairs' egress keys are appended to the meeting's list
+        // in place; nothing below reads the list.
+        let mut keys = std::mem::take(&mut m.egress_keys);
+        let participants = self.take_roster(meeting);
 
         if self.receives(pid) {
             // A fresh joiner's dt is 2, so an RA-R graft lands in all
@@ -223,7 +235,7 @@ impl SwitchAgent {
                 if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
                     continue;
                 }
-                self.install_pair_egress(dp, s, pid, &tiers, &mut new_keys);
+                self.install_pair_egress(dp, s, pid, &tiers, &mut keys);
             }
         }
         if self.pinfo[&pid].sends {
@@ -235,17 +247,18 @@ impl SwitchAgent {
                 if r == pid || !self.receives(r) || self.skip_fabric_recross(pid, r) {
                     continue;
                 }
-                self.install_pair_egress(dp, pid, r, &tiers, &mut new_keys);
+                self.install_pair_egress(dp, pid, r, &tiers, &mut keys);
             }
         }
+        self.roster = participants;
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        m.egress_keys = keys;
+        m.configured = m.configured || m.participants.len() >= 2;
         // The join may displace a best-downlink selection (a fresh
         // receiver's unknown EWMA scores as best, §5.3), and the new
         // pairs need their feedback rules installed: re-run the filter,
         // which touches only the rules whose gate is missing or wrong.
         self.refresh_feedback_gates(dp, meeting, false);
-        let m = self.meetings.get_mut(&meeting).unwrap();
-        m.egress_keys.extend(new_keys);
-        m.configured = m.configured || m.participants.len() >= 2;
         true
     }
 
@@ -310,15 +323,17 @@ impl SwitchAgent {
         if !self.pinfo[&trunk].pair_from.contains_key(&sender) {
             return false;
         }
-        let mut new_keys = Vec::new();
-        self.install_pair_egress(dp, sender, trunk, &tiers, &mut new_keys);
-        let m = self.meetings.get_mut(&meeting).unwrap();
-        for k in new_keys {
-            // A re-aim overwrites entries the meeting already tracks.
-            if !m.egress_keys.contains(&k) {
-                m.egress_keys.push(k);
+        let mut keys = std::mem::take(&mut self.meetings.get_mut(&meeting).unwrap().egress_keys);
+        let tracked = keys.len();
+        self.install_pair_egress(dp, sender, trunk, &tiers, &mut keys);
+        // A re-aim overwrites entries the meeting already tracks: drop
+        // the appended keys it tracked before.
+        for i in (tracked..keys.len()).rev() {
+            if keys[..tracked].contains(&keys[i]) {
+                keys.remove(i);
             }
         }
+        self.meetings.get_mut(&meeting).unwrap().egress_keys = keys;
         true
     }
 
@@ -593,32 +608,36 @@ impl SwitchAgent {
         }
     }
 
-    /// `count` trees for a tiered layout, and the slot XID this meeting
-    /// holds in them. A fabric segment takes exclusive trees (slot 0):
-    /// their L1 XIDs carry trunk pruning, not packing slots. A local
-    /// meeting takes the free half of a tree set another meeting left
-    /// open (m = 2 packing, §6.1/Fig. 11c), or opens one in slot 1 and
-    /// leaves slot 2 to the next.
+    /// `count` trees for a tiered layout, appended to `trees` with the
+    /// slot XID this meeting holds in them. A fabric segment takes
+    /// exclusive trees (slot 0): their L1 XIDs carry trunk pruning, not
+    /// packing slots. A local meeting takes the free half of a tree set
+    /// another meeting left open (m = 2 packing, §6.1/Fig. 11c), or
+    /// opens one in slot 1 and leaves slot 2 to the next.
     fn alloc_trees(
         &mut self,
         dp: &mut ScallopDataPlane,
         count: usize,
         fabric: bool,
-    ) -> (Vec<u16>, u8) {
+        trees: &mut Vec<(u16, u8)>,
+    ) {
         let half = self.half_trees.iter().rposition(|h| h.mgids.len() == count);
         if let (false, Some(i)) = (fabric, half) {
             let half = self.half_trees.remove(i);
-            return (half.mgids, half.free_slot);
+            trees.extend(half.mgids.iter().map(|&g| (g, half.free_slot)));
+            return;
         }
-        let mgids: Vec<u16> = (0..count).map(|_| self.new_tree(dp)).collect();
-        if fabric {
-            return (mgids, 0);
+        let (first, slot) = (trees.len(), if fabric { 0 } else { 1 });
+        for _ in 0..count {
+            let mgid = self.new_tree(dp);
+            trees.push((mgid, slot));
         }
-        self.half_trees.push(HalfTree {
-            mgids: mgids.clone(),
-            free_slot: 2,
-        });
-        (mgids, 1)
+        if !fabric {
+            self.half_trees.push(HalfTree {
+                mgids: trees[first..].iter().map(|&(g, _)| g).collect(),
+                free_slot: 2,
+            });
+        }
     }
 
     /// Release a meeting's trees: clear its nodes; paired trees are
@@ -727,7 +746,7 @@ impl SwitchAgent {
             rid,
             xid,
             prune_enabled,
-            ports: vec![rid],
+            ports: PortList::One(rid),
         };
         dp.pre.add_node(mgid, node).expect("L1 node budget");
     }

@@ -317,6 +317,12 @@ pub struct SwitchAgent {
     /// Half-open paired trees awaiting a second meeting (m = 2
     /// packing): NRA singles and RA-R triplets.
     half_trees: Vec<HalfTree>,
+    /// A copy of one meeting's roster, for a walk that amends the agent
+    /// as it goes ([`Self::take_roster`]); kept across calls.
+    roster: Vec<ParticipantId>,
+    /// Destroyed meetings, their vectors emptied but not freed: the
+    /// next meeting created takes one, so segment churn re-grows none.
+    spare_meetings: Vec<MeetingState>,
     policy: AdaptationPolicy,
     /// What the last [`Self::handle_cpu_packet`] sends, drained by its
     /// caller; the vector is kept across calls.
@@ -342,6 +348,8 @@ impl SwitchAgent {
             pinfo: BTreeMap::new(),
             port_use: BTreeMap::new(),
             half_trees: Vec::new(),
+            roster: Vec::new(),
+            spare_meetings: Vec::new(),
             policy: default_policy(DEFAULT_DT_THRESHOLDS),
             out: Vec::new(),
             pool: BufPool::new(RESPONSE_POOL_LIMIT),
@@ -374,13 +382,17 @@ impl SwitchAgent {
     pub fn create_meeting(&mut self) -> MeetingId {
         let id = self.next_meeting;
         self.next_meeting += 1;
+        let (participants, trees, egress_keys) = match self.spare_meetings.pop() {
+            Some(m) => (m.participants, m.trees, m.egress_keys),
+            None => Default::default(),
+        };
         self.meetings.insert(
             id,
             MeetingState {
-                participants: Vec::new(),
+                participants,
                 design: TreeDesign::TwoParty,
-                trees: Vec::new(),
-                egress_keys: Vec::new(),
+                trees,
+                egress_keys,
                 configured: false,
             },
         );
@@ -547,6 +559,16 @@ impl SwitchAgent {
         self.compile_joined(dp, meeting, &grants[first..]);
     }
 
+    /// `meeting`'s roster, copied into the agent's reused buffer so the
+    /// caller can walk it while it amends the agent. Hand it back by
+    /// storing it in `self.roster` again.
+    fn take_roster(&mut self, meeting: MeetingId) -> Vec<ParticipantId> {
+        let mut roster = std::mem::take(&mut self.roster);
+        roster.clear();
+        roster.extend_from_slice(&self.meetings[&meeting].participants);
+        roster
+    }
+
     /// Whether `pid` receives media on this switch.
     fn receives(&self, pid: ParticipantId) -> bool {
         self.pinfo
@@ -600,7 +622,8 @@ impl SwitchAgent {
             "destroy_meeting on a non-empty meeting"
         );
         self.tear_down(dp, meeting);
-        self.meetings.remove(&meeting);
+        let m = self.meetings.remove(&meeting).expect("meeting exists");
+        self.spare_meetings.push(m);
     }
 
     /// SFU ports currently allocated (uplinks + pair ports). Under churn

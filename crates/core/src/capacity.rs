@@ -359,46 +359,94 @@ pub enum BranchRoute {
     },
 }
 
-/// One account book entry: the exact amounts a debit charged, so the
-/// matching credit reverses them exactly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Amounts on a set of accounts: ports per edge, trunk-out and
+/// trunk-in bits/s per edge, bits/s per WAN link. It is both the
+/// ledger's running totals and an admission plan that
+/// [`FabricLoadLedger::fits`] checks against them.
+///
+/// Each account kind is a dense vector indexed by edge or link, and an
+/// absent or zero amount books nothing. Clearing keeps the storage, so
+/// a plan priced again on every join allocates only when it first
+/// reaches a higher edge or link index.
+#[derive(Debug, Clone, Default)]
 pub struct LoadDelta {
-    /// Ports charged per edge.
-    pub ports: BTreeMap<usize, u64>,
-    /// Trunk-out bits/s charged per edge.
-    pub trunk_out: BTreeMap<usize, u64>,
-    /// Trunk-in bits/s charged per edge.
-    pub trunk_in: BTreeMap<usize, u64>,
-    /// Bits/s charged per WAN link.
-    pub wan: BTreeMap<usize, u64>,
+    ports: Vec<u64>,
+    trunk_out: Vec<u64>,
+    trunk_in: Vec<u64>,
+    wan: Vec<u64>,
+}
+
+/// Add `v` to account `i`, growing the account vector to reach it.
+fn add_to(account: &mut Vec<u64>, i: usize, v: u64) {
+    if account.len() <= i {
+        account.resize(i + 1, 0);
+    }
+    account[i] += v;
+}
+
+/// Amount on account `i`; zero when it was never touched.
+fn amount(account: &[u64], i: usize) -> u64 {
+    account.get(i).copied().unwrap_or(0)
+}
+
+/// The non-zero accounts of one kind, as `(index, amount)` in index
+/// order.
+fn charged(account: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    account.iter().copied().enumerate().filter(|&(_, v)| v > 0)
 }
 
 impl LoadDelta {
     /// Charge `n` ports at `edge`.
     pub fn add_ports(&mut self, edge: usize, n: u64) {
-        *self.ports.entry(edge).or_default() += n;
+        add_to(&mut self.ports, edge, n);
     }
 
     /// Charge `bps` along a branch route.
     pub fn add_route(&mut self, route: &BranchRoute, bps: u64) {
         match route {
             BranchRoute::Trunk { from, to } => {
-                *self.trunk_out.entry(*from).or_default() += bps;
-                *self.trunk_in.entry(*to).or_default() += bps;
+                add_to(&mut self.trunk_out, *from, bps);
+                add_to(&mut self.trunk_in, *to, bps);
             }
             BranchRoute::Wan { links } => {
-                for l in links {
-                    *self.wan.entry(*l).or_default() += bps;
+                for &l in links {
+                    add_to(&mut self.wan, l, bps);
                 }
             }
         }
     }
 
+    /// Zero every account, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.ports.clear();
+        self.trunk_out.clear();
+        self.trunk_in.clear();
+        self.wan.clear();
+    }
+
     fn is_empty(&self) -> bool {
-        self.ports.is_empty()
-            && self.trunk_out.is_empty()
-            && self.trunk_in.is_empty()
-            && self.wan.is_empty()
+        [&self.ports, &self.trunk_out, &self.trunk_in, &self.wan]
+            .iter()
+            .all(|account| account.iter().all(|&v| v == 0))
+    }
+}
+
+/// What one debit booked: ports at one edge, or one branch's bits/s
+/// along its route. A ledger entry is one charge, so booking one needs
+/// no storage beyond its slot in the book, and its credit takes exactly
+/// these amounts back off the running totals.
+#[derive(Debug, Clone)]
+enum Charge {
+    /// `n` ports at `edge`.
+    Ports { edge: usize, n: u64 },
+    /// `bps` on every account `route` rides.
+    Branch { route: BranchRoute, bps: u64 },
+}
+
+impl Charge {
+    /// A WAN route between zones no path joins rides no account.
+    fn books_nothing(&self) -> bool {
+        matches!(self, Charge::Branch { route: BranchRoute::Wan { links }, .. } if links.is_empty())
     }
 }
 
@@ -467,8 +515,10 @@ pub(crate) const REMOTE_PORTS: u64 = 2;
 /// queries.
 #[derive(Debug, Clone, Default)]
 pub struct FabricLoadLedger {
+    /// Running totals: the sum of every open entry's charge.
     used: LoadDelta,
-    entries: BTreeMap<LedgerKey, LoadDelta>,
+    /// One charge per open key.
+    entries: BTreeMap<LedgerKey, Charge>,
     budgets: Option<FabricBudgets>,
     edge_port_budget: u64,
     wan_budget: Vec<u64>,
@@ -528,43 +578,52 @@ impl FabricLoadLedger {
         }
     }
 
-    fn apply(&mut self, delta: &LoadDelta, sign_credit: bool) {
-        let maps = [
-            (&delta.ports, &mut self.used.ports),
-            (&delta.trunk_out, &mut self.used.trunk_out),
-            (&delta.trunk_in, &mut self.used.trunk_in),
-            (&delta.wan, &mut self.used.wan),
-        ];
-        for (src, dst) in maps {
-            for (&k, &v) in src {
-                if sign_credit {
-                    let cur = dst.get_mut(&k).expect("credit without matching debit");
-                    *cur = cur.checked_sub(v).expect("ledger account underflow");
-                    if *cur == 0 {
-                        dst.remove(&k);
-                    }
-                } else {
-                    *dst.entry(k).or_default() += v;
+    /// Add `charge` to the running totals, or take it back off them.
+    fn apply(&mut self, charge: &Charge, credit: bool) {
+        let used = &mut self.used;
+        let book = |account: &mut Vec<u64>, i: usize, v: u64| {
+            if credit {
+                let cur = account.get_mut(i).expect("credit without matching debit");
+                *cur = cur.checked_sub(v).expect("ledger account underflow");
+            } else {
+                add_to(account, i, v);
+            }
+        };
+        match charge {
+            &Charge::Ports { edge, n } => book(&mut used.ports, edge, n),
+            &Charge::Branch {
+                route: BranchRoute::Trunk { from, to },
+                bps,
+            } => {
+                book(&mut used.trunk_out, from, bps);
+                book(&mut used.trunk_in, to, bps);
+            }
+            Charge::Branch {
+                route: BranchRoute::Wan { links },
+                bps,
+            } => {
+                for &l in links {
+                    book(&mut used.wan, l, *bps);
                 }
             }
         }
     }
 
-    /// Debit `delta` under `key`. If the key is already booked the old
+    /// Book `charge` under `key`. If the key is already booked the old
     /// entry is credited first, so re-compiling an object (e.g. a
     /// gateway migration re-plumb) never double-counts.
-    pub(crate) fn debit(&mut self, key: LedgerKey, delta: LoadDelta) {
+    fn debit(&mut self, key: LedgerKey, charge: Charge) {
         self.credit(key);
-        if delta.is_empty() {
+        if charge.books_nothing() {
             return;
         }
-        self.apply(&delta, false);
-        self.entries.insert(key, delta);
+        self.apply(&charge, false);
+        self.entries.insert(key, charge);
         self.debits += 1;
     }
 
     /// Credit (exactly reverse) the entry under `key`, if booked.
-    pub(crate) fn credit(&mut self, key: LedgerKey) {
+    fn credit(&mut self, key: LedgerKey) {
         if let Some(old) = self.entries.remove(&key) {
             self.apply(&old, true);
             self.credits += 1;
@@ -573,16 +632,20 @@ impl FabricLoadLedger {
 
     /// Debit a local member's uplink ports at `edge`.
     pub(crate) fn debit_member(&mut self, gmid: u32, global: u32, edge: usize) {
-        let mut d = LoadDelta::default();
-        d.add_ports(edge, MEMBER_PORTS);
-        self.debit(LedgerKey::Member { gmid, global }, d);
+        let charge = Charge::Ports {
+            edge,
+            n: MEMBER_PORTS,
+        };
+        self.debit(LedgerKey::Member { gmid, global }, charge);
     }
 
     /// Debit a sender's remote entry (trunk-ingress ports) at `edge`.
     pub(crate) fn debit_remote(&mut self, gmid: u32, global: u32, edge: usize) {
-        let mut d = LoadDelta::default();
-        d.add_ports(edge, REMOTE_PORTS);
-        self.debit(LedgerKey::Remote { gmid, global, edge }, d);
+        let charge = Charge::Ports {
+            edge,
+            n: REMOTE_PORTS,
+        };
+        self.debit(LedgerKey::Remote { gmid, global, edge }, charge);
     }
 
     /// Debit a sender's branch toward segment `to` along `route`, at
@@ -592,12 +655,14 @@ impl FabricLoadLedger {
         gmid: u32,
         global: u32,
         to: usize,
-        route: &BranchRoute,
+        route: BranchRoute,
         thin: bool,
     ) {
-        let mut d = LoadDelta::default();
-        d.add_route(route, self.branch_bps(thin));
-        self.debit(LedgerKey::Branch { gmid, global, to }, d);
+        let bps = self.branch_bps(thin);
+        self.debit(
+            LedgerKey::Branch { gmid, global, to },
+            Charge::Branch { route, bps },
+        );
     }
 
     /// Credit a local member's entry.
@@ -616,27 +681,29 @@ impl FabricLoadLedger {
     }
 
     /// Would `delta`, applied on top of current load, hold every
-    /// budget line? Only meaningful when budgets are installed.
+    /// budget line? Only meaningful when budgets are installed. Lines
+    /// are checked ports first, then trunk-out, trunk-in and WAN, each
+    /// in index order; the first broken one is named.
     pub fn fits(&self, delta: &LoadDelta) -> Result<(), RefusalReason> {
         let Some(b) = self.budgets else {
             return Ok(());
         };
-        for (&e, &v) in &delta.ports {
+        for (e, v) in charged(&delta.ports) {
             if self.ports_used(e) + v > self.edge_port_budget {
                 return Err(RefusalReason::EdgePortsExhausted { edge: e });
             }
         }
-        for (&e, &v) in &delta.trunk_out {
+        for (e, v) in charged(&delta.trunk_out) {
             if self.trunk_out_bps(e) + v > b.trunk_bps {
                 return Err(RefusalReason::TrunkOversubscribed { edge: e });
             }
         }
-        for (&e, &v) in &delta.trunk_in {
+        for (e, v) in charged(&delta.trunk_in) {
             if self.trunk_in_bps(e) + v > b.trunk_bps {
                 return Err(RefusalReason::TrunkOversubscribed { edge: e });
             }
         }
-        for (&l, &v) in &delta.wan {
+        for (l, v) in charged(&delta.wan) {
             let budget = self.wan_budget.get(l).copied().unwrap_or(u64::MAX);
             if self.wan_bps(l) + v > budget {
                 return Err(RefusalReason::WanOversubscribed { link: l });
@@ -647,22 +714,22 @@ impl FabricLoadLedger {
 
     /// Ports currently booked at `edge`.
     pub fn ports_used(&self, edge: usize) -> u64 {
-        self.used.ports.get(&edge).copied().unwrap_or(0)
+        amount(&self.used.ports, edge)
     }
 
     /// Trunk-out bits/s currently booked at `edge`.
     pub fn trunk_out_bps(&self, edge: usize) -> u64 {
-        self.used.trunk_out.get(&edge).copied().unwrap_or(0)
+        amount(&self.used.trunk_out, edge)
     }
 
     /// Trunk-in bits/s currently booked at `edge`.
     pub fn trunk_in_bps(&self, edge: usize) -> u64 {
-        self.used.trunk_in.get(&edge).copied().unwrap_or(0)
+        amount(&self.used.trunk_in, edge)
     }
 
     /// Bits/s currently booked on WAN link `l`.
     pub(crate) fn wan_bps(&self, l: usize) -> u64 {
-        self.used.wan.get(&l).copied().unwrap_or(0)
+        amount(&self.used.wan, l)
     }
 
     /// Load score of an edge for the re-home tie-break: port occupancy
@@ -682,18 +749,12 @@ impl FabricLoadLedger {
         let Some(b) = self.budgets else {
             return 0;
         };
-        let trunks = self
-            .used
-            .trunk_out
-            .values()
-            .chain(self.used.trunk_in.values())
+        let trunks = (self.used.trunk_out.iter())
+            .chain(&self.used.trunk_in)
             .filter(|&&v| v > b.trunk_bps)
             .count();
-        let wans = self
-            .used
-            .wan
-            .iter()
-            .filter(|(&l, &v)| v > self.wan_budget.get(l).copied().unwrap_or(u64::MAX))
+        let wans = charged(&self.used.wan)
+            .filter(|&(l, v)| v > self.wan_budget.get(l).copied().unwrap_or(u64::MAX))
             .count();
         (trunks + wans) as u64
     }
@@ -888,8 +949,8 @@ mod tests {
         l.set_budgets(thin_budgets(), &Topology::federation(2, 2, 0));
         l.debit_member(1, 7, 0);
         l.debit_remote(1, 7, 3);
-        l.debit_branch(1, 7, 3, &BranchRoute::Wan { links: vec![0] }, false);
-        l.debit_branch(1, 7, 1, &BranchRoute::Trunk { from: 0, to: 1 }, true);
+        l.debit_branch(1, 7, 3, BranchRoute::Wan { links: vec![0] }, false);
+        l.debit_branch(1, 7, 1, BranchRoute::Trunk { from: 0, to: 1 }, true);
         assert_eq!(l.ports_used(0), 2);
         assert_eq!(l.ports_used(3), 2);
         assert_eq!(l.wan_bps(0), 6_000_000);
@@ -912,11 +973,11 @@ mod tests {
         let mut l = FabricLoadLedger::default();
         l.set_budgets(thin_budgets(), &Topology::campus(2, 1));
         let r = BranchRoute::Trunk { from: 0, to: 1 };
-        l.debit_branch(1, 7, 1, &r, false);
+        l.debit_branch(1, 7, 1, r, false);
         assert_eq!(l.trunk_out_bps(0), 6_000_000);
         // Re-compiling the same branch (e.g. a gateway migration
         // re-plumb) replaces the entry instead of stacking it.
-        l.debit_branch(1, 7, 1, &BranchRoute::Trunk { from: 2, to: 1 }, false);
+        l.debit_branch(1, 7, 1, BranchRoute::Trunk { from: 2, to: 1 }, false);
         assert_eq!(l.trunk_out_bps(0), 0);
         assert_eq!(l.trunk_out_bps(2), 6_000_000);
         l.credit_branch(1, 7, 1);
@@ -959,7 +1020,7 @@ mod tests {
         l.set_budgets(thin_budgets().advisory(), &Topology::campus(3, 1));
         assert!(!l.enforcing() && l.budgets().is_some());
         for g in 0..3u32 {
-            l.debit_branch(1, g, 1, &BranchRoute::Trunk { from: 0, to: 1 }, false);
+            l.debit_branch(1, g, 1, BranchRoute::Trunk { from: 0, to: 1 }, false);
         }
         // 18 Mbit/s offered on a 10 Mbit/s trunk: out at 0 and in at 1.
         assert_eq!(l.oversubscribed_links(), 2);
@@ -983,5 +1044,218 @@ mod tests {
         assert_eq!(c.admitted_thin, 1);
         assert_eq!(c.refused, 3);
         assert_eq!((c.refused_ports, c.refused_trunk, c.refused_wan), (1, 1, 1));
+    }
+
+    /// The account book as first written, kept as the oracle of the
+    /// charge ledger: an amount map per account kind and one such
+    /// delta per open key, with totals recomputed from scratch.
+    #[derive(Debug, Clone, Default)]
+    struct OracleDelta {
+        ports: BTreeMap<usize, u64>,
+        trunk_out: BTreeMap<usize, u64>,
+        trunk_in: BTreeMap<usize, u64>,
+        wan: BTreeMap<usize, u64>,
+    }
+
+    impl OracleDelta {
+        fn add_ports(&mut self, edge: usize, n: u64) {
+            *self.ports.entry(edge).or_default() += n;
+        }
+
+        fn add_route(&mut self, route: &BranchRoute, bps: u64) {
+            match route {
+                BranchRoute::Trunk { from, to } => {
+                    *self.trunk_out.entry(*from).or_default() += bps;
+                    *self.trunk_in.entry(*to).or_default() += bps;
+                }
+                BranchRoute::Wan { links } => {
+                    for l in links {
+                        *self.wan.entry(*l).or_default() += bps;
+                    }
+                }
+            }
+        }
+
+        fn add(&mut self, other: &OracleDelta) {
+            for (dst, src) in [
+                (&mut self.ports, &other.ports),
+                (&mut self.trunk_out, &other.trunk_out),
+                (&mut self.trunk_in, &other.trunk_in),
+                (&mut self.wan, &other.wan),
+            ] {
+                for (&k, &v) in src {
+                    *dst.entry(k).or_default() += v;
+                }
+            }
+        }
+
+        fn is_empty(&self) -> bool {
+            self.ports.is_empty()
+                && self.trunk_out.is_empty()
+                && self.trunk_in.is_empty()
+                && self.wan.is_empty()
+        }
+    }
+
+    /// The oracle book: its open entries and the counters the ledger
+    /// keeps.
+    #[derive(Default)]
+    struct OracleBook {
+        entries: BTreeMap<LedgerKey, OracleDelta>,
+        debits: u64,
+        credits: u64,
+    }
+
+    impl OracleBook {
+        fn debit(&mut self, key: LedgerKey, delta: OracleDelta) {
+            self.credit(key);
+            if !delta.is_empty() {
+                self.entries.insert(key, delta);
+                self.debits += 1;
+            }
+        }
+
+        fn credit(&mut self, key: LedgerKey) {
+            if self.entries.remove(&key).is_some() {
+                self.credits += 1;
+            }
+        }
+
+        fn used(&self) -> OracleDelta {
+            let mut used = OracleDelta::default();
+            for delta in self.entries.values() {
+                used.add(delta);
+            }
+            used
+        }
+
+        /// The first-written `fits`, against totals from scratch.
+        fn fits(
+            &self,
+            b: &FabricBudgets,
+            ports: u64,
+            wan: &[u64],
+            plan: &OracleDelta,
+        ) -> Result<(), RefusalReason> {
+            let used = self.used();
+            let at = |m: &BTreeMap<usize, u64>, k: usize| m.get(&k).copied().unwrap_or(0);
+            for (&e, &v) in &plan.ports {
+                if at(&used.ports, e) + v > ports {
+                    return Err(RefusalReason::EdgePortsExhausted { edge: e });
+                }
+            }
+            for (&e, &v) in &plan.trunk_out {
+                if at(&used.trunk_out, e) + v > b.trunk_bps {
+                    return Err(RefusalReason::TrunkOversubscribed { edge: e });
+                }
+            }
+            for (&e, &v) in &plan.trunk_in {
+                if at(&used.trunk_in, e) + v > b.trunk_bps {
+                    return Err(RefusalReason::TrunkOversubscribed { edge: e });
+                }
+            }
+            for (&l, &v) in &plan.wan {
+                if at(&used.wan, l) + v > wan.get(l).copied().unwrap_or(u64::MAX) {
+                    return Err(RefusalReason::WanOversubscribed { link: l });
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// A route drawn from two small numbers: a trunk hop `a → b`, or a
+    /// WAN path of up to two links (none: zones no path joins).
+    fn drawn_route(wan: bool, a: usize, b: usize) -> BranchRoute {
+        if wan {
+            BranchRoute::Wan {
+                links: (0..b % 3).map(|k| (a + k) % 4).collect(),
+            }
+        } else {
+            BranchRoute::Trunk { from: a, to: b }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+        #[test]
+        fn charges_keep_the_books_of_the_first_written_ledger(
+            ops in proptest::collection::vec(
+                (0u8..8, 1u32..3, 1u32..4, 0usize..5, 0usize..5, proptest::prelude::any::<bool>(), 1u64..9),
+                1..150,
+            )
+        ) {
+            // Three zones of two edges: three WAN links with budgets,
+            // a fourth link index without one.
+            let budgets = thin_budgets();
+            let topo = Topology::federation(3, 2, 0);
+            let mut l = FabricLoadLedger::default();
+            l.set_budgets(budgets, &topo);
+            let wan_budget: Vec<u64> = topo.wan_links.iter().map(|_| 4_000_000).collect();
+            let mut book = OracleBook::default();
+            for (kind, gmid, global, a, b, flag, n) in ops {
+                match kind {
+                    0 => {
+                        l.debit_member(gmid, global, a);
+                        let mut d = OracleDelta::default();
+                        d.add_ports(a, MEMBER_PORTS);
+                        book.debit(LedgerKey::Member { gmid, global }, d);
+                    }
+                    1 => {
+                        l.debit_remote(gmid, global, a);
+                        let mut d = OracleDelta::default();
+                        d.add_ports(a, REMOTE_PORTS);
+                        book.debit(LedgerKey::Remote { gmid, global, edge: a }, d);
+                    }
+                    2 | 3 => {
+                        let route = drawn_route(kind == 3, a, b);
+                        let mut d = OracleDelta::default();
+                        d.add_route(&route, l.branch_bps(flag));
+                        l.debit_branch(gmid, global, b, route, flag);
+                        book.debit(LedgerKey::Branch { gmid, global, to: b }, d);
+                    }
+                    4 | 5 => {
+                        let key = match a % 3 {
+                            0 => LedgerKey::Member { gmid, global },
+                            1 => LedgerKey::Remote { gmid, global, edge: b },
+                            _ => LedgerKey::Branch { gmid, global, to: b },
+                        };
+                        match key {
+                            LedgerKey::Member { .. } => l.credit_member(gmid, global),
+                            LedgerKey::Remote { .. } => l.credit_remote(gmid, global, b),
+                            LedgerKey::Branch { .. } => l.credit_branch(gmid, global, b),
+                        }
+                        book.credit(key);
+                    }
+                    _ => {
+                        // A plan of ports here, a branch there and a
+                        // second charge on one account.
+                        let (mut plan, mut oracle) = (LoadDelta::default(), OracleDelta::default());
+                        let route = drawn_route(flag, a, b);
+                        let bps = n * 1_000_000;
+                        plan.add_ports(a, n);
+                        oracle.add_ports(a, n);
+                        plan.add_route(&route, bps);
+                        oracle.add_route(&route, bps);
+                        plan.add_ports(b, 1);
+                        oracle.add_ports(b, 1);
+                        proptest::prop_assert_eq!(
+                            l.fits(&plan),
+                            book.fits(&budgets, l.edge_port_budget, &wan_budget, &oracle)
+                        );
+                    }
+                }
+                let used = book.used();
+                let at = |m: &BTreeMap<usize, u64>, k: usize| m.get(&k).copied().unwrap_or(0);
+                for i in 0..6 {
+                    proptest::prop_assert_eq!(l.ports_used(i), at(&used.ports, i));
+                    proptest::prop_assert_eq!(l.trunk_out_bps(i), at(&used.trunk_out, i));
+                    proptest::prop_assert_eq!(l.trunk_in_bps(i), at(&used.trunk_in, i));
+                    proptest::prop_assert_eq!(l.wan_bps(i), at(&used.wan, i));
+                }
+                proptest::prop_assert_eq!(l.open_entries(), book.entries.len());
+                proptest::prop_assert_eq!((l.debits, l.credits), (book.debits, book.credits));
+                proptest::prop_assert_eq!(l.reconciled(), book.entries.is_empty());
+            }
+        }
     }
 }

@@ -225,6 +225,10 @@ pub(crate) struct JoinScratch {
     pending: Vec<usize>,
     /// The agent's grants for `pending`, in the same order.
     grants: Vec<JoinGrant>,
+    /// The admission plan [`ShardedControlPlane::price`] draws up.
+    plan: LoadDelta,
+    /// The edges a joined sender is plumbed toward, in dependency order.
+    targets: Vec<usize>,
 }
 
 impl ShardedControlPlane {
@@ -351,11 +355,13 @@ impl ShardedControlPlane {
     /// only the SVC-thin plan does (receivers only — a thin receiver's
     /// branches are booked at half rate and its decode target capped),
     /// and a typed refusal otherwise. Always `Admitted` while budgets
-    /// are not enforced. Read-only: the books are not touched.
+    /// are not enforced. Read-only: the books are not touched; the plan
+    /// is drawn up in `plan`, the plane's reused buffer.
     fn price(
         tz: &Topology,
         rec: &FabricMeetingState,
         led: &FabricLoadLedger,
+        plan: &mut LoadDelta,
         edge: usize,
         sends: bool,
     ) -> AdmissionDecision {
@@ -366,8 +372,8 @@ impl ShardedControlPlane {
         // Every join charges the joiner's uplink ports. One that
         // materializes the segment also pulls, per established sender
         // elsewhere, a remote entry here and a branch toward here.
-        let plan_at = |inbound_bps: u64| {
-            let mut plan = LoadDelta::default();
+        let plan_at = |plan: &mut LoadDelta, inbound_bps: u64| {
+            plan.clear();
             plan.add_ports(edge, MEMBER_PORTS);
             if new_segment {
                 for m in rec.members.iter().filter(|m| m.sends && m.edge != edge) {
@@ -375,25 +381,24 @@ impl ShardedControlPlane {
                     plan.add_route(&Self::books(tz, rec, m.edge, edge), inbound_bps);
                 }
             }
-            plan
         };
-        let mut full = plan_at(led.stream_bps());
+        plan_at(plan, led.stream_bps());
         if sends {
             // A sender reaches every existing segment: a remote entry
             // and a branch each (branches toward thin segments are
             // booked thin). No thin fallback for senders — degrading
             // a sender would degrade every full receiver it serves.
             for o in rec.segments.keys().copied().filter(|&o| o != edge) {
-                full.add_ports(o, REMOTE_PORTS);
+                plan.add_ports(o, REMOTE_PORTS);
                 let route = Self::books(tz, rec, edge, o);
-                full.add_route(&route, led.branch_bps(rec.thin_segments.contains(&o)));
+                plan.add_route(&route, led.branch_bps(rec.thin_segments.contains(&o)));
             }
-            return match led.fits(&full) {
+            return match led.fits(plan) {
                 Ok(()) => AdmissionDecision::Admitted,
                 Err(reason) => AdmissionDecision::Refused(reason),
             };
         }
-        match led.fits(&full) {
+        match led.fits(plan) {
             // A receiver joining a live thin segment stays thin.
             Ok(()) if rec.thin_segments.contains(&edge) => AdmissionDecision::AdmittedThin,
             Ok(()) => AdmissionDecision::Admitted,
@@ -402,10 +407,13 @@ impl ShardedControlPlane {
             Err(reason) if !new_segment => AdmissionDecision::Refused(reason),
             // A receiver materializing a segment falls back to pulling
             // its branches SVC-thin.
-            Err(_) => match led.fits(&plan_at(led.thin_stream_bps())) {
-                Ok(()) => AdmissionDecision::AdmittedThin,
-                Err(reason) => AdmissionDecision::Refused(reason),
-            },
+            Err(_) => {
+                plan_at(plan, led.thin_stream_bps());
+                match led.fits(plan) {
+                    Ok(()) => AdmissionDecision::AdmittedThin,
+                    Err(reason) => AdmissionDecision::Refused(reason),
+                }
+            }
         }
     }
 
@@ -488,7 +496,8 @@ impl ShardedControlPlane {
                         if !reqs[i].sends {
                             continue;
                         }
-                        for o in Self::plumb_targets(fabric, rec, edge) {
+                        Self::plumb_targets(fabric, rec, edge, &mut scratch.targets);
+                        for &o in &scratch.targets {
                             Self::plumb_sender_to_edge(
                                 sim,
                                 fabric,
@@ -506,7 +515,14 @@ impl ShardedControlPlane {
                     break;
                 };
                 // Steps 1–2, and the port debit of step 4.
-                let decision = Self::price(&fabric.topology, rec, ledger, edge, r.sends);
+                let decision = Self::price(
+                    &fabric.topology,
+                    rec,
+                    ledger,
+                    &mut scratch.plan,
+                    edge,
+                    r.sends,
+                );
                 out[i] = JoinOutcome {
                     decision,
                     grant: None,
@@ -610,17 +626,14 @@ impl ShardedControlPlane {
     }
 
     /// The edges a sender homed on `edge` must be plumbed toward, in
-    /// dependency order: remote-zone gateways before that zone's other
-    /// edges — the in-zone fan-out hop rides the sender's remote entry
-    /// at the gateway, which the gateway plumb creates.
-    fn plumb_targets(fabric: &Fabric, rec: &FabricMeetingState, edge: usize) -> Vec<usize> {
-        let mut other_edges: Vec<usize> = rec
-            .segments
-            .keys()
-            .copied()
-            .filter(|&o| o != edge)
-            .collect();
-        other_edges.sort_by_key(|&o| {
+    /// dependency order, into `out`: remote-zone gateways before that
+    /// zone's other edges — the in-zone fan-out hop rides the sender's
+    /// remote entry at the gateway, which the gateway plumb creates.
+    fn plumb_targets(fabric: &Fabric, rec: &FabricMeetingState, edge: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(rec.segments.keys().copied().filter(|&o| o != edge));
+        // Edges are distinct, so the unstable sort is deterministic.
+        out.sort_unstable_by_key(|&o| {
             let stage = match Self::route(&fabric.topology, rec, edge, o) {
                 (up, Tier::Trunk) if up == edge => 0,
                 (_, Tier::Wan) => 1,
@@ -628,7 +641,6 @@ impl ShardedControlPlane {
             };
             (stage, o)
         });
-        other_edges
     }
 
     /// Compile forwarding of the sender at `rec.members[mi]` toward edge
@@ -672,7 +684,7 @@ impl ShardedControlPlane {
         // accounts it rides (thin segments book the thin rate).
         ledger.debit_remote(gmid, global, to);
         let route = Self::books(tz, rec, m_edge, to);
-        ledger.debit_branch(gmid, global, to, &route, rec.thin_segments.contains(&to));
+        ledger.debit_branch(gmid, global, to, route, rec.thin_segments.contains(&to));
         *signaling += 1;
     }
 
@@ -940,7 +952,7 @@ impl ShardedControlPlane {
                         gmid,
                         m_global,
                         o,
-                        &Self::books(tz, rec, m_edge, o),
+                        Self::books(tz, rec, m_edge, o),
                         rec.thin_segments.contains(&o),
                     );
                 }
@@ -1633,7 +1645,7 @@ mod tests {
                 gmid,
                 u32::MAX,
                 to,
-                &ShardedControlPlane::books(tz, rec, se, to),
+                ShardedControlPlane::books(tz, rec, se, to),
                 false,
             );
             join(&mut ctl, &mut sim, &f, gmid, req(to, 4, false));

@@ -34,7 +34,7 @@
 //!   key* and thereby re-evaluates control ownership (see the handoff
 //!   protocol below).
 //! * The raw ring choice is post-processed by a **bounded-loads** walk
-//!   (`HashRing::preference` order): a shard already owning
+//!   (ring order from the key, `HashRing::walk`): a shard already owning
 //!   `ceil(meetings/shards)` meetings is skipped, so no shard ever owns
 //!   more than `ceil(meetings/shards) + 1` meetings — control load
 //!   provably scales with the number of shards (edges), not with the
@@ -249,9 +249,20 @@ impl HashRing {
         self.points[i % self.points.len()].1
     }
 
-    /// Every shard in ring order starting at `key`, deduplicated — the
-    /// probe sequence of the bounded-loads walk. The first element is
-    /// [`Self::shard_for`]`(key)`.
+    /// The shard of every virtual node in ring order, starting at the
+    /// first at or after `key` and wrapping once — the probe sequence
+    /// of the bounded-loads walk. A shard recurs once per virtual node;
+    /// the first element is [`Self::shard_for`]`(key)`.
+    pub(crate) fn walk(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let start = self.points.partition_point(|&(p, _)| p < key);
+        let (head, tail) = self.points.split_at(start);
+        tail.iter().chain(head).map(|&(_, s)| s)
+    }
+
+    /// Every shard in ring order starting at `key`, deduplicated: the
+    /// preference order the bounded-loads rule was first written over,
+    /// kept as written for the test oracle.
+    #[cfg(test)]
     pub(crate) fn preference(&self, key: u64) -> Vec<usize> {
         let start = self.points.partition_point(|&(p, _)| p < key);
         let mut seen = vec![false; self.shards];
@@ -434,13 +445,19 @@ impl ShardedControlPlane {
     /// `s % zones == zone`, or `zone % shards` when none is (every
     /// shard on an unzoned plane).
     pub fn zone_shards(&self, zone: usize) -> Vec<usize> {
-        let eligible: Vec<usize> = (0..self.ring.shards())
-            .filter(|s| s % self.zones == zone)
-            .collect();
-        if eligible.is_empty() {
-            vec![zone % self.ring.shards()]
+        (0..self.ring.shards())
+            .filter(|&s| self.in_zone(s, zone))
+            .collect()
+    }
+
+    /// Whether ring shard `s` is one of [`Self::zone_shards`]`(zone)`.
+    fn in_zone(&self, s: usize, zone: usize) -> bool {
+        let shards = self.ring.shards();
+        // The lowest `s` with `s % zones == zone` is `zone` itself.
+        if zone < self.zones && zone < shards {
+            s % self.zones == zone
         } else {
-            eligible
+            s == zone % shards
         }
     }
 
@@ -509,18 +526,19 @@ impl ShardedControlPlane {
         let total = self.owner.len() - usize::from(excluded.is_some());
         // Silent shards cannot win ownership — a stolen or new meeting
         // must land on a live peer. If every eligible shard is silent
-        // (total control-plane outage) the unfiltered set is kept so
+        // (total control-plane outage) the silent ones stay eligible so
         // the walk still terminates; nothing better exists.
-        let all = self.zone_shards(zone);
-        let live: Vec<usize> = (all.iter().copied())
-            .filter(|&s| !self.shards[s].silent)
-            .collect();
-        let eligible = if live.is_empty() { all } else { live };
-        let cap = (total + 1).div_ceil(eligible.len());
+        let shards = self.ring.shards();
+        let live = |s: usize| !self.shards[s].silent;
+        let any_live = (0..shards).any(|s| self.in_zone(s, zone) && live(s));
+        let eligible = |s: usize| self.in_zone(s, zone) && (live(s) || !any_live);
+        let cap = (total + 1).div_ceil((0..shards).filter(|&s| eligible(s)).count());
+        // A shard that fails the test fails it at each of its virtual
+        // nodes, so the first passing node names the first passing
+        // shard of the deduplicated preference order.
         self.ring
-            .preference(key)
-            .into_iter()
-            .find(|&s| eligible.contains(&s) && load(s) < cap)
+            .walk(key)
+            .find(|&s| eligible(s) && load(s) < cap)
             .expect("cap * eligible >= total + 1, so a shard has room")
     }
 
@@ -1421,5 +1439,78 @@ mod tests {
             plane.signaling_exchanges() > signaling_before,
             "handoffs count as signaling; the total never goes backwards"
         );
+    }
+
+    /// The bounded-loads rule as first written: the eligible set
+    /// materialised, then the deduplicated preference order searched.
+    /// [`ShardedControlPlane::assign`]'s single walk must agree with it.
+    fn assign_by_preference(
+        plane: &ShardedControlPlane,
+        key: u64,
+        exclude: Option<GlobalMeetingId>,
+        zone: usize,
+    ) -> usize {
+        let excluded = exclude.and_then(|g| plane.owner.get(&g)).copied();
+        let load = |s: usize| plane.shards[s].load - usize::from(excluded == Some(s));
+        let total = plane.owner.len() - usize::from(excluded.is_some());
+        let all = plane.zone_shards(zone);
+        let live: Vec<usize> = (all.iter().copied())
+            .filter(|&s| !plane.shards[s].silent)
+            .collect();
+        let eligible = if live.is_empty() { all } else { live };
+        let cap = (total + 1).div_ceil(eligible.len());
+        plane
+            .ring
+            .preference(key)
+            .into_iter()
+            .find(|&s| eligible.contains(&s) && load(s) < cap)
+            .expect("a shard has room")
+    }
+
+    #[test]
+    fn the_single_ring_walk_matches_the_preference_order_oracle() {
+        const HOMES: usize = 6;
+        for shards in 1..=8 {
+            for zones in 1..=3 {
+                // Silence nothing, then one shard, then every shard of
+                // zone 0 (whose eligible set must then fall back to its
+                // silent shards).
+                let silenced: [Vec<usize>; 3] = [
+                    vec![],
+                    vec![shards / 2],
+                    (0..shards).filter(|s| s % zones == 0).collect(),
+                ];
+                for silent in &silenced {
+                    let mut plane = ShardedControlPlane::new(shards)
+                        .with_zone_affinity(zones, HOMES.div_ceil(zones));
+                    for &s in silent {
+                        plane.silence_shard(s);
+                    }
+                    // Loads that make the cap bite, then every placement
+                    // question both ways: re-evaluating a placed meeting
+                    // and placing a new one.
+                    for gmid in 1..=(3 * shards as u32) {
+                        plane.place(gmid, gmid as usize % HOMES, 1);
+                    }
+                    for gmid in 1..=(4 * shards as u32) {
+                        for home in 0..HOMES {
+                            let (key, zone) = (meeting_key(gmid, home), plane.zone_of_home(home));
+                            for exclude in [Some(gmid), None] {
+                                assert_eq!(
+                                    plane.assign(key, exclude, zone),
+                                    assign_by_preference(&plane, key, exclude, zone),
+                                    "{shards} shards, {zones} zones, silent {silent:?}, \
+                                     meeting {gmid} at {home}, exclude {exclude:?}"
+                                );
+                            }
+                            assert_eq!(
+                                plane.planned_owner(gmid, home),
+                                assign_by_preference(&plane, key, Some(gmid), zone)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

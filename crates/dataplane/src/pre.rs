@@ -43,6 +43,50 @@ pub enum PreError {
     Table(TableError),
 }
 
+/// The egress ports of an L1 node, or the port set an L2 XID prunes.
+/// Every node and XID the switch agent compiles names exactly one port
+/// (a participant's abstract egress port is its RID), which is held
+/// inline; a longer list is held on the heap. Two lists are equal when
+/// they name the same ports in the same order, whichever way each is
+/// held.
+#[derive(Debug, Clone)]
+pub enum PortList {
+    /// A single port.
+    One(u16),
+    /// Any number of ports.
+    Many(Vec<u16>),
+}
+
+impl PortList {
+    /// The ports, in order.
+    pub fn as_slice(&self) -> &[u16] {
+        match self {
+            PortList::One(port) => std::slice::from_ref(port),
+            PortList::Many(ports) => ports,
+        }
+    }
+}
+
+impl From<u16> for PortList {
+    fn from(port: u16) -> Self {
+        PortList::One(port)
+    }
+}
+
+impl From<Vec<u16>> for PortList {
+    fn from(ports: Vec<u16>) -> Self {
+        PortList::Many(ports)
+    }
+}
+
+impl PartialEq for PortList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for PortList {}
+
 /// One L1 node: a (RID, XID, ports) triple.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L1Node {
@@ -55,7 +99,7 @@ pub struct L1Node {
     /// Whether L1-XID pruning applies to this node.
     pub prune_enabled: bool,
     /// Egress ports this node replicates to.
-    pub ports: Vec<u16>,
+    pub ports: PortList,
 }
 
 /// One produced replica.
@@ -79,7 +123,7 @@ struct Group {
 pub struct PacketReplicationEngine {
     groups: IdMap<u16, Group>,
     /// L2 XID -> set of ports it prunes.
-    l2_xid_ports: IdMap<u16, Vec<u16>>,
+    l2_xid_ports: IdMap<u16, PortList>,
     l1_nodes_used: usize,
     /// Redrawn by every call to a mutator.
     version: WriteVersion,
@@ -175,10 +219,10 @@ impl PacketReplicationEngine {
         Ok(())
     }
 
-    /// Map an L2 XID to the port set it prunes.
-    pub fn set_l2_xid_ports(&mut self, xid: u16, ports: Vec<u16>) {
+    /// Map an L2 XID to the port set it prunes: one port, or a list.
+    pub fn set_l2_xid_ports(&mut self, xid: u16, ports: impl Into<PortList>) {
         self.version = WriteVersion::next();
-        self.l2_xid_ports.insert(xid, ports);
+        self.l2_xid_ports.insert(xid, ports.into());
     }
 
     /// Retire an L2 XID mapping (participant GC): frees the pruning
@@ -243,13 +287,13 @@ impl PacketReplicationEngine {
         let pruned_ports: &[u16] = self
             .l2_xid_ports
             .get(&pkt_l2_xid)
-            .map(|v| v.as_slice())
+            .map(PortList::as_slice)
             .unwrap_or(&[]);
         for node in &g.nodes {
             if node.prune_enabled && node.xid == pkt_l1_xid {
                 continue; // L1 pruning (e.g. other meeting's participants)
             }
-            for &port in &node.ports {
+            for &port in node.ports.as_slice() {
                 if node.rid == pkt_rid && pruned_ports.contains(&port) {
                     continue; // L2 pruning (e.g. copy back to the sender)
                 }
@@ -273,7 +317,7 @@ mod tests {
             rid,
             xid,
             prune_enabled: true,
-            ports: ports.to_vec(),
+            ports: ports.to_vec().into(),
         }
     }
 
@@ -341,12 +385,36 @@ mod tests {
                 rid: 1,
                 xid: 7,
                 prune_enabled: false,
-                ports: vec![3],
+                ports: PortList::One(3),
             },
         )
         .unwrap();
         let reps = pre.replicate(1, 7, 0, 0).unwrap();
         assert_eq!(reps.len(), 1);
+    }
+
+    #[test]
+    fn a_port_held_inline_is_a_list_of_one() {
+        assert_eq!(PortList::One(7), PortList::Many(vec![7]));
+        assert_ne!(PortList::One(7), PortList::Many(vec![7, 8]));
+        let mut pre = PacketReplicationEngine::new();
+        pre.create_group(1).unwrap();
+        for (rid, ports) in [(1, PortList::One(7)), (2, PortList::Many(vec![7, 8]))] {
+            let node = L1Node {
+                rid,
+                xid: 0,
+                prune_enabled: false,
+                ports,
+            };
+            pre.add_node(1, node).unwrap();
+        }
+        // An inline L2 XID set prunes its port from the matching RID only.
+        pre.set_l2_xid_ports(5, 7);
+        let reps = pre.replicate(1, 0, 1, 5).unwrap();
+        let rep = |rid, port| Replica { rid, port };
+        assert_eq!(reps, vec![rep(2, 7), rep(2, 8)]);
+        let reps = pre.replicate(1, 0, 2, 5).unwrap();
+        assert_eq!(reps, vec![rep(1, 7), rep(2, 8)]);
     }
 
     #[test]

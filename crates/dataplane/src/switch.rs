@@ -761,7 +761,7 @@ struct EmitSink<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pre::L1Node;
+    use crate::pre::{L1Node, PortList};
     use bytes::Bytes;
     use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
     use scallop_media::packetizer::Packetizer;
@@ -824,7 +824,7 @@ mod tests {
                     rid: 2,
                     xid: 1,
                     prune_enabled: true,
-                    ports: vec![2],
+                    ports: PortList::One(2),
                 },
             )
             .unwrap();
@@ -835,7 +835,7 @@ mod tests {
                     rid: 3,
                     xid: 1,
                     prune_enabled: true,
-                    ports: vec![3],
+                    ports: PortList::One(3),
                 },
             )
             .unwrap();

@@ -21,7 +21,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scallop_dataplane::batch::BatchOutput;
-use scallop_dataplane::pre::L1Node;
+use scallop_dataplane::pre::{L1Node, PortList};
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_dataplane::switch::ScallopDataPlane;
@@ -90,7 +90,7 @@ fn plane() -> ScallopDataPlane {
                 rid,
                 xid: rid % 3,
                 prune_enabled: rid.is_multiple_of(2),
-                ports: vec![rid],
+                ports: PortList::One(rid),
             };
             dp.pre.add_node(mgid, node).unwrap();
         }
@@ -233,7 +233,7 @@ fn write(dp: &mut ScallopDataPlane, (kind, a, b, c, d): Step) -> String {
                 rid,
                 xid: c % 3,
                 prune_enabled: d.is_multiple_of(2),
-                ports: vec![d % 8, 1 + d % 5],
+                ports: vec![d % 8, 1 + d % 5].into(),
             };
             format!("{:?}", dp.pre.add_node(mgid, node))
         }

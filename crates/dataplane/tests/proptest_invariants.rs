@@ -16,7 +16,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scallop_dataplane::parser;
-use scallop_dataplane::pre::{L1Node, PacketReplicationEngine};
+use scallop_dataplane::pre::{L1Node, PacketReplicationEngine, PortList};
 use scallop_dataplane::rules::EgressKey;
 use scallop_dataplane::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
 use scallop_dataplane::tables::{ExactTable, TableError};
@@ -214,7 +214,7 @@ proptest! {
                 rid: i as u16,
                 xid,
                 prune_enabled: prune,
-                ports: vec![i as u16],
+                ports: PortList::One(i as u16),
             }).unwrap();
         }
         let pkt_rid = pkt_rid_idx.index(nodes.len()) as u16;

@@ -1,5 +1,6 @@
 //! A counting global allocator for the allocation-budget suites
-//! (`replica_allocs`, `sim_allocs`). Each suite installs it with
+//! (`replica_allocs`, `sim_allocs`, `control_allocs`). Each suite
+//! installs it with
 //! `#[global_allocator] static GLOBAL: common::Counting = common::Counting;`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,6 +67,7 @@ pub fn allocs_in(f: impl FnOnce()) -> u64 {
 
 /// Bytes this thread has allocated and not freed: compare two readings
 /// to see what the code between them kept.
+#[allow(dead_code)] // `control_allocs` counts calls only
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }
