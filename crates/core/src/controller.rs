@@ -25,7 +25,13 @@
 //!   receivers), and the drained segment's meeting state is destroyed,
 //!   returning its MGIDs, RIDs, and ports to their pools. The *home*
 //!   segment is exempt — it anchors the meeting — until rebalancing
-//!   moves the home away.
+//!   moves the home away. Teardown is the build run backwards: a
+//!   remote entry leaves a record only through
+//!   `unplumb_sender_from_edge`, the inverse of `plumb_sender_to_edge`
+//!   (leave, GC and gateway migration all call it, and it credits the
+//!   entry's books), and every teardown RPC reaches its switch through
+//!   `Fabric::live_edge`, which skips a fail-stopped switch while the
+//!   bookkeeping runs exactly once.
 //!
 //! * **Live re-homing** — [`ShardedControlPlane::rebalance_fabric`]
 //!   revisits the placement decision made when the meeting was created.
@@ -305,7 +311,12 @@ impl ShardedControlPlane {
     /// What the ledger books for [`Self::route`]'s answer: the trunk
     /// hop out of the upstream edge, or the WAN links between the two
     /// zones.
-    fn books(tz: &Topology, rec: &FabricMeetingState, se: usize, to: usize) -> BranchRoute {
+    pub(crate) fn books(
+        tz: &Topology,
+        rec: &FabricMeetingState,
+        se: usize,
+        to: usize,
+    ) -> BranchRoute {
         match Self::route(tz, rec, se, to) {
             (from, Tier::Trunk) => BranchRoute::Trunk { from, to },
             (_, Tier::Wan) => BranchRoute::Wan {
@@ -433,7 +444,7 @@ impl ShardedControlPlane {
         let revived = self.route_to_owner(gmid, reqs);
         let first_global = self.next_global_participant + 1;
         let (scratch, ledger) = (&mut self.scratch, &mut self.ledger);
-        let signaling_exchanges = &mut self.signaling_exchanges;
+        let signaling = &mut self.signaling_exchanges;
         let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
         let id_of = |i: usize| first_global + i as GlobalParticipantId;
         scratch.edges.clear();
@@ -480,9 +491,8 @@ impl ShardedControlPlane {
                             local_pid: local.participant,
                             remote_pids: BTreeMap::new(),
                         });
-                        *signaling_exchanges += 1;
-                        if thin && !sends && !fabric.edge_is_dead(sim, edge) {
-                            let sw = fabric.edge_mut(sim, edge);
+                        *signaling += 1;
+                        if let Some(sw) = fabric.live_edge(sim, edge).filter(|_| thin && !sends) {
                             sw.agent
                                 .set_dt_cap(&mut sw.dp, local.participant, THIN_DECODE_TARGET);
                         }
@@ -502,7 +512,7 @@ impl ShardedControlPlane {
                                 sim,
                                 fabric,
                                 rec,
-                                signaling_exchanges,
+                                signaling,
                                 ledger,
                                 gmid,
                                 first + k,
@@ -535,15 +545,7 @@ impl ShardedControlPlane {
                     if decision == AdmissionDecision::AdmittedThin {
                         rec.thin_segments.insert(edge);
                     }
-                    Self::materialize_segment(
-                        sim,
-                        fabric,
-                        rec,
-                        signaling_exchanges,
-                        ledger,
-                        gmid,
-                        edge,
-                    );
+                    Self::materialize_segment(sim, fabric, rec, signaling, ledger, gmid, edge);
                 }
                 ledger.debit_member(gmid, id_of(i), edge);
                 ledger.note_admission(rec.thin_segments.contains(&edge));
@@ -577,27 +579,18 @@ impl ShardedControlPlane {
         let segment = fabric.edge_mut(sim, edge).agent.create_meeting();
         rec.segments.insert(edge, segment);
         let (zone, here) = (fabric.topology.zone_of_edge(edge), (edge, segment));
-        // `segments`/`zone_gateways` are iterated while `trunk_egress`
-        // is inserted into — disjoint fields of the one record, so no
-        // snapshot clones are needed.
-        let FabricMeetingState {
-            segments,
-            trunk_egress,
-            zone_gateways,
-            ..
-        } = rec;
+        // `segments` (and, in `anchor_gateway`, `zone_gateways`) is
+        // iterated while `trunk_egress` is inserted into — disjoint
+        // fields of the one record, so no snapshot clones are needed.
+        let (segments, trunk_egress) = (&rec.segments, &mut rec.trunk_egress);
         for (&o, &o_seg) in segments
             .iter()
             .filter(|&(&o, _)| o != edge && fabric.topology.zone_of_edge(o) == zone)
         {
             Self::open_branch_pair(sim, fabric, trunk_egress, Tier::Trunk, here, (o, o_seg));
         }
-        if let std::collections::btree_map::Entry::Vacant(e) = zone_gateways.entry(zone) {
-            e.insert(edge);
-            for (_, &g) in zone_gateways.iter().filter(|&(&z, _)| z != zone) {
-                let g_seg = segments[&g];
-                Self::open_branch_pair(sim, fabric, trunk_egress, Tier::Wan, here, (g, g_seg));
-            }
+        if !rec.zone_gateways.contains_key(&zone) {
+            Self::anchor_gateway(sim, fabric, rec, zone, edge);
         }
         // Established senders elsewhere become remote senders here.
         for mi in 0..rec.members.len() {
@@ -623,6 +616,24 @@ impl ShardedControlPlane {
         let te_far = fabric.edge_mut(sim, far).join_egress(far_seg, tier);
         trunk_egress.insert((near, far), te_near);
         trunk_egress.insert((far, near), te_far);
+    }
+
+    /// Make `g` zone `zone`'s WAN gateway and open a WAN-tier branch
+    /// pair between it and every other zone's gateway, in zone order —
+    /// the step a zone's first segment and a gateway migration share.
+    fn anchor_gateway(
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        rec: &mut FabricMeetingState,
+        zone: usize,
+        g: usize,
+    ) {
+        rec.zone_gateways.insert(zone, g);
+        let here = (g, rec.segments[&g]);
+        for (_, &far) in rec.zone_gateways.iter().filter(|&(&z, _)| z != zone) {
+            let far = (far, rec.segments[&far]);
+            Self::open_branch_pair(sim, fabric, &mut rec.trunk_egress, Tier::Wan, here, far);
+        }
     }
 
     /// The edges a sender homed on `edge` must be plumbed toward, in
@@ -688,6 +699,34 @@ impl ShardedControlPlane {
         *signaling += 1;
     }
 
+    /// Undo [`Self::plumb_sender_to_edge`] — the only place a remote
+    /// entry leaves the record: drop `m`'s remote-sender entry on edge
+    /// `to`, leave it there (freeing its trunk-ingress ports and RID),
+    /// and credit its remote entry and its branch toward `to`. A
+    /// fail-stopped switch already lost its rules with the crash, so the
+    /// RPC is skipped while the bookkeeping still runs exactly once —
+    /// which keeps the free-lists of a later revival coherent. Returns
+    /// whether `m` held an entry on `to`.
+    fn unplumb_sender_from_edge(
+        sim: &mut Simulator,
+        fabric: &Fabric,
+        segments: &BTreeMap<usize, MeetingId>,
+        ledger: &mut FabricLoadLedger,
+        gmid: GlobalMeetingId,
+        m: &mut FabricMemberState,
+        to: usize,
+    ) -> bool {
+        let Some(pid) = m.remote_pids.remove(&to) else {
+            return false;
+        };
+        if let Some(sw) = fabric.live_edge(sim, to) {
+            sw.leave(segments[&to], pid);
+        }
+        ledger.credit_remote(gmid, m.global, to);
+        ledger.credit_branch(gmid, m.global, to);
+        true
+    }
+
     /// Remove a fabric participant: leaves its home segment, retires its
     /// remote-sender entries everywhere, and garbage-collects any
     /// segment the departure drained (see the module docs). The home
@@ -702,50 +741,35 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         global: GlobalParticipantId,
     ) {
+        let ledger = &mut self.ledger;
         let Some(rec) = self.fabric_meetings.get_mut(&gmid) else {
             return;
         };
         let Some(pos) = rec.members.iter().position(|m| m.global == global) else {
             return;
         };
-        let m = rec.members.remove(pos);
-        let segment = rec.segments[&m.edge];
+        let mut m = rec.members.remove(pos);
         // A fail-stopped switch already lost its rules with the crash:
-        // skipping the RPC (here and below) keeps the free-lists of a
-        // later revival coherent — the bookkeeping above still runs
-        // exactly once.
-        if !fabric.edge_is_dead(sim, m.edge) {
-            fabric.edge_mut(sim, m.edge).leave(segment, m.local_pid);
+        // skipping the RPC (here and in the unplumb) keeps the
+        // free-lists of a later revival coherent — the bookkeeping
+        // still runs exactly once.
+        if let Some(sw) = fabric.live_edge(sim, m.edge) {
+            sw.leave(rec.segments[&m.edge], m.local_pid);
         }
-        let remote: Vec<(usize, ParticipantId)> =
-            m.remote_pids.iter().map(|(&o, &p)| (o, p)).collect();
         // Credit the departure: the member's uplink ports, and — if it
         // sent — every remote entry and branch it held.
-        self.ledger.credit_member(gmid, global);
-        for &(o, _) in &remote {
-            self.ledger.credit_remote(gmid, global, o);
-            self.ledger.credit_branch(gmid, global, o);
-        }
-        let rec = self.fabric_meetings.get(&gmid).expect("fabric meeting");
-        let remote_segs: Vec<(usize, MeetingId, ParticipantId)> = remote
-            .iter()
-            .map(|&(o, p)| (o, rec.segments[&o], p))
-            .collect();
-        for (o, seg, pid) in remote_segs {
-            if !fabric.edge_is_dead(sim, o) {
-                fabric.edge_mut(sim, o).leave(seg, pid);
-            }
+        ledger.credit_member(gmid, global);
+        while let Some((&o, _)) = m.remote_pids.first_key_value() {
+            Self::unplumb_sender_from_edge(sim, fabric, &rec.segments, ledger, gmid, &mut m, o);
         }
         self.signaling_exchanges += 1;
 
         // Segment GC.
-        let rec = self.fabric_meetings.get(&gmid).expect("fabric meeting");
         if rec.members.is_empty() {
             // Meeting over: collect every segment, home included, and
             // retire the record. Only its home edge stays behind, so a
             // later join re-materializes segments from scratch.
-            let edges: Vec<usize> = rec.segments.keys().copied().collect();
-            for e in edges {
+            for e in 0..fabric.edges() {
                 self.gc_segment_if_drained(sim, fabric, gmid, e);
             }
             self.retire(gmid);
@@ -772,7 +796,8 @@ impl ShardedControlPlane {
         gmid: GlobalMeetingId,
         edge: usize,
     ) -> bool {
-        let Some(rec) = self.fabric_meetings.get(&gmid) else {
+        let ledger = &mut self.ledger;
+        let Some(rec) = self.fabric_meetings.get_mut(&gmid) else {
             return false;
         };
         let Some(&seg) = rec.segments.get(&edge) else {
@@ -782,92 +807,46 @@ impl ShardedControlPlane {
             return false;
         }
         // 1. Retire remote-sender entries surviving senders hold here
-        //    (frees their trunk-ingress ports and RIDs), and drop the
-        //    edge's REMB estimate from each sender's home-edge sink.
-        let remotes: Vec<(GlobalParticipantId, ParticipantId)> = rec
-            .members
-            .iter()
-            .filter_map(|m| m.remote_pids.get(&edge).map(|&p| (m.global, p)))
-            .collect();
-        let homes: Vec<(usize, ParticipantId)> = rec
-            .members
-            .iter()
-            .filter(|m| m.remote_pids.contains_key(&edge))
-            .map(|m| (m.edge, m.local_pid))
-            .collect();
-        // RPCs into a fail-stopped switch are skipped: its rules died
-        // with it, and replaying frees on revival would double-free
-        // RIDs and ports. The bookkeeping below runs regardless.
-        let edge_dead = fabric.edge_is_dead(sim, edge);
-        if !edge_dead {
-            for &(_, pid) in &remotes {
-                fabric.edge_mut(sim, edge).leave(seg, pid);
-            }
-        }
+        //    (frees their trunk-ingress ports and RIDs, and credits
+        //    their books), and drop the edge's REMB estimate from each
+        //    sender's home-edge sink. RPCs into a fail-stopped switch
+        //    are skipped: its rules died with it, and replaying frees
+        //    on revival would double-free RIDs and ports. The
+        //    bookkeeping runs regardless.
         let edge_ip = fabric.topology.edge_spec(edge).ip;
-        for (home_edge, local_pid) in homes {
-            if !fabric.edge_is_dead(sim, home_edge) {
-                fabric
-                    .edge_mut(sim, home_edge)
-                    .clear_remote_est(local_pid, edge_ip);
+        for m in &mut rec.members {
+            if Self::unplumb_sender_from_edge(sim, fabric, &rec.segments, ledger, gmid, m, edge) {
+                if let Some(sw) = fabric.live_edge(sim, m.edge) {
+                    sw.clear_remote_est(m.local_pid, edge_ip);
+                }
             }
-        }
-        // Credit the drained segment's books: every surviving sender's
-        // remote entry here and its branch toward here.
-        for &(global, _) in &remotes {
-            self.ledger.credit_remote(gmid, global, edge);
-            self.ledger.credit_branch(gmid, global, edge);
         }
         // 2. Tear down trunk-egress branches in both directions — this
         //    is what stops every other edge from trunking media toward
         //    the drained edge. WAN-tier branches live in the same table
         //    and are collected by the same sweep.
-        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        for &(global, _) in &remotes {
-            if let Some(m) = rec.members.iter_mut().find(|m| m.global == global) {
-                m.remote_pids.remove(&edge);
+        let segments = &rec.segments;
+        rec.trunk_egress.retain(|&(on, toward), &mut te| {
+            let keep = on != edge && toward != edge;
+            if let Some(sw) = fabric.live_edge(sim, on).filter(|_| !keep) {
+                sw.leave(segments[&on], te);
             }
-        }
-        let others: Vec<usize> = rec
-            .segments
-            .keys()
-            .copied()
-            .filter(|&o| o != edge)
-            .collect();
-        let mut branches: Vec<(usize, MeetingId, ParticipantId)> = Vec::new();
-        for o in others {
-            if let Some(te) = rec.trunk_egress.remove(&(edge, o)) {
-                branches.push((edge, seg, te));
-            }
-            if let Some(te) = rec.trunk_egress.remove(&(o, edge)) {
-                branches.push((o, rec.segments[&o], te));
-            }
-        }
+            keep
+        });
         rec.segments.remove(&edge);
         rec.thin_segments.remove(&edge);
-        for (e, s, te) in branches {
-            if !fabric.edge_is_dead(sim, e) {
-                fabric.edge_mut(sim, e).leave(s, te);
-            }
-        }
         // 3. Destroy the now-empty segment (returns its MGIDs).
-        if !edge_dead {
-            fabric.edge_mut(sim, edge).destroy_meeting(seg);
+        if let Some(sw) = fabric.live_edge(sim, edge) {
+            sw.destroy_meeting(seg);
         }
         self.signaling_exchanges += 1;
         // 4. If the collected edge anchored its zone's WAN gateway, the
         //    role moves to a surviving segment in the zone (or retires
         //    with the zone).
-        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        let zone = fabric.topology.zone_of_edge(edge);
+        let (tz, zone) = (&fabric.topology, fabric.topology.zone_of_edge(edge));
         if rec.zone_gateways.get(&zone) == Some(&edge) {
             rec.zone_gateways.remove(&zone);
-            let new_gateway = rec
-                .segments
-                .keys()
-                .copied()
-                .find(|&o| fabric.topology.zone_of_edge(o) == zone);
-            if let Some(new_g) = new_gateway {
+            if let Some(&new_g) = rec.segments.keys().find(|&&o| tz.zone_of_edge(o) == zone) {
                 self.migrate_zone_gateway(sim, fabric, gmid, zone, new_g);
             }
         }
@@ -894,20 +873,9 @@ impl ShardedControlPlane {
         zone: usize,
         new_g: usize,
     ) {
-        let (ledger, signaling_exchanges) = (&mut self.ledger, &mut self.signaling_exchanges);
+        let (ledger, signaling) = (&mut self.ledger, &mut self.signaling_exchanges);
         let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        rec.zone_gateways.insert(zone, new_g);
-        let new_g_seg = rec.segments[&new_g];
-        let other_gateways: Vec<(usize, MeetingId)> = rec
-            .zone_gateways
-            .iter()
-            .filter(|&(&z, _)| z != zone)
-            .map(|(_, &g)| (g, rec.segments[&g]))
-            .collect();
-        for &far in &other_gateways {
-            let here = (new_g, new_g_seg);
-            Self::open_branch_pair(sim, fabric, &mut rec.trunk_egress, Tier::Wan, here, far);
-        }
+        Self::anchor_gateway(sim, fabric, rec, zone, new_g);
         let tz = &fabric.topology;
         for mi in 0..rec.members.len() {
             let m = &rec.members[mi];
@@ -918,24 +886,12 @@ impl ShardedControlPlane {
             if tz.zone_of_edge(m_edge) != zone {
                 // Retire the trunk-pruned entry and re-plumb through the
                 // WAN tier (plumb re-grants, re-aims the sender zone's
-                // WAN branch, and records the new remote pid).
-                if let Some(old_pid) = rec.members[mi].remote_pids.remove(&new_g) {
-                    fabric.edge_mut(sim, new_g).leave(new_g_seg, old_pid);
-                    // The trunk-pruned entry's books are retired with
-                    // it; the WAN-tier plumb below re-debits both.
-                    ledger.credit_remote(gmid, m_global, new_g);
-                    ledger.credit_branch(gmid, m_global, new_g);
-                }
-                Self::plumb_sender_to_edge(
-                    sim,
-                    fabric,
-                    rec,
-                    signaling_exchanges,
-                    ledger,
-                    gmid,
-                    mi,
-                    new_g,
-                );
+                // WAN branch, and records the new remote pid). The
+                // trunk-pruned entry's books are retired with it; the
+                // WAN-tier plumb re-debits both.
+                let m = &mut rec.members[mi];
+                Self::unplumb_sender_from_edge(sim, fabric, &rec.segments, ledger, gmid, m, new_g);
+                Self::plumb_sender_to_edge(sim, fabric, rec, signaling, ledger, gmid, mi, new_g);
                 // Re-fan-out inside the zone from the fresh entry: the
                 // in-zone trunk branches keep their downstream entries,
                 // only the upstream pid at `new_g` changed.
@@ -959,12 +915,12 @@ impl ShardedControlPlane {
             } else {
                 // In-zone sender: its entries on other zones' gateways
                 // are intact; only the outbound WAN branch moved here.
-                for &(g, _) in &other_gateways {
+                for (_, &g) in rec.zone_gateways.iter().filter(|&(&z, _)| z != zone) {
                     Self::aim(sim, fabric, rec, &rec.members[mi], g);
                 }
             }
         }
-        *signaling_exchanges += 1;
+        *signaling += 1;
     }
 
     /// Revisit a fabric meeting's home placement (module docs): when an
@@ -1105,7 +1061,7 @@ impl ShardedControlPlane {
     /// its local members are removed (their clients crashed with the
     /// switch), its segment is collected — live edges tear down their
     /// branches toward it while RPCs *into* the dead switch are
-    /// skipped (`Fabric::edge_is_dead`) — and a meeting whose home
+    /// skipped (`Fabric::live_edge`) — and a meeting whose home
     /// anchored there is re-homed to a surviving edge, and handed off
     /// with it, via the drained-home bypass of [`Self::rebalance_fabric`].
     /// Meetings whose last members died with the edge are retired.
@@ -1121,14 +1077,15 @@ impl ShardedControlPlane {
         let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
         let mut lost_total = 0u64;
         for gmid in gmids {
-            let lost: Vec<GlobalParticipantId> = self.fabric_meetings[&gmid]
-                .members
-                .iter()
-                .filter(|m| m.edge == edge)
-                .map(|m| m.global)
-                .collect();
-            lost_total += lost.len() as u64;
-            for g in lost {
+            let lost = |plane: &Self| {
+                let rec = plane.fabric_meetings.get(&gmid)?;
+                rec.members
+                    .iter()
+                    .find(|m| m.edge == edge)
+                    .map(|m| m.global)
+            };
+            while let Some(g) = lost(self) {
+                lost_total += 1;
                 self.leave_fabric(sim, fabric, gmid, g);
             }
             let Some(rec) = self.fabric_meetings.get(&gmid) else {
@@ -1582,6 +1539,37 @@ mod tests {
             base3,
             "old gateway edge fully reclaimed"
         );
+    }
+
+    /// A fail-stopped switch gets no frees, whichever teardown runs: the
+    /// zone-1 gateway role moving onto a dead edge retires the sender's
+    /// trunk-pruned entry there in the books only. Freed into the dead
+    /// switch, its pid would come straight back (the pools hand out the
+    /// lowest free id first) as the WAN-pruned entry that replaces it.
+    #[test]
+    fn gateway_migration_frees_nothing_into_a_dead_switch() {
+        let (mut sim, f) = federation232();
+        let mut ctl = ShardedControlPlane::new(1);
+        let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
+        let s = join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let r1 = join(&mut ctl, &mut sim, &f, gmid, req(3, 2, false));
+        let _r2 = join(&mut ctl, &mut sim, &f, gmid, req(4, 3, false));
+        let remote_at_4 = |ctl: &ShardedControlPlane| {
+            let rec = ctl.meeting(gmid).expect("live");
+            let m = rec.members.iter().find(|m| m.global == s.global);
+            m.expect("sender").remote_pids[&4]
+        };
+        let old = remote_at_4(&ctl);
+        // Edge 4 dies and is not evacuated; then the zone-1 gateway
+        // (edge 3) drains, so the role moves onto the dead edge.
+        sim.kill_node(f.edge_ids[4]);
+        ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
+        let rec = ctl.meeting(gmid).expect("live");
+        assert_eq!(rec.zone_gateways.get(&1).copied(), Some(4));
+        let sw = f.edge_mut(&mut sim, 4);
+        assert!(sw.agent.uplink_ports(old).is_some(), "old entry kept");
+        assert_ne!(remote_at_4(&ctl), old, "the WAN-pruned entry is new");
+        assert_eq!(ctl.check_ledger(&f), Ok(()));
     }
 
     #[test]

@@ -188,13 +188,17 @@ impl Fabric {
         }
     }
 
-    /// Whether edge `i`'s switch is currently fail-stopped
-    /// ([`Simulator::kill_node`]). Teardown paths consult this so they
-    /// never issue RPCs into a crashed switch: the crash already took
-    /// its rules and free-lists with it, and re-issuing frees against a
-    /// revived switch would double-free RIDs and ports.
-    pub(crate) fn edge_is_dead(&self, sim: &Simulator, i: usize) -> bool {
-        sim.node_is_dead(self.edge_ids[i])
+    /// Edge switch `i`, or `None` while it is fail-stopped
+    /// ([`Simulator::kill_node`]). Teardown reaches switches through
+    /// this so it sends no RPC into a crashed switch: the crash
+    /// already took its rules and free-lists with it, and re-issuing
+    /// frees against a revived switch would double-free RIDs and ports.
+    pub(crate) fn live_edge<'a>(
+        &self,
+        sim: &'a mut Simulator,
+        i: usize,
+    ) -> Option<&'a mut ScallopSwitchNode> {
+        (!sim.node_is_dead(self.edge_ids[i])).then(move || self.edge_mut(sim, i))
     }
 
     /// Core indices whose relay is currently fail-stopped (read-only

@@ -614,6 +614,56 @@ impl ShardedControlPlane {
         &self.ledger
     }
 
+    /// Check the ledger against the store it books: every zone with a
+    /// segment has its gateway among the meeting's segments, and a
+    /// ledger recomputed from the records — per member its uplink ports
+    /// at its edge, per remote entry the entry's ports there and one
+    /// branch along the route the controller books for it, at the
+    /// segment's thin or full rate — has the same total on every
+    /// account and the same number of open entries. The first
+    /// difference is named. Tests call it after every control
+    /// operation.
+    pub fn check_ledger(&self, fabric: &Fabric) -> Result<(), String> {
+        let tz = &fabric.topology;
+        let mut want = FabricLoadLedger::default();
+        if let Some(budgets) = self.ledger.budgets() {
+            want.set_budgets(budgets, tz);
+        }
+        for (&gmid, rec) in &self.fabric_meetings {
+            let gateway = |e| rec.zone_gateways.get(&tz.zone_of_edge(e));
+            let no_gateway = |e| !gateway(e).is_some_and(|g| rec.segments.contains_key(g));
+            if let Some(e) = rec.segments.keys().copied().find(|&e| no_gateway(e)) {
+                return Err(format!("meeting {gmid}: edge {e}'s zone has no gateway"));
+            }
+            for m in &rec.members {
+                want.debit_member(gmid, m.global, m.edge);
+                for &to in m.remote_pids.keys() {
+                    want.debit_remote(gmid, m.global, to);
+                    let thin = rec.thin_segments.contains(&to);
+                    want.debit_branch(gmid, m.global, to, Self::books(tz, rec, m.edge, to), thin);
+                }
+            }
+        }
+        let got = &self.ledger;
+        let edge =
+            |l: &FabricLoadLedger, e| [l.ports_used(e), l.trunk_out_bps(e), l.trunk_in_bps(e)];
+        if let Some(e) = (0..fabric.edges()).find(|&e| edge(got, e) != edge(&want, e)) {
+            let (g, w) = (edge(got, e), edge(&want, e));
+            return Err(format!(
+                "edge {e}: ledger {g:?}, store {w:?} (ports, trunk out, trunk in)"
+            ));
+        }
+        if let Some(l) = (0..tz.wan_links.len()).find(|&l| got.wan_bps(l) != want.wan_bps(l)) {
+            let (g, w) = (got.wan_bps(l), want.wan_bps(l));
+            return Err(format!("WAN link {l}: ledger {g} bit/s, store {w}"));
+        }
+        let (g, w) = (got.open_entries(), want.open_entries());
+        if g != w {
+            return Err(format!("open entries: ledger {g}, store {w}"));
+        }
+        Ok(())
+    }
+
     /// Shim: a copy of [`Self::ledger`] in a fresh cell. The frozen
     /// `benchmark/src/sut.rs` names it and is its only caller;
     /// benchmark v2 deletes it.

@@ -410,10 +410,12 @@ proptest! {
                 }
             }
             // The invariants, after every single step: every edge is
-            // compiled as a rebuild of its rosters would be, enforcement
+            // compiled as a rebuild of its rosters would be, the ledger
+            // equals the load recomputed from the store, enforcement
             // means no line is ever over, and the port book never
             // exceeds the configured span.
-            if let Err(e) = fabric.check_compiled(&mut sim) {
+            let checked = fabric.check_compiled(&mut sim).and_then(|()| plane.check_ledger(&fabric));
+            if let Err(e) = checked {
                 panic!("after {op:?}: {e}");
             }
             let l = plane.ledger();
@@ -430,7 +432,8 @@ proptest! {
         // Teardown: the book must balance exactly.
         for (global, _, _) in live.drain(..) {
             plane.leave_fabric(&mut sim, &fabric, gmid, global);
-            if let Err(e) = fabric.check_compiled(&mut sim) {
+            let checked = fabric.check_compiled(&mut sim).and_then(|()| plane.check_ledger(&fabric));
+            if let Err(e) = checked {
                 panic!("after teardown leave of {global}: {e}");
             }
         }

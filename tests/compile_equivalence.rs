@@ -9,11 +9,14 @@
 //! installed may be orphaned. Histories are handcrafted (the 64-join
 //! flash-crowd storm, webinar churn, a drift + re-home, two meetings
 //! whose MGIDs interleave) and proptest-randomized over three meetings
-//! on a two-core campus: joins, bursts of 1–5 (a join is a burst of
-//! one, so both sides of the graft-or-rebuild rule run), leaves,
-//! re-homes, decode-target changes (RA-R), per-sender decode targets
-//! (RA-SR), and core kills/revives and trunk cuts/restores each
-//! followed by the controller's repair pass.
+//! on a two-core campus and on a two-zone federation (where gateway
+//! migration and WAN branches run): joins, bursts of 1–5 (a join is a
+//! burst of one, so both sides of the graft-or-rebuild rule run),
+//! leaves, re-homes, decode-target changes (RA-R), per-sender decode
+//! targets (RA-SR), and core kills/revives and trunk cuts/restores each
+//! followed by the controller's repair pass. After every operation the
+//! plane's load ledger must also equal the load recomputed from its
+//! store ([`ShardedControlPlane::check_ledger`]).
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
 //! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
@@ -37,6 +40,10 @@ use std::net::Ipv4Addr;
 const EDGES: usize = 3;
 /// Core relays of the test campus (two, so a failure has a detour).
 const CORES: usize = 2;
+/// Random edge picks are drawn below this and taken modulo the world's
+/// edge count: a multiple of both worlds' counts (3 and 4), so every
+/// edge is equally likely.
+const EDGE_PICKS: usize = 12;
 /// Fabric meetings every history can address.
 const MEETINGS: usize = 3;
 
@@ -72,14 +79,14 @@ enum Op {
     /// The `idx % live`-th participant takes the `sender`-th sender of
     /// its meeting at decode target `dt % 3` (forces RA-SR).
     SenderDt { idx: usize, sender: usize, dt: u8 },
-    /// Core `core % CORES` dies (or comes back), then repair runs.
+    /// Core `core % cores` dies (or comes back), then repair runs.
     ToggleCore(usize),
-    /// The trunk between `edge % EDGES` and `core % CORES` is cut (or
+    /// The trunk between `edge % edges` and `core % cores` is cut (or
     /// restored), then repair runs.
     ToggleTrunk { edge: usize, core: usize },
 }
 
-/// A two-core campus with [`MEETINGS`] fabric meetings, and the members
+/// A fabric with [`MEETINGS`] fabric meetings, and the members
 /// currently in them.
 struct World {
     sim: Simulator,
@@ -92,17 +99,17 @@ struct World {
 }
 
 impl World {
-    fn new() -> World {
+    fn new(topology: Topology) -> World {
         let mut sim = Simulator::new(0xDE17A);
         let fabric = Fabric::build(
             &mut sim,
-            Topology::campus(EDGES, CORES),
+            topology,
             LinkConfig::infinite(SimDuration::from_micros(50)),
             SeqRewriteMode::LowRetransmission,
         );
         let mut plane = ShardedControlPlane::new(shards_from_env());
         let gmids = (0..MEETINGS)
-            .map(|m| plane.create_fabric_meeting(&mut sim, &fabric, m % EDGES))
+            .map(|m| plane.create_fabric_meeting(&mut sim, &fabric, m % fabric.edges()))
             .collect();
         World {
             sim,
@@ -122,7 +129,7 @@ impl World {
                 let i = self.admitted;
                 self.admitted += 1;
                 JoinRequest {
-                    edge: edge % EDGES,
+                    edge: edge % self.fabric.edges(),
                     addr: HostAddr::new(
                         Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
                         5000,
@@ -161,6 +168,7 @@ impl World {
 
     fn apply(&mut self, op: &Op) {
         let (sim, fabric) = (&mut self.sim, &self.fabric);
+        let (edges, cores) = (fabric.edges(), fabric.core_ids.len());
         match *op {
             Op::Join {
                 meeting,
@@ -193,7 +201,7 @@ impl World {
                 }
             }
             Op::ToggleCore(core) => {
-                let id = fabric.core_ids[core % CORES];
+                let id = fabric.core_ids[core % cores];
                 if sim.node_is_dead(id) {
                     sim.revive_node(id);
                 } else {
@@ -202,7 +210,7 @@ impl World {
                 self.plane.repair_trunks(sim, fabric);
             }
             Op::ToggleTrunk { edge, core } => {
-                let (e, c) = (fabric.edge_ids[edge % EDGES], fabric.core_ids[core % CORES]);
+                let (e, c) = (fabric.edge_ids[edge % edges], fabric.core_ids[core % cores]);
                 if sim.link_is_cut(e, c) {
                     sim.restore_link(e, c);
                 } else {
@@ -214,13 +222,22 @@ impl World {
     }
 }
 
-/// Replay `ops`, checking every edge's compiled state after each one.
-fn replay(ops: &[Op]) {
-    let mut world = World::new();
+/// The two-core campus the handcrafted histories run on.
+fn campus() -> Topology {
+    Topology::campus(EDGES, CORES)
+}
+
+/// Replay `ops` on `topology`, checking every edge's compiled state and
+/// the plane's ledger after each one.
+fn replay(topology: Topology, ops: &[Op]) {
+    let mut world = World::new(topology);
     for (i, op) in ops.iter().enumerate() {
         world.apply(op);
-        if let Err(e) = world.fabric.check_compiled(&mut world.sim) {
-            panic!("after op {i} ({op:?}) of {ops:?}:\n{e}");
+        let checked = (world.fabric.check_compiled(&mut world.sim))
+            .and_then(|()| world.plane.check_ledger(&world.fabric));
+        if let Err(e) = checked {
+            let zones = world.fabric.topology.zone_count();
+            panic!("{zones}-zone fabric, after op {i} ({op:?}) of {ops:?}:\n{e}");
         }
     }
 }
@@ -239,7 +256,10 @@ fn joins_of(meeting: usize, crowd: impl IntoIterator<Item = (usize, bool)>) -> V
 #[test]
 fn flash_crowd_storm_compiles_identically() {
     let storm = flash_crowd(EDGES, 3, 61);
-    replay(&joins_of(0, storm.iter().map(|j| (j.edge, j.sends))));
+    replay(
+        campus(),
+        &joins_of(0, storm.iter().map(|j| (j.edge, j.sends))),
+    );
 }
 
 #[test]
@@ -250,7 +270,7 @@ fn webinar_with_churn_compiles_identically() {
     for k in 0..5 {
         ops.push(Op::Leave { idx: 6 * k + 1 });
     }
-    replay(&ops);
+    replay(campus(), &ops);
 }
 
 #[test]
@@ -264,7 +284,7 @@ fn drift_and_rehome_compiles_identically() {
         ops.push(Op::Leave { idx: 0 });
         ops.push(Op::Rebalance(0));
     }
-    replay(&ops);
+    replay(campus(), &ops);
 }
 
 #[test]
@@ -277,12 +297,12 @@ fn two_meetings_on_one_edge_compile_like_their_rebuild() {
     ops.extend(joins_of(1, (0..EDGES).map(|e| (e, true))));
     ops.extend((0..EDGES).map(|_| Op::Leave { idx: 0 }));
     ops.extend(joins_of(1, (0..EDGES).map(|e| (e, false))));
-    replay(&ops);
+    replay(campus(), &ops);
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let join = || {
-        (0..MEETINGS, 0..EDGES, any::<bool>()).prop_map(|(meeting, edge, sends)| Op::Join {
+        (0..MEETINGS, 0..EDGE_PICKS, any::<bool>()).prop_map(|(meeting, edge, sends)| Op::Join {
             meeting,
             edge,
             sends,
@@ -294,7 +314,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         join(),
         join(),
         join(),
-        (0..MEETINGS, pvec((0..EDGES, any::<bool>()), 1..6))
+        (0..MEETINGS, pvec((0..EDGE_PICKS, any::<bool>()), 1..6))
             .prop_map(|(meeting, joins)| Op::Burst(meeting, joins)),
         any::<usize>().prop_map(|idx| Op::Leave { idx }),
         (0..MEETINGS).prop_map(Op::Rebalance),
@@ -305,7 +325,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             dt
         }),
         (0..CORES).prop_map(Op::ToggleCore),
-        (0..EDGES, 0..CORES).prop_map(|(edge, core)| Op::ToggleTrunk { edge, core }),
+        (0..EDGE_PICKS, 0..CORES).prop_map(|(edge, core)| Op::ToggleTrunk { edge, core }),
     ]
 }
 
@@ -313,10 +333,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every step of any randomized history leaves every edge compiled
-    /// exactly as a rebuild of its rosters would be, with no orphans.
+    /// exactly as a rebuild of its rosters would be, with no orphans,
+    /// and the ledger equal to the store's load — on the campus, and on
+    /// a two-zone federation with a core per zone.
     #[test]
     fn random_histories_compile_identically(ops in pvec(arb_op(), 1..48)) {
-        replay(&ops);
+        replay(campus(), &ops);
+        replay(Topology::federation(2, 2, 1), &ops);
     }
 }
 
