@@ -91,11 +91,11 @@
 //! The plane is the controller: this module is the second `impl` block
 //! of [`ShardedControlPlane`], holding its meeting operations — create,
 //! join, leave, rebalance, repair and edge evacuation, each defined
-//! once — while [`crate::shard`] holds the ring, the claims, the leases
-//! and the readers. Every fabric meeting has exactly one
-//! [`crate::meeting::FabricMeetingState`] record in the plane's one
-//! store, whichever controller shard claims it, so a handoff or a lease
-//! steal moves a claim and never a record. The operations read the
+//! once — while [`crate::shard`] holds the ring, the shards' loads,
+//! leases and stale claims, and the readers. Every live fabric meeting
+//! has one [`crate::meeting::FabricMeetingState`] record in the plane's
+//! one store, naming its owning shard, so a handoff or a lease steal
+//! rewrites an owner and never moves a record. The operations read the
 //! plane's one [`FabricLoadLedger`] directly; only the two helpers that
 //! run while a record is borrowed take it as a parameter. There is one
 //! re-home path: [`ShardedControlPlane::rebalance_fabric`] re-homes,
@@ -258,8 +258,10 @@ impl ShardedControlPlane {
         self.next_global_meeting += 1;
         let gmid = self.next_global_meeting;
         let seg = fabric.edge_mut(sim, home).agent.create_meeting();
+        // Every meeting is born in epoch 1; steals bump it.
         let mut rec = FabricMeetingState {
             home,
+            owner: self.place(gmid, home),
             epoch: 1,
             ..Default::default()
         };
@@ -270,8 +272,6 @@ impl ShardedControlPlane {
             .insert(fabric.topology.zone_of_edge(home), home);
         self.fabric_meetings.insert(gmid, rec);
         self.signaling_exchanges += 1;
-        // Every meeting is born in epoch 1; steals bump it.
-        self.place(gmid, home, 1);
         gmid
     }
 
@@ -445,7 +445,10 @@ impl ShardedControlPlane {
         let first_global = self.next_global_participant + 1;
         let (scratch, ledger) = (&mut self.scratch, &mut self.ledger);
         let signaling = &mut self.signaling_exchanges;
-        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
+        // Only an empty burst naming a retired meeting finds no record.
+        let Some(rec) = self.fabric_meetings.get_mut(&gmid) else {
+            return;
+        };
         let id_of = |i: usize| first_global + i as GlobalParticipantId;
         scratch.edges.clear();
         for r in reqs {
@@ -767,8 +770,8 @@ impl ShardedControlPlane {
         // Segment GC.
         if rec.members.is_empty() {
             // Meeting over: collect every segment, home included, and
-            // retire the record. Only its home edge stays behind, so a
-            // later join re-materializes segments from scratch.
+            // retire the record. Nothing of it stays behind, so a later
+            // join re-materializes segments from scratch.
             for e in 0..fabric.edges() {
                 self.gc_segment_if_drained(sim, fabric, gmid, e);
             }
@@ -787,8 +790,9 @@ impl ShardedControlPlane {
     /// report cannot pin the fabric-wide minimum. If the edge was its
     /// zone's WAN gateway and the zone keeps other segments, the
     /// gateway role migrates to the zone's lowest remaining segment
-    /// edge (see [`Self::migrate_zone_gateway`]). No-op while a local
-    /// member remains. Returns whether the segment was collected.
+    /// edge that is alive — a dead one only when no live segment is left
+    /// (see [`Self::migrate_zone_gateway`]). No-op while a local member
+    /// remains. Returns whether the segment was collected.
     fn gc_segment_if_drained(
         &mut self,
         sim: &mut Simulator,
@@ -841,12 +845,16 @@ impl ShardedControlPlane {
         }
         self.signaling_exchanges += 1;
         // 4. If the collected edge anchored its zone's WAN gateway, the
-        //    role moves to a surviving segment in the zone (or retires
-        //    with the zone).
+        //    role moves to a surviving segment in the zone, on a live
+        //    switch if the zone has one (or retires with the zone).
         let (tz, zone) = (&fabric.topology, fabric.topology.zone_of_edge(edge));
         if rec.zone_gateways.get(&zone) == Some(&edge) {
             rec.zone_gateways.remove(&zone);
-            if let Some(&new_g) = rec.segments.keys().find(|&&o| tz.zone_of_edge(o) == zone) {
+            let in_zone = |o: &usize| tz.zone_of_edge(*o) == zone;
+            let mut segs = rec.segments.keys().copied().filter(in_zone);
+            let lowest = segs.clone().next();
+            let live = segs.find(|&o| fabric.live_edge(sim, o).is_some());
+            if let Some(new_g) = live.or(lowest) {
                 self.migrate_zone_gateway(sim, fabric, gmid, zone, new_g);
             }
         }
@@ -1569,6 +1577,25 @@ mod tests {
         let sw = f.edge_mut(&mut sim, 4);
         assert!(sw.agent.uplink_ports(old).is_some(), "old entry kept");
         assert_ne!(remote_at_4(&ctl), old, "the WAN-pruned entry is new");
+        assert_eq!(ctl.check_ledger(&f), Ok(()));
+    }
+
+    #[test]
+    fn a_drained_gateways_role_goes_to_a_live_segment() {
+        let (mut sim, f) = federation232();
+        let mut ctl = ShardedControlPlane::new(1);
+        let gmid = ctl.create_fabric_meeting(&mut sim, &f, 0);
+        join(&mut ctl, &mut sim, &f, gmid, req(0, 1, true));
+        let r1 = join(&mut ctl, &mut sim, &f, gmid, req(3, 2, false));
+        join(&mut ctl, &mut sim, &f, gmid, req(4, 3, false));
+        join(&mut ctl, &mut sim, &f, gmid, req(5, 4, false));
+        // Edge 4 dies and is not evacuated; then the zone-1 gateway
+        // (edge 3) drains. The role skips the lower, dead edge 4 for
+        // the live edge 5.
+        sim.kill_node(f.edge_ids[4]);
+        ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
+        let rec = ctl.meeting(gmid).expect("live");
+        assert_eq!(rec.zone_gateways[&1], 5);
         assert_eq!(ctl.check_ledger(&f), Ok(()));
     }
 

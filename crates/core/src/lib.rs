@@ -17,10 +17,10 @@
 //!   the plane's one store.
 //! * [`shard`] — the controller itself, [`shard::ShardedControlPlane`]:
 //!   one meeting store, physically distributed by consistent-hashing
-//!   *claims* on its records (with bounded loads) over N
-//!   [`shard::ControllerShard`]s; a handoff or a lease steal moves a
-//!   claim, never a record, so control load scales with edges instead
-//!   of with the fabric. The ring, claims, leases and readers live here.
+//!   ownership of its records (with bounded loads) over N
+//!   [`shard::ControllerShard`]s; a handoff or a lease steal rewrites
+//!   the record's owner, never moves it, so control load scales with
+//!   edges. The ring, loads, leases, stale claims and readers live here.
 //! * [`agent`] — the switch agent (§4, §5.2–5.5): runs on the switch
 //!   CPU; analyzes REMB/RR copies, maintains per-downlink EWMAs and the
 //!   feedback-selection filter `f` (§5.3), invokes the pluggable

@@ -3,14 +3,14 @@
 //!
 //! Everything the control plane knows about one fabric meeting lives in
 //! a single self-contained [`FabricMeetingState`] record: the home edge,
-//! the ownership epoch, the per-edge segment map, the trunk-egress
-//! branch table, and the member roster with each sender's remote-sender
-//! entries. The sharded plane ([`crate::shard`]) keeps exactly one
-//! record per meeting, in its one controller; a shard holds a *claim*
-//! on it (the right to write it, under an epoch), never a copy. An
-//! ownership handoff or a lease steal moves the claim and leaves the
-//! record where it is — neither type derives `Clone`, so no second copy
-//! of a record can exist.
+//! the owning shard and its epoch, the per-edge segment map, the
+//! trunk-egress branch table, and the member roster with each sender's
+//! remote-sender entries. The sharded plane ([`crate::shard`]) keeps
+//! exactly one record per live meeting, in its one store, and nothing
+//! once it retires. An ownership handoff or a lease steal rewrites the
+//! record's owner (a steal bumps its epoch) and leaves the record where
+//! it is — neither type derives `Clone`, so no second copy of a record
+//! can exist; a shard keeps only the stale claim a steal leaves it.
 //!
 //! The data plane is deliberately **not** part of this state: segments,
 //! PRE trees, and trunk rules live on the edge switches and are keyed
@@ -59,14 +59,17 @@ impl FabricMemberState {
 }
 
 /// The complete control-plane state of one meeting placed across the
-/// fabric — the record a [`crate::shard::ControllerShard`] claims.
+/// fabric, owned by one [`crate::shard::ControllerShard`].
 #[derive(Debug, Default)]
 pub struct FabricMeetingState {
     /// The home edge this meeting is currently placed on.
     pub(crate) home: usize,
-    /// The ownership epoch (fencing token): 1 at creation, bumped by
-    /// each lease steal. A shard's claim taken under an older epoch is
-    /// stale.
+    /// The shard that owns the meeting: the bounded-loads walk's choice
+    /// at placement, rewritten by each handoff and lease steal.
+    pub(crate) owner: usize,
+    /// The ownership epoch (fencing token): 1 at creation (a revived id
+    /// starts at the plane's epoch floor), bumped by each lease steal. A
+    /// stale claim held under an older epoch is fenced.
     pub(crate) epoch: u64,
     /// Local segment meeting id per involved edge.
     pub(crate) segments: BTreeMap<usize, MeetingId>,

@@ -9,12 +9,13 @@
 //! controller partitions one view: it keeps **one** meeting store
 //! (every meeting's record, operated on by the meeting operations of
 //! [`crate::controller`]) and runs `N` [`ControllerShard`]s, each
-//! holding *claims* — the right to write a record, under an epoch — on
-//! a **disjoint** set of fabric meetings. No shard holds a copy of a
-//! record. This module keeps the ring, the claims, the leases and the
-//! readers of the store. Every shard shares the same read-only
-//! [`Fabric`] / topology view (the fabric is passed by `&Fabric` into
-//! every operation; no shard ever mutates it).
+//! owning — holding the right to write, under the record's epoch — a
+//! **disjoint** set of fabric meetings. The owner is a field of the
+//! record, so no shard holds a copy of a record or a map of its own.
+//! This module keeps the ring, the shards' loads, leases and stale
+//! claims, and the readers of the store. Every shard shares the same
+//! read-only [`Fabric`] / topology view (the fabric is passed by
+//! `&Fabric` into every operation; no shard ever mutates it).
 //!
 //! # The sharding function
 //!
@@ -42,14 +43,15 @@
 //!
 //! # The ownership handoff
 //!
-//! A handoff moves a claim, not a record: the acquiring shard takes a
-//! claim on the meeting under its current epoch, then the releasing
-//! shard gives its claim up, so the meeting is never unowned
-//! (make-before-break, mirroring the data-plane cutover invariant of
-//! [`ShardedControlPlane::rebalance_fabric`]). The record stays in the
-//! one store and references only edge-switch ids, so no switch rule
-//! changes during a handoff — media never blips. Each claim taken and
-//! each claim given up counts as one east–west signaling exchange.
+//! A handoff moves a claim, not a record: the record's owner becomes
+//! the acquiring shard, which takes the meeting on under its current
+//! epoch, then the releasing shard gives its claim up, so the meeting
+//! is never unowned (make-before-break, mirroring the data-plane
+//! cutover invariant of [`ShardedControlPlane::rebalance_fabric`]). The
+//! record stays in the one store and references only edge-switch ids,
+//! so no switch rule changes during a handoff — media never blips. Each
+//! claim taken and each claim given up counts as one east–west
+//! signaling exchange.
 //!
 //! Joins need no message of their own: each edge's signaling terminates
 //! at the shard fronting that edge
@@ -91,8 +93,9 @@
 //!   excluded from the bounded-loads walk) by the same transfer a
 //!   cooperative handoff uses, with two differences: the epoch is
 //!   bumped first, and the silent owner's claim is not released — it
-//!   cannot hear the release. The record itself never moved, so the
-//!   thief writes the one the silent owner was writing.
+//!   cannot hear the release, so the claim stays behind on the shard as
+//!   a *stale claim*. The record itself never moved, so the thief
+//!   writes the one the silent owner was writing.
 //! * **Epoch fencing.** Every meeting record carries an **epoch**
 //!   (fencing token), bumped on each steal. The stale claim held by a
 //!   silent owner keeps its old epoch, so when the shard resurrects
@@ -107,12 +110,15 @@
 //!
 //! # Retirement
 //!
-//! When a meeting's last member leaves, its record leaves the store and
-//! its ownership, load count and claim leave the plane: the maps and
-//! the bounded-loads counts hold live meetings only. One `(home,
-//! epoch)` tombstone per retired id stays behind in the store; a join
-//! naming such an id revives the meeting through the ordinary placement
-//! walk for its old home, at its old epoch.
+//! When a meeting's last member leaves, its record — and with it its
+//! owner and epoch — leaves the store, and its owner's load count
+//! drops: the store and the bounded-loads counts hold live meetings
+//! only. Nothing is kept per retired meeting. The plane keeps one epoch
+//! floor, raised past every retired epoch; a join naming a retired id
+//! revives it like a new meeting — homed on the first request's edge
+//! and placed by the ordinary walk — under the floor as its epoch, so a
+//! stale claim on the id's earlier life is still fenced. A join naming
+//! an id the plane never issued panics.
 //!
 //! ```
 //! use scallop_core::fabric::Fabric;
@@ -281,24 +287,13 @@ impl HashRing {
     }
 }
 
-/// One controller shard: its claims on meetings whose records live in
-/// the plane's one store, its ownership load and lease, plus protocol
-/// telemetry.
+/// One controller shard: its ownership load and lease, and its stale
+/// claims. Which meetings it owns is named by their records' owner.
 #[derive(Debug, Default)]
 pub struct ControllerShard {
-    /// Claims this shard took over from another shard (handoff or
-    /// steal).
-    pub meetings_acquired: u64,
-    /// Claims this shard gave up (handoff, or fenced at revival).
-    pub meetings_released: u64,
-    /// Cross-shard joins this shard executed for other ingress shards.
-    pub joins_forwarded: u64,
-    /// The epoch each claimed meeting was acquired (or created) under —
-    /// the shard's half of the fencing comparison.
-    claims: BTreeMap<GlobalMeetingId, u64>,
-    /// Meetings the plane's ownership map gives this shard (stale
-    /// claims excluded), kept in step with it so the bounded-loads walk
-    /// is O(shards), not O(meetings).
+    /// Meetings whose record names this shard the owner, kept in step
+    /// with the records so the bounded-loads walk is O(shards), not
+    /// O(meetings).
     load: usize,
     /// Whether the shard is silent (fail-stopped).
     silent: bool,
@@ -306,19 +301,11 @@ pub struct ControllerShard {
     /// this reaches [`LEASE_TICKS`], and a live shard renews it to 0 on
     /// every [`ShardedControlPlane::tick_leases`].
     lease_drained: u64,
-}
-
-impl ControllerShard {
-    /// Meetings this shard claims — stale claims of a silent shard
-    /// included until its revival fences them.
-    pub fn meetings_owned(&self) -> usize {
-        self.claims.len()
-    }
-
-    /// The epoch this shard claims a meeting under, if it claims it.
-    pub fn epoch_held(&self, gmid: GlobalMeetingId) -> Option<u64> {
-        self.claims.get(&gmid).copied()
-    }
+    /// `(meeting, epoch)` of each meeting stolen from this shard while
+    /// it was silent: the claim it still asserts, under the epoch it
+    /// held — the shard's half of the fencing comparison — until
+    /// [`ShardedControlPlane::revive_shard`] fences it.
+    stale: Vec<(GlobalMeetingId, u64)>,
 }
 
 /// What one [`ShardedControlPlane::rebalance_all`] pass did — callers
@@ -345,8 +332,8 @@ pub struct RebalanceSummary {
 /// one meeting store and `N` [`ControllerShard`]s claiming its records
 /// behind one fabric-meeting API (create, [`Self::join`], leave,
 /// rebalance, repair, evacuate — the operations of
-/// [`crate::controller`]), plus the ownership map, the [`HashRing`],
-/// id allocation, the load ledger and protocol telemetry.
+/// [`crate::controller`]), plus the [`HashRing`], id allocation, the
+/// load ledger and protocol telemetry.
 ///
 /// With one shard this is exactly a single controller: nothing is ever
 /// forwarded or handed off. Sharding changes who keeps a meeting's
@@ -356,23 +343,19 @@ pub struct RebalanceSummary {
 pub struct ShardedControlPlane {
     ring: HashRing,
     shards: Vec<ControllerShard>,
-    /// Every live fabric meeting's record — the plane's one store,
-    /// whichever shard owns it.
+    /// Every live fabric meeting's record, its owner included — the
+    /// plane's one store.
     pub(crate) fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
-    /// Tombstones: the `(home edge, epoch)` of every fabric meeting
-    /// retired when its last member left (its record is gone from
-    /// `fabric_meetings`). Read only when a join names an id that is
-    /// not live, which revives the meeting as the drained record it
-    /// was, and when a revived shard's stale claim is fenced.
-    tombstones: BTreeMap<GlobalMeetingId, (usize, u64)>,
+    /// Above the epoch of every meeting ever retired: a revived id
+    /// takes it as its epoch, so a stale claim on its earlier life is
+    /// still fenced.
+    epoch_floor: u64,
     /// Signaling transactions served: one per meeting operation's
     /// exchange with a switch, one per claim taken over and one per
     /// claim given up.
     pub(crate) signaling_exchanges: u64,
     /// Buffers the join path reuses across calls.
     pub(crate) scratch: JoinScratch,
-    /// Current owner of every tracked meeting.
-    owner: BTreeMap<GlobalMeetingId, usize>,
     pub(crate) next_global_meeting: GlobalMeetingId,
     pub(crate) next_global_participant: GlobalParticipantId,
     handoffs: u64,
@@ -403,10 +386,9 @@ impl ShardedControlPlane {
             ring: HashRing::new(shards),
             shards: (0..shards).map(|_| ControllerShard::default()).collect(),
             fabric_meetings: BTreeMap::new(),
-            tombstones: BTreeMap::new(),
+            epoch_floor: 1,
             signaling_exchanges: 0,
             scratch: JoinScratch::default(),
-            owner: BTreeMap::new(),
             next_global_meeting: 0,
             next_global_participant: 0,
             handoffs: 0,
@@ -466,14 +448,18 @@ impl ShardedControlPlane {
         self.shards.len()
     }
 
-    /// Read access to shard `i` (telemetry, tests).
-    pub fn shard(&self, i: usize) -> &ControllerShard {
-        &self.shards[i]
-    }
-
     /// The shard currently owning a meeting.
     pub fn owner_of(&self, gmid: GlobalMeetingId) -> Option<usize> {
-        self.owner.get(&gmid).copied()
+        self.fabric_meetings.get(&gmid).map(|r| r.owner)
+    }
+
+    /// The epoch shard `s` claims `gmid` under: the record's while `s`
+    /// owns the meeting, else that of a stale claim `s` still holds.
+    pub fn epoch_held(&self, s: usize, gmid: GlobalMeetingId) -> Option<u64> {
+        match self.fabric_meetings.get(&gmid) {
+            Some(rec) if rec.owner == s => Some(rec.epoch),
+            _ => (self.shards[s].stale.iter().find(|&&(g, _)| g == gmid)).map(|&(_, e)| e),
+        }
     }
 
     /// The shard fronting an edge's signaling: joins from this edge
@@ -521,9 +507,9 @@ impl ShardedControlPlane {
         // During a shrink the shards vec is longer than the ring while
         // dropped shards are evacuated; the ring's shard count is the
         // live one, and only ring shards can win the walk.
-        let excluded = exclude.and_then(|g| self.owner.get(&g)).copied();
+        let excluded = exclude.and_then(|g| self.owner_of(g));
         let load = |s: usize| self.shards[s].load - usize::from(excluded == Some(s));
-        let total = self.owner.len() - usize::from(excluded.is_some());
+        let total = self.fabric_meetings.len() - usize::from(excluded.is_some());
         // Silent shards cannot win ownership — a stolen or new meeting
         // must land on a live peer. If every eligible shard is silent
         // (total control-plane outage) the silent ones stay eligible so
@@ -549,52 +535,62 @@ impl ShardedControlPlane {
         self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home))
     }
 
-    /// Place `gmid`, homed on `home`, on the bounded-loads walk's shard
-    /// and give that shard a claim under `epoch`.
-    pub(crate) fn place(&mut self, gmid: GlobalMeetingId, home: usize, epoch: u64) {
+    /// Place `gmid`, homed on `home`, on the bounded-loads walk's shard,
+    /// which takes it on; the caller builds the meeting's record with
+    /// the returned shard as its owner.
+    pub(crate) fn place(&mut self, gmid: GlobalMeetingId, home: usize) -> usize {
         let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
-        self.shards[owner].claims.insert(gmid, epoch);
-        self.shards[owner].load += 1;
-        self.owner.insert(gmid, owner);
+        self.take_on(owner, gmid);
+        owner
+    }
+
+    /// Shard `s` takes `gmid` on: one more meeting in its load, and a
+    /// stale claim it held on the meeting is superseded.
+    fn take_on(&mut self, s: usize, gmid: GlobalMeetingId) {
+        let shard = &mut self.shards[s];
+        shard.load += 1;
+        shard.stale.retain(|&(g, _)| g != gmid);
     }
 
     /// Route a join of `reqs` into `gmid` to the meeting's owner,
     /// counting one forward per request that entered at another shard.
-    /// A retired meeting is revived first: its record comes back from
-    /// its tombstone as it drained — the old home and epoch, no
-    /// segments — and is placed by the ordinary walk for that home.
-    /// Returns whether it was revived.
+    /// A retired meeting is revived first, like a new meeting: homed on
+    /// its first request's edge, with no segments, under the epoch
+    /// floor, and placed by the ordinary walk. An empty burst revives
+    /// nothing. Returns whether it was revived.
     pub(crate) fn route_to_owner(&mut self, gmid: GlobalMeetingId, reqs: &[JoinRequest]) -> bool {
         let revived = !self.fabric_meetings.contains_key(&gmid);
         if revived {
-            let (home, epoch) = self.tombstones.remove(&gmid).expect("fabric meeting");
+            let issued = (1..=self.next_global_meeting).contains(&gmid);
+            assert!(issued, "no fabric meeting {gmid} was ever created");
+            let Some(&JoinRequest { edge: home, .. }) = reqs.first() else {
+                return false;
+            };
+            let owner = self.place(gmid, home);
             let rec = FabricMeetingState {
                 home,
-                epoch,
+                owner,
+                epoch: self.epoch_floor,
                 ..Default::default()
             };
             self.fabric_meetings.insert(gmid, rec);
-            self.place(gmid, home, epoch);
         }
-        let owner = self.owner[&gmid];
+        let owner = self.fabric_meetings[&gmid].owner;
         let forwarded = reqs
             .iter()
             .filter(|r| self.ingress_shard(r.edge) != owner)
             .count() as u64;
         self.forwards += forwarded;
-        self.shards[owner].joins_forwarded += forwarded;
         revived
     }
 
     /// Retire `gmid` (last member gone, or a revival fully refused):
-    /// its record leaves the store for a `(home, epoch)` tombstone, and
-    /// its ownership entry, load count and claim leave the plane.
+    /// its record leaves the store, its owner's load drops, and the
+    /// epoch floor rises past its epoch.
     pub(crate) fn retire(&mut self, gmid: GlobalMeetingId) {
         let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-        self.tombstones.insert(gmid, (rec.home, rec.epoch));
-        let s = self.owner.remove(&gmid).expect("owned");
-        self.shards[s].load -= 1;
-        self.shards[s].claims.remove(&gmid);
+        self.epoch_floor = self.epoch_floor.max(rec.epoch + 1);
+        self.shards[rec.owner].load -= 1;
     }
 
     // ------------------------------------------------------------------
@@ -776,40 +772,33 @@ impl ShardedControlPlane {
     /// Hand `gmid` to the bounded-loads choice for its current home's
     /// key if that differs from its owner — the one transfer a
     /// cooperative handoff and a lease steal (`steal`) share. The
-    /// record never moves: the target takes a claim under the meeting's
-    /// epoch, which a steal bumps first, and then the old owner gives
-    /// its claim up — except on a steal, whose silent owner cannot hear
-    /// the release ([`Self::revive_shard`] fences its stale claim).
-    /// Returns whether a handoff happened.
+    /// record never moves: the target becomes its owner under the
+    /// meeting's epoch, which a steal bumps first, and then the old
+    /// owner gives its claim up — except on a steal, whose silent owner
+    /// cannot hear the release and keeps its claim as a stale one
+    /// ([`Self::revive_shard`] fences it). Returns whether a handoff
+    /// happened.
     pub(crate) fn hand_off(&mut self, gmid: GlobalMeetingId, steal: bool) -> bool {
-        let home = self.fabric_meetings[&gmid].home;
-        let owner = self.owner[&gmid];
+        let rec = &self.fabric_meetings[&gmid];
+        let (home, owner) = (rec.home, rec.owner);
         let target = self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home));
         if target == owner {
             return false;
         }
         let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        rec.epoch += u64::from(steal);
-        self.shards[target].claims.insert(gmid, rec.epoch);
-        self.shards[target].meetings_acquired += 1;
-        self.shards[target].load += 1;
-        self.shards[owner].load -= 1;
-        self.signaling_exchanges += 1;
-        self.owner.insert(gmid, target);
-        self.handoffs += 1;
+        rec.owner = target;
         if steal {
+            self.shards[owner].stale.push((gmid, rec.epoch));
+            rec.epoch += 1;
             self.lease_steals += 1;
-        } else {
-            self.release_claim(owner, gmid);
         }
+        self.shards[owner].load -= 1;
+        self.take_on(target, gmid);
+        // One exchange for the claim taken, one for the release a steal
+        // cannot send.
+        self.signaling_exchanges += 2 - u64::from(steal);
+        self.handoffs += 1;
         true
-    }
-
-    /// Shard `s` gives up its claim on `gmid`.
-    fn release_claim(&mut self, s: usize, gmid: GlobalMeetingId) {
-        self.shards[s].claims.remove(&gmid);
-        self.shards[s].meetings_released += 1;
-        self.signaling_exchanges += 1;
     }
 
     /// Run [`Self::rebalance_fabric`] over every tracked meeting and
@@ -818,7 +807,7 @@ impl ShardedControlPlane {
     pub fn rebalance_all(&mut self, sim: &mut Simulator, fabric: &Fabric) -> RebalanceSummary {
         let before = self.handoffs;
         let before_cross = self.cross_zone_handoffs;
-        let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
+        let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
         let rehomed = gmids
             .into_iter()
             .filter(|&g| self.rebalance_fabric(sim, fabric, g).is_some())
@@ -907,10 +896,9 @@ impl ShardedControlPlane {
     /// one); its stale claim is fenced by the epoch and dropped by
     /// [`Self::revive_shard`]. Returns the number of meetings stolen.
     pub fn steal_expired_leases(&mut self) -> u64 {
-        let victims: Vec<GlobalMeetingId> = self
-            .owner
-            .iter()
-            .filter(|&(_, &o)| self.shards[o].silent && self.shards[o].lease_drained == LEASE_TICKS)
+        let expired = |s: &ControllerShard| s.silent && s.lease_drained == LEASE_TICKS;
+        let victims: Vec<GlobalMeetingId> = (self.fabric_meetings.iter())
+            .filter(|(_, rec)| expired(&self.shards[rec.owner]))
             .map(|(&g, _)| g)
             .collect();
         // A victim stays put when every eligible peer is silent too.
@@ -921,35 +909,29 @@ impl ShardedControlPlane {
     }
 
     /// Re-admit a resurrected shard: clear its silence, restore its
-    /// lease, and reconcile its stale claims — for every meeting it
-    /// still claims but no longer owns, its re-assertion carries the
-    /// old epoch, is fenced off (the record's epoch, or its
-    /// tombstone's, is strictly newer), and the shard drops the claim.
-    /// Returns the number of stale writes rejected. Follow with
+    /// lease, and reconcile its stale claims — each re-assertion
+    /// carries the old epoch, is fenced off (the record's epoch, or the
+    /// epoch floor once the meeting retired, is strictly newer), and
+    /// the shard drops the claim, one release each. Returns the number
+    /// of stale writes rejected. Follow with
     /// [`Self::rebalance_ownership`] to fold the shard back into the
     /// bounded-loads spread.
     pub fn revive_shard(&mut self, s: usize) -> u64 {
-        self.shards[s].silent = false;
-        self.shards[s].lease_drained = 0;
-        let stale: Vec<(GlobalMeetingId, u64)> = self.shards[s]
-            .claims
-            .iter()
-            .filter(|&(g, _)| self.owner.get(g) != Some(&s))
-            .map(|(&g, &held)| (g, held))
-            .collect();
+        let shard = &mut self.shards[s];
+        shard.silent = false;
+        shard.lease_drained = 0;
+        let stale = std::mem::take(&mut shard.stale);
         for &(gmid, held) in &stale {
-            let current = match self.fabric_meetings.get(&gmid) {
-                Some(rec) => rec.epoch,
-                None => self.tombstones.get(&gmid).map_or(0, |&(_, e)| e),
-            };
+            let current = self.meeting_epoch(gmid).unwrap_or(self.epoch_floor);
             assert!(
                 held < current,
                 "a stolen meeting's record epoch is strictly newer"
             );
-            self.release_claim(s, gmid);
         }
-        self.stale_epoch_writes_rejected += stale.len() as u64;
-        stale.len() as u64
+        let fenced = stale.len() as u64;
+        self.signaling_exchanges += fenced;
+        self.stale_epoch_writes_rejected += fenced;
+        fenced
     }
 
     /// Re-evaluate shard ownership of every meeting against the
@@ -959,7 +941,7 @@ impl ShardedControlPlane {
     /// share of meetings through the ordinary cooperative handoff.
     /// Returns the number of handoffs performed.
     pub fn rebalance_ownership(&mut self) -> usize {
-        let gmids: Vec<GlobalMeetingId> = self.owner.keys().copied().collect();
+        let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
         gmids
             .into_iter()
             .filter(|&g| self.hand_off(g, false))
@@ -1162,11 +1144,6 @@ mod tests {
         }
         assert!(expected_forwards > 0, "4 edges over 4 shards must split");
         assert_eq!(plane.forward_total(), expected_forwards);
-        assert_eq!(
-            plane.shard(owner).joins_forwarded,
-            expected_forwards,
-            "the owner executed every forwarded join"
-        );
         assert_eq!(plane.fabric_members(gmid).len(), 4);
         // A burst is accounted per request, exactly like singles: the
         // same four edges again in one call double both counters.
@@ -1181,7 +1158,6 @@ mod tests {
         let ids: Vec<_> = outcomes.iter().map(|o| o.grant.unwrap().global).collect();
         assert_eq!(ids, vec![5, 6, 7, 8], "ids follow input order");
         assert_eq!(plane.forward_total(), 2 * expected_forwards);
-        assert_eq!(plane.shard(owner).joins_forwarded, 2 * expected_forwards);
     }
 
     #[test]
@@ -1209,7 +1185,6 @@ mod tests {
         let new_owner = plane.owner_of(gmid).unwrap();
         assert_eq!(new_owner, 0, "everything evacuates to the last shard");
         assert!(plane.handoff_total() >= 1);
-        assert!(plane.shard(new_owner).meetings_acquired >= 1);
 
         // The roster, segments, and pair resolution all survived.
         assert_eq!(plane.fabric_members(gmid), before_members);
@@ -1253,11 +1228,11 @@ mod tests {
         let owner1 = plane.owner_of(gmid).unwrap();
         assert_ne!(owner1, owner0, "ownership follows the re-home");
         assert_eq!(plane.handoff_total(), 1);
-        assert_eq!(plane.shard(owner0).meetings_released, 1);
-        assert_eq!(plane.shard(owner1).meetings_acquired, 1);
+        assert_eq!(plane.meetings_released_total(), 1);
         // The old owner no longer tracks the meeting; the new one does.
-        assert_eq!(plane.shard(owner0).meetings_owned(), 0);
-        assert_eq!(plane.shard(owner1).meetings_owned(), 1);
+        assert_eq!(plane.meetings_per_shard()[owner0], 0);
+        assert_eq!(plane.meetings_per_shard()[owner1], 1);
+        assert_eq!(plane.epoch_held(owner0, gmid), None);
         // Meeting still fully operational after the handoff.
         plane.leave_fabric(&mut sim, &f, gmid, a.global);
         assert_eq!(plane.segment_of(gmid, 0), None, "drained edge collected");
@@ -1326,7 +1301,7 @@ mod tests {
         let a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
         let owner = plane.owner_of(gmid).unwrap();
         assert_eq!(plane.meeting_epoch(gmid), Some(1));
-        assert_eq!(plane.shard(owner).epoch_held(gmid), Some(1));
+        assert_eq!(plane.epoch_held(owner, gmid), Some(1));
 
         // Silence the owner. Before the lease expires nothing moves —
         // a slow shard must not be robbed.
@@ -1344,11 +1319,11 @@ mod tests {
         assert_ne!(thief, owner);
         assert!(!plane.shard_is_silent(thief));
         assert_eq!(plane.meeting_epoch(gmid), Some(2));
-        assert_eq!(plane.shard(thief).epoch_held(gmid), Some(2));
+        assert_eq!(plane.epoch_held(thief, gmid), Some(2));
         assert_eq!(plane.lease_steal_total(), 1);
         // The silent owner still holds its stale copy (no release was
         // deliverable), under the old epoch.
-        assert_eq!(plane.shard(owner).epoch_held(gmid), Some(1));
+        assert_eq!(plane.epoch_held(owner, gmid), Some(1));
 
         // The meeting is fully operable through the thief.
         let b = join(&mut plane, &mut sim, &f, gmid, (1, caddr(2), false));
@@ -1358,8 +1333,8 @@ mod tests {
         // released; protocol accounting reconciles.
         assert_eq!(plane.revive_shard(owner), 1);
         assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-        assert_eq!(plane.shard(owner).epoch_held(gmid), None);
-        assert_eq!(plane.shard(owner).meetings_owned(), 0);
+        assert_eq!(plane.epoch_held(owner, gmid), None);
+        assert_eq!(plane.meetings_per_shard()[owner], 0);
         assert_eq!(plane.meetings_released_total(), plane.handoff_total());
     }
 
@@ -1500,9 +1475,9 @@ mod tests {
         exclude: Option<GlobalMeetingId>,
         zone: usize,
     ) -> usize {
-        let excluded = exclude.and_then(|g| plane.owner.get(&g)).copied();
+        let excluded = exclude.and_then(|g| plane.owner_of(g));
         let load = |s: usize| plane.shards[s].load - usize::from(excluded == Some(s));
-        let total = plane.owner.len() - usize::from(excluded.is_some());
+        let total = plane.fabric_meetings.len() - usize::from(excluded.is_some());
         let all = plane.zone_shards(zone);
         let live: Vec<usize> = (all.iter().copied())
             .filter(|&s| !plane.shards[s].silent)
@@ -1540,7 +1515,15 @@ mod tests {
                     // question both ways: re-evaluating a placed meeting
                     // and placing a new one.
                     for gmid in 1..=(3 * shards as u32) {
-                        plane.place(gmid, gmid as usize % HOMES, 1);
+                        let home = gmid as usize % HOMES;
+                        let owner = plane.place(gmid, home);
+                        let rec = FabricMeetingState {
+                            home,
+                            owner,
+                            epoch: 1,
+                            ..Default::default()
+                        };
+                        plane.fabric_meetings.insert(gmid, rec);
                     }
                     for gmid in 1..=(4 * shards as u32) {
                         for home in 0..HOMES {

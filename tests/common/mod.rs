@@ -67,7 +67,6 @@ pub fn allocs_in(f: impl FnOnce()) -> u64 {
 
 /// Bytes this thread has allocated and not freed: compare two readings
 /// to see what the code between them kept.
-#[allow(dead_code)] // `control_allocs` counts calls only
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }

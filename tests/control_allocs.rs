@@ -15,6 +15,10 @@
 //! plumbed, and the port-ownership and participant B-trees split and
 //! merge nodes as ports and ids come and go. `join` returns one vector
 //! per call, and the single joins count it too.
+//!
+//! Every cycle retires the two meetings it created, and the plane keeps
+//! nothing per retired meeting: once warm, the live heap is the same
+//! after any number of further cycles.
 
 use scallop::core::capacity::FabricBudgets;
 use scallop::core::controller::JoinRequest;
@@ -30,7 +34,7 @@ use scallop::workload::flashcrowd::{flash_crowd, webinar, CrowdJoin};
 use std::net::Ipv4Addr;
 
 mod common;
-use common::allocs_in;
+use common::{allocs_in, live_bytes};
 
 #[global_allocator]
 static GLOBAL: common::Counting = common::Counting;
@@ -151,4 +155,18 @@ fn a_meeting_booked_and_fully_credited_leaves_no_ledger_entry() {
         assert!(ledger.reconciled(), "every account is back at zero");
         assert_eq!(ledger.debits, ledger.credits);
     }
+}
+
+#[test]
+fn retired_meetings_leave_no_live_heap_behind() {
+    let mut crowds = Crowds::new();
+    for _ in 0..10 {
+        crowds.cycle();
+    }
+    let before = live_bytes();
+    for _ in 0..200 {
+        crowds.cycle();
+    }
+    let kept = live_bytes() - before;
+    assert_eq!(kept, 0, "200 cycles kept {kept} bytes of live heap");
 }

@@ -1,12 +1,13 @@
-//! The sharded control plane keeps one meeting store: a shard holds
-//! claims on meeting records, never a copy of one.
+//! The sharded control plane keeps one meeting store: each record
+//! names its owning shard, and no shard holds a copy of one.
 //!
 //! Two consequences are pinned here. A lease steal leaves the silent
 //! owner a stale *claim*, which no operation walks, so an edge failure
 //! evacuates each member exactly once. And the shard count decides who
 //! keeps a meeting's books and nothing else: one media-free history
 //! compiles every edge identically at 1 and at 4 shards. Every control
-//! operation is followed by [`Fabric::check_compiled`].
+//! operation is followed by [`Fabric::check_compiled`] and
+//! [`ShardedControlPlane::check_ledger`].
 
 use scallop::core::capacity::FabricBudgets;
 use scallop::core::controller::{GlobalMeetingId, JoinRequest};
@@ -33,9 +34,13 @@ fn world(topology: Topology) -> (Simulator, Fabric) {
 }
 
 /// Every edge compiled as a rebuild of its rosters would be, with no
-/// orphans — called after every control operation.
-fn check(sim: &mut Simulator, fabric: &Fabric) {
+/// orphans, and the ledger equal to the load the store records —
+/// called after every control operation.
+fn check(sim: &mut Simulator, fabric: &Fabric, plane: &ShardedControlPlane) {
     if let Err(e) = fabric.check_compiled(sim) {
+        panic!("{e}");
+    }
+    if let Err(e) = plane.check_ledger(fabric) {
         panic!("{e}");
     }
 }
@@ -78,7 +83,7 @@ fn a_stolen_meetings_members_are_evacuated_once() {
         assert!(plane.join(&mut sim, &fabric, gmid, &[req])[0]
             .grant
             .is_some());
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
     }
     let owner = plane.owner_of(gmid).expect("live");
     plane.silence_shard(owner);
@@ -86,7 +91,7 @@ fn a_stolen_meetings_members_are_evacuated_once() {
         plane.tick_leases();
     }
     assert_eq!(plane.steal_expired_leases(), 1);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     // The silent owner still claims the meeting under epoch 1, but a
     // claim is not a copy: edge 2's one member is dropped once, with
@@ -95,13 +100,13 @@ fn a_stolen_meetings_members_are_evacuated_once() {
     let before = plane.signaling_exchanges();
     assert_eq!(plane.handle_edge_failure(&mut sim, &fabric, 2), 1);
     assert_eq!(plane.signaling_exchanges() - before, 2);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     assert_eq!(plane.fabric_members(gmid).len(), 2);
 
     assert_eq!(plane.revive_shard(owner), 1, "the stale claim is fenced");
     assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-    assert_eq!(plane.shard(owner).epoch_held(gmid), None);
-    check(&mut sim, &fabric);
+    assert_eq!(plane.epoch_held(owner, gmid), None);
+    check(&mut sim, &fabric, &plane);
 }
 
 /// What a history leaves behind that must not depend on the shard
@@ -136,14 +141,14 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
     for k in 0..2 * EDGES {
         let home = k % EDGES;
         let gmid = plane.create_fabric_meeting(&mut sim, &fabric, home);
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
         let crowd = flash_crowd(EDGES, 2, 4 + k);
         let reqs = burst(
             &mut clients,
             crowd.iter().map(|j| ((j.edge + home) % EDGES, j.sends)),
         );
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
         meetings.push(gmid);
     }
     // Drift: every other meeting gains a decisive majority one edge
@@ -152,10 +157,10 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
         let to = (k % EDGES + 1) % EDGES;
         let reqs = burst(&mut clients, (0..6).map(|i| (to, i == 0)));
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
     }
     assert!(plane.rebalance_all(&mut sim, &fabric).rehomed > 0);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     // A shard goes silent; its meetings are stolen (on one shard there
     // is no peer to steal them), joined while it is away, and fenced
@@ -166,22 +171,22 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
         plane.tick_leases();
     }
     plane.steal_expired_leases();
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     let reqs = burst(&mut clients, [(1, true), (2, false)]);
     plane.join(&mut sim, &fabric, meetings[0], &reqs);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     plane.revive_shard(victim);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     plane.rebalance_ownership();
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     sim.kill_node(fabric.core_ids[0]);
     assert!(plane.repair_trunks(&mut sim, &fabric) > 0);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     sim.kill_node(fabric.edge_ids[DEAD_EDGE]);
     assert!(plane.handle_edge_failure(&mut sim, &fabric, DEAD_EDGE) > 0);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     for (k, &gmid) in meetings.iter().enumerate() {
         let reqs = burst(
@@ -189,7 +194,7 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
             [(k % DEAD_EDGE, true), ((k + 1) % DEAD_EDGE, false)],
         );
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
     }
 
     let outcome = Outcome {
@@ -248,11 +253,11 @@ fn a_dead_home_edge_hands_its_meetings_to_the_new_zones_shards() {
             gmid
         })
         .collect();
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
 
     sim.kill_node(fabric.edge_ids[0]);
     assert_eq!(plane.handle_edge_failure(&mut sim, &fabric, 0), 16);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     let zone1 = plane.zone_shards(1);
     for &gmid in &meetings {
         assert_eq!(plane.home_edge_of(gmid), Some(3));

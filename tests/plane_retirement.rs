@@ -2,14 +2,17 @@
 //! memory follow the meetings that are live, not the ones that ever
 //! were.
 //!
-//! When a meeting's last member leaves, its record leaves the owning
-//! controller, its ownership, load count and epoch leave the sharded
-//! plane, and one fixed-size `(home, epoch)` tombstone stays behind. A
-//! join naming the retired id revives it through the plane's normal
-//! placement walk, at the epoch it retired with. Every control
-//! operation here is followed by [`Fabric::check_compiled`]: retiring
-//! and reviving must leave each edge compiled as a rebuild of its
-//! rosters would be, with nothing orphaned.
+//! When a meeting's last member leaves, its record — owner and epoch
+//! included — leaves the plane's one store, its owner's load count
+//! drops, and nothing of it stays behind: the plane keeps one epoch
+//! floor above every retired epoch. A join naming the retired id
+//! revives it like a new meeting — homed on the first request's edge,
+//! placed by the plane's normal walk — under the floor as its epoch.
+//! Every control operation here is followed by
+//! [`Fabric::check_compiled`] and [`ShardedControlPlane::check_ledger`]:
+//! retiring and reviving must leave each edge compiled as a rebuild of
+//! its rosters would be, with nothing orphaned, and the books equal to
+//! the load the store records.
 
 use scallop::core::capacity::{AdmissionDecision, FabricBudgets};
 use scallop::core::controller::{GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest};
@@ -48,9 +51,13 @@ fn addr(crowd: u8, k: usize) -> HostAddr {
 }
 
 /// Every edge compiled as a rebuild of its rosters would be, with no
-/// orphans — called after every control operation.
-fn check(sim: &mut Simulator, fabric: &Fabric) {
+/// orphans, and the ledger equal to the load the store records —
+/// called after every control operation.
+fn check(sim: &mut Simulator, fabric: &Fabric, plane: &ShardedControlPlane) {
     if let Err(e) = fabric.check_compiled(sim) {
+        panic!("{e}");
+    }
+    if let Err(e) = plane.check_ledger(fabric) {
         panic!("{e}");
     }
 }
@@ -64,7 +71,7 @@ fn join(
     (edge, addr, sends): (usize, HostAddr, bool),
 ) -> JoinOutcome {
     let outcome = plane.join(sim, fabric, gmid, &[JoinRequest { edge, addr, sends }])[0];
-    check(sim, fabric);
+    check(sim, fabric, plane);
     outcome
 }
 
@@ -77,7 +84,7 @@ fn leave(
     global: GlobalParticipantId,
 ) {
     plane.leave_fabric(sim, fabric, gmid, global);
-    check(sim, fabric);
+    check(sim, fabric, plane);
 }
 
 /// One cycle: create → flash crowd join by join → rebalance → webinar
@@ -94,15 +101,17 @@ fn cycle(
     let mut members = Vec::new();
 
     let g_storm = plane.create_fabric_meeting(sim, fabric, storm[0].edge);
+    check(sim, fabric, plane);
     for (k, j) in storm.iter().enumerate() {
         let o = join(sim, fabric, plane, g_storm, (j.edge, addr(0, k), j.sends));
         assert_eq!(o.decision, AdmissionDecision::Admitted);
         members.push((g_storm, o.grant.expect("admitted").global));
     }
     plane.rebalance_fabric(sim, fabric, g_storm);
-    check(sim, fabric);
+    check(sim, fabric, plane);
 
     let g_web = plane.create_fabric_meeting(sim, fabric, audience[0].edge);
+    check(sim, fabric, plane);
     let joins: Vec<JoinRequest> = audience
         .iter()
         .enumerate()
@@ -113,7 +122,7 @@ fn cycle(
         })
         .collect();
     let outcomes = plane.join(sim, fabric, g_web, &joins);
-    check(sim, fabric);
+    check(sim, fabric, plane);
     members.extend(
         outcomes
             .iter()
@@ -139,7 +148,7 @@ fn assert_retired(plane: &ShardedControlPlane, gmid: GlobalMeetingId) {
     );
     assert_eq!(plane.home_edge_of(gmid), None);
     for s in 0..plane.shard_count() {
-        assert_eq!(plane.shard(s).epoch_held(gmid), None, "shard {s}");
+        assert_eq!(plane.epoch_held(s, gmid), None, "shard {s}");
     }
 }
 
@@ -152,9 +161,6 @@ fn cycles_leave_nothing_behind(shards: usize) {
         // The live maps are after every cycle what they were after the
         // first: empty.
         assert_eq!(plane.meetings_per_shard(), vec![0; shards]);
-        for s in 0..shards {
-            assert_eq!(plane.shard(s).meetings_owned(), 0, "shard {s}");
-        }
         assert!(plane.ledger().reconciled());
         assert_eq!(plane.ledger().open_entries(), 0);
     }
@@ -205,21 +211,18 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
     let live: usize = plane.meetings_per_shard().iter().sum();
     assert_eq!(live, EDGES);
 
-    let planned = plane.planned_owner(gmid, home);
+    let planned = plane.planned_owner(gmid, 1);
     let JoinOutcome { decision, grant } =
         join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 2), true));
     assert_eq!(decision, AdmissionDecision::Admitted);
     assert_eq!(plane.owner_of(gmid), Some(planned));
     assert_eq!(
         plane.home_edge_of(gmid),
-        Some(home),
-        "revived on its old home"
+        Some(1),
+        "revived on its first request's edge"
     );
     assert!(plane.meeting_epoch(gmid).expect("live again") >= epoch);
-    assert_eq!(
-        plane.shard(planned).epoch_held(gmid),
-        plane.meeting_epoch(gmid)
-    );
+    assert_eq!(plane.epoch_held(planned, gmid), plane.meeting_epoch(gmid));
     assert_eq!(
         plane.fabric_members(gmid),
         vec![grant.expect("admitted").global]
@@ -239,7 +242,7 @@ fn rejoin_revives_where_the_plane_would_place_it_on_four_shards() {
 }
 
 #[test]
-fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
+fn a_steal_before_retirement_raises_the_epoch_floor() {
     let (mut sim, fabric, mut plane) = world(4);
     let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 1);
     let a = join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 0), true))
@@ -254,7 +257,7 @@ fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
         plane.tick_leases();
     }
     assert_eq!(plane.steal_expired_leases(), 1);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     assert_eq!(plane.meeting_epoch(gmid), Some(2));
 
     leave(&mut sim, &fabric, &mut plane, gmid, a.global);
@@ -264,15 +267,15 @@ fn a_steal_before_retirement_bumps_the_epoch_the_tombstone_keeps() {
     // The silent shard resurrects holding a stale epoch-1 copy of a
     // meeting that has since retired: still fenced off.
     assert_eq!(plane.revive_shard(owner), 1);
-    check(&mut sim, &fabric);
+    check(&mut sim, &fabric, &plane);
     assert_eq!(plane.stale_epoch_writes_rejected(), 1);
     assert_retired(&plane, gmid);
 
     join(&mut sim, &fabric, &mut plane, gmid, (0, addr(0, 2), true));
     assert_eq!(
         plane.meeting_epoch(gmid),
-        Some(2),
-        "revived at the stolen epoch"
+        Some(3),
+        "revived at the epoch floor, above the stolen epoch"
     );
 }
 
@@ -304,19 +307,24 @@ fn a_refused_revival_stays_retired() {
             assert!(matches!(o.decision, AdmissionDecision::Refused(_)));
             assert!(o.grant.is_none());
         }
-        check(&mut sim, &fabric);
+        check(&mut sim, &fabric, &plane);
         assert_retired(&plane, gmid);
         assert_eq!(plane.meetings_per_shard(), vec![0; 4]);
-        for s in 0..4 {
-            assert_eq!(plane.shard(s).meetings_owned(), 0);
-        }
     }
 
-    // Budgets back: the same id revives on its old home, and the
-    // refusals consumed no participant id.
+    // Budgets back: the same id revives on its first request's edge,
+    // and the refusals consumed no participant id.
     plane.set_capacity_budgets(FabricBudgets::from_model(), &fabric.topology);
     let b = join(&mut sim, &fabric, &mut plane, gmid, (2, addr(0, 4), false));
     assert_eq!(b.decision, AdmissionDecision::Admitted);
     assert_eq!(b.grant.unwrap().global, a.global + 1);
-    assert_eq!(plane.home_edge_of(gmid), Some(1));
+    assert_eq!(plane.home_edge_of(gmid), Some(2));
+}
+
+#[test]
+#[should_panic(expected = "fabric meeting")]
+fn a_join_naming_an_id_never_issued_panics() {
+    let (mut sim, fabric, mut plane) = world(4);
+    let never = plane.create_fabric_meeting(&mut sim, &fabric, 1) + 1;
+    join(&mut sim, &fabric, &mut plane, never, (1, addr(0, 0), true));
 }
