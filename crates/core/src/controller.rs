@@ -79,9 +79,8 @@
 //! resolves the upstream pid and swings the branch at the address
 //! `Fabric::trunk_addr` gives, and that rule *observes* dead cores
 //! and cut trunk links in the simulator (which stands in for the
-//! liveness service a deployed controller would read, as the records'
-//! epochs stand in for the metadata service). Admission pricing,
-//! the first plumb, gateway migration and
+//! liveness service a deployed controller would read). Admission
+//! pricing, the first plumb, gateway migration and
 //! [`ShardedControlPlane::repair_trunks`] all ask the pair, so what is
 //! priced is what is plumbed, and a branch plumbed after a failure
 //! avoids it exactly as a repaired one does.
@@ -91,11 +90,11 @@
 //! The plane is the controller: this module is the second `impl` block
 //! of [`ShardedControlPlane`], holding its meeting operations — create,
 //! join, leave, rebalance, repair and edge evacuation, each defined
-//! once — while [`crate::shard`] holds the ring, the shards' loads,
-//! leases and stale claims, and the readers. Every live fabric meeting
-//! has one [`crate::meeting::FabricMeetingState`] record in the plane's
-//! one store, naming its owning shard, so a handoff or a lease steal
-//! rewrites an owner and never moves a record. The operations read the
+//! once — while [`crate::shard`] holds the ring, the shards' loads and
+//! the readers. Every live fabric meeting has one
+//! [`crate::meeting::FabricMeetingState`] record in the plane's one
+//! store, naming its owning shard, so a handoff rewrites an owner and
+//! never moves a record. The operations read the
 //! plane's one [`FabricLoadLedger`] directly; only the two helpers that
 //! run while a record is borrowed take it as a parameter. There is one
 //! re-home path: [`ShardedControlPlane::rebalance_fabric`] re-homes,
@@ -258,11 +257,9 @@ impl ShardedControlPlane {
         self.next_global_meeting += 1;
         let gmid = self.next_global_meeting;
         let seg = fabric.edge_mut(sim, home).agent.create_meeting();
-        // Every meeting is born in epoch 1; steals bump it.
         let mut rec = FabricMeetingState {
             home,
             owner: self.place(gmid, home),
-            epoch: 1,
             ..Default::default()
         };
         rec.segments.insert(home, seg);
@@ -1028,7 +1025,7 @@ impl ShardedControlPlane {
         if self.zone_of_home(home) != self.zone_of_home(best) {
             self.cross_zone_handoffs += 1;
         }
-        self.hand_off(gmid, false);
+        self.hand_off(gmid);
         Some((home, best))
     }
 

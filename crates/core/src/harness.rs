@@ -554,16 +554,6 @@ impl ScallopHarness {
         self.fabric.core_stats(&mut self.sim, j)
     }
 
-    /// Revive controller shard `s`: its stale ownership re-assertions
-    /// are fenced (returned count) and a
-    /// [`crate::shard::ShardedControlPlane::rebalance_ownership`] pass
-    /// folds the shard back into the bounded-loads spread.
-    pub fn revive_shard(&mut self, s: usize) -> u64 {
-        let rejected = self.controller.revive_shard(s);
-        self.controller.rebalance_ownership();
-        rejected
-    }
-
     /// A client's statistics.
     pub fn client_stats(&mut self, idx: usize) -> ClientStats {
         let c: &mut ClientNode = self.sim.node_mut(self.client_ids[idx]).expect("client");

@@ -17,10 +17,9 @@
 //!   the plane's one store.
 //! * [`shard`] — the controller itself, [`shard::ShardedControlPlane`]:
 //!   one meeting store, physically distributed by consistent-hashing
-//!   ownership of its records (with bounded loads) over N
-//!   [`shard::ControllerShard`]s; a handoff or a lease steal rewrites
-//!   the record's owner, never moves it, so control load scales with
-//!   edges. The ring, loads, leases, stale claims and readers live here.
+//!   ownership of its records (with bounded loads) over N shards; a
+//!   handoff rewrites the record's owner, never moves it, so control
+//!   load scales with edges. The ring, loads and readers live here.
 //! * [`agent`] — the switch agent (§4, §5.2–5.5): runs on the switch
 //!   CPU; analyzes REMB/RR copies, maintains per-downlink EWMAs and the
 //!   feedback-selection filter `f` (§5.3), invokes the pluggable
@@ -64,5 +63,5 @@ pub use controller::{FabricGrant, GlobalMeetingId, GlobalParticipantId, JoinOutc
 pub use fabric::Fabric;
 pub use harness::{HarnessConfig, HarnessReport, ScallopHarness};
 pub use meeting::FabricMeetingState;
-pub use shard::{ControllerShard, HashRing, RebalanceSummary, ShardedControlPlane};
+pub use shard::{HashRing, RebalanceSummary, ShardedControlPlane};
 pub use switchnode::{ScallopSwitchNode, SwitchConfig};

@@ -3,14 +3,13 @@
 //!
 //! Everything the control plane knows about one fabric meeting lives in
 //! a single self-contained [`FabricMeetingState`] record: the home edge,
-//! the owning shard and its epoch, the per-edge segment map, the
-//! trunk-egress branch table, and the member roster with each sender's
-//! remote-sender entries. The sharded plane ([`crate::shard`]) keeps
-//! exactly one record per live meeting, in its one store, and nothing
-//! once it retires. An ownership handoff or a lease steal rewrites the
-//! record's owner (a steal bumps its epoch) and leaves the record where
-//! it is — neither type derives `Clone`, so no second copy of a record
-//! can exist; a shard keeps only the stale claim a steal leaves it.
+//! the owning shard, the per-edge segment map, the trunk-egress branch
+//! table, and the member roster with each sender's remote-sender
+//! entries. The sharded plane ([`crate::shard`]) keeps exactly one
+//! record per live meeting, in its one store, and nothing once it
+//! retires. An ownership handoff rewrites the record's owner and leaves
+//! the record where it is — neither type derives `Clone`, so no second
+//! copy of a record can exist; a shard keeps only its load count.
 //!
 //! The data plane is deliberately **not** part of this state: segments,
 //! PRE trees, and trunk rules live on the edge switches and are keyed
@@ -59,18 +58,14 @@ impl FabricMemberState {
 }
 
 /// The complete control-plane state of one meeting placed across the
-/// fabric, owned by one [`crate::shard::ControllerShard`].
+/// fabric, owned by one shard of [`crate::shard::ShardedControlPlane`].
 #[derive(Debug, Default)]
 pub struct FabricMeetingState {
     /// The home edge this meeting is currently placed on.
     pub(crate) home: usize,
     /// The shard that owns the meeting: the bounded-loads walk's choice
-    /// at placement, rewritten by each handoff and lease steal.
+    /// at placement, rewritten by each handoff.
     pub(crate) owner: usize,
-    /// The ownership epoch (fencing token): 1 at creation (a revived id
-    /// starts at the plane's epoch floor), bumped by each lease steal. A
-    /// stale claim held under an older epoch is fenced.
-    pub(crate) epoch: u64,
     /// Local segment meeting id per involved edge.
     pub(crate) segments: BTreeMap<usize, MeetingId>,
     /// Trunk-egress branch per (on_edge, toward_edge) pair. WAN-tier
@@ -112,7 +107,6 @@ mod tests {
     fn state_is_self_contained() {
         let mut st = FabricMeetingState {
             home: 2,
-            epoch: 1,
             ..Default::default()
         };
         st.members.push(FabricMemberState {

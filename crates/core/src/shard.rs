@@ -8,14 +8,14 @@
 //! controller, physically distributed the way a distributed SDN
 //! controller partitions one view: it keeps **one** meeting store
 //! (every meeting's record, operated on by the meeting operations of
-//! [`crate::controller`]) and runs `N` [`ControllerShard`]s, each
-//! owning — holding the right to write, under the record's epoch — a
-//! **disjoint** set of fabric meetings. The owner is a field of the
-//! record, so no shard holds a copy of a record or a map of its own.
-//! This module keeps the ring, the shards' loads, leases and stale
-//! claims, and the readers of the store. Every shard shares the same
-//! read-only [`Fabric`] / topology view (the fabric is passed by
-//! `&Fabric` into every operation; no shard ever mutates it).
+//! [`crate::controller`]) and splits it over `N` shards, each owning —
+//! holding the right to write — a **disjoint** set of fabric meetings.
+//! The owner is a field of the record, so no shard holds a copy of a
+//! record or a map of its own; a shard is a load count. This module
+//! keeps the ring, the shards' loads, and the readers of the store.
+//! Every shard shares the same read-only [`Fabric`] / topology view
+//! (the fabric is passed by `&Fabric` into every operation; no shard
+//! ever mutates it).
 //!
 //! # The sharding function
 //!
@@ -44,14 +44,13 @@
 //! # The ownership handoff
 //!
 //! A handoff moves a claim, not a record: the record's owner becomes
-//! the acquiring shard, which takes the meeting on under its current
-//! epoch, then the releasing shard gives its claim up, so the meeting
-//! is never unowned (make-before-break, mirroring the data-plane
-//! cutover invariant of [`ShardedControlPlane::rebalance_fabric`]). The
-//! record stays in the one store and references only edge-switch ids,
-//! so no switch rule changes during a handoff — media never blips. Each
-//! claim taken and each claim given up counts as one east–west
-//! signaling exchange.
+//! the acquiring shard, which takes the meeting on, then the releasing
+//! shard gives its claim up, so the meeting is never unowned
+//! (make-before-break, mirroring the data-plane cutover invariant of
+//! [`ShardedControlPlane::rebalance_fabric`]). The record stays in the
+//! one store and references only edge-switch ids, so no switch rule
+//! changes during a handoff — media never blips. Each claim taken and
+//! each claim given up counts as one east–west signaling exchange.
 //!
 //! Joins need no message of their own: each edge's signaling terminates
 //! at the shard fronting that edge
@@ -72,89 +71,16 @@
 //!    the ring and re-evaluates every meeting; consistent hashing keeps
 //!    the number of handoffs near `meetings / new_shards` instead of
 //!    re-shuffling everything.
-//! 3. **Lease expiry.** A shard that goes silent stops renewing its
-//!    ownership lease; once it drains, peers steal its meetings (next
-//!    section).
-//!
-//! # Ownership liveness: leases and epoch fencing
-//!
-//! The handoff above is *cooperative* — both sides are alive.
-//! Fail-stop shard death needs a liveness escape hatch, modeled after
-//! the standard lease + fencing-token construction:
-//!
-//! * **Leases.** Every shard holds an ownership lease of
-//!   [`LEASE_TICKS`] ticks, renewed implicitly while it is live. A
-//!   shard marked silent ([`ShardedControlPlane::silence_shard`])
-//!   stops renewing; [`ShardedControlPlane::tick_leases`] drains its
-//!   lease one tick at a time.
-//! * **Steal.** Once the lease hits zero,
-//!   [`ShardedControlPlane::steal_expired_leases`] re-assigns each of
-//!   the silent shard's meetings to a live peer (silent shards are
-//!   excluded from the bounded-loads walk) by the same transfer a
-//!   cooperative handoff uses, with two differences: the epoch is
-//!   bumped first, and the silent owner's claim is not released — it
-//!   cannot hear the release, so the claim stays behind on the shard as
-//!   a *stale claim*. The record itself never moved, so the thief
-//!   writes the one the silent owner was writing.
-//! * **Epoch fencing.** Every meeting record carries an **epoch**
-//!   (fencing token), bumped on each steal. The stale claim held by a
-//!   silent owner keeps its old epoch, so when the shard resurrects
-//!   ([`ShardedControlPlane::revive_shard`]) and tries to re-assert
-//!   ownership, the write is rejected (counted in
-//!   [`ShardedControlPlane::stale_epoch_writes_rejected`]) and the
-//!   shard drops its stale claim. A stale claim is only a claim: no
-//!   operation walks it, so a silent owner's meetings are never
-//!   evacuated or repaired twice. A follow-up
-//!   [`ShardedControlPlane::rebalance_ownership`] re-admits the
-//!   revived shard into the bounded-loads spread.
 //!
 //! # Retirement
 //!
 //! When a meeting's last member leaves, its record — and with it its
-//! owner and epoch — leaves the store, and its owner's load count
-//! drops: the store and the bounded-loads counts hold live meetings
-//! only. Nothing is kept per retired meeting. The plane keeps one epoch
-//! floor, raised past every retired epoch; a join naming a retired id
-//! revives it like a new meeting — homed on the first request's edge
-//! and placed by the ordinary walk — under the floor as its epoch, so a
-//! stale claim on the id's earlier life is still fenced. A join naming
-//! an id the plane never issued panics.
-//!
-//! ```
-//! use scallop_core::fabric::Fabric;
-//! use scallop_core::shard::{ShardedControlPlane, LEASE_TICKS};
-//! use scallop_dataplane::seqrewrite::SeqRewriteMode;
-//! use scallop_netsim::link::LinkConfig;
-//! use scallop_netsim::sim::Simulator;
-//! use scallop_netsim::time::SimDuration;
-//! use scallop_netsim::topology::Topology;
-//!
-//! let mut sim = Simulator::new(1);
-//! let fabric = Fabric::build(
-//!     &mut sim,
-//!     Topology::campus(2, 0),
-//!     LinkConfig::infinite(SimDuration::from_micros(50)),
-//!     SeqRewriteMode::LowRetransmission,
-//! );
-//! let mut plane = ShardedControlPlane::new(2);
-//! let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 0);
-//! let owner = plane.owner_of(gmid).unwrap();
-//!
-//! // The owner goes silent; its lease drains and a peer steals the
-//! // meeting under a bumped epoch.
-//! plane.silence_shard(owner);
-//! for _ in 0..LEASE_TICKS {
-//!     plane.tick_leases();
-//! }
-//! assert_eq!(plane.steal_expired_leases(), 1);
-//! assert_ne!(plane.owner_of(gmid), Some(owner));
-//! assert_eq!(plane.meeting_epoch(gmid), Some(2));
-//!
-//! // The resurrected owner's re-assertion carries the stale epoch and
-//! // is fenced off.
-//! assert_eq!(plane.revive_shard(owner), 1);
-//! assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-//! ```
+//! owner — leaves the store, and its owner's load count drops: the
+//! store and the bounded-loads counts hold live meetings only. Nothing
+//! is kept per retired meeting. A join naming a retired id revives it
+//! like a new meeting — homed on the first request's edge and placed by
+//! the ordinary walk. A join naming an id the plane never issued
+//! panics.
 
 use crate::agent::{MeetingId, ParticipantId};
 use crate::capacity::{AdmissionDecision, FabricBudgets, FabricLoadLedger};
@@ -172,11 +98,6 @@ use std::collections::BTreeMap;
 /// nodes smooth the arc distribution (so the pure hash is already
 /// nearly balanced before the bounded-loads walk corrects the tail).
 pub(crate) const VNODES_PER_SHARD: usize = 64;
-
-/// Ownership-lease duration, in lease ticks: a silent shard's meetings
-/// become stealable after this many [`ShardedControlPlane::tick_leases`]
-/// calls without a renewal (live shards renew implicitly every tick).
-pub const LEASE_TICKS: u64 = 3;
 
 /// 64-bit FNV-1a with a splitmix64 finalizer — deterministic and
 /// dependency-free. Raw FNV-1a has poor high-bit avalanche on the
@@ -287,27 +208,6 @@ impl HashRing {
     }
 }
 
-/// One controller shard: its ownership load and lease, and its stale
-/// claims. Which meetings it owns is named by their records' owner.
-#[derive(Debug, Default)]
-pub struct ControllerShard {
-    /// Meetings whose record names this shard the owner, kept in step
-    /// with the records so the bounded-loads walk is O(shards), not
-    /// O(meetings).
-    load: usize,
-    /// Whether the shard is silent (fail-stopped).
-    silent: bool,
-    /// Lease ticks drained while silent; the lease has expired once
-    /// this reaches [`LEASE_TICKS`], and a live shard renews it to 0 on
-    /// every [`ShardedControlPlane::tick_leases`].
-    lease_drained: u64,
-    /// `(meeting, epoch)` of each meeting stolen from this shard while
-    /// it was silent: the claim it still asserts, under the epoch it
-    /// held — the shard's half of the fencing comparison — until
-    /// [`ShardedControlPlane::revive_shard`] fences it.
-    stale: Vec<(GlobalMeetingId, u64)>,
-}
-
 /// What one [`ShardedControlPlane::rebalance_all`] pass did — callers
 /// (harness, benches, tests) assert on these counts instead of
 /// discarding them.
@@ -329,11 +229,11 @@ pub struct RebalanceSummary {
 }
 
 /// The fabric controller: the one public control surface, holding the
-/// one meeting store and `N` [`ControllerShard`]s claiming its records
-/// behind one fabric-meeting API (create, [`Self::join`], leave,
-/// rebalance, repair, evacuate — the operations of
-/// [`crate::controller`]), plus the [`HashRing`], id allocation, the
-/// load ledger and protocol telemetry.
+/// one meeting store and `N` shards owning its records behind one
+/// fabric-meeting API (create, [`Self::join`], leave, rebalance,
+/// repair, evacuate — the operations of [`crate::controller`]), plus
+/// the [`HashRing`], id allocation, the load ledger and protocol
+/// telemetry.
 ///
 /// With one shard this is exactly a single controller: nothing is ever
 /// forwarded or handed off. Sharding changes who keeps a meeting's
@@ -342,14 +242,13 @@ pub struct RebalanceSummary {
 #[derive(Debug)]
 pub struct ShardedControlPlane {
     ring: HashRing,
-    shards: Vec<ControllerShard>,
+    /// Meetings whose record names each shard the owner (index =
+    /// shard), kept in step with the records so the bounded-loads walk
+    /// is O(shards), not O(meetings).
+    loads: Vec<usize>,
     /// Every live fabric meeting's record, its owner included — the
     /// plane's one store.
     pub(crate) fabric_meetings: BTreeMap<GlobalMeetingId, FabricMeetingState>,
-    /// Above the epoch of every meeting ever retired: a revived id
-    /// takes it as its epoch, so a stale claim on its earlier life is
-    /// still fenced.
-    epoch_floor: u64,
     /// Signaling transactions served: one per meeting operation's
     /// exchange with a switch, one per claim taken over and one per
     /// claim given up.
@@ -367,10 +266,6 @@ pub struct ShardedControlPlane {
     zones: usize,
     /// Edges per zone (zone of a home edge = `home / edges_per_zone`).
     edges_per_zone: usize,
-    /// Meetings stolen from silent owners after lease expiry.
-    lease_steals: u64,
-    /// Stale-epoch ownership re-assertions fenced off at revival.
-    stale_epoch_writes_rejected: u64,
     /// The fabric-load ledger — the capacity planner's single book,
     /// which every operation that prices, debits or credits reads, so
     /// the plane-wide budgets hold regardless of which shard owns a
@@ -384,9 +279,8 @@ impl ShardedControlPlane {
         assert!(shards >= 1, "at least one shard");
         ShardedControlPlane {
             ring: HashRing::new(shards),
-            shards: (0..shards).map(|_| ControllerShard::default()).collect(),
+            loads: vec![0; shards],
             fabric_meetings: BTreeMap::new(),
-            epoch_floor: 1,
             signaling_exchanges: 0,
             scratch: JoinScratch::default(),
             next_global_meeting: 0,
@@ -396,8 +290,6 @@ impl ShardedControlPlane {
             cross_zone_handoffs: 0,
             zones: 1,
             edges_per_zone: usize::MAX,
-            lease_steals: 0,
-            stale_epoch_writes_rejected: 0,
             ledger: FabricLoadLedger::default(),
         }
     }
@@ -445,21 +337,12 @@ impl ShardedControlPlane {
 
     /// Number of controller shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.loads.len()
     }
 
     /// The shard currently owning a meeting.
     pub fn owner_of(&self, gmid: GlobalMeetingId) -> Option<usize> {
         self.fabric_meetings.get(&gmid).map(|r| r.owner)
-    }
-
-    /// The epoch shard `s` claims `gmid` under: the record's while `s`
-    /// owns the meeting, else that of a stale claim `s` still holds.
-    pub fn epoch_held(&self, s: usize, gmid: GlobalMeetingId) -> Option<u64> {
-        match self.fabric_meetings.get(&gmid) {
-            Some(rec) if rec.owner == s => Some(rec.epoch),
-            _ => (self.shards[s].stale.iter().find(|&&(g, _)| g == gmid)).map(|&(_, e)| e),
-        }
     }
 
     /// The shard fronting an edge's signaling: joins from this edge
@@ -471,7 +354,7 @@ impl ShardedControlPlane {
 
     /// Meetings owned per shard (index = shard id).
     pub fn meetings_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.load).collect()
+        self.loads.clone()
     }
 
     /// Total ownership handoffs performed (re-homing + re-sharding).
@@ -491,12 +374,6 @@ impl ShardedControlPlane {
         self.signaling_exchanges
     }
 
-    /// Claims given up, by every shard there ever was: one per
-    /// cooperative handoff and one per stale claim fenced at revival.
-    pub fn meetings_released_total(&self) -> u64 {
-        self.handoffs - self.lease_steals + self.stale_epoch_writes_rejected
-    }
-
     /// The bounded-loads owner choice for ring key `key`, restricted to
     /// the home zone's eligible shards, with `exclude` (a meeting being
     /// re-evaluated) not counted against any shard's load. See the
@@ -504,21 +381,14 @@ impl ShardedControlPlane {
     /// shard is eligible.
     fn assign(&self, key: u64, exclude: Option<GlobalMeetingId>, zone: usize) -> usize {
         // O(shards): the per-shard loads are maintained incrementally.
-        // During a shrink the shards vec is longer than the ring while
-        // dropped shards are evacuated; the ring's shard count is the
-        // live one, and only ring shards can win the walk.
+        // During a shrink `loads` is longer than the ring while dropped
+        // shards are evacuated; the ring's shard count is the live one,
+        // and only ring shards can win the walk.
         let excluded = exclude.and_then(|g| self.owner_of(g));
-        let load = |s: usize| self.shards[s].load - usize::from(excluded == Some(s));
+        let load = |s: usize| self.loads[s] - usize::from(excluded == Some(s));
         let total = self.fabric_meetings.len() - usize::from(excluded.is_some());
-        // Silent shards cannot win ownership — a stolen or new meeting
-        // must land on a live peer. If every eligible shard is silent
-        // (total control-plane outage) the silent ones stay eligible so
-        // the walk still terminates; nothing better exists.
-        let shards = self.ring.shards();
-        let live = |s: usize| !self.shards[s].silent;
-        let any_live = (0..shards).any(|s| self.in_zone(s, zone) && live(s));
-        let eligible = |s: usize| self.in_zone(s, zone) && (live(s) || !any_live);
-        let cap = (total + 1).div_ceil((0..shards).filter(|&s| eligible(s)).count());
+        let eligible = |s: usize| self.in_zone(s, zone);
+        let cap = (total + 1).div_ceil((0..self.ring.shards()).filter(|&s| eligible(s)).count());
         // A shard that fails the test fails it at each of its virtual
         // nodes, so the first passing node names the first passing
         // shard of the deduplicated preference order.
@@ -540,24 +410,16 @@ impl ShardedControlPlane {
     /// the returned shard as its owner.
     pub(crate) fn place(&mut self, gmid: GlobalMeetingId, home: usize) -> usize {
         let owner = self.assign(meeting_key(gmid, home), None, self.zone_of_home(home));
-        self.take_on(owner, gmid);
+        self.loads[owner] += 1;
         owner
-    }
-
-    /// Shard `s` takes `gmid` on: one more meeting in its load, and a
-    /// stale claim it held on the meeting is superseded.
-    fn take_on(&mut self, s: usize, gmid: GlobalMeetingId) {
-        let shard = &mut self.shards[s];
-        shard.load += 1;
-        shard.stale.retain(|&(g, _)| g != gmid);
     }
 
     /// Route a join of `reqs` into `gmid` to the meeting's owner,
     /// counting one forward per request that entered at another shard.
     /// A retired meeting is revived first, like a new meeting: homed on
-    /// its first request's edge, with no segments, under the epoch
-    /// floor, and placed by the ordinary walk. An empty burst revives
-    /// nothing. Returns whether it was revived.
+    /// its first request's edge, with no segments, and placed by the
+    /// ordinary walk. An empty burst revives nothing. Returns whether
+    /// it was revived.
     pub(crate) fn route_to_owner(&mut self, gmid: GlobalMeetingId, reqs: &[JoinRequest]) -> bool {
         let revived = !self.fabric_meetings.contains_key(&gmid);
         if revived {
@@ -570,7 +432,6 @@ impl ShardedControlPlane {
             let rec = FabricMeetingState {
                 home,
                 owner,
-                epoch: self.epoch_floor,
                 ..Default::default()
             };
             self.fabric_meetings.insert(gmid, rec);
@@ -585,12 +446,10 @@ impl ShardedControlPlane {
     }
 
     /// Retire `gmid` (last member gone, or a revival fully refused):
-    /// its record leaves the store, its owner's load drops, and the
-    /// epoch floor rises past its epoch.
+    /// its record leaves the store and its owner's load drops.
     pub(crate) fn retire(&mut self, gmid: GlobalMeetingId) {
         let rec = self.fabric_meetings.remove(&gmid).expect("fabric meeting");
-        self.epoch_floor = self.epoch_floor.max(rec.epoch + 1);
-        self.shards[rec.owner].load -= 1;
+        self.loads[rec.owner] -= 1;
     }
 
     // ------------------------------------------------------------------
@@ -770,33 +629,24 @@ impl ShardedControlPlane {
     }
 
     /// Hand `gmid` to the bounded-loads choice for its current home's
-    /// key if that differs from its owner — the one transfer a
-    /// cooperative handoff and a lease steal (`steal`) share. The
-    /// record never moves: the target becomes its owner under the
-    /// meeting's epoch, which a steal bumps first, and then the old
-    /// owner gives its claim up — except on a steal, whose silent owner
-    /// cannot hear the release and keeps its claim as a stale one
-    /// ([`Self::revive_shard`] fences it). Returns whether a handoff
-    /// happened.
-    pub(crate) fn hand_off(&mut self, gmid: GlobalMeetingId, steal: bool) -> bool {
+    /// key if that differs from its owner. The record never moves: the
+    /// target becomes its owner, and then the old owner gives its claim
+    /// up. Returns whether a handoff happened.
+    pub(crate) fn hand_off(&mut self, gmid: GlobalMeetingId) -> bool {
         let rec = &self.fabric_meetings[&gmid];
         let (home, owner) = (rec.home, rec.owner);
         let target = self.assign(meeting_key(gmid, home), Some(gmid), self.zone_of_home(home));
         if target == owner {
             return false;
         }
-        let rec = self.fabric_meetings.get_mut(&gmid).expect("fabric meeting");
-        rec.owner = target;
-        if steal {
-            self.shards[owner].stale.push((gmid, rec.epoch));
-            rec.epoch += 1;
-            self.lease_steals += 1;
-        }
-        self.shards[owner].load -= 1;
-        self.take_on(target, gmid);
-        // One exchange for the claim taken, one for the release a steal
-        // cannot send.
-        self.signaling_exchanges += 2 - u64::from(steal);
+        self.fabric_meetings
+            .get_mut(&gmid)
+            .expect("fabric meeting")
+            .owner = target;
+        self.loads[owner] -= 1;
+        self.loads[target] += 1;
+        // One exchange for the claim taken, one for the claim given up.
+        self.signaling_exchanges += 2;
         self.handoffs += 1;
         true
     }
@@ -836,132 +686,28 @@ impl ShardedControlPlane {
     }
 
     /// Re-shard the control plane to `n` shards: rebuild the ring,
-    /// re-evaluate every meeting in id order
-    /// ([`Self::rebalance_ownership`]), and hand off the ones whose
-    /// owner changed. Consistent hashing keeps the movement near
-    /// `meetings / n` when growing (and pinned tests verify keys only
-    /// move *to* a freshly added shard on the raw ring). Returns the
-    /// number of handoffs performed.
+    /// re-evaluate every meeting's owner in id order against the new
+    /// ring and the current loads, without touching any home edge, and
+    /// hand off the ones whose owner changed. Consistent hashing keeps
+    /// the movement near `meetings / n` when growing (and pinned tests
+    /// verify keys only move *to* a freshly added shard on the raw
+    /// ring). Returns the number of handoffs performed.
     pub fn set_shard_count(&mut self, n: usize) -> usize {
         assert!(n >= 1, "at least one shard");
         self.ring = HashRing::new(n);
-        if self.shards.len() < n {
-            self.shards.resize_with(n, ControllerShard::default);
+        if self.loads.len() < n {
+            self.loads.resize(n, 0);
         }
-        let moved = self.rebalance_ownership();
+        let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
+        let moved = gmids.into_iter().filter(|&g| self.hand_off(g)).count();
         // Shrinking: every meeting has been evacuated off the dropped
         // shards by the bounded walk (their ring points are gone).
         debug_assert!(
-            self.shards[n..].iter().all(|s| s.load == 0),
+            self.loads[n..].iter().all(|&l| l == 0),
             "dropped shards were evacuated"
         );
-        self.shards.truncate(n);
+        self.loads.truncate(n);
         moved
-    }
-
-    // ------------------------------------------------------------------
-    // Ownership liveness: leases, steals, epoch fencing (module docs)
-    // ------------------------------------------------------------------
-
-    /// Mark a shard silent (fail-stopped): it stops renewing its
-    /// ownership lease and is excluded from new assignments. Its
-    /// meetings stay nominally owned until the lease expires — a real
-    /// deployment cannot distinguish a dead peer from a slow one any
-    /// faster than the lease allows.
-    pub fn silence_shard(&mut self, s: usize) {
-        self.shards[s].silent = true;
-    }
-
-    /// Whether a shard is currently marked silent.
-    pub fn shard_is_silent(&self, s: usize) -> bool {
-        self.shards[s].silent
-    }
-
-    /// Advance lease time by one tick: live shards renew their
-    /// [`LEASE_TICKS`]-tick lease, silent shards drain toward expiry.
-    pub fn tick_leases(&mut self) {
-        for s in &mut self.shards {
-            s.lease_drained = if s.silent {
-                (s.lease_drained + 1).min(LEASE_TICKS)
-            } else {
-                0
-            };
-        }
-    }
-
-    /// Steal every meeting whose owner's lease has expired: each is
-    /// re-assigned to a live peer by the bounded-loads walk and claimed
-    /// under a **bumped epoch**, by the transfer a cooperative handoff
-    /// uses. No release is sent to the silent owner (it cannot hear
-    /// one); its stale claim is fenced by the epoch and dropped by
-    /// [`Self::revive_shard`]. Returns the number of meetings stolen.
-    pub fn steal_expired_leases(&mut self) -> u64 {
-        let expired = |s: &ControllerShard| s.silent && s.lease_drained == LEASE_TICKS;
-        let victims: Vec<GlobalMeetingId> = (self.fabric_meetings.iter())
-            .filter(|(_, rec)| expired(&self.shards[rec.owner]))
-            .map(|(&g, _)| g)
-            .collect();
-        // A victim stays put when every eligible peer is silent too.
-        victims
-            .into_iter()
-            .filter(|&g| self.hand_off(g, true))
-            .count() as u64
-    }
-
-    /// Re-admit a resurrected shard: clear its silence, restore its
-    /// lease, and reconcile its stale claims — each re-assertion
-    /// carries the old epoch, is fenced off (the record's epoch, or the
-    /// epoch floor once the meeting retired, is strictly newer), and
-    /// the shard drops the claim, one release each. Returns the number
-    /// of stale writes rejected. Follow with
-    /// [`Self::rebalance_ownership`] to fold the shard back into the
-    /// bounded-loads spread.
-    pub fn revive_shard(&mut self, s: usize) -> u64 {
-        let shard = &mut self.shards[s];
-        shard.silent = false;
-        shard.lease_drained = 0;
-        let stale = std::mem::take(&mut shard.stale);
-        for &(gmid, held) in &stale {
-            let current = self.meeting_epoch(gmid).unwrap_or(self.epoch_floor);
-            assert!(
-                held < current,
-                "a stolen meeting's record epoch is strictly newer"
-            );
-        }
-        let fenced = stale.len() as u64;
-        self.signaling_exchanges += fenced;
-        self.stale_epoch_writes_rejected += fenced;
-        fenced
-    }
-
-    /// Re-evaluate shard ownership of every meeting against the
-    /// current ring and load state without touching any home edge —
-    /// the re-admission pass run after [`Self::revive_shard`] so the
-    /// revived shard (empty-handed after the steals) wins back its
-    /// share of meetings through the ordinary cooperative handoff.
-    /// Returns the number of handoffs performed.
-    pub fn rebalance_ownership(&mut self) -> usize {
-        let gmids: Vec<GlobalMeetingId> = self.fabric_meetings.keys().copied().collect();
-        gmids
-            .into_iter()
-            .filter(|&g| self.hand_off(g, false))
-            .count()
-    }
-
-    /// The current fencing epoch of a meeting (1 at creation; +1 per
-    /// lease steal).
-    pub fn meeting_epoch(&self, gmid: GlobalMeetingId) -> Option<u64> {
-        self.fabric_meetings.get(&gmid).map(|r| r.epoch)
-    }
-
-    /// Meetings stolen from silent owners after lease expiry.
-    pub fn lease_steal_total(&self) -> u64 {
-        self.lease_steals
-    }
-
-    /// Stale-epoch ownership re-assertions fenced off at revival.
-    pub fn stale_epoch_writes_rejected(&self) -> u64 {
-        self.stale_epoch_writes_rejected
     }
 
     // ------------------------------------------------------------------
@@ -1228,11 +974,9 @@ mod tests {
         let owner1 = plane.owner_of(gmid).unwrap();
         assert_ne!(owner1, owner0, "ownership follows the re-home");
         assert_eq!(plane.handoff_total(), 1);
-        assert_eq!(plane.meetings_released_total(), 1);
         // The old owner no longer tracks the meeting; the new one does.
         assert_eq!(plane.meetings_per_shard()[owner0], 0);
         assert_eq!(plane.meetings_per_shard()[owner1], 1);
-        assert_eq!(plane.epoch_held(owner0, gmid), None);
         // Meeting still fully operational after the handoff.
         plane.leave_fabric(&mut sim, &f, gmid, a.global);
         assert_eq!(plane.segment_of(gmid, 0), None, "drained edge collected");
@@ -1291,98 +1035,6 @@ mod tests {
         assert_eq!(plane.cross_zone_handoff_total(), 1);
         assert_eq!(plane.handoff_total(), 1);
         assert_eq!(plane.zone_meeting_counts(), vec![0, 1]);
-    }
-
-    #[test]
-    fn lease_steal_after_silence_fences_the_stale_owner() {
-        let (mut sim, f) = campus(2);
-        let mut plane = ShardedControlPlane::new(2);
-        let gmid = plane.create_fabric_meeting(&mut sim, &f, 0);
-        let a = join(&mut plane, &mut sim, &f, gmid, (0, caddr(1), true));
-        let owner = plane.owner_of(gmid).unwrap();
-        assert_eq!(plane.meeting_epoch(gmid), Some(1));
-        assert_eq!(plane.epoch_held(owner, gmid), Some(1));
-
-        // Silence the owner. Before the lease expires nothing moves —
-        // a slow shard must not be robbed.
-        plane.silence_shard(owner);
-        plane.tick_leases();
-        assert_eq!(plane.steal_expired_leases(), 0);
-        for _ in 1..LEASE_TICKS {
-            plane.tick_leases();
-        }
-        assert_eq!(plane.shards[owner].lease_drained, LEASE_TICKS);
-
-        // Expired: the peer steals under a bumped epoch.
-        assert_eq!(plane.steal_expired_leases(), 1);
-        let thief = plane.owner_of(gmid).unwrap();
-        assert_ne!(thief, owner);
-        assert!(!plane.shard_is_silent(thief));
-        assert_eq!(plane.meeting_epoch(gmid), Some(2));
-        assert_eq!(plane.epoch_held(thief, gmid), Some(2));
-        assert_eq!(plane.lease_steal_total(), 1);
-        // The silent owner still holds its stale copy (no release was
-        // deliverable), under the old epoch.
-        assert_eq!(plane.epoch_held(owner, gmid), Some(1));
-
-        // The meeting is fully operable through the thief.
-        let b = join(&mut plane, &mut sim, &f, gmid, (1, caddr(2), false));
-        assert_eq!(plane.fabric_members(gmid), vec![a.global, b.global]);
-
-        // Resurrection: the stale re-assertion is fenced and the copy
-        // released; protocol accounting reconciles.
-        assert_eq!(plane.revive_shard(owner), 1);
-        assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-        assert_eq!(plane.epoch_held(owner, gmid), None);
-        assert_eq!(plane.meetings_per_shard()[owner], 0);
-        assert_eq!(plane.meetings_released_total(), plane.handoff_total());
-    }
-
-    #[test]
-    fn revived_shard_is_readmitted_by_ownership_rebalance() {
-        let (mut sim, f) = campus(4);
-        let mut plane = ShardedControlPlane::new(2);
-        for i in 0..8 {
-            plane.create_fabric_meeting(&mut sim, &f, i % 4);
-        }
-        let victim = 0usize;
-        let survivor = 1usize;
-        let victim_load = plane.meetings_per_shard()[victim];
-        assert!(victim_load > 0);
-        plane.silence_shard(victim);
-        for _ in 0..LEASE_TICKS {
-            plane.tick_leases();
-        }
-        // Every meeting of the silent shard lands on the survivor.
-        assert_eq!(plane.steal_expired_leases(), victim_load as u64);
-        assert_eq!(plane.meetings_per_shard()[victim], 0);
-        assert_eq!(plane.meetings_per_shard()[survivor], 8);
-
-        plane.revive_shard(victim);
-        // The re-admission pass folds the revived shard back into the
-        // bounded-loads spread: no shard may exceed ceil(8/2)+1.
-        let moved = plane.rebalance_ownership();
-        assert!(moved > 0, "the revived shard wins meetings back");
-        let counts = plane.meetings_per_shard();
-        assert_eq!(counts.iter().sum::<usize>(), 8);
-        assert!(counts[victim] > 0, "re-admitted: {counts:?}");
-        let cap = 8usize.div_ceil(2) + 1;
-        assert!(counts.iter().all(|&c| c <= cap), "balanced: {counts:?}");
-        // Cooperative handoffs never bump epochs.
-        for g in 1..=8u32 {
-            assert!(plane.meeting_epoch(g).unwrap() <= 2);
-        }
-    }
-
-    #[test]
-    fn silent_shard_never_wins_new_meetings() {
-        let (mut sim, f) = campus(4);
-        let mut plane = ShardedControlPlane::new(2);
-        plane.silence_shard(0);
-        for i in 0..6 {
-            let g = plane.create_fabric_meeting(&mut sim, &f, i % 4);
-            assert_eq!(plane.owner_of(g), Some(1), "only the live shard admits");
-        }
     }
 
     #[test]
@@ -1457,9 +1109,8 @@ mod tests {
         let counts = plane.meetings_per_shard();
         assert_eq!(counts.len(), 2);
         assert_eq!(counts.iter().sum::<usize>(), MEETINGS);
-        // Retired shards' telemetry folds into the plane totals: the
-        // protocol accounting reconciles and signaling stays monotonic.
-        assert_eq!(plane.meetings_released_total(), plane.handoff_total());
+        // Retired shards' telemetry folds into the plane totals:
+        // signaling stays monotonic.
         assert!(
             plane.signaling_exchanges() > signaling_before,
             "handoffs count as signaling; the total never goes backwards"
@@ -1476,13 +1127,9 @@ mod tests {
         zone: usize,
     ) -> usize {
         let excluded = exclude.and_then(|g| plane.owner_of(g));
-        let load = |s: usize| plane.shards[s].load - usize::from(excluded == Some(s));
+        let load = |s: usize| plane.loads[s] - usize::from(excluded == Some(s));
         let total = plane.fabric_meetings.len() - usize::from(excluded.is_some());
-        let all = plane.zone_shards(zone);
-        let live: Vec<usize> = (all.iter().copied())
-            .filter(|&s| !plane.shards[s].silent)
-            .collect();
-        let eligible = if live.is_empty() { all } else { live };
+        let eligible = plane.zone_shards(zone);
         let cap = (total + 1).div_ceil(eligible.len());
         plane
             .ring
@@ -1497,50 +1144,36 @@ mod tests {
         const HOMES: usize = 6;
         for shards in 1..=8 {
             for zones in 1..=3 {
-                // Silence nothing, then one shard, then every shard of
-                // zone 0 (whose eligible set must then fall back to its
-                // silent shards).
-                let silenced: [Vec<usize>; 3] = [
-                    vec![],
-                    vec![shards / 2],
-                    (0..shards).filter(|s| s % zones == 0).collect(),
-                ];
-                for silent in &silenced {
-                    let mut plane = ShardedControlPlane::new(shards)
-                        .with_zone_affinity(zones, HOMES.div_ceil(zones));
-                    for &s in silent {
-                        plane.silence_shard(s);
-                    }
-                    // Loads that make the cap bite, then every placement
-                    // question both ways: re-evaluating a placed meeting
-                    // and placing a new one.
-                    for gmid in 1..=(3 * shards as u32) {
-                        let home = gmid as usize % HOMES;
-                        let owner = plane.place(gmid, home);
-                        let rec = FabricMeetingState {
-                            home,
-                            owner,
-                            epoch: 1,
-                            ..Default::default()
-                        };
-                        plane.fabric_meetings.insert(gmid, rec);
-                    }
-                    for gmid in 1..=(4 * shards as u32) {
-                        for home in 0..HOMES {
-                            let (key, zone) = (meeting_key(gmid, home), plane.zone_of_home(home));
-                            for exclude in [Some(gmid), None] {
-                                assert_eq!(
-                                    plane.assign(key, exclude, zone),
-                                    assign_by_preference(&plane, key, exclude, zone),
-                                    "{shards} shards, {zones} zones, silent {silent:?}, \
-                                     meeting {gmid} at {home}, exclude {exclude:?}"
-                                );
-                            }
+                let mut plane = ShardedControlPlane::new(shards)
+                    .with_zone_affinity(zones, HOMES.div_ceil(zones));
+                // Loads that make the cap bite, then every placement
+                // question both ways: re-evaluating a placed meeting and
+                // placing a new one.
+                for gmid in 1..=(3 * shards as u32) {
+                    let home = gmid as usize % HOMES;
+                    let owner = plane.place(gmid, home);
+                    let rec = FabricMeetingState {
+                        home,
+                        owner,
+                        ..Default::default()
+                    };
+                    plane.fabric_meetings.insert(gmid, rec);
+                }
+                for gmid in 1..=(4 * shards as u32) {
+                    for home in 0..HOMES {
+                        let (key, zone) = (meeting_key(gmid, home), plane.zone_of_home(home));
+                        for exclude in [Some(gmid), None] {
                             assert_eq!(
-                                plane.planned_owner(gmid, home),
-                                assign_by_preference(&plane, key, Some(gmid), zone)
+                                plane.assign(key, exclude, zone),
+                                assign_by_preference(&plane, key, exclude, zone),
+                                "{shards} shards, {zones} zones, \
+                                 meeting {gmid} at {home}, exclude {exclude:?}"
                             );
                         }
+                        assert_eq!(
+                            plane.planned_owner(gmid, home),
+                            assign_by_preference(&plane, key, Some(gmid), zone)
+                        );
                     }
                 }
             }

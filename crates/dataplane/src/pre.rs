@@ -113,7 +113,7 @@ pub struct Replica {
 }
 
 /// A multicast group (tree).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Group {
     nodes: Vec<L1Node>,
 }
@@ -125,6 +125,9 @@ pub struct PacketReplicationEngine {
     /// L2 XID -> set of ports it prunes.
     l2_xid_ports: IdMap<u16, PortList>,
     l1_nodes_used: usize,
+    /// Node vectors of destroyed groups, emptied with their capacity
+    /// kept, for the next created group to reuse.
+    spare: Vec<Vec<L1Node>>,
     /// Redrawn by every call to a mutator.
     version: WriteVersion,
     /// Replication invocations (for throughput reporting).
@@ -146,6 +149,7 @@ impl PacketReplicationEngine {
             groups: IdMap::default(),
             l2_xid_ports: IdMap::default(),
             l1_nodes_used: 0,
+            spare: Vec::new(),
             version: WriteVersion::next(),
             invocations: 0,
             replicas_produced: 0,
@@ -179,15 +183,18 @@ impl PacketReplicationEngine {
         if self.groups.contains_key(&mgid) {
             return Err(PreError::Table(TableError::Duplicate));
         }
-        self.groups.insert(mgid, Group::default());
+        let nodes = self.spare.pop().unwrap_or_default();
+        self.groups.insert(mgid, Group { nodes });
         Ok(())
     }
 
     /// Destroy a group, releasing its L1 nodes.
     pub fn destroy_group(&mut self, mgid: u16) -> Result<(), PreError> {
         self.version = WriteVersion::next();
-        let g = self.groups.remove(&mgid).ok_or(PreError::NoSuchGroup)?;
+        let mut g = self.groups.remove(&mgid).ok_or(PreError::NoSuchGroup)?;
         self.l1_nodes_used -= g.nodes.len();
+        g.nodes.clear();
+        self.spare.push(g.nodes);
         Ok(())
     }
 

@@ -1,18 +1,16 @@
 //! The sharded control plane keeps one meeting store: each record
 //! names its owning shard, and no shard holds a copy of one.
 //!
-//! Two consequences are pinned here. A lease steal leaves the silent
-//! owner a stale *claim*, which no operation walks, so an edge failure
-//! evacuates each member exactly once. And the shard count decides who
-//! keeps a meeting's books and nothing else: one media-free history
-//! compiles every edge identically at 1 and at 4 shards. Every control
-//! operation is followed by [`Fabric::check_compiled`] and
-//! [`ShardedControlPlane::check_ledger`].
+//! The consequence pinned here: the shard count decides who keeps a
+//! meeting's books and nothing else, so one media-free history —
+//! re-sharding included — compiles every edge identically at 1 and at
+//! 4 shards. Every control operation is followed by
+//! [`Fabric::check_compiled`] and [`ShardedControlPlane::check_ledger`].
 
 use scallop::core::capacity::FabricBudgets;
 use scallop::core::controller::{GlobalMeetingId, JoinRequest};
 use scallop::core::fabric::Fabric;
-use scallop::core::shard::{ShardedControlPlane, LEASE_TICKS};
+use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
 use scallop::netsim::link::LinkConfig;
 use scallop::netsim::packet::HostAddr;
@@ -69,46 +67,6 @@ fn burst(clients: &mut usize, joins: impl IntoIterator<Item = (usize, bool)>) ->
         .collect()
 }
 
-#[test]
-fn a_stolen_meetings_members_are_evacuated_once() {
-    let (mut sim, fabric) = world(Topology::campus(3, 0));
-    let mut plane = ShardedControlPlane::new(2);
-    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 0);
-    for edge in 0..3 {
-        let req = JoinRequest {
-            edge,
-            addr: addr(edge),
-            sends: true,
-        };
-        assert!(plane.join(&mut sim, &fabric, gmid, &[req])[0]
-            .grant
-            .is_some());
-        check(&mut sim, &fabric, &plane);
-    }
-    let owner = plane.owner_of(gmid).expect("live");
-    plane.silence_shard(owner);
-    for _ in 0..LEASE_TICKS {
-        plane.tick_leases();
-    }
-    assert_eq!(plane.steal_expired_leases(), 1);
-    check(&mut sim, &fabric, &plane);
-
-    // The silent owner still claims the meeting under epoch 1, but a
-    // claim is not a copy: edge 2's one member is dropped once, with
-    // one leave and one segment collection.
-    sim.kill_node(fabric.edge_ids[2]);
-    let before = plane.signaling_exchanges();
-    assert_eq!(plane.handle_edge_failure(&mut sim, &fabric, 2), 1);
-    assert_eq!(plane.signaling_exchanges() - before, 2);
-    check(&mut sim, &fabric, &plane);
-    assert_eq!(plane.fabric_members(gmid).len(), 2);
-
-    assert_eq!(plane.revive_shard(owner), 1, "the stale claim is fenced");
-    assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-    assert_eq!(plane.epoch_held(owner, gmid), None);
-    check(&mut sim, &fabric, &plane);
-}
-
 /// What a history leaves behind that must not depend on the shard
 /// count.
 struct Outcome {
@@ -119,6 +77,8 @@ struct Outcome {
     /// Signaling exchanges, less the one per claim taken over or given
     /// up — claims move only between shards.
     signaling_net_of_claims: u64,
+    /// Joins forwarded before the re-shard leg: none on one shard.
+    forwards_before_reshard: u64,
     /// Every meeting's roster.
     rosters: Vec<Vec<u32>>,
 }
@@ -128,9 +88,10 @@ const DEAD_EDGE: usize = 3;
 
 /// One media-free history on a 4-edge, 2-core campus with the ledger
 /// armed: creates homed on every edge with a join burst each, drift and
-/// `rebalance_all`, silence → steal → revive → `rebalance_ownership`, a
-/// core kill and `repair_trunks`, an edge kill and
-/// `handle_edge_failure`, then joins after the failure.
+/// `rebalance_all`, a re-shard that grows the ring by one shard and
+/// joins through it before shrinking it back, a core kill and
+/// `repair_trunks`, an edge kill and `handle_edge_failure`, then joins
+/// after the failure.
 fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
     let (mut sim, fabric) = world(Topology::campus(EDGES, 2));
     let mut plane = ShardedControlPlane::new(shards);
@@ -162,22 +123,17 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
     assert!(plane.rebalance_all(&mut sim, &fabric).rehomed > 0);
     check(&mut sim, &fabric, &plane);
 
-    // A shard goes silent; its meetings are stolen (on one shard there
-    // is no peer to steal them), joined while it is away, and fenced
-    // and re-spread when it comes back.
-    let victim = plane.owner_of(meetings[0]).expect("live");
-    plane.silence_shard(victim);
-    for _ in 0..LEASE_TICKS {
-        plane.tick_leases();
+    // Re-shard: the added shard takes meetings over and executes joins
+    // while it exists, then hands them back when the ring shrinks.
+    let forwards_before_reshard = plane.forward_total();
+    assert!(plane.set_shard_count(shards + 1) > 0);
+    check(&mut sim, &fabric, &plane);
+    for &gmid in &meetings {
+        let reqs = burst(&mut clients, [(1, true), (2, false)]);
+        plane.join(&mut sim, &fabric, gmid, &reqs);
+        check(&mut sim, &fabric, &plane);
     }
-    plane.steal_expired_leases();
-    check(&mut sim, &fabric, &plane);
-    let reqs = burst(&mut clients, [(1, true), (2, false)]);
-    plane.join(&mut sim, &fabric, meetings[0], &reqs);
-    check(&mut sim, &fabric, &plane);
-    plane.revive_shard(victim);
-    check(&mut sim, &fabric, &plane);
-    plane.rebalance_ownership();
+    assert!(plane.set_shard_count(shards) > 0);
     check(&mut sim, &fabric, &plane);
 
     sim.kill_node(fabric.core_ids[0]);
@@ -203,9 +159,8 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
             .map(|e| format!("{:?}", fabric.edge_mut(&mut sim, e).dp))
             .collect(),
         ledger: format!("{:?}", plane.ledger()),
-        signaling_net_of_claims: plane.signaling_exchanges()
-            - plane.handoff_total()
-            - plane.meetings_released_total(),
+        signaling_net_of_claims: plane.signaling_exchanges() - 2 * plane.handoff_total(),
+        forwards_before_reshard,
         rosters: meetings.iter().map(|&g| plane.fabric_members(g)).collect(),
     };
     (outcome, plane)
@@ -215,16 +170,13 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
 fn one_history_compiles_identically_at_one_and_four_shards() {
     let (one, plane1) = history(1);
     let (four, plane4) = history(4);
-    // The four-shard run did move claims and forward joins; the
-    // one-shard run cannot.
-    assert_eq!((plane1.forward_total(), plane1.handoff_total()), (0, 0));
-    assert!(plane4.forward_total() > 0);
+    // Before re-sharding, the four-shard run forwarded joins; the
+    // one-shard run cannot. Both moved claims when they re-sharded.
+    assert_eq!(one.forwards_before_reshard, 0);
+    assert!(four.forwards_before_reshard > 0);
+    assert!(plane1.handoff_total() > 0);
     assert!(plane4.handoff_total() > 0);
-    assert!(plane4.lease_steal_total() > 0);
-    assert_eq!(
-        plane4.stale_epoch_writes_rejected(),
-        plane4.lease_steal_total()
-    );
+    assert_eq!((plane1.shard_count(), plane4.shard_count()), (1, 4));
 
     for (e, (a, b)) in one.dataplanes.iter().zip(&four.dataplanes).enumerate() {
         assert!(a == b, "live edge {e}'s data plane differs");
@@ -266,5 +218,5 @@ fn a_dead_home_edge_hands_its_meetings_to_the_new_zones_shards() {
         assert_eq!(owner, plane.planned_owner(gmid, 3));
     }
     assert_eq!(plane.cross_zone_handoff_total(), 16);
-    assert_eq!(plane.rebalance_ownership(), 0, "nothing left to move");
+    assert_eq!(plane.set_shard_count(4), 0, "nothing left to move");
 }

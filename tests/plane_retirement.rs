@@ -2,12 +2,11 @@
 //! memory follow the meetings that are live, not the ones that ever
 //! were.
 //!
-//! When a meeting's last member leaves, its record — owner and epoch
-//! included — leaves the plane's one store, its owner's load count
-//! drops, and nothing of it stays behind: the plane keeps one epoch
-//! floor above every retired epoch. A join naming the retired id
-//! revives it like a new meeting — homed on the first request's edge,
-//! placed by the plane's normal walk — under the floor as its epoch.
+//! When a meeting's last member leaves, its record — owner included —
+//! leaves the plane's one store, its owner's load count drops, and
+//! nothing of it stays behind. A join naming the retired id revives it
+//! like a new meeting — homed on the first request's edge, placed by
+//! the plane's normal walk.
 //! Every control operation here is followed by
 //! [`Fabric::check_compiled`] and [`ShardedControlPlane::check_ledger`]:
 //! retiring and reviving must leave each edge compiled as a rebuild of
@@ -17,7 +16,7 @@
 use scallop::core::capacity::{AdmissionDecision, FabricBudgets};
 use scallop::core::controller::{GlobalMeetingId, GlobalParticipantId, JoinOutcome, JoinRequest};
 use scallop::core::fabric::Fabric;
-use scallop::core::shard::{ShardedControlPlane, LEASE_TICKS};
+use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
 use scallop::netsim::link::LinkConfig;
 use scallop::netsim::packet::HostAddr;
@@ -141,15 +140,10 @@ fn cycle(
 /// Nothing of `gmid` is left in any live map of the plane.
 fn assert_retired(plane: &ShardedControlPlane, gmid: GlobalMeetingId) {
     assert_eq!(plane.owner_of(gmid), None, "meeting {gmid} still owned");
-    assert_eq!(
-        plane.meeting_epoch(gmid),
-        None,
-        "meeting {gmid} keeps an epoch"
+    assert!(
+        plane.meeting(gmid).is_none(),
+        "meeting {gmid} keeps a record"
     );
-    assert_eq!(plane.home_edge_of(gmid), None);
-    for s in 0..plane.shard_count() {
-        assert_eq!(plane.epoch_held(s, gmid), None, "shard {s}");
-    }
 }
 
 fn cycles_leave_nothing_behind(shards: usize) {
@@ -204,7 +198,6 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
     let b = join(&mut sim, &fabric, &mut plane, gmid, (0, addr(0, 1), false))
         .grant
         .unwrap();
-    let epoch = plane.meeting_epoch(gmid).expect("live");
     leave(&mut sim, &fabric, &mut plane, gmid, a.global);
     leave(&mut sim, &fabric, &mut plane, gmid, b.global);
     assert_retired(&plane, gmid);
@@ -221,8 +214,6 @@ fn rejoin_revives_where_the_plane_would_place_it(shards: usize) {
         Some(1),
         "revived on its first request's edge"
     );
-    assert!(plane.meeting_epoch(gmid).expect("live again") >= epoch);
-    assert_eq!(plane.epoch_held(planned, gmid), plane.meeting_epoch(gmid));
     assert_eq!(
         plane.fabric_members(gmid),
         vec![grant.expect("admitted").global]
@@ -239,44 +230,6 @@ fn rejoin_revives_where_the_plane_would_place_it_unsharded() {
 #[test]
 fn rejoin_revives_where_the_plane_would_place_it_on_four_shards() {
     rejoin_revives_where_the_plane_would_place_it(4);
-}
-
-#[test]
-fn a_steal_before_retirement_raises_the_epoch_floor() {
-    let (mut sim, fabric, mut plane) = world(4);
-    let gmid = plane.create_fabric_meeting(&mut sim, &fabric, 1);
-    let a = join(&mut sim, &fabric, &mut plane, gmid, (1, addr(0, 0), true))
-        .grant
-        .unwrap();
-    let b = join(&mut sim, &fabric, &mut plane, gmid, (3, addr(0, 1), false))
-        .grant
-        .unwrap();
-    let owner = plane.owner_of(gmid).expect("live");
-    plane.silence_shard(owner);
-    for _ in 0..LEASE_TICKS {
-        plane.tick_leases();
-    }
-    assert_eq!(plane.steal_expired_leases(), 1);
-    check(&mut sim, &fabric, &plane);
-    assert_eq!(plane.meeting_epoch(gmid), Some(2));
-
-    leave(&mut sim, &fabric, &mut plane, gmid, a.global);
-    leave(&mut sim, &fabric, &mut plane, gmid, b.global);
-    assert_eq!(plane.owner_of(gmid), None);
-    assert_eq!(plane.meeting_epoch(gmid), None);
-    // The silent shard resurrects holding a stale epoch-1 copy of a
-    // meeting that has since retired: still fenced off.
-    assert_eq!(plane.revive_shard(owner), 1);
-    check(&mut sim, &fabric, &plane);
-    assert_eq!(plane.stale_epoch_writes_rejected(), 1);
-    assert_retired(&plane, gmid);
-
-    join(&mut sim, &fabric, &mut plane, gmid, (0, addr(0, 2), true));
-    assert_eq!(
-        plane.meeting_epoch(gmid),
-        Some(3),
-        "revived at the epoch floor, above the stolen epoch"
-    );
 }
 
 #[test]

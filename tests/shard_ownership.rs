@@ -115,8 +115,8 @@ fn churn_driven_rehome_crosses_a_shard_boundary_at_full_rate() {
         "the new owner acquired the meeting"
     );
     assert_eq!(
-        h.controller.meetings_released_total(),
-        1,
+        h.controller.meetings_per_shard()[shard0],
+        0,
         "the old owner released it after the acquire"
     );
 
@@ -177,13 +177,8 @@ fn scatter_churn_forwards_cross_shard_joins_and_keeps_ownership_coherent() {
         h.controller.forward_total() > 0,
         "scatter churn must drive cross-shard joins"
     );
-    // Release telemetry must account for every handoff, and the
-    // per-pass summaries must sum to the plane totals — the counts
+    // The per-pass summaries must sum to the plane totals — the counts
     // rebalance_all returns are live, not decorative.
-    assert_eq!(
-        h.controller.meetings_released_total(),
-        h.controller.handoff_total()
-    );
     assert_eq!(handoffs_total as u64, h.controller.handoff_total());
     assert!(rehomed_total >= handoffs_total);
     let report = h.report();
