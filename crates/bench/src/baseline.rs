@@ -5,14 +5,18 @@
 //! of flat objects whose interesting fields are numbers. Non-numeric
 //! fields (e.g. `"weekday": "Mon"`) are skipped.
 
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Relative drift beyond which a metric counts as regressed.
 pub const GATE_TOLERANCE: f64 = 0.20;
 
+/// One row of a `results/` file: its numeric fields by name.
+pub type Row = BTreeMap<String, f64>;
+
 /// Parse `[{...}, {...}]` into one map of numeric fields per object.
 /// Nested containers are not supported (none of the baselines use any).
-pub fn parse_numeric_objects(text: &str) -> Vec<BTreeMap<String, f64>> {
+pub fn parse_numeric_objects(text: &str) -> Vec<Row> {
     let mut out = Vec::new();
     let mut chars = text.chars().peekable();
     while let Some(c) = chars.next() {
@@ -81,13 +85,13 @@ pub fn parse_numeric_objects(text: &str) -> Vec<BTreeMap<String, f64>> {
     out
 }
 
-/// Sum a field across all parsed objects.
-pub fn sum_field(objs: &[BTreeMap<String, f64>], field: &str) -> f64 {
-    objs.iter().filter_map(|o| o.get(field)).sum()
+/// `rows` as the gate reads them back from a `results/` file.
+pub fn rows_of<T: Serialize>(rows: &[T]) -> Vec<Row> {
+    parse_numeric_objects(&serde_json::to_string(rows).expect("rows serialize"))
 }
 
 /// Max of a field across all parsed objects.
-pub fn max_field(objs: &[BTreeMap<String, f64>], field: &str) -> f64 {
+pub fn max_field(objs: &[Row], field: &str) -> f64 {
     objs.iter()
         .filter_map(|o| o.get(field))
         .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
@@ -124,6 +128,52 @@ impl Gate {
                 drift * 100.0,
                 GATE_TOLERANCE * 100.0
             ));
+        }
+    }
+
+    /// Gate a suite row by row: each row of `current` is matched to the
+    /// `baseline` row with the same `key` value, where every `within`
+    /// field must stay inside [`GATE_TOLERANCE`] and every `exact` field
+    /// must be equal. A row on one side only fails by name, so a
+    /// regression in one row cannot hide behind a gain in another, and
+    /// a removed row is not read as drift of a total.
+    pub fn check_rows(
+        &mut self,
+        suite: &str,
+        key: &str,
+        within: &[&str],
+        exact: &[&str],
+        baseline: &[Row],
+        current: &[Row],
+    ) {
+        let id = |r: &Row| r.get(key).copied();
+        let label = |r: &Row| match id(r) {
+            Some(v) => format!("{suite} {key} {v}"),
+            None => format!("{suite} row without {key}"),
+        };
+        for b in baseline {
+            if id(b).is_none() || !current.iter().any(|c| id(c) == id(b)) {
+                let row = label(b);
+                self.failures
+                    .push(format!("{row}: in the baseline, missing from this run"));
+            }
+        }
+        for c in current {
+            let name = label(c);
+            let Some(b) = baseline.iter().find(|b| id(b).is_some() && id(b) == id(c)) else {
+                self.failures
+                    .push(format!("{name}: missing from the baseline"));
+                continue;
+            };
+            let field = |r: &Row, f: &str| r.get(f).copied().unwrap_or(f64::NAN);
+            for f in within {
+                self.check_within(&format!("{name}: {f}"), field(b, f), field(c, f));
+            }
+            for f in exact {
+                let (was, now) = (field(b, f), field(c, f));
+                let detail = format!("baseline {was} vs current {now}, must match exactly");
+                self.check(&format!("{name}: {f}"), was == now, detail);
+            }
         }
     }
 
@@ -164,7 +214,6 @@ mod tests {
         assert_eq!(objs[0]["trunk_out_pkts"], 2340.0);
         assert!((objs[0]["peak"] - 713.7).abs() < 1e-6);
         assert!(!objs[0].contains_key("weekday"), "strings are skipped");
-        assert_eq!(sum_field(&objs, "trunk_out_pkts"), 2926.0);
         assert_eq!(max_field(&objs, "trunk_out_pkts"), 2340.0);
     }
 
@@ -182,6 +231,7 @@ mod tests {
         assert_eq!(objs.len(), 2);
         assert_eq!(objs[0]["a"], 7.0);
         assert_eq!(objs[1]["b"], -1.0);
+        assert_eq!(rows_of(&rows), objs, "the gate reads a run as its file");
     }
 
     #[test]
@@ -195,6 +245,47 @@ mod tests {
         g.check("cond", false, "detail".into());
         assert!(!g.passed());
         assert_eq!(g.failures.len(), 2);
+    }
+
+    #[test]
+    fn rows_are_gated_one_by_one() {
+        let base = parse_numeric_objects(
+            r#"[{"scenario": 0, "fps": 40, "refused": 3}, {"scenario": 1, "fps": 20, "refused": 0}]"#,
+        );
+        let run = |rows: &str| {
+            let mut g = Gate::default();
+            let current = parse_numeric_objects(rows);
+            g.check_rows("fault", "scenario", &["fps"], &["refused"], &base, &current);
+            g.failures
+        };
+        let same = r#"[{"scenario": 1, "fps": 21, "refused": 0}, {"scenario": 0, "fps": 39, "refused": 3}]"#;
+        assert!(run(same).is_empty(), "rows match by key, not position");
+        // The sum (60) holds, but row 1 drifted 25 %.
+        let failures = run(
+            r#"[{"scenario": 0, "fps": 35, "refused": 3}, {"scenario": 1, "fps": 25, "refused": 0}]"#,
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("fault scenario 1: fps"),
+            "{failures:?}"
+        );
+        let failures = run(
+            r#"[{"scenario": 0, "fps": 40, "refused": 2}, {"scenario": 1, "fps": 20, "refused": 0}]"#,
+        );
+        assert!(failures[0].contains("must match exactly"), "{failures:?}");
+        // A row on one side only fails by name.
+        let failures = run(
+            r#"[{"scenario": 0, "fps": 40, "refused": 3}, {"scenario": 2, "fps": 20, "refused": 0}]"#,
+        );
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(
+            failures[0].contains("scenario 1: in the baseline"),
+            "{failures:?}"
+        );
+        assert!(
+            failures[1].contains("scenario 2: missing from the baseline"),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //! * `results/fig15_scalability_gain.json` — improvement band of the
 //!   capacity model.
 //!
+//! The row-shaped baselines are gated row by row, each run row matched
+//! to the baseline row with the same key (`edge`, `link`, `parties`,
+//! `scenario`, `enforced`): a drift in one row cannot hide behind a
+//! gain in another, and a row on one side only fails by name.
+//!
 //! Wall times are reported for trend-watching but deliberately not
 //! gated — CI runners are not a constant-speed machine; the simulated
 //! metrics are deterministic and gate exactly.
 
-use scallop_bench::baseline::{max_field, parse_numeric_objects, sum_field, Gate};
+use scallop_bench::baseline::{max_field, parse_numeric_objects, rows_of, Gate, Row};
 use scallop_bench::capacity::{
     run_capacity_suite, FULL_FLOOR_FPS, TRUNK_BPS as CAPACITY_TRUNK_BPS,
 };
@@ -84,7 +89,7 @@ struct ScaleSmoke {
     improvement_max_at_2: f64,
 }
 
-fn read_baseline(name: &str) -> Option<Vec<std::collections::BTreeMap<String, f64>>> {
+fn read_baseline(name: &str) -> Option<Vec<Row>> {
     let path = results_dir().join(format!("{name}.json"));
     let text = std::fs::read_to_string(&path).ok()?;
     Some(parse_numeric_objects(&text))
@@ -125,20 +130,14 @@ fn main() {
         .post_drift_trunk_out_bytes
         .saturating_sub(mig.post_drift_trunk_out_bytes);
 
-    // Computed once: the same numbers go into the uploaded artifact and
-    // the regression gate (they must never diverge).
-    let slice_rtp_in: u64 = slice.edge_rows.iter().map(|r| r.rtp_in_pkts).sum();
-    let slice_forwarded: u64 = slice.edge_rows.iter().map(|r| r.forwarded_pkts).sum();
-    let slice_trunk_out: u64 = slice.edge_rows.iter().map(|r| r.trunk_out_pkts).sum();
-
     let fabric_smoke = FabricSmoke {
         wall_ms_slice,
         wall_ms_churn,
         peak_meetings: meetings.max(),
         peak_participants: participants.max(),
-        slice_rtp_in_pkts: slice_rtp_in,
-        slice_forwarded_pkts: slice_forwarded,
-        slice_trunk_out_pkts: slice_trunk_out,
+        slice_rtp_in_pkts: slice.edge_rows.iter().map(|r| r.rtp_in_pkts).sum(),
+        slice_forwarded_pkts: slice.edge_rows.iter().map(|r| r.forwarded_pkts).sum(),
+        slice_trunk_out_pkts: slice.edge_rows.iter().map(|r| r.trunk_out_pkts).sum(),
         slice_trunk_in_pkts: slice.edge_rows.iter().map(|r| r.trunk_in_pkts).sum(),
         slice_frames_decoded: slice.frames_decoded,
         slice_shard_meetings_max: slice.shard_meetings.iter().copied().max().unwrap_or(0) as u64,
@@ -327,23 +326,14 @@ fn main() {
     // ------------------------------------------------------------- //
     section("regression gate (>20% drift vs checked-in results/)");
     match read_baseline("fig20_21_fabric_slice") {
-        Some(base) => {
-            gate.check_within(
-                "fabric slice: total rtp_in_pkts",
-                sum_field(&base, "rtp_in_pkts"),
-                slice_rtp_in as f64,
-            );
-            gate.check_within(
-                "fabric slice: total forwarded_pkts",
-                sum_field(&base, "forwarded_pkts"),
-                slice_forwarded as f64,
-            );
-            gate.check_within(
-                "fabric slice: total trunk_out_pkts",
-                sum_field(&base, "trunk_out_pkts"),
-                slice_trunk_out as f64,
-            );
-        }
+        Some(base) => gate.check_rows(
+            "fabric slice",
+            "edge",
+            &["rtp_in_pkts", "forwarded_pkts", "trunk_out_pkts"],
+            &[],
+            &base,
+            &rows_of(&slice.edge_rows),
+        ),
         None => gate
             .failures
             .push("missing baseline results/fig20_21_fabric_slice.json".into()),
@@ -497,55 +487,33 @@ fn main() {
         "every lookup fell back to the exact table".into(),
     );
     match batch_baseline {
-        Some(base) => {
-            gate.check_within(
-                "batch: pkts processed",
-                sum_field(&base, "pkts_processed"),
-                batch.pkts_processed as f64,
-            );
-            gate.check_within(
-                "batch: replicas emitted",
-                sum_field(&base, "replicas_emitted"),
-                batch.replicas_emitted as f64,
-            );
-            gate.check_within(
-                "batch: batch segments",
-                sum_field(&base, "batches"),
-                batch.batches as f64,
-            );
-            gate.check_within(
-                "batch: port lookups saved",
-                sum_field(&base, "port_lookups_saved"),
-                batch.port_lookups_saved as f64,
-            );
-            gate.check_within(
-                "batch: egress lookups saved",
-                sum_field(&base, "egress_lookups_saved"),
-                batch.egress_lookups_saved as f64,
-            );
-        }
+        Some(base) => gate.check_rows(
+            "batch",
+            "parties",
+            &[
+                "pkts_processed",
+                "replicas_emitted",
+                "batches",
+                "port_lookups_saved",
+                "egress_lookups_saved",
+            ],
+            &[],
+            &base,
+            &rows_of(&[&batch]),
+        ),
         None => gate
             .failures
             .push("missing baseline results/BENCH_dataplane.json".into()),
     }
     match wan_baseline {
-        Some(base) => {
-            for r in &wan.wan_rows {
-                let row = base
-                    .iter()
-                    .find(|o| o.get("link").copied() == Some(r.link as f64));
-                match row {
-                    Some(b) => gate.check_within(
-                        &format!("wan link {}: relayed bytes", r.link),
-                        b.get("relayed_bytes").copied().unwrap_or(f64::NAN),
-                        r.relayed_bytes as f64,
-                    ),
-                    None => gate
-                        .failures
-                        .push(format!("baseline BENCH_wan.json lacks link {}", r.link)),
-                }
-            }
-        }
+        Some(base) => gate.check_rows(
+            "wan",
+            "link",
+            &["relayed_bytes"],
+            &[],
+            &base,
+            &rows_of(&wan.wan_rows),
+        ),
         None => gate
             .failures
             .push("missing baseline results/BENCH_wan.json".into()),
@@ -572,18 +540,14 @@ fn main() {
         );
     }
     match control_baseline {
-        Some(base) => {
-            gate.check_within(
-                "control: incremental installs",
-                sum_field(&base, "incr_installs"),
-                control_rows.iter().map(|r| r.incr_installs).sum::<u64>() as f64,
-            );
-            gate.check_within(
-                "control: batched installs",
-                sum_field(&base, "batch_installs"),
-                control_rows.iter().map(|r| r.batch_installs).sum::<u64>() as f64,
-            );
-        }
+        Some(base) => gate.check_rows(
+            "control",
+            "scenario",
+            &["incr_installs", "batch_installs"],
+            &[],
+            &base,
+            &rows_of(&control_rows),
+        ),
         None => gate
             .failures
             .push("missing baseline results/BENCH_control.json".into()),
@@ -618,26 +582,14 @@ fn main() {
         ),
     );
     match fault_baseline {
-        Some(base) => {
-            gate.check_within(
-                "fault: total recovered fps",
-                sum_field(&base, "recovered_fps"),
-                fault_rows.iter().map(|r| r.recovered_fps).sum(),
-            );
-            gate.check_within(
-                "fault: total recovery ticks",
-                sum_field(&base, "recovery_ticks"),
-                fault_rows.iter().map(|r| r.recovery_ticks).sum::<u64>() as f64,
-            );
-            gate.check_within(
-                "fault: packets fail-stopped",
-                sum_field(&base, "packets_failstopped"),
-                fault_rows
-                    .iter()
-                    .map(|r| r.packets_failstopped)
-                    .sum::<u64>() as f64,
-            );
-        }
+        Some(base) => gate.check_rows(
+            "fault",
+            "scenario",
+            &["recovered_fps", "recovery_ticks", "packets_failstopped"],
+            &[],
+            &base,
+            &rows_of(&fault_rows),
+        ),
         None => gate
             .failures
             .push("missing baseline results/BENCH_fault.json".into()),
@@ -702,38 +654,23 @@ fn main() {
         ),
     );
     match capacity_baseline {
-        Some(base) => {
-            // The refusal count is deterministic — gate it exactly, not
-            // within the drift band (a planner that starts refusing more
-            // or fewer joins changed admission semantics, not speed).
-            gate.check(
-                "capacity: refusal count matches baseline exactly",
-                sum_field(&base, "refused") == (enforced.refused + advisory.refused) as f64,
-                format!(
-                    "baseline {} vs current {}",
-                    sum_field(&base, "refused"),
-                    enforced.refused + advisory.refused
-                ),
-            );
-            gate.check_within(
-                "capacity: total admissions",
-                sum_field(&base, "admitted_full") + sum_field(&base, "admitted_thin"),
-                (enforced.admitted_full
-                    + enforced.admitted_thin
-                    + advisory.admitted_full
-                    + advisory.admitted_thin) as f64,
-            );
-            gate.check_within(
-                "capacity: booked trunk load",
-                sum_field(&base, "trunk_out_bps"),
-                (enforced.trunk_out_bps + advisory.trunk_out_bps) as f64,
-            );
-            gate.check_within(
-                "capacity: viewer fps",
-                sum_field(&base, "full_fps") + sum_field(&base, "thin_fps"),
-                enforced.full_fps + enforced.thin_fps + advisory.full_fps + advisory.thin_fps,
-            );
-        }
+        // The refusal count is deterministic — gate it exactly, not
+        // within the drift band (a planner that starts refusing more or
+        // fewer joins changed admission semantics, not speed).
+        Some(base) => gate.check_rows(
+            "capacity",
+            "enforced",
+            &[
+                "admitted_full",
+                "admitted_thin",
+                "trunk_out_bps",
+                "full_fps",
+                "thin_fps",
+            ],
+            &["refused"],
+            &base,
+            &rows_of(&cap_rows),
+        ),
         None => gate
             .failures
             .push("missing baseline results/BENCH_capacity.json".into()),

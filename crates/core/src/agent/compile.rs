@@ -2,7 +2,8 @@
 //! rules, egress specs and PRE trees. The delta compiler grafts a join,
 //! prunes a leave or re-aims one trunk branch in place; whatever it
 //! cannot amend falls back to [`SwitchAgent::rebuild_meeting`], the
-//! make-before-break full rebuild.
+//! make-before-break full rebuild, which picks each sender's REMB-gate
+//! holder once: O(S·R) for S senders and R receivers, not O(S·R·P).
 //!
 //! The last section holds the writers: each operation on the port-rule,
 //! egress and PRE tables is called from one function there.
@@ -361,7 +362,8 @@ impl SwitchAgent {
                 },
             };
             self.install_uplinks(dp, s, unicast(vp), unicast(ap));
-            self.install_feedback_rules(dp, s, r, true);
+            let open = self.remb_gate_holder(s, participants) == Some(r);
+            self.install_feedback_rules(dp, s, r, open);
         }
     }
 
@@ -388,11 +390,12 @@ impl SwitchAgent {
             }
             let l1_xid = self.tiered_uplink_xid(s, slot, fabric);
             self.install_sender_uplinks(dp, s, tiers, l1_xid);
+            let holder = self.remb_gate_holder(s, participants);
             for &r in participants {
                 if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
                     continue;
                 }
-                self.install_pair(dp, s, r, tiers, new_keys);
+                self.install_pair(dp, s, r, tiers, holder, new_keys);
             }
         }
     }
@@ -507,6 +510,7 @@ impl SwitchAgent {
             new_trees.extend(tiers.map(|g| (g, 0))); // exclusive trees
             for (i, &s) in pair.iter().enumerate() {
                 let sender_xid = (i + 1) as u16;
+                let holder = self.remb_gate_holder(s, participants);
                 // Nodes: receivers of s at each tier. RA-SR trees are
                 // per-sender sets already, so trunk-egress branches are
                 // simply omitted from remote senders' sets.
@@ -521,7 +525,7 @@ impl SwitchAgent {
                             Self::add_branch(dp, mgid, r, sender_xid, true);
                         }
                     }
-                    self.install_pair(dp, s, r, &tiers, new_keys);
+                    self.install_pair(dp, s, r, &tiers, holder, new_keys);
                 }
                 self.install_sender_uplinks(dp, s, &tiers, 3 - sender_xid);
             }
@@ -529,21 +533,20 @@ impl SwitchAgent {
     }
 
     /// Compile the (sender → receiver) pair: its egress specs and, for a
-    /// local receiver, its feedback rules.
+    /// local receiver, its feedback rules, whose REMB gate is open when
+    /// `r` is `holder`, the sender's [`Self::remb_gate_holder`].
     fn install_pair(
         &mut self,
         dp: &mut ScallopDataPlane,
         s: ParticipantId,
         r: ParticipantId,
         tiers: &[u16; 3],
+        holder: Option<ParticipantId>,
         new_keys: &mut Vec<EgressKey>,
     ) {
         self.install_pair_egress(dp, s, r, tiers, new_keys);
         if self.pinfo[&r].class != ParticipantClass::TrunkEgress {
-            // While the sender's home edge aggregates REMBs fabric-wide,
-            // no local pair forwards REMB directly.
-            let best = self.is_best_downlink(s, r) && self.pinfo[&s].sink_port.is_none();
-            self.install_feedback_rules(dp, s, r, best);
+            self.install_feedback_rules(dp, s, r, holder == Some(r));
         }
     }
 

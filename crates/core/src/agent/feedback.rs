@@ -1,7 +1,9 @@
 //! The CPU path (§5.2–5.4): feedback copies punted by the data plane,
 //! the §5.3 best-downlink filter and the REMB gates it programs, fabric
 //! REMB aggregation at a sender's feedback sink, decode-target changes,
-//! STUN and extended dependency descriptors.
+//! STUN and extended dependency descriptors. The filter's one pick per
+//! sender, [`SwitchAgent::remb_gate_holder`], is what the tick and every
+//! compile path compare each receiver with.
 
 use super::alloc::PortUse;
 use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, EWMA_ALPHA};
@@ -63,17 +65,20 @@ impl SwitchAgent {
         }
     }
 
-    /// Whether `r` currently holds the best-downlink selection for
-    /// sender `s` (initially: the first receiver does).
-    pub(super) fn is_best_downlink(&self, s: ParticipantId, r: ParticipantId) -> bool {
-        self.best_downlink_for(s, self.pinfo[&s].meeting) == Some(r)
+    /// The receiver whose pair may forward sender `s`'s REMB: none
+    /// while `s` has a feedback sink (its home edge aggregates REMBs
+    /// fabric-wide), else its best downlink among `participants`. One
+    /// roster scan, which each compile path makes once per sender.
+    pub(super) fn remb_gate_holder(
+        &self,
+        s: ParticipantId,
+        participants: &[ParticipantId],
+    ) -> Option<ParticipantId> {
+        let sink = self.pinfo[&s].sink_port.is_some();
+        (!sink).then(|| self.best_downlink_among(s, participants))?
     }
 
-    fn best_downlink_for(&self, s: ParticipantId, meeting: MeetingId) -> Option<ParticipantId> {
-        self.best_downlink_among(s, &self.meetings.get(&meeting)?.participants)
-    }
-
-    /// [`Self::best_downlink_for`] over the meeting roster `participants`.
+    /// Sender `s`'s best downlink in `participants` (initially: the first receiver).
     fn best_downlink_among(
         &self,
         s: ParticipantId,
@@ -95,10 +100,8 @@ impl SwitchAgent {
                 .get(&s)
                 .and_then(|e| e.value())
                 .unwrap_or(f64::MAX); // unknown downlinks treated as best
-            match best {
-                None => best = Some((r, score)),
-                Some((_, b)) if score > b => best = Some((r, score)),
-                _ => {}
+            if best.is_none_or(|(_, b)| score > b) {
+                best = Some((r, score));
             }
         }
         best.map(|(r, _)| r)
@@ -249,8 +252,7 @@ impl SwitchAgent {
             && self
                 .pinfo
                 .get(&sender)
-                .map(|p| p.sink_port.is_some())
-                .unwrap_or(false)
+                .is_some_and(|p| p.sink_port.is_some())
         {
             self.emit_aggregate_remb(sender);
         }
@@ -321,8 +323,8 @@ impl SwitchAgent {
                 p.remote_ests.values().copied().min(),
             )
         };
-        let local = self
-            .best_downlink_for(sender, meeting)
+        let local = (self.meetings.get(&meeting))
+            .and_then(|m| self.best_downlink_among(sender, &m.participants))
             .and_then(|r| self.pinfo[&r].ewma.get(&sender))
             .and_then(|e| e.value())
             .map(|v| v as u64);
@@ -424,10 +426,7 @@ impl SwitchAgent {
             if !self.pinfo[&s].sends {
                 continue;
             }
-            let best = self.best_downlink_among(s, participants);
-            // While the home edge aggregates this sender's REMBs
-            // fabric-wide, no local pair forwards them directly.
-            let has_sink = self.pinfo[&s].sink_port.is_some();
+            let holder = self.remb_gate_holder(s, participants);
             for &r in participants {
                 if r == s
                     || self.pinfo[&r].class != ParticipantClass::Local
@@ -435,16 +434,14 @@ impl SwitchAgent {
                 {
                     continue;
                 }
-                let allowed = best == Some(r) && !has_sink;
+                let allowed = holder == Some(r);
                 let (vp, _) = self.pinfo[&r].pair_from[&s];
-                // Only touch the rule when the gate actually changes.
-                let needs_update = match dp.port_rules.peek(&vp) {
-                    Some(PortRule::ReceiverFeedback { remb_allowed, .. }) => {
-                        *remb_allowed != allowed
-                    }
-                    _ => true,
+                let open = match dp.port_rules.peek(&vp) {
+                    Some(PortRule::ReceiverFeedback { remb_allowed, .. }) => Some(*remb_allowed),
+                    _ => None,
                 };
-                if needs_update {
+                // Only touch the rule when the gate actually changes.
+                if open != Some(allowed) {
                     updates += 1;
                     self.install_feedback_rules(dp, s, r, allowed);
                 }

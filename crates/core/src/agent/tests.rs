@@ -537,3 +537,112 @@ fn check_accounts_for_every_id_each_pool_draws() {
     });
     assert!(err.contains("tracker slots drawn, but"), "leaked: {err}");
 }
+
+/// Report a distinct REMB estimate for every (sender, receiver) pair of
+/// `g` — all high enough that no decode target moves, and highest
+/// toward `top` so that a capped `top` is the one the filter passes
+/// over. Returns the estimates by (sender, receiver) index.
+fn report_distinct_estimates(
+    agent: &mut SwitchAgent,
+    dp: &mut ScallopDataPlane,
+    g: &[(JoinGrant, HostAddr)],
+    top: usize,
+) -> Vec<Vec<u64>> {
+    let n = g.len();
+    let est = |s: usize, r: usize| {
+        let bonus = if r == top { 10_000_000 } else { 0 };
+        3_000_000 + 100_000 * ((3 * s + 7 * r) % 25) as u64 + bonus
+    };
+    for (s, r) in (0..n).flat_map(|s| (0..n).map(move |r| (s, r))) {
+        if s == r {
+            continue;
+        }
+        let (rcv, raddr) = g[r];
+        let vp = agent
+            .video_pair_addr(g[s].0.participant, rcv.participant)
+            .unwrap();
+        let remb = rtcp::serialize_compound(&[RtcpPacket::Remb(rtcp::Remb {
+            sender_ssrc: r as u32,
+            bitrate_bps: est(s, r),
+            ssrcs: vec![s as u32],
+        })]);
+        agent.handle_cpu_packet(SimTime::ZERO, &Packet::new(raddr, vp, remb), dp);
+    }
+    (0..n)
+        .map(|s| (0..n).map(|r| est(s, r)).collect())
+        .collect()
+}
+
+/// After a rebuild, every sender's pairs carry the gates the next tick
+/// would choose: one open REMB gate, on the best uncapped receiver, or
+/// none while `sink` (a sender index) aggregates at a feedback sink —
+/// and the tick reprograms nothing.
+fn assert_rebuild_gates_are_the_ticks(
+    agent: &mut SwitchAgent,
+    dp: &mut ScallopDataPlane,
+    g: &[(JoinGrant, HostAddr)],
+    est: &[Vec<u64>],
+    capped: usize,
+    sink: Option<usize>,
+) {
+    let n = g.len();
+    for s in 0..n {
+        let best = (0..n)
+            .filter(|&r| r != s && r != capped && sink != Some(s))
+            .max_by_key(|&r| est[s][r]);
+        for r in (0..n).filter(|&r| r != s) {
+            let vp = agent
+                .video_pair_addr(g[s].0.participant, g[r].0.participant)
+                .unwrap();
+            let open = match dp.port_rules.peek(&vp.port) {
+                Some(PortRule::ReceiverFeedback { remb_allowed, .. }) => *remb_allowed,
+                other => panic!("missing feedback rule: {other:?}"),
+            };
+            assert_eq!(open, best == Some(r), "gate {s} -> {r}");
+        }
+    }
+    let before = agent.counters.filter_updates;
+    agent.tick(SimTime::from_millis(100), dp);
+    assert_eq!(
+        agent.counters.filter_updates, before,
+        "tick reprograms nothing"
+    );
+}
+
+#[test]
+fn a_rebuild_installs_the_gates_the_tick_would_choose() {
+    // Five all-sending members, one capped below the full decode
+    // target, one sender aggregating at a feedback sink.
+    let (mut agent, mut dp) = mk();
+    let m = agent.create_meeting();
+    let g: Vec<(JoinGrant, HostAddr)> = (1..=5)
+        .map(|i| (agent.join(&mut dp, m, addr(i), true), addr(i)))
+        .collect();
+    let (capped, sink) = (4, 0);
+    agent.set_dt_cap(&mut dp, g[capped].0.participant, 1);
+    agent.feedback_sink(&mut dp, g[sink].0.participant);
+    let est = report_distinct_estimates(&mut agent, &mut dp, &g, capped);
+    // Tiered: a decode-target change rebuilds the RA-R layout.
+    agent.apply_dt_change(&mut dp, g[1].0.participant, 1);
+    assert_eq!(agent.design_of(m), Some(TreeDesign::RaR));
+    assert_rebuild_gates_are_the_ticks(&mut agent, &mut dp, &g, &est, capped, Some(sink));
+    // RA-SR: a per-sender decode target rebuilds per-sender trees.
+    agent.set_sender_dt(&mut dp, g[2].0.participant, g[3].0.participant, 1);
+    assert_eq!(agent.design_of(m), Some(TreeDesign::RaSr));
+    assert_rebuild_gates_are_the_ticks(&mut agent, &mut dp, &g, &est, capped, Some(sink));
+}
+
+#[test]
+fn a_two_party_rebuild_opens_no_gate_on_a_capped_receiver() {
+    // Capping the receiver rebuilds the direct path; the capped
+    // member's partner has no uncapped receiver to take its REMB from.
+    let (mut agent, mut dp) = mk();
+    let m = agent.create_meeting();
+    let g: Vec<(JoinGrant, HostAddr)> = (1..=2)
+        .map(|i| (agent.join(&mut dp, m, addr(i), true), addr(i)))
+        .collect();
+    let est = report_distinct_estimates(&mut agent, &mut dp, &g, 1);
+    agent.set_dt_cap(&mut dp, g[1].0.participant, 1);
+    assert_eq!(agent.design_of(m), Some(TreeDesign::TwoParty));
+    assert_rebuild_gates_are_the_ticks(&mut agent, &mut dp, &g, &est, 1, None);
+}
