@@ -518,9 +518,9 @@ fn main() {
             .failures
             .push("missing baseline results/BENCH_wan.json".into()),
     }
-    // Control-plane compilation invariants: both runs pass the compile
-    // check (installed state equals a rebuild of it, nothing orphaned),
-    // and grafting bills O(1) flow-mods per join.
+    // Control-plane compilation invariants: both runs pass the fabric
+    // check (installed state and ledger equal a rebuild of them, nothing
+    // orphaned), and grafting bills O(1) flow-mods per join.
     for row in &control_rows {
         let name = scenario_name(row.scenario);
         gate.check(

@@ -5,11 +5,11 @@
 //! meeting's receive jitter (median/p95/p99) and decoded frame rate are
 //! sampled as total participants grow.
 //!
-//! Scale substitution (documented in EXPERIMENTS.md): media runs at a
-//! reduced 500 kbit/s per sender and participants join every 2 s instead
-//! of 10 s, with the per-core packet budget scaled so saturation lands at
-//! the paper's ~80 participants. The collapse *shape* against the
-//! participant axis is the reproduced result.
+//! Scale substitution: media runs at a reduced 500 kbit/s per sender
+//! and participants join every 2 s instead of 10 s, with the per-core
+//! packet budget scaled so saturation lands at the paper's ~80
+//! participants. The collapse *shape* against the participant axis is
+//! the reproduced result.
 
 use scallop_baseline::{SoftwareSfu, SoftwareSfuConfig};
 use scallop_bench::{f, kv, section, series_table, write_json};

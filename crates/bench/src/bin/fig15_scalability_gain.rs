@@ -40,7 +40,9 @@ fn main() {
         format!("{}x - {}x", f(lo, 1), f(hi, 1)),
     );
     // At in-call media rates the bandwidth ceiling moves up; the paper's
-    // 210x upper bound sits between the two accountings (EXPERIMENTS.md).
+    // 210x upper bound sits between the two accountings: the band's upper
+    // end is below it at provisioned 6 Mb/s streams and above it at
+    // in-call 2.25 Mb/s ones (the two "improvement band" lines).
     let in_call = CapacityModel {
         peak_stream_bps: 2.25e6,
         ..CapacityModel::default()

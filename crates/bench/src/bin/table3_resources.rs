@@ -87,7 +87,9 @@ fn main() {
     let max_egress = max_meetings * 10.0 * 9.0 * 2.25e6 * 0.81;
 
     let rows = resources::report(&dp, peak_egress, max_egress);
-    section("resource rows (paper values in EXPERIMENTS.md)");
+    section(
+        "resource rows (fixed rows are the paper's Table 3 values; SRAM is modeled, paper: 6.77%)",
+    );
     series_table(
         &["resource", "scaling", "campus peak", "max util"],
         &rows

@@ -8,11 +8,10 @@
 //!
 //! Everything in a [`ControlRow`] is a function of the fixed join
 //! shape, so `bench_smoke` gates the fields at the usual 20 % drift
-//! rule plus one hard invariant per run: every edge passes
-//! [`Fabric::check_compiled`] — the installed state equals a from-scratch
-//! rebuild of it, and nothing installed is orphaned — and the plane
-//! passes [`ShardedControlPlane::check_ledger`] — the load ledger equals
-//! the load the meeting store records.
+//! rule plus one hard invariant per run: the fabric passes the fabric
+//! check ([`Fabric::check`]) — every edge's installed state equals a
+//! from-scratch rebuild of it with nothing orphaned, and the load
+//! ledger equals the ledger replayed from the meeting store.
 
 use scallop_core::controller::JoinRequest;
 use scallop_core::fabric::Fabric;
@@ -61,17 +60,15 @@ pub struct ControlRow {
     pub batch_removals: u64,
     /// PRE trees allocated, one batched admission.
     pub batch_trees: u64,
-    /// 1 iff every edge passed [`Fabric::check_compiled`] and the plane
-    /// passed [`ShardedControlPlane::check_ledger`] after the
+    /// 1 iff the fabric check ([`Fabric::check`]) passed after the
     /// join-by-join run.
     pub equivalent: u64,
-    /// 1 iff every edge passed [`Fabric::check_compiled`] and the plane
-    /// passed [`ShardedControlPlane::check_ledger`] after the batched
-    /// run.
+    /// 1 iff the fabric check ([`Fabric::check`]) passed after the
+    /// batched run.
     pub batch_equivalent: u64,
 }
 
-/// Flow-mod bill and compile- and ledger-check verdict of one run.
+/// Flow-mod bill and fabric-check verdict of one run.
 struct RunOutcome {
     installs: u64,
     removals: u64,
@@ -122,10 +119,7 @@ fn run_crowd(joins: &[CrowdJoin], shards: usize, batched: bool) -> RunOutcome {
         removals: 0,
         trees: 0,
         grafts: 0,
-        checked: fabric
-            .check_compiled(&mut sim)
-            .and_then(|()| controller.check_ledger(&fabric))
-            .is_ok(),
+        checked: fabric.check(&mut sim, &controller).is_ok(),
     };
     for e in 0..EDGES {
         let c = fabric.edge_counters(&mut sim, e);

@@ -18,9 +18,9 @@ use std::collections::{BinaryHeap, HashMap};
 /// that order leak into the ids later joins receive. Ports, pids and
 /// tracker slots are never re-drawn by a recompile, so they match any
 /// rebuild of the same roster; MGIDs are — a rebuild frees a tree
-/// before drawing one — which is why
-/// [`SwitchAgent::check_compiled`](super::SwitchAgent::check_compiled)
-/// names trees by their owner instead of comparing MGIDs.
+/// before drawing one — which is why the fabric check
+/// ([`crate::fabric::Fabric::check`]) names trees by their owner
+/// instead of comparing MGIDs.
 #[derive(Debug, Default, Clone)]
 pub struct FreeList<T: Ord>(BinaryHeap<Reverse<T>>);
 
@@ -80,7 +80,7 @@ impl IdPool {
         self.free.push(id);
     }
 
-    /// The ownership rule of one id space, for the compile check. Every
+    /// The ownership rule of one id space, for the fabric check. Every
     /// id in use (`ids`, one item per holder; `in_use` answers the same
     /// set) was drawn from this pool and is not also free, and every id
     /// drawn is held once or free once: none leaked, none freed twice.

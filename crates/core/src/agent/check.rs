@@ -1,11 +1,12 @@
-//! [`SwitchAgent::check_compiled`]: the installed state against the
-//! roster (ownership) and against a rebuild from scratch (equivalence).
+//! The per-edge half of the fabric check ([`crate::fabric::Fabric::check`]):
+//! the ownership audit and the installed and rebuilt canonical states.
 
 use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign};
 use scallop_dataplane::pre::L1Node;
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::switch::ScallopDataPlane;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Debug;
 
 /// A tree named by its owner: `(meeting, index in its trees)`.
 type TreeName = (MeetingId, usize);
@@ -14,8 +15,8 @@ type TreeName = (MeetingId, usize);
 /// [`TreeName`]s (a multicast action's `mgid_by_tier` holds tree
 /// indices of its sender's meeting), and packed-tree slot XIDs as seen
 /// from their owner: 1 for its own slot, 2 for its partner's.
-#[derive(Debug, PartialEq)]
-pub(super) enum Line {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Line {
     Port(u16, PortRule),
     Egress(TreeName, u16, u16, EgressSpec),
     Node(TreeName, L1Node),
@@ -31,47 +32,18 @@ pub(super) enum Line {
 }
 
 impl SwitchAgent {
-    /// Check this switch's compiled state against its roster; read-only,
-    /// `Err` names the first violation.
-    ///
-    /// * **Ownership.** Every installed port rule has a `port_use`
-    ///   entry, every tracked participant one L2 XID, every installed
-    ///   egress entry is tracked by exactly one meeting, every PRE group
-    ///   is in some meeting's trees or the half pool with no slot
-    ///   claimed twice. Every port, pid, MGID and tracker slot in use was
-    ///   drawn from its own pool and is not also free, and every id a
-    ///   pool has drawn is held once or free once: none leaked, none
-    ///   freed twice. Orphans survive a rebuild, so only this half sees
-    ///   them.
-    /// * **Equivalence.** A copy of the agent and of the data plane's
-    ///   tables rebuilds every meeting from scratch (`rebuild_meeting`,
-    ///   the delta compiler's fallback), and its canonical state must
-    ///   equal the installed one. Trees are named by their owner, so
-    ///   which MGID a tree drew, and which meeting shares a packed tree,
-    ///   never count as a difference.
-    ///
-    /// REMB gates are re-evaluated on the agent tick, not per feedback
-    /// copy, so while media flows a rebuild computes gates fresher than
-    /// the installed ones: this is a check for media-free control
-    /// histories.
-    pub fn check_compiled(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+    /// The canonical state of a copy of this switch with every meeting
+    /// rebuilt from scratch (`rebuild_meeting`), once the switch passes
+    /// its ownership audit: orphans survive a rebuild. REMB gates refresh
+    /// on the agent tick, so while media flows a rebuild's gates are
+    /// fresher than the installed ones: compare on media-free histories.
+    pub(crate) fn rebuilt_state(&self, dp: &ScallopDataPlane) -> Result<Vec<Line>, String> {
         self.check_ownership(dp)?;
-        let live = self.canonical_state(dp)?;
         let (mut agent, mut copy) = self.copy_with(dp);
         for &meeting in self.meetings.keys() {
             agent.rebuild_meeting(&mut copy, meeting);
         }
-        let rebuilt = agent.canonical_state(&copy)?;
-        let first_diff =
-            (0..live.len().max(rebuilt.len())).find(|&i| live.get(i) != rebuilt.get(i));
-        match first_diff {
-            None => Ok(()),
-            Some(i) => Err(format!(
-                "installed state differs from a rebuild at line {i}: installed {:?}, rebuilt {:?}",
-                live.get(i),
-                rebuilt.get(i)
-            )),
-        }
+        agent.canonical_state(&copy)
     }
 
     /// A copy of this agent and of `dp`'s compiled tables to compile on
@@ -86,7 +58,14 @@ impl SwitchAgent {
         (self.clone(), copy)
     }
 
-    /// The ownership half of [`Self::check_compiled`].
+    /// The ownership audit, read-only; `Err` names the first violation.
+    /// Every installed port rule has a `port_use` entry, every tracked
+    /// participant one L2 XID, every installed egress entry is tracked by
+    /// exactly one meeting, every PRE group is in some meeting's trees or
+    /// the half pool with no slot claimed twice. Every port, pid, MGID and
+    /// tracker slot in use was drawn from its own pool and is not also
+    /// free, and every id a pool has drawn is held once or free once: none
+    /// leaked, none freed twice.
     fn check_ownership(&self, dp: &ScallopDataPlane) -> Result<(), String> {
         if let Some((port, _)) = dp
             .port_rules
@@ -132,8 +111,7 @@ impl SwitchAgent {
                 return Err(format!("MGID {mgid} is held in slots {slots:?}"));
             }
         }
-        let groups = dp.pre.canonical_config();
-        if let Some((mgid, _)) = groups.iter().find(|(g, _)| !holders.contains_key(g)) {
+        if let Some((mgid, _)) = dp.pre.groups().find(|(g, _)| !holders.contains_key(g)) {
             return Err(format!(
                 "PRE group {mgid} is in no meeting's trees or half pool"
             ));
@@ -190,7 +168,7 @@ impl SwitchAgent {
     /// installation order nor MGID allocation is visible. (L2 XIDs are
     /// set at admission, never compiled.) `Err` when an entry names a
     /// tree its meeting does not own.
-    pub(super) fn canonical_state(&self, dp: &ScallopDataPlane) -> Result<Vec<Line>, String> {
+    pub(crate) fn canonical_state(&self, dp: &ScallopDataPlane) -> Result<Vec<Line>, String> {
         let ports: BTreeMap<u16, PortRule> = dp.port_rules.iter().map(|(&p, &r)| (p, r)).collect();
         let mut lines = Vec::with_capacity(ports.len() + dp.egress.len());
         for (port, mut rule) in ports {
@@ -225,7 +203,7 @@ impl SwitchAgent {
                 .map(|((t, r, p), s)| Line::Egress(t, r, p, s)),
         );
         let mut nodes = Vec::new();
-        for (mgid, group) in dp.pre.canonical_config() {
+        for (mgid, group) in dp.pre.groups() {
             for node in group {
                 let meeting = self.meeting_of(node.rid)?;
                 let tree = (meeting, self.tree_index(meeting, mgid)?);
@@ -261,5 +239,22 @@ impl SwitchAgent {
             });
         }
         Ok(lines)
+    }
+}
+
+/// The first line at which `installed` and `rebuilt` differ, named as a
+/// line of `part`; a missing line reads `None`.
+pub(crate) fn first_difference<T: PartialEq + Debug>(
+    part: &str,
+    installed: &[T],
+    rebuilt: &[T],
+) -> Result<(), String> {
+    match (0..installed.len().max(rebuilt.len())).find(|&i| installed.get(i) != rebuilt.get(i)) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{part} differ from a rebuild at line {i}: installed {:?}, rebuilt {:?}",
+            installed.get(i),
+            rebuilt.get(i)
+        )),
     }
 }

@@ -38,7 +38,7 @@
 //!   full rebuild it falls back to.
 //! * `feedback` is the CPU path: feedback copies, the §5.3 filter,
 //!   fabric REMB aggregation and decode-target changes.
-//! * `check` is [`SwitchAgent::check_compiled`].
+//! * `check` is the per-edge half of the fabric check ([`crate::fabric::Fabric::check`]).
 //!
 //! Each data-plane table operation — install or remove a port rule or an
 //! egress entry, create or destroy a tree, add or remove a branch, set or
@@ -46,7 +46,7 @@
 //! called from exactly one function of the agent.
 
 mod alloc;
-mod check;
+pub(crate) mod check;
 mod compile;
 mod feedback;
 

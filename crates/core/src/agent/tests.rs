@@ -1,8 +1,18 @@
+use super::check::first_difference;
 use super::*;
 use scallop_dataplane::rules::PortRule;
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_proto::rtcp::{self, RtcpPacket};
 use scallop_proto::stun::StunMessage;
+
+impl SwitchAgent {
+    /// The fabric check of this switch alone: its ownership audit, then
+    /// its tables against a rebuild of every meeting.
+    fn check_compiled(&self, dp: &ScallopDataPlane) -> Result<(), String> {
+        let rebuilt = self.rebuilt_state(dp)?;
+        first_difference("tables", &self.canonical_state(dp)?, &rebuilt)
+    }
+}
 
 fn mk() -> (SwitchAgent, ScallopDataPlane) {
     (
@@ -536,6 +546,72 @@ fn check_accounts_for_every_id_each_pool_draws() {
         a.trackers.take();
     });
     assert!(err.contains("tracker slots drawn, but"), "leaked: {err}");
+}
+
+#[test]
+fn the_fabric_check_names_the_part_that_differs() {
+    use crate::controller::JoinRequest;
+    use crate::fabric::Fabric;
+    use crate::shard::ShardedControlPlane;
+    use scallop_netsim::link::LinkConfig;
+    use scallop_netsim::sim::Simulator;
+    use scallop_netsim::time::SimDuration;
+    use scallop_netsim::topology::Topology;
+    // A sender on edge 0 and receivers on both edges of zone 1, so the
+    // meeting holds a gateway, remote entries and a WAN branch.
+    let world = || {
+        let mut sim = Simulator::new(7);
+        let f = Fabric::build(
+            &mut sim,
+            Topology::federation(2, 2, 0),
+            LinkConfig::infinite(SimDuration::from_micros(50)),
+            SeqRewriteMode::LowRetransmission,
+        );
+        let mut plane = ShardedControlPlane::new(1);
+        let gmid = plane.create_fabric_meeting(&mut sim, &f, 0);
+        let reqs: Vec<JoinRequest> = [(0, true), (2, false), (3, false)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (edge, sends))| JoinRequest {
+                edge,
+                addr: addr(i as u8 + 1),
+                sends,
+            })
+            .collect();
+        let out = plane.join(&mut sim, &f, gmid, &reqs);
+        let sender = out[0].grant.expect("admitted");
+        (sim, f, plane, gmid, sender)
+    };
+    let (mut sim, f, plane, gmid, sender) = world();
+    assert_eq!(f.check(&mut sim, &plane), Ok(()));
+    let broken = |corrupt: &dyn Fn(&mut Simulator, &Fabric, &mut ShardedControlPlane)| {
+        let (mut sim, f, mut plane, ..) = world();
+        corrupt(&mut sim, &f, &mut plane);
+        f.check(&mut sim, &plane)
+            .expect_err("the check must see it")
+    };
+    let err = broken(&|sim, f, _| {
+        let dp = &mut f.edge_mut(sim, 0).dp;
+        let key = *dp.egress.iter().next().expect("an egress entry").0;
+        dp.remove_egress(key);
+    });
+    assert!(
+        err.starts_with("edge 0: tables differ"),
+        "table line: {err}"
+    );
+    let err = broken(&|_, _, plane| plane.ledger.credit_member(gmid, sender.global));
+    assert!(err.starts_with("ledger books differ"), "books: {err}");
+    let err = broken(&|_, _, plane| {
+        let rec = plane.fabric_meetings.get_mut(&gmid).expect("live");
+        rec.zone_gateways.remove(&1);
+    });
+    assert!(err.ends_with("zone has no gateway"), "gateway: {err}");
+    let port = sender.local.video_uplink.port;
+    let err = broken(&|sim, f, _| f.edge_mut(sim, 0).agent.ports.give(port));
+    assert!(
+        err.starts_with("edge 0: ") && err.contains("both free and in use"),
+        "{err}"
+    );
 }
 
 /// Report a distinct REMB estimate for every (sender, receiver) pair of

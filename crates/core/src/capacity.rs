@@ -423,20 +423,14 @@ impl LoadDelta {
         self.trunk_in.clear();
         self.wan.clear();
     }
-
-    fn is_empty(&self) -> bool {
-        [&self.ports, &self.trunk_out, &self.trunk_in, &self.wan]
-            .iter()
-            .all(|account| account.iter().all(|&v| v == 0))
-    }
 }
 
 /// What one debit booked: ports at one edge, or one branch's bits/s
 /// along its route. A ledger entry is one charge, so booking one needs
 /// no storage beyond its slot in the book, and its credit takes exactly
 /// these amounts back off the running totals.
-#[derive(Debug, Clone)]
-enum Charge {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Charge {
     /// `n` ports at `edge`.
     Ports { edge: usize, n: u64 },
     /// `bps` on every account `route` rides.
@@ -481,6 +475,15 @@ pub enum LedgerKey {
         /// Destination edge of the branch.
         to: usize,
     },
+}
+
+/// One line of a ledger's books ([`FabricLoadLedger::books`]).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum BookLine {
+    /// An open entry and what it booked.
+    Entry(LedgerKey, Charge),
+    /// A non-zero total: kind (ports, trunk out, trunk in, WAN), index, amount.
+    Account(usize, usize, u64),
 }
 
 /// Snapshot of the planner's admission telemetry.
@@ -762,12 +765,19 @@ impl FabricLoadLedger {
     /// Whether every debit has been exactly reversed: no open entries
     /// and every account at zero. True after a full teardown.
     pub fn reconciled(&self) -> bool {
-        self.entries.is_empty() && self.used.is_empty()
+        self.books().is_empty()
     }
 
-    /// Open (un-credited) entries.
-    pub fn open_entries(&self) -> usize {
-        self.entries.len()
+    /// The books as lines: every open entry in key order, then every
+    /// non-zero account total. Budgets and telemetry are not books.
+    pub(crate) fn books(&self) -> Vec<BookLine> {
+        let entries = (self.entries.iter()).map(|(&key, c)| BookLine::Entry(key, c.clone()));
+        let u = &self.used;
+        let kinds = [&u.ports, &u.trunk_out, &u.trunk_in, &u.wan].into_iter();
+        let accounts = kinds.enumerate().flat_map(|(kind, account)| {
+            charged(account).map(move |(i, v)| BookLine::Account(kind, i, v))
+        });
+        entries.chain(accounts).collect()
     }
 
     /// Snapshot of the admission telemetry counters.
@@ -962,7 +972,6 @@ mod tests {
         l.credit_branch(1, 7, 3);
         l.credit_branch(1, 7, 1);
         assert!(l.reconciled(), "all accounts must return to zero");
-        assert_eq!(l.open_entries(), 0);
         // A second credit of the same key is a no-op.
         l.credit_member(1, 7);
         assert!(l.reconciled());
@@ -1252,7 +1261,7 @@ mod tests {
                     proptest::prop_assert_eq!(l.trunk_in_bps(i), at(&used.trunk_in, i));
                     proptest::prop_assert_eq!(l.wan_bps(i), at(&used.wan, i));
                 }
-                proptest::prop_assert_eq!(l.open_entries(), book.entries.len());
+                proptest::prop_assert_eq!(l.entries.len(), book.entries.len());
                 proptest::prop_assert_eq!((l.debits, l.credits), (book.debits, book.credits));
                 proptest::prop_assert_eq!(l.reconciled(), book.entries.is_empty());
             }

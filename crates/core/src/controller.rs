@@ -1574,7 +1574,7 @@ mod tests {
         let sw = f.edge_mut(&mut sim, 4);
         assert!(sw.agent.uplink_ports(old).is_some(), "old entry kept");
         assert_ne!(remote_at_4(&ctl), old, "the WAN-pruned entry is new");
-        assert_eq!(ctl.check_ledger(&f), Ok(()));
+        assert_eq!(f.check(&mut sim, &ctl), Ok(()));
     }
 
     #[test]
@@ -1593,7 +1593,7 @@ mod tests {
         ctl.leave_fabric(&mut sim, &f, gmid, r1.global);
         let rec = ctl.meeting(gmid).expect("live");
         assert_eq!(rec.zone_gateways[&1], 5);
-        assert_eq!(ctl.check_ledger(&f), Ok(()));
+        assert_eq!(f.check(&mut sim, &ctl), Ok(()));
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //! a [`crate::shard::ShardedControlPlane`] — shards own disjoint
 //! meetings but compile forwarding onto the same switches (the
 //! switches themselves are reached mutably through the simulator, per
-//! operation, never held).
+//! operation, never held). [`Fabric::check`] — the fabric check —
+//! holds their [`FabricState`] against a rebuild.
 
+use crate::agent::check::{first_difference, Line};
+use crate::capacity::BookLine;
+use crate::shard::ShardedControlPlane;
 use crate::switchnode::{ScallopSwitchNode, SwitchConfig};
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_dataplane::switch::DataPlaneCounters;
@@ -32,6 +36,15 @@ use scallop_netsim::packet::HostAddr;
 use scallop_netsim::relay::{PortRangeRoute, RelayNode, RelayStats};
 use scallop_netsim::sim::{NodeId, Simulator};
 use scallop_netsim::topology::Topology;
+
+/// The fabric's control state as one value: every edge's tables (dead
+/// edges included) with trees named by their owner, and the ledger's
+/// books. Install order, MGID draws, counters and telemetry do not show.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FabricState {
+    edges: Vec<Vec<Line>>,
+    books: Vec<BookLine>,
+}
 
 /// A built fabric: handles to every switch node in the simulator.
 #[derive(Debug)]
@@ -138,17 +151,35 @@ impl Fabric {
         sim.node_mut(self.edge_ids[i]).expect("edge switch")
     }
 
-    /// Run [`crate::agent::SwitchAgent::check_compiled`] on every edge
-    /// switch; the first failure names its edge. Media-free control
-    /// histories call it after every operation.
-    pub fn check_compiled(&self, sim: &mut Simulator) -> Result<(), String> {
-        for i in 0..self.edges() {
+    /// The fabric check, for media-free histories: every zone with a
+    /// segment has its gateway, every edge passes its ownership audit,
+    /// and [`Self::state`] equals a rebuild of every edge's meetings on a
+    /// copy of its tables and a replay of the ledger from the store.
+    pub fn check(&self, sim: &mut Simulator, plane: &ShardedControlPlane) -> Result<(), String> {
+        let books = plane.replayed_ledger(&self.topology)?.books();
+        let installed = self.state(sim, plane)?;
+        for (i, lines) in installed.edges.iter().enumerate() {
             let sw = self.edge_mut(sim, i);
-            sw.agent
-                .check_compiled(&sw.dp)
-                .map_err(|e| format!("edge {i}: {e}"))?;
+            let rebuilt = (sw.agent.rebuilt_state(&sw.dp)).map_err(|e| format!("edge {i}: {e}"))?;
+            first_difference(&format!("edge {i}: tables"), lines, &rebuilt)?;
         }
-        Ok(())
+        first_difference("ledger books", &installed.books, &books)
+    }
+
+    /// The state `plane` has installed on this fabric. `Err` when an
+    /// edge holds an entry its roster cannot name.
+    pub fn state(
+        &self,
+        sim: &mut Simulator,
+        plane: &ShardedControlPlane,
+    ) -> Result<FabricState, String> {
+        let edges = (0..self.edges()).map(|i| {
+            let sw = self.edge_mut(sim, i);
+            (sw.agent.canonical_state(&sw.dp)).map_err(|e| format!("edge {i}: {e}"))
+        });
+        let edges = edges.collect::<Result<_, _>>()?;
+        let books = plane.ledger().books();
+        Ok(FabricState { edges, books })
     }
 
     /// Where edge `from` must address a trunk copy bound for port `port`

@@ -251,17 +251,10 @@ impl PacketReplicationEngine {
     }
 
     /// The tree configuration as data: every group's MGID with its L1
-    /// nodes, sorted by MGID. Statistics counters are excluded. The
-    /// switch agent's compile check reads it
-    /// (`SwitchAgent::check_compiled`).
-    pub fn canonical_config(&self) -> Vec<(u16, &[L1Node])> {
-        let mut groups: Vec<(u16, &[L1Node])> = self
-            .groups
-            .iter()
-            .map(|(&g, group)| (g, group.nodes.as_slice()))
-            .collect();
-        groups.sort_unstable_by_key(|&(g, _)| g);
-        groups
+    /// nodes, in no fixed order. Statistics counters are excluded. The
+    /// fabric check reads it (`Fabric::check` in `scallop-core`).
+    pub fn groups(&self) -> impl Iterator<Item = (u16, &[L1Node])> {
+        (self.groups.iter()).map(|(&g, group)| (g, group.nodes.as_slice()))
     }
 
     /// Replicate a packet: the ingress pipeline supplies the packet's

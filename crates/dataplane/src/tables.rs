@@ -22,10 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// same entries until one of the two is written. The data plane's flow
 /// table (`crate::flows`) is valid while the PRE's and the egress
 /// table's versions stand still.
-///
-/// The number is the process's draw order, not table state, so `Debug`
-/// does not show it: two tables built by the same history print alike.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct WriteVersion(u64);
 
 impl WriteVersion {
@@ -35,12 +32,6 @@ impl WriteVersion {
         // needs only the increment to be atomic. 0 is never drawn.
         static NEXT: AtomicU64 = AtomicU64::new(1);
         WriteVersion(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for WriteVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("WriteVersion").finish_non_exhaustive()
     }
 }
 

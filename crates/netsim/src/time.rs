@@ -3,8 +3,9 @@
 //! All simulation time is a [`SimTime`] measured in integer nanoseconds since
 //! the start of the simulation. Integer time keeps event ordering exact and
 //! the simulation deterministic across platforms (no floating-point clock
-//! drift), which is what lets every experiment in `EXPERIMENTS.md` be
-//! regenerated from a seed.
+//! drift), which is what lets every experiment — the `scallop-bench`
+//! figure and table binaries and the repo benchmark — be regenerated
+//! from a seed.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

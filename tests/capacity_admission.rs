@@ -20,9 +20,9 @@
 //! (every request is priced against what the requests before it left
 //! behind — there is no unpriced way in), and a proptest replays
 //! randomized join/burst/leave/re-home/degrade histories through the
-//! sharded control plane and checks the ledger invariants and every
-//! edge's compiled state ([`Fabric::check_compiled`]) after every
-//! single step. The REMB test pins the cross-fabric feedback
+//! sharded control plane and runs the fabric check ([`Fabric::check`]:
+//! every edge's compiled state and the ledger against a rebuild) after
+//! every single step. The REMB test pins the cross-fabric feedback
 //! behavior: on a federation, where every remote edge reports to the
 //! sender's home-edge sink, the min filter tracks the slowest involved
 //! edge.
@@ -414,7 +414,7 @@ proptest! {
             // equals the load recomputed from the store, enforcement
             // means no line is ever over, and the port book never
             // exceeds the configured span.
-            let checked = fabric.check_compiled(&mut sim).and_then(|()| plane.check_ledger(&fabric));
+            let checked = fabric.check(&mut sim, &plane);
             if let Err(e) = checked {
                 panic!("after {op:?}: {e}");
             }
@@ -432,13 +432,13 @@ proptest! {
         // Teardown: the book must balance exactly.
         for (global, _, _) in live.drain(..) {
             plane.leave_fabric(&mut sim, &fabric, gmid, global);
-            let checked = fabric.check_compiled(&mut sim).and_then(|()| plane.check_ledger(&fabric));
+            let checked = fabric.check(&mut sim, &plane);
             if let Err(e) = checked {
                 panic!("after teardown leave of {global}: {e}");
             }
         }
         let l = plane.ledger();
-        prop_assert!(l.reconciled(), "{} open entries after teardown", l.open_entries());
+        prop_assert!(l.reconciled(), "the book is open after teardown");
         let c = l.counts();
         prop_assert_eq!(c.refused, c.refused_ports + c.refused_trunk + c.refused_wan);
     }

@@ -1,9 +1,9 @@
-//! The compile check after every control operation.
+//! The fabric check after every control operation.
 //!
 //! The agent compiles one way: grafted joins, pruned leaves and re-aimed
 //! trunks, with a full rebuild of the segment as the fallback. Every
-//! history here calls [`Fabric::check_compiled`] after **every**
-//! operation: on each edge the installed state must equal what a
+//! history here runs the fabric check ([`Fabric::check`]) after
+//! **every** operation: on each edge the installed state must equal what a
 //! from-scratch rebuild of every meeting installs (trees named by their
 //! owner, so which MGID a tree drew is invisible), and nothing
 //! installed may be orphaned. Histories are handcrafted (the 64-join
@@ -15,8 +15,8 @@
 //! leaves, re-homes, decode-target changes (RA-R), per-sender decode
 //! targets (RA-SR), and core kills/revives and trunk cuts/restores each
 //! followed by the controller's repair pass. After every operation the
-//! plane's load ledger must also equal the load recomputed from its
-//! store ([`ShardedControlPlane::check_ledger`]).
+//! plane's load ledger must also equal the ledger replayed from its
+//! store.
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
 //! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
@@ -233,9 +233,7 @@ fn replay(topology: Topology, ops: &[Op]) {
     let mut world = World::new(topology);
     for (i, op) in ops.iter().enumerate() {
         world.apply(op);
-        let checked = (world.fabric.check_compiled(&mut world.sim))
-            .and_then(|()| world.plane.check_ledger(&world.fabric));
-        if let Err(e) = checked {
+        if let Err(e) = world.fabric.check(&mut world.sim, &world.plane) {
             let zones = world.fabric.topology.zone_count();
             panic!("{zones}-zone fabric, after op {i} ({op:?}) of {ops:?}:\n{e}");
         }

@@ -4,14 +4,16 @@
 //! The consequence pinned here: the shard count decides who keeps a
 //! meeting's books and nothing else, so one media-free history —
 //! re-sharding included — compiles every edge identically at 1 and at
-//! 4 shards. Every control operation is followed by
-//! [`Fabric::check_compiled`] and [`ShardedControlPlane::check_ledger`].
+//! 4 shards: the two runs end in equal [`FabricState`]s, with the same
+//! data-plane counters and ledger telemetry. Every control operation is
+//! followed by the fabric check ([`Fabric::check`]).
 
-use scallop::core::capacity::FabricBudgets;
+use scallop::core::capacity::{AdmissionCounts, FabricBudgets};
 use scallop::core::controller::{GlobalMeetingId, JoinRequest};
-use scallop::core::fabric::Fabric;
+use scallop::core::fabric::{Fabric, FabricState};
 use scallop::core::shard::ShardedControlPlane;
 use scallop::dataplane::seqrewrite::SeqRewriteMode;
+use scallop::dataplane::switch::DataPlaneCounters;
 use scallop::netsim::link::LinkConfig;
 use scallop::netsim::packet::HostAddr;
 use scallop::netsim::sim::Simulator;
@@ -29,18 +31,6 @@ fn world(topology: Topology) -> (Simulator, Fabric) {
         SeqRewriteMode::LowRetransmission,
     );
     (sim, fabric)
-}
-
-/// Every edge compiled as a rebuild of its rosters would be, with no
-/// orphans, and the ledger equal to the load the store records —
-/// called after every control operation.
-fn check(sim: &mut Simulator, fabric: &Fabric, plane: &ShardedControlPlane) {
-    if let Err(e) = fabric.check_compiled(sim) {
-        panic!("{e}");
-    }
-    if let Err(e) = plane.check_ledger(fabric) {
-        panic!("{e}");
-    }
 }
 
 /// The `k`-th distinct client address of a history.
@@ -70,10 +60,13 @@ fn burst(clients: &mut usize, joins: impl IntoIterator<Item = (usize, bool)>) ->
 /// What a history leaves behind that must not depend on the shard
 /// count.
 struct Outcome {
-    /// `Debug` dump of each live edge's data plane.
-    dataplanes: Vec<String>,
-    /// `Debug` dump of the load ledger (books and admission counts).
-    ledger: String,
+    /// Every edge's tables and the ledger's books.
+    state: FabricState,
+    /// Each live edge's data-plane counters: a rebuild cannot reproduce
+    /// them, but an extra compile on one shard count would move them.
+    counters: Vec<DataPlaneCounters>,
+    /// The ledger's admission counts, debits and credits.
+    ledger: (AdmissionCounts, u64, u64),
     /// Signaling exchanges, less the one per claim taken over or given
     /// up — claims move only between shards.
     signaling_net_of_claims: u64,
@@ -102,14 +95,14 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
     for k in 0..2 * EDGES {
         let home = k % EDGES;
         let gmid = plane.create_fabric_meeting(&mut sim, &fabric, home);
-        check(&mut sim, &fabric, &plane);
+        fabric.check(&mut sim, &plane).unwrap();
         let crowd = flash_crowd(EDGES, 2, 4 + k);
         let reqs = burst(
             &mut clients,
             crowd.iter().map(|j| ((j.edge + home) % EDGES, j.sends)),
         );
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric, &plane);
+        fabric.check(&mut sim, &plane).unwrap();
         meetings.push(gmid);
     }
     // Drift: every other meeting gains a decisive majority one edge
@@ -118,31 +111,31 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
         let to = (k % EDGES + 1) % EDGES;
         let reqs = burst(&mut clients, (0..6).map(|i| (to, i == 0)));
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric, &plane);
+        fabric.check(&mut sim, &plane).unwrap();
     }
     assert!(plane.rebalance_all(&mut sim, &fabric).rehomed > 0);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
 
     // Re-shard: the added shard takes meetings over and executes joins
     // while it exists, then hands them back when the ring shrinks.
     let forwards_before_reshard = plane.forward_total();
     assert!(plane.set_shard_count(shards + 1) > 0);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
     for &gmid in &meetings {
         let reqs = burst(&mut clients, [(1, true), (2, false)]);
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric, &plane);
+        fabric.check(&mut sim, &plane).unwrap();
     }
     assert!(plane.set_shard_count(shards) > 0);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
 
     sim.kill_node(fabric.core_ids[0]);
     assert!(plane.repair_trunks(&mut sim, &fabric) > 0);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
 
     sim.kill_node(fabric.edge_ids[DEAD_EDGE]);
     assert!(plane.handle_edge_failure(&mut sim, &fabric, DEAD_EDGE) > 0);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
 
     for (k, &gmid) in meetings.iter().enumerate() {
         let reqs = burst(
@@ -150,15 +143,17 @@ fn history(shards: usize) -> (Outcome, ShardedControlPlane) {
             [(k % DEAD_EDGE, true), ((k + 1) % DEAD_EDGE, false)],
         );
         plane.join(&mut sim, &fabric, gmid, &reqs);
-        check(&mut sim, &fabric, &plane);
+        fabric.check(&mut sim, &plane).unwrap();
     }
 
+    let ledger = plane.ledger();
     let outcome = Outcome {
-        dataplanes: (0..EDGES)
+        state: fabric.state(&mut sim, &plane).unwrap(),
+        counters: (0..EDGES)
             .filter(|&e| e != DEAD_EDGE)
-            .map(|e| format!("{:?}", fabric.edge_mut(&mut sim, e).dp))
+            .map(|e| fabric.edge_counters(&mut sim, e))
             .collect(),
-        ledger: format!("{:?}", plane.ledger()),
+        ledger: (ledger.counts(), ledger.debits, ledger.credits),
         signaling_net_of_claims: plane.signaling_exchanges() - 2 * plane.handoff_total(),
         forwards_before_reshard,
         rosters: meetings.iter().map(|&g| plane.fabric_members(g)).collect(),
@@ -178,10 +173,9 @@ fn one_history_compiles_identically_at_one_and_four_shards() {
     assert!(plane4.handoff_total() > 0);
     assert_eq!((plane1.shard_count(), plane4.shard_count()), (1, 4));
 
-    for (e, (a, b)) in one.dataplanes.iter().zip(&four.dataplanes).enumerate() {
-        assert!(a == b, "live edge {e}'s data plane differs");
-    }
-    assert!(one.ledger == four.ledger, "the ledgers differ");
+    assert!(one.state == four.state, "the fabric states differ");
+    assert_eq!(one.counters, four.counters, "live edges' counters");
+    assert_eq!(one.ledger, four.ledger, "ledger telemetry");
     assert_eq!(one.signaling_net_of_claims, four.signaling_net_of_claims);
     assert_eq!(one.rosters, four.rosters);
 }
@@ -205,11 +199,11 @@ fn a_dead_home_edge_hands_its_meetings_to_the_new_zones_shards() {
             gmid
         })
         .collect();
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
 
     sim.kill_node(fabric.edge_ids[0]);
     assert_eq!(plane.handle_edge_failure(&mut sim, &fabric, 0), 16);
-    check(&mut sim, &fabric, &plane);
+    fabric.check(&mut sim, &plane).unwrap();
     let zone1 = plane.zone_shards(1);
     for &gmid in &meetings {
         assert_eq!(plane.home_edge_of(gmid), Some(3));
