@@ -1,9 +1,12 @@
 //! Compiling a meeting's roster into data-plane state (§6.1): port
-//! rules, egress specs and PRE trees. The delta compiler grafts a join,
-//! prunes a leave or re-aims one trunk branch in place; whatever it
-//! cannot amend falls back to [`SwitchAgent::rebuild_meeting`], the
-//! make-before-break full rebuild, which picks each sender's REMB-gate
-//! holder once: O(S·R) for S senders and R receivers, not O(S·R·P).
+//! rules, egress specs and PRE trees. The delta compiler has four verbs,
+//! each writing only what its change moves: graft a join, prune a leave,
+//! re-aim one trunk branch, and amend one receiver's decode-target
+//! change (an NRA ↔ RA-R flip grows or drops the upper tier trees around
+//! the NRA tree). Whatever it cannot amend falls back to
+//! [`SwitchAgent::rebuild_meeting`], the make-before-break full rebuild,
+//! which picks each sender's REMB-gate holder once: O(S·R) for S senders
+//! and R receivers, not O(S·R·P).
 //!
 //! The last section holds the writers: each operation on the port-rule,
 //! egress and PRE tables is called from one function there.
@@ -15,6 +18,7 @@ use scallop_dataplane::pre::{L1Node, PortList};
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_netsim::packet::HostAddr;
+use std::ops::Range;
 
 /// A half-occupied paired tree set: its MGIDs (one for NRA, three for
 /// RA-R) and the slot XID still free.
@@ -22,6 +26,15 @@ use scallop_netsim::packet::HostAddr;
 pub(super) struct HalfTree {
     pub(super) mgids: Vec<u16>,
     pub(super) free_slot: u8,
+}
+
+/// The trees a tiered design holds: NRA one, RA-R one per tier.
+fn tier_trees(design: TreeDesign) -> Option<usize> {
+    match design {
+        TreeDesign::Nra => Some(1),
+        TreeDesign::RaR => Some(3),
+        _ => None,
+    }
 }
 
 /// A tiered (NRA / RA-R) layout's tree per tier: NRA's one tree serves
@@ -117,9 +130,7 @@ impl SwitchAgent {
         // branch): keep the segment treeless instead of leaking a PRE
         // group per churned meeting.
         let participants = self.take_roster(meeting);
-        let any_sender = participants.iter().any(|p| self.pinfo[p].sends);
-        let any_receiver = participants.iter().any(|&p| self.receives(p));
-        if (!any_sender || !any_receiver) && design != TreeDesign::TwoParty {
+        if !self.forwards_anything(meeting) && design != TreeDesign::TwoParty {
             self.meetings.get_mut(&meeting).unwrap().design = design;
             self.roster = participants;
             return;
@@ -165,42 +176,172 @@ impl SwitchAgent {
             .trees = trees;
     }
 
-    /// Preconditions under which the installed layout can be amended in
-    /// place, plus the per-tier MGIDs to amend. `None` means the delta
-    /// compiler must fall back to a full rebuild: no trees installed
-    /// (two-party or treeless segment), a design flip (make-before-break
-    /// migration), RA-SR (whose per-sender-chunk tree sets re-chunk on
-    /// membership change), a fabric-ness flip (exclusive vs packed trees
-    /// must swap), or a packed tree whose partner slot sits unclaimed in
-    /// the half pool (a full rebuild would repack onto it, so the delta
-    /// path must converge to the same layout by rebuilding too).
+    /// The per-tier MGIDs a membership change can be amended into: a
+    /// [`Self::tiered_layout`] whose design holds, and not a packed set
+    /// whose partner slot sits unclaimed in the half pool (a rebuild would
+    /// repack onto it). `None` means rebuild.
     fn graft_tiers(&self, meeting: MeetingId) -> Option<[u16; 3]> {
+        let (design, own) = self.tiered_layout(meeting)?;
+        let m = &self.meetings[&meeting];
+        (design == m.design && own.is_none()).then(|| tiers_of(&m.trees))
+    }
+
+    /// The design `meeting` needs and its trees' own half-pool entry, when
+    /// both it and the installed layout are tiered (NRA or RA-R, trees
+    /// installed; not two-party, treeless or RA-SR, whose tree sets
+    /// re-chunk) and fabric-ness matches the slot (exclusive or packed).
+    fn tiered_layout(&self, meeting: MeetingId) -> Option<(TreeDesign, Option<usize>)> {
         let m = self.meetings.get(&meeting)?;
-        if m.trees.is_empty() || self.desired_design(meeting) != m.design {
-            return None;
-        }
-        let expected = match m.design {
-            TreeDesign::Nra => 1,
-            TreeDesign::RaR => 3,
-            _ => return None,
-        };
-        if m.trees.len() != expected {
-            return None;
-        }
-        let slot = m.trees[0].1;
-        if self.is_fabric_segment(meeting) != (slot == 0) {
-            return None;
-        }
+        let slot = m.trees.first().map(|&(_, slot)| slot)?;
+        let design = self.desired_design(meeting);
+        tier_trees(design)?;
+        let fits = m.trees.len() == tier_trees(m.design)?
+            && self.is_fabric_segment(meeting) == (slot == 0);
         let mgids = || m.trees.iter().map(|&(g, _)| g);
-        if slot != 0
-            && self
-                .half_trees
-                .iter()
-                .any(|h| h.mgids.iter().copied().eq(mgids()))
-        {
+        let own = (self.half_trees.iter()).position(|h| h.mgids.iter().copied().eq(mgids()));
+        fits.then_some((design, own))
+    }
+
+    /// Whether a meeting has a sender and a receiver: a rebuild keeps a
+    /// meeting without either treeless.
+    fn forwards_anything(&self, meeting: MeetingId) -> bool {
+        let m = &self.meetings[&meeting];
+        m.participants.iter().any(|p| self.pinfo[p].sends)
+            && m.participants.iter().any(|&p| self.receives(p))
+    }
+
+    /// Where receiver `r`'s decode-target change can be amended: where a
+    /// rebuild installs the same tree set. A configured tiered layout, a
+    /// local `r`, a sender and a receiver, and exclusive trees or packed
+    /// ones a rebuild keeps: it destroys a set whose own half-pool entry
+    /// exists for another entry of the size it needs, and on a flip leaves
+    /// a set shared with a live partner to it. `None` means rebuild.
+    fn dt_amend_design(
+        &self,
+        meeting: MeetingId,
+        r: ParticipantId,
+    ) -> Option<(TreeDesign, Option<usize>)> {
+        let (design, own) = self.tiered_layout(meeting)?;
+        let m = &self.meetings[&meeting];
+        let local = self.pinfo[&r].class == ParticipantClass::Local;
+        if !m.configured || !local || !self.forwards_anything(meeting) {
             return None;
         }
-        Some(tiers_of(&m.trees))
+        let want = tier_trees(design);
+        let mut halves = self.half_trees.iter().enumerate();
+        let rival = halves.any(|(i, h)| Some(i) != own && Some(h.mgids.len()) == want);
+        let repacks = rival && own.is_some() || design != m.design && own.is_none();
+        (m.trees[0].1 == 0 || !repacks).then_some((design, own))
+    }
+
+    /// Amend receiver `r`'s decode-target change from `old` in place, as a
+    /// rebuild would leave it ([`Self::dt_amend_design`]), or return
+    /// `false`. A flip keeps the NRA tree as T0 and grows or drops T1/T2;
+    /// otherwise the trees whose membership `r` changes are re-laid in
+    /// roster order. Branches first, then `r`'s entries and cadences, then
+    /// the REMB gates, all at one instant.
+    pub(super) fn try_amend_dt(
+        &mut self,
+        dp: &mut ScallopDataPlane,
+        meeting: MeetingId,
+        r: ParticipantId,
+        old: u8,
+    ) -> bool {
+        let Some((design, own)) = self.dt_amend_design(meeting, r) else {
+            return false;
+        };
+        self.counters.dt_deltas += 1;
+        let fabric = self.is_fabric_segment(meeting);
+        let participants = self.take_roster(meeting);
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        let (was, (t0, slot), new) = (m.design, m.trees[0], self.pinfo[&r].dt);
+        let mut keys = std::mem::take(&mut m.egress_keys);
+        // The trees whose membership changes: a grow's new T1 and T2, none
+        // after a drop, else those between the two targets.
+        let relaid = match (was, design) {
+            (TreeDesign::RaR, TreeDesign::RaR) => {
+                usize::from(old.min(new)) + 1..usize::from(old.max(new)) + 1
+            }
+            (_, TreeDesign::RaR) => 1..3,
+            _ => 0..0,
+        };
+        if design == TreeDesign::Nra {
+            Self::remove_egress(dp, &mut keys, |k| k.mgid != t0);
+        }
+        // A flip keeps the NRA tree as T0 and the slot; the own half-pool
+        // entry takes the new MGIDs, at the pool's end, as a rebuild's.
+        let mut trees = std::mem::take(&mut self.meetings.get_mut(&meeting).unwrap().trees);
+        let count = tier_trees(design).expect("tiered");
+        while trees.len() < count {
+            trees.push((self.new_tree(dp), slot));
+        }
+        for (mgid, _) in trees.drain(count..) {
+            self.drop_tree(dp, mgid);
+        }
+        if let Some(i) = own {
+            let mut half = self.half_trees.remove(i);
+            half.mgids.clear();
+            half.mgids.extend(trees.iter().map(|&(g, _)| g));
+            self.half_trees.push(half);
+        }
+        Self::remove_branches(dp, &trees[relaid.clone()], &participants);
+        let tiers = tiers_of(&trees);
+        self.meetings.get_mut(&meeting).unwrap().trees = trees;
+        for &q in &participants {
+            if self.receives(q) {
+                self.add_receiver_branches(dp, q, &tiers, relaid.clone(), slot, fabric);
+            }
+        }
+        if was != design {
+            self.counters.migrations += 1;
+            for &s in &participants {
+                if !self.pinfo[&s].sends {
+                    continue;
+                }
+                let l1_xid = self.tiered_uplink_xid(s, slot, fabric);
+                self.install_sender_uplinks(dp, s, &tiers, l1_xid);
+                // Every other receiver of a growing NRA meeting is at the
+                // full target: its T1/T2 video entries repeat its T0 one.
+                let in_port = self.pinfo[&s].video_up;
+                for &rid in participants
+                    .iter()
+                    .filter(|&&q| q != r && !relaid.is_empty())
+                {
+                    let key = EgressKey {
+                        mgid: t0,
+                        rid,
+                        in_port,
+                    };
+                    if let Some(&spec) = dp.egress.peek(&key) {
+                        for &mgid in &tiers[relaid.clone()] {
+                            Self::install_egress(dp, EgressKey { mgid, ..key }, spec, &mut keys);
+                        }
+                    }
+                }
+            }
+        }
+        // `r`'s entries and cadences against every sender, and the slot in
+        // each pair's feedback rule, gate kept.
+        Self::remove_egress(dp, &mut keys, |k| k.rid == r);
+        for &s in &participants {
+            if s == r || !self.pinfo[&s].sends {
+                continue;
+            }
+            self.install_pair_egress(dp, s, r, &tiers, &mut keys);
+            let (vp, _) = self.pinfo[&r].pair_from[&s];
+            if let Some(&PortRule::ReceiverFeedback { remb_allowed, .. }) = dp.port_rules.peek(&vp)
+            {
+                self.install_feedback_rules(dp, s, r, remb_allowed);
+            }
+        }
+        self.roster = participants;
+        let m = self.meetings.get_mut(&meeting).unwrap();
+        m.design = design;
+        m.egress_keys = keys;
+        // Media moves EWMAs between ticks; a rebuild would recompute
+        // every gate from them.
+        self.refresh_feedback_gates(dp, meeting, false);
+        true
     }
 
     /// Graft a just-admitted participant onto the installed layout:
@@ -230,7 +371,7 @@ impl SwitchAgent {
         if self.receives(pid) {
             // A fresh joiner's dt is 2, so an RA-R graft lands in all
             // three tiers.
-            self.add_receiver_branches(dp, pid, &tiers, slot, fabric);
+            self.add_receiver_branches(dp, pid, &tiers, 0..3, slot, fabric);
             // Every existing sender reaches the new receiver.
             for &s in &participants {
                 if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
@@ -281,10 +422,7 @@ impl SwitchAgent {
         }
         // A rebuild would go treeless when no sender or no receiver
         // remains — converge by rebuilding.
-        let m = &self.meetings[&meeting];
-        let any_sender = m.participants.iter().any(|p| self.pinfo[p].sends);
-        let any_receiver = m.participants.iter().any(|&p| self.receives(p));
-        if !any_sender || !any_receiver {
+        if !self.forwards_anything(meeting) {
             return false;
         }
         self.counters.prune_leaves += 1;
@@ -380,7 +518,7 @@ impl SwitchAgent {
     ) {
         for &r in participants {
             if self.receives(r) {
-                self.add_receiver_branches(dp, r, tiers, slot, fabric);
+                self.add_receiver_branches(dp, r, tiers, 0..3, slot, fabric);
             }
         }
         // Sender rules + egress specs.
@@ -400,9 +538,9 @@ impl SwitchAgent {
         }
     }
 
-    /// Receiver `r`'s L1 branches in a tiered layout: one per tier tree
-    /// up to its decode target, NRA's one tree once. A trunk-egress
-    /// branch sits in every tier — the trunk always carries full
+    /// Receiver `r`'s L1 branches in the tier trees of `range`: one per
+    /// tier tree up to its decode target, NRA's one tree once. A
+    /// trunk-egress branch sits in every tier — the trunk always carries full
     /// quality; thinning is the remote edge's job — and carries its
     /// tier's XID ([`TRUNK_XID`](super::TRUNK_XID) for intra-zone
     /// branches, [`WAN_XID`](super::WAN_XID) for a zone gateway's
@@ -413,6 +551,7 @@ impl SwitchAgent {
         dp: &mut ScallopDataPlane,
         r: ParticipantId,
         tiers: &[u16; 3],
+        range: Range<usize>,
         slot: u8,
         fabric: bool,
     ) {
@@ -427,7 +566,8 @@ impl SwitchAgent {
         } else {
             (slot as u16, true)
         };
-        for (t, &mgid) in tiers.iter().enumerate() {
+        for t in range {
+            let mgid = tiers[t];
             if (t as u8) <= dt && !tiers[..t].contains(&mgid) {
                 Self::add_branch(dp, mgid, r, xid, prune_enabled);
             }

@@ -346,7 +346,8 @@ impl SwitchAgent {
     /// Cap a receiver's decode target from above (SVC-thin admission,
     /// §5.4 semantics): the current target is lowered to the cap
     /// immediately, and rate adaptation may later move it further down
-    /// but never back above the cap.
+    /// but never back above the cap; lowering it is a decode-target
+    /// change ([`Self::apply_dt_change`]).
     pub fn set_dt_cap(&mut self, dp: &mut ScallopDataPlane, receiver: ParticipantId, cap: u8) {
         let target = match self.pinfo.get_mut(&receiver) {
             Some(p) => {
@@ -358,23 +359,27 @@ impl SwitchAgent {
         self.apply_dt_change(dp, receiver, target);
     }
 
-    /// Apply a receiver-specific decode-target change (§5.4): update
-    /// cadences and egress gates; migrate the meeting design if needed.
+    /// Apply a receiver-specific decode-target change (§5.4), migrating
+    /// NRA ↔ RA-R when the design flips: amended in place, writing only
+    /// what it moves, where a rebuild would install the same tree set
+    /// (`try_amend_dt`); rebuilt otherwise.
     pub fn apply_dt_change(&mut self, dp: &mut ScallopDataPlane, receiver: ParticipantId, dt: u8) {
-        let meeting = match self.pinfo.get_mut(&receiver) {
+        let (meeting, old) = match self.pinfo.get_mut(&receiver) {
             Some(p) => {
                 if p.dt == dt || p.class == ParticipantClass::TrunkEgress {
                     // Trunk branches always carry full quality; remote
                     // receivers adapt on their own edge.
                     return;
                 }
-                p.dt = dt;
-                p.meeting
+                (p.meeting, std::mem::replace(&mut p.dt, dt))
             }
             None => return,
         };
         self.counters.dt_changes += 1;
-        self.rebuild_meeting(dp, meeting);
+        if !self.try_amend_dt(dp, meeting, receiver, old) {
+            self.counters.dt_rebuilds += 1;
+            self.rebuild_meeting(dp, meeting);
+        }
     }
 
     /// Set a sender-receiver-specific decode target (forces RA-SR).
@@ -393,6 +398,7 @@ impl SwitchAgent {
             None => return,
         };
         self.counters.dt_changes += 1;
+        self.counters.dt_rebuilds += 1;
         self.rebuild_meeting(dp, meeting);
     }
 

@@ -34,8 +34,8 @@
 //!   slots. It writes the two data-plane tables keyed by those ids, the
 //!   L2 XIDs and the tracker rows, as ids are taken and given back.
 //! * `compile` turns a meeting's roster into port rules, egress specs
-//!   and PRE trees: the delta compiler (graft, prune, re-aim) and the
-//!   full rebuild it falls back to.
+//!   and PRE trees: the delta compiler (graft, prune, re-aim, amend) and
+//!   the full rebuild it falls back to.
 //! * `feedback` is the CPU path: feedback copies, the §5.3 filter,
 //!   fabric REMB aggregation and decode-target changes.
 //! * `check` is the per-edge half of the fabric check ([`crate::fabric::Fabric::check`]).
@@ -225,6 +225,10 @@ pub struct AgentCounters {
     /// Leaves compiled incrementally (pruned from the installed trees
     /// instead of a full rebuild).
     pub prune_leaves: u64,
+    /// Decode-target changes amended into the installed layout.
+    pub dt_deltas: u64,
+    /// Decode-target changes that rebuilt their meeting.
+    pub dt_rebuilds: u64,
 }
 
 #[derive(Debug, Clone)]

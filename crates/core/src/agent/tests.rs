@@ -1,5 +1,6 @@
 use super::check::first_difference;
 use super::*;
+use proptest::prelude::*;
 use scallop_dataplane::rules::PortRule;
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
 use scallop_proto::rtcp::{self, RtcpPacket};
@@ -593,7 +594,8 @@ fn the_fabric_check_names_the_part_that_differs() {
     let err = broken(&|sim, f, _| {
         let dp = &mut f.edge_mut(sim, 0).dp;
         let key = *dp.egress.iter().next().expect("an egress entry").0;
-        dp.remove_egress(key);
+        // Straight on the table: the agent's one egress writer stays one.
+        dp.egress.remove(&key);
     });
     assert!(
         err.starts_with("edge 0: tables differ"),
@@ -698,7 +700,8 @@ fn a_rebuild_installs_the_gates_the_tick_would_choose() {
     agent.set_dt_cap(&mut dp, g[capped].0.participant, 1);
     agent.feedback_sink(&mut dp, g[sink].0.participant);
     let est = report_distinct_estimates(&mut agent, &mut dp, &g, capped);
-    // Tiered: a decode-target change rebuilds the RA-R layout.
+    // Tiered: a decode-target change amends the RA-R layout and
+    // refreshes its gates.
     agent.apply_dt_change(&mut dp, g[1].0.participant, 1);
     assert_eq!(agent.design_of(m), Some(TreeDesign::RaR));
     assert_rebuild_gates_are_the_ticks(&mut agent, &mut dp, &g, &est, capped, Some(sink));
@@ -721,4 +724,127 @@ fn a_two_party_rebuild_opens_no_gate_on_a_capped_receiver() {
     agent.set_dt_cap(&mut dp, g[1].0.participant, 1);
     assert_eq!(agent.design_of(m), Some(TreeDesign::TwoParty));
     assert_rebuild_gates_are_the_ticks(&mut agent, &mut dp, &g, &est, 1, None);
+}
+
+/// Each meeting's branches in each of its trees, in the order the PRE
+/// walks them, named by `(meeting, tree index)`. The walk order is the
+/// order of same-instant replicas, which the fabric check (it sorts
+/// nodes) cannot see.
+fn walk_orders(
+    agent: &SwitchAgent,
+    dp: &ScallopDataPlane,
+) -> BTreeMap<(MeetingId, usize), Vec<ParticipantId>> {
+    let mut orders = BTreeMap::new();
+    for (&id, m) in &agent.meetings {
+        for (i, &(mgid, _)) in m.trees.iter().enumerate() {
+            let (_, nodes) = dp.pre.groups().find(|&(g, _)| g == mgid).expect("tree");
+            let mine = nodes.iter().filter(|n| m.participants.contains(&n.rid));
+            orders.insert((id, i), mine.map(|n| n.rid).collect());
+        }
+    }
+    orders
+}
+
+/// One operation of a random single-switch history.
+#[derive(Debug, Clone)]
+enum AgentOp {
+    Join { meeting: usize, sends: bool },
+    Leave(usize),
+    Dt { idx: usize, dt: u8 },
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every operation of a random history — three local meetings
+    /// packing their trees two to a set, and a fabric segment on
+    /// exclusive trees — each meeting's branches sit in every tree in
+    /// the order a rebuild lays them, and the switch passes its fabric
+    /// check. Decode-target changes are half the operations, so amends
+    /// of every kind run on both tree kinds.
+    #[test]
+    fn every_tree_walks_a_meeting_in_its_rebuilds_order(
+        ops in prop::collection::vec(prop_oneof![
+            (0..4usize, any::<bool>()).prop_map(|(meeting, sends)| AgentOp::Join { meeting, sends }),
+            any::<usize>().prop_map(AgentOp::Leave),
+            (any::<usize>(), 0..3u8).prop_map(|(idx, dt)| AgentOp::Dt { idx, dt }),
+            (any::<usize>(), 0..3u8).prop_map(|(idx, dt)| AgentOp::Dt { idx, dt }),
+        ], 1..60),
+    ) {
+        let (mut agent, mut dp) = mk();
+        let meetings: Vec<MeetingId> = (0..4).map(|_| agent.create_meeting()).collect();
+        agent.join_egress(&mut dp, meetings[3], Tier::Trunk);
+        let mut live: Vec<(MeetingId, ParticipantId)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                AgentOp::Join { meeting, sends } => {
+                    let m = meetings[meeting];
+                    let g = agent.join(&mut dp, m, addr(i as u8 + 1), sends);
+                    live.push((m, g.participant));
+                }
+                AgentOp::Leave(idx) if !live.is_empty() => {
+                    let (m, pid) = live.remove(idx % live.len());
+                    agent.leave(&mut dp, m, pid);
+                }
+                AgentOp::Dt { idx, dt } if !live.is_empty() => {
+                    let (_, pid) = live[idx % live.len()];
+                    agent.apply_dt_change(&mut dp, pid, dt);
+                }
+                _ => {}
+            }
+            let (mut copy, mut copy_dp) = agent.copy_with(&dp);
+            for &m in &meetings {
+                copy.rebuild_meeting(&mut copy_dp, m);
+            }
+            prop_assert_eq!(
+                walk_orders(&agent, &dp),
+                walk_orders(&copy, &copy_dp),
+                "walk order after op {} ({:?}) of {:?}", i, op, ops
+            );
+            if let Err(e) = agent.check_compiled(&dp) {
+                panic!("after op {i} ({op:?}) of {ops:?}: {e}");
+            }
+        }
+    }
+}
+
+/// The port-rule and egress writes one non-flipping decode-target
+/// change makes in an all-sending meeting of `p` members (one pinned at
+/// target 0 keeps it on RA-R), and those of a rebuild of the same
+/// change on a copy.
+fn dt_change_writes(p: u8) -> (u64, u64) {
+    let (mut agent, mut dp) = mk();
+    let m = agent.create_meeting();
+    let g: Vec<JoinGrant> = (1..=p)
+        .map(|i| agent.join(&mut dp, m, addr(i), true))
+        .collect();
+    agent.apply_dt_change(&mut dp, g[0].participant, 0);
+    let writes = |dp: &ScallopDataPlane| dp.counters.rule_installs + dp.counters.rule_removals;
+    let (mut copy, mut copy_dp) = agent.copy_with(&dp);
+    let before = writes(&dp);
+    agent.apply_dt_change(&mut dp, g[1].participant, 1);
+    // The pin flipped NRA → RA-R in place; both changes amend.
+    let counters = agent.counters;
+    assert_eq!((counters.dt_deltas, counters.dt_rebuilds), (2, 0));
+    agent
+        .check_compiled(&dp)
+        .expect("amended state is its rebuild");
+    copy.pinfo.get_mut(&g[1].participant).unwrap().dt = 1;
+    let rebuilt = writes(&copy_dp);
+    copy.rebuild_meeting(&mut copy_dp, m);
+    (writes(&dp) - before, writes(&copy_dp) - rebuilt)
+}
+
+#[test]
+fn a_decode_target_change_writes_in_proportion_to_the_senders() {
+    // Receiver 1 moves 2 → 1: its three video entries and its audio
+    // entry come out, two video entries and the audio go back in, and
+    // its two feedback rules take the pair's new tracker slot — nine
+    // writes per sender, where a rebuild rewrites every pair.
+    let (small, large) = (dt_change_writes(10), dt_change_writes(50));
+    assert_eq!((small.0, large.0), (9 * 9, 9 * 49), "writes per sender");
+    assert!(
+        large.1 > 40 * large.0,
+        "a rebuild writes every pair: {large:?}"
+    );
 }

@@ -984,7 +984,7 @@ mod tests {
             let mut rng = DetRng::new(0xABCD);
             let mut st = StreamTracker::new(mode, 4);
             st.init_stream(0, 2);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut seq = 0u16;
             let mut pending: Option<(u16, u16, bool, bool, PacketVerdict)> = None;
             for f in 0u16..2000 {
@@ -1258,6 +1258,23 @@ mod tests {
             let frame = if same_frame { number } else { other_frame };
             for mode in [SeqRewriteMode::LowMemory, SeqRewriteMode::LowRetransmission] {
                 check_in_order(mode, row, frame, start, end);
+            }
+        }
+
+        /// Setting the cadence already in force changes none of a row's
+        /// six words, in either mode: the control plane may re-send a
+        /// stream's cadence without disturbing its rewrite. Rows are
+        /// packed from arbitrary states, canonical ones with a cadence
+        /// `init_stream` could set.
+        #[test]
+        fn setting_the_cadence_in_force_is_a_no_op(words in any::<[u32; 6]>()) {
+            let row = StreamState::unpack(words).pack();
+            let current = StreamState::unpack(row).cadence_step;
+            prop_assume!(current >= 1);
+            for mode in [SeqRewriteMode::LowMemory, SeqRewriteMode::LowRetransmission] {
+                let mut st = tracker_with(mode, row);
+                st.set_cadence(0, current);
+                prop_assert_eq!(st.rows[0], row, "{:?}", mode);
             }
         }
     }

@@ -298,11 +298,11 @@ mod tests {
     /// the bounds leave room for a different mix, not for a weak one.
     #[test]
     fn hasher_spreads_lowest_first_ids() {
-        let all: std::collections::HashSet<u64> = (0..=u16::MAX).map(hash_u16).collect();
+        let all: std::collections::BTreeSet<u64> = (0..=u16::MAX).map(hash_u16).collect();
         assert_eq!(all.len(), 65_536, "no two u16 keys share a hash");
         for base in [0u16, 10_000, 0xF000] {
             let mut buckets = [0u8; 4096];
-            let mut control = std::collections::HashSet::new();
+            let mut control = std::collections::BTreeSet::new();
             for k in base..=base + 4095 {
                 let h = hash_u16(k);
                 buckets[(h & 0xFFF) as usize] += 1;

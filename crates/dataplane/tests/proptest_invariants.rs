@@ -136,7 +136,7 @@ proptest! {
         for mode in [SeqRewriteMode::LowMemory, SeqRewriteMode::LowRetransmission] {
             let mut st = StreamTracker::new(mode, 4);
             st.init_stream(0, cadence);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut seq = 0u16;
             let mut held: Option<(u16, u16, bool, bool, PacketVerdict)> = None;
             let mut frame = 0u16;

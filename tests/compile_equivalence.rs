@@ -8,15 +8,16 @@
 //! owner, so which MGID a tree drew is invisible), and nothing
 //! installed may be orphaned. Histories are handcrafted (the 64-join
 //! flash-crowd storm, webinar churn, a drift + re-home, two meetings
-//! whose MGIDs interleave) and proptest-randomized over three meetings
-//! on a two-core campus and on a two-zone federation (where gateway
-//! migration and WAN branches run): joins, bursts of 1–5 (a join is a
-//! burst of one, so both sides of the graft-or-rebuild rule run),
-//! leaves, re-homes, decode-target changes (RA-R), per-sender decode
-//! targets (RA-SR), and core kills/revives and trunk cuts/restores each
-//! followed by the controller's repair pass. After every operation the
-//! plane's load ledger must also equal the ledger replayed from its
-//! store.
+//! whose MGIDs interleave) and proptest-randomized over three fabric
+//! meetings and one local-only meeting (every member on its home edge,
+//! so its trees are packed) on a two-core campus and on a two-zone
+//! federation (where gateway migration and WAN branches run): joins,
+//! bursts of 1–5 (a join is a burst of one, so both sides of the
+//! graft-or-rebuild rule run), leaves, re-homes, decode-target changes
+//! (RA-R, amended or rebuilt), per-sender decode targets (RA-SR), and
+//! core kills/revives and trunk cuts/restores each followed by the
+//! controller's repair pass. After every operation the plane's load
+//! ledger must also equal the ledger replayed from its store.
 //!
 //! The suite honors `SCALLOP_SHARDS` (CI runs the whole corpus under
 //! `SCALLOP_SHARDS=4`) — compilation must be identical no matter how
@@ -24,6 +25,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use scallop::core::agent::TreeDesign;
 use scallop::core::controller::{GlobalMeetingId, GlobalParticipantId, JoinRequest};
 use scallop::core::fabric::Fabric;
 use scallop::core::shard::ShardedControlPlane;
@@ -34,6 +36,7 @@ use scallop::netsim::sim::Simulator;
 use scallop::netsim::time::SimDuration;
 use scallop::netsim::topology::Topology;
 use scallop::workload::flashcrowd::{flash_crowd, webinar};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 /// Edge switches of the test campus.
@@ -45,7 +48,33 @@ const CORES: usize = 2;
 /// edge is equally likely.
 const EDGE_PICKS: usize = 12;
 /// Fabric meetings every history can address.
-const MEETINGS: usize = 3;
+const MEETINGS: usize = 4;
+/// The meeting whose members all join on its home edge: a local-only
+/// segment, on packed trees.
+const LOCAL: usize = MEETINGS - 1;
+
+/// What the decode-target changes of the histories run on one thread
+/// did: amends on exclusive (`[0]`) and packed (`[1]`) trees, by case —
+/// RA-R stays RA-R, NRA → RA-R, RA-R → NRA — and the agents' own
+/// `dt_deltas` and `dt_rebuilds`, summed over every edge of every world.
+#[derive(Debug, Default, Clone, Copy)]
+struct DtCoverage {
+    amends: [[u64; 3]; 2],
+    deltas: u64,
+    rebuilds: u64,
+}
+
+thread_local! {
+    static COVERAGE: Cell<DtCoverage> = Cell::default();
+}
+
+fn cover(add: impl FnOnce(&mut DtCoverage)) {
+    COVERAGE.with(|c| {
+        let mut v = c.get();
+        add(&mut v);
+        c.set(v);
+    });
+}
 
 /// Shard count under test (1 unless `SCALLOP_SHARDS` says otherwise —
 /// the same knob the harness corpus honors).
@@ -123,13 +152,14 @@ impl World {
 
     fn join(&mut self, meeting: usize, joins: &[(usize, bool)]) {
         let meeting = meeting % MEETINGS;
+        let edges = self.fabric.edges();
         let reqs: Vec<JoinRequest> = joins
             .iter()
             .map(|&(edge, sends)| {
                 let i = self.admitted;
                 self.admitted += 1;
                 JoinRequest {
-                    edge: edge % self.fabric.edges(),
+                    edge: if meeting == LOCAL { LOCAL } else { edge } % edges,
                     addr: HostAddr::new(
                         Ipv4Addr::new(10, 8, (i / 200) as u8, (i % 200 + 1) as u8),
                         5000,
@@ -190,8 +220,23 @@ impl World {
             }
             Op::Dt { idx, dt } => {
                 if let Some((edge, _, r)) = self.pair(idx, None) {
+                    let gmid = self.gmids[self.live[idx % self.live.len()].0];
+                    let segment = self.plane.segment_of(gmid, edge).expect("a segment");
                     let sw = self.fabric.edge_mut(&mut self.sim, edge);
+                    let (was, deltas) = (sw.agent.design_of(segment), sw.agent.counters.dt_deltas);
                     sw.agent.apply_dt_change(&mut sw.dp, r, dt % 3);
+                    if sw.agent.counters.dt_deltas > deltas {
+                        let case = match (was, sw.agent.design_of(segment)) {
+                            (Some(TreeDesign::Nra), Some(TreeDesign::RaR)) => 1,
+                            (Some(TreeDesign::RaR), Some(TreeDesign::Nra)) => 2,
+                            _ => 0,
+                        };
+                        // A local branch prunes its packing slot only on
+                        // a packed tree.
+                        let mut nodes = sw.dp.pre.groups().flat_map(|(_, nodes)| nodes);
+                        let packed = nodes.any(|n| n.rid == r && n.prune_enabled);
+                        cover(|c| c.amends[usize::from(packed)][case] += 1);
+                    }
                 }
             }
             Op::SenderDt { idx, sender, dt } => {
@@ -237,6 +282,10 @@ fn replay(topology: Topology, ops: &[Op]) {
             let zones = world.fabric.topology.zone_count();
             panic!("{zones}-zone fabric, after op {i} ({op:?}) of {ops:?}:\n{e}");
         }
+    }
+    for i in 0..world.fabric.edges() {
+        let c = world.fabric.edge_mut(&mut world.sim, i).agent.counters;
+        cover(|v| (v.deltas, v.rebuilds) = (v.deltas + c.dt_deltas, v.rebuilds + c.dt_rebuilds));
     }
 }
 
@@ -299,6 +348,7 @@ fn two_meetings_on_one_edge_compile_like_their_rebuild() {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let dt = || (any::<usize>(), 0..3u8).prop_map(|(idx, dt)| Op::Dt { idx, dt });
     let join = || {
         (0..MEETINGS, 0..EDGE_PICKS, any::<bool>()).prop_map(|(meeting, edge, sends)| Op::Join {
             meeting,
@@ -316,7 +366,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(meeting, joins)| Op::Burst(meeting, joins)),
         any::<usize>().prop_map(|idx| Op::Leave { idx }),
         (0..MEETINGS).prop_map(Op::Rebalance),
-        (any::<usize>(), 0..3u8).prop_map(|(idx, dt)| Op::Dt { idx, dt }),
+        // Repeated, as the join arm is, so that decode-target changes
+        // amend often enough in every case.
+        dt(),
+        dt(),
+        dt(),
         (any::<usize>(), any::<usize>(), 0..3u8).prop_map(|(idx, sender, dt)| Op::SenderDt {
             idx,
             sender,
@@ -330,15 +384,29 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every step of any randomized history leaves every edge compiled
-    /// exactly as a rebuild of its rosters would be, with no orphans,
-    /// and the ledger equal to the store's load — on the campus, and on
-    /// a two-zone federation with a core per zone.
-    #[test]
-    fn random_histories_compile_identically(ops in pvec(arb_op(), 1..48)) {
+    fn random_histories(ops in pvec(arb_op(), 1..48)) {
         replay(campus(), &ops);
         replay(Topology::federation(2, 2, 1), &ops);
     }
+}
+
+/// Every step of any randomized history leaves every edge compiled
+/// exactly as a rebuild of its rosters would be, with no orphans, and
+/// the ledger equal to the store's load — on the campus, and on a
+/// two-zone federation with a core per zone. The histories' decode-
+/// target changes amend in place at least 100 times, in all three
+/// cases on both exclusive and packed trees.
+#[test]
+fn random_histories_compile_identically() {
+    random_histories();
+    let cov = COVERAGE.with(Cell::get);
+    eprintln!("decode-target changes: {cov:?}");
+    let amends: u64 = cov.amends.iter().flatten().sum();
+    assert!(
+        amends >= 100 && cov.amends.iter().flatten().all(|&n| n > 0),
+        "amends by tree kind and case: {cov:?}"
+    );
+    assert_eq!(amends, cov.deltas, "every amend is counted once");
 }
 
 #[test]
