@@ -11,6 +11,7 @@
 //! The last section holds the writers: each operation on the port-rule,
 //! egress and PRE tables is called from one function there.
 
+use super::alloc::PortUse;
 use super::{
     cadence_for_dt, JoinGrant, MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign,
 };
@@ -27,6 +28,10 @@ pub(super) struct HalfTree {
     pub(super) mgids: Vec<u16>,
     pub(super) free_slot: u8,
 }
+
+/// A pair's egress entries: video in tier trees 0..3, then audio ([`AUDIO`]) on tree 0.
+const PAIR: Range<usize> = 0..4;
+const AUDIO: usize = 3;
 
 /// The trees a tiered design holds: NRA one, RA-R one per tier.
 fn tier_trees(design: TreeDesign) -> Option<usize> {
@@ -186,8 +191,8 @@ impl SwitchAgent {
         (design == m.design && own.is_none()).then(|| tiers_of(&m.trees))
     }
 
-    /// The design `meeting` needs and its trees' own half-pool entry, when
-    /// both it and the installed layout are tiered (NRA or RA-R, trees
+    /// The design `meeting` needs and its packed set's own half-pool entry,
+    /// when both it and the installed layout are tiered (NRA or RA-R, trees
     /// installed; not two-party, treeless or RA-SR, whose tree sets
     /// re-chunk) and fabric-ness matches the slot (exclusive or packed).
     fn tiered_layout(&self, meeting: MeetingId) -> Option<(TreeDesign, Option<usize>)> {
@@ -198,8 +203,9 @@ impl SwitchAgent {
         let fits = m.trees.len() == tier_trees(m.design)?
             && self.is_fabric_segment(meeting) == (slot == 0);
         let mgids = || m.trees.iter().map(|&(g, _)| g);
-        let own = (self.half_trees.iter()).position(|h| h.mgids.iter().copied().eq(mgids()));
-        fits.then_some((design, own))
+        let own = || (self.half_trees.iter()).position(|h| h.mgids.iter().copied().eq(mgids()));
+        // Only a packed set is ever in the half pool.
+        fits.then(|| (design, (slot != 0).then(own).flatten()))
     }
 
     /// Whether a meeting has a sender and a receiver: a rebuild keeps a
@@ -221,17 +227,17 @@ impl SwitchAgent {
         meeting: MeetingId,
         r: ParticipantId,
     ) -> Option<(TreeDesign, Option<usize>)> {
-        let (design, own) = self.tiered_layout(meeting)?;
         let m = &self.meetings[&meeting];
-        let local = self.pinfo[&r].class == ParticipantClass::Local;
-        if !m.configured || !local || !self.forwards_anything(meeting) {
+        if !m.configured || self.pinfo[&r].class != ParticipantClass::Local {
             return None;
         }
-        let want = tier_trees(design);
-        let mut halves = self.half_trees.iter().enumerate();
-        let rival = halves.any(|(i, h)| Some(i) != own && Some(h.mgids.len()) == want);
-        let repacks = rival && own.is_some() || design != m.design && own.is_none();
-        (m.trees[0].1 == 0 || !repacks).then_some((design, own))
+        let (design, own) = self.tiered_layout(meeting)?;
+        let mut rivals = (self.half_trees.iter().enumerate()).filter(|&(i, _)| Some(i) != own);
+        let repacks = match own {
+            None => design != m.design && m.trees[0].1 != 0,
+            Some(_) => rivals.any(|(_, h)| Some(h.mgids.len()) == tier_trees(design)),
+        };
+        (!repacks && self.forwards_anything(meeting)).then_some((design, own))
     }
 
     /// Amend receiver `r`'s decode-target change from `old` in place, as a
@@ -256,12 +262,12 @@ impl SwitchAgent {
         let m = self.meetings.get_mut(&meeting).unwrap();
         let (was, (t0, slot), new) = (m.design, m.trees[0], self.pinfo[&r].dt);
         let mut keys = std::mem::take(&mut m.egress_keys);
+        let mut trees = std::mem::take(&mut m.trees);
         // The trees whose membership changes: a grow's new T1 and T2, none
         // after a drop, else those between the two targets.
+        let (lo, hi) = (usize::from(old.min(new)), usize::from(old.max(new)));
         let relaid = match (was, design) {
-            (TreeDesign::RaR, TreeDesign::RaR) => {
-                usize::from(old.min(new)) + 1..usize::from(old.max(new)) + 1
-            }
+            (TreeDesign::RaR, TreeDesign::RaR) => lo + 1..hi + 1,
             (_, TreeDesign::RaR) => 1..3,
             _ => 0..0,
         };
@@ -270,7 +276,6 @@ impl SwitchAgent {
         }
         // A flip keeps the NRA tree as T0 and the slot; the own half-pool
         // entry takes the new MGIDs, at the pool's end, as a rebuild's.
-        let mut trees = std::mem::take(&mut self.meetings.get_mut(&meeting).unwrap().trees);
         let count = tier_trees(design).expect("tiered");
         while trees.len() < count {
             trees.push((self.new_tree(dp), slot));
@@ -294,44 +299,38 @@ impl SwitchAgent {
         }
         if was != design {
             self.counters.migrations += 1;
+            // A grow gives every other pair its video entries in T1 and T2.
+            let grown = (design == TreeDesign::RaR).then_some(&participants[..]);
             for &s in &participants {
                 if !self.pinfo[&s].sends {
                     continue;
                 }
                 let l1_xid = self.tiered_uplink_xid(s, slot, fabric);
                 self.install_sender_uplinks(dp, s, &tiers, l1_xid);
-                // Every other receiver of a growing NRA meeting is at the
-                // full target: its T1/T2 video entries repeat its T0 one.
-                let in_port = self.pinfo[&s].video_up;
-                for &rid in participants
-                    .iter()
-                    .filter(|&&q| q != r && !relaid.is_empty())
-                {
-                    let key = EgressKey {
-                        mgid: t0,
-                        rid,
-                        in_port,
-                    };
-                    if let Some(&spec) = dp.egress.peek(&key) {
-                        for &mgid in &tiers[relaid.clone()] {
-                            Self::install_egress(dp, EgressKey { mgid, ..key }, spec, &mut keys);
-                        }
+                for &q in grown.unwrap_or_default() {
+                    if q != s && q != r && self.receives(q) && !self.skip_fabric_recross(s, q) {
+                        self.install_pair_egress(dp, s, q, &tiers, 1..3, &mut keys);
                     }
                 }
             }
         }
-        // `r`'s entries and cadences against every sender, and the slot in
-        // each pair's feedback rule, gate kept.
-        Self::remove_egress(dp, &mut keys, |k| k.rid == r);
+        // `r`'s video entries and cadences against every sender, audio kept; a pair's
+        // first adaptation puts its new tracker slot in its feedback rules, gate kept.
+        let audio =
+            |k: &EgressKey| matches!(self.port_use.get(&k.in_port), Some(PortUse::AudioUplink(_)));
+        Self::remove_egress(dp, &mut keys, |k| k.rid == r && !audio(k));
         for &s in &participants {
             if s == r || !self.pinfo[&s].sends {
                 continue;
             }
-            self.install_pair_egress(dp, s, r, &tiers, &mut keys);
+            let had_slot = self.pinfo[&r].tracker_idx.contains_key(&s);
+            self.install_pair_egress(dp, s, r, &tiers, 0..AUDIO, &mut keys);
             let (vp, _) = self.pinfo[&r].pair_from[&s];
             if let Some(&PortRule::ReceiverFeedback { remb_allowed, .. }) = dp.port_rules.peek(&vp)
             {
-                self.install_feedback_rules(dp, s, r, remb_allowed);
+                if !had_slot && self.pinfo[&r].tracker_idx.contains_key(&s) {
+                    self.install_feedback_rules(dp, s, r, remb_allowed);
+                }
             }
         }
         self.roster = participants;
@@ -377,7 +376,7 @@ impl SwitchAgent {
                 if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
                     continue;
                 }
-                self.install_pair_egress(dp, s, pid, &tiers, &mut keys);
+                self.install_pair_egress(dp, s, pid, &tiers, PAIR, &mut keys);
             }
         }
         if self.pinfo[&pid].sends {
@@ -389,7 +388,7 @@ impl SwitchAgent {
                 if r == pid || !self.receives(r) || self.skip_fabric_recross(pid, r) {
                     continue;
                 }
-                self.install_pair_egress(dp, pid, r, &tiers, &mut keys);
+                self.install_pair_egress(dp, pid, r, &tiers, PAIR, &mut keys);
             }
         }
         self.roster = participants;
@@ -464,7 +463,7 @@ impl SwitchAgent {
         }
         let mut keys = std::mem::take(&mut self.meetings.get_mut(&meeting).unwrap().egress_keys);
         let tracked = keys.len();
-        self.install_pair_egress(dp, sender, trunk, &tiers, &mut keys);
+        self.install_pair_egress(dp, sender, trunk, &tiers, PAIR, &mut keys);
         // A re-aim overwrites entries the meeting already tracks: drop
         // the appended keys it tracked before.
         for i in (tracked..keys.len()).rev() {
@@ -684,26 +683,27 @@ impl SwitchAgent {
         holder: Option<ParticipantId>,
         new_keys: &mut Vec<EgressKey>,
     ) {
-        self.install_pair_egress(dp, s, r, tiers, new_keys);
+        self.install_pair_egress(dp, s, r, tiers, PAIR, new_keys);
         if self.pinfo[&r].class != ParticipantClass::TrunkEgress {
             self.install_feedback_rules(dp, s, r, holder == Some(r));
         }
     }
 
-    /// Install egress specs for (sender → receiver) across tier trees:
-    /// video up to the receiver's decode target, rewritten by a tracker
-    /// slot once the pair is adapted, and audio on the first tree. A
-    /// trunk-egress branch gets one full-quality, unrewritten copy
-    /// toward the remote switch's trunk-ingress ports in every tier (the
-    /// trunk never thins) — and nothing until the controller has granted
-    /// the remote-sender entry on the far edge: the branch stays dark
-    /// until `set_trunk_dst` aims it.
+    /// Install the egress specs of (sender → receiver) that `entries`
+    /// picks ([`PAIR`]): video up to the receiver's decode target,
+    /// rewritten by a tracker slot once the pair is adapted, and audio on
+    /// the first tree. A trunk-egress branch gets one full-quality,
+    /// unrewritten copy toward the remote switch's trunk-ingress ports in
+    /// every tier (the trunk never thins) — and nothing until the
+    /// controller has granted the remote-sender entry on the far edge:
+    /// the branch stays dark until `set_trunk_dst` aims it.
     fn install_pair_egress(
         &mut self,
         dp: &mut ScallopDataPlane,
         s: ParticipantId,
         r: ParticipantId,
         tiers: &[u16; 3],
+        entries: Range<usize>,
         new_keys: &mut Vec<EgressKey>,
     ) {
         let (dt, video_dst, audio_dst, rewrite_index) =
@@ -742,10 +742,10 @@ impl SwitchAgent {
                 rid: r,
                 in_port,
             };
-            if (t as u8) <= dt {
+            if (t as u8) <= dt && entries.contains(&t) {
                 Self::install_egress(dp, key(s_video_up), video_spec, new_keys);
             }
-            if t == 0 {
+            if t == 0 && entries.contains(&AUDIO) {
                 Self::install_egress(dp, key(s_audio_up), audio_spec, new_keys);
             }
         }

@@ -837,12 +837,12 @@ fn dt_change_writes(p: u8) -> (u64, u64) {
 
 #[test]
 fn a_decode_target_change_writes_in_proportion_to_the_senders() {
-    // Receiver 1 moves 2 → 1: its three video entries and its audio
-    // entry come out, two video entries and the audio go back in, and
-    // its two feedback rules take the pair's new tracker slot — nine
-    // writes per sender, where a rebuild rewrites every pair.
+    // Receiver 1 moves 2 → 1: its three video entries come out, two go
+    // back in, its audio entry stays, and its two feedback rules take the
+    // pair's first tracker slot — seven writes per sender, where a
+    // rebuild rewrites every pair.
     let (small, large) = (dt_change_writes(10), dt_change_writes(50));
-    assert_eq!((small.0, large.0), (9 * 9, 9 * 49), "writes per sender");
+    assert_eq!((small.0, large.0), (7 * 9, 7 * 49), "writes per sender");
     assert!(
         large.1 > 40 * large.0,
         "a rebuild writes every pair: {large:?}"
