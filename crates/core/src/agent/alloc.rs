@@ -173,7 +173,7 @@ impl SwitchAgent {
 
     /// Clear a tracker slot's row and free the slot (§6.3 "immediate
     /// cleanup when a stream ends").
-    fn release_tracker(&mut self, dp: &mut ScallopDataPlane, idx: u16) {
+    pub(super) fn release_tracker(&mut self, dp: &mut ScallopDataPlane, idx: u16) {
         dp.tracker.clear_stream(idx as usize);
         self.trackers.give(idx);
     }
@@ -254,16 +254,14 @@ impl SwitchAgent {
     /// Give back everything [`Self::admit`] and the compile allocated
     /// for `pid` — its ports, tracker slots, L2 XID and id — and scrub
     /// what `meeting`'s other participants held toward it (pairs never
-    /// span meetings). Returns the leaver's (video, audio) uplink ports.
+    /// span meetings).
     pub(super) fn retire(
         &mut self,
         dp: &mut ScallopDataPlane,
         meeting: MeetingId,
         pid: ParticipantId,
-    ) -> (u16, u16) {
-        let mut uplinks = (0, 0);
+    ) {
         if let Some(p) = self.pinfo.remove(&pid) {
-            uplinks = (p.video_up, p.audio_up);
             self.release_port(dp, p.video_up);
             self.release_port(dp, p.audio_up);
             if let Some(sp) = p.sink_port {
@@ -307,7 +305,6 @@ impl SwitchAgent {
             }
         }
         self.roster = roster;
-        uplinks
     }
 
     /// Ports `receiver` is served `sender`'s media from.

@@ -1,11 +1,12 @@
 //! The per-edge half of the fabric check ([`crate::fabric::Fabric::check`]):
 //! the ownership audit and the installed and rebuilt canonical states.
 
+use super::alloc::PortUse;
 use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign};
 use scallop_dataplane::pre::L1Node;
-use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
+use scallop_dataplane::rules::{EgressSpec, PortRule, ReplicationAction};
 use scallop_dataplane::switch::ScallopDataPlane;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 /// A tree named by its owner: `(meeting, index in its trees)`.
@@ -26,8 +27,6 @@ pub(crate) enum Line {
         participants: Vec<ParticipantId>,
         /// Per tree: 0 exclusive, 1 packed.
         packed: Vec<u8>,
-        /// `(tree index, rid, in_port)` of the tracked egress keys.
-        keys: Vec<(usize, u16, u16)>,
     },
 }
 
@@ -60,9 +59,11 @@ impl SwitchAgent {
 
     /// The ownership audit, read-only; `Err` names the first violation.
     /// Every installed port rule has a `port_use` entry, every tracked
-    /// participant one L2 XID, every installed egress entry is tracked by
-    /// exactly one meeting, every PRE group is in some meeting's trees or
-    /// the half pool with no slot claimed twice. Every port, pid, MGID and
+    /// participant one L2 XID, every installed egress entry is a pair of
+    /// one meeting (its `in_port` is the uplink of a sending co-member of
+    /// its rid; [`Self::canonical_state`] checks its tree), every PRE
+    /// group is in some meeting's trees or the half pool with no slot
+    /// claimed twice. Every port, pid, MGID and
     /// tracker slot in use was drawn from its own pool and is not also
     /// free, and every id a pool has drawn is held once or free once: none
     /// leaked, none freed twice.
@@ -82,14 +83,17 @@ impl SwitchAgent {
                 self.pinfo.len()
             ));
         }
-        let mut tracked: HashMap<EgressKey, usize> = HashMap::new();
-        for key in self.meetings.values().flat_map(|m| &m.egress_keys) {
-            *tracked.entry(*key).or_default() += 1;
-        }
         for (key, _) in dp.egress.iter() {
-            let n = tracked.get(key).copied().unwrap_or(0);
-            if n != 1 {
-                return Err(format!("egress {key:?} is tracked by {n} meetings"));
+            let sender = match self.port_use.get(&key.in_port) {
+                Some(&(PortUse::VideoUplink(s) | PortUse::AudioUplink(s))) if s != key.rid => {
+                    self.pinfo.get(&s)
+                }
+                _ => None,
+            };
+            let pair = (sender.zip(self.pinfo.get(&key.rid)))
+                .is_some_and(|(s, r)| s.sends && s.meeting == r.meeting);
+            if !pair {
+                return Err(format!("egress {key:?} is no pair of one meeting"));
             }
         }
         // The slots each tree is held in, by meetings and the half pool.
@@ -163,7 +167,7 @@ impl SwitchAgent {
 
     /// Deterministic dump of this switch's compiled state: installed
     /// port rules, egress entries and PRE nodes plus each meeting's
-    /// design/tree/key bookkeeping, with every MGID named by its owner
+    /// design and tree bookkeeping, with every MGID named by its owner
     /// ([`Line`]) and every section sorted after renaming, so neither
     /// installation order nor MGID allocation is visible. (L2 XIDs are
     /// set at admission, never compiled.) `Err` when an entry names a
@@ -225,17 +229,11 @@ impl SwitchAgent {
         });
         lines.extend(nodes.into_iter().map(|(t, n)| Line::Node(t, n)));
         for (&id, m) in &self.meetings {
-            let mut keys = Vec::with_capacity(m.egress_keys.len());
-            for k in &m.egress_keys {
-                keys.push((self.tree_index(id, k.mgid)?, k.rid, k.in_port));
-            }
-            keys.sort_unstable();
             lines.push(Line::Meeting {
                 id,
                 design: m.design,
                 participants: m.participants.clone(),
                 packed: m.trees.iter().map(|&(_, slot)| slot.min(1)).collect(),
-                keys,
             });
         }
         Ok(lines)

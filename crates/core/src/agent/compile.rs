@@ -1,17 +1,22 @@
 //! Compiling a meeting's roster into data-plane state (§6.1): port
 //! rules, egress specs and PRE trees. The delta compiler has four verbs,
-//! each writing only what its change moves: graft a join, prune a leave,
-//! re-aim one trunk branch, and amend one receiver's decode-target
-//! change (an NRA ↔ RA-R flip grows or drops the upper tier trees around
-//! the NRA tree). Whatever it cannot amend falls back to
-//! [`SwitchAgent::rebuild_meeting`], the make-before-break full rebuild,
-//! which picks each sender's REMB-gate holder once: O(S·R) for S senders
-//! and R receivers, not O(S·R·P).
+//! each writing only what its change moves: graft a join, prune a leave
+//! (in [`SwitchAgent::leave`]), re-aim one trunk branch, and amend one
+//! receiver's decode-target change (an NRA ↔ RA-R flip grows or drops
+//! the upper tier trees around the NRA tree). Whatever it cannot amend
+//! falls back to [`SwitchAgent::rebuild_meeting`], the make-before-break
+//! full rebuild, which picks each sender's REMB-gate holder once: O(S·R)
+//! for S senders and R receivers, not O(S·R·P).
+//!
+//! The egress table is the agent's only record of its entries. A pair
+//! names its own — tree, receiver rid, sender uplink — so
+//! [`SwitchAgent::remove_pairs_egress`] removes them the way
+//! `install_pair_egress` installed them, with no list kept beside the
+//! table.
 //!
 //! The last section holds the writers: each operation on the port-rule,
 //! egress and PRE tables is called from one function there.
 
-use super::alloc::PortUse;
 use super::{
     cadence_for_dt, JoinGrant, MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign,
 };
@@ -144,17 +149,16 @@ impl SwitchAgent {
         // The torn-down layout's emptied vectors take the new one.
         let m = self.meetings.get_mut(&meeting).unwrap();
         let mut new_trees = std::mem::take(&mut m.trees);
-        let mut new_keys = std::mem::take(&mut m.egress_keys);
         match design {
             TreeDesign::TwoParty => self.install_two_party(dp, &participants),
             TreeDesign::Nra | TreeDesign::RaR => {
                 let count = if design == TreeDesign::Nra { 1 } else { 3 };
                 self.alloc_trees(dp, count, fabric, &mut new_trees);
                 let (tiers, slot) = (tiers_of(&new_trees), new_trees[0].1);
-                self.populate_tier_trees(dp, &participants, &tiers, slot, fabric, &mut new_keys);
+                self.populate_tier_trees(dp, &participants, &tiers, slot, fabric);
             }
             TreeDesign::RaSr => {
-                self.install_ra_sr(dp, &participants, &mut new_trees, &mut new_keys);
+                self.install_ra_sr(dp, &participants, &mut new_trees);
             }
         }
         self.roster = participants;
@@ -162,16 +166,16 @@ impl SwitchAgent {
         let m = self.meetings.get_mut(&meeting).unwrap();
         m.design = design;
         m.trees = new_trees;
-        m.egress_keys = new_keys;
         m.configured = m.configured || m.participants.len() >= 2;
     }
 
-    /// Remove a meeting's installed layout: its egress entries, then its
-    /// trees ([`Self::release_trees`]). The meeting keeps both emptied
-    /// vectors for its next layout.
+    /// Remove a meeting's installed layout: every pair's egress entries,
+    /// then its trees ([`Self::release_trees`]). The meeting keeps the
+    /// emptied tree vector for its next layout.
     pub(super) fn tear_down(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId) {
+        let m = &self.meetings[&meeting];
+        self.remove_pairs_egress(dp, &m.participants, &m.participants, &m.trees, true);
         let m = self.meetings.get_mut(&meeting).expect("meeting exists");
-        Self::remove_egress(dp, &mut m.egress_keys, |_| true);
         let mut trees = std::mem::take(&mut m.trees);
         self.release_trees(dp, &trees, meeting);
         trees.clear();
@@ -185,7 +189,7 @@ impl SwitchAgent {
     /// [`Self::tiered_layout`] whose design holds, and not a packed set
     /// whose partner slot sits unclaimed in the half pool (a rebuild would
     /// repack onto it). `None` means rebuild.
-    fn graft_tiers(&self, meeting: MeetingId) -> Option<[u16; 3]> {
+    pub(super) fn graft_tiers(&self, meeting: MeetingId) -> Option<[u16; 3]> {
         let (design, own) = self.tiered_layout(meeting)?;
         let m = &self.meetings[&meeting];
         (design == m.design && own.is_none()).then(|| tiers_of(&m.trees))
@@ -210,7 +214,7 @@ impl SwitchAgent {
 
     /// Whether a meeting has a sender and a receiver: a rebuild keeps a
     /// meeting without either treeless.
-    fn forwards_anything(&self, meeting: MeetingId) -> bool {
+    pub(super) fn forwards_anything(&self, meeting: MeetingId) -> bool {
         let m = &self.meetings[&meeting];
         m.participants.iter().any(|p| self.pinfo[p].sends)
             && m.participants.iter().any(|&p| self.receives(p))
@@ -260,8 +264,7 @@ impl SwitchAgent {
         let fabric = self.is_fabric_segment(meeting);
         let participants = self.take_roster(meeting);
         let m = self.meetings.get_mut(&meeting).unwrap();
-        let (was, (t0, slot), new) = (m.design, m.trees[0], self.pinfo[&r].dt);
-        let mut keys = std::mem::take(&mut m.egress_keys);
+        let (was, (_, slot), new) = (m.design, m.trees[0], self.pinfo[&r].dt);
         let mut trees = std::mem::take(&mut m.trees);
         // The trees whose membership changes: a grow's new T1 and T2, none
         // after a drop, else those between the two targets.
@@ -272,7 +275,7 @@ impl SwitchAgent {
             _ => 0..0,
         };
         if design == TreeDesign::Nra {
-            Self::remove_egress(dp, &mut keys, |k| k.mgid != t0);
+            self.remove_pairs_egress(dp, &participants, &participants, &trees[1..], false);
         }
         // A flip keeps the NRA tree as T0 and the slot; the own half-pool
         // entry takes the new MGIDs, at the pool's end, as a rebuild's.
@@ -309,22 +312,21 @@ impl SwitchAgent {
                 self.install_sender_uplinks(dp, s, &tiers, l1_xid);
                 for &q in grown.unwrap_or_default() {
                     if q != s && q != r && self.receives(q) && !self.skip_fabric_recross(s, q) {
-                        self.install_pair_egress(dp, s, q, &tiers, 1..3, &mut keys);
+                        self.install_pair_egress(dp, s, q, &tiers, 1..3);
                     }
                 }
             }
         }
         // `r`'s video entries and cadences against every sender, audio kept; a pair's
         // first adaptation puts its new tracker slot in its feedback rules, gate kept.
-        let audio =
-            |k: &EgressKey| matches!(self.port_use.get(&k.in_port), Some(PortUse::AudioUplink(_)));
-        Self::remove_egress(dp, &mut keys, |k| k.rid == r && !audio(k));
+        let trees = &self.meetings[&meeting].trees;
+        self.remove_pairs_egress(dp, &participants, &[r], trees, false);
         for &s in &participants {
             if s == r || !self.pinfo[&s].sends {
                 continue;
             }
             let had_slot = self.pinfo[&r].tracker_idx.contains_key(&s);
-            self.install_pair_egress(dp, s, r, &tiers, 0..AUDIO, &mut keys);
+            self.install_pair_egress(dp, s, r, &tiers, 0..AUDIO);
             let (vp, _) = self.pinfo[&r].pair_from[&s];
             if let Some(&PortRule::ReceiverFeedback { remb_allowed, .. }) = dp.port_rules.peek(&vp)
             {
@@ -334,12 +336,10 @@ impl SwitchAgent {
             }
         }
         self.roster = participants;
-        let m = self.meetings.get_mut(&meeting).unwrap();
-        m.design = design;
-        m.egress_keys = keys;
+        self.meetings.get_mut(&meeting).unwrap().design = design;
         // Media moves EWMAs between ticks; a rebuild would recompute
         // every gate from them.
-        self.refresh_feedback_gates(dp, meeting, false);
+        self.refresh_feedback_gates(dp, meeting);
         true
     }
 
@@ -360,11 +360,7 @@ impl SwitchAgent {
         };
         self.counters.graft_joins += 1;
         let fabric = self.is_fabric_segment(meeting);
-        let m = self.meetings.get_mut(&meeting).unwrap();
-        let slot = m.trees[0].1;
-        // The new pairs' egress keys are appended to the meeting's list
-        // in place; nothing below reads the list.
-        let mut keys = std::mem::take(&mut m.egress_keys);
+        let slot = self.meetings[&meeting].trees[0].1;
         let participants = self.take_roster(meeting);
 
         if self.receives(pid) {
@@ -376,7 +372,7 @@ impl SwitchAgent {
                 if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
                     continue;
                 }
-                self.install_pair_egress(dp, s, pid, &tiers, PAIR, &mut keys);
+                self.install_pair_egress(dp, s, pid, &tiers, PAIR);
             }
         }
         if self.pinfo[&pid].sends {
@@ -388,50 +384,17 @@ impl SwitchAgent {
                 if r == pid || !self.receives(r) || self.skip_fabric_recross(pid, r) {
                     continue;
                 }
-                self.install_pair_egress(dp, pid, r, &tiers, PAIR, &mut keys);
+                self.install_pair_egress(dp, pid, r, &tiers, PAIR);
             }
         }
         self.roster = participants;
         let m = self.meetings.get_mut(&meeting).unwrap();
-        m.egress_keys = keys;
         m.configured = m.configured || m.participants.len() >= 2;
         // The join may displace a best-downlink selection (a fresh
         // receiver's unknown EWMA scores as best, §5.3), and the new
         // pairs need their feedback rules installed: re-run the filter,
         // which touches only the rules whose gate is missing or wrong.
-        self.refresh_feedback_gates(dp, meeting, false);
-        true
-    }
-
-    /// Prune a departed participant's branches from the installed
-    /// layout (its L1 nodes are already gone): drop its egress entries
-    /// — as receiver (keyed by its rid) and as sender (keyed by its
-    /// uplink in-ports) — and re-run the feedback filter, since the
-    /// leaver may have held a sender's best-downlink selection. Returns
-    /// `false` when the layout must be rebuilt instead.
-    pub(super) fn try_prune_leave(
-        &mut self,
-        dp: &mut ScallopDataPlane,
-        meeting: MeetingId,
-        pid: ParticipantId,
-        (leaver_vup, leaver_aup): (u16, u16),
-    ) -> bool {
-        if self.graft_tiers(meeting).is_none() {
-            return false;
-        }
-        // A rebuild would go treeless when no sender or no receiver
-        // remains — converge by rebuilding.
-        if !self.forwards_anything(meeting) {
-            return false;
-        }
-        self.counters.prune_leaves += 1;
-        let m = self.meetings.get_mut(&meeting).unwrap();
-        // A trunk-egress leaver's uplinks are (0, 0), which no egress
-        // entry keys on — only the rid test fires for it.
-        Self::remove_egress(dp, &mut m.egress_keys, |k| {
-            k.rid == pid || k.in_port == leaver_vup || k.in_port == leaver_aup
-        });
-        self.refresh_feedback_gates(dp, meeting, false);
+        self.refresh_feedback_gates(dp, meeting);
         true
     }
 
@@ -461,17 +424,7 @@ impl SwitchAgent {
         if !self.pinfo[&trunk].pair_from.contains_key(&sender) {
             return false;
         }
-        let mut keys = std::mem::take(&mut self.meetings.get_mut(&meeting).unwrap().egress_keys);
-        let tracked = keys.len();
-        self.install_pair_egress(dp, sender, trunk, &tiers, PAIR, &mut keys);
-        // A re-aim overwrites entries the meeting already tracks: drop
-        // the appended keys it tracked before.
-        for i in (tracked..keys.len()).rev() {
-            if keys[..tracked].contains(&keys[i]) {
-                keys.remove(i);
-            }
-        }
-        self.meetings.get_mut(&meeting).unwrap().egress_keys = keys;
+        self.install_pair_egress(dp, sender, trunk, &tiers, PAIR);
         true
     }
 
@@ -499,6 +452,12 @@ impl SwitchAgent {
                 },
             };
             self.install_uplinks(dp, s, unicast(vp), unicast(ap));
+            // Unicast renumbers nothing: a slot left from a tiered layout
+            // would shift the receiver's NACKs by an offset its media no
+            // longer carries.
+            if let Some(idx) = self.pinfo.get_mut(&r).unwrap().tracker_idx.remove(&s) {
+                self.release_tracker(dp, idx);
+            }
             let open = self.remb_gate_holder(s, participants) == Some(r);
             self.install_feedback_rules(dp, s, r, open);
         }
@@ -513,7 +472,6 @@ impl SwitchAgent {
         tiers: &[u16; 3],
         slot: u8,
         fabric: bool,
-        new_keys: &mut Vec<EgressKey>,
     ) {
         for &r in participants {
             if self.receives(r) {
@@ -532,7 +490,7 @@ impl SwitchAgent {
                 if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
                     continue;
                 }
-                self.install_pair(dp, s, r, tiers, holder, new_keys);
+                self.install_pair(dp, s, r, tiers, holder);
             }
         }
     }
@@ -637,7 +595,6 @@ impl SwitchAgent {
         dp: &mut ScallopDataPlane,
         participants: &[ParticipantId],
         new_trees: &mut Vec<(u16, u8)>,
-        new_keys: &mut Vec<EgressKey>,
     ) {
         let senders: Vec<ParticipantId> = participants
             .iter()
@@ -664,7 +621,7 @@ impl SwitchAgent {
                             Self::add_branch(dp, mgid, r, sender_xid, true);
                         }
                     }
-                    self.install_pair(dp, s, r, &tiers, holder, new_keys);
+                    self.install_pair(dp, s, r, &tiers, holder);
                 }
                 self.install_sender_uplinks(dp, s, &tiers, 3 - sender_xid);
             }
@@ -681,9 +638,8 @@ impl SwitchAgent {
         r: ParticipantId,
         tiers: &[u16; 3],
         holder: Option<ParticipantId>,
-        new_keys: &mut Vec<EgressKey>,
     ) {
-        self.install_pair_egress(dp, s, r, tiers, PAIR, new_keys);
+        self.install_pair_egress(dp, s, r, tiers, PAIR);
         if self.pinfo[&r].class != ParticipantClass::TrunkEgress {
             self.install_feedback_rules(dp, s, r, holder == Some(r));
         }
@@ -704,7 +660,6 @@ impl SwitchAgent {
         r: ParticipantId,
         tiers: &[u16; 3],
         entries: Range<usize>,
-        new_keys: &mut Vec<EgressKey>,
     ) {
         let (dt, video_dst, audio_dst, rewrite_index) =
             if self.pinfo[&r].class == ParticipantClass::TrunkEgress {
@@ -743,10 +698,38 @@ impl SwitchAgent {
                 in_port,
             };
             if (t as u8) <= dt && entries.contains(&t) {
-                Self::install_egress(dp, key(s_video_up), video_spec, new_keys);
+                Self::install_egress(dp, key(s_video_up), video_spec);
             }
             if t == 0 && entries.contains(&AUDIO) {
-                Self::install_egress(dp, key(s_audio_up), audio_spec, new_keys);
+                Self::install_egress(dp, key(s_audio_up), audio_spec);
+            }
+        }
+    }
+
+    /// The inverse of [`Self::install_pair_egress`]: remove every
+    /// (sender → receiver) pair's video entries in `trees`, and its audio
+    /// entry when `audio` is set. A pair names its entries — the tree,
+    /// the receiver's rid, the sender's uplink — so nothing needs to
+    /// remember them; keys the table does not hold are skipped.
+    pub(super) fn remove_pairs_egress<'a>(
+        &self,
+        dp: &mut ScallopDataPlane,
+        senders: impl IntoIterator<Item = &'a ParticipantId>,
+        receivers: &[ParticipantId],
+        trees: &[(u16, u8)],
+        audio: bool,
+    ) {
+        for s in senders {
+            let Some(p) = self.pinfo.get(s).filter(|p| p.sends) else {
+                continue;
+            };
+            let uplinks = [p.video_up, p.audio_up];
+            for &rid in receivers.iter().filter(|&r| r != s) {
+                for &(mgid, _) in trees {
+                    for &in_port in &uplinks[..1 + usize::from(audio)] {
+                        Self::remove_egress(dp, EgressKey { mgid, rid, in_port });
+                    }
+                }
             }
         }
     }
@@ -842,32 +825,16 @@ impl SwitchAgent {
         dp.remove_port_rule(port);
     }
 
-    /// Install an egress entry and record its key in `keys`, the list
-    /// its meeting tracks it by.
-    fn install_egress(
-        dp: &mut ScallopDataPlane,
-        key: EgressKey,
-        spec: EgressSpec,
-        keys: &mut Vec<EgressKey>,
-    ) {
+    /// Install (or overwrite) the egress entry under `key`.
+    fn install_egress(dp: &mut ScallopDataPlane, key: EgressKey, spec: EgressSpec) {
         dp.install_egress(key, spec).expect("egress capacity");
-        keys.push(key);
     }
 
-    /// Remove the egress entries `gone` picks from a meeting's tracked
-    /// `keys`, from the list and the table together.
-    fn remove_egress(
-        dp: &mut ScallopDataPlane,
-        keys: &mut Vec<EgressKey>,
-        mut gone: impl FnMut(&EgressKey) -> bool,
-    ) {
-        keys.retain(|k| {
-            let gone = gone(k);
-            if gone {
-                dp.remove_egress(*k);
-            }
-            !gone
-        });
+    /// Remove the egress entry under `key`, if the table holds one.
+    fn remove_egress(dp: &mut ScallopDataPlane, key: EgressKey) {
+        if dp.egress.peek(&key).is_some() {
+            dp.remove_egress(key);
+        }
     }
 
     /// A new, empty tree under the lowest free MGID.

@@ -407,22 +407,17 @@ impl SwitchAgent {
     pub fn tick(&mut self, _now: SimTime, dp: &mut ScallopDataPlane) {
         let mut next = self.meetings.keys().next().copied();
         while let Some(mid) = next {
-            self.refresh_feedback_gates(dp, mid, true);
+            self.refresh_feedback_gates(dp, mid);
             next = self.meetings.range(mid + 1..).next().map(|(&mid, _)| mid);
         }
     }
 
     /// Re-run the §5.3 feedback filter for every sender of one meeting,
     /// reprogramming only the pair rules whose REMB gate is missing or
-    /// wrong. [`Self::tick`] counts the reprograms as filter updates;
-    /// the delta compiler calls this silently, where a full rebuild
-    /// would have recomputed every gate as a side effect.
-    pub(super) fn refresh_feedback_gates(
-        &mut self,
-        dp: &mut ScallopDataPlane,
-        meeting: MeetingId,
-        count_updates: bool,
-    ) {
+    /// wrong, each counted as a filter update. [`Self::tick`] calls it,
+    /// and so does the delta compiler, where a full rebuild would have
+    /// recomputed every gate as a side effect.
+    pub(super) fn refresh_feedback_gates(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId) {
         let Some(m) = self.meetings.get(&meeting) else {
             return;
         };
@@ -453,8 +448,6 @@ impl SwitchAgent {
                 }
             }
         }
-        if count_updates {
-            self.counters.filter_updates += updates;
-        }
+        self.counters.filter_updates += updates;
     }
 }

@@ -34,8 +34,11 @@
 //!   slots. It writes the two data-plane tables keyed by those ids, the
 //!   L2 XIDs and the tracker rows, as ids are taken and given back.
 //! * `compile` turns a meeting's roster into port rules, egress specs
-//!   and PRE trees: the delta compiler (graft, prune, re-aim, amend) and
-//!   the full rebuild it falls back to.
+//!   and PRE trees: the delta compiler (graft, re-aim, amend; a leave's
+//!   prune is the removal of its pairs) and the full rebuild it falls
+//!   back to. No list of installed entries is kept beside the tables: a
+//!   (sender → receiver) pair names its egress entries, and is removed
+//!   the way it was installed.
 //! * `feedback` is the CPU path: feedback copies, the §5.3 filter,
 //!   fabric REMB aggregation and decode-target changes.
 //! * `check` is the per-edge half of the fabric check ([`crate::fabric::Fabric::check`]).
@@ -54,7 +57,6 @@ pub use alloc::FreeList;
 
 use alloc::{IdPool, PortUse};
 use compile::HalfTree;
-use scallop_dataplane::rules::EgressKey;
 use scallop_dataplane::switch::{ScallopDataPlane, STREAM_TRACKER_CAPACITY, TRUNK_RID_BASE};
 use scallop_netsim::packet::{BufPool, HostAddr, Packet};
 use scallop_netsim::stats::Ewma;
@@ -287,8 +289,6 @@ struct MeetingState {
     design: TreeDesign,
     /// Owned (mgid, slot-xid) pairs; slot 0 = exclusive tree.
     trees: Vec<(u16, u8)>,
-    /// Installed egress keys (for teardown on rebuild).
-    egress_keys: Vec<EgressKey>,
     /// A forwarding configuration has been installed at least once
     /// (design changes after this count as migrations).
     configured: bool,
@@ -386,8 +386,8 @@ impl SwitchAgent {
     pub fn create_meeting(&mut self) -> MeetingId {
         let id = self.next_meeting;
         self.next_meeting += 1;
-        let (participants, trees, egress_keys) = match self.spare_meetings.pop() {
-            Some(m) => (m.participants, m.trees, m.egress_keys),
+        let (participants, trees) = match self.spare_meetings.pop() {
+            Some(m) => (m.participants, m.trees),
             None => Default::default(),
         };
         self.meetings.insert(
@@ -396,7 +396,6 @@ impl SwitchAgent {
                 participants,
                 design: TreeDesign::TwoParty,
                 trees,
-                egress_keys,
                 configured: false,
             },
         );
@@ -594,20 +593,28 @@ impl SwitchAgent {
             .unwrap_or(false)
     }
 
-    /// Remove a participant; prunes its branches from the installed
-    /// layout when the design holds, or tears down and rebuilds the
-    /// meeting state otherwise.
+    /// Remove a participant. Its branches and its pairs' egress entries,
+    /// both ways, go before its state does; that is the whole prune when
+    /// the installed layout holds (`graft_tiers`) and the meeting
+    /// still forwards, and the meeting is rebuilt otherwise.
     pub fn leave(&mut self, dp: &mut ScallopDataPlane, meeting: MeetingId, pid: ParticipantId) {
         let Some(m) = self.meetings.get_mut(&meeting) else {
             return;
         };
         m.participants.retain(|&p| p != pid);
-        // Remove the leaver's replication branches before its state goes.
+        let m = &self.meetings[&meeting];
         Self::remove_branches(dp, &m.trees, &[pid]);
-        // The leaver's uplink ports identify its sender-side egress
-        // entries; `retire` hands them back so the prune can find them.
-        let leaver_uplinks = self.retire(dp, meeting, pid);
-        if !self.try_prune_leave(dp, meeting, pid, leaver_uplinks) {
+        if let Some(p) = self.pinfo.get(&pid) {
+            // The senders `pid` receives from are those it holds pair ports from.
+            self.remove_pairs_egress(dp, [&pid], &m.participants, &m.trees, true);
+            self.remove_pairs_egress(dp, p.pair_from.keys(), &[pid], &m.trees, true);
+        }
+        self.retire(dp, meeting, pid);
+        if self.graft_tiers(meeting).is_some() && self.forwards_anything(meeting) {
+            self.counters.prune_leaves += 1;
+            // The leaver may have held a sender's best-downlink selection.
+            self.refresh_feedback_gates(dp, meeting);
+        } else {
             self.rebuild_meeting(dp, meeting);
         }
     }

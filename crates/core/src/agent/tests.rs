@@ -1,9 +1,13 @@
 use super::check::first_difference;
 use super::*;
 use proptest::prelude::*;
-use scallop_dataplane::rules::PortRule;
+use scallop_dataplane::rules::{EgressKey, PortRule};
 use scallop_dataplane::seqrewrite::SeqRewriteMode;
+use scallop_dataplane::BatchOutput;
+use scallop_media::encoder::{EncodedFrame, FrameLabelCompact};
+use scallop_media::packetizer::Packetizer;
 use scallop_proto::rtcp::{self, RtcpPacket};
+use scallop_proto::rtp::RtpView;
 use scallop_proto::stun::StunMessage;
 
 impl SwitchAgent {
@@ -124,6 +128,90 @@ fn leave_cleans_up() {
     agent.leave(&mut dp, m, g1.participant);
     // Lone participant: media rules removed.
     assert_eq!(dp.pre.groups_used(), 0);
+}
+
+#[test]
+fn a_second_leave_of_the_same_participant_is_a_no_op() {
+    // A graftable layout, so the first leave prunes.
+    let (mut agent, mut dp, m) = with_partner();
+    let g: Vec<JoinGrant> = (1..=4)
+        .map(|i| agent.join(&mut dp, m, addr(i), i != 3))
+        .collect();
+    agent.leave(&mut dp, m, g[1].participant);
+    assert_eq!(agent.counters.prune_leaves, 1);
+    let (lines, counters) = (agent.canonical_state(&dp), dp.counters);
+    agent.leave(&mut dp, m, g[1].participant);
+    assert_eq!(
+        agent.canonical_state(&dp),
+        lines,
+        "the tables are unchanged"
+    );
+    assert_eq!(
+        (dp.counters.rule_installs, dp.counters.rule_removals),
+        (counters.rule_installs, counters.rule_removals),
+        "nothing is written"
+    );
+    agent
+        .check_compiled(&dp)
+        .expect("the switch still passes its check");
+}
+
+#[test]
+fn a_two_party_shrink_forwards_nacks_in_the_numbers_the_receiver_saw() {
+    // Receiver 1 at target 0 in a three-party meeting: its stream from
+    // sender 0 is renumbered, and the tracker row's offset grows with
+    // every frame it drops.
+    let (mut agent, mut dp) = mk();
+    let m = agent.create_meeting();
+    let g: Vec<JoinGrant> = (1..=3)
+        .map(|i| agent.join(&mut dp, m, addr(i), true))
+        .collect();
+    let (s, r) = (g[0], g[1].participant);
+    agent.apply_dt_change(&mut dp, r, 0);
+    let mut pz = Packetizer::new(0xAA, 96, 1200);
+    let mut out = BatchOutput::default();
+    // Sender 0's frame `n` of (temporal layer, template); the sequence
+    // number receiver 1 gets it under, if it gets it.
+    let mut send = |dp: &mut ScallopDataPlane, n: u16, (temporal_id, template_id)| {
+        let frame = EncodedFrame {
+            frame_number: n,
+            label: FrameLabelCompact {
+                temporal_id,
+                template_id,
+                is_key: false,
+            },
+            size_bytes: 500,
+            captured_at: SimTime::ZERO,
+            rtp_timestamp: n as u32 * 3000,
+        };
+        let pkt = Packet::new(addr(1), s.video_uplink, pz.packetize(&frame)[0].serialize());
+        dp.process_batch(std::slice::from_ref(&pkt), &mut out);
+        let to_r = out.forwards.iter().find(|f| f.dst == addr(2));
+        to_r.map(|f| RtpView::new(&f.wire_bytes()).unwrap().sequence_number())
+    };
+    for (n, layer) in [(0, 1), (2, 3), (1, 2), (2, 4), (0, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        send(&mut dp, n as u16, layer);
+    }
+    let slot = agent.pinfo[&r].tracker_idx[&s.participant];
+    assert_ne!(dp.tracker.offset_of(slot.into()), 0, "frames were dropped");
+    // The third member leaves: the pair falls back to unicast, which
+    // renumbers nothing.
+    agent.leave(&mut dp, m, g[2].participant);
+    assert_eq!(agent.design_of(m), Some(TreeDesign::TwoParty));
+    let seen = send(&mut dp, 5, (0, 1)).expect("a T0 frame reaches receiver 1");
+    let nack = rtcp::serialize_compound(&[RtcpPacket::Nack(rtcp::Nack {
+        sender_ssrc: 2,
+        media_ssrc: 0xAA,
+        entries: vec![(seen, 0)],
+    })]);
+    let vp = agent.video_pair_addr(s.participant, r).unwrap();
+    dp.process_batch(&[Packet::new(addr(2), vp, nack.clone())], &mut out);
+    assert_eq!(out.forwards.len(), 1);
+    assert_eq!(out.forwards[0].dst, addr(1));
+    assert_eq!(out.forwards[0].payload, nack, "the NACK names what r saw");
 }
 
 #[test]
@@ -547,6 +635,42 @@ fn check_accounts_for_every_id_each_pool_draws() {
         a.trackers.take();
     });
     assert!(err.contains("tracker slots drawn, but"), "leaked: {err}");
+}
+
+#[test]
+fn the_ownership_audit_names_a_stray_egress_entry() {
+    // Meeting A: two senders and a receiver that does not send; meeting
+    // B: one more sender.
+    let (mut agent, mut dp) = mk();
+    let (a, b) = (agent.create_meeting(), agent.create_meeting());
+    let g: Vec<JoinGrant> = (1..=3)
+        .map(|i| agent.join(&mut dp, a, addr(i), i != 3))
+        .collect();
+    let other = agent.join(&mut dp, b, addr(11), true);
+    agent.join(&mut dp, b, addr(12), true);
+    agent.check_compiled(&dp).expect("every entry is a pair");
+    let (mgid, _) = agent.meetings[&a].trees[0];
+    let spec = *dp.egress.iter().next().expect("an egress entry").1;
+    let pair_port = agent.video_pair_addr(g[0].participant, g[1].participant);
+    // Into receiver 1's entries: from a port that is no uplink, from
+    // the uplink of a member that does not send, and from the uplink of
+    // another meeting's sender.
+    for in_port in [
+        pair_port.unwrap().port,
+        g[2].video_uplink.port,
+        other.video_uplink.port,
+    ] {
+        let (copy, mut copy_dp) = agent.copy_with(&dp);
+        let key = EgressKey {
+            mgid,
+            rid: g[1].participant,
+            in_port,
+        };
+        // Straight on the table: the agent's one egress writer stays one.
+        copy_dp.egress.upsert(key, spec).unwrap();
+        let err = copy.check_compiled(&copy_dp).expect_err("a stray entry");
+        assert_eq!(err, format!("egress {key:?} is no pair of one meeting"));
+    }
 }
 
 #[test]
