@@ -5,9 +5,12 @@
 //! where the id is taken and given back: a participant id's L2 XID (its
 //! PRE pruning entry) and a tracker slot's Stream Tracker row.
 
-use super::{JoinGrant, MeetingId, ParticipantClass, ParticipantId, Pinfo, SwitchAgent};
+use super::{
+    JoinGrant, MeetingId, Pair, ParticipantClass, ParticipantId, Pinfo, SwitchAgent, EWMA_ALPHA,
+};
 use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_netsim::packet::HostAddr;
+use scallop_netsim::stats::Ewma;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -157,16 +160,12 @@ impl SwitchAgent {
         receiver: ParticipantId,
         cadence: u16,
     ) -> u16 {
-        let idx = match self.pinfo[&receiver].tracker_idx.get(&sender) {
-            Some(&i) => i,
-            None => {
-                let i = self.trackers.take();
-                dp.tracker.init_stream(i as usize, cadence);
-                let r = self.pinfo.get_mut(&receiver).expect("receiver exists");
-                r.tracker_idx.insert(sender, i);
-                i
-            }
-        };
+        let pair = self.pairs.get_mut(&(sender, receiver));
+        let idx = *pair.expect("pair exists").tracker.get_or_insert_with(|| {
+            let i = self.trackers.take();
+            dp.tracker.init_stream(i as usize, cadence);
+            i
+        });
         dp.tracker.set_cadence(idx as usize, cadence);
         idx
     }
@@ -214,7 +213,6 @@ impl SwitchAgent {
                 class,
                 addr,
                 sends,
-                trunk_dst: HashMap::new(),
                 fabric_xid,
                 sink_port: None,
                 remote_ests: HashMap::new(),
@@ -223,20 +221,15 @@ impl SwitchAgent {
                 dt: 2,
                 dt_cap: 2,
                 dt_per_sender: HashMap::new(),
-                ewma: HashMap::new(),
-                pair_from: HashMap::new(),
-                tracker_idx: HashMap::new(),
                 last_dt_change: None,
             },
         );
-        // Allocate pair ports against every existing co-participant, in
-        // both directions (each skipped when the would-be sender does
-        // not send or the would-be receiver does not receive on this
-        // switch).
+        // Open a pair with every existing co-participant, in both
+        // directions, wherever media flows ([`Self::add_pair`]).
         let existing = self.take_roster(meeting);
         for &other in &existing {
-            self.ensure_pair_ports(other, pid);
-            self.ensure_pair_ports(pid, other);
+            self.add_pair(other, pid);
+            self.add_pair(pid, other);
         }
         self.roster = existing;
         self.meetings
@@ -252,9 +245,11 @@ impl SwitchAgent {
     }
 
     /// Give back everything [`Self::admit`] and the compile allocated
-    /// for `pid` — its ports, tracker slots, L2 XID and id — and scrub
-    /// what `meeting`'s other participants held toward it (pairs never
-    /// span meetings).
+    /// for `pid` — its ports, its pairs both ways with their ports and
+    /// tracker slots, its L2 XID and id — and the per-sender decode
+    /// targets `meeting`'s other participants held toward it (pairs
+    /// never span meetings). A later participant recycling the pid must
+    /// not inherit another's EWMA history or decode targets.
     pub(super) fn retire(
         &mut self,
         dp: &mut ScallopDataPlane,
@@ -267,13 +262,6 @@ impl SwitchAgent {
             if let Some(sp) = p.sink_port {
                 self.release_port(dp, sp);
             }
-            for &(v, a) in p.pair_from.values() {
-                self.release_port(dp, v);
-                self.release_port(dp, a);
-            }
-            for (_, idx) in p.tracker_idx {
-                self.release_tracker(dp, idx);
-            }
             // Recycle the id: pids double as PRE RIDs / L2 XIDs, and a
             // fabric edge under churn would otherwise exhaust them.
             dp.pre.clear_l2_xid_ports(pid);
@@ -283,65 +271,57 @@ impl SwitchAgent {
                 self.pids.give(pid);
             }
         }
-        // Drop pair ports (and trunk destinations) the meeting's other
-        // participants held toward `pid`, plus any feedback state keyed
-        // by the dead id — a later participant recycling the pid must
-        // not inherit another receiver's EWMA history or per-sender
-        // decode targets.
         let roster = self.take_roster(meeting);
         for &q in &roster {
+            for key in [(q, pid), (pid, q)] {
+                if let Some(pair) = self.pairs.remove(&key) {
+                    self.release_port(dp, pair.video);
+                    self.release_port(dp, pair.audio);
+                    if let Some(idx) = pair.tracker {
+                        self.release_tracker(dp, idx);
+                    }
+                }
+            }
             let q = self.pinfo.get_mut(&q).expect("participant tracked");
-            let pair = q.pair_from.remove(&pid);
-            let tracker = q.tracker_idx.remove(&pid);
-            q.trunk_dst.remove(&pid);
-            q.ewma.remove(&pid);
             q.dt_per_sender.remove(&pid);
-            if let Some(idx) = tracker {
-                self.release_tracker(dp, idx);
-            }
-            if let Some((v, a)) = pair {
-                self.release_port(dp, v);
-                self.release_port(dp, a);
-            }
         }
         self.roster = roster;
     }
 
-    /// Ports `receiver` is served `sender`'s media from.
-    fn ensure_pair_ports(&mut self, sender: ParticipantId, receiver: ParticipantId) {
-        if !self.receives(receiver) {
-            return; // remote senders never receive on this switch
-        }
-        if !self.pinfo[&sender].sends {
-            // No rule, egress spec or feedback gate is ever installed
-            // toward a non-sender (trunk egress included): a pair port
-            // exists per (sending participant → receiver) stream.
+    /// Whether `s`'s media reaches `r` on this switch — the one rule for
+    /// where a pair exists: `s` sends, `r` receives here, and fabric
+    /// media does not re-cross its own tier toward `r`.
+    pub(super) fn flows(&self, s: ParticipantId, r: ParticipantId) -> bool {
+        // No rule, egress spec or feedback gate is ever installed toward
+        // a non-sender, and remote senders never receive on this switch.
+        s != r && self.pinfo[&s].sends && self.receives(r) && !self.skip_fabric_recross(s, r)
+    }
+
+    /// Whether fabric traffic from sender `s` must not reach receiver
+    /// `r`: a trunk-arrived sender skips trunk branches and a
+    /// WAN-arrived sender skips WAN branches. The *other* tier's
+    /// branches are traversed (a WAN-arrived stream fans out over this
+    /// gateway's intra-zone trunks), so those pairs exist.
+    fn skip_fabric_recross(&self, s: ParticipantId, r: ParticipantId) -> bool {
+        self.pinfo[&r].class == ParticipantClass::TrunkEgress
+            && self.pinfo[&s].class == ParticipantClass::RemoteSender
+            && self.pinfo[&r].fabric_xid == self.pinfo[&s].fabric_xid
+    }
+
+    /// Open the (`sender` → `receiver`) pair, with its two ports, when
+    /// the sender's media [`flows`](Self::flows) there.
+    fn add_pair(&mut self, sender: ParticipantId, receiver: ParticipantId) {
+        if !self.flows(sender, receiver) {
             return;
         }
-        if self.skip_fabric_recross(sender, receiver) {
-            // Fabric traffic never re-crosses its own tier: a
-            // trunk-arrived sender skips trunk branches and a
-            // WAN-arrived sender skips WAN branches. The *other* tier's
-            // branches are traversed (a WAN-arrived stream fans out
-            // over this gateway's intra-zone trunks), so those pairs
-            // are still plumbed.
-            return;
-        }
-        if self
-            .pinfo
-            .get(&receiver)
-            .map(|p| p.pair_from.contains_key(&sender))
-            .unwrap_or(true)
-        {
-            return;
-        }
-        let v = self.alloc_port(PortUse::PairVideo { sender, receiver });
-        let a = self.alloc_port(PortUse::PairAudio { sender, receiver });
-        self.pinfo
-            .get_mut(&receiver)
-            .expect("receiver exists")
-            .pair_from
-            .insert(sender, (v, a));
+        let pair = Pair {
+            video: self.alloc_port(PortUse::PairVideo { sender, receiver }),
+            audio: self.alloc_port(PortUse::PairAudio { sender, receiver }),
+            tracker: None,
+            ewma: Ewma::new(EWMA_ALPHA),
+            trunk_dst: None,
+        };
+        self.pairs.insert((sender, receiver), pair);
     }
 }
 

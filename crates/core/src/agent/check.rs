@@ -63,7 +63,9 @@ impl SwitchAgent {
     /// one meeting (its `in_port` is the uplink of a sending co-member of
     /// its rid; [`Self::canonical_state`] checks its tree), every PRE
     /// group is in some meeting's trees or the half pool with no slot
-    /// claimed twice. Every port, pid, MGID and
+    /// claimed twice. A pair exists for exactly the co-members whose
+    /// media [`flows`](Self::flows), and both its ports are labelled with
+    /// it. Every port, pid, MGID and
     /// tracker slot in use was drawn from its own pool and is not also
     /// free, and every id a pool has drawn is held once or free once: none
     /// leaked, none freed twice.
@@ -120,11 +122,8 @@ impl SwitchAgent {
                 "PRE group {mgid} is in no meeting's trees or half pool"
             ));
         }
-        let slots = || {
-            self.pinfo
-                .values()
-                .flat_map(|p| p.tracker_idx.values().copied())
-        };
+        self.check_pairs()?;
+        let slots = || self.pairs.values().filter_map(|p| p.tracker);
         let trackers: BTreeSet<u16> = slots().collect();
         let ports = &self.port_use;
         let trunk = |p: &&u16| self.pinfo[*p].class == ParticipantClass::TrunkEgress;
@@ -138,6 +137,48 @@ impl SwitchAgent {
         self.mgids
             .audit(holders.keys().copied(), |g| holders.contains_key(g))?;
         self.trackers.audit(slots(), |t| trackers.contains(t))
+    }
+
+    /// Every pair names two tracked co-members whose media flows, every
+    /// two such have one, its two ports are labelled with it, and no
+    /// other port is labelled with a pair.
+    fn check_pairs(&self) -> Result<(), String> {
+        let meeting = |p: &ParticipantId| self.pinfo.get(p).map(|p| p.meeting);
+        let stream =
+            |&&(s, r): &&_| meeting(&s).is_some_and(|m| meeting(&r) == Some(m) && self.flows(s, r));
+        if let Some((s, r)) = self.pairs.keys().filter(|k| !stream(k)).min() {
+            return Err(format!("pair {s} → {r} is no stream of one meeting"));
+        }
+        for m in self.meetings.values() {
+            for &sender in &m.participants {
+                for &receiver in m.participants.iter().filter(|&&r| self.flows(sender, r)) {
+                    let (s, r) = (sender, receiver);
+                    let missing = || format!("no pair carries {s} → {r}");
+                    let p = self.pairs.get(&(s, r)).ok_or_else(missing)?;
+                    let labels = [
+                        PortUse::PairVideo { sender, receiver },
+                        PortUse::PairAudio { sender, receiver },
+                    ];
+                    for (port, label) in [p.video, p.audio].into_iter().zip(labels) {
+                        let found = self.port_use.get(&port);
+                        if found != Some(&label) {
+                            return Err(format!(
+                                "port {port} of pair {s} → {r} is labelled {found:?}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        let pair_port = |u: &&_| matches!(u, PortUse::PairVideo { .. } | PortUse::PairAudio { .. });
+        let (labels, pairs) = (
+            self.port_use.values().filter(pair_port).count(),
+            self.pairs.len(),
+        );
+        if labels != 2 * pairs {
+            return Err(format!("{labels} ports labelled for {pairs} pairs"));
+        }
+        Ok(())
     }
 
     /// The meeting of a tracked participant entry.

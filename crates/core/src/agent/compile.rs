@@ -18,7 +18,8 @@
 //! egress and PRE tables is called from one function there.
 
 use super::{
-    cadence_for_dt, JoinGrant, MeetingId, ParticipantClass, ParticipantId, SwitchAgent, TreeDesign,
+    cadence_for_dt, JoinGrant, MeetingId, Pair, ParticipantClass, ParticipantId, SwitchAgent,
+    TreeDesign,
 };
 use scallop_dataplane::pre::{L1Node, PortList};
 use scallop_dataplane::rules::{EgressKey, EgressSpec, PortRule, ReplicationAction};
@@ -102,15 +103,6 @@ impl SwitchAgent {
     fn effective_dt(&self, sender: ParticipantId, receiver: ParticipantId) -> u8 {
         let p = &self.pinfo[&receiver];
         *p.dt_per_sender.get(&sender).unwrap_or(&p.dt)
-    }
-
-    /// Whether fabric traffic from sender `s` must not reach receiver
-    /// `r`: media that already crossed the fabric never re-crosses the
-    /// tier (trunk or WAN) it arrived on.
-    pub(super) fn skip_fabric_recross(&self, s: ParticipantId, r: ParticipantId) -> bool {
-        self.pinfo[&r].class == ParticipantClass::TrunkEgress
-            && self.pinfo[&s].class == ParticipantClass::RemoteSender
-            && self.pinfo[&r].fabric_xid == self.pinfo[&s].fabric_xid
     }
 
     /// Recompute and install all data-plane state for a meeting
@@ -311,7 +303,7 @@ impl SwitchAgent {
                 let l1_xid = self.tiered_uplink_xid(s, slot, fabric);
                 self.install_sender_uplinks(dp, s, &tiers, l1_xid);
                 for &q in grown.unwrap_or_default() {
-                    if q != s && q != r && self.receives(q) && !self.skip_fabric_recross(s, q) {
+                    if q != r && self.pairs.contains_key(&(s, q)) {
                         self.install_pair_egress(dp, s, q, &tiers, 1..3);
                     }
                 }
@@ -322,15 +314,14 @@ impl SwitchAgent {
         let trees = &self.meetings[&meeting].trees;
         self.remove_pairs_egress(dp, &participants, &[r], trees, false);
         for &s in &participants {
-            if s == r || !self.pinfo[&s].sends {
+            let Some(&Pair { video, tracker, .. }) = self.pairs.get(&(s, r)) else {
                 continue;
-            }
-            let had_slot = self.pinfo[&r].tracker_idx.contains_key(&s);
+            };
             self.install_pair_egress(dp, s, r, &tiers, 0..AUDIO);
-            let (vp, _) = self.pinfo[&r].pair_from[&s];
-            if let Some(&PortRule::ReceiverFeedback { remb_allowed, .. }) = dp.port_rules.peek(&vp)
+            if let Some(&PortRule::ReceiverFeedback { remb_allowed, .. }) =
+                dp.port_rules.peek(&video)
             {
-                if !had_slot && self.pinfo[&r].tracker_idx.contains_key(&s) {
+                if tracker.is_none() && self.pairs[&(s, r)].tracker.is_some() {
                     self.install_feedback_rules(dp, s, r, remb_allowed);
                 }
             }
@@ -367,12 +358,11 @@ impl SwitchAgent {
             // A fresh joiner's dt is 2, so an RA-R graft lands in all
             // three tiers.
             self.add_receiver_branches(dp, pid, &tiers, 0..3, slot, fabric);
-            // Every existing sender reaches the new receiver.
+            // Every existing sender it has a pair with reaches it.
             for &s in &participants {
-                if s == pid || !self.pinfo[&s].sends || self.skip_fabric_recross(s, pid) {
-                    continue;
+                if self.pairs.contains_key(&(s, pid)) {
+                    self.install_pair_egress(dp, s, pid, &tiers, PAIR);
                 }
-                self.install_pair_egress(dp, s, pid, &tiers, PAIR);
             }
         }
         if self.pinfo[&pid].sends {
@@ -381,10 +371,9 @@ impl SwitchAgent {
             let l1_xid = self.tiered_uplink_xid(pid, slot, fabric);
             self.install_sender_uplinks(dp, pid, &tiers, l1_xid);
             for &r in &participants {
-                if r == pid || !self.receives(r) || self.skip_fabric_recross(pid, r) {
-                    continue;
+                if self.pairs.contains_key(&(pid, r)) {
+                    self.install_pair_egress(dp, pid, r, &tiers, PAIR);
                 }
-                self.install_pair_egress(dp, pid, r, &tiers, PAIR);
             }
         }
         self.roster = participants;
@@ -412,18 +401,6 @@ impl SwitchAgent {
         let Some(tiers) = self.graft_tiers(meeting) else {
             return false;
         };
-        let Some(sp) = self.pinfo.get(&sender) else {
-            return false;
-        };
-        if !sp.sends {
-            return false;
-        }
-        if self.skip_fabric_recross(sender, trunk) {
-            return true; // deliberately unplumbed pair: nothing to install
-        }
-        if !self.pinfo[&trunk].pair_from.contains_key(&sender) {
-            return false;
-        }
         self.install_pair_egress(dp, sender, trunk, &tiers, PAIR);
         true
     }
@@ -438,10 +415,9 @@ impl SwitchAgent {
                 Self::remove_rule(dp, p.audio_up);
                 continue;
             };
-            if !self.pinfo[&s].sends {
+            let Some(&Pair { video, audio, .. }) = self.pairs.get(&(s, r)) else {
                 continue;
-            }
-            let (vp, ap) = self.pinfo[&r].pair_from[&s];
+            };
             let dst = self.pinfo[&r].addr;
             let unicast = |port| ReplicationAction::TwoParty {
                 egress: EgressSpec {
@@ -451,11 +427,11 @@ impl SwitchAgent {
                     rewrite_index: None,
                 },
             };
-            self.install_uplinks(dp, s, unicast(vp), unicast(ap));
+            self.install_uplinks(dp, s, unicast(video), unicast(audio));
             // Unicast renumbers nothing: a slot left from a tiered layout
             // would shift the receiver's NACKs by an offset its media no
             // longer carries.
-            if let Some(idx) = self.pinfo.get_mut(&r).unwrap().tracker_idx.remove(&s) {
+            if let Some(idx) = self.pairs.get_mut(&(s, r)).and_then(|p| p.tracker.take()) {
                 self.release_tracker(dp, idx);
             }
             let open = self.remb_gate_holder(s, participants) == Some(r);
@@ -487,10 +463,9 @@ impl SwitchAgent {
             self.install_sender_uplinks(dp, s, tiers, l1_xid);
             let holder = self.remb_gate_holder(s, participants);
             for &r in participants {
-                if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
-                    continue;
+                if self.pairs.contains_key(&(s, r)) {
+                    self.install_pair(dp, s, r, tiers, holder);
                 }
-                self.install_pair(dp, s, r, tiers, holder);
             }
         }
     }
@@ -611,7 +586,7 @@ impl SwitchAgent {
                 // per-sender sets already, so trunk-egress branches are
                 // simply omitted from remote senders' sets.
                 for &r in participants {
-                    if r == s || !self.receives(r) || self.skip_fabric_recross(s, r) {
+                    if !self.pairs.contains_key(&(s, r)) {
                         continue;
                     }
                     let r_trunk = self.pinfo[&r].class == ParticipantClass::TrunkEgress;
@@ -661,29 +636,35 @@ impl SwitchAgent {
         tiers: &[u16; 3],
         entries: Range<usize>,
     ) {
+        let Pair {
+            video,
+            audio,
+            tracker,
+            trunk_dst,
+            ..
+        } = self.pairs[&(s, r)];
         let (dt, video_dst, audio_dst, rewrite_index) =
             if self.pinfo[&r].class == ParticipantClass::TrunkEgress {
-                let Some(&(video, audio)) = self.pinfo[&r].trunk_dst.get(&s) else {
+                let Some((video, audio)) = trunk_dst else {
                     return;
                 };
                 (2, video, audio, None)
             } else {
                 let dt = self.effective_dt(s, r);
-                let adapted = dt < 2 || self.pinfo[&r].tracker_idx.contains_key(&s);
+                let adapted = dt < 2 || tracker.is_some();
                 let tracker = adapted.then(|| self.tracker_slot(dp, s, r, cadence_for_dt(dt)));
                 let addr = self.pinfo[&r].addr;
                 (dt, addr, addr, tracker)
             };
-        let (vp, ap) = self.pinfo[&r].pair_from[&s];
         let (s_video_up, s_audio_up) = (self.pinfo[&s].video_up, self.pinfo[&s].audio_up);
         let video_spec = EgressSpec {
-            src: HostAddr::new(self.sfu_ip, vp),
+            src: HostAddr::new(self.sfu_ip, video),
             dst: video_dst,
             max_temporal: dt,
             rewrite_index,
         };
         let audio_spec = EgressSpec {
-            src: HostAddr::new(self.sfu_ip, ap),
+            src: HostAddr::new(self.sfu_ip, audio),
             dst: audio_dst,
             max_temporal: 2,
             rewrite_index: None,
@@ -706,25 +687,28 @@ impl SwitchAgent {
         }
     }
 
-    /// The inverse of [`Self::install_pair_egress`]: remove every
-    /// (sender → receiver) pair's video entries in `trees`, and its audio
-    /// entry when `audio` is set. A pair names its entries — the tree,
-    /// the receiver's rid, the sender's uplink — so nothing needs to
-    /// remember them; keys the table does not hold are skipped.
-    pub(super) fn remove_pairs_egress<'a>(
+    /// The inverse of [`Self::install_pair_egress`]: remove the video
+    /// entries in `trees` of every pair of `senders` × `receivers`, and
+    /// its audio entry when `audio` is set. A pair names its entries —
+    /// the tree, the receiver's rid, the sender's uplink — so nothing
+    /// needs to remember them; keys the table does not hold are skipped.
+    pub(super) fn remove_pairs_egress(
         &self,
         dp: &mut ScallopDataPlane,
-        senders: impl IntoIterator<Item = &'a ParticipantId>,
+        senders: &[ParticipantId],
         receivers: &[ParticipantId],
         trees: &[(u16, u8)],
         audio: bool,
     ) {
-        for s in senders {
-            let Some(p) = self.pinfo.get(s).filter(|p| p.sends) else {
+        for &s in senders {
+            let Some(p) = self.pinfo.get(&s).filter(|p| p.sends) else {
                 continue;
             };
             let uplinks = [p.video_up, p.audio_up];
-            for &rid in receivers.iter().filter(|&r| r != s) {
+            for &rid in receivers
+                .iter()
+                .filter(|&&r| self.pairs.contains_key(&(s, r)))
+            {
                 for &(mgid, _) in trees {
                     for &in_port in &uplinks[..1 + usize::from(audio)] {
                         Self::remove_egress(dp, EgressKey { mgid, rid, in_port });

@@ -6,11 +6,10 @@
 //! compile path compare each receiver with.
 
 use super::alloc::PortUse;
-use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent, EWMA_ALPHA};
+use super::{MeetingId, ParticipantClass, ParticipantId, SwitchAgent};
 use scallop_dataplane::rules::PortRule;
 use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_netsim::packet::{HostAddr, Packet};
-use scallop_netsim::stats::Ewma;
 use scallop_netsim::time::{SimDuration, SimTime};
 use scallop_proto::av1::{DependencyDescriptor, DD_EXTENSION_ID};
 use scallop_proto::demux::{classify, PacketClass};
@@ -44,10 +43,8 @@ impl SwitchAgent {
         // forwarding raw REMBs the moment remote edges start reporting.
         if let Some(m) = self.meetings.get(&meeting) {
             for &r in &m.participants {
-                let p = &self.pinfo[&r];
-                if r != sender
-                    && p.class == ParticipantClass::Local
-                    && p.pair_from.contains_key(&sender)
+                if self.pairs.contains_key(&(sender, r))
+                    && self.pinfo[&r].class == ParticipantClass::Local
                 {
                     self.install_feedback_rules(dp, sender, r, false);
                 }
@@ -95,10 +92,8 @@ impl SwitchAgent {
         for &r in participants.iter().filter(|&&r| {
             r != s && self.pinfo[&r].class == ParticipantClass::Local && self.pinfo[&r].dt_cap >= 2
         }) {
-            let score = self.pinfo[&r]
-                .ewma
-                .get(&s)
-                .and_then(|e| e.value())
+            let score = (self.pairs.get(&(s, r)))
+                .and_then(|p| p.ewma.value())
                 .unwrap_or(f64::MAX); // unknown downlinks treated as best
             if best.is_none_or(|(_, b)| score > b) {
                 best = Some((r, score));
@@ -115,15 +110,14 @@ impl SwitchAgent {
         r: ParticipantId,
         remb_allowed: bool,
     ) {
-        let (vp, ap) = self.pinfo[&r].pair_from[&s];
+        let pair = &self.pairs[&(s, r)];
         let s_addr = self.pinfo[&s].addr;
-        let rewrite_index = self.pinfo[&r].tracker_idx.get(&s).copied();
         let (s_video_up, s_audio_up) = (self.pinfo[&s].video_up, self.pinfo[&s].audio_up);
         let video = PortRule::ReceiverFeedback {
             sender_addr: s_addr,
             forward_src: HostAddr::new(self.sfu_ip, s_video_up),
             remb_allowed,
-            rewrite_index,
+            rewrite_index: pair.tracker,
         };
         let audio = PortRule::ReceiverFeedback {
             sender_addr: s_addr,
@@ -131,8 +125,8 @@ impl SwitchAgent {
             remb_allowed: false, // audio RRs are absorbed
             rewrite_index: None,
         };
-        Self::install_rule(dp, vp, video);
-        Self::install_rule(dp, ap, audio);
+        Self::install_rule(dp, pair.video, video);
+        Self::install_rule(dp, pair.audio, audio);
     }
 
     /// Handle one CPU-port packet; returns the packets the agent sends
@@ -204,12 +198,9 @@ impl SwitchAgent {
                     self.counters.rembs_analyzed += 1;
                     saw_remb = true;
                     let (curr_dt, new_dt, dwell_ok) = {
-                        let pr = self.pinfo.get_mut(&receiver).expect("receiver known");
-                        let smoothed = pr
-                            .ewma
-                            .entry(sender)
-                            .or_insert_with(|| Ewma::new(EWMA_ALPHA))
-                            .update(bitrate_bps as f64);
+                        let pair = self.pairs.get_mut(&(sender, receiver));
+                        let smoothed = pair.expect("pair known").ewma.update(bitrate_bps as f64);
+                        let pr = &self.pinfo[&receiver];
                         let curr = pr.dt;
                         // Asymmetric damping (fast down, slow up): a
                         // single collapsed REMB may reflect real queue
@@ -325,8 +316,7 @@ impl SwitchAgent {
         };
         let local = (self.meetings.get(&meeting))
             .and_then(|m| self.best_downlink_among(sender, &m.participants))
-            .and_then(|r| self.pinfo[&r].ewma.get(&sender))
-            .and_then(|e| e.value())
+            .and_then(|r| self.pairs.get(&(sender, r))?.ewma.value())
             .map(|v| v as u64);
         let agg = match (local, remote) {
             (Some(l), Some(r)) => l.min(r),
@@ -429,20 +419,17 @@ impl SwitchAgent {
             }
             let holder = self.remb_gate_holder(s, participants);
             for &r in participants {
-                if r == s
-                    || self.pinfo[&r].class != ParticipantClass::Local
-                    || !self.pinfo[&r].pair_from.contains_key(&s)
-                {
+                let Some(pair) = self.pairs.get(&(s, r)) else {
                     continue;
-                }
+                };
                 let allowed = holder == Some(r);
-                let (vp, _) = self.pinfo[&r].pair_from[&s];
-                let open = match dp.port_rules.peek(&vp) {
+                let open = match dp.port_rules.peek(&pair.video) {
                     Some(PortRule::ReceiverFeedback { remb_allowed, .. }) => Some(*remb_allowed),
                     _ => None,
                 };
-                // Only touch the rule when the gate actually changes.
-                if open != Some(allowed) {
+                // Only touch the rule when the gate actually changes; a
+                // trunk-egress pair has no feedback rules.
+                if open != Some(allowed) && self.pinfo[&r].class == ParticipantClass::Local {
                     updates += 1;
                     self.install_feedback_rules(dp, s, r, allowed);
                 }

@@ -27,8 +27,12 @@
 //!
 //! # Layout: one file per job, one writer per table
 //!
-//! * This file holds the roster — each participant entry and meeting
-//!   segment the switch serves — and the membership calls that change it.
+//! * This file holds the roster — each participant entry, each
+//!   (sender → receiver) pair whose media flows here and each meeting
+//!   segment the switch serves — and the membership calls that change
+//!   it. A pair holds all per-stream state: its ports, tracker slot,
+//!   REMB EWMA and trunk destination; whether it exists is the one
+//!   rule for where a sender's media reaches a receiver.
 //! * `alloc` hands out every id by one rule, the `IdPool`: SFU ports,
 //!   participant ids (local and trunk-egress), MGIDs and Stream Tracker
 //!   slots. It writes the two data-plane tables keyed by those ids, the
@@ -241,10 +245,6 @@ struct Pinfo {
     /// client address (feedback forwarding target). TrunkEgress: unused.
     addr: HostAddr,
     sends: bool,
-    /// TrunkEgress only: per-local-sender (video, audio) trunk-ingress
-    /// addresses on the remote edge (or its relaying core / WAN
-    /// gateway).
-    trunk_dst: HashMap<ParticipantId, (HostAddr, HostAddr)>,
     /// Fabric pruning tier. TrunkEgress: the L1 XID its branches carry
     /// ([`TRUNK_XID`] for intra-zone branches, [`WAN_XID`] for a zone
     /// gateway's cross-WAN branches). RemoteSender: the XID its media
@@ -272,15 +272,26 @@ struct Pinfo {
     dt_cap: u8,
     /// RA-SR overrides: per-sender decode target.
     dt_per_sender: HashMap<ParticipantId, u8>,
-    /// Per-sender downlink EWMA (this participant as receiver).
-    ewma: HashMap<ParticipantId, Ewma>,
-    /// Ports we send this participant media from, per sender:
-    /// (video pair port, audio pair port).
-    pair_from: HashMap<ParticipantId, (u16, u16)>,
-    /// Stream-tracker slot per sender (video), when rate-adapted.
-    tracker_idx: HashMap<ParticipantId, u16>,
     /// When this receiver's decode target last changed (dwell control).
     last_dt_change: Option<SimTime>,
+}
+
+/// One (sender → receiver) stream on this switch (§5.3): it exists
+/// exactly where the sender's media reaches the receiver here.
+#[derive(Debug, Clone)]
+struct Pair {
+    /// The SFU ports the receiver gets the sender's video and audio from
+    /// (and sends its feedback about them to).
+    video: u16,
+    audio: u16,
+    /// Stream-tracker slot rewriting the video, once rate-adapted.
+    tracker: Option<u16>,
+    /// The receiver's downlink REMB EWMA for this stream.
+    ewma: Ewma,
+    /// Trunk-egress receiver only: the (video, audio) trunk-ingress
+    /// addresses on the remote edge (or its relaying core / WAN
+    /// gateway), once the controller has aimed the branch.
+    trunk_dst: Option<(HostAddr, HostAddr)>,
 }
 
 #[derive(Debug, Clone)]
@@ -317,6 +328,8 @@ pub struct SwitchAgent {
     meetings: BTreeMap<MeetingId, MeetingState>,
     next_meeting: MeetingId,
     pinfo: BTreeMap<ParticipantId, Pinfo>,
+    /// Every (sender, receiver) pair whose media flows on this switch.
+    pairs: HashMap<(ParticipantId, ParticipantId), Pair>,
     port_use: BTreeMap<u16, PortUse>,
     /// Half-open paired trees awaiting a second meeting (m = 2
     /// packing): NRA singles and RA-R triplets.
@@ -350,6 +363,7 @@ impl SwitchAgent {
             meetings: BTreeMap::new(),
             next_meeting: 1,
             pinfo: BTreeMap::new(),
+            pairs: HashMap::new(),
             port_use: BTreeMap::new(),
             half_trees: Vec::new(),
             roster: Vec::new(),
@@ -419,10 +433,7 @@ impl SwitchAgent {
         sender: ParticipantId,
         receiver: ParticipantId,
     ) -> Option<HostAddr> {
-        self.pinfo
-            .get(&receiver)
-            .and_then(|p| p.pair_from.get(&sender))
-            .map(|&(v, _)| HostAddr::new(self.sfu_ip, v))
+        (self.pairs.get(&(sender, receiver))).map(|p| HostAddr::new(self.sfu_ip, p.video))
     }
 
     /// Add a local participant to a meeting; installs all data-plane
@@ -494,9 +505,10 @@ impl SwitchAgent {
     /// Point the trunk-egress branch `trunk` at the remote trunk-ingress
     /// addresses for local sender `sender`, then recompile the meeting —
     /// incrementally (only the one re-aimed branch) when the installed
-    /// layout holds, with a full rebuild as the fallback. Returns
-    /// whether the destination changed; a branch already aimed there is
-    /// left alone, which is what makes a repair pass idempotent.
+    /// layout holds, with a full rebuild as the fallback. The pair must
+    /// exist: the branch carries `sender`'s media. Returns whether the
+    /// destination changed; a branch already aimed there is left alone,
+    /// which is what makes a repair pass idempotent.
     pub(crate) fn set_trunk_dst(
         &mut self,
         dp: &mut ScallopDataPlane,
@@ -505,15 +517,13 @@ impl SwitchAgent {
         video_dst: HostAddr,
         audio_dst: HostAddr,
     ) -> bool {
-        let Some(p) = self.pinfo.get_mut(&trunk) else {
-            return false;
-        };
-        debug_assert_eq!(p.class, ParticipantClass::TrunkEgress);
-        let dst = (video_dst, audio_dst);
-        if p.trunk_dst.insert(sender, dst) == Some(dst) {
+        debug_assert_eq!(self.pinfo[&trunk].class, ParticipantClass::TrunkEgress);
+        let pair = self.pairs.get_mut(&(sender, trunk));
+        let dst = Some((video_dst, audio_dst));
+        if std::mem::replace(&mut pair.expect("a branch carries a pair").trunk_dst, dst) == dst {
             return false;
         }
-        let meeting = p.meeting;
+        let meeting = self.pinfo[&trunk].meeting;
         if !self.try_point_trunk(dp, meeting, trunk, sender) {
             self.rebuild_meeting(dp, meeting);
         }
@@ -574,10 +584,7 @@ impl SwitchAgent {
 
     /// Whether `pid` receives media on this switch.
     fn receives(&self, pid: ParticipantId) -> bool {
-        self.pinfo
-            .get(&pid)
-            .map(|p| p.class != ParticipantClass::RemoteSender)
-            .unwrap_or(false)
+        (self.pinfo.get(&pid)).is_some_and(|p| p.class != ParticipantClass::RemoteSender)
     }
 
     /// Whether a meeting segment spans the fabric (has any non-local
@@ -604,11 +611,8 @@ impl SwitchAgent {
         m.participants.retain(|&p| p != pid);
         let m = &self.meetings[&meeting];
         Self::remove_branches(dp, &m.trees, &[pid]);
-        if let Some(p) = self.pinfo.get(&pid) {
-            // The senders `pid` receives from are those it holds pair ports from.
-            self.remove_pairs_egress(dp, [&pid], &m.participants, &m.trees, true);
-            self.remove_pairs_egress(dp, p.pair_from.keys(), &[pid], &m.trees, true);
-        }
+        self.remove_pairs_egress(dp, &[pid], &m.participants, &m.trees, true);
+        self.remove_pairs_egress(dp, &m.participants, &[pid], &m.trees, true);
         self.retire(dp, meeting, pid);
         if self.graft_tiers(meeting).is_some() && self.forwards_anything(meeting) {
             self.counters.prune_leaves += 1;

@@ -195,7 +195,9 @@ fn a_two_party_shrink_forwards_nacks_in_the_numbers_the_receiver_saw() {
     {
         send(&mut dp, n as u16, layer);
     }
-    let slot = agent.pinfo[&r].tracker_idx[&s.participant];
+    let slot = agent.pairs[&(s.participant, r)]
+        .tracker
+        .expect("an adapted pair");
     assert_ne!(dp.tracker.offset_of(slot.into()), 0, "frames were dropped");
     // The third member leaves: the pair falls back to unicast, which
     // renumbers nothing.
@@ -671,6 +673,60 @@ fn the_ownership_audit_names_a_stray_egress_entry() {
         let err = copy.check_compiled(&copy_dp).expect_err("a stray entry");
         assert_eq!(err, format!("egress {key:?} is no pair of one meeting"));
     }
+}
+
+#[test]
+fn the_ownership_audit_names_a_stray_a_missing_and_a_mislabelled_pair() {
+    // Meeting A: two senders and a receiver that does not send; meeting
+    // B: one more sender.
+    let (mut agent, mut dp) = mk();
+    let (a, b) = (agent.create_meeting(), agent.create_meeting());
+    let g: Vec<ParticipantId> = (1..=3)
+        .map(|i| agent.join(&mut dp, a, addr(i), i != 3).participant)
+        .collect();
+    let other = agent.join(&mut dp, b, addr(11), true).participant;
+    agent.join(&mut dp, b, addr(12), true);
+    agent.check_compiled(&dp).expect("every pair is a stream");
+    let audit = |corrupt: &dyn Fn(&mut SwitchAgent)| {
+        let (mut copy, copy_dp) = agent.copy_with(&dp);
+        corrupt(&mut copy);
+        copy.check_compiled(&copy_dp)
+            .expect_err("the audit must see it")
+    };
+    // A pair from a member that does not send, and one across meetings.
+    for (s, r) in [(g[2], g[0]), (g[0], other)] {
+        let err = audit(&|c| {
+            let pair = c.pairs[&(g[0], g[1])].clone();
+            c.pairs.insert((s, r), pair);
+        });
+        assert_eq!(err, format!("pair {s} → {r} is no stream of one meeting"));
+    }
+    let err = audit(&|c| {
+        c.pairs.remove(&(g[1], g[2]));
+    });
+    assert_eq!(err, format!("no pair carries {} → {}", g[1], g[2]));
+    let video = agent.pairs[&(g[0], g[1])].video;
+    let (sender, receiver) = (g[0], g[1]);
+    let label = PortUse::PairAudio { sender, receiver };
+    let err = audit(&|c| {
+        c.port_use.insert(video, label);
+    });
+    assert_eq!(
+        err,
+        format!(
+            "port {video} of pair {sender} → {receiver} is labelled {:?}",
+            Some(label)
+        )
+    );
+    // A pair's label on a port that is no pair's.
+    let err = audit(&|c| {
+        c.port_use.insert(u16::MAX, label);
+    });
+    let pairs = agent.pairs.len();
+    assert_eq!(
+        err,
+        format!("{} ports labelled for {pairs} pairs", 2 * pairs + 1)
+    );
 }
 
 #[test]

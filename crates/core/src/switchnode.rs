@@ -25,6 +25,12 @@ use std::net::Ipv4Addr;
 const TIMER_FLUSH: TimerToken = TimerToken(200);
 const TIMER_AGENT: TimerToken = TimerToken(201);
 
+/// Switch-CPU path latency for agent-handled packets.
+const AGENT_LATENCY: SimDuration = SimDuration::from_micros(250);
+
+/// Agent feedback-filter tick interval.
+const AGENT_TICK: SimDuration = SimDuration::from_millis(100);
+
 /// Switch deployment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchConfig {
@@ -34,10 +40,6 @@ pub struct SwitchConfig {
     pub rewrite_mode: SeqRewriteMode,
     /// Fixed data-plane forwarding latency.
     pub pipeline_latency: SimDuration,
-    /// Switch-CPU path latency for agent-handled packets.
-    pub agent_latency: SimDuration,
-    /// Agent feedback-filter tick interval.
-    pub agent_tick: SimDuration,
     /// First SFU UDP port this switch allocates. Fabric deployments give
     /// every edge a disjoint range so trunk routing can match on the
     /// destination port (`scallop_netsim::topology`).
@@ -54,8 +56,6 @@ impl SwitchConfig {
             ip,
             rewrite_mode: SeqRewriteMode::LowRetransmission,
             pipeline_latency: SimDuration::from_nanos(1_500),
-            agent_latency: SimDuration::from_micros(250),
-            agent_tick: SimDuration::from_millis(100),
             port_base: 10_000,
             port_limit: u16::MAX,
         }
@@ -92,8 +92,7 @@ struct Departure {
 enum Lane {
     /// Data-plane forwards, at [`SwitchConfig::pipeline_latency`].
     Pipeline,
-    /// Agent responses and tick emissions, at
-    /// [`SwitchConfig::agent_latency`].
+    /// Agent responses and tick emissions, at [`AGENT_LATENCY`].
     Agent,
 }
 
@@ -219,7 +218,7 @@ impl Departures {
     fn emit(&mut self, ctx: &mut Ctx<'_>, cfg: &SwitchConfig, lane: Lane, pkt: Packet) {
         let (queue, latency) = match lane {
             Lane::Pipeline => (&mut self.forwards, cfg.pipeline_latency),
-            Lane::Agent => (&mut self.responses, cfg.agent_latency),
+            Lane::Agent => (&mut self.responses, AGENT_LATENCY),
         };
         let at = ctx.now() + latency;
         assert!(
@@ -259,7 +258,7 @@ impl Departures {
 
 impl Node for ScallopSwitchNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
+        ctx.schedule(AGENT_TICK, TIMER_AGENT);
     }
 
     /// One packet through the data plane as a batch of one. The agent
@@ -286,7 +285,7 @@ impl Node for ScallopSwitchNode {
             TIMER_FLUSH => self.departures.flush_due(ctx),
             TIMER_AGENT => {
                 self.agent.tick(ctx.now(), &mut self.dp);
-                ctx.schedule(self.cfg.agent_tick, TIMER_AGENT);
+                ctx.schedule(AGENT_TICK, TIMER_AGENT);
             }
             _ => {}
         }
@@ -395,7 +394,7 @@ mod tests {
         // only. Forwards (the REMB toward the sender, then the frame)
         // leave at pipeline latency, the STUN answer at agent latency.
         let pipeline = at + sw.cfg.pipeline_latency;
-        let agent = at + sw.cfg.agent_latency;
+        let agent = at + AGENT_LATENCY;
         let c: &mut Clients = sim.node_mut(clients).unwrap();
         assert_eq!(
             c.arrivals,
@@ -463,7 +462,7 @@ mod tests {
     #[test]
     fn same_instant_departures_from_both_lanes_leave_in_emission_order() {
         let mut cfg = SwitchConfig::new(SWITCH_IP);
-        cfg.agent_latency = cfg.pipeline_latency;
+        cfg.pipeline_latency = AGENT_LATENCY;
         let (mut sim, sw, clients) = switch_and_clients_with(cfg);
         let uplink = three_party_meeting(&mut sim, sw);
         let at = SimTime::from_millis(1);

@@ -10,11 +10,11 @@
 //! (448 for 226 changes), and 7.29 before ledger entries became
 //! fixed-size charges, compiles walked a reused roster copy and PRE
 //! nodes held their one port inline. Most of what is left is the
-//! agent's per-participant state: each participant record's per-pair
-//! maps (`pair_from` and its neighbours) grow from empty as pairs are
-//! plumbed, and the port-ownership and participant B-trees split and
-//! merge nodes as ports and ids come and go. `join` returns one vector
-//! per call, and the single joins count it too.
+//! agent's roster: the port-ownership and participant B-trees split and
+//! merge nodes as ports and ids come and go. The per-stream state is one
+//! table of (sender → receiver) pairs, which stays at its peak size once
+//! warm instead of a map per receiver growing from empty. `join` returns
+//! one vector per call, and the single joins count it too.
 //!
 //! Every cycle retires the two meetings it created, and the plane keeps
 //! nothing per retired meeting: once warm, the live heap is the same
