@@ -55,9 +55,10 @@
 //! descriptor and the egress deparser rewrites two header bytes per
 //! receiver (§6.1–6.3), so no replica copies the payload: every replica
 //! is the ingress [`Packet`] re-addressed, sharing its buffer (one
-//! reference-count bump). A replica the Stream Tracker renumbers carries
-//! its new RTP sequence number in the packet's overlay
-//! ([`Packet::with_seq_overlay`]), which sits in the struct's padding;
+//! reference-count bump), and is written once, in its slot of
+//! [`BatchOutput::forwards`] ([`Packet::push_replica`]). A replica the
+//! Stream Tracker renumbers carries its new RTP sequence number in the
+//! packet's overlay, which sits in the struct's padding;
 //! the bytes on the wire are the payload with that number written over
 //! bytes 2..4 ([`Packet::wire_bytes`]), the length and every byte
 //! counter are unchanged, and whatever reads an RTP header off a

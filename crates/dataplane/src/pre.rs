@@ -175,7 +175,7 @@ impl PacketReplicationEngine {
 
     /// Create an empty multicast group. Fails when the 64 K budget is
     /// exhausted or the MGID is taken.
-    pub fn create_group(&mut self, mgid: u16) -> Result<(), PreError> {
+    pub(crate) fn create_group(&mut self, mgid: u16) -> Result<(), PreError> {
         self.version = WriteVersion::next();
         if self.groups.len() >= MAX_MULTICAST_GROUPS {
             return Err(PreError::GroupsExhausted);

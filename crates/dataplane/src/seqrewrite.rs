@@ -79,7 +79,7 @@ pub enum SeqRewriteMode {
 
 impl SeqRewriteMode {
     /// Register words consumed per stream.
-    pub fn words_per_stream(self) -> usize {
+    pub(crate) fn words_per_stream(self) -> usize {
         match self {
             SeqRewriteMode::LowMemory => 3,
             SeqRewriteMode::LowRetransmission => 6,
@@ -275,7 +275,8 @@ fn forward_in_order(
 /// touches. Rows exist up to the highest index initialised or processed,
 /// never past `capacity`. A slot without a row reads as zeros, as an
 /// untouched register does, and an index at or past `capacity` reads as
-/// zeros and keeps nothing. [`Self::sram_bits`] charges the full arrays.
+/// zeros and keeps nothing. The SRAM count (`sram_bits`, read by the
+/// resource report) charges the full arrays.
 #[derive(Debug)]
 pub struct StreamTracker {
     mode: SeqRewriteMode,
@@ -312,7 +313,7 @@ impl StreamTracker {
 
     /// Total SRAM bits of the stream-tracker arrays actually needed by
     /// the configured mode.
-    pub fn sram_bits(&self) -> usize {
+    pub(crate) fn sram_bits(&self) -> usize {
         self.capacity * 32 * self.mode.words_per_stream()
     }
 

@@ -491,9 +491,9 @@ impl ScallopDataPlane {
         // numbers; shift each packet-id by the stream's current offset so
         // the sender can locate the originals in its history (one
         // register read per NACK — the Fig. 12 offset). The shifted
-        // compound is written into a pooled buffer; one that does not
-        // parse is forwarded as it came.
-        let mut fwd = pkt.readdressed(forward_src, sender_addr);
+        // compound is written into a pooled buffer and swapped into the
+        // forwarded copy; one that does not parse is forwarded as it came.
+        let fwd = pkt.push_replica(sink.forwards, forward_src, sender_addr, None);
         if pt == rtcp::PT_RTPFB {
             if let Some(idx) = rewrite_index {
                 let offset = self.tracker.offset_of(idx as usize);
@@ -508,7 +508,6 @@ impl ScallopDataPlane {
                 }
             }
         }
-        sink.forwards.push(fwd);
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
     }
@@ -700,7 +699,10 @@ impl ScallopDataPlane {
         // The PRE replicates the descriptor, not the bytes: every replica
         // shares the ingress buffer, and a rewritten one carries its new
         // number in the packet's overlay, as the egress deparser would
-        // write it over bytes 2..4.
+        // write it over bytes 2..4. Counted first, then written once, in
+        // its slot of `forwards`: building it before the counter updates
+        // measured slower on `fwd_mixed`, and building it on the stack
+        // stalls on the reload that copies it in.
         let len = pkt.payload.len() as u64;
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += len;
@@ -708,13 +710,7 @@ impl ScallopDataPlane {
             self.counters.trunk_out_pkts += 1;
             self.counters.trunk_out_bytes += len;
         }
-        // Counted first, then built in the push: building the replica
-        // before the counter updates measured slower on `fwd_mixed`.
-        let fwd = pkt.readdressed(spec.src, spec.dst);
-        sink.forwards.push(match rewritten_seq {
-            Some(seq) => fwd.with_seq_overlay(seq),
-            None => fwd,
-        });
+        pkt.push_replica(sink.forwards, spec.src, spec.dst, rewritten_seq);
     }
 }
 

@@ -226,7 +226,7 @@ fn write(dp: &mut ScallopDataPlane, (kind, a, b, c, d): Step) -> String {
             };
             format!("{:?}", dp.remove_egress(key))
         }
-        10 => format!("{:?}", dp.pre.create_group(mgid)),
+        10 => format!("{:?}", dp.create_tree(mgid)),
         11 => format!("{:?}", dp.pre.destroy_group(mgid)),
         12 => {
             let node = L1Node {

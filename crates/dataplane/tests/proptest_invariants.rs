@@ -16,9 +16,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scallop_dataplane::parser;
-use scallop_dataplane::pre::{L1Node, PacketReplicationEngine, PortList};
+use scallop_dataplane::pre::{L1Node, PortList};
 use scallop_dataplane::rules::EgressKey;
 use scallop_dataplane::seqrewrite::{PacketVerdict, RewriteVerdict, SeqRewriteMode, StreamTracker};
+use scallop_dataplane::switch::ScallopDataPlane;
 use scallop_dataplane::tables::{ExactTable, TableError};
 use std::collections::BTreeMap;
 
@@ -206,8 +207,9 @@ proptest! {
         pkt_xid in 1u16..4,
         pkt_rid_idx in any::<prop::sample::Index>(),
     ) {
-        let mut pre = PacketReplicationEngine::new();
-        pre.create_group(9).unwrap();
+        let mut dp = ScallopDataPlane::new(SeqRewriteMode::LowMemory);
+        dp.create_tree(9).unwrap();
+        let pre = &mut dp.pre;
         // Assign each node a unique port = its index; rid = index too.
         for (i, &(_, xid, prune)) in nodes.iter().enumerate() {
             pre.add_node(9, L1Node {

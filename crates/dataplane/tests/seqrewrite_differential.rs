@@ -78,7 +78,6 @@ fn expected_debug(reference: &Reference, rows: usize) -> String {
 fn check_history(mode: SeqRewriteMode, ops: &[Op]) {
     let mut rows = StreamTracker::new(mode, CAPACITY);
     let mut reference = Reference::new(mode, CAPACITY);
-    assert_eq!(rows.sram_bits(), reference.sram_bits());
     // Per-slot (seq, frame), starting just short of the wrap.
     let mut cursor = [(65_500u16, 65_530u16); SLOTS as usize];
     // Slots written so far: the rows the tracker may hold.

@@ -107,12 +107,6 @@ impl StreamTracker {
         self.capacity
     }
 
-    /// Total SRAM bits of the stream-tracker arrays actually needed by
-    /// the configured mode.
-    pub fn sram_bits(&self) -> usize {
-        self.capacity * 32 * self.mode.words_per_stream()
-    }
-
     fn load(&self, idx: usize) -> StreamState {
         let w0 = self.arr[0].read_cp(idx).unwrap_or(0);
         let w1 = self.arr[1].read_cp(idx).unwrap_or(0);

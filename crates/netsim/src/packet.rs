@@ -57,7 +57,8 @@ impl fmt::Display for HostAddr {
 /// the data plane's parse stage and the client's receive path do. The
 /// overlay changes no length, so [`Self::wire_len`] and every byte
 /// counter are those of the datagram. It belongs to the payload it was
-/// set on: a packet built afresh with [`Self::new`] has none.
+/// set on: a packet built afresh with [`Self::new`] has none, and
+/// [`Self::push_replica`] sets it on the replicas it writes.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Source endpoint.
@@ -84,18 +85,6 @@ impl Packet {
             payload: payload.into(),
             seq_overlay: None,
         }
-    }
-
-    /// This packet with RTP sequence number `seq` on the wire in place of
-    /// payload bytes 2..4, which stay shared and untouched. A payload too
-    /// short to hold a sequence number has none to replace and is left as
-    /// it is (a branch, not a panic: this runs once per replica).
-    #[inline]
-    pub fn with_seq_overlay(mut self, seq: u16) -> Packet {
-        if self.payload.len() >= 4 {
-            self.seq_overlay = Some(seq);
-        }
-        self
     }
 
     /// The RTP sequence number an egress stage wrote over payload bytes
@@ -129,10 +118,9 @@ impl Packet {
     }
 
     /// Return a copy re-addressed to a new source/destination pair, sharing
-    /// the payload buffer and keeping the overlay. This is the address
-    /// rewrite Scallop's egress pipeline performs on replicas (§6.1
-    /// "Addressing replicated packets"); a replica whose sequence number is
-    /// rewritten as well gets [`Self::with_seq_overlay`] on top.
+    /// the payload buffer and keeping the overlay. A node that relays a
+    /// packet sends this; a switch emits its replicas with
+    /// [`Self::push_replica`].
     #[inline]
     pub fn readdressed(&self, src: HostAddr, dst: HostAddr) -> Packet {
         Packet {
@@ -141,6 +129,44 @@ impl Packet {
             payload: self.payload.clone(),
             seq_overlay: self.seq_overlay,
         }
+    }
+
+    /// Append to `out` a replica of this packet addressed `src → dst`, and
+    /// return it. This is the address rewrite Scallop's egress pipeline
+    /// performs on replicas (§6.1 "Addressing replicated packets"): the
+    /// replica shares the payload buffer, and carries `seq` as its RTP
+    /// sequence number on the wire when the rewrite stage gave one and the
+    /// payload is long enough to hold it (a branch, not a panic: this runs
+    /// once per replica); else the overlay this packet carried.
+    ///
+    /// The replica is written once, in the slot it leaves from: an empty
+    /// packet is pushed and its fields filled in place. A replica built on
+    /// the stack and then moved into `out` is reloaded for the copy before
+    /// its stores have landed, a store-forwarding stall on every replica.
+    #[inline(always)]
+    pub fn push_replica<'a>(
+        &self,
+        out: &'a mut Vec<Packet>,
+        src: HostAddr,
+        dst: HostAddr,
+        seq: Option<u16>,
+    ) -> &'a mut Packet {
+        const EMPTY: Packet = Packet {
+            src: HostAddr::new(Ipv4Addr::UNSPECIFIED, 0),
+            dst: HostAddr::new(Ipv4Addr::UNSPECIFIED, 0),
+            payload: Bytes::new(),
+            seq_overlay: None,
+        };
+        out.push(EMPTY);
+        let slot = out.last_mut().expect("a packet was just pushed");
+        slot.src = src;
+        slot.dst = dst;
+        slot.payload = self.payload.clone();
+        slot.seq_overlay = match seq {
+            Some(seq) if self.payload.len() >= 4 => Some(seq),
+            _ => self.seq_overlay,
+        };
+        slot
     }
 }
 
@@ -224,6 +250,7 @@ impl BufPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn addr(last: u8, port: u16) -> HostAddr {
         HostAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
@@ -254,14 +281,18 @@ mod tests {
         assert_eq!(p.seq_overlay(), None);
         assert_eq!(p.wire_bytes()[..], bytes[..]);
 
+        let mut out = Vec::new();
         let q = p
-            .readdressed(addr(9, 9), addr(3, 3000))
-            .with_seq_overlay(0xBEEF);
-        let r = q.readdressed(addr(9, 9), addr(4, 4000));
+            .push_replica(&mut out, addr(9, 9), addr(3, 3000), Some(0xBEEF))
+            .clone();
+        let r = q
+            .push_replica(&mut out, addr(9, 9), addr(4, 4000), None)
+            .clone();
+        assert_eq!(out, [q.clone(), r.clone()], "each replica is in its slot");
         let mut wire = bytes.clone();
         wire[2..4].copy_from_slice(&[0xBE, 0xEF]);
         for replica in [&q, &r] {
-            assert_eq!(replica.seq_overlay(), Some(0xBEEF), "readdressing keeps it");
+            assert_eq!(replica.seq_overlay(), Some(0xBEEF), "a replica keeps it");
             assert_eq!(replica.wire_bytes()[..], wire[..]);
             assert_eq!(replica.payload, p.payload, "the payload is untouched");
             assert_eq!(replica.payload.as_ptr(), p.payload.as_ptr(), "and shared");
@@ -274,9 +305,53 @@ mod tests {
 
     #[test]
     fn a_payload_without_a_sequence_number_takes_no_overlay() {
-        let p = Packet::new(addr(1, 1), addr(2, 2), vec![7u8; 3]).with_seq_overlay(1);
-        assert_eq!(p.seq_overlay(), None);
-        assert_eq!(p.wire_bytes()[..], [7u8; 3]);
+        let mut out = Vec::new();
+        let p = Packet::new(addr(1, 1), addr(2, 2), vec![7u8; 3]);
+        let q = p.push_replica(&mut out, addr(1, 1), addr(3, 3), Some(1));
+        assert_eq!(q.seq_overlay(), None);
+        assert_eq!(q.wire_bytes()[..], [7u8; 3]);
+    }
+
+    /// The by-value construction the writer replaced: a readdressed copy,
+    /// then the rewritten number set on it when the payload holds one.
+    fn replica_by_value(pkt: &Packet, src: HostAddr, dst: HostAddr, seq: Option<u16>) -> Packet {
+        let mut fwd = pkt.readdressed(src, dst);
+        if let Some(seq) = seq {
+            if fwd.payload.len() >= 4 {
+                fwd.seq_overlay = Some(seq);
+            }
+        }
+        fwd
+    }
+
+    proptest! {
+        /// Written in place, a replica is the packet the by-value
+        /// construction built: same addresses, same datagram on the wire,
+        /// same overlay, and the ingress payload's allocation, shared.
+        #[test]
+        fn a_replica_written_in_place_is_the_one_built_by_value(
+            len in 0usize..=8,
+            upstream in proptest::option::of(any::<u16>()),
+            rewrite in proptest::option::of(any::<u16>()),
+            src_port in any::<u16>(),
+            dst_port in any::<u16>(),
+        ) {
+            let payload: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            let ingress = Packet::new(addr(1, 1000), addr(2, 2000), payload);
+            // A packet that arrived already renumbered, or not.
+            let ingress = replica_by_value(&ingress, ingress.src, ingress.dst, upstream);
+            let (src, dst) = (addr(9, src_port), addr(3, dst_port));
+            let oracle = replica_by_value(&ingress, src, dst, rewrite);
+
+            let mut out = vec![Packet::new(addr(7, 7), addr(8, 8), vec![1u8; 5])];
+            ingress.push_replica(&mut out, src, dst, rewrite);
+            prop_assert_eq!(out.len(), 2);
+            let replica = &out[1];
+            prop_assert_eq!((replica.src, replica.dst), (oracle.src, oracle.dst));
+            prop_assert_eq!(replica.wire_bytes(), oracle.wire_bytes());
+            prop_assert_eq!(replica.seq_overlay(), oracle.seq_overlay());
+            prop_assert_eq!(replica.payload.as_ptr(), ingress.payload.as_ptr());
+        }
     }
 
     #[test]

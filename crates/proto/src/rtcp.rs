@@ -23,8 +23,8 @@
 //! * **The walk** — [`packets`] — reads a compound datagram in place and
 //!   yields each packet as an [`RtcpRef`] borrowed from the wire (the
 //!   `proto::rtp` extension-element walk plays the same part for RTP).
-//!   [`parse_one`] and [`parse_compound`] convert what it yields into
-//!   owned packets, and [`read_compound`] gives the hot callers — clients,
+//!   [`parse_compound`] converts what it yields into owned packets,
+//!   and [`read_compound`] gives the hot callers — clients,
 //!   the switch agent, the data plane's NACK rewrite — a compound that
 //!   parsed whole, the same all-or-nothing rule, without copying it.
 
@@ -805,14 +805,6 @@ pub fn read_compound(buf: &[u8]) -> Result<impl Iterator<Item = RtcpRef<'_>> + C
     Ok(packets(buf).flatten())
 }
 
-/// Parse a single RTCP packet starting at `buf[0]`. Returns the packet and
-/// its total encoded length.
-pub fn parse_one(buf: &[u8]) -> Result<(RtcpPacket, usize), ProtoError> {
-    let mut rest = buf;
-    let pkt = read_one(&mut rest)?;
-    Ok((pkt.into(), buf.len() - rest.len()))
-}
-
 /// Parse a compound RTCP datagram into its constituent packets.
 pub fn parse_compound(buf: &[u8]) -> Result<Vec<RtcpPacket>, ProtoError> {
     let mut out = Vec::new();
@@ -825,6 +817,14 @@ pub fn parse_compound(buf: &[u8]) -> Result<Vec<RtcpPacket>, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse a single RTCP packet starting at `buf[0]`. Returns the packet
+    /// and its total encoded length.
+    fn parse_one(buf: &[u8]) -> Result<(RtcpPacket, usize), ProtoError> {
+        let mut rest = buf;
+        let pkt = read_one(&mut rest)?;
+        Ok((pkt.into(), buf.len() - rest.len()))
+    }
 
     fn block() -> ReportBlock {
         ReportBlock {

@@ -305,7 +305,7 @@ impl<'a> RtpView<'a> {
     }
 
     /// CSRC list (allocates only for the list itself).
-    pub fn csrc(&self) -> Vec<u32> {
+    pub(crate) fn csrc(&self) -> Vec<u32> {
         let n = self.csrc_count().min((self.buf.len() - MIN_HEADER_LEN) / 4);
         (0..n)
             .map(|i| {

@@ -7,7 +7,7 @@
 //! with a binding success response carrying XOR-MAPPED-ADDRESS.
 //!
 //! Implemented: binding request / success response, XOR-MAPPED-ADDRESS,
-//! USERNAME, PRIORITY, and opaque pass-through of unknown attributes.
+//! and opaque pass-through of every other attribute (USERNAME, PRIORITY).
 //! Omitted: MESSAGE-INTEGRITY and FINGERPRINT (no crypto in this
 //! reproduction, consistent with §8), TURN methods, error responses.
 
@@ -24,8 +24,6 @@ pub(crate) const TYPE_BINDING_SUCCESS: u16 = 0x0101;
 
 /// Attribute: XOR-MAPPED-ADDRESS.
 pub(crate) const ATTR_XOR_MAPPED_ADDRESS: u16 = 0x0020;
-/// Attribute: USERNAME.
-pub(crate) const ATTR_USERNAME: u16 = 0x0006;
 
 /// A parsed STUN message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,18 +74,6 @@ impl StunMessage {
             .iter()
             .find(|(t, _)| *t == ty)
             .map(|(_, v)| v.as_slice())
-    }
-
-    /// Append a USERNAME attribute.
-    pub fn set_username(&mut self, username: &str) {
-        self.attributes
-            .push((ATTR_USERNAME, username.as_bytes().to_vec()));
-    }
-
-    /// Read the USERNAME attribute.
-    pub fn username(&self) -> Option<String> {
-        self.attribute(ATTR_USERNAME)
-            .map(|v| String::from_utf8_lossy(v).into_owned())
     }
 
     /// Append an XOR-MAPPED-ADDRESS attribute (IPv4).
@@ -286,6 +272,22 @@ mod tests {
     const TYPE_BINDING_INDICATION: u16 = 0x0011;
     /// Attribute: PRIORITY (ICE).
     const ATTR_PRIORITY: u16 = 0x0024;
+    /// Attribute: USERNAME.
+    const ATTR_USERNAME: u16 = 0x0006;
+
+    impl StunMessage {
+        /// Append a USERNAME attribute.
+        fn set_username(&mut self, username: &str) {
+            self.attributes
+                .push((ATTR_USERNAME, username.as_bytes().to_vec()));
+        }
+
+        /// Read the USERNAME attribute.
+        fn username(&self) -> Option<String> {
+            self.attribute(ATTR_USERNAME)
+                .map(|v| String::from_utf8_lossy(v).into_owned())
+        }
+    }
 
     #[test]
     fn request_round_trip() {
